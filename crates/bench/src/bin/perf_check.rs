@@ -1,5 +1,5 @@
 //! Perf-regression gate, run in CI (release builds only — the floors in
-//! `BENCH_baselines.json` assume optimized code).
+//! `crates/bench/baselines.json` assume optimized code).
 //!
 //! Three guarantees, exit non-zero if any breaks:
 //!

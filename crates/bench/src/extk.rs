@@ -29,11 +29,9 @@ use bytes::Bytes;
 use rand::Rng;
 
 use verme_chord::{Byzantine, ByzantineConfig, ChordConfig, Id, NodeHandle, StaticRing};
-use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
+use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
-use verme_dht::{
-    CompromiseVerDiNode, DhashNode, DhtConfig, DhtNode, FastVerDiNode, SecureVerDiNode,
-};
+use verme_dht::{Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant};
 use verme_sim::fault::{keys as fault_keys, Fault, FaultHooks, FaultPlan, FaultRunner};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
@@ -303,12 +301,10 @@ pub fn run_extk_cell(
 ) -> ExtKCell {
     match system {
         ExtKSystem::Dhash => run_dhash_cell(params, fraction, cell_seed),
-        ExtKSystem::FastVerDi => run_verme_cell(params, fraction, cell_seed, FastVerDiNode::new),
-        ExtKSystem::SecureVerDi => {
-            run_verme_cell(params, fraction, cell_seed, SecureVerDiNode::new)
-        }
+        ExtKSystem::FastVerDi => run_verme_cell::<Fast, _>(system, params, fraction, cell_seed),
+        ExtKSystem::SecureVerDi => run_verme_cell::<Secure, _>(system, params, fraction, cell_seed),
         ExtKSystem::CompromiseVerDi => {
-            run_verme_cell(params, fraction, cell_seed, CompromiseVerDiNode::new)
+            run_verme_cell::<Compromise, _>(system, params, fraction, cell_seed)
         }
     }
 }
@@ -353,12 +349,16 @@ fn run_dhash_cell(params: &ExtKParams, fraction: f64, cell_seed: u64) -> ExtKCel
     drive_cell(rt, addrs, adversaries, hooks, params, cell_seed)
 }
 
-fn run_verme_cell<N, F>(params: &ExtKParams, fraction: f64, cell_seed: u64, mk_node: F) -> ExtKCell
+fn run_verme_cell<V, P>(
+    system: ExtKSystem,
+    params: &ExtKParams,
+    fraction: f64,
+    cell_seed: u64,
+) -> ExtKCell
 where
-    N: DhtNode + VermeOverlayAccess + 'static,
-    F: Fn(verme_core::VermeNode<N::Payload>, DhtConfig) -> N,
+    V: Variant<Overlay = VermeNode<P>>,
+    P: Payload + 'static,
 {
-    let system = N::SYSTEM;
     let cfg = defended_config(system, params);
     let layout = SectionLayout::with_sections(params.sections, 2);
     let ring = VermeStaticRing::generate(layout, params.nodes, cell_seed);
@@ -367,14 +367,14 @@ where
     let mut addrs = Vec::with_capacity(params.nodes);
     for i in 0..params.nodes {
         let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
-        addrs.push(rt.spawn(HostId(i), mk_node(overlay, cfg.clone())));
+        addrs.push(rt.spawn(HostId(i), DhtEngine::<V>::new(overlay, cfg.clone())));
     }
 
     let order = verme_adversary_order(&ring, &addrs, cell_seed);
     let adversaries: Vec<Addr> =
         order.iter().copied().take(adversary_count(params, fraction)).collect();
     let attack_name = params.attack.strip_suffix("+churn").unwrap_or(&params.attack).to_string();
-    let hooks: FaultHooks<N, UniformLatency> = FaultHooks {
+    let hooks: FaultHooks<DhtEngine<V>, UniformLatency> = FaultHooks {
         join: Box::new(|_, _| None),
         select_victims: Box::new(eclipse_selector(order)),
         ring_converged: Box::new(|_| true),
@@ -384,49 +384,13 @@ where
                 let cfg = attack_config(attack, adversary_seed(cell_seed, a));
                 rt.node_mut(a)
                     .expect("corrupt targets are alive")
-                    .verme_overlay_mut()
+                    .overlay_mut()
                     .set_behaviour(Box::new(Byzantine::new(cfg)));
             }
         }),
         restart: Box::new(|_, _, _, _, _| None),
     };
     drive_cell(rt, addrs, adversaries, hooks, params, cell_seed)
-}
-
-/// Uniform mutable access to the Verme overlay across the three VerDi
-/// node types (their inherent `overlay_mut` accessors differ only in the
-/// payload parameter).
-pub trait VermeOverlayAccess: DhtNode {
-    /// Which sweep variant this node type is.
-    const SYSTEM: ExtKSystem;
-    /// The lookup payload the variant piggybacks.
-    type Payload: verme_core::Payload;
-    /// The underlying Verme overlay.
-    fn verme_overlay_mut(&mut self) -> &mut verme_core::VermeNode<Self::Payload>;
-}
-
-impl VermeOverlayAccess for FastVerDiNode {
-    const SYSTEM: ExtKSystem = ExtKSystem::FastVerDi;
-    type Payload = ();
-    fn verme_overlay_mut(&mut self) -> &mut verme_core::VermeNode<()> {
-        self.overlay_mut()
-    }
-}
-
-impl VermeOverlayAccess for SecureVerDiNode {
-    const SYSTEM: ExtKSystem = ExtKSystem::SecureVerDi;
-    type Payload = verme_dht::SecurePayload;
-    fn verme_overlay_mut(&mut self) -> &mut verme_core::VermeNode<verme_dht::SecurePayload> {
-        self.overlay_mut()
-    }
-}
-
-impl VermeOverlayAccess for CompromiseVerDiNode {
-    const SYSTEM: ExtKSystem = ExtKSystem::CompromiseVerDi;
-    type Payload = ();
-    fn verme_overlay_mut(&mut self) -> &mut verme_core::VermeNode<()> {
-        self.overlay_mut()
-    }
 }
 
 /// The shared schedule: settle, seed blocks fault-free, flip the

@@ -20,11 +20,10 @@
 
 use bytes::Bytes;
 use verme_chord::{ChordConfig, Id, NodeHandle, StaticRing};
-use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
+use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
 use verme_dht::{
-    keys as dht_keys, CompromiseVerDiNode, DhashNode, DhtConfig, DhtNode, FastVerDiNode,
-    SecureVerDiNode,
+    keys as dht_keys, Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant,
 };
 use verme_load::{generate_schedule, keys as load_keys, LoadProfile};
 use verme_sim::runtime::UniformLatency;
@@ -147,9 +146,9 @@ pub fn run_point(system: DhtSystem, params: &ExtLParams, rate: f64, serving: boo
     let cfg = dht_cfg(params, serving);
     match system {
         DhtSystem::Dhash => run_loaded(params, rate, cfg, spawn_dhash),
-        DhtSystem::FastVerDi => run_loaded(params, rate, cfg, spawn_fast),
-        DhtSystem::SecureVerDi => run_loaded(params, rate, cfg, spawn_secure),
-        DhtSystem::CompromiseVerDi => run_loaded(params, rate, cfg, spawn_compromise),
+        DhtSystem::FastVerDi => run_loaded(params, rate, cfg, spawn_verdi::<Fast, _>),
+        DhtSystem::SecureVerDi => run_loaded(params, rate, cfg, spawn_verdi::<Secure, _>),
+        DhtSystem::CompromiseVerDi => run_loaded(params, rate, cfg, spawn_verdi::<Compromise, _>),
     }
 }
 
@@ -203,35 +202,31 @@ fn spawn_dhash(
     (rt, addrs)
 }
 
-macro_rules! loaded_spawner {
-    ($name:ident, $node:ident) => {
-        fn $name(
-            params: &ExtLParams,
-            cfg: DhtConfig,
-        ) -> (Runtime<$node, UniformLatency>, Vec<Addr>) {
-            let layout = SectionLayout::with_sections(params.sections, 2);
-            let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
-            let mut ca = CertificateAuthority::new(params.seed);
-            let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), params.seed);
-            let mut addrs = Vec::with_capacity(params.nodes);
-            // Secure-VerDi's data rides the lookup, so the overlay's
-            // lookup deadline must not censor queueing delay: raise it
-            // to the op deadline — the experiment measures latency, not
-            // timeout-driven load shedding.
-            let mut vcfg = VermeConfig::new(layout);
-            vcfg.lookup_deadline = SimDuration::from_secs(600);
-            for i in 0..params.nodes {
-                let overlay = ring.build_node(i, vcfg.clone(), &mut ca);
-                addrs.push(rt.spawn(HostId(i), $node::new(overlay, cfg.clone())));
-            }
-            (rt, addrs)
-        }
-    };
+fn spawn_verdi<V, P>(
+    params: &ExtLParams,
+    cfg: DhtConfig,
+) -> (Runtime<DhtEngine<V>, UniformLatency>, Vec<Addr>)
+where
+    V: Variant<Overlay = VermeNode<P>>,
+    P: Payload,
+{
+    let layout = SectionLayout::with_sections(params.sections, 2);
+    let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
+    let mut ca = CertificateAuthority::new(params.seed);
+    let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), params.seed);
+    let mut addrs = Vec::with_capacity(params.nodes);
+    // Secure-VerDi's data rides the lookup, so the overlay's lookup
+    // deadline must not censor queueing delay: raise it to the op
+    // deadline — the experiment measures latency, not timeout-driven
+    // load shedding.
+    let mut vcfg = VermeConfig::new(layout);
+    vcfg.lookup_deadline = SimDuration::from_secs(600);
+    for i in 0..params.nodes {
+        let overlay = ring.build_node(i, vcfg.clone(), &mut ca);
+        addrs.push(rt.spawn(HostId(i), DhtEngine::<V>::new(overlay, cfg.clone())));
+    }
+    (rt, addrs)
 }
-
-loaded_spawner!(spawn_fast, FastVerDiNode);
-loaded_spawner!(spawn_secure, SecureVerDiNode);
-loaded_spawner!(spawn_compromise, CompromiseVerDiNode);
 
 /// The block published under rank `rank`: the rank tag keeps keys
 /// distinct, the rest is zero fill up to `block_size`.

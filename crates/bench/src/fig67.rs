@@ -10,11 +10,9 @@ use bytes::Bytes;
 use rand::Rng;
 
 use verme_chord::{ChordConfig, Id, NodeHandle, StaticRing};
-use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
+use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
-use verme_dht::{
-    CompromiseVerDiNode, DhashNode, DhtConfig, DhtNode, FastVerDiNode, SecureVerDiNode,
-};
+use verme_dht::{Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant};
 use verme_net::{TransitStub, TransitStubConfig};
 use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
 
@@ -100,9 +98,9 @@ pub struct Fig67Result {
 pub fn run_fig67(system: DhtSystem, params: &Fig67Params) -> Fig67Result {
     match system {
         DhtSystem::Dhash => run_generic(params, spawn_dhash),
-        DhtSystem::FastVerDi => run_generic(params, spawn_fast),
-        DhtSystem::SecureVerDi => run_generic(params, spawn_secure),
-        DhtSystem::CompromiseVerDi => run_generic(params, spawn_compromise),
+        DhtSystem::FastVerDi => run_generic(params, spawn_verdi::<Fast, _>),
+        DhtSystem::SecureVerDi => run_generic(params, spawn_verdi::<Secure, _>),
+        DhtSystem::CompromiseVerDi => run_generic(params, spawn_verdi::<Compromise, _>),
     }
 }
 
@@ -133,26 +131,22 @@ fn spawn_dhash(params: &Fig67Params) -> (Runtime<DhashNode, TransitStub>, Vec<Ad
     (rt, addrs)
 }
 
-macro_rules! verdi_spawner {
-    ($name:ident, $node:ident) => {
-        fn $name(params: &Fig67Params) -> (Runtime<$node, TransitStub>, Vec<Addr>) {
-            let layout = SectionLayout::with_sections(params.sections, 2);
-            let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
-            let mut ca = CertificateAuthority::new(params.seed);
-            let mut rt = Runtime::new(network(params), params.seed);
-            let mut addrs = Vec::with_capacity(params.nodes);
-            for i in 0..params.nodes {
-                let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
-                addrs.push(rt.spawn(HostId(i), $node::new(overlay, DhtConfig::default())));
-            }
-            (rt, addrs)
-        }
-    };
+fn spawn_verdi<V, P>(params: &Fig67Params) -> (Runtime<DhtEngine<V>, TransitStub>, Vec<Addr>)
+where
+    V: Variant<Overlay = VermeNode<P>>,
+    P: Payload,
+{
+    let layout = SectionLayout::with_sections(params.sections, 2);
+    let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
+    let mut ca = CertificateAuthority::new(params.seed);
+    let mut rt = Runtime::new(network(params), params.seed);
+    let mut addrs = Vec::with_capacity(params.nodes);
+    for i in 0..params.nodes {
+        let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
+        addrs.push(rt.spawn(HostId(i), DhtEngine::<V>::new(overlay, DhtConfig::default())));
+    }
+    (rt, addrs)
 }
-
-verdi_spawner!(spawn_fast, FastVerDiNode);
-verdi_spawner!(spawn_secure, SecureVerDiNode);
-verdi_spawner!(spawn_compromise, CompromiseVerDiNode);
 
 /// The measurement schedule, shared by all systems:
 /// 1. `operations` puts from random nodes (measured);

@@ -28,7 +28,7 @@
 //!   every binary writes for CI regression tracking, now with peak RSS
 //!   and optional per-subsystem span-profiler breakdowns.
 //! * [`perf`] — the perf-regression gate: parses the checked-in
-//!   `BENCH_baselines.json` floors and checks measured workloads against
+//!   `baselines.json` floors and checks measured workloads against
 //!   them (the `perf_check` CI bin's logic).
 //!
 //! The `src/bin/` binaries print each figure's table at paper scale

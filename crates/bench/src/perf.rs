@@ -1,6 +1,6 @@
 //! Perf-regression gates: baseline floors for the `perf_check` CI bin.
 //!
-//! The checked-in `BENCH_baselines.json` at the repository root records a
+//! The checked-in `crates/bench/baselines.json` records a
 //! *floor* on events/s and a *ceiling* on the unattributed wall-time
 //! fraction for each gated workload. Floors are deliberately generous
 //! (≥ 2× slack against a local measurement) so the gate catches
@@ -12,7 +12,7 @@
 
 use verme_obs::Json;
 
-/// One gated workload's floors, as read from `BENCH_baselines.json`.
+/// One gated workload's floors, as read from `baselines.json`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfBaseline {
     /// Workload name (matches [`PerfMeasurement::name`]).
@@ -35,7 +35,7 @@ pub struct PerfMeasurement {
     pub unattributed_frac: Option<f64>,
 }
 
-/// Parses `BENCH_baselines.json`:
+/// Parses `baselines.json`:
 /// `{"baselines": [{"name": ..., "min_events_per_sec": ...,
 /// "max_unattributed_frac": ...}, ...]}`.
 pub fn parse_baselines(raw: &str) -> Result<Vec<PerfBaseline>, String> {
@@ -84,7 +84,7 @@ pub fn check_measurement(
     let b = baselines
         .iter()
         .find(|b| b.name == m.name)
-        .ok_or_else(|| format!("{}: no baseline entry in BENCH_baselines.json", m.name))?;
+        .ok_or_else(|| format!("{}: no baseline entry in baselines.json", m.name))?;
     if m.events_per_sec < b.min_events_per_sec {
         return Err(format!(
             "{}: {:.0} events/s is below the {:.0} events/s floor ({:.1}× too slow)",
@@ -117,13 +117,14 @@ pub fn check_measurement(
 }
 
 /// Reads the checked-in baselines file: `$VERME_BASELINES` if set, else
-/// `BENCH_baselines.json` at the workspace root (located relative to this
-/// crate's manifest, so the bin works from any working directory).
+/// `baselines.json` beside this crate's manifest (so the bin works from
+/// any working directory). The name must stay clear of the root
+/// `.gitignore`'s `BENCH_*.json`, which swallows the wall-clock side files.
 pub fn load_baselines() -> Result<Vec<PerfBaseline>, String> {
     let path = std::env::var("VERME_BASELINES")
         .ok()
         .filter(|p| !p.is_empty())
-        .unwrap_or_else(|| format!("{}/../../BENCH_baselines.json", env!("CARGO_MANIFEST_DIR")));
+        .unwrap_or_else(|| format!("{}/baselines.json", env!("CARGO_MANIFEST_DIR")));
     let raw = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     parse_baselines(&raw)
 }
@@ -204,7 +205,7 @@ mod tests {
     #[test]
     fn checked_in_baselines_file_parses() {
         // Guard the real repo file against drift.
-        let list = load_baselines().expect("BENCH_baselines.json must parse");
+        let list = load_baselines().expect("crates/bench/baselines.json must parse");
         assert!(!list.is_empty());
         for b in &list {
             assert!(b.min_events_per_sec > 0.0);

@@ -17,6 +17,8 @@ use bytes::Bytes;
 use verme_chord::Id;
 use verme_sim::{Addr, Ctx, Node, ProtoEvent, SimDuration, SimTime};
 
+use crate::engine::DhtTimer;
+
 /// Metric keys recorded by DHT nodes.
 pub mod keys {
     /// Latency of each completed `get`, milliseconds.
@@ -341,14 +343,32 @@ impl DhtConfig {
     }
 }
 
+/// What a pending operation asked for. A put carries its value here, so
+/// "a put without a value" cannot be represented.
+#[derive(Clone, Debug)]
+pub enum OpReq {
+    /// A `get(key)`.
+    Get,
+    /// A `put(value)`.
+    Put(Bytes),
+}
+
+impl OpReq {
+    /// Get or put.
+    pub fn kind(&self) -> OpKind {
+        match self {
+            OpReq::Get => OpKind::Get,
+            OpReq::Put(_) => OpKind::Put,
+        }
+    }
+}
+
 /// A pending DHT operation tracked by an [`OpTable`].
 pub struct PendingOp {
-    /// Get or put.
-    pub kind: OpKind,
+    /// Get, or put with the value being stored.
+    pub req: OpReq,
     /// The block key.
     pub key: Id,
-    /// The value being stored (puts only).
-    pub value: Option<Bytes>,
     /// When the operation started (the deadline anchors here).
     pub started: SimTime,
     /// Retries consumed so far (0 = first attempt).
@@ -384,13 +404,12 @@ pub struct FinishedOp {
     pub repair: bool,
 }
 
-/// The operation lifecycle shared by all four DHT implementations: id
+/// The operation lifecycle of the [`DhtEngine`](crate::DhtEngine): id
 /// allocation, the hard per-request deadline, retry/backoff accounting,
 /// metrics, trace events, and outcome collection.
 ///
-/// Only *issuing* an attempt stays variant-specific (each system routes
-/// its request differently); everything around it lives here. Timers are
-/// injected as closures because each system has its own timer enum.
+/// Only *issuing* an attempt is variant-specific (each system routes its
+/// request differently); everything around it lives here.
 #[derive(Default)]
 pub struct OpTable {
     next_op: u64,
@@ -406,74 +425,44 @@ impl OpTable {
 
     /// Registers a new operation: allocates its id, opens a fresh causal
     /// span, records it as pending, and arms the hard deadline timer.
-    ///
     /// The caller must then issue the first attempt itself.
+    ///
+    /// With `repair` set this is an internal read-repair write: same
+    /// lifecycle (deadline, retries, backoff), but the completion never
+    /// surfaces as an [`OpOutcome`] and moves no foreground metrics —
+    /// repair must stay invisible to Figure 7 and to harnesses counting
+    /// operation results.
     pub fn start<M, T>(
         &mut self,
-        kind: OpKind,
+        req: OpReq,
         key: Id,
-        value: Option<Bytes>,
+        repair: bool,
         cfg: &DhtConfig,
-        ctx: &mut Ctx<'_, M, T>,
-        deadline_timer: impl FnOnce(u64) -> T,
+        ctx: &mut Ctx<'_, M, DhtTimer<T>>,
     ) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
         ctx.begin_cause();
-        ctx.emit(ProtoEvent::OpStart { op, kind: kind.label(), key: key.raw() });
+        let kind = if repair { "repair" } else { req.kind().label() };
+        ctx.emit(ProtoEvent::OpStart { op, kind, key: key.raw() });
+        if repair {
+            ctx.metrics().count(keys::READ_REPAIR, 1);
+        }
         self.pending.insert(
             op,
             PendingOp {
-                kind,
+                req,
                 key,
-                value,
                 started: ctx.now(),
                 attempt: 0,
-                repair: false,
+                repair,
                 last_hop: None,
                 prev_failed_hop: None,
                 hop_strikes: 0,
                 avoid: Vec::new(),
             },
         );
-        ctx.set_timer(cfg.op_deadline, deadline_timer(op));
-        op
-    }
-
-    /// Registers an internal read-repair write: same lifecycle as
-    /// [`start`](OpTable::start) (deadline, retries, backoff), but the
-    /// completion never surfaces as an [`OpOutcome`] and moves no
-    /// foreground metrics — repair must stay invisible to Figure 7 and
-    /// to harnesses counting operation results.
-    pub fn start_repair<M, T>(
-        &mut self,
-        key: Id,
-        value: Bytes,
-        cfg: &DhtConfig,
-        ctx: &mut Ctx<'_, M, T>,
-        deadline_timer: impl FnOnce(u64) -> T,
-    ) -> u64 {
-        let op = self.next_op;
-        self.next_op += 1;
-        ctx.begin_cause();
-        ctx.emit(ProtoEvent::OpStart { op, kind: "repair", key: key.raw() });
-        ctx.metrics().count(keys::READ_REPAIR, 1);
-        self.pending.insert(
-            op,
-            PendingOp {
-                kind: OpKind::Put,
-                key,
-                value: Some(value),
-                started: ctx.now(),
-                attempt: 0,
-                repair: true,
-                last_hop: None,
-                prev_failed_hop: None,
-                hop_strikes: 0,
-                avoid: Vec::new(),
-            },
-        );
-        ctx.set_timer(cfg.op_deadline, deadline_timer(op));
+        ctx.set_timer(cfg.op_deadline, DhtTimer::OpDeadline { op });
         op
     }
 
@@ -515,8 +504,7 @@ impl OpTable {
         &mut self,
         op: u64,
         cfg: &DhtConfig,
-        ctx: &mut Ctx<'_, M, T>,
-        retry_timer: impl FnOnce(u64) -> T,
+        ctx: &mut Ctx<'_, M, DhtTimer<T>>,
     ) {
         let Some(p) = self.pending.get_mut(&op) else {
             return;
@@ -555,7 +543,7 @@ impl OpTable {
             ctx.metrics().count(keys::OP_RETRIES, 1);
         }
         ctx.emit(ProtoEvent::OpRetry { op, attempt: next_attempt });
-        ctx.set_timer(backoff, retry_timer(op));
+        ctx.set_timer(backoff, DhtTimer::RetryOp { op });
     }
 
     /// Completes (or fails) an operation: records latency and outcome
@@ -571,6 +559,7 @@ impl OpTable {
     ) -> Option<FinishedOp> {
         let p = self.pending.remove(&op)?;
         let latency = ctx.now().saturating_since(p.started);
+        let kind = p.req.kind();
         if p.repair {
             if ok {
                 ctx.metrics().count(keys::REPAIR_PUSHED, 1);
@@ -579,7 +568,7 @@ impl OpTable {
             if p.attempt > 0 {
                 ctx.metrics().count(keys::OP_RECOVERED, 1);
             }
-            match p.kind {
+            match kind {
                 OpKind::Get => {
                     ctx.metrics().record(keys::GET_LATENCY_MS, latency.as_millis_f64());
                     ctx.metrics().count(keys::GET_COMPLETED, 1);
@@ -594,9 +583,9 @@ impl OpTable {
         }
         ctx.emit(ProtoEvent::OpEnd { op, ok });
         if !p.repair {
-            self.outcomes.push(OpOutcome { op, kind: p.kind, key: p.key, ok, value, latency });
+            self.outcomes.push(OpOutcome { op, kind, key: p.key, ok, value, latency });
         }
-        Some(FinishedOp { kind: p.kind, key: p.key, ok, attempt: p.attempt, repair: p.repair })
+        Some(FinishedOp { kind, key: p.key, ok, attempt: p.attempt, repair: p.repair })
     }
 
     /// Drains outcomes of operations that finished since the last call.

@@ -10,47 +10,48 @@
 //! observe the initiators that happen to use it as a relay, at the rate
 //! those neighbors issue requests — the Figure 8 Compromise curve.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use bytes::Bytes;
-use rand::Rng;
 
 use verme_chord::Id;
-use verme_core::{VermeAnswer, VermeMsg, VermeNode, VermeTimer};
+use verme_core::{VermeAnswer, VermeNode};
 use verme_crypto::{Certificate, SignedStatement};
-use verme_sim::{Addr, Ctx, Node, ProfScope, Scope, SimDuration, Wire};
+use verme_sim::{Addr, Scope, Wire};
 
-use crate::api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome, OpTable};
-use crate::block::{block_key, verify_block, BlockStore};
-use crate::serving::ServingPlane;
+use crate::api::{keys, DhtConfig, OpKind, OpReq};
+use crate::engine::{
+    send_as, send_data, DataReply, DhtEngine, DhtMsg, ECtx, ExtMsg, Stored, Variant, HDR,
+};
+use crate::verme::{self, CrossMsg, CrossPlane, DualPoint};
 
-/// Compromise-VerDi wire messages.
+/// The signed, relayed operation request (initiator → relay).
 #[derive(Clone, Debug)]
-pub enum CompMsg {
-    /// Encapsulated Verme message.
-    Overlay(VermeMsg<()>),
-    /// The signed, relayed operation request (initiator → relay).
-    RelayRequest {
-        /// Initiator's operation id (echoed in the relay's reply).
-        rop: u64,
-        /// The initiator's certificate.
-        cert: Certificate,
-        /// Signed statement vouching for the operation on `(key, rop)`.
-        statement: SignedStatement<(u128, u64)>,
-        /// Get or put.
-        kind: OpKind,
-        /// Block key.
-        key: Id,
-        /// Block contents (puts only).
-        value: Option<Bytes>,
-        /// Initiator's retry attempt: the relay rotates its replica
-        /// choice with it, so a dead first replica is not retried
-        /// forever.
-        attempt: u32,
-        /// True for internal read-repair writes (the relayed chain is
-        /// then background traffic).
-        repair: bool,
-    },
+pub struct RelayRequest {
+    /// Initiator's operation id (echoed in the relay's reply).
+    pub rop: u64,
+    /// The initiator's certificate.
+    pub cert: Certificate,
+    /// Signed statement vouching for the operation on `(key, rop)`.
+    pub statement: SignedStatement<(u128, u64)>,
+    /// Get, or put with the block contents.
+    pub req: OpReq,
+    /// Block key.
+    pub key: Id,
+    /// Initiator's retry attempt: the relay rotates its replica choice
+    /// with it, so a dead first replica is not retried forever.
+    pub attempt: u32,
+    /// True for internal read-repair writes (the relayed chain is then
+    /// background traffic).
+    pub repair: bool,
+}
+
+/// Compromise-VerDi's extra wire cases: the relay protocol, plus the
+/// cross-section copy it shares with Fast-VerDi.
+#[derive(Clone, Debug)]
+pub enum CompExt {
+    /// Initiator → relay: please run this operation for me.
+    RelayRequest(RelayRequest),
     /// Relay → initiator: the fetched block.
     RelayGetReply {
         /// Operation id from the request.
@@ -65,200 +66,52 @@ pub enum CompMsg {
         /// Whether the store succeeded.
         ok: bool,
     },
-    /// Direct block fetch (relay → replica).
-    Fetch {
-        /// Relay-job id.
-        op: u64,
-        /// Block key.
-        key: Id,
-    },
-    /// Fetch response.
-    FetchReply {
-        /// Relay-job id from the request.
-        op: u64,
-        /// The block, if stored.
-        value: Option<Bytes>,
-    },
-    /// Direct block store (relay → responsible node).
-    Store {
-        /// Relay-job id.
-        op: u64,
-        /// Block key.
-        key: Id,
-        /// Block contents.
-        value: Bytes,
-        /// Client's retry attempt (rotates the cross-copy target).
-        attempt: u32,
-        /// Read-repair write: the whole chain is background traffic.
-        repair: bool,
-    },
-    /// Store acknowledgment (after the cross-section copy).
-    StoreAck {
-        /// Relay-job id from the request.
-        op: u64,
-        /// Whether the store succeeded.
-        ok: bool,
-    },
-    /// Cross-section copy (responsible → paired responsible).
-    CrossCopy {
-        /// Copy transaction id.
-        xid: u64,
-        /// Block key.
-        key: Id,
-        /// Block contents.
-        value: Bytes,
-        /// True when sent by the repair plane (ack charged to
-        /// replication).
-        repair: bool,
-    },
-    /// Cross-copy acknowledgment.
-    CrossCopyAck {
-        /// Transaction id from the request.
-        xid: u64,
-        /// Whether the copy was stored.
-        ok: bool,
-    },
-    /// Background in-section replication.
-    Replicate {
-        /// Block key.
-        key: Id,
-        /// Block contents.
-        value: Bytes,
-    },
-    /// Repair probe: a replica anchor tells a peer which keys it should
-    /// hold (see [`crate::fast::FastMsg::RepairProbe`]).
-    RepairProbe {
-        /// Prober-local round number.
-        round: u64,
-        /// The prober's id (defines its section for orphan reports).
-        owner: Id,
-        /// Keys the prober anchors and holds.
-        keys: Vec<Id>,
-        /// True when probing the opposite-type replica point.
-        cross: bool,
-    },
-    /// Repair probe reply.
-    RepairNeed {
-        /// Round number echoed from the probe.
-        round: u64,
-        /// Probed keys this node does not hold (please push).
-        missing: Vec<Id>,
-        /// Keys this node holds in the prober's section that were not in
-        /// the probe (in-section probes only).
-        orphans: Vec<Id>,
-        /// Echoed from the probe: push via cross copy, not replicate.
-        cross: bool,
-    },
-    /// Pull request for orphaned blocks (answered with `Replicate`).
-    RepairPull {
-        /// Keys to send back.
-        keys: Vec<Id>,
-    },
+    /// Cross-section copy (responsible → paired responsible) and its ack.
+    Cross(CrossMsg),
 }
 
-const HDR: usize = verme_chord::proto::HEADER_BYTES;
 /// Modelled size of a signed statement (digest + signature + signer key).
 const STATEMENT_BYTES: usize = 80;
 
-impl Wire for CompMsg {
+impl Wire for CompExt {
     fn wire_size(&self) -> usize {
         match self {
-            CompMsg::Overlay(m) => m.wire_size(),
-            CompMsg::RelayRequest { value, .. } => {
-                HDR + 8
-                    + Certificate::WIRE_SIZE
-                    + STATEMENT_BYTES
-                    + 1
-                    + 16
-                    + value.as_ref().map_or(0, |v| v.len())
+            CompExt::RelayRequest(r) => {
+                let value_len = match &r.req {
+                    OpReq::Get => 0,
+                    OpReq::Put(value) => value.len(),
+                };
+                HDR + 8 + Certificate::WIRE_SIZE + STATEMENT_BYTES + 1 + 16 + value_len
             }
-            CompMsg::RelayGetReply { value, .. } => {
+            CompExt::RelayGetReply { value, .. } => {
                 HDR + 8 + 1 + value.as_ref().map_or(0, |v| v.len())
             }
-            CompMsg::RelayPutReply { .. } => HDR + 9,
-            CompMsg::Fetch { .. } => HDR + 8 + 16,
-            CompMsg::FetchReply { value, .. } => {
-                HDR + 8 + 1 + value.as_ref().map_or(0, |v| v.len())
-            }
-            CompMsg::Store { value, .. } => HDR + 8 + 16 + value.len(),
-            CompMsg::StoreAck { .. } => HDR + 9,
-            CompMsg::CrossCopy { value, .. } => HDR + 8 + 16 + value.len(),
-            CompMsg::CrossCopyAck { .. } => HDR + 9,
-            CompMsg::Replicate { value, .. } => HDR + 16 + value.len(),
-            CompMsg::RepairProbe { keys, .. } => HDR + 8 + 17 + 16 * keys.len(),
-            CompMsg::RepairNeed { missing, orphans, .. } => {
-                HDR + 9 + 16 * (missing.len() + orphans.len())
-            }
-            CompMsg::RepairPull { keys } => HDR + 16 * keys.len(),
+            CompExt::RelayPutReply { .. } => HDR + 9,
+            CompExt::Cross(m) => m.wire_size(),
         }
     }
 }
 
-/// Compromise-VerDi timers.
-#[derive(Clone, Debug)]
-pub enum CompTimer {
-    /// Encapsulated Verme timer.
-    Overlay(VermeTimer),
-    /// Operation deadline (initiator side, hard per-request bound).
-    OpDeadline {
-        /// The guarded operation.
-        op: u64,
-    },
-    /// One attempt's share of the deadline elapsed without an answer.
-    AttemptTimeout {
-        /// The guarded operation.
-        op: u64,
-        /// The attempt this timer guards (stale timers are ignored).
-        attempt: u32,
-    },
-    /// Backoff elapsed; re-send the operation's relay request.
-    RetryOp {
-        /// The operation to retry.
-        op: u64,
-    },
-    /// Periodic background data stabilization.
-    DataStabilize,
-    /// Periodic repair-round check (probes only if the overlay
-    /// neighborhood changed since the previous round).
-    Repair,
-    /// Short-fuse repair round scheduled right after a detected
-    /// neighborhood change (join, crash, or graceful leave).
-    RepairKick,
-    /// A queued fetch finished its service slot; send the reply to the
-    /// requesting relay. Only armed when `fetch_service_time` is
-    /// non-zero.
-    ServeFetch {
-        /// Relay-job id from the request, echoed into the reply.
-        op: u64,
-        /// Block key to read at service completion.
-        key: Id,
-        /// The relay awaiting the reply.
-        client: Addr,
-    },
+impl ExtMsg for CompExt {
+    fn scope(&self) -> Scope {
+        match self {
+            CompExt::Cross(m) => m.scope(),
+            _ => Scope::DhtOp,
+        }
+    }
 }
 
 /// A relayed operation this node is executing on a client's behalf.
+#[derive(Clone, Debug)]
 struct RelayJob {
     client: Addr,
     rop: u64,
-    kind: OpKind,
+    req: OpReq,
     key: Id,
-    value: Option<Bytes>,
     /// Client's retry attempt: rotates the replica choice.
     attempt: u32,
     /// Read-repair write relayed on the client's behalf: the whole
     /// chain (and our replies) is background traffic.
-    repair: bool,
-}
-
-struct CrossState {
-    store_op: u64,
-    store_client: Addr,
-    key: Id,
-    value: Bytes,
-    /// Client's retry attempt: rotates the cross-copy target.
-    attempt: u32,
-    /// Read-repair write: the whole chain is background traffic.
     repair: bool,
 }
 
@@ -273,949 +126,257 @@ pub struct ObservedClient {
     pub node_type: verme_crypto::NodeType,
 }
 
-/// A Compromise-VerDi node.
-pub struct CompromiseVerDiNode {
-    overlay: VermeNode<()>,
-    cfg: DhtConfig,
-    store: BlockStore,
+/// The Compromise-VerDi variant: hands each operation to an
+/// opposite-type relay, which runs the Fast-VerDi flow on its behalf.
+#[derive(Clone, Debug, Default)]
+pub struct Compromise {
     next_job: u64,
-    next_xid: u64,
-    ops: OpTable,
-    serving: ServingPlane,
+    /// Relay jobs in flight, by job id (the `op` of the relay's fetches
+    /// and stores).
     jobs: HashMap<u64, RelayJob>,
     lookup_to_job: HashMap<u64, u64>,
-    cross_lookups: HashMap<u64, CrossState>,
-    cross_waiting: HashMap<u64, (u64, Addr, bool)>,
-    /// Cross-section repair lookups in flight: lid → keys to probe.
-    lookup_to_repair: HashMap<u64, Vec<Id>>,
-    repairing: BTreeSet<Id>,
-    repair_round: u64,
-    probes_outstanding: usize,
-    /// Rotation cursor over anchored keys for the bounded cross-section
-    /// spot check.
-    cross_cursor: usize,
-    last_epoch: u64,
-    kick_armed: bool,
+    cross: CrossPlane,
     observed: Vec<ObservedClient>,
 }
 
-/// Delay between a detected neighborhood change and the reactive repair
-/// round, coalescing the flurry of changes a single join/leave causes.
-const REPAIR_KICK_DELAY: SimDuration = SimDuration::from_secs(2);
-
-type CCtx<'a> = Ctx<'a, CompMsg, CompTimer>;
+/// A Compromise-VerDi node.
+pub type CompromiseVerDiNode = DhtEngine<Compromise>;
 
 impl CompromiseVerDiNode {
-    /// Wraps a Verme overlay node with the Compromise-VerDi layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    pub fn new(overlay: VermeNode<()>, cfg: DhtConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid DHT config: {e}");
-        }
-        CompromiseVerDiNode {
-            overlay,
-            cfg,
-            store: BlockStore::new(),
-            next_job: 0,
-            next_xid: 0,
-            ops: OpTable::new(),
-            serving: ServingPlane::new(),
-            jobs: HashMap::new(),
-            lookup_to_job: HashMap::new(),
-            cross_lookups: HashMap::new(),
-            cross_waiting: HashMap::new(),
-            lookup_to_repair: HashMap::new(),
-            repairing: BTreeSet::new(),
-            repair_round: 0,
-            probes_outstanding: 0,
-            cross_cursor: 0,
-            last_epoch: 0,
-            kick_armed: false,
-            observed: Vec::new(),
-        }
-    }
-
-    /// The underlying Verme overlay node.
-    pub fn overlay(&self) -> &VermeNode<()> {
-        &self.overlay
-    }
-
-    /// Mutable access to the overlay (behaviour installation).
-    pub fn overlay_mut(&mut self) -> &mut VermeNode<()> {
-        &mut self.overlay
-    }
-
-    /// The local block store.
-    pub fn store(&self) -> &BlockStore {
-        &self.store
-    }
-
     /// Clients this node has observed while acting as a relay (the
     /// passive-harvest channel of §5.3.3).
     pub fn observed_clients(&self) -> &[ObservedClient] {
-        &self.observed
+        &self.variant.observed
     }
+}
 
-    fn with_overlay<R>(
-        &mut self,
-        ctx: &mut CCtx<'_>,
-        f: impl FnOnce(&mut VermeNode<()>, &mut Ctx<'_, VermeMsg<()>, VermeTimer>) -> R,
-    ) -> R {
-        let overlay = &mut self.overlay;
-        ctx.nested(|ictx| f(overlay, ictx), CompMsg::Overlay, CompTimer::Overlay)
-    }
+fn ext(msg: CompExt) -> DhtMsg<Compromise> {
+    DhtMsg::Ext(msg)
+}
 
-    fn drain_overlay(&mut self, ctx: &mut CCtx<'_>) {
-        for o in self.overlay.take_outcomes() {
-            if let Some(job_id) = self.lookup_to_job.remove(&o.lid) {
-                self.continue_job(job_id, o.answer, ctx);
-            } else if let Some(cross) = self.cross_lookups.remove(&o.lid) {
-                self.continue_cross(cross, o.answer, ctx);
-            } else if let Some(probe_keys) = self.lookup_to_repair.remove(&o.lid) {
-                self.continue_repair_probe(probe_keys, o.answer, ctx);
+/// A relay's lookup finished: move the job to the data phase.
+fn continue_job(
+    eng: &mut CompromiseVerDiNode,
+    job_id: u64,
+    answer: Option<VermeAnswer>,
+    ctx: &mut ECtx<'_, Compromise>,
+) {
+    let Some(job) = eng.variant.jobs.get(&job_id) else {
+        return;
+    };
+    let Some(replicas) = verme::replicas_of(answer) else {
+        fail_job(eng, job_id, ctx);
+        return;
+    };
+    // Rotate across the replica list with the client's retry attempt:
+    // a dead first replica would otherwise fail every retry the same
+    // way.
+    let target = replicas[job.attempt as usize % replicas.len()].addr;
+    let (key, attempt, repair) = (job.key, job.attempt, job.repair);
+    match &job.req {
+        OpReq::Get => {
+            if eng.cfg.memo_enabled && attempt == 0 {
+                // Relay-side memo: remember which replica this key
+                // resolved to, so the next relayed first attempt can
+                // skip the lookup entirely.
+                eng.serving.memo_put(key, target, ctx.now(), eng.cfg.memo_ttl);
             }
+            send_data(ctx, target, DhtMsg::Fetch { op: job_id, key });
         }
-        debug_assert!(self.overlay.take_answer_requests().is_empty());
+        OpReq::Put(value) => {
+            let value = value.clone();
+            send_as(ctx, target, DhtMsg::Store { op: job_id, key, value, attempt, repair }, repair);
+        }
     }
+}
 
-    /// A relay's lookup finished: move the job to the data phase.
-    fn continue_job(&mut self, job_id: u64, answer: Option<VermeAnswer>, ctx: &mut CCtx<'_>) {
-        let Some(job) = self.jobs.get(&job_id) else {
-            return;
-        };
-        let replicas = match answer {
-            Some(VermeAnswer::Replicas { replicas }) if !replicas.is_empty() => replicas,
-            _ => {
-                self.fail_job(job_id, ctx);
+fn fail_job(eng: &mut CompromiseVerDiNode, job_id: u64, ctx: &mut ECtx<'_, Compromise>) {
+    let Some(job) = eng.variant.jobs.remove(&job_id) else {
+        return;
+    };
+    let reply = match job.req {
+        OpReq::Get => CompExt::RelayGetReply { rop: job.rop, value: None },
+        OpReq::Put(_) => CompExt::RelayPutReply { rop: job.rop, ok: false },
+    };
+    send_as(ctx, job.client, ext(reply), job.repair);
+}
+
+/// A signed operation request arrived: verify it, then run the Fast-VerDi
+/// flow on the client's behalf.
+fn relay(
+    eng: &mut CompromiseVerDiNode,
+    from: Addr,
+    request: RelayRequest,
+    ctx: &mut ECtx<'_, Compromise>,
+) {
+    let RelayRequest { rop, cert, statement, req, key, attempt, repair } = request;
+    // Verify the certificate and the vouching statement; an unverifiable
+    // request is dropped (§5.3.3).
+    if !cert.verify(eng.overlay.verifier()) {
+        return;
+    }
+    let Ok(&(stmt_key, stmt_rop)) = statement.verify(&cert) else {
+        return;
+    };
+    if stmt_key != key.raw() || stmt_rop != rop {
+        return;
+    }
+    // Passive observation channel: relays see their clients.
+    eng.variant.observed.push(ObservedClient { addr: from, node_type: cert.node_type() });
+
+    let job_id = eng.variant.next_job;
+    eng.variant.next_job += 1;
+    let is_get = req.kind() == OpKind::Get;
+    eng.variant.jobs.insert(job_id, RelayJob { client: from, rop, req, key, attempt, repair });
+    if eng.cfg.memo_enabled && is_get {
+        if attempt == 0 {
+            if let Some(addr) = eng.serving.memo_get(key, ctx.now()) {
+                // Relay-side memo hit: fetch directly from the remembered
+                // replica, skipping the overlay lookup. A failed fetch
+                // fails the job and the client's retry drops the memo
+                // below.
+                ctx.metrics().count(keys::LOOKUP_MEMO_HITS, 1);
+                send_data(ctx, addr, DhtMsg::Fetch { op: job_id, key });
                 return;
             }
-        };
-        // Rotate across the replica list with the client's retry attempt:
-        // a dead first replica would otherwise fail every retry the same
-        // way.
-        let target = replicas[job.attempt as usize % replicas.len()];
-        match job.kind {
-            OpKind::Get => {
-                let key = job.key;
-                if self.cfg.memo_enabled && job.attempt == 0 {
-                    // Relay-side memo: remember which replica this key
-                    // resolved to, so the next relayed first attempt can
-                    // skip the lookup entirely.
-                    self.serving.memo_put(key, target.addr, ctx.now(), self.cfg.memo_ttl);
-                }
-                self.send_data(ctx, target.addr, CompMsg::Fetch { op: job_id, key });
-            }
-            OpKind::Put => {
-                let key = job.key;
-                let value = job.value.clone().expect("put jobs carry a value");
-                let (attempt, repair) = (job.attempt, job.repair);
-                let msg = CompMsg::Store { op: job_id, key, value, attempt, repair };
-                if repair {
-                    self.send_background(ctx, target.addr, msg);
-                } else {
-                    self.send_data(ctx, target.addr, msg);
-                }
-            }
-        }
-    }
-
-    fn fail_job(&mut self, job_id: u64, ctx: &mut CCtx<'_>) {
-        let Some(job) = self.jobs.remove(&job_id) else {
-            return;
-        };
-        let reply = match job.kind {
-            OpKind::Get => CompMsg::RelayGetReply { rop: job.rop, value: None },
-            OpKind::Put => CompMsg::RelayPutReply { rop: job.rop, ok: false },
-        };
-        if job.repair {
-            self.send_background(ctx, job.client, reply);
         } else {
-            self.send_data(ctx, job.client, reply);
+            // A retried relay request means the first answer failed:
+            // never trust the memo, re-resolve.
+            eng.serving.memo_invalidate(key);
         }
     }
+    // Fast-VerDi flow on the client's behalf, from *our* type vantage
+    // point.
+    let my_type = eng.overlay.node_type();
+    let adjusted = eng.overlay.layout().replica_point_avoiding(key, my_type);
+    let lid =
+        eng.with_overlay(ctx, |overlay, ictx| overlay.start_replica_lookup(adjusted, None, ictx));
+    eng.variant.lookup_to_job.insert(lid, job_id);
+    Compromise::drain_overlay(eng, ctx);
+}
 
-    fn continue_cross(
-        &mut self,
-        cross: CrossState,
-        answer: Option<VermeAnswer>,
-        ctx: &mut CCtx<'_>,
-    ) {
-        let replicas = match answer {
-            Some(VermeAnswer::Replicas { replicas }) if !replicas.is_empty() => replicas,
-            _ => {
-                let nack = CompMsg::StoreAck { op: cross.store_op, ok: false };
-                if cross.repair {
-                    self.send_background(ctx, cross.store_client, nack);
-                } else {
-                    self.send_data(ctx, cross.store_client, nack);
-                }
-                return;
-            }
-        };
-        // Rotate with the client's retry attempt so a dead first replica
-        // in the paired section does not fail every retry the same way.
-        let target = replicas[cross.attempt as usize % replicas.len()];
-        let xid = self.next_xid;
-        self.next_xid += 1;
-        self.cross_waiting.insert(xid, (cross.store_op, cross.store_client, cross.repair));
-        let msg =
-            CompMsg::CrossCopy { xid, key: cross.key, value: cross.value, repair: cross.repair };
-        if cross.repair {
-            self.send_background(ctx, target.addr, msg);
-        } else {
-            self.send_data(ctx, target.addr, msg);
-        }
+impl DualPoint for Compromise {
+    fn cross(&mut self) -> &mut CrossPlane {
+        &mut self.cross
     }
 
-    /// A cross-section repair lookup resolved: probe the paired anchor
-    /// with the keys whose opposite-type copies we are spot-checking.
-    fn continue_repair_probe(
-        &mut self,
-        probe_keys: Vec<Id>,
-        answer: Option<VermeAnswer>,
-        ctx: &mut CCtx<'_>,
-    ) {
-        let replicas = match answer {
-            Some(VermeAnswer::Replicas { replicas }) if !replicas.is_empty() => replicas,
-            _ => {
-                self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
-                return;
-            }
-        };
-        let msg = CompMsg::RepairProbe {
-            round: self.repair_round,
-            owner: self.overlay.id(),
-            keys: probe_keys,
-            cross: true,
-        };
-        self.send_background(ctx, replicas[0].addr, msg);
+    fn wrap(msg: CrossMsg) -> CompExt {
+        CompExt::Cross(msg)
     }
+}
+
+impl Variant for Compromise {
+    type Overlay = VermeNode<()>;
+    type Ext = CompExt;
+    /// Round, the prober's id, and the cross flag.
+    const PROBE_FIXED: usize = 8 + 17;
+    const NEED_FIXED: usize = 9;
 
     /// Issues (or re-issues) the relayed operation for a pending op: picks
-    /// a fresh opposite-type relay and sends it the signed request. Arms
-    /// the per-attempt timer.
-    fn issue_attempt(&mut self, op: u64, ctx: &mut CCtx<'_>) {
-        let Some(p) = self.ops.get(op) else {
+    /// a fresh opposite-type relay and sends it the signed request.
+    fn issue_attempt(eng: &mut CompromiseVerDiNode, op: u64, ctx: &mut ECtx<'_, Self>) {
+        let Some(p) = eng.ops.get(op) else {
             return;
         };
-        let (kind, key, value, attempt, repair) =
-            (p.kind, p.key, p.value.clone(), p.attempt, p.repair);
-        if self.cfg.max_retries > 0 {
-            ctx.set_timer(self.cfg.attempt_timeout(), CompTimer::AttemptTimeout { op, attempt });
-        }
+        let (req, key, attempt, repair) = (p.req.clone(), p.key, p.attempt, p.repair);
+        eng.arm_attempt_timer(op, attempt, ctx);
         let avoid: Vec<Addr> =
-            if self.cfg.hop_suspicion { self.ops.avoid(op).to_vec() } else { Vec::new() };
-        let relay = match self.overlay.route_first_hop_excluding(key, &avoid) {
-            Some(r) => r,
-            None => {
-                // No live opposite-type finger right now; maybe one appears
-                // after repair, so this counts as a failed attempt, not a
-                // failed operation.
-                self.ops.fail_attempt(op, &self.cfg, ctx, |op| CompTimer::RetryOp { op });
-                return;
-            }
+            if eng.cfg.hop_suspicion { eng.ops.avoid(op).to_vec() } else { Vec::new() };
+        let Some(relay) = eng.overlay.route_first_hop_excluding(key, &avoid) else {
+            // No live opposite-type finger right now; maybe one appears
+            // after repair, so this counts as a failed attempt, not a
+            // failed operation.
+            eng.fail_attempt(op, ctx);
+            return;
         };
-        if self.cfg.hop_suspicion {
+        if eng.cfg.hop_suspicion {
             // The relay IS the first hop here: the suspicion counter
             // rotates away from a relay that keeps eating operations.
-            self.ops.note_first_hop(op, Some(relay.addr));
+            eng.ops.note_first_hop(op, Some(relay.addr));
         }
-        let statement = self.overlay.sign_statement((key.raw(), op));
-        let msg = CompMsg::RelayRequest {
-            rop: op,
-            cert: *self.overlay.certificate(),
-            statement,
-            kind,
-            key,
-            value,
-            attempt,
-            repair,
-        };
-        if repair {
-            self.send_background(ctx, relay.addr, msg);
-        } else {
-            self.send_data(ctx, relay.addr, msg);
-        }
+        let statement = eng.overlay.sign_statement((key.raw(), op));
+        let cert = *eng.overlay.certificate();
+        let msg = RelayRequest { rop: op, cert, statement, req, key, attempt, repair };
+        send_as(ctx, relay.addr, ext(CompExt::RelayRequest(msg)), repair);
     }
 
-    fn replicate_in_section(&mut self, key: Id, value: &Bytes, ctx: &mut CCtx<'_>) {
-        let layout = *self.overlay.layout();
-        let me = self.overlay.id();
-        let peers: Vec<Addr> = self
-            .overlay
-            .successor_list()
-            .iter()
-            .filter(|h| layout.same_section(h.id, me))
-            .take(self.cfg.replicas / 2)
-            .map(|h| h.addr)
-            .collect();
-        for addr in peers {
-            let msg = CompMsg::Replicate { key, value: value.clone() };
-            ctx.metrics().count(keys::BYTES_REPLICATION, msg.wire_size() as u64);
-            ctx.send(addr, msg);
-        }
-    }
-
-    /// True if this node anchors the replica set for `point` (it is the
-    /// first in-section node at or after the point, or — in the §5.2
-    /// corner — the last one before it). Only the anchor re-replicates a
-    /// block during data stabilization; without this check every holder
-    /// would push copies to *its own* successors and the block would
-    /// creep across the whole section over time.
-    fn is_replica_anchor(&self, point: verme_chord::Id) -> bool {
-        let layout = self.overlay.layout();
-        let me = self.overlay.id();
-        if !layout.same_section(point, me) {
-            return false;
-        }
-        if point.distance_to(me) < layout.section_len() {
-            // Forward side: anchor iff no in-section node in [point, me).
-            !self
-                .overlay
-                .predecessor_list()
-                .iter()
-                .any(|h| layout.same_section(h.id, point) && h.id.in_closed_open(point, me))
-        } else {
-            // Corner side: anchor iff no in-section node in (me, point].
-            !self
-                .overlay
-                .successor_list()
-                .iter()
-                .any(|h| layout.same_section(h.id, point) && h.id.in_open_closed(me, point))
-        }
-    }
-
-    fn send_data(&mut self, ctx: &mut CCtx<'_>, to: Addr, msg: CompMsg) {
-        ctx.metrics().count(keys::BYTES_DATA, msg.wire_size() as u64);
-        ctx.send(to, msg);
-    }
-
-    fn paired_point(&self, key: Id) -> Id {
-        let layout = self.overlay.layout();
-        if layout.same_section(key, self.overlay.id()) {
-            layout.paired_replica_point(key)
-        } else {
-            key
-        }
-    }
-
-    fn send_background(&mut self, ctx: &mut CCtx<'_>, to: Addr, msg: CompMsg) {
-        ctx.metrics().count(keys::BYTES_REPLICATION, msg.wire_size() as u64);
-        ctx.send(to, msg);
-    }
-
-    /// True if this node anchors `key` under either of its two replica
-    /// points — the filter deciding which stored blocks this node repairs.
-    fn anchors_key(&self, key: Id) -> bool {
-        let paired = self.overlay.layout().paired_replica_point(key);
-        self.is_replica_anchor(key) || self.is_replica_anchor(paired)
-    }
-
-    /// Completes an operation, clears read-repair bookkeeping, settles
-    /// coalesced waiters with the leader's result, and fills the cache.
-    fn finish_op(&mut self, op: u64, ok: bool, value: Option<Bytes>, ctx: &mut CCtx<'_>) {
-        if let Some(f) = self.ops.finish(op, ok, value.clone(), ctx) {
-            if f.repair {
-                self.repairing.remove(&f.key);
-            }
-            if f.kind == OpKind::Get && !f.repair {
-                if self.cfg.coalesce_gets {
-                    // Every parked get observes the leader's outcome —
-                    // success, deadline, or retry exhaustion alike — so
-                    // no waiter is ever lost.
-                    for w in self.serving.finish_leader(f.key, op) {
-                        self.finish_op(w, ok, value.clone(), ctx);
-                    }
-                }
-                if self.cfg.cache_enabled && ok {
-                    if let Some(v) = value {
-                        self.serving.cache_fill(f.key, v, self.cfg.cache_capacity);
-                    }
-                }
+    fn drain_overlay(eng: &mut CompromiseVerDiNode, ctx: &mut ECtx<'_, Self>) {
+        for o in eng.overlay.take_outcomes() {
+            match eng.variant.lookup_to_job.remove(&o.lid) {
+                Some(job_id) => continue_job(eng, job_id, o.answer, ctx),
+                None => verme::cross_outcome(eng, o.lid, o.answer, ctx),
             }
         }
+        debug_assert!(eng.overlay.take_answer_requests().is_empty());
     }
 
-    /// Drops a block from the hot cache after it moved underneath us
-    /// (repair push, replication, cross-copy, or an incoming store).
-    fn invalidate_cached(&mut self, key: Id, ctx: &mut CCtx<'_>) {
-        if self.cfg.cache_enabled && self.serving.cache_invalidate(key) {
-            ctx.metrics().count(keys::CACHE_INVALIDATIONS, 1);
-        }
-    }
-
-    /// Arms a short-fuse repair round if the overlay neighborhood changed
-    /// since the last round. Called after every overlay interaction.
-    fn maybe_kick_repair(&mut self, ctx: &mut CCtx<'_>) {
-        if self.cfg.repair_enabled
-            && !self.kick_armed
-            && self.overlay.neighbor_epoch() != self.last_epoch
-        {
-            self.kick_armed = true;
-            ctx.set_timer(REPAIR_KICK_DELAY, CompTimer::RepairKick);
-        }
-    }
-
-    /// Runs one repair round: diffs anchored blocks against the current
-    /// in-section replica peers, and spot-checks a budgeted, rotating
-    /// slice of them against the opposite-type replica point. No-op when
-    /// the neighborhood is unchanged.
-    fn run_repair_round(&mut self, ctx: &mut CCtx<'_>) {
-        let epoch = self.overlay.neighbor_epoch();
-        if epoch == self.last_epoch && self.probes_outstanding == 0 {
+    /// `op` is one of this node's relay-job ids: forward the result to
+    /// the client the job runs for.
+    fn on_data_reply(
+        eng: &mut CompromiseVerDiNode,
+        op: u64,
+        reply: DataReply,
+        ctx: &mut ECtx<'_, Self>,
+    ) {
+        let Some(job) = eng.variant.jobs.remove(&op) else {
             return;
-        }
-        // An unchanged epoch with probes still unanswered means the last
-        // round lost a probe to a stale-dead target (a lookup can resolve
-        // to a node the responder's section has not purged yet). Re-probe
-        // until a full round completes cleanly; on a fault-free ring the
-        // epoch never moves and no probe is ever sent, so this retry path
-        // stays inert.
-        self.last_epoch = epoch;
-        ctx.begin_cause();
-        ctx.metrics().count(keys::REPAIR_ROUNDS, 1);
-        self.repair_round += 1;
-        let round = self.repair_round;
-        let me = self.overlay.id();
-        let layout = *self.overlay.layout();
-        let anchored: Vec<Id> =
-            self.store.iter().map(|(k, _)| *k).filter(|k| self.anchors_key(*k)).collect();
-        let targets: Vec<Addr> = self
-            .overlay
-            .successor_list()
-            .iter()
-            .filter(|h| layout.same_section(h.id, me))
-            .take(self.cfg.replicas / 2)
-            .map(|h| h.addr)
-            .collect();
-        self.probes_outstanding = targets.len();
-        for addr in targets {
-            let msg =
-                CompMsg::RepairProbe { round, owner: me, keys: anchored.clone(), cross: false };
-            self.send_background(ctx, addr, msg);
-        }
-        // Cross-section spot check: one replica lookup per key, bounded
-        // by the batch budget and rotated across rounds so every anchored
-        // block is eventually verified against its paired point.
-        if !anchored.is_empty() {
-            let start = self.cross_cursor % anchored.len();
-            let take = self.cfg.repair_batch.min(anchored.len());
-            self.cross_cursor = (start + take) % anchored.len();
-            for i in 0..take {
-                let k = anchored[(start + i) % anchored.len()];
-                let pair = self.paired_point(k);
-                let lid = self.with_overlay(ctx, |overlay, ictx| {
-                    overlay.start_replica_lookup(pair, None, ictx)
-                });
-                self.lookup_to_repair.insert(lid, vec![k]);
-                self.probes_outstanding += 1;
-            }
-            self.drain_overlay(ctx);
-        }
-    }
-
-    /// Handles a repair probe: reports gaps, and (for in-section probes)
-    /// orphans — keys we hold in the prober's section that it did not
-    /// list.
-    fn handle_repair_probe(
-        &mut self,
-        from_addr: Addr,
-        round: u64,
-        owner: Id,
-        probed: Vec<Id>,
-        cross: bool,
-        ctx: &mut CCtx<'_>,
-    ) {
-        let listed: BTreeSet<Id> = probed.iter().copied().collect();
-        let missing: Vec<Id> = probed.into_iter().filter(|k| !self.store.contains(*k)).collect();
-        let orphans: Vec<Id> = if cross {
-            Vec::new()
-        } else {
-            let layout = *self.overlay.layout();
-            self.store
-                .iter()
-                .map(|(k, _)| *k)
-                .filter(|k| layout.same_section(*k, owner) && !listed.contains(k))
-                .take(self.cfg.repair_batch)
-                .collect()
         };
-        // Always answer — an empty reply still drains the prober's
-        // in-flight gauge.
-        self.send_background(
-            ctx,
-            from_addr,
-            CompMsg::RepairNeed { round, missing, orphans, cross },
-        );
-    }
-
-    /// Handles a probe reply: pushes the blocks the responder lacks
-    /// (budgeted; via cross copy for paired-section targets) and pulls
-    /// back orphans we should anchor but lost.
-    fn handle_repair_need(
-        &mut self,
-        from_addr: Addr,
-        round: u64,
-        missing: Vec<Id>,
-        orphans: Vec<Id>,
-        cross: bool,
-        ctx: &mut CCtx<'_>,
-    ) {
-        if round == self.repair_round {
-            self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
-        }
-        let mut pushed = 0usize;
-        for k in missing {
-            if pushed >= self.cfg.repair_batch {
-                break;
+        match reply {
+            DataReply::Fetched(value) => {
+                let value = value.filter(|v| crate::block::verify_block(job.key, v));
+                send_data(ctx, job.client, ext(CompExt::RelayGetReply { rop: job.rop, value }));
             }
-            let Some(v) = self.store.get(k).cloned() else {
-                continue;
-            };
-            if cross {
-                let xid = self.next_xid;
-                self.next_xid += 1;
-                self.send_background(
-                    ctx,
-                    from_addr,
-                    CompMsg::CrossCopy { xid, key: k, value: v, repair: true },
-                );
-            } else {
-                self.send_background(ctx, from_addr, CompMsg::Replicate { key: k, value: v });
-            }
-            ctx.metrics().count(keys::REPAIR_PUSHED, 1);
-            pushed += 1;
-        }
-        let pulls: Vec<Id> = orphans
-            .into_iter()
-            .filter(|k| !self.store.contains(*k) && self.anchors_key(*k))
-            .take(self.cfg.repair_batch)
-            .collect();
-        if !pulls.is_empty() {
-            self.send_background(ctx, from_addr, CompMsg::RepairPull { keys: pulls });
-        }
-    }
-
-    fn start_op(&mut self, kind: OpKind, key: Id, value: Option<Bytes>, ctx: &mut CCtx<'_>) -> u64 {
-        let op =
-            self.ops.start(kind, key, value, &self.cfg, ctx, |op| CompTimer::OpDeadline { op });
-        if kind == OpKind::Get {
-            if self.cfg.cache_enabled {
-                if let Some(v) = self.serving.cache_lookup(key) {
-                    // Content addressing guarantees the value is the
-                    // value; answer locally without involving a relay.
-                    // The already-armed deadline timer finds the op gone
-                    // and no-ops.
-                    ctx.metrics().count(keys::CACHE_HITS, 1);
-                    self.finish_op(op, true, Some(v), ctx);
-                    return op;
-                }
-                ctx.metrics().count(keys::CACHE_MISSES, 1);
-            }
-            if self.cfg.coalesce_gets {
-                if let Some(leader) = self.serving.leader_for(key) {
-                    // Park behind the in-flight get: exactly one relayed
-                    // request is issued for the key.
-                    ctx.metrics().count(keys::GETS_COALESCED, 1);
-                    self.serving.add_waiter(leader, op);
-                    return op;
-                }
-                self.serving.set_leader(key, op);
+            DataReply::Stored(ok) => {
+                let reply = CompExt::RelayPutReply { rop: job.rop, ok };
+                send_as(ctx, job.client, ext(reply), job.repair);
             }
         }
-        self.issue_attempt(op, ctx);
-        op
-    }
-}
-
-impl DhtNode for CompromiseVerDiNode {
-    fn start_put(&mut self, value: Bytes, ctx: &mut CCtx<'_>) -> u64 {
-        let key = block_key(&value);
-        self.start_op(OpKind::Put, key, Some(value), ctx)
     }
 
-    fn start_get(&mut self, key: Id, ctx: &mut CCtx<'_>) -> u64 {
-        self.start_op(OpKind::Get, key, None, ctx)
-    }
-
-    fn take_op_outcomes(&mut self) -> Vec<OpOutcome> {
-        self.ops.take_outcomes()
-    }
-
-    fn stored_blocks(&self) -> usize {
-        self.store.len()
-    }
-
-    fn store(&self) -> &BlockStore {
-        &self.store
-    }
-
-    fn repair_inflight(&self) -> usize {
-        self.probes_outstanding + self.ops.repairs_pending()
-    }
-}
-
-impl Node for CompromiseVerDiNode {
-    type Msg = CompMsg;
-    type Timer = CompTimer;
-
-    fn on_start(&mut self, ctx: &mut CCtx<'_>) {
-        self.with_overlay(ctx, |overlay, ictx| overlay.on_start(ictx));
-        let phase_ns = self.cfg.data_stabilize_interval.as_nanos().max(1);
-        let phase = SimDuration::from_nanos(ctx.rng().gen_range(0..phase_ns));
-        ctx.set_timer(phase, CompTimer::DataStabilize);
-        if self.cfg.repair_enabled {
-            // Deliberately no random phase: repair must consume no rng
-            // draws, so a repair-enabled zero-fault run stays
-            // byte-identical to a repair-disabled one.
-            ctx.set_timer(self.cfg.repair_interval, CompTimer::Repair);
-        }
-        self.last_epoch = self.overlay.neighbor_epoch();
-    }
-
-    fn on_message(&mut self, from: Addr, msg: CompMsg, ctx: &mut CCtx<'_>) {
-        // Overlay traffic gets no span here: the nested overlay handler
-        // enters its own chord.* scopes.
-        let _span = match &msg {
-            CompMsg::Overlay(_) => None,
-            CompMsg::Fetch { .. }
-            | CompMsg::Store { .. }
-            | CompMsg::Replicate { .. }
-            | CompMsg::CrossCopy { .. } => Some(ProfScope::enter(Scope::DhtServe)),
-            CompMsg::RepairProbe { .. }
-            | CompMsg::RepairNeed { .. }
-            | CompMsg::RepairPull { .. } => Some(ProfScope::enter(Scope::DhtRepair)),
-            _ => Some(ProfScope::enter(Scope::DhtOp)),
-        };
+    fn on_ext(eng: &mut CompromiseVerDiNode, from: Addr, msg: CompExt, ctx: &mut ECtx<'_, Self>) {
         match msg {
-            CompMsg::Overlay(m) => {
-                self.with_overlay(ctx, |overlay, ictx| overlay.on_message(from, m, ictx));
-                self.drain_overlay(ctx);
-                self.maybe_kick_repair(ctx);
+            CompExt::RelayRequest(r) => relay(eng, from, r, ctx),
+            // The relay's answer to one of our own operations. A failed
+            // get retries through a (possibly different) relay.
+            CompExt::RelayGetReply { rop, value } => {
+                eng.op_reply(rop, DataReply::Fetched(value), ctx);
             }
-            CompMsg::RelayRequest { rop, cert, statement, kind, key, value, attempt, repair } => {
-                // Verify the certificate and the vouching statement; an
-                // unverifiable request is dropped (§5.3.3).
-                if !cert.verify(self.overlay.verifier()) {
-                    return;
-                }
-                let Ok(&(stmt_key, stmt_rop)) = statement.verify(&cert) else {
-                    return;
-                };
-                if stmt_key != key.raw() || stmt_rop != rop {
-                    return;
-                }
-                // Passive observation channel: relays see their clients.
-                self.observed.push(ObservedClient { addr: from, node_type: cert.node_type() });
-
-                let job_id = self.next_job;
-                self.next_job += 1;
-                self.jobs.insert(
-                    job_id,
-                    RelayJob { client: from, rop, kind, key, value, attempt, repair },
-                );
-                if self.cfg.memo_enabled && kind == OpKind::Get {
-                    if attempt == 0 {
-                        if let Some(addr) = self.serving.memo_get(key, ctx.now()) {
-                            // Relay-side memo hit: fetch directly from the
-                            // remembered replica, skipping the overlay
-                            // lookup. A failed fetch fails the job and the
-                            // client's retry drops the memo below.
-                            ctx.metrics().count(keys::LOOKUP_MEMO_HITS, 1);
-                            self.send_data(ctx, addr, CompMsg::Fetch { op: job_id, key });
-                            return;
-                        }
-                    } else {
-                        // A retried relay request means the first answer
-                        // failed: never trust the memo, re-resolve.
-                        self.serving.memo_invalidate(key);
-                    }
-                }
-                // Fast-VerDi flow on the client's behalf, from *our* type
-                // vantage point.
-                let my_type = self.overlay.node_type();
-                let adjusted = self.overlay.layout().replica_point_avoiding(key, my_type);
-                let lid = self.with_overlay(ctx, |overlay, ictx| {
-                    overlay.start_replica_lookup(adjusted, None, ictx)
-                });
-                self.lookup_to_job.insert(lid, job_id);
-                self.drain_overlay(ctx);
-            }
-            CompMsg::RelayGetReply { rop, value } => {
-                let Some(p) = self.ops.get(rop) else {
-                    return;
-                };
-                let ok = value.as_ref().is_some_and(|v| verify_block(p.key, v));
-                if ok {
-                    let (key, attempt) = (p.key, p.attempt);
-                    let val = value.clone().expect("verified value present");
-                    self.finish_op(rop, true, value, ctx);
-                    // Read-repair: the first attempt missed, so re-write
-                    // the block through the normal relayed put flow as
-                    // background traffic.
-                    if attempt > 0 && self.cfg.repair_enabled && !self.repairing.contains(&key) {
-                        self.repairing.insert(key);
-                        let rop = self.ops.start_repair(key, val, &self.cfg, ctx, |op| {
-                            CompTimer::OpDeadline { op }
-                        });
-                        self.issue_attempt(rop, ctx);
-                    }
-                } else {
-                    // The relay's fetch came back empty or corrupt; retry
-                    // through a (possibly different) relay. With defenses
-                    // armed this counts as a suspected hijack.
-                    if self.cfg.hop_suspicion {
-                        ctx.metrics().count(keys::LOOKUPS_HIJACKED, 1);
-                    }
-                    self.ops.fail_attempt(rop, &self.cfg, ctx, |op| CompTimer::RetryOp { op });
-                }
-            }
-            CompMsg::RelayPutReply { rop, ok } => {
-                if ok {
-                    self.finish_op(rop, true, None, ctx);
-                } else {
-                    self.ops.fail_attempt(rop, &self.cfg, ctx, |op| CompTimer::RetryOp { op });
-                }
-            }
-            CompMsg::Fetch { op, key } => {
-                if self.cfg.fetch_service_time.is_zero() {
-                    let value = self.store.get(key).cloned();
-                    self.send_data(ctx, from, CompMsg::FetchReply { op, value });
-                } else {
-                    // FIFO service queue: the reply leaves once every
-                    // earlier fetch has been served. The store is read at
-                    // service completion, not admission.
-                    let delay =
-                        self.serving.enqueue_service(ctx.now(), self.cfg.fetch_service_time);
-                    ctx.set_timer(delay, CompTimer::ServeFetch { op, key, client: from });
-                }
-            }
-            CompMsg::FetchReply { op, value } => {
-                // `op` is one of our relay-job ids.
-                let Some(job) = self.jobs.remove(&op) else {
-                    return;
-                };
-                let ok = value.as_ref().is_some_and(|v| verify_block(job.key, v));
-                let value = if ok { value } else { None };
-                self.send_data(ctx, job.client, CompMsg::RelayGetReply { rop: job.rop, value });
-            }
-            CompMsg::Store { op, key, value, attempt, repair } => {
-                if !verify_block(key, &value) {
-                    let nack = CompMsg::StoreAck { op, ok: false };
-                    if repair {
-                        self.send_background(ctx, from, nack);
-                    } else {
-                        self.send_data(ctx, from, nack);
-                    }
-                    return;
-                }
-                self.store.put(key, value.clone());
-                self.invalidate_cached(key, ctx);
-                self.replicate_in_section(key, &value, ctx);
-                let pair = self.paired_point(key);
-                let lid = self.with_overlay(ctx, |overlay, ictx| {
-                    overlay.start_replica_lookup(pair, None, ictx)
-                });
-                self.cross_lookups.insert(
-                    lid,
-                    CrossState { store_op: op, store_client: from, key, value, attempt, repair },
-                );
-                self.drain_overlay(ctx);
-            }
-            CompMsg::StoreAck { op, ok } => {
-                // `op` is one of our relay-job ids: forward the result.
-                let Some(job) = self.jobs.remove(&op) else {
-                    return;
-                };
-                let reply = CompMsg::RelayPutReply { rop: job.rop, ok };
-                if job.repair {
-                    self.send_background(ctx, job.client, reply);
-                } else {
-                    self.send_data(ctx, job.client, reply);
-                }
-            }
-            CompMsg::CrossCopy { xid, key, value, repair } => {
-                let ok = verify_block(key, &value);
-                if ok {
-                    self.store.put(key, value.clone());
-                    self.invalidate_cached(key, ctx);
-                    self.replicate_in_section(key, &value, ctx);
-                }
-                let ack = CompMsg::CrossCopyAck { xid, ok };
-                if repair {
-                    self.send_background(ctx, from, ack);
-                } else {
-                    self.send_data(ctx, from, ack);
-                }
-            }
-            CompMsg::CrossCopyAck { xid, ok } => {
-                if let Some((op, client, repair)) = self.cross_waiting.remove(&xid) {
-                    let ack = CompMsg::StoreAck { op, ok };
-                    if repair {
-                        self.send_background(ctx, client, ack);
-                    } else {
-                        self.send_data(ctx, client, ack);
-                    }
-                }
-            }
-            CompMsg::Replicate { key, value } => {
-                if verify_block(key, &value) {
-                    self.store.put(key, value);
-                    self.invalidate_cached(key, ctx);
-                }
-            }
-            CompMsg::RepairProbe { round, owner, keys: probed, cross } => {
-                self.handle_repair_probe(from, round, owner, probed, cross, ctx);
-            }
-            CompMsg::RepairNeed { round, missing, orphans, cross } => {
-                self.handle_repair_need(from, round, missing, orphans, cross, ctx);
-            }
-            CompMsg::RepairPull { keys: pulled } => {
-                let mut pushed = 0usize;
-                for k in pulled {
-                    if pushed >= self.cfg.repair_batch {
-                        break;
-                    }
-                    let Some(v) = self.store.get(k).cloned() else {
-                        continue;
-                    };
-                    self.send_background(ctx, from, CompMsg::Replicate { key: k, value: v });
-                    ctx.metrics().count(keys::REPAIR_PUSHED, 1);
-                    pushed += 1;
-                }
-            }
+            CompExt::RelayPutReply { rop, ok } => eng.op_reply(rop, DataReply::Stored(ok), ctx),
+            CompExt::Cross(m) => verme::on_cross_msg(eng, from, m, ctx),
         }
     }
 
-    fn on_shutdown(&mut self, ctx: &mut CCtx<'_>) {
-        // Hinted handoff (graceful departures only): push every anchored
-        // block to the in-section heir outside the replica window.
-        if self.cfg.repair_enabled {
-            let layout = *self.overlay.layout();
-            let me = self.overlay.id();
-            let in_section: Vec<Addr> = self
-                .overlay
-                .successor_list()
-                .iter()
-                .filter(|h| layout.same_section(h.id, me))
-                .map(|h| h.addr)
-                .collect();
-            let heir = in_section.get(self.cfg.replicas / 2).or_else(|| in_section.last()).copied();
-            if let Some(heir) = heir {
-                ctx.begin_cause();
-                let anchored: Vec<(Id, Bytes)> = self
-                    .store
-                    .iter()
-                    .filter(|(k, _)| self.anchors_key(**k))
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
-                for (k, v) in anchored {
-                    ctx.metrics().count(keys::HANDOFF_BLOCKS, 1);
-                    self.send_background(ctx, heir, CompMsg::Replicate { key: k, value: v });
-                }
-            }
-        }
-        self.with_overlay(ctx, |overlay, ictx| overlay.on_shutdown(ictx));
+    fn stored(eng: &mut CompromiseVerDiNode, s: Stored, ctx: &mut ECtx<'_, Self>) {
+        verme::cross_copy(eng, s, ctx);
     }
 
-    fn on_timer(&mut self, timer: CompTimer, ctx: &mut CCtx<'_>) {
-        let _span = match &timer {
-            CompTimer::Overlay(_) => None,
-            CompTimer::DataStabilize | CompTimer::Repair | CompTimer::RepairKick => {
-                Some(ProfScope::enter(Scope::DhtRepair))
-            }
-            CompTimer::ServeFetch { .. } => Some(ProfScope::enter(Scope::DhtServe)),
-            _ => Some(ProfScope::enter(Scope::DhtOp)),
-        };
-        match timer {
-            CompTimer::Overlay(t) => {
-                self.with_overlay(ctx, |overlay, ictx| overlay.on_timer(t, ictx));
-                self.drain_overlay(ctx);
-                self.maybe_kick_repair(ctx);
-            }
-            CompTimer::OpDeadline { op } => {
-                self.finish_op(op, false, None, ctx);
-            }
-            CompTimer::AttemptTimeout { op, attempt } => {
-                if self.ops.attempt_matches(op, attempt) {
-                    self.ops.fail_attempt(op, &self.cfg, ctx, |op| CompTimer::RetryOp { op });
-                }
-            }
-            CompTimer::RetryOp { op } => self.issue_attempt(op, ctx),
-            CompTimer::DataStabilize => {
-                // Each periodic round is its own causal span.
-                ctx.begin_cause();
-                let layout = *self.overlay.layout();
-                let mine: Vec<(Id, Bytes)> = self
-                    .store
-                    .iter()
-                    .filter(|(k, _)| {
-                        self.is_replica_anchor(**k)
-                            || self.is_replica_anchor(layout.paired_replica_point(**k))
-                    })
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
-                for (k, v) in mine {
-                    self.replicate_in_section(k, &v, ctx);
-                }
-                ctx.set_timer(self.cfg.data_stabilize_interval, CompTimer::DataStabilize);
-            }
-            CompTimer::Repair => {
-                self.run_repair_round(ctx);
-                ctx.set_timer(self.cfg.repair_interval, CompTimer::Repair);
-            }
-            CompTimer::RepairKick => {
-                self.kick_armed = false;
-                self.run_repair_round(ctx);
-            }
-            CompTimer::ServeFetch { op, key, client } => {
-                let value = self.store.get(key).cloned();
-                self.send_data(ctx, client, CompMsg::FetchReply { op, value });
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use verme_crypto::{CertificateAuthority, NodeType};
-
-    #[test]
-    fn relay_request_includes_certificate_and_statement() {
-        let mut ca = CertificateAuthority::new(1);
-        let (cert, keys) = ca.issue(7, NodeType::A);
-        let statement = verme_crypto::SignedStatement::sign(&keys, (9u128, 3u64));
-        let get = CompMsg::RelayRequest {
-            rop: 3,
-            cert,
-            statement: statement.clone(),
-            kind: OpKind::Get,
-            key: Id::new(9),
-            value: None,
-            attempt: 0,
-            repair: false,
-        };
-        let put = CompMsg::RelayRequest {
-            rop: 3,
-            cert,
-            statement,
-            kind: OpKind::Put,
-            key: Id::new(9),
-            value: Some(Bytes::from(vec![0u8; 8192])),
-            attempt: 0,
-            repair: false,
-        };
-        assert!(get.wire_size() >= Certificate::WIRE_SIZE + STATEMENT_BYTES);
-        assert!(put.wire_size() > get.wire_size() + 8000);
+    fn anchors(eng: &CompromiseVerDiNode, key: Id) -> bool {
+        verme::anchors_key(&eng.overlay, key)
     }
 
-    #[test]
-    fn observed_clients_start_empty() {
-        // Structural check that the passive-harvest channel is exposed.
-        let o = ObservedClient { addr: Addr::from_raw(1), node_type: NodeType::A };
-        assert_eq!(o.node_type, NodeType::A);
+    fn replica_candidates(eng: &CompromiseVerDiNode) -> Vec<Addr> {
+        verme::section_successors(&eng.overlay)
+    }
+
+    fn replica_width(cfg: &DhtConfig) -> usize {
+        cfg.replicas / 2
+    }
+
+    fn in_probed_range(eng: &CompromiseVerDiNode, key: Id, _from: Id, owner: Id) -> bool {
+        eng.overlay.layout().same_section(key, owner)
+    }
+
+    fn repair_extra(eng: &mut CompromiseVerDiNode, anchored: &[Id], ctx: &mut ECtx<'_, Self>) {
+        verme::cross_spot_check(eng, anchored, ctx);
+    }
+
+    fn push_cross(
+        eng: &mut CompromiseVerDiNode,
+        to: Addr,
+        key: Id,
+        value: Bytes,
+        ctx: &mut ECtx<'_, Self>,
+    ) {
+        verme::push_cross(eng, to, key, value, ctx);
     }
 }

@@ -5,762 +5,117 @@
 //! `put` = lookup + direct store on the responsible node, which acks the
 //! client immediately and replicates to its successors in the background.
 //! Background replication bytes are accounted separately
-//! ([`keys::BYTES_REPLICATION`]), matching the paper's Figure 7 footnote.
+//! ([`keys::BYTES_REPLICATION`](crate::keys::BYTES_REPLICATION)), matching
+//! the paper's Figure 7 footnote.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use bytes::Bytes;
-use rand::Rng;
+use verme_chord::{ChordNode, Id, NodeHandle};
+use verme_sim::Addr;
 
-use verme_chord::{ChordMsg, ChordNode, ChordTimer, Id};
-use verme_sim::{Addr, Ctx, Node, ProfScope, Scope, SimDuration, Wire};
+use crate::api::{DhtConfig, OpKind};
+use crate::engine::{DhtEngine, ECtx, NoExt, Overlay, Variant};
 
-use crate::api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome, OpTable};
-use crate::block::{block_key, verify_block, BlockStore};
-use crate::serving::ServingPlane;
+impl Overlay for ChordNode {
+    fn id(&self) -> Id {
+        ChordNode::id(self)
+    }
 
-/// DHash wire messages: the overlay's own messages plus the data plane.
-#[derive(Clone, Debug)]
-pub enum DhashMsg {
-    /// Encapsulated Chord message.
-    Overlay(ChordMsg),
-    /// Direct block fetch from a replica.
-    Fetch {
-        /// Requester's operation id (opaque to the replica).
-        op: u64,
-        /// Block key.
-        key: Id,
-    },
-    /// Fetch response.
-    FetchReply {
-        /// Operation id from the request.
-        op: u64,
-        /// The block, if stored.
-        value: Option<Bytes>,
-    },
-    /// Direct block store on the responsible node.
-    Store {
-        /// Requester's operation id.
-        op: u64,
-        /// Block key.
-        key: Id,
-        /// Block contents.
-        value: Bytes,
-        /// True for internal read-repair writes: the ack is then charged
-        /// to replication, keeping Figure-7 foreground counters clean.
-        repair: bool,
-    },
-    /// Store acknowledgment.
-    StoreAck {
-        /// Operation id from the request.
-        op: u64,
-        /// Whether the store was accepted.
-        ok: bool,
-    },
-    /// Background replication of a block to a successor.
-    Replicate {
-        /// Block key.
-        key: Id,
-        /// Block contents.
-        value: Bytes,
-    },
-    /// Repair probe: the responsible node tells a successor which keys
-    /// it should hold, plus the prober's responsibility range, so the
-    /// successor can report both gaps and orphans.
-    RepairProbe {
-        /// Prober-local round number (stale replies are ignored for the
-        /// in-flight gauge).
-        round: u64,
-        /// Start of the prober's responsibility range (its predecessor;
-        /// the prober's own id means the whole ring).
-        from: Id,
-        /// The prober's id (end of the range).
-        owner: Id,
-        /// Keys the prober is responsible for and holds.
-        keys: Vec<Id>,
-    },
-    /// Repair probe reply.
-    RepairNeed {
-        /// Round number echoed from the probe.
-        round: u64,
-        /// Probed keys this node does not hold (please push).
-        missing: Vec<Id>,
-        /// Keys this node holds inside the prober's range that were not
-        /// in the probe — the prober lost (or never had) them and should
-        /// pull them back.
-        orphans: Vec<Id>,
-    },
-    /// Pull request for orphaned blocks (answered with `Replicate`).
-    RepairPull {
-        /// Keys to send back.
-        keys: Vec<Id>,
-    },
-}
+    fn neighbor_epoch(&self) -> u64 {
+        ChordNode::neighbor_epoch(self)
+    }
 
-const HDR: usize = verme_chord::proto::HEADER_BYTES;
-
-impl Wire for DhashMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            DhashMsg::Overlay(m) => m.wire_size(),
-            DhashMsg::Fetch { .. } => HDR + 8 + 16,
-            DhashMsg::FetchReply { value, .. } => {
-                HDR + 8 + 1 + value.as_ref().map_or(0, |v| v.len())
-            }
-            DhashMsg::Store { value, .. } => HDR + 8 + 16 + value.len(),
-            DhashMsg::StoreAck { .. } => HDR + 9,
-            DhashMsg::Replicate { value, .. } => HDR + 16 + value.len(),
-            DhashMsg::RepairProbe { keys, .. } => HDR + 8 + 32 + 16 * keys.len(),
-            DhashMsg::RepairNeed { missing, orphans, .. } => {
-                HDR + 8 + 16 * (missing.len() + orphans.len())
-            }
-            DhashMsg::RepairPull { keys } => HDR + 16 * keys.len(),
-        }
+    fn route_first_hop_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle> {
+        ChordNode::route_first_hop_excluding(self, key, exclude)
     }
 }
 
-/// DHash timers.
-#[derive(Clone, Debug)]
-pub enum DhashTimer {
-    /// Encapsulated Chord timer.
-    Overlay(ChordTimer),
-    /// Operation deadline (hard per-request bound).
-    OpDeadline {
-        /// The guarded operation.
-        op: u64,
-    },
-    /// One attempt's share of the deadline elapsed without an answer.
-    AttemptTimeout {
-        /// The guarded operation.
-        op: u64,
-        /// The attempt this timer guards (stale timers are ignored).
-        attempt: u32,
-    },
-    /// Backoff elapsed; re-issue the operation's lookup.
-    RetryOp {
-        /// The operation to retry.
-        op: u64,
-    },
-    /// Periodic background data stabilization.
-    DataStabilize,
-    /// Periodic repair-round check (probes only if the overlay
-    /// neighborhood changed since the previous round).
-    Repair,
-    /// Short-fuse repair round scheduled right after a detected
-    /// neighborhood change (join, crash, or graceful leave).
-    RepairKick,
-    /// A queued fetch finished its service slot; send the reply. Only
-    /// armed when `fetch_service_time` is non-zero.
-    ServeFetch {
-        /// Requester's operation id, echoed into the reply.
-        op: u64,
-        /// Block key to read at service completion.
-        key: Id,
-        /// Where to send the reply.
-        client: Addr,
-    },
+/// The DHash variant: looks up the key itself on Chord and keeps the
+/// replicas on the responsible node and its `replicas − 1` successors.
+#[derive(Clone, Debug, Default)]
+pub struct Dhash {
+    /// In-flight overlay lookups: lookup sequence number → operation.
+    lookup_to_op: HashMap<u64, u64>,
 }
 
 /// A DHash node: a [`ChordNode`] plus the block store and data plane.
-///
-/// Drive operations with [`DhtNode::start_get`]/[`DhtNode::start_put`] via
-/// [`Runtime::invoke`](verme_sim::Runtime::invoke).
-pub struct DhashNode {
-    overlay: ChordNode,
-    cfg: DhtConfig,
-    store: BlockStore,
-    ops: OpTable,
-    serving: ServingPlane,
-    lookup_to_op: HashMap<u64, u64>,
-    repairing: BTreeSet<Id>,
-    repair_round: u64,
-    probes_outstanding: usize,
-    last_epoch: u64,
-    kick_armed: bool,
-}
+pub type DhashNode = DhtEngine<Dhash>;
 
-/// Delay between a detected neighborhood change and the reactive repair
-/// round, coalescing the flurry of changes a single join/leave causes.
-const REPAIR_KICK_DELAY: SimDuration = SimDuration::from_secs(2);
+impl Variant for Dhash {
+    type Overlay = ChordNode;
+    type Ext = NoExt;
+    /// Round, plus both ends of the prober's responsibility range.
+    const PROBE_FIXED: usize = 8 + 32;
+    const NEED_FIXED: usize = 8;
 
-type DCtx<'a> = Ctx<'a, DhashMsg, DhashTimer>;
-
-impl DhashNode {
-    /// Wraps a Chord node (converged or joining) with the DHash layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    pub fn new(overlay: ChordNode, cfg: DhtConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid DHT config: {e}");
+    fn issue_attempt(eng: &mut DhashNode, op: u64, ctx: &mut ECtx<'_, Self>) {
+        if eng.issue_from_memo(op, ctx) {
+            return;
         }
-        DhashNode {
-            overlay,
-            cfg,
-            store: BlockStore::new(),
-            ops: OpTable::new(),
-            serving: ServingPlane::new(),
-            lookup_to_op: HashMap::new(),
-            repairing: BTreeSet::new(),
-            repair_round: 0,
-            probes_outstanding: 0,
-            last_epoch: 0,
-            kick_armed: false,
-        }
-    }
-
-    /// The underlying Chord overlay node.
-    pub fn overlay(&self) -> &ChordNode {
-        &self.overlay
-    }
-
-    /// Mutable access to the overlay (behaviour installation).
-    pub fn overlay_mut(&mut self) -> &mut ChordNode {
-        &mut self.overlay
-    }
-
-    /// The local block store.
-    pub fn store(&self) -> &BlockStore {
-        &self.store
-    }
-
-    fn with_overlay<R>(
-        &mut self,
-        ctx: &mut DCtx<'_>,
-        f: impl FnOnce(&mut ChordNode, &mut Ctx<'_, ChordMsg, ChordTimer>) -> R,
-    ) -> R {
-        let overlay = &mut self.overlay;
-
-        ctx.nested(|ictx| f(overlay, ictx), DhashMsg::Overlay, DhashTimer::Overlay)
-    }
-
-    /// Processes overlay lookup completions into DHT data-plane actions.
-    fn drain_overlay_outcomes(&mut self, ctx: &mut DCtx<'_>) {
-        let outcomes = self.overlay.take_outcomes();
-        for o in outcomes {
-            let Some(op) = self.lookup_to_op.remove(&o.seq) else {
-                continue;
-            };
-            let Some(p) = self.ops.get(op) else {
-                continue;
-            };
-            let Some(result) = o.result else {
-                self.ops.fail_attempt(op, &self.cfg, ctx, |op| DhashTimer::RetryOp { op });
-                continue;
-            };
-            let responsible = result.responsible();
-            match p.kind {
-                OpKind::Get => {
-                    let key = p.key;
-                    if self.cfg.memo_enabled {
-                        self.serving.memo_put(key, responsible.addr, ctx.now(), self.cfg.memo_ttl);
-                    }
-                    self.send_data(ctx, responsible.addr, DhashMsg::Fetch { op, key });
-                }
-                OpKind::Put => {
-                    let key = p.key;
-                    let value = p.value.clone().expect("puts carry a value");
-                    let repair = p.repair;
-                    let msg = DhashMsg::Store { op, key, value, repair };
-                    if repair {
-                        self.send_background(ctx, responsible.addr, msg);
-                    } else {
-                        self.send_data(ctx, responsible.addr, msg);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Issues (or re-issues) the overlay lookup for a pending operation
-    /// and arms the per-attempt timer.
-    fn issue_attempt(&mut self, op: u64, ctx: &mut DCtx<'_>) {
-        let Some(p) = self.ops.get(op) else {
+        let Some(p) = eng.ops.get(op) else {
             return;
         };
         let (key, attempt) = (p.key, p.attempt);
-        if self.cfg.memo_enabled && p.kind == OpKind::Get {
-            if attempt == 0 {
-                if let Some(addr) = self.serving.memo_get(key, ctx.now()) {
-                    // A fresh memoized lookup result: skip the overlay
-                    // lookup and fetch directly. The attempt timer still
-                    // guards the fetch, and a failed attempt drops the
-                    // memo below before re-resolving.
-                    ctx.metrics().count(keys::LOOKUP_MEMO_HITS, 1);
-                    if self.cfg.max_retries > 0 {
-                        ctx.set_timer(
-                            self.cfg.attempt_timeout(),
-                            DhashTimer::AttemptTimeout { op, attempt },
-                        );
-                    }
-                    self.send_data(ctx, addr, DhashMsg::Fetch { op, key });
-                    return;
-                }
-            } else {
-                // Retries never trust the memo: the block (or the ring)
-                // moved, so re-resolve from scratch.
-                self.serving.memo_invalidate(key);
-            }
-        }
-        let avoid: Vec<Addr> =
-            if self.cfg.hop_suspicion { self.ops.avoid(op).to_vec() } else { Vec::new() };
-        if self.cfg.hop_suspicion {
-            let hop = self.overlay.route_first_hop_excluding(key, &avoid).map(|h| h.addr);
-            self.ops.note_first_hop(op, hop);
-        }
-        let seq = self
+        let avoid = eng.route_avoiding(op, key);
+        let seq = eng
             .with_overlay(ctx, |overlay, ictx| overlay.start_lookup_excluding(key, &avoid, ictx));
-        self.lookup_to_op.insert(seq, op);
-        if self.cfg.max_retries > 0 {
-            ctx.set_timer(self.cfg.attempt_timeout(), DhashTimer::AttemptTimeout { op, attempt });
+        eng.variant.lookup_to_op.insert(seq, op);
+        eng.arm_attempt_timer(op, attempt, ctx);
+        Self::drain_overlay(eng, ctx);
+    }
+
+    fn drain_overlay(eng: &mut DhashNode, ctx: &mut ECtx<'_, Self>) {
+        for o in eng.overlay.take_outcomes() {
+            let Some(op) = eng.variant.lookup_to_op.remove(&o.seq) else {
+                continue;
+            };
+            let Some(p) = eng.ops.get(op) else {
+                continue;
+            };
+            let Some(result) = o.result else {
+                eng.fail_attempt(op, ctx);
+                continue;
+            };
+            let responsible = result.responsible().addr;
+            if eng.cfg.memo_enabled && p.req.kind() == OpKind::Get {
+                eng.serving.memo_put(p.key, responsible, ctx.now(), eng.cfg.memo_ttl);
+            }
+            eng.send_direct(op, responsible, ctx);
         }
-        self.drain_overlay_outcomes(ctx);
     }
 
-    /// Replicates `key` to this node's first `replicas - 1` successors
-    /// (background traffic).
-    fn replicate_out(&mut self, key: Id, value: &Bytes, ctx: &mut DCtx<'_>) {
-        let succs: Vec<Addr> = self
-            .overlay
-            .successor_list()
-            .iter()
-            .take(self.cfg.replicas.saturating_sub(1))
-            .map(|h| h.addr)
-            .collect();
-        for addr in succs {
-            let msg = DhashMsg::Replicate { key, value: value.clone() };
-            ctx.metrics().count(keys::BYTES_REPLICATION, msg.wire_size() as u64);
-            ctx.send(addr, msg);
-        }
-    }
-
-    fn send_data(&mut self, ctx: &mut DCtx<'_>, to: Addr, msg: DhashMsg) {
-        ctx.metrics().count(keys::BYTES_DATA, msg.wire_size() as u64);
-        ctx.send(to, msg);
-    }
-
-    fn send_background(&mut self, ctx: &mut DCtx<'_>, to: Addr, msg: DhashMsg) {
-        ctx.metrics().count(keys::BYTES_REPLICATION, msg.wire_size() as u64);
-        ctx.send(to, msg);
+    fn on_ext(_: &mut DhashNode, _: Addr, ext: NoExt, _: &mut ECtx<'_, Self>) {
+        match ext {}
     }
 
     /// True if this node believes it is responsible for `key`.
-    fn responsible_for(&self, key: Id) -> bool {
-        match self.overlay.predecessor() {
-            Some(p) => key.in_open_closed(p.id, self.overlay.id()),
+    fn anchors(eng: &DhashNode, key: Id) -> bool {
+        match eng.overlay.predecessor() {
+            Some(p) => key.in_open_closed(p.id, eng.overlay.id()),
             None => true,
         }
     }
 
-    /// Completes an operation, clears read-repair bookkeeping, settles
-    /// coalesced waiters with the leader's result, and fills the cache.
-    fn finish_op(&mut self, op: u64, ok: bool, value: Option<Bytes>, ctx: &mut DCtx<'_>) {
-        if let Some(f) = self.ops.finish(op, ok, value.clone(), ctx) {
-            if f.repair {
-                self.repairing.remove(&f.key);
-            }
-            if f.kind == OpKind::Get && !f.repair {
-                if self.cfg.coalesce_gets {
-                    // Every parked get observes the leader's outcome —
-                    // success, deadline, or retry exhaustion alike — so
-                    // no waiter is ever lost.
-                    for w in self.serving.finish_leader(f.key, op) {
-                        self.finish_op(w, ok, value.clone(), ctx);
-                    }
-                }
-                if self.cfg.cache_enabled && ok {
-                    if let Some(v) = value {
-                        self.serving.cache_fill(f.key, v, self.cfg.cache_capacity);
-                    }
-                }
-            }
-        }
+    fn replica_candidates(eng: &DhashNode) -> Vec<Addr> {
+        eng.overlay.successor_list().iter().map(|h| h.addr).collect()
     }
 
-    /// Drops a block from the hot cache after it moved underneath us
-    /// (repair push, replication, or an incoming store).
-    fn invalidate_cached(&mut self, key: Id, ctx: &mut DCtx<'_>) {
-        if self.cfg.cache_enabled && self.serving.cache_invalidate(key) {
-            ctx.metrics().count(keys::CACHE_INVALIDATIONS, 1);
-        }
+    fn replica_width(cfg: &DhtConfig) -> usize {
+        cfg.replicas.saturating_sub(1)
     }
 
-    /// Arms a short-fuse repair round if the overlay neighborhood changed
-    /// since the last round. Called after every overlay interaction.
-    fn maybe_kick_repair(&mut self, ctx: &mut DCtx<'_>) {
-        if self.cfg.repair_enabled
-            && !self.kick_armed
-            && self.overlay.neighbor_epoch() != self.last_epoch
-        {
-            self.kick_armed = true;
-            ctx.set_timer(REPAIR_KICK_DELAY, DhashTimer::RepairKick);
-        }
+    /// The predecessor's id; this node's own id means the whole ring.
+    fn range_start(eng: &DhashNode) -> Id {
+        eng.overlay.predecessor().map_or(eng.overlay.id(), |p| p.id)
     }
 
-    /// Runs one repair round: probes the current replica-set successors
-    /// with the keys this node is responsible for (and its range, so
-    /// responders can report orphans). No-op when the neighborhood is
-    /// unchanged — a quiet ring sends no repair traffic.
-    fn run_repair_round(&mut self, ctx: &mut DCtx<'_>) {
-        let epoch = self.overlay.neighbor_epoch();
-        if epoch == self.last_epoch && self.probes_outstanding == 0 {
-            return;
-        }
-        // An unchanged epoch with probes still unanswered means the last
-        // round lost a probe to a stale-dead target (a lookup can resolve
-        // to a node the responder's section has not purged yet). Re-probe
-        // until a full round completes cleanly; on a fault-free ring the
-        // epoch never moves and no probe is ever sent, so this retry path
-        // stays inert.
-        self.last_epoch = epoch;
-        ctx.begin_cause();
-        ctx.metrics().count(keys::REPAIR_ROUNDS, 1);
-        self.repair_round += 1;
-        let round = self.repair_round;
-        let owner = self.overlay.id();
-        let from = self.overlay.predecessor().map_or(owner, |p| p.id);
-        let mine: Vec<Id> =
-            self.store.iter().map(|(k, _)| *k).filter(|k| self.responsible_for(*k)).collect();
-        let targets: Vec<Addr> = self
-            .overlay
-            .successor_list()
-            .iter()
-            .take(self.cfg.replicas.saturating_sub(1))
-            .map(|h| h.addr)
-            .collect();
-        self.probes_outstanding = targets.len();
-        for addr in targets {
-            let msg = DhashMsg::RepairProbe { round, from, owner, keys: mine.clone() };
-            self.send_background(ctx, addr, msg);
-        }
+    fn in_probed_range(_: &DhashNode, key: Id, from: Id, owner: Id) -> bool {
+        from == owner || key.in_open_closed(from, owner)
     }
 
-    /// Handles a repair probe: reports the probed keys we lack, plus any
-    /// orphans — keys we hold inside the prober's responsibility range
-    /// that the prober did not list (it lost them, or just joined).
-    fn handle_repair_probe(
-        &mut self,
-        from_addr: Addr,
-        round: u64,
-        from: Id,
-        owner: Id,
-        keys: Vec<Id>,
-        ctx: &mut DCtx<'_>,
-    ) {
-        let listed: BTreeSet<Id> = keys.iter().copied().collect();
-        let missing: Vec<Id> = keys.into_iter().filter(|k| !self.store.contains(*k)).collect();
-        let orphans: Vec<Id> = self
-            .store
-            .iter()
-            .map(|(k, _)| *k)
-            .filter(|k| (from == owner || k.in_open_closed(from, owner)) && !listed.contains(k))
-            .take(self.cfg.repair_batch)
-            .collect();
-        // Always answer — an empty reply still drains the prober's
-        // in-flight gauge.
-        self.send_background(ctx, from_addr, DhashMsg::RepairNeed { round, missing, orphans });
-    }
-
-    /// Handles a probe reply: pushes the blocks the responder lacks
-    /// (budgeted) and pulls back orphans we lost.
-    fn handle_repair_need(
-        &mut self,
-        from_addr: Addr,
-        round: u64,
-        missing: Vec<Id>,
-        orphans: Vec<Id>,
-        ctx: &mut DCtx<'_>,
-    ) {
-        if round == self.repair_round {
-            self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
-        }
-        let mut pushed = 0usize;
-        for k in missing {
-            if pushed >= self.cfg.repair_batch {
-                break;
-            }
-            if let Some(v) = self.store.get(k).cloned() {
-                self.send_background(ctx, from_addr, DhashMsg::Replicate { key: k, value: v });
-                ctx.metrics().count(keys::REPAIR_PUSHED, 1);
-                pushed += 1;
-            }
-        }
-        let pulls: Vec<Id> = orphans
-            .into_iter()
-            .filter(|k| !self.store.contains(*k))
-            .take(self.cfg.repair_batch)
-            .collect();
-        if !pulls.is_empty() {
-            self.send_background(ctx, from_addr, DhashMsg::RepairPull { keys: pulls });
-        }
-    }
-}
-
-impl DhtNode for DhashNode {
-    fn start_put(&mut self, value: Bytes, ctx: &mut DCtx<'_>) -> u64 {
-        let key = block_key(&value);
-        let op = self.ops.start(OpKind::Put, key, Some(value), &self.cfg, ctx, |op| {
-            DhashTimer::OpDeadline { op }
-        });
-        self.issue_attempt(op, ctx);
-        op
-    }
-
-    fn start_get(&mut self, key: Id, ctx: &mut DCtx<'_>) -> u64 {
-        let op = self
-            .ops
-            .start(OpKind::Get, key, None, &self.cfg, ctx, |op| DhashTimer::OpDeadline { op });
-        if self.cfg.cache_enabled {
-            if let Some(v) = self.serving.cache_lookup(key) {
-                // Content addressing guarantees the value is the value;
-                // answer locally. The already-armed deadline timer finds
-                // the op gone and no-ops.
-                ctx.metrics().count(keys::CACHE_HITS, 1);
-                self.finish_op(op, true, Some(v), ctx);
-                return op;
-            }
-            ctx.metrics().count(keys::CACHE_MISSES, 1);
-        }
-        if self.cfg.coalesce_gets {
-            if let Some(leader) = self.serving.leader_for(key) {
-                // Park behind the in-flight get: exactly one upstream
-                // fetch is issued for the key.
-                ctx.metrics().count(keys::GETS_COALESCED, 1);
-                self.serving.add_waiter(leader, op);
-                return op;
-            }
-            self.serving.set_leader(key, op);
-        }
-        self.issue_attempt(op, ctx);
-        op
-    }
-
-    fn take_op_outcomes(&mut self) -> Vec<OpOutcome> {
-        self.ops.take_outcomes()
-    }
-
-    fn stored_blocks(&self) -> usize {
-        self.store.len()
-    }
-
-    fn store(&self) -> &BlockStore {
-        &self.store
-    }
-
-    fn repair_inflight(&self) -> usize {
-        self.probes_outstanding + self.ops.repairs_pending()
-    }
-}
-
-impl Node for DhashNode {
-    type Msg = DhashMsg;
-    type Timer = DhashTimer;
-
-    fn on_start(&mut self, ctx: &mut DCtx<'_>) {
-        self.with_overlay(ctx, |overlay, ictx| overlay.on_start(ictx));
-        let phase_ns = self.cfg.data_stabilize_interval.as_nanos().max(1);
-        let phase = SimDuration::from_nanos(ctx.rng().gen_range(0..phase_ns));
-        ctx.set_timer(phase, DhashTimer::DataStabilize);
-        if self.cfg.repair_enabled {
-            // Deliberately no random phase: the repair timer must not
-            // consume RNG draws, so a repair-enabled fault-free run stays
-            // byte-identical to a repair-disabled one.
-            self.last_epoch = self.overlay.neighbor_epoch();
-            ctx.set_timer(self.cfg.repair_interval, DhashTimer::Repair);
-        }
-    }
-
-    fn on_message(&mut self, from: Addr, msg: DhashMsg, ctx: &mut DCtx<'_>) {
-        // Overlay traffic gets no span here: the nested overlay handler
-        // enters its own chord.* scopes.
-        let _span = match &msg {
-            DhashMsg::Overlay(_) => None,
-            DhashMsg::Fetch { .. } | DhashMsg::Store { .. } | DhashMsg::Replicate { .. } => {
-                Some(ProfScope::enter(Scope::DhtServe))
-            }
-            DhashMsg::RepairProbe { .. }
-            | DhashMsg::RepairNeed { .. }
-            | DhashMsg::RepairPull { .. } => Some(ProfScope::enter(Scope::DhtRepair)),
-            _ => Some(ProfScope::enter(Scope::DhtOp)),
-        };
-        match msg {
-            DhashMsg::Overlay(m) => {
-                self.with_overlay(ctx, |overlay, ictx| overlay.on_message(from, m, ictx));
-                self.drain_overlay_outcomes(ctx);
-                self.maybe_kick_repair(ctx);
-            }
-            DhashMsg::Fetch { op, key } => {
-                if self.cfg.fetch_service_time.is_zero() {
-                    let value = self.store.get(key).cloned();
-                    self.send_data(ctx, from, DhashMsg::FetchReply { op, value });
-                } else {
-                    // FIFO service queue: the reply leaves once every
-                    // earlier fetch has been served. The store is read at
-                    // service completion, not admission.
-                    let delay =
-                        self.serving.enqueue_service(ctx.now(), self.cfg.fetch_service_time);
-                    ctx.set_timer(delay, DhashTimer::ServeFetch { op, key, client: from });
-                }
-            }
-            DhashMsg::FetchReply { op, value } => {
-                let Some(p) = self.ops.get(op) else {
-                    return;
-                };
-                let ok = value.as_ref().is_some_and(|v| verify_block(p.key, v));
-                if ok {
-                    let (key, attempt) = (p.key, p.attempt);
-                    let val = value.clone().expect("verified value present");
-                    self.finish_op(op, true, value, ctx);
-                    if attempt > 0 && self.cfg.repair_enabled && !self.repairing.contains(&key) {
-                        // The fetch needed failover, so the first-line
-                        // replica set is incomplete: re-store the block
-                        // through the normal put path (targeted
-                        // read-repair with the OpTable's retry/backoff).
-                        self.repairing.insert(key);
-                        let rop = self.ops.start_repair(key, val, &self.cfg, ctx, |op| {
-                            DhashTimer::OpDeadline { op }
-                        });
-                        self.issue_attempt(rop, ctx);
-                    }
-                } else {
-                    // The replica lacked (or corrupted) the block; retry
-                    // end to end — repair may have moved it meanwhile.
-                    // With defenses armed, a verification failure after a
-                    // completed lookup is a suspected hijack: the routing
-                    // layer named a responsible node that cannot prove it.
-                    if self.cfg.hop_suspicion {
-                        ctx.metrics().count(keys::LOOKUPS_HIJACKED, 1);
-                    }
-                    self.ops.fail_attempt(op, &self.cfg, ctx, |op| DhashTimer::RetryOp { op });
-                }
-            }
-            DhashMsg::Store { op, key, value, repair } => {
-                let ok = verify_block(key, &value);
-                if ok {
-                    self.store.put(key, value.clone());
-                    self.invalidate_cached(key, ctx);
-                    self.replicate_out(key, &value, ctx);
-                }
-                let ack = DhashMsg::StoreAck { op, ok };
-                if repair {
-                    self.send_background(ctx, from, ack);
-                } else {
-                    self.send_data(ctx, from, ack);
-                }
-            }
-            DhashMsg::StoreAck { op, ok } => {
-                if ok {
-                    self.finish_op(op, true, None, ctx);
-                } else {
-                    self.ops.fail_attempt(op, &self.cfg, ctx, |op| DhashTimer::RetryOp { op });
-                }
-            }
-            DhashMsg::Replicate { key, value } => {
-                if verify_block(key, &value) {
-                    self.store.put(key, value);
-                    self.invalidate_cached(key, ctx);
-                }
-            }
-            DhashMsg::RepairProbe { round, from: start, owner, keys: probed } => {
-                self.handle_repair_probe(from, round, start, owner, probed, ctx);
-            }
-            DhashMsg::RepairNeed { round, missing, orphans } => {
-                self.handle_repair_need(from, round, missing, orphans, ctx);
-            }
-            DhashMsg::RepairPull { keys: pulled } => {
-                for k in pulled.into_iter().take(self.cfg.repair_batch) {
-                    if let Some(v) = self.store.get(k).cloned() {
-                        self.send_background(ctx, from, DhashMsg::Replicate { key: k, value: v });
-                        ctx.metrics().count(keys::REPAIR_PUSHED, 1);
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_shutdown(&mut self, ctx: &mut DCtx<'_>) {
-        if self.cfg.repair_enabled {
-            // Hinted handoff: this node's copies die with it, so push
-            // every block it is responsible for to the successor that
-            // newly enters the replica set once it is gone. The current
-            // replicas already hold their copies; this keeps the set at
-            // full strength without a detection round-trip (the node is
-            // gone before any reply could arrive). All handoff bytes are
-            // background replication, never Figure-7 foreground traffic.
-            let heir = {
-                let succs = self.overlay.successor_list();
-                succs.get(self.cfg.replicas.saturating_sub(1)).or_else(|| succs.last()).copied()
-            };
-            if let Some(heir) = heir {
-                ctx.begin_cause();
-                let mine: Vec<(Id, Bytes)> = self
-                    .store
-                    .iter()
-                    .filter(|(k, _)| self.responsible_for(**k))
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
-                for (k, v) in mine {
-                    ctx.metrics().count(keys::HANDOFF_BLOCKS, 1);
-                    self.send_background(ctx, heir.addr, DhashMsg::Replicate { key: k, value: v });
-                }
-            }
-        }
-        self.with_overlay(ctx, |overlay, ictx| overlay.on_shutdown(ictx));
-    }
-
-    fn on_timer(&mut self, timer: DhashTimer, ctx: &mut DCtx<'_>) {
-        let _span = match &timer {
-            DhashTimer::Overlay(_) => None,
-            DhashTimer::DataStabilize | DhashTimer::Repair | DhashTimer::RepairKick => {
-                Some(ProfScope::enter(Scope::DhtRepair))
-            }
-            DhashTimer::ServeFetch { .. } => Some(ProfScope::enter(Scope::DhtServe)),
-            _ => Some(ProfScope::enter(Scope::DhtOp)),
-        };
-        match timer {
-            DhashTimer::Overlay(t) => {
-                self.with_overlay(ctx, |overlay, ictx| overlay.on_timer(t, ictx));
-                self.drain_overlay_outcomes(ctx);
-                self.maybe_kick_repair(ctx);
-            }
-            DhashTimer::OpDeadline { op } => {
-                self.finish_op(op, false, None, ctx);
-            }
-            DhashTimer::AttemptTimeout { op, attempt } => {
-                if self.ops.attempt_matches(op, attempt) {
-                    self.ops.fail_attempt(op, &self.cfg, ctx, |op| DhashTimer::RetryOp { op });
-                }
-            }
-            DhashTimer::RetryOp { op } => self.issue_attempt(op, ctx),
-            DhashTimer::DataStabilize => {
-                // Each periodic round is its own causal span.
-                ctx.begin_cause();
-                // Re-replicate blocks we are responsible for, so churn
-                // does not erode the replication level.
-                let mine: Vec<(Id, Bytes)> = self
-                    .store
-                    .iter()
-                    .filter(|(k, _)| self.responsible_for(**k))
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
-                for (k, v) in mine {
-                    self.replicate_out(k, &v, ctx);
-                }
-                ctx.set_timer(self.cfg.data_stabilize_interval, DhashTimer::DataStabilize);
-            }
-            DhashTimer::Repair => {
-                self.run_repair_round(ctx);
-                ctx.set_timer(self.cfg.repair_interval, DhashTimer::Repair);
-            }
-            DhashTimer::RepairKick => {
-                self.kick_armed = false;
-                self.run_repair_round(ctx);
-            }
-            DhashTimer::ServeFetch { op, key, client } => {
-                let value = self.store.get(key).cloned();
-                self.send_data(ctx, client, DhashMsg::FetchReply { op, value });
-            }
-        }
+    /// The probed range is exactly this node's responsibility range, so
+    /// every reported orphan is pulled back.
+    fn reclaims(_: &DhashNode, _: Id) -> bool {
+        true
     }
 }

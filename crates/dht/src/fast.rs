@@ -11,1037 +11,129 @@
 //! replica addresses by issuing lookups — is exactly what the Figure 8
 //! worm experiment exploits.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use bytes::Bytes;
-use rand::Rng;
 
 use verme_chord::Id;
-use verme_core::{VermeAnswer, VermeMsg, VermeNode, VermeTimer};
-use verme_sim::{Addr, Ctx, Node, ProfScope, Scope, SimDuration, Wire};
+use verme_core::VermeNode;
+use verme_sim::Addr;
 
-use crate::api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome, OpTable};
-use crate::block::{block_key, verify_block, BlockStore};
-use crate::serving::ServingPlane;
+use crate::api::{DhtConfig, OpKind};
+use crate::engine::{DhtEngine, ECtx, Stored, Variant};
+use crate::verme::{self, CrossMsg, CrossPlane, DualPoint};
 
-/// Fast-VerDi wire messages.
-#[derive(Clone, Debug)]
-pub enum FastMsg {
-    /// Encapsulated Verme message (no piggyback: Fast-VerDi keeps data off
-    /// the lookup path).
-    Overlay(VermeMsg<()>),
-    /// Direct block fetch from a replica.
-    Fetch {
-        /// Requester's operation id.
-        op: u64,
-        /// Block key.
-        key: Id,
-    },
-    /// Fetch response.
-    FetchReply {
-        /// Operation id from the request.
-        op: u64,
-        /// The block, if stored.
-        value: Option<Bytes>,
-    },
-    /// Direct block store on the responsible node.
-    Store {
-        /// Requester's operation id.
-        op: u64,
-        /// Block key.
-        key: Id,
-        /// Block contents.
-        value: Bytes,
-        /// Requester's retry attempt, so the responsible node rotates its
-        /// cross-copy target across the replica list on retry.
-        attempt: u32,
-        /// True for internal read-repair writes: the whole store/ack/
-        /// cross-copy chain is then charged to replication.
-        repair: bool,
-    },
-    /// Store acknowledgment (sent only after the cross-section copy).
-    StoreAck {
-        /// Operation id from the request.
-        op: u64,
-        /// Whether the store (and cross copy) succeeded.
-        ok: bool,
-    },
-    /// Copy of a block to the responsible node of the *other* replica
-    /// point (opposite type).
-    CrossCopy {
-        /// Copy transaction id.
-        xid: u64,
-        /// Block key.
-        key: Id,
-        /// Block contents.
-        value: Bytes,
-        /// True when sent by the repair plane (ack charged to
-        /// replication).
-        repair: bool,
-    },
-    /// Cross-copy acknowledgment.
-    CrossCopyAck {
-        /// Transaction id from the request.
-        xid: u64,
-        /// Whether the copy was stored.
-        ok: bool,
-    },
-    /// Background in-section replication.
-    Replicate {
-        /// Block key.
-        key: Id,
-        /// Block contents.
-        value: Bytes,
-    },
-    /// Repair probe: a replica anchor tells a peer which keys it should
-    /// hold. In-section probes also invite orphan reports; cross-section
-    /// probes only diff.
-    RepairProbe {
-        /// Prober-local round number.
-        round: u64,
-        /// The prober's id (defines its section for orphan reports).
-        owner: Id,
-        /// Keys the prober anchors and holds.
-        keys: Vec<Id>,
-        /// True when probing the opposite-type replica point.
-        cross: bool,
-    },
-    /// Repair probe reply.
-    RepairNeed {
-        /// Round number echoed from the probe.
-        round: u64,
-        /// Probed keys this node does not hold (please push).
-        missing: Vec<Id>,
-        /// Keys this node holds in the prober's section that were not in
-        /// the probe (in-section probes only).
-        orphans: Vec<Id>,
-        /// Echoed from the probe: push via cross copy, not replicate.
-        cross: bool,
-    },
-    /// Pull request for orphaned blocks (answered with `Replicate`).
-    RepairPull {
-        /// Keys to send back.
-        keys: Vec<Id>,
-    },
-}
-
-const HDR: usize = verme_chord::proto::HEADER_BYTES;
-
-impl Wire for FastMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            FastMsg::Overlay(m) => m.wire_size(),
-            FastMsg::Fetch { .. } => HDR + 8 + 16,
-            FastMsg::FetchReply { value, .. } => {
-                HDR + 8 + 1 + value.as_ref().map_or(0, |v| v.len())
-            }
-            FastMsg::Store { value, .. } => HDR + 8 + 16 + value.len(),
-            FastMsg::StoreAck { .. } => HDR + 9,
-            FastMsg::CrossCopy { value, .. } => HDR + 8 + 16 + value.len(),
-            FastMsg::CrossCopyAck { .. } => HDR + 9,
-            FastMsg::Replicate { value, .. } => HDR + 16 + value.len(),
-            FastMsg::RepairProbe { keys, .. } => HDR + 8 + 17 + 16 * keys.len(),
-            FastMsg::RepairNeed { missing, orphans, .. } => {
-                HDR + 9 + 16 * (missing.len() + orphans.len())
-            }
-            FastMsg::RepairPull { keys } => HDR + 16 * keys.len(),
-        }
-    }
-}
-
-/// Fast-VerDi timers.
-#[derive(Clone, Debug)]
-pub enum FastTimer {
-    /// Encapsulated Verme timer.
-    Overlay(VermeTimer),
-    /// Operation deadline (hard per-request bound).
-    OpDeadline {
-        /// The guarded operation.
-        op: u64,
-    },
-    /// One attempt's share of the deadline elapsed without an answer.
-    AttemptTimeout {
-        /// The guarded operation.
-        op: u64,
-        /// The attempt this timer guards (stale timers are ignored).
-        attempt: u32,
-    },
-    /// Backoff elapsed; re-issue the operation's lookup.
-    RetryOp {
-        /// The operation to retry.
-        op: u64,
-    },
-    /// Periodic background data stabilization.
-    DataStabilize,
-    /// Periodic repair-round check (probes only if the overlay
-    /// neighborhood changed since the previous round).
-    Repair,
-    /// Short-fuse repair round scheduled right after a detected
-    /// neighborhood change (join, crash, or graceful leave).
-    RepairKick,
-    /// A queued fetch finished its service slot; send the reply. Only
-    /// armed when `fetch_service_time` is non-zero.
-    ServeFetch {
-        /// Requester's operation id, echoed into the reply.
-        op: u64,
-        /// Block key to read at service completion.
-        key: Id,
-        /// Where to send the reply.
-        client: Addr,
-    },
-}
-
-/// The responsible node's state while it cross-copies a freshly stored
-/// block to the opposite-type replica point.
-struct CrossState {
-    client_op: u64,
-    client: Addr,
-    key: Id,
-    value: Bytes,
-    /// Client's retry attempt: rotates the cross-copy target.
-    attempt: u32,
-    /// Read-repair write: the whole chain is background traffic.
-    repair: bool,
-}
-
-/// A Fast-VerDi node: a bare [`VermeNode`] plus the direct data plane with
-/// cross-section copies.
-pub struct FastVerDiNode {
-    overlay: VermeNode<()>,
-    cfg: DhtConfig,
-    store: BlockStore,
-    ops: OpTable,
-    serving: ServingPlane,
-    next_xid: u64,
+/// The Fast-VerDi variant: looks up whichever of the key's two replica
+/// points has the opposite type, fetches and stores directly, and
+/// cross-copies every stored block to the paired point.
+#[derive(Clone, Debug, Default)]
+pub struct Fast {
+    /// In-flight operation lookups: lookup id → operation.
     lookup_to_op: HashMap<u64, u64>,
-    /// Cross-copy lookups this node (as responsible) has in flight.
-    lookup_to_cross: HashMap<u64, CrossState>,
-    /// Cross copies awaiting acknowledgment, by xid.
-    cross_waiting: HashMap<u64, (u64, Addr, bool)>,
-    /// Cross-section repair lookups in flight: lid → keys to probe.
-    lookup_to_repair: HashMap<u64, Vec<Id>>,
-    repairing: BTreeSet<Id>,
-    repair_round: u64,
-    probes_outstanding: usize,
-    /// Rotation cursor over anchored keys for the bounded cross-section
-    /// spot check.
-    cross_cursor: usize,
-    last_epoch: u64,
-    kick_armed: bool,
+    cross: CrossPlane,
 }
 
-/// Delay between a detected neighborhood change and the reactive repair
-/// round, coalescing the flurry of changes a single join/leave causes.
-const REPAIR_KICK_DELAY: SimDuration = SimDuration::from_secs(2);
+/// A Fast-VerDi node: a bare [`VermeNode`] (no piggyback — data stays off
+/// the lookup path) plus the direct data plane with cross-section copies.
+pub type FastVerDiNode = DhtEngine<Fast>;
 
-type FCtx<'a> = Ctx<'a, FastMsg, FastTimer>;
+impl DualPoint for Fast {
+    fn cross(&mut self) -> &mut CrossPlane {
+        &mut self.cross
+    }
 
-impl FastVerDiNode {
-    /// Wraps a Verme overlay node with the Fast-VerDi data plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    pub fn new(overlay: VermeNode<()>, cfg: DhtConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid DHT config: {e}");
+    fn wrap(msg: CrossMsg) -> CrossMsg {
+        msg
+    }
+}
+
+impl Variant for Fast {
+    type Overlay = VermeNode<()>;
+    type Ext = CrossMsg;
+    /// Round, the prober's id, and the cross flag.
+    const PROBE_FIXED: usize = 8 + 17;
+    const NEED_FIXED: usize = 9;
+
+    fn issue_attempt(eng: &mut FastVerDiNode, op: u64, ctx: &mut ECtx<'_, Self>) {
+        if eng.issue_from_memo(op, ctx) {
+            return;
         }
-        FastVerDiNode {
-            overlay,
-            cfg,
-            store: BlockStore::new(),
-            ops: OpTable::new(),
-            serving: ServingPlane::new(),
-            next_xid: 0,
-            lookup_to_op: HashMap::new(),
-            lookup_to_cross: HashMap::new(),
-            cross_waiting: HashMap::new(),
-            lookup_to_repair: HashMap::new(),
-            repairing: BTreeSet::new(),
-            repair_round: 0,
-            probes_outstanding: 0,
-            cross_cursor: 0,
-            last_epoch: 0,
-            kick_armed: false,
-        }
-    }
-
-    /// The underlying Verme overlay node.
-    pub fn overlay(&self) -> &VermeNode<()> {
-        &self.overlay
-    }
-
-    /// Mutable access to the overlay (behaviour installation).
-    pub fn overlay_mut(&mut self) -> &mut VermeNode<()> {
-        &mut self.overlay
-    }
-
-    /// The local block store.
-    pub fn store(&self) -> &BlockStore {
-        &self.store
-    }
-
-    fn with_overlay<R>(
-        &mut self,
-        ctx: &mut FCtx<'_>,
-        f: impl FnOnce(&mut VermeNode<()>, &mut Ctx<'_, VermeMsg<()>, VermeTimer>) -> R,
-    ) -> R {
-        let overlay = &mut self.overlay;
-        ctx.nested(|ictx| f(overlay, ictx), FastMsg::Overlay, FastTimer::Overlay)
-    }
-
-    fn drain_overlay(&mut self, ctx: &mut FCtx<'_>) {
-        for o in self.overlay.take_outcomes() {
-            if let Some(op) = self.lookup_to_op.remove(&o.lid) {
-                self.continue_op(op, o.answer, ctx);
-            } else if let Some(cross) = self.lookup_to_cross.remove(&o.lid) {
-                self.continue_cross(cross, o.answer, ctx);
-            } else if let Some(probe_keys) = self.lookup_to_repair.remove(&o.lid) {
-                self.continue_repair_probe(probe_keys, o.answer, ctx);
-            }
-        }
-        // Fast-VerDi never piggybacks, so answer requests cannot appear;
-        // drain defensively anyway.
-        debug_assert!(self.overlay.take_answer_requests().is_empty());
-    }
-
-    /// Issues (or re-issues) the overlay lookup for a pending operation
-    /// and arms the per-attempt timer.
-    fn issue_attempt(&mut self, op: u64, ctx: &mut FCtx<'_>) {
-        let Some(p) = self.ops.get(op) else {
+        let Some(p) = eng.ops.get(op) else {
             return;
         };
         let (key, attempt) = (p.key, p.attempt);
-        if self.cfg.memo_enabled && p.kind == OpKind::Get {
-            if attempt == 0 {
-                if let Some(addr) = self.serving.memo_get(key, ctx.now()) {
-                    // A fresh memoized replica address: skip the overlay
-                    // lookup and fetch directly. The attempt timer still
-                    // guards the fetch; a retry drops the memo below.
-                    ctx.metrics().count(keys::LOOKUP_MEMO_HITS, 1);
-                    if self.cfg.max_retries > 0 {
-                        ctx.set_timer(
-                            self.cfg.attempt_timeout(),
-                            FastTimer::AttemptTimeout { op, attempt },
-                        );
-                    }
-                    self.send_data(ctx, addr, FastMsg::Fetch { op, key });
-                    return;
-                }
-            } else {
-                // Retries never trust the memo: re-resolve from scratch.
-                self.serving.memo_invalidate(key);
-            }
-        }
-        let my_type = self.overlay.node_type();
-        let adjusted = self.overlay.layout().replica_point_avoiding(key, my_type);
-        let avoid: Vec<Addr> =
-            if self.cfg.hop_suspicion { self.ops.avoid(op).to_vec() } else { Vec::new() };
-        if self.cfg.hop_suspicion {
-            let hop = self.overlay.route_first_hop_excluding(adjusted, &avoid).map(|h| h.addr);
-            self.ops.note_first_hop(op, hop);
-        }
-        let lid = self.with_overlay(ctx, |overlay, ictx| {
+        let my_type = eng.overlay.node_type();
+        let adjusted = eng.overlay.layout().replica_point_avoiding(key, my_type);
+        let avoid = eng.route_avoiding(op, adjusted);
+        let lid = eng.with_overlay(ctx, |overlay, ictx| {
             overlay.start_replica_lookup_excluding(adjusted, None, &avoid, ictx)
         });
-        self.lookup_to_op.insert(lid, op);
-        if self.cfg.max_retries > 0 {
-            ctx.set_timer(self.cfg.attempt_timeout(), FastTimer::AttemptTimeout { op, attempt });
-        }
-        self.drain_overlay(ctx);
+        eng.variant.lookup_to_op.insert(lid, op);
+        eng.arm_attempt_timer(op, attempt, ctx);
+        Self::drain_overlay(eng, ctx);
     }
 
-    fn continue_op(&mut self, op: u64, answer: Option<VermeAnswer>, ctx: &mut FCtx<'_>) {
-        let Some(p) = self.ops.get(op) else {
-            return;
-        };
-        let replicas = match answer {
-            Some(VermeAnswer::Replicas { replicas }) if !replicas.is_empty() => replicas,
-            _ => {
-                self.ops.fail_attempt(op, &self.cfg, ctx, |op| FastTimer::RetryOp { op });
-                return;
-            }
-        };
-        // Rotate across the replica list on retry: a dead first replica
-        // would otherwise burn a full timeout on every attempt.
-        let target = replicas[p.attempt as usize % replicas.len()];
-        match p.kind {
-            OpKind::Get => {
-                let key = p.key;
-                if self.cfg.memo_enabled && p.attempt == 0 {
-                    self.serving.memo_put(key, target.addr, ctx.now(), self.cfg.memo_ttl);
-                }
-                self.send_data(ctx, target.addr, FastMsg::Fetch { op, key });
-            }
-            OpKind::Put => {
-                let key = p.key;
-                let value = p.value.clone().expect("puts carry a value");
-                let (attempt, repair) = (p.attempt, p.repair);
-                let msg = FastMsg::Store { op, key, value, attempt, repair };
-                if repair {
-                    self.send_background(ctx, target.addr, msg);
-                } else {
-                    self.send_data(ctx, target.addr, msg);
-                }
-            }
-        }
-    }
-
-    fn continue_cross(
-        &mut self,
-        cross: CrossState,
-        answer: Option<VermeAnswer>,
-        ctx: &mut FCtx<'_>,
-    ) {
-        let replicas = match answer {
-            Some(VermeAnswer::Replicas { replicas }) if !replicas.is_empty() => replicas,
-            _ => {
-                // Cannot reach the paired section: the put fails honestly.
-                let nack = FastMsg::StoreAck { op: cross.client_op, ok: false };
-                if cross.repair {
-                    self.send_background(ctx, cross.client, nack);
-                } else {
-                    self.send_data(ctx, cross.client, nack);
-                }
-                return;
-            }
-        };
-        // Rotate with the client's retry attempt so a dead first replica
-        // in the paired section does not fail every retry the same way.
-        let target = replicas[cross.attempt as usize % replicas.len()];
-        let xid = self.next_xid;
-        self.next_xid += 1;
-        self.cross_waiting.insert(xid, (cross.client_op, cross.client, cross.repair));
-        let msg =
-            FastMsg::CrossCopy { xid, key: cross.key, value: cross.value, repair: cross.repair };
-        if cross.repair {
-            self.send_background(ctx, target.addr, msg);
-        } else {
-            self.send_data(ctx, target.addr, msg);
-        }
-    }
-
-    /// A cross-section repair lookup resolved: probe the paired anchor
-    /// with the keys whose opposite-type copies we are spot-checking.
-    fn continue_repair_probe(
-        &mut self,
-        probe_keys: Vec<Id>,
-        answer: Option<VermeAnswer>,
-        ctx: &mut FCtx<'_>,
-    ) {
-        let replicas = match answer {
-            Some(VermeAnswer::Replicas { replicas }) if !replicas.is_empty() => replicas,
-            _ => {
-                self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
-                return;
-            }
-        };
-        let msg = FastMsg::RepairProbe {
-            round: self.repair_round,
-            owner: self.overlay.id(),
-            keys: probe_keys,
-            cross: true,
-        };
-        self.send_background(ctx, replicas[0].addr, msg);
-    }
-
-    fn replicate_in_section(&mut self, key: Id, value: &Bytes, ctx: &mut FCtx<'_>) {
-        let layout = *self.overlay.layout();
-        let me = self.overlay.id();
-        let peers: Vec<Addr> = self
-            .overlay
-            .successor_list()
-            .iter()
-            .filter(|h| layout.same_section(h.id, me))
-            .take(self.cfg.replicas / 2)
-            .map(|h| h.addr)
-            .collect();
-        for addr in peers {
-            let msg = FastMsg::Replicate { key, value: value.clone() };
-            ctx.metrics().count(keys::BYTES_REPLICATION, msg.wire_size() as u64);
-            ctx.send(addr, msg);
-        }
-    }
-
-    /// True if this node anchors the replica set for `point` (it is the
-    /// first in-section node at or after the point, or — in the §5.2
-    /// corner — the last one before it). Only the anchor re-replicates a
-    /// block during data stabilization; without this check every holder
-    /// would push copies to *its own* successors and the block would
-    /// creep across the whole section over time.
-    fn is_replica_anchor(&self, point: verme_chord::Id) -> bool {
-        let layout = self.overlay.layout();
-        let me = self.overlay.id();
-        if !layout.same_section(point, me) {
-            return false;
-        }
-        if point.distance_to(me) < layout.section_len() {
-            // Forward side: anchor iff no in-section node in [point, me).
-            !self
-                .overlay
-                .predecessor_list()
-                .iter()
-                .any(|h| layout.same_section(h.id, point) && h.id.in_closed_open(point, me))
-        } else {
-            // Corner side: anchor iff no in-section node in (me, point].
-            !self
-                .overlay
-                .successor_list()
-                .iter()
-                .any(|h| layout.same_section(h.id, point) && h.id.in_open_closed(me, point))
-        }
-    }
-
-    fn send_data(&mut self, ctx: &mut FCtx<'_>, to: Addr, msg: FastMsg) {
-        ctx.metrics().count(keys::BYTES_DATA, msg.wire_size() as u64);
-        ctx.send(to, msg);
-    }
-
-    /// The other replica point for a key this node just stored: if we sit
-    /// in the key's own section, the pair is one section forward; if the
-    /// client stored at the shifted point (we sit in `key + section_len`'s
-    /// section), the pair is the key's natural point. Either way the
-    /// pair's section has the opposite type of ours, so the §5.3.1 check
-    /// permits our lookup.
-    fn paired_point(&self, key: Id) -> Id {
-        let layout = self.overlay.layout();
-        if layout.same_section(key, self.overlay.id()) {
-            layout.paired_replica_point(key)
-        } else {
-            key
-        }
-    }
-
-    fn send_background(&mut self, ctx: &mut FCtx<'_>, to: Addr, msg: FastMsg) {
-        ctx.metrics().count(keys::BYTES_REPLICATION, msg.wire_size() as u64);
-        ctx.send(to, msg);
-    }
-
-    /// True if this node anchors `key` under either of its two replica
-    /// points — the filter deciding which stored blocks this node repairs.
-    fn anchors_key(&self, key: Id) -> bool {
-        let paired = self.overlay.layout().paired_replica_point(key);
-        self.is_replica_anchor(key) || self.is_replica_anchor(paired)
-    }
-
-    /// Completes an operation, clears read-repair bookkeeping, settles
-    /// coalesced waiters with the leader's result, and fills the cache.
-    fn finish_op(&mut self, op: u64, ok: bool, value: Option<Bytes>, ctx: &mut FCtx<'_>) {
-        if let Some(f) = self.ops.finish(op, ok, value.clone(), ctx) {
-            if f.repair {
-                self.repairing.remove(&f.key);
-            }
-            if f.kind == OpKind::Get && !f.repair {
-                if self.cfg.coalesce_gets {
-                    // Every parked get observes the leader's outcome —
-                    // success, deadline, or retry exhaustion alike — so
-                    // no waiter is ever lost.
-                    for w in self.serving.finish_leader(f.key, op) {
-                        self.finish_op(w, ok, value.clone(), ctx);
-                    }
-                }
-                if self.cfg.cache_enabled && ok {
-                    if let Some(v) = value {
-                        self.serving.cache_fill(f.key, v, self.cfg.cache_capacity);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drops a block from the hot cache after it moved underneath us
-    /// (repair push, replication, cross-copy, or an incoming store).
-    fn invalidate_cached(&mut self, key: Id, ctx: &mut FCtx<'_>) {
-        if self.cfg.cache_enabled && self.serving.cache_invalidate(key) {
-            ctx.metrics().count(keys::CACHE_INVALIDATIONS, 1);
-        }
-    }
-
-    /// Arms a short-fuse repair round if the overlay neighborhood changed
-    /// since the last round. Called after every overlay interaction.
-    fn maybe_kick_repair(&mut self, ctx: &mut FCtx<'_>) {
-        if self.cfg.repair_enabled
-            && !self.kick_armed
-            && self.overlay.neighbor_epoch() != self.last_epoch
-        {
-            self.kick_armed = true;
-            ctx.set_timer(REPAIR_KICK_DELAY, FastTimer::RepairKick);
-        }
-    }
-
-    /// Runs one repair round: diffs anchored blocks against the current
-    /// in-section replica peers, and spot-checks a budgeted, rotating
-    /// slice of them against the opposite-type replica point. No-op when
-    /// the neighborhood is unchanged.
-    fn run_repair_round(&mut self, ctx: &mut FCtx<'_>) {
-        let epoch = self.overlay.neighbor_epoch();
-        if epoch == self.last_epoch && self.probes_outstanding == 0 {
-            return;
-        }
-        // An unchanged epoch with probes still unanswered means the last
-        // round lost a probe to a stale-dead target (a lookup can resolve
-        // to a node the responder's section has not purged yet). Re-probe
-        // until a full round completes cleanly; on a fault-free ring the
-        // epoch never moves and no probe is ever sent, so this retry path
-        // stays inert.
-        self.last_epoch = epoch;
-        ctx.begin_cause();
-        ctx.metrics().count(keys::REPAIR_ROUNDS, 1);
-        self.repair_round += 1;
-        let round = self.repair_round;
-        let me = self.overlay.id();
-        let layout = *self.overlay.layout();
-        let anchored: Vec<Id> =
-            self.store.iter().map(|(k, _)| *k).filter(|k| self.anchors_key(*k)).collect();
-        let targets: Vec<Addr> = self
-            .overlay
-            .successor_list()
-            .iter()
-            .filter(|h| layout.same_section(h.id, me))
-            .take(self.cfg.replicas / 2)
-            .map(|h| h.addr)
-            .collect();
-        self.probes_outstanding = targets.len();
-        for addr in targets {
-            let msg =
-                FastMsg::RepairProbe { round, owner: me, keys: anchored.clone(), cross: false };
-            self.send_background(ctx, addr, msg);
-        }
-        // Cross-section spot check: one replica lookup per key, bounded
-        // by the batch budget and rotated across rounds so every anchored
-        // block is eventually verified against its paired point.
-        if !anchored.is_empty() {
-            let start = self.cross_cursor % anchored.len();
-            let take = self.cfg.repair_batch.min(anchored.len());
-            self.cross_cursor = (start + take) % anchored.len();
-            for i in 0..take {
-                let k = anchored[(start + i) % anchored.len()];
-                let pair = self.paired_point(k);
-                let lid = self.with_overlay(ctx, |overlay, ictx| {
-                    overlay.start_replica_lookup(pair, None, ictx)
-                });
-                self.lookup_to_repair.insert(lid, vec![k]);
-                self.probes_outstanding += 1;
-            }
-            self.drain_overlay(ctx);
-        }
-    }
-
-    /// Handles a repair probe: reports gaps, and (for in-section probes)
-    /// orphans — keys we hold in the prober's section that it did not
-    /// list.
-    fn handle_repair_probe(
-        &mut self,
-        from_addr: Addr,
-        round: u64,
-        owner: Id,
-        probed: Vec<Id>,
-        cross: bool,
-        ctx: &mut FCtx<'_>,
-    ) {
-        let listed: BTreeSet<Id> = probed.iter().copied().collect();
-        let missing: Vec<Id> = probed.into_iter().filter(|k| !self.store.contains(*k)).collect();
-        let orphans: Vec<Id> = if cross {
-            Vec::new()
-        } else {
-            let layout = *self.overlay.layout();
-            self.store
-                .iter()
-                .map(|(k, _)| *k)
-                .filter(|k| layout.same_section(*k, owner) && !listed.contains(k))
-                .take(self.cfg.repair_batch)
-                .collect()
-        };
-        // Always answer — an empty reply still drains the prober's
-        // in-flight gauge.
-        self.send_background(
-            ctx,
-            from_addr,
-            FastMsg::RepairNeed { round, missing, orphans, cross },
-        );
-    }
-
-    /// Handles a probe reply: pushes the blocks the responder lacks
-    /// (budgeted; via cross copy for paired-section targets) and pulls
-    /// back orphans we should anchor but lost.
-    fn handle_repair_need(
-        &mut self,
-        from_addr: Addr,
-        round: u64,
-        missing: Vec<Id>,
-        orphans: Vec<Id>,
-        cross: bool,
-        ctx: &mut FCtx<'_>,
-    ) {
-        if round == self.repair_round {
-            self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
-        }
-        let mut pushed = 0usize;
-        for k in missing {
-            if pushed >= self.cfg.repair_batch {
-                break;
-            }
-            let Some(v) = self.store.get(k).cloned() else {
+    fn drain_overlay(eng: &mut FastVerDiNode, ctx: &mut ECtx<'_, Self>) {
+        for o in eng.overlay.take_outcomes() {
+            let Some(op) = eng.variant.lookup_to_op.remove(&o.lid) else {
+                verme::cross_outcome(eng, o.lid, o.answer, ctx);
                 continue;
             };
-            if cross {
-                let xid = self.next_xid;
-                self.next_xid += 1;
-                self.send_background(
-                    ctx,
-                    from_addr,
-                    FastMsg::CrossCopy { xid, key: k, value: v, repair: true },
-                );
-            } else {
-                self.send_background(ctx, from_addr, FastMsg::Replicate { key: k, value: v });
+            let Some(p) = eng.ops.get(op) else {
+                continue;
+            };
+            let Some(replicas) = verme::replicas_of(o.answer) else {
+                eng.fail_attempt(op, ctx);
+                continue;
+            };
+            // Rotate across the replica list on retry: a dead first replica
+            // would otherwise burn a full timeout on every attempt.
+            let target = replicas[p.attempt as usize % replicas.len()].addr;
+            if eng.cfg.memo_enabled && p.req.kind() == OpKind::Get && p.attempt == 0 {
+                eng.serving.memo_put(p.key, target, ctx.now(), eng.cfg.memo_ttl);
             }
-            ctx.metrics().count(keys::REPAIR_PUSHED, 1);
-            pushed += 1;
+            eng.send_direct(op, target, ctx);
         }
-        let pulls: Vec<Id> = orphans
-            .into_iter()
-            .filter(|k| !self.store.contains(*k) && self.anchors_key(*k))
-            .take(self.cfg.repair_batch)
-            .collect();
-        if !pulls.is_empty() {
-            self.send_background(ctx, from_addr, FastMsg::RepairPull { keys: pulls });
-        }
-    }
-}
-
-impl DhtNode for FastVerDiNode {
-    fn start_put(&mut self, value: Bytes, ctx: &mut FCtx<'_>) -> u64 {
-        let key = block_key(&value);
-        let op = self.ops.start(OpKind::Put, key, Some(value), &self.cfg, ctx, |op| {
-            FastTimer::OpDeadline { op }
-        });
-        self.issue_attempt(op, ctx);
-        op
+        // Fast-VerDi never piggybacks, so answer requests cannot appear;
+        // drain defensively anyway.
+        debug_assert!(eng.overlay.take_answer_requests().is_empty());
     }
 
-    fn start_get(&mut self, key: Id, ctx: &mut FCtx<'_>) -> u64 {
-        let op = self
-            .ops
-            .start(OpKind::Get, key, None, &self.cfg, ctx, |op| FastTimer::OpDeadline { op });
-        if self.cfg.cache_enabled {
-            if let Some(v) = self.serving.cache_lookup(key) {
-                // Content addressing guarantees the value is the value;
-                // answer locally. The already-armed deadline timer finds
-                // the op gone and no-ops.
-                ctx.metrics().count(keys::CACHE_HITS, 1);
-                self.finish_op(op, true, Some(v), ctx);
-                return op;
-            }
-            ctx.metrics().count(keys::CACHE_MISSES, 1);
-        }
-        if self.cfg.coalesce_gets {
-            if let Some(leader) = self.serving.leader_for(key) {
-                // Park behind the in-flight get: exactly one upstream
-                // fetch is issued for the key.
-                ctx.metrics().count(keys::GETS_COALESCED, 1);
-                self.serving.add_waiter(leader, op);
-                return op;
-            }
-            self.serving.set_leader(key, op);
-        }
-        self.issue_attempt(op, ctx);
-        op
+    fn on_ext(eng: &mut FastVerDiNode, from: Addr, ext: CrossMsg, ctx: &mut ECtx<'_, Self>) {
+        verme::on_cross_msg(eng, from, ext, ctx);
     }
 
-    fn take_op_outcomes(&mut self) -> Vec<OpOutcome> {
-        self.ops.take_outcomes()
+    fn stored(eng: &mut FastVerDiNode, s: Stored, ctx: &mut ECtx<'_, Self>) {
+        verme::cross_copy(eng, s, ctx);
     }
 
-    fn stored_blocks(&self) -> usize {
-        self.store.len()
+    fn anchors(eng: &FastVerDiNode, key: Id) -> bool {
+        verme::anchors_key(&eng.overlay, key)
     }
 
-    fn store(&self) -> &BlockStore {
-        &self.store
+    fn replica_candidates(eng: &FastVerDiNode) -> Vec<Addr> {
+        verme::section_successors(&eng.overlay)
     }
 
-    fn repair_inflight(&self) -> usize {
-        self.probes_outstanding + self.ops.repairs_pending()
-    }
-}
-
-impl Node for FastVerDiNode {
-    type Msg = FastMsg;
-    type Timer = FastTimer;
-
-    fn on_start(&mut self, ctx: &mut FCtx<'_>) {
-        self.with_overlay(ctx, |overlay, ictx| overlay.on_start(ictx));
-        let phase_ns = self.cfg.data_stabilize_interval.as_nanos().max(1);
-        let phase = SimDuration::from_nanos(ctx.rng().gen_range(0..phase_ns));
-        ctx.set_timer(phase, FastTimer::DataStabilize);
-        if self.cfg.repair_enabled {
-            // Deliberately no random phase: repair must consume no rng
-            // draws, so a repair-enabled zero-fault run stays
-            // byte-identical to a repair-disabled one.
-            ctx.set_timer(self.cfg.repair_interval, FastTimer::Repair);
-        }
-        self.last_epoch = self.overlay.neighbor_epoch();
+    fn replica_width(cfg: &DhtConfig) -> usize {
+        cfg.replicas / 2
     }
 
-    fn on_message(&mut self, from: Addr, msg: FastMsg, ctx: &mut FCtx<'_>) {
-        // Overlay traffic gets no span here: the nested overlay handler
-        // enters its own chord.* scopes.
-        let _span = match &msg {
-            FastMsg::Overlay(_) => None,
-            FastMsg::Fetch { .. }
-            | FastMsg::Store { .. }
-            | FastMsg::Replicate { .. }
-            | FastMsg::CrossCopy { .. } => Some(ProfScope::enter(Scope::DhtServe)),
-            FastMsg::RepairProbe { .. }
-            | FastMsg::RepairNeed { .. }
-            | FastMsg::RepairPull { .. } => Some(ProfScope::enter(Scope::DhtRepair)),
-            _ => Some(ProfScope::enter(Scope::DhtOp)),
-        };
-        match msg {
-            FastMsg::Overlay(m) => {
-                self.with_overlay(ctx, |overlay, ictx| overlay.on_message(from, m, ictx));
-                self.drain_overlay(ctx);
-                self.maybe_kick_repair(ctx);
-            }
-            FastMsg::Fetch { op, key } => {
-                if self.cfg.fetch_service_time.is_zero() {
-                    let value = self.store.get(key).cloned();
-                    self.send_data(ctx, from, FastMsg::FetchReply { op, value });
-                } else {
-                    // FIFO service queue: the reply leaves once every
-                    // earlier fetch has been served. The store is read at
-                    // service completion, not admission.
-                    let delay =
-                        self.serving.enqueue_service(ctx.now(), self.cfg.fetch_service_time);
-                    ctx.set_timer(delay, FastTimer::ServeFetch { op, key, client: from });
-                }
-            }
-            FastMsg::FetchReply { op, value } => {
-                let Some(p) = self.ops.get(op) else {
-                    return;
-                };
-                let ok = value.as_ref().is_some_and(|v| verify_block(p.key, v));
-                if ok {
-                    let (key, attempt) = (p.key, p.attempt);
-                    let val = value.clone().expect("verified value present");
-                    self.finish_op(op, true, value, ctx);
-                    // Read-repair: the first-line replica missed (we only
-                    // succeeded on a retry), so re-write the block through
-                    // the normal put flow as background traffic.
-                    if attempt > 0 && self.cfg.repair_enabled && !self.repairing.contains(&key) {
-                        self.repairing.insert(key);
-                        let rop = self.ops.start_repair(key, val, &self.cfg, ctx, |op| {
-                            FastTimer::OpDeadline { op }
-                        });
-                        self.issue_attempt(rop, ctx);
-                    }
-                } else {
-                    // The replica lacked (or corrupted) the block; retry
-                    // end to end — repair may have moved it meanwhile.
-                    // With defenses armed, a verification failure after a
-                    // completed lookup is a suspected hijack.
-                    if self.cfg.hop_suspicion {
-                        ctx.metrics().count(keys::LOOKUPS_HIJACKED, 1);
-                    }
-                    self.ops.fail_attempt(op, &self.cfg, ctx, |op| FastTimer::RetryOp { op });
-                }
-            }
-            FastMsg::Store { op, key, value, attempt, repair } => {
-                if !verify_block(key, &value) {
-                    let nack = FastMsg::StoreAck { op, ok: false };
-                    if repair {
-                        self.send_background(ctx, from, nack);
-                    } else {
-                        self.send_data(ctx, from, nack);
-                    }
-                    return;
-                }
-                self.store.put(key, value.clone());
-                self.invalidate_cached(key, ctx);
-                self.replicate_in_section(key, &value, ctx);
-                // §5.3.1: before acking the client, copy the block to the
-                // responsible node of the opposite-type replica point.
-                let pair = self.paired_point(key);
-                let lid = self.with_overlay(ctx, |overlay, ictx| {
-                    overlay.start_replica_lookup(pair, None, ictx)
-                });
-                self.lookup_to_cross.insert(
-                    lid,
-                    CrossState { client_op: op, client: from, key, value, attempt, repair },
-                );
-                self.drain_overlay(ctx);
-            }
-            FastMsg::StoreAck { op, ok } => {
-                if ok {
-                    self.finish_op(op, true, None, ctx);
-                } else {
-                    self.ops.fail_attempt(op, &self.cfg, ctx, |op| FastTimer::RetryOp { op });
-                }
-            }
-            FastMsg::CrossCopy { xid, key, value, repair } => {
-                let ok = verify_block(key, &value);
-                if ok {
-                    self.store.put(key, value.clone());
-                    self.invalidate_cached(key, ctx);
-                    self.replicate_in_section(key, &value, ctx);
-                }
-                let ack = FastMsg::CrossCopyAck { xid, ok };
-                if repair {
-                    self.send_background(ctx, from, ack);
-                } else {
-                    self.send_data(ctx, from, ack);
-                }
-            }
-            FastMsg::CrossCopyAck { xid, ok } => {
-                if let Some((client_op, client, repair)) = self.cross_waiting.remove(&xid) {
-                    let ack = FastMsg::StoreAck { op: client_op, ok };
-                    if repair {
-                        self.send_background(ctx, client, ack);
-                    } else {
-                        self.send_data(ctx, client, ack);
-                    }
-                }
-            }
-            FastMsg::Replicate { key, value } => {
-                if verify_block(key, &value) {
-                    self.store.put(key, value);
-                    self.invalidate_cached(key, ctx);
-                }
-            }
-            FastMsg::RepairProbe { round, owner, keys: probed, cross } => {
-                self.handle_repair_probe(from, round, owner, probed, cross, ctx);
-            }
-            FastMsg::RepairNeed { round, missing, orphans, cross } => {
-                self.handle_repair_need(from, round, missing, orphans, cross, ctx);
-            }
-            FastMsg::RepairPull { keys: pulled } => {
-                let mut pushed = 0usize;
-                for k in pulled {
-                    if pushed >= self.cfg.repair_batch {
-                        break;
-                    }
-                    let Some(v) = self.store.get(k).cloned() else {
-                        continue;
-                    };
-                    self.send_background(ctx, from, FastMsg::Replicate { key: k, value: v });
-                    ctx.metrics().count(keys::REPAIR_PUSHED, 1);
-                    pushed += 1;
-                }
-            }
-        }
+    fn in_probed_range(eng: &FastVerDiNode, key: Id, _from: Id, owner: Id) -> bool {
+        eng.overlay.layout().same_section(key, owner)
     }
 
-    fn on_shutdown(&mut self, ctx: &mut FCtx<'_>) {
-        // Hinted handoff (graceful departures only): push every block this
-        // node anchors to its in-section heir — the first live in-section
-        // successor *outside* the current replica window, which inherits
-        // anchor duty once we are gone. Fire-and-forget: the node is dead
-        // before any reply could arrive.
-        if self.cfg.repair_enabled {
-            let layout = *self.overlay.layout();
-            let me = self.overlay.id();
-            let in_section: Vec<Addr> = self
-                .overlay
-                .successor_list()
-                .iter()
-                .filter(|h| layout.same_section(h.id, me))
-                .map(|h| h.addr)
-                .collect();
-            let heir = in_section.get(self.cfg.replicas / 2).or_else(|| in_section.last()).copied();
-            if let Some(heir) = heir {
-                ctx.begin_cause();
-                let anchored: Vec<(Id, Bytes)> = self
-                    .store
-                    .iter()
-                    .filter(|(k, _)| self.anchors_key(**k))
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
-                for (k, v) in anchored {
-                    ctx.metrics().count(keys::HANDOFF_BLOCKS, 1);
-                    self.send_background(ctx, heir, FastMsg::Replicate { key: k, value: v });
-                }
-            }
-        }
-        self.with_overlay(ctx, |overlay, ictx| overlay.on_shutdown(ictx));
+    fn repair_extra(eng: &mut FastVerDiNode, anchored: &[Id], ctx: &mut ECtx<'_, Self>) {
+        verme::cross_spot_check(eng, anchored, ctx);
     }
 
-    fn on_timer(&mut self, timer: FastTimer, ctx: &mut FCtx<'_>) {
-        let _span = match &timer {
-            FastTimer::Overlay(_) => None,
-            FastTimer::DataStabilize | FastTimer::Repair | FastTimer::RepairKick => {
-                Some(ProfScope::enter(Scope::DhtRepair))
-            }
-            FastTimer::ServeFetch { .. } => Some(ProfScope::enter(Scope::DhtServe)),
-            _ => Some(ProfScope::enter(Scope::DhtOp)),
-        };
-        match timer {
-            FastTimer::Overlay(t) => {
-                self.with_overlay(ctx, |overlay, ictx| overlay.on_timer(t, ictx));
-                self.drain_overlay(ctx);
-                self.maybe_kick_repair(ctx);
-            }
-            FastTimer::OpDeadline { op } => {
-                self.finish_op(op, false, None, ctx);
-            }
-            FastTimer::AttemptTimeout { op, attempt } => {
-                if self.ops.attempt_matches(op, attempt) {
-                    self.ops.fail_attempt(op, &self.cfg, ctx, |op| FastTimer::RetryOp { op });
-                }
-            }
-            FastTimer::RetryOp { op } => self.issue_attempt(op, ctx),
-            FastTimer::DataStabilize => {
-                // Each periodic round is its own causal span.
-                ctx.begin_cause();
-                let layout = *self.overlay.layout();
-                let mine: Vec<(Id, Bytes)> = self
-                    .store
-                    .iter()
-                    .filter(|(k, _)| {
-                        self.is_replica_anchor(**k)
-                            || self.is_replica_anchor(layout.paired_replica_point(**k))
-                    })
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
-                for (k, v) in mine {
-                    self.replicate_in_section(k, &v, ctx);
-                }
-                ctx.set_timer(self.cfg.data_stabilize_interval, FastTimer::DataStabilize);
-            }
-            FastTimer::Repair => {
-                self.run_repair_round(ctx);
-                ctx.set_timer(self.cfg.repair_interval, FastTimer::Repair);
-            }
-            FastTimer::RepairKick => {
-                self.kick_armed = false;
-                self.run_repair_round(ctx);
-            }
-            FastTimer::ServeFetch { op, key, client } => {
-                let value = self.store.get(key).cloned();
-                self.send_data(ctx, client, FastMsg::FetchReply { op, value });
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_sizes_scale_with_block_size() {
-        let big = Bytes::from(vec![0u8; 8192]);
-        let small = Bytes::from(vec![0u8; 16]);
-        let sb = FastMsg::Store {
-            op: 1,
-            key: Id::new(1),
-            value: big.clone(),
-            attempt: 0,
-            repair: false,
-        };
-        let ss = FastMsg::Store { op: 1, key: Id::new(1), value: small, attempt: 0, repair: false };
-        assert!(sb.wire_size() > ss.wire_size() + 8000);
-        assert!(FastMsg::StoreAck { op: 1, ok: true }.wire_size() < 64);
-        let cc = FastMsg::CrossCopy { xid: 1, key: Id::new(1), value: big, repair: false };
-        assert!(cc.wire_size() > 8192);
+    fn push_cross(
+        eng: &mut FastVerDiNode,
+        to: Addr,
+        key: Id,
+        value: Bytes,
+        ctx: &mut ECtx<'_, Self>,
+    ) {
+        verme::push_cross(eng, to, key, value, ctx);
     }
 }

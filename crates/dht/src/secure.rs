@@ -13,18 +13,17 @@
 //! replica point (§5.3.2, "data does not need to be replicated in two
 //! sections").
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use bytes::Bytes;
-use rand::Rng;
 
 use verme_chord::Id;
-use verme_core::{Payload, VermeMsg, VermeNode, VermeTimer};
-use verme_sim::{Addr, Ctx, Node, ProfScope, Scope, SimDuration, Wire};
+use verme_core::{Payload, VermeNode};
+use verme_sim::Addr;
 
-use crate::api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome, OpTable};
-use crate::block::{verify_block, BlockStore};
-use crate::serving::ServingPlane;
+use crate::api::{keys, DhtConfig, OpReq, PendingOp};
+use crate::engine::{DataReply, DhtEngine, ECtx, NoExt, Variant};
+use crate::verme;
 
 /// The operation payload piggybacked inside Secure-VerDi lookups and
 /// their sealed replies.
@@ -65,104 +64,6 @@ impl Payload for SecurePayload {
     }
 }
 
-/// Secure-VerDi wire messages: the overlay (with piggyback) plus
-/// background replication.
-#[derive(Clone, Debug)]
-pub enum SecureMsg {
-    /// Encapsulated Verme message carrying [`SecurePayload`] piggybacks.
-    Overlay(VermeMsg<SecurePayload>),
-    /// Background in-section replication.
-    Replicate {
-        /// Block key.
-        key: Id,
-        /// Block contents.
-        value: Bytes,
-    },
-    /// Repair probe: a replica anchor tells an in-section peer which keys
-    /// it should hold. Secure-VerDi stores at a single replica point
-    /// (§5.3.2), so there is no cross-section variant.
-    RepairProbe {
-        /// Prober-local round number.
-        round: u64,
-        /// The prober's id (defines its section for orphan reports).
-        owner: Id,
-        /// Keys the prober anchors and holds.
-        keys: Vec<Id>,
-    },
-    /// Repair probe reply.
-    RepairNeed {
-        /// Round number echoed from the probe.
-        round: u64,
-        /// Probed keys this node does not hold (please push).
-        missing: Vec<Id>,
-        /// Keys this node holds in the prober's section that were not in
-        /// the probe.
-        orphans: Vec<Id>,
-    },
-    /// Pull request for orphaned blocks (answered with `Replicate`).
-    RepairPull {
-        /// Keys to send back.
-        keys: Vec<Id>,
-    },
-}
-
-const HDR: usize = verme_chord::proto::HEADER_BYTES;
-
-impl Wire for SecureMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            SecureMsg::Overlay(m) => m.wire_size(),
-            SecureMsg::Replicate { value, .. } => HDR + 16 + value.len(),
-            SecureMsg::RepairProbe { keys, .. } => HDR + 8 + 16 + 16 * keys.len(),
-            SecureMsg::RepairNeed { missing, orphans, .. } => {
-                HDR + 8 + 16 * (missing.len() + orphans.len())
-            }
-            SecureMsg::RepairPull { keys } => HDR + 16 * keys.len(),
-        }
-    }
-}
-
-/// Secure-VerDi timers.
-#[derive(Clone, Debug)]
-pub enum SecureTimer {
-    /// Encapsulated Verme timer.
-    Overlay(VermeTimer),
-    /// Operation deadline (hard per-request bound).
-    OpDeadline {
-        /// The guarded operation.
-        op: u64,
-    },
-    /// One attempt's share of the deadline elapsed without an answer.
-    AttemptTimeout {
-        /// The guarded operation.
-        op: u64,
-        /// The attempt this timer guards (stale timers are ignored).
-        attempt: u32,
-    },
-    /// Backoff elapsed; re-issue the operation's piggybacked lookup.
-    RetryOp {
-        /// The operation to retry.
-        op: u64,
-    },
-    /// Periodic background data stabilization.
-    DataStabilize,
-    /// Periodic repair-round check (probes only if the overlay
-    /// neighborhood changed since the previous round).
-    Repair,
-    /// Short-fuse repair round scheduled right after a detected
-    /// neighborhood change (join, crash, or graceful leave).
-    RepairKick,
-    /// A queued piggybacked get finished its service slot; read the
-    /// store and answer the lookup. Only armed when `fetch_service_time`
-    /// is non-zero.
-    ServeGet {
-        /// The lookup awaiting its sealed answer.
-        lid: u64,
-        /// Block key to read at service completion.
-        key: Id,
-    },
-}
-
 /// Fan-out bookkeeping for one operation's current attempt.
 #[derive(Clone, Debug)]
 struct FanoutState {
@@ -177,19 +78,15 @@ struct FanoutState {
     used: Vec<Addr>,
 }
 
-/// A Secure-VerDi node: a payload-carrying [`VermeNode`] plus the block
-/// store. There is no separate data plane — data rides the lookups.
-pub struct SecureVerDiNode {
-    overlay: VermeNode<SecurePayload>,
-    cfg: DhtConfig,
-    store: BlockStore,
-    ops: OpTable,
-    /// Client-side serving state: hot-block cache, coalescing, and the
-    /// piggybacked-get service queue. Lookup memoization is deliberately
-    /// NOT used here: Secure-VerDi's whole point is that every operation
-    /// rides a certified lookup (§5.3.2), and a memoized direct fetch
-    /// would bypass exactly the certification the variant pays for.
-    serving: ServingPlane,
+/// The Secure-VerDi variant: every operation rides a certified lookup to
+/// the key's natural replica point, and the answer rides it back.
+///
+/// Lookup memoization is deliberately NOT used here: Secure-VerDi's whole
+/// point is that every operation rides a certified lookup (§5.3.2), and a
+/// memoized direct fetch would bypass exactly the certification the
+/// variant pays for.
+#[derive(Clone, Debug, Default)]
+pub struct Secure {
     /// Maps an in-flight overlay lookup to `(op, attempt)` — the attempt
     /// tag lets stale fan-out siblings of a superseded attempt be told
     /// apart from the current one.
@@ -198,171 +95,82 @@ pub struct SecureVerDiNode {
     /// attempt only fails once every sibling has failed and no
     /// replacement path is left to try.
     fanout_inflight: HashMap<u64, FanoutState>,
-    repairing: BTreeSet<Id>,
-    repair_round: u64,
-    probes_outstanding: usize,
-    last_epoch: u64,
-    kick_armed: bool,
 }
 
-/// Delay between a detected neighborhood change and the reactive repair
-/// round, coalescing the flurry of changes a single join/leave causes.
-const REPAIR_KICK_DELAY: SimDuration = SimDuration::from_secs(2);
+/// A Secure-VerDi node: a payload-carrying [`VermeNode`] plus the block
+/// store. There is no separate data plane — data rides the lookups.
+pub type SecureVerDiNode = DhtEngine<Secure>;
 
-type SCtx<'a> = Ctx<'a, SecureMsg, SecureTimer>;
-
-impl SecureVerDiNode {
-    /// Wraps a Verme overlay node with the Secure-VerDi layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    pub fn new(overlay: VermeNode<SecurePayload>, cfg: DhtConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid DHT config: {e}");
-        }
-        SecureVerDiNode {
-            overlay,
-            cfg,
-            store: BlockStore::new(),
-            ops: OpTable::new(),
-            serving: ServingPlane::new(),
-            lookup_to_op: HashMap::new(),
-            fanout_inflight: HashMap::new(),
-            repairing: BTreeSet::new(),
-            repair_round: 0,
-            probes_outstanding: 0,
-            last_epoch: 0,
-            kick_armed: false,
-        }
+/// The piggyback payload issuing `p` carries.
+fn payload_of(p: &PendingOp) -> SecurePayload {
+    match &p.req {
+        OpReq::Get => SecurePayload::GetReq { key: p.key },
+        OpReq::Put(value) => SecurePayload::PutReq { key: p.key, value: value.clone() },
     }
+}
 
-    /// The underlying Verme overlay node.
-    pub fn overlay(&self) -> &VermeNode<SecurePayload> {
-        &self.overlay
+/// Records one failed fan-out sibling of an operation's attempt. The
+/// attempt itself only fails once the *last* in-flight sibling of the
+/// current attempt has failed — a forged reply racing ahead of an
+/// honest copy must not burn the attempt while that copy is still in
+/// flight. Siblings of a superseded attempt are ignored outright.
+///
+/// A sibling that failed *fast* (a detected forgery, not a timeout)
+/// bought information with most of the attempt's deadline still left,
+/// so when fan-out is configured we spend it: a replacement copy is
+/// launched over a first hop this attempt has not routed through yet,
+/// keeping the redundancy budget full instead of counting down to the
+/// attempt's death. Total spawns per attempt are capped at three
+/// times the configured fan-out, bounding the traffic an adversary
+/// can extract. Repair writes stay single-path by design.
+fn fail_sibling(eng: &mut SecureVerDiNode, op: u64, attempt: u32, ctx: &mut ECtx<'_, Secure>) {
+    let Some(p) = eng.ops.get(op) else {
+        eng.variant.fanout_inflight.remove(&op);
+        return;
+    };
+    let (key, repair, payload) = (p.key, p.repair, payload_of(p));
+    if !eng.ops.attempt_matches(op, attempt) {
+        return; // Stale sibling of an earlier attempt.
     }
-
-    /// Mutable access to the overlay (behaviour installation).
-    pub fn overlay_mut(&mut self) -> &mut VermeNode<SecurePayload> {
-        &mut self.overlay
-    }
-
-    /// The local block store.
-    pub fn store(&self) -> &BlockStore {
-        &self.store
-    }
-
-    fn with_overlay<R>(
-        &mut self,
-        ctx: &mut SCtx<'_>,
-        f: impl FnOnce(
-            &mut VermeNode<SecurePayload>,
-            &mut Ctx<'_, VermeMsg<SecurePayload>, VermeTimer>,
-        ) -> R,
-    ) -> R {
-        let overlay = &mut self.overlay;
-        ctx.nested(|ictx| f(overlay, ictx), SecureMsg::Overlay, SecureTimer::Overlay)
-    }
-
-    /// Handles both directions of the piggyback protocol after any
-    /// delegated overlay call.
-    fn drain_overlay(&mut self, ctx: &mut SCtx<'_>) {
-        // 1. Operations that reached us as the responsible node.
-        let requests = self.overlay.take_answer_requests();
-        for req in requests {
-            let resp = match req.payload {
-                SecurePayload::GetReq { key } => {
-                    if !self.cfg.fetch_service_time.is_zero() {
-                        // FIFO service queue: defer the sealed answer
-                        // until every earlier get has been served. The
-                        // store is read at service completion.
-                        let delay =
-                            self.serving.enqueue_service(ctx.now(), self.cfg.fetch_service_time);
-                        ctx.set_timer(delay, SecureTimer::ServeGet { lid: req.lid, key });
-                        continue;
-                    }
-                    SecurePayload::GetResp { value: self.store.get(key).cloned() }
-                }
-                SecurePayload::PutReq { key, value } => {
-                    let ok = verify_block(key, &value);
-                    if ok {
-                        self.store.put(key, value.clone());
-                        self.invalidate_cached(key, ctx);
-                        self.replicate_in_section(key, &value, ctx);
-                    }
-                    SecurePayload::PutResp { ok }
-                }
-                // Response payloads never appear on the forward path.
-                other @ (SecurePayload::GetResp { .. } | SecurePayload::PutResp { .. }) => {
-                    debug_assert!(false, "response payload on forward path: {other:?}");
-                    continue;
-                }
-            };
-            let lid = req.lid;
-            self.with_overlay(ctx, |overlay, ictx| overlay.send_answer(lid, Some(resp), ictx));
-        }
-        // 2. Completions of operations we initiated.
-        for o in self.overlay.take_outcomes() {
-            let Some((op, attempt_of_lookup)) = self.lookup_to_op.remove(&o.lid) else {
-                continue;
-            };
-            let answer_present = o.answer.is_some();
-            match o.app {
-                Some(SecurePayload::GetResp { value }) => {
-                    let (key, attempt) = match self.ops.get(op) {
-                        Some(p) => (Some(p.key), p.attempt),
-                        None => (None, 0),
-                    };
-                    let ok = match (&value, key) {
-                        (Some(v), Some(k)) => verify_block(k, v),
-                        _ => false,
-                    };
-                    if ok {
-                        let key = key.expect("ok implies key");
-                        let val = value.clone().expect("ok implies value");
-                        self.finish_op(op, true, value, ctx);
-                        // Read-repair: the first attempt missed, so
-                        // re-write the block through the normal
-                        // piggybacked put flow (no client outcome).
-                        if attempt > 0 && self.cfg.repair_enabled && !self.repairing.contains(&key)
-                        {
-                            self.repairing.insert(key);
-                            let rop = self.ops.start_repair(key, val, &self.cfg, ctx, |op| {
-                                SecureTimer::OpDeadline { op }
-                            });
-                            self.issue_attempt(rop, ctx);
-                        }
-                    } else {
-                        // The replica lacked (or corrupted) the block; retry
-                        // end to end — repair may have moved it meanwhile.
-                        // With defenses armed, a completed lookup whose data
-                        // fails verification is a suspected hijack.
-                        if self.cfg.hop_suspicion && self.ops.get(op).is_some() {
-                            ctx.metrics().count(keys::LOOKUPS_HIJACKED, 1);
-                        }
-                        self.fail_sibling(op, attempt_of_lookup, ctx);
-                    }
-                }
-                Some(SecurePayload::PutResp { ok }) => {
-                    if ok {
-                        self.finish_op(op, true, None, ctx);
-                    } else {
-                        self.fail_sibling(op, attempt_of_lookup, ctx);
-                    }
-                }
-                _ => {
-                    // A reply arrived (the lookup "completed") but carried
-                    // no usable payload — the forged-envelope signature of
-                    // a hijack, since honest responsible nodes always
-                    // attach a response.
-                    if self.cfg.hop_suspicion && answer_present && self.ops.get(op).is_some() {
-                        ctx.metrics().count(keys::LOOKUPS_HIJACKED, 1);
-                    }
-                    self.fail_sibling(op, attempt_of_lookup, ctx);
-                }
-            }
+    let mut state = eng.variant.fanout_inflight.remove(&op).unwrap_or(FanoutState {
+        inflight: 1,
+        spawned: 1,
+        used: Vec::new(),
+    });
+    state.inflight = state.inflight.saturating_sub(1);
+    let fanout = eng.cfg.lookup_fanout;
+    if fanout > 1 && state.spawned < 3 * fanout as u32 && !repair {
+        if let Some(hop) = eng.overlay.route_first_hop_excluding(key, &state.used).map(|h| h.addr) {
+            let exclude = state.used.clone();
+            let lid = eng.with_overlay(ctx, |overlay, ictx| {
+                overlay.start_replica_lookup_excluding(key, Some(payload), &exclude, ictx)
+            });
+            eng.variant.lookup_to_op.insert(lid, (op, attempt));
+            state.used.push(hop);
+            state.spawned += 1;
+            state.inflight += 1;
+            eng.variant.fanout_inflight.insert(op, state);
+            return;
         }
     }
+    if state.inflight == 0 {
+        eng.fail_attempt(op, ctx);
+    } else {
+        eng.variant.fanout_inflight.insert(op, state);
+    }
+}
+
+impl Variant for Secure {
+    type Overlay = VermeNode<SecurePayload>;
+    type Ext = NoExt;
+    /// Round plus the prober's id. Secure-VerDi stores at a single
+    /// replica point (§5.3.2), so probes have no cross-section variant.
+    const PROBE_FIXED: usize = 8 + 16;
+    const NEED_FIXED: usize = 8;
+    /// Secure-VerDi has never invalidated on `Replicate` (only on a
+    /// piggybacked put); kept so same-seed output stays byte-identical.
+    /// ROADMAP lists aligning it with the other variants.
+    const REPLICATE_INVALIDATES: bool = false;
 
     /// Issues (or re-issues) the piggybacked lookup for a pending
     /// operation and arms the per-attempt timer.
@@ -373,554 +181,127 @@ impl SecureVerDiNode {
     /// cannot absorb the operation, because an independent copy routes
     /// around it. The first verified answer wins; stale siblings resolve
     /// against an already-finished operation and are ignored.
-    fn issue_attempt(&mut self, op: u64, ctx: &mut SCtx<'_>) {
-        let Some(p) = self.ops.get(op) else {
+    fn issue_attempt(eng: &mut SecureVerDiNode, op: u64, ctx: &mut ECtx<'_, Self>) {
+        let Some(p) = eng.ops.get(op) else {
             return;
         };
-        let (key, attempt, repair) = (p.key, p.attempt, p.repair);
-        let payload = match p.kind {
-            OpKind::Get => SecurePayload::GetReq { key },
-            OpKind::Put => {
-                let value = p.value.clone().expect("puts carry a value");
-                SecurePayload::PutReq { key, value }
-            }
-        };
-        let avoid: Vec<Addr> =
-            if self.cfg.hop_suspicion { self.ops.avoid(op).to_vec() } else { Vec::new() };
-        if self.cfg.hop_suspicion {
-            let hop = self.overlay.route_first_hop_excluding(key, &avoid).map(|h| h.addr);
-            self.ops.note_first_hop(op, hop);
-        }
+        let (key, attempt, repair, payload) = (p.key, p.attempt, p.repair, payload_of(p));
+        let mut exclude = eng.route_avoiding(op, key);
         // Repair writes stay single-path: they are background traffic and
         // already retried by their own OpTable lifecycle.
-        let fanout = if repair { 1 } else { self.cfg.lookup_fanout.max(1) };
-        let mut exclude = avoid;
+        let fanout = if repair { 1 } else { eng.cfg.lookup_fanout.max(1) };
         let mut issued = 0u32;
         for i in 0..fanout {
-            let hop = self.overlay.route_first_hop_excluding(key, &exclude).map(|h| h.addr);
+            let hop = eng.overlay.route_first_hop_excluding(key, &exclude).map(|h| h.addr);
             if i > 0 && hop.is_none() {
                 break; // No disjoint route left to fan out over.
             }
             let pb = payload.clone();
-            let lid = self.with_overlay(ctx, |overlay, ictx| {
+            let lid = eng.with_overlay(ctx, |overlay, ictx| {
                 overlay.start_replica_lookup_excluding(key, Some(pb), &exclude, ictx)
             });
-            self.lookup_to_op.insert(lid, (op, attempt));
+            eng.variant.lookup_to_op.insert(lid, (op, attempt));
             issued += 1;
             match hop {
                 Some(h) => exclude.push(h),
                 None => break,
             }
         }
-        self.fanout_inflight.insert(
+        eng.variant.fanout_inflight.insert(
             op,
             FanoutState { inflight: issued.max(1), spawned: issued.max(1), used: exclude },
         );
-        if self.cfg.max_retries > 0 {
-            ctx.set_timer(self.cfg.attempt_timeout(), SecureTimer::AttemptTimeout { op, attempt });
-        }
-        self.drain_overlay(ctx);
+        eng.arm_attempt_timer(op, attempt, ctx);
+        Self::drain_overlay(eng, ctx);
     }
 
-    /// True if this node anchors the replica set for `point` (it is the
-    /// first in-section node at or after the point, or — in the §5.2
-    /// corner — the last one before it). Only the anchor re-replicates a
-    /// block during data stabilization; without this check every holder
-    /// would push copies to *its own* successors and the block would
-    /// creep across the whole section over time.
-    fn is_replica_anchor(&self, point: verme_chord::Id) -> bool {
-        let layout = self.overlay.layout();
-        let me = self.overlay.id();
-        if !layout.same_section(point, me) {
-            return false;
-        }
-        if point.distance_to(me) < layout.section_len() {
-            // Forward side: anchor iff no in-section node in [point, me).
-            !self
-                .overlay
-                .predecessor_list()
-                .iter()
-                .any(|h| layout.same_section(h.id, point) && h.id.in_closed_open(point, me))
-        } else {
-            // Corner side: anchor iff no in-section node in (me, point].
-            !self
-                .overlay
-                .successor_list()
-                .iter()
-                .any(|h| layout.same_section(h.id, point) && h.id.in_open_closed(me, point))
-        }
-    }
-
-    fn replicate_in_section(&mut self, key: Id, value: &Bytes, ctx: &mut SCtx<'_>) {
-        let layout = *self.overlay.layout();
-        let me = self.overlay.id();
-        let peers: Vec<Addr> = self
-            .overlay
-            .successor_list()
-            .iter()
-            .filter(|h| layout.same_section(h.id, me))
-            .take(self.cfg.replicas / 2)
-            .map(|h| h.addr)
-            .collect();
-        for addr in peers {
-            let msg = SecureMsg::Replicate { key, value: value.clone() };
-            ctx.metrics().count(keys::BYTES_REPLICATION, msg.wire_size() as u64);
-            ctx.send(addr, msg);
-        }
-    }
-
-    fn send_background(&mut self, ctx: &mut SCtx<'_>, to: Addr, msg: SecureMsg) {
-        ctx.metrics().count(keys::BYTES_REPLICATION, msg.wire_size() as u64);
-        ctx.send(to, msg);
-    }
-
-    /// Records one failed fan-out sibling of an operation's attempt. The
-    /// attempt itself only fails once the *last* in-flight sibling of the
-    /// current attempt has failed — a forged reply racing ahead of an
-    /// honest copy must not burn the attempt while that copy is still in
-    /// flight. Siblings of a superseded attempt are ignored outright.
-    ///
-    /// A sibling that failed *fast* (a detected forgery, not a timeout)
-    /// bought information with most of the attempt's deadline still left,
-    /// so when fan-out is configured we spend it: a replacement copy is
-    /// launched over a first hop this attempt has not routed through yet,
-    /// keeping the redundancy budget full instead of counting down to the
-    /// attempt's death. Total spawns per attempt are capped at three
-    /// times the configured fan-out, bounding the traffic an adversary
-    /// can extract.
-    fn fail_sibling(&mut self, op: u64, attempt: u32, ctx: &mut SCtx<'_>) {
-        if self.ops.get(op).is_none() {
-            self.fanout_inflight.remove(&op);
-            return;
-        }
-        if !self.ops.attempt_matches(op, attempt) {
-            return; // Stale sibling of an earlier attempt.
-        }
-        let mut state = self.fanout_inflight.remove(&op).unwrap_or(FanoutState {
-            inflight: 1,
-            spawned: 1,
-            used: Vec::new(),
-        });
-        state.inflight = state.inflight.saturating_sub(1);
-        if self.cfg.lookup_fanout > 1 && state.spawned < 3 * self.cfg.lookup_fanout as u32 {
-            if let Some((key, payload)) = self.op_payload(op) {
-                if let Some(hop) =
-                    self.overlay.route_first_hop_excluding(key, &state.used).map(|h| h.addr)
-                {
-                    let exclude = state.used.clone();
-                    let lid = self.with_overlay(ctx, |overlay, ictx| {
-                        overlay.start_replica_lookup_excluding(key, Some(payload), &exclude, ictx)
-                    });
-                    self.lookup_to_op.insert(lid, (op, attempt));
-                    state.used.push(hop);
-                    state.spawned += 1;
-                    state.inflight += 1;
-                    self.fanout_inflight.insert(op, state);
-                    return;
+    /// Handles both directions of the piggyback protocol.
+    fn drain_overlay(eng: &mut SecureVerDiNode, ctx: &mut ECtx<'_, Self>) {
+        // 1. Operations that reached us as the responsible node.
+        for req in eng.overlay.take_answer_requests() {
+            let ok = match req.payload {
+                SecurePayload::GetReq { key } => {
+                    eng.serve_fetch(req.lid, key, None, ctx);
+                    continue;
                 }
-            }
-        }
-        if state.inflight == 0 {
-            self.ops.fail_attempt(op, &self.cfg, ctx, |op| SecureTimer::RetryOp { op });
-        } else {
-            self.fanout_inflight.insert(op, state);
-        }
-    }
-
-    /// The lookup key and piggyback payload re-issuing `op` would carry.
-    /// `None` for finished operations and for repair writes, which stay
-    /// single-path by design.
-    fn op_payload(&self, op: u64) -> Option<(Id, SecurePayload)> {
-        let p = self.ops.get(op)?;
-        if p.repair {
-            return None;
-        }
-        let payload = match p.kind {
-            OpKind::Get => SecurePayload::GetReq { key: p.key },
-            OpKind::Put => SecurePayload::PutReq {
-                key: p.key,
-                value: p.value.clone().expect("puts carry a value"),
-            },
-        };
-        Some((p.key, payload))
-    }
-
-    /// Completes an operation and clears read-repair bookkeeping.
-    fn finish_op(&mut self, op: u64, ok: bool, value: Option<Bytes>, ctx: &mut SCtx<'_>) {
-        self.fanout_inflight.remove(&op);
-        if let Some(f) = self.ops.finish(op, ok, value.clone(), ctx) {
-            if f.repair {
-                self.repairing.remove(&f.key);
-            }
-            if f.kind == OpKind::Get && !f.repair {
-                if self.cfg.coalesce_gets {
-                    // Every parked get observes the leader's outcome —
-                    // success, deadline, or retry exhaustion alike — so
-                    // no waiter is ever lost.
-                    for w in self.serving.finish_leader(f.key, op) {
-                        self.finish_op(w, ok, value.clone(), ctx);
+                SecurePayload::PutReq { key, value } => {
+                    let ok = eng.accept_block(key, &value, ctx);
+                    if ok {
+                        eng.replicate(key, &value, ctx);
                     }
+                    ok
                 }
-                if self.cfg.cache_enabled && ok {
-                    if let Some(v) = value {
-                        self.serving.cache_fill(f.key, v, self.cfg.cache_capacity);
-                    }
+                // Response payloads never appear on the forward path.
+                other @ (SecurePayload::GetResp { .. } | SecurePayload::PutResp { .. }) => {
+                    debug_assert!(false, "response payload on forward path: {other:?}");
+                    continue;
                 }
-            }
+            };
+            let (lid, resp) = (req.lid, SecurePayload::PutResp { ok });
+            eng.with_overlay(ctx, |overlay, ictx| overlay.send_answer(lid, Some(resp), ictx));
         }
-    }
-
-    /// Drops a block from the hot cache after it moved underneath us
-    /// (repair push, replication, or an incoming piggybacked put).
-    fn invalidate_cached(&mut self, key: Id, ctx: &mut SCtx<'_>) {
-        if self.cfg.cache_enabled && self.serving.cache_invalidate(key) {
-            ctx.metrics().count(keys::CACHE_INVALIDATIONS, 1);
-        }
-    }
-
-    /// Arms a short-fuse repair round if the overlay neighborhood changed
-    /// since the last round. Called after every overlay interaction.
-    fn maybe_kick_repair(&mut self, ctx: &mut SCtx<'_>) {
-        if self.cfg.repair_enabled
-            && !self.kick_armed
-            && self.overlay.neighbor_epoch() != self.last_epoch
-        {
-            self.kick_armed = true;
-            ctx.set_timer(REPAIR_KICK_DELAY, SecureTimer::RepairKick);
-        }
-    }
-
-    /// Runs one repair round: diffs anchored blocks against the current
-    /// in-section replica peers. Secure-VerDi stores at a single replica
-    /// point, so repair is purely in-section. No-op when the neighborhood
-    /// is unchanged.
-    fn run_repair_round(&mut self, ctx: &mut SCtx<'_>) {
-        let epoch = self.overlay.neighbor_epoch();
-        if epoch == self.last_epoch && self.probes_outstanding == 0 {
-            return;
-        }
-        // An unchanged epoch with probes still unanswered means the last
-        // round lost a probe to a stale-dead target (a lookup can resolve
-        // to a node the responder's section has not purged yet). Re-probe
-        // until a full round completes cleanly; on a fault-free ring the
-        // epoch never moves and no probe is ever sent, so this retry path
-        // stays inert.
-        self.last_epoch = epoch;
-        ctx.begin_cause();
-        ctx.metrics().count(keys::REPAIR_ROUNDS, 1);
-        self.repair_round += 1;
-        let round = self.repair_round;
-        let me = self.overlay.id();
-        let layout = *self.overlay.layout();
-        let anchored: Vec<Id> =
-            self.store.iter().map(|(k, _)| *k).filter(|k| self.is_replica_anchor(*k)).collect();
-        let targets: Vec<Addr> = self
-            .overlay
-            .successor_list()
-            .iter()
-            .filter(|h| layout.same_section(h.id, me))
-            .take(self.cfg.replicas / 2)
-            .map(|h| h.addr)
-            .collect();
-        self.probes_outstanding = targets.len();
-        for addr in targets {
-            let msg = SecureMsg::RepairProbe { round, owner: me, keys: anchored.clone() };
-            self.send_background(ctx, addr, msg);
-        }
-    }
-
-    /// Handles a repair probe: reports gaps and orphans — keys we hold in
-    /// the prober's section that it did not list.
-    fn handle_repair_probe(
-        &mut self,
-        from_addr: Addr,
-        round: u64,
-        owner: Id,
-        probed: Vec<Id>,
-        ctx: &mut SCtx<'_>,
-    ) {
-        let listed: BTreeSet<Id> = probed.iter().copied().collect();
-        let missing: Vec<Id> = probed.into_iter().filter(|k| !self.store.contains(*k)).collect();
-        let layout = *self.overlay.layout();
-        let orphans: Vec<Id> = self
-            .store
-            .iter()
-            .map(|(k, _)| *k)
-            .filter(|k| layout.same_section(*k, owner) && !listed.contains(k))
-            .take(self.cfg.repair_batch)
-            .collect();
-        // Always answer — an empty reply still drains the prober's
-        // in-flight gauge.
-        self.send_background(ctx, from_addr, SecureMsg::RepairNeed { round, missing, orphans });
-    }
-
-    /// Handles a probe reply: pushes the blocks the responder lacks
-    /// (budgeted) and pulls back orphans we should anchor but lost.
-    fn handle_repair_need(
-        &mut self,
-        from_addr: Addr,
-        round: u64,
-        missing: Vec<Id>,
-        orphans: Vec<Id>,
-        ctx: &mut SCtx<'_>,
-    ) {
-        if round == self.repair_round {
-            self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
-        }
-        let mut pushed = 0usize;
-        for k in missing {
-            if pushed >= self.cfg.repair_batch {
-                break;
-            }
-            let Some(v) = self.store.get(k).cloned() else {
+        // 2. Completions of operations we initiated.
+        for o in eng.overlay.take_outcomes() {
+            let Some((op, attempt_of_lookup)) = eng.variant.lookup_to_op.remove(&o.lid) else {
                 continue;
             };
-            self.send_background(ctx, from_addr, SecureMsg::Replicate { key: k, value: v });
-            ctx.metrics().count(keys::REPAIR_PUSHED, 1);
-            pushed += 1;
-        }
-        let pulls: Vec<Id> = orphans
-            .into_iter()
-            .filter(|k| !self.store.contains(*k) && self.is_replica_anchor(*k))
-            .take(self.cfg.repair_batch)
-            .collect();
-        if !pulls.is_empty() {
-            self.send_background(ctx, from_addr, SecureMsg::RepairPull { keys: pulls });
-        }
-    }
-}
-
-impl DhtNode for SecureVerDiNode {
-    fn start_put(&mut self, value: Bytes, ctx: &mut SCtx<'_>) -> u64 {
-        let key = crate::block::block_key(&value);
-        let op = self.ops.start(OpKind::Put, key, Some(value), &self.cfg, ctx, |op| {
-            SecureTimer::OpDeadline { op }
-        });
-        self.issue_attempt(op, ctx);
-        op
-    }
-
-    fn start_get(&mut self, key: Id, ctx: &mut SCtx<'_>) -> u64 {
-        let op = self
-            .ops
-            .start(OpKind::Get, key, None, &self.cfg, ctx, |op| SecureTimer::OpDeadline { op });
-        if self.cfg.cache_enabled {
-            if let Some(v) = self.serving.cache_lookup(key) {
-                // Content addressing guarantees the value is the value,
-                // and a locally cached block needs no certified lookup.
-                // The already-armed deadline timer finds the op gone and
-                // no-ops.
-                ctx.metrics().count(keys::CACHE_HITS, 1);
-                self.finish_op(op, true, Some(v), ctx);
-                return op;
-            }
-            ctx.metrics().count(keys::CACHE_MISSES, 1);
-        }
-        if self.cfg.coalesce_gets {
-            if let Some(leader) = self.serving.leader_for(key) {
-                // Park behind the in-flight get: exactly one piggybacked
-                // lookup is issued for the key.
-                ctx.metrics().count(keys::GETS_COALESCED, 1);
-                self.serving.add_waiter(leader, op);
-                return op;
-            }
-            self.serving.set_leader(key, op);
-        }
-        self.issue_attempt(op, ctx);
-        op
-    }
-
-    fn take_op_outcomes(&mut self) -> Vec<OpOutcome> {
-        self.ops.take_outcomes()
-    }
-
-    fn stored_blocks(&self) -> usize {
-        self.store.len()
-    }
-
-    fn store(&self) -> &BlockStore {
-        &self.store
-    }
-
-    fn repair_inflight(&self) -> usize {
-        self.probes_outstanding + self.ops.repairs_pending()
-    }
-}
-
-impl Node for SecureVerDiNode {
-    type Msg = SecureMsg;
-    type Timer = SecureTimer;
-
-    fn on_start(&mut self, ctx: &mut SCtx<'_>) {
-        self.with_overlay(ctx, |overlay, ictx| overlay.on_start(ictx));
-        let phase_ns = self.cfg.data_stabilize_interval.as_nanos().max(1);
-        let phase = SimDuration::from_nanos(ctx.rng().gen_range(0..phase_ns));
-        ctx.set_timer(phase, SecureTimer::DataStabilize);
-        if self.cfg.repair_enabled {
-            // Deliberately no random phase: repair must consume no rng
-            // draws, so a repair-enabled zero-fault run stays
-            // byte-identical to a repair-disabled one.
-            ctx.set_timer(self.cfg.repair_interval, SecureTimer::Repair);
-        }
-        self.last_epoch = self.overlay.neighbor_epoch();
-    }
-
-    fn on_message(&mut self, from: Addr, msg: SecureMsg, ctx: &mut SCtx<'_>) {
-        // Overlay traffic gets no span here: the nested overlay handler
-        // enters its own chord.* scopes.
-        let _span = match &msg {
-            SecureMsg::Overlay(_) => None,
-            SecureMsg::Replicate { .. } => Some(ProfScope::enter(Scope::DhtServe)),
-            SecureMsg::RepairProbe { .. }
-            | SecureMsg::RepairNeed { .. }
-            | SecureMsg::RepairPull { .. } => Some(ProfScope::enter(Scope::DhtRepair)),
-        };
-        match msg {
-            SecureMsg::Overlay(m) => {
-                self.with_overlay(ctx, |overlay, ictx| overlay.on_message(from, m, ictx));
-                self.drain_overlay(ctx);
-                self.maybe_kick_repair(ctx);
-            }
-            SecureMsg::Replicate { key, value } => {
-                if verify_block(key, &value) {
-                    self.store.put(key, value);
+            let accepted = match o.app {
+                Some(SecurePayload::GetResp { value }) => {
+                    eng.accept_reply(op, DataReply::Fetched(value), ctx)
                 }
-            }
-            SecureMsg::RepairProbe { round, owner, keys: probed } => {
-                self.handle_repair_probe(from, round, owner, probed, ctx);
-            }
-            SecureMsg::RepairNeed { round, missing, orphans } => {
-                self.handle_repair_need(from, round, missing, orphans, ctx);
-            }
-            SecureMsg::RepairPull { keys: pulled } => {
-                let mut pushed = 0usize;
-                for k in pulled {
-                    if pushed >= self.cfg.repair_batch {
-                        break;
+                Some(SecurePayload::PutResp { ok }) => {
+                    eng.accept_reply(op, DataReply::Stored(ok), ctx)
+                }
+                _ => {
+                    // A reply arrived (the lookup "completed") but carried
+                    // no usable payload — the forged-envelope signature of
+                    // a hijack, since honest responsible nodes always
+                    // attach a response.
+                    if eng.cfg.hop_suspicion && o.answer.is_some() && eng.ops.get(op).is_some() {
+                        ctx.metrics().count(keys::LOOKUPS_HIJACKED, 1);
                     }
-                    let Some(v) = self.store.get(k).cloned() else {
-                        continue;
-                    };
-                    self.send_background(ctx, from, SecureMsg::Replicate { key: k, value: v });
-                    ctx.metrics().count(keys::REPAIR_PUSHED, 1);
-                    pushed += 1;
+                    false
                 }
+            };
+            if !accepted {
+                fail_sibling(eng, op, attempt_of_lookup, ctx);
             }
         }
     }
 
-    fn on_shutdown(&mut self, ctx: &mut SCtx<'_>) {
-        // Hinted handoff (graceful departures only): push every anchored
-        // block to the in-section heir outside the replica window.
-        if self.cfg.repair_enabled {
-            let layout = *self.overlay.layout();
-            let me = self.overlay.id();
-            let in_section: Vec<Addr> = self
-                .overlay
-                .successor_list()
-                .iter()
-                .filter(|h| layout.same_section(h.id, me))
-                .map(|h| h.addr)
-                .collect();
-            let heir = in_section.get(self.cfg.replicas / 2).or_else(|| in_section.last()).copied();
-            if let Some(heir) = heir {
-                ctx.begin_cause();
-                let anchored: Vec<(Id, Bytes)> = self
-                    .store
-                    .iter()
-                    .filter(|(k, _)| self.is_replica_anchor(**k))
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
-                for (k, v) in anchored {
-                    ctx.metrics().count(keys::HANDOFF_BLOCKS, 1);
-                    self.send_background(ctx, heir, SecureMsg::Replicate { key: k, value: v });
-                }
-            }
-        }
-        self.with_overlay(ctx, |overlay, ictx| overlay.on_shutdown(ictx));
+    fn attempt_over(eng: &mut SecureVerDiNode, op: u64) {
+        eng.variant.fanout_inflight.remove(&op);
     }
 
-    fn on_timer(&mut self, timer: SecureTimer, ctx: &mut SCtx<'_>) {
-        let _span = match &timer {
-            SecureTimer::Overlay(_) => None,
-            SecureTimer::DataStabilize | SecureTimer::Repair | SecureTimer::RepairKick => {
-                Some(ProfScope::enter(Scope::DhtRepair))
-            }
-            SecureTimer::ServeGet { .. } => Some(ProfScope::enter(Scope::DhtServe)),
-            _ => Some(ProfScope::enter(Scope::DhtOp)),
-        };
-        match timer {
-            SecureTimer::Overlay(t) => {
-                self.with_overlay(ctx, |overlay, ictx| overlay.on_timer(t, ictx));
-                self.drain_overlay(ctx);
-                self.maybe_kick_repair(ctx);
-            }
-            SecureTimer::OpDeadline { op } => {
-                self.finish_op(op, false, None, ctx);
-            }
-            SecureTimer::AttemptTimeout { op, attempt } => {
-                if self.ops.attempt_matches(op, attempt) {
-                    // The whole attempt timed out: every sibling is dead.
-                    self.fanout_inflight.remove(&op);
-                    self.ops.fail_attempt(op, &self.cfg, ctx, |op| SecureTimer::RetryOp { op });
-                }
-            }
-            SecureTimer::RetryOp { op } => self.issue_attempt(op, ctx),
-            SecureTimer::DataStabilize => {
-                // Each periodic round is its own causal span.
-                ctx.begin_cause();
-                let mine: Vec<(Id, Bytes)> = self
-                    .store
-                    .iter()
-                    .filter(|(k, _)| self.is_replica_anchor(**k))
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect();
-                for (k, v) in mine {
-                    self.replicate_in_section(k, &v, ctx);
-                }
-                ctx.set_timer(self.cfg.data_stabilize_interval, SecureTimer::DataStabilize);
-            }
-            SecureTimer::Repair => {
-                self.run_repair_round(ctx);
-                ctx.set_timer(self.cfg.repair_interval, SecureTimer::Repair);
-            }
-            SecureTimer::RepairKick => {
-                self.kick_armed = false;
-                self.run_repair_round(ctx);
-            }
-            SecureTimer::ServeGet { lid, key } => {
-                let resp = SecurePayload::GetResp { value: self.store.get(key).cloned() };
-                // send_answer returns false if the relay state already
-                // expired; the initiator's retry covers that case.
-                self.with_overlay(ctx, |overlay, ictx| overlay.send_answer(lid, Some(resp), ictx));
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn payload_sizes_track_data() {
-        let key = Id::new(1);
-        let small = SecurePayload::GetReq { key };
-        let data = Bytes::from(vec![0u8; 8192]);
-        let put = SecurePayload::PutReq { key, value: data.clone() };
-        let resp = SecurePayload::GetResp { value: Some(data) };
-        let empty_resp = SecurePayload::GetResp { value: None };
-        assert!(small.wire_size() < 32);
-        assert!(put.wire_size() >= 8192);
-        assert!(resp.wire_size() >= 8192);
-        assert!(empty_resp.wire_size() < 8);
-        assert_eq!(SecurePayload::PutResp { ok: true }.wire_size(), 2);
+    fn on_ext(_: &mut SecureVerDiNode, _: Addr, ext: NoExt, _: &mut ECtx<'_, Self>) {
+        match ext {}
     }
 
-    #[test]
-    fn overlay_messages_carry_payload_bytes() {
-        use verme_sim::Wire as _;
-        let r = SecureMsg::Replicate { key: Id::new(1), value: Bytes::from(vec![0u8; 100]) };
-        assert!(r.wire_size() > 100);
+    fn answer_piggybacked(
+        eng: &mut SecureVerDiNode,
+        lid: u64,
+        value: Option<Bytes>,
+        ctx: &mut ECtx<'_, Self>,
+    ) {
+        // send_answer returns false if the relay state already expired;
+        // the initiator's retry covers that case.
+        let resp = SecurePayload::GetResp { value };
+        eng.with_overlay(ctx, |overlay, ictx| overlay.send_answer(lid, Some(resp), ictx));
+    }
+
+    fn anchors(eng: &SecureVerDiNode, key: Id) -> bool {
+        verme::is_replica_anchor(&eng.overlay, key)
+    }
+
+    fn replica_candidates(eng: &SecureVerDiNode) -> Vec<Addr> {
+        verme::section_successors(&eng.overlay)
+    }
+
+    fn replica_width(cfg: &DhtConfig) -> usize {
+        cfg.replicas / 2
+    }
+
+    fn in_probed_range(eng: &SecureVerDiNode, key: Id, _from: Id, owner: Id) -> bool {
+        eng.overlay.layout().same_section(key, owner)
     }
 }

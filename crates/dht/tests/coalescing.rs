@@ -14,68 +14,33 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use verme_chord::{ChordConfig, Id, StaticRing};
-use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
-use verme_crypto::CertificateAuthority;
-use verme_dht::{block_key, keys, DhashNode, DhtConfig, DhtNode, FastVerDiNode, SecureVerDiNode};
+use verme_chord::Id;
+use verme_core::{Payload, VermeNode};
+use verme_dht::{
+    block_key, keys, Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant,
+};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SimDuration, SimTime};
+
+mod common;
+use common::Ring;
 
 const N: usize = 48;
-const HOP: SimDuration = SimDuration::from_millis(20);
 
 fn coalescing_cfg() -> DhtConfig {
     DhtConfig { coalesce_gets: true, ..DhtConfig::default() }
 }
 
-fn layout() -> SectionLayout {
-    SectionLayout::with_sections(8, 2)
+fn spawn_dhash(seed: u64) -> Ring<DhashNode> {
+    common::spawn_dhash(N, seed, &coalescing_cfg())
 }
 
-fn spawn_dhash(seed: u64, cfg: DhtConfig) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    let mut rng = SeedSource::new(seed).stream("ids");
-    let handles: Vec<_> = (0..N)
-        .map(|i| verme_chord::NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut rt = Runtime::new(UniformLatency::new(N, HOP), seed);
-    let mut by_addr: Vec<(u64, usize)> = (0..N).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; N];
-    for (raw, pos) in by_addr {
-        let node = DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone());
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
-    (rt, addrs)
-}
-
-fn spawn_fast(seed: u64, cfg: DhtConfig) -> (Runtime<FastVerDiNode, UniformLatency>, Vec<Addr>) {
-    let lay = layout();
-    let ring = VermeStaticRing::generate(lay, N, seed);
-    let mut ca = CertificateAuthority::new(seed);
-    let mut rt = Runtime::new(UniformLatency::new(N, HOP), seed);
-    let mut addrs = Vec::with_capacity(N);
-    for i in 0..N {
-        let overlay = ring.build_node(i, VermeConfig::new(lay), &mut ca);
-        addrs.push(rt.spawn(HostId(i), FastVerDiNode::new(overlay, cfg.clone())));
-    }
-    (rt, addrs)
-}
-
-fn spawn_secure(
-    seed: u64,
-    cfg: DhtConfig,
-) -> (Runtime<SecureVerDiNode, UniformLatency>, Vec<Addr>) {
-    let lay = layout();
-    let ring = VermeStaticRing::generate(lay, N, seed);
-    let mut ca = CertificateAuthority::new(seed);
-    let mut rt = Runtime::new(UniformLatency::new(N, HOP), seed);
-    let mut addrs = Vec::with_capacity(N);
-    for i in 0..N {
-        let overlay = ring.build_node(i, VermeConfig::new(lay), &mut ca);
-        addrs.push(rt.spawn(HostId(i), SecureVerDiNode::new(overlay, cfg.clone())));
-    }
-    (rt, addrs)
+fn spawn_verdi<V, P>(seed: u64) -> Ring<DhtEngine<V>>
+where
+    V: Variant<Overlay = VermeNode<P>>,
+    P: Payload,
+{
+    common::spawn_verdi(N, seed, &coalescing_cfg())
 }
 
 /// Puts one block fault-free and drains the put outcome so later reads
@@ -177,7 +142,7 @@ proptest! {
         seed in 0u64..1_000_000,
         extra in 1usize..6,
     ) {
-        let (mut rt, addrs) = spawn_dhash(seed, coalescing_cfg());
+        let (mut rt, addrs) = spawn_dhash(seed);
         let (key, value) = seed_block(&mut rt, &addrs);
         check_shared_value(&mut rt, addrs[5], key, &value, extra + 1)?;
     }
@@ -188,7 +153,7 @@ proptest! {
         seed in 0u64..1_000_000,
         extra in 1usize..6,
     ) {
-        let (mut rt, addrs) = spawn_fast(seed, coalescing_cfg());
+        let (mut rt, addrs) = spawn_verdi::<Fast, _>(seed);
         let (key, value) = seed_block(&mut rt, &addrs);
         check_shared_value(&mut rt, addrs[5], key, &value, extra + 1)?;
     }
@@ -199,7 +164,19 @@ proptest! {
         seed in 0u64..1_000_000,
         extra in 1usize..6,
     ) {
-        let (mut rt, addrs) = spawn_secure(seed, coalescing_cfg());
+        let (mut rt, addrs) = spawn_verdi::<Secure, _>(seed);
+        let (key, value) = seed_block(&mut rt, &addrs);
+        check_shared_value(&mut rt, addrs[5], key, &value, extra + 1)?;
+    }
+
+    /// Compromise-VerDi: same invariant when the one fetch is a relayed
+    /// request.
+    #[test]
+    fn compromise_verdi_waiters_share_the_single_fetched_value(
+        seed in 0u64..1_000_000,
+        extra in 1usize..6,
+    ) {
+        let (mut rt, addrs) = spawn_verdi::<Compromise, _>(seed);
         let (key, value) = seed_block(&mut rt, &addrs);
         check_shared_value(&mut rt, addrs[5], key, &value, extra + 1)?;
     }
@@ -210,7 +187,7 @@ proptest! {
         seed in 0u64..1_000_000,
         script in rounds(),
     ) {
-        let (mut rt, addrs) = spawn_dhash(seed, coalescing_cfg());
+        let (mut rt, addrs) = spawn_dhash(seed);
         let (key, value) = seed_block(&mut rt, &addrs);
         let client = addrs[5];
         check_no_lost_wakeups(&mut rt, &addrs, client, key, &value, &script)?;
@@ -222,7 +199,34 @@ proptest! {
         seed in 0u64..1_000_000,
         script in rounds(),
     ) {
-        let (mut rt, addrs) = spawn_fast(seed, coalescing_cfg());
+        let (mut rt, addrs) = spawn_verdi::<Fast, _>(seed);
+        let (key, value) = seed_block(&mut rt, &addrs);
+        let client = addrs[5];
+        check_no_lost_wakeups(&mut rt, &addrs, client, key, &value, &script)?;
+    }
+
+    /// Secure-VerDi: the same churn script on the piggybacked-lookup path.
+    #[test]
+    fn secure_verdi_no_lost_wakeups_under_churn(
+        seed in 0u64..1_000_000,
+        script in rounds(),
+    ) {
+        let (mut rt, addrs) = spawn_verdi::<Secure, _>(seed);
+        let (key, value) = seed_block(&mut rt, &addrs);
+        let client = addrs[5];
+        check_no_lost_wakeups(&mut rt, &addrs, client, key, &value, &script)?;
+    }
+
+    /// Compromise-VerDi: the same churn script when relays die too.
+    #[test]
+    fn compromise_verdi_no_lost_wakeups_under_churn(
+        seed in 0u64..1_000_000,
+        script in rounds(),
+    ) {
+        // This case sequence samples a ring with an empty section, where
+        // a VerDi put whose replica point falls there fails by design.
+        prop_assume!(common::every_section_populated(N, seed));
+        let (mut rt, addrs) = spawn_verdi::<Compromise, _>(seed);
         let (key, value) = seed_block(&mut rt, &addrs);
         let client = addrs[5];
         check_no_lost_wakeups(&mut rt, &addrs, client, key, &value, &script)?;

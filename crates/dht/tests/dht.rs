@@ -2,84 +2,29 @@
 
 use bytes::Bytes;
 
-use verme_chord::{ChordConfig, Id, StaticRing};
-use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
-use verme_crypto::CertificateAuthority;
+use verme_chord::Id;
+use verme_core::{Payload, VermeNode};
 use verme_dht::{
-    block_key, CompromiseVerDiNode, DhashNode, DhtConfig, DhtNode, FastVerDiNode, OpKind,
-    SecureVerDiNode,
+    block_key, Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, OpKind, Secure, Variant,
 };
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SimDuration, SimTime};
+
+mod common;
+use common::Ring;
 
 const N: usize = 192;
-const HOP: SimDuration = SimDuration::from_millis(20);
 
-fn layout() -> SectionLayout {
-    SectionLayout::with_sections(8, 2)
+fn spawn_dhash(seed: u64) -> Ring<DhashNode> {
+    common::spawn_dhash(N, seed, &DhtConfig::default())
 }
 
-fn spawn_dhash(seed: u64) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    let mut rng = SeedSource::new(seed).stream("ids");
-    let ids: Vec<Id> = (0..N).map(|_| Id::random(&mut rng)).collect();
-    let handles: Vec<_> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| verme_chord::NodeHandle::new(id, Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut rt = Runtime::new(UniformLatency::new(N, HOP), seed);
-    let mut by_addr: Vec<(u64, usize)> = (0..N).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; N];
-    for (raw, pos) in by_addr {
-        let node =
-            DhashNode::new(ring.build_node(pos, ChordConfig::default()), DhtConfig::default());
-        let addr = rt.spawn(HostId(raw as usize - 1), node);
-        assert_eq!(addr.raw(), raw);
-        addrs[pos] = addr;
-    }
-    (rt, addrs)
-}
-
-fn verme_ring(seed: u64) -> (VermeStaticRing, CertificateAuthority) {
-    (VermeStaticRing::generate(layout(), N, seed), CertificateAuthority::new(seed))
-}
-
-fn spawn_fast(seed: u64) -> (Runtime<FastVerDiNode, UniformLatency>, Vec<Addr>) {
-    let (ring, mut ca) = verme_ring(seed);
-    let mut rt = Runtime::new(UniformLatency::new(N, HOP), seed);
-    let mut addrs = Vec::with_capacity(N);
-    for i in 0..N {
-        let overlay = ring.build_node(i, VermeConfig::new(layout()), &mut ca);
-        let node = FastVerDiNode::new(overlay, DhtConfig::default());
-        addrs.push(rt.spawn(HostId(i), node));
-    }
-    (rt, addrs)
-}
-
-fn spawn_secure(seed: u64) -> (Runtime<SecureVerDiNode, UniformLatency>, Vec<Addr>) {
-    let (ring, mut ca) = verme_ring(seed);
-    let mut rt = Runtime::new(UniformLatency::new(N, HOP), seed);
-    let mut addrs = Vec::with_capacity(N);
-    for i in 0..N {
-        let overlay = ring.build_node(i, VermeConfig::new(layout()), &mut ca);
-        let node = SecureVerDiNode::new(overlay, DhtConfig::default());
-        addrs.push(rt.spawn(HostId(i), node));
-    }
-    (rt, addrs)
-}
-
-fn spawn_compromise(seed: u64) -> (Runtime<CompromiseVerDiNode, UniformLatency>, Vec<Addr>) {
-    let (ring, mut ca) = verme_ring(seed);
-    let mut rt = Runtime::new(UniformLatency::new(N, HOP), seed);
-    let mut addrs = Vec::with_capacity(N);
-    for i in 0..N {
-        let overlay = ring.build_node(i, VermeConfig::new(layout()), &mut ca);
-        let node = CompromiseVerDiNode::new(overlay, DhtConfig::default());
-        addrs.push(rt.spawn(HostId(i), node));
-    }
-    (rt, addrs)
+fn spawn_verdi<V, P>(seed: u64) -> Ring<DhtEngine<V>>
+where
+    V: Variant<Overlay = VermeNode<P>>,
+    P: Payload,
+{
+    common::spawn_verdi(N, seed, &DhtConfig::default())
 }
 
 /// Puts `value` from `who`, waits, asserts success, returns the key.
@@ -128,7 +73,7 @@ fn dhash_put_get_round_trip() {
 
 #[test]
 fn fast_verdi_put_get_round_trip_across_types() {
-    let (mut rt, addrs) = spawn_fast(2);
+    let (mut rt, addrs) = spawn_verdi::<Fast, _>(2);
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     let key = do_put(&mut rt, addrs[3], payload(9));
     // Readers of both types must see the data.
@@ -140,7 +85,7 @@ fn fast_verdi_put_get_round_trip_across_types() {
 
 #[test]
 fn fast_verdi_replicates_in_both_typed_sections() {
-    let (mut rt, addrs) = spawn_fast(3);
+    let (mut rt, addrs) = spawn_verdi::<Fast, _>(3);
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     let value = payload(5);
     let key = do_put(&mut rt, addrs[0], value);
@@ -159,7 +104,7 @@ fn fast_verdi_replicates_in_both_typed_sections() {
 
 #[test]
 fn secure_verdi_put_get_round_trip_any_type() {
-    let (mut rt, addrs) = spawn_secure(4);
+    let (mut rt, addrs) = spawn_verdi::<Secure, _>(4);
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     let key = do_put(&mut rt, addrs[7], payload(1));
     let v1 = do_get(&mut rt, addrs[42], key);
@@ -170,7 +115,7 @@ fn secure_verdi_put_get_round_trip_any_type() {
 
 #[test]
 fn compromise_verdi_put_get_round_trip() {
-    let (mut rt, addrs) = spawn_compromise(5);
+    let (mut rt, addrs) = spawn_verdi::<Compromise, _>(5);
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     let key = do_put(&mut rt, addrs[20], payload(3));
     let v = do_get(&mut rt, addrs[77], key);
@@ -179,8 +124,10 @@ fn compromise_verdi_put_get_round_trip() {
 
 #[test]
 fn compromise_relays_observe_their_clients() {
-    let (mut rt, addrs) = spawn_compromise(6);
+    let (mut rt, addrs) = spawn_verdi::<Compromise, _>(6);
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+    // Nothing is harvested before the first relayed operation.
+    assert!(addrs.iter().all(|&a| rt.node(a).unwrap().observed_clients().is_empty()));
     let key = do_put(&mut rt, addrs[20], payload(3));
     let _ = do_get(&mut rt, addrs[77], key);
     // Some node acted as a relay and observed a client.
@@ -209,37 +156,22 @@ fn secure_verdi_gets_are_slower_under_bandwidth_model() {
     // Fast transfers it once. A pure-latency model would not show this —
     // so this test runs on the GT-ITM transit-stub network, like §7.2.
     use verme_net::{TransitStub, TransitStubConfig};
-    let net = || TransitStub::generate(TransitStubConfig { hosts: N, ..Default::default() }, 77);
-    let fast_ms = {
-        let (ring, mut ca) = verme_ring(8);
-        let mut rt = Runtime::new(net(), 8);
-        let mut addrs = Vec::with_capacity(N);
-        for i in 0..N {
-            let overlay = ring.build_node(i, VermeConfig::new(layout()), &mut ca);
-            addrs.push(rt.spawn(HostId(i), FastVerDiNode::new(overlay, DhtConfig::default())));
-        }
+    fn mean_get_ms<V, P>() -> f64
+    where
+        V: Variant<Overlay = VermeNode<P>>,
+        P: Payload,
+    {
+        let net = TransitStub::generate(TransitStubConfig { hosts: N, ..Default::default() }, 77);
+        let (mut rt, addrs) = common::spawn_verdi_on::<V, P, _>(net, N, 8, &DhtConfig::default());
         rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         let key = do_put(&mut rt, addrs[0], payload(2));
         for i in 1..20 {
             let _ = do_get(&mut rt, addrs[i * 7], key);
         }
         rt.metrics_mut().histogram_mut("dht.get.latency_ms").unwrap().summary().mean
-    };
-    let secure_ms = {
-        let (ring, mut ca) = verme_ring(8);
-        let mut rt = Runtime::new(net(), 8);
-        let mut addrs = Vec::with_capacity(N);
-        for i in 0..N {
-            let overlay = ring.build_node(i, VermeConfig::new(layout()), &mut ca);
-            addrs.push(rt.spawn(HostId(i), SecureVerDiNode::new(overlay, DhtConfig::default())));
-        }
-        rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-        let key = do_put(&mut rt, addrs[0], payload(2));
-        for i in 1..20 {
-            let _ = do_get(&mut rt, addrs[i * 7], key);
-        }
-        rt.metrics_mut().histogram_mut("dht.get.latency_ms").unwrap().summary().mean
-    };
+    }
+    let fast_ms = mean_get_ms::<Fast, _>();
+    let secure_ms = mean_get_ms::<Secure, _>();
     assert!(
         secure_ms > fast_ms,
         "secure gets ({secure_ms:.1} ms) should be slower than fast ({fast_ms:.1} ms)"
@@ -298,7 +230,7 @@ fn data_survives_replica_holder_deaths() {
 
 #[test]
 fn fast_verdi_data_survives_section_neighbor_deaths() {
-    let (mut rt, addrs) = spawn_fast(12);
+    let (mut rt, addrs) = spawn_verdi::<Fast, _>(12);
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     let value = payload(9);
     let key = do_put(&mut rt, addrs[4], value.clone());
@@ -379,10 +311,10 @@ fn replication_level_stays_bounded_over_time() {
     // the section (only the replica-set anchor re-replicates). After many
     // stabilization cycles the holder count stays near the configured
     // replication level.
-    let (mut rt, addrs) = spawn_fast(15);
+    let (mut rt, addrs) = spawn_verdi::<Fast, _>(15);
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     let key = do_put(&mut rt, addrs[0], payload(6));
-    let holders = |rt: &Runtime<FastVerDiNode, UniformLatency>| {
+    let holders = |rt: &Runtime<DhtEngine<Fast>, UniformLatency>| {
         addrs.iter().filter(|&&a| rt.node(a).is_some_and(|n| n.store().contains(key))).count()
     };
     rt.run_until(rt.now() + SimDuration::from_secs(60));

@@ -9,52 +9,35 @@
 
 use bytes::Bytes;
 
-use verme_chord::{ChordConfig, Id, StaticRing};
-use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
-use verme_crypto::CertificateAuthority;
-use verme_dht::{block_key, keys, DhashNode, DhtConfig, DhtNode, FastVerDiNode};
+use verme_chord::Id;
+use verme_core::{Payload, VermeNode};
+use verme_dht::{
+    block_key, keys, Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, FastVerDiNode,
+    Secure, Variant,
+};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SimDuration, SimTime};
+
+mod common;
+use common::Ring;
 
 const N: usize = 96;
-const HOP: SimDuration = SimDuration::from_millis(20);
 
 /// Repair on, blind data stabilization effectively off.
 fn repair_cfg() -> DhtConfig {
     DhtConfig { data_stabilize_interval: SimDuration::from_secs(3_600), ..DhtConfig::default() }
 }
 
-fn layout() -> SectionLayout {
-    SectionLayout::with_sections(8, 2)
+fn spawn_dhash(seed: u64, cfg: &DhtConfig) -> Ring<DhashNode> {
+    common::spawn_dhash(N, seed, cfg)
 }
 
-fn spawn_dhash(seed: u64, cfg: &DhtConfig) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    let mut rng = SeedSource::new(seed).stream("ids");
-    let handles: Vec<_> = (0..N)
-        .map(|i| verme_chord::NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut rt = Runtime::new(UniformLatency::new(N, HOP), seed);
-    let mut by_addr: Vec<(u64, usize)> = (0..N).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; N];
-    for (raw, pos) in by_addr {
-        let node = DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone());
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
-    (rt, addrs)
-}
-
-fn spawn_fast(seed: u64, cfg: &DhtConfig) -> (Runtime<FastVerDiNode, UniformLatency>, Vec<Addr>) {
-    let ring = VermeStaticRing::generate(layout(), N, seed);
-    let mut ca = CertificateAuthority::new(seed);
-    let mut rt = Runtime::new(UniformLatency::new(N, HOP), seed);
-    let mut addrs = Vec::with_capacity(N);
-    for i in 0..N {
-        let overlay = ring.build_node(i, VermeConfig::new(layout()), &mut ca);
-        addrs.push(rt.spawn(HostId(i), FastVerDiNode::new(overlay, cfg.clone())));
-    }
-    (rt, addrs)
+fn spawn_verdi<V, P>(seed: u64, cfg: &DhtConfig) -> Ring<DhtEngine<V>>
+where
+    V: Variant<Overlay = VermeNode<P>>,
+    P: Payload,
+{
+    common::spawn_verdi(N, seed, cfg)
 }
 
 fn do_put<Nd: DhtNode>(rt: &mut Runtime<Nd, UniformLatency>, who: Addr, value: Bytes) -> Id {
@@ -106,7 +89,7 @@ fn repair_restores_replication_after_crashes() {
 #[test]
 fn fast_repair_restores_both_typed_sections() {
     let cfg = repair_cfg();
-    let (mut rt, addrs) = spawn_fast(32, &cfg);
+    let (mut rt, addrs) = spawn_verdi::<Fast, _>(32, &cfg);
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     let key = do_put(&mut rt, addrs[9], Bytes::from(vec![3u8; 2048]));
     rt.run_until(rt.now() + SimDuration::from_secs(5));
@@ -155,6 +138,64 @@ fn fast_repair_restores_both_typed_sections() {
         }
     }
     assert_eq!(types.len(), 2, "repair left a typed section empty");
+}
+
+/// How the first holder of the test block leaves.
+#[derive(Copy, Clone)]
+enum Departure {
+    Crash,
+    Graceful,
+}
+
+/// Seeds one block, removes its first holder in ring order — in the
+/// rings seeded here the anchor of a replica set — and checks that the shared
+/// repair plane (epoch-kicked probe rounds after a crash, hinted handoff
+/// on a graceful leave) brings the replica set back to full strength.
+fn check_first_holder_departure<Nd: DhtNode>(
+    mut rt: Runtime<Nd, UniformLatency>,
+    addrs: Vec<Addr>,
+    how: Departure,
+) {
+    rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+    let key = do_put(&mut rt, addrs[9], Bytes::from(vec![4u8; 2048]));
+    rt.run_until(rt.now() + SimDuration::from_secs(5));
+    let before = holders(&rt, &addrs, key);
+    assert!(before.len() >= 4, "seeding under-replicated: {}", before.len());
+    match how {
+        Departure::Crash => rt.kill(before[0]),
+        Departure::Graceful => rt.shutdown(before[0]),
+    };
+    rt.run_until(rt.now() + SimDuration::from_secs(120));
+
+    let after = holders(&rt, &addrs, key);
+    assert!(
+        after.len() >= before.len(),
+        "replica set not restored: {} live holders, {} before",
+        after.len(),
+        before.len()
+    );
+    match how {
+        Departure::Crash => {
+            assert!(rt.metrics().counter(keys::REPAIR_ROUNDS) > 0, "no repair round probed");
+            assert!(rt.metrics().counter(keys::REPAIR_PUSHED) > 0, "no block was re-replicated");
+        }
+        Departure::Graceful => {
+            assert!(rt.metrics().counter(keys::HANDOFF_BLOCKS) > 0, "no block was handed off");
+        }
+    }
+}
+
+#[test]
+fn every_verdi_variant_heals_an_anchor_departure() {
+    let cfg = repair_cfg();
+    for how in [Departure::Crash, Departure::Graceful] {
+        let (rt, addrs) = spawn_verdi::<Fast, _>(41, &cfg);
+        check_first_holder_departure(rt, addrs, how);
+        let (rt, addrs) = spawn_verdi::<Secure, _>(42, &cfg);
+        check_first_holder_departure(rt, addrs, how);
+        let (rt, addrs) = spawn_verdi::<Compromise, _>(43, &cfg);
+        check_first_holder_departure(rt, addrs, how);
+    }
 }
 
 #[test]
