@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
-# Byte-identity proof for refactors: runs the quick, deterministic,
-# DHT-touching binaries and compares the SHA-256 of each one's stdout with
-# results/golden_quick.sha256. A behaviour-preserving change leaves every
-# hash equal; a change that means to alter protocol output regenerates the
-# file with `scripts/golden.sh --update` and says so in its description.
+# Byte-identity proof for refactors: runs the quick, deterministic binaries
+# that touch the DHT, the static rings or the worm scenarios and compares
+# the SHA-256 of each one's stdout with results/golden_quick.sha256. A
+# behaviour-preserving change leaves every hash equal; a change that means
+# to alter protocol output regenerates the file with
+# `scripts/golden.sh --update` and says so in its description.
 # Run from anywhere; takes under a minute after the release build.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 golden="$root/results/golden_quick.sha256"
 bins=(fig6_dht_latency fig7_dht_bandwidth extG_churn_resilience extI_durability
-      extK_adversary extL_load durability_check workload_check adversary_check)
+      extK_adversary extL_load durability_check workload_check adversary_check
+      fig8_worm_propagation ablation_finger_shift extC_type_imbalance extD_guardians
+      extE_unstructured extF_sybil extH_detection_latency)
 
 cd "$root"
 cargo build --release --offline --quiet -p verme-bench \
