@@ -12,7 +12,7 @@
 //! cargo run -p verme-bench --release --bin extH_detection_latency -- --full  # paper (100k nodes)
 //! ```
 
-use verme_bench::exth::{sweep_coverage, sweep_threshold, sweep_window, ExtHParams};
+use verme_bench::exth::{run_sweeps, ExtHParams};
 use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 
@@ -37,6 +37,8 @@ fn main() {
         args.seed
     );
     let mut events = 0u64;
+    let mid = p.coverages[p.coverages.len() / 2];
+    let sweeps = run_sweeps(&p, mid);
 
     println!();
     println!("## coverage sweep (detector: worm.alerts >= 1)");
@@ -44,8 +46,7 @@ fn main() {
         "{:<12} {:>14} {:>12} {:>14} {:>14}",
         "coverage", "latency (s)", "detected", "infected", "sections hit"
     );
-    let coverage = sweep_coverage(&p);
-    for pt in &coverage {
+    for pt in &sweeps.coverage {
         println!(
             "{:<12} {:>14} {:>12} {:>14.0} {:>14.1}",
             format!("{:.1}%", pt.coverage * 100.0),
@@ -57,11 +58,10 @@ fn main() {
         events += pt.scans;
     }
 
-    let mid = p.coverages[p.coverages.len() / 2];
     println!();
     println!("## detector-threshold sweep (coverage {:.1}%, worm.infected >= min)", mid * 100.0);
     println!("{:<16} {:>14} {:>12}", "threshold", "latency (s)", "detected");
-    for pt in sweep_threshold(&p, mid) {
+    for pt in &sweeps.threshold {
         println!(
             "{:<16} {:>14} {:>12}",
             pt.label,
@@ -74,7 +74,7 @@ fn main() {
     println!();
     println!("## rate-window sweep (coverage {:.1}%, d(worm.infected)/dt >= 1/s)", mid * 100.0);
     println!("{:<16} {:>14} {:>12}", "window", "latency (s)", "detected");
-    for pt in sweep_window(&p, mid) {
+    for pt in &sweeps.window {
         println!(
             "{:<16} {:>14} {:>12}",
             pt.label,

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use verme_bench::fig5::{run_fig5, Fig5Params, Fig5System};
 use verme_bench::fig67::{run_fig67, DhtSystem, Fig67Params};
-use verme_bench::fig8::{figure_scenarios, run_series_traced, Fig8Params};
+use verme_bench::fig8::{figure_scenarios, run_figure, Fig8Params, FigureRun, Observe};
 use verme_bench::report::{bench_json_path, BenchTimer};
 use verme_bench::CliArgs;
 use verme_sim::{
@@ -130,8 +130,10 @@ fn run_fig8_suite(seed: u64) -> (SpanProfile, f64, Vec<TraceEvent>, u64) {
     let started = Instant::now();
     let mut merged = Vec::new();
     let mut scans = 0u64;
-    for sc in figure_scenarios() {
-        let (series, events) = run_series_traced(&sc, &params, TRACE_CAPACITY);
+    let observe = Observe::Trace { capacity: TRACE_CAPACITY };
+    for FigureRun { series, events, .. } in
+        run_figure(&figure_scenarios(), &params, &observe, false)
+    {
         merged.extend(events);
         scans += series.scans;
         println!(

@@ -18,9 +18,7 @@
 
 use verme_obs::{Monitor, Rule};
 use verme_sim::SimDuration;
-use verme_worm::{
-    run_scenario_instrumented, Instrumentation, Scenario, ScenarioConfig, ScenarioResult,
-};
+use verme_worm::{run_scenario_on, Instrumentation, Overlay, Population, Scenario, ScenarioConfig};
 
 /// Parameters for the Extension H sweeps.
 #[derive(Clone, Debug)]
@@ -109,160 +107,128 @@ pub struct DetectorPoint {
     pub scans: u64,
 }
 
-/// Runs one monitored repetition and extracts its detection latency:
-/// the earliest detector alert minus the outbreak's first infection.
-fn run_monitored(
-    scenario: &Scenario,
-    cfg: &ScenarioConfig,
-    key: &str,
-    rule: Rule,
-    interval: SimDuration,
-) -> (Option<f64>, ScenarioResult) {
-    let mon = Monitor::new(4096);
-    mon.add_rule(key, rule);
-    let inst = Instrumentation { recorder: None, monitor: Some((mon.clone(), interval)) };
-    let r = run_scenario_instrumented(scenario, cfg, &inst);
-    let first_infection = r.detection.iter().map(|d| d.first_infection).min();
-    let first_alert = mon.alerts().iter().map(|a| a.at).min();
-    let latency = match (first_infection, first_alert) {
-        (Some(i), Some(a)) => Some(a.saturating_since(i).as_secs_f64()),
-        _ => None,
-    };
-    (latency, r)
+/// The three sweeps of the extension.
+#[derive(Clone, Debug)]
+pub struct ExtHSweeps {
+    /// Detection latency vs guardian coverage. The detector watches the
+    /// guardian-alert gauge (`worm.alerts` ≥ 1): it fires at the first
+    /// sample after any guardian raised the alarm, so the latency is the
+    /// time the *defense* needed to notice the outbreak at all.
+    pub coverage: Vec<CoveragePoint>,
+    /// Detector-threshold sweep at fixed coverage: the detector watches
+    /// the *infected-count* gauge and needs `min` infections before
+    /// firing, so the latency grows with the threshold at a rate set by
+    /// the outbreak's speed.
+    pub threshold: Vec<DetectorPoint>,
+    /// Rate-of-change window sweep at fixed coverage: the detector fires
+    /// when the infected count grows by at least one node per second over
+    /// the window, so longer windows smooth the early exponential phase
+    /// away and detect later.
+    pub window: Vec<DetectorPoint>,
 }
 
-fn rep_cfg(base: &ScenarioConfig, rep: u64) -> ScenarioConfig {
-    ScenarioConfig { seed: base.seed.wrapping_add(rep * 7919), ..base.clone() }
+/// One setting's totals over the repetitions.
+#[derive(Default)]
+struct Totals {
+    latency: f64,
+    detected: u64,
+    infected: f64,
+    sections: f64,
+    scans: u64,
 }
 
-/// The main sweep: detection latency vs guardian coverage. The detector
-/// watches the guardian-alert gauge (`worm.alerts` ≥ 1): it fires at the
-/// first sample after any guardian raised the alarm, so the latency is
-/// the time the *defense* needed to notice the outbreak at all.
-pub fn sweep_coverage(p: &ExtHParams) -> Vec<CoveragePoint> {
-    let mut out = Vec::with_capacity(p.coverages.len());
-    for &coverage in &p.coverages {
+impl Totals {
+    fn mean_latency_s(&self) -> Option<f64> {
+        (self.detected > 0).then(|| self.latency / self.detected as f64)
+    }
+}
+
+/// Runs the coverage sweep over `p.coverages` and the two detector
+/// sweeps at `detector_coverage`. Every setting attacks the same guarded
+/// Chord overlay, so each repetition seed's population is built once, up
+/// front, and every setting of every sweep runs on it.
+pub fn run_sweeps(p: &ExtHParams, detector_coverage: f64) -> ExtHSweeps {
+    let reps: Vec<(ScenarioConfig, Population)> = (0..p.repetitions)
+        .map(|rep| {
+            let cfg =
+                ScenarioConfig { seed: p.config.seed.wrapping_add(rep * 7919), ..p.config.clone() };
+            let pop = Population::build(&cfg, Overlay::Chord);
+            (cfg, pop)
+        })
+        .collect();
+    // One setting — a guardian coverage and the detector watching `key` —
+    // over every repetition. A repetition's detection latency is the
+    // earliest detector alert minus the outbreak's first infection.
+    let measure = |coverage: f64, key: &str, rule: Rule| {
         let scenario = Scenario::ChordWithGuardians {
             guardian_fraction: coverage,
             alert_hop_delay_s: p.alert_hop_delay_s,
         };
-        let mut lat_sum = 0.0;
-        let mut detected = 0u64;
-        let mut infected_sum = 0.0;
-        let mut sections_sum = 0.0;
-        let mut scans = 0u64;
-        for rep in 0..p.repetitions {
-            let cfg = rep_cfg(&p.config, rep);
-            let (latency, r) = run_monitored(
-                &scenario,
-                &cfg,
-                "worm.alerts",
-                Rule::Threshold { min: 1.0 },
-                p.sample_interval,
-            );
-            if let Some(l) = latency {
-                lat_sum += l;
-                detected += 1;
+        let mut sum = Totals::default();
+        for (cfg, pop) in &reps {
+            let mon = Monitor::new(4096);
+            mon.add_rule(key, rule.clone());
+            let inst =
+                Instrumentation { recorder: None, monitor: Some((mon.clone(), p.sample_interval)) };
+            let r = run_scenario_on(pop, &scenario, cfg, &inst);
+            let first_infection = r.detection.iter().map(|d| d.first_infection).min();
+            let first_alert = mon.alerts().iter().map(|a| a.at).min();
+            if let (Some(i), Some(a)) = (first_infection, first_alert) {
+                sum.latency += a.saturating_since(i).as_secs_f64();
+                sum.detected += 1;
             }
-            infected_sum += r.infected as f64;
-            sections_sum += r.detection.len() as f64;
-            scans += r.scans;
+            sum.infected += r.infected as f64;
+            sum.sections += r.detection.len() as f64;
+            sum.scans += r.scans;
         }
-        let reps = p.repetitions as f64;
-        out.push(CoveragePoint {
-            coverage,
-            mean_latency_s: (detected > 0).then(|| lat_sum / detected as f64),
-            detected_reps: detected,
-            repetitions: p.repetitions,
-            mean_final_infected: infected_sum / reps,
-            mean_sections_hit: sections_sum / reps,
-            scans,
-        });
-    }
-    out
-}
-
-/// Detector-threshold sweep at fixed coverage: the detector now watches
-/// the *infected-count* gauge and needs `min` infections before firing,
-/// so the latency grows with the threshold at a rate set by the
-/// outbreak's speed.
-pub fn sweep_threshold(p: &ExtHParams, coverage: f64) -> Vec<DetectorPoint> {
-    let scenario = Scenario::ChordWithGuardians {
-        guardian_fraction: coverage,
-        alert_hop_delay_s: p.alert_hop_delay_s,
+        sum
     };
-    let mut out = Vec::with_capacity(p.thresholds.len());
-    for &min in &p.thresholds {
-        let mut lat_sum = 0.0;
-        let mut detected = 0u64;
-        let mut scans = 0u64;
-        for rep in 0..p.repetitions {
-            let cfg = rep_cfg(&p.config, rep);
-            let (latency, r) = run_monitored(
-                &scenario,
-                &cfg,
-                "worm.infected",
-                Rule::Threshold { min },
-                p.sample_interval,
-            );
-            if let Some(l) = latency {
-                lat_sum += l;
-                detected += 1;
-            }
-            scans += r.scans;
-        }
-        out.push(DetectorPoint {
-            label: format!("min={min:.0}"),
-            mean_latency_s: (detected > 0).then(|| lat_sum / detected as f64),
-            detected_reps: detected,
-            repetitions: p.repetitions,
-            scans,
-        });
-    }
-    out
-}
-
-/// Rate-of-change window sweep at fixed coverage: the detector fires when
-/// the infected count grows by at least one node per second over the
-/// window, so longer windows smooth the early exponential phase away and
-/// detect later.
-pub fn sweep_window(p: &ExtHParams, coverage: f64) -> Vec<DetectorPoint> {
-    let scenario = Scenario::ChordWithGuardians {
-        guardian_fraction: coverage,
-        alert_hop_delay_s: p.alert_hop_delay_s,
+    let detector_point = |label: String, sum: Totals| DetectorPoint {
+        label,
+        mean_latency_s: sum.mean_latency_s(),
+        detected_reps: sum.detected,
+        repetitions: p.repetitions,
+        scans: sum.scans,
     };
-    let mut out = Vec::with_capacity(p.windows_s.len());
-    for &window_s in &p.windows_s {
-        let mut lat_sum = 0.0;
-        let mut detected = 0u64;
-        let mut scans = 0u64;
-        for rep in 0..p.repetitions {
-            let cfg = rep_cfg(&p.config, rep);
-            let (latency, r) = run_monitored(
-                &scenario,
-                &cfg,
-                "worm.infected",
-                Rule::RateOfChange {
+    let n = p.repetitions as f64;
+    ExtHSweeps {
+        coverage: p
+            .coverages
+            .iter()
+            .map(|&coverage| {
+                let sum = measure(coverage, "worm.alerts", Rule::Threshold { min: 1.0 });
+                CoveragePoint {
+                    coverage,
+                    mean_latency_s: sum.mean_latency_s(),
+                    detected_reps: sum.detected,
+                    repetitions: p.repetitions,
+                    mean_final_infected: sum.infected / n,
+                    mean_sections_hit: sum.sections / n,
+                    scans: sum.scans,
+                }
+            })
+            .collect(),
+        threshold: p
+            .thresholds
+            .iter()
+            .map(|&min| {
+                let sum = measure(detector_coverage, "worm.infected", Rule::Threshold { min });
+                detector_point(format!("min={min:.0}"), sum)
+            })
+            .collect(),
+        window: p
+            .windows_s
+            .iter()
+            .map(|&window_s| {
+                let rule = Rule::RateOfChange {
                     window: SimDuration::from_secs_f64(window_s),
                     min_rate_per_s: 1.0,
-                },
-                p.sample_interval,
-            );
-            if let Some(l) = latency {
-                lat_sum += l;
-                detected += 1;
-            }
-            scans += r.scans;
-        }
-        out.push(DetectorPoint {
-            label: format!("window={window_s:.0}s"),
-            mean_latency_s: (detected > 0).then(|| lat_sum / detected as f64),
-            detected_reps: detected,
-            repetitions: p.repetitions,
-            scans,
-        });
+                };
+                let sum = measure(detector_coverage, "worm.infected", rule);
+                detector_point(format!("window={window_s:.0}s"), sum)
+            })
+            .collect(),
     }
-    out
 }
 
 #[cfg(test)]
@@ -289,7 +255,7 @@ mod tests {
 
     #[test]
     fn latency_decreases_monotonically_with_coverage() {
-        let points = sweep_coverage(&tiny());
+        let points = run_sweeps(&tiny(), 0.05).coverage;
         assert_eq!(points.len(), 3);
         let lat: Vec<f64> = points
             .iter()
@@ -304,8 +270,9 @@ mod tests {
 
     #[test]
     fn latency_grows_with_detector_threshold() {
-        let p = tiny();
-        let points = sweep_threshold(&p, 0.05);
+        let p = ExtHParams { coverages: Vec::new(), windows_s: Vec::new(), ..tiny() };
+        let points = run_sweeps(&p, 0.05).threshold;
+        assert_eq!(points.len(), 3);
         let lat: Vec<f64> = points.iter().map(|d| d.mean_latency_s.expect("must detect")).collect();
         for w in lat.windows(2) {
             assert!(w[1] >= w[0], "higher thresholds detect later: {lat:?}");
@@ -314,17 +281,19 @@ mod tests {
 
     #[test]
     fn window_sweep_detects_in_every_configuration() {
-        let p = tiny();
-        for d in sweep_window(&p, 0.05) {
+        let p = ExtHParams { coverages: Vec::new(), thresholds: Vec::new(), ..tiny() };
+        let points = run_sweeps(&p, 0.05).window;
+        assert_eq!(points.len(), 2);
+        for d in points {
             assert_eq!(d.detected_reps, d.repetitions, "{} failed to detect", d.label);
         }
     }
 
     #[test]
     fn sweeps_are_deterministic() {
-        let p = tiny();
-        let a = sweep_coverage(&p);
-        let b = sweep_coverage(&p);
+        let p = ExtHParams { thresholds: Vec::new(), windows_s: Vec::new(), ..tiny() };
+        let a = run_sweeps(&p, 0.05).coverage;
+        let b = run_sweeps(&p, 0.05).coverage;
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.mean_latency_s, y.mean_latency_s);
             assert_eq!(x.scans, y.scans);

@@ -7,8 +7,8 @@
 use verme_obs::{Alert, Monitor, Rule};
 use verme_sim::{FlightRecorder, SimDuration, SimTime, TraceEvent};
 use verme_worm::{
-    run_scenario_instrumented, Instrumentation, Scenario, ScenarioConfig, ScenarioResult,
-    SectionDetection,
+    run_scenario_on, Instrumentation, Overlay, Population, Scenario, ScenarioConfig,
+    ScenarioResult, SectionDetection,
 };
 
 /// Parameters for a Figure 8 sweep.
@@ -104,31 +104,7 @@ pub fn infected_at(result: &ScenarioResult, t_s: f64) -> f64 {
     last
 }
 
-/// Runs one scenario `repetitions` times and averages onto the grid.
-pub fn run_series(scenario: &Scenario, params: &Fig8Params) -> Fig8Series {
-    run_series_inner(scenario, params, None).0
-}
-
-/// [`run_series`] with the *first* repetition traced through a bounded
-/// flight recorder: infection milestones (seed, infect, activate, alert)
-/// land in the ring as cause-attributed events, one causal span per
-/// infection chain. Only one repetition is traced — the others are
-/// statistically identical and tracing them would just evict rep 0's
-/// events from the ring.
-pub fn run_series_traced(
-    scenario: &Scenario,
-    params: &Fig8Params,
-    capacity: usize,
-) -> (Fig8Series, Vec<TraceEvent>) {
-    let rec = FlightRecorder::new(capacity);
-    let inst = Instrumentation { recorder: Some(rec.clone()), ..Instrumentation::default() };
-    let (series, _) = run_series_inner(scenario, params, Some(&inst));
-    (series, rec.snapshot())
-}
-
-/// A `Send`-able snapshot of the live monitor after a run. [`Monitor`]
-/// itself is a single-threaded handle (`Rc` inside), so the fig8 worker
-/// threads extract this plain-data report before sending results back.
+/// A `Send`-able snapshot of the live monitor after a run.
 #[derive(Clone, Debug)]
 pub struct MonitorReport {
     /// The rendered run-health report (sparklines + alert timeline).
@@ -152,74 +128,196 @@ pub fn default_monitor_rules() -> Vec<(&'static str, Rule)> {
     ]
 }
 
-/// [`run_series`] with the *first* repetition monitored: outbreak gauges
-/// are sampled every `interval` of simulated time, `rules` run per
-/// sample, and the monitor's health report, alert stream and per-section
-/// detection timing come back alongside the averaged series.
-pub fn run_series_monitored(
-    scenario: &Scenario,
-    params: &Fig8Params,
-    interval: SimDuration,
-    rules: &[(&str, Rule)],
-) -> (Fig8Series, MonitorReport) {
-    let mon = Monitor::new(8192);
-    for (prefix, rule) in rules {
-        mon.add_rule(prefix, rule.clone());
-    }
-    let inst =
-        Instrumentation { monitor: Some((mon.clone(), interval)), ..Instrumentation::default() };
-    let (series, detection) = run_series_inner(scenario, params, Some(&inst));
-    let report = MonitorReport { health: mon.render_health(), alerts: mon.alerts(), detection };
-    (series, report)
+/// What to attach to each scenario's *first* repetition. Only one
+/// repetition is observed — the others are statistically identical, and
+/// tracing them would just evict rep 0's events from the ring.
+#[derive(Clone, Debug)]
+pub enum Observe {
+    /// Nothing: plain runs.
+    Nothing,
+    /// A bounded flight recorder: infection milestones (seed, infect,
+    /// activate, alert) land in the ring as cause-attributed events, one
+    /// causal span per infection chain.
+    Trace {
+        /// Events retained per scenario.
+        capacity: usize,
+    },
+    /// The live monitor: outbreak gauges are sampled every `interval` of
+    /// simulated time and `rules` run per sample.
+    Monitor {
+        /// Sample interval (simulated time).
+        interval: SimDuration,
+        /// `(series prefix, rule)` detectors to install.
+        rules: Vec<(&'static str, Rule)>,
+    },
 }
 
-fn run_series_inner(
-    scenario: &Scenario,
+/// One scenario's outcome in a [`run_figure`] sweep.
+#[derive(Clone, Debug)]
+pub struct FigureRun {
+    /// The averaged series.
+    pub series: Fig8Series,
+    /// Rep 0's flight-recorder events ([`Observe::Trace`], else empty).
+    pub events: Vec<TraceEvent>,
+    /// Rep 0's monitor report ([`Observe::Monitor`], else `None`).
+    pub report: Option<MonitorReport>,
+}
+
+/// Runs every scenario `params.repetitions` times and averages each onto
+/// the log grid. Repetitions are the outer loop: a repetition's seed
+/// fixes its populations, so each distinct [`Overlay`] among `scenarios`
+/// is built once per repetition and shared by the scenarios that attack
+/// it (the figure's four Verme scenarios share one build). With
+/// `parallel`, a repetition's builds, then its outbreaks, run on one
+/// scoped thread each; without, everything runs on the calling thread
+/// (the span profiler is thread-local). The numbers are the same either
+/// way.
+pub fn run_figure(
+    scenarios: &[Scenario],
     params: &Fig8Params,
-    inst0: Option<&Instrumentation>,
-) -> (Fig8Series, Vec<SectionDetection>) {
+    observe: &Observe,
+    parallel: bool,
+) -> Vec<FigureRun> {
     let grid = log_grid(params.config.duration.as_secs_f64());
-    let mut sums = vec![0.0; grid.len()];
-    let mut final_sum = 0.0;
-    let mut t50_sum = 0.0;
-    let mut t50_count = 0u64;
-    let mut vulnerable = 0;
-    let mut scans = 0u64;
-    let mut detection = Vec::new();
-    let plain = Instrumentation::default();
+    let mut overlays: Vec<Overlay> = Vec::new();
+    for sc in scenarios {
+        if !overlays.contains(&sc.overlay()) {
+            overlays.push(sc.overlay());
+        }
+    }
+    let mut sums: Vec<SeriesSum> = scenarios.iter().map(|_| SeriesSum::new(grid.len())).collect();
+    let mut first_rep = Vec::new();
     for rep in 0..params.repetitions {
         let cfg = ScenarioConfig {
             seed: params.config.seed.wrapping_add(rep * 7919),
             ..params.config.clone()
         };
-        let inst = if rep == 0 { inst0.unwrap_or(&plain) } else { &plain };
-        let r = run_scenario_instrumented(scenario, &cfg, inst);
-        for (i, &t) in grid.iter().enumerate() {
-            sums[i] += infected_at(&r, t);
-        }
-        final_sum += r.infected as f64;
-        vulnerable = r.vulnerable;
-        scans += r.scans;
-        if let Some(t) = r.time_to_vulnerable_fraction(0.5) {
-            t50_sum += t.as_secs_f64();
-            t50_count += 1;
+        let observe = if rep == 0 { observe } else { &Observe::Nothing };
+        let pops = map_each(&overlays, parallel, |&o| Population::build(&cfg, o));
+        let runs = map_each(scenarios, parallel, |sc| {
+            let pop = pops.iter().find(|p| p.overlay() == sc.overlay());
+            observed_run(pop.expect("one population per overlay in use"), sc, &cfg, observe)
+        });
+        for (sum, (r, _, _)) in sums.iter_mut().zip(&runs) {
+            sum.add(r, &grid);
         }
         if rep == 0 {
-            detection = r.detection;
+            first_rep = runs;
         }
     }
-    let reps = params.repetitions as f64;
-    let series = Fig8Series {
-        label: scenario.label(),
-        points: grid.iter().zip(&sums).map(|(&t, &s)| (t, s / reps)).collect(),
-        final_infected: final_sum / reps,
-        vulnerable,
-        t50_s: (t50_count > 0).then(|| t50_sum / t50_count as f64),
-        t50_reached: t50_count,
-        repetitions: params.repetitions,
-        scans,
-    };
-    (series, detection)
+    let mut first_rep = first_rep.into_iter();
+    scenarios
+        .iter()
+        .zip(sums)
+        .map(|(sc, sum)| {
+            let (events, report) = match first_rep.next() {
+                Some((_, events, report)) => (events, report),
+                None => (Vec::new(), None),
+            };
+            FigureRun { series: sum.finish(sc.label(), &grid, params.repetitions), events, report }
+        })
+        .collect()
+}
+
+/// One outbreak on `pop` with `observe`'s instrument attached; returns
+/// what it recorded as plain data ([`Monitor`] is a single-threaded
+/// handle and must not leave the worker).
+fn observed_run(
+    pop: &Population,
+    scenario: &Scenario,
+    cfg: &ScenarioConfig,
+    observe: &Observe,
+) -> (ScenarioResult, Vec<TraceEvent>, Option<MonitorReport>) {
+    match observe {
+        Observe::Nothing => {
+            (run_scenario_on(pop, scenario, cfg, &Instrumentation::default()), Vec::new(), None)
+        }
+        Observe::Trace { capacity } => {
+            let rec = FlightRecorder::new(*capacity);
+            let inst =
+                Instrumentation { recorder: Some(rec.clone()), ..Instrumentation::default() };
+            (run_scenario_on(pop, scenario, cfg, &inst), rec.snapshot(), None)
+        }
+        Observe::Monitor { interval, rules } => {
+            let mon = Monitor::new(8192);
+            for (prefix, rule) in rules {
+                mon.add_rule(prefix, rule.clone());
+            }
+            let inst = Instrumentation {
+                monitor: Some((mon.clone(), *interval)),
+                ..Instrumentation::default()
+            };
+            let r = run_scenario_on(pop, scenario, cfg, &inst);
+            let report = MonitorReport {
+                health: mon.render_health(),
+                alerts: mon.alerts(),
+                detection: r.detection.clone(),
+            };
+            (r, Vec::new(), Some(report))
+        }
+    }
+}
+
+/// `f` over `items`, in order — on one scoped thread per item if
+/// `parallel`.
+fn map_each<T: Sync, R: Send>(items: &[T], parallel: bool, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if !parallel {
+        return items.iter().map(f).collect();
+    }
+    std::thread::scope(|s| {
+        let workers: Vec<_> = items.iter().map(|item| s.spawn(|| f(item))).collect();
+        workers.into_iter().map(|w| w.join().expect("figure worker panicked")).collect()
+    })
+}
+
+/// One scenario's running totals over its repetitions.
+struct SeriesSum {
+    grid: Vec<f64>,
+    final_infected: f64,
+    t50: f64,
+    t50_count: u64,
+    vulnerable: usize,
+    scans: u64,
+}
+
+impl SeriesSum {
+    fn new(grid_len: usize) -> Self {
+        SeriesSum {
+            grid: vec![0.0; grid_len],
+            final_infected: 0.0,
+            t50: 0.0,
+            t50_count: 0,
+            vulnerable: 0,
+            scans: 0,
+        }
+    }
+
+    fn add(&mut self, r: &ScenarioResult, grid: &[f64]) {
+        for (sum, &t) in self.grid.iter_mut().zip(grid) {
+            *sum += infected_at(r, t);
+        }
+        self.final_infected += r.infected as f64;
+        self.vulnerable = r.vulnerable;
+        self.scans += r.scans;
+        if let Some(t) = r.time_to_vulnerable_fraction(0.5) {
+            self.t50 += t.as_secs_f64();
+            self.t50_count += 1;
+        }
+    }
+
+    fn finish(self, label: &'static str, grid: &[f64], repetitions: u64) -> Fig8Series {
+        let reps = repetitions as f64;
+        Fig8Series {
+            label,
+            points: grid.iter().zip(&self.grid).map(|(&t, &s)| (t, s / reps)).collect(),
+            final_infected: self.final_infected / reps,
+            vulnerable: self.vulnerable,
+            t50_s: (self.t50_count > 0).then(|| self.t50 / self.t50_count as f64),
+            t50_reached: self.t50_count,
+            repetitions,
+            scans: self.scans,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -244,7 +342,8 @@ mod tests {
             },
             repetitions: 2,
         };
-        let s = run_series(&Scenario::ChordWorm, &params);
+        let s =
+            run_figure(&[Scenario::ChordWorm], &params, &Observe::Nothing, false).remove(0).series;
         assert_eq!(s.label, "Chord");
         assert!(s.final_infected > 0.9 * s.vulnerable as f64);
         assert!(s.t50_s.is_some());
@@ -267,13 +366,15 @@ mod tests {
             },
             repetitions: 2,
         };
-        let plain = run_series(&Scenario::ChordWorm, &params);
-        let (monitored, report) = run_series_monitored(
-            &Scenario::ChordWorm,
-            &params,
-            SimDuration::from_secs(2),
-            &default_monitor_rules(),
-        );
+        let scenarios = [Scenario::ChordWorm];
+        let plain = run_figure(&scenarios, &params, &Observe::Nothing, false).remove(0).series;
+        let observe = Observe::Monitor {
+            interval: SimDuration::from_secs(2),
+            rules: default_monitor_rules(),
+        };
+        let FigureRun { series: monitored, report, .. } =
+            run_figure(&scenarios, &params, &observe, true).remove(0);
+        let report = report.expect("rep 0 was monitored");
         // The monitor never perturbs the outbreak.
         assert_eq!(plain.points, monitored.points);
         assert_eq!(plain.scans, monitored.scans);

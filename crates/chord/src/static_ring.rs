@@ -96,29 +96,40 @@ impl StaticRing {
     /// the successor of `id + 2^b`, excluding entries that resolve to the
     /// node itself.
     pub fn fingers_of(&self, i: usize) -> Vec<(usize, NodeHandle)> {
-        let id = self.sorted[i].id;
         let mut out = Vec::new();
-        for b in 0..Id::BITS {
-            let j = self.successor_index(id.finger_target(b));
-            if j != i {
-                out.push((b as usize, self.sorted[j]));
-            }
-        }
+        self.for_each_finger(i, |b, j| out.push((b as usize, self.sorted[j])));
         out
     }
 
     /// Positions of the *distinct* nodes in `i`'s finger table (the compact
     /// form the worm simulator stores).
     pub fn distinct_finger_indices(&self, i: usize) -> Vec<usize> {
-        let id = self.sorted[i].id;
         let mut out: Vec<usize> = Vec::new();
-        for b in 0..Id::BITS {
-            let j = self.successor_index(id.finger_target(b));
-            if j != i && !out.contains(&j) {
+        self.for_each_finger(i, |_, j| {
+            if out.last() != Some(&j) && !out.contains(&j) {
                 out.push(j);
             }
-        }
+        });
         out
+    }
+
+    /// Calls `visit(b, j)` for every bit `b` whose finger
+    /// `successor(id + 2^b)` is a member `j` other than `i`, in bit order.
+    fn for_each_finger(&self, i: usize, mut visit: impl FnMut(u32, usize)) {
+        let mut walk = ClockwiseWalk::new(&self.sorted, i);
+        // Every target that does not pass the immediate successor *is*
+        // that successor: on a large ring, all but the top ~log2 n bits.
+        let near = bits_reaching(walk.gap());
+        let next = (i + 1) % self.sorted.len();
+        for b in 0..near {
+            visit(b, next);
+        }
+        for b in near..Id::BITS {
+            let j = walk.successor_at(1u128 << b);
+            if j != i {
+                visit(b, j);
+            }
+        }
     }
 
     /// Builds a fully-converged [`ChordNode`] for position `i`.
@@ -132,10 +143,191 @@ impl StaticRing {
     }
 }
 
+/// A forward-only successor search around a sorted membership, as seen
+/// from one member: the finger-resolution routine of both static rings.
+///
+/// Finger targets recede monotonically from their owner, so the finger
+/// for one target is never nearer than the finger for the previous one:
+/// it *is* the previous answer whenever that member still lies at or
+/// beyond the new target — in particular every target that does not pass
+/// the immediate successor resolves to that successor — and only
+/// otherwise does a binary search run, over the positions past the
+/// previous answer. A member of an `n`-node ring has O(log n) distinct
+/// fingers, hence O(log n) searches instead of one per identifier bit.
+#[derive(Clone, Debug)]
+pub struct ClockwiseWalk<'a> {
+    sorted: &'a [NodeHandle],
+    i: usize,
+    /// Clockwise position of the last answer: `1` is the immediate
+    /// successor, `n` the member itself (one full turn away).
+    r: usize,
+    reach: u128,
+}
+
+impl<'a> ClockwiseWalk<'a> {
+    /// Starts a walk from member `i` of `sorted` (distinct ids, ascending).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn new(sorted: &'a [NodeHandle], i: usize) -> Self {
+        assert!(i < sorted.len(), "member {i} out of range");
+        ClockwiseWalk { sorted, i, r: 1, reach: 0 }
+    }
+
+    /// Clockwise distance to the immediate successor; zero on a singleton
+    /// ring. A point at most this far past the member's id is succeeded
+    /// by that successor.
+    pub fn gap(&self) -> u128 {
+        if self.sorted.len() > 1 {
+            self.distance(1)
+        } else {
+            0
+        }
+    }
+
+    /// Index of the successor of the point `reach` past the member's id
+    /// (the member itself when no other lies at or beyond that point).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reach` is zero or smaller than in an earlier call.
+    pub fn successor_at(&mut self, reach: u128) -> usize {
+        assert!(reach > 0 && reach >= self.reach, "reach must be positive and non-decreasing");
+        self.reach = reach;
+        let n = self.sorted.len();
+        if self.r < n && self.distance(self.r) < reach {
+            let (mut lo, mut hi) = (self.r + 1, n);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.distance(mid) < reach {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            self.r = lo;
+        }
+        self.index(self.r)
+    }
+
+    /// The index of the member at clockwise position `r` (`1..=n`).
+    fn index(&self, r: usize) -> usize {
+        let k = self.i + r;
+        if k < self.sorted.len() {
+            k
+        } else {
+            k - self.sorted.len()
+        }
+    }
+
+    fn distance(&self, r: usize) -> u128 {
+        self.sorted[self.i].id.distance_to(self.sorted[self.index(r)].id)
+    }
+}
+
+/// How many of the finger reaches `2^0, 2^1, …` are at most `limit`.
+pub fn bits_reaching(limit: u128) -> u32 {
+    Id::BITS - limit.leading_zeros()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use verme_sim::Addr;
+
+    /// The finger rule this module used before [`ClockwiseWalk`]: one full
+    /// binary search per identifier bit.
+    fn reference_fingers(r: &StaticRing, i: usize) -> Vec<(usize, NodeHandle)> {
+        let id = r.node(i).id;
+        (0..Id::BITS)
+            .map(|b| (b as usize, r.successor_index(id.finger_target(b))))
+            .filter(|&(_, j)| j != i)
+            .map(|(b, j)| (b, r.node(j)))
+            .collect()
+    }
+
+    /// [`reference_fingers`] in the compact form: first occurrences only.
+    fn reference_distinct_fingers(r: &StaticRing, i: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::new();
+        for (_, h) in reference_fingers(r, i) {
+            let j = r.successor_index(h.id);
+            if !out.contains(&j) {
+                out.push(j);
+            }
+        }
+        out
+    }
+
+    fn ring_of(mut ids: Vec<u128>) -> StaticRing {
+        ids.sort_unstable();
+        ids.dedup();
+        StaticRing::new(
+            ids.into_iter()
+                .enumerate()
+                .map(|(i, id)| NodeHandle::new(Id::new(id), Addr::from_raw(i as u64 + 1)))
+                .collect(),
+        )
+    }
+
+    fn assert_fingers_match_reference(r: &StaticRing) -> Result<(), TestCaseError> {
+        for i in 0..r.len() {
+            prop_assert_eq!(r.fingers_of(i), reference_fingers(r, i), "fingers of {}", i);
+            prop_assert_eq!(
+                r.distinct_finger_indices(i),
+                reference_distinct_fingers(r, i),
+                "distinct fingers of {}",
+                i
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn walked_fingers_equal_the_search_per_bit_reference(
+            ids in prop::sample::select(vec![1usize, 2, 3, 17, 256])
+                .prop_flat_map(|n| prop::collection::vec(any::<u128>(), n..=n)),
+        ) {
+            assert_fingers_match_reference(&ring_of(ids))?;
+        }
+
+        /// Hand-placed members: a run of adjacent ids (gap 1, so the
+        /// shortest targets land exactly on members — `binary_search`'s
+        /// `Ok` arm) and members sitting exactly on finger targets of the
+        /// first one, wherever on the ring (wrap included) it is.
+        #[test]
+        fn walked_fingers_equal_the_reference_on_exact_hits(
+            base: u128,
+            run in 1u128..6,
+            hit_bits in prop::collection::vec(0u32..Id::BITS, 0..6),
+        ) {
+            let mut ids: Vec<u128> = (0..=run).map(|d| base.wrapping_add(d)).collect();
+            ids.extend(hit_bits.iter().map(|&b| Id::new(base).finger_target(b).raw()));
+            assert_fingers_match_reference(&ring_of(ids))?;
+        }
+
+        /// The walk answers any non-decreasing sequence of reaches, not
+        /// only powers of two, exactly like a fresh search for each.
+        #[test]
+        fn walk_equals_successor_index_for_any_monotone_reaches(
+            ids in prop::collection::vec(any::<u128>(), 1..40),
+            from: usize,
+            mut reaches in prop::collection::vec(1u128..=u128::MAX, 1..50),
+        ) {
+            let r = ring_of(ids);
+            let i = from % r.len();
+            reaches.sort_unstable();
+            let mut walk = ClockwiseWalk::new(r.nodes(), i);
+            for reach in reaches {
+                prop_assert_eq!(
+                    walk.successor_at(reach),
+                    r.successor_index(r.node(i).id.wrapping_add(reach))
+                );
+            }
+        }
+    }
 
     fn ring(n: u128) -> StaticRing {
         let handles = (0..n)

@@ -6,8 +6,11 @@
 //! queries the experiments need (responsible node, replica sets, section
 //! membership).
 
+use std::collections::HashSet;
+
 use rand::Rng;
 
+use verme_chord::static_ring::{bits_reaching, ClockwiseWalk};
 use verme_chord::{Id, NodeHandle};
 use verme_crypto::{CertificateAuthority, NodeType};
 use verme_sim::{Addr, SeedSource};
@@ -71,14 +74,7 @@ impl VermeStaticRing {
     ) -> Self {
         assert!(n > 0, "a ring needs at least one node");
         let mut rng = SeedSource::new(seed).stream("verme-ring-ids");
-        let mut ids: Vec<Id> = Vec::with_capacity(n);
-        while ids.len() < n {
-            let ty = type_of(ids.len());
-            let id = layout.assign_id(&mut rng, ty);
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
+        let mut ids = distinct_ids(n, |slot| layout.assign_id(&mut rng, type_of(slot)));
         ids.sort_by_key(|id| id.raw());
         let sorted = ids
             .into_iter()
@@ -159,7 +155,11 @@ impl VermeStaticRing {
     /// section; otherwise the predecessor. Returns `None` when neither
     /// lies in `key`'s section (an unpopulated section).
     pub fn corner_responsible_index(&self, key: Id) -> Option<usize> {
-        let s = self.successor_index(key);
+        self.corner_rule(self.successor_index(key), key)
+    }
+
+    /// The §4.4 rule applied to `key`'s plain successor `s`.
+    fn corner_rule(&self, s: usize, key: Id) -> Option<usize> {
         if self.layout.same_section(self.sorted[s].id, key) {
             return Some(s);
         }
@@ -223,44 +223,60 @@ impl VermeStaticRing {
     /// Targets whose section is unpopulated are omitted (leaving them out
     /// keeps the table type-safe).
     pub fn fingers_of(&self, i: usize) -> Vec<(usize, NodeHandle)> {
-        let id = self.sorted[i].id;
         let mut out = Vec::new();
-        for b in 0..Id::BITS {
-            let target = self.layout.finger_target(id, b);
-            if let Some(j) = self.finger_entry_index(i, target, b) {
-                out.push((b as usize, self.sorted[j]));
-            }
-        }
+        self.for_each_finger(i, |b, j| out.push((b as usize, self.sorted[j])));
         out
-    }
-
-    fn finger_entry_index(&self, i: usize, target: Id, bit: u32) -> Option<usize> {
-        // The §4.4 corner rule applies to every finger, not only the long
-        // ones: if the target's successor lies beyond the target's
-        // section, the plain rule would name the first node of the *next
-        // same-type* section — exactly the edge Verme must not create —
-        // so responsibility falls back to the target's predecessor. For a
-        // short finger whose own section is empty past the target, this
-        // correctly leaves the entry unset.
-        let _ = bit;
-        let j = self.corner_responsible_index(target)?;
-        (j != i).then_some(j)
     }
 
     /// Positions of the distinct finger entries of member `i` (compact
     /// form for the worm simulator).
     pub fn distinct_finger_indices(&self, i: usize) -> Vec<usize> {
-        let id = self.sorted[i].id;
         let mut out: Vec<usize> = Vec::new();
-        for b in 0..Id::BITS {
+        self.for_each_finger(i, |_, j| {
+            if out.last() != Some(&j) && !out.contains(&j) {
+                out.push(j);
+            }
+        });
+        out
+    }
+
+    /// Calls `visit(b, j)` for every bit `b` whose finger entry is a member
+    /// `j` other than `i`, in bit order.
+    ///
+    /// The §4.4 corner rule applies to every finger, not only the long
+    /// ones: if the target's successor lies beyond the target's section,
+    /// the plain rule would name the first node of the *next same-type*
+    /// section — exactly the edge Verme must not create — so
+    /// responsibility falls back to the target's predecessor. For a short
+    /// finger whose own section is empty past the target, this correctly
+    /// leaves the entry unset.
+    fn for_each_finger(&self, i: usize, mut visit: impl FnMut(u32, usize)) {
+        let id = self.sorted[i].id;
+        // Shifted or not, the targets recede monotonically from `id`, which
+        // is what lets the walk skip every search whose answer is the
+        // previous one.
+        let mut walk = ClockwiseWalk::new(&self.sorted, i);
+        // A target that passes neither the immediate successor nor the end
+        // of `id`'s own section is that successor's if it shares the
+        // section, and otherwise falls back to `i` itself (no entry): on
+        // a large ring, all but the top ~log2 n bits.
+        let room = self.layout.section_len() - (id.raw() & (self.layout.section_len() - 1));
+        let near = bits_reaching(walk.gap().min(room - 1));
+        let next = (i + 1) % self.sorted.len();
+        if self.layout.same_section(self.sorted[next].id, id) {
+            for b in 0..near {
+                visit(b, next);
+            }
+        }
+        for b in near..Id::BITS {
             let target = self.layout.finger_target(id, b);
-            if let Some(j) = self.finger_entry_index(i, target, b) {
-                if !out.contains(&j) {
-                    out.push(j);
+            let s = walk.successor_at(id.distance_to(target));
+            if let Some(j) = self.corner_rule(s, target) {
+                if j != i {
+                    visit(b, j);
                 }
             }
         }
-        out
     }
 
     /// Member indices belonging to `section`, in id order.
@@ -311,17 +327,15 @@ impl VermeStaticRing {
     pub fn assert_type_safety(&self) {
         for i in 0..self.sorted.len() {
             let my_ty = self.type_of_index(i);
-            let id = self.sorted[i].id;
-            for b in (self.layout.section_bits() + 1)..Id::BITS {
-                let target = self.layout.finger_target(id, b);
-                if let Some(j) = self.finger_entry_index(i, target, b) {
+            self.for_each_finger(i, |b, j| {
+                if b > self.layout.section_bits() {
                     assert_ne!(
                         self.type_of_index(j),
                         my_ty,
                         "node {i} finger bit {b} points at a same-type node {j}"
                     );
                 }
-            }
+            });
         }
     }
 
@@ -368,9 +382,193 @@ impl VermeStaticRing {
     }
 }
 
+/// Draws until `n` distinct ids are held: `draw(slot)` proposes an id for
+/// position `slot` of the (still unsorted) result, and a proposal already
+/// held is discarded and the slot drawn again. The set only answers "seen
+/// before?" and is freed on return, before the caller sorts.
+fn distinct_ids(n: usize, mut draw: impl FnMut(usize) -> Id) -> Vec<Id> {
+    let mut ids: Vec<Id> = Vec::with_capacity(n);
+    let mut seen: HashSet<u128> = HashSet::with_capacity(n);
+    while ids.len() < n {
+        let id = draw(ids.len());
+        if seen.insert(id.raw()) {
+            ids.push(id);
+        }
+    }
+    ids
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The id assignment this module used before the linear one: the
+    /// duplicate check is a scan of the ids drawn so far (O(n²)).
+    fn reference_distinct_ids(n: usize, mut draw: impl FnMut(usize) -> Id) -> Vec<Id> {
+        let mut ids: Vec<Id> = Vec::with_capacity(n);
+        while ids.len() < n {
+            let id = draw(ids.len());
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        ids
+    }
+
+    /// `generate_by` over [`reference_distinct_ids`].
+    fn reference_generate(
+        layout: SectionLayout,
+        n: usize,
+        seed: u64,
+        type_of: impl Fn(usize) -> NodeType,
+    ) -> Vec<NodeHandle> {
+        let mut rng = SeedSource::new(seed).stream("verme-ring-ids");
+        let mut ids = reference_distinct_ids(n, |slot| layout.assign_id(&mut rng, type_of(slot)));
+        ids.sort_by_key(|id| id.raw());
+        ids.into_iter()
+            .enumerate()
+            .map(|(i, id)| NodeHandle::new(id, Addr::from_raw(i as u64 + 1)))
+            .collect()
+    }
+
+    /// The finger rule this module used before the clockwise walk: one
+    /// full binary search (`corner_responsible_index`) per identifier bit.
+    fn reference_fingers(ring: &VermeStaticRing, i: usize) -> Vec<(usize, NodeHandle)> {
+        let id = ring.node(i).id;
+        (0..Id::BITS)
+            .filter_map(|b| {
+                let j = ring.corner_responsible_index(ring.layout().finger_target(id, b))?;
+                (j != i).then(|| (b as usize, ring.node(j)))
+            })
+            .collect()
+    }
+
+    /// [`reference_fingers`] in the compact form: first occurrences only.
+    fn reference_distinct_fingers(ring: &VermeStaticRing, i: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::new();
+        for (_, h) in reference_fingers(ring, i) {
+            let j = ring.successor_index(h.id);
+            if !out.contains(&j) {
+                out.push(j);
+            }
+        }
+        out
+    }
+
+    fn assert_fingers_match_reference(ring: &VermeStaticRing) -> Result<(), TestCaseError> {
+        for i in 0..ring.len() {
+            prop_assert_eq!(ring.fingers_of(i), reference_fingers(ring, i), "fingers of {}", i);
+            prop_assert_eq!(
+                ring.distinct_finger_indices(i),
+                reference_distinct_fingers(ring, i),
+                "distinct fingers of {}",
+                i
+            );
+        }
+        Ok(())
+    }
+
+    fn ring_sizes() -> impl Strategy<Value = usize> {
+        prop::sample::select(vec![1usize, 2, 3, 17, 256, 2_000])
+    }
+
+    proptest! {
+        #[test]
+        fn linear_id_assignment_equals_the_quadratic_reference(
+            n in ring_sizes(),
+            seed: u64,
+            split_permille in 1u32..1000,
+        ) {
+            let two = SectionLayout::with_sections(64, 2);
+            prop_assert_eq!(
+                VermeStaticRing::generate(two, n, seed).nodes().to_vec(),
+                reference_generate(two, n, seed, |i| NodeType::new((i % 2) as u8))
+            );
+            let four = SectionLayout::with_sections(64, 4);
+            prop_assert_eq!(
+                VermeStaticRing::generate(four, n, seed).nodes().to_vec(),
+                reference_generate(four, n, seed, |i| NodeType::new((i % 4) as u8))
+            );
+            let frac_a = f64::from(split_permille) / 1000.0;
+            let cut = (n as f64 * frac_a).round() as usize;
+            prop_assert_eq!(
+                VermeStaticRing::generate_with_split(two, n, frac_a, seed).nodes().to_vec(),
+                reference_generate(two, n, seed, |i| if i < cut { NodeType::A } else { NodeType::B })
+            );
+        }
+
+        /// 128-bit draws never collide in practice, so the redraw arm is
+        /// driven here from a space small enough that most draws do.
+        #[test]
+        fn colliding_draws_are_redrawn_like_the_reference(
+            n in 1usize..60,
+            draws in prop::collection::vec(0u128..64, 4_000..4_001),
+        ) {
+            let propose = |k: &mut usize, slot: usize| {
+                *k += 1;
+                Id::new(draws[*k - 1] * 2 + (slot % 2) as u128)
+            };
+            let (mut k_new, mut k_ref) = (0, 0);
+            prop_assert_eq!(
+                distinct_ids(n, |slot| propose(&mut k_new, slot)),
+                reference_distinct_ids(n, |slot| propose(&mut k_ref, slot))
+            );
+            prop_assert_eq!(k_new, k_ref, "both consumed the same number of draws");
+        }
+
+        #[test]
+        fn walked_fingers_equal_the_search_per_bit_reference(
+            n in prop::sample::select(vec![1usize, 2, 3, 17, 256]),
+            sections in prop::sample::select(vec![4u128, 16, 64, 4096]),
+            seed: u64,
+        ) {
+            // 17 nodes over 64 or 4096 sections leave most sections
+            // unpopulated: the corner rule's `None` arm.
+            let ring = VermeStaticRing::generate(SectionLayout::with_sections(sections, 2), n, seed);
+            assert_fingers_match_reference(&ring)?;
+        }
+
+        /// Hand-placed members: a run of adjacent ids (gap 1, so short
+        /// targets land exactly on members — `binary_search`'s `Ok` arm),
+        /// and members sitting exactly on long, shifted finger targets of
+        /// the first one, wherever on the ring (wrap included) it is.
+        #[test]
+        fn walked_fingers_equal_the_reference_on_exact_hits(
+            base: u128,
+            run in 1u128..6,
+            hit_bits in prop::collection::vec(0u32..Id::BITS, 0..6),
+            sections in prop::sample::select(vec![4u128, 64]),
+        ) {
+            let layout = SectionLayout::with_sections(sections, 2);
+            let base = Id::new(base);
+            let mut ids: Vec<Id> = (0..=run).map(|d| base.wrapping_add(d)).collect();
+            ids.extend(hit_bits.iter().map(|&b| layout.finger_target(base, b)));
+            ids.sort_by_key(|id| id.raw());
+            ids.dedup();
+            let handles = ids
+                .into_iter()
+                .enumerate()
+                .map(|(i, id)| NodeHandle::new(id, Addr::from_raw(i as u64 + 1)))
+                .collect();
+            assert_fingers_match_reference(&VermeStaticRing::from_handles(layout, handles))?;
+        }
+    }
+
+    /// An accidental return to quadratic id assignment or per-bit searches
+    /// must fail here, not wait for the benchmark: 20 000 members took
+    /// 0.09 s to assign alone before, and take a few milliseconds now.
+    #[test]
+    fn generating_twenty_thousand_members_is_fast() {
+        if cfg!(debug_assertions) {
+            return; // unoptimised builds are an order of magnitude slower
+        }
+        let started = std::time::Instant::now();
+        let ring = VermeStaticRing::generate(SectionLayout::with_sections(1024, 2), 20_000, 42);
+        let took = started.elapsed();
+        assert_eq!(ring.len(), 20_000);
+        assert!(took.as_secs_f64() < 0.25, "generate(20 000) took {took:?}");
+    }
 
     fn small() -> VermeStaticRing {
         VermeStaticRing::generate(SectionLayout::with_sections(32, 2), 256, 7)

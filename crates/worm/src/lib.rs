@@ -11,6 +11,8 @@
 //!
 //! * [`WormSim`] — the propagation engine.
 //! * [`Scenario`] / [`run_scenario`] — the five experiment configurations.
+//! * [`Population`] / [`run_scenario_on`] — build an overlay's population
+//!   once and run every scenario of that [`Overlay`] on it.
 //!
 //! For live observability, a [`Monitor`](verme_obs::Monitor) can be
 //! attached to a [`WormSim`] ([`attach_monitor`](WormSim::attach_monitor)):
@@ -26,6 +28,6 @@ pub mod scenarios;
 pub use analysis::{analyze, logistic, CurveStats};
 pub use model::{SectionDetection, WormParams, WormSim, WormState};
 pub use scenarios::{
-    run_scenario, run_scenario_instrumented, run_scenario_recorded, Instrumentation, Scenario,
-    ScenarioConfig, ScenarioResult,
+    run_scenario, run_scenario_instrumented, run_scenario_on, run_scenario_recorded,
+    Instrumentation, Overlay, Population, Scenario, ScenarioConfig, ScenarioResult,
 };

@@ -1,10 +1,11 @@
 //! The five Figure-8 propagation scenarios.
 //!
-//! Each scenario builds a static 100 000-node overlay (as in §7.3),
-//! derives every node's *harvestable target list* from its real routing
-//! state, seeds the worm, and runs the four-state model — plus, for the
-//! impersonation attacks, a harvest process feeding the attacker fresh
-//! addresses at the rate the corresponding VerDi variant permits:
+//! Each scenario runs on a static 100 000-node overlay (as in §7.3) — a
+//! [`Population`], which derives every node's *harvestable target list*
+//! from its real routing state — seeds the worm, and runs the four-state
+//! model — plus, for the impersonation attacks, a harvest process feeding
+//! the attacker fresh addresses at the rate the corresponding VerDi
+//! variant permits:
 //!
 //! * **Chord** — the worm follows successors, predecessor and fingers;
 //!   everything is reachable.
@@ -145,15 +146,64 @@ impl Default for ScenarioConfig {
     }
 }
 
+/// How a population's routing state — and so its target lists — is
+/// derived. Scenarios that name the same overlay run on the same
+/// [`Population`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Overlay {
+    /// Plain Chord: uniform ids, `successor(id + 2^i)` fingers, one
+    /// predecessor; a random half of the machines is vulnerable.
+    Chord,
+    /// Verme: sectioned typed ids, the §4.4 finger rule, a predecessor
+    /// list; the type-A machines are vulnerable.
+    Verme,
+    /// Verme's ids and neighbor lists with plain Chord fingers (the
+    /// ablation of §4.4).
+    VermeUnshifted,
+    /// The §6.2 unstructured swarm under a type-blind tracker.
+    SwarmRandom,
+    /// The §6.2 swarm under the type-aware (Figure 1 islands) tracker.
+    SwarmTypeAware,
+}
+
+impl Scenario {
+    /// The overlay this scenario attacks.
+    pub fn overlay(&self) -> Overlay {
+        match self {
+            Scenario::ChordWorm | Scenario::ChordWithGuardians { .. } => Overlay::Chord,
+            Scenario::VermeWorm
+            | Scenario::SecureVerDiImpersonation
+            | Scenario::FastVerDiImpersonation { .. }
+            | Scenario::CompromiseVerDi { .. }
+            | Scenario::SybilImpersonation { .. } => Overlay::Verme,
+            Scenario::VermeUnshiftedFingersAblation => Overlay::VermeUnshifted,
+            Scenario::SwarmRandomTracker => Overlay::SwarmRandom,
+            Scenario::SwarmTypeAwareTracker => Overlay::SwarmTypeAware,
+        }
+    }
+}
+
 /// The outcome of one scenario run.
+///
+/// **Accounting.** `infected` counts every compromised host, *including*
+/// the attacker's own seed hosts; `vulnerable` counts only the machines
+/// the worm's exploit works on. A plain outbreak seeds a vulnerable
+/// machine, so there `infected ≤ vulnerable`; an impersonation attack
+/// seeds hosts the attacker controls outright (type-B identities, not
+/// vulnerable), so a saturated Fast-VerDi run ends at
+/// `infected = vulnerable + 1`. Always `infected ≤ vulnerable + seeds`.
 #[derive(Clone, Debug)]
 pub struct ScenarioResult {
     /// Infected machines over time (one point per infection).
     pub curve: TimeSeries,
-    /// Final infected count.
+    /// Final infected count, seed hosts included.
     pub infected: usize,
-    /// Number of vulnerable machines in the population.
+    /// Number of vulnerable machines in the population (for the guardian
+    /// scenario: those that are not guardians).
     pub vulnerable: usize,
+    /// Hosts the outbreak started from: 1, or the number of identities a
+    /// Sybil attacker activated.
+    pub seeds: usize,
     /// Population size.
     pub nodes: usize,
     /// Total scans performed.
@@ -231,6 +281,9 @@ pub struct Instrumentation {
 /// `worm.section.<s>.infected` gauges and a populated
 /// [`ScenarioResult::detection`] report.
 ///
+/// Builds the scenario's [`Population`], then runs the outbreak on it;
+/// to run several scenarios on one build use [`run_scenario_on`].
+///
 /// # Panics
 ///
 /// Panics under the same conditions as [`run_scenario`].
@@ -239,88 +292,144 @@ pub fn run_scenario_instrumented(
     cfg: &ScenarioConfig,
     inst: &Instrumentation,
 ) -> ScenarioResult {
-    assert!(cfg.nodes > 1, "need a population");
-    match scenario {
-        Scenario::ChordWorm => run_chord(cfg, inst),
-        Scenario::VermeWorm => run_verme(cfg, SeedChoice::Vulnerable, inst),
-        Scenario::SecureVerDiImpersonation => run_verme(cfg, SeedChoice::Impersonator, inst),
-        Scenario::FastVerDiImpersonation { lookups_per_sec } => {
-            run_fast_impersonation(cfg, *lookups_per_sec, inst)
-        }
-        Scenario::CompromiseVerDi { node_lookup_rate_per_sec } => {
-            run_compromise(cfg, *node_lookup_rate_per_sec, inst)
-        }
-        Scenario::VermeUnshiftedFingersAblation => run_verme_ablated(cfg, inst),
-        Scenario::ChordWithGuardians { guardian_fraction, alert_hop_delay_s } => {
-            run_chord_guardians(cfg, *guardian_fraction, *alert_hop_delay_s, inst)
-        }
-        Scenario::SybilImpersonation { identities } => run_sybil(cfg, *identities, inst),
-        Scenario::SwarmRandomTracker => run_swarm(cfg, false, inst),
-        Scenario::SwarmTypeAwareTracker => run_swarm(cfg, true, inst),
-    }
+    let pop = Population::build(cfg, scenario.overlay());
+    outbreak(scenario, cfg, inst, pop.ring.as_ref(), pop.hosts)
 }
 
-/// Applies `inst` to a freshly built worm model and installs the
-/// overlay's section map (the partition the monitor reports against).
-fn instrument(sim: WormSim, inst: &Instrumentation, sections: Vec<u32>) -> WormSim {
-    let mut sim = match &inst.recorder {
-        Some(r) => sim.with_recorder(r.clone()),
-        None => sim,
+/// Runs `scenario` on a population built beforehand by
+/// [`Population::build`] from the same `cfg`. The result equals
+/// [`run_scenario_instrumented`]'s; the population is left untouched (the
+/// worm model gets its own copy of the target lists), so every scenario
+/// of one [`Overlay`] and one seed can share one build.
+///
+/// # Panics
+///
+/// Panics if `pop` was built for another overlay or population size, and
+/// under the same conditions as [`run_scenario`].
+pub fn run_scenario_on(
+    pop: &Population,
+    scenario: &Scenario,
+    cfg: &ScenarioConfig,
+    inst: &Instrumentation,
+) -> ScenarioResult {
+    assert_eq!(pop.overlay, scenario.overlay(), "{} runs on another overlay", scenario.label());
+    assert_eq!(pop.hosts.targets.len(), cfg.nodes, "population built for another size");
+    let hosts = {
+        let _span = ProfScope::enter(Scope::WormBuild);
+        pop.hosts.clone()
     };
-    sim.set_sections(sections);
-    if let Some((mon, interval)) = &inst.monitor {
-        sim.attach_monitor(mon.clone(), *interval);
-    }
-    sim
-}
-
-/// Contiguous id-order section blocks for overlays without a native
-/// section structure (plain Chord, guardians): node `i` of `n` lands in
-/// block `i·sections/n`.
-fn block_sections(nodes: usize, sections: u128) -> Vec<u32> {
-    let s = sections.max(1);
-    (0..nodes).map(|i| ((i as u128 * s) / nodes as u128) as u32).collect()
-}
-
-/// Verme's native section map: each node's section in the typed layout.
-fn verme_sections(ring: &VermeStaticRing, nodes: usize) -> Vec<u32> {
-    (0..nodes).map(|i| ring.section_of_index(i) as u32).collect()
+    outbreak(scenario, cfg, inst, pop.ring.as_ref(), hosts)
 }
 
 // ----------------------------------------------------------------------
-// Overlay views
+// Population
 // ----------------------------------------------------------------------
 
-/// Builds the Chord population: target lists from real routing state and
-/// a random 50% vulnerable map.
-fn build_chord_view(cfg: &ScenarioConfig) -> (Vec<Vec<u32>>, Vec<bool>) {
-    let _span = ProfScope::enter(Scope::WormBuild);
-    let src = SeedSource::new(cfg.seed);
-    let mut rng = src.stream("chord-ids");
-    let mut ids: Vec<Id> = Vec::with_capacity(cfg.nodes);
-    while ids.len() < cfg.nodes {
-        let id = Id::random(&mut rng);
-        ids.push(id);
+/// What the worm model consumes: per-host target lists, the vulnerable
+/// map and the section map.
+#[derive(Clone, Debug)]
+struct Hosts {
+    targets: Vec<Vec<u32>>,
+    vulnerable: Vec<bool>,
+    sections: Vec<u32>,
+}
+
+/// A static overlay as a worm sees it: every host's *harvestable target
+/// list* derived from its real routing state, which hosts are vulnerable,
+/// and the section partition the monitor reports against — plus the Verme
+/// ring itself where there is one (the impersonation attacks query it).
+#[derive(Clone, Debug)]
+pub struct Population {
+    overlay: Overlay,
+    ring: Option<VermeStaticRing>,
+    hosts: Hosts,
+}
+
+impl Population {
+    /// Builds the population `cfg` describes (`nodes`, `sections`, list
+    /// lengths, `seed`) under `overlay`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is structurally invalid (fewer than
+    /// two nodes, non-power-of-two section count, ...).
+    pub fn build(cfg: &ScenarioConfig, overlay: Overlay) -> Population {
+        assert!(cfg.nodes > 1, "need a population");
+        let _span = ProfScope::enter(Scope::WormBuild);
+        let n = cfg.nodes;
+        let (ring, hosts) = match overlay {
+            Overlay::Chord => {
+                let src = SeedSource::new(cfg.seed);
+                let ring = chord_ring(n, &mut src.stream("chord-ids"));
+                let targets = routing_targets(cfg, 1, |i| ring.distinct_finger_indices(i));
+                let mut vrng = src.stream("chord-vulnerable");
+                let vulnerable = (0..n).map(|_| vrng.gen::<bool>()).collect();
+                // Plain Chord has no native sections: contiguous id-order
+                // blocks, node `i` of `n` in block `i·sections/n`.
+                let s = cfg.sections.max(1);
+                let sections = (0..n).map(|i| ((i as u128 * s) / n as u128) as u32).collect();
+                (None, Hosts { targets, vulnerable, sections })
+            }
+            Overlay::Verme | Overlay::VermeUnshifted => {
+                let layout = SectionLayout::with_sections(cfg.sections, 2);
+                let ring = VermeStaticRing::generate(layout, n, cfg.seed);
+                // The ablated piece: fingers resolved the plain Chord way
+                // over the same membership.
+                let plain = (overlay == Overlay::VermeUnshifted)
+                    .then(|| StaticRing::new(ring.nodes().to_vec()));
+                let targets = routing_targets(cfg, cfg.num_predecessors, |i| match &plain {
+                    Some(plain) => plain.distinct_finger_indices(i),
+                    None => ring.distinct_finger_indices(i),
+                });
+                // One shared platform: exactly the type-A nodes.
+                let vulnerable = (0..n).map(|i| ring.type_of_index(i) == NodeType::A).collect();
+                let sections = (0..n).map(|i| ring.section_of_index(i) as u32).collect();
+                (Some(ring), Hosts { targets, vulnerable, sections })
+            }
+            Overlay::SwarmRandom | Overlay::SwarmTypeAware => {
+                (None, swarm_hosts(cfg, overlay == Overlay::SwarmTypeAware))
+            }
+        };
+        Population { overlay, ring, hosts }
     }
+
+    /// The overlay this population was built under.
+    pub fn overlay(&self) -> Overlay {
+        self.overlay
+    }
+}
+
+/// `n` uniformly random distinct ids as a converged Chord ring.
+fn chord_ring(n: usize, rng: &mut impl Rng) -> StaticRing {
+    let mut ids: Vec<Id> = (0..n).map(|_| Id::random(rng)).collect();
     ids.sort_by_key(|i| i.raw());
     ids.dedup();
-    assert_eq!(ids.len(), cfg.nodes, "id collision at simulated scale");
-    let handles: Vec<NodeHandle> = ids
+    assert_eq!(ids.len(), n, "id collision at simulated scale");
+    let handles = ids
         .iter()
         .enumerate()
         .map(|(i, &id)| NodeHandle::new(id, Addr::from_raw(i as u64 + 1)))
         .collect();
-    let ring = StaticRing::new(handles);
+    StaticRing::new(handles)
+}
 
+/// Every host's target list on a converged ring: its successor list,
+/// then `preds` predecessors, then its distinct fingers, each address
+/// once, in that order.
+fn routing_targets(
+    cfg: &ScenarioConfig,
+    preds: usize,
+    fingers: impl Fn(usize) -> Vec<usize>,
+) -> Vec<Vec<u32>> {
     let n = cfg.nodes;
     let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
     for i in 0..n {
-        let mut list: Vec<u32> = Vec::new();
+        let mut list: Vec<u32> = Vec::with_capacity(cfg.num_successors + cfg.num_predecessors + 16);
         for d in 1..=cfg.num_successors.min(n - 1) {
             list.push(((i + d) % n) as u32);
         }
-        list.push(ring.predecessor_index(i) as u32);
-        for j in ring.distinct_finger_indices(i) {
+        let near = (1..=preds.min(n - 1)).map(|d| (i + n - d) % n);
+        for j in near.chain(fingers(i)) {
             let j = j as u32;
             if !list.contains(&j) {
                 list.push(j);
@@ -328,136 +437,19 @@ fn build_chord_view(cfg: &ScenarioConfig) -> (Vec<Vec<u32>>, Vec<bool>) {
         }
         targets.push(list);
     }
-    let mut vrng = src.stream("chord-vulnerable");
-    let vulnerable: Vec<bool> = (0..n).map(|_| vrng.gen::<bool>()).collect();
-    (targets, vulnerable)
-}
-
-/// Builds the Verme population: the vulnerable machines are exactly the
-/// type-A nodes (one shared platform, 50% of the population).
-fn build_verme_view(cfg: &ScenarioConfig) -> (VermeStaticRing, Vec<Vec<u32>>, Vec<bool>) {
-    let _span = ProfScope::enter(Scope::WormBuild);
-    let layout = SectionLayout::with_sections(cfg.sections, 2);
-    let ring = VermeStaticRing::generate(layout, cfg.nodes, cfg.seed);
-    let n = cfg.nodes;
-    let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut list: Vec<u32> = Vec::new();
-        for d in 1..=cfg.num_successors.min(n - 1) {
-            list.push(((i + d) % n) as u32);
-        }
-        for d in 1..=cfg.num_predecessors.min(n - 1) {
-            let j = ((i + n - d) % n) as u32;
-            if !list.contains(&j) {
-                list.push(j);
-            }
-        }
-        for j in ring.distinct_finger_indices(i) {
-            let j = j as u32;
-            if !list.contains(&j) {
-                list.push(j);
-            }
-        }
-        targets.push(list);
-    }
-    let vulnerable: Vec<bool> = (0..n).map(|i| ring.type_of_index(i) == NodeType::A).collect();
-    (ring, targets, vulnerable)
-}
-
-fn result_from(sim: WormSim, vulnerable: usize, nodes: usize) -> ScenarioResult {
-    ScenarioResult {
-        infected: sim.infected(),
-        vulnerable,
-        nodes,
-        scans: sim.scans_performed(),
-        collisions: sim.collisions(),
-        detection: sim.detection_report(),
-        curve: sim.curve().clone(),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Scenario runners
-// ----------------------------------------------------------------------
-
-/// Ablation: sectioned typed ids, but fingers resolved the plain Chord
-/// way (`successor(id + 2^i)`). Long fingers then land in *same-type*
-/// sections, and the worm crosses islands freely.
-fn run_verme_ablated(cfg: &ScenarioConfig, inst: &Instrumentation) -> ScenarioResult {
-    let build_span = ProfScope::enter(Scope::WormBuild);
-    let layout = SectionLayout::with_sections(cfg.sections, 2);
-    let ring = VermeStaticRing::generate(layout, cfg.nodes, cfg.seed);
-    let n = cfg.nodes;
-    let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut list: Vec<u32> = Vec::new();
-        for d in 1..=cfg.num_successors.min(n - 1) {
-            list.push(((i + d) % n) as u32);
-        }
-        for d in 1..=cfg.num_predecessors.min(n - 1) {
-            let j = ((i + n - d) % n) as u32;
-            if !list.contains(&j) {
-                list.push(j);
-            }
-        }
-        // Plain Chord finger resolution — the ablated piece.
-        let id = ring.node(i).id;
-        for b in 0..verme_chord::Id::BITS {
-            let j = ring.successor_index(id.finger_target(b));
-            if j != i && !list.contains(&(j as u32)) {
-                list.push(j as u32);
-            }
-        }
-        targets.push(list);
-    }
-    let vulnerable: Vec<bool> = (0..n).map(|i| ring.type_of_index(i) == NodeType::A).collect();
-    drop(build_span);
-    let vuln_count = vulnerable.iter().filter(|&&v| v).count();
-    let mut sim = instrument(
-        WormSim::new(targets, vulnerable, cfg.params.clone(), cfg.seed),
-        inst,
-        verme_sections(&ring, n),
-    );
-    let mut rng = SeedSource::new(cfg.seed).stream("seed-node");
-    let seed_node = ring.random_index_of_type(NodeType::A, &mut rng) as u32;
-    sim.seed_infection(seed_node);
-    sim.run_until(SimTime::ZERO + cfg.duration);
-    result_from(sim, vuln_count, cfg.nodes)
-}
-
-fn run_chord(cfg: &ScenarioConfig, inst: &Instrumentation) -> ScenarioResult {
-    let (targets, vulnerable) = build_chord_view(cfg);
-    let vuln_count = vulnerable.iter().filter(|&&v| v).count();
-    assert!(vuln_count > 0, "no vulnerable machines");
-    let mut rng = SeedSource::new(cfg.seed).stream("seed-node");
-    // Patient zero: a random vulnerable machine.
-    let seed_node = loop {
-        let i = rng.gen_range(0..cfg.nodes);
-        if vulnerable[i] {
-            break i as u32;
-        }
-    };
-    let mut sim = instrument(
-        WormSim::new(targets, vulnerable, cfg.params.clone(), cfg.seed),
-        inst,
-        block_sections(cfg.nodes, cfg.sections),
-    );
-    sim.seed_infection(seed_node);
-    sim.run_until(SimTime::ZERO + cfg.duration);
-    result_from(sim, vuln_count, cfg.nodes)
+    targets
 }
 
 /// The §6.2 unstructured swarm: a tracker assigns every peer its
 /// neighbor set; the worm follows those neighbor lists. Island size is
 /// derived from the configured section count so structured and
 /// unstructured runs are comparable.
-fn run_swarm(cfg: &ScenarioConfig, type_aware: bool, inst: &Instrumentation) -> ScenarioResult {
+fn swarm_hosts(cfg: &ScenarioConfig, type_aware: bool) -> Hosts {
     use verme_core::tracker::{assign_random, assign_type_aware, TrackerConfig};
     let n = cfg.nodes;
     let types: Vec<NodeType> =
         (0..n).map(|i| if i % 2 == 0 { NodeType::A } else { NodeType::B }).collect();
     let island_size = (n as u128 / cfg.sections).max(2) as usize;
-    let build_span = ProfScope::enter(Scope::WormBuild);
     let assignment = if type_aware {
         let tcfg = TrackerConfig {
             island_size,
@@ -468,259 +460,420 @@ fn run_swarm(cfg: &ScenarioConfig, type_aware: bool, inst: &Instrumentation) -> 
     } else {
         assign_random(&types, 2 * cfg.num_successors, cfg.seed)
     };
-    drop(build_span);
-    let vulnerable: Vec<bool> = types.iter().map(|&t| t == NodeType::A).collect();
-    let vuln_count = vulnerable.iter().filter(|&&v| v).count();
-    let mut rng = SeedSource::new(cfg.seed).stream("seed-node");
-    let seed_node = loop {
-        let i = rng.gen_range(0..n);
-        if vulnerable[i] {
-            break i as u32;
-        }
-    };
-    // The tracker's island partition *is* this overlay's section map.
-    let islands = assignment.island_of.clone();
-    let mut sim = instrument(
-        WormSim::new(assignment.neighbors, vulnerable, cfg.params.clone(), cfg.seed),
-        inst,
-        islands,
-    );
-    sim.seed_infection(seed_node);
-    sim.run_until(SimTime::ZERO + cfg.duration);
-    result_from(sim, vuln_count, cfg.nodes)
-}
-
-/// Plain Chord plus randomly placed guardian nodes.
-fn run_chord_guardians(
-    cfg: &ScenarioConfig,
-    fraction: f64,
-    hop_delay_s: f64,
-    inst: &Instrumentation,
-) -> ScenarioResult {
-    assert!((0.0..1.0).contains(&fraction), "guardian fraction must be in [0,1)");
-    let (targets, vulnerable) = build_chord_view(cfg);
-    let src = SeedSource::new(cfg.seed);
-    let mut grng = src.stream("guardians");
-    let guardians: Vec<bool> = (0..cfg.nodes).map(|_| grng.gen::<f64>() < fraction).collect();
-    let mut rng = src.stream("seed-node");
-    let seed_node = loop {
-        let i = rng.gen_range(0..cfg.nodes);
-        if vulnerable[i] && !guardians[i] {
-            break i as u32;
-        }
-    };
-    let vuln_count = vulnerable.iter().zip(&guardians).filter(|&(&v, &g)| v && !g).count();
-    let mut sim = instrument(
-        WormSim::new(targets, vulnerable, cfg.params.clone(), cfg.seed),
-        inst,
-        block_sections(cfg.nodes, cfg.sections),
-    );
-    sim.set_guardians(guardians, SimDuration::from_secs_f64(hop_delay_s));
-    sim.seed_infection(seed_node);
-    sim.run_until(SimTime::ZERO + cfg.duration);
-    result_from(sim, vuln_count, cfg.nodes)
-}
-
-enum SeedChoice {
-    /// A random vulnerable (type-A) node — the plain Verme outbreak.
-    Vulnerable,
-    /// A random type-B node under attacker control — the Secure-VerDi
-    /// impersonation (the attacker's certificate claims type B, so its
-    /// routing state points at type-A nodes it can infect).
-    Impersonator,
-}
-
-fn run_verme(
-    cfg: &ScenarioConfig,
-    seed_choice: SeedChoice,
-    inst: &Instrumentation,
-) -> ScenarioResult {
-    let (ring, targets, vulnerable) = build_verme_view(cfg);
-    let vuln_count = vulnerable.iter().filter(|&&v| v).count();
-    let mut sim = instrument(
-        WormSim::new(targets, vulnerable, cfg.params.clone(), cfg.seed),
-        inst,
-        verme_sections(&ring, cfg.nodes),
-    );
-    let mut rng = SeedSource::new(cfg.seed).stream("seed-node");
-    let ty = match seed_choice {
-        SeedChoice::Vulnerable => NodeType::A,
-        SeedChoice::Impersonator => NodeType::B,
-    };
-    let seed_node = ring.random_index_of_type(ty, &mut rng) as u32;
-    sim.seed_infection(seed_node);
-    sim.run_until(SimTime::ZERO + cfg.duration);
-    result_from(sim, vuln_count, cfg.nodes)
-}
-
-/// §6.1: `identities` attacker-controlled type-B nodes, all activated at
-/// once. Each contributes its own routing state's worth of type-A
-/// victims (its fingers' sections), so containment scales with the
-/// number of certificates the attacker could obtain.
-///
-/// Placement is *eclipse-style*, not uniform: a Sybil attacker does not
-/// scatter its identities randomly — it concentrates them around one
-/// victim section so their combined routing state saturates the entries
-/// pointing into it ([`VermeStaticRing::eclipse_cluster`]). The target
-/// section is drawn once per seed; the cluster itself is deterministic
-/// given the ring.
-fn run_sybil(cfg: &ScenarioConfig, identities: usize, inst: &Instrumentation) -> ScenarioResult {
-    assert!(identities > 0, "need at least one identity");
-    let (ring, targets, vulnerable) = build_verme_view(cfg);
-    let vuln_count = vulnerable.iter().filter(|&&v| v).count();
-    let mut sim = instrument(
-        WormSim::new(targets, vulnerable, cfg.params.clone(), cfg.seed),
-        inst,
-        verme_sections(&ring, cfg.nodes),
-    );
-    let mut rng = SeedSource::new(cfg.seed).stream("seed-node");
-    let target_section = rng.gen_range(0..ring.layout().num_sections());
-    let avail = (0..ring.len()).filter(|&i| ring.type_of_index(i) == NodeType::B).count();
-    for i in ring.eclipse_cluster(target_section, NodeType::B, identities.min(avail)) {
-        sim.seed_infection(i as u32);
+    Hosts {
+        targets: assignment.neighbors,
+        vulnerable: types.iter().map(|&t| t == NodeType::A).collect(),
+        // The tracker's island partition *is* this overlay's section map.
+        sections: assignment.island_of,
     }
-    sim.run_until(SimTime::ZERO + cfg.duration);
-    result_from(sim, vuln_count, cfg.nodes)
 }
 
-fn run_fast_impersonation(
+// ----------------------------------------------------------------------
+// Outbreaks
+// ----------------------------------------------------------------------
+
+/// Seeds `scenario`'s outbreak on the given hosts and runs it to
+/// `cfg.duration`. `ring` is the population's Verme ring, if it has one.
+fn outbreak(
+    scenario: &Scenario,
     cfg: &ScenarioConfig,
-    lookups_per_sec: f64,
     inst: &Instrumentation,
+    ring: Option<&VermeStaticRing>,
+    hosts: Hosts,
 ) -> ScenarioResult {
-    assert!(lookups_per_sec > 0.0, "harvest rate must be positive");
-    let (ring, targets, vulnerable) = build_verme_view(cfg);
-    let vuln_count = vulnerable.iter().filter(|&&v| v).count();
-    let mut sim = instrument(
-        WormSim::new(targets, vulnerable, cfg.params.clone(), cfg.seed),
-        inst,
-        verme_sections(&ring, cfg.nodes),
-    );
+    let verme = || ring.expect("a Verme population carries its ring");
     let src = SeedSource::new(cfg.seed);
     let mut rng = src.stream("seed-node");
-    let imp = ring.random_index_of_type(NodeType::B, &mut rng) as u32;
-    sim.seed_infection(imp);
+    let mut vulnerable = hosts.vulnerable.iter().filter(|&&v| v).count();
+    let mut guardians = None;
+    let seeds: Vec<u32> = match scenario {
+        // Patient zero: a random vulnerable machine.
+        Scenario::ChordWorm | Scenario::SwarmRandomTracker | Scenario::SwarmTypeAwareTracker => {
+            assert!(vulnerable > 0, "no vulnerable machines");
+            vec![random_host(&mut rng, cfg.nodes, |i| hosts.vulnerable[i])]
+        }
+        // Plain Chord plus randomly placed guardian nodes.
+        Scenario::ChordWithGuardians { guardian_fraction, alert_hop_delay_s } => {
+            assert!((0.0..1.0).contains(guardian_fraction), "guardian fraction must be in [0,1)");
+            let mut grng = src.stream("guardians");
+            let guards: Vec<bool> =
+                (0..cfg.nodes).map(|_| grng.gen::<f64>() < *guardian_fraction).collect();
+            let seed = random_host(&mut rng, cfg.nodes, |i| hosts.vulnerable[i] && !guards[i]);
+            vulnerable = hosts.vulnerable.iter().zip(&guards).filter(|&(&v, &g)| v && !g).count();
+            guardians = Some((guards, SimDuration::from_secs_f64(*alert_hop_delay_s)));
+            vec![seed]
+        }
+        // A random vulnerable (type-A) node — the plain Verme outbreak,
+        // with or without the §4.4 fingers.
+        Scenario::VermeWorm | Scenario::VermeUnshiftedFingersAblation => {
+            vec![verme().random_index_of_type(NodeType::A, &mut rng) as u32]
+        }
+        // A random type-B node under attacker control: its certificate
+        // claims type B, so its routing state points at type-A nodes it
+        // can infect.
+        Scenario::SecureVerDiImpersonation
+        | Scenario::FastVerDiImpersonation { .. }
+        | Scenario::CompromiseVerDi { .. } => {
+            vec![verme().random_index_of_type(NodeType::B, &mut rng) as u32]
+        }
+        // §6.1: `identities` attacker-controlled type-B nodes, all
+        // activated at once. Each contributes its own routing state's
+        // worth of type-A victims (its fingers' sections), so containment
+        // scales with the number of certificates the attacker could
+        // obtain.
+        //
+        // Placement is *eclipse-style*, not uniform: a Sybil attacker does
+        // not scatter its identities randomly — it concentrates them
+        // around one victim section so their combined routing state
+        // saturates the entries pointing into it
+        // ([`VermeStaticRing::eclipse_cluster`]). The target section is
+        // drawn once per seed; the cluster itself is deterministic given
+        // the ring.
+        Scenario::SybilImpersonation { identities } => {
+            assert!(*identities > 0, "need at least one identity");
+            let ring = verme();
+            let target_section = rng.gen_range(0..ring.layout().num_sections());
+            let avail = cfg.nodes - vulnerable;
+            let cluster =
+                ring.eclipse_cluster(target_section, NodeType::B, (*identities).min(avail));
+            cluster.into_iter().map(|i| i as u32).collect()
+        }
+    };
+    // The relay census reads the target lists the worm model is about to own.
+    let clients = match scenario {
+        Scenario::CompromiseVerDi { .. } => relay_clients(verme(), &hosts.targets, seeds[0]),
+        _ => Vec::new(),
+    };
 
-    let mut hrng = src.stream("harvest");
-    let interval = SimDuration::from_secs_f64(1.0 / lookups_per_sec);
+    let mut sim = WormSim::new(hosts.targets, hosts.vulnerable, cfg.params.clone(), cfg.seed);
+    if let Some(r) = &inst.recorder {
+        sim = sim.with_recorder(r.clone());
+    }
+    // The overlay's section map is the partition the monitor reports against.
+    sim.set_sections(hosts.sections);
+    if let Some((mon, interval)) = &inst.monitor {
+        sim.attach_monitor(mon.clone(), *interval);
+    }
+    if let Some((guards, hop_delay)) = guardians {
+        sim.set_guardians(guards, hop_delay);
+    }
+    for &seed in &seeds {
+        sim.seed_infection(seed);
+    }
+
     let deadline = SimTime::ZERO + cfg.duration;
-    let mut next_harvest = SimTime::ZERO + interval;
-    while sim.now() < deadline && sim.infected() <= vuln_count {
-        let stop = next_harvest.min(deadline);
-        sim.run_until(stop);
+    let imp = seeds[0];
+    match scenario {
+        Scenario::FastVerDiImpersonation { lookups_per_sec } => {
+            assert!(*lookups_per_sec > 0.0, "harvest rate must be positive");
+            let mut hrng = src.stream("harvest");
+            let interval = SimDuration::from_secs_f64(1.0 / lookups_per_sec);
+            // One harvest lookup per interval, answered with a replica set.
+            run_harvesting(&mut sim, deadline, vulnerable, imp, interval, || {
+                (harvested_replicas(verme(), cfg, &mut hrng), interval)
+            });
+        }
+        Scenario::CompromiseVerDi { node_lookup_rate_per_sec } => {
+            assert!(*node_lookup_rate_per_sec > 0.0, "lookup rate must be positive");
+            let total_w: f64 = clients.iter().map(|&(_, w)| w).sum();
+            let lambda = node_lookup_rate_per_sec * total_w;
+            if clients.is_empty() || lambda <= 0.0 {
+                sim.run_until(deadline);
+            } else {
+                let mut hrng = src.stream("relay-arrivals");
+                let first = verme_sim::rng::exp_duration(&mut hrng, 1.0 / lambda);
+                run_harvesting(&mut sim, deadline, vulnerable, imp, first, || {
+                    // One relayed operation: leaks the client's address
+                    // (weighted sampling of "who used me as a relay this
+                    // time") and the replica set the relay fetches on its
+                    // behalf.
+                    let mut pick = hrng.gen::<f64>() * total_w;
+                    let mut client = clients[0].0;
+                    for &(c, w) in &clients {
+                        if pick < w {
+                            client = c;
+                            break;
+                        }
+                        pick -= w;
+                    }
+                    let mut fresh = harvested_replicas(verme(), cfg, &mut hrng);
+                    fresh.push(client);
+                    (fresh, verme_sim::rng::exp_duration(&mut hrng, 1.0 / lambda))
+                });
+            }
+        }
+        _ => sim.run_until(deadline),
+    }
+
+    assert!(
+        sim.infected() <= vulnerable + seeds.len(),
+        "{} infected of {vulnerable} vulnerable and {} seed hosts",
+        sim.infected(),
+        seeds.len()
+    );
+    ScenarioResult {
+        infected: sim.infected(),
+        vulnerable,
+        seeds: seeds.len(),
+        nodes: cfg.nodes,
+        scans: sim.scans_performed(),
+        collisions: sim.collisions(),
+        detection: sim.detection_report(),
+        curve: sim.curve().clone(),
+    }
+}
+
+/// Runs the outbreak to `deadline` (or saturation) while a harvest
+/// channel feeds the impersonator `imp`: the first arrival comes after
+/// `first`, and each `arrival()` yields the addresses it leaks and the
+/// time to the next one.
+fn run_harvesting(
+    sim: &mut WormSim,
+    deadline: SimTime,
+    vulnerable: usize,
+    imp: u32,
+    first: SimDuration,
+    mut arrival: impl FnMut() -> (Vec<u32>, SimDuration),
+) {
+    let mut next = SimTime::ZERO + first;
+    while sim.now() < deadline && sim.infected() <= vulnerable {
+        sim.run_until(next.min(deadline));
         if sim.now() >= deadline {
             break;
         }
-        // One harvest lookup: a random key, adjusted away from the
-        // attacker's claimed type (B), answered with the key's in-section
-        // (type-A) replica set.
-        let key = Id::random(&mut hrng);
-        let point = ring.layout().replica_point_avoiding(key, NodeType::B);
-        let reps: Vec<u32> = ring
-            .replica_indices(point, cfg.replicas_per_answer)
-            .into_iter()
-            .map(|i| i as u32)
-            .collect();
-        sim.add_targets(imp, &reps);
-        next_harvest = sim.now() + interval;
+        let (fresh, gap) = arrival();
+        sim.add_targets(imp, &fresh);
+        next = sim.now() + gap;
     }
-    result_from(sim, vuln_count, cfg.nodes)
 }
 
-fn run_compromise(
-    cfg: &ScenarioConfig,
-    node_lookup_rate: f64,
-    inst: &Instrumentation,
-) -> ScenarioResult {
-    assert!(node_lookup_rate > 0.0, "lookup rate must be positive");
-    let (ring, targets, vulnerable) = build_verme_view(cfg);
-    let vuln_count = vulnerable.iter().filter(|&&v| v).count();
-    let src = SeedSource::new(cfg.seed);
-    let mut rng = src.stream("seed-node");
-    let imp = ring.random_index_of_type(NodeType::B, &mut rng);
+/// A uniformly random host satisfying `ok`: patient zero of the outbreaks
+/// that start on an ordinary machine.
+fn random_host(rng: &mut impl Rng, nodes: usize, ok: impl Fn(usize) -> bool) -> u32 {
+    loop {
+        let i = rng.gen_range(0..nodes);
+        if ok(i) {
+            return i as u32;
+        }
+    }
+}
 
-    // How often is the impersonator used as a relay? A node routes an
-    // operation through the routing entry that most closely precedes the
-    // key, so entry `e` relays the fraction of the key space between `e`
-    // and the next entry. Sum that fraction over every node that has the
-    // impersonator in its routing state (its "reverse" neighbors), times
-    // the per-node operation rate.
-    let mut clients: Vec<(u32, f64)> = Vec::new(); // (client, weight)
-    let build_span = ProfScope::enter(Scope::WormBuild);
+/// The answer to one lookup an impersonator (claimed type B) gets to see:
+/// a random key, moved away from the claimed type, and the key's
+/// in-section (type-A) replica set.
+fn harvested_replicas(
+    ring: &VermeStaticRing,
+    cfg: &ScenarioConfig,
+    rng: &mut impl Rng,
+) -> Vec<u32> {
+    let key = Id::random(rng);
+    let point = ring.layout().replica_point_avoiding(key, NodeType::B);
+    ring.replica_indices(point, cfg.replicas_per_answer).into_iter().map(|i| i as u32).collect()
+}
+
+/// How often is the impersonator `imp` used as a relay, and by whom? A
+/// node routes an operation through the routing entry that most closely
+/// precedes the key, so entry `e` relays the fraction of the key space
+/// between `e` and the next entry. Returns that fraction for every node
+/// that has `imp` in its routing state (its "reverse" neighbors).
+fn relay_clients(ring: &VermeStaticRing, targets: &[Vec<u32>], imp: u32) -> Vec<(u32, f64)> {
+    let _span = ProfScope::enter(Scope::WormBuild);
+    let mut clients: Vec<(u32, f64)> = Vec::new();
     for (x, list) in targets.iter().enumerate() {
-        if x == imp {
+        if x == imp as usize || !list.contains(&imp) {
             continue;
         }
-        let Some(_) = list.iter().find(|&&t| t as usize == imp) else {
-            continue;
-        };
-        // Coverage of `imp` in x's routing table: sort entries by
-        // clockwise distance from x; imp covers up to the next entry.
+        // Coverage of `imp` in x's routing table: by clockwise distance
+        // from x, imp covers up to the next entry beyond it.
         let xid = ring.node(x).id;
-        let mut dists: Vec<u128> =
-            list.iter().map(|&t| xid.distance_to(ring.node(t as usize).id)).collect();
-        dists.sort_unstable();
-        let d_imp = xid.distance_to(ring.node(imp).id);
-        let next = dists.iter().copied().find(|&d| d > d_imp).unwrap_or(u128::MAX);
+        let d_imp = xid.distance_to(ring.node(imp as usize).id);
+        let next = list
+            .iter()
+            .map(|&t| xid.distance_to(ring.node(t as usize).id))
+            .filter(|&d| d > d_imp)
+            .min()
+            .unwrap_or(u128::MAX);
         let coverage = (next - d_imp) as f64 / u128::MAX as f64;
         if coverage > 0.0 {
             clients.push((x as u32, coverage));
         }
     }
-    let lambda: f64 = node_lookup_rate * clients.iter().map(|&(_, w)| w).sum::<f64>();
-    drop(build_span);
-
-    let mut sim = instrument(
-        WormSim::new(targets, vulnerable, cfg.params.clone(), cfg.seed),
-        inst,
-        verme_sections(&ring, cfg.nodes),
-    );
-    sim.seed_infection(imp as u32);
-
-    if clients.is_empty() || lambda <= 0.0 {
-        sim.run_until(SimTime::ZERO + cfg.duration);
-        return result_from(sim, vuln_count, cfg.nodes);
-    }
-
-    // Weighted client sampling for "who used me as a relay this time".
-    let total_w: f64 = clients.iter().map(|&(_, w)| w).sum();
-    let mut hrng = src.stream("relay-arrivals");
-    let deadline = SimTime::ZERO + cfg.duration;
-    let mut next_arrival = SimTime::ZERO + verme_sim::rng::exp_duration(&mut hrng, 1.0 / lambda);
-    while sim.now() < deadline && sim.infected() <= vuln_count {
-        let stop = next_arrival.min(deadline);
-        sim.run_until(stop);
-        if sim.now() >= deadline {
-            break;
-        }
-        // One relayed operation: leaks the client's address and the
-        // replica set the relay fetches on its behalf.
-        let mut pick = hrng.gen::<f64>() * total_w;
-        let mut client = clients[0].0;
-        for &(c, w) in &clients {
-            if pick < w {
-                client = c;
-                break;
-            }
-            pick -= w;
-        }
-        let key = Id::random(&mut hrng);
-        let point = ring.layout().replica_point_avoiding(key, NodeType::B);
-        let mut fresh: Vec<u32> = ring
-            .replica_indices(point, cfg.replicas_per_answer)
-            .into_iter()
-            .map(|i| i as u32)
-            .collect();
-        fresh.push(client);
-        sim.add_targets(imp as u32, &fresh);
-        next_arrival = sim.now() + verme_sim::rng::exp_duration(&mut hrng, 1.0 / lambda);
-    }
-    result_from(sim, vuln_count, cfg.nodes)
+    clients
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The Chord target-list builder as it stood before [`Population`].
+    /// (It pushed the predecessor unchecked, naming it twice on a ring of
+    /// at most `num_successors + 1` nodes, where the successor list
+    /// already wraps onto it; the property below stays above that size.)
+    fn reference_chord_targets(cfg: &ScenarioConfig) -> Vec<Vec<u32>> {
+        let mut rng = SeedSource::new(cfg.seed).stream("chord-ids");
+        let mut ids: Vec<Id> = Vec::with_capacity(cfg.nodes);
+        while ids.len() < cfg.nodes {
+            ids.push(Id::random(&mut rng));
+        }
+        ids.sort_by_key(|i| i.raw());
+        let handles: Vec<NodeHandle> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| NodeHandle::new(id, Addr::from_raw(i as u64 + 1)))
+            .collect();
+        let ring = StaticRing::new(handles);
+        let n = cfg.nodes;
+        let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut list: Vec<u32> = Vec::new();
+            for d in 1..=cfg.num_successors.min(n - 1) {
+                list.push(((i + d) % n) as u32);
+            }
+            list.push(ring.predecessor_index(i) as u32);
+            for b in 0..Id::BITS {
+                let j = ring.successor_index(ring.node(i).id.finger_target(b));
+                if j != i && !list.contains(&(j as u32)) {
+                    list.push(j as u32);
+                }
+            }
+            targets.push(list);
+        }
+        targets
+    }
+
+    /// The two Verme-ring builders as they stood before [`Population`]:
+    /// the §4.4 fingers (one `corner_responsible_index` search per bit),
+    /// or with `ablated` the plain Chord ones over the same membership.
+    fn reference_verme_targets(cfg: &ScenarioConfig, ablated: bool) -> Vec<Vec<u32>> {
+        let layout = SectionLayout::with_sections(cfg.sections, 2);
+        let ring = VermeStaticRing::generate(layout, cfg.nodes, cfg.seed);
+        let n = cfg.nodes;
+        let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut list: Vec<u32> = Vec::new();
+            for d in 1..=cfg.num_successors.min(n - 1) {
+                list.push(((i + d) % n) as u32);
+            }
+            for d in 1..=cfg.num_predecessors.min(n - 1) {
+                let j = ((i + n - d) % n) as u32;
+                if !list.contains(&j) {
+                    list.push(j);
+                }
+            }
+            let id = ring.node(i).id;
+            for b in 0..Id::BITS {
+                let j = if ablated {
+                    Some(ring.successor_index(id.finger_target(b)))
+                } else {
+                    ring.corner_responsible_index(layout.finger_target(id, b))
+                };
+                if let Some(j) = j.filter(|&j| j != i) {
+                    if !list.contains(&(j as u32)) {
+                        list.push(j as u32);
+                    }
+                }
+            }
+            targets.push(list);
+        }
+        targets
+    }
+
+    proptest! {
+        #[test]
+        fn population_target_lists_equal_the_three_old_builders(
+            nodes in prop::sample::select(vec![12usize, 40, 300, 2_000]),
+            sections in prop::sample::select(vec![4u128, 16, 64]),
+            seed: u64,
+        ) {
+            let cfg = ScenarioConfig { nodes, sections, seed, ..ScenarioConfig::default() };
+            let chord = Population::build(&cfg, Overlay::Chord);
+            prop_assert_eq!(&chord.hosts.targets, &reference_chord_targets(&cfg));
+            let verme = Population::build(&cfg, Overlay::Verme);
+            prop_assert_eq!(&verme.hosts.targets, &reference_verme_targets(&cfg, false));
+            let ablated = Population::build(&cfg, Overlay::VermeUnshifted);
+            prop_assert_eq!(&ablated.hosts.targets, &reference_verme_targets(&cfg, true));
+            // Same membership, same victims, same section map.
+            prop_assert_eq!(&ablated.hosts.vulnerable, &verme.hosts.vulnerable);
+            prop_assert_eq!(&ablated.hosts.sections, &verme.hosts.sections);
+        }
+    }
+
+    #[test]
+    fn tiny_rings_name_every_address_once() {
+        // Three nodes, ten-entry lists: successors, predecessors and
+        // fingers all wrap onto the same two peers.
+        let cfg = ScenarioConfig { nodes: 3, sections: 4, ..ScenarioConfig::default() };
+        for overlay in [Overlay::Chord, Overlay::Verme, Overlay::VermeUnshifted] {
+            for (i, list) in Population::build(&cfg, overlay).hosts.targets.iter().enumerate() {
+                let mut sorted = list.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), list.len(), "{overlay:?}: node {i} lists {list:?}");
+                assert!(!list.contains(&(i as u32)));
+            }
+        }
+    }
+
+    #[test]
+    fn shared_population_runs_equal_one_shot_runs() {
+        let cfg = small_cfg();
+        let verme = Population::build(&cfg, Overlay::Verme);
+        for sc in [
+            Scenario::VermeWorm,
+            Scenario::SecureVerDiImpersonation,
+            Scenario::FastVerDiImpersonation { lookups_per_sec: 10.0 },
+            Scenario::CompromiseVerDi { node_lookup_rate_per_sec: 1.0 },
+            Scenario::SybilImpersonation { identities: 4 },
+        ] {
+            let shared = run_scenario_on(&verme, &sc, &cfg, &Instrumentation::default());
+            let alone = run_scenario(&sc, &cfg);
+            assert_eq!(shared.curve.points(), alone.curve.points(), "{}", sc.label());
+            assert_eq!((shared.scans, shared.collisions), (alone.scans, alone.collisions));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "runs on another overlay")]
+    fn a_scenario_refuses_another_overlays_population() {
+        let cfg = small_cfg();
+        let chord = Population::build(&cfg, Overlay::Chord);
+        run_scenario_on(&chord, &Scenario::VermeWorm, &cfg, &Instrumentation::default());
+    }
+
+    #[test]
+    fn infected_never_exceeds_vulnerable_plus_seeds() {
+        let cfg = small_cfg();
+        let arms = [
+            (Scenario::ChordWorm, 1),
+            (Scenario::VermeWorm, 1),
+            (Scenario::SecureVerDiImpersonation, 1),
+            (Scenario::FastVerDiImpersonation { lookups_per_sec: 10.0 }, 1),
+            (Scenario::CompromiseVerDi { node_lookup_rate_per_sec: 1.0 }, 1),
+            (Scenario::VermeUnshiftedFingersAblation, 1),
+            (Scenario::ChordWithGuardians { guardian_fraction: 0.01, alert_hop_delay_s: 1.0 }, 1),
+            (Scenario::SybilImpersonation { identities: 6 }, 6),
+            (Scenario::SwarmRandomTracker, 1),
+            (Scenario::SwarmTypeAwareTracker, 1),
+        ];
+        for (sc, seeds) in arms {
+            let r = run_scenario(&sc, &cfg);
+            assert_eq!(r.seeds, seeds, "{}", sc.label());
+            assert!(
+                r.infected <= r.vulnerable + r.seeds,
+                "{}: {} infected of {} vulnerable + {} seeds",
+                sc.label(),
+                r.infected,
+                r.vulnerable,
+                r.seeds
+            );
+        }
+        // The bound is tight exactly where the attacker brings its own
+        // host: a saturated Fast-VerDi outbreak holds every victim plus
+        // the impersonator.
+        let fast = run_scenario(&Scenario::FastVerDiImpersonation { lookups_per_sec: 10.0 }, &cfg);
+        assert_eq!(fast.infected, fast.vulnerable + 1);
+    }
 
     fn small_cfg() -> ScenarioConfig {
         ScenarioConfig {
