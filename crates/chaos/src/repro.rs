@@ -2,7 +2,7 @@
 //!
 //! A [`Repro`] bundles everything a trial depends on — scenario, seed and
 //! the (shrunk) schedule — together with the verdict that run produced.
-//! Because [`run_trial`](crate::scenario::run_trial) is a pure function of
+//! Because [`run_trial`] is a pure function of
 //! those inputs, [`Repro::replay`] reproduces the recorded report
 //! bit-for-bit on any machine, and [`Repro::verify`] checks exactly that.
 //!

@@ -17,6 +17,7 @@ use bytes::Bytes;
 use verme_chord::Id;
 use verme_sim::{Addr, Ctx, Node, ProtoEvent, SimDuration, SimTime};
 
+use crate::block::Block;
 use crate::engine::DhtTimer;
 
 /// Metric keys recorded by DHT nodes.
@@ -343,14 +344,14 @@ impl DhtConfig {
     }
 }
 
-/// What a pending operation asked for. A put carries its value here, so
+/// What a pending operation asked for. A put carries its block here, so
 /// "a put without a value" cannot be represented.
 #[derive(Clone, Debug)]
 pub enum OpReq {
     /// A `get(key)`.
     Get,
-    /// A `put(value)`.
-    Put(Bytes),
+    /// A `put(value)`: the block `start_put` built from the value.
+    Put(Block),
 }
 
 impl OpReq {

@@ -12,14 +12,13 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
-
 use verme_chord::Id;
 use verme_core::{VermeAnswer, VermeNode};
 use verme_crypto::{Certificate, SignedStatement};
 use verme_sim::{Addr, Scope, Wire};
 
 use crate::api::{keys, DhtConfig, OpKind, OpReq};
+use crate::block::Block;
 use crate::engine::{
     send_as, send_data, DataReply, DhtEngine, DhtMsg, ECtx, ExtMsg, Stored, Variant, HDR,
 };
@@ -56,8 +55,8 @@ pub enum CompExt {
     RelayGetReply {
         /// Operation id from the request.
         rop: u64,
-        /// The block, if found.
-        value: Option<Bytes>,
+        /// The block, if found and genuine.
+        value: Option<Block>,
     },
     /// Relay → initiator: put acknowledgment.
     RelayPutReply {
@@ -79,7 +78,7 @@ impl Wire for CompExt {
             CompExt::RelayRequest(r) => {
                 let value_len = match &r.req {
                     OpReq::Get => 0,
-                    OpReq::Put(value) => value.len(),
+                    OpReq::Put(block) => block.len(),
                 };
                 HDR + 8 + Certificate::WIRE_SIZE + STATEMENT_BYTES + 1 + 16 + value_len
             }
@@ -183,8 +182,8 @@ fn continue_job(
             }
             send_data(ctx, target, DhtMsg::Fetch { op: job_id, key });
         }
-        OpReq::Put(value) => {
-            let value = value.clone();
+        OpReq::Put(block) => {
+            let value = block.clone();
             send_as(ctx, target, DhtMsg::Store { op: job_id, key, value, attempt, repair }, repair);
         }
     }
@@ -323,7 +322,7 @@ impl Variant for Compromise {
         };
         match reply {
             DataReply::Fetched(value) => {
-                let value = value.filter(|v| crate::block::verify_block(job.key, v));
+                let value = value.filter(|b| b.verifies(job.key));
                 send_data(ctx, job.client, ext(CompExt::RelayGetReply { rop: job.rop, value }));
             }
             DataReply::Stored(ok) => {
@@ -370,13 +369,7 @@ impl Variant for Compromise {
         verme::cross_spot_check(eng, anchored, ctx);
     }
 
-    fn push_cross(
-        eng: &mut CompromiseVerDiNode,
-        to: Addr,
-        key: Id,
-        value: Bytes,
-        ctx: &mut ECtx<'_, Self>,
-    ) {
-        verme::push_cross(eng, to, key, value, ctx);
+    fn push_cross(eng: &mut CompromiseVerDiNode, to: Addr, block: Block, ctx: &mut ECtx<'_, Self>) {
+        verme::push_cross(eng, to, block, ctx);
     }
 }

@@ -23,7 +23,7 @@ use verme_chord::{Id, NodeHandle};
 use verme_sim::{Addr, Ctx, Node, ProfScope, Scope, SimDuration, Wire};
 
 use crate::api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome, OpReq, OpTable};
-use crate::block::{block_key, verify_block, BlockStore};
+use crate::block::{Block, BlockStore};
 use crate::serving::ServingPlane;
 
 /// What the engine needs from the overlay node it wraps.
@@ -67,10 +67,8 @@ pub struct Stored {
     pub op: u64,
     /// Who to acknowledge.
     pub client: Addr,
-    /// Block key.
-    pub key: Id,
-    /// Block contents.
-    pub value: Bytes,
+    /// The block, stored under its own key.
+    pub block: Block,
     /// Requester's retry attempt.
     pub attempt: u32,
     /// Read-repair write: the whole chain is background traffic.
@@ -81,7 +79,7 @@ pub struct Stored {
 #[derive(Clone, Debug)]
 pub enum DataReply {
     /// The fetched block, if the replica had it.
-    Fetched(Option<Bytes>),
+    Fetched(Option<Block>),
     /// Whether the store was accepted.
     Stored(bool),
 }
@@ -150,7 +148,7 @@ pub trait Variant: Clone + Default + Sized + 'static {
     fn answer_piggybacked(
         _eng: &mut DhtEngine<Self>,
         _lid: u64,
-        _value: Option<Bytes>,
+        _value: Option<Block>,
         _ctx: &mut ECtx<'_, Self>,
     ) {
     }
@@ -189,13 +187,7 @@ pub trait Variant: Clone + Default + Sized + 'static {
 
     /// Pushes a block a cross-section probe found missing. Only variants
     /// whose `repair_extra` probes cross-section ever see such replies.
-    fn push_cross(
-        _eng: &mut DhtEngine<Self>,
-        _to: Addr,
-        _key: Id,
-        _value: Bytes,
-        _ctx: &mut ECtx<'_, Self>,
-    ) {
+    fn push_cross(_eng: &mut DhtEngine<Self>, _to: Addr, _block: Block, _ctx: &mut ECtx<'_, Self>) {
     }
 }
 
@@ -224,7 +216,7 @@ pub enum DhtMsg<V: Variant> {
         /// Id from the request.
         op: u64,
         /// The block, if stored.
-        value: Option<Bytes>,
+        value: Option<Block>,
     },
     /// Direct block store on the responsible node.
     Store {
@@ -232,8 +224,8 @@ pub enum DhtMsg<V: Variant> {
         op: u64,
         /// Block key.
         key: Id,
-        /// Block contents.
-        value: Bytes,
+        /// The block; the receiver checks it against `key`.
+        value: Block,
         /// Requester's retry attempt, so a dual-point responsible node
         /// rotates its cross-copy target across the replica list on retry.
         attempt: u32,
@@ -253,8 +245,8 @@ pub enum DhtMsg<V: Variant> {
     Replicate {
         /// Block key.
         key: Id,
-        /// Block contents.
-        value: Bytes,
+        /// The block; the receiver checks it against `key`.
+        value: Block,
     },
     /// Repair probe: a replica anchor tells a peer which keys it should
     /// hold. In-set probes also invite orphan reports from the prober's
@@ -394,6 +386,11 @@ pub(crate) fn send_background<V: Variant>(ctx: &mut ECtx<'_, V>, to: Addr, msg: 
     ctx.send(to, msg);
 }
 
+/// Sends a background copy of `block` under its own key.
+fn send_replica<V: Variant>(ctx: &mut ECtx<'_, V>, to: Addr, block: &Block) {
+    send_background(ctx, to, DhtMsg::Replicate { key: block.key(), value: block.clone() });
+}
+
 /// Sends one link of an operation's chain: background for read-repair
 /// writes, foreground otherwise.
 pub(crate) fn send_as<V: Variant>(ctx: &mut ECtx<'_, V>, to: Addr, msg: DhtMsg<V>, repair: bool) {
@@ -517,7 +514,7 @@ impl<V: Variant> DhtEngine<V> {
         let (key, attempt, repair) = (p.key, p.attempt, p.repair);
         let msg = match &p.req {
             OpReq::Get => DhtMsg::Fetch { op, key },
-            OpReq::Put(value) => DhtMsg::Store { op, key, value: value.clone(), attempt, repair },
+            OpReq::Put(block) => DhtMsg::Store { op, key, value: block.clone(), attempt, repair },
         };
         send_as(ctx, target, msg, repair);
     }
@@ -554,15 +551,18 @@ impl<V: Variant> DhtEngine<V> {
         };
         let (key, attempt) = (p.key, p.attempt);
         match value {
-            Some(v) if verify_block(key, &v) => {
-                self.finish_op(op, true, Some(v.clone()), ctx);
-                if attempt > 0 && self.cfg.repair_enabled && !self.repairing.contains(&key) {
+            Some(block) if block.verifies(key) => {
+                // Only a get that needed failover keeps a second handle, for
+                // the re-store below.
+                let spare = (attempt > 0 && self.cfg.repair_enabled).then(|| block.clone());
+                self.finish_op(op, true, Some(block), ctx);
+                if let Some(block) = spare.filter(|_| !self.repairing.contains(&key)) {
                     // The fetch needed failover, so the first-line replica
                     // set is incomplete: re-store the block through the
                     // variant's normal put path, as background traffic with
                     // the OpTable's retry/backoff (targeted read-repair).
                     self.repairing.insert(key);
-                    let rop = self.ops.start(OpReq::Put(v), key, true, &self.cfg, ctx);
+                    let rop = self.ops.start(OpReq::Put(block), key, true, &self.cfg, ctx);
                     V::issue_attempt(self, rop, ctx);
                 }
                 true
@@ -587,11 +587,12 @@ impl<V: Variant> DhtEngine<V> {
         &mut self,
         op: u64,
         ok: bool,
-        value: Option<Bytes>,
+        block: Option<Block>,
         ctx: &mut ECtx<'_, V>,
     ) {
         V::attempt_over(self, op);
-        if let Some(f) = self.ops.finish(op, ok, value.clone(), ctx) {
+        let value = block.as_ref().map(|b| b.value().clone());
+        if let Some(f) = self.ops.finish(op, ok, value, ctx) {
             if f.repair {
                 self.repairing.remove(&f.key);
             }
@@ -601,12 +602,12 @@ impl<V: Variant> DhtEngine<V> {
                     // success, deadline, or retry exhaustion alike — so
                     // no waiter is ever lost.
                     for w in self.serving.finish_leader(f.key, op) {
-                        self.finish_op(w, ok, value.clone(), ctx);
+                        self.finish_op(w, ok, block.clone(), ctx);
                     }
                 }
                 if self.cfg.cache_enabled && ok {
-                    if let Some(v) = value {
-                        self.serving.cache_fill(f.key, v, self.cfg.cache_capacity);
+                    if let Some(block) = block {
+                        self.serving.cache_fill(block, self.cfg.cache_capacity);
                     }
                 }
             }
@@ -642,13 +643,14 @@ impl<V: Variant> DhtEngine<V> {
         }
     }
 
-    /// Verifies an externally received block and writes it to the store,
-    /// dropping any cached copy: the block moved underneath the cache.
-    /// Returns false (and stores nothing) if the hash does not match.
-    pub(crate) fn accept_block(&mut self, key: Id, value: &Bytes, ctx: &mut ECtx<'_, V>) -> bool {
-        let ok = verify_block(key, value);
+    /// Verifies a block that arrived under `key` and writes it to the
+    /// store, dropping any cached copy: the block moved underneath the
+    /// cache. Returns false (and stores nothing) if the block's contents do
+    /// not hash to `key`.
+    pub(crate) fn accept_block(&mut self, key: Id, block: &Block, ctx: &mut ECtx<'_, V>) -> bool {
+        let ok = block.verifies(key);
         if ok {
-            self.store.put(key, value.clone());
+            self.store.put(block.clone());
             self.invalidate_cached(key, ctx);
         }
         ok
@@ -671,20 +673,16 @@ impl<V: Variant> DhtEngine<V> {
         peers
     }
 
-    /// Copies `key` to the replica peers (background traffic).
-    pub(crate) fn replicate(&mut self, key: Id, value: &Bytes, ctx: &mut ECtx<'_, V>) {
+    /// Copies `block` to the replica peers (background traffic).
+    pub(crate) fn replicate(&self, block: &Block, ctx: &mut ECtx<'_, V>) {
         for addr in self.replica_peers() {
-            send_background(ctx, addr, DhtMsg::Replicate { key, value: value.clone() });
+            send_replica(ctx, addr, block);
         }
     }
 
-    /// The stored blocks this node anchors.
-    fn anchored_blocks(&self) -> Vec<(Id, Bytes)> {
-        self.store
-            .iter()
-            .filter(|(k, _)| V::anchors(self, **k))
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
+    /// The stored blocks this node anchors, in key order.
+    fn anchored_blocks(&self) -> impl Iterator<Item = &Block> {
+        self.store.iter().filter(|b| V::anchors(self, b.key()))
     }
 
     /// Arms a short-fuse repair round if the overlay neighborhood changed
@@ -721,8 +719,7 @@ impl<V: Variant> DhtEngine<V> {
         self.repair_round += 1;
         let round = self.repair_round;
         let (from, owner) = (V::range_start(self), self.overlay.id());
-        let anchored: Vec<Id> =
-            self.store.iter().map(|(k, _)| *k).filter(|k| V::anchors(self, *k)).collect();
+        let anchored: Vec<Id> = self.anchored_blocks().map(Block::key).collect();
         let targets = self.replica_peers();
         self.probes_outstanding = targets.len();
         for addr in targets {
@@ -768,13 +765,13 @@ impl<V: Variant> DhtEngine<V> {
             if pushed >= self.cfg.repair_batch {
                 break;
             }
-            let Some(value) = self.store.get(key).cloned() else {
+            let Some(block) = self.store.get(key).cloned() else {
                 continue;
             };
             if cross {
-                V::push_cross(self, to, key, value, ctx);
+                V::push_cross(self, to, block, ctx);
             } else {
-                send_background(ctx, to, DhtMsg::Replicate { key, value });
+                send_replica(ctx, to, &block);
             }
             ctx.metrics().count(keys::REPAIR_PUSHED, 1);
             pushed += 1;
@@ -784,8 +781,9 @@ impl<V: Variant> DhtEngine<V> {
 
 impl<V: Variant> DhtNode for DhtEngine<V> {
     fn start_put(&mut self, value: Bytes, ctx: &mut ECtx<'_, V>) -> u64 {
-        let key = block_key(&value);
-        let op = self.ops.start(OpReq::Put(value), key, false, &self.cfg, ctx);
+        let block = Block::new(value);
+        let key = block.key();
+        let op = self.ops.start(OpReq::Put(block), key, false, &self.cfg, ctx);
         V::issue_attempt(self, op, ctx);
         op
     }
@@ -881,8 +879,9 @@ impl<V: Variant> Node for DhtEngine<V> {
             }
             DhtMsg::Store { op, key, value, attempt, repair } => {
                 if self.accept_block(key, &value, ctx) {
-                    self.replicate(key, &value, ctx);
-                    V::stored(self, Stored { op, client: from, key, value, attempt, repair }, ctx);
+                    self.replicate(&value, ctx);
+                    let stored = Stored { op, client: from, block: value, attempt, repair };
+                    V::stored(self, stored, ctx);
                 } else {
                     send_as(ctx, from, DhtMsg::StoreAck { op, ok: false }, repair);
                 }
@@ -891,8 +890,8 @@ impl<V: Variant> Node for DhtEngine<V> {
             DhtMsg::Replicate { key, value } => {
                 if V::REPLICATE_INVALIDATES {
                     self.accept_block(key, &value, ctx);
-                } else if verify_block(key, &value) {
-                    self.store.put(key, value);
+                } else if value.verifies(key) {
+                    self.store.put(value);
                 }
             }
             DhtMsg::RepairProbe { round, from: start, owner, keys: probed, cross } => {
@@ -907,7 +906,7 @@ impl<V: Variant> Node for DhtEngine<V> {
                 } else {
                     self.store
                         .iter()
-                        .map(|(k, _)| *k)
+                        .map(Block::key)
                         .filter(|k| {
                             V::in_probed_range(self, *k, start, owner) && !listed.contains(k)
                         })
@@ -940,9 +939,9 @@ impl<V: Variant> Node for DhtEngine<V> {
             let heir = candidates.get(V::replica_width(&self.cfg)).or(candidates.last()).copied();
             if let Some(heir) = heir {
                 ctx.begin_cause();
-                for (key, value) in self.anchored_blocks() {
+                for block in self.anchored_blocks() {
                     ctx.metrics().count(keys::HANDOFF_BLOCKS, 1);
-                    send_background(ctx, heir, DhtMsg::Replicate { key, value });
+                    send_replica(ctx, heir, block);
                 }
             }
         }
@@ -979,8 +978,11 @@ impl<V: Variant> Node for DhtEngine<V> {
                 // erode the replication level. Only the anchor does this:
                 // if every holder pushed copies to *its own* peers, a block
                 // would creep across the whole ring over time.
-                for (k, v) in self.anchored_blocks() {
-                    self.replicate(k, &v, ctx);
+                let peers = self.replica_peers();
+                for block in self.anchored_blocks() {
+                    for &addr in &peers {
+                        send_replica(ctx, addr, block);
+                    }
                 }
                 ctx.set_timer(self.cfg.data_stabilize_interval, DhtTimer::DataStabilize);
             }
@@ -994,5 +996,110 @@ impl<V: Variant> Node for DhtEngine<V> {
             }
             DhtTimer::Serve { id, key, client } => self.answer_fetch(id, key, client, ctx),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bytes::Bytes;
+
+    use verme_chord::{ChordConfig, Id, NodeHandle, StaticRing};
+    use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
+    use verme_crypto::CertificateAuthority;
+    use verme_sim::runtime::UniformLatency;
+    use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration};
+
+    use super::*;
+    use crate::block::CONTENT_HASHES;
+    use crate::{Dhash, Fast};
+
+    const N: usize = 48;
+    const PUTS: usize = 6;
+    const GETS: usize = 18;
+
+    type Ring<V> = (Runtime<DhtEngine<V>, UniformLatency>, Vec<Addr>);
+
+    fn net() -> UniformLatency {
+        UniformLatency::new(N, SimDuration::from_millis(20))
+    }
+
+    fn dhash_ring(seed: u64) -> Ring<Dhash> {
+        let mut rng = SeedSource::new(seed).stream("ids");
+        let handles = (0..N)
+            .map(|i| NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
+            .collect();
+        let ring = StaticRing::new(handles);
+        let mut rt = Runtime::new(net(), seed);
+        // Spawn in address order so each node gets the address its handle names.
+        let mut order: Vec<usize> = (0..N).collect();
+        order.sort_unstable_by_key(|&i| ring.node(i).addr.raw());
+        let addrs = order
+            .into_iter()
+            .map(|i| {
+                let overlay = ring.build_node(i, ChordConfig::default());
+                let host = HostId(ring.node(i).addr.raw() as usize - 1);
+                let addr = rt.spawn(host, DhtEngine::new(overlay, DhtConfig::default()));
+                assert_eq!(addr, ring.node(i).addr);
+                addr
+            })
+            .collect();
+        (rt, addrs)
+    }
+
+    fn fast_ring(seed: u64) -> Ring<Fast> {
+        let layout = SectionLayout::with_sections(4, 2);
+        let ring = VermeStaticRing::generate(layout, N, seed);
+        let mut ca = CertificateAuthority::new(seed);
+        let mut rt = Runtime::new(net(), seed);
+        let addrs = (0..N)
+            .map(|i| {
+                let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
+                rt.spawn(HostId(i), DhtEngine::new(overlay, DhtConfig::default()))
+            })
+            .collect();
+        (rt, addrs)
+    }
+
+    /// Content hashes computed while `PUTS` blocks are written, fetched
+    /// `GETS` times (no cache, no memo: every get travels) and pushed to
+    /// their replicas by two data-stabilization rounds.
+    fn hashes_of_a_busy_ring<V: Variant>((mut rt, addrs): Ring<V>) -> u64 {
+        rt.run_until(rt.now() + SimDuration::from_secs(1));
+        let before = CONTENT_HASHES.get();
+        for i in 0..PUTS {
+            let value = Bytes::from(vec![i as u8; 2048]);
+            rt.invoke(addrs[i * 5], |n, ctx| n.start_put(value, ctx)).unwrap();
+        }
+        rt.run_until(rt.now() + SimDuration::from_secs(20));
+        let puts: Vec<OpOutcome> =
+            addrs.iter().flat_map(|&a| rt.node_mut(a).unwrap().take_op_outcomes()).collect();
+        assert_eq!(puts.len(), PUTS);
+        assert!(puts.iter().all(|o| o.ok), "every put lands");
+        for g in 0..GETS {
+            let key = puts[g % PUTS].key;
+            rt.invoke(addrs[(7 * g + 3) % N], |n, ctx| n.start_get(key, ctx)).unwrap();
+        }
+        rt.run_until(rt.now() + SimDuration::from_secs(20));
+        let gets: Vec<OpOutcome> =
+            addrs.iter().flat_map(|&a| rt.node_mut(a).unwrap().take_op_outcomes()).collect();
+        assert_eq!(gets.len(), GETS);
+        assert!(gets.iter().all(|o| o.ok && o.value.as_ref().is_some_and(|v| v.len() == 2048)));
+        // Two full stabilization periods: every anchor re-pushes its blocks
+        // to every replica peer at least twice, and each copy is checked.
+        let pushed = rt.metrics().counter(keys::BYTES_REPLICATION);
+        rt.run_until(rt.now() + DhtConfig::default().data_stabilize_interval * 2);
+        let copies = (rt.metrics().counter(keys::BYTES_REPLICATION) - pushed) / 2048;
+        assert!(copies >= 2 * PUTS as u64, "stabilization pushed only {copies} copies");
+        CONTENT_HASHES.get() - before
+    }
+
+    #[test]
+    fn dhash_hashes_each_block_once() {
+        assert_eq!(hashes_of_a_busy_ring(dhash_ring(21)), PUTS as u64);
+    }
+
+    #[test]
+    fn fast_verdi_hashes_each_block_once_cross_copy_included() {
+        assert_eq!(hashes_of_a_busy_ring(fast_ring(22)), PUTS as u64);
     }
 }

@@ -13,13 +13,12 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
-
 use verme_chord::Id;
 use verme_core::VermeNode;
 use verme_sim::Addr;
 
 use crate::api::{DhtConfig, OpKind};
+use crate::block::Block;
 use crate::engine::{DhtEngine, ECtx, Stored, Variant};
 use crate::verme::{self, CrossMsg, CrossPlane, DualPoint};
 
@@ -127,13 +126,7 @@ impl Variant for Fast {
         verme::cross_spot_check(eng, anchored, ctx);
     }
 
-    fn push_cross(
-        eng: &mut FastVerDiNode,
-        to: Addr,
-        key: Id,
-        value: Bytes,
-        ctx: &mut ECtx<'_, Self>,
-    ) {
-        verme::push_cross(eng, to, key, value, ctx);
+    fn push_cross(eng: &mut FastVerDiNode, to: Addr, block: Block, ctx: &mut ECtx<'_, Self>) {
+        verme::push_cross(eng, to, block, ctx);
     }
 }

@@ -394,7 +394,7 @@ mod tests {
 
 use verme_chord::Id;
 
-use crate::block::block_key;
+use crate::block::Block;
 
 /// The root block of a fragmented object, in the style of CFS: it lists
 /// the content keys of the `n` fragments plus the parameters needed to
@@ -479,13 +479,14 @@ pub fn prepare_fragmented(
         let mut blob = Vec::with_capacity(1 + f.payload.len());
         blob.push(f.index);
         blob.extend_from_slice(&f.payload);
-        let blob = Bytes::from(blob);
-        keys.push(block_key(&blob));
-        blobs.push(blob);
+        let blob = Block::new(Bytes::from(blob));
+        keys.push(blob.key());
+        blobs.push(blob.into_value());
     }
-    let manifest = Manifest { k: k as u8, len: data.len() as u64, fragment_keys: keys }.to_bytes();
-    let handle = block_key(&manifest);
-    Ok((blobs, manifest, handle))
+    let manifest = Manifest { k: k as u8, len: data.len() as u64, fragment_keys: keys };
+    let manifest = Block::new(manifest.to_bytes());
+    let handle = manifest.key();
+    Ok((blobs, manifest.into_value(), handle))
 }
 
 /// Reassembles an object from its manifest and any `k` retrieved fragment
@@ -506,6 +507,7 @@ pub fn reassemble(manifest: &Manifest, blobs: &[Bytes]) -> Result<Bytes, CodecEr
 #[cfg(test)]
 mod manifest_tests {
     use super::*;
+    use crate::block::block_key;
 
     #[test]
     fn manifest_round_trips() {

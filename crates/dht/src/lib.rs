@@ -31,7 +31,7 @@ pub mod serving;
 pub mod verme;
 
 pub use api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome};
-pub use block::{block_key, verify_block, BlockStore};
+pub use block::{block_key, verify_block, Block, BlockStore};
 pub use compromise::{Compromise, CompromiseVerDiNode, ObservedClient};
 pub use dhash::{Dhash, DhashNode};
 pub use engine::{DhtEngine, DhtMsg, DhtTimer, Variant};

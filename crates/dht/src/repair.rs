@@ -79,19 +79,19 @@ impl DurabilityCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::block_key;
+    use crate::block::Block;
     use bytes::Bytes;
 
     #[test]
     fn census_counts_lost_and_under_replicated() {
-        let vals: Vec<Bytes> = (0..3u8).map(|i| Bytes::from(vec![i; 8])).collect();
-        let keys: Vec<Id> = vals.iter().map(block_key).collect();
+        let blocks: Vec<Block> = (0..3u8).map(|i| Block::new(Bytes::from(vec![i; 8]))).collect();
+        let keys: Vec<Id> = blocks.iter().map(Block::key).collect();
         let mut a = BlockStore::new();
         let mut b = BlockStore::new();
         // keys[0]: two holders; keys[1]: one holder; keys[2]: lost.
-        a.put(keys[0], vals[0].clone());
-        b.put(keys[0], vals[0].clone());
-        a.put(keys[1], vals[1].clone());
+        a.put(blocks[0].clone());
+        b.put(blocks[0].clone());
+        a.put(blocks[1].clone());
         let census = DurabilityCensus::take(keys.iter().copied(), [&a, &b], 2);
         assert_eq!(census.keys, 3);
         assert_eq!(census.lost, 1);

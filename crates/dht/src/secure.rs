@@ -15,13 +15,12 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
-
 use verme_chord::Id;
 use verme_core::{Payload, VermeNode};
 use verme_sim::Addr;
 
 use crate::api::{keys, DhtConfig, OpReq, PendingOp};
+use crate::block::Block;
 use crate::engine::{DataReply, DhtEngine, ECtx, NoExt, Variant};
 use crate::verme;
 
@@ -38,13 +37,14 @@ pub enum SecurePayload {
     PutReq {
         /// Block key.
         key: Id,
-        /// Block contents (travels the whole lookup path).
-        value: Bytes,
+        /// The block (travels the whole lookup path); the responsible node
+        /// checks it against `key`.
+        value: Block,
     },
     /// Reverse path: the block (travels the whole reverse path, sealed).
     GetResp {
         /// The block, if stored.
-        value: Option<Bytes>,
+        value: Option<Block>,
     },
     /// Reverse path: store acknowledgment.
     PutResp {
@@ -105,7 +105,7 @@ pub type SecureVerDiNode = DhtEngine<Secure>;
 fn payload_of(p: &PendingOp) -> SecurePayload {
     match &p.req {
         OpReq::Get => SecurePayload::GetReq { key: p.key },
-        OpReq::Put(value) => SecurePayload::PutReq { key: p.key, value: value.clone() },
+        OpReq::Put(block) => SecurePayload::PutReq { key: p.key, value: block.clone() },
     }
 }
 
@@ -227,7 +227,7 @@ impl Variant for Secure {
                 SecurePayload::PutReq { key, value } => {
                     let ok = eng.accept_block(key, &value, ctx);
                     if ok {
-                        eng.replicate(key, &value, ctx);
+                        eng.replicate(&value, ctx);
                     }
                     ok
                 }
@@ -280,7 +280,7 @@ impl Variant for Secure {
     fn answer_piggybacked(
         eng: &mut SecureVerDiNode,
         lid: u64,
-        value: Option<Bytes>,
+        value: Option<Block>,
         ctx: &mut ECtx<'_, Self>,
     ) {
         // send_answer returns false if the relay state already expired;

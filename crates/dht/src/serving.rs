@@ -18,16 +18,17 @@
 
 use std::collections::BTreeMap;
 
-use bytes::Bytes;
 use verme_chord::Id;
 use verme_sim::{Addr, SimDuration, SimTime};
+
+use crate::block::Block;
 
 /// Per-node serving state: cache, coalescing ledger, lookup memo, and the
 /// fetch service queue. See the module docs for the coherence model.
 #[derive(Default)]
 pub struct ServingPlane {
-    /// Hot-block cache: key → (value, last-access sequence number).
-    cache: BTreeMap<Id, (Bytes, u64)>,
+    /// Hot-block cache: key → (block, last-access sequence number).
+    cache: BTreeMap<Id, (Block, u64)>,
     /// Monotone access counter backing least-recently-used eviction.
     access_seq: u64,
     /// Coalescing: key → op id of the in-flight leader get.
@@ -49,23 +50,23 @@ impl ServingPlane {
     // --- hot-block cache ------------------------------------------------
 
     /// Looks up `key`, bumping its recency on a hit.
-    pub fn cache_lookup(&mut self, key: Id) -> Option<Bytes> {
+    pub fn cache_lookup(&mut self, key: Id) -> Option<Block> {
         self.access_seq += 1;
         let seq = self.access_seq;
-        self.cache.get_mut(&key).map(|(value, last)| {
+        self.cache.get_mut(&key).map(|(block, last)| {
             *last = seq;
-            value.clone()
+            block.clone()
         })
     }
 
-    /// Inserts `key → value`, evicting the least-recently-used entry if
-    /// the cache would exceed `capacity`.
-    pub fn cache_fill(&mut self, key: Id, value: Bytes, capacity: usize) {
+    /// Inserts `block` under its content key, evicting the
+    /// least-recently-used entry if the cache would exceed `capacity`.
+    pub fn cache_fill(&mut self, block: Block, capacity: usize) {
         if capacity == 0 {
             return;
         }
         self.access_seq += 1;
-        self.cache.insert(key, (value, self.access_seq));
+        self.cache.insert(block.key(), (block, self.access_seq));
         while self.cache.len() > capacity {
             // BTreeMap has no order by recency; scan for the minimum
             // sequence. Capacities are small (hot blocks), so O(n) per
@@ -170,31 +171,32 @@ mod tests {
         Id::new(n as u128)
     }
 
-    fn val(n: u8) -> Bytes {
-        Bytes::from(vec![n; 4])
+    fn val(n: u8) -> Block {
+        Block::new(bytes::Bytes::from(vec![n; 4]))
     }
 
     #[test]
     fn cache_lru_evicts_coldest() {
         let mut plane = ServingPlane::new();
-        plane.cache_fill(id(1), val(1), 2);
-        plane.cache_fill(id(2), val(2), 2);
-        // Touch key 1 so key 2 is now the coldest.
-        assert_eq!(plane.cache_lookup(id(1)), Some(val(1)));
-        plane.cache_fill(id(3), val(3), 2);
+        plane.cache_fill(val(1), 2);
+        plane.cache_fill(val(2), 2);
+        // Touch block 1 so block 2 is now the coldest.
+        assert_eq!(plane.cache_lookup(val(1).key()), Some(val(1)));
+        plane.cache_fill(val(3), 2);
         assert_eq!(plane.cache_len(), 2);
-        assert_eq!(plane.cache_lookup(id(2)), None, "LRU entry should be gone");
-        assert_eq!(plane.cache_lookup(id(1)), Some(val(1)));
-        assert_eq!(plane.cache_lookup(id(3)), Some(val(3)));
+        assert_eq!(plane.cache_lookup(val(2).key()), None, "LRU entry should be gone");
+        assert_eq!(plane.cache_lookup(val(1).key()), Some(val(1)));
+        assert_eq!(plane.cache_lookup(val(3).key()), Some(val(3)));
     }
 
     #[test]
     fn cache_invalidate_reports_presence() {
         let mut plane = ServingPlane::new();
-        plane.cache_fill(id(7), val(7), 8);
-        assert!(plane.cache_invalidate(id(7)));
-        assert!(!plane.cache_invalidate(id(7)), "second drop must report absence");
-        assert_eq!(plane.cache_lookup(id(7)), None);
+        let key = val(7).key();
+        plane.cache_fill(val(7), 8);
+        assert!(plane.cache_invalidate(key));
+        assert!(!plane.cache_invalidate(key), "second drop must report absence");
+        assert_eq!(plane.cache_lookup(key), None);
     }
 
     #[test]

@@ -5,12 +5,11 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
-
 use verme_chord::{Id, NodeHandle};
 use verme_core::{Payload, VermeAnswer, VermeNode};
 use verme_sim::{Addr, Scope, Wire};
 
+use crate::block::Block;
 use crate::engine::{
     send_as, send_background, DhtEngine, DhtMsg, ECtx, ExtMsg, Overlay, Stored, Variant, HDR,
 };
@@ -109,8 +108,8 @@ pub enum CrossMsg {
         xid: u64,
         /// Block key.
         key: Id,
-        /// Block contents.
-        value: Bytes,
+        /// The block; the receiver checks it against `key`.
+        value: Block,
         /// True when part of a read-repair write or sent by the repair
         /// plane (ack charged to replication).
         repair: bool,
@@ -174,7 +173,7 @@ fn cross_msg<V: DualPoint>(msg: CrossMsg) -> DhtMsg<V> {
 /// client, copy the block to the responsible node of the opposite-type
 /// replica point.
 pub(crate) fn cross_copy<V: DualPoint>(eng: &mut DhtEngine<V>, s: Stored, ctx: &mut ECtx<'_, V>) {
-    let pair = paired_point(&eng.overlay, s.key);
+    let pair = paired_point(&eng.overlay, s.block.key());
     let lid = eng.with_overlay(ctx, |overlay, ictx| overlay.start_replica_lookup(pair, None, ictx));
     eng.variant.cross().lookups.insert(lid, s);
     V::drain_overlay(eng, ctx);
@@ -202,7 +201,7 @@ pub(crate) fn cross_outcome<V: DualPoint>(
         let xid = cross.next_xid;
         cross.next_xid += 1;
         cross.waiting.insert(xid, (s.op, s.client, s.repair));
-        let msg = CrossMsg::CrossCopy { xid, key: s.key, value: s.value, repair: s.repair };
+        let msg = CrossMsg::CrossCopy { xid, key: s.block.key(), value: s.block, repair: s.repair };
         send_as(ctx, target.addr, cross_msg(msg), s.repair);
     } else if let Some(keys) = eng.variant.cross().repair_lookups.remove(&lid) {
         // Probe the paired anchor with the keys whose opposite-type
@@ -229,7 +228,7 @@ pub(crate) fn on_cross_msg<V: DualPoint>(
         CrossMsg::CrossCopy { xid, key, value, repair } => {
             let ok = eng.accept_block(key, &value, ctx);
             if ok {
-                eng.replicate(key, &value, ctx);
+                eng.replicate(&value, ctx);
             }
             send_as(ctx, from, cross_msg(CrossMsg::CrossCopyAck { xid, ok }), repair);
         }
@@ -273,12 +272,12 @@ pub(crate) fn cross_spot_check<V: DualPoint>(
 pub(crate) fn push_cross<V: DualPoint>(
     eng: &mut DhtEngine<V>,
     to: Addr,
-    key: Id,
-    value: Bytes,
+    block: Block,
     ctx: &mut ECtx<'_, V>,
 ) {
     let cross = eng.variant.cross();
     let xid = cross.next_xid;
     cross.next_xid += 1;
-    send_background(ctx, to, cross_msg(CrossMsg::CrossCopy { xid, key, value, repair: true }));
+    let msg = CrossMsg::CrossCopy { xid, key: block.key(), value: block, repair: true };
+    send_background(ctx, to, cross_msg(msg));
 }

@@ -2,8 +2,10 @@
 //! every receive path (paper §5.1: a malicious replica cannot substitute
 //! data).
 //!
-//! Each case hand-delivers one message whose payload was built from
-//! *other* bytes than the key names, straight into a node's handler, and
+//! A sender cannot attach a key of its choice to bytes of its choice: the
+//! payload type is [`Block`], whose only constructor hashes what it is
+//! given. So a forgery is a block built from other bytes than the key
+//! names. Each case hand-delivers one such message into a node's handler and
 //! checks what the node did: nothing stored, nothing forwarded, the
 //! sender told no, the cache left alone. Each case also delivers the
 //! genuine block the same way, so "nothing happened" cannot pass by
@@ -17,8 +19,8 @@ use verme_core::{Payload, VermeNode};
 use verme_dht::compromise::CompExt;
 use verme_dht::verme::CrossMsg;
 use verme_dht::{
-    block_key, keys, Compromise, Dhash, DhtConfig, DhtEngine, DhtMsg, DhtNode, DhtTimer, Fast,
-    Secure, SecurePayload, Variant,
+    block_key, keys, Block, Compromise, Dhash, DhtConfig, DhtEngine, DhtMsg, DhtNode, DhtTimer,
+    Fast, Secure, SecurePayload, Variant,
 };
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Node, Runtime, SimDuration, SimTime};
@@ -41,8 +43,8 @@ fn substituted() -> Bytes {
 }
 
 /// The payload a message carries for `value`.
-fn carried(value: Bytes) -> Bytes {
-    value
+fn carried(value: Bytes) -> Block {
+    Block::new(value)
 }
 
 fn settle<N: Node>(rt: &mut Rt<N>) {

@@ -18,13 +18,13 @@ use verme_crypto::{Certificate, CertificateAuthority, NodeType, SignedStatement}
 use verme_dht::api::OpReq;
 use verme_dht::compromise::{CompExt, RelayRequest};
 use verme_dht::verme::CrossMsg;
-use verme_dht::{Compromise, Dhash, DhtMsg, Fast, Secure, SecurePayload, Variant};
+use verme_dht::{Block, Compromise, Dhash, DhtMsg, Fast, Secure, SecurePayload, Variant};
 use verme_sim::{Addr, Wire};
 
 const LEN: usize = 8192;
 
-fn block() -> Bytes {
-    Bytes::from(vec![0u8; LEN])
+fn block() -> Block {
+    Block::new(Bytes::from(vec![0u8; LEN]))
 }
 
 fn ids(n: usize) -> Vec<Id> {

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use verme::chord::{Id, NeighborList, NodeHandle};
 use verme::core::{SectionLayout, VermeStaticRing};
 use verme::crypto::{CertificateAuthority, NodeType, Sealed};
-use verme::dht::{block_key, verify_block};
+use verme::dht::{block_key, verify_block, Block};
 use verme::sim::Addr;
 
 proptest! {
@@ -197,6 +197,21 @@ proptest! {
         if a != b {
             prop_assert!(!verify_block(ka, &bb));
         }
+    }
+
+    #[test]
+    fn block_agrees_with_the_free_functions(v in prop::collection::vec(any::<u8>(), 0..64),
+                                            other in prop::collection::vec(any::<u8>(), 0..64)) {
+        let (v, other) = (bytes::Bytes::from(v), bytes::Bytes::from(other));
+        let block = Block::new(v.clone());
+        prop_assert_eq!(block.key(), block_key(&v));
+        // Against its own key and against a key it was not built from.
+        for k in [block_key(&v), block_key(&other)] {
+            prop_assert_eq!(block.verifies(k), verify_block(k, &v));
+        }
+        prop_assert_eq!(&block.clone(), &block);
+        prop_assert_eq!(block.len(), v.len());
+        prop_assert_eq!(block.into_value(), v);
     }
 }
 
