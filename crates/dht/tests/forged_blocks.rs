@@ -42,11 +42,6 @@ fn substituted() -> Bytes {
     Bytes::from(vec![9u8; 1024])
 }
 
-/// The payload a message carries for `value`.
-fn carried(value: Bytes) -> Block {
-    Block::new(value)
-}
-
 fn settle<N: Node>(rt: &mut Rt<N>) {
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
 }
@@ -60,10 +55,22 @@ fn deliver<N: Node>(rt: &mut Rt<N>, to: Addr, from: Addr, msg: N::Msg) {
     rt.invoke(to, |n, ctx| n.on_message(from, msg, ctx)).expect("target is alive");
 }
 
-/// Messages and bytes handed to the network, and background bytes, so far.
-fn traffic<N: Node>(rt: &Rt<N>) -> (u64, u64, u64) {
+/// What has been handed to the network so far.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Traffic {
+    msgs: u64,
+    bytes: u64,
+    /// The share of `bytes` charged to replication and repair.
+    background: u64,
+}
+
+fn traffic<N: Node>(rt: &Rt<N>) -> Traffic {
     let s = rt.stats();
-    (s.messages_sent, s.bytes_sent, rt.metrics().counter(keys::BYTES_REPLICATION))
+    Traffic {
+        msgs: s.messages_sent,
+        bytes: s.bytes_sent,
+        background: rt.metrics().counter(keys::BYTES_REPLICATION),
+    }
 }
 
 fn put_ok<N: DhtNode>(rt: &mut Rt<N>, who: Addr, value: Bytes) -> Id {
@@ -111,13 +118,13 @@ fn substituted_store_is_nacked_and_leaves_no_trace() {
     let op = rt.invoke(client, |n, ctx| n.start_put(genuine(), ctx)).unwrap();
     let before = traffic(&rt);
     let forged =
-        DhtMsg::Store { op, key, value: carried(substituted()), attempt: 0, repair: false };
+        DhtMsg::Store { op, key, value: Block::new(substituted()), attempt: 0, repair: false };
     deliver(&mut rt, target, client, forged);
     let after = traffic(&rt);
     // One message left the target — the ack — and no replica copy did.
-    assert_eq!(after.0 - before.0, 1);
-    assert_eq!(after.1 - before.1, (HDR + 9) as u64);
-    assert_eq!(after.2, before.2, "a refused store must not be replicated");
+    assert_eq!(after.msgs - before.msgs, 1);
+    assert_eq!(after.bytes - before.bytes, (HDR + 9) as u64);
+    assert_eq!(after.background, before.background, "a refused store must not be replicated");
     assert!(!rt.node(target).unwrap().store().contains(key));
     assert_eq!(rt.node(target).unwrap().stored_blocks(), 0);
     assert_eq!(rt.metrics().counter(keys::CACHE_INVALIDATIONS), 0);
@@ -134,10 +141,10 @@ fn substituted_store_is_nacked_and_leaves_no_trace() {
     // replicated and drops it.
     let before = traffic(&rt);
     let honest =
-        DhtMsg::Store { op: 99, key, value: carried(genuine()), attempt: 0, repair: false };
+        DhtMsg::Store { op: 99, key, value: Block::new(genuine()), attempt: 0, repair: false };
     deliver(&mut rt, target, client, honest);
     assert!(rt.node(target).unwrap().store().contains(key));
-    assert!(traffic(&rt).2 > before.2);
+    assert!(traffic(&rt).background > before.background);
     assert_eq!(rt.metrics().counter(keys::CACHE_INVALIDATIONS), 1);
 }
 
@@ -147,10 +154,10 @@ fn replicate_case<V: Variant>((mut rt, addrs): Ring<DhtEngine<V>>) {
     let key = block_key(&genuine());
     let (target, peer) = (addrs[5], addrs[6]);
     let before = traffic(&rt);
-    deliver(&mut rt, target, peer, DhtMsg::Replicate { key, value: carried(substituted()) });
+    deliver(&mut rt, target, peer, DhtMsg::Replicate { key, value: Block::new(substituted()) });
     assert_eq!(traffic(&rt), before);
     assert_eq!(rt.node(target).unwrap().stored_blocks(), 0);
-    deliver(&mut rt, target, peer, DhtMsg::Replicate { key, value: carried(genuine()) });
+    deliver(&mut rt, target, peer, DhtMsg::Replicate { key, value: Block::new(genuine()) });
     assert!(rt.node(target).unwrap().store().contains(key));
 }
 
@@ -168,7 +175,7 @@ fn fetch_reply_case(hop_suspicion: bool) {
     let key = put_ok(&mut rt, addrs[2], genuine());
     let (client, liar) = (addrs[40], addrs[41]);
     let op = rt.invoke(client, |n, ctx| n.start_get(key, ctx)).unwrap();
-    let reply = DhtMsg::FetchReply { op, value: Some(carried(substituted())) };
+    let reply = DhtMsg::FetchReply { op, value: Some(Block::new(substituted())) };
     deliver(&mut rt, client, liar, reply);
     // The attempt failed and a retry is scheduled; nothing completed.
     assert_eq!(rt.metrics().counter(keys::OP_RETRIES), 1);
@@ -212,18 +219,22 @@ where
     let at = with_section_successor(&rt, &addrs);
     let (target, peer) = (addrs[at], addrs[(at + N / 2) % N]);
     let before = traffic(&rt);
-    let forged = CrossMsg::CrossCopy { xid: 1, key, value: carried(substituted()), repair: false };
+    let forged =
+        CrossMsg::CrossCopy { xid: 1, key, value: Block::new(substituted()), repair: false };
     deliver(&mut rt, target, peer, DhtMsg::Ext(wrap(forged)));
     let after = traffic(&rt);
-    assert_eq!(after.0 - before.0, 1, "only the ack leaves");
-    assert_eq!(after.1 - before.1, (HDR + 9) as u64);
-    assert_eq!(after.2, before.2, "a refused copy must not be replicated");
+    assert_eq!(after.msgs - before.msgs, 1, "only the ack leaves");
+    assert_eq!(after.bytes - before.bytes, (HDR + 9) as u64);
+    assert_eq!(after.background, before.background, "a refused copy must not be replicated");
     assert_eq!(rt.node(target).unwrap().stored_blocks(), 0);
 
-    let honest = CrossMsg::CrossCopy { xid: 2, key, value: carried(genuine()), repair: false };
+    let honest = CrossMsg::CrossCopy { xid: 2, key, value: Block::new(genuine()), repair: false };
     deliver(&mut rt, target, peer, DhtMsg::Ext(wrap(honest)));
     assert!(rt.node(target).unwrap().store().contains(key));
-    assert!(traffic(&rt).2 > after.2, "an accepted copy is replicated in-section");
+    assert!(
+        traffic(&rt).background > after.background,
+        "an accepted copy is replicated in-section"
+    );
 }
 
 #[test]
@@ -252,14 +263,14 @@ fn substituted_piggybacked_put_is_refused() {
     let (mut rt, addrs) = common::spawn_verdi::<Secure, _>(N, 15, &DhtConfig::default());
     settle(&mut rt);
     let key = block_key(&genuine());
-    let forged = SecurePayload::PutReq { key, value: carried(substituted()) };
+    let forged = SecurePayload::PutReq { key, value: Block::new(substituted()) };
     piggyback(&mut rt, addrs[4], key, forged);
     run_for(&mut rt, SimDuration::from_secs(10));
     assert_eq!(holders(&rt, key), 0);
     assert!(addrs.iter().all(|&a| rt.node(a).unwrap().stored_blocks() == 0));
     assert_eq!(rt.metrics().counter(keys::BYTES_REPLICATION), 0);
 
-    let honest = SecurePayload::PutReq { key, value: carried(genuine()) };
+    let honest = SecurePayload::PutReq { key, value: Block::new(genuine()) };
     piggyback(&mut rt, addrs[4], key, honest);
     run_for(&mut rt, SimDuration::from_secs(10));
     assert!(holders(&rt, key) >= 1, "the same path stores the genuine block");
@@ -288,12 +299,12 @@ fn relay_forwards_none_for_a_substituted_fetch_answer() {
     run_for(&mut rt, HOP + HOP / 4);
     let job = rt.node(relay).unwrap().observed_clients().len() as u64 - 1;
     let before = traffic(&rt);
-    let reply = DhtMsg::FetchReply { op: job, value: Some(carried(substituted())) };
+    let reply = DhtMsg::FetchReply { op: job, value: Some(Block::new(substituted())) };
     deliver(&mut rt, relay, addrs[0], reply);
     let after = traffic(&rt);
     // The relay's reply to the client carries no block.
-    assert_eq!(after.0 - before.0, 1);
-    assert_eq!(after.1 - before.1, (HDR + 8 + 1) as u64);
+    assert_eq!(after.msgs - before.msgs, 1);
+    assert_eq!(after.bytes - before.bytes, (HDR + 8 + 1) as u64);
     // The client sees a missing block: suspected hijack, retry.
     run_for(&mut rt, HOP);
     assert_eq!(rt.metrics().counter(keys::LOOKUPS_HIJACKED), 1);
