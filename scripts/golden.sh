@@ -1,26 +1,34 @@
 #!/usr/bin/env bash
 # Byte-identity proof for refactors: runs the quick, deterministic binaries
-# that touch the DHT, the static rings or the worm scenarios and compares
-# the SHA-256 of each one's stdout with results/golden_quick.sha256. A
+# that touch the DHT, the static rings, the worm scenarios or the bare
+# overlay nodes (churn, Legacy maintenance, transitive mode, model checker,
+# chaos search) and compares the SHA-256 of each one's stdout with
+# results/golden_quick.sha256. A
 # behaviour-preserving change leaves every hash equal; a change that means
 # to alter protocol output regenerates the file with
 # `scripts/golden.sh --update` and says so in its description.
-# Run from anywhere; takes under a minute after the release build.
+# Run from anywhere; takes about 70 s after the release build.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 golden="$root/results/golden_quick.sha256"
 bins=(fig6_dht_latency fig7_dht_bandwidth extG_churn_resilience extI_durability
       extK_adversary extL_load durability_check workload_check adversary_check
       fig8_worm_propagation ablation_finger_shift extC_type_imbalance extD_guardians
-      extE_unstructured extF_sybil extH_detection_latency)
+      extE_unstructured extF_sybil extH_detection_latency
+      fig5_lookup_latency extA_lookup_failure extB_maintenance_bw extM_ring_safety
+      ring_check chaos_check extO_chaos)
 
 cd "$root"
 cargo build --release --offline --quiet -p verme-bench \
     $(printf -- '--bin %s ' "${bins[@]}")
 target="${CARGO_TARGET_DIR:-$root/target}"
 
-# BENCH_*.json side files carry wall-clock numbers; keep them out of the tree.
-side="$(mktemp -d)"
+# BENCH_*.json side files carry wall-clock numbers; keep them out of the
+# tracked tree. extO_chaos prints the path of every repro it writes there,
+# so the directory is a fixed name relative to the root, not a mktemp one.
+side="target/golden-side"
+rm -rf "$side"
+mkdir -p "$side"
 trap 'rm -rf "$side"' EXIT
 export VERME_BENCH_DIR="$side"
 
