@@ -16,7 +16,7 @@
 use bytes::Bytes;
 use rand::Rng;
 
-use verme_chord::{ChordConfig, ChordNode, Id, NodeHandle, StaticRing};
+use verme_chord::{ring_converged, ChordConfig, ChordNode, Id, NodeHandle, StaticRing};
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::{CertificateAuthority, NodeType};
 use verme_dht::{DhashNode, DhtConfig, DhtNode, FastVerDiNode};
@@ -220,12 +220,7 @@ fn run_dhash_cell(
             Some(rt.spawn(HostId(0), node))
         }),
         select_victims: Box::new(arc_selector(addrs.clone())),
-        ring_converged: Box::new(|rt| {
-            rt.alive_addrs().all(|a| {
-                let o = rt.node(a).expect("alive").overlay();
-                !o.is_joined() || o.successor_list().first().is_some_and(|s| rt.is_alive(s.addr))
-            })
-        }),
+        ring_converged: Box::new(ring_converged),
         corrupt: Box::new(|_, _, _| {}),
         restart: Box::new(|_, _, _, _, _| None),
     };
@@ -268,12 +263,7 @@ fn run_fast_cell(
             Some(rt.spawn(HostId(0), FastVerDiNode::new(overlay, join_cfg.clone())))
         }),
         select_victims: Box::new(arc_selector(addrs.clone())),
-        ring_converged: Box::new(|rt| {
-            rt.alive_addrs().all(|a| {
-                let o = rt.node(a).expect("alive").overlay();
-                !o.is_joined() || o.successor_list().first().is_some_and(|s| rt.is_alive(s.addr))
-            })
-        }),
+        ring_converged: Box::new(ring_converged),
         corrupt: Box::new(|_, _, _| {}),
         restart: Box::new(|_, _, _, _, _| None),
     };

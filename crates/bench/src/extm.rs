@@ -25,7 +25,8 @@
 use rand::Rng;
 
 use verme_chord::{
-    check_ring, ChordConfig, ChordNode, Id, MaintenanceMode, NodeHandle, RingStance, StaticRing,
+    check_ring, ring_converged, ChordConfig, ChordNode, Id, MaintenanceMode, NodeHandle,
+    RingStance, StaticRing,
 };
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::{CertificateAuthority, NodeType};
@@ -314,12 +315,7 @@ fn run_chord_cell(
             Some(rt.spawn(HostId(0), ChordNode::joining(id, join_cfg.clone(), bootstrap)))
         }),
         select_victims: Box::new(span_selector(addrs.clone())),
-        ring_converged: Box::new(|rt| {
-            rt.alive_addrs().all(|a| {
-                let n = rt.node(a).expect("alive");
-                !n.is_joined() || n.successor_list().first().is_some_and(|s| rt.is_alive(s.addr))
-            })
-        }),
+        ring_converged: Box::new(ring_converged),
         corrupt: Box::new(|_, _, _| {}),
         restart: Box::new(|_, _, _, _, _| None),
     };
@@ -378,12 +374,7 @@ fn run_verme_cell(
             ))
         }),
         select_victims: Box::new(span_selector(addrs.clone())),
-        ring_converged: Box::new(|rt| {
-            rt.alive_addrs().all(|a| {
-                let n = rt.node(a).expect("alive");
-                !n.is_joined() || n.successor_list().first().is_some_and(|s| rt.is_alive(s.addr))
-            })
-        }),
+        ring_converged: Box::new(ring_converged),
         corrupt: Box::new(|_, _, _| {}),
         restart: Box::new(|_, _, _, _, _| None),
     };

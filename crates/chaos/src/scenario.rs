@@ -12,7 +12,8 @@ use bytes::Bytes;
 use rand::Rng;
 
 use verme_chord::{
-    check_ring, ChordConfig, ChordNode, Id, MaintenanceMode, NodeHandle, RingStance, StaticRing,
+    check_ring, ring_converged, ChordConfig, ChordNode, Id, MaintenanceMode, NodeHandle,
+    RingStance, StaticRing,
 };
 use verme_dht::{block_key, DhashNode, DhtConfig, DhtNode, DurabilityCensus};
 use verme_obs::ring as ring_keys;
@@ -226,12 +227,7 @@ fn run_ring(
             Some(rt.spawn(HostId(0), ChordNode::joining(id, join_cfg.clone(), bootstrap)))
         }),
         select_victims: Box::new(span_selector(addrs.clone())),
-        ring_converged: Box::new(|rt| {
-            rt.alive_addrs().all(|a| {
-                let n = rt.node(a).expect("alive");
-                !n.is_joined() || n.successor_list().first().is_some_and(|s| rt.is_alive(s.addr))
-            })
-        }),
+        ring_converged: Box::new(ring_converged),
         corrupt: Box::new(|_, _, _| {}),
         // The same identifier comes back: with its ring pointers under
         // Persisted recovery (the stale-state re-admit path), or through
@@ -416,12 +412,7 @@ fn run_durability(
             Some(rt.spawn(HostId(0), node))
         }),
         select_victims: Box::new(span_selector(addrs.clone())),
-        ring_converged: Box::new(|rt| {
-            rt.alive_addrs().all(|a| {
-                let o = rt.node(a).expect("alive").overlay();
-                !o.is_joined() || o.successor_list().first().is_some_and(|s| rt.is_alive(s.addr))
-            })
-        }),
+        ring_converged: Box::new(ring_converged),
         corrupt: Box::new(|_, _, _| {}),
         // A restarted storage node always comes back with an empty block
         // store — under Persisted recovery it keeps its ring pointers,

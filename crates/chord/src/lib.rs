@@ -7,18 +7,23 @@
 //! modes — iterative, recursive, and transitive (recursive forward path,
 //! direct reply).
 //!
-//! The module layout separates pure data structures from the protocol:
+//! The module layout separates pure data structures from the protocol,
+//! and the ring half of the protocol from the lookup half:
 //!
-//! * [`id`] — circular identifier arithmetic ([`Id`]).
-//! * [`ring`] — successor/predecessor lists and finger tables.
-//! * [`proto`] — wire messages, modes, configuration.
-//! * [`node`] — the [`ChordNode`] state machine.
-//! * [`maintain`] — Zave-corrected maintenance rules, the inductive ring
-//!   invariant, and the small-ring model checker.
-//! * [`static_ring`] — instant construction of converged rings.
+//! | module | holds |
+//! |---|---|
+//! | [`id`] | circular identifier arithmetic ([`Id`]) |
+//! | [`ring`] | successor/predecessor lists and finger tables |
+//! | [`ring_core`] | [`RingCore`]: the routing state and every ring-maintenance rule (stabilize, notify, reseed, join completion, advert vetting, reroute choice) that Chord and Verme share, written once; [`RingNode`] and [`ring_converged`] |
+//! | [`behaviour`] | honest and Byzantine routing policies |
+//! | [`proto`] | Chord's wire messages, lookup modes, configuration |
+//! | [`node`] | [`ChordNode`]: a [`RingCore`] plus what only Chord has — the single predecessor with its ping and rectify probe, and lookups in three modes |
+//! | [`maintain`] | [`MaintenanceMode`], Zave's rectify rule, the inductive ring invariant, and the small-ring model checker |
+//! | [`static_ring`] | instant construction of converged rings |
 //!
-//! The Verme overlay in `verme-core` reuses [`id`] and [`ring`] and mirrors
-//! the [`node`] structure with its type-aware modifications.
+//! The Verme overlay in `verme-core` reuses [`id`] and [`ring`] and embeds
+//! the same [`RingCore`]; its node keeps only what paper §4.3–4.5 and §5.2
+//! change.
 
 pub mod behaviour;
 pub mod id;
@@ -26,6 +31,7 @@ pub mod maintain;
 pub mod node;
 pub mod proto;
 pub mod ring;
+pub mod ring_core;
 pub mod static_ring;
 
 pub use behaviour::{Behaviour, Byzantine, ByzantineConfig, Honest, RouteAction};
@@ -37,4 +43,5 @@ pub use maintain::{
 pub use node::{keys, ChordNode, NodeHealth};
 pub use proto::{ChordConfig, ChordMsg, ChordTimer, IterStep, LookupId, LookupMode, LookupResult};
 pub use ring::{closest_preceding_hop, FingerTable, NeighborList, NodeHandle};
+pub use ring_core::{rebuild_list, ring_converged, RingCore, RingNode};
 pub use static_ring::StaticRing;

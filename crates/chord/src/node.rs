@@ -1,24 +1,24 @@
 //! The Chord node state machine.
 //!
-//! Implements joins, successor-list stabilization, predecessor liveness,
-//! finger maintenance, and lookups in all three traversal modes
-//! ([`LookupMode`]), with per-hop failure detection and rerouting ("every
-//! time a node tried to contact a node that had failed it chose another
-//! neighbor", paper §7.1.2).
+//! A [`RingCore`] — the routing state and ring-maintenance rules shared
+//! with Verme — plus what only Chord has: the single predecessor pointer
+//! with its liveness ping and rectify probe, and lookups in all three
+//! traversal modes ([`LookupMode`]), with per-hop failure detection and
+//! rerouting ("every time a node tried to contact a node that had failed
+//! it chose another neighbor", paper §7.1.2).
 
 use std::collections::HashMap;
 
-use rand::Rng;
-
 use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration, SimTime};
 
-use crate::behaviour::{Behaviour, Honest, RouteAction};
+use crate::behaviour::{Behaviour, RouteAction};
 use crate::id::Id;
-use crate::maintain::{rectify_decision, MaintenanceMode, RectifyDecision, RingStance};
+use crate::maintain::{MaintenanceMode, RectifyDecision, RingStance};
 use crate::proto::{
     ChordConfig, ChordMsg, ChordTimer, IterStep, LookupId, LookupMode, LookupResult,
 };
-use crate::ring::{closest_preceding_hop, FingerTable, NeighborList, NodeHandle};
+use crate::ring::{FingerTable, NodeHandle};
+use crate::ring_core::{send_counted, take_waiting, RingCore, RingNode};
 
 /// Metric keys recorded by overlay nodes into the run's
 /// [`MetricsSink`](verme_sim::MetricsSink).
@@ -191,32 +191,22 @@ impl NodeHealth {
 /// run's metrics sink under the [`keys`] namespace.
 pub struct ChordNode {
     cfg: ChordConfig,
-    id: Id,
-    me: NodeHandle,
+    ring: RingCore,
     predecessor: Option<NodeHandle>,
-    successors: NeighborList,
-    fingers: FingerTable,
-    bootstrap: Option<Addr>,
-    joined: bool,
     next_seq: u64,
-    next_token: u64,
     pending: HashMap<u64, PendingLookup>,
     forwards: HashMap<LookupId, ForwardState>,
-    stab_waiting: Option<(u64, NodeHandle)>,
     pred_waiting: Option<u64>,
     /// In-flight rectify probe: the incumbent predecessor is being pinged
     /// with this token; adopt the candidate on timeout (corrected mode).
     rectify_waiting: Option<(u64, NodeHandle)>,
-    /// True once the successor list has ever held an entry — separates a
-    /// bootstrap singleton (may seed its list from a notify) from a node
-    /// whose list was emptied by failures (must only reseed *forward*).
-    ever_had_successor: bool,
     outcomes: Vec<LookupOutcome>,
-    neighbor_epoch: u64,
-    /// Routing policy. [`Honest`] by default; every consultation is gated
-    /// on [`Behaviour::is_byzantine`], so the default draws no randomness
-    /// and changes no message flow.
-    behaviour: Box<dyn Behaviour>,
+}
+
+impl RingNode for ChordNode {
+    fn ring(&self) -> &RingCore {
+        &self.ring
+    }
 }
 
 impl ChordNode {
@@ -229,27 +219,16 @@ impl ChordNode {
         if let Err(e) = cfg.validate() {
             panic!("invalid Chord config: {e}");
         }
-        let successors = NeighborList::successors(id, cfg.num_successors);
         ChordNode {
-            fingers: FingerTable::new(id),
-            successors,
+            ring: RingCore::new(id, cfg.num_successors),
             cfg,
-            id,
-            me: NodeHandle::new(id, Addr::NULL),
             predecessor: None,
-            bootstrap: None,
-            joined: true,
             next_seq: 0,
-            next_token: 0,
             pending: HashMap::new(),
             forwards: HashMap::new(),
-            stab_waiting: None,
             pred_waiting: None,
             rectify_waiting: None,
-            ever_had_successor: false,
             outcomes: Vec::new(),
-            neighbor_epoch: 0,
-            behaviour: Box::new(Honest),
         }
     }
 
@@ -260,8 +239,7 @@ impl ChordNode {
     /// Panics if the configuration is invalid.
     pub fn joining(id: Id, cfg: ChordConfig, bootstrap: Addr) -> Self {
         let mut node = ChordNode::first(id, cfg);
-        node.bootstrap = Some(bootstrap);
-        node.joined = false;
+        node.ring = node.ring.joining(bootstrap);
         node
     }
 
@@ -282,27 +260,23 @@ impl ChordNode {
     ) -> Self {
         let mut node = ChordNode::first(id, cfg);
         node.predecessor = predecessor;
-        node.successors.integrate_all(successors);
-        node.ever_had_successor = !node.successors.is_empty();
-        for &(i, h) in fingers {
-            node.fingers.set(i, Some(h));
-        }
+        node.ring = node.ring.with_state(successors, fingers);
         node
     }
 
     /// This node's identifier.
     pub fn id(&self) -> Id {
-        self.id
+        self.ring.id()
     }
 
     /// This node's handle (address is populated once spawned).
     pub fn handle(&self) -> NodeHandle {
-        self.me
+        self.ring.me()
     }
 
     /// True once the node has joined the ring.
     pub fn is_joined(&self) -> bool {
-        self.joined
+        self.ring.is_joined()
     }
 
     /// The node's current predecessor, if known.
@@ -312,7 +286,7 @@ impl ChordNode {
 
     /// The node's successor list, nearest first.
     pub fn successor_list(&self) -> &[NodeHandle] {
-        self.successors.as_slice()
+        self.ring.successors().as_slice()
     }
 
     /// Monotone counter bumped whenever this node's replica-relevant
@@ -322,23 +296,18 @@ impl ChordNode {
     /// join, crash, or graceful departure, without inspecting (or
     /// copying) the lists themselves.
     pub fn neighbor_epoch(&self) -> u64 {
-        self.neighbor_epoch
+        self.ring.neighbor_epoch()
     }
 
     /// The node's finger table.
     pub fn finger_table(&self) -> &FingerTable {
-        &self.fingers
+        self.ring.fingers()
     }
 
     /// This node's ring pointers for the global invariant checker
     /// ([`check_ring`](crate::check_ring)).
     pub fn ring_stance(&self) -> RingStance {
-        RingStance {
-            id: self.id.raw(),
-            joined: self.joined,
-            successors: self.successors.iter().map(|h| h.id.raw()).collect(),
-            predecessors: self.predecessor.iter().map(|p| p.id.raw()).collect(),
-        }
+        self.ring.ring_stance(self.predecessor.as_slice())
     }
 
     /// Which maintenance rules this node runs.
@@ -348,56 +317,31 @@ impl ChordNode {
 
     /// Samples this node's [`NodeHealth`] gauges.
     pub fn health(&self) -> NodeHealth {
-        NodeHealth {
-            joined: self.joined,
-            successors: self.successors.len(),
-            predecessors: usize::from(self.predecessor.is_some()),
-            distinct_fingers: self.fingers.distinct().len(),
-            pending_lookups: self.pending.len(),
-            forwarding: self.forwards.len(),
-        }
+        let predecessors = usize::from(self.predecessor.is_some());
+        self.ring.health(predecessors, self.pending.len(), self.forwards.len())
     }
 
     /// Every distinct peer this node's routing state names — exactly the
     /// addresses a topological worm could harvest from the node's memory.
     pub fn known_peers(&self) -> Vec<NodeHandle> {
-        let mut out: Vec<NodeHandle> = Vec::new();
-        let mut push = |h: NodeHandle| {
-            if h.addr != self.me.addr && !out.iter().any(|o| o.addr == h.addr) {
-                out.push(h);
-            }
-        };
-        for &h in self.successors.iter() {
-            push(h);
-        }
-        for h in self.fingers.distinct() {
-            push(h);
-        }
-        if let Some(p) = self.predecessor {
-            push(p);
-        }
-        out
+        self.ring.known_peers(self.predecessor.as_slice())
     }
 
     /// Replaces this node's routing policy (adversary injection). The
-    /// default is [`Honest`].
+    /// default is [`Honest`](crate::Honest).
     pub fn set_behaviour(&mut self, behaviour: Box<dyn Behaviour>) {
-        self.behaviour = behaviour;
+        self.ring.set_behaviour(behaviour);
     }
 
     /// True when this node runs an adversarial routing policy.
     pub fn is_byzantine(&self) -> bool {
-        self.behaviour.is_byzantine()
+        self.ring.is_byzantine()
     }
 
     /// The greedy first hop this node would route a lookup for `key`
     /// through, skipping `exclude` (suspected-misroute failover).
     pub fn route_first_hop_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle> {
-        if exclude.is_empty() {
-            closest_preceding_hop(self.id, &self.fingers, &self.successors, key)
-        } else {
-            self.route_excluding(key, exclude)
-        }
+        self.ring.route_first_hop_excluding(key, exclude)
     }
 
     /// Injects an application lookup for `key`. Returns the lookup's local
@@ -417,7 +361,7 @@ impl ChordNode {
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) -> u64 {
         ctx.metrics().count(keys::LOOKUP_ISSUED, 1);
-        self.begin_lookup_avoiding(key, LookupKind::App, avoid, ctx)
+        self.begin_lookup(key, LookupKind::App, avoid, ctx)
     }
 
     /// Drains the outcomes of application lookups that finished since the
@@ -434,15 +378,6 @@ impl ChordNode {
         &mut self,
         key: Id,
         kind: LookupKind,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-    ) -> u64 {
-        self.begin_lookup_avoiding(key, kind, &[], ctx)
-    }
-
-    fn begin_lookup_avoiding(
-        &mut self,
-        key: Id,
-        kind: LookupKind,
         avoid: &[Addr],
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) -> u64 {
@@ -455,7 +390,7 @@ impl ChordNode {
         ctx.emit(ProtoEvent::LookupStart {
             op: seq,
             key: key.raw(),
-            origin_id: self.id.raw(),
+            origin_id: self.ring.id().raw(),
             kind: kind.label(),
         });
         self.pending.insert(
@@ -475,19 +410,14 @@ impl ChordNode {
 
         // A joining node must route its first lookup through the bootstrap
         // (whose id it does not know yet, hence no hop id to trace).
-        let first_hop = if !self.joined {
-            self.bootstrap.map(|a| (a, None))
+        let first_hop = if !self.ring.is_joined() {
+            self.ring.bootstrap().map(|a| (a, None))
         } else if let Some(result) = self.local_answer(key) {
             self.complete_lookup(seq, result, 0, ctx);
             return seq;
         } else {
-            // Suspected-misroute escalation may exclude first hops; fall
-            // back to the unrestricted greedy hop rather than failing
-            // outright if the exclusion leaves no route. With an empty
-            // `avoid` this is exactly the plain greedy hop.
-            self.route_first_hop_excluding(key, avoid)
-                .or_else(|| closest_preceding_hop(self.id, &self.fingers, &self.successors, key))
-                .map(|h| (h.addr, Some(h.id)))
+            // With an empty `avoid` this is exactly the plain greedy hop.
+            self.ring.first_hop_avoiding(key, avoid).map(|h| (h.addr, Some(h.id)))
         };
         let Some((first_hop, first_hop_id)) = first_hop else {
             // No route at all (pathological); fail on the spot.
@@ -509,21 +439,19 @@ impl ChordNode {
         hop: Addr,
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
-        let lid = LookupId { origin: self.me.addr, seq };
+        let me = self.ring.me();
+        let lid = LookupId { origin: me.addr, seq };
+        let maint = kind != LookupKind::App;
         match self.cfg.lookup_mode {
             LookupMode::Iterative => {
-                let p = self.pending.get_mut(&seq).expect("pending exists");
+                let Some(p) = self.pending.get_mut(&seq) else {
+                    return;
+                };
                 p.current = Some(hop);
                 p.tried.push(hop);
                 p.attempt += 1;
                 let attempt = p.attempt;
-                let maint = kind != LookupKind::App;
-                self.send_counted(
-                    ctx,
-                    hop,
-                    ChordMsg::GetNextHop { lid, key, maint },
-                    kind.bytes_key(),
-                );
+                send_counted(ctx, hop, ChordMsg::GetNextHop { lid, key, maint }, kind.bytes_key());
                 ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt });
             }
             mode @ (LookupMode::Recursive | LookupMode::Transitive) => {
@@ -531,7 +459,7 @@ impl ChordNode {
                     lid,
                     ForwardState {
                         key,
-                        origin: self.me,
+                        origin: me,
                         mode,
                         hops: 1,
                         prev: None,
@@ -542,17 +470,10 @@ impl ChordNode {
                         kind_bytes: kind.bytes_key(),
                     },
                 );
-                self.send_counted(
+                send_counted(
                     ctx,
                     hop,
-                    ChordMsg::Lookup {
-                        lid,
-                        key,
-                        origin: self.me,
-                        mode,
-                        hops: 1,
-                        maint: kind != LookupKind::App,
-                    },
+                    ChordMsg::Lookup { lid, key, origin: me, mode, hops: 1, maint },
                     kind.bytes_key(),
                 );
                 ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt: 0 });
@@ -562,21 +483,14 @@ impl ChordNode {
 
     /// If this node can answer the lookup locally, produce the result.
     fn local_answer(&self, key: Id) -> Option<LookupResult> {
-        if !self.joined {
-            return None;
-        }
-        let Some(s1) = self.successors.first() else {
-            // Singleton ring: we own everything.
-            return Some(LookupResult { predecessor: self.me, successors: vec![self.me] });
-        };
-        if key.in_open_closed(self.id, s1.id) {
-            Some(LookupResult {
-                predecessor: self.me,
-                successors: self.successors.as_slice().to_vec(),
-            })
-        } else {
-            None
-        }
+        self.ring.owns(key).then(|| {
+            let me = self.ring.me();
+            let mut successors = self.ring.successors().as_slice().to_vec();
+            if successors.is_empty() {
+                successors.push(me); // Singleton ring: we own everything.
+            }
+            LookupResult { predecessor: me, successors }
+        })
     }
 
     fn complete_lookup(
@@ -589,7 +503,7 @@ impl ChordNode {
         let Some(p) = self.pending.remove(&seq) else {
             return; // Late reply for an already-failed lookup.
         };
-        self.forwards.remove(&LookupId { origin: self.me.addr, seq });
+        self.forwards.remove(&LookupId { origin: self.ring.me().addr, seq });
         ctx.emit(ProtoEvent::LookupEnd { op: seq, ok: true, hops });
         match p.kind {
             LookupKind::App => {
@@ -606,42 +520,15 @@ impl ChordNode {
                 });
             }
             LookupKind::Join => {
-                // The lookup key was our own id, so the result's successor
-                // list is our successor list and its answerer our
-                // predecessor.
-                let mut fresh = NeighborList::successors(self.id, self.cfg.num_successors);
-                fresh.integrate_all(&result.successors);
-                if fresh.is_empty() {
-                    // Degenerate: the only other node answered with itself.
-                    fresh.integrate(result.predecessor);
-                }
-                self.successors = fresh;
-                self.note_seeded();
-                if self.cfg.maintenance == MaintenanceMode::Legacy {
-                    // Legacy one-phase join: trust the answerer to be our
-                    // predecessor. The corrected protocol leaves the
-                    // predecessor unset — it fills in through rectify once
-                    // the true predecessor's stabilization notifies us
-                    // (Zave's two-phase join).
-                    self.predecessor = Some(result.predecessor);
-                }
-                self.joined = true;
-                // The bootstrap address has served its purpose; drop it so
-                // a later crash leaves no residue of the join (keeps the
-                // model checker's fail transitions exact).
-                self.bootstrap = None;
-                if let Some(s1) = self.successors.first() {
-                    self.send_counted(
-                        ctx,
-                        s1.addr,
-                        ChordMsg::Notify { node: self.me },
-                        keys::BYTES_MAINT,
-                    );
-                }
+                let trusted = self.ring.complete_join(
+                    self.cfg.maintenance,
+                    result.predecessor,
+                    &result.successors,
+                );
+                self.predecessor = trusted.or(self.predecessor);
+                self.notify_successor(ctx);
             }
-            LookupKind::FingerRefresh(i) => {
-                self.fingers.set(i, Some(result.responsible()));
-            }
+            LookupKind::FingerRefresh(i) => self.ring.set_finger(i, result.responsible()),
         }
     }
 
@@ -649,7 +536,7 @@ impl ChordNode {
         let Some(p) = self.pending.remove(&seq) else {
             return;
         };
-        self.forwards.remove(&LookupId { origin: self.me.addr, seq });
+        self.forwards.remove(&LookupId { origin: self.ring.me().addr, seq });
         ctx.emit(ProtoEvent::LookupEnd { op: seq, ok: false, hops: 0 });
         match p.kind {
             LookupKind::App => {
@@ -686,32 +573,28 @@ impl ChordNode {
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
         let bytes_key = if maint { keys::BYTES_MAINT } else { keys::BYTES_LOOKUP };
-        self.send_counted(ctx, from, ChordMsg::HopAck { lid }, bytes_key);
+        send_counted(ctx, from, ChordMsg::HopAck { lid }, bytes_key);
         if self.forwards.contains_key(&lid) {
             return; // Duplicate (a reroute re-entered us); already handled.
         }
+        let reply_to = match mode {
+            LookupMode::Transitive => origin.addr,
+            _ => from,
+        };
         if let Some(result) = self.local_answer(key) {
-            let reply_to = match mode {
-                LookupMode::Transitive => origin.addr,
-                _ => from,
-            };
-            self.send_counted(
-                ctx,
-                reply_to,
-                ChordMsg::LookupReply { lid, result, hops },
-                bytes_key,
-            );
+            send_counted(ctx, reply_to, ChordMsg::LookupReply { lid, result, hops }, bytes_key);
             return;
         }
-        let Some(mut next) = closest_preceding_hop(self.id, &self.fingers, &self.successors, key)
-        else {
+        let Some(mut next) = self.ring.route_first_hop(key) else {
             // Routing state too sparse to make progress; drop (the
             // initiator's deadline will fire).
             return;
         };
-        if self.behaviour.is_byzantine() {
-            let candidates = self.route_candidates();
-            match self.behaviour.route(key, next, &candidates) {
+        if self.ring.is_byzantine() {
+            // Diversion targets are the forward routing peers only; Verme
+            // draws from `known_peers()`, predecessors included.
+            let candidates = self.ring.route_candidates();
+            match self.ring.route_action(key, next, &candidates) {
                 RouteAction::Honest => {}
                 // Acked above, so upstream never reroutes around us; the
                 // initiator's deadline is the only recourse.
@@ -721,12 +604,9 @@ impl ChordNode {
                     // Forge an authoritative answer naming this node as
                     // the key's owner; the data layer's block verification
                     // is what unmasks it (`dht.lookups.hijacked`).
-                    let result = LookupResult { predecessor: self.me, successors: vec![self.me] };
-                    let reply_to = match mode {
-                        LookupMode::Transitive => origin.addr,
-                        _ => from,
-                    };
-                    self.send_counted(
+                    let me = self.ring.me();
+                    let result = LookupResult { predecessor: me, successors: vec![me] };
+                    send_counted(
                         ctx,
                         reply_to,
                         ChordMsg::LookupReply { lid, result, hops },
@@ -752,7 +632,7 @@ impl ChordNode {
             },
         );
         emit_hop(ctx, lid.seq, next.addr, next.id, hops);
-        self.send_counted(
+        send_counted(
             ctx,
             next.addr,
             ChordMsg::Lookup { lid, key, origin, mode, hops: hops + 1, maint },
@@ -781,19 +661,14 @@ impl ChordNode {
         hops: u32,
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
-        if lid.origin == self.me.addr {
+        if lid.origin == self.ring.me().addr {
             self.complete_lookup(lid.seq, result, hops, ctx);
             return;
         }
         // Relay back along the reverse path.
         if let Some(st) = self.forwards.remove(&lid) {
             if let Some(prev) = st.prev {
-                self.send_counted(
-                    ctx,
-                    prev,
-                    ChordMsg::LookupReply { lid, result, hops },
-                    st.kind_bytes,
-                );
+                send_counted(ctx, prev, ChordMsg::LookupReply { lid, result, hops }, st.kind_bytes);
             }
         }
     }
@@ -805,160 +680,55 @@ impl ChordNode {
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
         // Recursive/transitive forwarding state?
-        if let Some(st) = self.forwards.get(&lid) {
-            if st.acked || st.attempts != attempt {
-                return; // Acked in time, or a stale timer.
+        let Some(st) = self.forwards.get_mut(&lid) else {
+            // Iterative lookup we initiated?
+            if lid.origin == self.ring.me().addr {
+                self.iterative_timeout(lid, attempt, ctx);
             }
-            let dead = st.next;
-            let (key, origin, mode, hops, prev, kind_bytes) =
-                (st.key, st.origin, st.mode, st.hops, st.prev, st.kind_bytes);
-            let tried = st.tried.clone();
-            self.mark_dead(dead);
-            ctx.metrics().count(keys::HOP_REROUTES, 1);
-
-            let replacement = self.route_excluding(key, &tried);
-            let st = self.forwards.get_mut(&lid).expect("state still present");
-            // Forwarders give up after `max_hop_attempts` — upstream hops
-            // reroute around them. The initiator has no upstream, so it
-            // keeps rerouting through the next-best finger for as long as
-            // untried routes remain; `LookupDeadline` bounds the total.
-            let out_of_attempts = prev.is_some() && st.attempts + 1 >= self.cfg.max_hop_attempts;
-            if out_of_attempts || replacement.is_none() {
-                self.forwards.remove(&lid);
-                if prev.is_none() {
-                    // Initiator with no route left: nothing more to try.
-                    self.fail_lookup(lid.seq, ctx);
-                }
-                return;
-            }
-            let next = replacement.expect("checked above");
-            st.attempts += 1;
-            st.next = next.addr;
-            st.tried.push(next.addr);
-            let new_attempt = st.attempts;
-            ctx.emit(ProtoEvent::Reroute { op: lid.seq, to: next.addr });
-            emit_hop(ctx, lid.seq, next.addr, next.id, hops - 1);
-            self.send_counted(
-                ctx,
-                next.addr,
-                ChordMsg::Lookup {
-                    lid,
-                    key,
-                    origin,
-                    mode,
-                    hops,
-                    maint: kind_bytes == keys::BYTES_MAINT,
-                },
-                kind_bytes,
-            );
-            ctx.set_timer(
-                self.cfg.hop_timeout,
-                ChordTimer::HopTimeout { lid, attempt: new_attempt },
-            );
             return;
+        };
+        if st.acked || st.attempts != attempt {
+            return; // Acked in time, or a stale timer.
         }
-        // Iterative lookup we initiated?
-        if lid.origin == self.me.addr {
-            self.iterative_timeout(lid, attempt, ctx);
-        }
-    }
-
-    /// Every distinct routing-table peer — the diversion-target pool a
-    /// Byzantine relay picks misroute victims from.
-    fn route_candidates(&self) -> Vec<NodeHandle> {
-        let mut out: Vec<NodeHandle> = Vec::new();
-        for h in self.fingers.distinct().into_iter().chain(self.successors.iter().copied()) {
-            if h.addr != self.me.addr && !out.iter().any(|o| o.addr == h.addr) {
-                out.push(h);
+        Self::mark_dead(&mut self.ring, &mut self.predecessor, st.next);
+        ctx.metrics().count(keys::HOP_REROUTES, 1);
+        // Forwarders give up after `max_hop_attempts` — upstream hops
+        // reroute around them. The initiator has no upstream, so it
+        // keeps rerouting through the next-best finger for as long as
+        // untried routes remain; `LookupDeadline` bounds the total.
+        let out_of_attempts = st.prev.is_some() && st.attempts + 1 >= self.cfg.max_hop_attempts;
+        let Some(next) = self.ring.route_excluding(st.key, &st.tried).filter(|_| !out_of_attempts)
+        else {
+            let initiator = st.prev.is_none();
+            self.forwards.remove(&lid);
+            if initiator {
+                // No route left and no upstream: nothing more to try.
+                self.fail_lookup(lid.seq, ctx);
             }
-        }
-        out
-    }
-
-    /// The identifier this node's own routing state binds `addr` to, if
-    /// any — ground truth for the advertisement sanity check.
-    fn known_binding(&self, addr: Addr) -> Option<Id> {
-        if addr == self.me.addr {
-            return Some(self.id);
-        }
-        self.successors
-            .iter()
-            .copied()
-            .chain(self.predecessor)
-            .chain(self.fingers.distinct())
-            .find(|h| h.addr == addr)
-            .map(|h| h.id)
-    }
-
-    /// Drops advertised entries that rebind an address this node already
-    /// knows to a different identifier, or that bind one address to two
-    /// identifiers within the same advertisement — the two lies a
-    /// poisoning adversary must tell to redirect ring arcs. Honest
-    /// advertisements never conflict (addr→id bindings are global
-    /// constants in a run), so on a clean ring this filter passes
-    /// everything through untouched and records nothing.
-    fn sanitize_advert(
-        &self,
-        list: Vec<NodeHandle>,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-    ) -> Vec<NodeHandle> {
-        let mut clean: Vec<NodeHandle> = Vec::with_capacity(list.len());
-        let mut rejected = 0u64;
-        for h in list {
-            let conflict = self.known_binding(h.addr).is_some_and(|id| id != h.id)
-                || clean.iter().any(|c| c.addr == h.addr && c.id != h.id);
-            if conflict {
-                rejected += 1;
-            } else {
-                clean.push(h);
-            }
-        }
-        if rejected > 0 {
-            ctx.metrics().count(keys::RING_POISONED, rejected);
-        }
-        clean
-    }
-
-    fn route_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle> {
-        let mut best: Option<NodeHandle> = None;
-        let mut best_rank = 0u128;
-        let candidates = self.fingers.distinct().into_iter().chain(self.successors.iter().copied());
-        for h in candidates {
-            if exclude.contains(&h.addr) {
-                continue;
-            }
-            if h.id.in_open_open(self.id, key) {
-                let rank = self.id.distance_to(h.id);
-                if rank > best_rank {
-                    best_rank = rank;
-                    best = Some(h);
-                }
-            }
-        }
-        best
-    }
-
-    /// The live finger nearest ahead of this node — the best emergency
-    /// successor candidate after the whole successor list has died.
-    fn nearest_forward_finger(&self) -> Option<NodeHandle> {
-        self.fingers
-            .distinct()
-            .into_iter()
-            .filter(|h| h.addr != self.me.addr)
-            .min_by_key(|h| self.id.distance_to(h.id))
+            return;
+        };
+        st.attempts += 1;
+        st.next = next.addr;
+        st.tried.push(next.addr);
+        ctx.emit(ProtoEvent::Reroute { op: lid.seq, to: next.addr });
+        emit_hop(ctx, lid.seq, next.addr, next.id, st.hops - 1);
+        let maint = st.kind_bytes == keys::BYTES_MAINT;
+        let (key, origin, mode, hops) = (st.key, st.origin, st.mode, st.hops);
+        send_counted(
+            ctx,
+            next.addr,
+            ChordMsg::Lookup { lid, key, origin, mode, hops, maint },
+            st.kind_bytes,
+        );
+        ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt: st.attempts });
     }
 
     /// Purges a detected-dead address from all routing state.
-    fn mark_dead(&mut self, addr: Addr) {
-        let mut changed = self.successors.remove_addr(addr);
-        self.fingers.remove_addr(addr);
-        if self.predecessor.is_some_and(|p| p.addr == addr) {
-            self.predecessor = None;
-            changed = true;
-        }
-        if changed {
-            self.neighbor_epoch += 1;
-        }
+    /// Takes the two fields apart so a caller can keep its borrow of a
+    /// pending or forwarded lookup across the purge.
+    fn mark_dead(ring: &mut RingCore, predecessor: &mut Option<NodeHandle>, addr: Addr) {
+        let predecessor_gone = predecessor.take_if(|p| p.addr == addr).is_some();
+        ring.mark_dead(addr, predecessor_gone);
     }
 
     // ------------------------------------------------------------------
@@ -973,43 +743,43 @@ impl ChordNode {
         maint: bool,
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
+        let me = self.ring.me();
         let mut step = if let Some(result) = self.local_answer(key) {
             IterStep::Done(result)
         } else {
             let mut cands: Vec<NodeHandle> = self
-                .fingers
+                .ring
+                .fingers()
                 .distinct()
                 .into_iter()
-                .chain(self.successors.iter().copied())
-                .filter(|h| h.id.in_open_open(self.id, key))
+                .chain(self.ring.successors().iter().copied())
+                .filter(|h| h.id.in_open_open(me.id, key))
                 .collect();
-            cands.sort_by_key(|h| std::cmp::Reverse(self.id.distance_to(h.id)));
+            cands.sort_by_key(|h| std::cmp::Reverse(me.id.distance_to(h.id)));
             cands.dedup_by_key(|h| h.addr);
             cands.truncate(3);
             IterStep::Forward(cands)
         };
-        if self.behaviour.is_byzantine() && !matches!(step, IterStep::Done(_)) {
-            let candidates = self.route_candidates();
-            let honest_next = match &step {
-                IterStep::Forward(c) => c.first().copied().unwrap_or(self.me),
-                IterStep::Done(_) => self.me,
-            };
-            match self.behaviour.route(key, honest_next, &candidates) {
-                RouteAction::Honest => {}
-                // No reply: the initiator's hop timeout reroutes around us
-                // (iterative initiators keep control of the traversal).
-                RouteAction::Drop => return,
-                RouteAction::Divert(h) => step = IterStep::Forward(vec![h]),
-                RouteAction::Hijack => {
-                    step = IterStep::Done(LookupResult {
-                        predecessor: self.me,
-                        successors: vec![self.me],
-                    });
+        if self.ring.is_byzantine() {
+            if let IterStep::Forward(cands) = &step {
+                let honest_next = cands.first().copied().unwrap_or(me);
+                let candidates = self.ring.route_candidates();
+                match self.ring.route_action(key, honest_next, &candidates) {
+                    RouteAction::Honest => {}
+                    // No reply: the initiator's hop timeout reroutes around
+                    // us (iterative initiators keep control of the
+                    // traversal).
+                    RouteAction::Drop => return,
+                    RouteAction::Divert(h) => step = IterStep::Forward(vec![h]),
+                    RouteAction::Hijack => {
+                        step =
+                            IterStep::Done(LookupResult { predecessor: me, successors: vec![me] });
+                    }
                 }
             }
         }
         let bytes_key = if maint { keys::BYTES_MAINT } else { keys::BYTES_LOOKUP };
-        self.send_counted(ctx, from, ChordMsg::NextHop { lid, step }, bytes_key);
+        send_counted(ctx, from, ChordMsg::NextHop { lid, step }, bytes_key);
     }
 
     fn handle_next_hop(
@@ -1018,7 +788,7 @@ impl ChordNode {
         step: IterStep,
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
-        if lid.origin != self.me.addr {
+        if lid.origin != self.ring.me().addr {
             return;
         }
         let seq = lid.seq;
@@ -1033,27 +803,31 @@ impl ChordNode {
             IterStep::Forward(cands) => {
                 p.hops += 1;
                 p.backups = cands;
-                let Some(next) = Self::pop_untried(&mut p.backups, &p.tried) else {
-                    self.fail_lookup(seq, ctx);
-                    return;
-                };
-                p.current = Some(next.addr);
-                p.tried.push(next.addr);
-                p.attempt += 1;
-                let attempt = p.attempt;
-                let key = p.key;
-                let bytes_key = p.kind.bytes_key();
-                let maint = bytes_key == keys::BYTES_MAINT;
-                emit_hop(ctx, seq, next.addr, next.id, p.hops);
-                self.send_counted(
-                    ctx,
-                    next.addr,
-                    ChordMsg::GetNextHop { lid, key, maint },
-                    bytes_key,
-                );
-                ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt });
+                match Self::pop_untried(&mut p.backups, &p.tried) {
+                    Some(next) => Self::iterative_hop(p, lid, next, self.cfg.hop_timeout, ctx),
+                    None => self.fail_lookup(seq, ctx),
+                }
             }
         }
+    }
+
+    /// Sends the iterative lookup `p` on to `next` and arms that hop's
+    /// timeout.
+    fn iterative_hop(
+        p: &mut PendingLookup,
+        lid: LookupId,
+        next: NodeHandle,
+        hop_timeout: SimDuration,
+        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
+    ) {
+        p.current = Some(next.addr);
+        p.tried.push(next.addr);
+        p.attempt += 1;
+        let bytes_key = p.kind.bytes_key();
+        let maint = bytes_key == keys::BYTES_MAINT;
+        emit_hop(ctx, lid.seq, next.addr, next.id, p.hops);
+        send_counted(ctx, next.addr, ChordMsg::GetNextHop { lid, key: p.key, maint }, bytes_key);
+        ctx.set_timer(hop_timeout, ChordTimer::HopTimeout { lid, attempt: p.attempt });
     }
 
     fn pop_untried(backups: &mut Vec<NodeHandle>, tried: &[Addr]) -> Option<NodeHandle> {
@@ -1072,40 +846,24 @@ impl ChordNode {
         attempt: u32,
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
-        let seq = lid.seq;
-        let Some(p) = self.pending.get_mut(&seq) else {
+        let Some(p) = self.pending.get_mut(&lid.seq) else {
             return;
         };
         if p.attempt != attempt {
             return; // Progress was made; stale timer.
         }
-        let dead = p.current.take();
-        let mut backups = std::mem::take(&mut p.backups);
-        let tried = p.tried.clone();
-        let key = p.key;
-        if let Some(d) = dead {
-            self.mark_dead(d);
+        if let Some(dead) = p.current.take() {
+            Self::mark_dead(&mut self.ring, &mut self.predecessor, dead);
             ctx.metrics().count(keys::HOP_REROUTES, 1);
         }
-        let next =
-            Self::pop_untried(&mut backups, &tried).or_else(|| self.route_excluding(key, &tried));
-        let p = self.pending.get_mut(&seq).expect("still pending");
-        p.backups = backups;
+        let next = Self::pop_untried(&mut p.backups, &p.tried)
+            .or_else(|| self.ring.route_excluding(p.key, &p.tried));
         match next {
             Some(n) => {
-                p.current = Some(n.addr);
-                p.tried.push(n.addr);
-                p.attempt += 1;
-                let attempt = p.attempt;
-                let bytes_key = p.kind.bytes_key();
-                let maint = bytes_key == keys::BYTES_MAINT;
-                let hop_idx = p.hops;
-                ctx.emit(ProtoEvent::Reroute { op: seq, to: n.addr });
-                emit_hop(ctx, seq, n.addr, n.id, hop_idx);
-                self.send_counted(ctx, n.addr, ChordMsg::GetNextHop { lid, key, maint }, bytes_key);
-                ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt });
+                ctx.emit(ProtoEvent::Reroute { op: lid.seq, to: n.addr });
+                Self::iterative_hop(p, lid, n, self.cfg.hop_timeout, ctx);
             }
-            None => self.fail_lookup(seq, ctx),
+            None => self.fail_lookup(lid.seq, ctx),
         }
     }
 
@@ -1116,31 +874,15 @@ impl ChordNode {
     fn stabilize_once(&mut self, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
         // Probe the predecessor so a dead one gets cleared.
         if let Some(p) = self.predecessor {
-            let token = self.fresh_token();
+            let token = self.ring.fresh_token();
             self.pred_waiting = Some(token);
-            self.send_counted(ctx, p.addr, ChordMsg::Ping { token }, keys::BYTES_MAINT);
+            send_counted(ctx, p.addr, ChordMsg::Ping { token }, keys::BYTES_MAINT);
             ctx.set_timer(self.cfg.hop_timeout * 2, ChordTimer::PredTimeout { token });
         }
-        if self.successors.is_empty() {
-            // A correlated failure can kill every node in the successor
-            // list at once. Re-acquire a forward pointer from the finger
-            // table and let stabilization walk it back to the true
-            // successor. Without this the next Notify from the predecessor
-            // would refill the list *backwards* and wedge this node in a
-            // wrapped state that answers lookups for the dead arc.
-            if let Some(f) = self.nearest_forward_finger() {
-                if self.successors.integrate(f) {
-                    self.neighbor_epoch += 1;
-                }
-                self.note_seeded();
-            }
-        }
-        let Some(s1) = self.successors.first() else {
+        let Some((token, s1)) = self.ring.begin_stabilize() else {
             return; // Singleton (or still joining).
         };
-        let token = self.fresh_token();
-        self.stab_waiting = Some((token, s1));
-        self.send_counted(ctx, s1.addr, ChordMsg::GetNeighbors { token }, keys::BYTES_MAINT);
+        send_counted(ctx, s1.addr, ChordMsg::GetNeighbors { token }, keys::BYTES_MAINT);
         ctx.set_timer(self.cfg.hop_timeout * 2, ChordTimer::StabTimeout { token });
     }
 
@@ -1148,98 +890,37 @@ impl ChordNode {
         &mut self,
         token: u64,
         predecessor: Option<NodeHandle>,
-        succs: Vec<NodeHandle>,
+        mut succs: Vec<NodeHandle>,
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
-        let Some((expect, s1)) = self.stab_waiting else {
+        let Some(s1) = self.ring.take_stab_waiting(token) else {
             return;
         };
-        if expect != token {
-            return;
-        }
-        self.stab_waiting = None;
-        // Successor-advertisement sanity check: drop entries whose
-        // addr→id binding contradicts what we already know before they
-        // reach the list (routing-table poisoning defense).
-        let before = succs.len();
-        let succs = self.sanitize_advert(succs, ctx);
-        let mut advert_poisoned = succs.len() < before;
-        let predecessor = predecessor
-            .filter(|p| self.known_binding(p.addr).is_none_or(|id| id == p.id))
-            .or_else(|| {
-                if predecessor.is_some() {
-                    ctx.metrics().count(keys::RING_POISONED, 1);
-                    advert_poisoned = true;
-                }
-                None
-            });
-        // Rebuild the successor list from the live successor's view.
-        let mut fresh = NeighborList::successors(self.id, self.cfg.num_successors);
-        match self.cfg.maintenance {
-            MaintenanceMode::Legacy => {
-                // Legacy rule: pool `{s1, s1.pred, s1.list}` and re-sort
-                // by circular distance. A dead entry deep in the peer's
-                // tail can leapfrog to the head of this list and the two
-                // ring neighbors then feed it back to each other forever.
-                fresh.integrate(s1);
-                if let Some(p) = predecessor {
-                    if p.id.in_open_open(self.id, s1.id) {
-                        fresh.integrate(p);
-                    }
-                }
-                fresh.integrate_all(&succs);
-            }
-            MaintenanceMode::Corrected => {
-                // Zave's ordered update: `(s1.pred?) · s1 · s1.list`,
-                // adopted positionally — stale tails are flushed one slot
-                // per round instead of resorted back in.
-                let mut chain = Vec::with_capacity(succs.len() + 2);
-                if let Some(p) = predecessor {
-                    if p.id.in_open_open(self.id, s1.id) {
-                        chain.push(p);
-                    }
-                }
-                chain.push(s1);
-                chain.extend_from_slice(&succs);
-                fresh.adopt_chain(&chain);
-            }
-        }
-        // A poisoning successor must not be able to *shrink* this list:
-        // rejecting its rebound entries would otherwise flush the very
-        // knowledge the binding check depends on, and the next poisoned
-        // advert — now naming addresses we no longer know — would slip
-        // through. On evidence of poisoning, refill from the previously
-        // vetted entries. Honest advertisements never trigger this (their
-        // bindings never conflict), so clean runs are untouched.
-        if advert_poisoned {
-            fresh.integrate_all(self.successors.as_slice());
-        }
-        if fresh.as_slice() != self.successors.as_slice() {
-            self.neighbor_epoch += 1;
-        }
-        self.successors = fresh;
-        self.note_seeded();
-        if let Some(new_s1) = self.successors.first() {
-            self.send_counted(
-                ctx,
-                new_s1.addr,
-                ChordMsg::Notify { node: self.me },
-                keys::BYTES_MAINT,
-            );
+        // Advertisement sanity check: drop entries whose addr→id binding
+        // contradicts what we already know before they reach the list
+        // (routing-table poisoning defense).
+        let known = self.predecessor;
+        let mut preds: Vec<NodeHandle> = predecessor.into_iter().collect();
+        let poisoned = self.ring.sanitize_advert(known.as_slice(), &mut succs, ctx)
+            | self.ring.sanitize_advert(known.as_slice(), &mut preds, ctx);
+        let mode = self.cfg.maintenance;
+        self.ring.adopt_successors(mode, s1, preds.first().copied(), &succs, poisoned);
+        self.notify_successor(ctx);
+    }
+
+    fn notify_successor(&self, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
+        if let Some(s1) = self.ring.successors().first() {
+            let notify = ChordMsg::Notify { node: self.ring.me() };
+            send_counted(ctx, s1.addr, notify, keys::BYTES_MAINT);
         }
     }
 
     fn handle_stab_timeout(&mut self, token: u64, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
-        let Some((expect, s1)) = self.stab_waiting else {
-            return;
-        };
-        if expect != token {
-            return;
+        if let Some(s1) = self.ring.take_stab_waiting(token) {
+            Self::mark_dead(&mut self.ring, &mut self.predecessor, s1.addr);
+            // Repair immediately with the next live successor.
+            self.stabilize_once(ctx);
         }
-        self.stab_waiting = None;
-        self.mark_dead(s1.addr);
-        // Repair immediately with the next live successor.
-        self.stabilize_once(ctx);
     }
 
     /// A neighbor announced a graceful departure: splice it out at once
@@ -1252,94 +933,39 @@ impl ChordNode {
         predecessor: Option<NodeHandle>,
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
-        self.mark_dead(node.addr);
-        for &h in &successors {
-            if self.successors.integrate(h) {
-                self.neighbor_epoch += 1;
-            }
+        Self::mark_dead(&mut self.ring, &mut self.predecessor, node.addr);
+        for h in successors {
+            self.ring.absorb_successor(h);
         }
-        self.note_seeded();
-        if let Some(p) = predecessor {
-            if p.addr != self.me.addr {
-                self.handle_notify(p, ctx);
-            }
+        if let Some(p) = predecessor.filter(|p| p.addr != self.ring.me().addr) {
+            self.handle_notify(p, ctx);
         }
     }
 
+    fn set_predecessor(&mut self, node: NodeHandle) {
+        if self.predecessor != Some(node) {
+            self.ring.bump_epoch();
+        }
+        self.predecessor = Some(node);
+    }
+
     fn handle_notify(&mut self, node: NodeHandle, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
-        match self.cfg.maintenance {
-            MaintenanceMode::Legacy => {
-                // Legacy rule: adopt only candidates inside `(pred, self)`.
-                // A stale dead incumbent silently strands the true
-                // predecessor — Zave's counterexample.
-                let adopt = match self.predecessor {
-                    None => true,
-                    Some(p) => node.id.in_open_open(p.id, self.id),
-                };
-                if adopt && node.id != self.id {
-                    if self.predecessor != Some(node) {
-                        self.neighbor_epoch += 1;
-                    }
-                    self.predecessor = Some(node);
-                }
+        let mode = self.cfg.maintenance;
+        match (self.ring.predecessor_decision(mode, self.predecessor, node), self.predecessor) {
+            (RectifyDecision::Adopt, _) => self.set_predecessor(node),
+            (RectifyDecision::ProbePred, Some(incumbent)) => {
+                // Rectify: the candidate is behind the incumbent. Probe
+                // the incumbent and fall back to the candidate if the
+                // probe times out, so a dead incumbent cannot strand the
+                // predecessor pointer.
+                let token = self.ring.fresh_token();
+                self.rectify_waiting = Some((token, node));
+                send_counted(ctx, incumbent.addr, ChordMsg::Ping { token }, keys::BYTES_MAINT);
+                ctx.set_timer(self.cfg.hop_timeout * 2, ChordTimer::RectifyTimeout { token });
             }
-            MaintenanceMode::Corrected => {
-                let incumbent = self.predecessor.map(|p| p.id.raw());
-                match rectify_decision(self.id.raw(), incumbent, node.id.raw()) {
-                    RectifyDecision::Adopt => {
-                        if self.predecessor != Some(node) {
-                            self.neighbor_epoch += 1;
-                        }
-                        self.predecessor = Some(node);
-                    }
-                    RectifyDecision::Keep => {}
-                    RectifyDecision::ProbePred => {
-                        // Rectify: the candidate is behind the incumbent.
-                        // Probe the incumbent and fall back to the
-                        // candidate if the probe times out, so a dead
-                        // incumbent cannot strand the predecessor pointer.
-                        let p = self.predecessor.expect("probe implies an incumbent");
-                        let token = self.fresh_token();
-                        self.rectify_waiting = Some((token, node));
-                        self.send_counted(ctx, p.addr, ChordMsg::Ping { token }, keys::BYTES_MAINT);
-                        ctx.set_timer(
-                            self.cfg.hop_timeout * 2,
-                            ChordTimer::RectifyTimeout { token },
-                        );
-                    }
-                }
-            }
+            (RectifyDecision::Keep | RectifyDecision::ProbePred, _) => {}
         }
-        if self.successors.is_empty() && node.id != self.id {
-            match self.cfg.maintenance {
-                // Legacy hazard: refill the emptied list *backwards* from
-                // the notifier — the wrapped state that partitions rings.
-                MaintenanceMode::Legacy => {
-                    if self.successors.integrate(node) {
-                        self.neighbor_epoch += 1;
-                    }
-                }
-                MaintenanceMode::Corrected => {
-                    if let Some(f) = self.nearest_forward_finger() {
-                        // Forward-only reseed, same rule as stabilization.
-                        if self.successors.integrate(f) {
-                            self.neighbor_epoch += 1;
-                        }
-                        self.note_seeded();
-                    } else if !self.ever_had_successor {
-                        // True bootstrap: a ring creator learns its first
-                        // peer through the joiner's notify.
-                        if self.successors.integrate(node) {
-                            self.neighbor_epoch += 1;
-                        }
-                        self.note_seeded();
-                    }
-                    // Otherwise: stay wedged rather than wrap backwards;
-                    // the finger reseed (or a fresh finger) will repair
-                    // forward.
-                }
-            }
-        }
+        self.ring.notify_refill(mode, node);
     }
 
     // ------------------------------------------------------------------
@@ -1347,57 +973,10 @@ impl ChordNode {
     // ------------------------------------------------------------------
 
     fn fix_fingers(&mut self, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
-        if !self.joined {
-            return;
+        // Targets beyond the successor list are refreshed through lookups.
+        for (i, target) in self.ring.fix_fingers(Id::finger_target, |_| true) {
+            self.begin_lookup(target, LookupKind::FingerRefresh(i), &[], ctx);
         }
-        let succs = self.successors.as_slice().to_vec();
-        let Some(last) = succs.last().copied() else {
-            return; // Singleton: no fingers needed.
-        };
-        for i in 0..Id::BITS {
-            let target = self.id.finger_target(i);
-            if target.in_open_closed(self.id, last.id) {
-                // Covered by the successor list: resolve locally.
-                let owner = succs
-                    .iter()
-                    .find(|s| self.id.distance_to(s.id) >= self.id.distance_to(target))
-                    .copied();
-                self.fingers.set(i as usize, owner);
-            } else {
-                // Beyond local knowledge: refresh through a lookup.
-                self.begin_lookup(target, LookupKind::FingerRefresh(i as usize), ctx);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Plumbing
-    // ------------------------------------------------------------------
-
-    fn fresh_token(&mut self) -> u64 {
-        self.next_token += 1;
-        self.next_token
-    }
-
-    /// Latches [`ever_had_successor`](Self::ever_had_successor) once the
-    /// successor list is non-empty. A pure field write: legacy-mode
-    /// message flow is unchanged by it.
-    fn note_seeded(&mut self) {
-        if !self.successors.is_empty() {
-            self.ever_had_successor = true;
-        }
-    }
-
-    fn send_counted(
-        &self,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-        to: Addr,
-        msg: ChordMsg,
-        bytes_key: &'static str,
-    ) {
-        use verme_sim::Wire as _;
-        ctx.metrics().count(bytes_key, msg.wire_size() as u64);
-        ctx.send(to, msg);
     }
 }
 
@@ -1406,16 +985,12 @@ impl Node for ChordNode {
     type Timer = ChordTimer;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
-        self.me = NodeHandle::new(self.id, ctx.self_addr());
-        // De-synchronize maintenance across nodes with a random phase.
-        let stab_ns = self.cfg.stabilize_interval.as_nanos();
-        let fing_ns = self.cfg.fix_fingers_interval.as_nanos();
-        let stab_phase = SimDuration::from_nanos(ctx.rng().gen_range(0..stab_ns.max(1)));
-        let fing_phase = SimDuration::from_nanos(ctx.rng().gen_range(0..fing_ns.max(1)));
+        let (stab_phase, fing_phase) =
+            self.ring.on_start(ctx, self.cfg.stabilize_interval, self.cfg.fix_fingers_interval);
         ctx.set_timer(stab_phase, ChordTimer::Stabilize);
         ctx.set_timer(fing_phase, ChordTimer::FixFingers);
-        if !self.joined {
-            self.begin_lookup(self.id, LookupKind::Join, ctx);
+        if !self.ring.is_joined() {
+            self.begin_lookup(self.ring.id(), LookupKind::Join, &[], ctx);
         }
     }
 
@@ -1441,17 +1016,15 @@ impl Node for ChordNode {
             }
             ChordMsg::NextHop { lid, step } => self.handle_next_hop(lid, step, ctx),
             ChordMsg::GetNeighbors { token } => {
-                let mut successors = self.successors.as_slice().to_vec();
+                let mut successors = self.ring.successors().as_slice().to_vec();
                 let mut predecessor = self.predecessor;
-                if self.behaviour.is_byzantine() {
-                    // Stabilization is the poisoning channel: the asker
-                    // rebuilds its successor list from this reply.
+                if self.ring.is_byzantine() {
                     let mut preds: Vec<NodeHandle> = predecessor.into_iter().collect();
-                    self.behaviour.advertise(self.me, &mut successors, &mut preds);
+                    self.ring.advertise(&mut successors, &mut preds);
                     predecessor = preds.first().copied();
                 }
                 let reply = ChordMsg::Neighbors { token, predecessor, successors };
-                self.send_counted(ctx, from, reply, keys::BYTES_MAINT);
+                send_counted(ctx, from, reply, keys::BYTES_MAINT);
             }
             ChordMsg::Neighbors { token, predecessor, successors } => {
                 self.handle_neighbors(token, predecessor, successors, ctx);
@@ -1461,35 +1034,31 @@ impl Node for ChordNode {
                 self.handle_leaving(node, successors, predecessor, ctx);
             }
             ChordMsg::Ping { token } => {
-                self.send_counted(ctx, from, ChordMsg::Pong { token }, keys::BYTES_MAINT);
+                send_counted(ctx, from, ChordMsg::Pong { token }, keys::BYTES_MAINT);
             }
             ChordMsg::Pong { token } => {
-                if self.pred_waiting == Some(token) {
-                    self.pred_waiting = None;
-                }
-                if self.rectify_waiting.is_some_and(|(t, _)| t == token) {
-                    // The incumbent predecessor answered the rectify
-                    // probe: it is alive, keep it and drop the candidate.
-                    self.rectify_waiting = None;
-                }
+                self.pred_waiting.take_if(|t| *t == token);
+                // An incumbent predecessor that answers the rectify probe
+                // is alive: keep it and drop the candidate.
+                take_waiting(&mut self.rectify_waiting, token);
             }
         }
     }
 
     fn on_shutdown(&mut self, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
-        if !self.joined {
+        if !self.ring.is_joined() {
             return;
         }
         let msg = ChordMsg::Leaving {
-            node: self.me,
-            successors: self.successors.as_slice().to_vec(),
+            node: self.ring.me(),
+            successors: self.ring.successors().as_slice().to_vec(),
             predecessor: self.predecessor,
         };
         if let Some(p) = self.predecessor {
-            self.send_counted(ctx, p.addr, msg.clone(), keys::BYTES_MAINT);
+            send_counted(ctx, p.addr, msg.clone(), keys::BYTES_MAINT);
         }
-        if let Some(s1) = self.successors.first() {
-            self.send_counted(ctx, s1.addr, msg, keys::BYTES_MAINT);
+        if let Some(s1) = self.ring.successors().first() {
+            send_counted(ctx, s1.addr, msg, keys::BYTES_MAINT);
         }
     }
 
@@ -1506,7 +1075,7 @@ impl Node for ChordNode {
                 // this the periodic timer would chain every future tick
                 // onto whatever span armed the very first one.
                 ctx.begin_cause();
-                if self.joined {
+                if self.ring.is_joined() {
                     self.stabilize_once(ctx);
                 }
                 ctx.set_timer(self.cfg.stabilize_interval, ChordTimer::Stabilize);
@@ -1518,24 +1087,19 @@ impl Node for ChordNode {
             }
             ChordTimer::StabTimeout { token } => self.handle_stab_timeout(token, ctx),
             ChordTimer::PredTimeout { token } => {
-                if self.pred_waiting == Some(token) {
-                    self.pred_waiting = None;
+                if self.pred_waiting.take_if(|t| *t == token).is_some() {
                     self.predecessor = None;
                 }
             }
             ChordTimer::RectifyTimeout { token } => {
-                if let Some((expect, cand)) = self.rectify_waiting {
-                    if expect == token {
-                        // The incumbent never answered: it is dead. Purge
-                        // it and adopt the waiting candidate.
-                        self.rectify_waiting = None;
-                        if let Some(p) = self.predecessor {
-                            self.mark_dead(p.addr);
-                        }
-                        if cand.id != self.id && self.predecessor != Some(cand) {
-                            self.predecessor = Some(cand);
-                            self.neighbor_epoch += 1;
-                        }
+                if let Some(cand) = take_waiting(&mut self.rectify_waiting, token) {
+                    // The incumbent never answered: it is dead. Purge it
+                    // and adopt the waiting candidate.
+                    if let Some(p) = self.predecessor {
+                        Self::mark_dead(&mut self.ring, &mut self.predecessor, p.addr);
+                    }
+                    if cand.id != self.ring.id() {
+                        self.set_predecessor(cand);
                     }
                 }
             }
@@ -1545,8 +1109,8 @@ impl Node for ChordNode {
                 self.forwards.remove(&lid);
             }
             ChordTimer::JoinRetry => {
-                if !self.joined {
-                    self.begin_lookup(self.id, LookupKind::Join, ctx);
+                if !self.ring.is_joined() {
+                    self.begin_lookup(self.ring.id(), LookupKind::Join, &[], ctx);
                 }
             }
         }
@@ -1586,23 +1150,35 @@ mod tests {
         assert!(!NodeHealth::default().is_degraded(1), "an unjoined node is not degraded");
     }
 
+    // The six tests below moved onto `RingCore` together with the rules
+    // they check. They live on in this module, under their old names,
+    // because the tier-1 floor lists them as `node::tests::*`; the
+    // table-driven cases for the maintenance rules are in `ring_core.rs`.
+
+    fn converged_ring() -> RingCore {
+        RingCore::new(Id::new(100), 10)
+            .with_state(&[h(200, 2), h(300, 3), h(400, 4)], &[(120, h(300, 3)), (125, h(900, 9))])
+    }
+
     #[test]
     fn local_answer_covers_own_arc_only() {
+        let ring = converged_ring();
+        // (100, 200] is ours: the successor's id is inside, our own is not.
+        for (key, owned) in [(150, true), (200, true), (250, false), (100, false)] {
+            assert_eq!(ring.owns(Id::new(key)), owned, "key {key}");
+        }
+        // Chord's answer for an owned key: us, and our successor list.
         let n = converged_node();
-        // Key in (100, 200]: we are the predecessor.
         let r = n.local_answer(Id::new(150)).expect("answerable");
         assert_eq!(r.predecessor.id, Id::new(100));
         assert_eq!(r.responsible().id, Id::new(200));
         assert_eq!(r.successors.len(), 3);
-        // Key past the first successor: not ours.
         assert!(n.local_answer(Id::new(250)).is_none());
-        // Exactly the successor id is ours; exactly our id is not.
-        assert!(n.local_answer(Id::new(200)).is_some());
-        assert!(n.local_answer(Id::new(100)).is_none());
     }
 
     #[test]
     fn singleton_answers_everything() {
+        assert!(RingCore::new(Id::new(7), 10).owns(Id::new(123456)));
         let n = ChordNode::first(Id::new(7), ChordConfig::default());
         let r = n.local_answer(Id::new(123456)).expect("singleton owns all");
         assert_eq!(r.responsible().id, Id::new(7));
@@ -1612,6 +1188,8 @@ mod tests {
 
     #[test]
     fn joining_node_answers_nothing() {
+        let ring = RingCore::new(Id::new(7), 10).joining(Addr::from_raw(9));
+        assert!(!ring.is_joined() && !ring.owns(Id::new(8)));
         let n = ChordNode::joining(Id::new(7), ChordConfig::default(), Addr::from_raw(9));
         assert!(!n.is_joined());
         assert!(n.local_answer(Id::new(8)).is_none());
@@ -1619,36 +1197,54 @@ mod tests {
 
     #[test]
     fn route_excluding_skips_excluded_and_picks_closest_preceding() {
-        let n = converged_node();
+        let ring = converged_ring();
         // Toward key 950: the finger at 900 is best.
-        assert_eq!(n.route_excluding(Id::new(950), &[]).unwrap().id, Id::new(900));
+        assert_eq!(ring.route_excluding(Id::new(950), &[]).unwrap().id, Id::new(900));
         // Excluding it falls back to 400 (successor list).
-        assert_eq!(n.route_excluding(Id::new(950), &[Addr::from_raw(9)]).unwrap().id, Id::new(400));
+        let fallback = ring.route_excluding(Id::new(950), &[Addr::from_raw(9)]).unwrap();
+        assert_eq!(fallback.id, Id::new(400));
         // Excluding everything preceding the key leaves nothing.
         let all = [Addr::from_raw(2), Addr::from_raw(3), Addr::from_raw(4), Addr::from_raw(9)];
-        assert!(n.route_excluding(Id::new(950), &all).is_none());
+        assert!(ring.route_excluding(Id::new(950), &all).is_none());
+        // No exclusion: the plain greedy hop; an exclusion that leaves no
+        // route falls back to it rather than failing a lookup we start.
+        assert_eq!(ring.route_first_hop_excluding(Id::new(950), &[]).unwrap().id, Id::new(900));
+        assert!(ring.route_first_hop_excluding(Id::new(950), &all).is_none());
+        assert_eq!(ring.first_hop_avoiding(Id::new(950), &all).unwrap().id, Id::new(900));
     }
 
     #[test]
     fn mark_dead_purges_all_state() {
+        let mut ring = converged_ring();
+        ring.mark_dead(Addr::from_raw(3), false);
+        assert!(ring.successors().iter().all(|s| s.addr != Addr::from_raw(3)));
+        assert!(ring.fingers().distinct().iter().all(|f| f.addr != Addr::from_raw(3)));
+        assert_eq!(ring.neighbor_epoch(), 1);
+        // A finger-only peer leaves the replica-relevant neighborhood
+        // alone, unless the node says its predecessor side lost it too.
+        ring.mark_dead(Addr::from_raw(9), false);
+        assert!(ring.fingers().is_empty());
+        assert_eq!(ring.neighbor_epoch(), 1);
+        ring.mark_dead(Addr::from_raw(9), true);
+        assert_eq!(ring.neighbor_epoch(), 2);
+        // Chord's predecessor side is its one pointer.
         let mut n = converged_node();
-        n.mark_dead(Addr::from_raw(3));
-        assert!(n.successor_list().iter().all(|s| s.addr != Addr::from_raw(3)));
-        assert!(n.finger_table().distinct().iter().all(|f| f.addr != Addr::from_raw(3)));
-        n.mark_dead(Addr::from_raw(1));
+        ChordNode::mark_dead(&mut n.ring, &mut n.predecessor, Addr::from_raw(1));
         assert!(n.predecessor().is_none());
+        assert_eq!(n.neighbor_epoch(), 1);
     }
 
     #[test]
     fn known_peers_deduplicates() {
-        let n = converged_node();
-        let peers = n.known_peers();
+        let ring = converged_ring();
         // 3 successors + 1 pred + finger 900 (300 duplicates a successor).
-        assert_eq!(peers.len(), 5);
-        let mut addrs: Vec<u64> = peers.iter().map(|p| p.addr.raw()).collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        assert_eq!(addrs.len(), 5);
+        let peers = ring.known_peers(&[h(50, 1)]);
+        let ids: Vec<u128> = peers.iter().map(|p| p.id.raw()).collect();
+        assert_eq!(ids, [200, 300, 400, 50, 900]);
+        assert_eq!(converged_node().known_peers(), peers);
+        // A relay's diversion pool is the forward routing peers only.
+        let ids: Vec<u128> = ring.route_candidates().iter().map(|p| p.id.raw()).collect();
+        assert_eq!(ids, [300, 900, 200, 400]);
     }
 
     #[test]

@@ -81,6 +81,11 @@ impl NeighborList {
         NeighborList { owner, capacity, clockwise: false, entries: Vec::with_capacity(capacity) }
     }
 
+    /// An empty list with this one's owner, capacity and direction.
+    pub fn emptied(&self) -> Self {
+        NeighborList { entries: Vec::with_capacity(self.capacity), ..*self }
+    }
+
     fn rank(&self, id: Id) -> u128 {
         if self.clockwise {
             self.owner.distance_to(id)

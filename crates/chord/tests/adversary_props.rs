@@ -43,7 +43,8 @@ fn spawn_full_knowledge(seed: u64) -> (Runtime<ChordNode, UniformLatency>, Vec<N
     (rt, ring.nodes().to_vec())
 }
 
-/// Asserts every binding in `node`'s routing state matches ground truth.
+/// Asserts every binding in `node`'s routing state matches ground truth,
+/// and that its successor list still spans the membership.
 fn assert_bindings_clean(node: &ChordNode, truth: &[NodeHandle]) {
     let lookup = |addr: Addr| truth.iter().find(|h| h.addr == addr).map(|h| h.id);
     let check = |h: &NodeHandle, where_: &str| {
@@ -64,13 +65,20 @@ fn assert_bindings_clean(node: &ChordNode, truth: &[NodeHandle]) {
     for h in node.finger_table().distinct() {
         check(&h, "finger table");
     }
+    assert_eq!(
+        node.successor_list().len(),
+        N - 1,
+        "{:?}: a poisoning successor shrank the list the binding check relies on",
+        node.handle()
+    );
 }
 
 proptest! {
     /// Poisoning adversaries (pure poison: no drops, misroutes, or
     /// hijacks, so routing state is shaped only by advertisements) never
-    /// rebind a known address on any honest node — and each poisoned
-    /// advert is counted by the `ring.poisoned_entries` detector.
+    /// rebind a known address on any honest node, never shorten an honest
+    /// successor list — and each poisoned advert is counted by the
+    /// `ring.poisoned_entries` detector.
     #[test]
     fn poisoned_advertisements_are_rejected(
         seed in 0u64..1_000_000,

@@ -5,15 +5,14 @@
 //! memory finds only (a) nodes of its own small *section* and (b) nodes of
 //! the *opposite platform type* — which it cannot infect. The pieces:
 //!
-//! * [`SectionLayout`] (§4.3) — identifiers are `[random | type | random]`,
-//!   dividing the ring into sections that alternate types.
-//! * [`VermeNode`] (§4.4–4.5) — successor lists as in Chord; finger
-//!   targets shifted by a section length so long-range pointers always
-//!   name opposite-type nodes; recursive-only certified lookups with
-//!   sealed replies; predecessor lists for the §5.2 replica corner case.
-//! * [`VermeStaticRing`] — instant converged rings plus the ground-truth
-//!   queries (responsible node, replica sets, section membership) the
-//!   experiments and the worm simulator build on.
+//! | module | holds |
+//! |---|---|
+//! | [`layout`] | [`SectionLayout`] (§4.3): identifiers are `[random \| type \| random]`, dividing the ring into sections that alternate types; the shifted finger targets of §4.4 |
+//! | [`node`] | [`VermeNode`]: Chord's ring half, unchanged, as an embedded `verme_chord::RingCore`, plus what §4.4–4.5 and §5.2 add — finger targets and admissibility, the corner rule, recursive-only certified lookups with sealed replies and the piggyback hand-off, and a predecessor list stabilized like the successor list |
+//! | [`proto`] | Verme's wire messages, lookup purposes and answers, configuration |
+//! | [`static_ring`] | [`VermeStaticRing`]: instant converged rings plus the ground-truth queries (responsible node, replica sets, section membership) the experiments and the worm simulator build on |
+//! | [`audit`] | the §3 containment invariant checked against a live node's or a static ring's routing state |
+//! | [`tracker`] | §6.2: type-aware and uniform-random neighbor assignment for tracker-based (unstructured) swarms |
 //!
 //! The VerDi DHT variants that ride on this overlay live in `verme-dht`.
 

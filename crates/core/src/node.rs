@@ -1,7 +1,9 @@
 //! The Verme node state machine (paper §4).
 //!
-//! Structurally a sibling of `verme_chord::node::ChordNode`, with the
-//! type-aware modifications:
+//! The ring half — successor list, fingers, stabilize/notify, reseeding,
+//! join completion, advert vetting — is Chord's, unchanged, and lives in
+//! the embedded [`RingCore`]. This file holds the type-aware
+//! modifications the paper makes on top of it:
 //!
 //! * identifiers come from a [`SectionLayout`] and embed the node's type;
 //! * finger targets are shifted by a section length so every long-range
@@ -19,12 +21,13 @@ use std::collections::HashMap;
 use rand::Rng;
 
 use verme_chord::node::keys;
+use verme_chord::ring_core::{send_counted, take_waiting};
 use verme_chord::{
-    closest_preceding_hop, Behaviour, FingerTable, Honest, Id, MaintenanceMode, NeighborList,
-    NodeHandle, RingStance, RouteAction,
+    rebuild_list, Behaviour, FingerTable, Id, MaintenanceMode, NeighborList, NodeHandle, RingCore,
+    RingNode, RingStance, RouteAction,
 };
 use verme_crypto::{CaVerifier, Certificate, KeyPair, NodeType, Sealed};
-use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration, SimTime, Wire};
+use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration, SimTime};
 
 use crate::layout::SectionLayout;
 use crate::proto::{
@@ -127,34 +130,25 @@ struct AnswerState {
 /// [`CaVerifier`].
 pub struct VermeNode<P: Payload = ()> {
     cfg: VermeConfig,
-    id: Id,
+    ring: RingCore,
     node_type: NodeType,
     cert: Certificate,
     crypto_keys: KeyPair,
     verifier: CaVerifier,
-    me: NodeHandle,
-    successors: NeighborList,
     predecessors: NeighborList,
-    fingers: FingerTable,
-    bootstrap: Option<Addr>,
-    joined: bool,
-    next_token: u64,
     pending: HashMap<VermeLookupId, PendingLookup>,
     forwards: HashMap<VermeLookupId, ForwardState>,
     answers: HashMap<VermeLookupId, AnswerState>,
     answer_requests: Vec<AnswerRequest<P>>,
     outcomes: Vec<VermeOutcome<P>>,
-    stab_waiting: Option<(u64, NodeHandle)>,
     pred_stab_waiting: Option<(u64, NodeHandle)>,
-    /// True once the successor list has ever held an entry — separates a
-    /// bootstrap singleton (may seed its list from a notify) from a node
-    /// whose list was emptied by failures (must only reseed *forward*).
-    ever_had_successor: bool,
     denied: u64,
-    neighbor_epoch: u64,
-    /// Routing policy: [`Honest`] by default. Every call is gated on
-    /// [`Behaviour::is_byzantine`], so honest runs never consult it.
-    behaviour: Box<dyn Behaviour>,
+}
+
+impl<P: Payload> RingNode for VermeNode<P> {
+    fn ring(&self) -> &RingCore {
+        &self.ring
+    }
 }
 
 impl<P: Payload> VermeNode<P> {
@@ -186,30 +180,20 @@ impl<P: Payload> VermeNode<P> {
         );
         assert_eq!(cert.public_key(), crypto_keys.public(), "key pair does not match certificate");
         VermeNode {
-            successors: NeighborList::successors(id, cfg.num_successors),
+            ring: RingCore::new(id, cfg.num_successors),
             predecessors: NeighborList::predecessors(id, cfg.num_predecessors),
-            fingers: FingerTable::new(id),
             cfg,
-            id,
             node_type,
             cert,
             crypto_keys,
             verifier,
-            me: NodeHandle::new(id, Addr::NULL),
-            bootstrap: None,
-            joined: true,
-            next_token: 0,
             pending: HashMap::new(),
             forwards: HashMap::new(),
             answers: HashMap::new(),
             answer_requests: Vec::new(),
             outcomes: Vec::new(),
-            stab_waiting: None,
             pred_stab_waiting: None,
-            ever_had_successor: false,
             denied: 0,
-            neighbor_epoch: 0,
-            behaviour: Box::new(Honest),
         }
     }
 
@@ -226,8 +210,7 @@ impl<P: Payload> VermeNode<P> {
         bootstrap: Addr,
     ) -> Self {
         let mut node = VermeNode::first(cfg, cert, crypto_keys, verifier);
-        node.bootstrap = Some(bootstrap);
-        node.joined = false;
+        node.ring = node.ring.joining(bootstrap);
         node
     }
 
@@ -246,18 +229,14 @@ impl<P: Payload> VermeNode<P> {
         fingers: &[(usize, NodeHandle)],
     ) -> Self {
         let mut node = VermeNode::first(cfg, cert, crypto_keys, verifier);
-        node.successors.integrate_all(successors);
-        node.ever_had_successor = !node.successors.is_empty();
+        node.ring = node.ring.with_state(successors, fingers);
         node.predecessors.integrate_all(predecessors);
-        for &(i, h) in fingers {
-            node.fingers.set(i, Some(h));
-        }
         node
     }
 
     /// This node's identifier.
     pub fn id(&self) -> Id {
-        self.id
+        self.ring.id()
     }
 
     /// This node's platform type.
@@ -272,17 +251,17 @@ impl<P: Payload> VermeNode<P> {
 
     /// This node's handle (address populated once spawned).
     pub fn handle(&self) -> NodeHandle {
-        self.me
+        self.ring.me()
     }
 
     /// True once the node has joined the ring.
     pub fn is_joined(&self) -> bool {
-        self.joined
+        self.ring.is_joined()
     }
 
     /// The node's successor list, nearest first.
     pub fn successor_list(&self) -> &[NodeHandle] {
-        self.successors.as_slice()
+        self.ring.successors().as_slice()
     }
 
     /// The node's predecessor list, nearest first.
@@ -292,7 +271,7 @@ impl<P: Payload> VermeNode<P> {
 
     /// The node's finger table.
     pub fn finger_table(&self) -> &FingerTable {
-        &self.fingers
+        self.ring.fingers()
     }
 
     /// Monotone counter bumped whenever this node's replica-relevant
@@ -302,7 +281,7 @@ impl<P: Payload> VermeNode<P> {
     /// join, crash, or graceful departure, without inspecting (or
     /// copying) the lists themselves.
     pub fn neighbor_epoch(&self) -> u64 {
-        self.neighbor_epoch
+        self.ring.neighbor_epoch()
     }
 
     /// The section layout this node runs under.
@@ -323,28 +302,24 @@ impl<P: Payload> VermeNode<P> {
     /// The first hop this node would route a lookup for `key` through —
     /// Compromise-VerDi's "appropriate finger table entry" (§5.3.3).
     pub fn route_first_hop(&self, key: Id) -> Option<NodeHandle> {
-        closest_preceding_hop(self.id, &self.fingers, &self.successors, key)
+        self.ring.route_first_hop(key)
     }
 
     /// As [`route_first_hop`](VermeNode::route_first_hop), but refusing
     /// the listed addresses — the redundant-path and suspicion machinery
     /// uses this to force a disjoint first hop.
     pub fn route_first_hop_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle> {
-        if exclude.is_empty() {
-            self.route_first_hop(key)
-        } else {
-            self.route_excluding(key, exclude)
-        }
+        self.ring.route_first_hop_excluding(key, exclude)
     }
 
     /// Installs a routing [`Behaviour`] policy (Byzantine scripting).
     pub fn set_behaviour(&mut self, behaviour: Box<dyn Behaviour>) {
-        self.behaviour = behaviour;
+        self.ring.set_behaviour(behaviour);
     }
 
     /// True if this node runs an adversarial routing policy.
     pub fn is_byzantine(&self) -> bool {
-        self.behaviour.is_byzantine()
+        self.ring.is_byzantine()
     }
 
     /// Signs a statement with this node's key (Compromise-VerDi's
@@ -360,12 +335,7 @@ impl<P: Payload> VermeNode<P> {
     /// ([`check_ring`](verme_chord::check_ring)); the whole predecessor
     /// list is contributed, nearest first.
     pub fn ring_stance(&self) -> RingStance {
-        RingStance {
-            id: self.id.raw(),
-            joined: self.joined,
-            successors: self.successors.iter().map(|h| h.id.raw()).collect(),
-            predecessors: self.predecessors.iter().map(|h| h.id.raw()).collect(),
-        }
+        self.ring.ring_stance(self.predecessors.as_slice())
     }
 
     /// Which maintenance rules this node runs.
@@ -377,35 +347,13 @@ impl<P: Payload> VermeNode<P> {
     /// gauges — the same shape [`ChordNode`](verme_chord::ChordNode)
     /// reports, so samplers treat both overlays uniformly.
     pub fn health(&self) -> verme_chord::NodeHealth {
-        verme_chord::NodeHealth {
-            joined: self.joined,
-            successors: self.successors.len(),
-            predecessors: self.predecessors.len(),
-            distinct_fingers: self.fingers.distinct().len(),
-            pending_lookups: self.pending.len(),
-            forwarding: self.forwards.len(),
-        }
+        self.ring.health(self.predecessors.len(), self.pending.len(), self.forwards.len())
     }
 
     /// Every distinct peer in this node's routing state — what a worm on
     /// this node could harvest.
     pub fn known_peers(&self) -> Vec<NodeHandle> {
-        let mut out: Vec<NodeHandle> = Vec::new();
-        let mut push = |h: NodeHandle| {
-            if h.addr != self.me.addr && !out.iter().any(|o| o.addr == h.addr) {
-                out.push(h);
-            }
-        };
-        for &h in self.successors.iter() {
-            push(h);
-        }
-        for &h in self.predecessors.iter() {
-            push(h);
-        }
-        for h in self.fingers.distinct() {
-            push(h);
-        }
-        out
+        self.ring.known_peers(self.predecessors.as_slice())
     }
 
     /// Drains outcomes of lookups this node initiated.
@@ -448,14 +396,7 @@ impl<P: Payload> VermeNode<P> {
         ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) -> VermeLookupId {
         ctx.metrics().count(keys::LOOKUP_ISSUED, 1);
-        self.begin_lookup_avoiding(
-            key,
-            LookupPurpose::Replicas,
-            piggyback,
-            keys::BYTES_LOOKUP,
-            avoid,
-            ctx,
-        )
+        self.begin_lookup(key, LookupPurpose::Replicas, piggyback, avoid, ctx)
     }
 
     /// Starts a random-key measurement lookup (the Figure 5 workload).
@@ -481,19 +422,6 @@ impl<P: Payload> VermeNode<P> {
         key: Id,
         purpose: LookupPurpose,
         piggyback: Option<P>,
-        bytes_key: &'static str,
-        ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
-    ) -> VermeLookupId {
-        self.begin_lookup_avoiding(key, purpose, piggyback, bytes_key, &[], ctx)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn begin_lookup_avoiding(
-        &mut self,
-        key: Id,
-        purpose: LookupPurpose,
-        piggyback: Option<P>,
-        bytes_key: &'static str,
         avoid: &[Addr],
         ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) -> VermeLookupId {
@@ -502,17 +430,17 @@ impl<P: Payload> VermeNode<P> {
         ctx.emit(ProtoEvent::LookupStart {
             op: lid,
             key: key.raw(),
-            origin_id: self.id.raw(),
+            origin_id: self.ring.id().raw(),
             kind: purpose.label(),
         });
         self.pending.insert(lid, PendingLookup { key, purpose, started: ctx.now() });
         ctx.set_timer(self.cfg.lookup_deadline, VermeTimer::LookupDeadline { lid });
 
-        let first_hop = if !self.joined {
+        let first_hop = if !self.ring.is_joined() {
             // The bootstrap address carries no id, so no hop is traced; the
             // checkers only run on `replicas` paths anyway.
-            self.bootstrap.map(|a| (a, None))
-        } else if self.is_keys_predecessor(key) {
+            self.ring.bootstrap().map(|a| (a, None))
+        } else if self.ring.owns(key) {
             // We can answer ourselves (no network round trip).
             if let Some(pb) = piggyback {
                 self.answers.insert(lid, AnswerState { cert: self.cert, prev: None, hops: 0 });
@@ -529,14 +457,13 @@ impl<P: Payload> VermeNode<P> {
             self.complete_lookup(lid, Some(answer), None, 0, ctx);
             return lid;
         } else {
-            self.route_first_hop_excluding(key, avoid)
-                .or_else(|| closest_preceding_hop(self.id, &self.fingers, &self.successors, key))
-                .map(|h| (h.addr, Some(h)))
+            self.ring.first_hop_avoiding(key, avoid).map(|h| (h.addr, Some(h)))
         };
         let Some((hop, hop_handle)) = first_hop else {
             self.fail_lookup(lid, ctx);
             return lid;
         };
+        let bytes_key = bytes_key(purpose);
         let piggyback_size = piggyback.as_ref().map_or(0, |p| p.wire_size());
         self.forwards.insert(
             lid,
@@ -557,7 +484,7 @@ impl<P: Payload> VermeNode<P> {
         if let Some(h) = hop_handle {
             self.emit_hop(ctx, lid, h, 0);
         }
-        self.send_counted(
+        send_counted(
             ctx,
             hop,
             VermeMsg::Lookup { lid, key, cert: self.cert, purpose, piggyback, hops: 1 },
@@ -585,7 +512,7 @@ impl<P: Payload> VermeNode<P> {
             hop,
             from_type: Some(self.node_type.index()),
             to_type: Some(layout.type_of(to.id).index()),
-            from_section: Some(layout.section_of(self.id)),
+            from_section: Some(layout.section_of(self.ring.id())),
             to_section: Some(layout.section_of(to.id)),
         });
     }
@@ -606,38 +533,25 @@ impl<P: Payload> VermeNode<P> {
         let latency = ctx.now().saturating_since(p.started);
         match (&answer, p.purpose) {
             (Some(VermeAnswer::Join { predecessor, successors }), LookupPurpose::Join) => {
-                let mut fresh = NeighborList::successors(self.id, self.cfg.num_successors);
-                fresh.integrate_all(successors);
-                if fresh.is_empty() {
-                    fresh.integrate(*predecessor);
+                let mode = self.cfg.maintenance;
+                // A trusted answerer (legacy one-phase join) becomes our
+                // nearest predecessor; the corrected protocol leaves the
+                // list to fill in through notifies.
+                if let Some(p) = self.ring.complete_join(mode, *predecessor, successors) {
+                    self.predecessors.integrate(p);
                 }
-                self.successors = fresh;
-                self.note_seeded();
-                if self.cfg.maintenance == MaintenanceMode::Legacy {
-                    // Legacy one-phase join: trust the answerer as our
-                    // nearest predecessor. The corrected protocol leaves
-                    // the predecessor list empty — it fills in through
-                    // notifies once the true predecessors stabilize
-                    // (Zave's two-phase join).
-                    self.predecessors.integrate(*predecessor);
-                }
-                self.joined = true;
-                // Drop the bootstrap address so a later crash leaves no
-                // residue of the join (keeps the model checker's fail
-                // transitions exact).
-                self.bootstrap = None;
-                if let Some(s1) = self.successors.first() {
-                    self.send_counted(
-                        ctx,
-                        s1.addr,
-                        VermeMsg::Notify { node: self.me },
-                        keys::BYTES_MAINT,
-                    );
-                }
+                self.notify_successor(ctx);
             }
-            (Some(VermeAnswer::Finger { .. }), LookupPurpose::Finger) => {
-                // Finger refreshes are keyed by target; the caller stored
-                // the index mapping — see fix_fingers, which re-derives it.
+            (Some(VermeAnswer::Finger { node }), LookupPurpose::Finger)
+                if admissible_finger(&self.cfg.layout, self.ring.id(), node) =>
+            {
+                // Finger refreshes are keyed by target: re-derive which
+                // finger indexes this target serves.
+                for i in 0..Id::BITS {
+                    if self.cfg.layout.finger_target(self.ring.id(), i) == p.key {
+                        self.ring.set_finger(i as usize, *node);
+                    }
+                }
             }
             _ => {}
         }
@@ -645,21 +559,6 @@ impl<P: Payload> VermeNode<P> {
             ctx.metrics().record(keys::LOOKUP_LATENCY_MS, latency.as_millis_f64());
             ctx.metrics().record(keys::LOOKUP_HOPS, hops as f64);
             ctx.metrics().count(keys::LOOKUP_COMPLETED, 1);
-        }
-        if let (Some(VermeAnswer::Finger { node }), LookupPurpose::Finger) = (&answer, p.purpose) {
-            // Re-derive which finger indexes this target serves, refusing
-            // any same-type entry outside our own section (§3).
-            let safe = self.cfg.layout.type_of(node.id) != self.node_type
-                || self.cfg.layout.same_section(node.id, self.id);
-            if safe {
-                for i in 0..Id::BITS {
-                    if self.cfg.layout.finger_target(self.id, i) == p.key {
-                        self.fingers.set(i as usize, Some(*node));
-                    }
-                }
-            }
-        }
-        if p.purpose == LookupPurpose::Replicas {
             self.outcomes.push(VermeOutcome {
                 lid,
                 key: p.key,
@@ -678,39 +577,27 @@ impl<P: Payload> VermeNode<P> {
         };
         self.forwards.remove(&lid);
         ctx.emit(ProtoEvent::LookupEnd { op: lid, ok: false, hops: 0 });
-        if p.purpose == LookupPurpose::Replicas {
-            ctx.metrics().count(keys::LOOKUP_FAILED, 1);
-        }
-        if p.purpose == LookupPurpose::Join {
-            ctx.set_timer(SimDuration::from_secs(2), VermeTimer::JoinRetry);
-        }
-        if p.purpose == LookupPurpose::Replicas {
-            self.outcomes.push(VermeOutcome {
-                lid,
-                key: p.key,
-                purpose: p.purpose,
-                answer: None,
-                app: None,
-                hops: 0,
-                latency: ctx.now().saturating_since(p.started),
-            });
+        match p.purpose {
+            LookupPurpose::Replicas => {
+                ctx.metrics().count(keys::LOOKUP_FAILED, 1);
+                self.outcomes.push(VermeOutcome {
+                    lid,
+                    key: p.key,
+                    purpose: p.purpose,
+                    answer: None,
+                    app: None,
+                    hops: 0,
+                    latency: ctx.now().saturating_since(p.started),
+                });
+            }
+            LookupPurpose::Join => ctx.set_timer(SimDuration::from_secs(2), VermeTimer::JoinRetry),
+            LookupPurpose::Finger => {}
         }
     }
 
     // ------------------------------------------------------------------
     // Answering
     // ------------------------------------------------------------------
-
-    /// True if this node is the key's predecessor (the answering node).
-    fn is_keys_predecessor(&self, key: Id) -> bool {
-        if !self.joined {
-            return false;
-        }
-        match self.successors.first() {
-            None => true, // Singleton ring.
-            Some(s1) => key.in_open_closed(self.id, s1.id),
-        }
-    }
 
     /// Verifies an initiator's entitlement to look up `key` (§4.5).
     ///
@@ -748,8 +635,8 @@ impl<P: Payload> VermeNode<P> {
     fn make_answer(&self, key: Id, purpose: LookupPurpose) -> VermeAnswer {
         match purpose {
             LookupPurpose::Join => VermeAnswer::Join {
-                predecessor: self.me,
-                successors: self.successors.as_slice().to_vec(),
+                predecessor: self.ring.me(),
+                successors: self.ring.successors().as_slice().to_vec(),
             },
             LookupPurpose::Finger => VermeAnswer::Finger { node: self.corner_responsible(key) },
             LookupPurpose::Replicas => VermeAnswer::Replicas { replicas: self.replicas_for(key) },
@@ -760,9 +647,9 @@ impl<P: Payload> VermeNode<P> {
     /// unless that successor lies outside `key`'s section — then it is the
     /// predecessor (this node).
     fn corner_responsible(&self, key: Id) -> NodeHandle {
-        match self.successors.first() {
+        match self.ring.successors().first() {
             Some(s1) if self.cfg.layout.same_section(s1.id, key) => s1,
-            _ => self.me,
+            _ => self.ring.me(),
         }
     }
 
@@ -772,30 +659,16 @@ impl<P: Payload> VermeNode<P> {
     fn replicas_for(&self, key: Id) -> Vec<NodeHandle> {
         let r = self.cfg.replicas_per_section;
         let layout = &self.cfg.layout;
-        let fwd: Vec<NodeHandle> = self
-            .successors
-            .iter()
-            .copied()
-            .filter(|h| layout.same_section(h.id, key))
-            .take(r)
-            .collect();
+        let in_section = |h: &&NodeHandle| layout.same_section(h.id, key);
+        let fwd: Vec<NodeHandle> =
+            self.ring.successors().iter().filter(in_section).take(r).copied().collect();
         if !fwd.is_empty() {
             return fwd;
         }
-        // Corner: no in-section successor — replicate toward predecessors.
-        let mut back: Vec<NodeHandle> = Vec::with_capacity(r);
-        if layout.same_section(self.id, key) {
-            back.push(self.me);
-        }
-        for h in self.predecessors.iter() {
-            if back.len() >= r {
-                break;
-            }
-            if layout.same_section(h.id, key) {
-                back.push(*h);
-            }
-        }
-        back
+        // Corner: no in-section successor — replicate toward predecessors,
+        // this node first.
+        let me = self.ring.me();
+        [me].iter().chain(self.predecessors.iter()).filter(in_section).take(r).copied().collect()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -810,15 +683,12 @@ impl<P: Payload> VermeNode<P> {
         hops: u32,
         ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) {
-        let bytes_key = match purpose {
-            LookupPurpose::Replicas => keys::BYTES_LOOKUP,
-            LookupPurpose::Join | LookupPurpose::Finger => keys::BYTES_MAINT,
-        };
-        self.send_counted(ctx, from, VermeMsg::HopAck { lid }, bytes_key);
+        let bytes_key = bytes_key(purpose);
+        send_counted(ctx, from, VermeMsg::HopAck { lid }, bytes_key);
         if self.forwards.contains_key(&lid) || self.answers.contains_key(&lid) {
             return; // Duplicate delivery via a reroute.
         }
-        if self.is_keys_predecessor(key) {
+        if self.ring.owns(key) {
             if !self.verify_lookup(key, &cert, purpose, piggyback.is_some()) {
                 // §4.5: drop illegitimate lookups. The initiator's
                 // deadline will fire.
@@ -836,16 +706,17 @@ impl<P: Payload> VermeNode<P> {
                 return;
             }
             let answer = self.make_answer(key, purpose);
-            self.send_reply(lid, answer, None, &cert, from, hops, bytes_key, ctx);
+            send_reply(lid, answer, None, &cert, from, hops, bytes_key, ctx);
             return;
         }
-        let Some(mut next) = closest_preceding_hop(self.id, &self.fingers, &self.successors, key)
-        else {
+        let Some(mut next) = self.ring.route_first_hop(key) else {
             return;
         };
-        if self.behaviour.is_byzantine() {
+        if self.ring.is_byzantine() {
+            // Diversion targets are every known peer, predecessors
+            // included; Chord draws from its forward routing peers only.
             let candidates = self.known_peers();
-            match self.behaviour.route(key, next, &candidates) {
+            match self.ring.route_action(key, next, &candidates) {
                 RouteAction::Honest => {}
                 // Absorb after the ack above: upstream believes the hop is
                 // alive, so only the initiator's deadline catches it.
@@ -858,23 +729,19 @@ impl<P: Payload> VermeNode<P> {
                     // envelope — certificates authenticate *initiators*,
                     // not answers (DESIGN.md §7f). Only a data-layer
                     // integrity check unmasks the hijack.
+                    let me = self.ring.me();
                     let answer = match purpose {
                         LookupPurpose::Join => {
-                            VermeAnswer::Join { predecessor: self.me, successors: vec![self.me] }
+                            VermeAnswer::Join { predecessor: me, successors: vec![me] }
                         }
-                        LookupPurpose::Finger => VermeAnswer::Finger { node: self.me },
-                        LookupPurpose::Replicas => {
-                            if piggyback.is_some() {
-                                // Piggybacked replies are opaque; an empty
-                                // forged answer body fails the caller's
-                                // payload check instead.
-                                VermeAnswer::Opaque
-                            } else {
-                                VermeAnswer::Replicas { replicas: vec![self.me] }
-                            }
-                        }
+                        LookupPurpose::Finger => VermeAnswer::Finger { node: me },
+                        // Piggybacked replies are opaque; an empty forged
+                        // answer body fails the caller's payload check
+                        // instead.
+                        LookupPurpose::Replicas if piggyback.is_some() => VermeAnswer::Opaque,
+                        LookupPurpose::Replicas => VermeAnswer::Replicas { replicas: vec![me] },
                     };
-                    self.send_reply(lid, answer, None, &cert, from, hops, bytes_key, ctx);
+                    send_reply(lid, answer, None, &cert, from, hops, bytes_key, ctx);
                     return;
                 }
             }
@@ -897,7 +764,7 @@ impl<P: Payload> VermeNode<P> {
             },
         );
         self.emit_hop(ctx, lid, next, hops);
-        self.send_counted(
+        send_counted(
             ctx,
             next.addr,
             VermeMsg::Lookup { lid, key, cert, purpose, piggyback, hops: hops + 1 },
@@ -905,23 +772,6 @@ impl<P: Payload> VermeNode<P> {
         );
         ctx.set_timer(self.cfg.hop_timeout, VermeTimer::HopTimeout { lid, attempt: 0 });
         ctx.set_timer(self.cfg.lookup_deadline * 2, VermeTimer::RelayGc { lid });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_reply(
-        &mut self,
-        lid: VermeLookupId,
-        answer: VermeAnswer,
-        app: Option<P>,
-        cert: &Certificate,
-        to: Addr,
-        hops: u32,
-        bytes_key: &'static str,
-        ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
-    ) {
-        let body_size = answer_body_size(&answer, &app);
-        let body = Sealed::seal(cert.public_key(), AnswerBody { answer, app });
-        self.send_counted(ctx, to, VermeMsg::Reply { lid, body, body_size, hops }, bytes_key);
     }
 
     /// Answers a piggybacked operation previously surfaced through
@@ -942,7 +792,7 @@ impl<P: Payload> VermeNode<P> {
         let answer = VermeAnswer::Opaque;
         match st.prev {
             Some(prev) => {
-                self.send_reply(lid, answer, app, &st.cert, prev, st.hops, keys::BYTES_LOOKUP, ctx);
+                send_reply(lid, answer, app, &st.cert, prev, st.hops, keys::BYTES_LOOKUP, ctx);
             }
             None => {
                 // We were both initiator and responsible node.
@@ -978,12 +828,8 @@ impl<P: Payload> VermeNode<P> {
         // it only forwards it.
         if let Some(st) = self.forwards.remove(&lid) {
             if let Some(prev) = st.prev {
-                self.send_counted(
-                    ctx,
-                    prev,
-                    VermeMsg::Reply { lid, body, body_size, hops },
-                    st.bytes_key,
-                );
+                let reply = VermeMsg::Reply { lid, body, body_size, hops };
+                send_counted(ctx, prev, reply, st.bytes_key);
             }
         }
     }
@@ -994,142 +840,55 @@ impl<P: Payload> VermeNode<P> {
         attempt: u32,
         ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) {
-        let Some(st) = self.forwards.get(&lid) else {
+        let Some(st) = self.forwards.get_mut(&lid) else {
             return;
         };
         if st.acked || st.attempts != attempt {
             return;
         }
-        let dead = st.next;
-        let (key, cert, purpose, hops, prev, bytes_key) =
-            (st.key, st.cert, st.purpose, st.hops, st.prev, st.bytes_key);
-        let tried = st.tried.clone();
-        self.mark_dead(dead);
+        Self::mark_dead(&mut self.ring, &mut self.predecessors, st.next);
         ctx.metrics().count(keys::HOP_REROUTES, 1);
-
-        let replacement = self.route_excluding(key, &tried);
-        let st = self.forwards.get_mut(&lid).expect("state still present");
         // As in `verme-chord`: forwarders cap their attempts (upstream
         // reroutes around them), while the initiator keeps rerouting for as
         // long as untried routes remain, bounded by its lookup deadline.
-        let out_of_attempts = prev.is_some() && st.attempts + 1 >= self.cfg.max_hop_attempts;
-        if out_of_attempts || replacement.is_none() {
+        // And forward state does not keep piggybacked payloads (large data
+        // would be double-counted), so a piggybacked lookup cannot be
+        // rerouted at all; the initiator's deadline covers that rare case.
+        let give_up = st.piggyback_size > 0
+            || (st.prev.is_some() && st.attempts + 1 >= self.cfg.max_hop_attempts);
+        let Some(next) = self.ring.route_excluding(st.key, &st.tried).filter(|_| !give_up) else {
+            let initiator = st.prev.is_none();
             self.forwards.remove(&lid);
-            if prev.is_none() {
+            if initiator {
                 self.fail_lookup(lid, ctx);
             }
             return;
-        }
-        let next = replacement.expect("checked above");
+        };
         st.attempts += 1;
         st.next = next.addr;
         st.tried.push(next.addr);
-        let new_attempt = st.attempts;
-        // Piggybacked payloads cannot be replayed from forward state (we
-        // do not store them to avoid double-counting large data); the
-        // initiator's deadline covers that rare case.
-        let resend_piggyback = None;
-        if st.piggyback_size > 0 {
-            // Forward state without the payload can't reroute a
-            // piggybacked lookup; drop and let the deadline fire.
-            self.forwards.remove(&lid);
-            if prev.is_none() {
-                self.fail_lookup(lid, ctx);
-            }
-            return;
-        }
+        let (key, cert, purpose, hops, bytes_key) =
+            (st.key, st.cert, st.purpose, st.hops, st.bytes_key);
+        let attempt = st.attempts;
         ctx.emit(ProtoEvent::Reroute { op: lid, to: next.addr });
         // Re-emit the hop at its original index: the path record replaces
         // the dead candidate rather than growing.
         self.emit_hop(ctx, lid, next, hops - 1);
-        self.send_counted(
+        send_counted(
             ctx,
             next.addr,
-            VermeMsg::Lookup { lid, key, cert, purpose, piggyback: resend_piggyback, hops },
+            VermeMsg::Lookup { lid, key, cert, purpose, piggyback: None, hops },
             bytes_key,
         );
-        ctx.set_timer(self.cfg.hop_timeout, VermeTimer::HopTimeout { lid, attempt: new_attempt });
+        ctx.set_timer(self.cfg.hop_timeout, VermeTimer::HopTimeout { lid, attempt });
     }
 
-    fn route_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle> {
-        let mut best: Option<NodeHandle> = None;
-        let mut best_rank = 0u128;
-        let candidates = self.fingers.distinct().into_iter().chain(self.successors.iter().copied());
-        for h in candidates {
-            if exclude.contains(&h.addr) {
-                continue;
-            }
-            if h.id.in_open_open(self.id, key) {
-                let rank = self.id.distance_to(h.id);
-                if rank > best_rank {
-                    best_rank = rank;
-                    best = Some(h);
-                }
-            }
-        }
-        best
-    }
-
-    /// The id this node believes `addr` is bound to, if it knows the
-    /// address at all.
-    fn known_binding(&self, addr: Addr) -> Option<Id> {
-        if addr == self.me.addr {
-            return Some(self.id);
-        }
-        self.successors
-            .iter()
-            .chain(self.predecessors.iter())
-            .copied()
-            .chain(self.fingers.distinct())
-            .find(|h| h.addr == addr)
-            .map(|h| h.id)
-    }
-
-    /// Drops advertised entries whose addr→id binding conflicts with this
-    /// node's own routing state, or with another entry in the same
-    /// advertisement — the poisoning adversary rebinds real addresses to
-    /// fabricated identifiers, and honest bindings never change within a
-    /// run, so any conflict is a lie. Rejections are counted under
-    /// `ring.poisoned_entries`.
-    fn sanitize_advert(
-        &self,
-        list: Vec<NodeHandle>,
-        ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
-    ) -> Vec<NodeHandle> {
-        let mut clean: Vec<NodeHandle> = Vec::with_capacity(list.len());
-        let mut rejected = 0u64;
-        for h in list {
-            let known_conflict = self.known_binding(h.addr).is_some_and(|id| id != h.id);
-            let intra_conflict = clean.iter().any(|c| c.addr == h.addr && c.id != h.id);
-            if known_conflict || intra_conflict {
-                rejected += 1;
-            } else {
-                clean.push(h);
-            }
-        }
-        if rejected > 0 {
-            ctx.metrics().count(keys::RING_POISONED, rejected);
-        }
-        clean
-    }
-
-    fn mark_dead(&mut self, addr: Addr) {
-        let succ_gone = self.successors.remove_addr(addr);
-        let pred_gone = self.predecessors.remove_addr(addr);
-        self.fingers.remove_addr(addr);
-        if succ_gone || pred_gone {
-            self.neighbor_epoch += 1;
-        }
-    }
-
-    /// The live finger nearest ahead of this node — the best emergency
-    /// successor candidate after the whole successor list has died.
-    fn nearest_forward_finger(&self) -> Option<NodeHandle> {
-        self.fingers
-            .distinct()
-            .into_iter()
-            .filter(|h| h.addr != self.me.addr)
-            .min_by_key(|h| self.id.distance_to(h.id))
+    /// Purges a detected-dead address from all routing state. Takes the
+    /// two fields apart so a caller can keep its borrow of a forwarded
+    /// lookup across the purge.
+    fn mark_dead(ring: &mut RingCore, predecessors: &mut NeighborList, addr: Addr) {
+        let predecessor_gone = predecessors.remove_addr(addr);
+        ring.mark_dead(addr, predecessor_gone);
     }
 
     // ------------------------------------------------------------------
@@ -1137,30 +896,14 @@ impl<P: Payload> VermeNode<P> {
     // ------------------------------------------------------------------
 
     fn stabilize_once(&mut self, ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>) {
-        if self.successors.is_empty() {
-            // A correlated failure can kill every node in the successor
-            // list at once. Re-acquire a forward pointer from the finger
-            // table and let stabilization walk it back to the true
-            // successor; without this the next Notify from a predecessor
-            // would refill the list *backwards* and wedge this node in a
-            // wrapped state that answers lookups for the dead arc.
-            if let Some(f) = self.nearest_forward_finger() {
-                if self.successors.integrate(f) {
-                    self.neighbor_epoch += 1;
-                }
-                self.note_seeded();
-            }
-        }
-        if let Some(s1) = self.successors.first() {
-            let token = self.fresh_token();
-            self.stab_waiting = Some((token, s1));
-            self.send_counted(ctx, s1.addr, VermeMsg::GetNeighbors { token }, keys::BYTES_MAINT);
+        if let Some((token, s1)) = self.ring.begin_stabilize() {
+            send_counted(ctx, s1.addr, VermeMsg::GetNeighbors { token }, keys::BYTES_MAINT);
             ctx.set_timer(self.cfg.hop_timeout * 2, VermeTimer::StabTimeout { token });
         }
         if let Some(p1) = self.predecessors.first() {
-            let token = self.fresh_token();
+            let token = self.ring.fresh_token();
             self.pred_stab_waiting = Some((token, p1));
-            self.send_counted(ctx, p1.addr, VermeMsg::GetNeighbors { token }, keys::BYTES_MAINT);
+            send_counted(ctx, p1.addr, VermeMsg::GetNeighbors { token }, keys::BYTES_MAINT);
             ctx.set_timer(self.cfg.hop_timeout * 2, VermeTimer::PredStabTimeout { token });
         }
     }
@@ -1168,124 +911,49 @@ impl<P: Payload> VermeNode<P> {
     fn handle_neighbors(
         &mut self,
         token: u64,
-        succs: Vec<NodeHandle>,
-        preds: Vec<NodeHandle>,
+        mut succs: Vec<NodeHandle>,
+        mut preds: Vec<NodeHandle>,
         ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) {
-        let succs = self.sanitize_advert(succs, ctx);
-        let preds = self.sanitize_advert(preds, ctx);
-        if let Some((expect, s1)) = self.stab_waiting {
-            if expect == token {
-                self.stab_waiting = None;
-                let mut fresh = NeighborList::successors(self.id, self.cfg.num_successors);
-                match self.cfg.maintenance {
-                    MaintenanceMode::Legacy => {
-                        // Legacy rule: pool and re-sort — a stale entry in
-                        // s1's tail can leapfrog to this list's head and
-                        // persist through mutual recontamination.
-                        fresh.integrate(s1);
-                        // s1's best predecessor might sit between us and s1.
-                        if let Some(p) = preds.first() {
-                            if p.id.in_open_open(self.id, s1.id) {
-                                fresh.integrate(*p);
-                            }
-                        }
-                        fresh.integrate_all(&succs);
-                    }
-                    MaintenanceMode::Corrected => {
-                        // Zave's ordered update, as in `verme-chord`.
-                        let mut chain = Vec::with_capacity(succs.len() + 2);
-                        if let Some(p) = preds.first() {
-                            if p.id.in_open_open(self.id, s1.id) {
-                                chain.push(*p);
-                            }
-                        }
-                        chain.push(s1);
-                        chain.extend_from_slice(&succs);
-                        fresh.adopt_chain(&chain);
-                    }
-                }
-                if fresh.as_slice() != self.successors.as_slice() {
-                    self.neighbor_epoch += 1;
-                }
-                self.successors = fresh;
-                self.note_seeded();
-                if let Some(new_s1) = self.successors.first() {
-                    self.send_counted(
-                        ctx,
-                        new_s1.addr,
-                        VermeMsg::Notify { node: self.me },
-                        keys::BYTES_MAINT,
-                    );
-                }
-                return;
+        // Both advertised lists are vetted *before* the reply token is
+        // matched, so unsolicited or stale `Neighbors` count toward
+        // `ring.poisoned_entries`; Chord vets after the match.
+        let known = self.predecessors.as_slice();
+        self.ring.sanitize_advert(known, &mut succs, ctx);
+        self.ring.sanitize_advert(known, &mut preds, ctx);
+        // Chord refills a list caught being poisoned from its own vetted
+        // entries; Verme's two lists do not yet.
+        let poisoned = false;
+        let mode = self.cfg.maintenance;
+        if let Some(s1) = self.ring.take_stab_waiting(token) {
+            // s1's best predecessor might sit between us and s1.
+            self.ring.adopt_successors(mode, s1, preds.first().copied(), &succs, poisoned);
+            self.notify_successor(ctx);
+        } else if let Some(p1) = take_waiting(&mut self.pred_stab_waiting, token) {
+            // The same rebuild, mirrored counter-clockwise.
+            let fresh = rebuild_list(&self.predecessors, mode, p1, None, &preds, poisoned);
+            if fresh != self.predecessors {
+                self.ring.bump_epoch();
             }
+            self.predecessors = fresh;
         }
-        if let Some((expect, p1)) = self.pred_stab_waiting {
-            if expect == token {
-                self.pred_stab_waiting = None;
-                let mut fresh = NeighborList::predecessors(self.id, self.cfg.num_predecessors);
-                match self.cfg.maintenance {
-                    MaintenanceMode::Legacy => {
-                        fresh.integrate(p1);
-                        fresh.integrate_all(&preds);
-                    }
-                    MaintenanceMode::Corrected => {
-                        // Ordered update, mirrored counter-clockwise.
-                        let mut chain = Vec::with_capacity(preds.len() + 1);
-                        chain.push(p1);
-                        chain.extend_from_slice(&preds);
-                        fresh.adopt_chain(&chain);
-                    }
-                }
-                if fresh.as_slice() != self.predecessors.as_slice() {
-                    self.neighbor_epoch += 1;
-                }
-                self.predecessors = fresh;
-            }
+    }
+
+    fn notify_successor(&self, ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>) {
+        if let Some(s1) = self.ring.successors().first() {
+            let notify = VermeMsg::Notify { node: self.ring.me() };
+            send_counted(ctx, s1.addr, notify, keys::BYTES_MAINT);
         }
     }
 
     fn handle_notify(&mut self, node: NodeHandle) {
-        if node.id != self.id {
-            // The symmetric predecessor list absorbs every notifier (both
-            // modes); stabilization prunes dead entries, so the legacy
-            // stale-incumbent hazard does not apply to the list side.
-            if self.predecessors.integrate(node) {
-                self.neighbor_epoch += 1;
-            }
-            if self.successors.is_empty() {
-                match self.cfg.maintenance {
-                    // Legacy hazard: refill the emptied list *backwards*
-                    // from the notifier — the wrapped state that
-                    // partitions rings.
-                    MaintenanceMode::Legacy => {
-                        if self.successors.integrate(node) {
-                            self.neighbor_epoch += 1;
-                        }
-                    }
-                    MaintenanceMode::Corrected => {
-                        if let Some(f) = self.nearest_forward_finger() {
-                            // Forward-only reseed, same rule as
-                            // stabilization.
-                            if self.successors.integrate(f) {
-                                self.neighbor_epoch += 1;
-                            }
-                            self.note_seeded();
-                        } else if !self.ever_had_successor {
-                            // True bootstrap: a ring creator learns its
-                            // first peer through the joiner's notify.
-                            if self.successors.integrate(node) {
-                                self.neighbor_epoch += 1;
-                            }
-                            self.note_seeded();
-                        }
-                        // Otherwise: stay wedged rather than wrap
-                        // backwards; the finger reseed repairs forward.
-                    }
-                }
-            }
+        // The symmetric predecessor list absorbs every notifier (both
+        // modes); stabilization prunes dead entries, so the legacy
+        // stale-incumbent hazard does not apply to the list side.
+        if node.id != self.ring.id() && self.predecessors.integrate(node) {
+            self.ring.bump_epoch();
         }
+        self.ring.notify_refill(self.cfg.maintenance, node);
     }
 
     /// A neighbor announced a graceful departure: splice it out and absorb
@@ -1305,18 +973,16 @@ impl<P: Payload> VermeNode<P> {
         successors: Vec<NodeHandle>,
         predecessors: Vec<NodeHandle>,
     ) {
-        self.mark_dead(node.addr);
-        for h in successors {
-            if h.addr != self.me.addr && self.successors.integrate(h) {
-                self.neighbor_epoch += 1;
+        Self::mark_dead(&mut self.ring, &mut self.predecessors, node.addr);
+        let me = self.ring.me().addr;
+        for h in successors.into_iter().filter(|h| h.addr != me) {
+            self.ring.absorb_successor(h);
+        }
+        for h in predecessors.into_iter().filter(|h| h.addr != me) {
+            if self.predecessors.integrate(h) {
+                self.ring.bump_epoch();
             }
         }
-        for h in predecessors {
-            if h.addr != self.me.addr && self.predecessors.integrate(h) {
-                self.neighbor_epoch += 1;
-            }
-        }
-        self.note_seeded();
     }
 
     // ------------------------------------------------------------------
@@ -1324,64 +990,49 @@ impl<P: Payload> VermeNode<P> {
     // ------------------------------------------------------------------
 
     fn fix_fingers(&mut self, ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>) {
-        if !self.joined {
-            return;
-        }
-        let succs = self.successors.as_slice().to_vec();
-        let Some(last) = succs.last().copied() else {
-            return;
-        };
-        let mut looked_up: Vec<Id> = Vec::new();
-        for i in 0..Id::BITS {
-            let target = self.cfg.layout.finger_target(self.id, i);
-            if target.in_open_closed(self.id, last.id) {
-                let owner = succs
-                    .iter()
-                    .find(|s| self.id.distance_to(s.id) >= self.id.distance_to(target))
-                    .copied()
-                    // §3 safety net: never install a same-type entry from
-                    // outside our own section, even if a thin or stale
-                    // successor list would suggest one.
-                    .filter(|h| {
-                        self.cfg.layout.type_of(h.id) != self.node_type
-                            || self.cfg.layout.same_section(h.id, self.id)
-                    });
-                self.fingers.set(i as usize, owner);
-            } else if !looked_up.contains(&target) {
-                looked_up.push(target);
-                self.begin_lookup(target, LookupPurpose::Finger, None, keys::BYTES_MAINT, ctx);
-            }
+        let (layout, id) = (self.cfg.layout, self.ring.id());
+        let remote = self.ring.fix_fingers(
+            |id, i| layout.finger_target(id, i),
+            |h| admissible_finger(&layout, id, h),
+        );
+        for (_, target) in remote {
+            self.begin_lookup(target, LookupPurpose::Finger, None, &[], ctx);
         }
     }
+}
 
-    // ------------------------------------------------------------------
-    // Plumbing
-    // ------------------------------------------------------------------
-
-    fn fresh_token(&mut self) -> u64 {
-        self.next_token += 1;
-        self.next_token
+/// Replica lookups are application traffic; joins and finger refreshes
+/// are maintenance.
+fn bytes_key(purpose: LookupPurpose) -> &'static str {
+    match purpose {
+        LookupPurpose::Replicas => keys::BYTES_LOOKUP,
+        LookupPurpose::Join | LookupPurpose::Finger => keys::BYTES_MAINT,
     }
+}
 
-    /// Latches [`ever_had_successor`](Self::ever_had_successor) once the
-    /// successor list is non-empty. A pure field write: legacy-mode
-    /// message flow is unchanged by it.
-    fn note_seeded(&mut self) {
-        if !self.successors.is_empty() {
-            self.ever_had_successor = true;
-        }
-    }
+/// §3 safety net: a node never installs a same-type finger from outside
+/// its own section, even if a thin or stale successor list (or a forged
+/// finger answer) suggests one.
+fn admissible_finger(layout: &SectionLayout, owner: Id, h: &NodeHandle) -> bool {
+    layout.type_of(h.id) != layout.type_of(owner) || layout.same_section(h.id, owner)
+}
 
-    fn send_counted(
-        &self,
-        ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
-        to: Addr,
-        msg: VermeMsg<P>,
-        bytes_key: &'static str,
-    ) {
-        ctx.metrics().count(bytes_key, msg.wire_size() as u64);
-        ctx.send(to, msg);
-    }
+/// Seals `answer` (and any piggybacked `app` reply) to the initiator's
+/// certified key and sends it one hop back toward the initiator.
+#[allow(clippy::too_many_arguments)]
+fn send_reply<P: Payload>(
+    lid: VermeLookupId,
+    answer: VermeAnswer,
+    app: Option<P>,
+    cert: &Certificate,
+    to: Addr,
+    hops: u32,
+    bytes_key: &'static str,
+    ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
+) {
+    let body_size = answer_body_size(&answer, &app);
+    let body = Sealed::seal(cert.public_key(), AnswerBody { answer, app });
+    send_counted(ctx, to, VermeMsg::Reply { lid, body, body_size, hops }, bytes_key);
 }
 
 impl<P: Payload> Node for VermeNode<P> {
@@ -1389,15 +1040,12 @@ impl<P: Payload> Node for VermeNode<P> {
     type Timer = VermeTimer;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>) {
-        self.me = NodeHandle::new(self.id, ctx.self_addr());
-        let stab_ns = self.cfg.stabilize_interval.as_nanos();
-        let fing_ns = self.cfg.fix_fingers_interval.as_nanos();
-        let stab_phase = SimDuration::from_nanos(ctx.rng().gen_range(0..stab_ns.max(1)));
-        let fing_phase = SimDuration::from_nanos(ctx.rng().gen_range(0..fing_ns.max(1)));
+        let (stab_phase, fing_phase) =
+            self.ring.on_start(ctx, self.cfg.stabilize_interval, self.cfg.fix_fingers_interval);
         ctx.set_timer(stab_phase, VermeTimer::Stabilize);
         ctx.set_timer(fing_phase, VermeTimer::FixFingers);
-        if !self.joined {
-            self.begin_lookup(self.id, LookupPurpose::Join, None, keys::BYTES_MAINT, ctx);
+        if !self.ring.is_joined() {
+            self.begin_lookup(self.ring.id(), LookupPurpose::Join, None, &[], ctx);
         }
     }
 
@@ -1426,13 +1074,13 @@ impl<P: Payload> Node for VermeNode<P> {
                 self.handle_reply(lid, body, body_size, hops, ctx);
             }
             VermeMsg::GetNeighbors { token } => {
-                let mut successors = self.successors.as_slice().to_vec();
+                let mut successors = self.ring.successors().as_slice().to_vec();
                 let mut predecessors = self.predecessors.as_slice().to_vec();
-                if self.behaviour.is_byzantine() {
-                    self.behaviour.advertise(self.me, &mut successors, &mut predecessors);
+                if self.ring.is_byzantine() {
+                    self.ring.advertise(&mut successors, &mut predecessors);
                 }
                 let reply = VermeMsg::Neighbors { token, successors, predecessors };
-                self.send_counted(ctx, from, reply, keys::BYTES_MAINT);
+                send_counted(ctx, from, reply, keys::BYTES_MAINT);
             }
             VermeMsg::Neighbors { token, successors, predecessors } => {
                 self.handle_neighbors(token, successors, predecessors, ctx);
@@ -1442,26 +1090,26 @@ impl<P: Payload> Node for VermeNode<P> {
                 self.handle_leaving(node, successors, predecessors);
             }
             VermeMsg::Ping { token } => {
-                self.send_counted(ctx, from, VermeMsg::Pong { token }, keys::BYTES_MAINT);
+                send_counted(ctx, from, VermeMsg::Pong { token }, keys::BYTES_MAINT);
             }
             VermeMsg::Pong { .. } => {}
         }
     }
 
     fn on_shutdown(&mut self, ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>) {
-        if !self.joined {
+        if !self.ring.is_joined() {
             return;
         }
         let msg = VermeMsg::Leaving {
-            node: self.me,
-            successors: self.successors.as_slice().to_vec(),
+            node: self.ring.me(),
+            successors: self.ring.successors().as_slice().to_vec(),
             predecessors: self.predecessors.as_slice().to_vec(),
         };
         if let Some(p1) = self.predecessors.first() {
-            self.send_counted(ctx, p1.addr, msg.clone(), keys::BYTES_MAINT);
+            send_counted(ctx, p1.addr, msg.clone(), keys::BYTES_MAINT);
         }
-        if let Some(s1) = self.successors.first() {
-            self.send_counted(ctx, s1.addr, msg, keys::BYTES_MAINT);
+        if let Some(s1) = self.ring.successors().first() {
+            send_counted(ctx, s1.addr, msg, keys::BYTES_MAINT);
         }
     }
 
@@ -1477,7 +1125,7 @@ impl<P: Payload> Node for VermeNode<P> {
                 // Each periodic round is its own causal span; without this
                 // every round would chain off the previous one forever.
                 ctx.begin_cause();
-                if self.joined {
+                if self.ring.is_joined() {
                     self.stabilize_once(ctx);
                 }
                 ctx.set_timer(self.cfg.stabilize_interval, VermeTimer::Stabilize);
@@ -1488,20 +1136,14 @@ impl<P: Payload> Node for VermeNode<P> {
                 ctx.set_timer(self.cfg.fix_fingers_interval, VermeTimer::FixFingers);
             }
             VermeTimer::StabTimeout { token } => {
-                if let Some((expect, s1)) = self.stab_waiting {
-                    if expect == token {
-                        self.stab_waiting = None;
-                        self.mark_dead(s1.addr);
-                        self.stabilize_once(ctx);
-                    }
+                if let Some(s1) = self.ring.take_stab_waiting(token) {
+                    Self::mark_dead(&mut self.ring, &mut self.predecessors, s1.addr);
+                    self.stabilize_once(ctx);
                 }
             }
             VermeTimer::PredStabTimeout { token } => {
-                if let Some((expect, p1)) = self.pred_stab_waiting {
-                    if expect == token {
-                        self.pred_stab_waiting = None;
-                        self.mark_dead(p1.addr);
-                    }
+                if let Some(p1) = take_waiting(&mut self.pred_stab_waiting, token) {
+                    Self::mark_dead(&mut self.ring, &mut self.predecessors, p1.addr);
                 }
             }
             VermeTimer::HopTimeout { lid, attempt } => self.handle_hop_timeout(lid, attempt, ctx),
@@ -1511,8 +1153,8 @@ impl<P: Payload> Node for VermeNode<P> {
                 self.answers.remove(&lid);
             }
             VermeTimer::JoinRetry => {
-                if !self.joined {
-                    self.begin_lookup(self.id, LookupPurpose::Join, None, keys::BYTES_MAINT, ctx);
+                if !self.ring.is_joined() {
+                    self.begin_lookup(self.ring.id(), LookupPurpose::Join, None, &[], ctx);
                 }
             }
         }

@@ -10,25 +10,11 @@
 
 use std::collections::HashMap;
 
-use verme_chord::{ChordNode, Id, NodeHandle};
+use verme_chord::{ChordNode, Id};
 use verme_sim::Addr;
 
 use crate::api::{DhtConfig, OpKind};
-use crate::engine::{DhtEngine, ECtx, NoExt, Overlay, Variant};
-
-impl Overlay for ChordNode {
-    fn id(&self) -> Id {
-        ChordNode::id(self)
-    }
-
-    fn neighbor_epoch(&self) -> u64 {
-        ChordNode::neighbor_epoch(self)
-    }
-
-    fn route_first_hop_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle> {
-        ChordNode::route_first_hop_excluding(self, key, exclude)
-    }
-}
+use crate::engine::{DhtEngine, ECtx, NoExt, Variant};
 
 /// The DHash variant: looks up the key itself on Chord and keeps the
 /// replicas on the responsible node and its `replicas − 1` successors.

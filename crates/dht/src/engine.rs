@@ -19,23 +19,12 @@ use std::collections::BTreeSet;
 use bytes::Bytes;
 use rand::Rng;
 
-use verme_chord::{Id, NodeHandle};
+use verme_chord::{Id, RingCore, RingNode};
 use verme_sim::{Addr, Ctx, Node, ProfScope, Scope, SimDuration, Wire};
 
 use crate::api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome, OpReq, OpTable};
 use crate::block::{Block, BlockStore};
 use crate::serving::ServingPlane;
-
-/// What the engine needs from the overlay node it wraps.
-pub trait Overlay: Node {
-    /// This node's ring identifier.
-    fn id(&self) -> Id;
-    /// Counter that moves whenever the node's neighborhood (successors,
-    /// predecessors) changes; repair rounds are triggered by it.
-    fn neighbor_epoch(&self) -> u64;
-    /// The first hop a lookup for `key` would take, skipping `exclude`.
-    fn route_first_hop_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle>;
-}
 
 /// A variant's extra wire cases (cross-section copies, relay requests).
 pub trait ExtMsg: Wire + Clone {
@@ -91,7 +80,7 @@ pub enum DataReply {
 /// overlay, the shared state and their own state without borrow games.
 pub trait Variant: Clone + Default + Sized + 'static {
     /// The overlay node this variant wraps.
-    type Overlay: Overlay;
+    type Overlay: Node + RingNode;
     /// Extra wire cases beyond the shared data plane.
     type Ext: ExtMsg;
     /// Bytes of a `RepairProbe` after the header, excluding the key list:
@@ -169,7 +158,7 @@ pub trait Variant: Clone + Default + Sized + 'static {
     /// Start of the range a repair probe invites orphan reports from. The
     /// VerDi variants send their own id: the range is their section.
     fn range_start(eng: &DhtEngine<Self>) -> Id {
-        eng.overlay.id()
+        eng.overlay.ring().id()
     }
 
     /// Responder side: true if `key` lies in the range the prober
@@ -401,6 +390,12 @@ pub(crate) fn send_as<V: Variant>(ctx: &mut ECtx<'_, V>, to: Addr, msg: DhtMsg<V
     }
 }
 
+impl<V: Variant> RingNode for DhtEngine<V> {
+    fn ring(&self) -> &RingCore {
+        self.overlay.ring()
+    }
+}
+
 impl<V: Variant> DhtEngine<V> {
     /// Wraps an overlay node (converged or joining) with the DHT layer.
     ///
@@ -474,7 +469,7 @@ impl<V: Variant> DhtEngine<V> {
             return Vec::new();
         }
         let avoid = self.ops.avoid(op).to_vec();
-        let hop = self.overlay.route_first_hop_excluding(point, &avoid).map(|h| h.addr);
+        let hop = self.overlay.ring().route_first_hop_excluding(point, &avoid).map(|h| h.addr);
         self.ops.note_first_hop(op, hop);
         avoid
     }
@@ -690,7 +685,7 @@ impl<V: Variant> DhtEngine<V> {
     fn maybe_kick_repair(&mut self, ctx: &mut ECtx<'_, V>) {
         if self.cfg.repair_enabled
             && !self.kick_armed
-            && self.overlay.neighbor_epoch() != self.last_epoch
+            && self.overlay.ring().neighbor_epoch() != self.last_epoch
         {
             self.kick_armed = true;
             ctx.set_timer(REPAIR_KICK_DELAY, DhtTimer::RepairKick);
@@ -703,7 +698,7 @@ impl<V: Variant> DhtEngine<V> {
     /// the neighborhood is unchanged — a quiet ring sends no repair
     /// traffic.
     fn run_repair_round(&mut self, ctx: &mut ECtx<'_, V>) {
-        let epoch = self.overlay.neighbor_epoch();
+        let epoch = self.overlay.ring().neighbor_epoch();
         if epoch == self.last_epoch && self.probes_outstanding == 0 {
             return;
         }
@@ -718,7 +713,7 @@ impl<V: Variant> DhtEngine<V> {
         ctx.metrics().count(keys::REPAIR_ROUNDS, 1);
         self.repair_round += 1;
         let round = self.repair_round;
-        let (from, owner) = (V::range_start(self), self.overlay.id());
+        let (from, owner) = (V::range_start(self), self.overlay.ring().id());
         let anchored: Vec<Id> = self.anchored_blocks().map(Block::key).collect();
         let targets = self.replica_peers();
         self.probes_outstanding = targets.len();
@@ -848,7 +843,7 @@ impl<V: Variant> Node for DhtEngine<V> {
             // byte-identical to a repair-disabled one.
             ctx.set_timer(self.cfg.repair_interval, DhtTimer::Repair);
         }
-        self.last_epoch = self.overlay.neighbor_epoch();
+        self.last_epoch = self.overlay.ring().neighbor_epoch();
     }
 
     fn on_message(&mut self, from: Addr, msg: DhtMsg<V>, ctx: &mut ECtx<'_, V>) {

@@ -11,22 +11,8 @@ use verme_sim::{Addr, Scope, Wire};
 
 use crate::block::Block;
 use crate::engine::{
-    send_as, send_background, DhtEngine, DhtMsg, ECtx, ExtMsg, Overlay, Stored, Variant, HDR,
+    send_as, send_background, DhtEngine, DhtMsg, ECtx, ExtMsg, Stored, Variant, HDR,
 };
-
-impl<P: Payload> Overlay for VermeNode<P> {
-    fn id(&self) -> Id {
-        VermeNode::id(self)
-    }
-
-    fn neighbor_epoch(&self) -> u64 {
-        VermeNode::neighbor_epoch(self)
-    }
-
-    fn route_first_hop_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle> {
-        VermeNode::route_first_hop_excluding(self, key, exclude)
-    }
-}
 
 /// True if this node anchors the replica set for `point` (it is the
 /// first in-section node at or after the point, or — in the §5.2
