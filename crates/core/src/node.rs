@@ -919,11 +919,8 @@ impl<P: Payload> VermeNode<P> {
         // matched, so unsolicited or stale `Neighbors` count toward
         // `ring.poisoned_entries`; Chord vets after the match.
         let known = self.predecessors.as_slice();
-        self.ring.sanitize_advert(known, &mut succs, ctx);
-        self.ring.sanitize_advert(known, &mut preds, ctx);
-        // Chord refills a list caught being poisoned from its own vetted
-        // entries; Verme's two lists do not yet.
-        let poisoned = false;
+        let poisoned = self.ring.sanitize_advert(known, &mut succs, ctx)
+            | self.ring.sanitize_advert(known, &mut preds, ctx);
         let mode = self.cfg.maintenance;
         if let Some(s1) = self.ring.take_stab_waiting(token) {
             // s1's best predecessor might sit between us and s1.
