@@ -16,18 +16,21 @@
 //! cargo run -p verme-bench --release --bin adversary_check
 //! ```
 
+use std::process::ExitCode;
+
 use bytes::Bytes;
 use rand::Rng;
 
 use verme_bench::extk::{run_extk_cell, ExtKParams, ExtKSystem};
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::{run_fingerprint, same_bytes, Checks, HOP};
 use verme_bench::CliArgs;
 use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
 use verme_dht::{DhtConfig, DhtNode, FastVerDiNode};
-use verme_obs::{Monitor, Registry, Rule};
+use verme_obs::{Monitor, Rule};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 const NODES: usize = 64;
 
@@ -47,12 +50,11 @@ fn build_legacy(seed: u64) -> (Runtime<FastVerDiNode, UniformLatency>, Vec<Addr>
     let layout = SectionLayout::with_sections(8, 2);
     let ring = VermeStaticRing::generate(layout, NODES, seed);
     let mut ca = CertificateAuthority::new(seed);
-    let mut rt = Runtime::new(UniformLatency::new(NODES, SimDuration::from_millis(20)), seed);
-    let mut addrs = Vec::with_capacity(NODES);
-    for i in 0..NODES {
+    let mut rt = Runtime::new(UniformLatency::new(NODES, HOP), seed);
+    let addrs = ring.spawn(&mut rt, |i| {
         let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
-        addrs.push(rt.spawn(HostId(i), FastVerDiNode::new(overlay, DhtConfig::default())));
-    }
+        FastVerDiNode::new(overlay, DhtConfig::default())
+    });
     (rt, addrs)
 }
 
@@ -83,27 +85,13 @@ fn drive_legacy(
         rt.run_until(rt.now() + SimDuration::from_secs(5));
     }
     rt.run_until(rt.now() + SimDuration::from_secs(60));
-    let mut registry = Registry::new();
-    registry.register_all(verme_chord::keys::descriptors());
-    registry.register_all(verme_dht::keys::descriptors());
-    format!("{:?}|{:?}|{}", rt.now(), rt.stats(), registry.export_ndjson(rt.metrics()))
+    run_fingerprint(rt, &[verme_chord::keys::descriptors(), verme_dht::keys::descriptors()])
 }
 
-/// Runs one named check, printing a verdict line and counting failures.
-fn check(failures: &mut u32, name: &str, result: Result<String, String>) {
-    match result {
-        Ok(detail) => println!("ok   {name}: {detail}"),
-        Err(why) => {
-            *failures += 1;
-            println!("FAIL {name}: {why}");
-        }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let timer = BenchTimer::start("adversary_check");
     let args = CliArgs::parse();
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
 
     let params = ExtKParams {
         nodes: NODES,
@@ -124,7 +112,7 @@ fn main() {
     // ------------------------------------------------------------------
     let loud = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.25, args.seed);
     let quiet = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.0, args.seed);
-    check(&mut failures, "attack.fires", {
+    checks.check("attack.fires", {
         if loud.adversaries == 0 {
             Err("the Byzantine fault never flipped a node".into())
         } else if loud.hijacked + loud.poisoned == 0 {
@@ -150,7 +138,7 @@ fn main() {
     // ------------------------------------------------------------------
     // 2. Determinism: the same seed reproduces both cells exactly.
     // ------------------------------------------------------------------
-    check(&mut failures, "attack.deterministic", {
+    checks.check("attack.deterministic", {
         let loud2 = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.25, args.seed);
         let quiet2 = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.0, args.seed);
         if loud != loud2 {
@@ -166,7 +154,7 @@ fn main() {
     // 3. Detector rules surface the attack as typed alerts — and stay
     //    silent on the quiet cell's gauges.
     // ------------------------------------------------------------------
-    check(&mut failures, "detectors.typed_alerts", {
+    checks.check("detectors.typed_alerts", {
         let observe = |cell: &verme_bench::extk::ExtKCell| {
             let mon = Monitor::new(64);
             mon.add_rule(verme_dht::keys::LOOKUPS_HIJACKED, Rule::Threshold { min: 1.0 });
@@ -199,7 +187,7 @@ fn main() {
     // ------------------------------------------------------------------
     // 4. Quiet cells never count the adversary metrics.
     // ------------------------------------------------------------------
-    check(&mut failures, "quiet.silent", {
+    checks.check("quiet.silent", {
         if quiet.adversaries != 0 {
             Err(format!("{} nodes flipped without a scripted fault", quiet.adversaries))
         } else if quiet.hijacked != 0 || quiet.poisoned != 0 {
@@ -213,7 +201,7 @@ fn main() {
     // 5. Adversary-off, defense-off runs are byte-identical replays and
     //    create none of the plane's metric keys (the pre-PR surface).
     // ------------------------------------------------------------------
-    check(&mut failures, "legacy.identical_and_unpolluted", {
+    checks.check("legacy.identical_and_unpolluted", {
         let (mut a, addrs_a) = build_legacy(args.seed);
         let fp_a = drive_legacy(&mut a, &addrs_a, args.seed);
         let (mut b, addrs_b) = build_legacy(args.seed);
@@ -221,13 +209,8 @@ fn main() {
         let snapshot = a.metrics().counter_snapshot();
         let leaked: Vec<&str> =
             NEW_KEYS.iter().copied().filter(|k| snapshot.contains_key(k)).collect();
-        if fp_a != fp_b {
-            let at = fp_a
-                .bytes()
-                .zip(fp_b.bytes())
-                .position(|(x, y)| x != y)
-                .unwrap_or(fp_a.len().min(fp_b.len()));
-            Err(format!("legacy run diverged across replays at byte {at}"))
+        if let Err(at) = same_bytes(&fp_a, &fp_b) {
+            Err(format!("legacy run diverged across replays at {at}"))
         } else if !leaked.is_empty() {
             Err(format!("adversary-plane metrics materialized on a legacy run: {leaked:?}"))
         } else {
@@ -236,9 +219,5 @@ fn main() {
     });
 
     timer.finish(loud.issued + quiet.issued);
-    if failures > 0 {
-        eprintln!("{failures} check(s) failed");
-        std::process::exit(1);
-    }
-    println!("all checks passed");
+    checks.finish()
 }

@@ -21,20 +21,22 @@
 //! cargo run -p verme-bench --release --bin durability_check
 //! ```
 
-use bytes::Bytes;
+use std::process::ExitCode;
+
 use rand::Rng;
 
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::{run_fingerprint, same_bytes, Checks, HOP};
 use verme_bench::CliArgs;
-use verme_chord::{ChordConfig, Id, NodeHandle, StaticRing};
+use verme_chaos::seed_blocks;
+use verme_chord::{ChordConfig, Id, StaticRing};
 use verme_dht::{DhashNode, DhtConfig, DhtNode, DurabilityCensus};
-use verme_obs::{Monitor, Registry, Rule};
+use verme_obs::{Monitor, Rule};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 const NODES: usize = 64;
 const BLOCKS: usize = 8;
-const HOP: SimDuration = SimDuration::from_millis(20);
 
 fn config(repair: bool) -> DhtConfig {
     DhtConfig {
@@ -47,40 +49,23 @@ fn config(repair: bool) -> DhtConfig {
 }
 
 fn build_ring(seed: u64, cfg: &DhtConfig) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    let mut idrng = SeedSource::new(seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..NODES)
-        .map(|i| NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(NODES, seed);
     let mut rt = Runtime::new(UniformLatency::new(NODES, HOP), seed);
-    let mut by_addr: Vec<(u64, usize)> = (0..NODES).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; NODES];
-    for (raw, pos) in by_addr {
-        let node = DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone());
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
+    let addrs = ring.spawn(&mut rt, |pos| {
+        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
+    });
     (rt, addrs)
 }
 
 /// Seeds the standard blocks fault-free and returns the surviving keys.
-fn seed_blocks(rt: &mut Runtime<DhashNode, UniformLatency>, addrs: &[Addr], seed: u64) -> Vec<Id> {
+fn seed_standard(
+    rt: &mut Runtime<DhashNode, UniformLatency>,
+    addrs: &[Addr],
+    seed: u64,
+) -> Vec<Id> {
     let mut rng = SeedSource::new(seed).stream("workload");
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-    let mut keys = Vec::with_capacity(BLOCKS);
-    for blkno in 0..BLOCKS {
-        let who = addrs[rng.gen_range(0..addrs.len())];
-        let mut value = vec![0u8; 512];
-        value[..8].copy_from_slice(&(blkno as u64).to_le_bytes());
-        let value = Bytes::from(value);
-        let key = verme_dht::block_key(&value);
-        rt.invoke(who, |n, ctx| n.start_put(value, ctx)).expect("alive");
-        rt.run_until(rt.now() + SimDuration::from_secs(5));
-        if rt.node_mut(who).expect("alive").take_op_outcomes().iter().any(|o| o.ok) {
-            keys.push(key);
-        }
-    }
-    keys
+    seed_blocks(rt, addrs, &mut rng, BLOCKS, 512)
 }
 
 /// The live nodes currently holding `key`, in address order.
@@ -158,15 +143,12 @@ fn run_kill_waves(
 
 /// A deterministic fingerprint of everything the protocol layer produced.
 fn fingerprint(rt: &Runtime<DhashNode, UniformLatency>) -> String {
-    let mut registry = Registry::new();
-    registry.register_all(verme_chord::keys::descriptors());
-    registry.register_all(verme_dht::keys::descriptors());
-    format!("{:?}|{:?}|{}", rt.now(), rt.stats(), registry.export_ndjson(rt.metrics()))
+    run_fingerprint(rt, &[verme_chord::keys::descriptors(), verme_dht::keys::descriptors()])
 }
 
 /// Drives the fault-free put/get workload used by the inertness check.
 fn drive_idle(rt: &mut Runtime<DhashNode, UniformLatency>, addrs: &[Addr], seed: u64) -> Vec<Id> {
-    let keys = seed_blocks(rt, addrs, seed);
+    let keys = seed_standard(rt, addrs, seed);
     let mut rng = SeedSource::new(seed).stream("idle-gets");
     for i in 0..16usize {
         rt.run_until(rt.now() + SimDuration::from_secs(10));
@@ -178,21 +160,10 @@ fn drive_idle(rt: &mut Runtime<DhashNode, UniformLatency>, addrs: &[Addr], seed:
     keys
 }
 
-/// Runs one named check, printing a verdict line and counting failures.
-fn check(failures: &mut u32, name: &str, result: Result<String, String>) {
-    match result {
-        Ok(detail) => println!("ok   {name}: {detail}"),
-        Err(why) => {
-            *failures += 1;
-            println!("FAIL {name}: {why}");
-        }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let timer = BenchTimer::start("durability_check");
     let args = CliArgs::parse();
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
     let target = DhtConfig::default().replicas;
 
     // ------------------------------------------------------------------
@@ -200,13 +171,13 @@ fn main() {
     // ------------------------------------------------------------------
     let cfg_on = config(true);
     let (mut rt, addrs) = build_ring(args.seed, &cfg_on);
-    let keys = seed_blocks(&mut rt, &addrs, args.seed);
+    let keys = seed_standard(&mut rt, &addrs, args.seed);
     assert!(!keys.is_empty(), "no block survived fault-free seeding");
     let mon = Monitor::new(1024);
     mon.add_rule("dht.blocks.lost", Rule::Threshold { min: 1.0 });
     let (after, original) = run_kill_waves(&mut rt, &mon, &addrs, &keys, target);
     let on_events = rt.stats().messages_delivered;
-    check(&mut failures, "repair.restores", {
+    checks.check("repair.restores", {
         let delta = rt.metrics().counter_snapshot();
         let rounds = delta.get(verme_dht::keys::REPAIR_ROUNDS).copied().unwrap_or(0);
         let pushed = delta.get(verme_dht::keys::REPAIR_PUSHED).copied().unwrap_or(0);
@@ -237,11 +208,11 @@ fn main() {
     // ------------------------------------------------------------------
     let cfg_off = config(false);
     let (mut rt_off, addrs_off) = build_ring(args.seed, &cfg_off);
-    let keys_off = seed_blocks(&mut rt_off, &addrs_off, args.seed);
+    let keys_off = seed_standard(&mut rt_off, &addrs_off, args.seed);
     let mon_off = Monitor::new(1024);
     mon_off.add_rule("dht.blocks.lost", Rule::Threshold { min: 1.0 });
     let (after_off, _) = run_kill_waves(&mut rt_off, &mon_off, &addrs_off, &keys_off, target);
-    check(&mut failures, "norepair.loses", {
+    checks.check("norepair.loses", {
         if after_off.lost == 0 {
             Err("killing every holder somehow kept the block alive without repair".into())
         } else if mon_off.alerts().is_empty() {
@@ -264,30 +235,13 @@ fn main() {
     let print_on = fingerprint(&rt_a);
     let (mut rt_b, addrs_b) = build_ring(args.seed, &config(false));
     drive_idle(&mut rt_b, &addrs_b, args.seed);
-    check(&mut failures, "repair_idle.identical", {
-        let print_off = fingerprint(&rt_b);
-        if print_on == print_off {
-            Ok(format!("{} fingerprint bytes match", print_on.len()))
-        } else {
-            let at = print_on
-                .bytes()
-                .zip(print_off.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or(print_on.len().min(print_off.len()));
-            let lo = at.saturating_sub(40);
-            Err(format!(
-                "repair-on fault-free run diverged at byte {at}: \
-                 on ..{:?} vs off ..{:?}",
-                &print_on[lo..(at + 40).min(print_on.len())],
-                &print_off[lo..(at + 40).min(print_off.len())]
-            ))
-        }
-    });
+    checks.check(
+        "repair_idle.identical",
+        same_bytes(&print_on, &fingerprint(&rt_b))
+            .map(|n| format!("{n} fingerprint bytes match"))
+            .map_err(|at| format!("repair-on fault-free run diverged from repair-off at {at}")),
+    );
 
     timer.finish(on_events + rt_off.stats().messages_delivered);
-    if failures > 0 {
-        eprintln!("{failures} check(s) failed");
-        std::process::exit(1);
-    }
-    println!("all checks passed");
+    checks.finish()
 }

@@ -6,9 +6,9 @@
 //! cargo run -p verme-bench --release --bin extA_lookup_failure [-- --full]
 //! ```
 
-use crossbeam::channel;
 use verme_bench::fig5::{run_fig5, Fig5Params, Fig5System};
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::par_map;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 
@@ -31,46 +31,31 @@ fn main() {
     );
     println!("{:<10} {:>18} {:>18} {:>12}", "lifetime", "Chord recursive", "Verme", "difference");
 
-    let (tx, rx) = channel::unbounded();
-    let mut events: u64 = 0;
-    std::thread::scope(|s| {
-        for (li, _) in lifetimes.iter().enumerate() {
-            for sys in [Fig5System::ChordRecursive, Fig5System::Verme] {
-                for rep in 0..reps {
-                    let tx = tx.clone();
-                    let full = args.full;
-                    let hours = args.hours;
-                    let seed = args.seed.wrapping_add(rep * 7919).wrapping_add(li as u64 * 104729);
-                    s.spawn(move || {
-                        let life = lifetimes[li].1;
-                        let mut params = if full {
-                            Fig5Params::paper(life, seed)
-                        } else {
-                            Fig5Params::quick(life, seed)
-                        };
-                        if let Some(h) = hours {
-                            params.sim_time = SimDuration::from_hours(h);
-                        }
-                        tx.send((li, sys, run_fig5(sys, &params))).unwrap();
-                    });
-                }
-            }
+    // Independent replications run in parallel; the sums fold in job order.
+    let systems = [Fig5System::ChordRecursive, Fig5System::Verme];
+    let jobs: Vec<(usize, usize, u64)> = (0..lifetimes.len())
+        .flat_map(|li| (0..2).flat_map(move |si| (0..reps).map(move |rep| (li, si, rep))))
+        .collect();
+    let results = par_map(&jobs, |&(li, si, rep)| {
+        let life = lifetimes[li].1;
+        let seed = args.seed.wrapping_add(rep * 7919).wrapping_add(li as u64 * 104729);
+        let mut params =
+            if args.full { Fig5Params::paper(life, seed) } else { Fig5Params::quick(life, seed) };
+        if let Some(h) = args.hours {
+            params.sim_time = SimDuration::from_hours(h);
         }
-        drop(tx);
-        let mut fails = vec![[0.0f64; 2]; lifetimes.len()];
-        let mut counts = vec![[0u64; 2]; lifetimes.len()];
-        for (li, sys, r) in rx.iter() {
-            let si = if sys == Fig5System::ChordRecursive { 0 } else { 1 };
-            fails[li][si] += r.failure_rate() * 100.0;
-            counts[li][si] += 1;
-            events += r.issued;
-        }
-        for (li, (name, _)) in lifetimes.iter().enumerate() {
-            let c = fails[li][0] / counts[li][0].max(1) as f64;
-            let v = fails[li][1] / counts[li][1].max(1) as f64;
-            println!("{:<10} {:>17.2}% {:>17.2}% {:>11.2}%", name, c, v, v - c);
-        }
+        run_fig5(systems[si], &params)
     });
+    let mut events: u64 = 0;
+    let mut sums = vec![[0.0f64; 2]; lifetimes.len()];
+    for (&(li, si, _), r) in jobs.iter().zip(&results) {
+        sums[li][si] += r.failure_rate() * 100.0;
+        events += r.issued;
+    }
+    for (name, sums) in lifetimes.iter().map(|l| l.0).zip(sums) {
+        let [c, v] = sums.map(|sum| sum / reps.max(1) as f64);
+        println!("{:<10} {:>17.2}% {:>17.2}% {:>11.2}%", name, c, v, v - c);
+    }
     println!(
         "# expectation (paper/thesis): Chord and Verme failure rates do not differ significantly"
     );

@@ -6,9 +6,9 @@
 //! cargo run -p verme-bench --release --bin fig5_lookup_latency -- --full  # paper scale
 //! ```
 
-use crossbeam::channel;
 use verme_bench::fig5::{run_fig5, Fig5Params, Fig5System};
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::par_map;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 
@@ -39,68 +39,40 @@ fn main() {
         "lifetime", "Chord transitive", "Chord recursive", "Verme", "Verme/rec."
     );
 
-    // Independent replications run in parallel across a worker pool.
-    let jobs: Vec<(usize, Fig5System, u64)> = lifetimes
-        .iter()
-        .enumerate()
-        .flat_map(|(li, _)| {
-            Fig5System::ALL.into_iter().flat_map(move |sys| (0..reps).map(move |r| (li, sys, r)))
-        })
+    // Independent replications run in parallel; the sums fold in job order.
+    let jobs: Vec<(usize, usize, u64)> = (0..lifetimes.len())
+        .flat_map(|li| (0..3).flat_map(move |si| (0..reps).map(move |rep| (li, si, rep))))
         .collect();
-    let (tx, rx) = channel::unbounded();
-    let workers = std::thread::available_parallelism().map_or(4, |p| p.get());
-    let job_q = channel::unbounded();
-    for j in &jobs {
-        job_q.0.send(*j).unwrap();
-    }
-    drop(job_q.0);
-    let mut events: u64 = 0;
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let rxj = job_q.1.clone();
-            let tx = tx.clone();
-            let full = args.full;
-            let hours = args.hours;
-            let seed = args.seed;
-            s.spawn(move || {
-                while let Ok((li, sys, rep)) = rxj.recv() {
-                    let life = lifetimes[li].1;
-                    let run_seed = seed.wrapping_add(rep * 7919).wrapping_add(li as u64 * 104729);
-                    let mut params = if full {
-                        Fig5Params::paper(life, run_seed)
-                    } else {
-                        Fig5Params::quick(life, run_seed)
-                    };
-                    if let Some(h) = hours {
-                        params.sim_time = SimDuration::from_hours(h);
-                    }
-                    let result = run_fig5(sys, &params);
-                    tx.send((li, sys, result)).unwrap();
-                }
-            });
+    let results = par_map(&jobs, |&(li, si, rep)| {
+        let life = lifetimes[li].1;
+        let run_seed = args.seed.wrapping_add(rep * 7919).wrapping_add(li as u64 * 104729);
+        let mut params = if args.full {
+            Fig5Params::paper(life, run_seed)
+        } else {
+            Fig5Params::quick(life, run_seed)
+        };
+        if let Some(h) = args.hours {
+            params.sim_time = SimDuration::from_hours(h);
         }
-        drop(tx);
-        let mut sums = vec![[0.0f64; 3]; lifetimes.len()];
-        let mut counts = vec![[0u64; 3]; lifetimes.len()];
-        for (li, sys, r) in rx.iter() {
-            let si = Fig5System::ALL.iter().position(|&s| s == sys).unwrap();
-            sums[li][si] += r.mean_latency_ms;
-            counts[li][si] += 1;
-            events += r.issued;
-        }
-        for (li, (name, _)) in lifetimes.iter().enumerate() {
-            let m: Vec<f64> =
-                (0..3).map(|si| sums[li][si] / counts[li][si].max(1) as f64).collect();
-            println!(
-                "{:<10} {:>20.1} {:>20.1} {:>20.1} {:>12.2}",
-                name,
-                m[0],
-                m[1],
-                m[2],
-                m[2] / m[1].max(1e-9)
-            );
-        }
+        run_fig5(Fig5System::ALL[si], &params)
     });
+    let mut events: u64 = 0;
+    let mut sums = vec![[0.0f64; 3]; lifetimes.len()];
+    for (&(li, si, _), r) in jobs.iter().zip(&results) {
+        sums[li][si] += r.mean_latency_ms;
+        events += r.issued;
+    }
+    for (name, sums) in lifetimes.iter().map(|l| l.0).zip(sums) {
+        let m = sums.map(|sum| sum / reps.max(1) as f64);
+        println!(
+            "{:<10} {:>20.1} {:>20.1} {:>20.1} {:>12.2}",
+            name,
+            m[0],
+            m[1],
+            m[2],
+            m[2] / m[1].max(1e-9)
+        );
+    }
     println!(
         "# expectation (paper): transitive ≈ 35% below Verme; recursive ≈ Verme; flat in lifetime"
     );

@@ -11,10 +11,10 @@
 //! scripted closed-loop lookups: open-loop arrivals at the profile's
 //! native rate, Zipf key popularity, and the profile's read/write mix.
 
-use crossbeam::channel;
 use verme_bench::extl::{run_point, ExtLParams};
 use verme_bench::fig67::{run_fig67, DhtSystem, Fig67Params};
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::par_map;
 use verme_bench::CliArgs;
 use verme_load::LoadProfile;
 
@@ -74,35 +74,25 @@ fn main() {
     );
     println!("{:<18} {:>12} {:>12}", "system", "get (ms)", "put (ms)");
 
-    let (tx, rx) = channel::unbounded();
-    let mut events: u64 = 0;
-    std::thread::scope(|s| {
-        for sys in DhtSystem::ALL {
-            for rep in 0..reps {
-                let tx = tx.clone();
-                let full = args.full;
-                let seed = args.seed.wrapping_add(rep * 6151);
-                s.spawn(move || {
-                    let params =
-                        if full { Fig67Params::paper(seed) } else { Fig67Params::quick(seed) };
-                    tx.send((sys, run_fig67(sys, &params))).unwrap();
-                });
-            }
-        }
-        drop(tx);
-        let mut sums = [(0.0f64, 0.0f64, 0u64); 4];
-        for (sys, r) in rx.iter() {
-            let i = DhtSystem::ALL.iter().position(|&x| x == sys).unwrap();
-            sums[i].0 += r.get_latency_ms;
-            sums[i].1 += r.put_latency_ms;
-            sums[i].2 += 1;
-            events += r.completed + r.failed;
-        }
-        for (i, sys) in DhtSystem::ALL.iter().enumerate() {
-            let n = sums[i].2.max(1) as f64;
-            println!("{:<18} {:>12.1} {:>12.1}", sys.label(), sums[i].0 / n, sums[i].1 / n);
-        }
+    // Independent replications run in parallel; the sums fold in job order.
+    let jobs: Vec<(usize, u64)> =
+        (0..DhtSystem::ALL.len()).flat_map(|si| (0..reps).map(move |rep| (si, rep))).collect();
+    let results = par_map(&jobs, |&(si, rep)| {
+        let seed = args.seed.wrapping_add(rep * 6151);
+        let params = if args.full { Fig67Params::paper(seed) } else { Fig67Params::quick(seed) };
+        run_fig67(DhtSystem::ALL[si], &params)
     });
+    let mut events: u64 = 0;
+    let mut sums = [(0.0f64, 0.0f64); 4];
+    for (&(si, _), r) in jobs.iter().zip(&results) {
+        sums[si].0 += r.get_latency_ms;
+        sums[si].1 += r.put_latency_ms;
+        events += r.completed + r.failed;
+    }
+    let n = reps.max(1) as f64;
+    for (sys, (get, put)) in DhtSystem::ALL.iter().zip(sums) {
+        println!("{:<18} {:>12.1} {:>12.1}", sys.label(), get / n, put / n);
+    }
     println!("# expectation (paper): get — Fast ≈ DHash < Compromise (≤ ~31% over DHash) ≪ Secure");
     println!("# expectation (paper): put — DHash < Fast ≈ Compromise < Secure");
     timer.finish(events);

@@ -12,10 +12,10 @@
 //! and data bytes per completed client operation, open-loop arrivals at
 //! the profile's native rate.
 
-use crossbeam::channel;
 use verme_bench::extl::{run_point, ExtLParams};
 use verme_bench::fig67::{run_fig67, DhtSystem, Fig67Params};
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::par_map;
 use verme_bench::CliArgs;
 use verme_load::LoadProfile;
 
@@ -62,40 +62,25 @@ fn main() {
     );
     println!("{:<18} {:>12} {:>12}", "system", "get (KiB)", "put (KiB)");
 
-    let (tx, rx) = channel::unbounded();
-    let mut events: u64 = 0;
-    std::thread::scope(|s| {
-        for sys in DhtSystem::ALL {
-            for rep in 0..reps {
-                let tx = tx.clone();
-                let full = args.full;
-                let seed = args.seed.wrapping_add(rep * 6151);
-                s.spawn(move || {
-                    let params =
-                        if full { Fig67Params::paper(seed) } else { Fig67Params::quick(seed) };
-                    tx.send((sys, run_fig67(sys, &params))).unwrap();
-                });
-            }
-        }
-        drop(tx);
-        let mut sums = [(0.0f64, 0.0f64, 0u64); 4];
-        for (sys, r) in rx.iter() {
-            let i = DhtSystem::ALL.iter().position(|&x| x == sys).unwrap();
-            sums[i].0 += r.get_bytes_per_op;
-            sums[i].1 += r.put_bytes_per_op;
-            sums[i].2 += 1;
-            events += r.completed + r.failed;
-        }
-        for (i, sys) in DhtSystem::ALL.iter().enumerate() {
-            let n = sums[i].2.max(1) as f64;
-            println!(
-                "{:<18} {:>12.1} {:>12.1}",
-                sys.label(),
-                sums[i].0 / n / 1024.0,
-                sums[i].1 / n / 1024.0
-            );
-        }
+    // Independent replications run in parallel; the sums fold in job order.
+    let jobs: Vec<(usize, u64)> =
+        (0..DhtSystem::ALL.len()).flat_map(|si| (0..reps).map(move |rep| (si, rep))).collect();
+    let results = par_map(&jobs, |&(si, rep)| {
+        let seed = args.seed.wrapping_add(rep * 6151);
+        let params = if args.full { Fig67Params::paper(seed) } else { Fig67Params::quick(seed) };
+        run_fig67(DhtSystem::ALL[si], &params)
     });
+    let mut events: u64 = 0;
+    let mut sums = [(0.0f64, 0.0f64); 4];
+    for (&(si, _), r) in jobs.iter().zip(&results) {
+        sums[si].0 += r.get_bytes_per_op;
+        sums[si].1 += r.put_bytes_per_op;
+        events += r.completed + r.failed;
+    }
+    let n = reps.max(1) as f64;
+    for (sys, (get, put)) in DhtSystem::ALL.iter().zip(sums) {
+        println!("{:<18} {:>12.1} {:>12.1}", sys.label(), get / n / 1024.0, put / n / 1024.0);
+    }
     println!("# expectation (paper): get — DHash ≈ Fast < Compromise (≈2×) ≪ Secure");
     println!("# expectation (paper): put — like get, plus the extra cross-section copy for Fast/Compromise");
     timer.finish(events);

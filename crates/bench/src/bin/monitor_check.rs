@@ -22,69 +22,35 @@
 //! cargo run -p verme-bench --release --bin monitor_check
 //! ```
 
-use rand::Rng;
+use std::process::ExitCode;
 
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::{
+    chord_lookup, king_chord_ring, lookup_workload, run_fingerprint, same_bytes, Checks,
+};
 use verme_bench::CliArgs;
-use verme_chord::{ChordConfig, ChordNode, Id, LookupMode, StaticRing};
+use verme_chord::ChordNode;
 use verme_net::KingMatrix;
 use verme_obs::{parse_ndjson, Monitor, Registry, Rule};
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SeedSource, SimDuration};
 use verme_worm::{run_scenario_instrumented, Instrumentation, Scenario, ScenarioConfig};
 
 const NODES: usize = 96;
 const LOOKUPS: usize = 200;
 
-fn build_chord(seed: u64) -> Runtime<ChordNode, KingMatrix> {
-    let mut idrng = SeedSource::new(seed).stream("ids");
-    let king = KingMatrix::synthetic(NODES, verme_net::king::KING_MEAN_RTT_MS, seed);
-    let mut rt = Runtime::new(king, seed);
-    let cfg = ChordConfig {
-        lookup_mode: LookupMode::Recursive,
-        hop_timeout: SimDuration::from_secs(20),
-        lookup_deadline: SimDuration::from_secs(60),
-        ..ChordConfig::default()
-    };
-    let handles: Vec<_> = (0..NODES)
-        .map(|i| verme_chord::NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut by_addr: Vec<(u64, usize)> = (0..NODES).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    for (raw, pos) in by_addr {
-        rt.spawn(HostId(raw as usize - 1), ring.build_node(pos, cfg.clone()));
-    }
-    rt
-}
-
-/// Drives the standard lookup workload: maintenance warm-up, one random
-/// lookup per simulated second, then a drain.
+/// Drives the standard lookup workload.
 fn drive(rt: &mut Runtime<ChordNode, KingMatrix>, seed: u64) {
-    let mut rng = SeedSource::new(seed).stream("monitor-check");
+    let rng = SeedSource::new(seed).stream("monitor-check");
     // alive_addrs iterates a HashMap; sort so every run (observed or
     // not) picks the same lookup sources.
-    let mut addrs: Vec<Addr> = rt.alive_addrs().collect();
-    addrs.sort_unstable_by_key(|a| a.raw());
-    rt.run_until(SimTime::ZERO + SimDuration::from_secs(90));
-    for i in 0..LOOKUPS {
-        rt.run_until(SimTime::ZERO + SimDuration::from_secs(90 + i as u64));
-        let addr = addrs[rng.gen_range(0..addrs.len())];
-        let key = Id::random(&mut rng);
-        rt.invoke(addr, |node, ctx| {
-            if node.is_joined() {
-                node.start_lookup(key, ctx);
-            }
-        });
-    }
-    rt.run_until(SimTime::ZERO + SimDuration::from_secs(90 + LOOKUPS as u64 + 120));
+    let mut sources: Vec<Addr> = rt.alive_addrs().collect();
+    sources.sort_unstable_by_key(|a| a.raw());
+    lookup_workload(rt, &sources, rng, LOOKUPS, chord_lookup);
 }
 
-/// A deterministic fingerprint of everything the protocol layer produced:
-/// final clock, network statistics and the full metrics export.
+/// A deterministic fingerprint of everything the protocol layer produced.
 fn fingerprint(rt: &Runtime<ChordNode, KingMatrix>) -> String {
-    let mut registry = Registry::new();
-    registry.register_all(verme_chord::keys::descriptors());
-    format!("{:?}|{:?}|{}", rt.now(), rt.stats(), registry.export_ndjson(rt.metrics()))
+    run_fingerprint(rt, &[verme_chord::keys::descriptors()])
 }
 
 /// Attaches a monitor to the runtime's sampler hook, watching the
@@ -123,21 +89,10 @@ fn attach_quiet_monitor(rt: &mut Runtime<ChordNode, KingMatrix>) -> Monitor {
     mon
 }
 
-/// Runs one named check, printing a verdict line and counting failures.
-fn check(failures: &mut u32, name: &str, result: Result<String, String>) {
-    match result {
-        Ok(detail) => println!("ok   {name}: {detail}"),
-        Err(why) => {
-            *failures += 1;
-            println!("FAIL {name}: {why}");
-        }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let timer = BenchTimer::start("monitor_check");
     let args = CliArgs::parse();
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
 
     // ------------------------------------------------------------------
     // 1. Detectors fire on a scripted outbreak.
@@ -164,7 +119,7 @@ fn main() {
         &outbreak_cfg,
         &inst,
     );
-    check(&mut failures, "outbreak.fires", {
+    checks.check("outbreak.fires", {
         let alerts = mon.alerts();
         if alerts.is_empty() {
             Err("no detector fired on a chord outbreak".into())
@@ -189,11 +144,11 @@ fn main() {
     // ------------------------------------------------------------------
     // 2. The same plane stays silent on a fault-free ring.
     // ------------------------------------------------------------------
-    let mut quiet = build_chord(args.seed);
+    let (mut quiet, _) = king_chord_ring(NODES, args.seed);
     let quiet_mon = attach_quiet_monitor(&mut quiet);
     drive(&mut quiet, args.seed);
     quiet.clear_sampler();
-    check(&mut failures, "quiet.silent", {
+    checks.check("quiet.silent", {
         let alerts = quiet_mon.alerts();
         let samples = quiet_mon.series_points("net.delivered").len();
         if samples == 0 {
@@ -211,38 +166,25 @@ fn main() {
     // ------------------------------------------------------------------
     // 3. Observability never perturbs the run: byte-identical metrics.
     // ------------------------------------------------------------------
-    let mut plain = build_chord(args.seed);
+    let (mut plain, _) = king_chord_ring(NODES, args.seed);
     drive(&mut plain, args.seed);
     let plain_print = fingerprint(&plain);
 
-    let mut observed = build_chord(args.seed);
+    let (mut observed, _) = king_chord_ring(NODES, args.seed);
     let _observed_mon = attach_quiet_monitor(&mut observed);
     observed.enable_profiler();
     drive(&mut observed, args.seed);
-    check(&mut failures, "monitor_off.identical", {
-        let observed_print = fingerprint(&observed);
-        if plain_print == observed_print {
-            Ok(format!("{} fingerprint bytes match", plain_print.len()))
-        } else {
-            let at = plain_print
-                .bytes()
-                .zip(observed_print.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or(plain_print.len().min(observed_print.len()));
-            let lo = at.saturating_sub(40);
-            Err(format!(
-                "sampler/profiler changed the protocol outcome at byte {at}: \
-                 plain ..{:?} vs observed ..{:?}",
-                &plain_print[lo..(at + 40).min(plain_print.len())],
-                &observed_print[lo..(at + 40).min(observed_print.len())]
-            ))
-        }
-    });
+    checks.check(
+        "monitor_off.identical",
+        same_bytes(&plain_print, &fingerprint(&observed))
+            .map(|n| format!("{n} fingerprint bytes match"))
+            .map_err(|at| format!("sampler/profiler changed the protocol outcome at {at}")),
+    );
 
     // ------------------------------------------------------------------
     // 4. The profiler's export is descriptor-covered and renders.
     // ------------------------------------------------------------------
-    check(&mut failures, "profiler.registry", {
+    checks.check("profiler.registry", {
         match observed.disable_profiler() {
             None => Err("profiler was not enabled".into()),
             Some(profile) => {
@@ -271,11 +213,11 @@ fn main() {
     // ------------------------------------------------------------------
     // 5. Overhead guard: the observed run must stay within 15%.
     // ------------------------------------------------------------------
-    check(&mut failures, "monitor.overhead", {
+    checks.check("monitor.overhead", {
         let time_one = |observe: bool| {
             let mut best = f64::INFINITY;
             for _ in 0..3 {
-                let mut rt = build_chord(args.seed);
+                let (mut rt, _) = king_chord_ring(NODES, args.seed);
                 let mon = observe.then(|| attach_quiet_monitor(&mut rt));
                 if observe {
                     rt.enable_profiler();
@@ -300,9 +242,5 @@ fn main() {
     });
 
     timer.finish(outbreak.scans + plain.stats().messages_delivered);
-    if failures > 0 {
-        eprintln!("{failures} check(s) failed");
-        std::process::exit(1);
-    }
-    println!("all checks passed");
+    checks.finish()
 }

@@ -17,17 +17,19 @@
 //! cargo run -p verme-bench --release --bin perf_check
 //! ```
 
-use rand::Rng;
+use std::process::ExitCode;
 
 use verme_bench::perf::{check_measurement, load_baselines, PerfMeasurement};
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::{
+    chord_lookup, king_chord_ring, lookup_workload, run_fingerprint, same_bytes, Checks,
+};
 use verme_bench::CliArgs;
-use verme_chord::{ChordConfig, ChordNode, Id, LookupMode, StaticRing};
+use verme_chord::ChordNode;
 use verme_net::KingMatrix;
-use verme_obs::Registry;
 use verme_sim::{
-    span_profiler_disable, span_profiler_enable, Addr, HostId, Runtime, SeedSource, SimDuration,
-    SimTime, SpanProfile,
+    span_profiler_disable, span_profiler_enable, Addr, Runtime, SeedSource, SimDuration,
+    SpanProfile,
 };
 use verme_worm::{run_scenario, Scenario, ScenarioConfig, ScenarioResult};
 
@@ -51,52 +53,19 @@ fn worm_fingerprint(r: &ScenarioResult) -> String {
     format!("{}|{}|{}|{:?}|{:?}", r.infected, r.vulnerable, r.scans, r.curve.points(), r.detection)
 }
 
-fn build_chord(seed: u64) -> Runtime<ChordNode, KingMatrix> {
-    let mut idrng = SeedSource::new(seed).stream("ids");
-    let king = KingMatrix::synthetic(NODES, verme_net::king::KING_MEAN_RTT_MS, seed);
-    let mut rt = Runtime::new(king, seed);
-    let cfg = ChordConfig {
-        lookup_mode: LookupMode::Recursive,
-        hop_timeout: SimDuration::from_secs(20),
-        lookup_deadline: SimDuration::from_secs(60),
-        ..ChordConfig::default()
-    };
-    let handles: Vec<_> = (0..NODES)
-        .map(|i| verme_chord::NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut by_addr: Vec<(u64, usize)> = (0..NODES).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    for (raw, pos) in by_addr {
-        rt.spawn(HostId(raw as usize - 1), ring.build_node(pos, cfg.clone()));
-    }
-    rt
-}
-
-/// Maintenance warm-up, one random lookup per simulated second, drain.
+/// Drives the standard lookup workload.
 fn drive(rt: &mut Runtime<ChordNode, KingMatrix>, seed: u64) {
-    let mut rng = SeedSource::new(seed).stream("perf-check");
-    let mut addrs: Vec<Addr> = rt.alive_addrs().collect();
-    addrs.sort_unstable_by_key(|a| a.raw());
-    rt.run_until(SimTime::ZERO + SimDuration::from_secs(90));
-    for i in 0..LOOKUPS {
-        rt.run_until(SimTime::ZERO + SimDuration::from_secs(90 + i as u64));
-        let addr = addrs[rng.gen_range(0..addrs.len())];
-        let key = Id::random(&mut rng);
-        rt.invoke(addr, |node, ctx| {
-            if node.is_joined() {
-                node.start_lookup(key, ctx);
-            }
-        });
-    }
-    rt.run_until(SimTime::ZERO + SimDuration::from_secs(90 + LOOKUPS as u64 + 120));
+    let rng = SeedSource::new(seed).stream("perf-check");
+    // alive_addrs iterates a HashMap; sort so every run (observed or
+    // not) picks the same lookup sources.
+    let mut sources: Vec<Addr> = rt.alive_addrs().collect();
+    sources.sort_unstable_by_key(|a| a.raw());
+    lookup_workload(rt, &sources, rng, LOOKUPS, chord_lookup);
 }
 
 /// Deterministic fingerprint of the chord run's protocol outcome.
 fn chord_fingerprint(rt: &Runtime<ChordNode, KingMatrix>) -> String {
-    let mut registry = Registry::new();
-    registry.register_all(verme_chord::keys::descriptors());
-    format!("{:?}|{:?}|{}", rt.now(), rt.stats(), registry.export_ndjson(rt.metrics()))
+    run_fingerprint(rt, &[verme_chord::keys::descriptors()])
 }
 
 /// The unattributed wall-time fraction of one profiled stretch.
@@ -107,21 +76,10 @@ fn unattributed(profile: &SpanProfile, wall_s: f64) -> f64 {
     (1.0 - profile.attributed_total().as_secs_f64() / wall_s).max(0.0)
 }
 
-/// Runs one named check, printing a verdict line and counting failures.
-fn check(failures: &mut u32, name: &str, result: Result<String, String>) {
-    match result {
-        Ok(detail) => println!("ok   {name}: {detail}"),
-        Err(why) => {
-            *failures += 1;
-            println!("FAIL {name}: {why}");
-        }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let timer = BenchTimer::start("perf_check");
     let args = CliArgs::parse();
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
 
     // ------------------------------------------------------------------
     // 1. Profiler-off vs profiler-on worm run: byte-identical output,
@@ -134,14 +92,12 @@ fn main() {
     let profiled = run_scenario(&Scenario::ChordWorm, &cfg);
     let worm_wall = started.elapsed().as_secs_f64();
     let worm_profile = span_profiler_disable().expect("profiler enabled above");
-    check(&mut failures, "identity.worm", {
-        let (a, b) = (worm_fingerprint(&plain), worm_fingerprint(&profiled));
-        if a == b {
-            Ok(format!("{} fingerprint bytes match", a.len()))
-        } else {
-            Err("span profiler changed the worm simulation output".into())
-        }
-    });
+    checks.check(
+        "identity.worm",
+        same_bytes(&worm_fingerprint(&plain), &worm_fingerprint(&profiled))
+            .map(|n| format!("{n} fingerprint bytes match"))
+            .map_err(|at| format!("span profiler changed the worm simulation output at {at}")),
+    );
     let worm_m = PerfMeasurement {
         name: "worm_outbreak".into(),
         events_per_sec: if worm_wall > 0.0 { profiled.scans as f64 / worm_wall } else { 0.0 },
@@ -151,23 +107,21 @@ fn main() {
     // ------------------------------------------------------------------
     // 2. Same identity guarantee for the runtime-driven chord workload.
     // ------------------------------------------------------------------
-    let mut plain_rt = build_chord(args.seed);
+    let (mut plain_rt, _) = king_chord_ring(NODES, args.seed);
     drive(&mut plain_rt, args.seed);
     let plain_print = chord_fingerprint(&plain_rt);
-    let mut prof_rt = build_chord(args.seed);
+    let (mut prof_rt, _) = king_chord_ring(NODES, args.seed);
     span_profiler_enable();
     let started = std::time::Instant::now();
     drive(&mut prof_rt, args.seed);
     let chord_wall = started.elapsed().as_secs_f64();
     let chord_profile = span_profiler_disable().expect("profiler enabled above");
-    check(&mut failures, "identity.chord", {
-        let prof_print = chord_fingerprint(&prof_rt);
-        if plain_print == prof_print {
-            Ok(format!("{} fingerprint bytes match", plain_print.len()))
-        } else {
-            Err("span profiler changed the chord protocol outcome".into())
-        }
-    });
+    checks.check(
+        "identity.chord",
+        same_bytes(&plain_print, &chord_fingerprint(&prof_rt))
+            .map(|n| format!("{n} fingerprint bytes match"))
+            .map_err(|at| format!("span profiler changed the chord protocol outcome at {at}")),
+    );
     let delivered = prof_rt.stats().messages_delivered;
     let chord_m = PerfMeasurement {
         name: "chord_lookups".into(),
@@ -179,18 +133,14 @@ fn main() {
     // 3. Both measurements clear the checked-in floors.
     // ------------------------------------------------------------------
     match load_baselines() {
-        Err(e) => check(&mut failures, "gate.baselines", Err(e)),
+        Err(e) => checks.check("gate.baselines", Err(e)),
         Ok(baselines) => {
             for m in [&worm_m, &chord_m] {
-                check(&mut failures, &format!("gate.{}", m.name), check_measurement(m, &baselines));
+                checks.check(&format!("gate.{}", m.name), check_measurement(m, &baselines));
             }
         }
     }
 
     timer.finish_with_profile(profiled.scans + delivered, Some(&worm_profile));
-    if failures > 0 {
-        eprintln!("{failures} check(s) failed");
-        std::process::exit(1);
-    }
-    println!("all checks passed");
+    checks.finish()
 }

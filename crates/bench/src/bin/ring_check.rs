@@ -24,20 +24,21 @@
 //! cargo run -p verme-bench --release --bin ring_check [-- --full]
 //! ```
 
+use std::process::ExitCode;
+
 use rand::Rng;
 
 use verme_bench::extm::{run_extm_cell, ExtMParams, ExtMVariant};
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::{run_fingerprint, same_bytes, Checks, HOP};
 use verme_bench::CliArgs;
 use verme_chord::maintain::model::{
     explore, explore_trace, ModelEvent, ModelParams, ModelState, Variant,
 };
-use verme_chord::{
-    ChordConfig, ChordNode, Id, MaintenanceMode, NodeHandle, StaticRing, ViolationKind,
-};
-use verme_obs::{ring as ring_keys, Registry};
+use verme_chord::{ChordConfig, ChordNode, Id, MaintenanceMode, StaticRing, ViolationKind};
+use verme_obs::ring as ring_keys;
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 /// The metric keys the invariant assertor introduces. None of them may
 /// materialize on an assertor-off run.
@@ -67,26 +68,9 @@ fn proof_params(variant: Variant, slots: usize, max_fails: usize) -> ModelParams
 fn build_legacy(seed: u64) -> (Runtime<ChordNode, UniformLatency>, Vec<Addr>) {
     const NODES: usize = 48;
     let cfg = ChordConfig { maintenance: MaintenanceMode::Legacy, ..ChordConfig::default() };
-    let mut idrng = SeedSource::new(seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..NODES)
-        .map(|i| NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut rt = Runtime::new(UniformLatency::new(NODES, SimDuration::from_millis(20)), seed);
-    // Spawn in ascending handle-address order so the runtime's
-    // sequentially assigned addresses match the handles baked into every
-    // node's routing state.
-    let mut by_addr: Vec<(u64, usize)> = (0..NODES).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; NODES];
-    for (raw, pos) in by_addr {
-        let me = ring.node(pos);
-        let pred = Some(ring.node(ring.predecessor_index(pos)));
-        let succs = ring.successors_of(pos, cfg.num_successors);
-        let fingers = ring.fingers_of(pos);
-        let node = ChordNode::with_state(me.id, cfg.clone(), pred, &succs, &fingers);
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
+    let ring = StaticRing::random(NODES, seed);
+    let mut rt = Runtime::new(UniformLatency::new(NODES, HOP), seed);
+    let addrs = ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
     (rt, addrs)
 }
 
@@ -103,27 +87,13 @@ fn drive_legacy(rt: &mut Runtime<ChordNode, UniformLatency>, addrs: &[Addr], see
         rt.run_until(rt.now() + SimDuration::from_secs(2));
     }
     rt.run_until(rt.now() + SimDuration::from_secs(60));
-    let mut registry = Registry::new();
-    registry.register_all(verme_chord::keys::descriptors());
-    registry.register_all(ring_keys::descriptors());
-    format!("{:?}|{:?}|{}", rt.now(), rt.stats(), registry.export_ndjson(rt.metrics()))
+    run_fingerprint(rt, &[verme_chord::keys::descriptors(), ring_keys::descriptors()])
 }
 
-/// Runs one named check, printing a verdict line and counting failures.
-fn check(failures: &mut u32, name: &str, result: Result<String, String>) {
-    match result {
-        Ok(detail) => println!("ok   {name}: {detail}"),
-        Err(why) => {
-            *failures += 1;
-            println!("FAIL {name}: {why}");
-        }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let timer = BenchTimer::start("ring_check");
     let args = CliArgs::parse();
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
     // Quick explores 5-slot rings exhaustively; --full pushes to the
     // 6-slot universe the issue asks for (minutes, not CI-quick).
     let (slots, max_fails) = if args.full { (6, 4) } else { (5, 3) };
@@ -138,7 +108,7 @@ fn main() {
         let p = proof_params(variant, slots, max_fails);
         let out = explore(&p);
         work += out.transitions as u64;
-        check(&mut failures, &name, {
+        checks.check(&name, {
             if out.truncated {
                 Err(format!("enumeration truncated at {} states", out.states))
             } else if !out.proven() {
@@ -175,7 +145,7 @@ fn main() {
         };
         let out = explore(&p);
         work += out.transitions as u64;
-        check(&mut failures, &name, {
+        checks.check(&name, {
             if out.truncated {
                 Err(format!("enumeration truncated at {} states", out.states))
             } else if out.violation_states > 0 {
@@ -193,7 +163,7 @@ fn main() {
     // 3. The Zave counterexample separates the modes in the model: the
     //    scripted double-wedge partitions legacy, wedges corrected.
     // ------------------------------------------------------------------
-    check(&mut failures, "model.double_wedge", {
+    checks.check("model.double_wedge", {
         let script = [
             ModelEvent::Fail(2),
             ModelEvent::Fail(3),
@@ -263,7 +233,7 @@ fn main() {
     let corrected =
         run_extm_cell(ExtMVariant::Chord, MaintenanceMode::Corrected, &wire, 0.02, args.seed);
     work += legacy.assert_points + corrected.assert_points;
-    check(&mut failures, "wire.starved_bursts", {
+    checks.check("wire.starved_bursts", {
         if legacy.assert_points == 0 || corrected.assert_points == 0 {
             Err("the continuous assertor never evaluated".into())
         } else if legacy.violations == 0 {
@@ -284,7 +254,7 @@ fn main() {
         }
     });
 
-    check(&mut failures, "wire.deterministic", {
+    checks.check("wire.deterministic", {
         let legacy2 =
             run_extm_cell(ExtMVariant::Chord, MaintenanceMode::Legacy, &wire, 0.02, args.seed);
         let corrected2 =
@@ -302,7 +272,7 @@ fn main() {
     // 5. Assertor-off runs are byte-identical replays and create none of
     //    the plane's metric keys (the pre-PR surface).
     // ------------------------------------------------------------------
-    check(&mut failures, "legacy.identical_and_unpolluted", {
+    checks.check("legacy.identical_and_unpolluted", {
         let (mut a, addrs_a) = build_legacy(args.seed);
         let fp_a = drive_legacy(&mut a, &addrs_a, args.seed);
         let (mut b, addrs_b) = build_legacy(args.seed);
@@ -313,13 +283,8 @@ fn main() {
             .copied()
             .filter(|k| snapshot.contains_key(k) || a.metrics().histogram(k).is_some())
             .collect();
-        if fp_a != fp_b {
-            let at = fp_a
-                .bytes()
-                .zip(fp_b.bytes())
-                .position(|(x, y)| x != y)
-                .unwrap_or(fp_a.len().min(fp_b.len()));
-            Err(format!("assertor-off run diverged across replays at byte {at}"))
+        if let Err(at) = same_bytes(&fp_a, &fp_b) {
+            Err(format!("assertor-off run diverged across replays at {at}"))
         } else if !leaked.is_empty() {
             Err(format!("ring-plane metrics materialized without an assertor: {leaked:?}"))
         } else {
@@ -328,9 +293,5 @@ fn main() {
     });
 
     timer.finish(work);
-    if failures > 0 {
-        eprintln!("{failures} check(s) failed");
-        std::process::exit(1);
-    }
-    println!("all checks passed");
+    checks.finish()
 }

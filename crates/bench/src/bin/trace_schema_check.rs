@@ -22,11 +22,12 @@
 //! cargo run -p verme-bench --release --bin trace_schema_check -- --trace /tmp/trace.ndjson
 //! ```
 
-use rand::Rng;
+use std::process::ExitCode;
 
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::{chord_lookup, king_chord_ring, lookup_workload, Checks};
 use verme_bench::CliArgs;
-use verme_chord::{ChordConfig, ChordNode, Id, LookupMode, StaticRing};
+use verme_chord::Id;
 use verme_core::node::verme_keys;
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
@@ -36,8 +37,7 @@ use verme_obs::{
     trace_to_ndjson, validate_trace_schema, LookupPath, PathCollector, Registry,
 };
 use verme_sim::{
-    tee, Addr, FlightRecorder, HostId, LatencyModel, Node, Runtime, SeedSource, SimDuration,
-    SimTime, TraceEvent,
+    tee, Addr, FlightRecorder, LatencyModel, Node, Runtime, SeedSource, SimDuration, TraceEvent,
 };
 
 const NODES: usize = 128;
@@ -53,8 +53,8 @@ struct Probe {
     all_paths: Vec<LookupPath>,
 }
 
-/// Installs recorder + collector, drives `issue` for [`LOOKUPS`] random
-/// keys at 1 s intervals, and drains the trace.
+/// Installs recorder + collector, drives the standard lookup workload
+/// ([`LOOKUPS`] random keys through `issue`), and drains the trace.
 fn drive<N: Node, L: LatencyModel>(
     rt: &mut Runtime<N, L>,
     seed: u64,
@@ -65,48 +65,15 @@ fn drive<N: Node, L: LatencyModel>(
     let collector = PathCollector::new();
     rt.set_tracer(Some(tee(recorder.tracer(), collector.tracer())));
 
-    let mut rng = SeedSource::new(seed).stream("schema-check");
-    let addrs: Vec<Addr> = rt.alive_addrs().collect();
-    // Let maintenance run once before the workload starts.
-    rt.run_until(SimTime::ZERO + SimDuration::from_secs(90));
-    for i in 0..LOOKUPS {
-        rt.run_until(SimTime::ZERO + SimDuration::from_secs(90 + i as u64));
-        let addr = addrs[rng.gen_range(0..addrs.len())];
-        let key = Id::random(&mut rng);
-        issue(rt, addr, key);
-    }
-    // Generous drain so every lookup completes (fault-free ring).
-    rt.run_until(SimTime::ZERO + SimDuration::from_secs(90 + LOOKUPS as u64 + 120));
+    let sources: Vec<Addr> = rt.alive_addrs().collect();
+    let rng = SeedSource::new(seed).stream("schema-check");
+    lookup_workload(rt, &sources, rng, LOOKUPS, issue);
     rt.set_tracer(None);
 
     let all_paths = collector.finished();
     let app_paths: Vec<LookupPath> =
         all_paths.iter().filter(|p| p.kind == app_kind && p.ok == Some(true)).cloned().collect();
     Probe { events: recorder.snapshot(), app_paths, all_paths }
-}
-
-fn build_chord(seed: u64) -> Runtime<ChordNode, KingMatrix> {
-    let mut idrng = SeedSource::new(seed).stream("ids");
-    let king = KingMatrix::synthetic(NODES, verme_net::king::KING_MEAN_RTT_MS, seed);
-    let mut rt = Runtime::new(king, seed);
-    // Generous timeouts: the King matrix's latency tail must never trip a
-    // hop timeout, so the trace is reroute-free and hop counts are exact.
-    let cfg = ChordConfig {
-        lookup_mode: LookupMode::Recursive,
-        hop_timeout: SimDuration::from_secs(20),
-        lookup_deadline: SimDuration::from_secs(60),
-        ..ChordConfig::default()
-    };
-    let handles: Vec<_> = (0..NODES)
-        .map(|i| verme_chord::NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut by_addr: Vec<(u64, usize)> = (0..NODES).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    for (raw, pos) in by_addr {
-        rt.spawn(HostId(raw as usize - 1), ring.build_node(pos, cfg.clone()));
-    }
-    rt
 }
 
 fn build_verme(seed: u64) -> Runtime<VermeNode<()>, KingMatrix> {
@@ -125,22 +92,8 @@ fn build_verme(seed: u64) -> Runtime<VermeNode<()>, KingMatrix> {
         lookup_deadline: SimDuration::from_secs(60),
         ..VermeConfig::new(layout)
     };
-    for i in 0..NODES {
-        let node: VermeNode<()> = ring.build_node(i, cfg.clone(), &mut ca);
-        rt.spawn(HostId(i), node);
-    }
+    ring.spawn(&mut rt, |i| ring.build_node(i, cfg.clone(), &mut ca));
     rt
-}
-
-/// Runs one named check, printing a verdict line and counting failures.
-fn check(failures: &mut u32, name: &str, result: Result<String, String>) {
-    match result {
-        Ok(detail) => println!("ok   {name}: {detail}"),
-        Err(why) => {
-            *failures += 1;
-            println!("FAIL {name}: {why}");
-        }
-    }
 }
 
 /// Schema-validates a recorded event stream end to end through NDJSON.
@@ -154,24 +107,18 @@ fn schema_roundtrip(events: &[TraceEvent]) -> Result<String, String> {
     Ok(format!("{} events, {} caused, {} proto", stats.events, stats.caused, stats.proto))
 }
 
-fn main() {
+fn main() -> ExitCode {
     let timer = BenchTimer::start("trace_schema_check");
     let args = CliArgs::parse();
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
 
     // ------------------------------------------------------------------
     // Chord: schema + monotone progress + hop agreement.
     // ------------------------------------------------------------------
-    let mut chord = build_chord(args.seed);
-    let probe = drive(&mut chord, args.seed, "app", |rt, addr, key| {
-        rt.invoke(addr, |node, ctx| {
-            if node.is_joined() {
-                node.start_lookup(key, ctx);
-            }
-        });
-    });
-    check(&mut failures, "chord.schema", schema_roundtrip(&probe.events));
-    check(&mut failures, "chord.paths", {
+    let (mut chord, _) = king_chord_ring(NODES, args.seed);
+    let probe = drive(&mut chord, args.seed, "app", chord_lookup);
+    checks.check("chord.schema", schema_roundtrip(&probe.events));
+    checks.check("chord.paths", {
         if probe.app_paths.len() < LOOKUPS / 2 {
             Err(format!(
                 "only {} of {LOOKUPS} app lookups traced to completion",
@@ -181,7 +128,7 @@ fn main() {
             Ok(format!("{} app paths ({} total)", probe.app_paths.len(), probe.all_paths.len()))
         }
     });
-    check(&mut failures, "chord.monotone", {
+    checks.check("chord.monotone", {
         let violations = check_chord_monotone(&probe.app_paths);
         if violations.is_empty() {
             Ok("clockwise progress holds on every hop".into())
@@ -189,7 +136,7 @@ fn main() {
             Err(format!("{} violations; first: {}", violations.len(), violations[0]))
         }
     });
-    check(&mut failures, "chord.hop_agreement", {
+    checks.check("chord.hop_agreement", {
         match chord.metrics().histogram(verme_chord::keys::LOOKUP_HOPS) {
             None => Err("no lookup.hops histogram".into()),
             Some(hist) => check_hop_agreement(&probe.app_paths, hist)
@@ -209,8 +156,8 @@ fn main() {
             }
         });
     });
-    check(&mut failures, "verme.schema", schema_roundtrip(&probe.events));
-    check(&mut failures, "verme.paths", {
+    checks.check("verme.schema", schema_roundtrip(&probe.events));
+    checks.check("verme.paths", {
         if probe.app_paths.len() < LOOKUPS / 2 {
             Err(format!(
                 "only {} of {LOOKUPS} replica lookups traced to completion",
@@ -220,7 +167,7 @@ fn main() {
             Ok(format!("{} replica paths ({} total)", probe.app_paths.len(), probe.all_paths.len()))
         }
     });
-    check(&mut failures, "verme.opposite_types", {
+    checks.check("verme.opposite_types", {
         let violations = check_verme_opposite_types(&probe.app_paths);
         if violations.is_empty() {
             Ok("every cross-section hop connects opposite types".into())
@@ -228,7 +175,7 @@ fn main() {
             Err(format!("{} violations; first: {}", violations.len(), violations[0]))
         }
     });
-    check(&mut failures, "verme.hop_agreement", {
+    checks.check("verme.hop_agreement", {
         match verme.metrics().histogram(verme_chord::keys::LOOKUP_HOPS) {
             None => Err("no lookup.hops histogram".into()),
             Some(hist) => check_hop_agreement(&probe.app_paths, hist)
@@ -246,7 +193,7 @@ fn main() {
     registry.register_all(verme_dht::keys::descriptors());
     registry.register_all(verme_keys::descriptors());
     registry.register_all(verme_sim::fault::keys::descriptors());
-    check(&mut failures, "registry.coverage", {
+    checks.check("registry.coverage", {
         let mut missing = registry.unregistered(chord.metrics());
         missing.extend(registry.unregistered(verme.metrics()));
         missing.sort_unstable();
@@ -257,7 +204,7 @@ fn main() {
             Err(format!("metrics without descriptors: {missing:?}"))
         }
     });
-    check(&mut failures, "registry.export", {
+    checks.check("registry.export", {
         let ndjson = registry.export_ndjson(chord.metrics());
         let csv = registry.export_csv(verme.metrics());
         match parse_ndjson(&ndjson) {
@@ -273,10 +220,6 @@ fn main() {
         std::fs::write(path, trace_to_ndjson(&trace_dump)).expect("write trace dump");
         println!("# trace: {} events -> {path}", trace_dump.len());
     }
-    if failures > 0 {
-        eprintln!("{failures} check(s) failed");
-        std::process::exit(1);
-    }
-    println!("all checks passed");
     timer.finish(trace_dump.len() as u64);
+    checks.finish()
 }

@@ -22,34 +22,27 @@
 //! cargo run -p verme-bench --release --bin workload_check
 //! ```
 
+use std::process::ExitCode;
+
 use bytes::Bytes;
 
 use verme_bench::report::BenchTimer;
+use verme_bench::testbed::{run_fingerprint, same_bytes, Checks, HOP};
 use verme_bench::CliArgs;
-use verme_chord::{ChordConfig, Id, NodeHandle, StaticRing};
+use verme_chord::{ChordConfig, Id, StaticRing};
 use verme_dht::{keys as dht_keys, DhashNode, DhtConfig, DhtNode};
 use verme_load::{generate_schedule, LoadProfile};
-use verme_obs::Registry;
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 const NODES: usize = 64;
-const HOP: SimDuration = SimDuration::from_millis(20);
 
 fn build_ring(seed: u64, cfg: &DhtConfig) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    let mut idrng = SeedSource::new(seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..NODES)
-        .map(|i| NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(NODES, seed);
     let mut rt = Runtime::new(UniformLatency::new(NODES, HOP), seed);
-    let mut by_addr: Vec<(u64, usize)> = (0..NODES).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; NODES];
-    for (raw, pos) in by_addr {
-        let node = DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone());
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
+    let addrs = ring.spawn(&mut rt, |pos| {
+        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
+    });
     (rt, addrs)
 }
 
@@ -76,10 +69,7 @@ fn data_bytes(rt: &Runtime<DhashNode, UniformLatency>) -> u64 {
 
 /// A deterministic fingerprint of everything the protocol layer produced.
 fn fingerprint(rt: &Runtime<DhashNode, UniformLatency>) -> String {
-    let mut registry = Registry::new();
-    registry.register_all(verme_chord::keys::descriptors());
-    registry.register_all(verme_dht::keys::descriptors());
-    format!("{:?}|{:?}|{}", rt.now(), rt.stats(), registry.export_ndjson(rt.metrics()))
+    run_fingerprint(rt, &[verme_chord::keys::descriptors(), verme_dht::keys::descriptors()])
 }
 
 /// Issues `gets` concurrent gets for `key` from `who`, runs to
@@ -108,27 +98,16 @@ fn drive_idle(rt: &mut Runtime<DhashNode, UniformLatency>, addrs: &[Addr]) {
     rt.run_until(rt.now() + SimDuration::from_secs(120));
 }
 
-/// Runs one named check, printing a verdict line and counting failures.
-fn check(failures: &mut u32, name: &str, result: Result<String, String>) {
-    match result {
-        Ok(detail) => println!("ok   {name}: {detail}"),
-        Err(why) => {
-            *failures += 1;
-            println!("FAIL {name}: {why}");
-        }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let timer = BenchTimer::start("workload_check");
     let args = CliArgs::parse();
-    let mut failures = 0u32;
+    let mut checks = Checks::default();
     let mut events = 0u64;
 
     // ------------------------------------------------------------------
     // 1. Same seed, same schedule — for every profile shape.
     // ------------------------------------------------------------------
-    check(&mut failures, "generator.deterministic", {
+    checks.check("generator.deterministic", {
         let horizon = SimDuration::from_secs(120);
         let mut verdict = Ok(String::new());
         let mut total = 0usize;
@@ -170,7 +149,7 @@ fn main() {
     let single_bytes = data_bytes(&rt_one) - before_one;
     events += rt_one.stats().messages_delivered;
 
-    check(&mut failures, "coalesce.single_fetch", {
+    checks.check("coalesce.single_fetch", {
         let coalesced = rt_many.metrics().counter(dht_keys::GETS_COALESCED);
         if outs.len() != BURST {
             Err(format!("{} outcomes for {BURST} gets", outs.len()))
@@ -203,7 +182,7 @@ fn main() {
     };
     let (mut rt_c, addrs_c) = build_ring(args.seed, &cache_cfg);
     let (key_c, _) = seed_one(&mut rt_c, &addrs_c);
-    check(&mut failures, "cache.invalidation_on_repair", {
+    checks.check("cache.invalidation_on_repair", {
         // The repair target after one holder dies is the next node in
         // the key's successor order past the current replica set.
         let replicas = cache_cfg.replicas;
@@ -249,7 +228,7 @@ fn main() {
     };
     let (mut rt_b, addrs_b) = build_ring(args.seed, &knobbed);
     drive_idle(&mut rt_b, &addrs_b);
-    check(&mut failures, "serving_off.inert", {
+    checks.check("serving_off.inert", {
         let print_knobbed = fingerprint(&rt_b);
         let new_counters = [
             dht_keys::CACHE_HITS,
@@ -260,13 +239,8 @@ fn main() {
         ];
         let nonzero: Vec<&str> =
             new_counters.iter().copied().filter(|k| rt_a.metrics().counter(k) != 0).collect();
-        if print_default != print_knobbed {
-            let at = print_default
-                .bytes()
-                .zip(print_knobbed.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or(print_default.len().min(print_knobbed.len()));
-            Err(format!("serving-only knobs changed the run at byte {at}"))
+        if let Err(at) = same_bytes(&print_default, &print_knobbed) {
+            Err(format!("serving-only knobs changed the run at {at}"))
         } else if !nonzero.is_empty() {
             Err(format!("features off but counters fired: {nonzero:?}"))
         } else {
@@ -276,9 +250,5 @@ fn main() {
     events += rt_b.stats().messages_delivered;
 
     timer.finish(events);
-    if failures > 0 {
-        eprintln!("{failures} check(s) failed");
-        std::process::exit(1);
-    }
-    println!("all checks passed");
+    checks.finish()
 }

@@ -20,45 +20,12 @@
 //! setting and repetition but not on the repair arm, so all arms of a
 //! repetition face bit-identical fault scripts.
 
-use bytes::Bytes;
-use rand::Rng;
+use verme_dht::DhtConfig;
+use verme_sim::fault::{keys as fault_keys, Fault, FaultPlan};
+use verme_sim::SimDuration;
 
-use verme_chord::{ring_converged, ChordConfig, ChordNode, Id, NodeHandle, StaticRing};
-use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
-use verme_crypto::{CertificateAuthority, NodeType};
-use verme_dht::{DhashNode, DhtConfig, DhtNode, DurabilityCensus, FastVerDiNode};
-use verme_sim::fault::{keys as fault_keys, Fault, FaultHooks, FaultPlan, FaultRunner};
-use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
-
-/// Per-hop one-way latency of the uniform network.
-const HOP: SimDuration = SimDuration::from_millis(20);
-
-/// Census bar: a block is *under-replicated* below this many live
-/// holders and *lost* at zero.
-pub const CENSUS_TARGET: usize = 2;
-
-/// The two systems compared.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ExtISystem {
-    /// DHash over Chord.
-    Dhash,
-    /// Fast-VerDi over Verme.
-    FastVerDi,
-}
-
-impl ExtISystem {
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExtISystem::Dhash => "DHash/Chord",
-            ExtISystem::FastVerDi => "Fast-VerDi/Verme",
-        }
-    }
-
-    /// Both systems, baseline first.
-    pub const ALL: [ExtISystem; 2] = [ExtISystem::Dhash, ExtISystem::FastVerDi];
-}
+use crate::testbed::{departures, par_map, pooled, run_churn_cell, DhtCell};
+pub use crate::testbed::{ChurnSystem, CENSUS_TARGET};
 
 /// One repair arm of the sweep: disabled, or enabled at an interval.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -225,214 +192,54 @@ fn arm_config(arm: RepairArm, stabilize: SimDuration) -> DhtConfig {
     }
 }
 
-/// Runs one cell of the sweep.
-pub fn run_exti_cell(
-    system: ExtISystem,
-    params: &ExtIParams,
-    churn_rate: f64,
-    arm: RepairArm,
-    cell_seed: u64,
-) -> ExtICell {
-    match system {
-        ExtISystem::Dhash => run_dhash_cell(params, churn_rate, arm, cell_seed),
-        ExtISystem::FastVerDi => run_fast_cell(params, churn_rate, arm, cell_seed),
-    }
-}
-
-fn run_dhash_cell(
-    params: &ExtIParams,
-    churn_rate: f64,
-    arm: RepairArm,
-    cell_seed: u64,
-) -> ExtICell {
-    let cfg = arm_config(arm, params.stabilize_interval);
-    let mut rng = SeedSource::new(cell_seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..params.nodes)
-        .map(|i| NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), cell_seed);
-    let mut by_addr: Vec<(u64, usize)> =
-        (0..params.nodes).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; params.nodes];
-    for (raw, pos) in by_addr {
-        let node = DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone());
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
-
-    let chord_cfg = ChordConfig::default();
-    let mut join_rng = SeedSource::new(cell_seed).stream("joins");
-    let boot_candidates = addrs.clone();
-    let join_cfg = cfg.clone();
-    let hooks: FaultHooks<DhashNode, UniformLatency> = FaultHooks {
-        join: Box::new(move |rt, _rng| {
-            let live: Vec<Addr> =
-                boot_candidates.iter().copied().filter(|&a| rt.is_alive(a)).collect();
-            let bootstrap = *live.get(join_rng.gen_range(0..live.len().max(1)))?;
-            let id = Id::random(&mut join_rng);
-            let node = DhashNode::new(
-                ChordNode::joining(id, chord_cfg.clone(), bootstrap),
-                join_cfg.clone(),
-            );
-            Some(rt.spawn(HostId(0), node))
-        }),
-        select_victims: Box::new(arc_selector(addrs.clone())),
-        ring_converged: Box::new(ring_converged),
-        corrupt: Box::new(|_, _, _| {}),
-        restart: Box::new(|_, _, _, _, _| None),
-    };
-
-    drive_cell(rt, addrs, hooks, params, churn_rate, cell_seed)
-}
-
-fn run_fast_cell(params: &ExtIParams, churn_rate: f64, arm: RepairArm, cell_seed: u64) -> ExtICell {
-    let cfg = arm_config(arm, params.stabilize_interval);
-    let layout = SectionLayout::with_sections(params.sections, 2);
-    let ring = VermeStaticRing::generate(layout, params.nodes, cell_seed);
-    let mut ca = CertificateAuthority::new(cell_seed);
-    let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), cell_seed);
-    let mut addrs = Vec::with_capacity(params.nodes);
-    for i in 0..params.nodes {
-        let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
-        addrs.push(rt.spawn(HostId(i), FastVerDiNode::new(overlay, cfg.clone())));
-    }
-
-    let mut join_rng = SeedSource::new(cell_seed).stream("joins");
-    let boot_candidates = addrs.clone();
-    let join_cfg = cfg.clone();
-    let hooks: FaultHooks<FastVerDiNode, UniformLatency> = FaultHooks {
-        join: Box::new(move |rt, _rng| {
-            let live: Vec<Addr> =
-                boot_candidates.iter().copied().filter(|&a| rt.is_alive(a)).collect();
-            let bootstrap = *live.get(join_rng.gen_range(0..live.len().max(1)))?;
-            let ty = if join_rng.gen::<bool>() { NodeType::A } else { NodeType::B };
-            let id = layout.assign_id(&mut join_rng, ty);
-            let (cert, keys) = ca.issue(id.raw(), ty);
-            let overlay =
-                VermeNode::joining(VermeConfig::new(layout), cert, keys, ca.verifier(), bootstrap);
-            Some(rt.spawn(HostId(0), FastVerDiNode::new(overlay, join_cfg.clone())))
-        }),
-        select_victims: Box::new(arc_selector(addrs.clone())),
-        ring_converged: Box::new(ring_converged),
-        corrupt: Box::new(|_, _, _| {}),
-        restart: Box::new(|_, _, _, _, _| None),
-    };
-
-    drive_cell(rt, addrs, hooks, params, churn_rate, cell_seed)
-}
-
-/// Interprets a `"arc:N"` selector exactly as extG does: the first `N`
-/// still-live nodes of the original ring, in ring order.
-fn arc_selector<N, L>(
-    ring_order: Vec<Addr>,
-) -> impl FnMut(&Runtime<N, L>, &str, &[Addr]) -> Vec<Addr>
-where
-    N: verme_sim::Node,
-    L: verme_sim::LatencyModel,
-{
-    move |_rt, selector, population| {
-        let n: usize = selector
-            .strip_prefix("arc:")
-            .and_then(|s| s.parse().ok())
-            .expect("extI uses arc:N selectors");
-        ring_order.iter().copied().filter(|a| population.contains(a)).take(n).collect()
-    }
-}
-
-/// The shared schedule: settle, seed blocks, run the churn script while
-/// issuing gets, drain, then take the durability census over the
+/// Runs one cell of the sweep: the shared churn cell
+/// ([`run_churn_cell`]) under pure churn plus one small kill burst, the
+/// gets driving read-repair, judged by the durability census over the
 /// survivors' block stores.
-fn drive_cell<N: DhtNode>(
-    mut rt: Runtime<N, UniformLatency>,
-    addrs: Vec<Addr>,
-    hooks: FaultHooks<N, UniformLatency>,
+pub fn run_exti_cell(
+    system: ChurnSystem,
     params: &ExtIParams,
     churn_rate: f64,
+    arm: RepairArm,
     cell_seed: u64,
 ) -> ExtICell {
-    let mut rng = SeedSource::new(cell_seed).stream("workload");
-    rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-
-    // Seed the blocks while the overlay is still fault-free.
-    let mut seeded: Vec<Id> = Vec::with_capacity(params.blocks);
-    for blkno in 0..params.blocks {
-        let who = addrs[rng.gen_range(0..addrs.len())];
-        let mut value = vec![0u8; params.block_size];
-        value[..8].copy_from_slice(&(blkno as u64).to_le_bytes());
-        let value = Bytes::from(value);
-        let key = verme_dht::block_key(&value);
-        rt.invoke(who, |n, ctx| n.start_put(value, ctx)).expect("alive");
-        rt.run_until(rt.now() + SimDuration::from_secs(5));
-        let outs = rt.node_mut(who).expect("alive").take_op_outcomes();
-        if outs.iter().any(|o| o.ok) {
-            seeded.push(key);
-        }
-    }
-    assert!(!seeded.is_empty(), "no block survived fault-free seeding");
-
-    // Everything after this snapshot is attributed to the fault window.
-    let baseline = rt.metrics().counter_snapshot();
-
-    let start = rt.now() + SimDuration::from_secs(5);
+    let cell = DhtCell {
+        nodes: params.nodes,
+        sections: params.sections,
+        block_size: params.block_size,
+        blocks: params.blocks,
+        gets: params.gets,
+        window: params.window,
+    };
+    let cfg = arm_config(arm, params.stabilize_interval);
     let window = params.window;
-    let plan = FaultPlan::new()
-        .with(Fault::Churn {
-            start,
-            duration: window,
-            leave_rate_per_sec: churn_rate,
-            graceful_fraction: 0.5,
-            rejoin_after: Some(SimDuration::from_secs(20)),
-        })
-        .with(Fault::KillBurst {
-            at: start + window / 3,
-            window: SimDuration::from_secs(2),
-            selector: format!("arc:{}", params.burst_size),
-        });
-    let mut runner = FaultRunner::new(plan, hooks, SeedSource::new(cell_seed), addrs.clone())
-        .expect("valid extI plan");
-
-    // Gets spread evenly across the window — these drive read-repair.
-    let mut issued = 0u64;
-    for i in 0..params.gets {
-        let at = start + window / params.gets as u64 * i as u64;
-        runner.run_until(&mut rt, at);
-        let live: Vec<Addr> = addrs.iter().copied().filter(|&a| rt.is_alive(a)).collect();
-        if live.is_empty() {
-            break;
-        }
-        let who = live[rng.gen_range(0..live.len())];
-        let key = seeded[rng.gen_range(0..seeded.len())];
-        rt.invoke(who, |n, ctx| n.start_get(key, ctx)).expect("alive");
-        issued += 1;
-    }
-    // Drain: let in-flight operations resolve and the repair plane
-    // finish whatever the last departures kicked off.
-    runner.run_until(&mut rt, start + window + SimDuration::from_secs(120));
-
-    let delta = rt.metrics().counter_delta(&baseline);
-    let get = |key: &str| delta.get(key).copied().unwrap_or(0);
-
-    // The census is order-independent (per-key holder counts), so the
-    // unsorted alive_addrs() iteration is safe.
-    let live: Vec<Addr> = rt.alive_addrs().collect();
-    let stores: Vec<_> = live.iter().map(|&a| rt.node(a).expect("alive").store()).collect();
-    let census = DurabilityCensus::take(seeded.iter().copied(), stores, CENSUS_TARGET);
-
+    let out = run_churn_cell(system, &cell, cfg, cell_seed, |start| {
+        FaultPlan::new()
+            .with(Fault::Churn {
+                start,
+                duration: window,
+                leave_rate_per_sec: churn_rate,
+                graceful_fraction: 0.5,
+                rejoin_after: Some(SimDuration::from_secs(20)),
+            })
+            .with(Fault::KillBurst {
+                at: start + window / 3,
+                window: SimDuration::from_secs(2),
+                selector: format!("arc:{}", params.burst_size),
+            })
+    });
     ExtICell {
-        keys: census.keys as u64,
-        lost: census.lost as u64,
-        under_replicated: census.under_replicated as u64,
-        issued,
-        completed: get(verme_dht::keys::GET_COMPLETED),
-        repair_rounds: get(verme_dht::keys::REPAIR_ROUNDS),
-        repair_pushed: get(verme_dht::keys::REPAIR_PUSHED),
-        read_repairs: get(verme_dht::keys::READ_REPAIR),
-        handoff_blocks: get(verme_dht::keys::HANDOFF_BLOCKS),
-        joins: get(fault_keys::JOIN),
-        departures: get(fault_keys::LEAVE_CRASH)
-            + get(fault_keys::LEAVE_GRACEFUL)
-            + get(fault_keys::BURST_KILL),
+        keys: out.census.keys as u64,
+        lost: out.census.lost as u64,
+        under_replicated: out.census.under_replicated as u64,
+        issued: out.issued,
+        completed: out.count(verme_dht::keys::GET_COMPLETED),
+        repair_rounds: out.count(verme_dht::keys::REPAIR_ROUNDS),
+        repair_pushed: out.count(verme_dht::keys::REPAIR_PUSHED),
+        read_repairs: out.count(verme_dht::keys::READ_REPAIR),
+        handoff_blocks: out.count(verme_dht::keys::HANDOFF_BLOCKS),
+        joins: out.count(fault_keys::JOIN),
+        departures: departures(&out.delta),
     }
 }
 
@@ -441,7 +248,7 @@ fn drive_cell<N: DhtNode>(
 #[derive(Clone, Debug)]
 pub struct ExtIRow {
     /// System under test.
-    pub system: ExtISystem,
+    pub system: ChurnSystem,
     /// Churn rate for this row.
     pub churn_rate: f64,
     /// One pooled cell per repair arm.
@@ -467,27 +274,19 @@ impl ExtIRow {
     }
 }
 
-/// Runs the full sweep. Cells execute on worker threads, but every result
-/// lands in its pre-assigned slot and rows come back in fixed sweep
-/// order, so the output is independent of thread scheduling.
+/// Runs the full sweep. Cells execute on worker threads ([`par_map`]) and
+/// come back in job order, so rows and pooled counts are independent of
+/// thread scheduling.
 pub fn run_exti(params: &ExtIParams) -> Vec<ExtIRow> {
-    struct Job {
-        slot: usize,
-        system: ExtISystem,
-        churn_rate: f64,
-        arm: RepairArm,
-        cell_seed: u64,
-    }
     let reps = params.reps.max(1);
-    let arms = params.repair_arms.clone();
+    let arms = &params.repair_arms;
     let mut jobs = Vec::new();
     let mut settings = Vec::new();
-    for &system in &ExtISystem::ALL {
+    for &system in &ChurnSystem::ALL {
         for &churn_rate in &params.churn_rates {
             settings.push((system, churn_rate));
-            for &arm in &arms {
+            for &arm in arms {
                 for rep in 0..reps {
-                    let slot = jobs.len();
                     // The seed depends on the setting and rep but not the
                     // arm: all repair arms of a rep face the same fault
                     // script.
@@ -495,56 +294,26 @@ pub fn run_exti(params: &ExtIParams) -> Vec<ExtIRow> {
                         .seed
                         .wrapping_add(settings.len() as u64 * 7919)
                         .wrapping_add(rep * 15_485_863);
-                    jobs.push(Job { slot, system, churn_rate, arm, cell_seed });
+                    jobs.push((system, churn_rate, arm, cell_seed));
                 }
             }
         }
     }
-
-    let mut slots: Vec<Option<ExtICell>> = vec![None; jobs.len()];
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, ExtICell)>();
-    for job in jobs {
-        job_tx.send(job).expect("queueing extI jobs");
-    }
-    drop(job_tx);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                while let Ok(j) = job_rx.recv() {
-                    let cell = run_exti_cell(j.system, params, j.churn_rate, j.arm, j.cell_seed);
-                    res_tx.send((j.slot, cell)).expect("returning extI result");
-                }
-            });
-        }
-        drop(res_tx);
-        for (slot, cell) in res_rx.iter() {
-            slots[slot] = Some(cell);
-        }
+    let cells = par_map(&jobs, |&(system, churn_rate, arm, cell_seed)| {
+        run_exti_cell(system, params, churn_rate, arm, cell_seed)
     });
 
-    // Pool each arm's reps in fixed slot order.
-    let per_setting = arms.len() * reps as usize;
+    // Each setting's jobs are adjacent: `reps` cells per arm, arm by arm.
     settings
         .into_iter()
-        .enumerate()
-        .map(|(i, (system, churn_rate))| ExtIRow {
+        .zip(cells.chunks(arms.len() * reps as usize))
+        .map(|((system, churn_rate), of_setting)| ExtIRow {
             system,
             churn_rate,
             arms: arms
                 .iter()
-                .enumerate()
-                .map(|(ai, &arm)| {
-                    let mut acc = ExtICell::default();
-                    let first = per_setting * i + ai * reps as usize;
-                    for slot in slots.iter_mut().skip(first).take(reps as usize) {
-                        acc.merge(&slot.take().expect("cell computed"));
-                    }
-                    (arm, acc)
-                })
+                .zip(of_setting.chunks(reps as usize))
+                .map(|(&arm, of_arm)| (arm, pooled(of_arm, ExtICell::merge)))
                 .collect(),
         })
         .collect()
@@ -574,9 +343,9 @@ mod tests {
     #[test]
     fn exti_repair_preserves_blocks_lost_without_it() {
         let params = tiny();
-        let off = run_exti_cell(ExtISystem::Dhash, &params, 0.5, RepairArm::Off, 11);
+        let off = run_exti_cell(ChurnSystem::Dhash, &params, 0.5, RepairArm::Off, 11);
         let on = run_exti_cell(
-            ExtISystem::Dhash,
+            ChurnSystem::Dhash,
             &params,
             0.5,
             RepairArm::On(SimDuration::from_secs(10)),
@@ -594,8 +363,8 @@ mod tests {
     fn exti_cells_are_reproducible() {
         let params = tiny();
         let arm = RepairArm::On(SimDuration::from_secs(10));
-        let a = run_exti_cell(ExtISystem::FastVerDi, &params, 0.5, arm, 11);
-        let b = run_exti_cell(ExtISystem::FastVerDi, &params, 0.5, arm, 11);
+        let a = run_exti_cell(ChurnSystem::FastVerDi, &params, 0.5, arm, 11);
+        let b = run_exti_cell(ChurnSystem::FastVerDi, &params, 0.5, arm, 11);
         assert_eq!(a, b, "same seed must reproduce the cell exactly");
     }
 }

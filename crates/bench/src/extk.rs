@@ -25,19 +25,17 @@
 //! variant, fraction and repetition, and the same seed replays the cell
 //! byte for byte.
 
-use bytes::Bytes;
 use rand::Rng;
 
-use verme_chord::{Byzantine, ByzantineConfig, ChordConfig, Id, NodeHandle, StaticRing};
+use verme_chord::{Behaviour, Byzantine, ByzantineConfig, ChordConfig, Id, StaticRing};
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
 use verme_dht::{Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant};
-use verme_sim::fault::{keys as fault_keys, Fault, FaultHooks, FaultPlan, FaultRunner};
+use verme_sim::fault::{keys as fault_keys, ordered_selector, Fault, FaultHooks, FaultPlan};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SeedSource, SimDuration};
 
-/// Per-hop one-way latency of the uniform network.
-const HOP: SimDuration = SimDuration::from_millis(20);
+use crate::testbed::{drive_dht_cell, par_map, pooled, DhtCell, HOP};
 
 /// The four variants compared.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -258,40 +256,6 @@ fn adversary_seed(cell_seed: u64, addr: Addr) -> u64 {
     cell_seed.wrapping_add(addr.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Interprets the `"eclipse:N"` selector: the first `N` still-live
-/// positions of the precomputed eclipse ordering.
-fn eclipse_selector<N, L>(
-    order: Vec<Addr>,
-) -> impl FnMut(&Runtime<N, L>, &str, &[Addr]) -> Vec<Addr>
-where
-    N: verme_sim::Node,
-    L: verme_sim::LatencyModel,
-{
-    move |_rt, selector, population| {
-        if let Some(rest) = selector.strip_prefix("eclipse-skip:") {
-            // `eclipse-skip:S:N` — skip the first S of the eclipse order
-            // (the adversary cluster itself), then take the next N still
-            // alive: the honest nodes nearest the victim section, eroded
-            // progressively across repeated kill bursts.
-            let (skip, take) = rest.split_once(':').expect("eclipse-skip:S:N selector");
-            let skip: usize = skip.parse().expect("eclipse-skip skip count");
-            let take: usize = take.parse().expect("eclipse-skip take count");
-            return order
-                .iter()
-                .copied()
-                .skip(skip)
-                .filter(|a| population.contains(a))
-                .take(take)
-                .collect();
-        }
-        let n: usize = selector
-            .strip_prefix("eclipse:")
-            .and_then(|s| s.parse().ok())
-            .expect("extK uses eclipse:N selectors");
-        order.iter().copied().filter(|a| population.contains(a)).take(n).collect()
-    }
-}
-
 /// Runs one cell of the sweep.
 pub fn run_extk_cell(
     system: ExtKSystem,
@@ -311,42 +275,14 @@ pub fn run_extk_cell(
 
 fn run_dhash_cell(params: &ExtKParams, fraction: f64, cell_seed: u64) -> ExtKCell {
     let cfg = defended_config(ExtKSystem::Dhash, params);
-    let mut rng = SeedSource::new(cell_seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..params.nodes)
-        .map(|i| NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(params.nodes, cell_seed);
     let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), cell_seed);
-    let mut by_addr: Vec<(u64, usize)> =
-        (0..params.nodes).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; params.nodes];
-    for (raw, pos) in by_addr {
-        let node = DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone());
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
-
+    let addrs = ring.spawn(&mut rt, |pos| {
+        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
+    });
     let order = chord_adversary_order(&ring, &addrs, cell_seed);
-    let adversaries: Vec<Addr> =
-        order.iter().copied().take(adversary_count(params, fraction)).collect();
-    let attack_name = params.attack.strip_suffix("+churn").unwrap_or(&params.attack).to_string();
-    let hooks: FaultHooks<DhashNode, UniformLatency> = FaultHooks {
-        join: Box::new(|_, _| None),
-        select_victims: Box::new(eclipse_selector(order)),
-        ring_converged: Box::new(|_| true),
-        corrupt: Box::new(move |rt, attack, targets| {
-            debug_assert_eq!(attack, attack_name);
-            for &a in targets {
-                let cfg = attack_config(attack, adversary_seed(cell_seed, a));
-                rt.node_mut(a)
-                    .expect("corrupt targets are alive")
-                    .overlay_mut()
-                    .set_behaviour(Box::new(Byzantine::new(cfg)));
-            }
-        }),
-        restart: Box::new(|_, _, _, _, _| None),
-    };
-    drive_cell(rt, addrs, adversaries, hooks, params, cell_seed)
+    let corrupt = |n: &mut DhashNode, b| n.overlay_mut().set_behaviour(b);
+    drive_cell(rt, addrs, order, corrupt, params, fraction, cell_seed)
 }
 
 fn run_verme_cell<V, P>(
@@ -364,70 +300,30 @@ where
     let ring = VermeStaticRing::generate(layout, params.nodes, cell_seed);
     let mut ca = CertificateAuthority::new(cell_seed);
     let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), cell_seed);
-    let mut addrs = Vec::with_capacity(params.nodes);
-    for i in 0..params.nodes {
-        let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
-        addrs.push(rt.spawn(HostId(i), DhtEngine::<V>::new(overlay, cfg.clone())));
-    }
-
+    let addrs = ring.spawn(&mut rt, |i| {
+        DhtEngine::<V>::new(ring.build_node(i, VermeConfig::new(layout), &mut ca), cfg.clone())
+    });
     let order = verme_adversary_order(&ring, &addrs, cell_seed);
-    let adversaries: Vec<Addr> =
-        order.iter().copied().take(adversary_count(params, fraction)).collect();
-    let attack_name = params.attack.strip_suffix("+churn").unwrap_or(&params.attack).to_string();
-    let hooks: FaultHooks<DhtEngine<V>, UniformLatency> = FaultHooks {
-        join: Box::new(|_, _| None),
-        select_victims: Box::new(eclipse_selector(order)),
-        ring_converged: Box::new(|_| true),
-        corrupt: Box::new(move |rt, attack, targets| {
-            debug_assert_eq!(attack, attack_name);
-            for &a in targets {
-                let cfg = attack_config(attack, adversary_seed(cell_seed, a));
-                rt.node_mut(a)
-                    .expect("corrupt targets are alive")
-                    .overlay_mut()
-                    .set_behaviour(Box::new(Byzantine::new(cfg)));
-            }
-        }),
-        restart: Box::new(|_, _, _, _, _| None),
-    };
-    drive_cell(rt, addrs, adversaries, hooks, params, cell_seed)
+    let corrupt = |n: &mut DhtEngine<V>, b| n.overlay_mut().set_behaviour(b);
+    drive_cell(rt, addrs, order, corrupt, params, fraction, cell_seed)
 }
 
-/// The shared schedule: settle, seed blocks fault-free, flip the
-/// adversaries, issue gets from honest nodes across the window, drain,
-/// then read the counters.
+/// The shared cell ([`drive_dht_cell`]) with the adversary's binding:
+/// the first `fraction` of the eclipse `order` is flipped Byzantine
+/// (through `corrupt`, which installs a behaviour on one node) when the
+/// window opens, selectors read that order, and gets come from honest
+/// nodes only.
 fn drive_cell<N: DhtNode>(
-    mut rt: Runtime<N, UniformLatency>,
+    rt: Runtime<N, UniformLatency>,
     addrs: Vec<Addr>,
-    adversaries: Vec<Addr>,
-    hooks: FaultHooks<N, UniformLatency>,
+    order: Vec<Addr>,
+    corrupt: impl Fn(&mut N, Box<dyn Behaviour>) + 'static,
     params: &ExtKParams,
+    fraction: f64,
     cell_seed: u64,
 ) -> ExtKCell {
-    let mut rng = SeedSource::new(cell_seed).stream("workload");
-    rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-
-    // Seed the blocks while the overlay is still honest.
-    let mut seeded: Vec<Id> = Vec::with_capacity(params.blocks);
-    for blkno in 0..params.blocks {
-        let who = addrs[rng.gen_range(0..addrs.len())];
-        let mut value = vec![0u8; params.block_size];
-        value[..8].copy_from_slice(&(blkno as u64).to_le_bytes());
-        let value = Bytes::from(value);
-        let key = verme_dht::block_key(&value);
-        rt.invoke(who, |n, ctx| n.start_put(value, ctx)).expect("alive");
-        rt.run_until(rt.now() + SimDuration::from_secs(5));
-        let outs = rt.node_mut(who).expect("alive").take_op_outcomes();
-        if outs.iter().any(|o| o.ok) {
-            seeded.push(key);
-        }
-    }
-    assert!(!seeded.is_empty(), "no block survived honest seeding");
-
-    // Everything after this snapshot is attributed to the adversaries.
-    let baseline = rt.metrics().counter_snapshot();
-
-    let start = rt.now() + SimDuration::from_secs(5);
+    let adversaries: Vec<Addr> =
+        order.iter().copied().take(adversary_count(params, fraction)).collect();
     // An `…+churn` attack suffix additionally schedules adversarial
     // churn timed against the repair plane: small kill bursts of the
     // honest nodes nearest the victim section, phased just after each
@@ -437,59 +333,67 @@ fn drive_cell<N: DhtNode>(
         Some(prefix) => (prefix.to_string(), !adversaries.is_empty()),
         None => (params.attack.clone(), false),
     };
-    let mut plan = FaultPlan::new();
-    if !adversaries.is_empty() {
-        plan = plan.with(Fault::Byzantine {
-            at: start,
-            selector: format!("eclipse:{}", adversaries.len()),
-            attack,
-        });
-    }
-    if phased_kills {
-        let interval = DhtConfig::default().repair_interval;
-        let rounds = (params.window.as_nanos() / interval.as_nanos().max(1)).min(4) as u32;
-        plan = plan.with_repair_phased_kills(
-            start + interval,
-            interval,
-            SimDuration::from_secs(2),
-            rounds,
-            &format!("eclipse-skip:{}:1", adversaries.len()),
-        );
-    }
-    let mut runner = FaultRunner::new(plan, hooks, SeedSource::new(cell_seed), addrs.clone())
-        .expect("valid extK plan");
-
+    let attack_name = attack.clone();
+    let hooks: FaultHooks<N, UniformLatency> = FaultHooks {
+        select_victims: ordered_selector(order),
+        corrupt: Box::new(move |rt, attack, targets| {
+            debug_assert_eq!(attack, attack_name);
+            for &a in targets {
+                let cfg = attack_config(attack, adversary_seed(cell_seed, a));
+                let node = rt.node_mut(a).expect("corrupt targets are alive");
+                corrupt(node, Box::new(Byzantine::new(cfg)));
+            }
+        }),
+        ..FaultHooks::inert()
+    };
+    let cell = DhtCell {
+        nodes: params.nodes,
+        sections: params.sections,
+        block_size: params.block_size,
+        blocks: params.blocks,
+        gets: params.gets,
+        window: params.window,
+    };
+    let plan = |start| {
+        let mut plan = FaultPlan::new();
+        if !adversaries.is_empty() {
+            plan = plan.with(Fault::Byzantine {
+                at: start,
+                selector: format!("eclipse:{}", adversaries.len()),
+                attack,
+            });
+        }
+        if phased_kills {
+            let interval = DhtConfig::default().repair_interval;
+            let rounds = (params.window.as_nanos() / interval.as_nanos().max(1)).min(4) as u32;
+            plan = plan.with_repair_phased_kills(
+                start + interval,
+                interval,
+                SimDuration::from_secs(2),
+                rounds,
+                &format!("eclipse-skip:{}:1", adversaries.len()),
+            );
+        }
+        plan
+    };
     let honest: Vec<Addr> = addrs.iter().copied().filter(|a| !adversaries.contains(a)).collect();
-    let window = params.window;
-    let mut issued = 0u64;
-    for i in 0..params.gets {
-        let at = start + window / params.gets as u64 * i as u64;
-        runner.run_until(&mut rt, at);
+    let out = drive_dht_cell(rt, addrs, hooks, &cell, cell_seed, plan, |rt, _, rng| {
         // Redraw until the issuer is alive — a no-op draw-for-draw unless
         // a `+churn` attack has eroded the honest population.
-        let who = loop {
+        loop {
             let candidate = honest[rng.gen_range(0..honest.len())];
             if rt.is_alive(candidate) {
-                break candidate;
+                break Some(candidate);
             }
-        };
-        let key = seeded[rng.gen_range(0..seeded.len())];
-        rt.invoke(who, |n, ctx| n.start_get(key, ctx)).expect("alive");
-        issued += 1;
-    }
-    // Drain: let retries, deadlines and suspicion reroutes resolve.
-    runner.run_until(&mut rt, start + window + SimDuration::from_secs(120));
-
-    let delta = rt.metrics().counter_delta(&baseline);
-    let get = |key: &str| delta.get(key).copied().unwrap_or(0);
-
+        }
+    });
     ExtKCell {
-        adversaries: get(fault_keys::BYZANTINE),
-        issued,
-        completed: get(verme_dht::keys::GET_COMPLETED),
-        hijacked: get(verme_dht::keys::LOOKUPS_HIJACKED),
-        poisoned: get(verme_chord::keys::RING_POISONED),
-        suspect_reroutes: get(verme_dht::keys::SUSPECT_REROUTES),
+        adversaries: out.count(fault_keys::BYZANTINE),
+        issued: out.issued,
+        completed: out.count(verme_dht::keys::GET_COMPLETED),
+        hijacked: out.count(verme_dht::keys::LOOKUPS_HIJACKED),
+        poisoned: out.count(verme_chord::keys::RING_POISONED),
+        suspect_reroutes: out.count(verme_dht::keys::SUSPECT_REROUTES),
     }
 }
 
@@ -510,77 +414,39 @@ impl ExtKRow {
     }
 }
 
-/// Runs the full sweep. Cells execute on worker threads, but every result
-/// lands in its pre-assigned slot and rows come back in fixed sweep
-/// order, so the output is independent of thread scheduling.
+/// Runs the full sweep. Cells execute on worker threads ([`par_map`]) and
+/// come back in job order, so rows and pooled counts are independent of
+/// thread scheduling.
 pub fn run_extk(params: &ExtKParams) -> Vec<ExtKRow> {
-    struct Job {
-        slot: usize,
-        system: ExtKSystem,
-        fraction: f64,
-        cell_seed: u64,
-    }
     let reps = params.reps.max(1);
-    let fractions = params.adversary_fractions.clone();
+    let fractions = &params.adversary_fractions;
     let mut jobs = Vec::new();
-    let mut settings = Vec::new();
+    let mut settings = 0u64;
     for &system in &ExtKSystem::ALL {
-        for &fraction in &fractions {
-            settings.push((system, fraction));
+        for &fraction in fractions {
+            settings += 1;
             for rep in 0..reps {
-                let slot = jobs.len();
-                let cell_seed = params
-                    .seed
-                    .wrapping_add(settings.len() as u64 * 7919)
-                    .wrapping_add(rep * 15_485_863);
-                jobs.push(Job { slot, system, fraction, cell_seed });
+                let cell_seed =
+                    params.seed.wrapping_add(settings * 7919).wrapping_add(rep * 15_485_863);
+                jobs.push((system, fraction, cell_seed));
             }
         }
     }
-
-    let mut slots: Vec<Option<ExtKCell>> = vec![None; jobs.len()];
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, ExtKCell)>();
-    for job in jobs {
-        job_tx.send(job).expect("queueing extK jobs");
-    }
-    drop(job_tx);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                while let Ok(j) = job_rx.recv() {
-                    let cell = run_extk_cell(j.system, params, j.fraction, j.cell_seed);
-                    res_tx.send((j.slot, cell)).expect("returning extK result");
-                }
-            });
-        }
-        drop(res_tx);
-        for (slot, cell) in res_rx.iter() {
-            slots[slot] = Some(cell);
-        }
+    let cells = par_map(&jobs, |&(system, fraction, cell_seed)| {
+        run_extk_cell(system, params, fraction, cell_seed)
     });
 
-    // Pool each fraction's reps in fixed slot order.
-    let per_system = fractions.len() * reps as usize;
+    // Each variant's jobs are adjacent: `reps` cells per fraction,
+    // fraction by fraction.
     ExtKSystem::ALL
         .iter()
-        .enumerate()
-        .map(|(si, &system)| ExtKRow {
+        .zip(cells.chunks(fractions.len() * reps as usize))
+        .map(|(&system, of_system)| ExtKRow {
             system,
             cells: fractions
                 .iter()
-                .enumerate()
-                .map(|(fi, &fraction)| {
-                    let mut acc = ExtKCell::default();
-                    let first = per_system * si + fi * reps as usize;
-                    for slot in slots.iter_mut().skip(first).take(reps as usize) {
-                        acc.merge(&slot.take().expect("cell computed"));
-                    }
-                    (fraction, acc)
-                })
+                .zip(of_system.chunks(reps as usize))
+                .map(|(&fraction, of_fraction)| (fraction, pooled(of_fraction, ExtKCell::merge)))
                 .collect(),
         })
         .collect()

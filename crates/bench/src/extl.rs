@@ -19,7 +19,7 @@
 //! key universe fixed) and exercise the invalidation path at holders.
 
 use bytes::Bytes;
-use verme_chord::{ChordConfig, Id, NodeHandle, StaticRing};
+use verme_chord::{ChordConfig, Id, StaticRing};
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
 use verme_dht::{
@@ -27,12 +27,10 @@ use verme_dht::{
 };
 use verme_load::{generate_schedule, keys as load_keys, LoadProfile};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 pub use crate::fig67::DhtSystem;
-
-/// Per-hop one-way latency of the uniform network.
-const HOP: SimDuration = SimDuration::from_millis(20);
+use crate::testbed::HOP;
 
 /// Parameters for one Ext. L sweep.
 #[derive(Clone, Debug)]
@@ -185,20 +183,11 @@ fn spawn_dhash(
     params: &ExtLParams,
     cfg: DhtConfig,
 ) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    let mut rng = SeedSource::new(params.seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..params.nodes)
-        .map(|i| NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(params.nodes, params.seed);
     let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), params.seed);
-    let mut by_addr: Vec<(u64, usize)> =
-        (0..params.nodes).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; params.nodes];
-    for (raw, pos) in by_addr {
-        let node = DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone());
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
+    let addrs = ring.spawn(&mut rt, |pos| {
+        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
+    });
     (rt, addrs)
 }
 
@@ -214,17 +203,15 @@ where
     let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
     let mut ca = CertificateAuthority::new(params.seed);
     let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), params.seed);
-    let mut addrs = Vec::with_capacity(params.nodes);
     // Secure-VerDi's data rides the lookup, so the overlay's lookup
     // deadline must not censor queueing delay: raise it to the op
     // deadline — the experiment measures latency, not timeout-driven
     // load shedding.
     let mut vcfg = VermeConfig::new(layout);
     vcfg.lookup_deadline = SimDuration::from_secs(600);
-    for i in 0..params.nodes {
-        let overlay = ring.build_node(i, vcfg.clone(), &mut ca);
-        addrs.push(rt.spawn(HostId(i), DhtEngine::<V>::new(overlay, cfg.clone())));
-    }
+    let addrs = ring.spawn(&mut rt, |i| {
+        DhtEngine::<V>::new(ring.build_node(i, vcfg.clone(), &mut ca), cfg.clone())
+    });
     (rt, addrs)
 }
 

@@ -20,25 +20,20 @@
 //!
 //! Determinism follows the extG pattern: every cell is an independent
 //! simulation seeded from the master seed and its sweep position, results
-//! land in pre-indexed slots, and rows render in fixed sweep order.
+//! come back in job order, and rows render in fixed sweep order.
 
-use rand::Rng;
-
+use verme_chaos::ring_assertor;
 use verme_chord::{
-    check_ring, ring_converged, ChordConfig, ChordNode, Id, MaintenanceMode, NodeHandle,
-    RingStance, StaticRing,
+    check_ring, ChordConfig, ChordNode, Id, MaintenanceMode, RingStance, StaticRing,
 };
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
-use verme_crypto::{CertificateAuthority, NodeType};
+use verme_crypto::CertificateAuthority;
 use verme_obs::ring as ring_keys;
 use verme_sim::fault::{keys as fault_keys, Fault, FaultHooks, FaultPlan, FaultRunner};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{
-    Addr, AssertorVerdict, HostId, Node, Runtime, SeedSource, SimDuration, SimTime, StepAssertor,
-};
+use verme_sim::{Addr, Node, Runtime, SeedSource, SimDuration, SimTime};
 
-/// Per-hop one-way latency of the uniform network.
-const HOP: SimDuration = SimDuration::from_millis(20);
+use crate::testbed::{churn_hooks, departures, par_map, pooled, verme_joiner, HOP};
 
 /// Which overlay variant a cell runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -154,42 +149,6 @@ impl ExtMCell {
     }
 }
 
-/// Builds the continuous ring-invariant assertor for node type `N`.
-///
-/// `stance` extracts a node's ring pointers; `digest` folds the parts of
-/// its state the invariant depends on (neighbor epoch and joined flag)
-/// into a cheap fingerprint. The full [`check_ring`] evaluation runs only
-/// when the global fingerprint — live-node count plus the wrapping sum of
-/// per-node digests — changes, so event storms that do not move ring
-/// state cost one O(nodes) sum instead of a full cycle check.
-pub fn ring_assertor<N: Node>(
-    stance: impl Fn(&N) -> RingStance + 'static,
-    digest: impl Fn(&N) -> u64 + 'static,
-) -> StepAssertor<N> {
-    let mut last: Option<(usize, u64)> = None;
-    Box::new(move |view| {
-        let mut count = 0usize;
-        let mut sum = 0u64;
-        for (_, node) in view.nodes() {
-            count += 1;
-            sum = sum.wrapping_add(digest(node));
-        }
-        if last == Some((count, sum)) {
-            return AssertorVerdict::empty();
-        }
-        last = Some((count, sum));
-        let stances: Vec<RingStance> = view.nodes().map(|(_, n)| stance(n)).collect();
-        let report = check_ring(&stances);
-        AssertorVerdict {
-            counts: vec![(ring_keys::INVARIANT_VIOLATIONS, report.violations.len() as u64)],
-            records: vec![
-                (ring_keys::APPENDAGE_NODES, report.appendage_nodes as f64),
-                (ring_keys::WEDGED, report.wedged as f64),
-            ],
-        }
-    })
-}
-
 /// The per-node fingerprint fed to [`ring_assertor`]: moves whenever the
 /// neighbor epoch bumps or the joined flag latches.
 fn digest_parts(epoch: u64, joined: bool) -> u64 {
@@ -207,26 +166,6 @@ pub fn run_extm_cell(
     match variant {
         ExtMVariant::Chord => run_chord_cell(params, mode, churn_rate, cell_seed),
         ExtMVariant::Verme => run_verme_cell(params, mode, churn_rate, cell_seed),
-    }
-}
-
-/// Interprets a `"span:START:LEN"` selector: the still-live members of
-/// the original ring at positions `START..START+LEN` in ring
-/// (ascending-id) order — one consecutive arc.
-fn span_selector<N, L>(
-    ring_order: Vec<Addr>,
-) -> impl FnMut(&Runtime<N, L>, &str, &[Addr]) -> Vec<Addr>
-where
-    N: Node,
-    L: verme_sim::LatencyModel,
-{
-    move |_rt, selector, population| {
-        let rest = selector.strip_prefix("span:").expect("extM uses span:START:LEN selectors");
-        let (s, l) = rest.split_once(':').expect("span selector needs START:LEN");
-        let start: usize = s.parse().expect("span START");
-        let len: usize = l.parse().expect("span LEN");
-        let n = ring_order.len();
-        (start..start + len).map(|i| ring_order[i % n]).filter(|a| population.contains(a)).collect()
     }
 }
 
@@ -276,49 +215,22 @@ fn run_chord_cell(
         fix_fingers_interval: params.window * 8,
         ..ChordConfig::default()
     };
-    let mut idrng = SeedSource::new(cell_seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..params.nodes)
-        .map(|i| NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(params.nodes, cell_seed);
     let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), cell_seed);
     rt.set_step_assertor(ring_assertor(
         |n: &ChordNode| n.ring_stance(),
         |n: &ChordNode| digest_parts(n.neighbor_epoch(), n.is_joined()),
     ));
-    // Spawn in address order (addresses are assigned sequentially) while
-    // `addrs` stays indexed by ring position — the churn population and
-    // arc-selection order.
-    let mut by_addr: Vec<(u64, usize)> =
-        (0..params.nodes).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; params.nodes];
-    for (raw, pos) in by_addr {
-        let me = ring.node(pos);
+    // Finger-starved: the hazard regime where an emptied successor list
+    // has no forward reseed until fix-fingers repopulates.
+    let addrs = ring.spawn(&mut rt, |pos| {
         let pred = Some(ring.node(ring.predecessor_index(pos)));
         let succs = ring.successors_of(pos, cfg.num_successors);
-        // Finger-starved: the hazard regime where an emptied successor
-        // list has no forward reseed until fix-fingers repopulates.
-        let node = ChordNode::with_state(me.id, cfg.clone(), pred, &succs, &[]);
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
-
-    let join_cfg = cfg.clone();
-    let mut join_rng = SeedSource::new(cell_seed).stream("joins");
-    let boot_candidates = addrs.clone();
-    let hooks: FaultHooks<ChordNode, UniformLatency> = FaultHooks {
-        join: Box::new(move |rt, _rng| {
-            let live: Vec<Addr> =
-                boot_candidates.iter().copied().filter(|&a| rt.is_alive(a)).collect();
-            let bootstrap = *live.get(join_rng.gen_range(0..live.len().max(1)))?;
-            let id = Id::random(&mut join_rng);
-            Some(rt.spawn(HostId(0), ChordNode::joining(id, join_cfg.clone(), bootstrap)))
-        }),
-        select_victims: Box::new(span_selector(addrs.clone())),
-        ring_converged: Box::new(ring_converged),
-        corrupt: Box::new(|_, _, _| {}),
-        restart: Box::new(|_, _, _, _, _| None),
-    };
+        ChordNode::with_state(ring.node(pos).id, cfg.clone(), pred, &succs, &[])
+    });
+    let hooks = churn_hooks(&addrs, cell_seed, move |rng, bootstrap| {
+        ChordNode::joining(Id::random(rng), cfg.clone(), bootstrap)
+    });
     drive_cell(rt, addrs, hooks, params, churn_rate, cell_seed, |n| n.ring_stance())
 }
 
@@ -344,40 +256,14 @@ fn run_verme_cell(
         |n: &VermeNode<()>| n.ring_stance(),
         |n: &VermeNode<()>| digest_parts(n.neighbor_epoch(), n.is_joined()),
     ));
-    let mut addrs = Vec::with_capacity(params.nodes);
-    for i in 0..params.nodes {
-        let me = ring.node(i);
-        let ty = ring.type_of_index(i);
-        let (cert, keys) = ca.issue(me.id.raw(), ty);
+    // Finger-starved, as in the Chord cell.
+    let addrs = ring.spawn(&mut rt, |i| {
+        let (cert, keys) = ca.issue(ring.node(i).id.raw(), ring.type_of_index(i));
         let succs = ring.successors_of(i, cfg.num_successors);
         let preds = ring.predecessors_of(i, cfg.num_predecessors);
-        // Finger-starved, as in the Chord cell.
-        let node: VermeNode<()> =
-            VermeNode::with_state(cfg.clone(), cert, keys, ca.verifier(), &preds, &succs, &[]);
-        addrs.push(rt.spawn(HostId(i), node));
-    }
-
-    let join_cfg = cfg.clone();
-    let mut join_rng = SeedSource::new(cell_seed).stream("joins");
-    let boot_candidates = addrs.clone();
-    let hooks: FaultHooks<VermeNode<()>, UniformLatency> = FaultHooks {
-        join: Box::new(move |rt, _rng| {
-            let live: Vec<Addr> =
-                boot_candidates.iter().copied().filter(|&a| rt.is_alive(a)).collect();
-            let bootstrap = *live.get(join_rng.gen_range(0..live.len().max(1)))?;
-            let ty = if join_rng.gen::<bool>() { NodeType::A } else { NodeType::B };
-            let id = layout.assign_id(&mut join_rng, ty);
-            let (cert, keys) = ca.issue(id.raw(), ty);
-            Some(rt.spawn(
-                HostId(0),
-                VermeNode::joining(join_cfg.clone(), cert, keys, ca.verifier(), bootstrap),
-            ))
-        }),
-        select_victims: Box::new(span_selector(addrs.clone())),
-        ring_converged: Box::new(ring_converged),
-        corrupt: Box::new(|_, _, _| {}),
-        restart: Box::new(|_, _, _, _, _| None),
-    };
+        VermeNode::with_state(cfg.clone(), cert, keys, ca.verifier(), &preds, &succs, &[])
+    });
+    let hooks = churn_hooks(&addrs, cell_seed, verme_joiner(cfg, ca));
     drive_cell(rt, addrs, hooks, params, churn_rate, cell_seed, |n| n.ring_stance())
 }
 
@@ -406,9 +292,7 @@ fn drive_cell<N: Node>(
     let end = check_ring(&end_stances);
     let violations = rt.metrics().counter(ring_keys::INVARIANT_VIOLATIONS);
     let joins = rt.metrics().counter(fault_keys::JOIN);
-    let departures = rt.metrics().counter(fault_keys::LEAVE_CRASH)
-        + rt.metrics().counter(fault_keys::LEAVE_GRACEFUL)
-        + rt.metrics().counter(fault_keys::BURST_KILL);
+    let departures = departures(&rt.metrics().counter_snapshot());
     let (assert_points, max_wedged) = rt
         .metrics_mut()
         .histogram_mut(ring_keys::WEDGED)
@@ -452,17 +336,10 @@ pub struct ExtMRow {
     pub corrected: ExtMCell,
 }
 
-/// Runs the full sweep. Cells execute on worker threads; every result
-/// lands in its pre-assigned slot and rows come back in fixed sweep
-/// order, so the output is independent of thread scheduling.
+/// Runs the full sweep. Cells execute on worker threads ([`par_map`]) and
+/// come back in job order, so rows and pooled counts are independent of
+/// thread scheduling.
 pub fn run_extm(params: &ExtMParams) -> Vec<ExtMRow> {
-    struct Job {
-        slot: usize,
-        variant: ExtMVariant,
-        mode: MaintenanceMode,
-        churn_rate: f64,
-        cell_seed: u64,
-    }
     let reps = params.reps.max(1);
     let mut jobs = Vec::new();
     let mut settings = Vec::new();
@@ -471,60 +348,34 @@ pub fn run_extm(params: &ExtMParams) -> Vec<ExtMRow> {
             settings.push((variant, churn_rate));
             for mode in [MaintenanceMode::Legacy, MaintenanceMode::Corrected] {
                 for rep in 0..reps {
-                    let slot = jobs.len();
                     // The seed depends on the setting and rep but not the
                     // mode: both arms face the same fault script.
                     let cell_seed = params
                         .seed
                         .wrapping_add(settings.len() as u64 * 7919)
                         .wrapping_add(rep * 15_485_863);
-                    jobs.push(Job { slot, variant, mode, churn_rate, cell_seed });
+                    jobs.push((variant, mode, churn_rate, cell_seed));
                 }
             }
         }
     }
-
-    let mut slots: Vec<Option<ExtMCell>> = vec![None; jobs.len()];
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, ExtMCell)>();
-    for job in jobs {
-        job_tx.send(job).expect("queueing extM jobs");
-    }
-    drop(job_tx);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                while let Ok(j) = job_rx.recv() {
-                    let cell = run_extm_cell(j.variant, j.mode, params, j.churn_rate, j.cell_seed);
-                    res_tx.send((j.slot, cell)).expect("returning extM result");
-                }
-            });
-        }
-        drop(res_tx);
-        for (slot, cell) in res_rx.iter() {
-            slots[slot] = Some(cell);
-        }
+    let cells = par_map(&jobs, |&(variant, mode, churn_rate, cell_seed)| {
+        run_extm_cell(variant, mode, params, churn_rate, cell_seed)
     });
 
-    let pool = |slots: &mut [Option<ExtMCell>], first: usize| {
-        let mut acc = ExtMCell::default();
-        for slot in slots.iter_mut().skip(first).take(reps as usize) {
-            acc.merge(&slot.take().expect("cell computed"));
-        }
-        acc
-    };
-    let per_setting = 2 * reps as usize;
+    // Each setting's jobs are adjacent: `reps` legacy cells, then `reps`
+    // corrected cells.
     settings
         .into_iter()
-        .enumerate()
-        .map(|(i, (variant, churn_rate))| ExtMRow {
-            variant,
-            churn_rate,
-            legacy: pool(&mut slots, per_setting * i),
-            corrected: pool(&mut slots, per_setting * i + reps as usize),
+        .zip(cells.chunks(2 * reps as usize))
+        .map(|((variant, churn_rate), arms)| {
+            let (legacy, corrected) = arms.split_at(reps as usize);
+            ExtMRow {
+                variant,
+                churn_rate,
+                legacy: pooled(legacy, ExtMCell::merge),
+                corrected: pooled(corrected, ExtMCell::merge),
+            }
         })
         .collect()
 }

@@ -27,6 +27,8 @@ use verme_chord::MaintenanceMode;
 use verme_obs::chaos as chaos_keys;
 use verme_sim::MetricsSink;
 
+use crate::testbed::par_map;
+
 /// Parameters for one extO run.
 #[derive(Clone, Debug)]
 pub struct ExtOParams {
@@ -163,8 +165,8 @@ fn arms(params: &ExtOParams) -> Vec<(Scenario, ChaosProfile, usize, bool)> {
 
 /// Runs one arm to completion.
 fn run_arm(
-    scenario: Scenario,
-    profile: ChaosProfile,
+    scenario: &Scenario,
+    profile: &ChaosProfile,
     trials: usize,
     expect_failures: bool,
     seed: u64,
@@ -172,7 +174,7 @@ fn run_arm(
     let cfg = ExplorerConfig { trials, stop_on_failure: false, shrink: true };
     let mut sink = MetricsSink::new();
     let started = std::time::Instant::now();
-    let exploration = explore(&scenario, &profile, seed, &cfg, Some(&mut sink));
+    let exploration = explore(scenario, profile, seed, &cfg, Some(&mut sink));
     let wall_s = started.elapsed().as_secs_f64();
     let lens: Vec<usize> = exploration.discoveries.iter().map(|d| d.repro.schedule.len()).collect();
     ExtORow {
@@ -188,24 +190,13 @@ fn run_arm(
     }
 }
 
-/// Runs all four arms. Arms execute on worker threads; rows come back in
-/// fixed arm order and each is a pure function of the master seed.
+/// Runs all four arms. Arms execute on worker threads ([`par_map`]); rows
+/// come back in fixed arm order and each is a pure function of the master
+/// seed.
 pub fn run_exto(params: &ExtOParams) -> Vec<ExtORow> {
-    let work = arms(params);
-    let mut slots: Vec<Option<ExtORow>> = (0..work.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = work
-            .into_iter()
-            .map(|(scenario, profile, trials, expect)| {
-                let seed = params.seed;
-                scope.spawn(move || run_arm(scenario, profile, trials, expect, seed))
-            })
-            .collect();
-        for (slot, h) in handles.into_iter().enumerate() {
-            slots[slot] = Some(h.join().expect("extO arm thread"));
-        }
-    });
-    slots.into_iter().map(|s| s.expect("arm computed")).collect()
+    par_map(&arms(params), |(scenario, profile, trials, expect)| {
+        run_arm(scenario, profile, *trials, *expect, params.seed)
+    })
 }
 
 #[cfg(test)]

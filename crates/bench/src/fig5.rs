@@ -22,6 +22,8 @@ use verme_sim::{
     Addr, EventQueue, HostId, LatencyModel, Node, Runtime, SeedSource, SimDuration, SimTime,
 };
 
+use crate::testbed::{chord_lookup, verme_joiner};
+
 /// Which overlay/lookup configuration a Figure 5 series uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Fig5System {
@@ -246,77 +248,43 @@ fn collect<N: Node, L: LatencyModel>(rt: &mut Runtime<N, L>, params: &Fig5Params
 
 fn run_chord(params: &Fig5Params, mode: LookupMode) -> Fig5Result {
     let src = SeedSource::new(params.seed);
-    let mut idrng = src.stream("ids");
     let king = KingMatrix::synthetic(params.nodes, verme_net::king::KING_MEAN_RTT_MS, params.seed);
     let mut rt: Runtime<ChordNode, KingMatrix> = Runtime::new(king, params.seed);
     let cfg = ChordConfig { lookup_mode: mode, ..ChordConfig::default() };
 
     // Converged initial population, one node per King host.
-    let handles: Vec<_> = (0..params.nodes)
-        .map(|i| verme_chord::NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut by_addr: Vec<(u64, usize)> =
-        (0..params.nodes).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    for (raw, pos) in by_addr {
-        let node = ring.build_node(pos, cfg.clone());
-        let addr = rt.spawn(HostId(raw as usize - 1), node);
-        debug_assert_eq!(addr.raw(), raw);
-    }
+    let ring = StaticRing::random(params.nodes, params.seed);
+    ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
 
-    let cfg_spawn = cfg.clone();
     let mut join_rng = src.stream("join-ids");
     drive(
         &mut rt,
         params,
         move |rt, host, bootstrap| {
             let id = Id::random(&mut join_rng);
-            rt.spawn(host, ChordNode::joining(id, cfg_spawn.clone(), bootstrap))
+            rt.spawn(host, ChordNode::joining(id, cfg.clone(), bootstrap))
         },
-        |rt, addr, key| {
-            rt.invoke(addr, |node, ctx| {
-                if node.is_joined() {
-                    node.start_lookup(key, ctx);
-                }
-            });
-        },
+        chord_lookup,
     );
     collect(&mut rt, params)
 }
 
 fn run_verme(params: &Fig5Params) -> Fig5Result {
     let src = SeedSource::new(params.seed);
-    let layout = SectionLayout::with_sections(params.sections, 2);
+    let cfg = VermeConfig::new(SectionLayout::with_sections(params.sections, 2));
     let king = KingMatrix::synthetic(params.nodes, verme_net::king::KING_MEAN_RTT_MS, params.seed);
     let mut rt: Runtime<VermeNode<()>, KingMatrix> = Runtime::new(king, params.seed);
     let mut ca = CertificateAuthority::new(params.seed);
 
-    let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
-    for i in 0..params.nodes {
-        let node: VermeNode<()> = ring.build_node(i, VermeConfig::new(layout), &mut ca);
-        let addr = rt.spawn(HostId(i), node);
-        debug_assert_eq!(addr, ring.node(i).addr);
-    }
+    let ring = VermeStaticRing::generate(cfg.layout, params.nodes, params.seed);
+    ring.spawn(&mut rt, |i| ring.build_node(i, cfg.clone(), &mut ca));
 
     let mut join_rng = src.stream("join-ids");
+    let mut joiner = verme_joiner(cfg, ca);
     drive(
         &mut rt,
         params,
-        move |rt, host, bootstrap| {
-            // Replacements keep the type balance: alternate types.
-            let ty = if join_rng.gen::<bool>() {
-                verme_crypto::NodeType::A
-            } else {
-                verme_crypto::NodeType::B
-            };
-            let id = layout.assign_id(&mut join_rng, ty);
-            let (cert, keys) = ca.issue(id.raw(), ty);
-            rt.spawn(
-                host,
-                VermeNode::joining(VermeConfig::new(layout), cert, keys, ca.verifier(), bootstrap),
-            )
-        },
+        move |rt, host, bootstrap| rt.spawn(host, joiner(&mut join_rng, bootstrap)),
         |rt, addr, key| {
             rt.invoke(addr, |node, ctx| {
                 if node.is_joined() {

@@ -9,12 +9,12 @@
 use bytes::Bytes;
 use rand::Rng;
 
-use verme_chord::{ChordConfig, Id, NodeHandle, StaticRing};
+use verme_chord::{ChordConfig, Id, StaticRing};
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
 use verme_dht::{Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant};
 use verme_net::{TransitStub, TransitStubConfig};
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 /// The four systems compared in Figures 6 and 7.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -112,22 +112,11 @@ fn network(params: &Fig67Params) -> TransitStub {
 }
 
 fn spawn_dhash(params: &Fig67Params) -> (Runtime<DhashNode, TransitStub>, Vec<Addr>) {
-    let mut rng = SeedSource::new(params.seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..params.nodes)
-        .map(|i| NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(params.nodes, params.seed);
     let mut rt = Runtime::new(network(params), params.seed);
-    let mut by_addr: Vec<(u64, usize)> =
-        (0..params.nodes).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; params.nodes];
-    for (raw, pos) in by_addr {
-        let node =
-            DhashNode::new(ring.build_node(pos, ChordConfig::default()), DhtConfig::default());
-        let a = rt.spawn(HostId(raw as usize - 1), node);
-        addrs[pos] = a;
-    }
+    let addrs = ring.spawn(&mut rt, |pos| {
+        DhashNode::new(ring.build_node(pos, ChordConfig::default()), DhtConfig::default())
+    });
     (rt, addrs)
 }
 
@@ -140,11 +129,10 @@ where
     let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
     let mut ca = CertificateAuthority::new(params.seed);
     let mut rt = Runtime::new(network(params), params.seed);
-    let mut addrs = Vec::with_capacity(params.nodes);
-    for i in 0..params.nodes {
+    let addrs = ring.spawn(&mut rt, |i| {
         let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
-        addrs.push(rt.spawn(HostId(i), DhtEngine::<V>::new(overlay, DhtConfig::default())));
-    }
+        DhtEngine::<V>::new(overlay, DhtConfig::default())
+    });
     (rt, addrs)
 }
 

@@ -11,6 +11,8 @@ use verme_worm::{
     ScenarioResult, SectionDetection,
 };
 
+use crate::testbed::par_map;
+
 /// Parameters for a Figure 8 sweep.
 #[derive(Clone, Debug)]
 pub struct Fig8Params {
@@ -168,8 +170,8 @@ pub struct FigureRun {
 /// fixes its populations, so each distinct [`Overlay`] among `scenarios`
 /// is built once per repetition and shared by the scenarios that attack
 /// it (the figure's four Verme scenarios share one build). With
-/// `parallel`, a repetition's builds, then its outbreaks, run on one
-/// scoped thread each; without, everything runs on the calling thread
+/// `parallel`, a repetition's builds, then its outbreaks, run on worker
+/// threads; without, everything runs on the calling thread
 /// (the span profiler is thread-local). The numbers are the same either
 /// way.
 pub fn run_figure(
@@ -258,16 +260,14 @@ fn observed_run(
     }
 }
 
-/// `f` over `items`, in order — on one scoped thread per item if
+/// `f` over `items`, in order — on worker threads ([`par_map`]) if
 /// `parallel`.
 fn map_each<T: Sync, R: Send>(items: &[T], parallel: bool, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if !parallel {
-        return items.iter().map(f).collect();
+    if parallel {
+        par_map(items, f)
+    } else {
+        items.iter().map(f).collect()
     }
-    std::thread::scope(|s| {
-        let workers: Vec<_> = items.iter().map(|item| s.spawn(|| f(item))).collect();
-        workers.into_iter().map(|w| w.join().expect("figure worker panicked")).collect()
-    })
 }
 
 /// One scenario's running totals over its repetitions.

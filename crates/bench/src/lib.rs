@@ -24,6 +24,13 @@
 //! * [`extm`] — ring-maintenance safety (extension M): legacy vs
 //!   Zave-corrected maintenance under churn plus arc kill bursts, with
 //!   the continuous ring-invariant assertor attached.
+//! * [`exto`] — chaos search (extension O): four `verme-chaos`
+//!   explorations, two positive controls and two hardened arms.
+//! * [`testbed`] — what every module above and every `*_check` bin is
+//!   built from beyond the crates' own constructors: the Verme joiner and
+//!   churn hooks, the DHT fault-sweep cell, the King-matrix lookup run,
+//!   the check bins' verdicts and fingerprints, and `par_map`, the one
+//!   sweep fan-out.
 //! * [`report`] — `BENCH_<name>.json` wall-clock/event-rate summaries
 //!   every binary writes for CI regression tracking, now with peak RSS
 //!   and optional per-subsystem span-profiler breakdowns.
@@ -49,6 +56,7 @@ pub mod fig8;
 pub mod perf;
 pub mod plot;
 pub mod report;
+pub mod testbed;
 
 /// Parses the common `--full` / `--seed N` / `--reps N` binary arguments.
 #[derive(Clone, Debug)]

@@ -14,6 +14,9 @@
 //!   self-contained simulation ([`Scenario::Ring`] or
 //!   [`Scenario::Durability`]) and evaluates the oracle set; the returned
 //!   [`OracleReport`] is a pure function of `(scenario, schedule, seed)`.
+//!   The two harness pieces its scenarios are built from and the bench
+//!   experiments share are public: [`ring_assertor`] (the continuous
+//!   ring-invariant check) and [`seed_blocks`] (fault-free block seeding).
 //! * [`shrink`] — [`ddmin`] delta-debugs a failing schedule down to a
 //!   locally minimal one that still fails.
 //! * [`repro`] — a [`Repro`] bundles `(scenario, seed, schedule, report)`
@@ -40,5 +43,5 @@ pub use explorer::{explore, trial_seed, Discovery, Exploration, ExplorerConfig};
 pub use oracle::{Finding, OracleReport};
 pub use profile::{sample_plan, ChaosProfile, FaultKind};
 pub use repro::Repro;
-pub use scenario::{run_trial, Scenario};
+pub use scenario::{ring_assertor, run_trial, seed_blocks, Scenario};
 pub use shrink::{ddmin, ShrinkOutcome};

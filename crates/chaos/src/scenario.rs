@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
+use rand::rngs::StdRng;
 use rand::Rng;
 
 use verme_chord::{
@@ -17,7 +18,9 @@ use verme_chord::{
 };
 use verme_dht::{block_key, DhashNode, DhtConfig, DhtNode, DurabilityCensus};
 use verme_obs::ring as ring_keys;
-use verme_sim::fault::{Fault, FaultHooks, FaultPlan, FaultRunner};
+use verme_sim::fault::{
+    join_via_live_bootstrap, ordered_selector, Fault, FaultHooks, FaultPlan, FaultRunner,
+};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{
     Addr, AssertorVerdict, HostId, LatencyModel, Node, Recovery, RestartPhase, Runtime, SeedSource,
@@ -121,9 +124,17 @@ pub fn run_trial(scenario: &Scenario, schedule: &[Fault], seed: u64) -> OracleRe
     }
 }
 
-/// The continuous ring-invariant assertor (the extM pattern): re-evaluate
-/// [`check_ring`] only when the cheap global fingerprint moves.
-fn ring_assertor<N: Node>(
+/// Builds the continuous ring-invariant assertor for node type `N`: the
+/// check of the invariant from Zave's "How to Make Chord Correct" after
+/// every processed event.
+///
+/// `stance` extracts a node's ring pointers; `digest` folds the parts of
+/// its state the invariant depends on (neighbor epoch and joined flag)
+/// into a cheap fingerprint. The full [`check_ring`] evaluation runs only
+/// when the global fingerprint — live-node count plus the wrapping sum of
+/// per-node digests — changes, so event storms that do not move ring
+/// state cost one O(nodes) sum instead of a full cycle check.
+pub fn ring_assertor<N: Node>(
     stance: impl Fn(&N) -> RingStance + 'static,
     digest: impl Fn(&N) -> u64 + 'static,
 ) -> StepAssertor<N> {
@@ -151,23 +162,36 @@ fn ring_assertor<N: Node>(
     })
 }
 
-/// Interprets `"span:START:LEN"` selectors over the original ring order,
-/// as extM does: the still-live members at those ring positions.
-fn span_selector<N, L>(
-    ring_order: Vec<Addr>,
-) -> impl FnMut(&Runtime<N, L>, &str, &[Addr]) -> Vec<Addr>
-where
-    N: Node,
-    L: LatencyModel,
-{
-    move |_rt, selector, population| {
-        let rest = selector.strip_prefix("span:").expect("chaos uses span:START:LEN selectors");
-        let (s, l) = rest.split_once(':').expect("span selector needs START:LEN");
-        let start: usize = s.parse().expect("span START");
-        let len: usize = l.parse().expect("span LEN");
-        let n = ring_order.len();
-        (start..start + len).map(|i| ring_order[i % n]).filter(|a| population.contains(a)).collect()
+/// Seeds `blocks` blocks of `block_size` bytes (at least 8: the block
+/// number leads) while the overlay is still fault-free: each is put from
+/// a member of `addrs` drawn from `rng` and given 5 simulated seconds.
+/// Returns the keys of the puts that reported success, in block order.
+///
+/// # Panics
+///
+/// Panics if a drawn member is not alive.
+pub fn seed_blocks<N: DhtNode, L: LatencyModel>(
+    rt: &mut Runtime<N, L>,
+    addrs: &[Addr],
+    rng: &mut StdRng,
+    blocks: usize,
+    block_size: usize,
+) -> Vec<Id> {
+    let mut seeded = Vec::with_capacity(blocks);
+    for blkno in 0..blocks {
+        let who = addrs[rng.gen_range(0..addrs.len())];
+        let mut value = vec![0u8; block_size];
+        value[..8].copy_from_slice(&(blkno as u64).to_le_bytes());
+        let value = Bytes::from(value);
+        let key = block_key(&value);
+        rt.invoke(who, |n, ctx| n.start_put(value, ctx)).expect("alive");
+        rt.run_until(rt.now() + SimDuration::from_secs(5));
+        let outs = rt.node_mut(who).expect("alive").take_op_outcomes();
+        if outs.iter().any(|o| o.ok) {
+            seeded.push(key);
+        }
     }
+    seeded
 }
 
 /// Checkpoint state for a restarting Chord node.
@@ -191,44 +215,29 @@ fn run_ring(
         fix_fingers_interval: SimDuration::from_hours(2),
         ..ChordConfig::default()
     };
-    let mut idrng = SeedSource::new(seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..nodes)
-        .map(|i| NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(nodes, seed);
     let mut rt = Runtime::new(UniformLatency::new(nodes, HOP), seed);
     rt.set_step_assertor(ring_assertor(
         |n: &ChordNode| n.ring_stance(),
         |n: &ChordNode| n.neighbor_epoch().wrapping_mul(2).wrapping_add(u64::from(n.is_joined())),
     ));
-    let mut by_addr: Vec<(u64, usize)> = (0..nodes).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; nodes];
-    for (raw, pos) in by_addr {
-        let me = ring.node(pos);
+    let addrs = ring.spawn(&mut rt, |pos| {
         let pred = Some(ring.node(ring.predecessor_index(pos)));
         let succs = ring.successors_of(pos, cfg.num_successors);
-        let node = ChordNode::with_state(me.id, cfg.clone(), pred, &succs, &[]);
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
+        ChordNode::with_state(ring.node(pos).id, cfg.clone(), pred, &succs, &[])
+    });
 
     let join_cfg = cfg.clone();
-    let mut join_rng = SeedSource::new(seed).stream("joins");
-    let boot_candidates = addrs.clone();
-    let restart_cfg = cfg.clone();
     let restart_boot = addrs.clone();
     let mut saved: BTreeMap<Addr, Checkpoint> = BTreeMap::new();
     let hooks: FaultHooks<ChordNode, UniformLatency> = FaultHooks {
-        join: Box::new(move |rt, _rng| {
-            let live: Vec<Addr> =
-                boot_candidates.iter().copied().filter(|&a| rt.is_alive(a)).collect();
-            let bootstrap = *live.get(join_rng.gen_range(0..live.len().max(1)))?;
-            let id = Id::random(&mut join_rng);
-            Some(rt.spawn(HostId(0), ChordNode::joining(id, join_cfg.clone(), bootstrap)))
-        }),
-        select_victims: Box::new(span_selector(addrs.clone())),
+        join: join_via_live_bootstrap(
+            addrs.clone(),
+            SeedSource::new(seed).stream("joins"),
+            move |rng, bootstrap| ChordNode::joining(Id::random(rng), join_cfg.clone(), bootstrap),
+        ),
+        select_victims: ordered_selector(addrs.clone()),
         ring_converged: Box::new(ring_converged),
-        corrupt: Box::new(|_, _, _| {}),
         // The same identifier comes back: with its ring pointers under
         // Persisted recovery (the stale-state re-admit path), or through
         // a full two-phase join under Amnesia.
@@ -245,15 +254,16 @@ fn run_ring(
                 let node = match recovery {
                     Recovery::Amnesia => {
                         let bootstrap = restart_boot.iter().copied().find(|&a| rt.is_alive(a))?;
-                        ChordNode::joining(id, restart_cfg.clone(), bootstrap)
+                        ChordNode::joining(id, cfg.clone(), bootstrap)
                     }
                     Recovery::Persisted => {
-                        ChordNode::with_state(id, restart_cfg.clone(), pred, &succs, &[])
+                        ChordNode::with_state(id, cfg.clone(), pred, &succs, &[])
                     }
                 };
                 Some(rt.spawn(host, node))
             }
         }),
+        ..FaultHooks::inert()
     };
 
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
@@ -377,43 +387,28 @@ fn run_durability(
         ..DhtConfig::default()
     };
     let chord_cfg = ChordConfig::default();
-    let mut idrng = SeedSource::new(seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..nodes)
-        .map(|i| NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(nodes, seed);
     let mut rt = Runtime::new(UniformLatency::new(nodes, HOP), seed);
-    let mut by_addr: Vec<(u64, usize)> = (0..nodes).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; nodes];
-    for (raw, pos) in by_addr {
-        let node = DhashNode::new(ring.build_node(pos, chord_cfg.clone()), dht_cfg.clone());
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
+    let addrs = ring.spawn(&mut rt, |pos| {
+        DhashNode::new(ring.build_node(pos, chord_cfg.clone()), dht_cfg.clone())
+    });
 
     let join_overlay_cfg = chord_cfg.clone();
     let join_dht_cfg = dht_cfg.clone();
-    let mut join_rng = SeedSource::new(seed).stream("joins");
-    let boot_candidates = addrs.clone();
-    let restart_overlay_cfg = chord_cfg.clone();
-    let restart_dht_cfg = dht_cfg.clone();
     let restart_boot = addrs.clone();
     let mut saved: BTreeMap<Addr, Checkpoint> = BTreeMap::new();
     let hooks: FaultHooks<DhashNode, UniformLatency> = FaultHooks {
-        join: Box::new(move |rt, _rng| {
-            let live: Vec<Addr> =
-                boot_candidates.iter().copied().filter(|&a| rt.is_alive(a)).collect();
-            let bootstrap = *live.get(join_rng.gen_range(0..live.len().max(1)))?;
-            let id = Id::random(&mut join_rng);
-            let node = DhashNode::new(
-                ChordNode::joining(id, join_overlay_cfg.clone(), bootstrap),
-                join_dht_cfg.clone(),
-            );
-            Some(rt.spawn(HostId(0), node))
-        }),
-        select_victims: Box::new(span_selector(addrs.clone())),
+        join: join_via_live_bootstrap(
+            addrs.clone(),
+            SeedSource::new(seed).stream("joins"),
+            move |rng, bootstrap| {
+                let overlay =
+                    ChordNode::joining(Id::random(rng), join_overlay_cfg.clone(), bootstrap);
+                DhashNode::new(overlay, join_dht_cfg.clone())
+            },
+        ),
+        select_victims: ordered_selector(addrs.clone()),
         ring_converged: Box::new(ring_converged),
-        corrupt: Box::new(|_, _, _| {}),
         // A restarted storage node always comes back with an empty block
         // store — under Persisted recovery it keeps its ring pointers,
         // under Amnesia it rejoins from scratch. Either way the repair
@@ -432,35 +427,21 @@ fn run_durability(
                 let overlay = match recovery {
                     Recovery::Amnesia => {
                         let bootstrap = restart_boot.iter().copied().find(|&a| rt.is_alive(a))?;
-                        ChordNode::joining(id, restart_overlay_cfg.clone(), bootstrap)
+                        ChordNode::joining(id, chord_cfg.clone(), bootstrap)
                     }
                     Recovery::Persisted => {
-                        ChordNode::with_state(id, restart_overlay_cfg.clone(), pred, &succs, &[])
+                        ChordNode::with_state(id, chord_cfg.clone(), pred, &succs, &[])
                     }
                 };
-                Some(rt.spawn(host, DhashNode::new(overlay, restart_dht_cfg.clone())))
+                Some(rt.spawn(host, DhashNode::new(overlay, dht_cfg.clone())))
             }
         }),
+        ..FaultHooks::inert()
     };
 
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-
-    // Seed the blocks while the overlay is still fault-free.
     let mut rng = SeedSource::new(seed).stream("workload");
-    let mut seeded: Vec<Id> = Vec::with_capacity(blocks);
-    for blkno in 0..blocks {
-        let who = addrs[rng.gen_range(0..addrs.len())];
-        let mut value = vec![0u8; 256];
-        value[..8].copy_from_slice(&(blkno as u64).to_le_bytes());
-        let value = Bytes::from(value);
-        let key = block_key(&value);
-        rt.invoke(who, |n, ctx| n.start_put(value, ctx)).expect("alive");
-        rt.run_until(rt.now() + SimDuration::from_secs(5));
-        let outs = rt.node_mut(who).expect("alive").take_op_outcomes();
-        if outs.iter().any(|o| o.ok) {
-            seeded.push(key);
-        }
-    }
+    let seeded = seed_blocks(&mut rt, &addrs, &mut rng, blocks, 256);
 
     let mut report = OracleReport::default();
     if seeded.is_empty() {

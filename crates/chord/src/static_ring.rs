@@ -7,6 +7,8 @@
 //! [`StaticRing`] computes every node's successor list, predecessor, and
 //! finger table directly from the sorted membership.
 
+use verme_sim::{Addr, HostId, LatencyModel, Node, Runtime, SeedSource};
+
 use crate::id::Id;
 use crate::node::ChordNode;
 use crate::proto::ChordConfig;
@@ -46,6 +48,34 @@ impl StaticRing {
             assert!(w[0].id != w[1].id, "duplicate node id {}", w[0].id);
         }
         StaticRing { sorted: handles }
+    }
+
+    /// The experiments' standard population: `n` members whose ids are
+    /// the first `n` draws of `seed`'s `"ids"` stream, the `i`-th draw
+    /// taking address `i + 1` — the address a fresh [`Runtime`] hands the
+    /// `i`-th node spawned into it, which is the order
+    /// [`spawn`](StaticRing::spawn) uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or two draws collide.
+    pub fn random(n: usize, seed: u64) -> Self {
+        let mut rng = SeedSource::new(seed).stream("ids");
+        StaticRing::new(
+            (0..n)
+                .map(|i| NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
+                .collect(),
+        )
+    }
+
+    /// Spawns `build(pos)` for every ring position `pos` and returns the
+    /// members' addresses indexed by ring position; see [`spawn_members`].
+    pub fn spawn<N: Node, L: LatencyModel>(
+        &self,
+        rt: &mut Runtime<N, L>,
+        build: impl FnMut(usize) -> N,
+    ) -> Vec<Addr> {
+        spawn_members(&self.sorted, rt, build)
     }
 
     /// Number of nodes.
@@ -143,6 +173,37 @@ impl StaticRing {
     }
 }
 
+/// Puts a static ring's members into `rt`: the spawn routine of both
+/// static rings.
+///
+/// Every member's routing state names its peers by the addresses in
+/// their handles, and a [`Runtime`] assigns addresses in spawn order, so
+/// members are built and spawned in ascending handle-address order (not
+/// ring order), each on host `addr − 1`, and the runtime must hand every
+/// one the address its handle carries. Returns those addresses indexed
+/// by ring position.
+///
+/// # Panics
+///
+/// Panics if the runtime assigns a member an address other than its
+/// handle's — the handles do not run `next..next + n` from the runtime's
+/// next free address, e.g. because it already spawned something — or if
+/// a host is outside the latency model.
+pub fn spawn_members<N: Node, L: LatencyModel>(
+    sorted: &[NodeHandle],
+    rt: &mut Runtime<N, L>,
+    mut build: impl FnMut(usize) -> N,
+) -> Vec<Addr> {
+    let mut order: Vec<usize> = (0..sorted.len()).collect();
+    order.sort_unstable_by_key(|&pos| sorted[pos].addr.raw());
+    for pos in order {
+        let want = sorted[pos].addr;
+        let got = rt.spawn(HostId(want.raw() as usize - 1), build(pos));
+        assert_eq!(got, want, "ring position {pos}: runtime assigned a different address");
+    }
+    sorted.iter().map(|h| h.addr).collect()
+}
+
 /// A forward-only successor search around a sorted membership, as seen
 /// from one member: the finger-resolution routine of both static rings.
 ///
@@ -235,7 +296,7 @@ pub fn bits_reaching(limit: u128) -> u32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use verme_sim::Addr;
+    use verme_sim::runtime::UniformLatency;
 
     /// The finger rule this module used before [`ClockwiseWalk`]: one full
     /// binary search per identifier bit.
@@ -420,5 +481,52 @@ mod tests {
         assert_eq!(r.successor_index(Id::new(12345)), 0);
         assert!(r.successors_of(0, 10).is_empty());
         assert!(r.fingers_of(0).is_empty());
+    }
+
+    fn runtime(hosts: usize) -> Runtime<ChordNode, UniformLatency> {
+        Runtime::new(UniformLatency::new(hosts, verme_sim::SimDuration::from_millis(20)), 1)
+    }
+
+    #[test]
+    fn random_draws_the_ids_stream_in_address_order() {
+        let r = StaticRing::random(40, 9);
+        let mut rng = SeedSource::new(9).stream("ids");
+        let mut by_addr = r.nodes().to_vec();
+        by_addr.sort_by_key(|h| h.addr.raw());
+        for (i, h) in by_addr.iter().enumerate() {
+            assert_eq!(h.addr, Addr::from_raw(i as u64 + 1));
+            assert_eq!(h.id, Id::random(&mut rng), "draw {i}");
+        }
+    }
+
+    #[test]
+    fn spawn_returns_the_handles_addresses_by_ring_position() {
+        let r = StaticRing::random(40, 3);
+        let mut rt = runtime(40);
+        let mut built = Vec::new();
+        let addrs = r.spawn(&mut rt, |pos| {
+            built.push(pos);
+            r.build_node(pos, ChordConfig::default())
+        });
+        // Ring order is not address order on a random ring, and members
+        // are built in address order.
+        assert!(built.windows(2).all(|w| r.node(w[0]).addr.raw() < r.node(w[1]).addr.raw()));
+        assert_ne!(built, (0..40).collect::<Vec<_>>());
+        assert_eq!(addrs, r.nodes().iter().map(|h| h.addr).collect::<Vec<_>>());
+        for (pos, &addr) in addrs.iter().enumerate() {
+            // The node living at a handle's address is the one that
+            // handle names, on the host the address maps to.
+            assert_eq!(rt.node(addr).expect("spawned").handle(), r.node(pos));
+            assert_eq!(rt.host_of(addr), Some(HostId(addr.raw() as usize - 1)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "runtime assigned a different address")]
+    fn spawn_into_a_used_runtime_panics() {
+        let r = StaticRing::random(4, 3);
+        let mut rt = runtime(5);
+        rt.spawn(HostId(4), r.build_node(0, ChordConfig::default()));
+        r.spawn(&mut rt, |pos| r.build_node(pos, ChordConfig::default()));
     }
 }

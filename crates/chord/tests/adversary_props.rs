@@ -13,10 +13,10 @@
 use proptest::prelude::*;
 
 use verme_chord::{
-    keys, Byzantine, ByzantineConfig, ChordConfig, ChordNode, Id, NodeHandle, StaticRing,
+    keys, Byzantine, ByzantineConfig, ChordConfig, ChordNode, NodeHandle, StaticRing,
 };
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, Runtime, SimDuration, SimTime};
 
 const N: usize = 12;
 
@@ -24,22 +24,9 @@ const N: usize = 12;
 /// membership, returning the runtime and the ground-truth handles.
 fn spawn_full_knowledge(seed: u64) -> (Runtime<ChordNode, UniformLatency>, Vec<NodeHandle>) {
     let cfg = ChordConfig { num_successors: N - 1, ..ChordConfig::default() };
-    let mut rng = SeedSource::new(seed).stream("ids");
     let mut rt = Runtime::new(UniformLatency::new(N, SimDuration::from_millis(20)), seed);
-    let ids: Vec<Id> = (0..N).map(|_| Id::random(&mut rng)).collect();
-    let handles: Vec<NodeHandle> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| NodeHandle::new(id, Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    let mut by_addr: Vec<(u64, usize)> = (0..N).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    for (raw, pos) in by_addr {
-        let node = ring.build_node(pos, cfg.clone());
-        let addr = rt.spawn(HostId(raw as usize - 1), node);
-        assert_eq!(addr.raw(), raw, "spawn order must reproduce addresses");
-    }
+    let ring = StaticRing::random(N, seed);
+    ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
     (rt, ring.nodes().to_vec())
 }
 

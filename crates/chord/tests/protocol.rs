@@ -19,25 +19,9 @@ fn spawn_static(
     mode: LookupMode,
     seed: u64,
 ) -> (Runtime<ChordNode, UniformLatency>, Vec<NodeHandle>) {
-    let mut rng = SeedSource::new(seed).stream("ids");
     let mut rt = Runtime::new(UniformLatency::new(n, SimDuration::from_millis(HOP_MS)), seed);
-    // Pre-assign ids so the StaticRing and the spawned nodes agree; the
-    // runtime hands out addresses 1..=n in spawn order.
-    let ids: Vec<Id> = (0..n).map(|_| Id::random(&mut rng)).collect();
-    let handles: Vec<NodeHandle> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| NodeHandle::new(id, Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
-    // Spawn in the same order addresses were assigned: host i gets addr i+1.
-    let mut by_addr: Vec<(u64, usize)> = (0..n).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    for (raw, pos) in by_addr {
-        let node = ring.build_node(pos, cfg(mode));
-        let addr = rt.spawn(HostId(raw as usize - 1), node);
-        assert_eq!(addr.raw(), raw, "spawn order must reproduce addresses");
-    }
+    let ring = StaticRing::random(n, seed);
+    ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg(mode)));
     let members = ring.nodes().to_vec();
     (rt, members)
 }

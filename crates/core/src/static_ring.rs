@@ -10,10 +10,10 @@ use std::collections::HashSet;
 
 use rand::Rng;
 
-use verme_chord::static_ring::{bits_reaching, ClockwiseWalk};
+use verme_chord::static_ring::{bits_reaching, spawn_members, ClockwiseWalk};
 use verme_chord::{Id, NodeHandle};
 use verme_crypto::{CertificateAuthority, NodeType};
-use verme_sim::{Addr, SeedSource};
+use verme_sim::{Addr, LatencyModel, Node, Runtime, SeedSource};
 
 use crate::layout::SectionLayout;
 use crate::node::VermeNode;
@@ -314,6 +314,21 @@ impl VermeStaticRing {
         let preds = self.predecessors_of(i, cfg.num_predecessors);
         let fingers = self.fingers_of(i);
         VermeNode::with_state(cfg, cert, keys, ca.verifier(), &preds, &succs, &fingers)
+    }
+
+    /// Spawns `build(pos)` for every ring position `pos` and returns the
+    /// members' addresses indexed by ring position, under the contract
+    /// of [`verme_chord::StaticRing::spawn`] ([`spawn_members`]): built
+    /// and spawned in handle-address order — ring order for a generated
+    /// ring, so a shared [`CertificateAuthority`] issues in ring order —
+    /// on host `addr − 1`, asserting the runtime hands out each handle's
+    /// address.
+    pub fn spawn<N: Node, L: LatencyModel>(
+        &self,
+        rt: &mut Runtime<N, L>,
+        build: impl FnMut(usize) -> N,
+    ) -> Vec<Addr> {
+        spawn_members(&self.sorted, rt, build)
     }
 
     /// Asserts the containment invariant on every member's routing state:
@@ -744,5 +759,49 @@ mod tests {
             let i = ring.random_index_of_type(NodeType::B, &mut rng);
             assert_eq!(ring.type_of_index(i), NodeType::B);
         }
+    }
+
+    fn runtime(hosts: usize) -> Runtime<VermeNode<()>, verme_sim::runtime::UniformLatency> {
+        let net = verme_sim::runtime::UniformLatency::new(hosts, verme_sim::SimDuration::ZERO);
+        Runtime::new(net, 1)
+    }
+
+    #[test]
+    fn spawn_returns_the_handles_addresses_by_ring_position() {
+        // Handles whose addresses run against ring order: the first
+        // spawned is the last ring position.
+        let generated = small();
+        let n = generated.len();
+        let reversed = generated
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, h)| NodeHandle::new(h.id, Addr::from_raw((n - i) as u64)))
+            .collect();
+        let ring = VermeStaticRing::from_handles(*generated.layout(), reversed);
+        let mut ca = CertificateAuthority::new(5);
+        let mut rt = runtime(n);
+        let mut built = Vec::new();
+        let addrs = ring.spawn(&mut rt, |pos| {
+            built.push(pos);
+            ring.build_node(pos, VermeConfig::new(*ring.layout()), &mut ca)
+        });
+        assert_eq!(built, (0..n).rev().collect::<Vec<_>>(), "built in address order");
+        assert_eq!(addrs, ring.nodes().iter().map(|h| h.addr).collect::<Vec<_>>());
+        for (pos, &addr) in addrs.iter().enumerate() {
+            assert_eq!(rt.node(addr).expect("spawned").handle(), ring.node(pos));
+            assert_eq!(rt.host_of(addr), Some(verme_sim::HostId(addr.raw() as usize - 1)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "runtime assigned a different address")]
+    fn spawn_into_a_used_runtime_panics() {
+        let ring = small();
+        let cfg = VermeConfig::new(*ring.layout());
+        let mut ca = CertificateAuthority::new(5);
+        let mut rt = runtime(ring.len());
+        rt.spawn(verme_sim::HostId(0), ring.build_node(0, cfg.clone(), &mut ca));
+        ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone(), &mut ca));
     }
 }

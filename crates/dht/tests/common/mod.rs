@@ -3,12 +3,12 @@
 //! VerDi variant.
 #![allow(dead_code)] // each test file uses its own subset
 
-use verme_chord::{ChordConfig, Id, NodeHandle, StaticRing};
+use verme_chord::{ChordConfig, StaticRing};
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
 use verme_dht::{DhashNode, DhtConfig, DhtEngine, Variant};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, LatencyModel, Runtime, SeedSource, SimDuration};
+use verme_sim::{Addr, LatencyModel, Runtime, SimDuration};
 
 /// Per-hop one-way latency of the uniform test network.
 pub const HOP: SimDuration = SimDuration::from_millis(20);
@@ -23,19 +23,11 @@ pub fn layout() -> SectionLayout {
 
 /// `n` DHash nodes on a converged Chord ring; `addrs[i]` is ring position `i`.
 pub fn spawn_dhash(n: usize, seed: u64, cfg: &DhtConfig) -> Ring<DhashNode> {
-    let mut rng = SeedSource::new(seed).stream("ids");
-    let handles: Vec<_> = (0..n)
-        .map(|i| NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(n, seed);
     let mut rt = Runtime::new(UniformLatency::new(n, HOP), seed);
-    let mut by_addr: Vec<(u64, usize)> = (0..n).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; n];
-    for (raw, pos) in by_addr {
-        let node = DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone());
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
+    let addrs = ring.spawn(&mut rt, |pos| {
+        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
+    });
     (rt, addrs)
 }
 
@@ -55,11 +47,9 @@ where
     let ring = VermeStaticRing::generate(layout(), n, seed);
     let mut ca = CertificateAuthority::new(seed);
     let mut rt = Runtime::new(net, seed);
-    let mut addrs = Vec::with_capacity(n);
-    for i in 0..n {
-        let overlay = ring.build_node(i, VermeConfig::new(layout()), &mut ca);
-        addrs.push(rt.spawn(HostId(i), DhtEngine::<V>::new(overlay, cfg.clone())));
-    }
+    let addrs = ring.spawn(&mut rt, |i| {
+        DhtEngine::<V>::new(ring.build_node(i, VermeConfig::new(layout()), &mut ca), cfg.clone())
+    });
     (rt, addrs)
 }
 

@@ -437,6 +437,103 @@ impl<N: Node, L: LatencyModel> FaultHooks<N, L> {
     }
 }
 
+/// A victim selector over a fixed ordering of the original population —
+/// ring order, or an adversary's eclipse order. The three grammars every
+/// experiment's kill bursts, restarts and Byzantine flips are written in:
+///
+/// | text | selects |
+/// |---|---|
+/// | `arc:N`, `eclipse:N` | the first `N` entries of the ordering still alive |
+/// | `eclipse-skip:S:N` | past the first `S` entries (dead or alive), the next `N` still alive |
+/// | `span:S:L` | the entries still alive among the `L` positions from `S`, wrapping |
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Selector {
+    /// `arc:N` / `eclipse:N` (`skip` 0) and `eclipse-skip:S:N`.
+    Leading {
+        /// Entries of the ordering passed over before any is taken.
+        skip: usize,
+        /// How many live entries to take.
+        take: usize,
+    },
+    /// `span:S:L`.
+    Span {
+        /// First position of the arc.
+        start: usize,
+        /// Positions the arc covers (capped at one full turn).
+        len: usize,
+    },
+}
+
+impl Selector {
+    /// Parses a selector string.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending text when the prefix is not one of the table's,
+    /// a count is missing or extra, or a count is not a `usize`.
+    pub fn parse(text: &str) -> Result<Selector, String> {
+        let (kind, counts) = text.split_once(':').unwrap_or((text, ""));
+        let counts: Vec<usize> = counts
+            .split(':')
+            .map(|c| c.parse().map_err(|_| format!("selector {text:?}: {c:?} is not a count")))
+            .collect::<Result<_, _>>()?;
+        match (kind, counts.as_slice()) {
+            ("arc" | "eclipse", &[take]) => Ok(Selector::Leading { skip: 0, take }),
+            ("eclipse-skip", &[skip, take]) => Ok(Selector::Leading { skip, take }),
+            ("span", &[start, len]) => Ok(Selector::Span { start, len }),
+            _ => Err(format!(
+                "selector {text:?}: expected arc:N, eclipse:N, eclipse-skip:S:N or span:S:L"
+            )),
+        }
+    }
+
+    /// The members of `order` this selector names that are in `live`, in
+    /// `order`'s order.
+    pub fn select(self, order: &[Addr], live: &[Addr]) -> Vec<Addr> {
+        let alive = |a: &Addr| live.contains(a);
+        match self {
+            Selector::Leading { skip, take } => {
+                order.iter().copied().skip(skip).filter(alive).take(take).collect()
+            }
+            Selector::Span { start, len } => {
+                let n = order.len();
+                (0..len.min(n)).map(|d| order[(start % n + d) % n]).filter(alive).collect()
+            }
+        }
+    }
+}
+
+/// The [`VictimSelector`] that reads every selector string as a
+/// [`Selector`] over `order`.
+///
+/// # Panics
+///
+/// The returned closure panics on text [`Selector::parse`] rejects.
+pub fn ordered_selector<N: Node, L: LatencyModel>(order: Vec<Addr>) -> VictimSelector<N, L> {
+    Box::new(move |_rt, text, population| {
+        let selector = Selector::parse(text).unwrap_or_else(|e| panic!("{e}"));
+        selector.select(&order, population)
+    })
+}
+
+/// The [`JoinHook`] of every churn experiment: draw a bootstrap among the
+/// `candidates` still alive (nothing joins when none is), let `build`
+/// make the joining node — drawing whatever else it needs from the same
+/// `rng`, after the bootstrap — and spawn it on host 0. The runner's own
+/// `"faults"` stream is not touched.
+pub fn join_via_live_bootstrap<N: Node, L: LatencyModel>(
+    candidates: Vec<Addr>,
+    mut rng: StdRng,
+    mut build: impl FnMut(&mut StdRng, Addr) -> N + 'static,
+) -> JoinHook<N, L> {
+    Box::new(move |rt, _faults_rng| {
+        let live: Vec<Addr> = candidates.iter().copied().filter(|&a| rt.is_alive(a)).collect();
+        let bootstrap = *live.get(rng.gen_range(0..live.len().max(1)))?;
+        let node = build(&mut rng, bootstrap);
+        Some(rt.spawn(HostId(0), node))
+    })
+}
+
 /// Measured impact of one kill burst.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BurstImpact {
@@ -1478,5 +1575,102 @@ mod tests {
         assert_eq!(ma, mb, "same seed must give byte-identical metrics");
         let (rc, mc) = run(43);
         assert!(ra != rc || ma != mc, "different seed should perturb the run");
+    }
+
+    #[test]
+    fn selectors_resolve_over_the_ordering_skipping_the_dead() {
+        let a = |raw: u64| Addr::from_raw(raw);
+        // The ordering is not address order; 30 and 60 are dead.
+        let order: Vec<Addr> = [50, 30, 10, 60, 20, 40].map(a).to_vec();
+        let live: Vec<Addr> = [10, 20, 40, 50].map(a).to_vec();
+        let table: [(&str, &[u64]); 12] = [
+            ("arc:0", &[]),
+            ("arc:3", &[50, 10, 20]),
+            ("eclipse:3", &[50, 10, 20]),
+            ("arc:99", &[50, 10, 20, 40]),
+            // The skip counts entries, dead or alive; the take counts
+            // only live ones (60 is passed over without being counted).
+            ("eclipse-skip:2:2", &[10, 20]),
+            ("eclipse-skip:1:1", &[10]),
+            ("eclipse-skip:6:1", &[]),
+            // A span covers positions, so dead members shrink it.
+            ("span:0:3", &[50, 10]),
+            ("span:4:4", &[20, 40, 50]),
+            ("span:10:2", &[20, 40]),
+            ("span:3:0", &[]),
+            // At most one full turn, from the wrapped start.
+            ("span:7:18446744073709551615", &[10, 20, 40, 50]),
+        ];
+        for (text, want) in table {
+            let got = Selector::parse(text).expect(text).select(&order, &live);
+            assert_eq!(got, want.iter().copied().map(a).collect::<Vec<_>>(), "{text}");
+        }
+        assert!(Selector::parse("span:1:2").unwrap().select(&[], &live).is_empty());
+
+        for text in [
+            "",
+            "arc",
+            "arc:",
+            "arc:x",
+            "arc:-1",
+            "arc:1:2",
+            "eclipse:",
+            "eclipse-skip:3",
+            "eclipse-skip:1:2:3",
+            "span:",
+            "span:1",
+            "span:x:2",
+            "span:1:2:3",
+            "span:1:",
+            "span:0:99999999999999999999999",
+            "frac:0.2",
+            "section:3",
+            "Arc:3",
+            " arc:3",
+        ] {
+            let err = Selector::parse(text).expect_err(text);
+            assert!(err.contains(&format!("{text:?}")), "{err} should quote {text:?}");
+        }
+    }
+
+    #[test]
+    fn join_hook_draws_the_bootstrap_before_the_builder_draws() {
+        use rand::SeedableRng;
+        let (mut rt, addrs) = build(6, 3);
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let record = seen.clone();
+        let mut hook: JoinHook<PingNode, UniformLatency> = join_via_live_bootstrap(
+            addrs.clone(),
+            StdRng::seed_from_u64(11),
+            move |rng, bootstrap| {
+                record.borrow_mut().push((bootstrap, rng.gen::<u64>()));
+                PingNode { peers: vec![bootstrap], shutdowns_sent: 0 }
+            },
+        );
+        rt.kill(addrs[1]);
+        rt.kill(addrs[4]);
+        let live = [addrs[0], addrs[2], addrs[3], addrs[5]];
+        // The hook's own stream, replayed: bootstrap index first, then
+        // the builder's draw; the runner's stream is never touched.
+        let mut replay = StdRng::seed_from_u64(11);
+        let mut faults_rng = StdRng::seed_from_u64(99);
+        for _ in 0..5 {
+            let joined = hook(&mut rt, &mut faults_rng).expect("live candidates");
+            let expect = (live[replay.gen_range(0..live.len())], replay.gen::<u64>());
+            assert_eq!(seen.borrow().last(), Some(&expect));
+            assert_eq!(rt.host_of(joined), Some(HostId(0)));
+            assert_eq!(rt.node(joined).expect("spawned").peers, vec![expect.0]);
+        }
+        assert_eq!(faults_rng.gen::<u64>(), StdRng::seed_from_u64(99).gen::<u64>());
+
+        // Nobody left to bootstrap through — joiners are not candidates,
+        // only the original six ever are: nothing joins and the builder
+        // is not called.
+        for a in live {
+            rt.kill(a);
+        }
+        let before = rt.num_alive();
+        assert_eq!(hook(&mut rt, &mut faults_rng), None);
+        assert_eq!((rt.num_alive(), seen.borrow().len()), (before, 5));
     }
 }

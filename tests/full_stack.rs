@@ -20,24 +20,16 @@ fn layout() -> SectionLayout {
 /// latency is comparable to recursive Chord.
 #[test]
 fn verme_on_king_matrix_matches_recursive_chord_ballpark() {
-    use verme::chord::{ChordConfig, LookupMode, NodeHandle, StaticRing};
+    use verme::chord::{ChordConfig, LookupMode, StaticRing};
     let n = 300;
 
     // Chord, recursive.
     let chord_mean = {
-        let mut rng = SeedSource::new(4).stream("ids");
-        let handles: Vec<NodeHandle> = (0..n)
-            .map(|i| NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
-            .collect();
-        let ring = StaticRing::new(handles);
+        let ring = StaticRing::random(n, 4);
         let king = KingMatrix::synthetic(n, 198.0, 4);
         let mut rt = Runtime::new(king, 4);
-        let mut by_addr: Vec<(u64, usize)> = (0..n).map(|i| (ring.node(i).addr.raw(), i)).collect();
-        by_addr.sort_unstable();
-        for (raw, pos) in by_addr {
-            let cfg = ChordConfig { lookup_mode: LookupMode::Recursive, ..Default::default() };
-            rt.spawn(HostId(raw as usize - 1), ring.build_node(pos, cfg));
-        }
+        let cfg = ChordConfig { lookup_mode: LookupMode::Recursive, ..Default::default() };
+        ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
         let mut krng = SeedSource::new(9).stream("keys");
         for i in 0..40 {
             let origin = ring.node((i * 13) % n).addr;
@@ -54,11 +46,9 @@ fn verme_on_king_matrix_matches_recursive_chord_ballpark() {
         let mut ca = CertificateAuthority::new(4);
         let king = KingMatrix::synthetic(n, 198.0, 4);
         let mut rt = Runtime::new(king, 4);
-        for i in 0..n {
-            let node: verme::core::VermeNode =
-                ring.build_node(i, VermeConfig::new(layout()), &mut ca);
-            rt.spawn(HostId(i), node);
-        }
+        ring.spawn(&mut rt, |i| -> verme::core::VermeNode {
+            ring.build_node(i, VermeConfig::new(layout()), &mut ca)
+        });
         let mut krng = SeedSource::new(9).stream("keys");
         for i in 0..40 {
             let origin = ring.node((i * 13) % n).addr;

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use verme::chord::maintain::model::{ModelEvent, ModelParams, ModelState, Variant};
 use verme::chord::{
-    check_ring, ChordConfig, ChordNode, Id, MaintenanceMode, NodeHandle, RingStance, StaticRing,
+    check_ring, ChordConfig, ChordNode, Id, MaintenanceMode, RingStance, StaticRing,
 };
 use verme::obs::ring as ring_keys;
 use verme::sim::runtime::UniformLatency;
@@ -26,11 +26,7 @@ fn build_ring(
 ) -> (Runtime<ChordNode, UniformLatency>, Vec<Addr>, ChordConfig) {
     let cfg =
         ChordConfig { num_successors: SUCCESSORS, maintenance: mode, ..ChordConfig::default() };
-    let mut idrng = SeedSource::new(seed).stream("ids");
-    let handles: Vec<NodeHandle> = (0..NODES)
-        .map(|i| NodeHandle::new(Id::random(&mut idrng), Addr::from_raw(i as u64 + 1)))
-        .collect();
-    let ring = StaticRing::new(handles);
+    let ring = StaticRing::random(NODES, seed);
     let mut rt = Runtime::new(UniformLatency::new(NODES, SimDuration::from_millis(20)), seed);
     rt.set_step_assertor(Box::new(|view: &SampleView<'_, ChordNode>| {
         let stances: Vec<RingStance> = view.nodes().map(|(_, n)| n.ring_stance()).collect();
@@ -40,21 +36,7 @@ fn build_ring(
             records: vec![(ring_keys::WEDGED, report.wedged as f64)],
         }
     }));
-    // Spawn in ascending handle-address order: the runtime hands out
-    // addresses sequentially, so this keeps every handle's address
-    // pointing at the node that owns the matching id. `addrs` stays
-    // indexed by ring position.
-    let mut by_addr: Vec<(u64, usize)> = (0..NODES).map(|i| (ring.node(i).addr.raw(), i)).collect();
-    by_addr.sort_unstable();
-    let mut addrs = vec![Addr::NULL; NODES];
-    for (raw, pos) in by_addr {
-        let me = ring.node(pos);
-        let pred = Some(ring.node(ring.predecessor_index(pos)));
-        let succs = ring.successors_of(pos, cfg.num_successors);
-        let fingers = ring.fingers_of(pos);
-        let node = ChordNode::with_state(me.id, cfg.clone(), pred, &succs, &fingers);
-        addrs[pos] = rt.spawn(HostId(raw as usize - 1), node);
-    }
+    let addrs = ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
     (rt, addrs, cfg)
 }
 
