@@ -38,14 +38,10 @@ use verme_worm::{run_scenario_instrumented, Instrumentation, Scenario, ScenarioC
 const NODES: usize = 96;
 const LOOKUPS: usize = 200;
 
-/// Drives the standard lookup workload.
-fn drive(rt: &mut Runtime<ChordNode, KingMatrix>, seed: u64) {
+/// Drives the standard lookup workload from the members of `ring`.
+fn drive(rt: &mut Runtime<ChordNode, KingMatrix>, ring: &[Addr], seed: u64) {
     let rng = SeedSource::new(seed).stream("monitor-check");
-    // alive_addrs iterates a HashMap; sort so every run (observed or
-    // not) picks the same lookup sources.
-    let mut sources: Vec<Addr> = rt.alive_addrs().collect();
-    sources.sort_unstable_by_key(|a| a.raw());
-    lookup_workload(rt, &sources, rng, LOOKUPS, chord_lookup);
+    lookup_workload(rt, ring, rng, LOOKUPS, chord_lookup);
 }
 
 /// A deterministic fingerprint of everything the protocol layer produced.
@@ -144,9 +140,9 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // 2. The same plane stays silent on a fault-free ring.
     // ------------------------------------------------------------------
-    let (mut quiet, _) = king_chord_ring(NODES, args.seed);
+    let (mut quiet, ring) = king_chord_ring(NODES, args.seed);
     let quiet_mon = attach_quiet_monitor(&mut quiet);
-    drive(&mut quiet, args.seed);
+    drive(&mut quiet, &ring, args.seed);
     quiet.clear_sampler();
     checks.check("quiet.silent", {
         let alerts = quiet_mon.alerts();
@@ -166,14 +162,14 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // 3. Observability never perturbs the run: byte-identical metrics.
     // ------------------------------------------------------------------
-    let (mut plain, _) = king_chord_ring(NODES, args.seed);
-    drive(&mut plain, args.seed);
+    let (mut plain, ring) = king_chord_ring(NODES, args.seed);
+    drive(&mut plain, &ring, args.seed);
     let plain_print = fingerprint(&plain);
 
-    let (mut observed, _) = king_chord_ring(NODES, args.seed);
+    let (mut observed, ring) = king_chord_ring(NODES, args.seed);
     let _observed_mon = attach_quiet_monitor(&mut observed);
     observed.enable_profiler();
-    drive(&mut observed, args.seed);
+    drive(&mut observed, &ring, args.seed);
     checks.check(
         "monitor_off.identical",
         same_bytes(&plain_print, &fingerprint(&observed))
@@ -217,13 +213,13 @@ fn main() -> ExitCode {
         let time_one = |observe: bool| {
             let mut best = f64::INFINITY;
             for _ in 0..3 {
-                let (mut rt, _) = king_chord_ring(NODES, args.seed);
+                let (mut rt, ring) = king_chord_ring(NODES, args.seed);
                 let mon = observe.then(|| attach_quiet_monitor(&mut rt));
                 if observe {
                     rt.enable_profiler();
                 }
                 let started = std::time::Instant::now();
-                drive(&mut rt, args.seed);
+                drive(&mut rt, &ring, args.seed);
                 best = best.min(started.elapsed().as_secs_f64());
                 drop(mon);
             }

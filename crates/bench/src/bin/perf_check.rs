@@ -53,14 +53,10 @@ fn worm_fingerprint(r: &ScenarioResult) -> String {
     format!("{}|{}|{}|{:?}|{:?}", r.infected, r.vulnerable, r.scans, r.curve.points(), r.detection)
 }
 
-/// Drives the standard lookup workload.
-fn drive(rt: &mut Runtime<ChordNode, KingMatrix>, seed: u64) {
+/// Drives the standard lookup workload from the members of `ring`.
+fn drive(rt: &mut Runtime<ChordNode, KingMatrix>, ring: &[Addr], seed: u64) {
     let rng = SeedSource::new(seed).stream("perf-check");
-    // alive_addrs iterates a HashMap; sort so every run (observed or
-    // not) picks the same lookup sources.
-    let mut sources: Vec<Addr> = rt.alive_addrs().collect();
-    sources.sort_unstable_by_key(|a| a.raw());
-    lookup_workload(rt, &sources, rng, LOOKUPS, chord_lookup);
+    lookup_workload(rt, ring, rng, LOOKUPS, chord_lookup);
 }
 
 /// Deterministic fingerprint of the chord run's protocol outcome.
@@ -107,13 +103,13 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // 2. Same identity guarantee for the runtime-driven chord workload.
     // ------------------------------------------------------------------
-    let (mut plain_rt, _) = king_chord_ring(NODES, args.seed);
-    drive(&mut plain_rt, args.seed);
+    let (mut plain_rt, ring) = king_chord_ring(NODES, args.seed);
+    drive(&mut plain_rt, &ring, args.seed);
     let plain_print = chord_fingerprint(&plain_rt);
-    let (mut prof_rt, _) = king_chord_ring(NODES, args.seed);
+    let (mut prof_rt, ring) = king_chord_ring(NODES, args.seed);
     span_profiler_enable();
     let started = std::time::Instant::now();
-    drive(&mut prof_rt, args.seed);
+    drive(&mut prof_rt, &ring, args.seed);
     let chord_wall = started.elapsed().as_secs_f64();
     let chord_profile = span_profiler_disable().expect("profiler enabled above");
     checks.check(

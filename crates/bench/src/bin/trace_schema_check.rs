@@ -54,9 +54,11 @@ struct Probe {
 }
 
 /// Installs recorder + collector, drives the standard lookup workload
-/// ([`LOOKUPS`] random keys through `issue`), and drains the trace.
+/// ([`LOOKUPS`] random keys through `issue`, from the members of `ring`),
+/// and drains the trace.
 fn drive<N: Node, L: LatencyModel>(
     rt: &mut Runtime<N, L>,
+    ring: &[Addr],
     seed: u64,
     app_kind: &str,
     issue: impl Fn(&mut Runtime<N, L>, Addr, Id),
@@ -65,9 +67,8 @@ fn drive<N: Node, L: LatencyModel>(
     let collector = PathCollector::new();
     rt.set_tracer(Some(tee(recorder.tracer(), collector.tracer())));
 
-    let sources: Vec<Addr> = rt.alive_addrs().collect();
     let rng = SeedSource::new(seed).stream("schema-check");
-    lookup_workload(rt, &sources, rng, LOOKUPS, issue);
+    lookup_workload(rt, ring, rng, LOOKUPS, issue);
     rt.set_tracer(None);
 
     let all_paths = collector.finished();
@@ -76,7 +77,7 @@ fn drive<N: Node, L: LatencyModel>(
     Probe { events: recorder.snapshot(), app_paths, all_paths }
 }
 
-fn build_verme(seed: u64) -> Runtime<VermeNode<()>, KingMatrix> {
+fn build_verme(seed: u64) -> (Runtime<VermeNode<()>, KingMatrix>, Vec<Addr>) {
     // Section size (nodes/sections = 32) must exceed the successor and
     // predecessor list lengths (10): otherwise a single successor-list
     // hop can skip a whole section and land same-type, which the
@@ -92,8 +93,8 @@ fn build_verme(seed: u64) -> Runtime<VermeNode<()>, KingMatrix> {
         lookup_deadline: SimDuration::from_secs(60),
         ..VermeConfig::new(layout)
     };
-    ring.spawn(&mut rt, |i| ring.build_node(i, cfg.clone(), &mut ca));
-    rt
+    let addrs = ring.spawn(&mut rt, |i| ring.build_node(i, cfg.clone(), &mut ca));
+    (rt, addrs)
 }
 
 /// Schema-validates a recorded event stream end to end through NDJSON.
@@ -115,8 +116,8 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // Chord: schema + monotone progress + hop agreement.
     // ------------------------------------------------------------------
-    let (mut chord, _) = king_chord_ring(NODES, args.seed);
-    let probe = drive(&mut chord, args.seed, "app", chord_lookup);
+    let (mut chord, ring) = king_chord_ring(NODES, args.seed);
+    let probe = drive(&mut chord, &ring, args.seed, "app", chord_lookup);
     checks.check("chord.schema", schema_roundtrip(&probe.events));
     checks.check("chord.paths", {
         if probe.app_paths.len() < LOOKUPS / 2 {
@@ -148,8 +149,8 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // Verme: schema + opposite-type rule + hop agreement.
     // ------------------------------------------------------------------
-    let mut verme = build_verme(args.seed);
-    let probe = drive(&mut verme, args.seed, "replicas", |rt, addr, key| {
+    let (mut verme, ring) = build_verme(args.seed);
+    let probe = drive(&mut verme, &ring, args.seed, "replicas", |rt, addr, key| {
         rt.invoke(addr, |node, ctx| {
             if node.is_joined() {
                 node.start_measured_lookup(key, ctx);
