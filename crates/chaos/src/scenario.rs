@@ -19,7 +19,7 @@ use verme_chord::{
 use verme_dht::{block_key, DhashNode, DhtConfig, DhtNode, DurabilityCensus};
 use verme_obs::ring as ring_keys;
 use verme_sim::fault::{
-    join_via_live_bootstrap, ordered_selector, Fault, FaultHooks, FaultPlan, FaultRunner,
+    join_via_live_bootstrap, ordered_selector, Fault, FaultHooks, FaultPlan, FaultRunner, Selector,
 };
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{
@@ -107,7 +107,7 @@ pub fn run_trial(scenario: &Scenario, schedule: &[Fault], seed: u64) -> OracleRe
     for f in schedule {
         plan = plan.with(f.clone());
     }
-    if let Err(e) = plan.validate() {
+    if let Err(e) = plan.validate().and_then(|()| selectors_parse(schedule)) {
         // Hand-edited repro files fail loudly but deterministically.
         let mut report = OracleReport::default();
         report.flag(oracle::INVALID_SCHEDULE, e);
@@ -122,6 +122,21 @@ pub fn run_trial(scenario: &Scenario, schedule: &[Fault], seed: u64) -> OracleRe
             run_durability(repair, nodes, blocks, plan, end, seed)
         }
     }
+}
+
+/// Checks that every selector in `schedule` is one the scenarios can
+/// interpret ([`Selector`]), in the error format of
+/// [`FaultPlan::validate`].
+fn selectors_parse(schedule: &[Fault]) -> Result<(), String> {
+    for (i, fault) in schedule.iter().enumerate() {
+        if let Fault::KillBurst { selector, .. }
+        | Fault::Restart { selector, .. }
+        | Fault::Byzantine { selector, .. } = fault
+        {
+            Selector::parse(selector).map_err(|e| format!("fault #{i}: {e}"))?;
+        }
+    }
+    Ok(())
 }
 
 /// Builds the continuous ring-invariant assertor for node type `N`: the

@@ -504,15 +504,13 @@ impl Selector {
 }
 
 /// The [`VictimSelector`] that reads every selector string as a
-/// [`Selector`] over `order`.
-///
-/// # Panics
-///
-/// The returned closure panics on text [`Selector::parse`] rejects.
+/// [`Selector`] over `order`. Text [`Selector::parse`] rejects selects
+/// nobody: a plan whose selectors come from outside the program is
+/// parsed before it is run (`verme_chaos::run_trial` does), and the
+/// experiments generate theirs.
 pub fn ordered_selector<N: Node, L: LatencyModel>(order: Vec<Addr>) -> VictimSelector<N, L> {
     Box::new(move |_rt, text, population| {
-        let selector = Selector::parse(text).unwrap_or_else(|e| panic!("{e}"));
-        selector.select(&order, population)
+        Selector::parse(text).map_or_else(|_| Vec::new(), |s| s.select(&order, population))
     })
 }
 
@@ -1630,7 +1628,13 @@ mod tests {
         ] {
             let err = Selector::parse(text).expect_err(text);
             assert!(err.contains(&format!("{text:?}")), "{err} should quote {text:?}");
+            let (rt, _) = build(1, 1);
+            let mut closure = ordered_selector::<PingNode, UniformLatency>(order.clone());
+            assert!(closure(&rt, text, &live).is_empty(), "{text:?} must select nobody");
         }
+        let (rt, _) = build(1, 1);
+        let mut closure = ordered_selector::<PingNode, UniformLatency>(order.clone());
+        assert_eq!(closure(&rt, "arc:2", &live), [50, 10].map(a));
     }
 
     #[test]
