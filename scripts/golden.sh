@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Byte-identity proof for refactors: runs the quick, deterministic binaries
-# that touch the DHT, the static rings, the worm scenarios or the bare
-# overlay nodes (churn, Legacy maintenance, transitive mode, model checker,
-# chaos search) and compares the SHA-256 of each one's stdout with
-# results/golden_quick.sha256. A
+# Byte-identity proof for refactors: runs the twenty-four quick,
+# deterministic binaries that touch the DHT, the static rings, the worm
+# scenarios, the bare overlay nodes (churn, Legacy maintenance, transitive
+# mode, model checker, chaos search) or the trace pipeline and compares the
+# SHA-256 of each one's stdout with results/golden_quick.sha256. A
 # behaviour-preserving change leaves every hash equal; a change that means
 # to alter protocol output regenerates the file with
 # `scripts/golden.sh --update` and says so in its description.
@@ -16,7 +16,7 @@ bins=(fig6_dht_latency fig7_dht_bandwidth extG_churn_resilience extI_durability
       fig8_worm_propagation ablation_finger_shift extC_type_imbalance extD_guardians
       extE_unstructured extF_sybil extH_detection_latency
       fig5_lookup_latency extA_lookup_failure extB_maintenance_bw extM_ring_safety
-      ring_check chaos_check extO_chaos)
+      ring_check chaos_check extO_chaos trace_schema_check)
 
 cd "$root"
 cargo build --release --offline --quiet -p verme-bench \
