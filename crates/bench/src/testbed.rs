@@ -129,7 +129,6 @@ pub fn lookup_workload<N: Node, L: LatencyModel>(
     issue: impl Fn(&mut Runtime<N, L>, Addr, Id),
 ) {
     let at = |s: usize| SimTime::ZERO + SimDuration::from_secs(90 + s as u64);
-    rt.run_until(at(0));
     for i in 0..lookups {
         rt.run_until(at(i));
         let source = sources[rng.gen_range(0..sources.len())];

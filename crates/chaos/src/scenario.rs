@@ -107,7 +107,7 @@ pub fn run_trial(scenario: &Scenario, schedule: &[Fault], seed: u64) -> OracleRe
     for f in schedule {
         plan = plan.with(f.clone());
     }
-    if let Err(e) = plan.validate().and_then(|()| selectors_parse(schedule)) {
+    if let Err(e) = plan.validate().and_then(|()| victims_parse(schedule)) {
         // Hand-edited repro files fail loudly but deterministically.
         let mut report = OracleReport::default();
         report.flag(oracle::INVALID_SCHEDULE, e);
@@ -127,7 +127,7 @@ pub fn run_trial(scenario: &Scenario, schedule: &[Fault], seed: u64) -> OracleRe
 /// Checks that every selector in `schedule` is one the scenarios can
 /// interpret ([`Selector`]), in the error format of
 /// [`FaultPlan::validate`].
-fn selectors_parse(schedule: &[Fault]) -> Result<(), String> {
+fn victims_parse(schedule: &[Fault]) -> Result<(), String> {
     for (i, fault) in schedule.iter().enumerate() {
         if let Fault::KillBurst { selector, .. }
         | Fault::Restart { selector, .. }

@@ -36,7 +36,7 @@ fn schedules(selector: &str) -> [Vec<Fault>; 3] {
 }
 
 #[test]
-fn uninterpretable_selectors_are_invalid_schedules_not_panics() {
+fn a_schedule_the_scenarios_cannot_interpret_is_a_verdict_not_a_panic() {
     for scenario in [Scenario::ring(MaintenanceMode::Corrected), Scenario::durability(true)] {
         for selector in BAD_SELECTORS {
             for schedule in schedules(selector) {
@@ -53,7 +53,7 @@ fn uninterpretable_selectors_are_invalid_schedules_not_panics() {
 }
 
 #[test]
-fn a_repro_with_an_uninterpretable_selector_round_trips_and_verifies() {
+fn a_repro_carrying_one_round_trips_and_verifies() {
     let scenario = Scenario::ring(MaintenanceMode::Legacy);
     for selector in BAD_SELECTORS {
         for schedule in schedules(selector) {
@@ -67,7 +67,7 @@ fn a_repro_with_an_uninterpretable_selector_round_trips_and_verifies() {
 }
 
 #[test]
-fn interpretable_selectors_still_run() {
+fn every_grammar_the_parser_reads_still_runs() {
     let scenario = Scenario::ring(MaintenanceMode::Corrected);
     for selector in ["span:0:1", "span:47:3", "arc:2", "eclipse:1", "eclipse-skip:2:1"] {
         let [burst, ..] = schedules(selector);
