@@ -6,9 +6,9 @@
 //! cargo run -p verme-bench --release --bin fig5_lookup_latency -- --full  # paper scale
 //! ```
 
-use verme_bench::fig5::{run_fig5, Fig5Params, Fig5System};
+use verme_bench::fig5::{run_sweep, Fig5System};
 use verme_bench::report::BenchTimer;
-use verme_bench::testbed::par_map;
+use verme_bench::testbed::mean_of;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 
@@ -39,31 +39,9 @@ fn main() {
         "lifetime", "Chord transitive", "Chord recursive", "Verme", "Verme/rec."
     );
 
-    // Independent replications run in parallel; the sums fold in job order.
-    let jobs: Vec<(usize, usize, u64)> = (0..lifetimes.len())
-        .flat_map(|li| (0..3).flat_map(move |si| (0..reps).map(move |rep| (li, si, rep))))
-        .collect();
-    let results = par_map(&jobs, |&(li, si, rep)| {
-        let life = lifetimes[li].1;
-        let run_seed = args.seed.wrapping_add(rep * 7919).wrapping_add(li as u64 * 104729);
-        let mut params = if args.full {
-            Fig5Params::paper(life, run_seed)
-        } else {
-            Fig5Params::quick(life, run_seed)
-        };
-        if let Some(h) = args.hours {
-            params.sim_time = SimDuration::from_hours(h);
-        }
-        run_fig5(Fig5System::ALL[si], &params)
-    });
-    let mut events: u64 = 0;
-    let mut sums = vec![[0.0f64; 3]; lifetimes.len()];
-    for (&(li, si, _), r) in jobs.iter().zip(&results) {
-        sums[li][si] += r.mean_latency_ms;
-        events += r.issued;
-    }
-    for (name, sums) in lifetimes.iter().map(|l| l.0).zip(sums) {
-        let m = sums.map(|sum| sum / reps.max(1) as f64);
+    let sweep = run_sweep(&lifetimes.map(|l| l.1), &Fig5System::ALL, reps, &args);
+    for ((name, _), by_system) in lifetimes.iter().zip(&sweep) {
+        let m: Vec<f64> = by_system.iter().map(|rs| mean_of(rs, |r| r.mean_latency_ms)).collect();
         println!(
             "{:<10} {:>20.1} {:>20.1} {:>20.1} {:>12.2}",
             name,
@@ -73,6 +51,7 @@ fn main() {
             m[2] / m[1].max(1e-9)
         );
     }
+    let events: u64 = sweep.iter().flatten().flatten().map(|r| r.issued).sum();
     println!(
         "# expectation (paper): transitive ≈ 35% below Verme; recursive ≈ Verme; flat in lifetime"
     );

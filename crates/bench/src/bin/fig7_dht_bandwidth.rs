@@ -13,9 +13,9 @@
 //! the profile's native rate.
 
 use verme_bench::extl::{run_point, ExtLParams};
-use verme_bench::fig67::{run_fig67, DhtSystem, Fig67Params};
+use verme_bench::fig67::{run_sweep, DhtSystem};
 use verme_bench::report::BenchTimer;
-use verme_bench::testbed::par_map;
+use verme_bench::testbed::mean_of;
 use verme_bench::CliArgs;
 use verme_load::LoadProfile;
 
@@ -62,25 +62,13 @@ fn main() {
     );
     println!("{:<18} {:>12} {:>12}", "system", "get (KiB)", "put (KiB)");
 
-    // Independent replications run in parallel; the sums fold in job order.
-    let jobs: Vec<(usize, u64)> =
-        (0..DhtSystem::ALL.len()).flat_map(|si| (0..reps).map(move |rep| (si, rep))).collect();
-    let results = par_map(&jobs, |&(si, rep)| {
-        let seed = args.seed.wrapping_add(rep * 6151);
-        let params = if args.full { Fig67Params::paper(seed) } else { Fig67Params::quick(seed) };
-        run_fig67(DhtSystem::ALL[si], &params)
-    });
-    let mut events: u64 = 0;
-    let mut sums = [(0.0f64, 0.0f64); 4];
-    for (&(si, _), r) in jobs.iter().zip(&results) {
-        sums[si].0 += r.get_bytes_per_op;
-        sums[si].1 += r.put_bytes_per_op;
-        events += r.completed + r.failed;
+    let sweep = run_sweep(reps, &args);
+    for (sys, rs) in DhtSystem::ALL.iter().zip(&sweep) {
+        let get = mean_of(rs, |r| r.get_bytes_per_op);
+        let put = mean_of(rs, |r| r.put_bytes_per_op);
+        println!("{:<18} {:>12.1} {:>12.1}", sys.label(), get / 1024.0, put / 1024.0);
     }
-    let n = reps.max(1) as f64;
-    for (sys, (get, put)) in DhtSystem::ALL.iter().zip(sums) {
-        println!("{:<18} {:>12.1} {:>12.1}", sys.label(), get / n / 1024.0, put / n / 1024.0);
-    }
+    let events: u64 = sweep.iter().flatten().map(|r| r.completed + r.failed).sum();
     println!("# expectation (paper): get — DHash ≈ Fast < Compromise (≈2×) ≪ Secure");
     println!("# expectation (paper): put — like get, plus the extra cross-section copy for Fast/Compromise");
     timer.finish(events);

@@ -27,24 +27,15 @@ use std::process::ExitCode;
 use bytes::Bytes;
 
 use verme_bench::report::BenchTimer;
-use verme_bench::testbed::{run_fingerprint, same_bytes, Checks, HOP};
+use verme_bench::testbed::{dhash_ring, run_fingerprint, same_bytes, Checks};
 use verme_bench::CliArgs;
-use verme_chord::{ChordConfig, Id, StaticRing};
+use verme_chord::Id;
 use verme_dht::{keys as dht_keys, DhashNode, DhtConfig, DhtNode};
 use verme_load::{generate_schedule, LoadProfile};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 const NODES: usize = 64;
-
-fn build_ring(seed: u64, cfg: &DhtConfig) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    let ring = StaticRing::random(NODES, seed);
-    let mut rt = Runtime::new(UniformLatency::new(NODES, HOP), seed);
-    let addrs = ring.spawn(&mut rt, |pos| {
-        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
-    });
-    (rt, addrs)
-}
 
 /// Puts one block fault-free from `addrs[0]` and returns its key.
 fn seed_one(rt: &mut Runtime<DhashNode, UniformLatency>, addrs: &[Addr]) -> (Id, Bytes) {
@@ -133,7 +124,7 @@ fn main() -> ExitCode {
     // 2. K concurrent gets coalesce into exactly one upstream fetch.
     // ------------------------------------------------------------------
     let coalesce_cfg = DhtConfig { coalesce_gets: true, ..DhtConfig::default() };
-    let (mut rt_many, addrs_many) = build_ring(args.seed, &coalesce_cfg);
+    let (mut rt_many, addrs_many) = dhash_ring(NODES, args.seed, &coalesce_cfg);
     let (key, value) = seed_one(&mut rt_many, &addrs_many);
     let reader = addrs_many[5];
     let before_many = data_bytes(&rt_many);
@@ -142,7 +133,7 @@ fn main() -> ExitCode {
     let burst_bytes = data_bytes(&rt_many) - before_many;
     events += rt_many.stats().messages_delivered;
 
-    let (mut rt_one, addrs_one) = build_ring(args.seed, &coalesce_cfg);
+    let (mut rt_one, addrs_one) = dhash_ring(NODES, args.seed, &coalesce_cfg);
     let (key_one, _) = seed_one(&mut rt_one, &addrs_one);
     let before_one = data_bytes(&rt_one);
     let _ = burst_gets(&mut rt_one, addrs_one[5], key_one, 1);
@@ -180,7 +171,7 @@ fn main() -> ExitCode {
         data_stabilize_interval: SimDuration::from_secs(3_600),
         ..DhtConfig::default()
     };
-    let (mut rt_c, addrs_c) = build_ring(args.seed, &cache_cfg);
+    let (mut rt_c, addrs_c) = dhash_ring(NODES, args.seed, &cache_cfg);
     let (key_c, _) = seed_one(&mut rt_c, &addrs_c);
     checks.check("cache.invalidation_on_repair", {
         // The repair target after one holder dies is the next node in
@@ -215,7 +206,7 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // 4. Serving features off => the plane is inert, byte for byte.
     // ------------------------------------------------------------------
-    let (mut rt_a, addrs_a) = build_ring(args.seed, &DhtConfig::default());
+    let (mut rt_a, addrs_a) = dhash_ring(NODES, args.seed, &DhtConfig::default());
     drive_idle(&mut rt_a, &addrs_a);
     let print_default = fingerprint(&rt_a);
     events += rt_a.stats().messages_delivered;
@@ -226,7 +217,7 @@ fn main() -> ExitCode {
         memo_ttl: SimDuration::from_secs(1),
         ..DhtConfig::default()
     };
-    let (mut rt_b, addrs_b) = build_ring(args.seed, &knobbed);
+    let (mut rt_b, addrs_b) = dhash_ring(NODES, args.seed, &knobbed);
     drive_idle(&mut rt_b, &addrs_b);
     checks.check("serving_off.inert", {
         let print_knobbed = fingerprint(&rt_b);

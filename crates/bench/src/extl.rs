@@ -19,7 +19,7 @@
 //! key universe fixed) and exercise the invalidation path at holders.
 
 use bytes::Bytes;
-use verme_chord::{ChordConfig, Id, StaticRing};
+use verme_chord::Id;
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
 use verme_dht::{
@@ -30,7 +30,7 @@ use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 pub use crate::fig67::DhtSystem;
-use crate::testbed::HOP;
+use crate::testbed::{dhash_ring, HOP};
 
 /// Parameters for one Ext. L sweep.
 #[derive(Clone, Debug)]
@@ -183,12 +183,7 @@ fn spawn_dhash(
     params: &ExtLParams,
     cfg: DhtConfig,
 ) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    let ring = StaticRing::random(params.nodes, params.seed);
-    let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), params.seed);
-    let addrs = ring.spawn(&mut rt, |pos| {
-        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
-    });
-    (rt, addrs)
+    dhash_ring(params.nodes, params.seed, &cfg)
 }
 
 fn spawn_verdi<V, P>(

@@ -24,7 +24,7 @@
 
 use verme_chaos::ring_assertor;
 use verme_chord::{
-    check_ring, ChordConfig, ChordNode, Id, MaintenanceMode, RingStance, StaticRing,
+    check_ring, ChordConfig, ChordNode, Id, MaintenanceMode, RingNode, RingStance, StaticRing,
 };
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
@@ -149,12 +149,6 @@ impl ExtMCell {
     }
 }
 
-/// The per-node fingerprint fed to [`ring_assertor`]: moves whenever the
-/// neighbor epoch bumps or the joined flag latches.
-fn digest_parts(epoch: u64, joined: bool) -> u64 {
-    epoch.wrapping_mul(2).wrapping_add(u64::from(joined))
-}
-
 /// Runs one cell of the sweep.
 pub fn run_extm_cell(
     variant: ExtMVariant,
@@ -217,10 +211,6 @@ fn run_chord_cell(
     };
     let ring = StaticRing::random(params.nodes, cell_seed);
     let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), cell_seed);
-    rt.set_step_assertor(ring_assertor(
-        |n: &ChordNode| n.ring_stance(),
-        |n: &ChordNode| digest_parts(n.neighbor_epoch(), n.is_joined()),
-    ));
     // Finger-starved: the hazard regime where an emptied successor list
     // has no forward reseed until fix-fingers repopulates.
     let addrs = ring.spawn(&mut rt, |pos| {
@@ -231,7 +221,7 @@ fn run_chord_cell(
     let hooks = churn_hooks(&addrs, cell_seed, move |rng, bootstrap| {
         ChordNode::joining(Id::random(rng), cfg.clone(), bootstrap)
     });
-    drive_cell(rt, addrs, hooks, params, churn_rate, cell_seed, |n| n.ring_stance())
+    drive_cell(rt, addrs, hooks, params, churn_rate, cell_seed, ChordNode::ring_stance)
 }
 
 fn run_verme_cell(
@@ -252,10 +242,6 @@ fn run_verme_cell(
     let ring = VermeStaticRing::generate(layout, params.nodes, cell_seed);
     let mut ca = CertificateAuthority::new(cell_seed);
     let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), cell_seed);
-    rt.set_step_assertor(ring_assertor(
-        |n: &VermeNode<()>| n.ring_stance(),
-        |n: &VermeNode<()>| digest_parts(n.neighbor_epoch(), n.is_joined()),
-    ));
     // Finger-starved, as in the Chord cell.
     let addrs = ring.spawn(&mut rt, |i| {
         let (cert, keys) = ca.issue(ring.node(i).id.raw(), ring.type_of_index(i));
@@ -264,18 +250,22 @@ fn run_verme_cell(
         VermeNode::with_state(cfg.clone(), cert, keys, ca.verifier(), &preds, &succs, &[])
     });
     let hooks = churn_hooks(&addrs, cell_seed, verme_joiner(cfg, ca));
-    drive_cell(rt, addrs, hooks, params, churn_rate, cell_seed, |n| n.ring_stance())
+    drive_cell(rt, addrs, hooks, params, churn_rate, cell_seed, VermeNode::<()>::ring_stance)
 }
 
-fn drive_cell<N: Node>(
+/// Runs the fault schedule over a spawned cell with the continuous
+/// ring-invariant assertor attached, `stance` reading a node's ring
+/// pointers for it and for the end snapshot.
+fn drive_cell<N: Node + RingNode + 'static>(
     mut rt: Runtime<N, UniformLatency>,
     addrs: Vec<Addr>,
     hooks: FaultHooks<N, UniformLatency>,
     params: &ExtMParams,
     churn_rate: f64,
     cell_seed: u64,
-    stance: impl Fn(&N) -> RingStance,
+    stance: fn(&N) -> RingStance,
 ) -> ExtMCell {
+    rt.set_step_assertor(ring_assertor(stance));
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     let start = rt.now() + SimDuration::from_secs(5);
     let plan = fault_plan(params, churn_rate, start);
@@ -288,7 +278,7 @@ fn drive_cell<N: Node>(
     drop(runner);
 
     let end_stances: Vec<RingStance> =
-        rt.alive_addrs().filter_map(|a| rt.node(a)).map(&stance).collect();
+        rt.alive_addrs().filter_map(|a| rt.node(a)).map(stance).collect();
     let end = check_ring(&end_stances);
     let violations = rt.metrics().counter(ring_keys::INVARIANT_VIOLATIONS);
     let joins = rt.metrics().counter(fault_keys::JOIN);

@@ -22,7 +22,8 @@ use verme_sim::{
     Addr, EventQueue, HostId, LatencyModel, Node, Runtime, SeedSource, SimDuration, SimTime,
 };
 
-use crate::testbed::{chord_lookup, verme_joiner};
+use crate::testbed::{chord_lookup, par_map, verme_joiner};
+use crate::CliArgs;
 
 /// Which overlay/lookup configuration a Figure 5 series uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -136,6 +137,37 @@ pub fn run_fig5(system: Fig5System, params: &Fig5Params) -> Fig5Result {
         Fig5System::ChordRecursive => run_chord(params, LookupMode::Recursive),
         Fig5System::Verme => run_verme(params),
     }
+}
+
+/// The sweep behind Figure 5 and Extensions A and B: one [`run_fig5`] per
+/// (lifetime, system, repetition), quick or paper scale as `args` says,
+/// on worker threads. `sweep[l][s]` holds the repetitions of lifetime `l`
+/// under system `s` in repetition order, so folds over it do not depend
+/// on thread scheduling.
+pub fn run_sweep(
+    lifetimes: &[SimDuration],
+    systems: &[Fig5System],
+    reps: u64,
+    args: &CliArgs,
+) -> Vec<Vec<Vec<Fig5Result>>> {
+    let jobs: Vec<(usize, Fig5System, u64)> = (0..lifetimes.len())
+        .flat_map(|li| systems.iter().flat_map(move |&sys| (0..reps).map(move |r| (li, sys, r))))
+        .collect();
+    let mut results = par_map(&jobs, |&(li, sys, rep)| {
+        let seed = args.seed.wrapping_add(rep * 7919).wrapping_add(li as u64 * 104729);
+        let mut params = if args.full {
+            Fig5Params::paper(lifetimes[li], seed)
+        } else {
+            Fig5Params::quick(lifetimes[li], seed)
+        };
+        if let Some(h) = args.hours {
+            params.sim_time = SimDuration::from_hours(h);
+        }
+        run_fig5(sys, &params)
+    })
+    .into_iter();
+    let mut point = || results.by_ref().take(reps as usize).collect();
+    lifetimes.iter().map(|_| systems.iter().map(|_| point()).collect()).collect()
 }
 
 /// Generic churn + workload driver.

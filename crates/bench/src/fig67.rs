@@ -16,6 +16,9 @@ use verme_dht::{Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secu
 use verme_net::{TransitStub, TransitStubConfig};
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
+use crate::testbed::par_map;
+use crate::CliArgs;
+
 /// The four systems compared in Figures 6 and 7.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum DhtSystem {
@@ -102,6 +105,22 @@ pub fn run_fig67(system: DhtSystem, params: &Fig67Params) -> Fig67Result {
         DhtSystem::SecureVerDi => run_generic(params, spawn_verdi::<Secure, _>),
         DhtSystem::CompromiseVerDi => run_generic(params, spawn_verdi::<Compromise, _>),
     }
+}
+
+/// The sweep behind Figures 6 and 7: `reps` runs of every system, quick
+/// or paper scale as `args` says, on worker threads. `sweep[s]` holds the
+/// repetitions of `DhtSystem::ALL[s]` in repetition order, so folds over
+/// it do not depend on thread scheduling.
+pub fn run_sweep(reps: u64, args: &CliArgs) -> Vec<Vec<Fig67Result>> {
+    let jobs: Vec<(DhtSystem, u64)> =
+        DhtSystem::ALL.iter().flat_map(|&sys| (0..reps).map(move |rep| (sys, rep))).collect();
+    let mut results = par_map(&jobs, |&(sys, rep)| {
+        let seed = args.seed.wrapping_add(rep * 6151);
+        let params = if args.full { Fig67Params::paper(seed) } else { Fig67Params::quick(seed) };
+        run_fig67(sys, &params)
+    })
+    .into_iter();
+    DhtSystem::ALL.iter().map(|_| results.by_ref().take(reps as usize).collect()).collect()
 }
 
 fn network(params: &Fig67Params) -> TransitStub {

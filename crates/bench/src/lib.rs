@@ -28,9 +28,9 @@
 //!   explorations, two positive controls and two hardened arms.
 //! * [`testbed`] — what every module above and every `*_check` bin is
 //!   built from beyond the crates' own constructors: the Verme joiner and
-//!   churn hooks, the DHT fault-sweep cell, the King-matrix lookup run,
-//!   the check bins' verdicts and fingerprints, and `par_map`, the one
-//!   sweep fan-out.
+//!   churn hooks, the DHash ring and the DHT fault-sweep cell, the
+//!   King-matrix lookup run, the check bins' verdicts and fingerprints,
+//!   and `par_map`, the one sweep fan-out.
 //! * [`report`] — `BENCH_<name>.json` wall-clock/event-rate summaries
 //!   every binary writes for CI regression tracking, now with peak RSS
 //!   and optional per-subsystem span-profiler breakdowns.

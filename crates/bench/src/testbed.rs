@@ -11,6 +11,8 @@
 //!
 //! * [`verme_joiner`] and [`churn_hooks`] — the fault-plane binding of a
 //!   churn cell;
+//! * [`dhash_ring`] — the DHash ring the DHT cells and check bins start
+//!   from;
 //! * [`king_chord_ring`], [`lookup_workload`], [`chord_lookup`] — the
 //!   fault-free lookup run the observer check bins compare against itself;
 //! * [`DhtCell`], [`drive_dht_cell`], [`run_churn_cell`], [`departures`] —
@@ -19,8 +21,8 @@
 //!   read the counters and the durability census;
 //! * [`Checks`], [`run_fingerprint`], [`same_bytes`] — a check bin's
 //!   verdict lines, exit status and byte-identity comparison;
-//! * [`par_map`], [`pooled`] — the sweep fan-out and the fold of a
-//!   setting's repetitions.
+//! * [`par_map`], [`pooled`], [`mean_of`] — the sweep fan-out and the
+//!   folds of a setting's repetitions.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -87,6 +89,21 @@ where
         ring_converged: Box::new(ring_converged),
         ..FaultHooks::inert()
     }
+}
+
+/// A converged DHash-over-Chord ring of `nodes` nodes under `cfg` on the
+/// uniform network, with its members' addresses by ring position.
+pub fn dhash_ring(
+    nodes: usize,
+    seed: u64,
+    cfg: &DhtConfig,
+) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
+    let ring = StaticRing::random(nodes, seed);
+    let mut rt = Runtime::new(UniformLatency::new(nodes, HOP), seed);
+    let addrs = ring.spawn(&mut rt, |pos| {
+        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
+    });
+    (rt, addrs)
 }
 
 /// A converged recursive-lookup Chord ring, one node per host of a
@@ -274,14 +291,9 @@ pub fn run_churn_cell(
         let live: Vec<Addr> = members.iter().copied().filter(|&a| rt.is_alive(a)).collect();
         (!live.is_empty()).then(|| live[rng.gen_range(0..live.len())])
     }
-    let net = UniformLatency::new(cell.nodes, HOP);
     match system {
         ChurnSystem::Dhash => {
-            let ring = StaticRing::random(cell.nodes, seed);
-            let mut rt = Runtime::new(net, seed);
-            let addrs = ring.spawn(&mut rt, |pos| {
-                DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
-            });
+            let (rt, addrs) = dhash_ring(cell.nodes, seed, &cfg);
             let hooks = churn_hooks(&addrs, seed, move |rng, bootstrap| {
                 let overlay =
                     ChordNode::joining(Id::random(rng), ChordConfig::default(), bootstrap);
@@ -293,7 +305,7 @@ pub fn run_churn_cell(
             let vcfg = VermeConfig::new(SectionLayout::with_sections(cell.sections, 2));
             let ring = VermeStaticRing::generate(vcfg.layout, cell.nodes, seed);
             let mut ca = CertificateAuthority::new(seed);
-            let mut rt = Runtime::new(net, seed);
+            let mut rt = Runtime::new(UniformLatency::new(cell.nodes, HOP), seed);
             let addrs = ring.spawn(&mut rt, |i| {
                 FastVerDiNode::new(ring.build_node(i, vcfg.clone(), &mut ca), cfg.clone())
             });
@@ -323,6 +335,12 @@ pub fn pooled<C: Default>(reps: &[C], merge: impl Fn(&mut C, &C)) -> C {
         merge(&mut acc, cell);
     }
     acc
+}
+
+/// The mean of `metric` over a point's repetitions, summed in slot order
+/// (0 for no repetitions).
+pub fn mean_of<T>(reps: &[T], metric: impl Fn(&T) -> f64) -> f64 {
+    reps.iter().fold(0.0, |sum, r| sum + metric(r)) / reps.len().max(1) as f64
 }
 
 /// The verdicts of a `*_check` bin.

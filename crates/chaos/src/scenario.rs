@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use verme_chord::{
-    check_ring, ring_converged, ChordConfig, ChordNode, Id, MaintenanceMode, NodeHandle,
+    check_ring, ring_converged, ChordConfig, ChordNode, Id, MaintenanceMode, NodeHandle, RingNode,
     RingStance, StaticRing,
 };
 use verme_dht::{block_key, DhashNode, DhtConfig, DhtNode, DurabilityCensus};
@@ -143,15 +143,14 @@ fn victims_parse(schedule: &[Fault]) -> Result<(), String> {
 /// check of the invariant from Zave's "How to Make Chord Correct" after
 /// every processed event.
 ///
-/// `stance` extracts a node's ring pointers; `digest` folds the parts of
-/// its state the invariant depends on (neighbor epoch and joined flag)
-/// into a cheap fingerprint. The full [`check_ring`] evaluation runs only
-/// when the global fingerprint — live-node count plus the wrapping sum of
-/// per-node digests — changes, so event storms that do not move ring
-/// state cost one O(nodes) sum instead of a full cycle check.
-pub fn ring_assertor<N: Node>(
+/// `stance` extracts a node's ring pointers. The full [`check_ring`]
+/// evaluation runs only when a cheap global fingerprint changes — the
+/// live-node count plus the wrapping sum over nodes of the two things the
+/// invariant's inputs move with, the neighbor epoch and the joined flag —
+/// so event storms that do not move ring state cost one O(nodes) sum
+/// instead of a full cycle check.
+pub fn ring_assertor<N: Node + RingNode>(
     stance: impl Fn(&N) -> RingStance + 'static,
-    digest: impl Fn(&N) -> u64 + 'static,
 ) -> StepAssertor<N> {
     let mut last: Option<(usize, u64)> = None;
     Box::new(move |view| {
@@ -159,7 +158,10 @@ pub fn ring_assertor<N: Node>(
         let mut sum = 0u64;
         for (_, node) in view.nodes() {
             count += 1;
-            sum = sum.wrapping_add(digest(node));
+            let ring = node.ring();
+            let digest =
+                ring.neighbor_epoch().wrapping_mul(2).wrapping_add(u64::from(ring.is_joined()));
+            sum = sum.wrapping_add(digest);
         }
         if last == Some((count, sum)) {
             return AssertorVerdict::empty();
@@ -232,10 +234,7 @@ fn run_ring(
     };
     let ring = StaticRing::random(nodes, seed);
     let mut rt = Runtime::new(UniformLatency::new(nodes, HOP), seed);
-    rt.set_step_assertor(ring_assertor(
-        |n: &ChordNode| n.ring_stance(),
-        |n: &ChordNode| n.neighbor_epoch().wrapping_mul(2).wrapping_add(u64::from(n.is_joined())),
-    ));
+    rt.set_step_assertor(ring_assertor(ChordNode::ring_stance));
     let addrs = ring.spawn(&mut rt, |pos| {
         let pred = Some(ring.node(ring.predecessor_index(pos)));
         let succs = ring.successors_of(pos, cfg.num_successors);

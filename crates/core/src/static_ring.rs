@@ -41,8 +41,8 @@ pub struct VermeStaticRing {
 impl VermeStaticRing {
     /// Generates `n` members with an even split across the layout's types,
     /// ids drawn deterministically from `seed`, and addresses
-    /// `1..=n` **in id order** (spawn members in id order to reproduce
-    /// them under a [`Runtime`](verme_sim::Runtime)).
+    /// `1..=n` **in id order** ([`spawn`](VermeStaticRing::spawn)
+    /// reproduces them under a fresh [`Runtime`]).
     ///
     /// # Panics
     ///
