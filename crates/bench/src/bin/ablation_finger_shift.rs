@@ -9,13 +9,11 @@
 //! cargo run -p verme-bench --release --bin ablation_finger_shift [-- --full]
 //! ```
 
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 use verme_worm::{analyze, run_scenario, Scenario, ScenarioConfig};
 
 fn main() {
-    let timer = BenchTimer::start("ablation_finger_shift");
     let args = CliArgs::parse();
     let cfg = if args.full {
         ScenarioConfig { seed: args.seed, ..ScenarioConfig::default() }
@@ -34,10 +32,8 @@ fn main() {
         "{:<28} {:>10} {:>12} {:>14} {:>16}",
         "variant", "infected", "vulnerable", "t50 (s)", "growth (1/s)"
     );
-    let mut events: u64 = 0;
     for sc in [Scenario::VermeWorm, Scenario::VermeUnshiftedFingersAblation] {
         let r = run_scenario(&sc, &cfg);
-        events += r.scans;
         let stats = analyze(&r.curve);
         let t50 = r
             .time_to_vulnerable_fraction(0.5)
@@ -54,5 +50,4 @@ fn main() {
     }
     println!("# expectation: without the shift, long fingers land in same-type sections and");
     println!("# the worm saturates like on Chord; with it, the worm never leaves its island.");
-    timer.finish(events);
 }

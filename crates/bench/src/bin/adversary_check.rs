@@ -22,7 +22,6 @@ use bytes::Bytes;
 use rand::Rng;
 
 use verme_bench::extk::{run_extk_cell, ExtKParams, ExtKSystem};
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::{run_fingerprint, same_bytes, Checks, HOP};
 use verme_bench::CliArgs;
 use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
@@ -89,7 +88,6 @@ fn drive_legacy(
 }
 
 fn main() -> ExitCode {
-    let timer = BenchTimer::start("adversary_check");
     let args = CliArgs::parse();
     let mut checks = Checks::default();
 
@@ -218,6 +216,5 @@ fn main() -> ExitCode {
         }
     });
 
-    timer.finish(loud.issued + quiet.issued);
     checks.finish()
 }

@@ -28,7 +28,6 @@
 
 use std::process::ExitCode;
 
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::{Checks, HOP};
 use verme_bench::CliArgs;
 use verme_chaos::{explore, ChaosProfile, ExplorerConfig, Repro, Scenario};
@@ -61,10 +60,8 @@ fn chaos_off_fingerprint(seed: u64) -> (String, Vec<String>, u64, u64) {
 }
 
 fn main() -> ExitCode {
-    let timer = BenchTimer::start("chaos_check");
     let args = CliArgs::parse();
     let mut checks = Checks::default();
-    let mut trials_total = 0u64;
 
     let ring_profile = ChaosProfile::ring(48, 3);
     let legacy = Scenario::ring(MaintenanceMode::Legacy);
@@ -75,7 +72,6 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     let cfg = ExplorerConfig { trials: LEGACY_BUDGET, stop_on_failure: true, shrink: true };
     let hunt = explore(&legacy, &ring_profile, args.seed, &cfg, None);
-    trials_total += hunt.trials_run as u64;
     let discovery = hunt.discoveries.first().cloned();
     checks.check(
         "legacy hazard rediscovered and shrunk",
@@ -143,7 +139,6 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     let cfg = ExplorerConfig { trials: CORRECTED_BUDGET, stop_on_failure: false, shrink: true };
     let sweep = explore(&corrected, &ring_profile, args.seed, &cfg, None);
-    trials_total += sweep.trials_run as u64;
     checks.check(
         "corrected maintenance survives the envelope",
         if sweep.failures == 0 {
@@ -168,7 +163,6 @@ fn main() -> ExitCode {
     let cfg = ExplorerConfig { trials: DURABILITY_BUDGET, stop_on_failure: false, shrink: false };
     let off = explore(&Scenario::durability(false), &dur_profile, args.seed, &cfg, None);
     let on = explore(&Scenario::durability(true), &dur_profile, args.seed, &cfg, None);
-    trials_total += (off.trials_run + on.trials_run) as u64;
     checks.check(
         "durability controls behave as expected",
         if off.failures == 0 {
@@ -210,7 +204,6 @@ fn main() -> ExitCode {
         },
     );
 
-    timer.finish(trials_total);
     // This bin's closing lines predate `Checks::finish`; golden pins them.
     if checks.failures() > 0 {
         println!("chaos_check: {} check(s) FAILED", checks.failures());

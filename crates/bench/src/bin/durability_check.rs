@@ -25,7 +25,6 @@ use std::process::ExitCode;
 
 use rand::Rng;
 
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::{dhash_ring, run_fingerprint, same_bytes, Checks};
 use verme_bench::CliArgs;
 use verme_chaos::seed_blocks;
@@ -152,7 +151,6 @@ fn drive_idle(rt: &mut Runtime<DhashNode, UniformLatency>, addrs: &[Addr], seed:
 }
 
 fn main() -> ExitCode {
-    let timer = BenchTimer::start("durability_check");
     let args = CliArgs::parse();
     let mut checks = Checks::default();
     let target = DhtConfig::default().replicas;
@@ -167,7 +165,6 @@ fn main() -> ExitCode {
     let mon = Monitor::new(1024);
     mon.add_rule("dht.blocks.lost", Rule::Threshold { min: 1.0 });
     let (after, original) = run_kill_waves(&mut rt, &mon, &addrs, &keys, target);
-    let on_events = rt.stats().messages_delivered;
     checks.check("repair.restores", {
         let delta = rt.metrics().counter_snapshot();
         let rounds = delta.get(verme_dht::keys::REPAIR_ROUNDS).copied().unwrap_or(0);
@@ -233,6 +230,5 @@ fn main() -> ExitCode {
             .map_err(|at| format!("repair-on fault-free run diverged from repair-off at {at}")),
     );
 
-    timer.finish(on_events + rt_off.stats().messages_delivered);
     checks.finish()
 }

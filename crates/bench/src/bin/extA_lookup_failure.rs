@@ -7,13 +7,11 @@
 //! ```
 
 use verme_bench::fig5::{run_sweep, Fig5System};
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::mean_of;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 
 fn main() {
-    let timer = BenchTimer::start("extA_lookup_failure");
     let args = CliArgs::parse();
     let reps = args.reps.unwrap_or(if args.full { 8 } else { 2 });
     let lifetimes = [
@@ -38,9 +36,7 @@ fn main() {
         let v = mean_of(&by_system[1], |r| r.failure_rate() * 100.0);
         println!("{:<10} {:>17.2}% {:>17.2}% {:>11.2}%", name, c, v, v - c);
     }
-    let events: u64 = sweep.iter().flatten().flatten().map(|r| r.issued).sum();
     println!(
         "# expectation (paper/thesis): Chord and Verme failure rates do not differ significantly"
     );
-    timer.finish(events);
 }

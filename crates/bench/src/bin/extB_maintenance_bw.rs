@@ -7,13 +7,11 @@
 //! ```
 
 use verme_bench::fig5::{run_sweep, Fig5System};
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::mean_of;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 
 fn main() {
-    let timer = BenchTimer::start("extB_maintenance_bw");
     let args = CliArgs::parse();
     let reps = args.reps.unwrap_or(if args.full { 8 } else { 2 });
     let lifetimes = [
@@ -36,10 +34,8 @@ fn main() {
         let v = mean_of(&by_system[1], |r| r.maint_bytes_per_node_s);
         println!("{:<10} {:>18.1} {:>18.1} {:>10.2}", name, c, v, v / c.max(1e-9));
     }
-    let events: u64 = sweep.iter().flatten().flatten().map(|r| r.issued).sum();
     println!(
         "# expectation (paper/thesis): maintenance bandwidth comparable between Chord and Verme"
     );
     println!("# (Verme pays extra for predecessor-list upkeep; same order of magnitude)");
-    timer.finish(events);
 }

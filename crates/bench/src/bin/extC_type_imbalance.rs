@@ -8,11 +8,9 @@
 //! ```
 
 use verme_bench::ext::measure_imbalance;
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 
 fn main() {
-    let timer = BenchTimer::start("extC_type_imbalance");
     let args = CliArgs::parse();
     let (nodes, sections, samples) =
         if args.full { (1740, 128, 2_000_000) } else { (512, 16, 200_000) };
@@ -37,5 +35,4 @@ fn main() {
     println!("# relative load 1.0 = a perfectly fair per-node share of the key space");
     println!("# expectation (paper): minority-type nodes carry proportionally more keys —");
     println!("# a slight imbalance, relevant only under very high load");
-    timer.finish(samples as u64 * 4);
 }

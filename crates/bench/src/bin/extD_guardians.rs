@@ -10,13 +10,11 @@
 //! cargo run -p verme-bench --release --bin extD_guardians [-- --full]
 //! ```
 
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 use verme_worm::{run_scenario, Scenario, ScenarioConfig};
 
 fn main() {
-    let timer = BenchTimer::start("extD_guardians");
     let args = CliArgs::parse();
     let cfg = if args.full {
         ScenarioConfig { seed: args.seed, ..ScenarioConfig::default() }
@@ -42,10 +40,8 @@ fn main() {
     }
     rows.push(Scenario::VermeWorm);
 
-    let mut events: u64 = 0;
     for sc in rows {
         let r = run_scenario(&sc, &cfg);
-        events += r.scans;
         let label = match &sc {
             Scenario::ChordWithGuardians { guardian_fraction, .. } => {
                 format!("{} ({:.1}%)", sc.label(), guardian_fraction * 100.0)
@@ -60,5 +56,4 @@ fn main() {
     }
     println!("# observation: guardians trade coverage for containment and require special");
     println!("# detector nodes; Verme contains a worm structurally, with every node equal.");
-    timer.finish(events);
 }

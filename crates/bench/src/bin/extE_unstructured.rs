@@ -9,13 +9,11 @@
 //! cargo run -p verme-bench --release --bin extE_unstructured [-- --full]
 //! ```
 
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 use verme_worm::{run_scenario, Scenario, ScenarioConfig};
 
 fn main() {
-    let timer = BenchTimer::start("extE_unstructured");
     let args = CliArgs::parse();
     let cfg = if args.full {
         ScenarioConfig { seed: args.seed, ..ScenarioConfig::default() }
@@ -36,7 +34,6 @@ fn main() {
         args.seed
     );
     println!("{:<30} {:>10} {:>12} {:>12}", "overlay", "infected", "vulnerable", "t50 (s)");
-    let mut events: u64 = 0;
     for sc in [
         Scenario::ChordWorm,
         Scenario::SwarmRandomTracker,
@@ -44,7 +41,6 @@ fn main() {
         Scenario::VermeWorm,
     ] {
         let r = run_scenario(&sc, &cfg);
-        events += r.scans;
         let t50 = r
             .time_to_vulnerable_fraction(0.5)
             .map(|t| format!("{:.0}", t.as_secs_f64()))
@@ -53,5 +49,4 @@ fn main() {
     }
     println!("# expectation (§6.2): a type-aware tracker gives an unstructured swarm the same");
     println!("# island containment Verme gives a DHT; a type-blind tracker gives none.");
-    timer.finish(events);
 }

@@ -11,13 +11,11 @@
 //! cargo run -p verme-bench --release --bin extF_sybil [-- --full]
 //! ```
 
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 use verme_worm::{run_scenario, Scenario, ScenarioConfig};
 
 fn main() {
-    let timer = BenchTimer::start("extF_sybil");
     let args = CliArgs::parse();
     let cfg = if args.full {
         ScenarioConfig { seed: args.seed, ..ScenarioConfig::default() }
@@ -43,10 +41,8 @@ fn main() {
         "identities", "infected", "% vulnerable", "sections reached (est)"
     );
     let island = (cfg.nodes as u128 / cfg.sections).max(1) as f64 / 2.0; // type-A per section ≈ island
-    let mut events: u64 = 0;
     for identities in [1usize, 2, 5, 10, 20, 50] {
         let r = run_scenario(&Scenario::SybilImpersonation { identities }, &cfg);
-        events += r.scans;
         println!(
             "{:<12} {:>10} {:>13.1}% {:>22.0}",
             identities,
@@ -58,5 +54,4 @@ fn main() {
     println!("# each identity unlocks ~O(log n) vulnerable sections; containment degrades");
     println!("# roughly linearly in the attacker's certificate budget — hence §6.1's");
     println!("# puzzles / large-download / attestation rate limits on issuance.");
-    timer.finish(events);
 }

@@ -10,11 +10,9 @@
 //! ```
 
 use verme_bench::extg::{run_extg, ExtGParams, EXTG_RETRIES};
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 
 fn main() {
-    let timer = BenchTimer::start("extG_churn_resilience");
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtGParams::full(args.seed) } else { ExtGParams::quick(args.seed) };
@@ -79,6 +77,4 @@ fn main() {
     println!("# retries strictly dominate no-retry in {dominated}/{} settings", rows.len());
     println!("# expectation: delta > 0 in every row — end-to-end retries recover attempts");
     println!("# broken by churn departures, the kill burst, and the loss window");
-    // Two arms (retry / no-retry) × `gets` lookups per sweep cell.
-    timer.finish(rows.len() as u64 * params.gets as u64 * 2);
 }

@@ -13,7 +13,6 @@
 //! ```
 
 use verme_bench::exth::{run_sweeps, ExtHParams};
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 
 fn fmt_latency(l: Option<f64>) -> String {
@@ -21,7 +20,6 @@ fn fmt_latency(l: Option<f64>) -> String {
 }
 
 fn main() {
-    let timer = BenchTimer::start("extH_detection_latency");
     let args = CliArgs::parse();
     let mut p = if args.full { ExtHParams::paper(args.seed) } else { ExtHParams::quick(args.seed) };
     if let Some(r) = args.reps {
@@ -36,7 +34,6 @@ fn main() {
         p.sample_interval.as_secs_f64(),
         args.seed
     );
-    let mut events = 0u64;
     let mid = p.coverages[p.coverages.len() / 2];
     let sweeps = run_sweeps(&p, mid);
 
@@ -55,7 +52,6 @@ fn main() {
             pt.mean_final_infected,
             pt.mean_sections_hit
         );
-        events += pt.scans;
     }
 
     println!();
@@ -68,7 +64,6 @@ fn main() {
             fmt_latency(pt.mean_latency_s),
             format!("{}/{}", pt.detected_reps, pt.repetitions)
         );
-        events += pt.scans;
     }
 
     println!();
@@ -81,12 +76,10 @@ fn main() {
             fmt_latency(pt.mean_latency_s),
             format!("{}/{}", pt.detected_reps, pt.repetitions)
         );
-        events += pt.scans;
     }
 
     println!();
     println!("# observation: latency falls monotonically with coverage (more guardians see the");
     println!("# worm's scans sooner) and rises with detector conservatism; Verme's containment");
     println!("# needs no detector at all — its latency column is structurally zero.");
-    timer.finish(events);
 }

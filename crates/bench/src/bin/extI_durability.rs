@@ -13,11 +13,9 @@
 //! ```
 
 use verme_bench::exti::{run_exti, ExtIParams, RepairArm, CENSUS_TARGET};
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 
 fn main() {
-    let timer = BenchTimer::start("extI_durability");
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtIParams::full(args.seed) } else { ExtIParams::quick(args.seed) };
@@ -104,6 +102,4 @@ fn main() {
     println!("# expectation: lost(on) < lost(off) in every row — without repair, each");
     println!("# departure permanently thins a block's holder set until no copy survives;");
     println!("# with repair the plane restores the target count between departures");
-    // One census per arm per sweep setting.
-    timer.finish(rows.len() as u64 * params.repair_arms.len() as u64 * params.blocks as u64);
 }

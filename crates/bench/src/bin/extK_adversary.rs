@@ -14,11 +14,9 @@
 //! ```
 
 use verme_bench::extk::{run_extk, ExtKParams, ExtKSystem};
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 
 fn main() {
-    let timer = BenchTimer::start("extK_adversary");
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtKParams::full(args.seed) } else { ExtKParams::quick(args.seed) };
@@ -86,5 +84,4 @@ fn main() {
     println!("# expectation: failed%/hijack rise with the adversary fraction for every");
     println!("# variant, and secure-verdi's disjoint-path fan-out dominates fast-verdi");
     println!("# once the adversary holds >=10% of the ring");
-    timer.finish(rows.len() as u64 * params.adversary_fractions.len() as u64 * params.gets as u64);
 }

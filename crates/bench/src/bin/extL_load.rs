@@ -22,7 +22,6 @@
 //! ```
 
 use verme_bench::extl::{curve_fingerprint, run_extl, DhtSystem, ExtLParams, LoadPoint};
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 use verme_load::LoadProfile;
 
@@ -62,7 +61,6 @@ fn print_curve(system: DhtSystem, arm: &str, points: &[LoadPoint]) {
 }
 
 fn main() {
-    let timer = BenchTimer::start("extL_load");
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtLParams::full(args.seed) } else { ExtLParams::quick(args.seed) };
@@ -108,14 +106,12 @@ fn main() {
     );
 
     let mut failures = 0u32;
-    let mut events = 0u64;
     let mut dhash_off_print = None;
     for system in DhtSystem::ALL {
         let off = run_extl(system, &params, false);
         let on = run_extl(system, &params, true);
         print_curve(system, "off", &off);
         print_curve(system, "on", &on);
-        events += off.iter().chain(&on).map(|p| p.events).sum::<u64>();
 
         let (head, tail) = segment_slopes(&off);
         let top_off = off.last().unwrap();
@@ -173,7 +169,6 @@ fn main() {
         println!("# FAIL determinism: same-seed rerun diverged from the first DHash curve");
     }
 
-    timer.finish(events);
     if failures > 0 {
         eprintln!("{failures} check(s) failed");
         std::process::exit(1);

@@ -15,11 +15,9 @@
 //! ```
 
 use verme_bench::extm::{run_extm, ExtMParams};
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 
 fn main() {
-    let timer = BenchTimer::start("extM_ring_safety");
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtMParams::full(args.seed) } else { ExtMParams::quick(args.seed) };
@@ -88,8 +86,6 @@ fn main() {
         if corrected_clean { "yes" } else { "NO — safety regression" }
     );
     println!("# expectation: viol(C) = 0 everywhere; legacy partitions under the starved bursts");
-    let points: u64 = rows.iter().map(|r| r.legacy.assert_points + r.corrected.assert_points).sum();
-    timer.finish(points);
     if !corrected_clean {
         std::process::exit(1);
     }

@@ -6,8 +6,8 @@
 //! `worm.propagate`, ...). The fig8 suite additionally runs with the
 //! span *log* retained and a flight recorder attached, and exports a
 //! Chrome-trace-event file (open it at <https://ui.perfetto.dev>) plus a
-//! folded-stack file for flamegraph tooling, both next to the
-//! `BENCH_extN_profile.json` summary.
+//! folded-stack file for flamegraph tooling, both under
+//! `$VERME_BENCH_DIR` (the current directory when unset).
 //!
 //! ```text
 //! cargo run -p verme-bench --release --bin extN_profile
@@ -28,7 +28,7 @@ use std::time::Instant;
 use verme_bench::fig5::{run_fig5, Fig5Params, Fig5System};
 use verme_bench::fig67::{run_fig67, DhtSystem, Fig67Params};
 use verme_bench::fig8::{figure_scenarios, run_figure, Fig8Params, FigureRun, Observe};
-use verme_bench::report::{bench_json_path, BenchTimer};
+use verme_bench::testbed::artifact_dir;
 use verme_bench::CliArgs;
 use verme_sim::{
     span_profiler_disable, span_profiler_enable, span_profiler_enable_logged, SimDuration,
@@ -121,21 +121,18 @@ fn run_fig67_suite(seed: u64) {
 
 /// Runs the five fig8 scenarios sequentially (the profiler is
 /// thread-local) with the span log and a flight recorder on; returns the
-/// profile, the fig8 wall time, the merged rep-0 trace and the total
-/// scan count.
-fn run_fig8_suite(seed: u64) -> (SpanProfile, f64, Vec<TraceEvent>, u64) {
+/// profile, the fig8 wall time and the merged rep-0 trace.
+fn run_fig8_suite(seed: u64) -> (SpanProfile, f64, Vec<TraceEvent>) {
     println!("# fig8 — worm propagation (quick)");
     let params = Fig8Params::quick(seed);
     span_profiler_enable_logged(SPAN_LOG_CAP);
     let started = Instant::now();
     let mut merged = Vec::new();
-    let mut scans = 0u64;
     let observe = Observe::Trace { capacity: TRACE_CAPACITY };
     for FigureRun { series, events, .. } in
         run_figure(&figure_scenarios(), &params, &observe, false)
     {
         merged.extend(events);
-        scans += series.scans;
         println!(
             "#   {:<32} final {:>8.0} of {:>6} vulnerable, {:>10} scans",
             series.label, series.final_infected, series.vulnerable, series.scans
@@ -144,7 +141,7 @@ fn run_fig8_suite(seed: u64) -> (SpanProfile, f64, Vec<TraceEvent>, u64) {
     let wall_s = started.elapsed().as_secs_f64();
     let profile = span_profiler_disable().expect("profiler enabled above");
     print_calls(&profile);
-    (profile, wall_s, merged, scans)
+    (profile, wall_s, merged)
 }
 
 fn main() {
@@ -154,15 +151,11 @@ fn main() {
     run_fig5_suite(args.seed);
     run_fig67_suite(args.seed);
 
-    // The gated suite runs under the BenchTimer so the JSON summary's
-    // attributed_frac is fig8's own, not diluted by fig5/fig67.
-    let timer = BenchTimer::start("extN_profile");
-    let (profile, wall_s, trace, scans) = run_fig8_suite(args.seed);
+    let (profile, wall_s, trace) = run_fig8_suite(args.seed);
     let frac = report_attribution("fig8 suite", wall_s, &profile);
 
-    // Perfetto + flamegraph exports, next to the BENCH json.
-    let json_path = bench_json_path("extN_profile");
-    let dir = std::path::Path::new(&json_path).parent().unwrap_or(std::path::Path::new(""));
+    // Perfetto + flamegraph exports.
+    let dir = artifact_dir();
     let trace_path = dir.join("extN_profile.trace.json");
     let folded_path = dir.join("extN_profile.folded");
     let doc = verme_obs::chrome_trace(&profile, &trace);
@@ -179,8 +172,6 @@ fn main() {
         Ok(()) => eprintln!("# folded stacks -> {}", folded_path.display()),
         Err(e) => eprintln!("# could not write {}: {e}", folded_path.display()),
     }
-
-    timer.finish_with_profile(scans, Some(&profile));
 
     if frac < MIN_FIG8_ATTRIBUTED {
         eprintln!(

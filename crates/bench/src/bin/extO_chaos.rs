@@ -15,7 +15,6 @@
 //! ```
 
 use verme_bench::exto::{run_exto, ExtOParams};
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 
 /// Repro files land next to the bench JSON: `$VERME_BENCH_DIR` if set,
@@ -32,7 +31,6 @@ fn artifact_path(name: &str) -> String {
 }
 
 fn main() {
-    let timer = BenchTimer::start("extO_chaos");
     let args = CliArgs::parse();
     let params = if args.full { ExtOParams::full(args.seed) } else { ExtOParams::quick(args.seed) };
 
@@ -54,10 +52,8 @@ fn main() {
 
     let rows = run_exto(&params);
     let mut ok = true;
-    let mut total_trials = 0u64;
     let mut repro_files = Vec::new();
     for row in &rows {
-        total_trials += row.trials;
         let as_expected =
             if row.expect_failures { row.violations > 0 } else { row.violations == 0 };
         ok &= as_expected;
@@ -76,8 +72,8 @@ fn main() {
             shrunk,
             if as_expected { "yes" } else { "NO" }
         );
-        // Wall-clock throughput is chatter, not result: stderr, like the
-        // `# bench:` summary, so same-seed stdout stays byte-identical.
+        // Wall-clock throughput is chatter, not result: stderr, so
+        // same-seed stdout stays byte-identical.
         eprintln!(
             "# wall: {:<22} {:>6.2}s  {:>5.0} schedules/s",
             row.label,
@@ -105,7 +101,6 @@ fn main() {
     }
     println!("# expectation: both positive controls rediscover their bugs; both hardened");
     println!("# arms stay clean — a finding on ring/corrected is a real safety regression");
-    timer.finish(total_trials);
     if !ok {
         std::process::exit(1);
     }

@@ -7,13 +7,11 @@
 //! ```
 
 use verme_bench::fig5::{run_sweep, Fig5System};
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::mean_of;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 
 fn main() {
-    let timer = BenchTimer::start("fig5_lookup_latency");
     let args = CliArgs::parse();
     let reps = args.reps.unwrap_or(if args.full { 8 } else { 2 });
     let lifetimes = [
@@ -51,9 +49,7 @@ fn main() {
             m[2] / m[1].max(1e-9)
         );
     }
-    let events: u64 = sweep.iter().flatten().flatten().map(|r| r.issued).sum();
     println!(
         "# expectation (paper): transitive ≈ 35% below Verme; recursive ≈ Verme; flat in lifetime"
     );
-    timer.finish(events);
 }

@@ -13,7 +13,6 @@
 
 use verme_bench::extl::{run_point, ExtLParams};
 use verme_bench::fig67::{run_sweep, DhtSystem};
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::mean_of;
 use verme_bench::CliArgs;
 use verme_load::LoadProfile;
@@ -21,7 +20,7 @@ use verme_load::LoadProfile;
 /// The `--load` variant of the figure: client-observed op latency for
 /// each system under the named workload profile, serving features off
 /// (the plain figure measures the protocols, not the cache).
-fn run_loaded_figure(args: &CliArgs, spec: &str) -> u64 {
+fn run_loaded_figure(args: &CliArgs, spec: &str) {
     let mut params =
         if args.full { ExtLParams::full(args.seed) } else { ExtLParams::quick(args.seed) };
     params.profile = LoadProfile::parse(spec).expect("--load profile spec");
@@ -40,7 +39,6 @@ fn run_loaded_figure(args: &CliArgs, spec: &str) -> u64 {
         "{:<18} {:>10} {:>10} {:>10} {:>8} {:>8}",
         "system", "mean (ms)", "p50 (ms)", "p99 (ms)", "done", "failed"
     );
-    let mut events = 0;
     for sys in DhtSystem::ALL {
         let p = run_point(sys, &params, rate, false);
         println!(
@@ -52,17 +50,13 @@ fn run_loaded_figure(args: &CliArgs, spec: &str) -> u64 {
             p.completed,
             p.failed
         );
-        events += p.events;
     }
-    events
 }
 
 fn main() {
-    let timer = BenchTimer::start("fig6_dht_latency");
     let args = CliArgs::parse();
     if let Some(spec) = args.load.clone() {
-        let events = run_loaded_figure(&args, &spec);
-        timer.finish(events);
+        run_loaded_figure(&args, &spec);
         return;
     }
     let reps = args.reps.unwrap_or(if args.full { 4 } else { 2 });
@@ -80,8 +74,6 @@ fn main() {
         let put = mean_of(rs, |r| r.put_latency_ms);
         println!("{:<18} {:>12.1} {:>12.1}", sys.label(), get, put);
     }
-    let events: u64 = sweep.iter().flatten().map(|r| r.completed + r.failed).sum();
     println!("# expectation (paper): get — Fast ≈ DHash < Compromise (≤ ~31% over DHash) ≪ Secure");
     println!("# expectation (paper): put — DHash < Fast ≈ Compromise < Secure");
-    timer.finish(events);
 }

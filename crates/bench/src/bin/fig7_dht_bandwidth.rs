@@ -14,7 +14,6 @@
 
 use verme_bench::extl::{run_point, ExtLParams};
 use verme_bench::fig67::{run_sweep, DhtSystem};
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::mean_of;
 use verme_bench::CliArgs;
 use verme_load::LoadProfile;
@@ -22,7 +21,7 @@ use verme_load::LoadProfile;
 /// The `--load` variant of the figure: foreground bytes per completed
 /// client op for each system under the named workload profile, serving
 /// features off (the plain figure measures the protocols, not the cache).
-fn run_loaded_figure(args: &CliArgs, spec: &str) -> u64 {
+fn run_loaded_figure(args: &CliArgs, spec: &str) {
     let mut params =
         if args.full { ExtLParams::full(args.seed) } else { ExtLParams::quick(args.seed) };
     params.profile = LoadProfile::parse(spec).expect("--load profile spec");
@@ -35,22 +34,17 @@ fn run_loaded_figure(args: &CliArgs, spec: &str) -> u64 {
         args.seed
     );
     println!("{:<18} {:>12} {:>8} {:>8}", "system", "KiB per op", "done", "failed");
-    let mut events = 0;
     for sys in DhtSystem::ALL {
         let p = run_point(sys, &params, rate, false);
         let per_op = p.fg_bytes as f64 / p.completed.max(1) as f64 / 1024.0;
         println!("{:<18} {:>12.1} {:>8} {:>8}", sys.label(), per_op, p.completed, p.failed);
-        events += p.events;
     }
-    events
 }
 
 fn main() {
-    let timer = BenchTimer::start("fig7_dht_bandwidth");
     let args = CliArgs::parse();
     if let Some(spec) = args.load.clone() {
-        let events = run_loaded_figure(&args, &spec);
-        timer.finish(events);
+        run_loaded_figure(&args, &spec);
         return;
     }
     let reps = args.reps.unwrap_or(if args.full { 4 } else { 2 });
@@ -68,8 +62,6 @@ fn main() {
         let put = mean_of(rs, |r| r.put_bytes_per_op);
         println!("{:<18} {:>12.1} {:>12.1}", sys.label(), get / 1024.0, put / 1024.0);
     }
-    let events: u64 = sweep.iter().flatten().map(|r| r.completed + r.failed).sum();
     println!("# expectation (paper): get — DHash ≈ Fast < Compromise (≈2×) ≪ Secure");
     println!("# expectation (paper): put — like get, plus the extra cross-section copy for Fast/Compromise");
-    timer.finish(events);
 }

@@ -19,7 +19,6 @@ use verme_bench::fig8::{
     default_monitor_rules, figure_scenarios, run_figure, Fig8Params, Fig8Series, Observe,
 };
 use verme_bench::plot::render_log_x;
-use verme_bench::report::BenchTimer;
 use verme_bench::CliArgs;
 use verme_sim::SimDuration;
 
@@ -27,7 +26,6 @@ use verme_sim::SimDuration;
 const TRACE_CAPACITY: usize = 65_536;
 
 fn main() {
-    let timer = BenchTimer::start("fig8_worm_propagation");
     let args = CliArgs::parse();
     let mut params =
         if args.full { Fig8Params::paper(args.seed) } else { Fig8Params::quick(args.seed) };
@@ -49,7 +47,6 @@ fn main() {
         Observe::Nothing
     };
     let runs = run_figure(&scenarios, &params, &observe, true);
-    let total_scans: u64 = runs.iter().map(|r| r.series.scans).sum();
     if let Some(path) = &args.trace {
         // One dump, scenarios in legend order (each internally
         // time-ordered by the recorder).
@@ -136,5 +133,4 @@ fn main() {
     }
     println!("# expectation (paper, 100k nodes): Chord saturates in ~32 s; Verme confined to one section;");
     println!("# Secure+imp confined to O(log n) sections (~352 nodes); Fast t50 ≈ 160 s; Compromise t50 ≈ 1600 s");
-    timer.finish(total_scans);
 }

@@ -1,19 +1,17 @@
 //! End-to-end check of the live monitoring plane, run in CI.
 //!
 //! Complements `trace_schema_check` (which covers the *post-hoc* trace
-//! pipeline) with the *live* side — sampler, detectors, profiler:
+//! pipeline) with the *live* side — sampler and detectors:
 //!
 //! 1. the detector rules fire on a scripted outbreak (guardian-defended
 //!    Chord with the monitor attached) and the detection report pairs
 //!    every reached section with its first infection;
 //! 2. the same rules stay silent over a fault-free Chord ring sampled
 //!    through the runtime's sampler hook — no false positives;
-//! 3. a run with sampler + profiler attached leaves the protocol metrics,
+//! 3. a run with the sampler attached leaves the protocol metrics,
 //!    network statistics and final clock *byte-identical* to an
 //!    unobserved run (observability never perturbs the simulation);
-//! 4. the event-loop profiler's exported metrics are fully covered by
-//!    registry descriptors and render through both exporters;
-//! 5. the observed run's wall-clock overhead stays under 15% (the
+//! 4. the observed run's wall-clock overhead stays under 15% (the
 //!    monitoring plane must be cheap enough to leave on).
 //!
 //! Exits non-zero on the first broken guarantee.
@@ -24,14 +22,13 @@
 
 use std::process::ExitCode;
 
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::{
     chord_lookup, king_chord_ring, lookup_workload, run_fingerprint, same_bytes, Checks,
 };
 use verme_bench::CliArgs;
 use verme_chord::ChordNode;
 use verme_net::KingMatrix;
-use verme_obs::{parse_ndjson, Monitor, Registry, Rule};
+use verme_obs::{Monitor, Rule};
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration};
 use verme_worm::{run_scenario_instrumented, Instrumentation, Scenario, ScenarioConfig};
 
@@ -86,7 +83,6 @@ fn attach_quiet_monitor(rt: &mut Runtime<ChordNode, KingMatrix>) -> Monitor {
 }
 
 fn main() -> ExitCode {
-    let timer = BenchTimer::start("monitor_check");
     let args = CliArgs::parse();
     let mut checks = Checks::default();
 
@@ -168,46 +164,16 @@ fn main() -> ExitCode {
 
     let (mut observed, ring) = king_chord_ring(NODES, args.seed);
     let _observed_mon = attach_quiet_monitor(&mut observed);
-    observed.enable_profiler();
     drive(&mut observed, &ring, args.seed);
     checks.check(
         "monitor_off.identical",
         same_bytes(&plain_print, &fingerprint(&observed))
             .map(|n| format!("{n} fingerprint bytes match"))
-            .map_err(|at| format!("sampler/profiler changed the protocol outcome at {at}")),
+            .map_err(|at| format!("sampler changed the protocol outcome at {at}")),
     );
 
     // ------------------------------------------------------------------
-    // 4. The profiler's export is descriptor-covered and renders.
-    // ------------------------------------------------------------------
-    checks.check("profiler.registry", {
-        match observed.disable_profiler() {
-            None => Err("profiler was not enabled".into()),
-            Some(profile) => {
-                let mut sink = verme_sim::MetricsSink::default();
-                profile.export_into(&mut sink);
-                let mut registry = Registry::new();
-                registry.register_all(verme_sim::profile::keys::descriptors());
-                let missing = registry.unregistered(&sink);
-                if !missing.is_empty() {
-                    Err(format!("profiler metrics without descriptors: {missing:?}"))
-                } else {
-                    match parse_ndjson(&registry.export_ndjson(&sink)) {
-                        Err((n, e)) => Err(format!("profiler NDJSON line {n}: {e}")),
-                        Ok(lines) if lines.is_empty() => Err("profiler exported nothing".into()),
-                        Ok(lines) => Ok(format!(
-                            "{} metric lines, {} deliver events",
-                            lines.len(),
-                            profile.deliver_events
-                        )),
-                    }
-                }
-            }
-        }
-    });
-
-    // ------------------------------------------------------------------
-    // 5. Overhead guard: the observed run must stay within 15%.
+    // 4. Overhead guard: the observed run must stay within 15%.
     // ------------------------------------------------------------------
     checks.check("monitor.overhead", {
         let time_one = |observe: bool| {
@@ -215,9 +181,6 @@ fn main() -> ExitCode {
             for _ in 0..3 {
                 let (mut rt, ring) = king_chord_ring(NODES, args.seed);
                 let mon = observe.then(|| attach_quiet_monitor(&mut rt));
-                if observe {
-                    rt.enable_profiler();
-                }
                 let started = std::time::Instant::now();
                 drive(&mut rt, &ring, args.seed);
                 best = best.min(started.elapsed().as_secs_f64());
@@ -237,6 +200,5 @@ fn main() -> ExitCode {
         }
     });
 
-    timer.finish(outbreak.scans + plain.stats().messages_delivered);
     checks.finish()
 }

@@ -20,7 +20,6 @@
 use std::process::ExitCode;
 
 use verme_bench::perf::{check_measurement, load_baselines, PerfMeasurement};
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::{
     chord_lookup, king_chord_ring, lookup_workload, run_fingerprint, same_bytes, Checks,
 };
@@ -73,7 +72,6 @@ fn unattributed(profile: &SpanProfile, wall_s: f64) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let timer = BenchTimer::start("perf_check");
     let args = CliArgs::parse();
     let mut checks = Checks::default();
 
@@ -137,6 +135,5 @@ fn main() -> ExitCode {
         }
     }
 
-    timer.finish_with_profile(profiled.scans + delivered, Some(&worm_profile));
     checks.finish()
 }

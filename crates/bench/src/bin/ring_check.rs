@@ -29,7 +29,6 @@ use std::process::ExitCode;
 use rand::Rng;
 
 use verme_bench::extm::{run_extm_cell, ExtMParams, ExtMVariant};
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::{run_fingerprint, same_bytes, Checks, HOP};
 use verme_bench::CliArgs;
 use verme_chord::maintain::model::{
@@ -91,13 +90,11 @@ fn drive_legacy(rt: &mut Runtime<ChordNode, UniformLatency>, addrs: &[Addr], see
 }
 
 fn main() -> ExitCode {
-    let timer = BenchTimer::start("ring_check");
     let args = CliArgs::parse();
     let mut checks = Checks::default();
     // Quick explores 5-slot rings exhaustively; --full pushes to the
     // 6-slot universe the issue asks for (minutes, not CI-quick).
     let (slots, max_fails) = if args.full { (6, 4) } else { (5, 3) };
-    let mut work = 0u64;
 
     // ------------------------------------------------------------------
     // 1. Exhaustive proof: corrected maintenance preserves the invariant
@@ -107,7 +104,6 @@ fn main() -> ExitCode {
         let name = format!("model.proof.{}", variant.label());
         let p = proof_params(variant, slots, max_fails);
         let out = explore(&p);
-        work += out.transitions as u64;
         checks.check(&name, {
             if out.truncated {
                 Err(format!("enumeration truncated at {} states", out.states))
@@ -144,7 +140,6 @@ fn main() -> ExitCode {
             ..proof_params(variant, slots, max_fails)
         };
         let out = explore(&p);
-        work += out.transitions as u64;
         checks.check(&name, {
             if out.truncated {
                 Err(format!("enumeration truncated at {} states", out.states))
@@ -232,7 +227,6 @@ fn main() -> ExitCode {
     let legacy = run_extm_cell(ExtMVariant::Chord, MaintenanceMode::Legacy, &wire, 0.02, args.seed);
     let corrected =
         run_extm_cell(ExtMVariant::Chord, MaintenanceMode::Corrected, &wire, 0.02, args.seed);
-    work += legacy.assert_points + corrected.assert_points;
     checks.check("wire.starved_bursts", {
         if legacy.assert_points == 0 || corrected.assert_points == 0 {
             Err("the continuous assertor never evaluated".into())
@@ -292,6 +286,5 @@ fn main() -> ExitCode {
         }
     });
 
-    timer.finish(work);
     checks.finish()
 }

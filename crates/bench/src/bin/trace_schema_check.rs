@@ -24,7 +24,6 @@
 
 use std::process::ExitCode;
 
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::{chord_lookup, king_chord_ring, lookup_workload, Checks};
 use verme_bench::CliArgs;
 use verme_chord::Id;
@@ -109,7 +108,6 @@ fn schema_roundtrip(events: &[TraceEvent]) -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    let timer = BenchTimer::start("trace_schema_check");
     let args = CliArgs::parse();
     let mut checks = Checks::default();
 
@@ -221,6 +219,5 @@ fn main() -> ExitCode {
         std::fs::write(path, trace_to_ndjson(&trace_dump)).expect("write trace dump");
         println!("# trace: {} events -> {path}", trace_dump.len());
     }
-    timer.finish(trace_dump.len() as u64);
     checks.finish()
 }

@@ -26,7 +26,6 @@ use std::process::ExitCode;
 
 use bytes::Bytes;
 
-use verme_bench::report::BenchTimer;
 use verme_bench::testbed::{dhash_ring, run_fingerprint, same_bytes, Checks};
 use verme_bench::CliArgs;
 use verme_chord::Id;
@@ -90,10 +89,8 @@ fn drive_idle(rt: &mut Runtime<DhashNode, UniformLatency>, addrs: &[Addr]) {
 }
 
 fn main() -> ExitCode {
-    let timer = BenchTimer::start("workload_check");
     let args = CliArgs::parse();
     let mut checks = Checks::default();
-    let mut events = 0u64;
 
     // ------------------------------------------------------------------
     // 1. Same seed, same schedule — for every profile shape.
@@ -131,14 +128,12 @@ fn main() -> ExitCode {
     const BURST: usize = 5;
     let outs = burst_gets(&mut rt_many, reader, key, BURST);
     let burst_bytes = data_bytes(&rt_many) - before_many;
-    events += rt_many.stats().messages_delivered;
 
     let (mut rt_one, addrs_one) = dhash_ring(NODES, args.seed, &coalesce_cfg);
     let (key_one, _) = seed_one(&mut rt_one, &addrs_one);
     let before_one = data_bytes(&rt_one);
     let _ = burst_gets(&mut rt_one, addrs_one[5], key_one, 1);
     let single_bytes = data_bytes(&rt_one) - before_one;
-    events += rt_one.stats().messages_delivered;
 
     checks.check("coalesce.single_fetch", {
         let coalesced = rt_many.metrics().counter(dht_keys::GETS_COALESCED);
@@ -201,7 +196,6 @@ fn main() -> ExitCode {
             ))
         }
     });
-    events += rt_c.stats().messages_delivered;
 
     // ------------------------------------------------------------------
     // 4. Serving features off => the plane is inert, byte for byte.
@@ -209,7 +203,6 @@ fn main() -> ExitCode {
     let (mut rt_a, addrs_a) = dhash_ring(NODES, args.seed, &DhtConfig::default());
     drive_idle(&mut rt_a, &addrs_a);
     let print_default = fingerprint(&rt_a);
-    events += rt_a.stats().messages_delivered;
     // Same run with every serving-only knob changed — but the features
     // still off. Pre-plane behavior means none of this can matter.
     let knobbed = DhtConfig {
@@ -238,8 +231,6 @@ fn main() -> ExitCode {
             Ok(format!("{} fingerprint bytes match, all 5 new counters zero", print_default.len()))
         }
     });
-    events += rt_b.stats().messages_delivered;
 
-    timer.finish(events);
     checks.finish()
 }

@@ -88,7 +88,7 @@ pub struct CoveragePoint {
     pub mean_final_infected: f64,
     /// Mean number of sections the worm reached.
     pub mean_sections_hit: f64,
-    /// Total worm scans across repetitions (the experiment's event count).
+    /// Total worm scans across repetitions.
     pub scans: u64,
 }
 
@@ -103,8 +103,6 @@ pub struct DetectorPoint {
     pub detected_reps: u64,
     /// Total repetitions.
     pub repetitions: u64,
-    /// Total worm scans across repetitions.
-    pub scans: u64,
 }
 
 /// The three sweeps of the extension.
@@ -188,7 +186,6 @@ pub fn run_sweeps(p: &ExtHParams, detector_coverage: f64) -> ExtHSweeps {
         mean_latency_s: sum.mean_latency_s(),
         detected_reps: sum.detected,
         repetitions: p.repetitions,
-        scans: sum.scans,
     };
     let n = p.repetitions as f64;
     ExtHSweeps {

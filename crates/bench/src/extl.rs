@@ -113,8 +113,6 @@ pub struct LoadPoint {
     pub memo_hits: u64,
     /// Foreground lookup + data bytes moved during the window.
     pub fg_bytes: u64,
-    /// Simulation events processed.
-    pub events: u64,
 }
 
 /// The DHT configuration for one arm. The deadline is raised far above
@@ -306,7 +304,6 @@ where
         coalesced: rt.metrics().counter(dht_keys::GETS_COALESCED),
         memo_hits: rt.metrics().counter(dht_keys::LOOKUP_MEMO_HITS),
         fg_bytes: rt.metrics().counter("bytes.lookup") + rt.metrics().counter("bytes.data"),
-        events: rt.stats().messages_delivered,
     }
 }
 

@@ -30,17 +30,14 @@
 //!   built from beyond the crates' own constructors: the Verme joiner and
 //!   churn hooks, the DHash ring and the DHT fault-sweep cell, the
 //!   King-matrix lookup run, the check bins' verdicts and fingerprints,
-//!   and `par_map`, the one sweep fan-out.
-//! * [`report`] — `BENCH_<name>.json` wall-clock/event-rate summaries
-//!   every binary writes for CI regression tracking, now with peak RSS
-//!   and optional per-subsystem span-profiler breakdowns.
+//!   the side-file directory, and `par_map`, the one sweep fan-out.
 //! * [`perf`] — the perf-regression gate: parses the checked-in
 //!   `baselines.json` floors and checks measured workloads against
 //!   them (the `perf_check` CI bin's logic).
 //!
 //! The `src/bin/` binaries print each figure's table at paper scale
-//! (`--full`) or a laptop-quick scale (default); the `benches/` criterion
-//! targets exercise reduced versions under `cargo bench`.
+//! (`--full`) or a laptop-quick scale (default). How fast they run is
+//! measured from outside, by the `perf/` package (`perf/README.md`).
 
 pub mod ext;
 pub mod extg;
@@ -55,7 +52,6 @@ pub mod fig67;
 pub mod fig8;
 pub mod perf;
 pub mod plot;
-pub mod report;
 pub mod testbed;
 
 /// Parses the common `--full` / `--seed N` / `--reps N` binary arguments.

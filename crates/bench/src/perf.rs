@@ -118,8 +118,7 @@ pub fn check_measurement(
 
 /// Reads the checked-in baselines file: `$VERME_BASELINES` if set, else
 /// `baselines.json` beside this crate's manifest (so the bin works from
-/// any working directory). The name must stay clear of the root
-/// `.gitignore`'s `BENCH_*.json`, which swallows the wall-clock side files.
+/// any working directory).
 pub fn load_baselines() -> Result<Vec<PerfBaseline>, String> {
     let path = std::env::var("VERME_BASELINES")
         .ok()

@@ -21,10 +21,12 @@
 //!   read the counters and the durability census;
 //! * [`Checks`], [`run_fingerprint`], [`same_bytes`] — a check bin's
 //!   verdict lines, exit status and byte-identity comparison;
+//! * [`artifact_dir`] — where a bin's side files land;
 //! * [`par_map`], [`pooled`], [`mean_of`] — the sweep fan-out and the
 //!   folds of a setting's repetitions.
 
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -404,6 +406,17 @@ pub fn same_bytes(a: &str, b: &str) -> Result<usize, String> {
             .into_owned()
     };
     Err(format!("byte {at}: ..{:?} vs ..{:?}", around(a), around(b)))
+}
+
+/// Where a bin's side files land (chaos repros, the extN exports):
+/// `$VERME_BENCH_DIR` if set, else the legacy `$BENCH_DIR`, else the
+/// current directory.
+pub fn artifact_dir() -> PathBuf {
+    std::env::var_os("VERME_BENCH_DIR")
+        .filter(|d| !d.is_empty())
+        .or_else(|| std::env::var_os("BENCH_DIR").filter(|d| !d.is_empty()))
+        .map(PathBuf::from)
+        .unwrap_or_default()
 }
 
 /// `f` over `items` on a bounded pool of scoped threads — one per core,

@@ -1,12 +1,11 @@
-//! Registry coverage for the workload/serving plane and the event-loop
-//! profiler: every metric the `verme-load` generator, the `verme-dht`
-//! serving features and `EventProfile::export_into` emit must have a
-//! catalogued descriptor, appear in the NDJSON export, and show up as a
-//! row in the monitor's `render_health` report.
+//! Registry coverage for the workload/serving plane: every metric the
+//! `verme-load` generator and the `verme-dht` serving features emit must
+//! have a catalogued descriptor, appear in the NDJSON export, and show up
+//! as a row in the monitor's `render_health` report.
 
 use verme_obs::{Monitor, Registry};
 use verme_sim::metrics::{MetricKind, MetricsSink};
-use verme_sim::{EventProfile, SimDuration, SimTime};
+use verme_sim::{SimDuration, SimTime};
 
 /// Every plane key, with the kind each must be catalogued under.
 const PLANE_KEYS: &[(&str, MetricKind)] = &[
@@ -19,47 +18,13 @@ const PLANE_KEYS: &[(&str, MetricKind)] = &[
     (verme_dht::keys::CACHE_INVALIDATIONS, MetricKind::Counter),
     (verme_dht::keys::GETS_COALESCED, MetricKind::Counter),
     (verme_dht::keys::LOOKUP_MEMO_HITS, MetricKind::Counter),
-    // The event-loop profiler's export (`EventProfile::export_into`).
-    (verme_sim::profile::keys::DELIVER_EVENTS, MetricKind::Counter),
-    (verme_sim::profile::keys::DEAD_LETTER_EVENTS, MetricKind::Counter),
-    (verme_sim::profile::keys::TIMER_EVENTS, MetricKind::Counter),
-    (verme_sim::profile::keys::DELIVER_WALL_US, MetricKind::Counter),
-    (verme_sim::profile::keys::TIMER_WALL_US, MetricKind::Counter),
-    (verme_sim::profile::keys::QUEUE_DEPTH_MAX, MetricKind::Counter),
-    (verme_sim::profile::keys::QUEUE_DEPTH_MEAN, MetricKind::Histogram),
 ];
 
 fn plane_registry() -> Registry {
     let mut registry = Registry::new();
     registry.register_all(verme_load::keys::descriptors());
     registry.register_all(verme_dht::keys::descriptors());
-    registry.register_all(verme_sim::profile::keys::descriptors());
     registry
-}
-
-/// The profiler's own export path stays inside the catalogue: everything
-/// `export_into` writes — including the zero-valued counters a quiet run
-/// leaves behind — resolves to a registered descriptor.
-#[test]
-fn event_profile_export_is_fully_catalogued() {
-    let profile = EventProfile {
-        deliver_events: 3,
-        timer_events: 2,
-        dead_letter_events: 1,
-        deliver_wall: std::time::Duration::from_micros(120),
-        timer_wall: std::time::Duration::from_micros(30),
-        queue_depth_max: 4,
-        queue_depth_sum: 9,
-        ..EventProfile::default()
-    };
-    let mut sink = MetricsSink::default();
-    profile.export_into(&mut sink);
-    let registry = plane_registry();
-    assert!(
-        registry.unregistered(&sink).is_empty(),
-        "EventProfile exports undescribed metrics: {:?}",
-        registry.unregistered(&sink)
-    );
 }
 
 #[test]

@@ -16,11 +16,9 @@
 //! * [`rng`] — reproducible random-number streams derived from one seed.
 //! * [`metrics`] — counters, histograms and time series used by every
 //!   experiment harness.
-//! * [`profile`] — host-side profilers: the [`EventProfile`] event-loop
-//!   profiler (per-event-type dispatch counts, wall timing, queue depth)
-//!   and the scoped span profiler ([`ProfScope`] guards over a fixed
-//!   [`Scope`] taxonomy) attributing wall clock and allocations to
-//!   protocol planes; both zero-cost when disabled.
+//! * [`profile`] — the host-side profiler: scoped spans ([`ProfScope`]
+//!   guards over a fixed [`Scope`] taxonomy) attributing wall clock to
+//!   protocol planes; one thread-local branch per scope when disabled.
 //! * [`runtime`] — the node runtime: protocol state machines implementing
 //!   [`Node`] exchange messages through a [`LatencyModel`], with churn
 //!   (spawn/kill), timers, and byte accounting.
@@ -69,8 +67,7 @@ pub use fault::{
 pub use metrics::{Counter, Histogram, MetricDesc, MetricKind, MetricsSink, Summary, TimeSeries};
 pub use profile::{
     span_profiler_disable, span_profiler_enable, span_profiler_enable_logged,
-    span_profiler_enabled, AllocStats, EventClass, EventProfile, ProfScope, Scope, SpanEvent,
-    SpanNode, SpanProfile,
+    span_profiler_enabled, ProfScope, Scope, SpanEvent, SpanNode, SpanProfile,
 };
 pub use rng::SeedSource;
 pub use runtime::{

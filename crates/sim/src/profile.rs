@@ -1,174 +1,31 @@
-//! Event-loop profiler: per-event-type dispatch counts, wall-clock timing
-//! and queue-depth telemetry for the runtime's hot loop.
+//! Scoped span profiler: per-subsystem wall-clock attribution.
 //!
 //! The profiler answers "where does the *simulator* spend its time" — a
 //! question about the host machine, not the simulated world. It therefore
 //! measures real [`std::time::Instant`] durations and keeps its results in
-//! its own [`EventProfile`] struct, never in the shared
-//! [`MetricsSink`]: wall-clock numbers differ from run
+//! its own [`SpanProfile`], never in the shared
+//! [`MetricsSink`](crate::MetricsSink): wall-clock numbers differ from run
 //! to run, and letting them leak into the deterministic metrics space would
-//! break byte-identical reproducibility. Harnesses that want the numbers in
-//! the exporter pipeline call [`EventProfile::export_into`] explicitly,
-//! after the simulation has finished.
+//! break byte-identical reproducibility.
 //!
-//! Profiling is strictly observational: enabling it reads the clock around
-//! each dispatch but never touches the simulation RNG, queue order, or any
-//! node state, so a profiled run produces byte-identical simulation output
-//! to an unprofiled one. When disabled (the default) the runtime pays one
-//! branch per event and nothing else.
+//! Time is classified by *protocol plane*: a fixed `Subsystem × Op`
+//! taxonomy ([`Scope`]) with RAII guards ([`ProfScope`]) threaded through
+//! the runtime dispatch and each plane's handlers. Scopes nest (chord
+//! dispatch around a dht repair around an obs sample), and the profiler
+//! keeps one aggregate per unique *stack path*, which is exactly the shape
+//! flamegraph tooling wants.
+//!
+//! The engine is thread-local so protocol crates (`verme-chord`,
+//! `verme-dht`, `verme-worm`) can enter scopes without any profiler handle
+//! being threaded through their `Node` APIs. Profiling is strictly
+//! observational: it reads only the host clock, never the simulation RNG,
+//! queue order or any node state, so a profiled run is byte-identical in
+//! simulation output to an unprofiled one. When disabled (the default),
+//! `ProfScope::enter` is one thread-local boolean load and branch.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-use crate::metrics::{MetricDesc, MetricsSink};
-
-/// The runtime's event classes, as seen by the dispatch loop.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum EventClass {
-    /// A message delivery to a live node.
-    Deliver,
-    /// A message whose destination was dead at delivery time.
-    DeadLetter,
-    /// A timer firing (including timers of dead nodes, which are no-ops).
-    Timer,
-}
-
-/// Accumulated event-loop profile for one runtime.
-///
-/// Produced by [`Runtime::enable_profiler`](crate::Runtime::enable_profiler)
-/// and read back with [`Runtime::profile`](crate::Runtime::profile) or
-/// [`Runtime::disable_profiler`](crate::Runtime::disable_profiler).
-#[derive(Clone, Debug, Default)]
-pub struct EventProfile {
-    /// Deliveries dispatched to a live node.
-    pub deliver_events: u64,
-    /// Deliveries whose destination was dead (dropped without dispatch).
-    pub dead_letter_events: u64,
-    /// Timer events popped (fired or discarded for dead nodes).
-    pub timer_events: u64,
-    /// Host wall-clock time spent inside deliver dispatches.
-    pub deliver_wall: Duration,
-    /// Host wall-clock time spent handling dead-letter drops.
-    pub dead_letter_wall: Duration,
-    /// Host wall-clock time spent inside timer dispatches.
-    pub timer_wall: Duration,
-    /// Maximum event-queue depth observed at any pop.
-    pub queue_depth_max: usize,
-    /// Sum of queue depths observed at each pop (for the mean).
-    pub queue_depth_sum: u64,
-}
-
-impl EventProfile {
-    /// Total events popped while profiling was enabled.
-    pub fn total_events(&self) -> u64 {
-        self.deliver_events + self.dead_letter_events + self.timer_events
-    }
-
-    /// Total wall-clock time spent dispatching those events.
-    pub fn total_wall(&self) -> Duration {
-        self.deliver_wall + self.dead_letter_wall + self.timer_wall
-    }
-
-    /// Mean queue depth observed at pop time (0 if nothing was popped).
-    pub fn queue_depth_mean(&self) -> f64 {
-        let n = self.total_events();
-        if n == 0 {
-            0.0
-        } else {
-            self.queue_depth_sum as f64 / n as f64
-        }
-    }
-
-    /// Records one dispatched event. Called by the runtime's event loop.
-    pub(crate) fn record(&mut self, class: EventClass, wall: Duration, queue_depth: usize) {
-        match class {
-            EventClass::Deliver => {
-                self.deliver_events += 1;
-                self.deliver_wall += wall;
-            }
-            EventClass::DeadLetter => {
-                self.dead_letter_events += 1;
-                self.dead_letter_wall += wall;
-            }
-            EventClass::Timer => {
-                self.timer_events += 1;
-                self.timer_wall += wall;
-            }
-        }
-        self.queue_depth_max = self.queue_depth_max.max(queue_depth);
-        self.queue_depth_sum += queue_depth as u64;
-    }
-
-    /// Copies the profile into a metrics sink under the [`keys`] names, so
-    /// it flows through the existing [`Registry`](crate::MetricDesc)
-    /// exporters. Call this *after* the run: the values are host wall-clock
-    /// measurements and are not deterministic across machines.
-    pub fn export_into(&self, sink: &mut MetricsSink) {
-        sink.count(keys::DELIVER_EVENTS, self.deliver_events);
-        sink.count(keys::DEAD_LETTER_EVENTS, self.dead_letter_events);
-        sink.count(keys::TIMER_EVENTS, self.timer_events);
-        sink.count(keys::DELIVER_WALL_US, self.deliver_wall.as_micros() as u64);
-        sink.count(keys::TIMER_WALL_US, self.timer_wall.as_micros() as u64);
-        sink.count(keys::QUEUE_DEPTH_MAX, self.queue_depth_max as u64);
-        sink.record(keys::QUEUE_DEPTH_MEAN, self.queue_depth_mean());
-    }
-}
-
-/// Metric names (and descriptors) for the exported profile.
-pub mod keys {
-    use super::MetricDesc;
-
-    /// Deliveries dispatched to live nodes.
-    pub const DELIVER_EVENTS: &str = "sim.profile.deliver.events";
-    /// Deliveries to dead destinations.
-    pub const DEAD_LETTER_EVENTS: &str = "sim.profile.dead_letter.events";
-    /// Timer events popped.
-    pub const TIMER_EVENTS: &str = "sim.profile.timer.events";
-    /// Wall-clock µs inside deliver dispatches.
-    pub const DELIVER_WALL_US: &str = "sim.profile.deliver.wall_us";
-    /// Wall-clock µs inside timer dispatches.
-    pub const TIMER_WALL_US: &str = "sim.profile.timer.wall_us";
-    /// Maximum observed queue depth.
-    pub const QUEUE_DEPTH_MAX: &str = "sim.profile.queue.depth_max";
-    /// Mean observed queue depth.
-    pub const QUEUE_DEPTH_MEAN: &str = "sim.profile.queue.depth_mean";
-
-    const DESCS: &[MetricDesc] = &[
-        MetricDesc::counter(DELIVER_EVENTS, "events", "deliveries dispatched to live nodes"),
-        MetricDesc::counter(DEAD_LETTER_EVENTS, "events", "deliveries to dead destinations"),
-        MetricDesc::counter(TIMER_EVENTS, "events", "timer events popped"),
-        MetricDesc::counter(DELIVER_WALL_US, "us", "host wall-clock in deliver dispatch"),
-        MetricDesc::counter(TIMER_WALL_US, "us", "host wall-clock in timer dispatch"),
-        MetricDesc::counter(QUEUE_DEPTH_MAX, "events", "max event-queue depth at pop"),
-        MetricDesc::histogram(QUEUE_DEPTH_MEAN, "events", "mean event-queue depth at pop"),
-    ];
-
-    /// Descriptors for every profiler metric, for registry registration.
-    pub fn descriptors() -> &'static [MetricDesc] {
-        DESCS
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scoped span profiler: per-subsystem wall-clock attribution.
-// ---------------------------------------------------------------------------
-//
-// Where `EventProfile` classifies time by *event kind* (deliver / timer /
-// dead letter), the span profiler classifies it by *protocol plane*: a fixed
-// `Subsystem × Op` taxonomy ([`Scope`]) with RAII guards ([`ProfScope`])
-// threaded through the runtime dispatch and each plane's handlers. Scopes
-// nest (chord dispatch around a dht repair around an obs sample), and the
-// profiler keeps one aggregate per unique *stack path*, which is exactly
-// the shape flamegraph tooling wants.
-//
-// The engine is thread-local so protocol crates (`verme-chord`,
-// `verme-dht`, `verme-worm`) can enter scopes without any profiler handle
-// being threaded through their `Node` APIs. The same rules as
-// `EventProfile` apply: the profiler reads only the host clock, never the
-// simulation RNG or any node state, so a profiled run is byte-identical in
-// simulation output to an unprofiled one. When disabled (the default),
-// `ProfScope::enter` is one thread-local boolean load and branch.
 
 /// The fixed `Subsystem × Op` span taxonomy.
 ///
@@ -288,17 +145,6 @@ pub struct SpanEvent {
     pub dur: Duration,
 }
 
-/// Per-scope allocation totals, populated only under the `prof-alloc`
-/// feature (empty otherwise). The final slot semantics are documented on
-/// [`SpanProfile::alloc_by_scope`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AllocStats {
-    /// Bytes requested from the global allocator.
-    pub bytes: u64,
-    /// Number of allocation calls.
-    pub allocs: u64,
-}
-
 /// Snapshot of a finished span-profiling session, returned by
 /// [`span_profiler_disable`].
 #[derive(Clone, Debug, Default)]
@@ -310,11 +156,6 @@ pub struct SpanProfile {
     pub spans: Vec<SpanEvent>,
     /// Spans not retained because the log cap was hit.
     pub dropped_spans: u64,
-    /// Per-scope allocation totals, indexed by `Scope::ALL` order, with
-    /// one extra final slot for unscoped allocations. Empty when the
-    /// `prof-alloc` feature is off or the counting allocator is not
-    /// installed.
-    pub alloc_by_scope: Vec<AllocStats>,
 }
 
 impl SpanProfile {
@@ -408,8 +249,6 @@ impl SpanEngine {
         };
         self.nodes[node].calls += 1;
         self.stack.push(Frame { node, started: Instant::now(), child_wall: Duration::ZERO });
-        #[cfg(feature = "prof-alloc")]
-        alloc_track::set_current(scope.index());
     }
 
     fn pop(&mut self) {
@@ -433,10 +272,6 @@ impl SpanEngine {
                 self.dropped_spans += 1;
             }
         }
-        #[cfg(feature = "prof-alloc")]
-        alloc_track::set_current(
-            self.stack.last().map_or(usize::MAX, |f| self.nodes[f.node].scope.index()),
-        );
     }
 
     fn take(&mut self) -> SpanProfile {
@@ -451,19 +286,8 @@ impl SpanEngine {
             nodes: std::mem::take(&mut self.nodes),
             spans: self.log.take().unwrap_or_default(),
             dropped_spans: std::mem::take(&mut self.dropped_spans),
-            alloc_by_scope: alloc_snapshot(),
         }
     }
-}
-
-#[cfg(feature = "prof-alloc")]
-fn alloc_snapshot() -> Vec<AllocStats> {
-    alloc_track::snapshot()
-}
-
-#[cfg(not(feature = "prof-alloc"))]
-fn alloc_snapshot() -> Vec<AllocStats> {
-    Vec::new()
 }
 
 thread_local! {
@@ -476,8 +300,6 @@ thread_local! {
 pub fn span_profiler_enable() {
     SPAN_ENGINE.with(|e| e.borrow_mut().reset(None));
     SPAN_ENABLED.with(|f| f.set(true));
-    #[cfg(feature = "prof-alloc")]
-    alloc_track::reset();
 }
 
 /// Enables the span profiler with a raw span log capped at `cap` entries
@@ -486,8 +308,6 @@ pub fn span_profiler_enable() {
 pub fn span_profiler_enable_logged(cap: usize) {
     SPAN_ENGINE.with(|e| e.borrow_mut().reset(Some(cap)));
     SPAN_ENABLED.with(|f| f.set(true));
-    #[cfg(feature = "prof-alloc")]
-    alloc_track::reset();
 }
 
 /// Disables the span profiler and returns the accumulated profile, or
@@ -496,8 +316,6 @@ pub fn span_profiler_disable() -> Option<SpanProfile> {
     if !SPAN_ENABLED.with(|f| f.replace(false)) {
         return None;
     }
-    #[cfg(feature = "prof-alloc")]
-    alloc_track::set_current(usize::MAX);
     Some(SPAN_ENGINE.with(|e| e.borrow_mut().take()))
 }
 
@@ -535,141 +353,9 @@ impl Drop for ProfScope {
     }
 }
 
-/// Allocation accounting for the span profiler (`prof-alloc` feature).
-///
-/// [`CountingAlloc`] wraps the system allocator and charges every
-/// allocation to the scope active at the call site. Harness binaries opt
-/// in with:
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: verme_sim::profile::alloc_track::CountingAlloc =
-///     verme_sim::profile::alloc_track::CountingAlloc;
-/// ```
-///
-/// The counters are global atomics (the allocator cannot allocate, and
-/// thread-local storage is unsafe to touch during TLS teardown), so under
-/// multi-threaded use attribution is approximate: the "current scope" is
-/// whichever thread set it last. Every simulation in this workspace is
-/// single-threaded, where attribution is exact.
-#[cfg(feature = "prof-alloc")]
-pub mod alloc_track {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-    use super::{AllocStats, Scope};
-
-    // One slot per scope plus a trailing slot for unscoped allocations.
-    const SLOTS: usize = Scope::COUNT + 1;
-
-    static CURRENT: AtomicUsize = AtomicUsize::new(SLOTS - 1);
-    static INSTALLED: AtomicUsize = AtomicUsize::new(0);
-
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    static BYTES: [AtomicU64; SLOTS] = [ZERO; SLOTS];
-    static ALLOCS: [AtomicU64; SLOTS] = [ZERO; SLOTS];
-
-    /// System-allocator wrapper that attributes bytes/allocs to the
-    /// active profiler scope.
-    pub struct CountingAlloc;
-
-    // SAFETY: defers all allocation to `System`; the bookkeeping is
-    // lock-free atomics and never allocates or panics.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            INSTALLED.store(1, Ordering::Relaxed);
-            let slot = CURRENT.load(Ordering::Relaxed).min(SLOTS - 1);
-            BYTES[slot].fetch_add(layout.size() as u64, Ordering::Relaxed);
-            ALLOCS[slot].fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            INSTALLED.store(1, Ordering::Relaxed);
-            let slot = CURRENT.load(Ordering::Relaxed).min(SLOTS - 1);
-            let grown = new_size.saturating_sub(layout.size());
-            BYTES[slot].fetch_add(grown as u64, Ordering::Relaxed);
-            ALLOCS[slot].fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    /// Sets the scope charged for subsequent allocations
-    /// (`usize::MAX` = unscoped). Called by the span engine.
-    pub(crate) fn set_current(scope_idx: usize) {
-        CURRENT.store(scope_idx.min(SLOTS - 1), Ordering::Relaxed);
-    }
-
-    /// Zeroes all counters (called on profiler enable).
-    pub(crate) fn reset() {
-        for i in 0..SLOTS {
-            BYTES[i].store(0, Ordering::Relaxed);
-            ALLOCS[i].store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Current per-scope totals (`Scope::ALL` order plus the trailing
-    /// unscoped slot), or empty if [`CountingAlloc`] is not installed as
-    /// the global allocator.
-    pub(crate) fn snapshot() -> Vec<AllocStats> {
-        if INSTALLED.load(Ordering::Relaxed) == 0 {
-            return Vec::new();
-        }
-        (0..SLOTS)
-            .map(|i| AllocStats {
-                bytes: BYTES[i].load(Ordering::Relaxed),
-                allocs: ALLOCS[i].load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_accumulates_per_class() {
-        let mut p = EventProfile::default();
-        p.record(EventClass::Deliver, Duration::from_micros(10), 4);
-        p.record(EventClass::Deliver, Duration::from_micros(5), 8);
-        p.record(EventClass::Timer, Duration::from_micros(2), 2);
-        p.record(EventClass::DeadLetter, Duration::from_micros(1), 1);
-        assert_eq!(p.deliver_events, 2);
-        assert_eq!(p.timer_events, 1);
-        assert_eq!(p.dead_letter_events, 1);
-        assert_eq!(p.total_events(), 4);
-        assert_eq!(p.deliver_wall, Duration::from_micros(15));
-        assert_eq!(p.total_wall(), Duration::from_micros(18));
-        assert_eq!(p.queue_depth_max, 8);
-        assert!((p.queue_depth_mean() - 15.0 / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn export_populates_every_key() {
-        let mut p = EventProfile::default();
-        p.record(EventClass::Deliver, Duration::from_micros(10), 4);
-        let mut sink = MetricsSink::new();
-        p.export_into(&mut sink);
-        for desc in keys::descriptors() {
-            let present = sink.counter_snapshot().contains_key(desc.name)
-                || sink.histogram_names().any(|n| n == desc.name);
-            assert!(present, "missing exported key {}", desc.name);
-        }
-    }
-
-    #[test]
-    fn empty_profile_is_sane() {
-        let p = EventProfile::default();
-        assert_eq!(p.total_events(), 0);
-        assert_eq!(p.queue_depth_mean(), 0.0);
-        assert_eq!(p.total_wall(), Duration::ZERO);
-    }
 
     #[test]
     fn scope_indices_match_all_order() {

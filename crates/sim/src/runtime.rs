@@ -19,7 +19,7 @@ use rand::Rng;
 
 use crate::event::EventQueue;
 use crate::metrics::MetricsSink;
-use crate::profile::{EventClass, EventProfile};
+use crate::profile::{ProfScope, Scope};
 use crate::rng::SeedSource;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CauseId, ProtoEvent, TraceEvent, TraceKind, Tracer};
@@ -445,7 +445,6 @@ pub struct Runtime<N: Node, L = Box<dyn LatencyModel>> {
     tracer: Option<Tracer>,
     sampler: Option<SamplerSlot<N>>,
     assertor: Option<StepAssertor<N>>,
-    profile: Option<EventProfile>,
 }
 
 impl<N: Node, L: LatencyModel> Runtime<N, L> {
@@ -472,7 +471,6 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
             tracer: None,
             sampler: None,
             assertor: None,
-            profile: None,
         }
     }
 
@@ -547,7 +545,7 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
         let Some(mut hook) = self.assertor.take() else {
             return;
         };
-        let _span = crate::profile::ProfScope::enter(crate::profile::Scope::ObsRecord);
+        let _span = ProfScope::enter(Scope::ObsRecord);
         let verdict = {
             let view = SampleView {
                 now: self.now,
@@ -576,7 +574,7 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
         let Some(mut slot) = self.sampler.take() else {
             return;
         };
-        let _span = crate::profile::ProfScope::enter(crate::profile::Scope::ObsRecord);
+        let _span = ProfScope::enter(Scope::ObsRecord);
         while slot.next <= t {
             if self.now < slot.next {
                 self.now = slot.next;
@@ -592,25 +590,6 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
             slot.next += slot.interval;
         }
         self.sampler = Some(slot);
-    }
-
-    /// Enables the event-loop profiler (see [`crate::profile`]): dispatch
-    /// counts, wall-clock timing and queue-depth telemetry, accumulated
-    /// from this point on. Profiling reads the host clock but never the
-    /// simulation RNG, so simulation output is byte-identical either way.
-    /// Re-enabling resets any previous profile.
-    pub fn enable_profiler(&mut self) {
-        self.profile = Some(EventProfile::default());
-    }
-
-    /// Stops profiling and returns the accumulated profile, if enabled.
-    pub fn disable_profiler(&mut self) -> Option<EventProfile> {
-        self.profile.take()
-    }
-
-    /// The accumulated profile so far, if profiling is enabled.
-    pub fn profile(&self) -> Option<&EventProfile> {
-        self.profile.as_ref()
     }
 
     /// Current simulation time.
@@ -842,34 +821,25 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
         let (at, ev) = self.queue.pop().expect("event peeked above");
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
-        let queue_depth = self.queue.len();
-        let started = self.profile.as_ref().map(|_| std::time::Instant::now());
-        let class = match ev {
+        match ev {
             RtEvent::Deliver { from, to, msg, cause } => {
                 if self.nodes.contains_key(&to) {
-                    let _span = crate::profile::ProfScope::enter(crate::profile::Scope::SimDeliver);
+                    let _span = ProfScope::enter(Scope::SimDeliver);
                     self.stats.messages_delivered += 1;
                     self.trace(cause, TraceKind::Deliver { from, to });
                     self.with_ctx_caused(to, cause, |node, ctx| node.on_message(from, msg, ctx));
-                    EventClass::Deliver
                 } else {
-                    let _span =
-                        crate::profile::ProfScope::enter(crate::profile::Scope::SimDeadLetter);
+                    let _span = ProfScope::enter(Scope::SimDeadLetter);
                     self.stats.messages_dropped += 1;
                     self.trace(cause, TraceKind::Drop { to });
-                    EventClass::DeadLetter
                 }
             }
             RtEvent::Timer { node, timer, cause } => {
-                let _span = crate::profile::ProfScope::enter(crate::profile::Scope::SimTimer);
+                let _span = ProfScope::enter(Scope::SimTimer);
                 if self.nodes.contains_key(&node) {
                     self.with_ctx_caused(node, cause, |n, ctx| n.on_timer(timer, ctx));
                 }
-                EventClass::Timer
             }
-        };
-        if let (Some(p), Some(t0)) = (self.profile.as_mut(), started) {
-            p.record(class, t0.elapsed(), queue_depth);
         }
         if self.assertor.is_some() {
             self.fire_assertor();
@@ -1274,22 +1244,23 @@ mod sampler_tests {
     fn profiler_counts_dispatches_and_does_not_perturb() {
         let baseline = run_ping_workload(7, |_rt| {});
         let mut rt = rt();
-        rt.enable_profiler();
+        crate::span_profiler_enable();
         let a = rt.spawn(HostId(0), Echo2::default());
         let b = rt.spawn(HostId(1), Echo2::default());
         rt.invoke(a, |_n, ctx| ctx.send(b, TestMsg2::Ping(1)));
         rt.kill(b);
         rt.run_to_quiescence();
-        let p = rt.disable_profiler().expect("profiler was enabled");
+        let totals = crate::span_profiler_disable().expect("profiler was enabled").scope_totals();
+        let calls = |scope| totals.iter().find(|(s, _)| *s == scope).map_or(0, |(_, n)| n.calls);
         // The ping to the dead node is a dead letter; both nodes armed one
         // start timer each (b's is discarded but still popped).
-        assert_eq!(p.dead_letter_events, 1);
-        assert_eq!(p.deliver_events, 0);
-        assert_eq!(p.timer_events, 2);
-        assert_eq!(p.total_events(), 3);
-        assert!(rt.profile().is_none(), "disable_profiler clears the slot");
+        assert_eq!(calls(Scope::SimDeadLetter), 1);
+        assert_eq!(calls(Scope::SimDeliver), 0);
+        assert_eq!(calls(Scope::SimTimer), 2);
         // And a profiled run's simulation output matches an unprofiled one.
-        let profiled = run_ping_workload(7, |rt| rt.enable_profiler());
+        crate::span_profiler_enable();
+        let profiled = run_ping_workload(7, |_rt| {});
+        crate::span_profiler_disable().expect("profiler was enabled");
         assert_eq!(baseline, profiled, "profiling must be invisible to the simulation");
     }
 

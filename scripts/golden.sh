@@ -23,9 +23,9 @@ cargo build --release --offline --quiet -p verme-bench \
     $(printf -- '--bin %s ' "${bins[@]}")
 target="${CARGO_TARGET_DIR:-$root/target}"
 
-# BENCH_*.json side files carry wall-clock numbers; keep them out of the
-# tracked tree. extO_chaos prints the path of every repro it writes there,
-# so the directory is a fixed name relative to the root, not a mktemp one.
+# extO_chaos writes its repro files under $VERME_BENCH_DIR and prints the
+# path of each one, so the side directory is a fixed name relative to the
+# root, not a mktemp one.
 side="target/golden-side"
 rm -rf "$side"
 mkdir -p "$side"
@@ -34,8 +34,8 @@ export VERME_BENCH_DIR="$side"
 
 actual="$side/actual.sha256"
 for bin in "${bins[@]}"; do
-    # stderr carries only the wall-clock `# bench:` line on success; a bin
-    # that exits non-zero (a *_check gate, a panic) gets both streams shown.
+    # stderr carries only wall-clock chatter on success; a bin that exits
+    # non-zero (a *_check gate, a panic) gets both streams shown.
     if ! "$target/release/$bin" >"$side/$bin.out" 2>"$side/$bin.err"; then
         cat "$side/$bin.out" "$side/$bin.err" >&2
         echo "golden: $bin exited non-zero (output above)" >&2
