@@ -7,28 +7,17 @@
 //! rediscover their known failure modes from random schedules alone);
 //! the corrected protocol and the repair plane must survive the identical
 //! envelopes with zero findings. Every failing trial is delta-debugged to
-//! a minimal schedule and written out as `CHAOS_repro_<hash>.json` next
-//! to the bench JSON, ready to replay with `verme_chaos::Repro`.
+//! a minimal schedule and written out as `CHAOS_repro_<hash>.json` under
+//! `$VERME_BENCH_DIR` (the current directory when unset), ready to replay
+//! with `verme_chaos::Repro`.
 //!
 //! ```text
 //! cargo run -p verme-bench --release --bin extO_chaos [-- --full]
 //! ```
 
 use verme_bench::exto::{run_exto, ExtOParams};
+use verme_bench::testbed::artifact_dir;
 use verme_bench::CliArgs;
-
-/// Repro files land next to the bench JSON: `$VERME_BENCH_DIR` if set,
-/// else the legacy `$BENCH_DIR`, else the current directory.
-fn artifact_path(name: &str) -> String {
-    let dir = std::env::var("VERME_BENCH_DIR")
-        .ok()
-        .filter(|d| !d.is_empty())
-        .or_else(|| std::env::var("BENCH_DIR").ok().filter(|d| !d.is_empty()));
-    match dir {
-        Some(dir) => format!("{}/{name}", dir.trim_end_matches('/')),
-        None => name.to_owned(),
-    }
-}
 
 fn main() {
     let args = CliArgs::parse();
@@ -52,6 +41,7 @@ fn main() {
 
     let rows = run_exto(&params);
     let mut ok = true;
+    let dir = artifact_dir();
     let mut repro_files = Vec::new();
     for row in &rows {
         let as_expected =
@@ -83,21 +73,15 @@ fn main() {
         // Persist each arm's smallest repro (they are all replayable, but
         // one witness per arm keeps the artifact set readable).
         if let Some(repro) = row.repros().first() {
-            let name = repro.file_name();
-            let path = artifact_path(&name);
-            if let Some(parent) = std::path::Path::new(&path).parent() {
-                if !parent.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-            }
+            let path = dir.join(repro.file_name());
             match std::fs::write(&path, repro.to_json() + "\n") {
                 Ok(()) => repro_files.push(path),
-                Err(e) => eprintln!("# could not write {path}: {e}"),
+                Err(e) => eprintln!("# could not write {}: {e}", path.display()),
             }
         }
     }
     for f in &repro_files {
-        println!("# repro: {f}");
+        println!("# repro: {}", f.display());
     }
     println!("# expectation: both positive controls rediscover their bugs; both hardened");
     println!("# arms stay clean — a finding on ring/corrected is a real safety regression");

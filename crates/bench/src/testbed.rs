@@ -409,14 +409,13 @@ pub fn same_bytes(a: &str, b: &str) -> Result<usize, String> {
 }
 
 /// Where a bin's side files land (chaos repros, the extN exports):
-/// `$VERME_BENCH_DIR` if set, else the legacy `$BENCH_DIR`, else the
-/// current directory.
+/// `$VERME_BENCH_DIR`, created if missing, or the current directory when
+/// the variable is unset or empty. A directory that cannot be created
+/// shows up as the caller's write error.
 pub fn artifact_dir() -> PathBuf {
-    std::env::var_os("VERME_BENCH_DIR")
-        .filter(|d| !d.is_empty())
-        .or_else(|| std::env::var_os("BENCH_DIR").filter(|d| !d.is_empty()))
-        .map(PathBuf::from)
-        .unwrap_or_default()
+    let dir = std::env::var_os("VERME_BENCH_DIR").map(PathBuf::from).unwrap_or_default();
+    let _ = std::fs::create_dir_all(&dir);
+    dir
 }
 
 /// `f` over `items` on a bounded pool of scoped threads — one per core,
