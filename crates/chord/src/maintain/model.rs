@@ -30,7 +30,10 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use super::{check_ring, MaintenanceMode, RingReport, RingStance, Violation};
+use super::{
+    check_ring, rectify_decision, MaintenanceMode, RectifyDecision, RingReport, RingStance,
+    Violation,
+};
 
 /// Which overlay variant the model runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -336,13 +339,18 @@ impl ModelState {
                         None => true,
                         Some(p) => in_oo(n, p, c, s),
                     },
-                    MaintenanceMode::Corrected => match node.pred {
-                        None => true,
-                        Some(p) if p == c => false,
-                        Some(p) if in_oo(n, p, c, s) => true,
-                        // Rectify: probe the incumbent, adopt on timeout.
-                        Some(p) => !self.active(p),
-                    },
+                    // Slots `0..n` keep their circular order on the 2¹²⁸
+                    // ring, so the rule the nodes run decides here too.
+                    MaintenanceMode::Corrected => {
+                        match rectify_decision(s.into(), node.pred.map(u128::from), c.into()) {
+                            RectifyDecision::Adopt => true,
+                            RectifyDecision::Keep => false,
+                            // The probe resolves at once: adopt on timeout.
+                            RectifyDecision::ProbePred => {
+                                node.pred.is_some_and(|p| !self.active(p))
+                            }
+                        }
+                    }
                 };
                 if adopt {
                     self.nodes[s as usize].pred = Some(c);
