@@ -39,6 +39,8 @@
 //! (`--full`) or a laptop-quick scale (default). How fast they run is
 //! measured from outside, by the `perf/` package (`perf/README.md`).
 
+#![forbid(unsafe_code)]
+
 pub mod ext;
 pub mod extg;
 pub mod exth;

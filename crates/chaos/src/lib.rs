@@ -32,6 +32,8 @@
 //! spends zero extra RNG draws and materializes no `chaos.*` metric keys,
 //! preserving the workspace's byte-identical-when-off guarantee.
 
+#![forbid(unsafe_code)]
+
 pub mod explorer;
 pub mod oracle;
 pub mod profile;

@@ -25,6 +25,8 @@
 //! the same [`RingCore`]; its node keeps only what paper §4.3–4.5 and §5.2
 //! change.
 
+#![forbid(unsafe_code)]
+
 pub mod behaviour;
 pub mod id;
 pub mod maintain;

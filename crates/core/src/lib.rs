@@ -16,6 +16,8 @@
 //!
 //! The VerDi DHT variants that ride on this overlay live in `verme-dht`.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod layout;
 pub mod node;

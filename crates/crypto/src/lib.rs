@@ -24,6 +24,8 @@
 //! from its real platform — the certificate itself is valid, which is
 //! exactly why Fast-VerDi is vulnerable.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use serde::{Deserialize, Serialize};

@@ -18,6 +18,8 @@
 //! them generically. The Verme-side placement rule and the cross-section
 //! copy that Fast and Compromise share live in [`verme`].
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod block;
 pub mod compromise;

@@ -18,6 +18,8 @@
 //! nothing about the DHT — benches map [`WorkloadEvent`] ranks onto real
 //! block keys and drive whichever variant is under test.
 
+#![forbid(unsafe_code)]
+
 pub mod arrival;
 pub mod workload;
 pub mod zipf;

@@ -17,6 +17,8 @@
 //!
 //! All of them implement [`verme_sim::LatencyModel`].
 
+#![forbid(unsafe_code)]
+
 pub mod king;
 pub mod transit_stub;
 pub mod waxman;

@@ -51,6 +51,8 @@
 //! assert_eq!(stats.events, 0); // nothing ran in this doc example
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod detect;
 pub mod export;

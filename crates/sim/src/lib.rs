@@ -48,6 +48,8 @@
 //!
 //! [p2psim]: https://pdos.csail.mit.edu/p2psim/
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod event;
 pub mod fault;

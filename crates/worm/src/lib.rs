@@ -21,6 +21,8 @@
 //! each section's first infection with its first covering alert — the
 //! detection-latency measurement behind the `extH` experiment.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod model;
 pub mod scenarios;

@@ -14,6 +14,8 @@
 //! * [`dht`] — DHash and the three VerDi variants.
 //! * [`worm`] — the topological worm propagation model.
 
+#![forbid(unsafe_code)]
+
 pub use verme_chord as chord;
 pub use verme_core as core;
 pub use verme_crypto as crypto;
