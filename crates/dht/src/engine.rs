@@ -88,9 +88,6 @@ pub trait Variant: Clone + Default + Sized + 'static {
     const PROBE_FIXED: usize;
     /// Bytes of a `RepairNeed` after the header, excluding the key lists.
     const NEED_FIXED: usize;
-    /// Whether an incoming `Replicate` drops the block from the hot-block
-    /// cache, like every other externally received write does.
-    const REPLICATE_INVALIDATES: bool = true;
 
     // --- operation path ---------------------------------------------------
 
@@ -883,11 +880,7 @@ impl<V: Variant> Node for DhtEngine<V> {
             }
             DhtMsg::StoreAck { op, ok } => V::on_data_reply(self, op, DataReply::Stored(ok), ctx),
             DhtMsg::Replicate { key, value } => {
-                if V::REPLICATE_INVALIDATES {
-                    self.accept_block(key, &value, ctx);
-                } else if value.verifies(key) {
-                    self.store.put(value);
-                }
+                self.accept_block(key, &value, ctx);
             }
             DhtMsg::RepairProbe { round, from: start, owner, keys: probed, cross } => {
                 // Report the probed keys we lack, plus (for in-set probes)

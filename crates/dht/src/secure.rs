@@ -167,10 +167,6 @@ impl Variant for Secure {
     /// replica point (§5.3.2), so probes have no cross-section variant.
     const PROBE_FIXED: usize = 8 + 16;
     const NEED_FIXED: usize = 8;
-    /// Secure-VerDi has never invalidated on `Replicate` (only on a
-    /// piggybacked put); kept so same-seed output stays byte-identical.
-    /// ROADMAP lists aligning it with the other variants.
-    const REPLICATE_INVALIDATES: bool = false;
 
     /// Issues (or re-issues) the piggybacked lookup for a pending
     /// operation and arms the per-attempt timer.

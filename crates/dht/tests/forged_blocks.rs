@@ -148,24 +148,31 @@ fn substituted_store_is_nacked_and_leaves_no_trace() {
     assert_eq!(rt.metrics().counter(keys::CACHE_INVALIDATIONS), 1);
 }
 
-/// `Replicate` of a substituted block stores nothing and answers nothing.
+/// `Replicate` of a substituted block stores nothing, answers nothing and
+/// leaves the cached copy alone; the genuine block is stored and evicts it.
 fn replicate_case<V: Variant>((mut rt, addrs): Ring<DhtEngine<V>>) {
     settle(&mut rt);
-    let key = block_key(&genuine());
-    let (target, peer) = (addrs[5], addrs[6]);
+    let (writer, peer) = (addrs[2], addrs[6]);
+    let key = put_ok(&mut rt, writer, genuine());
+    // The target caches the genuine block without storing it.
+    let target = non_holder(&rt, &addrs, key, &[writer, peer]);
+    assert_eq!(get_ok(&mut rt, target, key), genuine());
     let before = traffic(&rt);
     deliver(&mut rt, target, peer, DhtMsg::Replicate { key, value: Block::new(substituted()) });
     assert_eq!(traffic(&rt), before);
     assert_eq!(rt.node(target).unwrap().stored_blocks(), 0);
+    assert_eq!(rt.metrics().counter(keys::CACHE_INVALIDATIONS), 0);
     deliver(&mut rt, target, peer, DhtMsg::Replicate { key, value: Block::new(genuine()) });
     assert!(rt.node(target).unwrap().store().contains(key));
+    assert_eq!(rt.metrics().counter(keys::CACHE_INVALIDATIONS), 1);
 }
 
 #[test]
 fn substituted_replicate_is_dropped() {
-    replicate_case::<Dhash>(common::spawn_dhash(N, 12, &DhtConfig::default()));
-    // Secure-VerDi takes the branch that does not touch the cache.
-    replicate_case::<Secure>(common::spawn_verdi(N, 12, &DhtConfig::default()));
+    let cfg = DhtConfig { cache_enabled: true, ..DhtConfig::default() };
+    replicate_case::<Dhash>(common::spawn_dhash(N, 12, &cfg));
+    assert!(common::every_section_populated(N, 12));
+    replicate_case::<Secure>(common::spawn_verdi(N, 12, &cfg));
 }
 
 fn fetch_reply_case(hop_suspicion: bool) {
