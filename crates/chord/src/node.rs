@@ -750,8 +750,7 @@ impl ChordNode {
             let mut cands: Vec<NodeHandle> = self
                 .ring
                 .fingers()
-                .distinct()
-                .into_iter()
+                .iter_distinct()
                 .chain(self.ring.successors().iter().copied())
                 .filter(|h| h.id.in_open_open(me.id, key))
                 .collect();

@@ -209,26 +209,54 @@ impl NeighborList {
 /// Entry `i`'s *target* is defined by the overlay (`owner + 2^i` in Chord;
 /// Verme shifts targets by a section so the pointed-at node has the
 /// opposite type). The table itself only stores and queries entries.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Of the [`Id::BITS`] entries only O(log N) are distinct on an N-node
+/// ring, so the table keeps each distinct handle once, reference-counted,
+/// and one byte per entry naming it: routing reads a dozen handles
+/// instead of 128 slots.
+#[derive(Clone, Debug)]
 pub struct FingerTable {
     owner: Id,
-    entries: Vec<Option<NodeHandle>>,
+    /// Per finger, its handle's position in `interned`, or [`VACANT`].
+    slots: [u8; Id::BITS as usize],
+    /// The distinct handles, in no particular order; every one is named
+    /// by `refs >= 1` slots.
+    interned: Vec<Interned>,
+}
+
+/// The slot byte of an unset finger. Never a position in `interned`,
+/// which holds at most one handle per slot (one more while `set` swaps).
+const VACANT: u8 = u8::MAX;
+
+/// A handle and how many slots name it, laid out flat: 32 bytes, where a
+/// `NodeHandle` beside a count would pad to 48.
+#[derive(Copy, Clone, Debug)]
+struct Interned {
+    id: Id,
+    addr: Addr,
+    refs: u8,
+}
+
+impl Interned {
+    fn handle(&self) -> NodeHandle {
+        NodeHandle { id: self.id, addr: self.addr }
+    }
 }
 
 impl FingerTable {
     /// Creates an empty table with one entry per bit of the id space.
     pub fn new(owner: Id) -> Self {
-        FingerTable { owner, entries: vec![None; Id::BITS as usize] }
+        FingerTable { owner, slots: [VACANT; Id::BITS as usize], interned: Vec::new() }
     }
 
     /// Number of finger slots.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// True if no finger is set.
     pub fn is_empty(&self) -> bool {
-        self.entries.iter().all(|e| e.is_none())
+        self.interned.is_empty()
     }
 
     /// Sets finger `i`.
@@ -237,7 +265,47 @@ impl FingerTable {
     ///
     /// Panics if `i` is out of range.
     pub fn set(&mut self, i: usize, handle: Option<NodeHandle>) {
-        self.entries[i] = handle;
+        if handle == self.get(i) {
+            return; // The usual finger round: nothing moved.
+        }
+        let old = self.slots[i];
+        // Take the new reference before dropping the old one: dropping
+        // may move the last interned handle, and `slots[i]` follows it.
+        self.slots[i] = match handle {
+            None => VACANT,
+            Some(h) => self.intern(h),
+        };
+        if old != VACANT {
+            self.release(old);
+        }
+    }
+
+    /// Adds a reference to `h`, interning it if it is new.
+    fn intern(&mut self, h: NodeHandle) -> u8 {
+        let at = self.interned.iter().position(|e| e.handle() == h).unwrap_or_else(|| {
+            self.interned.push(Interned { id: h.id, addr: h.addr, refs: 0 });
+            self.interned.len() - 1
+        });
+        self.interned[at].refs += 1;
+        // At most one handle per slot, plus the one `set` is installing.
+        u8::try_from(at).expect("more interned handles than finger slots")
+    }
+
+    /// Drops a reference to interned handle `at`; the last one removes it,
+    /// moving the last handle into its place.
+    fn release(&mut self, at: u8) {
+        let entry = &mut self.interned[at as usize];
+        entry.refs -= 1;
+        if entry.refs > 0 {
+            return;
+        }
+        self.interned.swap_remove(at as usize);
+        let moved = self.interned.len() as u8;
+        if moved != at {
+            for s in self.slots.iter_mut().filter(|s| **s == moved) {
+                *s = at;
+            }
+        }
     }
 
     /// Reads finger `i`.
@@ -246,55 +314,101 @@ impl FingerTable {
     ///
     /// Panics if `i` is out of range.
     pub fn get(&self, i: usize) -> Option<NodeHandle> {
-        self.entries[i]
+        self.interned.get(self.slots[i] as usize).map(Interned::handle)
     }
 
     /// Removes every finger pointing at `addr` (a detected failure).
     /// Returns how many entries were cleared.
     pub fn remove_addr(&mut self, addr: Addr) -> usize {
+        if !self.interned.iter().any(|e| e.addr == addr) {
+            return 0;
+        }
         let mut cleared = 0;
-        for e in &mut self.entries {
-            if e.is_some_and(|h| h.addr == addr) {
-                *e = None;
+        for i in 0..self.slots.len() {
+            if self.get(i).is_some_and(|h| h.addr == addr) {
+                self.set(i, None);
                 cleared += 1;
             }
         }
         cleared
     }
 
+    /// The distinct populated fingers, de-duplicated by address, in the
+    /// order of the first slot that names each — without allocating.
+    pub fn iter_distinct(&self) -> impl Iterator<Item = NodeHandle> + '_ {
+        let mut slots = self.slots.iter();
+        let mut seen = 0u128; // bit `k`: a slot naming `interned[k]` was passed
+        let mut unseen = self.interned.len();
+        std::iter::from_fn(move || {
+            while unseen > 0 {
+                let k = *slots.next()? as usize;
+                if k == VACANT as usize || seen & (1 << k) != 0 {
+                    continue;
+                }
+                let addr = self.interned[k].addr;
+                let dup = (0..self.interned.len())
+                    .any(|j| seen & (1 << j) != 0 && self.interned[j].addr == addr);
+                seen |= 1 << k;
+                unseen -= 1;
+                if !dup {
+                    return Some(self.interned[k].handle());
+                }
+            }
+            None
+        })
+    }
+
     /// All distinct populated fingers, de-duplicated by address.
     pub fn distinct(&self) -> Vec<NodeHandle> {
-        let mut out: Vec<NodeHandle> = Vec::new();
-        for h in self.entries.iter().flatten() {
-            if !out.iter().any(|o| o.addr == h.addr) {
-                out.push(*h);
-            }
-        }
-        out
+        self.iter_distinct().collect()
     }
 
     /// The populated finger whose id most closely *precedes* `key`
     /// (strictly inside `(owner, key)`) — Chord's greedy routing step.
     pub fn closest_preceding(&self, key: Id) -> Option<NodeHandle> {
-        let mut best: Option<NodeHandle> = None;
-        let mut best_rank = 0u128;
-        for h in self.entries.iter().flatten() {
-            if h.id.in_open_open(self.owner, key) {
-                let rank = self.owner.distance_to(h.id);
-                if rank > best_rank {
-                    best_rank = rank;
-                    best = Some(*h);
-                }
+        self.farthest_before(self.owner, key).map(|(_, h)| h)
+    }
+
+    /// The finger farthest clockwise from `owner` strictly inside
+    /// `(owner, key)`, with that distance. One id bound to two addresses
+    /// makes two handles of one rank: the one in the lowest slot wins.
+    fn farthest_before(&self, owner: Id, key: Id) -> Option<(u128, NodeHandle)> {
+        let first_slot = |k: usize| self.slots.iter().position(|&s| s as usize == k);
+        let mut best: Option<(u128, usize)> = None;
+        for (k, e) in self.interned.iter().enumerate() {
+            if !e.id.in_open_open(owner, key) {
+                continue;
+            }
+            let rank = owner.distance_to(e.id);
+            if best.is_none_or(|(best_rank, b)| {
+                rank > best_rank || (rank == best_rank && first_slot(k) < first_slot(b))
+            }) {
+                best = Some((rank, k));
             }
         }
-        best
+        best.map(|(rank, k)| (rank, self.interned[k].handle()))
     }
 
     /// The owner identifier.
     pub fn owner(&self) -> Id {
         self.owner
     }
+
+    /// Bytes this table occupies, inline and on the heap.
+    pub fn footprint_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.interned.capacity() * std::mem::size_of::<Interned>()
+    }
 }
+
+/// Two tables are equal when they have the same owner and the same finger
+/// in every slot; how the handles happen to be interned does not count.
+impl PartialEq for FingerTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.owner == other.owner && (0..self.slots.len()).all(|i| self.get(i) == other.get(i))
+    }
+}
+
+impl Eq for FingerTable {}
 
 /// Picks, among fingers and successors, the best next hop toward `key`:
 /// the known node whose id most closely precedes `key`. Returns `None`
@@ -306,19 +420,17 @@ pub fn closest_preceding_hop(
     successors: &NeighborList,
     key: Id,
 ) -> Option<NodeHandle> {
-    let mut best: Option<NodeHandle> = None;
-    let mut best_rank = 0u128;
-    let candidates = fingers.entries.iter().flatten().chain(successors.iter());
-    for h in candidates {
+    // A successor replaces a finger only by preceding `key` more closely.
+    let mut best = fingers.farthest_before(owner, key);
+    for h in successors.iter() {
         if h.id.in_open_open(owner, key) {
             let rank = owner.distance_to(h.id);
-            if rank > best_rank {
-                best_rank = rank;
-                best = Some(*h);
+            if best.is_none_or(|(best_rank, _)| rank > best_rank) {
+                best = Some((rank, *h));
             }
         }
     }
-    best
+    best.map(|(_, h)| h)
 }
 
 #[cfg(test)]
@@ -435,6 +547,41 @@ mod tests {
         assert_eq!(t.get(10).unwrap().id, Id::new(5000));
         assert!(!t.is_empty());
         assert_eq!(t.distinct().len(), 2);
+    }
+
+    #[test]
+    fn every_slot_can_hold_its_own_handle() {
+        let mut t = FingerTable::new(Id::new(0));
+        for i in 0..t.len() {
+            t.set(i, Some(h(1000 + i as u128)));
+        }
+        assert_eq!(t.distinct().len(), 128);
+        // Replacing one of 128 distinct handles interns the 129th before
+        // the displaced one goes.
+        t.set(5, Some(h(5000)));
+        t.set(127, None);
+        for i in 0..127 {
+            let expect = if i == 5 { h(5000) } else { h(1000 + i as u128) };
+            assert_eq!(t.get(i), Some(expect), "slot {i}");
+        }
+        assert_eq!(t.get(127), None);
+        assert_eq!(t.distinct().len(), 127);
+    }
+
+    #[test]
+    fn one_id_at_two_addresses_routes_to_the_lowest_slot() {
+        let owner = Id::new(0);
+        let old = NodeHandle::new(Id::new(70), Addr::from_raw(1));
+        let new = NodeHandle::new(Id::new(70), Addr::from_raw(2));
+        let mut t = FingerTable::new(owner);
+        t.set(9, Some(old));
+        t.set(6, Some(new)); // interned second, but in the lower slot
+        assert_eq!(t.closest_preceding(Id::new(100)), Some(new));
+        let s = NeighborList::successors(owner, 4);
+        assert_eq!(closest_preceding_hop(owner, &t, &s, Id::new(100)), Some(new));
+        t.set(3, Some(old));
+        assert_eq!(t.closest_preceding(Id::new(100)), Some(old));
+        assert_eq!(t.distinct(), vec![old, new], "first-slot order");
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl RingCore {
             joined: self.joined,
             successors: self.successors.len(),
             predecessors,
-            distinct_fingers: self.fingers.distinct().len(),
+            distinct_fingers: self.fingers.iter_distinct().count(),
             pending_lookups: pending,
             forwarding,
         }
@@ -265,14 +265,12 @@ impl RingCore {
     /// topological worm could harvest from the node's memory.
     pub fn known_peers(&self, predecessors: &[NodeHandle]) -> Vec<NodeHandle> {
         let lists = self.successors.iter().chain(predecessors).copied();
-        self.distinct_peers(lists.chain(self.fingers.distinct()))
+        self.distinct_peers(lists.chain(self.fingers.iter_distinct()))
     }
 
     /// Every distinct forward routing peer (fingers, then successors).
     pub fn route_candidates(&self) -> Vec<NodeHandle> {
-        self.distinct_peers(
-            self.fingers.distinct().into_iter().chain(self.successors.iter().copied()),
-        )
+        self.distinct_peers(self.fingers.iter_distinct().chain(self.successors.iter().copied()))
     }
 
     /// Replaces the routing policy (adversary injection).
@@ -347,8 +345,7 @@ impl RingCore {
     /// wins) — the reroute after a hop timed out.
     pub fn route_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle> {
         self.fingers
-            .distinct()
-            .into_iter()
+            .iter_distinct()
             .chain(self.successors.iter().copied())
             .filter(|h| !exclude.contains(&h.addr) && h.id.in_open_open(self.me.id, key))
             .fold(None, |best: Option<NodeHandle>, h| match best {
@@ -361,8 +358,7 @@ impl RingCore {
     /// successor candidate after the whole successor list has died.
     fn nearest_forward_finger(&self) -> Option<NodeHandle> {
         self.fingers
-            .distinct()
-            .into_iter()
+            .iter_distinct()
             .filter(|h| h.addr != self.me.addr)
             .min_by_key(|h| self.me.id.distance_to(h.id))
     }
@@ -383,7 +379,7 @@ impl RingCore {
             .chain(predecessors)
             .find(|h| bound_to(h))
             .copied()
-            .or_else(|| self.fingers.distinct().into_iter().find(bound_to))
+            .or_else(|| self.fingers.iter_distinct().find(bound_to))
             .map(|h| h.id)
     }
 

@@ -715,6 +715,26 @@ mod tests {
         assert_eq!(node.predecessor_list()[0], ring.node(4));
     }
 
+    /// At the benchmark's `ring_scale` size a table of 128 whole handles
+    /// (6 KiB) would be most of a node; a member has ~15 distinct fingers.
+    #[test]
+    fn a_node_of_twenty_thousand_holds_its_fingers_in_a_kibibyte() {
+        let layout = SectionLayout::with_sections(1024, 2);
+        let ring = VermeStaticRing::generate(layout, 20_000, 42);
+        let mut ca = CertificateAuthority::new(42);
+        for i in [0, 1, 9_999, 19_999] {
+            let node: VermeNode = ring.build_node(i, VermeConfig::new(layout), &mut ca);
+            let fingers = node.finger_table();
+            assert!(fingers.distinct().len() >= 10, "member {i}: a converged table is populated");
+            assert!(
+                fingers.footprint_bytes() < 1024,
+                "member {i}: {} distinct fingers in {} bytes",
+                fingers.distinct().len(),
+                fingers.footprint_bytes()
+            );
+        }
+    }
+
     #[test]
     fn uneven_split_produces_requested_fractions() {
         let ring =
