@@ -192,11 +192,9 @@ fn drive<N, L, FSpawn, FLookup>(
     let end = SimTime::ZERO + params.sim_time;
 
     let mut agenda: EventQueue<DriverEv> = EventQueue::new();
-    // alive_addrs iterates a HashMap; sort so every process draws the
-    // same lookup/death schedule from the same seed.
-    let mut alive: Vec<Addr> = rt.alive_addrs().collect();
-    alive.sort_unstable_by_key(|a| a.raw());
-    for &addr in &alive {
+    // Ascending address order: every process draws the same lookup/death
+    // schedule from the same seed.
+    for addr in rt.alive_addrs() {
         agenda
             .schedule(SimTime::ZERO + exp_duration(&mut rng, lookup_s), DriverEv::Lookup { addr });
         agenda
@@ -231,12 +229,11 @@ fn drive<N, L, FSpawn, FLookup>(
                 // A replacement joins immediately through a random alive
                 // node, keeping the population constant (p2psim-style
                 // churn).
-                let mut candidates: Vec<Addr> = rt.alive_addrs().collect();
-                if candidates.is_empty() {
+                if rt.num_alive() == 0 {
                     continue;
                 }
-                candidates.sort_unstable_by_key(|a| a.raw());
-                let bootstrap = candidates[rng.gen_range(0..candidates.len())];
+                let pick = rng.gen_range(0..rt.num_alive());
+                let bootstrap = rt.alive_addrs().nth(pick).expect("pick < num_alive");
                 let fresh = spawn_replacement(rt, host, bootstrap);
                 agenda.schedule(
                     now + exp_duration(&mut rng, lookup_s),

@@ -241,8 +241,6 @@ pub fn drive_dht_cell<N: DhtNode>(
     }
     runner.run_until(&mut rt, start + cell.window + SimDuration::from_secs(120));
 
-    // The census counts holders per key, so the unsorted `alive_addrs()`
-    // iteration cannot reach the result.
     let stores: Vec<_> = rt.alive_addrs().map(|a| rt.node(a).expect("alive").store()).collect();
     CellOutcome {
         issued,
