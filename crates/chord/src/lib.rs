@@ -3,9 +3,9 @@
 //! A from-scratch implementation of Chord (Stoica et al., SIGCOMM '01) on
 //! the `verme-sim` discrete-event runtime, matching the variant the paper
 //! benchmarks against (p2psim's Chord): 10-entry successor lists,
-//! periodic stabilization, finger tables, and lookups in three traversal
-//! modes — iterative, recursive, and transitive (recursive forward path,
-//! direct reply).
+//! periodic stabilization, finger tables, and lookups in the two traversal
+//! modes the paper evaluates — recursive, and transitive (recursive forward
+//! path, direct reply).
 //!
 //! The module layout separates pure data structures from the protocol,
 //! and the ring half of the protocol from the lookup half:
@@ -17,7 +17,7 @@
 //! | [`ring_core`] | [`RingCore`]: the routing state and every ring-maintenance rule (stabilize, notify, reseed, join completion, advert vetting, reroute choice) that Chord and Verme share, written once; [`RingNode`] and [`ring_converged`] |
 //! | [`behaviour`] | honest and Byzantine routing policies |
 //! | [`proto`] | Chord's wire messages, lookup modes, configuration |
-//! | [`node`] | [`ChordNode`]: a [`RingCore`] plus what only Chord has — the single predecessor with its ping and rectify probe, and lookups in three modes |
+//! | [`node`] | [`ChordNode`]: a [`RingCore`] plus what only Chord has — the single predecessor with its ping and rectify probe, and lookups in both modes |
 //! | [`maintain`] | [`MaintenanceMode`], Zave's rectify rule, the inductive ring invariant, and the small-ring model checker |
 //! | [`static_ring`] | instant construction of converged rings |
 //!
@@ -43,7 +43,7 @@ pub use maintain::{
     Violation, ViolationKind,
 };
 pub use node::{keys, ChordNode, NodeHealth};
-pub use proto::{ChordConfig, ChordMsg, ChordTimer, IterStep, LookupId, LookupMode, LookupResult};
+pub use proto::{ChordConfig, ChordMsg, ChordTimer, LookupId, LookupMode, LookupResult};
 pub use ring::{closest_preceding_hop, FingerTable, NeighborList, NodeHandle};
 pub use ring_core::{rebuild_list, ring_converged, RingCore, RingNode};
 pub use static_ring::StaticRing;

@@ -2,7 +2,7 @@
 //!
 //! A [`RingCore`] — the routing state and ring-maintenance rules shared
 //! with Verme — plus what only Chord has: the single predecessor pointer
-//! with its liveness ping and rectify probe, and lookups in all three
+//! with its liveness ping and rectify probe, and lookups in both
 //! traversal modes ([`LookupMode`]), with per-hop failure detection and
 //! rerouting ("every time a node tried to contact a node that had failed
 //! it chose another neighbor", paper §7.1.2).
@@ -14,9 +14,7 @@ use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration, SimT
 use crate::behaviour::{Behaviour, RouteAction};
 use crate::id::Id;
 use crate::maintain::{MaintenanceMode, RectifyDecision, RingStance};
-use crate::proto::{
-    ChordConfig, ChordMsg, ChordTimer, IterStep, LookupId, LookupMode, LookupResult,
-};
+use crate::proto::{ChordConfig, ChordMsg, ChordTimer, LookupId, LookupMode, LookupResult};
 use crate::ring::{FingerTable, NodeHandle};
 use crate::ring_core::{send_counted, take_waiting, RingCore, RingNode};
 
@@ -122,12 +120,6 @@ struct PendingLookup {
     key: Id,
     kind: LookupKind,
     started: SimTime,
-    // Iterative traversal state.
-    hops: u32,
-    attempt: u32,
-    current: Option<Addr>,
-    backups: Vec<NodeHandle>,
-    tried: Vec<Addr>,
 }
 
 struct ForwardState {
@@ -393,19 +385,7 @@ impl ChordNode {
             origin_id: self.ring.id().raw(),
             kind: kind.label(),
         });
-        self.pending.insert(
-            seq,
-            PendingLookup {
-                key,
-                kind,
-                started: ctx.now(),
-                hops: 0,
-                attempt: 0,
-                current: None,
-                backups: Vec::new(),
-                tried: Vec::new(),
-            },
-        );
+        self.pending.insert(seq, PendingLookup { key, kind, started: ctx.now() });
         ctx.set_timer(self.cfg.lookup_deadline, ChordTimer::LookupDeadline { seq });
 
         // A joining node must route its first lookup through the bootstrap
@@ -427,58 +407,33 @@ impl ChordNode {
         if let Some(hid) = first_hop_id {
             emit_hop(ctx, seq, first_hop, hid, 0);
         }
-        self.dispatch_first_hop(seq, key, kind, first_hop, ctx);
-        seq
-    }
-
-    fn dispatch_first_hop(
-        &mut self,
-        seq: u64,
-        key: Id,
-        kind: LookupKind,
-        hop: Addr,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-    ) {
         let me = self.ring.me();
         let lid = LookupId { origin: me.addr, seq };
+        let mode = self.cfg.lookup_mode;
+        self.forwards.insert(
+            lid,
+            ForwardState {
+                key,
+                origin: me,
+                mode,
+                hops: 1,
+                prev: None,
+                next: first_hop,
+                attempts: 0,
+                acked: false,
+                tried: vec![first_hop],
+                kind_bytes: kind.bytes_key(),
+            },
+        );
         let maint = kind != LookupKind::App;
-        match self.cfg.lookup_mode {
-            LookupMode::Iterative => {
-                let Some(p) = self.pending.get_mut(&seq) else {
-                    return;
-                };
-                p.current = Some(hop);
-                p.tried.push(hop);
-                p.attempt += 1;
-                let attempt = p.attempt;
-                send_counted(ctx, hop, ChordMsg::GetNextHop { lid, key, maint }, kind.bytes_key());
-                ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt });
-            }
-            mode @ (LookupMode::Recursive | LookupMode::Transitive) => {
-                self.forwards.insert(
-                    lid,
-                    ForwardState {
-                        key,
-                        origin: me,
-                        mode,
-                        hops: 1,
-                        prev: None,
-                        next: hop,
-                        attempts: 0,
-                        acked: false,
-                        tried: vec![hop],
-                        kind_bytes: kind.bytes_key(),
-                    },
-                );
-                send_counted(
-                    ctx,
-                    hop,
-                    ChordMsg::Lookup { lid, key, origin: me, mode, hops: 1, maint },
-                    kind.bytes_key(),
-                );
-                ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt: 0 });
-            }
-        }
+        send_counted(
+            ctx,
+            first_hop,
+            ChordMsg::Lookup { lid, key, origin: me, mode, hops: 1, maint },
+            kind.bytes_key(),
+        );
+        ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt: 0 });
+        seq
     }
 
     /// If this node can answer the lookup locally, produce the result.
@@ -679,12 +634,7 @@ impl ChordNode {
         attempt: u32,
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
-        // Recursive/transitive forwarding state?
         let Some(st) = self.forwards.get_mut(&lid) else {
-            // Iterative lookup we initiated?
-            if lid.origin == self.ring.me().addr {
-                self.iterative_timeout(lid, attempt, ctx);
-            }
             return;
         };
         if st.acked || st.attempts != attempt {
@@ -729,141 +679,6 @@ impl ChordNode {
     fn mark_dead(ring: &mut RingCore, predecessor: &mut Option<NodeHandle>, addr: Addr) {
         let predecessor_gone = predecessor.take_if(|p| p.addr == addr).is_some();
         ring.mark_dead(addr, predecessor_gone);
-    }
-
-    // ------------------------------------------------------------------
-    // Iterative lookups
-    // ------------------------------------------------------------------
-
-    fn handle_get_next_hop(
-        &mut self,
-        from: Addr,
-        lid: LookupId,
-        key: Id,
-        maint: bool,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-    ) {
-        let me = self.ring.me();
-        let mut step = if let Some(result) = self.local_answer(key) {
-            IterStep::Done(result)
-        } else {
-            let mut cands: Vec<NodeHandle> = self
-                .ring
-                .fingers()
-                .iter_distinct()
-                .chain(self.ring.successors().iter().copied())
-                .filter(|h| h.id.in_open_open(me.id, key))
-                .collect();
-            cands.sort_by_key(|h| std::cmp::Reverse(me.id.distance_to(h.id)));
-            cands.dedup_by_key(|h| h.addr);
-            cands.truncate(3);
-            IterStep::Forward(cands)
-        };
-        if self.ring.is_byzantine() {
-            if let IterStep::Forward(cands) = &step {
-                let honest_next = cands.first().copied().unwrap_or(me);
-                let candidates = self.ring.route_candidates();
-                match self.ring.route_action(key, honest_next, &candidates) {
-                    RouteAction::Honest => {}
-                    // No reply: the initiator's hop timeout reroutes around
-                    // us (iterative initiators keep control of the
-                    // traversal).
-                    RouteAction::Drop => return,
-                    RouteAction::Divert(h) => step = IterStep::Forward(vec![h]),
-                    RouteAction::Hijack => {
-                        step =
-                            IterStep::Done(LookupResult { predecessor: me, successors: vec![me] });
-                    }
-                }
-            }
-        }
-        let bytes_key = if maint { keys::BYTES_MAINT } else { keys::BYTES_LOOKUP };
-        send_counted(ctx, from, ChordMsg::NextHop { lid, step }, bytes_key);
-    }
-
-    fn handle_next_hop(
-        &mut self,
-        lid: LookupId,
-        step: IterStep,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-    ) {
-        if lid.origin != self.ring.me().addr {
-            return;
-        }
-        let seq = lid.seq;
-        let Some(p) = self.pending.get_mut(&seq) else {
-            return;
-        };
-        match step {
-            IterStep::Done(result) => {
-                let hops = p.hops + 1;
-                self.complete_lookup(seq, result, hops, ctx);
-            }
-            IterStep::Forward(cands) => {
-                p.hops += 1;
-                p.backups = cands;
-                match Self::pop_untried(&mut p.backups, &p.tried) {
-                    Some(next) => Self::iterative_hop(p, lid, next, self.cfg.hop_timeout, ctx),
-                    None => self.fail_lookup(seq, ctx),
-                }
-            }
-        }
-    }
-
-    /// Sends the iterative lookup `p` on to `next` and arms that hop's
-    /// timeout.
-    fn iterative_hop(
-        p: &mut PendingLookup,
-        lid: LookupId,
-        next: NodeHandle,
-        hop_timeout: SimDuration,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-    ) {
-        p.current = Some(next.addr);
-        p.tried.push(next.addr);
-        p.attempt += 1;
-        let bytes_key = p.kind.bytes_key();
-        let maint = bytes_key == keys::BYTES_MAINT;
-        emit_hop(ctx, lid.seq, next.addr, next.id, p.hops);
-        send_counted(ctx, next.addr, ChordMsg::GetNextHop { lid, key: p.key, maint }, bytes_key);
-        ctx.set_timer(hop_timeout, ChordTimer::HopTimeout { lid, attempt: p.attempt });
-    }
-
-    fn pop_untried(backups: &mut Vec<NodeHandle>, tried: &[Addr]) -> Option<NodeHandle> {
-        while let Some(c) = backups.first().copied() {
-            backups.remove(0);
-            if !tried.contains(&c.addr) {
-                return Some(c);
-            }
-        }
-        None
-    }
-
-    fn iterative_timeout(
-        &mut self,
-        lid: LookupId,
-        attempt: u32,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-    ) {
-        let Some(p) = self.pending.get_mut(&lid.seq) else {
-            return;
-        };
-        if p.attempt != attempt {
-            return; // Progress was made; stale timer.
-        }
-        if let Some(dead) = p.current.take() {
-            Self::mark_dead(&mut self.ring, &mut self.predecessor, dead);
-            ctx.metrics().count(keys::HOP_REROUTES, 1);
-        }
-        let next = Self::pop_untried(&mut p.backups, &p.tried)
-            .or_else(|| self.ring.route_excluding(p.key, &p.tried));
-        match next {
-            Some(n) => {
-                ctx.emit(ProtoEvent::Reroute { op: lid.seq, to: n.addr });
-                Self::iterative_hop(p, lid, n, self.cfg.hop_timeout, ctx);
-            }
-            None => self.fail_lookup(lid.seq, ctx),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -995,11 +810,9 @@ impl Node for ChordNode {
 
     fn on_message(&mut self, from: Addr, msg: ChordMsg, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
         let _span = ProfScope::enter(match &msg {
-            ChordMsg::Lookup { .. }
-            | ChordMsg::HopAck { .. }
-            | ChordMsg::LookupReply { .. }
-            | ChordMsg::GetNextHop { .. }
-            | ChordMsg::NextHop { .. } => Scope::ChordLookupRelay,
+            ChordMsg::Lookup { .. } | ChordMsg::HopAck { .. } | ChordMsg::LookupReply { .. } => {
+                Scope::ChordLookupRelay
+            }
             _ => Scope::ChordStabilize,
         });
         match msg {
@@ -1010,10 +823,6 @@ impl Node for ChordNode {
             ChordMsg::LookupReply { lid, result, hops } => {
                 self.handle_lookup_reply(lid, result, hops, ctx);
             }
-            ChordMsg::GetNextHop { lid, key, maint } => {
-                self.handle_get_next_hop(from, lid, key, maint, ctx)
-            }
-            ChordMsg::NextHop { lid, step } => self.handle_next_hop(lid, step, ctx),
             ChordMsg::GetNeighbors { token } => {
                 let mut successors = self.ring.successors().as_slice().to_vec();
                 let mut predecessor = self.predecessor;
@@ -1244,14 +1053,5 @@ mod tests {
         // A relay's diversion pool is the forward routing peers only.
         let ids: Vec<u128> = ring.route_candidates().iter().map(|p| p.id.raw()).collect();
         assert_eq!(ids, [300, 900, 200, 400]);
-    }
-
-    #[test]
-    fn pop_untried_skips_already_tried() {
-        let mut backups = vec![h(1, 1), h(2, 2), h(3, 3)];
-        let tried = vec![Addr::from_raw(1), Addr::from_raw(2)];
-        let next = ChordNode::pop_untried(&mut backups, &tried).unwrap();
-        assert_eq!(next.addr, Addr::from_raw(3));
-        assert!(ChordNode::pop_untried(&mut backups, &tried).is_none());
     }
 }

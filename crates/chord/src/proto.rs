@@ -9,7 +9,6 @@ use crate::ring::NodeHandle;
 
 /// How a lookup traverses the overlay (paper §4.5 / §7.1.2).
 ///
-/// * `Iterative` — the initiator contacts each hop itself.
 /// * `Recursive` — each hop forwards to the next; the reply retraces the
 ///   path. This is the only mode Verme permits.
 /// * `Transitive` — the forward path is recursive, but the responsible
@@ -18,8 +17,6 @@ use crate::ring::NodeHandle;
 ///   leak Verme must avoid.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum LookupMode {
-    /// Initiator-driven hop-by-hop traversal.
-    Iterative,
     /// Hop-by-hop forwarding; reply retraces the path.
     Recursive,
     /// Hop-by-hop forwarding; reply short-cuts straight to the initiator.
@@ -53,15 +50,6 @@ impl LookupResult {
     pub fn responsible(&self) -> NodeHandle {
         self.successors[0]
     }
-}
-
-/// A next-hop recommendation in an iterative lookup.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IterStep {
-    /// Candidates to try next, best first.
-    Forward(Vec<NodeHandle>),
-    /// The queried node answered the lookup.
-    Done(LookupResult),
 }
 
 /// Chord's wire messages.
@@ -98,22 +86,6 @@ pub enum ChordMsg {
         result: LookupResult,
         /// Total forward-path hops.
         hops: u32,
-    },
-    /// Iterative lookup step request.
-    GetNextHop {
-        /// Lookup identifier.
-        lid: LookupId,
-        /// Key being resolved.
-        key: Id,
-        /// True for overlay-maintenance lookups.
-        maint: bool,
-    },
-    /// Iterative lookup step response.
-    NextHop {
-        /// Lookup identifier.
-        lid: LookupId,
-        /// Next candidates or the final answer.
-        step: IterStep,
     },
     /// Stabilization: ask a successor for its predecessor + successor list.
     GetNeighbors {
@@ -166,14 +138,6 @@ impl Wire for ChordMsg {
             ChordMsg::HopAck { .. } => HEADER_BYTES + 8,
             ChordMsg::LookupReply { result, .. } => {
                 HEADER_BYTES + 8 + 4 + NodeHandle::WIRE_SIZE * (1 + result.successors.len())
-            }
-            ChordMsg::GetNextHop { .. } => HEADER_BYTES + 8 + 17,
-            ChordMsg::NextHop { step, .. } => {
-                let payload = match step {
-                    IterStep::Forward(c) => NodeHandle::WIRE_SIZE * c.len(),
-                    IterStep::Done(r) => NodeHandle::WIRE_SIZE * (1 + r.successors.len()),
-                };
-                HEADER_BYTES + 8 + 1 + payload
             }
             ChordMsg::GetNeighbors { .. } => HEADER_BYTES + 8,
             ChordMsg::Neighbors { successors, .. } => {
