@@ -26,7 +26,6 @@ pub mod compromise;
 pub mod dhash;
 pub mod engine;
 pub mod fast;
-pub mod fragments;
 pub mod repair;
 pub mod secure;
 pub mod serving;
@@ -38,10 +37,6 @@ pub use compromise::{Compromise, CompromiseVerDiNode, ObservedClient};
 pub use dhash::{Dhash, DhashNode};
 pub use engine::{DhtEngine, DhtMsg, DhtTimer, Variant};
 pub use fast::{Fast, FastVerDiNode};
-pub use fragments::{
-    decode as decode_fragments, encode as encode_fragments, prepare_fragmented, reassemble,
-    Fragment, Manifest,
-};
 pub use repair::DurabilityCensus;
 pub use secure::{Secure, SecurePayload, SecureVerDiNode};
 pub use serving::ServingPlane;

@@ -251,61 +251,6 @@ fn fast_verdi_data_survives_section_neighbor_deaths() {
 }
 
 #[test]
-fn erasure_coded_storage_survives_more_failures_than_it_stores() {
-    // The cited DHash optimization, end to end: encode a block 4-of-7,
-    // put each fragment as its own self-verifying block, kill some
-    // fragment holders, and reconstruct from any 4 retrievable fragments.
-    use verme_dht::fragments::{decode, encode};
-
-    let (mut rt, addrs) = spawn_dhash(21);
-    rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-    let original = Bytes::from((0..10_000).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
-    let (k, n) = (4usize, 7usize);
-    let frags = encode(&original, k, n).unwrap();
-
-    // Publish each fragment as an ordinary block (index byte prefixed so
-    // identical stripes cannot collide).
-    let mut frag_keys = Vec::new();
-    for f in &frags {
-        let mut blob = vec![f.index];
-        blob.extend_from_slice(&f.payload);
-        let key = do_put(&mut rt, addrs[3], Bytes::from(blob));
-        frag_keys.push(key);
-    }
-    rt.run_until(rt.now() + SimDuration::from_secs(5));
-
-    // Kill every holder of three of the seven fragments.
-    for key in frag_keys.iter().take(3) {
-        let holders: Vec<Addr> = addrs
-            .iter()
-            .copied()
-            .filter(|&a| rt.node(a).is_some_and(|nd| nd.store().contains(*key)))
-            .collect();
-        for h in holders {
-            rt.kill(h);
-        }
-    }
-
-    // Retrieve the surviving fragments and reconstruct.
-    let reader = addrs.iter().copied().find(|&a| rt.is_alive(a)).unwrap();
-    let mut recovered = Vec::new();
-    for key in &frag_keys {
-        rt.invoke(reader, |nd, ctx| nd.start_get(*key, ctx)).unwrap();
-        rt.run_until(rt.now() + SimDuration::from_secs(40));
-        let outs = rt.node_mut(reader).unwrap().take_op_outcomes();
-        if let Some(v) = outs.into_iter().find(|o| o.ok).and_then(|o| o.value) {
-            recovered.push(verme_dht::Fragment { index: v[0], payload: v.slice(1..) });
-        }
-        if recovered.len() == k {
-            break;
-        }
-    }
-    assert!(recovered.len() >= k, "only {} fragments retrievable", recovered.len());
-    let back = decode(&recovered, k, original.len()).unwrap();
-    assert_eq!(back, original);
-}
-
-#[test]
 fn replication_level_stays_bounded_over_time() {
     // Regression: data stabilization must not let replicas creep along
     // the section (only the replica-set anchor re-replicates). After many

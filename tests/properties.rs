@@ -217,31 +217,6 @@ proptest! {
 
 proptest! {
     #[test]
-    fn erasure_codec_round_trips_any_k_subset(
-        data in prop::collection::vec(any::<u8>(), 1..512),
-        k in 1usize..6,
-        extra in 0usize..4,
-        pick_seed: u64,
-    ) {
-        use verme::dht::{decode_fragments, encode_fragments};
-        let n = k + extra;
-        let bytes = bytes::Bytes::from(data.clone());
-        let frags = encode_fragments(&bytes, k, n).unwrap();
-        // Pick a pseudo-random k-subset.
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut s = pick_seed;
-        for i in (1..n).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            order.swap(i, (s % (i as u64 + 1)) as usize);
-        }
-        let subset: Vec<_> = order[..k].iter().map(|&i| frags[i].clone()).collect();
-        let back = decode_fragments(&subset, k, data.len()).unwrap();
-        prop_assert_eq!(&back[..], &data[..]);
-    }
-}
-
-proptest! {
-    #[test]
     fn tracker_invariant_holds_for_any_population(
         n in 4usize..200,
         island in 2usize..40,
