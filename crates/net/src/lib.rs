@@ -12,17 +12,13 @@
 //!   et al.) that supplies both latency *and* bandwidth, so data transfers
 //!   have a serialization cost. This is what makes the DHT get/put
 //!   experiments meaningful.
-//! * [`Waxman`]: the flat Waxman random graph from the same modelling
-//!   paper, used as a robustness check on the topology choice.
 //!
-//! All of them implement [`verme_sim::LatencyModel`].
+//! Both implement [`verme_sim::LatencyModel`].
 
 #![forbid(unsafe_code)]
 
 pub mod king;
 pub mod transit_stub;
-pub mod waxman;
 
 pub use king::KingMatrix;
 pub use transit_stub::{TransitStub, TransitStubConfig};
-pub use waxman::{Waxman, WaxmanConfig};

@@ -197,31 +197,3 @@ fn latency_models_compose_with_the_runtime() {
         assert!(d.as_millis_f64() > 0.0);
     }
 }
-
-/// Robustness: the DHT works identically over a flat Waxman topology —
-/// the topology model is a substitution, not a load-bearing assumption.
-#[test]
-fn verdi_round_trips_on_waxman_topology() {
-    use verme::net::{Waxman, WaxmanConfig};
-    let n = 128;
-    let ring = VermeStaticRing::generate(layout(), n, 31);
-    let mut ca = CertificateAuthority::new(31);
-    let net = Waxman::generate(WaxmanConfig { hosts: n, ..Default::default() }, 31);
-    let mut rt = Runtime::new(net, 31);
-    let addrs: Vec<Addr> = (0..n)
-        .map(|i| {
-            let overlay = ring.build_node(i, VermeConfig::new(layout()), &mut ca);
-            rt.spawn(HostId(i), FastVerDiNode::new(overlay, DhtConfig::default()))
-        })
-        .collect();
-    let data = Bytes::from(vec![0x3C; 8192]);
-    rt.invoke(addrs[9], |nd, ctx| nd.start_put(data, ctx)).unwrap();
-    rt.run_until(rt.now() + SimDuration::from_secs(60));
-    let put = rt.node_mut(addrs[9]).unwrap().take_op_outcomes().pop().unwrap();
-    assert!(put.ok, "put over waxman failed");
-    rt.invoke(addrs[80], |nd, ctx| nd.start_get(put.key, ctx)).unwrap();
-    rt.run_until(rt.now() + SimDuration::from_secs(60));
-    let got = rt.node_mut(addrs[80]).unwrap().take_op_outcomes().pop().unwrap();
-    assert!(got.ok);
-    assert_eq!(got.value.unwrap().len(), 8192);
-}
