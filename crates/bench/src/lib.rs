@@ -31,9 +31,6 @@
 //!   churn hooks, the DHash ring and the DHT fault-sweep cell, the
 //!   King-matrix lookup run, the check bins' verdicts and fingerprints,
 //!   the side-file directory, and `par_map`, the one sweep fan-out.
-//! * [`perf`] — the perf-regression gate: parses the checked-in
-//!   `baselines.json` floors and checks measured workloads against
-//!   them (the `perf_check` CI bin's logic).
 //!
 //! The `src/bin/` binaries print each figure's table at paper scale
 //! (`--full`) or a laptop-quick scale (default). How fast they run is
@@ -52,7 +49,6 @@ pub mod exto;
 pub mod fig5;
 pub mod fig67;
 pub mod fig8;
-pub mod perf;
 pub mod plot;
 pub mod testbed;
 

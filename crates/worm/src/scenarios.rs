@@ -1068,8 +1068,15 @@ mod tests {
         let cfg = small_cfg();
         let a = run_scenario(&Scenario::VermeWorm, &cfg);
         let b = run_scenario(&Scenario::VermeWorm, &cfg);
-        assert_eq!(a.infected, b.infected);
-        assert_eq!(a.scans, b.scans);
+        // The span profiler only observes: a run inside a profiling
+        // session that did enter scopes is the same result.
+        verme_sim::span_profiler_enable();
+        let profiled = run_scenario(&Scenario::VermeWorm, &cfg);
+        let profile = verme_sim::span_profiler_disable().expect("enabled above");
+        assert!(!profile.attributed_total().is_zero(), "the profiled run entered no scope");
+        let want = format!("{a:?}");
+        assert_eq!(want, format!("{b:?}"));
+        assert_eq!(want, format!("{profiled:?}"));
     }
 
     #[test]
