@@ -642,11 +642,12 @@ impl ChordNode {
         }
         Self::mark_dead(&mut self.ring, &mut self.predecessor, st.next);
         ctx.metrics().count(keys::HOP_REROUTES, 1);
-        // Forwarders give up after `max_hop_attempts` — upstream hops
+        // Forwarders give up after `MAX_HOP_ATTEMPTS` — upstream hops
         // reroute around them. The initiator has no upstream, so it
         // keeps rerouting through the next-best finger for as long as
         // untried routes remain; `LookupDeadline` bounds the total.
-        let out_of_attempts = st.prev.is_some() && st.attempts + 1 >= self.cfg.max_hop_attempts;
+        const MAX_HOP_ATTEMPTS: u32 = 4;
+        let out_of_attempts = st.prev.is_some() && st.attempts + 1 >= MAX_HOP_ATTEMPTS;
         let Some(next) = self.ring.route_excluding(st.key, &st.tried).filter(|_| !out_of_attempts)
         else {
             let initiator = st.prev.is_none();

@@ -212,8 +212,6 @@ pub struct ChordConfig {
     pub lookup_mode: LookupMode,
     /// How long a hop waits for `HopAck` before rerouting.
     pub hop_timeout: SimDuration,
-    /// Maximum reroute attempts per hop before giving up.
-    pub max_hop_attempts: u32,
     /// Overall per-lookup deadline; a lookup that misses it is failed.
     pub lookup_deadline: SimDuration,
     /// Which ring-maintenance rules to run ([`MaintenanceMode::Corrected`]
@@ -229,7 +227,6 @@ impl Default for ChordConfig {
             fix_fingers_interval: SimDuration::from_secs(60),
             lookup_mode: LookupMode::Recursive,
             hop_timeout: SimDuration::from_millis(500),
-            max_hop_attempts: 4,
             lookup_deadline: SimDuration::from_secs(8),
             maintenance: MaintenanceMode::default(),
         }
@@ -248,7 +245,6 @@ impl ChordConfig {
         ensure(!self.stabilize_interval.is_zero(), "stabilize_interval", "must be positive")?;
         ensure(!self.fix_fingers_interval.is_zero(), "fix_fingers_interval", "must be positive")?;
         ensure(!self.hop_timeout.is_zero(), "hop_timeout", "must be positive")?;
-        ensure(self.max_hop_attempts > 0, "max_hop_attempts", "need at least one hop attempt")?;
         ensure(!self.lookup_deadline.is_zero(), "lookup_deadline", "must be positive")
     }
 }

@@ -657,18 +657,20 @@ impl<P: Payload> VermeNode<P> {
     /// its section; if the section end intervenes, replicate toward the
     /// predecessors instead.
     fn replicas_for(&self, key: Id) -> Vec<NodeHandle> {
-        let r = self.cfg.replicas_per_section;
+        // VerDi stores n/2 replicas per section; the reproduction models
+        // n = 6.
+        const R: usize = 3;
         let layout = &self.cfg.layout;
         let in_section = |h: &&NodeHandle| layout.same_section(h.id, key);
         let fwd: Vec<NodeHandle> =
-            self.ring.successors().iter().filter(in_section).take(r).copied().collect();
+            self.ring.successors().iter().filter(in_section).take(R).copied().collect();
         if !fwd.is_empty() {
             return fwd;
         }
         // Corner: no in-section successor — replicate toward predecessors,
         // this node first.
         let me = self.ring.me();
-        [me].iter().chain(self.predecessors.iter()).filter(in_section).take(r).copied().collect()
+        [me].iter().chain(self.predecessors.iter()).filter(in_section).take(R).copied().collect()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -854,8 +856,9 @@ impl<P: Payload> VermeNode<P> {
         // And forward state does not keep piggybacked payloads (large data
         // would be double-counted), so a piggybacked lookup cannot be
         // rerouted at all; the initiator's deadline covers that rare case.
-        let give_up = st.piggyback_size > 0
-            || (st.prev.is_some() && st.attempts + 1 >= self.cfg.max_hop_attempts);
+        const MAX_HOP_ATTEMPTS: u32 = 4;
+        let give_up =
+            st.piggyback_size > 0 || (st.prev.is_some() && st.attempts + 1 >= MAX_HOP_ATTEMPTS);
         let Some(next) = self.ring.route_excluding(st.key, &st.tried).filter(|_| !give_up) else {
             let initiator = st.prev.is_none();
             self.forwards.remove(&lid);

@@ -286,17 +286,12 @@ pub struct VermeConfig {
     pub num_successors: usize,
     /// Predecessor-list length (paper: 10).
     pub num_predecessors: usize,
-    /// Replicas returned per replica answer (VerDi stores n/2 per
-    /// section; the default models n = 6).
-    pub replicas_per_section: usize,
     /// Interval between stabilization rounds.
     pub stabilize_interval: SimDuration,
     /// Interval between finger-refresh rounds.
     pub fix_fingers_interval: SimDuration,
     /// How long a hop waits for `HopAck` before rerouting.
     pub hop_timeout: SimDuration,
-    /// Maximum reroute attempts per hop.
-    pub max_hop_attempts: u32,
     /// Overall per-lookup deadline.
     pub lookup_deadline: SimDuration,
     /// Which ring-maintenance rules to run (corrected by default;
@@ -311,11 +306,9 @@ impl VermeConfig {
             layout,
             num_successors: 10,
             num_predecessors: 10,
-            replicas_per_section: 3,
             stabilize_interval: SimDuration::from_secs(30),
             fix_fingers_interval: SimDuration::from_secs(60),
             hop_timeout: SimDuration::from_millis(500),
-            max_hop_attempts: 4,
             lookup_deadline: SimDuration::from_secs(8),
             maintenance: MaintenanceMode::default(),
         }
@@ -330,11 +323,9 @@ impl VermeConfig {
         use verme_sim::config::ensure;
         ensure(self.num_successors > 0, "num_successors", "need at least one successor")?;
         ensure(self.num_predecessors > 0, "num_predecessors", "need at least one predecessor")?;
-        ensure(self.replicas_per_section > 0, "replicas_per_section", "need at least one replica")?;
         ensure(!self.stabilize_interval.is_zero(), "stabilize_interval", "must be positive")?;
         ensure(!self.fix_fingers_interval.is_zero(), "fix_fingers_interval", "must be positive")?;
         ensure(!self.hop_timeout.is_zero(), "hop_timeout", "must be positive")?;
-        ensure(self.max_hop_attempts > 0, "max_hop_attempts", "need at least one hop attempt")?;
         ensure(!self.lookup_deadline.is_zero(), "lookup_deadline", "must be positive")
     }
 }

@@ -205,8 +205,6 @@ pub struct DhtConfig {
     /// timeout, so an attempt stalled on a dead replica is retried
     /// instead of burning the whole deadline.
     pub max_retries: u32,
-    /// Backoff before the first retry; doubles on each further retry.
-    pub retry_backoff: SimDuration,
     /// Enables the active repair plane: periodic diff-based repair
     /// rounds, join/leave handoff, and read-repair. When false the node
     /// behaves exactly as before the repair plane existed (blind
@@ -216,10 +214,6 @@ pub struct DhtConfig {
     /// the overlay neighborhood changed since the previous round, so a
     /// quiet ring sends no repair traffic at all.
     pub repair_interval: SimDuration,
-    /// Budget: blocks re-pushed per repair exchange. Missing blocks
-    /// beyond the budget wait for the next round, bounding the
-    /// `bytes.replication` burst a repair round can cause.
-    pub repair_batch: usize,
     /// Redundant-path lookup fan-out (Secure-VerDi only): each attempt
     /// issues this many lookups with pairwise-disjoint first hops and
     /// takes the first verified answer. The default of 1 preserves the
@@ -266,10 +260,8 @@ impl Default for DhtConfig {
             op_deadline: SimDuration::from_secs(30),
             data_stabilize_interval: SimDuration::from_secs(60),
             max_retries: 3,
-            retry_backoff: SimDuration::from_millis(500),
             repair_enabled: true,
             repair_interval: SimDuration::from_secs(15),
-            repair_batch: 8,
             lookup_fanout: 1,
             hop_suspicion: false,
             cache_enabled: false,
@@ -304,18 +296,8 @@ impl DhtConfig {
             "must be positive",
         )?;
         ensure(
-            self.max_retries == 0 || !self.retry_backoff.is_zero(),
-            "retry_backoff",
-            "must be positive when retries are enabled",
-        )?;
-        ensure(
             !self.repair_enabled || !self.repair_interval.is_zero(),
             "repair_interval",
-            "must be positive when repair is enabled",
-        )?;
-        ensure(
-            !self.repair_enabled || self.repair_batch > 0,
-            "repair_batch",
             "must be positive when repair is enabled",
         )?;
         ensure((1..=4).contains(&self.lookup_fanout), "lookup_fanout", "must be between 1 and 4")?;
@@ -338,9 +320,11 @@ impl DhtConfig {
         self.op_deadline / (self.max_retries as u64 + 1)
     }
 
-    /// Backoff before retry number `attempt` (1-based), doubling each time.
+    /// Backoff before retry number `attempt` (1-based): 500 ms, doubling
+    /// each time.
     pub fn backoff_for(&self, attempt: u32) -> SimDuration {
-        self.retry_backoff * 2u64.saturating_pow(attempt.saturating_sub(1))
+        const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(500);
+        RETRY_BACKOFF * 2u64.saturating_pow(attempt.saturating_sub(1))
     }
 }
 

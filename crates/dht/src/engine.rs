@@ -340,6 +340,11 @@ pub enum DhtTimer<T> {
 /// round, coalescing the flurry of changes a single join/leave causes.
 const REPAIR_KICK_DELAY: SimDuration = SimDuration::from_secs(2);
 
+/// Budget: blocks re-pushed (or pulled) per repair exchange. Missing
+/// blocks beyond it wait for the next round, bounding the
+/// `bytes.replication` burst a repair round can cause.
+pub(crate) const REPAIR_BATCH: usize = 8;
+
 /// A DHT node: the overlay node of variant `V` plus the block store, the
 /// operation table, the serving plane and the repair plane.
 ///
@@ -741,20 +746,19 @@ impl<V: Variant> DhtEngine<V> {
         let pulls: Vec<Id> = orphans
             .into_iter()
             .filter(|k| !self.store.contains(*k) && V::reclaims(self, *k))
-            .take(self.cfg.repair_batch)
+            .take(REPAIR_BATCH)
             .collect();
         if !pulls.is_empty() {
             send_background(ctx, responder, DhtMsg::RepairPull { keys: pulls });
         }
     }
 
-    /// Re-replicates to `to` up to `repair_batch` of `wanted` that this
-    /// node holds; the rest wait for the next round, bounding the
-    /// replication burst one exchange can cause.
+    /// Re-replicates to `to` up to [`REPAIR_BATCH`] of `wanted` that this
+    /// node holds.
     fn push_blocks(&mut self, to: Addr, wanted: Vec<Id>, cross: bool, ctx: &mut ECtx<'_, V>) {
         let mut pushed = 0usize;
         for key in wanted {
-            if pushed >= self.cfg.repair_batch {
+            if pushed >= REPAIR_BATCH {
                 break;
             }
             let Some(block) = self.store.get(key).cloned() else {
@@ -898,7 +902,7 @@ impl<V: Variant> Node for DhtEngine<V> {
                         .filter(|k| {
                             V::in_probed_range(self, *k, start, owner) && !listed.contains(k)
                         })
-                        .take(self.cfg.repair_batch)
+                        .take(REPAIR_BATCH)
                         .collect()
                 };
                 // Always answer — an empty reply still drains the prober's

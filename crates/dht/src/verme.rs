@@ -11,7 +11,7 @@ use verme_sim::{Addr, Scope, Wire};
 
 use crate::block::Block;
 use crate::engine::{
-    send_as, send_background, DhtEngine, DhtMsg, ECtx, ExtMsg, Stored, Variant, HDR,
+    send_as, send_background, DhtEngine, DhtMsg, ECtx, ExtMsg, Stored, Variant, HDR, REPAIR_BATCH,
 };
 
 /// True if this node anchors the replica set for `point` (it is the
@@ -239,7 +239,7 @@ pub(crate) fn cross_spot_check<V: DualPoint>(
         return;
     }
     let start = eng.variant.cross().cursor % anchored.len();
-    let take = eng.cfg.repair_batch.min(anchored.len());
+    let take = REPAIR_BATCH.min(anchored.len());
     eng.variant.cross().cursor = (start + take) % anchored.len();
     for i in 0..take {
         let k = anchored[(start + i) % anchored.len()];

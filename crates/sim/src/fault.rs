@@ -658,6 +658,14 @@ enum Action {
     ByzantineStart { fault_idx: usize },
 }
 
+/// How often `ring_converged` is polled after a burst.
+const POLL_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// How long after a burst's window the runner keeps polling before
+/// declaring the burst unrecovered.
+const CONVERGE_TIMEOUT: SimDuration = SimDuration::from_mins(5);
+/// Population floor below which churn departures are skipped.
+const MIN_POPULATION: usize = 4;
+
 /// Executes a [`FaultPlan`] against a [`Runtime`].
 ///
 /// Create with [`new`](FaultRunner::new), then drive the simulation with
@@ -676,13 +684,6 @@ pub struct FaultRunner<N: Node, L: LatencyModel> {
     report: FaultReport,
     /// Counter snapshots taken at each burst's start, by burst index.
     burst_snapshots: Vec<BTreeMap<&'static str, u64>>,
-    /// How often `ring_converged` is polled after a burst.
-    poll_interval: SimDuration,
-    /// How long after a burst's window the runner keeps polling before
-    /// declaring the burst unrecovered.
-    converge_timeout: SimDuration,
-    /// Population floor below which churn departures are skipped.
-    min_population: usize,
     /// Flight recorder snapshotted into each burst's [`BurstImpact::events`].
     recorder: Option<FlightRecorder>,
     /// Overlapping-window bookkeeping, one stack per runtime knob.
@@ -749,38 +750,12 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
             population,
             report: FaultReport::default(),
             burst_snapshots: Vec::new(),
-            poll_interval: SimDuration::from_millis(500),
-            converge_timeout: SimDuration::from_mins(5),
-            min_population: 4,
             recorder: None,
             loss_windows: WindowStack::new(),
             latency_windows: WindowStack::new(),
             dup_windows: WindowStack::new(),
             reorder_windows: WindowStack::new(),
         })
-    }
-
-    /// Overrides the reconvergence poll interval (default 500 ms).
-    #[must_use]
-    pub fn with_poll_interval(mut self, interval: SimDuration) -> Self {
-        assert!(!interval.is_zero(), "poll interval must be non-zero");
-        self.poll_interval = interval;
-        self
-    }
-
-    /// Overrides how long to keep polling after a burst (default 5 min).
-    #[must_use]
-    pub fn with_converge_timeout(mut self, timeout: SimDuration) -> Self {
-        self.converge_timeout = timeout;
-        self
-    }
-
-    /// Overrides the population floor below which churn departures are
-    /// skipped (default 4).
-    #[must_use]
-    pub fn with_min_population(mut self, floor: usize) -> Self {
-        self.min_population = floor;
-        self
     }
 
     /// Attaches a [`FlightRecorder`] whose contents are snapshotted into
@@ -944,7 +919,7 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
             return;
         }
         self.prune_dead(rt);
-        if self.population.len() > self.min_population {
+        if self.population.len() > MIN_POPULATION {
             // Deterministic victim choice from our own ordered population —
             // never from runtime hash-map iteration order.
             let idx = self.rng.gen_range(0..self.population.len());
@@ -1001,11 +976,7 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
         let window_end = at + window;
         self.agenda.schedule(
             window_end,
-            Action::BurstSettle {
-                burst_idx,
-                window_end,
-                deadline: window_end + self.converge_timeout,
-            },
+            Action::BurstSettle { burst_idx, window_end, deadline: window_end + CONVERGE_TIMEOUT },
         );
     }
 
@@ -1055,7 +1026,7 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
             }
         } else {
             self.agenda.schedule(
-                rt.now() + self.poll_interval,
+                rt.now() + POLL_INTERVAL,
                 Action::BurstSettle { burst_idx, window_end, deadline },
             );
         }
