@@ -11,8 +11,6 @@
 //! A and B fall out of the Figure 5 harness ([`crate::fig5`]); C is a
 //! static responsibility analysis over uneven rings.
 
-use rand::Rng;
-
 use verme_chord::Id;
 use verme_core::{SectionLayout, VermeStaticRing};
 use verme_sim::SeedSource;
@@ -91,12 +89,6 @@ pub fn measure_imbalance(
         };
     }
     result
-}
-
-/// Convenience: a quick random-mean helper used by the ext binaries.
-pub fn jitter_seed(base: u64, idx: u64) -> u64 {
-    let mut rng = SeedSource::new(base).substream(idx);
-    rng.gen()
 }
 
 #[cfg(test)]

@@ -197,11 +197,6 @@ impl NeighborList {
     pub fn owner(&self) -> Id {
         self.owner
     }
-
-    /// True if the list is ordered clockwise (successors).
-    pub fn is_clockwise(&self) -> bool {
-        self.clockwise
-    }
 }
 
 /// A finger table: long-range routing pointers.

@@ -19,7 +19,7 @@
 //! can carry DHT operations (and their data) inside the lookup itself.
 
 use verme_chord::{Id, MaintenanceMode, NodeHandle};
-use verme_crypto::{Certificate, NodeType, Sealed};
+use verme_crypto::{Certificate, Sealed};
 use verme_sim::{SimDuration, Wire};
 
 use crate::layout::SectionLayout;
@@ -330,16 +330,10 @@ impl VermeConfig {
     }
 }
 
-/// Convenience: the type a replica answer for `key` will contain, which
-/// the initiator must *not* share (the §5.3.1 check).
-pub fn replica_answer_type(layout: &SectionLayout, key: Id) -> NodeType {
-    layout.type_of(key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verme_crypto::CertificateAuthority;
+    use verme_crypto::{CertificateAuthority, NodeType};
 
     #[test]
     fn lookup_size_includes_certificate_and_payload() {

@@ -441,7 +441,7 @@ pub type StepAssertor<N> = Box<dyn FnMut(&SampleView<'_, N>) -> AssertorVerdict>
 /// rt.run_until(SimTime::from_nanos(2_000_000_000));
 /// assert!(rt.stats().messages_delivered > 0);
 /// ```
-pub struct Runtime<N: Node, L = Box<dyn LatencyModel>> {
+pub struct Runtime<N: Node, L> {
     now: SimTime,
     /// Pending events by slot number into `events`: the heap sifts
     /// 24-byte entries whatever the message type.
@@ -559,11 +559,6 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
     /// (e.g. fingerprint ring state and re-evaluate only on change).
     pub fn set_step_assertor(&mut self, hook: StepAssertor<N>) {
         self.assertor = Some(hook);
-    }
-
-    /// Removes the step assertor, if any.
-    pub fn clear_step_assertor(&mut self) {
-        self.assertor = None;
     }
 
     /// Fires the step assertor against the current state, then applies
@@ -1041,16 +1036,6 @@ impl LatencyModel for UniformLatency {
 
     fn num_hosts(&self) -> usize {
         self.hosts
-    }
-}
-
-impl LatencyModel for Box<dyn LatencyModel> {
-    fn delay(&mut self, from: HostId, to: HostId, bytes: usize) -> SimDuration {
-        (**self).delay(from, to, bytes)
-    }
-
-    fn num_hosts(&self) -> usize {
-        (**self).num_hosts()
     }
 }
 
