@@ -918,18 +918,25 @@ impl<P: Payload> VermeNode<P> {
         mut preds: Vec<NodeHandle>,
         ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) {
-        // Both advertised lists are vetted *before* the reply token is
-        // matched, so unsolicited or stale `Neighbors` count toward
-        // `ring.poisoned_entries`; Chord vets after the match.
+        // Match the reply token first, as `ChordNode` does: an unsolicited
+        // or stale `Neighbors` is dropped unvetted.
+        let s1 = self.ring.take_stab_waiting(token);
+        let p1 = match s1 {
+            Some(_) => None,
+            None => take_waiting(&mut self.pred_stab_waiting, token),
+        };
+        if s1.is_none() && p1.is_none() {
+            return;
+        }
         let known = self.predecessors.as_slice();
         let poisoned = self.ring.sanitize_advert(known, &mut succs, ctx)
             | self.ring.sanitize_advert(known, &mut preds, ctx);
         let mode = self.cfg.maintenance;
-        if let Some(s1) = self.ring.take_stab_waiting(token) {
+        if let Some(s1) = s1 {
             // s1's best predecessor might sit between us and s1.
             self.ring.adopt_successors(mode, s1, preds.first().copied(), &succs, poisoned);
             self.notify_successor(ctx);
-        } else if let Some(p1) = take_waiting(&mut self.pred_stab_waiting, token) {
+        } else if let Some(p1) = p1 {
             // The same rebuild, mirrored counter-clockwise.
             let fresh = rebuild_list(&self.predecessors, mode, p1, None, &preds, poisoned);
             if fresh != self.predecessors {
@@ -1285,5 +1292,27 @@ mod tests {
             assert_eq!(reps[0].id, node.id());
             assert!(reps.iter().any(|r| r.id == pred.id));
         }
+    }
+
+    #[test]
+    fn unsolicited_neighbors_are_not_vetted() {
+        use verme_sim::runtime::UniformLatency;
+        use verme_sim::{HostId, Runtime};
+        let (cfg, mut ca) = setup();
+        let mut rng = verme_sim::SeedSource::new(7).stream("ids");
+        let id = cfg.layout.assign_id(&mut rng, NodeType::A);
+        let (cert, keys) = ca.issue(id.raw(), NodeType::A);
+        let succ = NodeHandle::new(Id::new(id.raw().wrapping_add(5)), Addr::from_raw(77));
+        let node: VermeNode<()> =
+            VermeNode::with_state(cfg, cert, keys, ca.verifier(), &[], &[succ], &[]);
+        let mut rt = Runtime::new(UniformLatency::new(1, SimDuration::from_millis(1)), 1);
+        let addr = rt.spawn(HostId(0), node);
+        // No stabilize round is open, so no token matches; the advert
+        // rebinds the successor's address to another id.
+        let rebound = NodeHandle::new(Id::new(succ.id.raw().wrapping_add(1)), succ.addr);
+        rt.invoke(addr, |n, ctx| n.handle_neighbors(999, vec![rebound], vec![rebound], ctx))
+            .expect("alive");
+        assert_eq!(rt.metrics().counter(verme_chord::keys::RING_POISONED), 0);
+        assert_eq!(rt.node(addr).expect("alive").successor_list(), [succ]);
     }
 }
