@@ -905,7 +905,9 @@ pub fn explore_trace(params: &ModelParams) -> Option<(Vec<ModelEvent>, ModelStat
 
 #[cfg(test)]
 mod tests {
+    use super::super::ViolationKind;
     use super::*;
+    use ModelEvent::{Fail, JoinFinish, JoinStart, Leave, Stabilize};
 
     fn params(variant: Variant, mode: MaintenanceMode) -> ModelParams {
         ModelParams {
@@ -976,7 +978,7 @@ mod tests {
         let (_, st) = wedge_trace(MaintenanceMode::Legacy);
         let report = st.check();
         assert!(
-            report.violations.iter().any(|v| v.kind == super::super::ViolationKind::MultipleRings),
+            report.violations.iter().any(|v| v.kind == ViolationKind::MultipleRings),
             "expected a multiple-rings violation, got {report:?}"
         );
     }
@@ -1063,6 +1065,79 @@ mod tests {
         let on = explore(&p_on);
         assert!(on.states >= off.states, "leaves can only add reachable states");
         assert_eq!(on.violation_states, 0, "{:?}", on.samples);
+    }
+
+    /// Replays `trace` from the initial state under `ring_check --full`'s
+    /// proof parameters (every event must be enabled) and returns the
+    /// violations of the state it ends in.
+    fn replay_full_proof(variant: Variant, trace: &[ModelEvent]) -> Vec<Violation> {
+        let p = ModelParams {
+            slots: 6,
+            max_fails: 4,
+            allow_leaves: true,
+            ..params(variant, MaintenanceMode::Corrected)
+        };
+        let mut st = ModelState::initial(&p);
+        for &ev in trace {
+            assert!(st.apply(ev, &p), "{ev:?} must be enabled");
+        }
+        st.check().violations
+    }
+
+    const DISORDERED_AT_2: Violation = Violation { kind: ViolationKind::DisorderedRing, node: 2 };
+
+    // The two traces `ring_check --full` has printed as its first
+    // counter-examples since PR 10 added `Leave` (tracked whole in
+    // `results/ring_check_full.txt`). They pin the open failure, not a
+    // wanted behaviour: the PR that fixes the protocol — or the guard that
+    // should have excluded these universes — flips both to `is_empty()`.
+
+    #[test]
+    fn open_failure_six_slot_chord_trace_ends_in_a_disordered_ring() {
+        let trace = [
+            JoinStart(1),
+            JoinFinish(1, 0),
+            JoinStart(2),
+            JoinFinish(2, 1),
+            Stabilize(2),
+            JoinStart(3),
+            JoinFinish(3, 1),
+            Stabilize(1),
+            JoinStart(4),
+            JoinFinish(4, 2),
+            Stabilize(2),
+            JoinStart(5),
+            JoinFinish(5, 4),
+            Stabilize(3),
+            Fail(0),
+            Stabilize(4),
+            Leave(1),
+            Stabilize(5),
+        ];
+        assert_eq!(replay_full_proof(Variant::Chord, &trace), [DISORDERED_AT_2]);
+    }
+
+    #[test]
+    fn open_failure_six_slot_section_trace_ends_in_a_disordered_ring() {
+        let trace = [
+            JoinStart(1),
+            JoinFinish(1, 0),
+            JoinStart(2),
+            JoinFinish(2, 1),
+            Stabilize(2),
+            JoinStart(3),
+            JoinFinish(3, 1),
+            Stabilize(1),
+            Leave(0),
+            JoinStart(4),
+            JoinStart(5),
+            JoinFinish(5, 3),
+            Stabilize(2),
+            Leave(1),
+            JoinFinish(4, 3),
+            Stabilize(4),
+        ];
+        assert_eq!(replay_full_proof(Variant::Section, &trace), [DISORDERED_AT_2]);
     }
 
     #[test]
