@@ -12,7 +12,8 @@
 //! * [`MaintenanceMode`] — the config switch between the legacy
 //!   stabilization rules (kept as the comparison arm) and the corrected
 //!   protocol (two-phase join, rectify, forward-only successor reseed);
-//! * [`rectify_decision`] — the corrected predecessor-update rule;
+//! * [`rectify_decision`] — the corrected predecessor-update rule, and
+//!   [`predecessor_decision`], which picks it or the legacy rule by mode;
 //! * [`RingStance`] + [`check_ring`] — the inductive invariant, evaluated
 //!   over a global snapshot of every live node's ring pointers;
 //! * [`model`] — a small deterministic abstraction of the join/fail/
@@ -86,6 +87,29 @@ pub fn rectify_decision(
         Some(p) if p == candidate => RectifyDecision::Keep,
         Some(p) if in_open_open(p, candidate, self_id) => RectifyDecision::Adopt,
         Some(_) => RectifyDecision::ProbePred,
+    }
+}
+
+/// What a notify from `candidate` does to a single predecessor pointer,
+/// per mode. Legacy adopts only candidates inside `(pred, self)`, so a
+/// stale dead incumbent silently strands the true predecessor — Zave's
+/// counterexample; Corrected is [`rectify_decision`].
+pub fn predecessor_decision(
+    mode: MaintenanceMode,
+    self_id: u128,
+    incumbent: Option<u128>,
+    candidate: u128,
+) -> RectifyDecision {
+    match mode {
+        MaintenanceMode::Legacy => {
+            let inside = incumbent.is_none_or(|p| in_open_open(p, candidate, self_id));
+            if inside && candidate != self_id {
+                RectifyDecision::Adopt
+            } else {
+                RectifyDecision::Keep
+            }
+        }
+        MaintenanceMode::Corrected => rectify_decision(self_id, incumbent, candidate),
     }
 }
 

@@ -7,14 +7,24 @@
 //! one stabilization round collapse into a single step, and the notify it
 //! ends with is applied synchronously at the receiver.
 //!
+//! The rules are not the model's. Every maintenance decision — who owns
+//! a key ([`owns_arc`]), what a join installs ([`joined_list`]), how a
+//! list is rebuilt from a neighbor's advertisement ([`rebuild_list`]),
+//! what a notify does to the predecessor ([`predecessor_decision`]) and
+//! to an emptied successor list ([`refill_seed`]), how a farewell is
+//! absorbed ([`NeighborList`]) — is the function `RingCore`, `ChordNode`
+//! and `VermeNode` call, handed [`ModelParams::mode`] and never matching
+//! on it. The model supplies what a proof needs around them: atomic
+//! steps, guards, claimant branching, rotation canonicalisation,
+//! exploration and the convergence check.
+//!
 //! Faithfulness notes:
 //!
 //! * **Joins** route through *claimants*: any live node whose local arc
 //!   claim (`(a, head(a.succs)]`, or everything for a bare singleton)
 //!   covers the joiner answers with its own — possibly stale — successor
-//!   list, exactly like `local_answer`. Every claimant is branched on, so
-//!   the enumeration covers answers from nodes that have not yet absorbed
-//!   a concurrent join.
+//!   list. Every claimant is branched on, so the enumeration covers
+//!   answers from nodes that have not yet absorbed a concurrent join.
 //! * **Fingers** are an oracle toggled by [`ModelParams::finger_oracle`]:
 //!   on, an emptied successor list reseeds to the true nearest live node
 //!   (a fresh finger table); off, the reseed finds nothing (the fingers
@@ -30,10 +40,15 @@
 
 use std::collections::{HashSet, VecDeque};
 
+use verme_sim::Addr;
+
 use super::{
-    check_ring, rectify_decision, MaintenanceMode, RectifyDecision, RingReport, RingStance,
+    check_ring, predecessor_decision, MaintenanceMode, RectifyDecision, RingReport, RingStance,
     Violation,
 };
+use crate::id::Id;
+use crate::ring::{NeighborList, NodeHandle};
+use crate::ring_core::{joined_list, owns_arc, rebuild_list, refill_seed};
 
 /// Which overlay variant the model runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -167,18 +182,39 @@ impl ModelOutcome {
     }
 }
 
-fn dist(n: usize, a: u8, b: u8) -> usize {
-    (b as usize + n - a as usize) % n
+// The one conversion between the model's compact state and what the
+// maintenance rules take. Slot `i` is identifier `i` at address `i + 1`:
+// slots `0..n` keep their circular order on the 2¹²⁸ ring, and the rules
+// only compare circular distances, so they decide on slots exactly as
+// they do on the nodes' identifiers.
+
+fn handle(slot: u8) -> NodeHandle {
+    NodeHandle::new(Id::new(slot.into()), Addr::from_raw(u64::from(slot) + 1))
 }
 
-fn in_oo(n: usize, a: u8, x: u8, b: u8) -> bool {
-    let to_x = dist(n, a, x);
-    let to_b = dist(n, a, b);
-    if to_b == 0 {
-        to_x != 0
+fn handles(slots: &[u8]) -> Vec<NodeHandle> {
+    slots.iter().copied().map(handle).collect()
+}
+
+fn slot(h: NodeHandle) -> u8 {
+    h.id.raw() as u8
+}
+
+fn slots(list: &NeighborList) -> Vec<u8> {
+    list.iter().copied().map(slot).collect()
+}
+
+/// `owner`'s successor (`clockwise`) or predecessor list holding `slots`,
+/// which every list of a model state keeps in rank order.
+fn list(owner: u8, cap: usize, clockwise: bool, slots: &[u8]) -> NeighborList {
+    let id = Id::new(owner.into());
+    let mut l = if clockwise {
+        NeighborList::successors(id, cap)
     } else {
-        to_x != 0 && to_x < to_b
-    }
+        NeighborList::predecessors(id, cap)
+    };
+    l.integrate_all(&handles(slots));
+    l
 }
 
 impl ModelState {
@@ -257,156 +293,94 @@ impl ModelState {
         (1..n).map(|d| ((from as usize + d) % n) as u8).find(|&x| self.active(x))
     }
 
-    /// Sorts `items` by clockwise distance from `owner`, dropping the
-    /// owner and duplicates, truncating to `cap` — `NeighborList`
-    /// integration for successor lists.
-    fn sort_cw(&self, owner: u8, items: &[u8], cap: usize) -> Vec<u8> {
-        let n = self.n();
-        let mut v: Vec<u8> = items.iter().copied().filter(|&x| x != owner).collect();
-        v.sort_by_key(|&x| dist(n, owner, x));
-        v.dedup();
-        v.truncate(cap);
-        v
-    }
-
-    /// As [`sort_cw`](Self::sort_cw) but counter-clockwise (predecessor
-    /// lists, nearest predecessor first).
-    fn sort_ccw(&self, owner: u8, items: &[u8], cap: usize) -> Vec<u8> {
-        let n = self.n();
-        let mut v: Vec<u8> = items.iter().copied().filter(|&x| x != owner).collect();
-        v.sort_by_key(|&x| dist(n, x, owner));
-        v.dedup();
-        v.truncate(cap);
-        v
-    }
-
-    /// Zave's *ordered* list update — `NeighborList::adopt_chain`: keep
-    /// `chain` in advertisement order, dropping entries that do not
-    /// strictly advance from `owner` (clockwise when `cw`). Unlike the
-    /// legacy rank-sorted merge, a stale entry deep in a peer's tail can
-    /// never leapfrog ahead of fresher knowledge, so dead residue flushes
-    /// one position per round instead of recirculating forever.
-    fn adopt_chain(&self, owner: u8, chain: &[u8], cap: usize, cw: bool) -> Vec<u8> {
-        let n = self.n();
-        let d = |x: u8| if cw { dist(n, owner, x) } else { dist(n, x, owner) };
-        let mut out: Vec<u8> = Vec::new();
-        for &x in chain {
-            if out.len() >= cap {
-                break;
-            }
-            if x == owner {
-                continue;
-            }
-            if out.last().is_some_and(|&l| d(l) >= d(x)) {
-                continue;
-            }
-            out.push(x);
-        }
-        out
-    }
-
     /// Live nodes whose local arc claim covers joining node `i` — the
     /// possible answerers of `i`'s join lookup, per `local_answer`.
     fn claimants(&self, i: u8) -> Vec<u8> {
         self.actives()
             .into_iter()
             .filter(|&a| {
-                a != i
-                    && match self.nodes[a as usize].succs.first() {
-                        None => true, // Bare singleton answers everything.
-                        Some(&s1) => {
-                            // key ∈ (a, s1]: open-closed on the circle.
-                            let n = self.n();
-                            dist(n, a, i) <= dist(n, a, s1) && i != a
-                        }
-                    }
+                let s1 = self.nodes[a as usize].succs.first().map(|&s1| handle(s1).id);
+                a != i && owns_arc(handle(a).id, s1, handle(i).id)
             })
             .collect()
     }
 
-    /// The corrected/legacy notify rule, applied synchronously at `s`
-    /// for candidate `c`.
+    /// The notify rule of `params.mode`, applied synchronously at `s` for
+    /// candidate `c`.
     fn notify(&mut self, s: u8, c: u8, params: &ModelParams) {
         if s == c {
             return;
         }
-        let n = self.n();
+        let cap = params.list_len;
         match params.variant {
             Variant::Chord => {
-                let node = &self.nodes[s as usize];
-                let adopt = match params.mode {
-                    MaintenanceMode::Legacy => match node.pred {
-                        None => true,
-                        Some(p) => in_oo(n, p, c, s),
-                    },
-                    // Slots `0..n` keep their circular order on the 2¹²⁸
-                    // ring, so the rule the nodes run decides here too.
-                    MaintenanceMode::Corrected => {
-                        match rectify_decision(s.into(), node.pred.map(u128::from), c.into()) {
-                            RectifyDecision::Adopt => true,
-                            RectifyDecision::Keep => false,
-                            // The probe resolves at once: adopt on timeout.
-                            RectifyDecision::ProbePred => {
-                                node.pred.is_some_and(|p| !self.active(p))
-                            }
-                        }
-                    }
+                let pred = self.nodes[s as usize].pred;
+                let adopt = match predecessor_decision(
+                    params.mode,
+                    s.into(),
+                    pred.map(u128::from),
+                    c.into(),
+                ) {
+                    RectifyDecision::Adopt => true,
+                    RectifyDecision::Keep => false,
+                    // The probe resolves at once: adopt on timeout.
+                    RectifyDecision::ProbePred => pred.is_some_and(|p| !self.active(p)),
                 };
                 if adopt {
                     self.nodes[s as usize].pred = Some(c);
                 }
             }
             Variant::Section => {
-                let mut preds = self.nodes[s as usize].preds.clone();
-                preds.push(c);
-                self.nodes[s as usize].preds = self.sort_ccw(s, &preds, params.list_len);
+                let mut preds = list(s, cap, false, &self.nodes[s as usize].preds);
+                preds.integrate(handle(c));
+                self.nodes[s as usize].preds = slots(&preds);
             }
         }
         if self.nodes[s as usize].succs.is_empty() {
-            let refill = match params.mode {
-                // The legacy hazard: refill backwards from the notifier.
-                MaintenanceMode::Legacy => Some(c),
-                MaintenanceMode::Corrected => {
-                    if params.finger_oracle {
-                        self.nearest_active_cw(s)
-                    } else if !self.nodes[s as usize].seeded {
-                        Some(c) // True bootstrap singleton.
-                    } else {
-                        None // Wedged: never adopt backwards.
-                    }
-                }
-            };
-            if let Some(f) = refill {
-                if f != s {
-                    self.nodes[s as usize].succs = vec![f];
-                    self.nodes[s as usize].seeded = true;
-                }
+            let finger = if params.finger_oracle { self.nearest_active_cw(s) } else { None };
+            let seeded = self.nodes[s as usize].seeded;
+            if let Some(seed) =
+                refill_seed(params.mode, handle(s).id, seeded, finger.map(handle), handle(c))
+            {
+                let mut succs = list(s, cap, true, &[]);
+                succs.integrate(seed);
+                self.set_succs(s, &succs);
             }
         }
     }
 
-    fn join_finish(&mut self, i: u8, a: u8, params: &ModelParams) {
-        let answer_succs = self.nodes[a as usize].succs.clone();
-        let mut list = self.sort_cw(i, &answer_succs, params.list_len);
-        if list.is_empty() {
-            // Degenerate: the only other node answered with itself.
-            list = vec![a];
-        }
+    /// Installs `succs` at node `i`, latching `seeded` as `RingCore` does
+    /// after every successor-list write.
+    fn set_succs(&mut self, i: u8, succs: &NeighborList) {
         let node = &mut self.nodes[i as usize];
-        node.succs = list;
-        node.seeded = true;
-        node.status = Status::Active;
-        match params.mode {
-            MaintenanceMode::Legacy => match params.variant {
-                Variant::Chord => self.nodes[i as usize].pred = Some(a),
+        node.succs = slots(succs);
+        node.seeded |= !succs.is_empty();
+    }
+
+    fn join_finish(&mut self, i: u8, a: u8, params: &ModelParams) {
+        let cap = params.list_len;
+        let answer = handles(&self.nodes[a as usize].succs);
+        let (succs, trusted) =
+            joined_list(&list(i, cap, true, &[]), params.mode, handle(a), &answer);
+        self.set_succs(i, &succs);
+        self.nodes[i as usize].status = Status::Active;
+        // A two-phase join trusts nobody: the predecessor side fills in
+        // later through rectify, driven by notifies.
+        if let Some(p) = trusted {
+            match params.variant {
+                Variant::Chord => self.nodes[i as usize].pred = Some(slot(p)),
                 Variant::Section => {
-                    self.nodes[i as usize].preds = self.sort_ccw(i, &[a], params.list_len);
+                    let mut preds = list(i, cap, false, &[]);
+                    preds.integrate(p);
+                    self.nodes[i as usize].preds = slots(&preds);
                 }
-            },
-            // Two-phase join: the predecessor side fills in later through
-            // rectify, driven by notifies.
-            MaintenanceMode::Corrected => {}
+            }
         }
+        self.notify_first_successor(i, params);
+    }
+
+    /// The notify a join and a stabilization round end with.
+    fn notify_first_successor(&mut self, i: u8, params: &ModelParams) {
         if let Some(&s1) = self.nodes[i as usize].succs.first() {
             if self.active(s1) {
                 self.notify(s1, i, params);
@@ -433,14 +407,10 @@ impl ModelState {
                     self.nodes[i as usize].preds.remove(0);
                 }
                 if let Some(&p1) = self.nodes[i as usize].preds.first() {
-                    let mut cands = vec![p1];
-                    cands.extend_from_slice(&self.nodes[p1 as usize].preds);
-                    self.nodes[i as usize].preds = match params.mode {
-                        MaintenanceMode::Legacy => self.sort_ccw(i, &cands, params.list_len),
-                        MaintenanceMode::Corrected => {
-                            self.adopt_chain(i, &cands, params.list_len, false)
-                        }
-                    };
+                    let old = list(i, params.list_len, false, &[]);
+                    let tail = handles(&self.nodes[p1 as usize].preds);
+                    let fresh = rebuild_list(&old, params.mode, handle(p1), None, &tail, false);
+                    self.nodes[i as usize].preds = slots(&fresh);
                 }
             }
         }
@@ -464,35 +434,19 @@ impl ModelState {
                 None => return, // Singleton.
             }
         }
+        // Rebuild from s1's view: its nearest predecessor, if any, and its
+        // successor list, without liveness filtering.
         let s1 = self.nodes[i as usize].succs[0];
-        // Rebuild from s1's view: `succs = (s1.pred if between) + s1 +
-        // s1.list`, integrated without liveness filtering — exactly
-        // `handle_neighbors`.
+        let adv = &self.nodes[s1 as usize];
         let adv_pred = match params.variant {
-            Variant::Chord => self.nodes[s1 as usize].pred,
-            Variant::Section => self.nodes[s1 as usize].preds.first().copied(),
+            Variant::Chord => adv.pred,
+            Variant::Section => adv.preds.first().copied(),
         };
-        let mut cands = Vec::new();
-        if let Some(p) = adv_pred {
-            if in_oo(self.n(), i, p, s1) {
-                cands.push(p);
-            }
-        }
-        cands.push(s1);
-        cands.extend_from_slice(&self.nodes[s1 as usize].succs);
-        self.nodes[i as usize].succs = match params.mode {
-            // Legacy: pool and re-sort — stale tails recirculate.
-            MaintenanceMode::Legacy => self.sort_cw(i, &cands, params.list_len),
-            MaintenanceMode::Corrected => self.adopt_chain(i, &cands, params.list_len, true),
-        };
-        if !self.nodes[i as usize].succs.is_empty() {
-            self.nodes[i as usize].seeded = true;
-        }
-        if let Some(&new_s1) = self.nodes[i as usize].succs.first() {
-            if self.active(new_s1) {
-                self.notify(new_s1, i, params);
-            }
-        }
+        let old = list(i, params.list_len, true, &[]);
+        let tail = handles(&adv.succs);
+        let fresh = rebuild_list(&old, params.mode, handle(s1), adv_pred.map(handle), &tail, false);
+        self.set_succs(i, &fresh);
+        self.notify_first_successor(i, params);
     }
 
     /// Fail guard: `i` may die only if at least one live node remains
@@ -555,28 +509,23 @@ impl ModelState {
             v
         };
         self.fail(i);
+        let (cap, gone) = (params.list_len, handle(i).addr);
         for r in recipients {
             // A farewell to a dead or unborn neighbor is a dead letter.
             if !self.active(r) {
                 continue;
             }
-            // handle_leaving: mark the leaver dead in the recipient's own
-            // pointers first…
-            let node = &mut self.nodes[r as usize];
-            node.succs.retain(|&x| x != i);
-            node.preds.retain(|&x| x != i);
-            if node.pred == Some(i) {
-                node.pred = None;
-            }
-            // …then integrate the advertised lists (the wire side uses the
-            // rank-sorted `NeighborList::integrate` in both modes here).
+            // The recipient splices the leaver out of its own pointers,
+            // then absorbs the advertised lists by rank in both modes, each
+            // into its list of the same direction.
+            let mut succs = list(r, cap, true, &self.nodes[r as usize].succs);
+            succs.remove_addr(gone);
+            succs.integrate_all(&handles(&leaver.succs));
+            self.set_succs(r, &succs);
             match params.variant {
                 Variant::Chord => {
-                    let mut cands = self.nodes[r as usize].succs.clone();
-                    cands.extend(leaver.succs.iter().copied().filter(|&x| x != i));
-                    self.nodes[r as usize].succs = self.sort_cw(r, &cands, params.list_len);
-                    if !self.nodes[r as usize].succs.is_empty() {
-                        self.nodes[r as usize].seeded = true;
+                    if self.nodes[r as usize].pred == Some(i) {
+                        self.nodes[r as usize].pred = None;
                     }
                     // The advertised predecessor rides along as a notify.
                     if let Some(c) = leaver.pred {
@@ -586,22 +535,10 @@ impl ModelState {
                     }
                 }
                 Variant::Section => {
-                    // Direction-appropriate handoff, mirroring the wire
-                    // fix: the leaver's successors are strictly inside the
-                    // forward arc from either recipient, its predecessors
-                    // strictly behind — cross-integrating instead lets a
-                    // behind-entry head a freshly emptied successor list
-                    // and later resolve into a backwards (multi-lap) ring
-                    // edge, a DisorderedRing the checker catches.
-                    let mut s_cands = self.nodes[r as usize].succs.clone();
-                    s_cands.extend(leaver.succs.iter().copied().filter(|&x| x != i && x != r));
-                    self.nodes[r as usize].succs = self.sort_cw(r, &s_cands, params.list_len);
-                    let mut p_cands = self.nodes[r as usize].preds.clone();
-                    p_cands.extend(leaver.preds.iter().copied().filter(|&x| x != i && x != r));
-                    self.nodes[r as usize].preds = self.sort_ccw(r, &p_cands, params.list_len);
-                    if !self.nodes[r as usize].succs.is_empty() {
-                        self.nodes[r as usize].seeded = true;
-                    }
+                    let mut preds = list(r, cap, false, &self.nodes[r as usize].preds);
+                    preds.remove_addr(gone);
+                    preds.integrate_all(&handles(&leaver.preds));
+                    self.nodes[r as usize].preds = slots(&preds);
                 }
             }
         }

@@ -22,7 +22,7 @@ use verme_sim::{Addr, Ctx, LatencyModel, Node, Runtime, SimDuration, Wire};
 
 use crate::behaviour::{Behaviour, Honest, RouteAction};
 use crate::id::Id;
-use crate::maintain::{rectify_decision, MaintenanceMode, RectifyDecision, RingStance};
+use crate::maintain::{predecessor_decision, MaintenanceMode, RectifyDecision, RingStance};
 use crate::node::{keys, NodeHealth};
 use crate::ring::{closest_preceding_hop, FingerTable, NeighborList, NodeHandle};
 
@@ -125,6 +125,58 @@ pub fn rebuild_list(
         fresh.integrate_all(old.as_slice());
     }
     fresh
+}
+
+/// True if a joined node at `me` with first successor `s1` is `key`'s
+/// predecessor: `key ∈ (me, s1]`, or the node knows no successor — a
+/// singleton ring, which owns everything.
+pub fn owns_arc(me: Id, s1: Option<Id>, key: Id) -> bool {
+    s1.is_none_or(|s1| key.in_open_closed(me, s1))
+}
+
+/// The successor list a join ends with, and the predecessor it trusts at
+/// once. The join lookup's key was the joiner's own id, so the answer's
+/// successor list is the joiner's (or, degenerately, the lone answerer
+/// itself). The legacy one-phase join also adopts the answerer as
+/// predecessor; under the corrected protocol the predecessor side fills in
+/// once the true predecessor's stabilization notifies the joiner (Zave's
+/// two-phase join).
+pub fn joined_list(
+    old: &NeighborList,
+    mode: MaintenanceMode,
+    answerer: NodeHandle,
+    successors: &[NodeHandle],
+) -> (NeighborList, Option<NodeHandle>) {
+    let mut fresh = old.emptied();
+    fresh.integrate_all(successors);
+    if fresh.is_empty() {
+        fresh.integrate(answerer);
+    }
+    (fresh, (mode == MaintenanceMode::Legacy).then_some(answerer))
+}
+
+/// What a notify from `notifier` seeds the *emptied* successor list of
+/// the node at `me` with, if anything. Legacy refills *backwards* from the
+/// notifier — the wrapped state that partitions rings. Corrected reseeds
+/// forward only, from the nearest `forward_finger` as stabilization does,
+/// except that a true bootstrap singleton (`ever_seeded` false) learns its
+/// first peer through the joiner's notify; otherwise the node stays wedged
+/// rather than wrap backwards, and the finger reseed (or a fresh finger)
+/// repairs forward.
+pub fn refill_seed(
+    mode: MaintenanceMode,
+    me: Id,
+    ever_seeded: bool,
+    forward_finger: Option<NodeHandle>,
+    notifier: NodeHandle,
+) -> Option<NodeHandle> {
+    if notifier.id == me {
+        return None;
+    }
+    match mode {
+        MaintenanceMode::Legacy => Some(notifier),
+        MaintenanceMode::Corrected => forward_finger.or_else(|| (!ever_seeded).then_some(notifier)),
+    }
 }
 
 impl RingCore {
@@ -310,11 +362,9 @@ impl RingCore {
     // ------------------------------------------------------------------
 
     /// True if this node is `key`'s predecessor and so answers lookups
-    /// for it: joined, and the key lies in `(self, first successor]` — or
-    /// the ring is a singleton, which owns everything.
+    /// for it: joined, and [`owns_arc`].
     pub fn owns(&self, key: Id) -> bool {
-        self.joined
-            && self.successors.first().is_none_or(|s1| key.in_open_closed(self.me.id, s1.id))
+        self.joined && owns_arc(self.me.id, self.successors.first().map(|s1| s1.id), key)
     }
 
     /// The greedy next hop toward `key`: the known node that most closely
@@ -462,32 +512,23 @@ impl RingCore {
         }
     }
 
-    /// Join completion. The join lookup's key was our own id, so the
-    /// answer's successor list is ours (or, degenerately, the lone
-    /// answerer itself). The bootstrap address is dropped so a later
-    /// crash leaves no residue of the join (keeps the model checker's
-    /// fail transitions exact).
-    ///
-    /// Returns the predecessor to adopt at once: the answerer under the
-    /// legacy one-phase join, nobody under the corrected protocol, where
-    /// the predecessor side fills in once the true predecessor's
-    /// stabilization notifies us (Zave's two-phase join).
+    /// Join completion: installs the [`joined_list`] and returns the
+    /// predecessor to adopt at once (the answerer under the legacy
+    /// one-phase join, nobody under the corrected protocol). The bootstrap
+    /// address is dropped so a later crash leaves no residue of the join
+    /// (keeps the model checker's fail transitions exact).
     pub fn complete_join(
         &mut self,
         mode: MaintenanceMode,
         answerer: NodeHandle,
         successors: &[NodeHandle],
     ) -> Option<NodeHandle> {
-        let mut fresh = self.successors.emptied();
-        fresh.integrate_all(successors);
-        if fresh.is_empty() {
-            fresh.integrate(answerer);
-        }
+        let (fresh, trusted) = joined_list(&self.successors, mode, answerer, successors);
         self.successors = fresh;
         self.note_seeded();
         self.joined = true;
         self.bootstrap = None;
-        (mode == MaintenanceMode::Legacy).then_some(answerer)
+        trusted
     }
 
     /// Starts a stabilization round: returns the probe token and the
@@ -540,50 +581,26 @@ impl RingCore {
     }
 
     /// What a notify from `candidate` does to a single predecessor
-    /// pointer. Legacy adopts only candidates inside `(pred, self)`, so a
-    /// stale dead incumbent silently strands the true predecessor —
-    /// Zave's counterexample; Corrected is [`rectify_decision`].
+    /// pointer: [`predecessor_decision`] over the handles' identifiers.
     pub fn predecessor_decision(
         &self,
         mode: MaintenanceMode,
         incumbent: Option<NodeHandle>,
         candidate: NodeHandle,
     ) -> RectifyDecision {
-        match mode {
-            MaintenanceMode::Legacy => {
-                let inside = incumbent.is_none_or(|p| candidate.id.in_open_open(p.id, self.me.id));
-                if inside && candidate.id != self.me.id {
-                    RectifyDecision::Adopt
-                } else {
-                    RectifyDecision::Keep
-                }
-            }
-            MaintenanceMode::Corrected => rectify_decision(
-                self.me.id.raw(),
-                incumbent.map(|p| p.id.raw()),
-                candidate.id.raw(),
-            ),
-        }
+        let incumbent = incumbent.map(|p| p.id.raw());
+        predecessor_decision(mode, self.me.id.raw(), incumbent, candidate.id.raw())
     }
 
-    /// Notify-time refill of an emptied successor list. Legacy refills
-    /// *backwards* from the notifier — the wrapped state that partitions
-    /// rings. Corrected reseeds forward only, by the same rule as
-    /// stabilization, except that a true bootstrap singleton learns its
-    /// first peer through the joiner's notify; otherwise it stays wedged
-    /// rather than wrap backwards, and the finger reseed (or a fresh
-    /// finger) repairs forward.
+    /// Notify-time refill of an emptied successor list, from the
+    /// [`refill_seed`] if there is one.
     pub fn notify_refill(&mut self, mode: MaintenanceMode, notifier: NodeHandle) {
-        if !self.successors.is_empty() || notifier.id == self.me.id {
+        if !self.successors.is_empty() {
             return;
         }
-        let seed = match mode {
-            MaintenanceMode::Legacy => Some(notifier),
-            MaintenanceMode::Corrected => self
-                .nearest_forward_finger()
-                .or_else(|| (!self.ever_had_successor).then_some(notifier)),
-        };
-        if let Some(seed) = seed {
+        let finger = self.nearest_forward_finger();
+        if let Some(seed) = refill_seed(mode, self.me.id, self.ever_had_successor, finger, notifier)
+        {
             self.absorb_successor(seed);
         }
     }
