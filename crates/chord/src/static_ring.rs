@@ -69,13 +69,33 @@ impl StaticRing {
     }
 
     /// Spawns `build(pos)` for every ring position `pos` and returns the
-    /// members' addresses indexed by ring position; see [`spawn_members`].
+    /// members' addresses indexed by ring position.
+    ///
+    /// Every member's routing state names its peers by the addresses in
+    /// their handles, and a [`Runtime`] assigns addresses in spawn order,
+    /// so members are built and spawned in ascending handle-address order
+    /// (not ring order), each on host `addr − 1`, and the runtime must hand
+    /// every one the address its handle carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the runtime assigns a member an address other than its
+    /// handle's — the handles do not run `next..next + n` from the
+    /// runtime's next free address, e.g. because it already spawned
+    /// something — or if a host is outside the latency model.
     pub fn spawn<N: Node, L: LatencyModel>(
         &self,
         rt: &mut Runtime<N, L>,
-        build: impl FnMut(usize) -> N,
+        mut build: impl FnMut(usize) -> N,
     ) -> Vec<Addr> {
-        spawn_members(&self.sorted, rt, build)
+        let mut order: Vec<usize> = (0..self.sorted.len()).collect();
+        order.sort_unstable_by_key(|&pos| self.sorted[pos].addr.raw());
+        for pos in order {
+            let want = self.sorted[pos].addr;
+            let got = rt.spawn(HostId(want.raw() as usize - 1), build(pos));
+            assert_eq!(got, want, "ring position {pos}: runtime assigned a different address");
+        }
+        self.sorted.iter().map(|h| h.addr).collect()
     }
 
     /// Number of nodes.
@@ -171,37 +191,6 @@ impl StaticRing {
         let fingers = self.fingers_of(i);
         ChordNode::with_state(me.id, cfg, pred, &succs, &fingers)
     }
-}
-
-/// Puts a static ring's members into `rt`: the spawn routine of both
-/// static rings.
-///
-/// Every member's routing state names its peers by the addresses in
-/// their handles, and a [`Runtime`] assigns addresses in spawn order, so
-/// members are built and spawned in ascending handle-address order (not
-/// ring order), each on host `addr − 1`, and the runtime must hand every
-/// one the address its handle carries. Returns those addresses indexed
-/// by ring position.
-///
-/// # Panics
-///
-/// Panics if the runtime assigns a member an address other than its
-/// handle's — the handles do not run `next..next + n` from the runtime's
-/// next free address, e.g. because it already spawned something — or if
-/// a host is outside the latency model.
-pub fn spawn_members<N: Node, L: LatencyModel>(
-    sorted: &[NodeHandle],
-    rt: &mut Runtime<N, L>,
-    mut build: impl FnMut(usize) -> N,
-) -> Vec<Addr> {
-    let mut order: Vec<usize> = (0..sorted.len()).collect();
-    order.sort_unstable_by_key(|&pos| sorted[pos].addr.raw());
-    for pos in order {
-        let want = sorted[pos].addr;
-        let got = rt.spawn(HostId(want.raw() as usize - 1), build(pos));
-        assert_eq!(got, want, "ring position {pos}: runtime assigned a different address");
-    }
-    sorted.iter().map(|h| h.addr).collect()
 }
 
 /// A forward-only successor search around a sorted membership, as seen

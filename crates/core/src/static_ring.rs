@@ -10,16 +10,19 @@ use std::collections::HashSet;
 
 use rand::Rng;
 
-use verme_chord::static_ring::{bits_reaching, spawn_members, ClockwiseWalk};
-use verme_chord::{Id, NodeHandle};
+use verme_chord::static_ring::{bits_reaching, ClockwiseWalk};
+use verme_chord::{Id, NodeHandle, StaticRing};
 use verme_crypto::{CertificateAuthority, NodeType};
-use verme_sim::{Addr, LatencyModel, Node, Runtime, SeedSource};
+use verme_sim::{Addr, SeedSource};
 
 use crate::layout::SectionLayout;
 use crate::node::VermeNode;
 use crate::proto::{Payload, VermeConfig};
 
-/// A sorted Verme ring membership with ground-truth routing queries.
+/// A sorted Verme ring membership with ground-truth routing queries: a
+/// [`StaticRing`] (which it dereferences to for membership, plain
+/// successor search and [`spawn`](StaticRing::spawn)) plus the layout that
+/// types its sections.
 ///
 /// # Example
 ///
@@ -35,14 +38,23 @@ use crate::proto::{Payload, VermeConfig};
 #[derive(Clone, Debug)]
 pub struct VermeStaticRing {
     layout: SectionLayout,
-    sorted: Vec<NodeHandle>,
+    members: StaticRing,
+}
+
+impl std::ops::Deref for VermeStaticRing {
+    type Target = StaticRing;
+
+    fn deref(&self) -> &StaticRing {
+        &self.members
+    }
 }
 
 impl VermeStaticRing {
     /// Generates `n` members with an even split across the layout's types,
     /// ids drawn deterministically from `seed`, and addresses
-    /// `1..=n` **in id order** ([`spawn`](VermeStaticRing::spawn)
-    /// reproduces them under a fresh [`Runtime`]).
+    /// `1..=n` **in id order** ([`spawn`](StaticRing::spawn) reproduces
+    /// them under a fresh runtime, in ring order, so a shared
+    /// [`CertificateAuthority`] issues in ring order).
     ///
     /// # Panics
     ///
@@ -76,12 +88,12 @@ impl VermeStaticRing {
         let mut rng = SeedSource::new(seed).stream("verme-ring-ids");
         let mut ids = distinct_ids(n, |slot| layout.assign_id(&mut rng, type_of(slot)));
         ids.sort_by_key(|id| id.raw());
-        let sorted = ids
+        let handles = ids
             .into_iter()
             .enumerate()
             .map(|(i, id)| NodeHandle::new(id, Addr::from_raw(i as u64 + 1)))
             .collect();
-        VermeStaticRing { layout, sorted }
+        Self::from_handles(layout, handles)
     }
 
     /// Builds a ring from pre-assigned handles (ids must embed their types
@@ -90,13 +102,8 @@ impl VermeStaticRing {
     /// # Panics
     ///
     /// Panics if `handles` is empty or contains duplicate ids.
-    pub fn from_handles(layout: SectionLayout, mut handles: Vec<NodeHandle>) -> Self {
-        assert!(!handles.is_empty(), "a ring needs at least one node");
-        handles.sort_by_key(|h| h.id.raw());
-        for w in handles.windows(2) {
-            assert!(w[0].id != w[1].id, "duplicate node id {}", w[0].id);
-        }
-        VermeStaticRing { layout, sorted: handles }
+    pub fn from_handles(layout: SectionLayout, handles: Vec<NodeHandle>) -> Self {
+        VermeStaticRing { layout, members: StaticRing::new(handles) }
     }
 
     /// The layout this ring was built under.
@@ -104,51 +111,14 @@ impl VermeStaticRing {
         &self.layout
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if the ring is empty (never true once constructed).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// The member at position `i` in id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn node(&self, i: usize) -> NodeHandle {
-        self.sorted[i]
-    }
-
-    /// All members in id order.
-    pub fn nodes(&self) -> &[NodeHandle] {
-        &self.sorted
-    }
-
     /// The platform type of member `i`.
     pub fn type_of_index(&self, i: usize) -> NodeType {
-        self.layout.type_of(self.sorted[i].id)
+        self.layout.type_of(self.node(i).id)
     }
 
     /// The section number of member `i`.
     pub fn section_of_index(&self, i: usize) -> u128 {
-        self.layout.section_of(self.sorted[i].id)
-    }
-
-    /// Index of the plain ring successor of `key`.
-    pub fn successor_index(&self, key: Id) -> usize {
-        match self.sorted.binary_search_by_key(&key.raw(), |h| h.id.raw()) {
-            Ok(i) => i,
-            Err(i) => i % self.sorted.len(),
-        }
-    }
-
-    /// Index of the node preceding position `i`.
-    pub fn predecessor_index(&self, i: usize) -> usize {
-        (i + self.sorted.len() - 1) % self.sorted.len()
+        self.layout.section_of(self.node(i).id)
     }
 
     /// §4.4 responsibility: the successor of `key` if it lies in `key`'s
@@ -160,11 +130,11 @@ impl VermeStaticRing {
 
     /// The §4.4 rule applied to `key`'s plain successor `s`.
     fn corner_rule(&self, s: usize, key: Id) -> Option<usize> {
-        if self.layout.same_section(self.sorted[s].id, key) {
+        if self.layout.same_section(self.node(s).id, key) {
             return Some(s);
         }
         let p = self.predecessor_index(s);
-        if self.layout.same_section(self.sorted[p].id, key) {
+        if self.layout.same_section(self.node(p).id, key) {
             return Some(p);
         }
         None
@@ -173,12 +143,12 @@ impl VermeStaticRing {
     /// §5.2 replica placement for `key`: up to `r` member indices, within
     /// `key`'s section, successors-first with the predecessor corner rule.
     pub fn replica_indices(&self, key: Id, r: usize) -> Vec<usize> {
-        let n = self.sorted.len();
+        let n = self.len();
         let start = self.successor_index(key);
         let mut fwd = Vec::with_capacity(r);
         let mut i = start;
         while fwd.len() < r {
-            if !self.layout.same_section(self.sorted[i].id, key) {
+            if !self.layout.same_section(self.node(i).id, key) {
                 break;
             }
             fwd.push(i);
@@ -194,7 +164,7 @@ impl VermeStaticRing {
         let mut back = Vec::with_capacity(r);
         let mut i = self.predecessor_index(start);
         while back.len() < r {
-            if !self.layout.same_section(self.sorted[i].id, key) {
+            if !self.layout.same_section(self.node(i).id, key) {
                 break;
             }
             back.push(i);
@@ -207,16 +177,10 @@ impl VermeStaticRing {
         back
     }
 
-    /// The `k` members following position `i`.
-    pub fn successors_of(&self, i: usize, k: usize) -> Vec<NodeHandle> {
-        let n = self.sorted.len();
-        (1..=k.min(n - 1)).map(|d| self.sorted[(i + d) % n]).collect()
-    }
-
     /// The `k` members preceding position `i`, nearest first.
     pub fn predecessors_of(&self, i: usize, k: usize) -> Vec<NodeHandle> {
-        let n = self.sorted.len();
-        (1..=k.min(n - 1)).map(|d| self.sorted[(i + n - d) % n]).collect()
+        let n = self.len();
+        (1..=k.min(n - 1)).map(|d| self.node((i + n - d) % n)).collect()
     }
 
     /// Verme finger entries for member `i` under the §4.3/§4.4 rules.
@@ -224,7 +188,7 @@ impl VermeStaticRing {
     /// keeps the table type-safe).
     pub fn fingers_of(&self, i: usize) -> Vec<(usize, NodeHandle)> {
         let mut out = Vec::new();
-        self.for_each_finger(i, |b, j| out.push((b as usize, self.sorted[j])));
+        self.for_each_finger(i, |b, j| out.push((b as usize, self.node(j))));
         out
     }
 
@@ -251,19 +215,19 @@ impl VermeStaticRing {
     /// finger whose own section is empty past the target, this correctly
     /// leaves the entry unset.
     fn for_each_finger(&self, i: usize, mut visit: impl FnMut(u32, usize)) {
-        let id = self.sorted[i].id;
+        let id = self.node(i).id;
         // Shifted or not, the targets recede monotonically from `id`, which
         // is what lets the walk skip every search whose answer is the
         // previous one.
-        let mut walk = ClockwiseWalk::new(&self.sorted, i);
+        let mut walk = ClockwiseWalk::new(self.nodes(), i);
         // A target that passes neither the immediate successor nor the end
         // of `id`'s own section is that successor's if it shares the
         // section, and otherwise falls back to `i` itself (no entry): on
         // a large ring, all but the top ~log2 n bits.
         let room = self.layout.section_len() - (id.raw() & (self.layout.section_len() - 1));
         let near = bits_reaching(walk.gap().min(room - 1));
-        let next = (i + 1) % self.sorted.len();
-        if self.layout.same_section(self.sorted[next].id, id) {
+        let next = (i + 1) % self.len();
+        if self.layout.same_section(self.node(next).id, id) {
             for b in 0..near {
                 visit(b, next);
             }
@@ -284,10 +248,10 @@ impl VermeStaticRing {
         let start = self.layout.section_start(section);
         let mut i = self.successor_index(start);
         let mut out = Vec::new();
-        let n = self.sorted.len();
+        let n = self.len();
         let first = i;
         loop {
-            if self.layout.section_of(self.sorted[i].id) != section {
+            if self.layout.section_of(self.node(i).id) != section {
                 break;
             }
             out.push(i);
@@ -307,28 +271,13 @@ impl VermeStaticRing {
         cfg: VermeConfig,
         ca: &mut CertificateAuthority,
     ) -> VermeNode<P> {
-        let me = self.sorted[i];
+        let me = self.node(i);
         let ty = self.layout.type_of(me.id);
         let (cert, keys) = ca.issue(me.id.raw(), ty);
         let succs = self.successors_of(i, cfg.num_successors);
         let preds = self.predecessors_of(i, cfg.num_predecessors);
         let fingers = self.fingers_of(i);
         VermeNode::with_state(cfg, cert, keys, ca.verifier(), &preds, &succs, &fingers)
-    }
-
-    /// Spawns `build(pos)` for every ring position `pos` and returns the
-    /// members' addresses indexed by ring position, under the contract
-    /// of [`verme_chord::StaticRing::spawn`] ([`spawn_members`]): built
-    /// and spawned in handle-address order — ring order for a generated
-    /// ring, so a shared [`CertificateAuthority`] issues in ring order —
-    /// on host `addr − 1`, asserting the runtime hands out each handle's
-    /// address.
-    pub fn spawn<N: Node, L: LatencyModel>(
-        &self,
-        rt: &mut Runtime<N, L>,
-        build: impl FnMut(usize) -> N,
-    ) -> Vec<Addr> {
-        spawn_members(&self.sorted, rt, build)
     }
 
     /// Asserts the containment invariant on every member's routing state:
@@ -340,7 +289,7 @@ impl VermeStaticRing {
     ///
     /// Panics (with a diagnostic) if any entry violates the invariant.
     pub fn assert_type_safety(&self) {
-        for i in 0..self.sorted.len() {
+        for i in 0..self.len() {
             let my_ty = self.type_of_index(i);
             self.for_each_finger(i, |b, j| {
                 if b > self.layout.section_bits() {
@@ -371,10 +320,10 @@ impl VermeStaticRing {
         let width = 1u128 << self.layout.section_bits();
         let mid = self.layout.section_start(target_section).raw().wrapping_add(width / 2);
         let mut of_type: Vec<usize> =
-            (0..self.sorted.len()).filter(|&i| self.type_of_index(i) == ty).collect();
+            (0..self.len()).filter(|&i| self.type_of_index(i) == ty).collect();
         assert!(of_type.len() >= k, "only {} members of type {ty}, need {k}", of_type.len());
         of_type.sort_by_key(|&i| {
-            let d = self.sorted[i].id.raw().wrapping_sub(mid);
+            let d = self.node(i).id.raw().wrapping_sub(mid);
             d.min(0u128.wrapping_sub(d))
         });
         of_type.truncate(k);
@@ -388,7 +337,7 @@ impl VermeStaticRing {
     /// Panics if no member has that type.
     pub fn random_index_of_type(&self, ty: NodeType, rng: &mut impl Rng) -> usize {
         for _ in 0..10_000 {
-            let i = rng.gen_range(0..self.sorted.len());
+            let i = rng.gen_range(0..self.len());
             if self.type_of_index(i) == ty {
                 return i;
             }
@@ -417,6 +366,7 @@ fn distinct_ids(n: usize, mut draw: impl FnMut(usize) -> Id) -> Vec<Id> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use verme_sim::Runtime;
 
     /// The id assignment this module used before the linear one: the
     /// duplicate check is a scan of the ids drawn so far (O(n²)).
