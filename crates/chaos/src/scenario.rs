@@ -214,6 +214,64 @@ pub fn seed_blocks<N: DhtNode, L: LatencyModel>(
 /// Checkpoint state for a restarting Chord node.
 type Checkpoint = (Id, Option<NodeHandle>, Vec<NodeHandle>);
 
+/// Binds the fault runner to a trial whose nodes are Chord overlays built
+/// from `cfg` and wrapped by `wrap` (the identity for a bare ring,
+/// `DhashNode::new(_, dht_cfg)` for a storage cell); `overlay` reads the
+/// Chord node back out for the restart checkpoint.
+///
+/// Joins draw from `seed`'s `"joins"` stream through a live member of
+/// `addrs`. A restarted node comes back under the same identifier: with
+/// its ring pointers under Persisted recovery (the stale-state re-admit
+/// path), or through a full two-phase join under Amnesia. Whatever `wrap`
+/// adds starts fresh either way — a storage node returns with an empty
+/// block store, and the repair plane must notice and re-replicate what
+/// it held.
+fn chord_hooks<N: Node + RingNode + 'static>(
+    addrs: &[Addr],
+    seed: u64,
+    cfg: ChordConfig,
+    overlay: fn(&N) -> &ChordNode,
+    wrap: impl Fn(ChordNode) -> N + Clone + 'static,
+) -> FaultHooks<N, UniformLatency> {
+    let (join_cfg, join_wrap) = (cfg.clone(), wrap.clone());
+    let restart_boot = addrs.to_vec();
+    let mut saved: BTreeMap<Addr, Checkpoint> = BTreeMap::new();
+    FaultHooks {
+        join: join_via_live_bootstrap(
+            addrs.to_vec(),
+            SeedSource::new(seed).stream("joins"),
+            move |rng, bootstrap| {
+                join_wrap(ChordNode::joining(Id::random(rng), join_cfg.clone(), bootstrap))
+            },
+        ),
+        select_victims: ordered_selector(addrs.to_vec()),
+        ring_converged: Box::new(ring_converged),
+        restart: Box::new(move |rt, _rng, addr, recovery, phase| match phase {
+            RestartPhase::Checkpoint => {
+                if let Some(o) = rt.node(addr).map(overlay) {
+                    saved.insert(addr, (o.id(), o.predecessor(), o.successor_list().to_vec()));
+                }
+                None
+            }
+            RestartPhase::Rejoin => {
+                let (id, pred, succs) = saved.remove(&addr)?;
+                let host = rt.host_of(addr).unwrap_or(HostId(0));
+                let node = match recovery {
+                    Recovery::Amnesia => {
+                        let bootstrap = restart_boot.iter().copied().find(|&a| rt.is_alive(a))?;
+                        ChordNode::joining(id, cfg.clone(), bootstrap)
+                    }
+                    Recovery::Persisted => {
+                        ChordNode::with_state(id, cfg.clone(), pred, &succs, &[])
+                    }
+                };
+                Some(rt.spawn(host, wrap(node)))
+            }
+        }),
+        ..FaultHooks::inert()
+    }
+}
+
 fn run_ring(
     mode: MaintenanceMode,
     nodes: usize,
@@ -241,44 +299,7 @@ fn run_ring(
         ChordNode::with_state(ring.node(pos).id, cfg.clone(), pred, &succs, &[])
     });
 
-    let join_cfg = cfg.clone();
-    let restart_boot = addrs.clone();
-    let mut saved: BTreeMap<Addr, Checkpoint> = BTreeMap::new();
-    let hooks: FaultHooks<ChordNode, UniformLatency> = FaultHooks {
-        join: join_via_live_bootstrap(
-            addrs.clone(),
-            SeedSource::new(seed).stream("joins"),
-            move |rng, bootstrap| ChordNode::joining(Id::random(rng), join_cfg.clone(), bootstrap),
-        ),
-        select_victims: ordered_selector(addrs.clone()),
-        ring_converged: Box::new(ring_converged),
-        // The same identifier comes back: with its ring pointers under
-        // Persisted recovery (the stale-state re-admit path), or through
-        // a full two-phase join under Amnesia.
-        restart: Box::new(move |rt, _rng, addr, recovery, phase| match phase {
-            RestartPhase::Checkpoint => {
-                if let Some(n) = rt.node(addr) {
-                    saved.insert(addr, (n.id(), n.predecessor(), n.successor_list().to_vec()));
-                }
-                None
-            }
-            RestartPhase::Rejoin => {
-                let (id, pred, succs) = saved.remove(&addr)?;
-                let host = rt.host_of(addr).unwrap_or(HostId(0));
-                let node = match recovery {
-                    Recovery::Amnesia => {
-                        let bootstrap = restart_boot.iter().copied().find(|&a| rt.is_alive(a))?;
-                        ChordNode::joining(id, cfg.clone(), bootstrap)
-                    }
-                    Recovery::Persisted => {
-                        ChordNode::with_state(id, cfg.clone(), pred, &succs, &[])
-                    }
-                };
-                Some(rt.spawn(host, node))
-            }
-        }),
-        ..FaultHooks::inert()
-    };
+    let hooks = chord_hooks(&addrs, seed, cfg, |n| n, |overlay| overlay);
 
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     let mut runner =
@@ -407,51 +428,9 @@ fn run_durability(
         DhashNode::new(ring.build_node(pos, chord_cfg.clone()), dht_cfg.clone())
     });
 
-    let join_overlay_cfg = chord_cfg.clone();
-    let join_dht_cfg = dht_cfg.clone();
-    let restart_boot = addrs.clone();
-    let mut saved: BTreeMap<Addr, Checkpoint> = BTreeMap::new();
-    let hooks: FaultHooks<DhashNode, UniformLatency> = FaultHooks {
-        join: join_via_live_bootstrap(
-            addrs.clone(),
-            SeedSource::new(seed).stream("joins"),
-            move |rng, bootstrap| {
-                let overlay =
-                    ChordNode::joining(Id::random(rng), join_overlay_cfg.clone(), bootstrap);
-                DhashNode::new(overlay, join_dht_cfg.clone())
-            },
-        ),
-        select_victims: ordered_selector(addrs.clone()),
-        ring_converged: Box::new(ring_converged),
-        // A restarted storage node always comes back with an empty block
-        // store — under Persisted recovery it keeps its ring pointers,
-        // under Amnesia it rejoins from scratch. Either way the repair
-        // plane must notice and re-replicate what it held.
-        restart: Box::new(move |rt, _rng, addr, recovery, phase| match phase {
-            RestartPhase::Checkpoint => {
-                if let Some(n) = rt.node(addr) {
-                    let o = n.overlay();
-                    saved.insert(addr, (o.id(), o.predecessor(), o.successor_list().to_vec()));
-                }
-                None
-            }
-            RestartPhase::Rejoin => {
-                let (id, pred, succs) = saved.remove(&addr)?;
-                let host = rt.host_of(addr).unwrap_or(HostId(0));
-                let overlay = match recovery {
-                    Recovery::Amnesia => {
-                        let bootstrap = restart_boot.iter().copied().find(|&a| rt.is_alive(a))?;
-                        ChordNode::joining(id, chord_cfg.clone(), bootstrap)
-                    }
-                    Recovery::Persisted => {
-                        ChordNode::with_state(id, chord_cfg.clone(), pred, &succs, &[])
-                    }
-                };
-                Some(rt.spawn(host, DhashNode::new(overlay, dht_cfg.clone())))
-            }
-        }),
-        ..FaultHooks::inert()
-    };
+    let hooks = chord_hooks(&addrs, seed, chord_cfg, DhashNode::overlay, move |overlay| {
+        DhashNode::new(overlay, dht_cfg.clone())
+    });
 
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     let mut rng = SeedSource::new(seed).stream("workload");
