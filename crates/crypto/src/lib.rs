@@ -70,25 +70,13 @@ impl NodeType {
     /// # Panics
     ///
     /// Panics if `self` is not `A` or `B` — with more than two types there
-    /// is no single "opposite"; use [`NodeType::next_of`] instead.
+    /// is no single "opposite".
     pub fn opposite(self) -> NodeType {
         match self.0 {
             0 => NodeType::B,
             1 => NodeType::A,
             i => panic!("opposite() is only defined for 2 types (got index {i})"),
         }
-    }
-
-    /// The next type cyclically among `k` types (the thesis
-    /// generalization: neighbouring sections cycle through all types).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2` or `self` is not one of the `k` types.
-    pub fn next_of(self, k: u8) -> NodeType {
-        assert!(k >= 2, "need at least 2 types");
-        assert!(self.0 < k, "type index {} out of range for k={k}", self.0);
-        NodeType((self.0 + 1) % k)
     }
 }
 
@@ -374,8 +362,6 @@ mod tests {
         assert_eq!(NodeType::A.to_string(), "A");
         assert_eq!(NodeType::new(2).to_string(), "C");
         assert_eq!(NodeType::new(30).to_string(), "T30");
-        assert_eq!(NodeType::new(2).next_of(3), NodeType::new(0));
-        assert_eq!(NodeType::A.next_of(2), NodeType::B);
     }
 
     #[test]

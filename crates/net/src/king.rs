@@ -12,9 +12,6 @@ use rand::Rng;
 
 use verme_sim::{HostId, LatencyModel, SeedSource, SimDuration};
 
-/// Default number of hosts, matching the p2psim King matrix.
-pub const KING_HOSTS: usize = 1740;
-
 /// Default average round-trip time of the King data set, in milliseconds.
 pub const KING_MEAN_RTT_MS: f64 = 198.0;
 
@@ -75,12 +72,6 @@ impl KingMatrix {
             rtt_ms.push(rtt.clamp(1.0, 2000.0) as f32);
         }
         KingMatrix { n, rtt_ms }
-    }
-
-    /// The standard configuration used by the paper: 1740 hosts, 198 ms
-    /// average RTT.
-    pub fn paper_default(seed: u64) -> Self {
-        KingMatrix::synthetic(KING_HOSTS, KING_MEAN_RTT_MS, seed)
     }
 
     /// Builds a matrix from measured RTTs (milliseconds).
@@ -267,13 +258,6 @@ mod tests {
         let p95 = rtts[rtts.len() * 95 / 100];
         assert!(median < m.mean_rtt_ms(), "log-normal median below mean");
         assert!(p95 > 1.5 * median, "tail should be heavy");
-    }
-
-    #[test]
-    fn paper_default_shape() {
-        let m = KingMatrix::paper_default(1);
-        assert_eq!(m.len(), KING_HOSTS);
-        assert!((m.mean_rtt_ms() - KING_MEAN_RTT_MS).abs() < 10.0);
     }
 
     #[test]

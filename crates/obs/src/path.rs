@@ -212,11 +212,6 @@ impl PathCollector {
         self.inner.borrow().finished.clone()
     }
 
-    /// Drains and returns the finished lookups.
-    pub fn take_finished(&self) -> Vec<LookupPath> {
-        std::mem::take(&mut self.inner.borrow_mut().finished)
-    }
-
     /// Lookups that started but have not ended yet.
     pub fn open_count(&self) -> usize {
         self.inner.borrow().open.len()
@@ -319,11 +314,10 @@ mod tests {
         }
         assert_eq!(pc.open_count(), 2);
         pc.observe(&proto(9, 2, ProtoEvent::LookupEnd { op: 3, ok: false, hops: 0 }));
-        let done = pc.take_finished();
+        let done = pc.finished();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].key, 2);
         assert_eq!(pc.open_count(), 1);
-        assert!(pc.finished().is_empty(), "take_finished drains");
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl Counter {
         self.0 += n;
     }
 
-    /// Adds one to the counter.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
     /// Current value.
     pub const fn get(&self) -> u64 {
         self.0
@@ -426,8 +421,7 @@ mod tests {
     #[test]
     fn counter_counts() {
         let mut c = Counter::new();
-        c.incr();
-        c.add(4);
+        c.add(5);
         assert_eq!(c.get(), 5);
         assert_eq!(c.to_string(), "5");
     }

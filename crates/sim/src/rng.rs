@@ -11,9 +11,8 @@ use rand::{Rng, SeedableRng};
 
 /// A factory for independent, reproducible RNG streams.
 ///
-/// Streams are identified either by a string label
-/// ([`stream`](SeedSource::stream)) or by a numeric index
-/// ([`substream`](SeedSource::substream)). The derivation is a SplitMix64
+/// Streams are identified by a string label
+/// ([`stream`](SeedSource::stream)). The derivation is a SplitMix64
 /// finalizer over the master seed XOR a hash of the label, which gives
 /// well-distributed, decorrelated stream seeds.
 ///
@@ -49,13 +48,6 @@ impl SeedSource {
     /// Returns a reproducible RNG for the stream named `label`.
     pub fn stream(&self, label: &str) -> StdRng {
         StdRng::seed_from_u64(splitmix64(self.seed ^ fnv1a(label.as_bytes())))
-    }
-
-    /// Returns a reproducible RNG for numbered stream `idx`.
-    pub fn substream(&self, idx: u64) -> StdRng {
-        StdRng::seed_from_u64(splitmix64(
-            self.seed ^ splitmix64(idx.wrapping_add(0x9E37_79B9_7F4A_7C15)),
-        ))
     }
 
     /// Derives a new `SeedSource` for a child component.
@@ -130,9 +122,6 @@ mod tests {
         let a: u64 = s.stream("a").gen();
         let b: u64 = s.stream("b").gen();
         assert_ne!(a, b);
-        let s0: u64 = s.substream(0).gen();
-        let s1: u64 = s.substream(1).gen();
-        assert_ne!(s0, s1);
     }
 
     #[test]

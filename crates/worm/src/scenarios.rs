@@ -222,16 +222,6 @@ impl ScenarioResult {
     pub fn time_to_vulnerable_fraction(&self, fraction: f64) -> Option<SimTime> {
         self.curve.time_to_reach(self.vulnerable as f64 * fraction)
     }
-
-    /// Renders the infection curve as `time_s,infected` CSV (with header),
-    /// ready for external plotting tools.
-    pub fn curve_csv(&self) -> String {
-        let mut out = String::from("time_s,infected\n");
-        for &(t, v) in self.curve.points() {
-            out.push_str(&format!("{:.6},{}\n", t.as_secs_f64(), v as u64));
-        }
-        out
-    }
 }
 
 /// Runs a scenario to its duration (or until the outbreak burns out).
@@ -1037,30 +1027,6 @@ mod tests {
             "type-aware swarm must confine the worm to one island: {} > {island}",
             aware.infected
         );
-    }
-
-    #[test]
-    fn curve_csv_is_well_formed() {
-        let cfg = ScenarioConfig {
-            nodes: 512,
-            sections: 16,
-            duration: SimDuration::from_secs(500),
-            seed: 2,
-            ..Default::default()
-        };
-        let r = run_scenario(&Scenario::VermeWorm, &cfg);
-        let csv = r.curve_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("time_s,infected"));
-        let rows: Vec<&str> = lines.collect();
-        assert_eq!(rows.len(), r.curve.points().len());
-        for row in rows {
-            let mut cols = row.split(',');
-            let t: f64 = cols.next().unwrap().parse().unwrap();
-            let v: u64 = cols.next().unwrap().parse().unwrap();
-            assert!(t >= 0.0 && v >= 1);
-            assert!(cols.next().is_none());
-        }
     }
 
     #[test]
