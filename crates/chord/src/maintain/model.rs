@@ -232,42 +232,24 @@ impl ModelState {
         for &i in live {
             st.nodes[i as usize].status = Status::Active;
         }
-        let m = live.len();
-        let want = params.list_len.min(m.saturating_sub(1));
-        let n = params.slots;
         for &i in live {
-            let mut succs = Vec::new();
-            let mut cur = i;
-            while succs.len() < want {
-                cur = st.nearest_active_cw(cur).expect("m >= 2 here");
-                succs.push(cur);
-            }
-            let node = &mut st.nodes[i as usize];
-            node.succs = succs;
-            node.seeded = m > 1;
-            if m > 1 {
-                let prev = (1..n)
-                    .map(|d| ((i as usize + n - d) % n) as u8)
-                    .find(|&x| live.contains(&x))
-                    .expect("m >= 2 here");
-                match params.variant {
-                    Variant::Chord => st.nodes[i as usize].pred = Some(prev),
-                    Variant::Section => {
-                        let mut preds = Vec::new();
-                        let mut cur = i;
-                        while preds.len() < want {
-                            cur = (1..n)
-                                .map(|d| ((cur as usize + n - d) % n) as u8)
-                                .find(|&x| live.contains(&x))
-                                .expect("m >= 2 here");
-                            preds.push(cur);
-                        }
-                        st.nodes[i as usize].preds = preds;
-                    }
-                }
-            }
+            let (succs, pred, preds) = st.ideal_pointers(i, params);
+            let seeded = !succs.is_empty();
+            st.nodes[i as usize] = MNode { status: Status::Active, pred, preds, succs, seeded };
         }
         st
+    }
+
+    /// The successor list, Chord predecessor and section predecessor list
+    /// node `i` holds on the converged ring over the active nodes.
+    fn ideal_pointers(&self, i: u8, params: &ModelParams) -> (Vec<u8>, Option<u8>, Vec<u8>) {
+        let want = params.list_len.min(self.actives().len().saturating_sub(1));
+        let ahead = self.actives_from(i, true).take(want).collect();
+        let behind: Vec<u8> = self.actives_from(i, false).take(want).collect();
+        match params.variant {
+            Variant::Chord => (ahead, behind.first().copied(), Vec::new()),
+            Variant::Section => (ahead, None, behind),
+        }
     }
 
     fn n(&self) -> usize {
@@ -286,11 +268,19 @@ impl ModelState {
         self.nodes.iter().filter(|m| m.status == Status::Dead).count()
     }
 
+    /// The active nodes in ring order from `from` (exclusive), clockwise
+    /// or counter-clockwise, nearest first.
+    fn actives_from(&self, from: u8, clockwise: bool) -> impl Iterator<Item = u8> + '_ {
+        let (n, from) = (self.n(), from as usize);
+        (1..n)
+            .map(move |d| ((if clockwise { from + d } else { from + n - d }) % n) as u8)
+            .filter(|&x| self.active(x))
+    }
+
     /// The true nearest live node clockwise from `from` (exclusive), the
     /// forward-finger oracle.
     fn nearest_active_cw(&self, from: u8) -> Option<u8> {
-        let n = self.n();
-        (1..n).map(|d| ((from as usize + d) % n) as u8).find(|&x| self.active(x))
+        self.actives_from(from, true).next()
     }
 
     /// Live nodes whose local arc claim covers joining node `i` — the
@@ -388,24 +378,23 @@ impl ModelState {
         }
     }
 
+    /// How many entries at the head of `list` are not active.
+    fn dead_heads(&self, list: &[u8]) -> usize {
+        list.iter().take_while(|&&x| !self.active(x)).count()
+    }
+
     fn stabilize(&mut self, i: u8, params: &ModelParams) {
         // Predecessor liveness.
         match params.variant {
             Variant::Chord => {
-                if let Some(p) = self.nodes[i as usize].pred {
-                    if !self.active(p) {
-                        self.nodes[i as usize].pred = None;
-                    }
+                if self.nodes[i as usize].pred.is_some_and(|p| !self.active(p)) {
+                    self.nodes[i as usize].pred = None;
                 }
             }
             Variant::Section => {
                 // Prune dead heads, then rebuild from p1's view.
-                while let Some(&p1) = self.nodes[i as usize].preds.first() {
-                    if self.active(p1) {
-                        break;
-                    }
-                    self.nodes[i as usize].preds.remove(0);
-                }
+                let dead = self.dead_heads(&self.nodes[i as usize].preds);
+                self.nodes[i as usize].preds.drain(..dead);
                 if let Some(&p1) = self.nodes[i as usize].preds.first() {
                     let old = list(i, params.list_len, false, &[]);
                     let tail = handles(&self.nodes[p1 as usize].preds);
@@ -415,24 +404,17 @@ impl ModelState {
             }
         }
         // Successor head pruning (the StabTimeout walk).
-        while let Some(&s1) = self.nodes[i as usize].succs.first() {
-            if self.active(s1) {
-                break;
-            }
-            self.nodes[i as usize].succs.remove(0);
-        }
+        let dead = self.dead_heads(&self.nodes[i as usize].succs);
+        self.nodes[i as usize].succs.drain(..dead);
         // Emptied list: the forward-finger reseed (both modes, PR-1).
         if self.nodes[i as usize].succs.is_empty() {
-            if !params.finger_oracle {
-                return; // Fingers died with the arc: stay wedged.
-            }
-            match self.nearest_active_cw(i) {
-                Some(f) => {
-                    self.nodes[i as usize].succs = vec![f];
-                    self.nodes[i as usize].seeded = true;
-                }
-                None => return, // Singleton.
-            }
+            // Oracle off, the fingers died with the arc and the node stays
+            // wedged; on, only a singleton finds nobody.
+            let Some(f) = self.nearest_active_cw(i).filter(|_| params.finger_oracle) else {
+                return;
+            };
+            self.nodes[i as usize].succs = vec![f];
+            self.nodes[i as usize].seeded = true;
         }
         // Rebuild from s1's view: its nearest predecessor, if any, and its
         // successor list, without liveness filtering.
@@ -544,99 +526,66 @@ impl ModelState {
         }
     }
 
-    /// Every enabled transition from this state.
-    pub fn transitions(&self, params: &ModelParams) -> Vec<(ModelEvent, ModelState)> {
-        let mut out = Vec::new();
-        let has_active = !self.actives().is_empty();
-        for i in 0..self.n() as u8 {
-            match self.nodes[i as usize].status {
-                Status::Unborn if has_active => {
-                    let mut st = self.clone();
-                    st.nodes[i as usize].status = Status::Joining;
-                    out.push((ModelEvent::JoinStart(i), st));
-                }
-                Status::Joining => {
-                    for a in self.claimants(i) {
-                        let mut st = self.clone();
-                        st.join_finish(i, a, params);
-                        out.push((ModelEvent::JoinFinish(i, a), st));
-                    }
-                    if self.may_fail(i, params) {
-                        let mut st = self.clone();
-                        st.fail(i);
-                        out.push((ModelEvent::Fail(i), st));
-                    }
-                }
-                Status::Active => {
-                    let mut st = self.clone();
-                    st.stabilize(i, params);
-                    out.push((ModelEvent::Stabilize(i), st));
-                    if self.may_fail(i, params) {
-                        let mut st = self.clone();
-                        st.fail(i);
-                        out.push((ModelEvent::Fail(i), st));
-                    }
-                    if self.may_leave(i, params) {
-                        let mut st = self.clone();
-                        st.leave(i, params);
-                        out.push((ModelEvent::Leave(i), st));
-                    }
-                }
-                _ => {}
+    /// Whether `ev` may fire in this state. An unborn node stabilizing, a
+    /// fail the redundancy guard rejects, a claimant that does not cover
+    /// the joiner, a slot outside the universe: all disabled.
+    fn enabled(&self, ev: ModelEvent, params: &ModelParams) -> bool {
+        let status = |i: u8| self.nodes.get(i as usize).map(|m| m.status);
+        match ev {
+            ModelEvent::JoinStart(i) => {
+                status(i) == Some(Status::Unborn) && !self.actives().is_empty()
             }
+            ModelEvent::JoinFinish(i, a) => {
+                status(i) == Some(Status::Joining) && self.claimants(i).contains(&a)
+            }
+            ModelEvent::Fail(i) => {
+                matches!(status(i), Some(Status::Joining | Status::Active))
+                    && self.may_fail(i, params)
+            }
+            ModelEvent::Leave(i) => status(i).is_some() && self.may_leave(i, params),
+            ModelEvent::Stabilize(i) => status(i) == Some(Status::Active),
         }
-        out
+    }
+
+    /// Takes the (enabled) transition `ev`.
+    fn step(&mut self, ev: ModelEvent, params: &ModelParams) {
+        match ev {
+            ModelEvent::JoinStart(i) => self.nodes[i as usize].status = Status::Joining,
+            ModelEvent::JoinFinish(i, a) => self.join_finish(i, a, params),
+            ModelEvent::Fail(i) => self.fail(i),
+            ModelEvent::Leave(i) => self.leave(i, params),
+            ModelEvent::Stabilize(i) => self.stabilize(i, params),
+        }
+    }
+
+    /// Every enabled transition from this state, node by node.
+    pub fn transitions(&self, params: &ModelParams) -> Vec<(ModelEvent, ModelState)> {
+        let n = self.n() as u8;
+        (0..n)
+            .flat_map(|i| {
+                let finishes = (0..n).map(move |a| ModelEvent::JoinFinish(i, a));
+                let live = [ModelEvent::Stabilize(i), ModelEvent::Fail(i), ModelEvent::Leave(i)];
+                [ModelEvent::JoinStart(i)].into_iter().chain(finishes).chain(live)
+            })
+            .filter(|&ev| self.enabled(ev, params))
+            .map(|ev| {
+                let mut st = self.clone();
+                st.step(ev, params);
+                (ev, st)
+            })
+            .collect()
     }
 
     /// Applies one event if it is enabled in this state, returning
-    /// whether anything happened. Disabled events (an unborn node
-    /// stabilizing, a fail the redundancy guard rejects, a claimant that
-    /// does not cover the joiner) leave the state untouched — the public
-    /// driver for scripted traces and property tests.
+    /// whether anything happened; a disabled event leaves the state
+    /// untouched — the public driver for scripted traces and property
+    /// tests.
     pub fn apply(&mut self, ev: ModelEvent, params: &ModelParams) -> bool {
-        let valid = |i: u8| (i as usize) < self.n();
-        match ev {
-            ModelEvent::JoinStart(i) => {
-                if valid(i)
-                    && self.nodes[i as usize].status == Status::Unborn
-                    && !self.actives().is_empty()
-                {
-                    self.nodes[i as usize].status = Status::Joining;
-                    return true;
-                }
-            }
-            ModelEvent::JoinFinish(i, a) => {
-                if valid(i)
-                    && self.nodes[i as usize].status == Status::Joining
-                    && self.claimants(i).contains(&a)
-                {
-                    self.join_finish(i, a, params);
-                    return true;
-                }
-            }
-            ModelEvent::Fail(i) => {
-                if valid(i)
-                    && matches!(self.nodes[i as usize].status, Status::Joining | Status::Active)
-                    && self.may_fail(i, params)
-                {
-                    self.fail(i);
-                    return true;
-                }
-            }
-            ModelEvent::Leave(i) => {
-                if valid(i) && self.may_leave(i, params) {
-                    self.leave(i, params);
-                    return true;
-                }
-            }
-            ModelEvent::Stabilize(i) => {
-                if valid(i) && self.active(i) {
-                    self.stabilize(i, params);
-                    return true;
-                }
-            }
+        let enabled = self.enabled(ev, params);
+        if enabled {
+            self.step(ev, params);
         }
-        false
+        enabled
     }
 
     /// Global snapshot for the invariant checker. Slot indices map
@@ -724,50 +673,17 @@ impl ModelState {
     }
 
     fn is_ideal(&self, params: &ModelParams) -> Result<(), String> {
-        let n = self.n();
-        let actives = self.actives();
-        let m = actives.len();
-        let want = params.list_len.min(m.saturating_sub(1));
-        for &i in &actives {
-            let mut expect = Vec::new();
-            let mut cur = i;
-            while expect.len() < want {
-                cur = self.nearest_active_cw(cur).expect("m >= 2 here");
-                expect.push(cur);
-            }
+        for i in self.actives() {
             let node = &self.nodes[i as usize];
-            if node.succs != expect {
-                return Err(format!("node {i}: successors {:?}, ideal {expect:?}", node.succs));
+            let (succs, pred, preds) = self.ideal_pointers(i, params);
+            if node.succs != succs {
+                return Err(format!("node {i}: successors {:?}, ideal {succs:?}", node.succs));
             }
-            match params.variant {
-                Variant::Chord => {
-                    let true_pred =
-                        (1..n).map(|d| ((i as usize + n - d) % n) as u8).find(|&x| self.active(x));
-                    let want_pred = if m > 1 { true_pred } else { None };
-                    if node.pred != want_pred {
-                        return Err(format!(
-                            "node {i}: predecessor {:?}, ideal {want_pred:?}",
-                            node.pred
-                        ));
-                    }
-                }
-                Variant::Section => {
-                    let mut expect_p = Vec::new();
-                    let mut cur = i;
-                    while expect_p.len() < want {
-                        cur = (1..n)
-                            .map(|d| ((cur as usize + n - d) % n) as u8)
-                            .find(|&x| self.active(x))
-                            .expect("m >= 2 here");
-                        expect_p.push(cur);
-                    }
-                    if node.preds != expect_p {
-                        return Err(format!(
-                            "node {i}: predecessors {:?}, ideal {expect_p:?}",
-                            node.preds
-                        ));
-                    }
-                }
+            if node.pred != pred {
+                return Err(format!("node {i}: predecessor {:?}, ideal {pred:?}", node.pred));
+            }
+            if node.preds != preds {
+                return Err(format!("node {i}: predecessors {:?}, ideal {preds:?}", node.preds));
             }
         }
         Ok(())
