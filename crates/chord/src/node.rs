@@ -546,8 +546,6 @@ impl ChordNode {
             return;
         };
         if self.ring.is_byzantine() {
-            // Diversion targets are the forward routing peers only; Verme
-            // draws from `known_peers()`, predecessors included.
             let candidates = self.ring.route_candidates();
             match self.ring.route_action(key, next, &candidates) {
                 RouteAction::Honest => {}

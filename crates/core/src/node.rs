@@ -715,9 +715,7 @@ impl<P: Payload> VermeNode<P> {
             return;
         };
         if self.ring.is_byzantine() {
-            // Diversion targets are every known peer, predecessors
-            // included; Chord draws from its forward routing peers only.
-            let candidates = self.known_peers();
+            let candidates = self.ring.route_candidates();
             match self.ring.route_action(key, next, &candidates) {
                 RouteAction::Honest => {}
                 // Absorb after the ack above: upstream believes the hop is

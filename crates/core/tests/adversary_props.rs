@@ -10,14 +10,20 @@
 //! tail; without the refill from previously vetted entries the rebuilt
 //! list collapses to its head, the forgotten addresses are no longer
 //! known, and the next poisoned advert rebinds them.
+//!
+//! And the misrouting relay: whatever it diverts a lookup to is one of its
+//! forward routing peers, as on Chord.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use verme_chord::{keys, Byzantine, ByzantineConfig, NodeHandle};
+use verme_chord::{keys, Byzantine, ByzantineConfig, Id, NodeHandle};
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SimDuration, SimTime};
+use verme_sim::{Addr, HostId, ProtoEvent, Runtime, SeedSource, SimDuration, SimTime, TraceKind};
 
 const N: usize = 12;
 
@@ -27,9 +33,18 @@ type Ring = Runtime<VermeNode<()>, UniformLatency>;
 /// both span the whole membership, returning the runtime and the
 /// ground-truth handles (addresses `1..=N` in id order).
 fn spawn_full_knowledge(seed: u64) -> (Ring, Vec<NodeHandle>) {
+    spawn_ring(seed, N - 1)
+}
+
+/// As [`spawn_full_knowledge`], with `list_len` successors and as many
+/// predecessors a node.
+fn spawn_ring(seed: u64, list_len: usize) -> (Ring, Vec<NodeHandle>) {
     let layout = SectionLayout::with_sections(4, 2);
-    let cfg =
-        VermeConfig { num_successors: N - 1, num_predecessors: N - 1, ..VermeConfig::new(layout) };
+    let cfg = VermeConfig {
+        num_successors: list_len,
+        num_predecessors: list_len,
+        ..VermeConfig::new(layout)
+    };
     let ring = VermeStaticRing::generate(layout, N, seed);
     let mut ca = CertificateAuthority::new(seed);
     let mut rt = Runtime::new(UniformLatency::new(N, SimDuration::from_millis(20)), seed);
@@ -128,5 +143,55 @@ proptest! {
             assert_bindings_clean(rt.node(Addr::from_raw(i as u64 + 1)).unwrap(), &truth);
         }
         prop_assert_eq!(rt.metrics().counter(keys::RING_POISONED), 0);
+    }
+
+    /// A relay that misroutes every lookup it is handed diverts it to a
+    /// successor-list or finger entry — a next hop it could defend —
+    /// never to a node it only knows as a predecessor. Lists are two
+    /// entries long, so a node's predecessors are not its successors.
+    #[test]
+    fn a_misrouting_relay_diverts_to_forward_routing_peers_only(
+        seed in 0u64..1_000_000,
+        relay in 0..N,
+    ) {
+        let (mut rt, truth) = spawn_ring(seed, 2);
+        let relay = truth[relay].addr;
+        let cfg = ByzantineConfig {
+            drop_fraction: 0.0,
+            misroute_fraction: 1.0,
+            hijack_fraction: 0.0,
+            poison: false,
+            seed,
+        };
+        rt.node_mut(relay).unwrap().set_behaviour(Box::new(Byzantine::new(cfg)));
+        // Hop 0 is a node's own lookup leaving; anything later, it relays.
+        let relayed: Rc<RefCell<Vec<Addr>>> = Rc::default();
+        let sink = relayed.clone();
+        rt.set_tracer(Some(Box::new(move |ev| {
+            if let TraceKind::Proto { node, event: ProtoEvent::LookupHop { to, hop, .. } } = ev.kind {
+                if node == relay && hop > 0 {
+                    sink.borrow_mut().push(to);
+                }
+            }
+        })));
+        let mut rng = SeedSource::new(seed).stream("keys");
+        for source in truth.iter().map(|h| h.addr).filter(|&a| a != relay) {
+            for _ in 0..4 {
+                let key = Id::random(&mut rng);
+                rt.invoke(source, |n, ctx| n.start_replica_lookup(key, None, ctx)).unwrap();
+            }
+        }
+        rt.run_until(SimTime::ZERO + SimDuration::from_secs(10));
+
+        let node = rt.node(relay).unwrap();
+        let mut forward = node.successor_list().to_vec();
+        forward.extend(node.finger_table().distinct());
+        prop_assume!(!relayed.borrow().is_empty());
+        for to in relayed.borrow().iter() {
+            prop_assert!(
+                forward.iter().any(|h| h.addr == *to),
+                "relay {relay:?} diverted to {to:?}, not among its successors and fingers {forward:?}"
+            );
+        }
     }
 }
