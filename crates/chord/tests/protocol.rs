@@ -2,26 +2,45 @@
 
 use rand::Rng;
 
-use verme_chord::{ChordConfig, ChordNode, Id, LookupMode, NodeHandle, StaticRing};
+use verme_chord::{
+    ChordConfig, ChordMsg, ChordNode, ChordTimer, Id, LookupId, LookupMode, NodeHandle, StaticRing,
+};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, HostId, Node, Runtime, SeedSource, SimDuration, SimTime, Wire};
 
 const HOP_MS: u64 = 20;
+
+/// The forwarder reroute budget (`MAX_HOP_ATTEMPTS` in the relay rules).
+const MAX_HOP_ATTEMPTS: u64 = 4;
+
+type Rt = Runtime<ChordNode, UniformLatency>;
 
 fn cfg(mode: LookupMode) -> ChordConfig {
     ChordConfig { lookup_mode: mode, ..ChordConfig::default() }
 }
 
+/// Periodic maintenance pushed past the test's window, so every lookup,
+/// ack and reroute on the wire is the test's own; a 3.2 s lookup deadline
+/// leaves room for six 500 ms hop timeouts.
+fn quiet(mode: LookupMode) -> ChordConfig {
+    ChordConfig {
+        stabilize_interval: SimDuration::from_secs(3600),
+        fix_fingers_interval: SimDuration::from_secs(3600),
+        lookup_deadline: SimDuration::from_millis(3200),
+        ..cfg(mode)
+    }
+}
+
 /// Spawns a fully-converged static ring of `n` nodes and returns
 /// (runtime, members in id order).
-fn spawn_static(
-    n: usize,
-    mode: LookupMode,
-    seed: u64,
-) -> (Runtime<ChordNode, UniformLatency>, Vec<NodeHandle>) {
+fn spawn_static(n: usize, mode: LookupMode, seed: u64) -> (Rt, Vec<NodeHandle>) {
+    spawn_with(n, cfg(mode), seed)
+}
+
+fn spawn_with(n: usize, cfg: ChordConfig, seed: u64) -> (Rt, Vec<NodeHandle>) {
     let mut rt = Runtime::new(UniformLatency::new(n, SimDuration::from_millis(HOP_MS)), seed);
     let ring = StaticRing::random(n, seed);
-    ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg(mode)));
+    ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
     let members = ring.nodes().to_vec();
     (rt, members)
 }
@@ -283,5 +302,179 @@ fn stabilization_heals_after_message_loss() {
         let expect =
             members.iter().copied().find(|s| s.id.raw() > h.id.raw()).unwrap_or(members[0]);
         assert_eq!(node.successor_list()[0].id, expect.id, "node {} never healed", h.id);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Relay rules: hop acks, reroutes, duplicates, relay GC
+// ----------------------------------------------------------------------
+
+fn deliver(rt: &mut Rt, to: Addr, from: Addr, msg: ChordMsg) {
+    rt.invoke(to, |n, ctx| n.on_message(from, msg, ctx)).expect("recipient alive");
+}
+
+fn fire(rt: &mut Rt, at: Addr, timer: ChordTimer) {
+    rt.invoke(at, |n, ctx| n.on_timer(timer, ctx)).expect("node alive");
+}
+
+fn relayed(lid: LookupId, key: Id, origin: NodeHandle, mode: LookupMode) -> ChordMsg {
+    ChordMsg::Lookup { lid, key, origin, mode, hops: 1, maint: false }
+}
+
+/// Everything a hop timeout could touch at `at`: the reroute and lookup
+/// byte counters, the node's health gauges and its routing state.
+fn relay_state(rt: &Rt, at: Addr) -> (u64, u64, impl PartialEq + std::fmt::Debug) {
+    let m = rt.metrics();
+    let n = rt.node(at).expect("alive");
+    let routing = (n.health(), n.successor_list().to_vec(), n.finger_table().distinct());
+    (m.counter("lookup.hop_reroutes"), m.counter("bytes.lookup"), routing)
+}
+
+fn forwarding(rt: &Rt, at: Addr) -> usize {
+    rt.node(at).expect("alive").health().forwarding
+}
+
+fn advance(rt: &mut Rt, by: SimDuration) {
+    rt.run_until(rt.now() + by);
+}
+
+#[test]
+fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_deadline() {
+    let cfg = quiet(LookupMode::Recursive);
+    let ack = ChordMsg::HopAck { lid: LookupId { origin: Addr::NULL, seq: 0 } }.wire_size() as u64;
+
+    // A relay whose every route is dead, handed a lookup by a (dead)
+    // upstream. The key sits just behind it, so every peer precedes it.
+    let (mut rt, members) = spawn_with(32, cfg.clone(), 5);
+    let (relay, upstream) = (members[0], members[16]);
+    for h in &members[1..] {
+        rt.kill(h.addr);
+    }
+    let key = relay.id.wrapping_sub(1);
+    let lid = LookupId { origin: upstream.addr, seq: 7 };
+    let lookup = relayed(lid, key, upstream, LookupMode::Recursive);
+    let fwd = lookup.wire_size() as u64;
+    deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    advance(&mut rt, SimDuration::from_secs(10));
+    let m = rt.metrics();
+    assert_eq!(m.counter("lookup.hop_reroutes"), MAX_HOP_ATTEMPTS);
+    // One ack upstream; the first send and three re-sends downstream.
+    assert_eq!(m.counter("bytes.lookup"), ack + MAX_HOP_ATTEMPTS * fwd);
+    assert_eq!(forwarding(&rt, relay.addr), 0, "a relay that gave up keeps no state");
+
+    // The same ring from the initiator's side: it has no upstream to
+    // reroute for it, so only its deadline stops it.
+    let (mut rt, members) = spawn_with(32, cfg.clone(), 5);
+    let origin = members[0];
+    for h in &members[1..] {
+        rt.kill(h.addr);
+    }
+    rt.invoke(origin.addr, |n, ctx| n.start_lookup(key, ctx)).expect("alive");
+    advance(&mut rt, SimDuration::from_secs(10));
+    // Timeouts at 0.5, 1.0, ..., 3.0 s: six reroutes, then the deadline.
+    assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 6);
+    let outcomes = rt.node_mut(origin.addr).expect("alive").take_outcomes();
+    assert_eq!(outcomes.len(), 1);
+    assert!(outcomes[0].result.is_none());
+    assert_eq!(outcomes[0].latency, cfg.lookup_deadline);
+    assert_eq!(rt.node(origin.addr).expect("alive").health().pending_lookups, 0);
+}
+
+#[test]
+fn a_hop_timeout_after_the_ack_or_for_an_older_attempt_changes_nothing() {
+    let (mut rt, members) = spawn_with(32, quiet(LookupMode::Recursive), 9);
+    let (relay, upstream) = (members[0], members[16]);
+    rt.kill(upstream.addr);
+    let key = relay.id.wrapping_sub(1);
+
+    // Acked in time: the ack is back after 40 ms, a reply from two or
+    // more hops further cannot be before 80 ms.
+    let lid = LookupId { origin: upstream.addr, seq: 1 };
+    deliver(&mut rt, relay.addr, upstream.addr, relayed(lid, key, upstream, LookupMode::Recursive));
+    advance(&mut rt, SimDuration::from_millis(50));
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+    let before = relay_state(&rt, relay.addr);
+    fire(&mut rt, relay.addr, ChordTimer::HopTimeout { lid, attempt: 0 });
+    assert_eq!(relay_state(&rt, relay.addr), before, "a timeout after the ack");
+
+    // Rerouted once: the timer of the first attempt is stale.
+    let next = rt.node(relay.addr).unwrap().route_first_hop_excluding(key, &[]).unwrap();
+    rt.kill(next.addr);
+    let lid = LookupId { origin: upstream.addr, seq: 2 };
+    deliver(&mut rt, relay.addr, upstream.addr, relayed(lid, key, upstream, LookupMode::Recursive));
+    advance(&mut rt, SimDuration::from_millis(510));
+    assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 1);
+    let before = relay_state(&rt, relay.addr);
+    fire(&mut rt, relay.addr, ChordTimer::HopTimeout { lid, attempt: 0 });
+    assert_eq!(relay_state(&rt, relay.addr), before, "a timeout for an older attempt");
+    // ... and once the new hop acked, so is the current one.
+    advance(&mut rt, SimDuration::from_millis(40));
+    let before = relay_state(&rt, relay.addr);
+    fire(&mut rt, relay.addr, ChordTimer::HopTimeout { lid, attempt: 1 });
+    assert_eq!(relay_state(&rt, relay.addr), before, "a timeout after the rerouted ack");
+}
+
+#[test]
+fn a_redelivered_lookup_is_acked_but_not_forwarded_again() {
+    let (mut rt, members) = spawn_with(32, quiet(LookupMode::Recursive), 9);
+    let (relay, upstream) = (members[0], members[16]);
+    rt.kill(upstream.addr);
+    let lid = LookupId { origin: upstream.addr, seq: 3 };
+    let lookup = relayed(lid, relay.id.wrapping_sub(1), upstream, LookupMode::Recursive);
+    let ack = ChordMsg::HopAck { lid }.wire_size() as u64;
+    let fwd = lookup.wire_size() as u64;
+    let bytes = |rt: &Rt| rt.metrics().counter("bytes.lookup");
+    deliver(&mut rt, relay.addr, upstream.addr, lookup.clone());
+    assert_eq!(bytes(&rt), ack + fwd);
+    deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    assert_eq!(bytes(&rt), 2 * ack + fwd, "the duplicate is only acked");
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+}
+
+#[test]
+fn relay_gc_clears_relay_state() {
+    let (mut rt, members) = spawn_with(32, quiet(LookupMode::Recursive), 9);
+    let (relay, upstream) = (members[0], members[16]);
+    rt.kill(upstream.addr);
+    let key = relay.id.wrapping_sub(1);
+    let lid = LookupId { origin: upstream.addr, seq: 4 };
+    deliver(&mut rt, relay.addr, upstream.addr, relayed(lid, key, upstream, LookupMode::Recursive));
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+    fire(&mut rt, relay.addr, ChordTimer::RelayGc { lid });
+    assert_eq!(forwarding(&rt, relay.addr), 0);
+    // The reply that comes back later finds nothing to relay, and the
+    // hop timer finds nothing to reroute.
+    advance(&mut rt, SimDuration::from_secs(5));
+    assert_eq!(forwarding(&rt, relay.addr), 0);
+    assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 0);
+}
+
+#[test]
+fn a_transitive_middle_hop_frees_its_state_on_the_ack_and_a_recursive_one_on_the_reply() {
+    for (mode, held) in [(LookupMode::Transitive, 0), (LookupMode::Recursive, 1)] {
+        let (mut rt, members) = spawn_with(32, quiet(mode), 11);
+        let (relay, upstream) = (members[0], members[16]);
+        let lid = LookupId { origin: upstream.addr, seq: 5 };
+        deliver(
+            &mut rt,
+            relay.addr,
+            upstream.addr,
+            relayed(lid, relay.id.wrapping_sub(1), upstream, mode),
+        );
+        // The next hop's ack is back (40 ms); the reply is not (≥ 80 ms).
+        advance(&mut rt, SimDuration::from_millis(50));
+        assert_eq!(forwarding(&rt, relay.addr), held, "{mode:?}");
+        advance(&mut rt, SimDuration::from_secs(5));
+        assert_eq!(forwarding(&rt, relay.addr), 0, "{mode:?}");
+
+        // A whole lookup: once it finished, no node relays anything.
+        let origin = members[8];
+        let key = origin.id.wrapping_sub(1);
+        rt.invoke(origin.addr, |n, ctx| n.start_lookup(key, ctx)).expect("alive");
+        advance(&mut rt, SimDuration::from_secs(5));
+        let outcomes = rt.node_mut(origin.addr).expect("alive").take_outcomes();
+        assert!(outcomes[0].result.is_some() && outcomes[0].hops >= 2, "{mode:?}");
+        let relaying: usize = members.iter().map(|h| forwarding(&rt, h.addr)).sum();
+        assert_eq!(relaying, 0, "{mode:?}");
     }
 }

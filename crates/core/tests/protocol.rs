@@ -1,29 +1,54 @@
 //! End-to-end Verme overlay tests on the simulator.
 
-use verme_chord::Id;
+use rand::Rng;
+
+use verme_chord::{Id, NodeHandle};
 use verme_core::{
-    LookupPurpose, SectionLayout, VermeAnswer, VermeConfig, VermeMsg, VermeNode, VermeStaticRing,
+    LookupPurpose, Payload, SectionLayout, VermeAnswer, VermeConfig, VermeMsg, VermeNode,
+    VermeStaticRing, VermeTimer,
 };
 use verme_crypto::{CertificateAuthority, NodeType};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{HostId, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{Addr, HostId, Node, Runtime, SeedSource, SimDuration, SimTime, Wire};
 
 type BareNode = VermeNode<()>;
+
+type Rt<P = ()> = Runtime<VermeNode<P>, UniformLatency>;
+
+/// The forwarder reroute budget (`MAX_HOP_ATTEMPTS` in the relay rules).
+const MAX_HOP_ATTEMPTS: u64 = 4;
 
 fn layout() -> SectionLayout {
     SectionLayout::with_sections(16, 2)
 }
 
+/// Periodic maintenance pushed past the test's window, so every lookup,
+/// ack and reroute on the wire is the test's own; a 3.2 s lookup deadline
+/// leaves room for six 500 ms hop timeouts.
+fn quiet() -> VermeConfig {
+    VermeConfig {
+        stabilize_interval: SimDuration::from_secs(3600),
+        fix_fingers_interval: SimDuration::from_secs(3600),
+        lookup_deadline: SimDuration::from_millis(3200),
+        ..VermeConfig::new(layout())
+    }
+}
+
 /// Spawns a converged static Verme ring; returns (runtime, ring, ca).
-fn spawn_static(
+fn spawn_static(n: usize, seed: u64) -> (Rt, VermeStaticRing, CertificateAuthority) {
+    spawn_with(n, VermeConfig::new(layout()), seed)
+}
+
+fn spawn_with<P: Payload>(
     n: usize,
+    cfg: VermeConfig,
     seed: u64,
-) -> (Runtime<BareNode, UniformLatency>, VermeStaticRing, CertificateAuthority) {
+) -> (Rt<P>, VermeStaticRing, CertificateAuthority) {
     let ring = VermeStaticRing::generate(layout(), n, seed);
     let mut ca = CertificateAuthority::new(seed);
     let mut rt = Runtime::new(UniformLatency::new(n, SimDuration::from_millis(20)), seed);
     for i in 0..n {
-        let node: BareNode = ring.build_node(i, VermeConfig::new(layout()), &mut ca);
+        let node: VermeNode<P> = ring.build_node(i, cfg.clone(), &mut ca);
         let addr = rt.spawn(HostId(i), node);
         assert_eq!(addr, ring.node(i).addr, "spawn order must match generated addresses");
     }
@@ -296,4 +321,235 @@ fn sends_to_null_address_are_dropped_not_fatal() {
     });
     rt.run_until(rt.now() + SimDuration::from_secs(1));
     assert_eq!(rt.stats().messages_dropped, before + 1);
+}
+
+#[test]
+fn replica_lookups_route_around_fresh_failures() {
+    // The mirror of Chord's test: kill nodes without giving stabilization
+    // time to notice; per-hop timeouts must reroute replica lookups.
+    let n = 128;
+    let (mut rt, ring, _ca) = spawn_static(n, 17);
+    rt.run_until(SimTime::ZERO + SimDuration::from_millis(100));
+    let mut rng = SeedSource::new(2).stream("kill");
+    let survivors: Vec<NodeHandle> = ring
+        .nodes()
+        .iter()
+        .copied()
+        .filter(|h| {
+            let dies = rng.gen::<f64>() < 0.15;
+            if dies {
+                rt.kill(h.addr);
+            }
+            !dies
+        })
+        .collect();
+    let mut completed = 0;
+    for i in 0..30 {
+        let key = Id::random(&mut rng);
+        let origin = survivors[(i * 7) % survivors.len()].addr;
+        rt.invoke(origin, |node, ctx| node.start_measured_lookup(key, ctx)).unwrap();
+        rt.run_until(rt.now() + SimDuration::from_secs(10));
+        let outcomes = rt.node_mut(origin).unwrap().take_outcomes();
+        if outcomes[0].answer.is_some() {
+            completed += 1;
+        }
+    }
+    assert!(completed >= 27, "too many lookups failed under fresh failures: {completed}/30");
+    assert!(rt.metrics().counter("lookup.hop_reroutes") > 0, "expected at least one hop reroute");
+}
+
+// ----------------------------------------------------------------------
+// Relay rules: hop acks, reroutes, duplicates, relay GC, piggybacks
+// ----------------------------------------------------------------------
+
+/// A piggybacked operation with a non-empty wire image, as a DHT's is.
+#[derive(Clone, Debug)]
+struct Op;
+
+impl Payload for Op {
+    fn wire_size(&self) -> usize {
+        64
+    }
+}
+
+fn deliver<P: Payload>(rt: &mut Rt<P>, to: Addr, from: Addr, msg: VermeMsg<P>) {
+    rt.invoke(to, |n, ctx| n.on_message(from, msg, ctx)).expect("recipient alive");
+}
+
+fn fire<P: Payload>(rt: &mut Rt<P>, at: Addr, timer: VermeTimer) {
+    rt.invoke(at, |n, ctx| n.on_timer(timer, ctx)).expect("node alive");
+}
+
+/// A replica lookup for `key` from `from`'s certificate, one hop in.
+fn relayed<P>(
+    ca: &mut CertificateAuthority,
+    from: NodeHandle,
+    lid: u64,
+    key: Id,
+    piggyback: Option<P>,
+) -> VermeMsg<P> {
+    let (cert, _) = ca.issue(from.id.raw(), layout().type_of(from.id));
+    VermeMsg::Lookup { lid, key, cert, purpose: LookupPurpose::Replicas, piggyback, hops: 1 }
+}
+
+/// Everything a hop timeout could touch at `at`: the reroute and lookup
+/// byte counters, the node's health gauges and its routing state.
+fn relay_state<P: Payload>(rt: &Rt<P>, at: Addr) -> (u64, u64, impl PartialEq + std::fmt::Debug) {
+    let m = rt.metrics();
+    let n = rt.node(at).expect("alive");
+    let routing = (n.health(), n.successor_list().to_vec(), n.finger_table().distinct());
+    (m.counter("lookup.hop_reroutes"), m.counter("bytes.lookup"), routing)
+}
+
+fn forwarding<P: Payload>(rt: &Rt<P>, at: Addr) -> usize {
+    rt.node(at).expect("alive").health().forwarding
+}
+
+fn advance<P: Payload>(rt: &mut Rt<P>, by: SimDuration) {
+    rt.run_until(rt.now() + by);
+}
+
+fn ack_size() -> u64 {
+    VermeMsg::<()>::HopAck { lid: 0 }.wire_size() as u64
+}
+
+#[test]
+fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_deadline() {
+    // A relay whose every route is dead, handed a lookup by a (dead)
+    // upstream. The key sits just behind it, so every peer precedes it.
+    let (mut rt, ring, mut ca) = spawn_with::<()>(64, quiet(), 5);
+    let (relay, upstream) = (ring.node(0), ring.node(32));
+    for i in 1..64 {
+        rt.kill(ring.node(i).addr);
+    }
+    let key = relay.id.wrapping_sub(1);
+    let lookup = relayed(&mut ca, upstream, 7, key, None::<()>);
+    let fwd = lookup.wire_size() as u64;
+    deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    advance(&mut rt, SimDuration::from_secs(10));
+    let m = rt.metrics();
+    assert_eq!(m.counter("lookup.hop_reroutes"), MAX_HOP_ATTEMPTS);
+    // One ack upstream; the first send and three re-sends downstream.
+    assert_eq!(m.counter("bytes.lookup"), ack_size() + MAX_HOP_ATTEMPTS * fwd);
+    assert_eq!(forwarding(&rt, relay.addr), 0, "a relay that gave up keeps no state");
+
+    // The same ring from the initiator's side: it has no upstream to
+    // reroute for it, so only its deadline stops it.
+    let (mut rt, ring, _ca) = spawn_with::<()>(64, quiet(), 5);
+    let origin = ring.node(0);
+    for i in 1..64 {
+        rt.kill(ring.node(i).addr);
+    }
+    rt.invoke(origin.addr, |n, ctx| n.start_replica_lookup(key, None, ctx)).expect("alive");
+    advance(&mut rt, SimDuration::from_secs(10));
+    // Timeouts at 0.5, 1.0, ..., 3.0 s: six reroutes, then the deadline.
+    assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 6);
+    let outcomes = rt.node_mut(origin.addr).expect("alive").take_outcomes();
+    assert_eq!(outcomes.len(), 1);
+    assert!(outcomes[0].answer.is_none());
+    assert_eq!(outcomes[0].latency, quiet().lookup_deadline);
+    assert_eq!(rt.node(origin.addr).expect("alive").health().pending_lookups, 0);
+}
+
+#[test]
+fn a_hop_timeout_after_the_ack_or_for_an_older_attempt_changes_nothing() {
+    let (mut rt, ring, mut ca) = spawn_with::<()>(64, quiet(), 9);
+    let (relay, upstream) = (ring.node(0), ring.node(32));
+    rt.kill(upstream.addr);
+    let key = relay.id.wrapping_sub(1);
+
+    // Acked in time: the ack is back after 40 ms, a reply from two or
+    // more hops further cannot be before 80 ms.
+    let lookup = relayed(&mut ca, upstream, 1, key, None);
+    deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    advance(&mut rt, SimDuration::from_millis(50));
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+    let before = relay_state(&rt, relay.addr);
+    fire(&mut rt, relay.addr, VermeTimer::HopTimeout { lid: 1, attempt: 0 });
+    assert_eq!(relay_state(&rt, relay.addr), before, "a timeout after the ack");
+
+    // Rerouted once: the timer of the first attempt is stale.
+    let next = rt.node(relay.addr).unwrap().route_first_hop(key).unwrap();
+    rt.kill(next.addr);
+    let lookup = relayed(&mut ca, upstream, 2, key, None);
+    deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    advance(&mut rt, SimDuration::from_millis(510));
+    assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 1);
+    let before = relay_state(&rt, relay.addr);
+    fire(&mut rt, relay.addr, VermeTimer::HopTimeout { lid: 2, attempt: 0 });
+    assert_eq!(relay_state(&rt, relay.addr), before, "a timeout for an older attempt");
+    // ... and once the new hop acked, so is the current one.
+    advance(&mut rt, SimDuration::from_millis(40));
+    let before = relay_state(&rt, relay.addr);
+    fire(&mut rt, relay.addr, VermeTimer::HopTimeout { lid: 2, attempt: 1 });
+    assert_eq!(relay_state(&rt, relay.addr), before, "a timeout after the rerouted ack");
+}
+
+#[test]
+fn a_redelivered_lookup_is_acked_but_not_forwarded_again() {
+    let (mut rt, ring, mut ca) = spawn_with::<()>(64, quiet(), 9);
+    let (relay, upstream) = (ring.node(0), ring.node(32));
+    rt.kill(upstream.addr);
+    let lookup = relayed(&mut ca, upstream, 3, relay.id.wrapping_sub(1), None);
+    let fwd = lookup.wire_size() as u64;
+    let bytes = |rt: &Rt| rt.metrics().counter("bytes.lookup");
+    deliver(&mut rt, relay.addr, upstream.addr, lookup.clone());
+    assert_eq!(bytes(&rt), ack_size() + fwd);
+    deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    assert_eq!(bytes(&rt), 2 * ack_size() + fwd, "the duplicate is only acked");
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+}
+
+#[test]
+fn relay_gc_clears_relay_state_and_a_pending_piggybacked_answer() {
+    let (mut rt, ring, mut ca) = spawn_with::<()>(64, quiet(), 9);
+    let (relay, upstream) = (ring.node(0), ring.node(32));
+    rt.kill(upstream.addr);
+    let lookup = relayed(&mut ca, upstream, 4, relay.id.wrapping_sub(1), None);
+    deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+    fire(&mut rt, relay.addr, VermeTimer::RelayGc { lid: 4 });
+    assert_eq!(forwarding(&rt, relay.addr), 0);
+    // The reply that comes back later finds nothing to relay, and the hop
+    // timer finds nothing to reroute.
+    advance(&mut rt, SimDuration::from_secs(5));
+    assert_eq!(forwarding(&rt, relay.addr), 0);
+    assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 0);
+
+    // The responsible node of a piggybacked lookup hands it up and waits
+    // for the answer; GC forgets the wait.
+    let key = relay.id.wrapping_add(1);
+    for lid in [5, 6] {
+        let lookup = relayed(&mut ca, upstream, lid, key, Some(()));
+        deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    }
+    let requests = rt.node_mut(relay.addr).expect("alive").take_answer_requests();
+    assert_eq!(requests.iter().map(|r| r.lid).collect::<Vec<_>>(), [5, 6]);
+    fire(&mut rt, relay.addr, VermeTimer::RelayGc { lid: 5 });
+    let answered = |rt: &mut Rt, lid| rt.invoke(relay.addr, |n, ctx| n.send_answer(lid, None, ctx));
+    assert_eq!(answered(&mut rt, 5), Some(false), "the collected answer is gone");
+    assert_eq!(answered(&mut rt, 6), Some(true));
+}
+
+#[test]
+fn a_piggybacked_lookup_is_never_resent_and_fails_at_its_deadline() {
+    let (mut rt, ring, _ca) = spawn_with::<Op>(64, quiet(), 21);
+    let origin = ring.node(0);
+    let key = origin.id.wrapping_sub(1);
+    let relay = rt.node(origin.addr).unwrap().route_first_hop(key).expect("a first hop");
+    let behind = rt.node(relay.addr).unwrap();
+    assert!(!key.in_open_closed(relay.id, behind.successor_list()[0].id), "the relay forwards");
+    let next = behind.route_first_hop(key).expect("a second hop");
+    rt.kill(next.addr);
+    rt.invoke(origin.addr, |n, ctx| n.start_replica_lookup(key, Some(Op), ctx)).expect("alive");
+    advance(&mut rt, SimDuration::from_secs(10));
+    // The relay noticed the dead hop once and dropped the lookup instead
+    // of re-sending a payload it no longer holds; its ack told the
+    // initiator the hop was fine, so only the deadline ends it.
+    assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 1);
+    assert_eq!(forwarding(&rt, relay.addr), 0);
+    let outcomes = rt.node_mut(origin.addr).expect("alive").take_outcomes();
+    assert_eq!(outcomes.len(), 1);
+    assert!(outcomes[0].answer.is_none());
+    assert_eq!(outcomes[0].latency, quiet().lookup_deadline);
 }
