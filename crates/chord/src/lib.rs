@@ -8,22 +8,25 @@
 //! path, direct reply).
 //!
 //! The module layout separates pure data structures from the protocol,
-//! and the ring half of the protocol from the lookup half:
+//! and the protocol into its two rule sets over one node state — ring
+//! maintenance ([`ring_core`]) and lookup relaying ([`relay`]) — each
+//! written once for both overlays:
 //!
 //! | module | holds |
 //! |---|---|
 //! | [`id`] | circular identifier arithmetic ([`Id`]) |
 //! | [`ring`] | successor/predecessor lists and finger tables |
-//! | [`ring_core`] | [`RingCore`]: the routing state and every ring-maintenance rule (stabilize, notify, reseed, join completion, advert vetting, reroute choice) that Chord and Verme share, written once; [`RingNode`] and [`ring_converged`] |
+//! | [`ring_core`] | [`RingCore`]: the routing state and every ring-maintenance rule (stabilize, notify, reseed, join completion, advert vetting, reroute choice) that Chord and Verme share, written once, plus the relay step ([`Relay`]: honest next hop, then the Byzantine consult); [`RingNode`] and [`ring_converged`] |
+//! | [`relay`] | [`LookupTable`]: the lookups a node started and the ones it forwards, and every hop-by-hop lookup rule both overlays share — start, forward, duplicate check, ack, reply relay, hop-timeout reroute under one [`MAX_HOP_ATTEMPTS`] budget, completion bookkeeping, GC |
 //! | [`behaviour`] | honest and Byzantine routing policies |
 //! | [`proto`] | Chord's wire messages, lookup modes, configuration |
-//! | [`node`] | [`ChordNode`]: a [`RingCore`] plus what only Chord has — the single predecessor with its ping and rectify probe, and lookups in both modes |
+//! | [`node`] | [`ChordNode`]: a [`RingCore`] and a [`LookupTable`] plus what only Chord has — the single predecessor with its ping and rectify probe, sequence-numbered lookups in both modes, and the transitive hop's early release |
 //! | [`maintain`] | [`MaintenanceMode`], Zave's rectify rule, the inductive ring invariant, and the small-ring model checker |
 //! | [`static_ring`] | instant construction of converged rings |
 //!
 //! The Verme overlay in `verme-core` reuses [`id`] and [`ring`] and embeds
-//! the same [`RingCore`]; its node keeps only what paper §4.3–4.5 and §5.2
-//! change.
+//! the same [`RingCore`] and [`LookupTable`]; its node keeps only what
+//! paper §4.3–4.5 and §5.2 change.
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +35,7 @@ pub mod id;
 pub mod maintain;
 pub mod node;
 pub mod proto;
+pub mod relay;
 pub mod ring;
 pub mod ring_core;
 pub mod static_ring;
@@ -44,6 +48,7 @@ pub use maintain::{
 };
 pub use node::{keys, ChordNode, NodeHealth};
 pub use proto::{ChordConfig, ChordMsg, ChordTimer, LookupId, LookupMode, LookupResult};
+pub use relay::{Hop, HopTimeout, LookupKind, LookupTable, MAX_HOP_ATTEMPTS};
 pub use ring::{closest_preceding_hop, FingerTable, NeighborList, NodeHandle};
-pub use ring_core::{rebuild_list, ring_converged, RingCore, RingNode};
+pub use ring_core::{rebuild_list, ring_converged, Relay, RingCore, RingNode};
 pub use static_ring::StaticRing;

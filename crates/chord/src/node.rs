@@ -1,22 +1,21 @@
 //! The Chord node state machine.
 //!
-//! A [`RingCore`] — the routing state and ring-maintenance rules shared
-//! with Verme — plus what only Chord has: the single predecessor pointer
-//! with its liveness ping and rectify probe, and lookups in both
-//! traversal modes ([`LookupMode`]), with per-hop failure detection and
-//! rerouting ("every time a node tried to contact a node that had failed
-//! it chose another neighbor", paper §7.1.2).
+//! A [`RingCore`] and a [`LookupTable`] — the ring rules and the per-hop
+//! lookup rules shared with Verme, failure detection and rerouting
+//! included ("every time a node tried to contact a node that had failed
+//! it chose another neighbor", paper §7.1.2) — plus what only Chord has:
+//! the single predecessor pointer with its liveness ping and rectify
+//! probe, and lookups in both traversal modes ([`LookupMode`]).
 
-use std::collections::HashMap;
+use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration};
 
-use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration, SimTime};
-
-use crate::behaviour::{Behaviour, RouteAction};
+use crate::behaviour::Behaviour;
 use crate::id::Id;
 use crate::maintain::{MaintenanceMode, RectifyDecision, RingStance};
 use crate::proto::{ChordConfig, ChordMsg, ChordTimer, LookupId, LookupMode, LookupResult};
+use crate::relay::{Hop, HopTimeout, LookupKind, LookupTable};
 use crate::ring::{FingerTable, NodeHandle};
-use crate::ring_core::{send_counted, take_waiting, RingCore, RingNode};
+use crate::ring_core::{send_counted, take_waiting, Relay, RingCore, RingNode};
 
 /// Metric keys recorded by overlay nodes into the run's
 /// [`MetricsSink`](verme_sim::MetricsSink).
@@ -78,62 +77,24 @@ pub struct LookupOutcome {
 }
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum LookupKind {
+enum Kind {
     App,
     Join,
     FingerRefresh(usize),
 }
 
-impl LookupKind {
-    fn bytes_key(self) -> &'static str {
-        match self {
-            LookupKind::App => keys::BYTES_LOOKUP,
-            _ => keys::BYTES_MAINT,
-        }
-    }
-
+impl LookupKind for Kind {
     fn label(self) -> &'static str {
         match self {
-            LookupKind::App => "app",
-            LookupKind::Join => "join",
-            LookupKind::FingerRefresh(_) => "finger",
+            Kind::App => "app",
+            Kind::Join => "join",
+            Kind::FingerRefresh(_) => "finger",
         }
     }
-}
 
-/// Emits a [`ProtoEvent::LookupHop`]. Chord has no node types or sections,
-/// so those tags are `None`.
-fn emit_hop(ctx: &mut Ctx<'_, ChordMsg, ChordTimer>, op: u64, to: Addr, to_id: Id, hop: u32) {
-    ctx.emit(ProtoEvent::LookupHop {
-        op,
-        to,
-        to_id: to_id.raw(),
-        hop,
-        from_type: None,
-        to_type: None,
-        from_section: None,
-        to_section: None,
-    });
-}
-
-struct PendingLookup {
-    key: Id,
-    kind: LookupKind,
-    started: SimTime,
-}
-
-struct ForwardState {
-    key: Id,
-    origin: NodeHandle,
-    mode: LookupMode,
-    hops: u32,
-    /// Upstream hop to relay the reply to (`None` at the initiator).
-    prev: Option<Addr>,
-    next: Addr,
-    attempts: u32,
-    acked: bool,
-    tried: Vec<Addr>,
-    kind_bytes: &'static str,
+    fn is_app(self) -> bool {
+        self == Kind::App
+    }
 }
 
 /// A point-in-time snapshot of one node's routing-state health.
@@ -186,8 +147,9 @@ pub struct ChordNode {
     ring: RingCore,
     predecessor: Option<NodeHandle>,
     next_seq: u64,
-    pending: HashMap<u64, PendingLookup>,
-    forwards: HashMap<LookupId, ForwardState>,
+    /// Lookups in flight; a forwarded one keeps its origin and mode to be
+    /// re-sent.
+    lookups: LookupTable<LookupId, Kind, (NodeHandle, LookupMode)>,
     pred_waiting: Option<u64>,
     /// In-flight rectify probe: the incumbent predecessor is being pinged
     /// with this token; adopt the candidate on timeout (corrected mode).
@@ -216,8 +178,7 @@ impl ChordNode {
             cfg,
             predecessor: None,
             next_seq: 0,
-            pending: HashMap::new(),
-            forwards: HashMap::new(),
+            lookups: LookupTable::default(),
             pred_waiting: None,
             rectify_waiting: None,
             outcomes: Vec::new(),
@@ -309,8 +270,8 @@ impl ChordNode {
 
     /// Samples this node's [`NodeHealth`] gauges.
     pub fn health(&self) -> NodeHealth {
-        let predecessors = usize::from(self.predecessor.is_some());
-        self.ring.health(predecessors, self.pending.len(), self.forwards.len())
+        let (pending, forwarding) = self.lookups.counts();
+        self.ring.health(usize::from(self.predecessor.is_some()), pending, forwarding)
     }
 
     /// Every distinct peer this node's routing state names — exactly the
@@ -353,7 +314,7 @@ impl ChordNode {
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) -> u64 {
         ctx.metrics().count(keys::LOOKUP_ISSUED, 1);
-        self.begin_lookup(key, LookupKind::App, avoid, ctx)
+        self.begin_lookup(key, Kind::App, avoid, ctx)
     }
 
     /// Drains the outcomes of application lookups that finished since the
@@ -369,23 +330,13 @@ impl ChordNode {
     fn begin_lookup(
         &mut self,
         key: Id,
-        kind: LookupKind,
+        kind: Kind,
         avoid: &[Addr],
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        // Root lookups (app injections, the join on start) mint their own
-        // causal span; lookups begun inside a larger span (finger refresh
-        // under a maintenance tick, a DHT op) inherit it.
-        ctx.ensure_cause();
-        ctx.emit(ProtoEvent::LookupStart {
-            op: seq,
-            key: key.raw(),
-            origin_id: self.ring.id().raw(),
-            kind: kind.label(),
-        });
-        self.pending.insert(seq, PendingLookup { key, kind, started: ctx.now() });
+        self.lookups.begin(seq, key, kind, self.ring.id(), ctx);
         ctx.set_timer(self.cfg.lookup_deadline, ChordTimer::LookupDeadline { seq });
 
         // A joining node must route its first lookup through the bootstrap
@@ -393,7 +344,7 @@ impl ChordNode {
         let first_hop = if !self.ring.is_joined() {
             self.ring.bootstrap().map(|a| (a, None))
         } else if let Some(result) = self.local_answer(key) {
-            self.complete_lookup(seq, result, 0, ctx);
+            self.end_lookup(seq, Some((result, 0)), ctx);
             return seq;
         } else {
             // With an empty `avoid` this is exactly the plain greedy hop.
@@ -401,39 +352,44 @@ impl ChordNode {
         };
         let Some((first_hop, first_hop_id)) = first_hop else {
             // No route at all (pathological); fail on the spot.
-            self.fail_lookup(seq, ctx);
+            self.end_lookup(seq, None, ctx);
             return seq;
         };
-        if let Some(hid) = first_hop_id {
-            emit_hop(ctx, seq, first_hop, hid, 0);
-        }
         let me = self.ring.me();
         let lid = LookupId { origin: me.addr, seq };
-        let mode = self.cfg.lookup_mode;
-        self.forwards.insert(
-            lid,
-            ForwardState {
-                key,
-                origin: me,
-                mode,
-                hops: 1,
-                prev: None,
-                next: first_hop,
-                attempts: 0,
-                acked: false,
-                tried: vec![first_hop],
-                kind_bytes: kind.bytes_key(),
-            },
-        );
-        let maint = kind != LookupKind::App;
-        send_counted(
-            ctx,
-            first_hop,
-            ChordMsg::Lookup { lid, key, origin: me, mode, hops: 1, maint },
-            kind.bytes_key(),
-        );
-        ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt: 0 });
+        let hop = Hop::new(first_hop, key, (me, self.cfg.lookup_mode), 1, kind.bytes_key());
+        self.lookups.forward(lid, hop, None);
+        self.send_lookup(lid, hop, first_hop_id, ctx);
         seq
+    }
+
+    /// Sends `hop` of lookup `lid` — traced when the next hop's id is
+    /// known; Chord has no node types or sections to tag — and arms its
+    /// ack timer.
+    fn send_lookup(
+        &self,
+        lid: LookupId,
+        hop: Hop<(NodeHandle, LookupMode)>,
+        to_id: Option<Id>,
+        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
+    ) {
+        let Hop { next, attempt, key, carry: (origin, mode), hops, bytes_key } = hop;
+        if let Some(to_id) = to_id {
+            ctx.emit(ProtoEvent::LookupHop {
+                op: lid.seq,
+                to: next,
+                to_id: to_id.raw(),
+                hop: hops - 1,
+                from_type: None,
+                to_type: None,
+                from_section: None,
+                to_section: None,
+            });
+        }
+        let maint = bytes_key == keys::BYTES_MAINT;
+        let lookup = ChordMsg::Lookup { lid, key, origin, mode, hops, maint };
+        send_counted(ctx, next, lookup, bytes_key);
+        ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt });
     }
 
     /// If this node can answer the lookup locally, produce the result.
@@ -448,66 +404,32 @@ impl ChordNode {
         })
     }
 
-    fn complete_lookup(
+    /// Ends lookup `seq`: answered with `(result, hops)`, or failed.
+    fn end_lookup(
         &mut self,
         seq: u64,
-        result: LookupResult,
-        hops: u32,
+        answer: Option<(LookupResult, u32)>,
         ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
     ) {
-        let Some(p) = self.pending.remove(&seq) else {
+        let lid = LookupId { origin: self.ring.me().addr, seq };
+        let Some(p) = self.lookups.finish(seq, &lid, answer.as_ref().map(|a| a.1), ctx) else {
             return; // Late reply for an already-failed lookup.
         };
-        self.forwards.remove(&LookupId { origin: self.ring.me().addr, seq });
-        ctx.emit(ProtoEvent::LookupEnd { op: seq, ok: true, hops });
-        match p.kind {
-            LookupKind::App => {
+        match (p.kind, answer) {
+            (Kind::App, answer) => {
                 let latency = ctx.now().saturating_since(p.started);
-                ctx.metrics().record(keys::LOOKUP_LATENCY_MS, latency.as_millis_f64());
-                ctx.metrics().record(keys::LOOKUP_HOPS, hops as f64);
-                ctx.metrics().count(keys::LOOKUP_COMPLETED, 1);
-                self.outcomes.push(LookupOutcome {
-                    seq,
-                    key: p.key,
-                    result: Some(result),
-                    hops,
-                    latency,
-                });
+                let (result, hops) = answer.map_or((None, 0), |(r, hops)| (Some(r), hops));
+                self.outcomes.push(LookupOutcome { seq, key: p.key, result, hops, latency });
             }
-            LookupKind::Join => {
-                let trusted = self.ring.complete_join(
-                    self.cfg.maintenance,
-                    result.predecessor,
-                    &result.successors,
-                );
+            (Kind::Join, Some((result, _))) => {
+                let mode = self.cfg.maintenance;
+                let trusted = self.ring.complete_join(mode, result.predecessor, &result.successors);
                 self.predecessor = trusted.or(self.predecessor);
                 self.notify_successor(ctx);
             }
-            LookupKind::FingerRefresh(i) => self.ring.set_finger(i, result.responsible()),
-        }
-    }
-
-    fn fail_lookup(&mut self, seq: u64, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
-        let Some(p) = self.pending.remove(&seq) else {
-            return;
-        };
-        self.forwards.remove(&LookupId { origin: self.ring.me().addr, seq });
-        ctx.emit(ProtoEvent::LookupEnd { op: seq, ok: false, hops: 0 });
-        match p.kind {
-            LookupKind::App => {
-                ctx.metrics().count(keys::LOOKUP_FAILED, 1);
-                self.outcomes.push(LookupOutcome {
-                    seq,
-                    key: p.key,
-                    result: None,
-                    hops: 0,
-                    latency: ctx.now().saturating_since(p.started),
-                });
-            }
-            LookupKind::Join => {
-                ctx.set_timer(SimDuration::from_secs(2), ChordTimer::JoinRetry);
-            }
-            LookupKind::FingerRefresh(_) => {}
+            (Kind::Join, None) => ctx.set_timer(SimDuration::from_secs(2), ChordTimer::JoinRetry),
+            (Kind::FingerRefresh(i), Some((r, _))) => self.ring.set_finger(i, r.responsible()),
+            (Kind::FingerRefresh(_), None) => {}
         }
     }
 
@@ -529,152 +451,36 @@ impl ChordNode {
     ) {
         let bytes_key = if maint { keys::BYTES_MAINT } else { keys::BYTES_LOOKUP };
         send_counted(ctx, from, ChordMsg::HopAck { lid }, bytes_key);
-        if self.forwards.contains_key(&lid) {
+        if self.lookups.is_forwarding(&lid) {
             return; // Duplicate (a reroute re-entered us); already handled.
         }
-        let reply_to = match mode {
-            LookupMode::Transitive => origin.addr,
-            _ => from,
-        };
-        if let Some(result) = self.local_answer(key) {
-            send_counted(ctx, reply_to, ChordMsg::LookupReply { lid, result, hops }, bytes_key);
-            return;
-        }
-        let Some(mut next) = self.ring.route_first_hop(key) else {
-            // Routing state too sparse to make progress; drop (the
-            // initiator's deadline will fire).
-            return;
-        };
-        if self.ring.is_byzantine() {
-            let candidates = self.ring.route_candidates();
-            match self.ring.route_action(key, next, &candidates) {
-                RouteAction::Honest => {}
-                // Acked above, so upstream never reroutes around us; the
-                // initiator's deadline is the only recourse.
-                RouteAction::Drop => return,
-                RouteAction::Divert(h) => next = h,
-                RouteAction::Hijack => {
-                    // Forge an authoritative answer naming this node as
-                    // the key's owner; the data layer's block verification
-                    // is what unmasks it (`dht.lookups.hijacked`).
-                    let me = self.ring.me();
-                    let result = LookupResult { predecessor: me, successors: vec![me] };
-                    send_counted(
-                        ctx,
-                        reply_to,
-                        ChordMsg::LookupReply { lid, result, hops },
-                        bytes_key,
-                    );
+        let result = match self.local_answer(key) {
+            Some(result) => result,
+            None => match self.ring.relay_step(key) {
+                Relay::To(next) => {
+                    let hop = Hop::new(next.addr, key, (origin, mode), hops + 1, bytes_key);
+                    self.lookups.forward(lid, hop, Some(from));
+                    self.send_lookup(lid, hop, Some(next.id), ctx);
+                    ctx.set_timer(self.cfg.lookup_deadline * 2, ChordTimer::RelayGc { lid });
                     return;
                 }
-            }
-        }
-        self.forwards.insert(
-            lid,
-            ForwardState {
-                key,
-                origin,
-                mode,
-                hops: hops + 1,
-                prev: Some(from),
-                next: next.addr,
-                attempts: 0,
-                acked: false,
-                tried: vec![next.addr],
-                kind_bytes: bytes_key,
+                Relay::Drop => return,
+                // Forge an authoritative answer naming this node as the
+                // key's owner; the data layer's block verification is what
+                // unmasks it (`dht.lookups.hijacked`).
+                Relay::Hijack => {
+                    let me = self.ring.me();
+                    LookupResult { predecessor: me, successors: vec![me] }
+                }
             },
-        );
-        emit_hop(ctx, lid.seq, next.addr, next.id, hops);
-        send_counted(
-            ctx,
-            next.addr,
-            ChordMsg::Lookup { lid, key, origin, mode, hops: hops + 1, maint },
-            bytes_key,
-        );
-        ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt: 0 });
-        ctx.set_timer(self.cfg.lookup_deadline * 2, ChordTimer::RelayGc { lid });
-    }
-
-    fn handle_hop_ack(&mut self, lid: LookupId) {
-        let Some(st) = self.forwards.get_mut(&lid) else {
-            return;
         };
-        st.acked = true;
-        if st.mode == LookupMode::Transitive && st.prev.is_some() {
-            // Middle hop in transitive mode: the reply will not pass back
-            // through us, so the state can go now.
-            self.forwards.remove(&lid);
-        }
+        let reply_to = if mode == LookupMode::Transitive { origin.addr } else { from };
+        send_counted(ctx, reply_to, ChordMsg::LookupReply { lid, result, hops }, bytes_key);
     }
 
-    fn handle_lookup_reply(
-        &mut self,
-        lid: LookupId,
-        result: LookupResult,
-        hops: u32,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-    ) {
-        if lid.origin == self.ring.me().addr {
-            self.complete_lookup(lid.seq, result, hops, ctx);
-            return;
-        }
-        // Relay back along the reverse path.
-        if let Some(st) = self.forwards.remove(&lid) {
-            if let Some(prev) = st.prev {
-                send_counted(ctx, prev, ChordMsg::LookupReply { lid, result, hops }, st.kind_bytes);
-            }
-        }
-    }
-
-    fn handle_hop_timeout(
-        &mut self,
-        lid: LookupId,
-        attempt: u32,
-        ctx: &mut Ctx<'_, ChordMsg, ChordTimer>,
-    ) {
-        let Some(st) = self.forwards.get_mut(&lid) else {
-            return;
-        };
-        if st.acked || st.attempts != attempt {
-            return; // Acked in time, or a stale timer.
-        }
-        Self::mark_dead(&mut self.ring, &mut self.predecessor, st.next);
-        ctx.metrics().count(keys::HOP_REROUTES, 1);
-        // Forwarders give up after `MAX_HOP_ATTEMPTS` — upstream hops
-        // reroute around them. The initiator has no upstream, so it
-        // keeps rerouting through the next-best finger for as long as
-        // untried routes remain; `LookupDeadline` bounds the total.
-        const MAX_HOP_ATTEMPTS: u32 = 4;
-        let out_of_attempts = st.prev.is_some() && st.attempts + 1 >= MAX_HOP_ATTEMPTS;
-        let Some(next) = self.ring.route_excluding(st.key, &st.tried).filter(|_| !out_of_attempts)
-        else {
-            let initiator = st.prev.is_none();
-            self.forwards.remove(&lid);
-            if initiator {
-                // No route left and no upstream: nothing more to try.
-                self.fail_lookup(lid.seq, ctx);
-            }
-            return;
-        };
-        st.attempts += 1;
-        st.next = next.addr;
-        st.tried.push(next.addr);
-        ctx.emit(ProtoEvent::Reroute { op: lid.seq, to: next.addr });
-        emit_hop(ctx, lid.seq, next.addr, next.id, st.hops - 1);
-        let maint = st.kind_bytes == keys::BYTES_MAINT;
-        let (key, origin, mode, hops) = (st.key, st.origin, st.mode, st.hops);
-        send_counted(
-            ctx,
-            next.addr,
-            ChordMsg::Lookup { lid, key, origin, mode, hops, maint },
-            st.kind_bytes,
-        );
-        ctx.set_timer(self.cfg.hop_timeout, ChordTimer::HopTimeout { lid, attempt: st.attempts });
-    }
-
-    /// Purges a detected-dead address from all routing state.
-    /// Takes the two fields apart so a caller can keep its borrow of a
-    /// pending or forwarded lookup across the purge.
+    /// Purges a detected-dead address from all routing state. Takes the
+    /// two fields apart so the lookup table's hop-timeout rule can purge
+    /// through it while it holds the ring.
     fn mark_dead(ring: &mut RingCore, predecessor: &mut Option<NodeHandle>, addr: Addr) {
         let predecessor_gone = predecessor.take_if(|p| p.addr == addr).is_some();
         ring.mark_dead(addr, predecessor_gone);
@@ -788,7 +594,7 @@ impl ChordNode {
     fn fix_fingers(&mut self, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
         // Targets beyond the successor list are refreshed through lookups.
         for (i, target) in self.ring.fix_fingers(Id::finger_target, |_| true) {
-            self.begin_lookup(target, LookupKind::FingerRefresh(i), &[], ctx);
+            self.begin_lookup(target, Kind::FingerRefresh(i), &[], ctx);
         }
     }
 }
@@ -803,7 +609,7 @@ impl Node for ChordNode {
         ctx.set_timer(stab_phase, ChordTimer::Stabilize);
         ctx.set_timer(fing_phase, ChordTimer::FixFingers);
         if !self.ring.is_joined() {
-            self.begin_lookup(self.ring.id(), LookupKind::Join, &[], ctx);
+            self.begin_lookup(self.ring.id(), Kind::Join, &[], ctx);
         }
     }
 
@@ -818,9 +624,17 @@ impl Node for ChordNode {
             ChordMsg::Lookup { lid, key, origin, mode, hops, maint } => {
                 self.handle_lookup(from, lid, key, origin, mode, hops, maint, ctx);
             }
-            ChordMsg::HopAck { lid } => self.handle_hop_ack(lid),
+            // A transitive middle hop: the reply will not pass back
+            // through us, so the state can go now.
+            ChordMsg::HopAck { lid } => self.lookups.ack(&lid, |f| f.1 == LookupMode::Transitive),
             ChordMsg::LookupReply { lid, result, hops } => {
-                self.handle_lookup_reply(lid, result, hops, ctx);
+                if lid.origin == self.ring.me().addr {
+                    self.end_lookup(lid.seq, Some((result, hops)), ctx);
+                } else if let Some((prev, bytes_key)) = self.lookups.reply_hop(&lid) {
+                    // Relay back along the reverse path.
+                    let reply = ChordMsg::LookupReply { lid, result, hops };
+                    send_counted(ctx, prev, reply, bytes_key);
+                }
             }
             ChordMsg::GetNeighbors { token } => {
                 let mut successors = self.ring.successors().as_slice().to_vec();
@@ -910,14 +724,22 @@ impl Node for ChordNode {
                     }
                 }
             }
-            ChordTimer::HopTimeout { lid, attempt } => self.handle_hop_timeout(lid, attempt, ctx),
-            ChordTimer::LookupDeadline { seq } => self.fail_lookup(seq, ctx),
-            ChordTimer::RelayGc { lid } => {
-                self.forwards.remove(&lid);
+            ChordTimer::HopTimeout { lid, attempt } => {
+                let predecessor = &mut self.predecessor;
+                let purge = |ring: &mut RingCore, addr| Self::mark_dead(ring, predecessor, addr);
+                let ring = &mut self.ring;
+                match self.lookups.hop_timeout(lid, lid.seq, attempt, ring, purge, |_| false, ctx) {
+                    HopTimeout::Stale | HopTimeout::GiveUp { initiator: false } => {}
+                    // No route left and no upstream: nothing more to try.
+                    HopTimeout::GiveUp { initiator: true } => self.end_lookup(lid.seq, None, ctx),
+                    HopTimeout::Resend(hop, id) => self.send_lookup(lid, hop, Some(id), ctx),
+                }
             }
+            ChordTimer::LookupDeadline { seq } => self.end_lookup(seq, None, ctx),
+            ChordTimer::RelayGc { lid } => self.lookups.release(&lid),
             ChordTimer::JoinRetry => {
                 if !self.ring.is_joined() {
-                    self.begin_lookup(self.ring.id(), LookupKind::Join, &[], ctx);
+                    self.begin_lookup(self.ring.id(), Kind::Join, &[], ctx);
                 }
             }
         }

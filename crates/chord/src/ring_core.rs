@@ -47,6 +47,19 @@ pub struct RingCore {
     behaviour: Box<dyn Behaviour>,
 }
 
+/// Where a relay sends a lookup it does not answer itself
+/// ([`RingCore::relay_step`]).
+#[derive(Clone, Copy, Debug)]
+pub enum Relay {
+    /// Forward it to this hop.
+    To(NodeHandle),
+    /// Absorb it after the ack: upstream never reroutes, the initiator's
+    /// deadline fires.
+    Drop,
+    /// Answer it with a forged result naming this node.
+    Hijack,
+}
+
 /// A node that embeds a [`RingCore`]: both overlay nodes and the DHT
 /// engine wrapped around either.
 pub trait RingNode {
@@ -333,6 +346,22 @@ impl RingCore {
     /// True when the node runs an adversarial routing policy.
     pub fn is_byzantine(&self) -> bool {
         self.behaviour.is_byzantine()
+    }
+
+    /// Where a lookup for `key` that this node relays goes: the honest
+    /// greedy hop, unless the routing policy drops, diverts or hijacks it.
+    /// A node with no route drops it too; the initiator's deadline fires.
+    pub fn relay_step(&mut self, key: Id) -> Relay {
+        match self.route_first_hop(key) {
+            None => Relay::Drop,
+            Some(next) if !self.is_byzantine() => Relay::To(next),
+            Some(next) => match self.route_action(key, next, &self.route_candidates()) {
+                RouteAction::Honest => Relay::To(next),
+                RouteAction::Divert(h) => Relay::To(h),
+                RouteAction::Drop => Relay::Drop,
+                RouteAction::Hijack => Relay::Hijack,
+            },
+        }
     }
 
     /// Asks the routing policy what to do with a lookup for `key` whose

@@ -2,8 +2,10 @@
 //!
 //! The ring half — successor list, fingers, stabilize/notify, reseeding,
 //! join completion, advert vetting — is Chord's, unchanged, and lives in
-//! the embedded [`RingCore`]. This file holds the type-aware
-//! modifications the paper makes on top of it:
+//! the embedded [`RingCore`]; so is the hop-by-hop half of a lookup —
+//! acks, duplicate checks, reply relay, hop-timeout reroutes, relay GC —
+//! in the embedded [`LookupTable`]. This file holds the type-aware
+//! modifications the paper makes on top of them:
 //!
 //! * identifiers come from a [`SectionLayout`] and embed the node's type;
 //! * finger targets are shifted by a section length so every long-range
@@ -23,11 +25,11 @@ use rand::Rng;
 use verme_chord::node::keys;
 use verme_chord::ring_core::{send_counted, take_waiting};
 use verme_chord::{
-    rebuild_list, Behaviour, FingerTable, Id, MaintenanceMode, NeighborList, NodeHandle, RingCore,
-    RingNode, RingStance, RouteAction,
+    rebuild_list, Behaviour, FingerTable, Hop, HopTimeout, Id, LookupKind, LookupTable,
+    MaintenanceMode, NeighborList, NodeHandle, Relay, RingCore, RingNode, RingStance,
 };
 use verme_crypto::{CaVerifier, Certificate, KeyPair, NodeType, Sealed};
-use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration, SimTime};
+use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration};
 
 use crate::layout::SectionLayout;
 use crate::proto::{
@@ -92,27 +94,6 @@ pub struct AnswerRequest<P> {
     pub hops: u32,
 }
 
-struct PendingLookup {
-    key: Id,
-    purpose: LookupPurpose,
-    started: SimTime,
-}
-
-struct ForwardState {
-    key: Id,
-    cert: Certificate,
-    purpose: LookupPurpose,
-    piggyback_size: usize,
-    hops: u32,
-    /// Upstream hop to relay the reply to (`None` at the initiator).
-    prev: Option<Addr>,
-    next: Addr,
-    attempts: u32,
-    acked: bool,
-    tried: Vec<Addr>,
-    bytes_key: &'static str,
-}
-
 /// A pending piggybacked answer: the responsible node has handed the
 /// operation up and remembers where the reply must travel.
 struct AnswerState {
@@ -136,8 +117,9 @@ pub struct VermeNode<P: Payload = ()> {
     crypto_keys: KeyPair,
     verifier: CaVerifier,
     predecessors: NeighborList,
-    pending: HashMap<VermeLookupId, PendingLookup>,
-    forwards: HashMap<VermeLookupId, ForwardState>,
+    /// Lookups in flight; a forwarded one keeps the initiator's
+    /// certificate, its purpose and its piggyback's size to be re-sent.
+    lookups: LookupTable<VermeLookupId, LookupPurpose, (Certificate, LookupPurpose, usize)>,
     answers: HashMap<VermeLookupId, AnswerState>,
     answer_requests: Vec<AnswerRequest<P>>,
     outcomes: Vec<VermeOutcome<P>>,
@@ -187,8 +169,7 @@ impl<P: Payload> VermeNode<P> {
             cert,
             crypto_keys,
             verifier,
-            pending: HashMap::new(),
-            forwards: HashMap::new(),
+            lookups: LookupTable::default(),
             answers: HashMap::new(),
             answer_requests: Vec::new(),
             outcomes: Vec::new(),
@@ -347,7 +328,8 @@ impl<P: Payload> VermeNode<P> {
     /// gauges — the same shape [`ChordNode`](verme_chord::ChordNode)
     /// reports, so samplers treat both overlays uniformly.
     pub fn health(&self) -> verme_chord::NodeHealth {
-        self.ring.health(self.predecessors.len(), self.pending.len(), self.forwards.len())
+        let (pending, forwarding) = self.lookups.counts();
+        self.ring.health(self.predecessors.len(), pending, forwarding)
     }
 
     /// Every distinct peer in this node's routing state — what a worm on
@@ -426,14 +408,7 @@ impl<P: Payload> VermeNode<P> {
         ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) -> VermeLookupId {
         let lid: VermeLookupId = ctx.rng().gen();
-        ctx.ensure_cause();
-        ctx.emit(ProtoEvent::LookupStart {
-            op: lid,
-            key: key.raw(),
-            origin_id: self.ring.id().raw(),
-            kind: purpose.label(),
-        });
-        self.pending.insert(lid, PendingLookup { key, purpose, started: ctx.now() });
+        self.lookups.begin(lid, key, purpose, self.ring.id(), ctx);
         ctx.set_timer(self.cfg.lookup_deadline, VermeTimer::LookupDeadline { lid });
 
         let first_hop = if !self.ring.is_joined() {
@@ -454,85 +429,65 @@ impl<P: Payload> VermeNode<P> {
                 return lid;
             }
             let answer = self.make_answer(key, purpose);
-            self.complete_lookup(lid, Some(answer), None, 0, ctx);
+            self.end_lookup(lid, Some((answer, None, 0)), ctx);
             return lid;
         } else {
-            self.ring.first_hop_avoiding(key, avoid).map(|h| (h.addr, Some(h)))
+            self.ring.first_hop_avoiding(key, avoid).map(|h| (h.addr, Some(h.id)))
         };
-        let Some((hop, hop_handle)) = first_hop else {
-            self.fail_lookup(lid, ctx);
+        let Some((hop, hop_id)) = first_hop else {
+            self.end_lookup(lid, None, ctx);
             return lid;
         };
-        let bytes_key = bytes_key(purpose);
         let piggyback_size = piggyback.as_ref().map_or(0, |p| p.wire_size());
-        self.forwards.insert(
-            lid,
-            ForwardState {
-                key,
-                cert: self.cert,
-                purpose,
-                piggyback_size,
-                hops: 1,
-                prev: None,
-                next: hop,
-                attempts: 0,
-                acked: false,
-                tried: vec![hop],
-                bytes_key,
-            },
-        );
-        if let Some(h) = hop_handle {
-            self.emit_hop(ctx, lid, h, 0);
-        }
-        send_counted(
-            ctx,
-            hop,
-            VermeMsg::Lookup { lid, key, cert: self.cert, purpose, piggyback, hops: 1 },
-            bytes_key,
-        );
-        ctx.set_timer(self.cfg.hop_timeout, VermeTimer::HopTimeout { lid, attempt: 0 });
+        let hop = Hop::new(hop, key, (self.cert, purpose, piggyback_size), 1, purpose.bytes_key());
+        self.lookups.forward(lid, hop, None);
+        self.send_lookup(lid, hop, hop_id, piggyback, ctx);
         lid
     }
 
-    /// Emits a `LookupHop` trace event for the hop this node is about to
-    /// send to `to`, tagged with both endpoints' types and sections — the
-    /// fields the Verme opposite-type invariant checker needs.
-    fn emit_hop(
+    /// Sends `hop` of lookup `lid` with its `piggyback` and arms its ack
+    /// timer. A hop whose id is known is traced, tagged with both
+    /// endpoints' types and sections — the fields the Verme opposite-type
+    /// invariant checker needs.
+    fn send_lookup(
         &self,
-        ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
         lid: VermeLookupId,
-        to: NodeHandle,
-        hop: u32,
+        hop: Hop<(Certificate, LookupPurpose, usize)>,
+        to_id: Option<Id>,
+        piggyback: Option<P>,
+        ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) {
-        let layout = &self.cfg.layout;
-        ctx.emit(ProtoEvent::LookupHop {
-            op: lid,
-            to: to.addr,
-            to_id: to.id.raw(),
-            hop,
-            from_type: Some(self.node_type.index()),
-            to_type: Some(layout.type_of(to.id).index()),
-            from_section: Some(layout.section_of(self.ring.id())),
-            to_section: Some(layout.section_of(to.id)),
-        });
+        let Hop { next, attempt, key, carry: (cert, purpose, _), hops, bytes_key } = hop;
+        if let Some(to_id) = to_id {
+            let layout = &self.cfg.layout;
+            ctx.emit(ProtoEvent::LookupHop {
+                op: lid,
+                to: next,
+                to_id: to_id.raw(),
+                hop: hops - 1,
+                from_type: Some(self.node_type.index()),
+                to_type: Some(layout.type_of(to_id).index()),
+                from_section: Some(layout.section_of(self.ring.id())),
+                to_section: Some(layout.section_of(to_id)),
+            });
+        }
+        let lookup = VermeMsg::Lookup { lid, key, cert, purpose, piggyback, hops };
+        send_counted(ctx, next, lookup, bytes_key);
+        ctx.set_timer(self.cfg.hop_timeout, VermeTimer::HopTimeout { lid, attempt });
     }
 
-    fn complete_lookup(
+    /// Ends lookup `lid`: answered with `(answer, app, hops)`, or failed.
+    fn end_lookup(
         &mut self,
         lid: VermeLookupId,
-        answer: Option<VermeAnswer>,
-        app: Option<P>,
-        hops: u32,
+        reply: Option<(VermeAnswer, Option<P>, u32)>,
         ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) {
-        let Some(p) = self.pending.remove(&lid) else {
+        let Some(p) = self.lookups.finish(lid, &lid, reply.as_ref().map(|r| r.2), ctx) else {
             return;
         };
-        self.forwards.remove(&lid);
-        ctx.emit(ProtoEvent::LookupEnd { op: lid, ok: true, hops });
-        let latency = ctx.now().saturating_since(p.started);
-        match (&answer, p.purpose) {
-            (Some(VermeAnswer::Join { predecessor, successors }), LookupPurpose::Join) => {
+        match (&reply, p.kind) {
+            (Some((VermeAnswer::Join { predecessor, successors }, ..)), LookupPurpose::Join) => {
                 let mode = self.cfg.maintenance;
                 // A trusted answerer (legacy one-phase join) becomes our
                 // nearest predecessor; the corrected protocol leaves the
@@ -542,7 +497,7 @@ impl<P: Payload> VermeNode<P> {
                 }
                 self.notify_successor(ctx);
             }
-            (Some(VermeAnswer::Finger { node }), LookupPurpose::Finger)
+            (Some((VermeAnswer::Finger { node }, ..)), LookupPurpose::Finger)
                 if admissible_finger(&self.cfg.layout, self.ring.id(), node) =>
             {
                 // Finger refreshes are keyed by target: re-derive which
@@ -553,45 +508,24 @@ impl<P: Payload> VermeNode<P> {
                     }
                 }
             }
+            (None, LookupPurpose::Join) => {
+                ctx.set_timer(SimDuration::from_secs(2), VermeTimer::JoinRetry);
+            }
             _ => {}
         }
-        if p.purpose == LookupPurpose::Replicas {
-            ctx.metrics().record(keys::LOOKUP_LATENCY_MS, latency.as_millis_f64());
-            ctx.metrics().record(keys::LOOKUP_HOPS, hops as f64);
-            ctx.metrics().count(keys::LOOKUP_COMPLETED, 1);
+        if p.kind.is_app() {
+            let latency = ctx.now().saturating_since(p.started);
+            let (answer, app, hops) =
+                reply.map_or((None, None, 0), |(a, app, h)| (Some(a), app, h));
             self.outcomes.push(VermeOutcome {
                 lid,
                 key: p.key,
-                purpose: p.purpose,
+                purpose: p.kind,
                 answer,
                 app,
                 hops,
                 latency,
             });
-        }
-    }
-
-    fn fail_lookup(&mut self, lid: VermeLookupId, ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>) {
-        let Some(p) = self.pending.remove(&lid) else {
-            return;
-        };
-        self.forwards.remove(&lid);
-        ctx.emit(ProtoEvent::LookupEnd { op: lid, ok: false, hops: 0 });
-        match p.purpose {
-            LookupPurpose::Replicas => {
-                ctx.metrics().count(keys::LOOKUP_FAILED, 1);
-                self.outcomes.push(VermeOutcome {
-                    lid,
-                    key: p.key,
-                    purpose: p.purpose,
-                    answer: None,
-                    app: None,
-                    hops: 0,
-                    latency: ctx.now().saturating_since(p.started),
-                });
-            }
-            LookupPurpose::Join => ctx.set_timer(SimDuration::from_secs(2), VermeTimer::JoinRetry),
-            LookupPurpose::Finger => {}
         }
     }
 
@@ -685,12 +619,12 @@ impl<P: Payload> VermeNode<P> {
         hops: u32,
         ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
     ) {
-        let bytes_key = bytes_key(purpose);
+        let bytes_key = purpose.bytes_key();
         send_counted(ctx, from, VermeMsg::HopAck { lid }, bytes_key);
-        if self.forwards.contains_key(&lid) || self.answers.contains_key(&lid) {
+        if self.lookups.is_forwarding(&lid) || self.answers.contains_key(&lid) {
             return; // Duplicate delivery via a reroute.
         }
-        if self.ring.owns(key) {
+        let answer = if self.ring.owns(key) {
             if !self.verify_lookup(key, &cert, purpose, piggyback.is_some()) {
                 // §4.5: drop illegitimate lookups. The initiator's
                 // deadline will fire.
@@ -707,30 +641,27 @@ impl<P: Payload> VermeNode<P> {
                 ctx.set_timer(self.cfg.lookup_deadline * 2, VermeTimer::RelayGc { lid });
                 return;
             }
-            let answer = self.make_answer(key, purpose);
-            send_reply(lid, answer, None, &cert, from, hops, bytes_key, ctx);
-            return;
-        }
-        let Some(mut next) = self.ring.route_first_hop(key) else {
-            return;
-        };
-        if self.ring.is_byzantine() {
-            let candidates = self.ring.route_candidates();
-            match self.ring.route_action(key, next, &candidates) {
-                RouteAction::Honest => {}
-                // Absorb after the ack above: upstream believes the hop is
-                // alive, so only the initiator's deadline catches it.
-                RouteAction::Drop => return,
-                RouteAction::Divert(h) => next = h,
-                RouteAction::Hijack => {
-                    // Forge a reply naming this node as responsible. The
-                    // initiator's certificate travels in the Lookup, so a
-                    // Byzantine relay can seal a perfectly valid-looking
-                    // envelope — certificates authenticate *initiators*,
-                    // not answers (DESIGN.md §7f). Only a data-layer
-                    // integrity check unmasks the hijack.
+            self.make_answer(key, purpose)
+        } else {
+            match self.ring.relay_step(key) {
+                Relay::To(next) => {
+                    let carry = (cert, purpose, piggyback.as_ref().map_or(0, |p| p.wire_size()));
+                    let hop = Hop::new(next.addr, key, carry, hops + 1, bytes_key);
+                    self.lookups.forward(lid, hop, Some(from));
+                    self.send_lookup(lid, hop, Some(next.id), piggyback, ctx);
+                    ctx.set_timer(self.cfg.lookup_deadline * 2, VermeTimer::RelayGc { lid });
+                    return;
+                }
+                Relay::Drop => return,
+                // Forge a reply naming this node as responsible. The
+                // initiator's certificate travels in the Lookup, so a
+                // Byzantine relay can seal a perfectly valid-looking
+                // envelope — certificates authenticate *initiators*, not
+                // answers (DESIGN.md §7f). Only a data-layer integrity
+                // check unmasks the hijack.
+                Relay::Hijack => {
                     let me = self.ring.me();
-                    let answer = match purpose {
+                    match purpose {
                         LookupPurpose::Join => {
                             VermeAnswer::Join { predecessor: me, successors: vec![me] }
                         }
@@ -740,38 +671,11 @@ impl<P: Payload> VermeNode<P> {
                         // instead.
                         LookupPurpose::Replicas if piggyback.is_some() => VermeAnswer::Opaque,
                         LookupPurpose::Replicas => VermeAnswer::Replicas { replicas: vec![me] },
-                    };
-                    send_reply(lid, answer, None, &cert, from, hops, bytes_key, ctx);
-                    return;
+                    }
                 }
             }
-        }
-        let piggyback_size = piggyback.as_ref().map_or(0, |p| p.wire_size());
-        self.forwards.insert(
-            lid,
-            ForwardState {
-                key,
-                cert,
-                purpose,
-                piggyback_size,
-                hops: hops + 1,
-                prev: Some(from),
-                next: next.addr,
-                attempts: 0,
-                acked: false,
-                tried: vec![next.addr],
-                bytes_key,
-            },
-        );
-        self.emit_hop(ctx, lid, next, hops);
-        send_counted(
-            ctx,
-            next.addr,
-            VermeMsg::Lookup { lid, key, cert, purpose, piggyback, hops: hops + 1 },
-            bytes_key,
-        );
-        ctx.set_timer(self.cfg.hop_timeout, VermeTimer::HopTimeout { lid, attempt: 0 });
-        ctx.set_timer(self.cfg.lookup_deadline * 2, VermeTimer::RelayGc { lid });
+        };
+        send_reply(lid, answer, None, &cert, from, hops, bytes_key, ctx);
     }
 
     /// Answers a piggybacked operation previously surfaced through
@@ -796,97 +700,15 @@ impl<P: Payload> VermeNode<P> {
             }
             None => {
                 // We were both initiator and responsible node.
-                self.complete_lookup(lid, Some(answer), app, st.hops, ctx);
+                self.end_lookup(lid, Some((answer, app, st.hops)), ctx);
             }
         }
         true
     }
 
-    fn handle_reply(
-        &mut self,
-        lid: VermeLookupId,
-        body: Sealed<AnswerBody<P>>,
-        body_size: usize,
-        hops: u32,
-        ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
-    ) {
-        if self.pending.contains_key(&lid) {
-            // Ours: open the envelope.
-            match body.open(&self.crypto_keys) {
-                Ok(AnswerBody { answer, app }) => {
-                    self.complete_lookup(lid, Some(answer), app, hops, ctx);
-                }
-                Err(_) => {
-                    // Sealed to someone else — a misrouted or forged
-                    // reply. Treat as failure.
-                    self.fail_lookup(lid, ctx);
-                }
-            }
-            return;
-        }
-        // Relay toward the initiator. A relay cannot open the envelope —
-        // it only forwards it.
-        if let Some(st) = self.forwards.remove(&lid) {
-            if let Some(prev) = st.prev {
-                let reply = VermeMsg::Reply { lid, body, body_size, hops };
-                send_counted(ctx, prev, reply, st.bytes_key);
-            }
-        }
-    }
-
-    fn handle_hop_timeout(
-        &mut self,
-        lid: VermeLookupId,
-        attempt: u32,
-        ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>,
-    ) {
-        let Some(st) = self.forwards.get_mut(&lid) else {
-            return;
-        };
-        if st.acked || st.attempts != attempt {
-            return;
-        }
-        Self::mark_dead(&mut self.ring, &mut self.predecessors, st.next);
-        ctx.metrics().count(keys::HOP_REROUTES, 1);
-        // As in `verme-chord`: forwarders cap their attempts (upstream
-        // reroutes around them), while the initiator keeps rerouting for as
-        // long as untried routes remain, bounded by its lookup deadline.
-        // And forward state does not keep piggybacked payloads (large data
-        // would be double-counted), so a piggybacked lookup cannot be
-        // rerouted at all; the initiator's deadline covers that rare case.
-        const MAX_HOP_ATTEMPTS: u32 = 4;
-        let give_up =
-            st.piggyback_size > 0 || (st.prev.is_some() && st.attempts + 1 >= MAX_HOP_ATTEMPTS);
-        let Some(next) = self.ring.route_excluding(st.key, &st.tried).filter(|_| !give_up) else {
-            let initiator = st.prev.is_none();
-            self.forwards.remove(&lid);
-            if initiator {
-                self.fail_lookup(lid, ctx);
-            }
-            return;
-        };
-        st.attempts += 1;
-        st.next = next.addr;
-        st.tried.push(next.addr);
-        let (key, cert, purpose, hops, bytes_key) =
-            (st.key, st.cert, st.purpose, st.hops, st.bytes_key);
-        let attempt = st.attempts;
-        ctx.emit(ProtoEvent::Reroute { op: lid, to: next.addr });
-        // Re-emit the hop at its original index: the path record replaces
-        // the dead candidate rather than growing.
-        self.emit_hop(ctx, lid, next, hops - 1);
-        send_counted(
-            ctx,
-            next.addr,
-            VermeMsg::Lookup { lid, key, cert, purpose, piggyback: None, hops },
-            bytes_key,
-        );
-        ctx.set_timer(self.cfg.hop_timeout, VermeTimer::HopTimeout { lid, attempt });
-    }
-
     /// Purges a detected-dead address from all routing state. Takes the
-    /// two fields apart so a caller can keep its borrow of a forwarded
-    /// lookup across the purge.
+    /// two fields apart so the lookup table's hop-timeout rule can purge
+    /// through it while it holds the ring.
     fn mark_dead(ring: &mut RingCore, predecessors: &mut NeighborList, addr: Addr) {
         let predecessor_gone = predecessors.remove_addr(addr);
         ring.mark_dead(addr, predecessor_gone);
@@ -1006,15 +828,6 @@ impl<P: Payload> VermeNode<P> {
     }
 }
 
-/// Replica lookups are application traffic; joins and finger refreshes
-/// are maintenance.
-fn bytes_key(purpose: LookupPurpose) -> &'static str {
-    match purpose {
-        LookupPurpose::Replicas => keys::BYTES_LOOKUP,
-        LookupPurpose::Join | LookupPurpose::Finger => keys::BYTES_MAINT,
-    }
-}
-
 /// §3 safety net: a node never installs a same-type finger from outside
 /// its own section, even if a thin or stale successor list (or a forged
 /// finger answer) suggests one.
@@ -1070,13 +883,19 @@ impl<P: Payload> Node for VermeNode<P> {
             VermeMsg::Lookup { lid, key, cert, purpose, piggyback, hops } => {
                 self.handle_lookup(from, lid, key, cert, purpose, piggyback, hops, ctx);
             }
-            VermeMsg::HopAck { lid } => {
-                if let Some(st) = self.forwards.get_mut(&lid) {
-                    st.acked = true;
-                }
-            }
+            VermeMsg::HopAck { lid } => self.lookups.ack(&lid, |_| false),
             VermeMsg::Reply { lid, body, body_size, hops } => {
-                self.handle_reply(lid, body, body_size, hops, ctx);
+                if self.lookups.is_pending(lid) {
+                    // Ours: open the envelope. One sealed to someone else —
+                    // a misrouted or forged reply — is a failure.
+                    let opened = body.open(&self.crypto_keys).ok();
+                    self.end_lookup(lid, opened.map(|b| (b.answer, b.app, hops)), ctx);
+                } else if let Some((prev, bytes_key)) = self.lookups.reply_hop(&lid) {
+                    // Relay toward the initiator. A relay cannot open the
+                    // envelope — it only forwards it.
+                    let reply = VermeMsg::Reply { lid, body, body_size, hops };
+                    send_counted(ctx, prev, reply, bytes_key);
+                }
             }
             VermeMsg::GetNeighbors { token } => {
                 let mut successors = self.ring.successors().as_slice().to_vec();
@@ -1151,10 +970,26 @@ impl<P: Payload> Node for VermeNode<P> {
                     Self::mark_dead(&mut self.ring, &mut self.predecessors, p1.addr);
                 }
             }
-            VermeTimer::HopTimeout { lid, attempt } => self.handle_hop_timeout(lid, attempt, ctx),
-            VermeTimer::LookupDeadline { lid } => self.fail_lookup(lid, ctx),
+            VermeTimer::HopTimeout { lid, attempt } => {
+                let predecessors = &mut self.predecessors;
+                let purge = |ring: &mut RingCore, addr| Self::mark_dead(ring, predecessors, addr);
+                // Forward state does not keep piggybacked payloads (large
+                // data would be double-counted), so a piggybacked lookup
+                // cannot be rerouted at all; the initiator's deadline covers
+                // that rare case.
+                let pinned = |&(_, _, piggyback_size): &_| piggyback_size > 0;
+                let ring = &mut self.ring;
+                match self.lookups.hop_timeout(lid, lid, attempt, ring, purge, pinned, ctx) {
+                    HopTimeout::Stale | HopTimeout::GiveUp { initiator: false } => {}
+                    HopTimeout::GiveUp { initiator: true } => self.end_lookup(lid, None, ctx),
+                    // Re-emit the hop at its original index: the path record
+                    // replaces the dead candidate rather than growing.
+                    HopTimeout::Resend(hop, id) => self.send_lookup(lid, hop, Some(id), None, ctx),
+                }
+            }
+            VermeTimer::LookupDeadline { lid } => self.end_lookup(lid, None, ctx),
             VermeTimer::RelayGc { lid } => {
-                self.forwards.remove(&lid);
+                self.lookups.release(&lid);
                 self.answers.remove(&lid);
             }
             VermeTimer::JoinRetry => {

@@ -18,7 +18,7 @@
 //! Messages are generic over a piggyback payload `P` so that Secure-VerDi
 //! can carry DHT operations (and their data) inside the lookup itself.
 
-use verme_chord::{Id, MaintenanceMode, NodeHandle};
+use verme_chord::{Id, LookupKind, MaintenanceMode, NodeHandle};
 use verme_crypto::{Certificate, Sealed};
 use verme_sim::{SimDuration, Wire};
 
@@ -52,14 +52,19 @@ pub enum LookupPurpose {
     Replicas,
 }
 
-impl LookupPurpose {
-    /// Stable label used in trace events.
-    pub fn label(self) -> &'static str {
+impl LookupKind for LookupPurpose {
+    fn label(self) -> &'static str {
         match self {
             LookupPurpose::Join => "join",
             LookupPurpose::Finger => "finger",
             LookupPurpose::Replicas => "replicas",
         }
+    }
+
+    /// Replica lookups are application traffic; joins and finger
+    /// refreshes are maintenance.
+    fn is_app(self) -> bool {
+        self == LookupPurpose::Replicas
     }
 }
 
