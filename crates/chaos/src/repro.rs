@@ -417,4 +417,10 @@ mod tests {
         ok = ok.replace("\"kind\":\"chaos-repro\"", "\"kind\":\"other\"");
         assert!(Repro::from_json(&ok).is_err());
     }
+
+    #[test]
+    fn deeply_nested_file_is_an_error_not_an_abort() {
+        let err = Repro::from_json(&"[".repeat(1 << 20)).unwrap_err();
+        assert!(err.contains("nested too deeply"), "{err}");
+    }
 }

@@ -205,9 +205,15 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one complete JSON value; trailing non-whitespace is an error.
+/// The deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so untrusted input must not choose the depth;
+/// the deepest document the workspace writes has 4 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON value; trailing non-whitespace is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -220,6 +226,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -261,11 +269,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses a `container` one level deeper, up to [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -469,6 +491,18 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&objects).is_ok());
+        assert_eq!(parse(&arrays(MAX_DEPTH + 1)).unwrap_err().msg, "nested too deeply");
+        // Far past the cap the answer is an error, not a stack overflow.
+        assert_eq!(parse(&"[".repeat(1 << 20)).unwrap_err().msg, "nested too deeply");
+        assert_eq!(parse(&"{\"a\":".repeat(1 << 20)).unwrap_err().msg, "nested too deeply");
     }
 
     #[test]
