@@ -484,15 +484,19 @@ impl OpTable {
 
     /// One attempt failed (lookup failure, missing block, negative ack,
     /// attempt timeout). Retries with exponential backoff while the retry
-    /// budget and the per-request deadline allow; fails the op otherwise.
+    /// budget and the per-request deadline allow. Returns true when they
+    /// do not: the op is exhausted, and the caller must finish it as
+    /// failed the way it finishes every op, so that whatever it keeps
+    /// beside the table (coalesced waiters, repair bookkeeping) settles.
+    #[must_use]
     pub fn fail_attempt<M, T>(
         &mut self,
         op: u64,
         cfg: &DhtConfig,
         ctx: &mut Ctx<'_, M, DhtTimer<T>>,
-    ) {
+    ) -> bool {
         let Some(p) = self.pending.get_mut(&op) else {
-            return;
+            return false;
         };
         let next_attempt = p.attempt + 1;
         let mut backoff = cfg.backoff_for(next_attempt);
@@ -520,8 +524,7 @@ impl OpTable {
         }
         let deadline = p.started + cfg.op_deadline;
         if next_attempt > cfg.max_retries || ctx.now() + backoff >= deadline {
-            self.finish(op, false, None, ctx);
-            return;
+            return true;
         }
         p.attempt = next_attempt;
         if !p.repair {
@@ -529,6 +532,7 @@ impl OpTable {
         }
         ctx.emit(ProtoEvent::OpRetry { op, attempt: next_attempt });
         ctx.set_timer(backoff, DhtTimer::RetryOp { op });
+        false
     }
 
     /// Completes (or fails) an operation: records latency and outcome

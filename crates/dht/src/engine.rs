@@ -454,7 +454,9 @@ impl<V: Variant> DhtEngine<V> {
     /// One attempt failed: retry with backoff while the budget and the
     /// deadline allow, fail the operation otherwise.
     pub(crate) fn fail_attempt(&mut self, op: u64, ctx: &mut ECtx<'_, V>) {
-        self.ops.fail_attempt(op, &self.cfg, ctx);
+        if self.ops.fail_attempt(op, &self.cfg, ctx) {
+            self.finish_op(op, false, None, ctx);
+        }
     }
 
     /// Arms the per-attempt timer (a slice of the deadline).

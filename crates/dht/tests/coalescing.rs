@@ -135,6 +135,47 @@ fn check_no_lost_wakeups<Nd: DhtNode>(
     Ok(())
 }
 
+/// A leader that runs out of retries settles its waiters and frees the
+/// key: with every replica of the key dead, a parked get fails when the
+/// leader gives up, long before its own deadline, and a get issued after
+/// that leads a fresh fetch instead of parking behind the dead leader.
+#[test]
+fn retry_exhaustion_settles_waiters_and_frees_the_key() {
+    let (mut rt, addrs) = spawn_dhash(7);
+    let (key, _) = seed_block(&mut rt, &addrs);
+    let holders: Vec<Addr> = addrs
+        .iter()
+        .copied()
+        .filter(|&a| rt.node(a).is_some_and(|n| n.store().contains(key)))
+        .collect();
+    assert!(!holders.is_empty(), "the seeded block has replicas");
+    for &h in &holders {
+        rt.kill(h);
+    }
+    // Let the ring route around the dead: each attempt then ends fast, on
+    // a replica that lacks the block, and the retries run out early.
+    rt.run_until(rt.now() + SimDuration::from_secs(120));
+    let client = addrs.iter().copied().find(|&a| rt.is_alive(a)).unwrap();
+
+    let t0 = rt.now();
+    rt.invoke(client, |n, ctx| n.start_get(key, ctx)).unwrap();
+    rt.invoke(client, |n, ctx| n.start_get(key, ctx)).unwrap();
+    assert_eq!(rt.metrics().counter(keys::GETS_COALESCED), 1, "the second get parks");
+    // Stop well short of the waiter's own deadline.
+    let deadline = coalescing_cfg().op_deadline;
+    rt.run_until(t0 + deadline / 2);
+    let outs = rt.node_mut(client).unwrap().take_op_outcomes();
+    assert_eq!(outs.len(), 2, "the waiter's failure must arrive with the leader's");
+    assert!(outs.iter().all(|o| !o.ok), "no replica is alive");
+
+    rt.invoke(client, |n, ctx| n.start_get(key, ctx)).unwrap();
+    assert_eq!(
+        rt.metrics().counter(keys::GETS_COALESCED),
+        1,
+        "a get after the leader gave up must lead, not park behind it"
+    );
+}
+
 proptest! {
     /// DHash: K simultaneous gets → one overlay fetch, K identical values.
     #[test]
