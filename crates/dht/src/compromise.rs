@@ -17,11 +17,9 @@ use verme_core::{VermeAnswer, VermeNode};
 use verme_crypto::{Certificate, SignedStatement};
 use verme_sim::{Addr, Scope, Wire};
 
-use crate::api::{keys, DhtConfig, OpKind, OpReq};
+use crate::api::{keys, OpKind, OpReq};
 use crate::block::Block;
-use crate::engine::{
-    send_as, send_data, DataReply, DhtEngine, DhtMsg, ECtx, ExtMsg, Stored, Variant, HDR,
-};
+use crate::engine::{send_as, send_data, DataReply, DhtEngine, DhtMsg, ECtx, ExtMsg, Variant, HDR};
 use crate::verme::{self, CrossMsg, CrossPlane, DualPoint};
 
 /// The signed, relayed operation request (initiator → relay).
@@ -343,33 +341,5 @@ impl Variant for Compromise {
             CompExt::RelayPutReply { rop, ok } => eng.op_reply(rop, DataReply::Stored(ok), ctx),
             CompExt::Cross(m) => verme::on_cross_msg(eng, from, m, ctx),
         }
-    }
-
-    fn stored(eng: &mut CompromiseVerDiNode, s: Stored, ctx: &mut ECtx<'_, Self>) {
-        verme::cross_copy(eng, s, ctx);
-    }
-
-    fn anchors(eng: &CompromiseVerDiNode, key: Id) -> bool {
-        verme::anchors_key(&eng.overlay, key)
-    }
-
-    fn replica_candidates(eng: &CompromiseVerDiNode) -> Vec<Addr> {
-        verme::section_successors(&eng.overlay)
-    }
-
-    fn replica_width(cfg: &DhtConfig) -> usize {
-        cfg.replicas / 2
-    }
-
-    fn in_probed_range(eng: &CompromiseVerDiNode, key: Id, _from: Id, owner: Id) -> bool {
-        eng.overlay.layout().same_section(key, owner)
-    }
-
-    fn repair_extra(eng: &mut CompromiseVerDiNode, anchored: &[Id], ctx: &mut ECtx<'_, Self>) {
-        verme::cross_spot_check(eng, anchored, ctx);
-    }
-
-    fn push_cross(eng: &mut CompromiseVerDiNode, to: Addr, block: Block, ctx: &mut ECtx<'_, Self>) {
-        verme::push_cross(eng, to, block, ctx);
     }
 }

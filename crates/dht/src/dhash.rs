@@ -14,7 +14,7 @@ use verme_chord::{ChordNode, Id};
 use verme_sim::Addr;
 
 use crate::api::{DhtConfig, OpKind};
-use crate::engine::{DhtEngine, ECtx, NoExt, Variant};
+use crate::engine::{DhtEngine, ECtx, NoExt, Placement, Variant};
 
 /// The DHash variant: looks up the key itself on Chord and keeps the
 /// replicas on the responsible node and its `replicas − 1` successors.
@@ -73,7 +73,9 @@ impl Variant for Dhash {
     fn on_ext(_: &mut DhashNode, _: Addr, ext: NoExt, _: &mut ECtx<'_, Self>) {
         match ext {}
     }
+}
 
+impl Placement<Dhash> for Dhash {
     /// True if this node believes it is responsible for `key`.
     fn anchors(eng: &DhashNode, key: Id) -> bool {
         match eng.overlay.predecessor() {

@@ -49,7 +49,7 @@ impl ExtMsg for NoExt {
 }
 
 /// A verified block this node just stored on a client's behalf, handed to
-/// [`Variant::stored`] before the client is acknowledged.
+/// [`Placement::stored`] before the client is acknowledged.
 #[derive(Clone, Debug)]
 pub struct Stored {
     /// Requester's operation id, echoed in the ack.
@@ -78,7 +78,9 @@ pub enum DataReply {
 /// The implementing type is the variant's private per-node state; hooks
 /// are associated functions over the whole engine so they can reach the
 /// overlay, the shared state and their own state without borrow games.
-pub trait Variant: Clone + Default + Sized + 'static {
+/// Where the replicas live is the [`Placement`] half, which the two
+/// dual-point variants share whole.
+pub trait Variant: Placement<Self> + Clone + Default + Sized + 'static {
     /// The overlay node this variant wraps.
     type Overlay: Node + RingNode;
     /// Extra wire cases beyond the shared data plane.
@@ -119,15 +121,6 @@ pub trait Variant: Clone + Default + Sized + 'static {
     /// One of the variant's extra wire cases arrived.
     fn on_ext(eng: &mut DhtEngine<Self>, from: Addr, ext: Self::Ext, ctx: &mut ECtx<'_, Self>);
 
-    // --- serve path -------------------------------------------------------
-
-    /// Runs after a `Store` was verified, written and replicated, before
-    /// the client is acknowledged. DHash acks at once; the dual-point
-    /// variants first copy the block to the paired replica point (§5.3.1).
-    fn stored(_eng: &mut DhtEngine<Self>, s: Stored, ctx: &mut ECtx<'_, Self>) {
-        send_as(ctx, s.client, DhtMsg::StoreAck { op: s.op, ok: true }, s.repair);
-    }
-
     /// Answers a get that arrived piggybacked on overlay lookup `lid`
     /// (the variant handed it to the engine's fetch queue with no client
     /// address).
@@ -138,43 +131,51 @@ pub trait Variant: Clone + Default + Sized + 'static {
         _ctx: &mut ECtx<'_, Self>,
     ) {
     }
+}
 
-    // --- placement --------------------------------------------------------
+/// Where variant `V` keeps a key's replicas (paper §5.1–§5.2), and what a
+/// store does before its ack.
+pub trait Placement<V: Variant> {
+    /// Runs after a `Store` was verified, written and replicated, before
+    /// the client is acknowledged. DHash acks at once; the dual-point
+    /// variants first copy the block to the paired replica point (§5.3.1).
+    fn stored(_eng: &mut DhtEngine<V>, s: Stored, ctx: &mut ECtx<'_, V>) {
+        send_as(ctx, s.client, DhtMsg::StoreAck { op: s.op, ok: true }, s.repair);
+    }
 
     /// True if this node anchors the replica set of `key`: it is the one
     /// that re-replicates, repairs and hands off the block.
-    fn anchors(eng: &DhtEngine<Self>, key: Id) -> bool;
+    fn anchors(eng: &DhtEngine<V>, key: Id) -> bool;
 
     /// The nodes replicas can live on, nearest first: every successor for
     /// DHash, the in-section successors for VerDi.
-    fn replica_candidates(eng: &DhtEngine<Self>) -> Vec<Addr>;
+    fn replica_candidates(eng: &DhtEngine<V>) -> Vec<Addr>;
 
     /// How many of the candidates hold a copy beside this node.
     fn replica_width(cfg: &DhtConfig) -> usize;
 
     /// Start of the range a repair probe invites orphan reports from. The
     /// VerDi variants send their own id: the range is their section.
-    fn range_start(eng: &DhtEngine<Self>) -> Id {
+    fn range_start(eng: &DhtEngine<V>) -> Id {
         eng.overlay.ring().id()
     }
 
     /// Responder side: true if `key` lies in the range the prober
     /// (`owner`, with range start `from`) answers for.
-    fn in_probed_range(eng: &DhtEngine<Self>, key: Id, from: Id, owner: Id) -> bool;
+    fn in_probed_range(eng: &DhtEngine<V>, key: Id, from: Id, owner: Id) -> bool;
 
     /// Prober side: true if a reported orphan should be pulled back.
-    fn reclaims(eng: &DhtEngine<Self>, key: Id) -> bool {
+    fn reclaims(eng: &DhtEngine<V>, key: Id) -> bool {
         Self::anchors(eng, key)
     }
 
     /// Extra probing after the in-set probes of a repair round (the
     /// dual-point variants spot-check the paired replica point).
-    fn repair_extra(_eng: &mut DhtEngine<Self>, _anchored: &[Id], _ctx: &mut ECtx<'_, Self>) {}
+    fn repair_extra(_eng: &mut DhtEngine<V>, _anchored: &[Id], _ctx: &mut ECtx<'_, V>) {}
 
     /// Pushes a block a cross-section probe found missing. Only variants
     /// whose `repair_extra` probes cross-section ever see such replies.
-    fn push_cross(_eng: &mut DhtEngine<Self>, _to: Addr, _block: Block, _ctx: &mut ECtx<'_, Self>) {
-    }
+    fn push_cross(_eng: &mut DhtEngine<V>, _to: Addr, _block: Block, _ctx: &mut ECtx<'_, V>) {}
 }
 
 /// The message type of variant `V`'s overlay.
@@ -220,7 +221,7 @@ pub enum DhtMsg<V: Variant> {
         /// counters clean.
         repair: bool,
     },
-    /// Store acknowledgment (sent after [`Variant::stored`] ran).
+    /// Store acknowledgment (sent after [`Placement::stored`] ran).
     StoreAck {
         /// Id from the request.
         op: u64,
@@ -241,7 +242,7 @@ pub enum DhtMsg<V: Variant> {
         /// Prober-local round number (stale replies are ignored for the
         /// in-flight gauge).
         round: u64,
-        /// Start of the prober's range ([`Variant::range_start`]).
+        /// Start of the prober's range ([`Placement::range_start`]).
         from: Id,
         /// The prober's id.
         owner: Id,

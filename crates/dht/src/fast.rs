@@ -13,13 +13,11 @@
 
 use std::collections::HashMap;
 
-use verme_chord::Id;
 use verme_core::VermeNode;
 use verme_sim::Addr;
 
-use crate::api::{DhtConfig, OpKind};
-use crate::block::Block;
-use crate::engine::{DhtEngine, ECtx, Stored, Variant};
+use crate::api::OpKind;
+use crate::engine::{DhtEngine, ECtx, Variant};
 use crate::verme::{self, CrossMsg, CrossPlane, DualPoint};
 
 /// The Fast-VerDi variant: looks up whichever of the key's two replica
@@ -100,33 +98,5 @@ impl Variant for Fast {
 
     fn on_ext(eng: &mut FastVerDiNode, from: Addr, ext: CrossMsg, ctx: &mut ECtx<'_, Self>) {
         verme::on_cross_msg(eng, from, ext, ctx);
-    }
-
-    fn stored(eng: &mut FastVerDiNode, s: Stored, ctx: &mut ECtx<'_, Self>) {
-        verme::cross_copy(eng, s, ctx);
-    }
-
-    fn anchors(eng: &FastVerDiNode, key: Id) -> bool {
-        verme::anchors_key(&eng.overlay, key)
-    }
-
-    fn replica_candidates(eng: &FastVerDiNode) -> Vec<Addr> {
-        verme::section_successors(&eng.overlay)
-    }
-
-    fn replica_width(cfg: &DhtConfig) -> usize {
-        cfg.replicas / 2
-    }
-
-    fn in_probed_range(eng: &FastVerDiNode, key: Id, _from: Id, owner: Id) -> bool {
-        eng.overlay.layout().same_section(key, owner)
-    }
-
-    fn repair_extra(eng: &mut FastVerDiNode, anchored: &[Id], ctx: &mut ECtx<'_, Self>) {
-        verme::cross_spot_check(eng, anchored, ctx);
-    }
-
-    fn push_cross(eng: &mut FastVerDiNode, to: Addr, block: Block, ctx: &mut ECtx<'_, Self>) {
-        verme::push_cross(eng, to, block, ctx);
     }
 }

@@ -16,7 +16,8 @@
 //! The four node types are aliases of `DhtEngine<Variant>` (static
 //! dispatch) and all implement [`DhtNode`], so experiment harnesses drive
 //! them generically. The Verme-side placement rule and the cross-section
-//! copy that Fast and Compromise share live in [`verme`].
+//! copy that Fast and Compromise share live in [`verme`], which also
+//! holds their one [`Placement`].
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +36,7 @@ pub use api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome};
 pub use block::{block_key, verify_block, Block, BlockStore};
 pub use compromise::{Compromise, CompromiseVerDiNode, ObservedClient};
 pub use dhash::{Dhash, DhashNode};
-pub use engine::{DhtEngine, DhtMsg, DhtTimer, Variant};
+pub use engine::{DhtEngine, DhtMsg, DhtTimer, Placement, Variant};
 pub use fast::{Fast, FastVerDiNode};
 pub use repair::DurabilityCensus;
 pub use secure::{Secure, SecurePayload, SecureVerDiNode};

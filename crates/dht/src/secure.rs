@@ -21,7 +21,7 @@ use verme_sim::Addr;
 
 use crate::api::{keys, DhtConfig, OpReq, PendingOp};
 use crate::block::Block;
-use crate::engine::{DataReply, DhtEngine, ECtx, NoExt, Variant};
+use crate::engine::{DataReply, DhtEngine, ECtx, NoExt, Placement, Variant};
 use crate::verme;
 
 /// The operation payload piggybacked inside Secure-VerDi lookups and
@@ -284,7 +284,9 @@ impl Variant for Secure {
         let resp = SecurePayload::GetResp { value };
         eng.with_overlay(ctx, |overlay, ictx| overlay.send_answer(lid, Some(resp), ictx));
     }
+}
 
+impl Placement<Secure> for Secure {
     fn anchors(eng: &SecureVerDiNode, key: Id) -> bool {
         verme::is_replica_anchor(&eng.overlay, key)
     }

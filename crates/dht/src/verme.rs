@@ -9,9 +9,11 @@ use verme_chord::{Id, NodeHandle};
 use verme_core::{Payload, VermeAnswer, VermeNode};
 use verme_sim::{Addr, Scope, Wire};
 
+use crate::api::DhtConfig;
 use crate::block::Block;
 use crate::engine::{
-    send_as, send_background, DhtEngine, DhtMsg, ECtx, ExtMsg, Stored, Variant, HDR, REPAIR_BATCH,
+    send_as, send_background, DhtEngine, DhtMsg, ECtx, ExtMsg, Placement, Stored, Variant, HDR,
+    REPAIR_BATCH,
 };
 
 /// True if this node anchors the replica set for `point` (it is the
@@ -60,14 +62,6 @@ pub(crate) fn replicas_of(answer: Option<VermeAnswer>) -> Option<Vec<NodeHandle>
         Some(VermeAnswer::Replicas { replicas }) if !replicas.is_empty() => Some(replicas),
         _ => None,
     }
-}
-
-/// True if this node anchors `key` under either of its two replica
-/// points — the filter deciding which stored blocks a dual-point node
-/// re-replicates and repairs.
-pub(crate) fn anchors_key(overlay: &VermeNode<()>, key: Id) -> bool {
-    is_replica_anchor(overlay, key)
-        || is_replica_anchor(overlay, overlay.layout().paired_replica_point(key))
 }
 
 /// The other replica point for a key this node holds: if we sit in the
@@ -155,16 +149,6 @@ fn cross_msg<V: DualPoint>(msg: CrossMsg) -> DhtMsg<V> {
     DhtMsg::Ext(V::wrap(msg))
 }
 
-/// [`Variant::stored`] for dual-point variants (§5.3.1): before acking the
-/// client, copy the block to the responsible node of the opposite-type
-/// replica point.
-pub(crate) fn cross_copy<V: DualPoint>(eng: &mut DhtEngine<V>, s: Stored, ctx: &mut ECtx<'_, V>) {
-    let pair = paired_point(&eng.overlay, s.block.key());
-    let lid = eng.with_overlay(ctx, |overlay, ictx| overlay.start_replica_lookup(pair, None, ictx));
-    eng.variant.cross().lookups.insert(lid, s);
-    V::drain_overlay(eng, ctx);
-}
-
 /// Continues a cross-plane lookup (paired-point copy or repair spot
 /// check) that resolved; other lookup ids are ignored.
 pub(crate) fn cross_outcome<V: DualPoint>(
@@ -226,44 +210,68 @@ pub(crate) fn on_cross_msg<V: DualPoint>(
     }
 }
 
-/// [`Variant::repair_extra`] for dual-point variants: one replica lookup
-/// per key towards its paired point, bounded by the batch budget and
-/// rotated across rounds so every anchored block is eventually verified
-/// against the opposite-type section.
-pub(crate) fn cross_spot_check<V: DualPoint>(
-    eng: &mut DhtEngine<V>,
-    anchored: &[Id],
-    ctx: &mut ECtx<'_, V>,
-) {
-    if anchored.is_empty() {
-        return;
-    }
-    let start = eng.variant.cross().cursor % anchored.len();
-    let take = REPAIR_BATCH.min(anchored.len());
-    eng.variant.cross().cursor = (start + take) % anchored.len();
-    for i in 0..take {
-        let k = anchored[(start + i) % anchored.len()];
-        let pair = paired_point(&eng.overlay, k);
+/// The placement every dual-point variant shares: `n/2` replicas at each
+/// of a key's two opposite-type replica points (§5.2), every store copied
+/// to the paired point before its ack (§5.3.1), and a repair round that
+/// spot-checks the paired point.
+impl<V: DualPoint> Placement<V> for V {
+    /// Before acking the client, copy the block to the responsible node of
+    /// the opposite-type replica point.
+    fn stored(eng: &mut DhtEngine<V>, s: Stored, ctx: &mut ECtx<'_, V>) {
+        let pair = paired_point(&eng.overlay, s.block.key());
         let lid =
             eng.with_overlay(ctx, |overlay, ictx| overlay.start_replica_lookup(pair, None, ictx));
-        eng.variant.cross().repair_lookups.insert(lid, vec![k]);
-        eng.probes_outstanding += 1;
+        eng.variant.cross().lookups.insert(lid, s);
+        V::drain_overlay(eng, ctx);
     }
-    V::drain_overlay(eng, ctx);
-}
 
-/// [`Variant::push_cross`] for dual-point variants: a block the paired
-/// section lacks travels as a cross copy, so its anchor replicates it
-/// in-section like any other.
-pub(crate) fn push_cross<V: DualPoint>(
-    eng: &mut DhtEngine<V>,
-    to: Addr,
-    block: Block,
-    ctx: &mut ECtx<'_, V>,
-) {
-    let cross = eng.variant.cross();
-    let xid = cross.next_xid;
-    cross.next_xid += 1;
-    let msg = CrossMsg::CrossCopy { xid, key: block.key(), value: block, repair: true };
-    send_background(ctx, to, cross_msg(msg));
+    /// Under either of the key's two replica points: the filter deciding
+    /// which stored blocks a dual-point node re-replicates and repairs.
+    fn anchors(eng: &DhtEngine<V>, key: Id) -> bool {
+        is_replica_anchor(&eng.overlay, key)
+            || is_replica_anchor(&eng.overlay, eng.overlay.layout().paired_replica_point(key))
+    }
+
+    fn replica_candidates(eng: &DhtEngine<V>) -> Vec<Addr> {
+        section_successors(&eng.overlay)
+    }
+
+    fn replica_width(cfg: &DhtConfig) -> usize {
+        cfg.replicas / 2
+    }
+
+    fn in_probed_range(eng: &DhtEngine<V>, key: Id, _from: Id, owner: Id) -> bool {
+        eng.overlay.layout().same_section(key, owner)
+    }
+
+    /// One replica lookup per key towards its paired point, bounded by the
+    /// batch budget and rotated across rounds so every anchored block is
+    /// eventually verified against the opposite-type section.
+    fn repair_extra(eng: &mut DhtEngine<V>, anchored: &[Id], ctx: &mut ECtx<'_, V>) {
+        if anchored.is_empty() {
+            return;
+        }
+        let start = eng.variant.cross().cursor % anchored.len();
+        let take = REPAIR_BATCH.min(anchored.len());
+        eng.variant.cross().cursor = (start + take) % anchored.len();
+        for i in 0..take {
+            let k = anchored[(start + i) % anchored.len()];
+            let pair = paired_point(&eng.overlay, k);
+            let lid = eng
+                .with_overlay(ctx, |overlay, ictx| overlay.start_replica_lookup(pair, None, ictx));
+            eng.variant.cross().repair_lookups.insert(lid, vec![k]);
+            eng.probes_outstanding += 1;
+        }
+        V::drain_overlay(eng, ctx);
+    }
+
+    /// A block the paired section lacks travels as a cross copy, so its
+    /// anchor replicates it in-section like any other.
+    fn push_cross(eng: &mut DhtEngine<V>, to: Addr, block: Block, ctx: &mut ECtx<'_, V>) {
+        let cross = eng.variant.cross();
+        let xid = cross.next_xid;
+        cross.next_xid += 1;
+        let msg = CrossMsg::CrossCopy { xid, key: block.key(), value: block, repair: true };
+        send_background(ctx, to, cross_msg(msg));
+    }
 }
