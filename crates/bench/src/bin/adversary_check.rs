@@ -21,11 +21,10 @@ use std::process::ExitCode;
 use bytes::Bytes;
 use rand::Rng;
 
-use verme_bench::extk::{run_extk_cell, ExtKParams, ExtKSystem};
-use verme_bench::testbed::{run_fingerprint, same_bytes, Checks, HOP};
+use verme_bench::extk::{run_extk_cell, ExtKParams};
+use verme_bench::testbed::{run_fingerprint, same_bytes, verme_ring, Checks, DhtSystem, HOP};
 use verme_bench::CliArgs;
 use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
-use verme_crypto::CertificateAuthority;
 use verme_dht::{DhtConfig, DhtNode, FastVerDiNode};
 use verme_obs::{Monitor, Rule};
 use verme_sim::runtime::UniformLatency;
@@ -48,11 +47,9 @@ const NEW_KEYS: [&str; 4] = [
 fn build_legacy(seed: u64) -> (Runtime<FastVerDiNode, UniformLatency>, Vec<Addr>) {
     let layout = SectionLayout::with_sections(8, 2);
     let ring = VermeStaticRing::generate(layout, NODES, seed);
-    let mut ca = CertificateAuthority::new(seed);
-    let mut rt = Runtime::new(UniformLatency::new(NODES, HOP), seed);
-    let addrs = ring.spawn(&mut rt, |i| {
-        let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
-        FastVerDiNode::new(overlay, DhtConfig::default())
+    let net = UniformLatency::new(NODES, HOP);
+    let (rt, addrs, _) = verme_ring(&ring, net, seed, &VermeConfig::new(layout), |o| {
+        FastVerDiNode::new(o, DhtConfig::default())
     });
     (rt, addrs)
 }
@@ -108,8 +105,8 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // 1. The attack fires, degrades lookups, and counts.
     // ------------------------------------------------------------------
-    let loud = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.25, args.seed);
-    let quiet = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.0, args.seed);
+    let loud = run_extk_cell(DhtSystem::FastVerDi, &params, 0.25, args.seed);
+    let quiet = run_extk_cell(DhtSystem::FastVerDi, &params, 0.0, args.seed);
     checks.check("attack.fires", {
         if loud.adversaries == 0 {
             Err("the Byzantine fault never flipped a node".into())
@@ -137,8 +134,8 @@ fn main() -> ExitCode {
     // 2. Determinism: the same seed reproduces both cells exactly.
     // ------------------------------------------------------------------
     checks.check("attack.deterministic", {
-        let loud2 = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.25, args.seed);
-        let quiet2 = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.0, args.seed);
+        let loud2 = run_extk_cell(DhtSystem::FastVerDi, &params, 0.25, args.seed);
+        let quiet2 = run_extk_cell(DhtSystem::FastVerDi, &params, 0.0, args.seed);
         if loud != loud2 {
             Err(format!("adversarial cell diverged across replays: {loud:?} vs {loud2:?}"))
         } else if quiet != quiet2 {

@@ -28,12 +28,12 @@
 
 use std::process::ExitCode;
 
-use verme_bench::testbed::{Checks, HOP};
+use verme_bench::testbed::{chord_ring, Checks, HOP};
 use verme_bench::CliArgs;
 use verme_chaos::{explore, ChaosProfile, ExplorerConfig, Repro, Scenario};
 use verme_chord::{ChordConfig, MaintenanceMode, StaticRing};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Runtime, SimDuration, SimTime};
+use verme_sim::{SimDuration, SimTime};
 
 /// Trial budget for the legacy rediscovery (check 1).
 const LEGACY_BUDGET: usize = 50;
@@ -50,8 +50,7 @@ fn chaos_off_fingerprint(seed: u64) -> (String, Vec<String>, u64, u64) {
     const NODES: usize = 24;
     let cfg = ChordConfig { num_successors: 3, ..ChordConfig::default() };
     let ring = StaticRing::random(NODES, seed);
-    let mut rt = Runtime::new(UniformLatency::new(NODES, HOP), seed);
-    ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
+    let (mut rt, _) = chord_ring(&ring, UniformLatency::new(NODES, HOP), seed, &cfg, |o| o);
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(120));
     let keys: Vec<String> = rt.metrics().counters().map(|(k, _)| k.to_owned()).collect();
     let stats = rt.stats();

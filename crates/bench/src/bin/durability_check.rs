@@ -25,10 +25,10 @@ use std::process::ExitCode;
 
 use rand::Rng;
 
-use verme_bench::testbed::{dhash_ring, run_fingerprint, same_bytes, Checks};
+use verme_bench::testbed::{chord_ring, run_fingerprint, same_bytes, Checks, HOP};
 use verme_bench::CliArgs;
 use verme_chaos::seed_blocks;
-use verme_chord::Id;
+use verme_chord::{ChordConfig, Id, StaticRing};
 use verme_dht::{DhashNode, DhtConfig, DhtNode, DurabilityCensus};
 use verme_obs::{Monitor, Rule};
 use verme_sim::runtime::UniformLatency;
@@ -36,6 +36,13 @@ use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 const NODES: usize = 64;
 const BLOCKS: usize = 8;
+
+/// A converged DHash ring of [`NODES`] nodes under `cfg` on the uniform
+/// network.
+fn dhash(seed: u64, cfg: &DhtConfig) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
+    let (ring, net) = (StaticRing::random(NODES, seed), UniformLatency::new(NODES, HOP));
+    chord_ring(&ring, net, seed, &ChordConfig::default(), |o| DhashNode::new(o, cfg.clone()))
+}
 
 fn config(repair: bool) -> DhtConfig {
     DhtConfig {
@@ -159,7 +166,7 @@ fn main() -> ExitCode {
     // 1. Repair keeps the block alive through both kill waves.
     // ------------------------------------------------------------------
     let cfg_on = config(true);
-    let (mut rt, addrs) = dhash_ring(NODES, args.seed, &cfg_on);
+    let (mut rt, addrs) = dhash(args.seed, &cfg_on);
     let keys = seed_standard(&mut rt, &addrs, args.seed);
     assert!(!keys.is_empty(), "no block survived fault-free seeding");
     let mon = Monitor::new(1024);
@@ -195,7 +202,7 @@ fn main() -> ExitCode {
     //    monitor rule catches it.
     // ------------------------------------------------------------------
     let cfg_off = config(false);
-    let (mut rt_off, addrs_off) = dhash_ring(NODES, args.seed, &cfg_off);
+    let (mut rt_off, addrs_off) = dhash(args.seed, &cfg_off);
     let keys_off = seed_standard(&mut rt_off, &addrs_off, args.seed);
     let mon_off = Monitor::new(1024);
     mon_off.add_rule("dht.blocks.lost", Rule::Threshold { min: 1.0 });
@@ -218,10 +225,10 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // 3. Fault-free, the repair plane is byte-for-byte inert.
     // ------------------------------------------------------------------
-    let (mut rt_a, addrs_a) = dhash_ring(NODES, args.seed, &config(true));
+    let (mut rt_a, addrs_a) = dhash(args.seed, &config(true));
     drive_idle(&mut rt_a, &addrs_a, args.seed);
     let print_on = fingerprint(&rt_a);
-    let (mut rt_b, addrs_b) = dhash_ring(NODES, args.seed, &config(false));
+    let (mut rt_b, addrs_b) = dhash(args.seed, &config(false));
     drive_idle(&mut rt_b, &addrs_b, args.seed);
     checks.check(
         "repair_idle.identical",

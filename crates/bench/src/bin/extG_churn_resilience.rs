@@ -10,15 +10,14 @@
 //! ```
 
 use verme_bench::extg::{run_extg, ExtGParams, EXTG_RETRIES};
+use verme_bench::testbed::DhtSystem;
 use verme_bench::CliArgs;
 
 fn main() {
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtGParams::full(args.seed) } else { ExtGParams::quick(args.seed) };
-    if let Some(reps) = args.reps {
-        params.reps = reps;
-    }
+    params.reps = args.reps.unwrap_or(params.reps);
 
     println!("# Extension G — lookup success under churn × correlated kill bursts");
     println!(
@@ -62,7 +61,8 @@ fn main() {
         };
         println!(
             "{:<17} {:>8.2} {:>6} | {:>9.1}% {:>9.1}% {:>6.1}% {:>9} | {:>8} {:>6} {:>11}",
-            row.system.label(),
+            // This table names each system with its overlay.
+            if row.system == DhtSystem::Dhash { "DHash/Chord" } else { "Fast-VerDi/Verme" },
             row.churn_rate,
             row.burst_size,
             with.success_rate() * 100.0,

@@ -22,9 +22,7 @@ fn fmt_latency(l: Option<f64>) -> String {
 fn main() {
     let args = CliArgs::parse();
     let mut p = if args.full { ExtHParams::paper(args.seed) } else { ExtHParams::quick(args.seed) };
-    if let Some(r) = args.reps {
-        p.repetitions = r;
-    }
+    p.repetitions = args.reps.unwrap_or(p.repetitions);
     println!("# Extension H — detection latency vs guardian coverage and detector parameters");
     println!(
         "# {} nodes, {} sections, {} reps, sample every {} s | seed: {}",

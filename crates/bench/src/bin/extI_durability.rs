@@ -13,15 +13,14 @@
 //! ```
 
 use verme_bench::exti::{run_exti, ExtIParams, RepairArm, CENSUS_TARGET};
+use verme_bench::testbed::DhtSystem;
 use verme_bench::CliArgs;
 
 fn main() {
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtIParams::full(args.seed) } else { ExtIParams::quick(args.seed) };
-    if let Some(reps) = args.reps {
-        params.reps = reps;
-    }
+    params.reps = args.reps.unwrap_or(params.reps);
 
     println!("# Extension I — data durability under churn × repair interval");
     println!(
@@ -65,7 +64,8 @@ fn main() {
         }
         println!(
             "{:<17} {:>8.2} | {:>8.1}% {:>8.1}% {:>8.1}% | {:>7} {:>7} {:>8} {:>8} {:>8}",
-            row.system.label(),
+            // This table names each system with its overlay.
+            if row.system == DhtSystem::Dhash { "DHash/Chord" } else { "Fast-VerDi/Verme" },
             row.churn_rate,
             off.loss_fraction() * 100.0,
             on.loss_fraction() * 100.0,

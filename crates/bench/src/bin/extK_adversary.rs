@@ -13,16 +13,15 @@
 //! cargo run -p verme-bench --release --bin extK_adversary [-- --full]
 //! ```
 
-use verme_bench::extk::{run_extk, ExtKParams, ExtKSystem};
+use verme_bench::extk::{run_extk, ExtKParams};
+use verme_bench::testbed::DhtSystem;
 use verme_bench::CliArgs;
 
 fn main() {
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtKParams::full(args.seed) } else { ExtKParams::quick(args.seed) };
-    if let Some(reps) = args.reps {
-        params.reps = reps;
-    }
+    params.reps = args.reps.unwrap_or(params.reps);
 
     println!("# Extension K — lookup degradation vs Byzantine adversary fraction");
     println!(
@@ -49,7 +48,8 @@ fn main() {
         for (fraction, cell) in &row.cells {
             println!(
                 "{:<17} {:>5.0}% | {:>7} {:>8.1}% {:>9.2} | {:>8} {:>8} {:>8}",
-                row.system.label(),
+                // The baseline's name says which overlay it runs on.
+                if row.system == DhtSystem::Dhash { "DHash/Chord" } else { row.system.label() },
                 fraction * 100.0,
                 cell.issued,
                 cell.failed_fraction() * 100.0,
@@ -63,8 +63,8 @@ fn main() {
 
     // Summary: does Secure-VerDi's redundant-path fan-out dominate
     // Fast-VerDi once the adversary holds a real share of the ring?
-    let fast = rows.iter().find(|r| r.system == ExtKSystem::FastVerDi).expect("fast swept");
-    let secure = rows.iter().find(|r| r.system == ExtKSystem::SecureVerDi).expect("secure swept");
+    let fast = rows.iter().find(|r| r.system == DhtSystem::FastVerDi).expect("fast swept");
+    let secure = rows.iter().find(|r| r.system == DhtSystem::SecureVerDi).expect("secure swept");
     let mut dominated = 0usize;
     let mut checked = 0usize;
     for (fraction, fc) in &fast.cells {

@@ -21,9 +21,9 @@
 //! cargo run -p verme-bench --release --bin extL_load [-- --full] [--load PROFILE]
 //! ```
 
-use verme_bench::extl::{curve_fingerprint, run_extl, DhtSystem, ExtLParams, LoadPoint};
+use verme_bench::extl::{curve_fingerprint, run_extl, ExtLParams, LoadPoint};
+use verme_bench::testbed::DhtSystem;
 use verme_bench::CliArgs;
-use verme_load::LoadProfile;
 
 /// Pre-saturation vs post-knee slope: ms of p99 per unit offered load.
 /// The head is the first sweep segment — the lowest rates are far under
@@ -64,8 +64,8 @@ fn main() {
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtLParams::full(args.seed) } else { ExtLParams::quick(args.seed) };
-    if let Some(spec) = &args.load {
-        params.profile = LoadProfile::parse(spec).expect("--load profile spec");
+    if let Some(profile) = &args.load {
+        params.profile = profile.clone();
     }
     // The superlinearity verdict assumes low offered loads leave the
     // ring unsaturated. Bursty/diurnal profiles can saturate holders

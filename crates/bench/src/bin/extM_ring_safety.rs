@@ -21,9 +21,7 @@ fn main() {
     let args = CliArgs::parse();
     let mut params =
         if args.full { ExtMParams::full(args.seed) } else { ExtMParams::quick(args.seed) };
-    if let Some(reps) = args.reps {
-        params.reps = reps;
-    }
+    params.reps = args.reps.unwrap_or(params.reps);
 
     println!("# Extension M — ring-invariant safety under churn × double arc kill bursts");
     println!(

@@ -26,9 +26,9 @@
 use std::time::Instant;
 
 use verme_bench::fig5::{run_fig5, Fig5Params, Fig5System};
-use verme_bench::fig67::{run_fig67, DhtSystem, Fig67Params};
+use verme_bench::fig67::{run_fig67, Fig67Params};
 use verme_bench::fig8::{figure_scenarios, run_figure, Fig8Params, FigureRun, Observe};
-use verme_bench::testbed::artifact_dir;
+use verme_bench::testbed::{artifact_dir, DhtSystem};
 use verme_bench::CliArgs;
 use verme_sim::{
     span_profiler_disable, span_profiler_enable, span_profiler_enable_logged, SimDuration,

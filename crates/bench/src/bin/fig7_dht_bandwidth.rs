@@ -13,18 +13,18 @@
 //! the profile's native rate.
 
 use verme_bench::extl::{run_point, ExtLParams};
-use verme_bench::fig67::{run_sweep, DhtSystem};
-use verme_bench::testbed::mean_of;
+use verme_bench::fig67::run_sweep;
+use verme_bench::testbed::{mean_of, DhtSystem};
 use verme_bench::CliArgs;
 use verme_load::LoadProfile;
 
 /// The `--load` variant of the figure: foreground bytes per completed
 /// client op for each system under the named workload profile, serving
 /// features off (the plain figure measures the protocols, not the cache).
-fn run_loaded_figure(args: &CliArgs, spec: &str) {
+fn run_loaded_figure(args: &CliArgs, profile: LoadProfile) {
     let mut params =
         if args.full { ExtLParams::full(args.seed) } else { ExtLParams::quick(args.seed) };
-    params.profile = LoadProfile::parse(spec).expect("--load profile spec");
+    params.profile = profile;
     let rate = params.profile.arrival.mean_rate();
     println!("# Figure 7 (loaded) — foreground bytes per DHT op under `{}`", params.profile.name);
     println!(
@@ -43,8 +43,8 @@ fn run_loaded_figure(args: &CliArgs, spec: &str) {
 
 fn main() {
     let args = CliArgs::parse();
-    if let Some(spec) = args.load.clone() {
-        run_loaded_figure(&args, &spec);
+    if let Some(profile) = args.load.clone() {
+        run_loaded_figure(&args, profile);
         return;
     }
     let reps = args.reps.unwrap_or(if args.full { 4 } else { 2 });

@@ -29,9 +29,7 @@ fn main() {
     let args = CliArgs::parse();
     let mut params =
         if args.full { Fig8Params::paper(args.seed) } else { Fig8Params::quick(args.seed) };
-    if let Some(r) = args.reps {
-        params.repetitions = r;
-    }
+    params.repetitions = args.reps.unwrap_or(params.repetitions);
     println!("# Figure 8 — simulated worm propagation (infected machines over time)");
     println!(
         "# mode: {} nodes, {} sections, {} reps | seed: {}",

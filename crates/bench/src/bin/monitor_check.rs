@@ -23,10 +23,11 @@
 use std::process::ExitCode;
 
 use verme_bench::testbed::{
-    chord_lookup, king_chord_ring, lookup_workload, run_fingerprint, same_bytes, Checks,
+    chord_lookup, chord_ring, king, lookup_run_config, lookup_workload, run_fingerprint,
+    same_bytes, Checks,
 };
 use verme_bench::CliArgs;
-use verme_chord::ChordNode;
+use verme_chord::{ChordNode, StaticRing};
 use verme_net::KingMatrix;
 use verme_obs::{Monitor, Rule};
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration};
@@ -34,6 +35,13 @@ use verme_worm::{run_scenario_instrumented, Instrumentation, Scenario, ScenarioC
 
 const NODES: usize = 96;
 const LOOKUPS: usize = 200;
+
+/// A converged Chord ring on the King matrix, set up for the fault-free
+/// lookup run.
+fn king_ring(seed: u64) -> (Runtime<ChordNode, KingMatrix>, Vec<Addr>) {
+    let ring = StaticRing::random(NODES, seed);
+    chord_ring(&ring, king(NODES, seed), seed, &lookup_run_config(), |o| o)
+}
 
 /// Drives the standard lookup workload from the members of `ring`.
 fn drive(rt: &mut Runtime<ChordNode, KingMatrix>, ring: &[Addr], seed: u64) {
@@ -136,10 +144,9 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // 2. The same plane stays silent on a fault-free ring.
     // ------------------------------------------------------------------
-    let (mut quiet, ring) = king_chord_ring(NODES, args.seed);
+    let (mut quiet, ring) = king_ring(args.seed);
     let quiet_mon = attach_quiet_monitor(&mut quiet);
     drive(&mut quiet, &ring, args.seed);
-    quiet.clear_sampler();
     checks.check("quiet.silent", {
         let alerts = quiet_mon.alerts();
         let samples = quiet_mon.series_points("net.delivered").len();
@@ -158,11 +165,11 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // 3. Observability never perturbs the run: byte-identical metrics.
     // ------------------------------------------------------------------
-    let (mut plain, ring) = king_chord_ring(NODES, args.seed);
+    let (mut plain, ring) = king_ring(args.seed);
     drive(&mut plain, &ring, args.seed);
     let plain_print = fingerprint(&plain);
 
-    let (mut observed, ring) = king_chord_ring(NODES, args.seed);
+    let (mut observed, ring) = king_ring(args.seed);
     let _observed_mon = attach_quiet_monitor(&mut observed);
     drive(&mut observed, &ring, args.seed);
     checks.check(
@@ -179,7 +186,7 @@ fn main() -> ExitCode {
         let time_one = |observe: bool| {
             let mut best = f64::INFINITY;
             for _ in 0..3 {
-                let (mut rt, ring) = king_chord_ring(NODES, args.seed);
+                let (mut rt, ring) = king_ring(args.seed);
                 let mon = observe.then(|| attach_quiet_monitor(&mut rt));
                 let started = std::time::Instant::now();
                 drive(&mut rt, &ring, args.seed);

@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use rand::Rng;
 
 use verme_bench::extm::{run_extm_cell, ExtMParams, ExtMVariant};
-use verme_bench::testbed::{run_fingerprint, same_bytes, Checks, HOP};
+use verme_bench::testbed::{chord_ring, run_fingerprint, same_bytes, Checks, HOP};
 use verme_bench::CliArgs;
 use verme_chord::maintain::model::{
     explore, explore_trace, ModelEvent, ModelParams, ModelState, Variant,
@@ -67,10 +67,7 @@ fn proof_params(variant: Variant, slots: usize, max_fails: usize) -> ModelParams
 fn build_legacy(seed: u64) -> (Runtime<ChordNode, UniformLatency>, Vec<Addr>) {
     const NODES: usize = 48;
     let cfg = ChordConfig { maintenance: MaintenanceMode::Legacy, ..ChordConfig::default() };
-    let ring = StaticRing::random(NODES, seed);
-    let mut rt = Runtime::new(UniformLatency::new(NODES, HOP), seed);
-    let addrs = ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
-    (rt, addrs)
+    chord_ring(&StaticRing::random(NODES, seed), UniformLatency::new(NODES, HOP), seed, &cfg, |o| o)
 }
 
 /// Drives stabilization and a lookup workload, returning a fingerprint

@@ -24,12 +24,13 @@
 
 use std::process::ExitCode;
 
-use verme_bench::testbed::{chord_lookup, king_chord_ring, lookup_workload, Checks};
+use verme_bench::testbed::{
+    chord_lookup, chord_ring, king, lookup_run_config, lookup_workload, verme_ring, Checks,
+};
 use verme_bench::CliArgs;
-use verme_chord::Id;
+use verme_chord::{Id, StaticRing};
 use verme_core::node::verme_keys;
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
-use verme_crypto::CertificateAuthority;
 use verme_net::KingMatrix;
 use verme_obs::{
     check_chord_monotone, check_hop_agreement, check_verme_opposite_types, parse_ndjson,
@@ -83,16 +84,13 @@ fn build_verme(seed: u64) -> (Runtime<VermeNode<()>, KingMatrix>, Vec<Addr>) {
     // opposite-type invariant rightly rejects. The paper keeps the same
     // margin (24-node sections, 10-entry lists).
     let layout = SectionLayout::with_sections(4, 2);
-    let king = KingMatrix::synthetic(NODES, verme_net::king::KING_MEAN_RTT_MS, seed);
-    let mut rt = Runtime::new(king, seed);
-    let mut ca = CertificateAuthority::new(seed);
     let ring = VermeStaticRing::generate(layout, NODES, seed);
     let cfg = VermeConfig {
         hop_timeout: SimDuration::from_secs(20),
         lookup_deadline: SimDuration::from_secs(60),
         ..VermeConfig::new(layout)
     };
-    let addrs = ring.spawn(&mut rt, |i| ring.build_node(i, cfg.clone(), &mut ca));
+    let (rt, addrs, _) = verme_ring(&ring, king(NODES, seed), seed, &cfg, |o| o);
     (rt, addrs)
 }
 
@@ -114,7 +112,9 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // Chord: schema + monotone progress + hop agreement.
     // ------------------------------------------------------------------
-    let (mut chord, ring) = king_chord_ring(NODES, args.seed);
+    let members = StaticRing::random(NODES, args.seed);
+    let config = lookup_run_config();
+    let (mut chord, ring) = chord_ring(&members, king(NODES, args.seed), args.seed, &config, |o| o);
     let probe = drive(&mut chord, &ring, args.seed, "app", chord_lookup);
     checks.check("chord.schema", schema_roundtrip(&probe.events));
     checks.check("chord.paths", {

@@ -26,15 +26,22 @@ use std::process::ExitCode;
 
 use bytes::Bytes;
 
-use verme_bench::testbed::{dhash_ring, run_fingerprint, same_bytes, Checks};
+use verme_bench::testbed::{chord_ring, run_fingerprint, same_bytes, Checks, HOP};
 use verme_bench::CliArgs;
-use verme_chord::Id;
+use verme_chord::{ChordConfig, Id, StaticRing};
 use verme_dht::{keys as dht_keys, DhashNode, DhtConfig, DhtNode};
 use verme_load::{generate_schedule, LoadProfile};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
 const NODES: usize = 64;
+
+/// A converged DHash ring of [`NODES`] nodes under `cfg` on the uniform
+/// network.
+fn dhash(seed: u64, cfg: &DhtConfig) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
+    let (ring, net) = (StaticRing::random(NODES, seed), UniformLatency::new(NODES, HOP));
+    chord_ring(&ring, net, seed, &ChordConfig::default(), |o| DhashNode::new(o, cfg.clone()))
+}
 
 /// Puts one block fault-free from `addrs[0]` and returns its key.
 fn seed_one(rt: &mut Runtime<DhashNode, UniformLatency>, addrs: &[Addr]) -> (Id, Bytes) {
@@ -121,7 +128,7 @@ fn main() -> ExitCode {
     // 2. K concurrent gets coalesce into exactly one upstream fetch.
     // ------------------------------------------------------------------
     let coalesce_cfg = DhtConfig { coalesce_gets: true, ..DhtConfig::default() };
-    let (mut rt_many, addrs_many) = dhash_ring(NODES, args.seed, &coalesce_cfg);
+    let (mut rt_many, addrs_many) = dhash(args.seed, &coalesce_cfg);
     let (key, value) = seed_one(&mut rt_many, &addrs_many);
     let reader = addrs_many[5];
     let before_many = data_bytes(&rt_many);
@@ -129,7 +136,7 @@ fn main() -> ExitCode {
     let outs = burst_gets(&mut rt_many, reader, key, BURST);
     let burst_bytes = data_bytes(&rt_many) - before_many;
 
-    let (mut rt_one, addrs_one) = dhash_ring(NODES, args.seed, &coalesce_cfg);
+    let (mut rt_one, addrs_one) = dhash(args.seed, &coalesce_cfg);
     let (key_one, _) = seed_one(&mut rt_one, &addrs_one);
     let before_one = data_bytes(&rt_one);
     let _ = burst_gets(&mut rt_one, addrs_one[5], key_one, 1);
@@ -166,7 +173,7 @@ fn main() -> ExitCode {
         data_stabilize_interval: SimDuration::from_secs(3_600),
         ..DhtConfig::default()
     };
-    let (mut rt_c, addrs_c) = dhash_ring(NODES, args.seed, &cache_cfg);
+    let (mut rt_c, addrs_c) = dhash(args.seed, &cache_cfg);
     let (key_c, _) = seed_one(&mut rt_c, &addrs_c);
     checks.check("cache.invalidation_on_repair", {
         // The repair target after one holder dies is the next node in
@@ -200,7 +207,7 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     // 4. Serving features off => the plane is inert, byte for byte.
     // ------------------------------------------------------------------
-    let (mut rt_a, addrs_a) = dhash_ring(NODES, args.seed, &DhtConfig::default());
+    let (mut rt_a, addrs_a) = dhash(args.seed, &DhtConfig::default());
     drive_idle(&mut rt_a, &addrs_a);
     let print_default = fingerprint(&rt_a);
     // Same run with every serving-only knob changed — but the features
@@ -210,7 +217,7 @@ fn main() -> ExitCode {
         memo_ttl: SimDuration::from_secs(1),
         ..DhtConfig::default()
     };
-    let (mut rt_b, addrs_b) = dhash_ring(NODES, args.seed, &knobbed);
+    let (mut rt_b, addrs_b) = dhash(args.seed, &knobbed);
     drive_idle(&mut rt_b, &addrs_b);
     checks.check("serving_off.inert", {
         let print_knobbed = fingerprint(&rt_b);

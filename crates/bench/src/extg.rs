@@ -17,8 +17,7 @@ use verme_dht::DhtConfig;
 use verme_sim::fault::{keys as fault_keys, Fault, FaultPlan};
 use verme_sim::SimDuration;
 
-pub use crate::testbed::ChurnSystem;
-use crate::testbed::{departures, par_map, pooled, run_churn_cell, DhtCell};
+use crate::testbed::{cell_seed, departures, pooled, run_churn_cell, sweep, DhtCell, DhtSystem};
 
 /// Parameters for one extG sweep.
 #[derive(Clone, Debug)]
@@ -136,7 +135,7 @@ impl ExtGCell {
 /// consecutive-arc kill burst a third of the way in — the worst case for
 /// successor-list repair — and a message-loss burst over the middle half.
 pub fn run_extg_cell(
-    system: ChurnSystem,
+    system: DhtSystem,
     params: &ExtGParams,
     churn_rate: f64,
     burst_size: usize,
@@ -195,7 +194,7 @@ pub fn run_extg_cell(
 #[derive(Clone, Debug)]
 pub struct ExtGRow {
     /// System under test.
-    pub system: ChurnSystem,
+    pub system: DhtSystem,
     /// Churn rate for this row.
     pub churn_rate: f64,
     /// Kill-burst size for this row.
@@ -209,51 +208,30 @@ pub struct ExtGRow {
 /// Retry setting used for the retry-enabled arm.
 pub const EXTG_RETRIES: u32 = 3;
 
-/// Runs the full sweep. Cells execute on worker threads ([`par_map`]) and
-/// come back in job order, so rows and pooled counts are independent of
-/// thread scheduling.
+/// Runs the full sweep of DHash and Fast-VerDi. Cells execute on worker
+/// threads ([`sweep`]) and come back in job order, so rows and pooled
+/// counts are independent of thread scheduling.
 pub fn run_extg(params: &ExtGParams) -> Vec<ExtGRow> {
-    let reps = params.reps.max(1);
-    let mut jobs = Vec::new();
-    let mut settings = Vec::new();
-    for &system in &ChurnSystem::ALL {
-        for &churn_rate in &params.churn_rates {
-            for &burst_size in &params.burst_sizes {
-                settings.push((system, churn_rate, burst_size));
-                for max_retries in [EXTG_RETRIES, 0] {
-                    for rep in 0..reps {
-                        // The seed depends on the setting and rep but not
-                        // the arm: both retry arms of a rep face the same
-                        // fault script.
-                        let cell_seed = params
-                            .seed
-                            .wrapping_add(settings.len() as u64 * 7919)
-                            .wrapping_add(burst_size as u64 * 104_729)
-                            .wrapping_add(rep * 15_485_863);
-                        jobs.push((system, churn_rate, burst_size, max_retries, cell_seed));
-                    }
-                }
-            }
-        }
-    }
-    let cells = par_map(&jobs, |&(system, churn_rate, burst_size, max_retries, cell_seed)| {
-        run_extg_cell(system, params, churn_rate, burst_size, max_retries, cell_seed)
+    let settings: Vec<_> = [DhtSystem::Dhash, DhtSystem::FastVerDi]
+        .into_iter()
+        .flat_map(|system| params.churn_rates.iter().map(move |&churn| (system, churn)))
+        .flat_map(|(system, churn)| params.burst_sizes.iter().map(move |&b| (system, churn, b)))
+        .collect();
+    let jobs: Vec<_> =
+        (1..).zip(&settings).flat_map(|(n, &s)| [(n, s, EXTG_RETRIES), (n, s, 0)]).collect();
+    let cells = sweep(&jobs, params.reps, |&(n, (system, churn, burst), retries), rep| {
+        let seed = params.seed.wrapping_add(burst as u64 * 104_729);
+        run_extg_cell(system, params, churn, burst, retries, cell_seed(seed, n, rep))
     });
-
-    // Each setting's jobs are adjacent: `reps` retry cells, then `reps`
-    // no-retry cells.
     settings
         .into_iter()
-        .zip(cells.chunks(2 * reps as usize))
-        .map(|((system, churn_rate, burst_size), arms)| {
-            let (with, without) = arms.split_at(reps as usize);
-            ExtGRow {
-                system,
-                churn_rate,
-                burst_size,
-                with_retries: pooled(with, ExtGCell::merge),
-                no_retries: pooled(without, ExtGCell::merge),
-            }
+        .zip(cells.chunks(2))
+        .map(|((system, churn_rate, burst_size), arms)| ExtGRow {
+            system,
+            churn_rate,
+            burst_size,
+            with_retries: pooled(&arms[0], ExtGCell::merge),
+            no_retries: pooled(&arms[1], ExtGCell::merge),
         })
         .collect()
 }
@@ -277,8 +255,8 @@ mod tests {
             reps: 1,
             seed: 5,
         };
-        let with = run_extg_cell(ChurnSystem::Dhash, &params, 0.05, 12, EXTG_RETRIES, 5);
-        let without = run_extg_cell(ChurnSystem::Dhash, &params, 0.05, 12, 0, 5);
+        let with = run_extg_cell(DhtSystem::Dhash, &params, 0.05, 12, EXTG_RETRIES, 5);
+        let without = run_extg_cell(DhtSystem::Dhash, &params, 0.05, 12, 0, 5);
         assert!(with.issued > 0 && without.issued > 0);
         assert!(without.failed > 0, "fault script should break some no-retry gets");
         assert!(with.retries > 0, "faults should trigger retries");
@@ -306,8 +284,8 @@ mod tests {
             reps: 1,
             seed: 9,
         };
-        let a = run_extg_cell(ChurnSystem::FastVerDi, &params, 0.05, 8, EXTG_RETRIES, 9);
-        let b = run_extg_cell(ChurnSystem::FastVerDi, &params, 0.05, 8, EXTG_RETRIES, 9);
+        let a = run_extg_cell(DhtSystem::FastVerDi, &params, 0.05, 8, EXTG_RETRIES, 9);
+        let b = run_extg_cell(DhtSystem::FastVerDi, &params, 0.05, 8, EXTG_RETRIES, 9);
         assert_eq!(a, b, "same seed must reproduce the cell exactly");
     }
 }

@@ -24,8 +24,8 @@ use verme_dht::DhtConfig;
 use verme_sim::fault::{keys as fault_keys, Fault, FaultPlan};
 use verme_sim::SimDuration;
 
-use crate::testbed::{departures, par_map, pooled, run_churn_cell, DhtCell};
-pub use crate::testbed::{ChurnSystem, CENSUS_TARGET};
+pub use crate::testbed::CENSUS_TARGET;
+use crate::testbed::{cell_seed, departures, pooled, run_churn_cell, sweep, DhtCell, DhtSystem};
 
 /// One repair arm of the sweep: disabled, or enabled at an interval.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -197,7 +197,7 @@ fn arm_config(arm: RepairArm, stabilize: SimDuration) -> DhtConfig {
 /// gets driving read-repair, judged by the durability census over the
 /// survivors' block stores.
 pub fn run_exti_cell(
-    system: ChurnSystem,
+    system: DhtSystem,
     params: &ExtIParams,
     churn_rate: f64,
     arm: RepairArm,
@@ -248,7 +248,7 @@ pub fn run_exti_cell(
 #[derive(Clone, Debug)]
 pub struct ExtIRow {
     /// System under test.
-    pub system: ChurnSystem,
+    pub system: DhtSystem,
     /// Churn rate for this row.
     pub churn_rate: f64,
     /// One pooled cell per repair arm.
@@ -274,47 +274,27 @@ impl ExtIRow {
     }
 }
 
-/// Runs the full sweep. Cells execute on worker threads ([`par_map`]) and
-/// come back in job order, so rows and pooled counts are independent of
-/// thread scheduling.
+/// Runs the full sweep of DHash and Fast-VerDi. Cells execute on worker
+/// threads ([`sweep`]) and come back in job order, so rows and pooled
+/// counts are independent of thread scheduling.
 pub fn run_exti(params: &ExtIParams) -> Vec<ExtIRow> {
-    let reps = params.reps.max(1);
     let arms = &params.repair_arms;
-    let mut jobs = Vec::new();
-    let mut settings = Vec::new();
-    for &system in &ChurnSystem::ALL {
-        for &churn_rate in &params.churn_rates {
-            settings.push((system, churn_rate));
-            for &arm in arms {
-                for rep in 0..reps {
-                    // The seed depends on the setting and rep but not the
-                    // arm: all repair arms of a rep face the same fault
-                    // script.
-                    let cell_seed = params
-                        .seed
-                        .wrapping_add(settings.len() as u64 * 7919)
-                        .wrapping_add(rep * 15_485_863);
-                    jobs.push((system, churn_rate, arm, cell_seed));
-                }
-            }
-        }
-    }
-    let cells = par_map(&jobs, |&(system, churn_rate, arm, cell_seed)| {
-        run_exti_cell(system, params, churn_rate, arm, cell_seed)
+    let settings: Vec<_> = [DhtSystem::Dhash, DhtSystem::FastVerDi]
+        .into_iter()
+        .flat_map(|system| params.churn_rates.iter().map(move |&churn| (system, churn)))
+        .collect();
+    let jobs: Vec<_> =
+        (1..).zip(&settings).flat_map(|(n, &s)| arms.iter().map(move |&a| (n, s, a))).collect();
+    let cells = sweep(&jobs, params.reps, |&(n, (system, churn_rate), arm), rep| {
+        run_exti_cell(system, params, churn_rate, arm, cell_seed(params.seed, n, rep))
     });
-
-    // Each setting's jobs are adjacent: `reps` cells per arm, arm by arm.
     settings
         .into_iter()
-        .zip(cells.chunks(arms.len() * reps as usize))
-        .map(|((system, churn_rate), of_setting)| ExtIRow {
+        .zip(cells.chunks(arms.len()))
+        .map(|((system, churn_rate), row)| ExtIRow {
             system,
             churn_rate,
-            arms: arms
-                .iter()
-                .zip(of_setting.chunks(reps as usize))
-                .map(|(&arm, of_arm)| (arm, pooled(of_arm, ExtICell::merge)))
-                .collect(),
+            arms: arms.iter().zip(row).map(|(&a, r)| (a, pooled(r, ExtICell::merge))).collect(),
         })
         .collect()
 }
@@ -343,9 +323,9 @@ mod tests {
     #[test]
     fn exti_repair_preserves_blocks_lost_without_it() {
         let params = tiny();
-        let off = run_exti_cell(ChurnSystem::Dhash, &params, 0.5, RepairArm::Off, 11);
+        let off = run_exti_cell(DhtSystem::Dhash, &params, 0.5, RepairArm::Off, 11);
         let on = run_exti_cell(
-            ChurnSystem::Dhash,
+            DhtSystem::Dhash,
             &params,
             0.5,
             RepairArm::On(SimDuration::from_secs(10)),
@@ -363,8 +343,8 @@ mod tests {
     fn exti_cells_are_reproducible() {
         let params = tiny();
         let arm = RepairArm::On(SimDuration::from_secs(10));
-        let a = run_exti_cell(ChurnSystem::FastVerDi, &params, 0.5, arm, 11);
-        let b = run_exti_cell(ChurnSystem::FastVerDi, &params, 0.5, arm, 11);
+        let a = run_exti_cell(DhtSystem::FastVerDi, &params, 0.5, arm, 11);
+        let b = run_exti_cell(DhtSystem::FastVerDi, &params, 0.5, arm, 11);
         assert_eq!(a, b, "same seed must reproduce the cell exactly");
     }
 }

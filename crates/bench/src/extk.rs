@@ -29,46 +29,14 @@ use rand::Rng;
 
 use verme_chord::{Behaviour, Byzantine, ByzantineConfig, ChordConfig, Id, StaticRing};
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
-use verme_crypto::CertificateAuthority;
 use verme_dht::{Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant};
 use verme_sim::fault::{keys as fault_keys, ordered_selector, Fault, FaultHooks, FaultPlan};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration};
 
-use crate::testbed::{drive_dht_cell, par_map, pooled, DhtCell, HOP};
-
-/// The four variants compared.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ExtKSystem {
-    /// DHash over Chord.
-    Dhash,
-    /// Fast-VerDi over Verme.
-    FastVerDi,
-    /// Secure-VerDi over Verme (certified lookups + redundant paths).
-    SecureVerDi,
-    /// Compromise-VerDi over Verme (relayed one-hop operations).
-    CompromiseVerDi,
-}
-
-impl ExtKSystem {
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExtKSystem::Dhash => "DHash/Chord",
-            ExtKSystem::FastVerDi => "Fast-VerDi",
-            ExtKSystem::SecureVerDi => "Secure-VerDi",
-            ExtKSystem::CompromiseVerDi => "Compromise-VerDi",
-        }
-    }
-
-    /// All four variants, baseline first.
-    pub const ALL: [ExtKSystem; 4] = [
-        ExtKSystem::Dhash,
-        ExtKSystem::FastVerDi,
-        ExtKSystem::SecureVerDi,
-        ExtKSystem::CompromiseVerDi,
-    ];
-}
+use crate::testbed::{
+    cell_seed, chord_ring, drive_dht_cell, pooled, sweep, verme_ring, DhtCell, DhtSystem, HOP,
+};
 
 /// Parameters for one extK sweep.
 #[derive(Clone, Debug)]
@@ -211,10 +179,10 @@ impl ExtKCell {
 
 /// Defended DHT configuration for a variant: per-hop suspicion on
 /// everywhere, redundant-path fan-out on Secure-VerDi only.
-fn defended_config(system: ExtKSystem, params: &ExtKParams) -> DhtConfig {
+fn defended_config(system: DhtSystem, params: &ExtKParams) -> DhtConfig {
     DhtConfig {
         hop_suspicion: true,
-        lookup_fanout: if system == ExtKSystem::SecureVerDi { params.fanout.max(1) } else { 1 },
+        lookup_fanout: if system == DhtSystem::SecureVerDi { params.fanout.max(1) } else { 1 },
         ..DhtConfig::default()
     }
 }
@@ -258,54 +226,43 @@ fn adversary_seed(cell_seed: u64, addr: Addr) -> u64 {
 
 /// Runs one cell of the sweep.
 pub fn run_extk_cell(
-    system: ExtKSystem,
+    system: DhtSystem,
     params: &ExtKParams,
     fraction: f64,
     cell_seed: u64,
 ) -> ExtKCell {
-    match system {
-        ExtKSystem::Dhash => run_dhash_cell(params, fraction, cell_seed),
-        ExtKSystem::FastVerDi => run_verme_cell::<Fast, _>(system, params, fraction, cell_seed),
-        ExtKSystem::SecureVerDi => run_verme_cell::<Secure, _>(system, params, fraction, cell_seed),
-        ExtKSystem::CompromiseVerDi => {
-            run_verme_cell::<Compromise, _>(system, params, fraction, cell_seed)
-        }
+    fn verdi<V: Variant<Overlay = VermeNode<P>>, P: Payload + 'static>(
+        params: &ExtKParams,
+        cfg: DhtConfig,
+        net: UniformLatency,
+        fraction: f64,
+        cell_seed: u64,
+    ) -> ExtKCell {
+        let layout = SectionLayout::with_sections(params.sections, 2);
+        let ring = VermeStaticRing::generate(layout, params.nodes, cell_seed);
+        let vcfg = VermeConfig::new(layout);
+        let (rt, addrs, _) =
+            verme_ring(&ring, net, cell_seed, &vcfg, |o| DhtEngine::<V>::new(o, cfg.clone()));
+        let order = verme_adversary_order(&ring, &addrs, cell_seed);
+        let corrupt = |n: &mut DhtEngine<V>, b| n.overlay_mut().set_behaviour(b);
+        drive_cell(rt, addrs, order, corrupt, params, fraction, cell_seed)
     }
-}
-
-fn run_dhash_cell(params: &ExtKParams, fraction: f64, cell_seed: u64) -> ExtKCell {
-    let cfg = defended_config(ExtKSystem::Dhash, params);
-    let ring = StaticRing::random(params.nodes, cell_seed);
-    let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), cell_seed);
-    let addrs = ring.spawn(&mut rt, |pos| {
-        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
-    });
-    let order = chord_adversary_order(&ring, &addrs, cell_seed);
-    let corrupt = |n: &mut DhashNode, b| n.overlay_mut().set_behaviour(b);
-    drive_cell(rt, addrs, order, corrupt, params, fraction, cell_seed)
-}
-
-fn run_verme_cell<V, P>(
-    system: ExtKSystem,
-    params: &ExtKParams,
-    fraction: f64,
-    cell_seed: u64,
-) -> ExtKCell
-where
-    V: Variant<Overlay = VermeNode<P>>,
-    P: Payload + 'static,
-{
     let cfg = defended_config(system, params);
-    let layout = SectionLayout::with_sections(params.sections, 2);
-    let ring = VermeStaticRing::generate(layout, params.nodes, cell_seed);
-    let mut ca = CertificateAuthority::new(cell_seed);
-    let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), cell_seed);
-    let addrs = ring.spawn(&mut rt, |i| {
-        DhtEngine::<V>::new(ring.build_node(i, VermeConfig::new(layout), &mut ca), cfg.clone())
-    });
-    let order = verme_adversary_order(&ring, &addrs, cell_seed);
-    let corrupt = |n: &mut DhtEngine<V>, b| n.overlay_mut().set_behaviour(b);
-    drive_cell(rt, addrs, order, corrupt, params, fraction, cell_seed)
+    let net = UniformLatency::new(params.nodes, HOP);
+    match system {
+        DhtSystem::Dhash => {
+            let ring = StaticRing::random(params.nodes, cell_seed);
+            let (rt, addrs) = chord_ring(&ring, net, cell_seed, &ChordConfig::default(), |o| {
+                DhashNode::new(o, cfg.clone())
+            });
+            let order = chord_adversary_order(&ring, &addrs, cell_seed);
+            let corrupt = |n: &mut DhashNode, b| n.overlay_mut().set_behaviour(b);
+            drive_cell(rt, addrs, order, corrupt, params, fraction, cell_seed)
+        }
+        DhtSystem::FastVerDi => verdi::<Fast, _>(params, cfg, net, fraction, cell_seed),
+        DhtSystem::SecureVerDi => verdi::<Secure, _>(params, cfg, net, fraction, cell_seed),
+        DhtSystem::CompromiseVerDi => verdi::<Compromise, _>(params, cfg, net, fraction, cell_seed),
+    }
 }
 
 /// The shared cell ([`drive_dht_cell`]) with the adversary's binding:
@@ -402,7 +359,7 @@ fn drive_cell<N: DhtNode>(
 #[derive(Clone, Debug)]
 pub struct ExtKRow {
     /// Variant under test.
-    pub system: ExtKSystem,
+    pub system: DhtSystem,
     /// One pooled cell per swept fraction.
     pub cells: Vec<(f64, ExtKCell)>,
 }
@@ -414,42 +371,21 @@ impl ExtKRow {
     }
 }
 
-/// Runs the full sweep. Cells execute on worker threads ([`par_map`]) and
+/// Runs the full sweep. Cells execute on worker threads ([`sweep`]) and
 /// come back in job order, so rows and pooled counts are independent of
 /// thread scheduling.
 pub fn run_extk(params: &ExtKParams) -> Vec<ExtKRow> {
-    let reps = params.reps.max(1);
     let fractions = &params.adversary_fractions;
-    let mut jobs = Vec::new();
-    let mut settings = 0u64;
-    for &system in &ExtKSystem::ALL {
-        for &fraction in fractions {
-            settings += 1;
-            for rep in 0..reps {
-                let cell_seed =
-                    params.seed.wrapping_add(settings * 7919).wrapping_add(rep * 15_485_863);
-                jobs.push((system, fraction, cell_seed));
-            }
-        }
-    }
-    let cells = par_map(&jobs, |&(system, fraction, cell_seed)| {
-        run_extk_cell(system, params, fraction, cell_seed)
+    let settings = DhtSystem::ALL.iter().flat_map(|&s| fractions.iter().map(move |&f| (s, f)));
+    let jobs: Vec<_> = (1..).zip(settings).collect();
+    let cells = sweep(&jobs, params.reps, |&(n, (system, fraction)), rep| {
+        run_extk_cell(system, params, fraction, cell_seed(params.seed, n, rep))
     });
-
-    // Each variant's jobs are adjacent: `reps` cells per fraction,
-    // fraction by fraction.
-    ExtKSystem::ALL
-        .iter()
-        .zip(cells.chunks(fractions.len() * reps as usize))
-        .map(|(&system, of_system)| ExtKRow {
-            system,
-            cells: fractions
-                .iter()
-                .zip(of_system.chunks(reps as usize))
-                .map(|(&fraction, of_fraction)| (fraction, pooled(of_fraction, ExtKCell::merge)))
-                .collect(),
-        })
-        .collect()
+    // A system's settings are adjacent, one per fraction.
+    let mut pooled_cells =
+        jobs.iter().zip(&cells).map(|(&(_, (_, f)), reps)| (f, pooled(reps, ExtKCell::merge)));
+    let mut row = || pooled_cells.by_ref().take(fractions.len()).collect();
+    DhtSystem::ALL.iter().map(|&system| ExtKRow { system, cells: row() }).collect()
 }
 
 #[cfg(test)]
@@ -475,7 +411,7 @@ mod tests {
     #[test]
     fn extk_cells_are_reproducible() {
         let params = tiny();
-        for &system in &[ExtKSystem::FastVerDi, ExtKSystem::SecureVerDi] {
+        for &system in &[DhtSystem::FastVerDi, DhtSystem::SecureVerDi] {
             let a = run_extk_cell(system, &params, 0.25, 13);
             let b = run_extk_cell(system, &params, 0.25, 13);
             assert_eq!(a, b, "same seed must reproduce the {} cell exactly", system.label());
@@ -485,8 +421,8 @@ mod tests {
     #[test]
     fn extk_adversaries_degrade_lookups_and_trip_detectors() {
         let params = tiny();
-        let quiet = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.0, 13);
-        let loud = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.25, 13);
+        let quiet = run_extk_cell(DhtSystem::FastVerDi, &params, 0.0, 13);
+        let loud = run_extk_cell(DhtSystem::FastVerDi, &params, 0.25, 13);
         assert_eq!(quiet.adversaries, 0);
         assert_eq!(quiet.hijacked, 0, "no hijack detections without adversaries");
         assert_eq!(quiet.poisoned, 0, "no poison rejections without adversaries");
@@ -507,12 +443,12 @@ mod tests {
     fn extk_repair_phased_churn_is_deterministic() {
         let mut params = tiny();
         params.attack = "mixed+churn".into();
-        let a = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.25, 13);
-        let b = run_extk_cell(ExtKSystem::FastVerDi, &params, 0.25, 13);
+        let a = run_extk_cell(DhtSystem::FastVerDi, &params, 0.25, 13);
+        let b = run_extk_cell(DhtSystem::FastVerDi, &params, 0.25, 13);
         assert_eq!(a, b, "phased-churn cell must replay identically");
         assert!(a.adversaries > 0, "the Byzantine flip must still fire");
         assert_eq!(a.issued, params.gets as u64, "every get finds a live issuer");
-        let plain = run_extk_cell(ExtKSystem::FastVerDi, &tiny(), 0.25, 13);
+        let plain = run_extk_cell(DhtSystem::FastVerDi, &tiny(), 0.25, 13);
         assert_ne!(a, plain, "phased kills must actually change the run");
     }
 }

@@ -19,9 +19,8 @@
 //! key universe fixed) and exercise the invalidation path at holders.
 
 use bytes::Bytes;
-use verme_chord::Id;
+use verme_chord::{ChordConfig, Id, StaticRing};
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
-use verme_crypto::CertificateAuthority;
 use verme_dht::{
     keys as dht_keys, Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant,
 };
@@ -29,8 +28,7 @@ use verme_load::{generate_schedule, keys as load_keys, LoadProfile};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
-pub use crate::fig67::DhtSystem;
-use crate::testbed::{dhash_ring, HOP};
+use crate::testbed::{chord_ring, verme_ring, DhtSystem, HOP};
 
 /// Parameters for one Ext. L sweep.
 #[derive(Clone, Debug)]
@@ -139,12 +137,39 @@ fn dht_cfg(params: &ExtLParams, serving: bool) -> DhtConfig {
 
 /// Runs one variant at one offered load, serving features off or on.
 pub fn run_point(system: DhtSystem, params: &ExtLParams, rate: f64, serving: bool) -> LoadPoint {
+    fn verdi<V: Variant<Overlay = VermeNode<P>>, P: Payload>(
+        params: &ExtLParams,
+        rate: f64,
+        cfg: DhtConfig,
+        net: UniformLatency,
+    ) -> LoadPoint {
+        let layout = SectionLayout::with_sections(params.sections, 2);
+        let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
+        // Secure-VerDi's data rides the lookup, so the overlay's lookup
+        // deadline must not censor queueing delay: raise it to the op
+        // deadline — the experiment measures latency, not timeout-driven
+        // load shedding.
+        let vcfg = VermeConfig {
+            lookup_deadline: SimDuration::from_secs(600),
+            ..VermeConfig::new(layout)
+        };
+        let (rt, addrs, _) =
+            verme_ring(&ring, net, params.seed, &vcfg, |o| DhtEngine::<V>::new(o, cfg.clone()));
+        run_loaded(params, rate, cfg.op_deadline, rt, addrs)
+    }
     let cfg = dht_cfg(params, serving);
+    let net = UniformLatency::new(params.nodes, HOP);
     match system {
-        DhtSystem::Dhash => run_loaded(params, rate, cfg, spawn_dhash),
-        DhtSystem::FastVerDi => run_loaded(params, rate, cfg, spawn_verdi::<Fast, _>),
-        DhtSystem::SecureVerDi => run_loaded(params, rate, cfg, spawn_verdi::<Secure, _>),
-        DhtSystem::CompromiseVerDi => run_loaded(params, rate, cfg, spawn_verdi::<Compromise, _>),
+        DhtSystem::Dhash => {
+            let ring = StaticRing::random(params.nodes, params.seed);
+            let (rt, addrs) = chord_ring(&ring, net, params.seed, &ChordConfig::default(), |o| {
+                DhashNode::new(o, cfg.clone())
+            });
+            run_loaded(params, rate, cfg.op_deadline, rt, addrs)
+        }
+        DhtSystem::FastVerDi => verdi::<Fast, _>(params, rate, cfg, net),
+        DhtSystem::SecureVerDi => verdi::<Secure, _>(params, rate, cfg, net),
+        DhtSystem::CompromiseVerDi => verdi::<Compromise, _>(params, rate, cfg, net),
     }
 }
 
@@ -177,37 +202,6 @@ pub fn curve_fingerprint(points: &[LoadPoint]) -> String {
         .join("|")
 }
 
-fn spawn_dhash(
-    params: &ExtLParams,
-    cfg: DhtConfig,
-) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    dhash_ring(params.nodes, params.seed, &cfg)
-}
-
-fn spawn_verdi<V, P>(
-    params: &ExtLParams,
-    cfg: DhtConfig,
-) -> (Runtime<DhtEngine<V>, UniformLatency>, Vec<Addr>)
-where
-    V: Variant<Overlay = VermeNode<P>>,
-    P: Payload,
-{
-    let layout = SectionLayout::with_sections(params.sections, 2);
-    let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
-    let mut ca = CertificateAuthority::new(params.seed);
-    let mut rt = Runtime::new(UniformLatency::new(params.nodes, HOP), params.seed);
-    // Secure-VerDi's data rides the lookup, so the overlay's lookup
-    // deadline must not censor queueing delay: raise it to the op
-    // deadline — the experiment measures latency, not timeout-driven
-    // load shedding.
-    let mut vcfg = VermeConfig::new(layout);
-    vcfg.lookup_deadline = SimDuration::from_secs(600);
-    let addrs = ring.spawn(&mut rt, |i| {
-        DhtEngine::<V>::new(ring.build_node(i, vcfg.clone(), &mut ca), cfg.clone())
-    });
-    (rt, addrs)
-}
-
 /// The block published under rank `rank`: the rank tag keeps keys
 /// distinct, the rest is zero fill up to `block_size`.
 fn rank_value(rank: usize, block_size: usize) -> Bytes {
@@ -219,13 +213,13 @@ fn rank_value(rank: usize, block_size: usize) -> Bytes {
 
 /// Seeds the key universe, replays the schedule open-loop, drains, and
 /// reads the load metrics back out.
-fn run_loaded<N, F>(params: &ExtLParams, rate: f64, cfg: DhtConfig, spawn: F) -> LoadPoint
-where
-    N: DhtNode,
-    F: Fn(&ExtLParams, DhtConfig) -> (Runtime<N, UniformLatency>, Vec<Addr>),
-{
-    let deadline = cfg.op_deadline;
-    let (mut rt, addrs) = spawn(params, cfg);
+fn run_loaded<N: DhtNode>(
+    params: &ExtLParams,
+    rate: f64,
+    deadline: SimDuration,
+    mut rt: Runtime<N, UniformLatency>,
+    addrs: Vec<Addr>,
+) -> LoadPoint {
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
 
     // Scale the profile to this sweep point: same shape, same universe,

@@ -33,7 +33,7 @@ use verme_sim::fault::{keys as fault_keys, Fault, FaultHooks, FaultPlan, FaultRu
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Node, Runtime, SeedSource, SimDuration, SimTime};
 
-use crate::testbed::{churn_hooks, departures, par_map, pooled, verme_joiner, HOP};
+use crate::testbed::{cell_seed, churn_hooks, departures, pooled, sweep, verme_joiner, HOP};
 
 /// Which overlay variant a cell runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -326,46 +326,28 @@ pub struct ExtMRow {
     pub corrected: ExtMCell,
 }
 
-/// Runs the full sweep. Cells execute on worker threads ([`par_map`]) and
+/// Runs the full sweep. Cells execute on worker threads ([`sweep`]) and
 /// come back in job order, so rows and pooled counts are independent of
 /// thread scheduling.
 pub fn run_extm(params: &ExtMParams) -> Vec<ExtMRow> {
-    let reps = params.reps.max(1);
-    let mut jobs = Vec::new();
-    let mut settings = Vec::new();
-    for &variant in &ExtMVariant::ALL {
-        for &churn_rate in &params.churn_rates {
-            settings.push((variant, churn_rate));
-            for mode in [MaintenanceMode::Legacy, MaintenanceMode::Corrected] {
-                for rep in 0..reps {
-                    // The seed depends on the setting and rep but not the
-                    // mode: both arms face the same fault script.
-                    let cell_seed = params
-                        .seed
-                        .wrapping_add(settings.len() as u64 * 7919)
-                        .wrapping_add(rep * 15_485_863);
-                    jobs.push((variant, mode, churn_rate, cell_seed));
-                }
-            }
-        }
-    }
-    let cells = par_map(&jobs, |&(variant, mode, churn_rate, cell_seed)| {
-        run_extm_cell(variant, mode, params, churn_rate, cell_seed)
+    let settings: Vec<_> = ExtMVariant::ALL
+        .iter()
+        .flat_map(|&variant| params.churn_rates.iter().map(move |&churn| (variant, churn)))
+        .collect();
+    let modes = [MaintenanceMode::Legacy, MaintenanceMode::Corrected];
+    let jobs: Vec<_> =
+        (1..).zip(&settings).flat_map(|(n, &setting)| modes.map(|m| (n, setting, m))).collect();
+    let cells = sweep(&jobs, params.reps, |&(n, (variant, churn_rate), mode), rep| {
+        run_extm_cell(variant, mode, params, churn_rate, cell_seed(params.seed, n, rep))
     });
-
-    // Each setting's jobs are adjacent: `reps` legacy cells, then `reps`
-    // corrected cells.
     settings
         .into_iter()
-        .zip(cells.chunks(2 * reps as usize))
-        .map(|((variant, churn_rate), arms)| {
-            let (legacy, corrected) = arms.split_at(reps as usize);
-            ExtMRow {
-                variant,
-                churn_rate,
-                legacy: pooled(legacy, ExtMCell::merge),
-                corrected: pooled(corrected, ExtMCell::merge),
-            }
+        .zip(cells.chunks(2))
+        .map(|((variant, churn_rate), arms)| ExtMRow {
+            variant,
+            churn_rate,
+            legacy: pooled(&arms[0], ExtMCell::merge),
+            corrected: pooled(&arms[1], ExtMCell::merge),
         })
         .collect()
 }

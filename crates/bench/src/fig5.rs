@@ -15,14 +15,12 @@ use rand::Rng;
 
 use verme_chord::{ChordConfig, ChordNode, Id, LookupMode, StaticRing};
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
-use verme_crypto::CertificateAuthority;
-use verme_net::KingMatrix;
 use verme_sim::rng::exp_duration;
 use verme_sim::{
     Addr, EventQueue, HostId, LatencyModel, Node, Runtime, SeedSource, SimDuration, SimTime,
 };
 
-use crate::testbed::{chord_lookup, par_map, verme_joiner};
+use crate::testbed::{chord_lookup, chord_ring, king, sweep, verme_joiner, verme_ring};
 use crate::CliArgs;
 
 /// Which overlay/lookup configuration a Figure 5 series uses.
@@ -150,24 +148,19 @@ pub fn run_sweep(
     reps: u64,
     args: &CliArgs,
 ) -> Vec<Vec<Vec<Fig5Result>>> {
-    let jobs: Vec<(usize, Fig5System, u64)> = (0..lifetimes.len())
-        .flat_map(|li| systems.iter().flat_map(move |&sys| (0..reps).map(move |r| (li, sys, r))))
-        .collect();
-    let mut results = par_map(&jobs, |&(li, sys, rep)| {
+    let jobs: Vec<(usize, Fig5System)> =
+        (0..lifetimes.len()).flat_map(|li| systems.iter().map(move |&sys| (li, sys))).collect();
+    let mut points = sweep(&jobs, reps, |&(li, sys), rep| {
         let seed = args.seed.wrapping_add(rep * 7919).wrapping_add(li as u64 * 104729);
-        let mut params = if args.full {
-            Fig5Params::paper(lifetimes[li], seed)
-        } else {
-            Fig5Params::quick(lifetimes[li], seed)
-        };
+        let scale = if args.full { Fig5Params::paper } else { Fig5Params::quick };
+        let mut params = scale(lifetimes[li], seed);
         if let Some(h) = args.hours {
             params.sim_time = SimDuration::from_hours(h);
         }
         run_fig5(sys, &params)
     })
     .into_iter();
-    let mut point = || results.by_ref().take(reps as usize).collect();
-    lifetimes.iter().map(|_| systems.iter().map(|_| point()).collect()).collect()
+    lifetimes.iter().map(|_| points.by_ref().take(systems.len()).collect()).collect()
 }
 
 /// Generic churn + workload driver.
@@ -277,13 +270,11 @@ fn collect<N: Node, L: LatencyModel>(rt: &mut Runtime<N, L>, params: &Fig5Params
 
 fn run_chord(params: &Fig5Params, mode: LookupMode) -> Fig5Result {
     let src = SeedSource::new(params.seed);
-    let king = KingMatrix::synthetic(params.nodes, verme_net::king::KING_MEAN_RTT_MS, params.seed);
-    let mut rt: Runtime<ChordNode, KingMatrix> = Runtime::new(king, params.seed);
     let cfg = ChordConfig { lookup_mode: mode, ..ChordConfig::default() };
-
     // Converged initial population, one node per King host.
     let ring = StaticRing::random(params.nodes, params.seed);
-    ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
+    let net = king(params.nodes, params.seed);
+    let (mut rt, _) = chord_ring(&ring, net, params.seed, &cfg, |o| o);
 
     let mut join_rng = src.stream("join-ids");
     drive(
@@ -301,12 +292,9 @@ fn run_chord(params: &Fig5Params, mode: LookupMode) -> Fig5Result {
 fn run_verme(params: &Fig5Params) -> Fig5Result {
     let src = SeedSource::new(params.seed);
     let cfg = VermeConfig::new(SectionLayout::with_sections(params.sections, 2));
-    let king = KingMatrix::synthetic(params.nodes, verme_net::king::KING_MEAN_RTT_MS, params.seed);
-    let mut rt: Runtime<VermeNode<()>, KingMatrix> = Runtime::new(king, params.seed);
-    let mut ca = CertificateAuthority::new(params.seed);
-
     let ring = VermeStaticRing::generate(cfg.layout, params.nodes, params.seed);
-    ring.spawn(&mut rt, |i| ring.build_node(i, cfg.clone(), &mut ca));
+    let net = king(params.nodes, params.seed);
+    let (mut rt, _, ca) = verme_ring(&ring, net, params.seed, &cfg, |o: VermeNode<()>| o);
 
     let mut join_rng = src.stream("join-ids");
     let mut joiner = verme_joiner(cfg, ca);

@@ -11,46 +11,12 @@ use rand::Rng;
 
 use verme_chord::{ChordConfig, Id, StaticRing};
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
-use verme_crypto::CertificateAuthority;
 use verme_dht::{Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant};
 use verme_net::{TransitStub, TransitStubConfig};
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
-use crate::testbed::par_map;
+use crate::testbed::{chord_ring, sweep, verme_ring, DhtSystem};
 use crate::CliArgs;
-
-/// The four systems compared in Figures 6 and 7.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DhtSystem {
-    /// DHash over Chord (the baseline).
-    Dhash,
-    /// Fast-VerDi.
-    FastVerDi,
-    /// Secure-VerDi.
-    SecureVerDi,
-    /// Compromise-VerDi.
-    CompromiseVerDi,
-}
-
-impl DhtSystem {
-    /// Figure label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DhtSystem::Dhash => "DHash",
-            DhtSystem::FastVerDi => "Fast-VerDi",
-            DhtSystem::SecureVerDi => "Secure-VerDi",
-            DhtSystem::CompromiseVerDi => "Compromise-VerDi",
-        }
-    }
-
-    /// All four systems, in the paper's order.
-    pub const ALL: [DhtSystem; 4] = [
-        DhtSystem::Dhash,
-        DhtSystem::FastVerDi,
-        DhtSystem::SecureVerDi,
-        DhtSystem::CompromiseVerDi,
-    ];
-}
 
 /// Parameters for one Figure 6/7 run.
 #[derive(Clone, Debug)]
@@ -99,11 +65,30 @@ pub struct Fig67Result {
 
 /// Runs one system's Figure 6/7 measurement.
 pub fn run_fig67(system: DhtSystem, params: &Fig67Params) -> Fig67Result {
+    fn verdi<V: Variant<Overlay = VermeNode<P>>, P: Payload>(
+        params: &Fig67Params,
+        net: TransitStub,
+    ) -> Fig67Result {
+        let layout = SectionLayout::with_sections(params.sections, 2);
+        let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
+        let (rt, addrs, _) = verme_ring(&ring, net, params.seed, &VermeConfig::new(layout), |o| {
+            DhtEngine::<V>::new(o, DhtConfig::default())
+        });
+        measure(params, rt, addrs)
+    }
+    let hosts = TransitStubConfig { hosts: params.nodes, ..TransitStubConfig::default() };
+    let net = TransitStub::generate(hosts, params.seed ^ 0x6E7);
     match system {
-        DhtSystem::Dhash => run_generic(params, spawn_dhash),
-        DhtSystem::FastVerDi => run_generic(params, spawn_verdi::<Fast, _>),
-        DhtSystem::SecureVerDi => run_generic(params, spawn_verdi::<Secure, _>),
-        DhtSystem::CompromiseVerDi => run_generic(params, spawn_verdi::<Compromise, _>),
+        DhtSystem::Dhash => {
+            let ring = StaticRing::random(params.nodes, params.seed);
+            let (rt, addrs) = chord_ring(&ring, net, params.seed, &ChordConfig::default(), |o| {
+                DhashNode::new(o, DhtConfig::default())
+            });
+            measure(params, rt, addrs)
+        }
+        DhtSystem::FastVerDi => verdi::<Fast, _>(params, net),
+        DhtSystem::SecureVerDi => verdi::<Secure, _>(params, net),
+        DhtSystem::CompromiseVerDi => verdi::<Compromise, _>(params, net),
     }
 }
 
@@ -112,47 +97,11 @@ pub fn run_fig67(system: DhtSystem, params: &Fig67Params) -> Fig67Result {
 /// repetitions of `DhtSystem::ALL[s]` in repetition order, so folds over
 /// it do not depend on thread scheduling.
 pub fn run_sweep(reps: u64, args: &CliArgs) -> Vec<Vec<Fig67Result>> {
-    let jobs: Vec<(DhtSystem, u64)> =
-        DhtSystem::ALL.iter().flat_map(|&sys| (0..reps).map(move |rep| (sys, rep))).collect();
-    let mut results = par_map(&jobs, |&(sys, rep)| {
+    sweep(&DhtSystem::ALL, reps, |&sys, rep| {
         let seed = args.seed.wrapping_add(rep * 6151);
         let params = if args.full { Fig67Params::paper(seed) } else { Fig67Params::quick(seed) };
         run_fig67(sys, &params)
     })
-    .into_iter();
-    DhtSystem::ALL.iter().map(|_| results.by_ref().take(reps as usize).collect()).collect()
-}
-
-fn network(params: &Fig67Params) -> TransitStub {
-    TransitStub::generate(
-        TransitStubConfig { hosts: params.nodes, ..TransitStubConfig::default() },
-        params.seed ^ 0x6E7,
-    )
-}
-
-fn spawn_dhash(params: &Fig67Params) -> (Runtime<DhashNode, TransitStub>, Vec<Addr>) {
-    let ring = StaticRing::random(params.nodes, params.seed);
-    let mut rt = Runtime::new(network(params), params.seed);
-    let addrs = ring.spawn(&mut rt, |pos| {
-        DhashNode::new(ring.build_node(pos, ChordConfig::default()), DhtConfig::default())
-    });
-    (rt, addrs)
-}
-
-fn spawn_verdi<V, P>(params: &Fig67Params) -> (Runtime<DhtEngine<V>, TransitStub>, Vec<Addr>)
-where
-    V: Variant<Overlay = VermeNode<P>>,
-    P: Payload,
-{
-    let layout = SectionLayout::with_sections(params.sections, 2);
-    let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
-    let mut ca = CertificateAuthority::new(params.seed);
-    let mut rt = Runtime::new(network(params), params.seed);
-    let addrs = ring.spawn(&mut rt, |i| {
-        let overlay = ring.build_node(i, VermeConfig::new(layout), &mut ca);
-        DhtEngine::<V>::new(overlay, DhtConfig::default())
-    });
-    (rt, addrs)
 }
 
 /// The measurement schedule, shared by all systems:
@@ -164,12 +113,11 @@ where
 /// the delta of `bytes.lookup + bytes.data` across each phase divided by
 /// the operation count (background `bytes.replication` excluded, as in
 /// the paper).
-fn run_generic<N, F>(params: &Fig67Params, spawn: F) -> Fig67Result
-where
-    N: DhtNode,
-    F: Fn(&Fig67Params) -> (Runtime<N, TransitStub>, Vec<Addr>),
-{
-    let (mut rt, addrs) = spawn(params);
+fn measure<N: DhtNode>(
+    params: &Fig67Params,
+    mut rt: Runtime<N, TransitStub>,
+    addrs: Vec<Addr>,
+) -> Fig67Result {
     let mut rng = SeedSource::new(params.seed).stream("workload");
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
 

@@ -27,10 +27,11 @@
 //! * [`exto`] — chaos search (extension O): four `verme-chaos`
 //!   explorations, two positive controls and two hardened arms.
 //! * [`testbed`] — what every module above and every `*_check` bin is
-//!   built from beyond the crates' own constructors: the Verme joiner and
-//!   churn hooks, the DHash ring and the DHT fault-sweep cell, the
-//!   King-matrix lookup run, the check bins' verdicts and fingerprints,
-//!   the side-file directory, and `par_map`, the one sweep fan-out.
+//!   built from beyond the crates' own constructors: one Chord and one
+//!   Verme ring builder, the four DHT systems, the Verme joiner and churn
+//!   hooks, the DHT fault-sweep cell, the King-matrix lookup run, the
+//!   check bins' verdicts and fingerprints, the side-file directory, and
+//!   `sweep`, the one jobs × repetitions fan-out, with its seed rule.
 //!
 //! The `src/bin/` binaries print each figure's table at paper scale
 //! (`--full`) or a laptop-quick scale (default). How fast they run is
@@ -52,33 +53,50 @@ pub mod fig8;
 pub mod plot;
 pub mod testbed;
 
-/// Parses the common `--full` / `--seed N` / `--reps N` binary arguments.
+/// The usage line every bin prints beside a rejected argument.
+const USAGE: &str = "usage: [--full] [--seed N] [--reps N] [--hours H] [--trace FILE] [--monitor] \
+                     [--load PROFILE]";
+
+/// The arguments every bin accepts: `--full`, `--seed N`, `--reps N`,
+/// `--hours H`, `--trace FILE`, `--monitor`, `--load PROFILE`.
 #[derive(Clone, Debug)]
 pub struct CliArgs {
     /// Run at the paper's full scale.
     pub full: bool,
     /// Master seed.
     pub seed: u64,
-    /// Repetition override, if given.
+    /// Repetition override, if given (at least 1).
     pub reps: Option<u64>,
-    /// Simulated-hours override for the churn experiments, if given.
+    /// Simulated-hours override for the churn experiments, if given (at
+    /// least 1).
     pub hours: Option<u64>,
     /// Where to dump a flight-recorder NDJSON trace, if requested.
     pub trace: Option<String>,
     /// Attach the live monitor and print its run-health report.
     pub monitor: bool,
-    /// A `verme-load` workload profile spec (e.g. `zipf@10`, `bursty`),
-    /// for the binaries that can replay real-traffic workloads.
-    pub load: Option<String>,
+    /// A `verme-load` workload profile (`zipf@10`, `bursty`, …), for the
+    /// binaries that can replay real-traffic workloads.
+    pub load: Option<verme_load::LoadProfile>,
 }
 
 impl CliArgs {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// Parses `std::env::args`. A rejected argument prints the reason and
+    /// the usage line to stderr and exits with status 2.
     pub fn parse() -> CliArgs {
+        CliArgs::from_args(std::env::args().skip(1)).unwrap_or_else(|why| {
+            eprintln!("{why}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses the arguments that follow the program name.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a missing or non-integer value, `--reps 0`,
+    /// `--hours 0`, or a `--load` spec that
+    /// [`LoadProfile::parse`](verme_load::LoadProfile::parse) refuses.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<CliArgs, String> {
         let mut out = CliArgs {
             full: false,
             seed: 42,
@@ -88,44 +106,89 @@ impl CliArgs {
             monitor: false,
             load: None,
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} requires a value"));
+            let int = |v: String| {
+                v.parse::<u64>().map_err(|_| format!("{flag} requires an integer, got {v:?}"))
+            };
+            match flag.as_str() {
                 "--full" => out.full = true,
                 "--monitor" => out.monitor = true,
-                "--seed" => {
-                    out.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed requires an integer");
-                }
-                "--reps" => {
-                    out.reps = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--reps requires an integer"),
-                    );
-                }
-                "--hours" => {
-                    out.hours = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--hours requires an integer"),
-                    );
-                }
-                "--trace" => {
-                    out.trace = Some(args.next().expect("--trace requires a file path"));
-                }
-                "--load" => {
-                    out.load = Some(args.next().expect("--load requires a profile spec"));
-                }
-                other => panic!(
-                    "unknown argument {other}; usage: \
-                     [--full] [--seed N] [--reps N] [--hours H] [--trace FILE] [--monitor] \
-                     [--load PROFILE]"
-                ),
+                "--seed" => out.seed = int(value()?)?,
+                "--reps" => out.reps = Some(int(value()?)?),
+                "--hours" => out.hours = Some(int(value()?)?),
+                "--trace" => out.trace = Some(value()?),
+                "--load" => out.load = Some(verme_load::LoadProfile::parse(&value()?)?),
+                other => return Err(format!("unknown argument {other}")),
             }
         }
-        out
+        for (flag, n) in [("--reps", out.reps), ("--hours", out.hours)] {
+            if n == Some(0) {
+                return Err(format!("{flag} must be at least 1"));
+            }
+        }
+        Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<CliArgs, String> {
+        CliArgs::from_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn cli_defaults_and_every_flag_parse() {
+        let plain = parse(&[]).expect("no arguments is valid");
+        assert!(!plain.full && !plain.monitor && plain.load.is_none());
+        assert_eq!((plain.seed, plain.reps, plain.hours, plain.trace), (42, None, None, None));
+
+        let all = parse(&[
+            "--full",
+            "--seed",
+            "7",
+            "--reps",
+            "3",
+            "--hours",
+            "2",
+            "--trace",
+            "t.ndjson",
+            "--monitor",
+            "--load",
+            "bursty@5",
+        ])
+        .expect("every flag is valid");
+        assert!(all.full && all.monitor);
+        assert_eq!((all.seed, all.reps, all.hours), (7, Some(3), Some(2)));
+        assert_eq!(all.trace.as_deref(), Some("t.ndjson"));
+        assert_eq!(all.load.map(|p| p.name), Some("bursty".to_string()));
+    }
+
+    #[test]
+    fn cli_rejects_unknown_flags_and_missing_or_non_integer_values() {
+        assert_eq!(parse(&["--fast"]).unwrap_err(), "unknown argument --fast");
+        assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed requires a value");
+        assert_eq!(parse(&["--full", "--trace"]).unwrap_err(), "--trace requires a value");
+        assert_eq!(parse(&["--seed", "x"]).unwrap_err(), "--seed requires an integer, got \"x\"");
+        assert!(parse(&["--reps", "-1"]).is_err());
+        assert!(parse(&["--hours", "1.5"]).is_err());
+    }
+
+    #[test]
+    fn cli_rejects_zero_reps_and_zero_hours() {
+        assert_eq!(parse(&["--reps", "0"]).unwrap_err(), "--reps must be at least 1");
+        assert_eq!(parse(&["--hours", "0"]).unwrap_err(), "--hours must be at least 1");
+        assert_eq!(parse(&["--reps", "1", "--hours", "1"]).unwrap().reps, Some(1));
+    }
+
+    #[test]
+    fn cli_rejects_a_load_spec_the_profile_parser_refuses() {
+        for spec in ["bogus", "zipf@x", "zipf@0"] {
+            let why = parse(&["--load", spec]).unwrap_err();
+            assert_eq!(Err(why), verme_load::LoadProfile::parse(spec).map(|p| p.name));
+        }
     }
 }

@@ -9,12 +9,14 @@
 //! seeding in [`verme_chaos`]. This module holds what is left — the
 //! pieces that need Verme certificates, the King matrix or a thread pool:
 //!
+//! * [`chord_ring`], [`verme_ring`] — a converged ring of either overlay
+//!   family on any network, each member wrapped by the caller (bare, or
+//!   under a DHT variant);
+//! * [`DhtSystem`] — the four DHT systems, in the paper's order;
 //! * [`verme_joiner`] and [`churn_hooks`] — the fault-plane binding of a
 //!   churn cell;
-//! * [`dhash_ring`] — the DHash ring the DHT cells and check bins start
-//!   from;
-//! * [`king_chord_ring`], [`lookup_workload`], [`chord_lookup`] — the
-//!   fault-free lookup run the observer check bins compare against itself;
+//! * [`king`], [`lookup_run_config`], [`lookup_workload`], [`chord_lookup`] —
+//!   the fault-free lookup run the observer check bins compare against itself;
 //! * [`DhtCell`], [`drive_dht_cell`], [`run_churn_cell`], [`departures`] —
 //!   the cell of the DHT fault sweeps (extG, extI, extK): seed blocks,
 //!   run a fault plan under gets spread evenly across the window, drain,
@@ -22,8 +24,9 @@
 //! * [`Checks`], [`run_fingerprint`], [`same_bytes`] — a check bin's
 //!   verdict lines, exit status and byte-identity comparison;
 //! * [`artifact_dir`] — where a bin's side files land;
-//! * [`par_map`], [`pooled`], [`mean_of`] — the sweep fan-out and the
-//!   folds of a setting's repetitions.
+//! * [`sweep`], [`cell_seed`], [`pooled`], [`mean_of`] — every sweep's
+//!   jobs × repetitions fan-out, the seed rule most of them share, and the
+//!   folds of a setting's repetitions; [`par_map`] is the pool under it.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -37,7 +40,9 @@ use verme_chaos::seed_blocks;
 use verme_chord::{ring_converged, ChordConfig, ChordNode, Id, LookupMode, RingNode, StaticRing};
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::{CertificateAuthority, NodeType};
-use verme_dht::{DhashNode, DhtConfig, DhtNode, DurabilityCensus, FastVerDiNode};
+use verme_dht::{
+    Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, DurabilityCensus, Fast, Secure, Variant,
+};
 use verme_net::KingMatrix;
 use verme_obs::Registry;
 use verme_sim::fault::{
@@ -49,6 +54,73 @@ use verme_sim::{Addr, LatencyModel, MetricDesc, Node, Runtime, SeedSource, SimDu
 
 /// Per-hop one-way latency of the uniform network.
 pub const HOP: SimDuration = SimDuration::from_millis(20);
+
+/// A converged Chord ring on `net`: every member of `ring` built under
+/// `cfg` and wrapped by `wrap` (`|o| o` for bare Chord, `|o|
+/// DhashNode::new(o, dht.clone())` for DHash), spawned in address order
+/// on a runtime seeded with `seed`. Returns the runtime and the members'
+/// addresses by ring position.
+pub fn chord_ring<N: Node, L: LatencyModel>(
+    ring: &StaticRing,
+    net: L,
+    seed: u64,
+    cfg: &ChordConfig,
+    mut wrap: impl FnMut(ChordNode) -> N,
+) -> (Runtime<N, L>, Vec<Addr>) {
+    let mut rt = Runtime::new(net, seed);
+    let addrs = ring.spawn(&mut rt, |pos| wrap(ring.build_node(pos, cfg.clone())));
+    (rt, addrs)
+}
+
+/// The Verme counterpart of [`chord_ring`]: members are certified, in
+/// ring order, by an authority seeded with `seed`, which comes back with
+/// the runtime so replacements can be certified by it too
+/// ([`verme_joiner`]).
+pub fn verme_ring<P: Payload, N: Node, L: LatencyModel>(
+    ring: &VermeStaticRing,
+    net: L,
+    seed: u64,
+    cfg: &VermeConfig,
+    mut wrap: impl FnMut(VermeNode<P>) -> N,
+) -> (Runtime<N, L>, Vec<Addr>, CertificateAuthority) {
+    let mut ca = CertificateAuthority::new(seed);
+    let mut rt = Runtime::new(net, seed);
+    let addrs = ring.spawn(&mut rt, |i| wrap(ring.build_node(i, cfg.clone(), &mut ca)));
+    (rt, addrs, ca)
+}
+
+/// The four DHT systems the paper compares (§7.2).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum DhtSystem {
+    /// DHash over Chord (the baseline).
+    Dhash,
+    /// Fast-VerDi over Verme.
+    FastVerDi,
+    /// Secure-VerDi over Verme (certified lookups, data on the lookup).
+    SecureVerDi,
+    /// Compromise-VerDi over Verme (relayed operations).
+    CompromiseVerDi,
+}
+
+impl DhtSystem {
+    /// Figure label.
+    pub fn label(self) -> &'static str {
+        match self {
+            DhtSystem::Dhash => "DHash",
+            DhtSystem::FastVerDi => "Fast-VerDi",
+            DhtSystem::SecureVerDi => "Secure-VerDi",
+            DhtSystem::CompromiseVerDi => "Compromise-VerDi",
+        }
+    }
+
+    /// All four systems, in the paper's order.
+    pub const ALL: [DhtSystem; 4] = [
+        DhtSystem::Dhash,
+        DhtSystem::FastVerDi,
+        DhtSystem::SecureVerDi,
+        DhtSystem::CompromiseVerDi,
+    ];
+}
 
 /// How a replacement Verme node comes to be: draw its type (an even
 /// coin, which keeps the split balanced), let the layout assign an id of
@@ -93,37 +165,21 @@ where
     }
 }
 
-/// A converged DHash-over-Chord ring of `nodes` nodes under `cfg` on the
-/// uniform network, with its members' addresses by ring position.
-pub fn dhash_ring(
-    nodes: usize,
-    seed: u64,
-    cfg: &DhtConfig,
-) -> (Runtime<DhashNode, UniformLatency>, Vec<Addr>) {
-    let ring = StaticRing::random(nodes, seed);
-    let mut rt = Runtime::new(UniformLatency::new(nodes, HOP), seed);
-    let addrs = ring.spawn(&mut rt, |pos| {
-        DhashNode::new(ring.build_node(pos, ChordConfig::default()), cfg.clone())
-    });
-    (rt, addrs)
+/// The synthetic King matrix of `nodes` hosts at the paper's mean RTT.
+pub fn king(nodes: usize, seed: u64) -> KingMatrix {
+    KingMatrix::synthetic(nodes, verme_net::king::KING_MEAN_RTT_MS, seed)
 }
 
-/// A converged recursive-lookup Chord ring, one node per host of a
-/// synthetic King matrix, with its members' addresses by ring position.
-/// The timeouts are generous so the matrix's latency tail never trips
-/// one: the run is reroute-free and its hop counts are exact.
-pub fn king_chord_ring(nodes: usize, seed: u64) -> (Runtime<ChordNode, KingMatrix>, Vec<Addr>) {
-    let cfg = ChordConfig {
+/// The Chord side of the fault-free lookup run: recursive, with timeouts
+/// so generous that the King matrix's latency tail never trips one, so
+/// the run is reroute-free and its hop counts are exact.
+pub fn lookup_run_config() -> ChordConfig {
+    ChordConfig {
         lookup_mode: LookupMode::Recursive,
         hop_timeout: SimDuration::from_secs(20),
         lookup_deadline: SimDuration::from_secs(60),
         ..ChordConfig::default()
-    };
-    let ring = StaticRing::random(nodes, seed);
-    let king = KingMatrix::synthetic(nodes, verme_net::king::KING_MEAN_RTT_MS, seed);
-    let mut rt = Runtime::new(king, seed);
-    let addrs = ring.spawn(&mut rt, |pos| ring.build_node(pos, cfg.clone()));
-    (rt, addrs)
+    }
 }
 
 /// Starts a lookup for `key` at `addr` if that node has joined.
@@ -250,34 +306,11 @@ pub fn drive_dht_cell<N: DhtNode>(
     }
 }
 
-/// The two systems the churn sweeps (extG, extI) compare: the baseline
-/// and the paper's fast variant.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ChurnSystem {
-    /// DHash over Chord.
-    Dhash,
-    /// Fast-VerDi over Verme.
-    FastVerDi,
-}
-
-impl ChurnSystem {
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ChurnSystem::Dhash => "DHash/Chord",
-            ChurnSystem::FastVerDi => "Fast-VerDi/Verme",
-        }
-    }
-
-    /// Both systems, baseline first.
-    pub const ALL: [ChurnSystem; 2] = [ChurnSystem::Dhash, ChurnSystem::FastVerDi];
-}
-
 /// One churn cell: a converged ring of `system` under `cfg` with
 /// [`churn_hooks`], driven by [`drive_dht_cell`] with each get asked by a
 /// random live member of the original population.
 pub fn run_churn_cell(
-    system: ChurnSystem,
+    system: DhtSystem,
     cell: &DhtCell,
     cfg: DhtConfig,
     seed: u64,
@@ -291,30 +324,39 @@ pub fn run_churn_cell(
         let live: Vec<Addr> = members.iter().copied().filter(|&a| rt.is_alive(a)).collect();
         (!live.is_empty()).then(|| live[rng.gen_range(0..live.len())])
     }
+    fn verdi<V: Variant<Overlay = VermeNode<P>>, P: Payload + 'static>(
+        cell: &DhtCell,
+        cfg: DhtConfig,
+        seed: u64,
+        net: UniformLatency,
+        plan: impl FnOnce(SimTime) -> FaultPlan,
+    ) -> CellOutcome {
+        let vcfg = VermeConfig::new(SectionLayout::with_sections(cell.sections, 2));
+        let ring = VermeStaticRing::generate(vcfg.layout, cell.nodes, seed);
+        let (rt, addrs, ca) =
+            verme_ring(&ring, net, seed, &vcfg, |o| DhtEngine::<V>::new(o, cfg.clone()));
+        let mut joiner = verme_joiner(vcfg, ca);
+        let hooks = churn_hooks(&addrs, seed, move |rng, bootstrap| {
+            DhtEngine::<V>::new(joiner(rng, bootstrap), cfg.clone())
+        });
+        drive_dht_cell(rt, addrs, hooks, cell, seed, plan, live_member)
+    }
+    let net = UniformLatency::new(cell.nodes, HOP);
     match system {
-        ChurnSystem::Dhash => {
-            let (rt, addrs) = dhash_ring(cell.nodes, seed, &cfg);
+        DhtSystem::Dhash => {
+            let ring = StaticRing::random(cell.nodes, seed);
+            let chord = ChordConfig::default();
+            let (rt, addrs) =
+                chord_ring(&ring, net, seed, &chord, |o| DhashNode::new(o, cfg.clone()));
             let hooks = churn_hooks(&addrs, seed, move |rng, bootstrap| {
-                let overlay =
-                    ChordNode::joining(Id::random(rng), ChordConfig::default(), bootstrap);
+                let overlay = ChordNode::joining(Id::random(rng), chord.clone(), bootstrap);
                 DhashNode::new(overlay, cfg.clone())
             });
             drive_dht_cell(rt, addrs, hooks, cell, seed, plan, live_member)
         }
-        ChurnSystem::FastVerDi => {
-            let vcfg = VermeConfig::new(SectionLayout::with_sections(cell.sections, 2));
-            let ring = VermeStaticRing::generate(vcfg.layout, cell.nodes, seed);
-            let mut ca = CertificateAuthority::new(seed);
-            let mut rt = Runtime::new(UniformLatency::new(cell.nodes, HOP), seed);
-            let addrs = ring.spawn(&mut rt, |i| {
-                FastVerDiNode::new(ring.build_node(i, vcfg.clone(), &mut ca), cfg.clone())
-            });
-            let mut joiner = verme_joiner(vcfg, ca);
-            let hooks = churn_hooks(&addrs, seed, move |rng, bootstrap| {
-                FastVerDiNode::new(joiner(rng, bootstrap), cfg.clone())
-            });
-            drive_dht_cell(rt, addrs, hooks, cell, seed, plan, live_member)
-        }
+        DhtSystem::FastVerDi => verdi::<Fast, _>(cell, cfg, seed, net, plan),
+        DhtSystem::SecureVerDi => verdi::<Secure, _>(cell, cfg, seed, net, plan),
+        DhtSystem::CompromiseVerDi => verdi::<Compromise, _>(cell, cfg, seed, net, plan),
     }
 }
 
@@ -325,6 +367,26 @@ pub fn departures(delta: &BTreeMap<&'static str, u64>) -> u64 {
         .iter()
         .map(|k| delta.get(k).copied().unwrap_or(0))
         .sum()
+}
+
+/// `cell(job, rep)` for every job × repetition `0..reps`, on [`par_map`]'s
+/// pool: `out[j]` holds job `j`'s results in repetition order, whatever
+/// order the cells finish in.
+pub fn sweep<J: Sync, C: Send>(
+    jobs: &[J],
+    reps: u64,
+    cell: impl Fn(&J, u64) -> C + Sync,
+) -> Vec<Vec<C>> {
+    let runs: Vec<(&J, u64)> = jobs.iter().flat_map(|j| (0..reps).map(move |r| (j, r))).collect();
+    let mut out = par_map(&runs, |&(job, rep)| cell(job, rep)).into_iter();
+    jobs.iter().map(|_| out.by_ref().take(reps as usize).collect()).collect()
+}
+
+/// The seed of repetition `rep` of a sweep's `setting`-th setting
+/// (counted from 1) under master seed `seed`. Every arm of a setting
+/// shares it, so the arms of a repetition face the same fault script.
+pub fn cell_seed(seed: u64, setting: usize, rep: u64) -> u64 {
+    seed.wrapping_add(setting as u64 * 7919).wrapping_add(rep * 15_485_863)
 }
 
 /// One sweep setting's repetitions pooled into a single cell, in slot
@@ -474,6 +536,32 @@ mod tests {
         });
         assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(par_map(&[] as &[usize], |&i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn sweep_groups_results_per_job_in_rep_order() {
+        let parallel = std::thread::available_parallelism().map_or(4, |n| n.get()) > 1;
+        let jobs = ["first", "second", "third"];
+        let finished = AtomicUsize::new(0);
+        let out = sweep(&jobs, 3, |&job, rep| {
+            // The first job's first cell is held back until every other
+            // cell has finished, so the first job completes last.
+            while parallel && (job, rep) == ("first", 0) && finished.load(Ordering::SeqCst) < 8 {
+                std::thread::yield_now();
+            }
+            finished.fetch_add(1, Ordering::SeqCst);
+            format!("{job}/{rep}")
+        });
+        let want: Vec<Vec<String>> =
+            jobs.iter().map(|j| (0..3).map(|r| format!("{j}/{r}")).collect()).collect();
+        assert_eq!(out, want);
+
+        let single = sweep(&jobs, 1, |&job, rep| (job, rep));
+        assert_eq!(single, vec![vec![("first", 0)], vec![("second", 0)], vec![("third", 0)]]);
+        assert_eq!(sweep(&[] as &[u8], 3, |&j, _| j), Vec::<Vec<u8>>::new());
+        // The seeds every extG/I/K/M table was printed with.
+        assert_eq!(cell_seed(42, 1, 0), 7_961);
+        assert_eq!(cell_seed(42, 2, 1), 15_501_743);
     }
 
     #[test]

@@ -206,13 +206,6 @@ impl<'a, M, T> Ctx<'a, M, T> {
         }
     }
 
-    /// True if a tracer is installed on the runtime. Lets protocols skip
-    /// building expensive event payloads when nobody is listening; plain
-    /// [`emit`](Ctx::emit) calls are already cheap either way.
-    pub fn tracing(&self) -> bool {
-        self.trace_on
-    }
-
     /// Emits a protocol-level event under the current cause. No-op (no
     /// buffering, no allocation) when tracing is disabled.
     pub fn emit(&mut self, event: ProtoEvent) {
@@ -536,11 +529,6 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
     pub fn set_sampler(&mut self, interval: SimDuration, hook: Sampler<N>) {
         assert!(interval > SimDuration::ZERO, "sample interval must be positive");
         self.sampler = Some(SamplerSlot { interval, next: self.now + interval, hook });
-    }
-
-    /// Removes the sampling hook, if any.
-    pub fn clear_sampler(&mut self) {
-        self.sampler = None;
     }
 
     /// Installs a continuous invariant assertor: after **every** processed
@@ -1757,7 +1745,6 @@ mod tracer_tests {
             Runtime::new(UniformLatency::new(2, SimDuration::from_millis(5)), 1);
         let a = rt.spawn(HostId(0), Spanner { seen_causes: Vec::new() });
         rt.invoke(a, |_n, ctx| {
-            assert!(!ctx.tracing());
             ctx.emit(ProtoEvent::Note { label: "ignored", value: 0 });
         });
         rt.run_to_quiescence();

@@ -30,6 +30,6 @@ pub mod scenarios;
 pub use analysis::{analyze, logistic, CurveStats};
 pub use model::{SectionDetection, WormParams, WormSim, WormState};
 pub use scenarios::{
-    run_scenario, run_scenario_instrumented, run_scenario_on, run_scenario_recorded,
-    Instrumentation, Overlay, Population, Scenario, ScenarioConfig, ScenarioResult,
+    run_scenario, run_scenario_instrumented, run_scenario_on, Instrumentation, Overlay, Population,
+    Scenario, ScenarioConfig, ScenarioResult,
 };

@@ -231,24 +231,7 @@ impl ScenarioResult {
 /// Panics if the configuration is structurally invalid (zero nodes,
 /// non-power-of-two section count, ...).
 pub fn run_scenario(scenario: &Scenario, cfg: &ScenarioConfig) -> ScenarioResult {
-    run_scenario_recorded(scenario, cfg, None)
-}
-
-/// [`run_scenario`] with an optional flight recorder attached to the worm
-/// model: infection milestones land in the ring as cause-attributed
-/// events, one causal span per infection chain. Passing `None` is exactly
-/// `run_scenario` (the recorder never perturbs the outbreak).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_scenario`].
-pub fn run_scenario_recorded(
-    scenario: &Scenario,
-    cfg: &ScenarioConfig,
-    recorder: Option<&FlightRecorder>,
-) -> ScenarioResult {
-    let inst = Instrumentation { recorder: recorder.cloned(), ..Instrumentation::default() };
-    run_scenario_instrumented(scenario, cfg, &inst)
+    run_scenario_instrumented(scenario, cfg, &Instrumentation::default())
 }
 
 /// Observers attached to a scenario run. Everything here is strictly
