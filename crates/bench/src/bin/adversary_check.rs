@@ -22,13 +22,15 @@ use bytes::Bytes;
 use rand::Rng;
 
 use verme_bench::extk::{run_extk_cell, ExtKParams};
-use verme_bench::testbed::{run_fingerprint, same_bytes, verme_ring, Checks, DhtSystem, HOP};
+use verme_bench::testbed::{
+    run_fingerprint, same_bytes, verme_ring, CellOutcome, Checks, DhtCell, DhtSystem, HOP,
+};
 use verme_bench::CliArgs;
 use verme_core::{SectionLayout, VermeConfig, VermeStaticRing};
 use verme_dht::{DhtConfig, DhtNode, FastVerDiNode};
 use verme_obs::{Monitor, Rule};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{SeedSource, SimDuration, SimTime};
 
 const NODES: usize = 64;
 
@@ -41,27 +43,18 @@ const NEW_KEYS: [&str; 4] = [
     verme_sim::fault::keys::BYZANTINE,
 ];
 
-/// Builds a converged Fast-VerDi ring with the *default* (defense-off)
-/// DHT configuration — the exact configuration every pre-existing bench
-/// runs with.
-fn build_legacy(seed: u64) -> (Runtime<FastVerDiNode, UniformLatency>, Vec<Addr>) {
+/// Drives a small put/get workload on a converged Fast-VerDi ring with
+/// the *default* (defense-off) DHT configuration — the exact
+/// configuration every pre-existing bench runs with. Returns a fingerprint
+/// of everything the protocol produced (final clock, network statistics,
+/// the full metrics export) and the [`NEW_KEYS`] the run created.
+fn legacy_run(seed: u64) -> (String, Vec<&'static str>) {
     let layout = SectionLayout::with_sections(8, 2);
     let ring = VermeStaticRing::generate(layout, NODES, seed);
     let net = UniformLatency::new(NODES, HOP);
-    let (rt, addrs, _) = verme_ring(&ring, net, seed, &VermeConfig::new(layout), |o| {
+    let (mut rt, addrs, _) = verme_ring(&ring, net, seed, &VermeConfig::new(layout), |o| {
         FastVerDiNode::new(o, DhtConfig::default())
     });
-    (rt, addrs)
-}
-
-/// Drives a small put/get workload and returns a fingerprint of
-/// everything the protocol produced: final clock, network statistics and
-/// the full metrics export.
-fn drive_legacy(
-    rt: &mut Runtime<FastVerDiNode, UniformLatency>,
-    addrs: &[Addr],
-    seed: u64,
-) -> String {
     let mut rng = SeedSource::new(seed).stream("adversary-check");
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     let mut keys = Vec::new();
@@ -81,7 +74,10 @@ fn drive_legacy(
         rt.run_until(rt.now() + SimDuration::from_secs(5));
     }
     rt.run_until(rt.now() + SimDuration::from_secs(60));
-    run_fingerprint(rt, &[verme_chord::keys::descriptors(), verme_dht::keys::descriptors()])
+    let snapshot = rt.metrics().counter_snapshot();
+    let leaked = NEW_KEYS.iter().copied().filter(|k| snapshot.contains_key(k)).collect();
+    let descriptors = [verme_chord::keys::descriptors(), verme_dht::keys::descriptors()];
+    (run_fingerprint(&rt, &descriptors), leaked)
 }
 
 fn main() -> ExitCode {
@@ -89,15 +85,15 @@ fn main() -> ExitCode {
     let mut checks = Checks::default();
 
     let params = ExtKParams {
-        nodes: NODES,
-        sections: 8,
-        block_size: 512,
-        blocks: 8,
-        gets: 32,
+        cell: DhtCell {
+            nodes: NODES,
+            sections: 8,
+            block_size: 512,
+            blocks: 8,
+            gets: 32,
+            window: SimDuration::from_mins(2),
+        },
         adversary_fractions: vec![0.0, 0.25],
-        attack: "mixed".into(),
-        fanout: 2,
-        window: SimDuration::from_mins(2),
         reps: 1,
         seed: args.seed,
     };
@@ -107,10 +103,13 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     let loud = run_extk_cell(DhtSystem::FastVerDi, &params, 0.25, args.seed);
     let quiet = run_extk_cell(DhtSystem::FastVerDi, &params, 0.0, args.seed);
+    let adversaries = |c: &CellOutcome| c.count(verme_sim::fault::keys::BYZANTINE);
+    let hijacked = |c: &CellOutcome| c.count(verme_dht::keys::LOOKUPS_HIJACKED);
+    let poisoned = |c: &CellOutcome| c.count(verme_chord::keys::RING_POISONED);
     checks.check("attack.fires", {
-        if loud.adversaries == 0 {
+        if adversaries(&loud) == 0 {
             Err("the Byzantine fault never flipped a node".into())
-        } else if loud.hijacked + loud.poisoned == 0 {
+        } else if hijacked(&loud) + poisoned(&loud) == 0 {
             Err(format!("no hijack or poison detection despite adversaries: {loud:?}"))
         } else if loud.failed_fraction() <= quiet.failed_fraction() {
             Err(format!(
@@ -121,9 +120,9 @@ fn main() -> ExitCode {
         } else {
             Ok(format!(
                 "{} adversaries, {} hijacks, {} poisoned entries, failed {:.1}% vs {:.1}%",
-                loud.adversaries,
-                loud.hijacked,
-                loud.poisoned,
+                adversaries(&loud),
+                hijacked(&loud),
+                poisoned(&loud),
                 loud.failed_fraction() * 100.0,
                 quiet.failed_fraction() * 100.0
             ))
@@ -150,15 +149,15 @@ fn main() -> ExitCode {
     //    silent on the quiet cell's gauges.
     // ------------------------------------------------------------------
     checks.check("detectors.typed_alerts", {
-        let observe = |cell: &verme_bench::extk::ExtKCell| {
+        let observe = |cell: &CellOutcome| {
             let mon = Monitor::new(64);
             mon.add_rule(verme_dht::keys::LOOKUPS_HIJACKED, Rule::Threshold { min: 1.0 });
             mon.add_rule(verme_chord::keys::RING_POISONED, Rule::Threshold { min: 1.0 });
-            let end = SimTime::ZERO + params.window;
+            let end = SimTime::ZERO + params.cell.window;
             mon.observe(verme_dht::keys::LOOKUPS_HIJACKED, SimTime::ZERO, 0.0, None);
             mon.observe(verme_chord::keys::RING_POISONED, SimTime::ZERO, 0.0, None);
-            mon.observe(verme_dht::keys::LOOKUPS_HIJACKED, end, cell.hijacked as f64, None);
-            mon.observe(verme_chord::keys::RING_POISONED, end, cell.poisoned as f64, None);
+            mon.observe(verme_dht::keys::LOOKUPS_HIJACKED, end, hijacked(cell) as f64, None);
+            mon.observe(verme_chord::keys::RING_POISONED, end, poisoned(cell) as f64, None);
             mon
         };
         let loud_mon = observe(&loud);
@@ -183,9 +182,9 @@ fn main() -> ExitCode {
     // 4. Quiet cells never count the adversary metrics.
     // ------------------------------------------------------------------
     checks.check("quiet.silent", {
-        if quiet.adversaries != 0 {
-            Err(format!("{} nodes flipped without a scripted fault", quiet.adversaries))
-        } else if quiet.hijacked != 0 || quiet.poisoned != 0 {
+        if adversaries(&quiet) != 0 {
+            Err(format!("{} nodes flipped without a scripted fault", adversaries(&quiet)))
+        } else if hijacked(&quiet) != 0 || poisoned(&quiet) != 0 {
             Err(format!("adversary detectors counted on a quiet ring: {quiet:?}"))
         } else {
             Ok(format!("0 adversaries, 0 hijacks, 0 poisoned, {} gets issued", quiet.issued))
@@ -194,16 +193,11 @@ fn main() -> ExitCode {
 
     // ------------------------------------------------------------------
     // 5. Adversary-off, defense-off runs are byte-identical replays and
-    //    create none of the plane's metric keys (the pre-PR surface).
+    //    create none of the plane's metric keys.
     // ------------------------------------------------------------------
     checks.check("legacy.identical_and_unpolluted", {
-        let (mut a, addrs_a) = build_legacy(args.seed);
-        let fp_a = drive_legacy(&mut a, &addrs_a, args.seed);
-        let (mut b, addrs_b) = build_legacy(args.seed);
-        let fp_b = drive_legacy(&mut b, &addrs_b, args.seed);
-        let snapshot = a.metrics().counter_snapshot();
-        let leaked: Vec<&str> =
-            NEW_KEYS.iter().copied().filter(|k| snapshot.contains_key(k)).collect();
+        let (fp_a, leaked) = legacy_run(args.seed);
+        let (fp_b, _) = legacy_run(args.seed);
         if let Err(at) = same_bytes(&fp_a, &fp_b) {
             Err(format!("legacy run diverged across replays at {at}"))
         } else if !leaked.is_empty() {

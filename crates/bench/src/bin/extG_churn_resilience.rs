@@ -9,9 +9,11 @@
 //! cargo run -p verme-bench --release --bin extG_churn_resilience [-- --full]
 //! ```
 
-use verme_bench::extg::{run_extg, ExtGParams, EXTG_RETRIES};
-use verme_bench::testbed::DhtSystem;
+use verme_bench::extg::{reconverge_ms, run_extg, ExtGParams, EXTG_RETRIES};
+use verme_bench::testbed::{CellOutcome, DhtSystem};
 use verme_bench::CliArgs;
+use verme_dht::keys;
+use verme_sim::fault::keys::JOIN;
 
 fn main() {
     let args = CliArgs::parse();
@@ -23,8 +25,8 @@ fn main() {
     println!(
         "# mode: {} | nodes: {} | gets/cell: {} | reps: {} | loss burst: {:.0}% | seed: {}",
         if args.full { "paper" } else { "quick" },
-        params.nodes,
-        params.gets,
+        params.cell.nodes,
+        params.cell.gets,
         params.reps,
         params.loss_rate * 100.0,
         params.seed
@@ -48,14 +50,15 @@ fn main() {
     );
 
     let rows = run_extg(&params);
+    let success = |c: &CellOutcome| c.per_get(keys::GET_COMPLETED);
     let mut dominated = 0usize;
     for row in &rows {
         let with = &row.with_retries;
         let without = &row.no_retries;
-        if with.success_rate() > without.success_rate() {
+        if success(with) > success(without) {
             dominated += 1;
         }
-        let reconv = match with.reconverge_ms {
+        let reconv = match reconverge_ms(&with.reports) {
             Some(ms) => format!("{ms:.0}"),
             None => "-".to_string(),
         };
@@ -65,12 +68,12 @@ fn main() {
             if row.system == DhtSystem::Dhash { "DHash/Chord" } else { "Fast-VerDi/Verme" },
             row.churn_rate,
             row.burst_size,
-            with.success_rate() * 100.0,
-            without.success_rate() * 100.0,
-            (with.success_rate() - without.success_rate()) * 100.0,
-            with.recovered,
-            with.retries,
-            with.joins,
+            success(with) * 100.0,
+            success(without) * 100.0,
+            (success(with) - success(without)) * 100.0,
+            with.count(keys::OP_RECOVERED),
+            with.count(keys::OP_RETRIES),
+            with.count(JOIN),
             reconv
         );
     }

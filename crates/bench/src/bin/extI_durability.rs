@@ -13,8 +13,10 @@
 //! ```
 
 use verme_bench::exti::{run_exti, ExtIParams, RepairArm, CENSUS_TARGET};
-use verme_bench::testbed::DhtSystem;
+use verme_bench::testbed::{CellOutcome, DhtSystem};
 use verme_bench::CliArgs;
+use verme_dht::keys;
+use verme_sim::fault::keys::JOIN;
 
 fn main() {
     let args = CliArgs::parse();
@@ -26,10 +28,10 @@ fn main() {
     println!(
         "# mode: {} | nodes: {} | blocks/cell: {} | reps: {} | window: {:.0} s | seed: {}",
         if args.full { "paper" } else { "quick" },
-        params.nodes,
-        params.blocks,
+        params.cell.nodes,
+        params.cell.blocks,
         params.reps,
-        params.window.as_secs_f64(),
+        params.cell.window.as_secs_f64(),
         params.seed
     );
     println!(
@@ -53,48 +55,49 @@ fn main() {
     );
 
     let rows = run_exti(&params);
+    // One arm's columns: lost, under-replicated, then the plane's counters.
+    let arm = |c: &CellOutcome| {
+        let census = &c.census;
+        let under = match census.keys {
+            0 => 0.0,
+            keys => census.under_replicated as f64 / keys as f64 * 100.0,
+        };
+        let [rounds, pushed, readrep, handoff, joins] = [
+            keys::REPAIR_ROUNDS,
+            keys::REPAIR_PUSHED,
+            keys::READ_REPAIR,
+            keys::HANDOFF_BLOCKS,
+            JOIN,
+        ]
+        .map(|k| c.count(k));
+        format!(
+            "{:>8.1}% {:>8.1}% | {rounds:>7} {pushed:>7} {readrep:>8} {handoff:>8} {joins:>8}",
+            census.loss_fraction() * 100.0,
+            under
+        )
+    };
     let mut dominated = 0usize;
     let mut checked = 0usize;
     for row in &rows {
         let off = row.off().expect("off arm swept");
         let on = row.best_on().expect("on arm swept");
         checked += 1;
-        if on.lost < off.lost {
+        if on.census.lost < off.census.lost {
             dominated += 1;
         }
         println!(
-            "{:<17} {:>8.2} | {:>8.1}% {:>8.1}% {:>8.1}% | {:>7} {:>7} {:>8} {:>8} {:>8}",
+            "{:<17} {:>8.2} | {:>8.1}% {}",
             // This table names each system with its overlay.
             if row.system == DhtSystem::Dhash { "DHash/Chord" } else { "Fast-VerDi/Verme" },
             row.churn_rate,
-            off.loss_fraction() * 100.0,
-            on.loss_fraction() * 100.0,
-            if on.keys == 0 { 0.0 } else { on.under_replicated as f64 / on.keys as f64 * 100.0 },
-            on.repair_rounds,
-            on.repair_pushed,
-            on.read_repairs,
-            on.handoff_blocks,
-            on.joins
+            off.census.loss_fraction() * 100.0,
+            arm(on)
         );
         // Per-arm detail rows, indented under the setting.
-        for (arm, cell) in &row.arms {
-            if let RepairArm::On(_) = arm {
-                println!(
-                    "{:<17} {:>8} |           {:>8.1}% {:>8.1}% | {:>7} {:>7} {:>8} {:>8} {:>8}",
-                    format!("  repair={}", arm.label()),
-                    "",
-                    cell.loss_fraction() * 100.0,
-                    if cell.keys == 0 {
-                        0.0
-                    } else {
-                        cell.under_replicated as f64 / cell.keys as f64 * 100.0
-                    },
-                    cell.repair_rounds,
-                    cell.repair_pushed,
-                    cell.read_repairs,
-                    cell.handoff_blocks,
-                    cell.joins
-                );
+        for (repair, cell) in &row.arms {
+            if let RepairArm::On(_) = repair {
+                let label = format!("  repair={}", repair.label());
+                println!("{label:<17} {:>8} |           {}", "", arm(cell));
             }
         }
     }

@@ -13,7 +13,7 @@
 //! cargo run -p verme-bench --release --bin extK_adversary [-- --full]
 //! ```
 
-use verme_bench::extk::{run_extk, ExtKParams};
+use verme_bench::extk::{run_extk, ExtKParams, ATTACK, SECURE_FANOUT};
 use verme_bench::testbed::DhtSystem;
 use verme_bench::CliArgs;
 
@@ -27,10 +27,10 @@ fn main() {
     println!(
         "# mode: {} | nodes: {} | gets/cell: {} | attack: {} | fanout(secure): {} | reps: {} | seed: {}",
         if args.full { "paper" } else { "quick" },
-        params.nodes,
-        params.gets,
-        params.attack,
-        params.fanout,
+        params.cell.nodes,
+        params.cell.gets,
+        ATTACK,
+        SECURE_FANOUT,
         params.reps,
         params.seed
     );
@@ -53,10 +53,10 @@ fn main() {
                 fraction * 100.0,
                 cell.issued,
                 cell.failed_fraction() * 100.0,
-                cell.hijacked_per_get(),
-                cell.poisoned,
-                cell.suspect_reroutes,
-                cell.adversaries
+                cell.per_get(verme_dht::keys::LOOKUPS_HIJACKED),
+                cell.count(verme_chord::keys::RING_POISONED),
+                cell.count(verme_dht::keys::SUSPECT_REROUTES),
+                cell.count(verme_sim::fault::keys::BYZANTINE)
             );
         }
     }
@@ -67,11 +67,10 @@ fn main() {
     let secure = rows.iter().find(|r| r.system == DhtSystem::SecureVerDi).expect("secure swept");
     let mut dominated = 0usize;
     let mut checked = 0usize;
-    for (fraction, fc) in &fast.cells {
+    for ((fraction, fc), (_, sc)) in fast.cells.iter().zip(&secure.cells) {
         if *fraction < 0.10 - 1e-9 {
             continue;
         }
-        let sc = secure.at(*fraction).expect("same fractions swept");
         checked += 1;
         if sc.failed_fraction() < fc.failed_fraction() {
             dominated += 1;

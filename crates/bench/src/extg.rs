@@ -14,32 +14,22 @@
 //! interleave.
 
 use verme_dht::DhtConfig;
-use verme_sim::fault::{keys as fault_keys, Fault, FaultPlan};
+use verme_sim::fault::{Fault, FaultPlan, FaultReport};
 use verme_sim::SimDuration;
 
-use crate::testbed::{cell_seed, departures, pooled, run_churn_cell, sweep, DhtCell, DhtSystem};
+use crate::testbed::{cell_seed, pooled, run_churn_cell, sweep, CellOutcome, DhtCell, DhtSystem};
 
 /// Parameters for one extG sweep.
 #[derive(Clone, Debug)]
 pub struct ExtGParams {
-    /// Overlay size.
-    pub nodes: usize,
-    /// Verme section count.
-    pub sections: u128,
-    /// Stored block size in bytes.
-    pub block_size: usize,
-    /// Blocks seeded before the faults start.
-    pub blocks: usize,
-    /// Gets issued while the fault script runs.
-    pub gets: usize,
+    /// The cell: gets are issued while the fault script runs.
+    pub cell: DhtCell,
     /// Swept Poisson departure rates (nodes per simulated second).
     pub churn_rates: Vec<f64>,
     /// Swept kill-burst sizes (consecutive ring nodes crashed at once).
     pub burst_sizes: Vec<usize>,
     /// Message-loss probability during the scripted loss burst.
     pub loss_rate: f64,
-    /// Length of the churn window.
-    pub window: SimDuration,
     /// Independent repetitions per cell; counts are pooled across reps.
     pub reps: u64,
     /// Master seed.
@@ -50,15 +40,17 @@ impl ExtGParams {
     /// Paper-scale configuration.
     pub fn full(seed: u64) -> Self {
         ExtGParams {
-            nodes: 512,
-            sections: 16,
-            block_size: 8192,
-            blocks: 48,
-            gets: 96,
+            cell: DhtCell {
+                nodes: 512,
+                sections: 16,
+                block_size: 8192,
+                blocks: 48,
+                gets: 96,
+                window: SimDuration::from_mins(6),
+            },
             churn_rates: vec![0.02, 0.05, 0.10],
             burst_sizes: vec![16, 32, 64],
             loss_rate: 0.15,
-            window: SimDuration::from_mins(6),
             reps: 5,
             seed,
         }
@@ -67,67 +59,33 @@ impl ExtGParams {
     /// Laptop-quick configuration.
     pub fn quick(seed: u64) -> Self {
         ExtGParams {
-            nodes: 128,
-            sections: 8,
-            block_size: 1024,
-            blocks: 20,
-            gets: 48,
+            cell: DhtCell {
+                nodes: 128,
+                sections: 8,
+                block_size: 1024,
+                blocks: 20,
+                gets: 48,
+                window: SimDuration::from_mins(4),
+            },
             churn_rates: vec![0.02, 0.05],
             burst_sizes: vec![8, 16],
             loss_rate: 0.15,
-            window: SimDuration::from_mins(4),
             reps: 4,
             seed,
         }
     }
 }
 
-/// One sweep cell's measurements.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ExtGCell {
-    /// Gets issued during the fault window.
-    pub issued: u64,
-    /// Gets that completed successfully.
-    pub completed: u64,
-    /// Operations that failed outright.
-    pub failed: u64,
-    /// End-to-end retry attempts made.
-    pub retries: u64,
-    /// Operations that failed at least one attempt but still succeeded.
-    pub recovered: u64,
-    /// Replacement nodes that joined during churn.
-    pub joins: u64,
-    /// Nodes lost to crashes, graceful leaves, and the kill burst.
-    pub departures: u64,
-    /// Milliseconds from the end of the kill burst until every joined
-    /// survivor again had a live first successor, if observed.
-    pub reconverge_ms: Option<f64>,
-}
-
-impl ExtGCell {
-    /// Fraction of issued gets that completed.
-    pub fn success_rate(&self) -> f64 {
-        if self.issued == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / self.issued as f64
-    }
-
-    /// Pools another repetition's counts into this cell. Reconvergence
-    /// times average over the reps that observed one.
-    pub fn merge(&mut self, other: &ExtGCell) {
-        self.issued += other.issued;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.retries += other.retries;
-        self.recovered += other.recovered;
-        self.joins += other.joins;
-        self.departures += other.departures;
-        self.reconverge_ms = match (self.reconverge_ms, other.reconverge_ms) {
-            (Some(a), Some(b)) => Some((a + b) / 2.0),
-            (a, b) => a.or(b),
-        };
-    }
+/// Milliseconds from the end of the kill burst until every joined
+/// survivor again had a live first successor, folded over the
+/// repetitions whose fault report observed one (`None` if none did).
+/// Each observation halves the weight of those before it.
+pub fn reconverge_ms(reports: &[FaultReport]) -> Option<f64> {
+    reports
+        .iter()
+        .filter_map(|r| r.bursts.first()?.reconverged_after)
+        .map(|d| d.as_millis_f64())
+        .reduce(|a, b| (a + b) / 2.0)
 }
 
 /// Runs one cell of the sweep: the shared churn cell
@@ -141,18 +99,10 @@ pub fn run_extg_cell(
     burst_size: usize,
     max_retries: u32,
     cell_seed: u64,
-) -> ExtGCell {
-    let cell = DhtCell {
-        nodes: params.nodes,
-        sections: params.sections,
-        block_size: params.block_size,
-        blocks: params.blocks,
-        gets: params.gets,
-        window: params.window,
-    };
+) -> CellOutcome {
     let cfg = DhtConfig { max_retries, ..DhtConfig::default() };
-    let window = params.window;
-    let out = run_churn_cell(system, &cell, cfg, cell_seed, |start| {
+    let window = params.cell.window;
+    run_churn_cell(system, &params.cell, cfg, cell_seed, |start| {
         FaultPlan::new()
             .with(Fault::Churn {
                 start,
@@ -171,22 +121,7 @@ pub fn run_extg_cell(
                 duration: window / 2,
                 rate: params.loss_rate,
             })
-    });
-    ExtGCell {
-        issued: out.issued,
-        completed: out.count(verme_dht::keys::GET_COMPLETED),
-        failed: out.count(verme_dht::keys::OP_FAILED),
-        retries: out.count(verme_dht::keys::OP_RETRIES),
-        recovered: out.count(verme_dht::keys::OP_RECOVERED),
-        joins: out.count(fault_keys::JOIN),
-        departures: departures(&out.delta),
-        reconverge_ms: out
-            .report
-            .bursts
-            .first()
-            .and_then(|b| b.reconverged_after)
-            .map(|d| d.as_millis_f64()),
-    }
+    })
 }
 
 /// One row of the sweep: a `(system, churn, burst)` setting measured with
@@ -200,9 +135,9 @@ pub struct ExtGRow {
     /// Kill-burst size for this row.
     pub burst_size: usize,
     /// Cell measured with `max_retries = 3`.
-    pub with_retries: ExtGCell,
+    pub with_retries: CellOutcome,
     /// Cell measured with `max_retries = 0`.
-    pub no_retries: ExtGCell,
+    pub no_retries: CellOutcome,
 }
 
 /// Retry setting used for the retry-enabled arm.
@@ -230,62 +165,58 @@ pub fn run_extg(params: &ExtGParams) -> Vec<ExtGRow> {
             system,
             churn_rate,
             burst_size,
-            with_retries: pooled(&arms[0], ExtGCell::merge),
-            no_retries: pooled(&arms[1], ExtGCell::merge),
+            with_retries: pooled(&arms[0], CellOutcome::merge),
+            no_retries: pooled(&arms[1], CellOutcome::merge),
         })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use verme_dht::keys::{GET_COMPLETED, OP_FAILED, OP_RECOVERED, OP_RETRIES};
+
     use super::*;
 
-    #[test]
-    fn extg_retries_recover_failed_attempts() {
-        let params = ExtGParams {
-            nodes: 96,
-            sections: 8,
-            block_size: 256,
-            blocks: 12,
-            gets: 32,
+    fn tiny() -> ExtGParams {
+        ExtGParams {
+            cell: DhtCell {
+                nodes: 96,
+                sections: 8,
+                block_size: 256,
+                blocks: 12,
+                gets: 32,
+                window: SimDuration::from_mins(3),
+            },
             churn_rates: vec![0.05],
             burst_sizes: vec![12],
             loss_rate: 0.3,
-            window: SimDuration::from_mins(3),
             reps: 1,
             seed: 5,
-        };
+        }
+    }
+
+    #[test]
+    fn extg_retries_recover_failed_attempts() {
+        let params = tiny();
         let with = run_extg_cell(DhtSystem::Dhash, &params, 0.05, 12, EXTG_RETRIES, 5);
         let without = run_extg_cell(DhtSystem::Dhash, &params, 0.05, 12, 0, 5);
         assert!(with.issued > 0 && without.issued > 0);
-        assert!(without.failed > 0, "fault script should break some no-retry gets");
-        assert!(with.retries > 0, "faults should trigger retries");
-        assert!(with.recovered > 0, "some retried gets should recover");
+        assert!(without.count(OP_FAILED) > 0, "fault script should break some no-retry gets");
+        assert!(with.count(OP_RETRIES) > 0, "faults should trigger retries");
+        assert!(with.count(OP_RECOVERED) > 0, "some retried gets should recover");
         assert!(
-            with.success_rate() > without.success_rate(),
+            with.per_get(GET_COMPLETED) > without.per_get(GET_COMPLETED),
             "retries should lift success: {} vs {}",
-            with.success_rate(),
-            without.success_rate()
+            with.per_get(GET_COMPLETED),
+            without.per_get(GET_COMPLETED)
         );
     }
 
     #[test]
     fn extg_cells_are_reproducible() {
-        let params = ExtGParams {
-            nodes: 64,
-            sections: 8,
-            block_size: 256,
-            blocks: 8,
-            gets: 16,
-            churn_rates: vec![0.05],
-            burst_sizes: vec![8],
-            loss_rate: 0.3,
-            window: SimDuration::from_mins(2),
-            reps: 1,
-            seed: 9,
-        };
-        let a = run_extg_cell(DhtSystem::FastVerDi, &params, 0.05, 8, EXTG_RETRIES, 9);
-        let b = run_extg_cell(DhtSystem::FastVerDi, &params, 0.05, 8, EXTG_RETRIES, 9);
+        let params = tiny();
+        let a = run_extg_cell(DhtSystem::FastVerDi, &params, 0.05, 12, EXTG_RETRIES, 9);
+        let b = run_extg_cell(DhtSystem::FastVerDi, &params, 0.05, 12, EXTG_RETRIES, 9);
         assert_eq!(a, b, "same seed must reproduce the cell exactly");
     }
 }

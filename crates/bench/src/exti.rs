@@ -21,11 +21,11 @@
 //! repetition face bit-identical fault scripts.
 
 use verme_dht::DhtConfig;
-use verme_sim::fault::{keys as fault_keys, Fault, FaultPlan};
+use verme_sim::fault::{Fault, FaultPlan};
 use verme_sim::SimDuration;
 
 pub use crate::testbed::CENSUS_TARGET;
-use crate::testbed::{cell_seed, departures, pooled, run_churn_cell, sweep, DhtCell, DhtSystem};
+use crate::testbed::{cell_seed, pooled, run_churn_cell, sweep, CellOutcome, DhtCell, DhtSystem};
 
 /// One repair arm of the sweep: disabled, or enabled at an interval.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -50,24 +50,15 @@ impl RepairArm {
 /// Parameters for one extI sweep.
 #[derive(Clone, Debug)]
 pub struct ExtIParams {
-    /// Overlay size.
-    pub nodes: usize,
-    /// Verme section count.
-    pub sections: u128,
-    /// Stored block size in bytes.
-    pub block_size: usize,
-    /// Blocks seeded before the faults start.
-    pub blocks: usize,
-    /// Gets issued while the fault script runs (drives read-repair).
-    pub gets: usize,
+    /// The cell: gets are issued while the fault script runs (driving
+    /// read-repair).
+    pub cell: DhtCell,
     /// Swept Poisson departure rates (nodes per simulated second).
     pub churn_rates: Vec<f64>,
     /// Swept repair arms.
     pub repair_arms: Vec<RepairArm>,
     /// Kill-burst size (kept below the replica count — see module doc).
     pub burst_size: usize,
-    /// Length of the churn window.
-    pub window: SimDuration,
     /// Background data-stabilization interval (set beyond the window so
     /// it cannot mask the repair plane).
     pub stabilize_interval: SimDuration,
@@ -81,11 +72,14 @@ impl ExtIParams {
     /// Paper-scale configuration.
     pub fn full(seed: u64) -> Self {
         ExtIParams {
-            nodes: 256,
-            sections: 16,
-            block_size: 8192,
-            blocks: 32,
-            gets: 64,
+            cell: DhtCell {
+                nodes: 256,
+                sections: 16,
+                block_size: 8192,
+                blocks: 32,
+                gets: 64,
+                window: SimDuration::from_mins(5),
+            },
             churn_rates: vec![0.2, 0.5, 1.0],
             repair_arms: vec![
                 RepairArm::Off,
@@ -93,7 +87,6 @@ impl ExtIParams {
                 RepairArm::On(SimDuration::from_secs(30)),
             ],
             burst_size: 4,
-            window: SimDuration::from_mins(5),
             stabilize_interval: SimDuration::from_secs(3_600),
             reps: 3,
             seed,
@@ -103,11 +96,14 @@ impl ExtIParams {
     /// Laptop-quick configuration.
     pub fn quick(seed: u64) -> Self {
         ExtIParams {
-            nodes: 96,
-            sections: 8,
-            block_size: 1024,
-            blocks: 16,
-            gets: 32,
+            cell: DhtCell {
+                nodes: 96,
+                sections: 8,
+                block_size: 1024,
+                blocks: 16,
+                gets: 32,
+                window: SimDuration::from_mins(4),
+            },
             churn_rates: vec![0.3, 0.6],
             repair_arms: vec![
                 RepairArm::Off,
@@ -115,72 +111,10 @@ impl ExtIParams {
                 RepairArm::On(SimDuration::from_secs(30)),
             ],
             burst_size: 4,
-            window: SimDuration::from_mins(4),
             stabilize_interval: SimDuration::from_secs(3_600),
             reps: 2,
             seed,
         }
-    }
-}
-
-/// One sweep cell's measurements: the final durability census plus the
-/// repair-plane and workload counters from the fault window.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ExtICell {
-    /// Blocks that survived fault-free seeding (the census population).
-    pub keys: u64,
-    /// Blocks with zero live holders at the end of the run.
-    pub lost: u64,
-    /// Blocks below [`CENSUS_TARGET`] live holders (but not lost).
-    pub under_replicated: u64,
-    /// Gets issued during the fault window.
-    pub issued: u64,
-    /// Gets that completed successfully.
-    pub completed: u64,
-    /// Repair rounds that actually probed (epoch changed).
-    pub repair_rounds: u64,
-    /// Blocks pushed by the repair plane.
-    pub repair_pushed: u64,
-    /// Read-repair writes triggered on the get path.
-    pub read_repairs: u64,
-    /// Blocks handed off by gracefully leaving nodes.
-    pub handoff_blocks: u64,
-    /// Replacement nodes that joined during churn.
-    pub joins: u64,
-    /// Nodes lost to crashes, graceful leaves, and the kill burst.
-    pub departures: u64,
-}
-
-impl ExtICell {
-    /// Fraction of seeded blocks with zero live holders, in `[0, 1]`.
-    pub fn loss_fraction(&self) -> f64 {
-        if self.keys == 0 {
-            return 0.0;
-        }
-        self.lost as f64 / self.keys as f64
-    }
-
-    /// Fraction of issued gets that completed.
-    pub fn success_rate(&self) -> f64 {
-        if self.issued == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / self.issued as f64
-    }
-
-    /// Pools another repetition's counts into this cell.
-    pub fn merge(&mut self, other: &ExtICell) {
-        self.keys += other.keys;
-        self.lost += other.lost;
-        self.under_replicated += other.under_replicated;
-        self.issued += other.issued;
-        self.completed += other.completed;
-        self.repair_rounds += other.repair_rounds;
-        self.repair_pushed += other.repair_pushed;
-        self.read_repairs += other.read_repairs;
-        self.handoff_blocks += other.handoff_blocks;
-        self.joins += other.joins;
-        self.departures += other.departures;
     }
 }
 
@@ -202,18 +136,10 @@ pub fn run_exti_cell(
     churn_rate: f64,
     arm: RepairArm,
     cell_seed: u64,
-) -> ExtICell {
-    let cell = DhtCell {
-        nodes: params.nodes,
-        sections: params.sections,
-        block_size: params.block_size,
-        blocks: params.blocks,
-        gets: params.gets,
-        window: params.window,
-    };
+) -> CellOutcome {
     let cfg = arm_config(arm, params.stabilize_interval);
-    let window = params.window;
-    let out = run_churn_cell(system, &cell, cfg, cell_seed, |start| {
+    let window = params.cell.window;
+    run_churn_cell(system, &params.cell, cfg, cell_seed, |start| {
         FaultPlan::new()
             .with(Fault::Churn {
                 start,
@@ -227,20 +153,7 @@ pub fn run_exti_cell(
                 window: SimDuration::from_secs(2),
                 selector: format!("arc:{}", params.burst_size),
             })
-    });
-    ExtICell {
-        keys: out.census.keys as u64,
-        lost: out.census.lost as u64,
-        under_replicated: out.census.under_replicated as u64,
-        issued: out.issued,
-        completed: out.count(verme_dht::keys::GET_COMPLETED),
-        repair_rounds: out.count(verme_dht::keys::REPAIR_ROUNDS),
-        repair_pushed: out.count(verme_dht::keys::REPAIR_PUSHED),
-        read_repairs: out.count(verme_dht::keys::READ_REPAIR),
-        handoff_blocks: out.count(verme_dht::keys::HANDOFF_BLOCKS),
-        joins: out.count(fault_keys::JOIN),
-        departures: departures(&out.delta),
-    }
+    })
 }
 
 /// One row of the sweep: a `(system, churn)` setting measured under every
@@ -252,17 +165,17 @@ pub struct ExtIRow {
     /// Churn rate for this row.
     pub churn_rate: f64,
     /// One pooled cell per repair arm.
-    pub arms: Vec<(RepairArm, ExtICell)>,
+    pub arms: Vec<(RepairArm, CellOutcome)>,
 }
 
 impl ExtIRow {
     /// The cell for the `Off` arm, if swept.
-    pub fn off(&self) -> Option<&ExtICell> {
+    pub fn off(&self) -> Option<&CellOutcome> {
         self.arms.iter().find(|(a, _)| *a == RepairArm::Off).map(|(_, c)| c)
     }
 
     /// The cell for the fastest `On` arm, if swept.
-    pub fn best_on(&self) -> Option<&ExtICell> {
+    pub fn best_on(&self) -> Option<&CellOutcome> {
         self.arms
             .iter()
             .filter_map(|(a, c)| match a {
@@ -294,26 +207,30 @@ pub fn run_exti(params: &ExtIParams) -> Vec<ExtIRow> {
         .map(|((system, churn_rate), row)| ExtIRow {
             system,
             churn_rate,
-            arms: arms.iter().zip(row).map(|(&a, r)| (a, pooled(r, ExtICell::merge))).collect(),
+            arms: arms.iter().zip(row).map(|(&a, r)| (a, pooled(r, CellOutcome::merge))).collect(),
         })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use verme_dht::keys::{REPAIR_PUSHED, REPAIR_ROUNDS};
+
     use super::*;
 
     fn tiny() -> ExtIParams {
         ExtIParams {
-            nodes: 64,
-            sections: 8,
-            block_size: 256,
-            blocks: 10,
-            gets: 16,
+            cell: DhtCell {
+                nodes: 64,
+                sections: 8,
+                block_size: 256,
+                blocks: 10,
+                gets: 16,
+                window: SimDuration::from_mins(3),
+            },
             churn_rates: vec![0.5],
             repair_arms: vec![RepairArm::Off, RepairArm::On(SimDuration::from_secs(10))],
             burst_size: 4,
-            window: SimDuration::from_mins(3),
             stabilize_interval: SimDuration::from_secs(3_600),
             reps: 1,
             seed: 11,
@@ -331,12 +248,13 @@ mod tests {
             RepairArm::On(SimDuration::from_secs(10)),
             11,
         );
-        assert_eq!(off.keys, on.keys, "both arms census the same seeded keys");
-        assert!(off.lost > 0, "sustained churn without repair must lose blocks, got {off:?}");
-        assert!(on.lost < off.lost, "repair must save blocks: on={} off={}", on.lost, off.lost);
-        assert!(on.repair_rounds > 0, "churn must trigger repair rounds");
-        assert!(on.repair_pushed > 0, "repair rounds must push blocks");
-        assert_eq!(off.repair_rounds, 0, "disabled repair must never probe");
+        let (lost_off, lost_on) = (off.census.lost, on.census.lost);
+        assert_eq!(off.census.keys, on.census.keys, "both arms census the same seeded keys");
+        assert!(lost_off > 0, "sustained churn without repair must lose blocks, got {off:?}");
+        assert!(lost_on < lost_off, "repair must save blocks: on={lost_on} off={lost_off}");
+        assert!(on.count(REPAIR_ROUNDS) > 0, "churn must trigger repair rounds");
+        assert!(on.count(REPAIR_PUSHED) > 0, "repair rounds must push blocks");
+        assert_eq!(off.count(REPAIR_ROUNDS), 0, "disabled repair must never probe");
     }
 
     #[test]

@@ -19,16 +19,14 @@
 //! key universe fixed) and exercise the invalidation path at holders.
 
 use bytes::Bytes;
-use verme_chord::{ChordConfig, Id, StaticRing};
-use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
-use verme_dht::{
-    keys as dht_keys, Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant,
-};
+use verme_chord::Id;
+use verme_core::VermeConfig;
+use verme_dht::{keys as dht_keys, DhtConfig, DhtNode, Variant};
 use verme_load::{generate_schedule, keys as load_keys, LoadProfile};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
-use crate::testbed::{chord_ring, verme_ring, DhtSystem, HOP};
+use crate::testbed::{dht_ring, DhtRing, DhtSystem, OnDhtRing, HOP};
 
 /// Parameters for one Ext. L sweep.
 #[derive(Clone, Debug)]
@@ -137,40 +135,28 @@ fn dht_cfg(params: &ExtLParams, serving: bool) -> DhtConfig {
 
 /// Runs one variant at one offered load, serving features off or on.
 pub fn run_point(system: DhtSystem, params: &ExtLParams, rate: f64, serving: bool) -> LoadPoint {
-    fn verdi<V: Variant<Overlay = VermeNode<P>>, P: Payload>(
-        params: &ExtLParams,
+    struct Loaded<'a> {
+        params: &'a ExtLParams,
         rate: f64,
-        cfg: DhtConfig,
-        net: UniformLatency,
-    ) -> LoadPoint {
-        let layout = SectionLayout::with_sections(params.sections, 2);
-        let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
-        // Secure-VerDi's data rides the lookup, so the overlay's lookup
-        // deadline must not censor queueing delay: raise it to the op
-        // deadline — the experiment measures latency, not timeout-driven
-        // load shedding.
-        let vcfg = VermeConfig {
-            lookup_deadline: SimDuration::from_secs(600),
-            ..VermeConfig::new(layout)
-        };
-        let (rt, addrs, _) =
-            verme_ring(&ring, net, params.seed, &vcfg, |o| DhtEngine::<V>::new(o, cfg.clone()));
-        run_loaded(params, rate, cfg.op_deadline, rt, addrs)
+        deadline: SimDuration,
+    }
+    impl OnDhtRing<UniformLatency> for Loaded<'_> {
+        type Out = LoadPoint;
+        /// Secure-VerDi's data rides the lookup, so the overlay's lookup
+        /// deadline must not censor queueing delay: raise it to the op
+        /// deadline — the experiment measures latency, not timeout-driven
+        /// load shedding.
+        fn verme_config(&self, default: VermeConfig) -> VermeConfig {
+            VermeConfig { lookup_deadline: self.deadline, ..default }
+        }
+        fn run<V: Variant>(self, ring: DhtRing<V, UniformLatency>) -> LoadPoint {
+            run_loaded(self.params, self.rate, self.deadline, ring.rt, ring.members)
+        }
     }
     let cfg = dht_cfg(params, serving);
     let net = UniformLatency::new(params.nodes, HOP);
-    match system {
-        DhtSystem::Dhash => {
-            let ring = StaticRing::random(params.nodes, params.seed);
-            let (rt, addrs) = chord_ring(&ring, net, params.seed, &ChordConfig::default(), |o| {
-                DhashNode::new(o, cfg.clone())
-            });
-            run_loaded(params, rate, cfg.op_deadline, rt, addrs)
-        }
-        DhtSystem::FastVerDi => verdi::<Fast, _>(params, rate, cfg, net),
-        DhtSystem::SecureVerDi => verdi::<Secure, _>(params, rate, cfg, net),
-        DhtSystem::CompromiseVerDi => verdi::<Compromise, _>(params, rate, cfg, net),
-    }
+    let then = Loaded { params, rate, deadline: cfg.op_deadline };
+    dht_ring(system, params.nodes, params.sections, net, params.seed, cfg, then)
 }
 
 /// Sweeps all rates for one variant and arm.

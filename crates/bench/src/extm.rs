@@ -22,9 +22,9 @@
 //! simulation seeded from the master seed and its sweep position, results
 //! come back in job order, and rows render in fixed sweep order.
 
-use verme_chaos::ring_assertor;
+use verme_chaos::{chord_hooks, ring_assertor};
 use verme_chord::{
-    check_ring, ChordConfig, ChordNode, Id, MaintenanceMode, RingNode, RingStance, StaticRing,
+    check_ring, ChordConfig, ChordNode, MaintenanceMode, RingNode, RingStance, StaticRing,
 };
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
@@ -33,7 +33,7 @@ use verme_sim::fault::{keys as fault_keys, Fault, FaultHooks, FaultPlan, FaultRu
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Node, Runtime, SeedSource, SimDuration, SimTime};
 
-use crate::testbed::{cell_seed, churn_hooks, departures, pooled, sweep, verme_joiner, HOP};
+use crate::testbed::{cell_seed, churn_hooks, pooled, sweep, verme_joiner, HOP};
 
 /// Which overlay variant a cell runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -124,8 +124,6 @@ pub struct ExtMCell {
     pub max_appendages: f64,
     /// Replacement nodes that joined during churn.
     pub joins: u64,
-    /// Nodes lost to crashes, graceful leaves, and the kill bursts.
-    pub departures: u64,
     /// Violations still present in the final snapshot.
     pub end_violations: u64,
     /// True when the final snapshot contains ≥ 2 disjoint cycles.
@@ -142,7 +140,6 @@ impl ExtMCell {
         self.max_wedged = self.max_wedged.max(other.max_wedged);
         self.max_appendages = self.max_appendages.max(other.max_appendages);
         self.joins += other.joins;
-        self.departures += other.departures;
         self.end_violations += other.end_violations;
         self.end_partitioned |= other.end_partitioned;
         self.end_wedged += other.end_wedged;
@@ -218,9 +215,7 @@ fn run_chord_cell(
         let succs = ring.successors_of(pos, cfg.num_successors);
         ChordNode::with_state(ring.node(pos).id, cfg.clone(), pred, &succs, &[])
     });
-    let hooks = churn_hooks(&addrs, cell_seed, move |rng, bootstrap| {
-        ChordNode::joining(Id::random(rng), cfg.clone(), bootstrap)
-    });
+    let hooks = chord_hooks(&addrs, cell_seed, cfg, |n| n, |overlay| overlay);
     drive_cell(rt, addrs, hooks, params, churn_rate, cell_seed, ChordNode::ring_stance)
 }
 
@@ -282,7 +277,6 @@ fn drive_cell<N: Node + RingNode + 'static>(
     let end = check_ring(&end_stances);
     let violations = rt.metrics().counter(ring_keys::INVARIANT_VIOLATIONS);
     let joins = rt.metrics().counter(fault_keys::JOIN);
-    let departures = departures(&rt.metrics().counter_snapshot());
     let (assert_points, max_wedged) = rt
         .metrics_mut()
         .histogram_mut(ring_keys::WEDGED)
@@ -302,7 +296,6 @@ fn drive_cell<N: Node + RingNode + 'static>(
         max_wedged,
         max_appendages,
         joins,
-        departures,
         end_violations: end.violations.len() as u64,
         end_partitioned: end
             .violations

@@ -9,13 +9,12 @@
 use bytes::Bytes;
 use rand::Rng;
 
-use verme_chord::{ChordConfig, Id, StaticRing};
-use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
-use verme_dht::{Compromise, DhashNode, DhtConfig, DhtEngine, DhtNode, Fast, Secure, Variant};
+use verme_chord::Id;
+use verme_dht::{DhtConfig, DhtNode, Variant};
 use verme_net::{TransitStub, TransitStubConfig};
 use verme_sim::{Addr, Runtime, SeedSource, SimDuration, SimTime};
 
-use crate::testbed::{chord_ring, sweep, verme_ring, DhtSystem};
+use crate::testbed::{dht_ring, sweep, DhtRing, DhtSystem, OnDhtRing};
 use crate::CliArgs;
 
 /// Parameters for one Figure 6/7 run.
@@ -65,31 +64,17 @@ pub struct Fig67Result {
 
 /// Runs one system's Figure 6/7 measurement.
 pub fn run_fig67(system: DhtSystem, params: &Fig67Params) -> Fig67Result {
-    fn verdi<V: Variant<Overlay = VermeNode<P>>, P: Payload>(
-        params: &Fig67Params,
-        net: TransitStub,
-    ) -> Fig67Result {
-        let layout = SectionLayout::with_sections(params.sections, 2);
-        let ring = VermeStaticRing::generate(layout, params.nodes, params.seed);
-        let (rt, addrs, _) = verme_ring(&ring, net, params.seed, &VermeConfig::new(layout), |o| {
-            DhtEngine::<V>::new(o, DhtConfig::default())
-        });
-        measure(params, rt, addrs)
+    struct Measure<'a>(&'a Fig67Params);
+    impl OnDhtRing<TransitStub> for Measure<'_> {
+        type Out = Fig67Result;
+        fn run<V: Variant>(self, ring: DhtRing<V, TransitStub>) -> Fig67Result {
+            measure(self.0, ring.rt, ring.members)
+        }
     }
     let hosts = TransitStubConfig { hosts: params.nodes, ..TransitStubConfig::default() };
     let net = TransitStub::generate(hosts, params.seed ^ 0x6E7);
-    match system {
-        DhtSystem::Dhash => {
-            let ring = StaticRing::random(params.nodes, params.seed);
-            let (rt, addrs) = chord_ring(&ring, net, params.seed, &ChordConfig::default(), |o| {
-                DhashNode::new(o, DhtConfig::default())
-            });
-            measure(params, rt, addrs)
-        }
-        DhtSystem::FastVerDi => verdi::<Fast, _>(params, net),
-        DhtSystem::SecureVerDi => verdi::<Secure, _>(params, net),
-        DhtSystem::CompromiseVerDi => verdi::<Compromise, _>(params, net),
-    }
+    let (nodes, sections, seed) = (params.nodes, params.sections, params.seed);
+    dht_ring(system, nodes, sections, net, seed, DhtConfig::default(), Measure(params))
 }
 
 /// The sweep behind Figures 6 and 7: `reps` runs of every system, quick

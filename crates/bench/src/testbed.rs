@@ -12,15 +12,18 @@
 //! * [`chord_ring`], [`verme_ring`] — a converged ring of either overlay
 //!   family on any network, each member wrapped by the caller (bare, or
 //!   under a DHT variant);
-//! * [`DhtSystem`] — the four DHT systems, in the paper's order;
+//! * [`DhtSystem`] and [`dht_ring`] — the four DHT systems, in the paper's
+//!   order, and the one place a system becomes a converged ring of its
+//!   nodes, handed to the caller's [`OnDhtRing`] continuation;
 //! * [`verme_joiner`] and [`churn_hooks`] — the fault-plane binding of a
-//!   churn cell;
+//!   Verme churn cell (a Chord cell's is [`verme_chaos::chord_hooks`]);
 //! * [`king`], [`lookup_run_config`], [`lookup_workload`], [`chord_lookup`] —
 //!   the fault-free lookup run the observer check bins compare against itself;
-//! * [`DhtCell`], [`drive_dht_cell`], [`run_churn_cell`], [`departures`] —
+//! * [`DhtCell`], [`drive_dht_cell`], [`run_churn_cell`], [`CellOutcome`] —
 //!   the cell of the DHT fault sweeps (extG, extI, extK): seed blocks,
 //!   run a fault plan under gets spread evenly across the window, drain,
-//!   read the counters and the durability census;
+//!   read the counters and the durability census; a sweep pools a
+//!   setting's repetitions with [`CellOutcome::merge`];
 //! * [`Checks`], [`run_fingerprint`], [`same_bytes`] — a check bin's
 //!   verdict lines, exit status and byte-identity comparison;
 //! * [`artifact_dir`] — where a bin's side files land;
@@ -36,7 +39,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use verme_chaos::seed_blocks;
+use verme_chaos::{chord_hooks, seed_blocks};
 use verme_chord::{ring_converged, ChordConfig, ChordNode, Id, LookupMode, RingNode, StaticRing};
 use verme_core::{Payload, SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::{CertificateAuthority, NodeType};
@@ -46,8 +49,7 @@ use verme_dht::{
 use verme_net::KingMatrix;
 use verme_obs::Registry;
 use verme_sim::fault::{
-    join_via_live_bootstrap, keys as fault_keys, ordered_selector, FaultHooks, FaultPlan,
-    FaultReport, FaultRunner,
+    join_via_live_bootstrap, ordered_selector, FaultHooks, FaultPlan, FaultReport, FaultRunner,
 };
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, LatencyModel, MetricDesc, Node, Runtime, SeedSource, SimDuration, SimTime};
@@ -122,6 +124,110 @@ impl DhtSystem {
     ];
 }
 
+/// The overlay under a [`DhtRing`], as [`dht_ring`] laid it out: what a
+/// caller that picks members by identifier reads (extK's eclipse order).
+pub enum Overlay {
+    /// DHash's Chord ring.
+    Chord(StaticRing),
+    /// A VerDi variant's Verme ring.
+    Verme(VermeStaticRing),
+}
+
+/// A converged ring of one [`DhtSystem`]'s nodes, as [`dht_ring`] hands it
+/// over.
+pub struct DhtRing<V: Variant, L: LatencyModel> {
+    /// The runtime, every member spawned.
+    pub rt: Runtime<DhtEngine<V>, L>,
+    /// The members' addresses, by ring position.
+    pub members: Vec<Addr>,
+    /// The overlay's layout.
+    pub overlay: Overlay,
+    /// Builds the ring's churn binding on demand —
+    /// [`verme_chaos::chord_hooks`] or [`churn_hooks`], with replacements
+    /// running the members' configurations.
+    pub churn: Box<dyn FnOnce() -> FaultHooks<DhtEngine<V>, UniformLatency>>,
+}
+
+/// What a caller of [`dht_ring`] does with the ring, written once for all
+/// four systems.
+pub trait OnDhtRing<L: LatencyModel> {
+    /// What the caller makes of the ring.
+    type Out;
+
+    /// The configuration a Verme ring's members run, given the default for
+    /// its layout. (A Chord ring's members run `ChordConfig::default()`.)
+    fn verme_config(&self, default: VermeConfig) -> VermeConfig {
+        default
+    }
+
+    /// Runs on the converged ring.
+    fn run<V: Variant>(self, ring: DhtRing<V, L>) -> Self::Out;
+}
+
+/// A converged ring of `nodes` members of `system`, each running `cfg`, on
+/// `net` under `seed`, handed to `then`: DHash on a random Chord ring
+/// ([`chord_ring`]), a VerDi variant on a Verme ring of `sections`
+/// sections ([`verme_ring`]).
+pub fn dht_ring<L: LatencyModel, K: OnDhtRing<L>>(
+    system: DhtSystem,
+    nodes: usize,
+    sections: u128,
+    net: L,
+    seed: u64,
+    cfg: DhtConfig,
+    then: K,
+) -> K::Out {
+    fn on_verme<V, P, L, K>(
+        nodes: usize,
+        sections: u128,
+        net: L,
+        seed: u64,
+        cfg: DhtConfig,
+        then: K,
+    ) -> K::Out
+    where
+        V: Variant<Overlay = VermeNode<P>>,
+        P: Payload + 'static,
+        L: LatencyModel,
+        K: OnDhtRing<L>,
+    {
+        let layout = SectionLayout::with_sections(sections, 2);
+        let vcfg = then.verme_config(VermeConfig::new(layout));
+        let ring = VermeStaticRing::generate(layout, nodes, seed);
+        let (rt, members, ca) =
+            verme_ring(&ring, net, seed, &vcfg, |o| DhtEngine::<V>::new(o, cfg.clone()));
+        let order = members.clone();
+        let churn = Box::new(move || {
+            let mut joiner = verme_joiner(vcfg, ca);
+            churn_hooks(&order, seed, move |rng, bootstrap| {
+                DhtEngine::<V>::new(joiner(rng, bootstrap), cfg.clone())
+            })
+        });
+        then.run(DhtRing { rt, members, overlay: Overlay::Verme(ring), churn })
+    }
+    match system {
+        DhtSystem::Dhash => {
+            let ring = StaticRing::random(nodes, seed);
+            let chord = ChordConfig::default();
+            let (rt, members) =
+                chord_ring(&ring, net, seed, &chord, |o| DhashNode::new(o, cfg.clone()));
+            let order = members.clone();
+            let churn = Box::new(move || {
+                let wrap = move |o| DhashNode::new(o, cfg.clone());
+                chord_hooks(&order, seed, chord, DhashNode::overlay, wrap)
+            });
+            then.run(DhtRing { rt, members, overlay: Overlay::Chord(ring), churn })
+        }
+        DhtSystem::FastVerDi => on_verme::<Fast, _, _, _>(nodes, sections, net, seed, cfg, then),
+        DhtSystem::SecureVerDi => {
+            on_verme::<Secure, _, _, _>(nodes, sections, net, seed, cfg, then)
+        }
+        DhtSystem::CompromiseVerDi => {
+            on_verme::<Compromise, _, _, _>(nodes, sections, net, seed, cfg, then)
+        }
+    }
+}
+
 /// How a replacement Verme node comes to be: draw its type (an even
 /// coin, which keeps the split balanced), let the layout assign an id of
 /// that type, have `ca` certify it, and start it joining through the
@@ -138,12 +244,14 @@ pub fn verme_joiner<P: Payload>(
     }
 }
 
-/// The fault-plane binding of a churn cell over the ring whose members,
-/// by ring position, are `ring_order`: replacements bootstrap through a
-/// live original member drawn from `seed`'s `"joins"` stream and are
-/// built by `joiner` from the same stream, selectors read `ring_order`
-/// ([`verme_sim::fault::Selector`]), and a burst counts as healed once
-/// [`ring_converged`].
+/// The fault-plane binding of a Verme churn cell over the ring whose
+/// members, by ring position, are `ring_order`: replacements bootstrap
+/// through a live original member drawn from `seed`'s `"joins"` stream and
+/// are built by `joiner` ([`verme_joiner`], maybe wrapped) from the same
+/// stream, selectors read `ring_order` ([`verme_sim::fault::Selector`]),
+/// and a burst counts as healed once [`ring_converged`]. A Chord cell's
+/// binding is [`verme_chaos::chord_hooks`], the same one over Chord
+/// joiners.
 pub fn churn_hooks<N, L>(
     ring_order: &[Addr],
     seed: u64,
@@ -234,18 +342,19 @@ pub struct DhtCell {
     pub window: SimDuration,
 }
 
-/// What one DHT cell measured.
-#[derive(Clone, Debug)]
+/// What one DHT cell measured, or — [merged](CellOutcome::merge) — a
+/// sweep setting's repetitions pooled.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellOutcome {
     /// Gets issued during the fault window.
     pub issued: u64,
     /// Per-counter increase since seeding ended: everything the fault
     /// window and the drain caused.
     pub delta: BTreeMap<&'static str, u64>,
-    /// What the fault runner observed.
-    pub report: FaultReport,
+    /// What the fault runner observed, one report per repetition.
+    pub reports: Vec<FaultReport>,
     /// Live holders of the seeded blocks after the drain, against
-    /// [`CENSUS_TARGET`].
+    /// [`CENSUS_TARGET`]. Pooled, only its counts are meaningful.
     pub census: DurabilityCensus,
 }
 
@@ -254,6 +363,36 @@ impl CellOutcome {
     /// never touched it).
     pub fn count(&self, key: &str) -> u64 {
         self.delta.get(key).copied().unwrap_or(0)
+    }
+
+    /// `count(key)` per issued get (0 when none was issued).
+    pub fn per_get(&self, key: &str) -> f64 {
+        if self.issued == 0 {
+            return 0.0;
+        }
+        self.count(key) as f64 / self.issued as f64
+    }
+
+    /// Fraction of issued gets that never completed, in `[0, 1]`.
+    pub fn failed_fraction(&self) -> f64 {
+        if self.issued == 0 {
+            return 0.0;
+        }
+        self.issued.saturating_sub(self.count(verme_dht::keys::GET_COMPLETED)) as f64
+            / self.issued as f64
+    }
+
+    /// Pools another repetition into this outcome: issued gets, counter
+    /// deltas and census counts add, and its fault reports follow ours.
+    pub fn merge(&mut self, other: &CellOutcome) {
+        self.issued += other.issued;
+        for (&key, n) in &other.delta {
+            *self.delta.entry(key).or_default() += n;
+        }
+        self.reports.extend(other.reports.iter().cloned());
+        self.census.keys += other.census.keys;
+        self.census.lost += other.census.lost;
+        self.census.under_replicated += other.census.under_replicated;
     }
 }
 
@@ -301,13 +440,13 @@ pub fn drive_dht_cell<N: DhtNode>(
     CellOutcome {
         issued,
         delta: rt.metrics().counter_delta(&baseline),
-        report: runner.into_report(),
+        reports: vec![runner.into_report()],
         census: DurabilityCensus::take(seeded.iter().copied(), stores, CENSUS_TARGET),
     }
 }
 
-/// One churn cell: a converged ring of `system` under `cfg` with
-/// [`churn_hooks`], driven by [`drive_dht_cell`] with each get asked by a
+/// One churn cell: a converged ring of `system` under `cfg` with its
+/// churn binding, driven by [`drive_dht_cell`] with each get asked by a
 /// random live member of the original population.
 pub fn run_churn_cell(
     system: DhtSystem,
@@ -316,57 +455,32 @@ pub fn run_churn_cell(
     seed: u64,
     plan: impl FnOnce(SimTime) -> FaultPlan,
 ) -> CellOutcome {
-    fn live_member<N: Node>(
-        rt: &Runtime<N, UniformLatency>,
-        members: &[Addr],
-        rng: &mut StdRng,
-    ) -> Option<Addr> {
-        let live: Vec<Addr> = members.iter().copied().filter(|&a| rt.is_alive(a)).collect();
-        (!live.is_empty()).then(|| live[rng.gen_range(0..live.len())])
-    }
-    fn verdi<V: Variant<Overlay = VermeNode<P>>, P: Payload + 'static>(
-        cell: &DhtCell,
-        cfg: DhtConfig,
+    struct Churn<'a, P> {
+        cell: &'a DhtCell,
         seed: u64,
-        net: UniformLatency,
-        plan: impl FnOnce(SimTime) -> FaultPlan,
-    ) -> CellOutcome {
-        let vcfg = VermeConfig::new(SectionLayout::with_sections(cell.sections, 2));
-        let ring = VermeStaticRing::generate(vcfg.layout, cell.nodes, seed);
-        let (rt, addrs, ca) =
-            verme_ring(&ring, net, seed, &vcfg, |o| DhtEngine::<V>::new(o, cfg.clone()));
-        let mut joiner = verme_joiner(vcfg, ca);
-        let hooks = churn_hooks(&addrs, seed, move |rng, bootstrap| {
-            DhtEngine::<V>::new(joiner(rng, bootstrap), cfg.clone())
-        });
-        drive_dht_cell(rt, addrs, hooks, cell, seed, plan, live_member)
+        plan: P,
+    }
+    impl<P: FnOnce(SimTime) -> FaultPlan> OnDhtRing<UniformLatency> for Churn<'_, P> {
+        type Out = CellOutcome;
+        fn run<V: Variant>(self, ring: DhtRing<V, UniformLatency>) -> CellOutcome {
+            let hooks = (ring.churn)();
+            drive_dht_cell(
+                ring.rt,
+                ring.members,
+                hooks,
+                self.cell,
+                self.seed,
+                self.plan,
+                |rt, members, rng| {
+                    let live: Vec<Addr> =
+                        members.iter().copied().filter(|&a| rt.is_alive(a)).collect();
+                    (!live.is_empty()).then(|| live[rng.gen_range(0..live.len())])
+                },
+            )
+        }
     }
     let net = UniformLatency::new(cell.nodes, HOP);
-    match system {
-        DhtSystem::Dhash => {
-            let ring = StaticRing::random(cell.nodes, seed);
-            let chord = ChordConfig::default();
-            let (rt, addrs) =
-                chord_ring(&ring, net, seed, &chord, |o| DhashNode::new(o, cfg.clone()));
-            let hooks = churn_hooks(&addrs, seed, move |rng, bootstrap| {
-                let overlay = ChordNode::joining(Id::random(rng), chord.clone(), bootstrap);
-                DhashNode::new(overlay, cfg.clone())
-            });
-            drive_dht_cell(rt, addrs, hooks, cell, seed, plan, live_member)
-        }
-        DhtSystem::FastVerDi => verdi::<Fast, _>(cell, cfg, seed, net, plan),
-        DhtSystem::SecureVerDi => verdi::<Secure, _>(cell, cfg, seed, net, plan),
-        DhtSystem::CompromiseVerDi => verdi::<Compromise, _>(cell, cfg, seed, net, plan),
-    }
-}
-
-/// Nodes lost to churn crashes, graceful leaves and kill bursts, out of a
-/// counter snapshot or delta.
-pub fn departures(delta: &BTreeMap<&'static str, u64>) -> u64 {
-    [fault_keys::LEAVE_CRASH, fault_keys::LEAVE_GRACEFUL, fault_keys::BURST_KILL]
-        .iter()
-        .map(|k| delta.get(k).copied().unwrap_or(0))
-        .sum()
+    dht_ring(system, cell.nodes, cell.sections, net, seed, cfg, Churn { cell, seed, plan })
 }
 
 /// `cell(job, rep)` for every job × repetition `0..reps`, on [`par_map`]'s
@@ -517,6 +631,8 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 
 #[cfg(test)]
 mod tests {
+    use bytes::Bytes;
+
     use super::*;
 
     #[test]
@@ -599,13 +715,34 @@ mod tests {
     }
 
     #[test]
-    fn departures_sum_the_three_ways_a_node_is_lost() {
-        let delta = BTreeMap::from([
-            (fault_keys::LEAVE_CRASH, 3),
-            (fault_keys::BURST_KILL, 5),
-            (fault_keys::JOIN, 100),
-        ]);
-        assert_eq!(departures(&delta), 8);
-        assert_eq!(departures(&BTreeMap::new()), 0);
+    fn dht_ring_converges_every_system_in_ring_order() {
+        struct Check(DhtSystem);
+        impl OnDhtRing<UniformLatency> for Check {
+            type Out = ();
+            fn run<V: Variant>(self, ring: DhtRing<V, UniformLatency>) {
+                let (system, DhtRing { mut rt, members, .. }) = (self.0.label(), ring);
+                let ring_of = |a: Addr| rt.node(a).expect("alive").ring();
+                let ids: Vec<Id> = members.iter().map(|&a| ring_of(a).id()).collect();
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "{system}: not in ring order");
+                assert!(members.iter().all(|&a| ring_of(a).is_joined()), "{system}: unjoined");
+                assert!(ring_converged(&rt), "{system}: not converged");
+
+                let value = Bytes::from(vec![7u8; 512]);
+                let key = verme_dht::block_key(&value);
+                let (writer, reader) = (members[0], members[members.len() / 2]);
+                rt.invoke(writer, |n, ctx| n.start_put(value, ctx)).expect("alive");
+                rt.run_until(rt.now() + SimDuration::from_secs(45));
+                rt.invoke(reader, |n, ctx| n.start_get(key, ctx)).expect("alive");
+                rt.run_until(rt.now() + SimDuration::from_secs(45));
+                for who in [writer, reader] {
+                    let outs = rt.node_mut(who).expect("alive").take_op_outcomes();
+                    assert!(outs.iter().any(|o| o.ok), "{system}: op at {who:?} failed");
+                }
+            }
+        }
+        for system in DhtSystem::ALL {
+            let net = UniformLatency::new(32, HOP);
+            dht_ring(system, 32, 4, net, 3, DhtConfig::default(), Check(system));
+        }
     }
 }

@@ -14,9 +14,10 @@
 //!   self-contained simulation ([`Scenario::Ring`] or
 //!   [`Scenario::Durability`]) and evaluates the oracle set; the returned
 //!   [`OracleReport`] is a pure function of `(scenario, schedule, seed)`.
-//!   The two harness pieces its scenarios are built from and the bench
+//!   The three harness pieces its scenarios are built from and the bench
 //!   experiments share are public: [`ring_assertor`] (the continuous
-//!   ring-invariant check) and [`seed_blocks`] (fault-free block seeding).
+//!   ring-invariant check), [`seed_blocks`] (fault-free block seeding)
+//!   and [`chord_hooks`] (the fault-plane binding of a Chord ring).
 //! * [`shrink`] — [`ddmin`] delta-debugs a failing schedule down to a
 //!   locally minimal one that still fails.
 //! * [`repro`] — a [`Repro`] bundles `(scenario, seed, schedule, report)`
@@ -45,5 +46,5 @@ pub use explorer::{explore, trial_seed, Discovery, Exploration, ExplorerConfig};
 pub use oracle::{Finding, OracleReport};
 pub use profile::{sample_plan, ChaosProfile, FaultKind};
 pub use repro::Repro;
-pub use scenario::{ring_assertor, run_trial, seed_blocks, Scenario};
+pub use scenario::{chord_hooks, ring_assertor, run_trial, seed_blocks, Scenario};
 pub use shrink::{ddmin, ShrinkOutcome};

@@ -220,13 +220,14 @@ type Checkpoint = (Id, Option<NodeHandle>, Vec<NodeHandle>);
 /// Chord node back out for the restart checkpoint.
 ///
 /// Joins draw from `seed`'s `"joins"` stream through a live member of
-/// `addrs`. A restarted node comes back under the same identifier: with
+/// `addrs`, selectors read `addrs` as ring order, and a burst counts as
+/// healed once [`ring_converged`]. A restarted node comes back under the same identifier: with
 /// its ring pointers under Persisted recovery (the stale-state re-admit
 /// path), or through a full two-phase join under Amnesia. Whatever `wrap`
 /// adds starts fresh either way — a storage node returns with an empty
 /// block store, and the repair plane must notice and re-replicate what
 /// it held.
-fn chord_hooks<N: Node + RingNode + 'static>(
+pub fn chord_hooks<N: Node + RingNode + 'static>(
     addrs: &[Addr],
     seed: u64,
     cfg: ChordConfig,

@@ -161,6 +161,10 @@ impl RingNode for ChordNode {
     fn ring(&self) -> &RingCore {
         &self.ring
     }
+
+    fn set_behaviour(&mut self, behaviour: Box<dyn Behaviour>) {
+        self.ring.set_behaviour(behaviour);
+    }
 }
 
 impl ChordNode {
@@ -278,12 +282,6 @@ impl ChordNode {
     /// addresses a topological worm could harvest from the node's memory.
     pub fn known_peers(&self) -> Vec<NodeHandle> {
         self.ring.known_peers(self.predecessor.as_slice())
-    }
-
-    /// Replaces this node's routing policy (adversary injection). The
-    /// default is [`Honest`](crate::Honest).
-    pub fn set_behaviour(&mut self, behaviour: Box<dyn Behaviour>) {
-        self.ring.set_behaviour(behaviour);
     }
 
     /// True when this node runs an adversarial routing policy.

@@ -65,6 +65,10 @@ pub enum Relay {
 pub trait RingNode {
     /// The node's ring state.
     fn ring(&self) -> &RingCore;
+
+    /// Replaces the node's routing policy (adversary injection). The
+    /// default is [`Honest`].
+    fn set_behaviour(&mut self, behaviour: Box<dyn Behaviour>);
 }
 
 /// True when every live, joined node's first successor is alive — the

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use verme_chord::{
-    keys, Byzantine, ByzantineConfig, ChordConfig, ChordNode, NodeHandle, StaticRing,
+    keys, Byzantine, ByzantineConfig, ChordConfig, ChordNode, NodeHandle, RingNode, StaticRing,
 };
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, Runtime, SimDuration, SimTime};

@@ -131,6 +131,10 @@ impl<P: Payload> RingNode for VermeNode<P> {
     fn ring(&self) -> &RingCore {
         &self.ring
     }
+
+    fn set_behaviour(&mut self, behaviour: Box<dyn Behaviour>) {
+        self.ring.set_behaviour(behaviour);
+    }
 }
 
 impl<P: Payload> VermeNode<P> {
@@ -291,11 +295,6 @@ impl<P: Payload> VermeNode<P> {
     /// uses this to force a disjoint first hop.
     pub fn route_first_hop_excluding(&self, key: Id, exclude: &[Addr]) -> Option<NodeHandle> {
         self.ring.route_first_hop_excluding(key, exclude)
-    }
-
-    /// Installs a routing [`Behaviour`] policy (Byzantine scripting).
-    pub fn set_behaviour(&mut self, behaviour: Box<dyn Behaviour>) {
-        self.ring.set_behaviour(behaviour);
     }
 
     /// True if this node runs an adversarial routing policy.

@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use verme_chord::{keys, Byzantine, ByzantineConfig, Id, NodeHandle};
+use verme_chord::{keys, Byzantine, ByzantineConfig, Id, NodeHandle, RingNode};
 use verme_core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme_crypto::CertificateAuthority;
 use verme_sim::runtime::UniformLatency;

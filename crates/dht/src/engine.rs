@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use bytes::Bytes;
 use rand::Rng;
 
-use verme_chord::{Id, RingCore, RingNode};
+use verme_chord::{Behaviour, Id, RingCore, RingNode};
 use verme_sim::{Addr, Ctx, Node, ProfScope, Scope, SimDuration, Wire};
 
 use crate::api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome, OpReq, OpTable};
@@ -396,6 +396,10 @@ pub(crate) fn send_as<V: Variant>(ctx: &mut ECtx<'_, V>, to: Addr, msg: DhtMsg<V
 impl<V: Variant> RingNode for DhtEngine<V> {
     fn ring(&self) -> &RingCore {
         self.overlay.ring()
+    }
+
+    fn set_behaviour(&mut self, behaviour: Box<dyn Behaviour>) {
+        self.overlay.set_behaviour(behaviour);
     }
 }
 

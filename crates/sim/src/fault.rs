@@ -263,35 +263,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adversarial churn timed against the repair plane: one
-    /// [`Fault::KillBurst`] per repair round, each phased to land just
-    /// after the round's reactive kick window (`kick_delay` past the
-    /// round boundary, plus a small margin) — so every burst's damage
-    /// sits unrepaired for nearly a full `repair_interval` instead of
-    /// being caught by the kick the previous burst triggered. This is
-    /// the worst-case phase an adversary who knows the repair cadence
-    /// can pick; compare against uniformly-timed [`Fault::Churn`] at the
-    /// same kill rate to price the timing advantage.
-    pub fn with_repair_phased_kills(
-        mut self,
-        start: SimTime,
-        repair_interval: SimDuration,
-        kick_delay: SimDuration,
-        rounds: u32,
-        selector: &str,
-    ) -> Self {
-        for i in 0..rounds {
-            let at =
-                start + repair_interval * u64::from(i) + kick_delay + SimDuration::from_millis(250);
-            self = self.with(Fault::KillBurst {
-                at,
-                window: SimDuration::from_millis(50),
-                selector: selector.to_string(),
-            });
-        }
-        self
-    }
-
     /// The scripted faults, in insertion order.
     pub fn faults(&self) -> &[Fault] {
         &self.faults
@@ -438,20 +409,17 @@ impl<N: Node, L: LatencyModel> FaultHooks<N, L> {
 }
 
 /// A victim selector over a fixed ordering of the original population —
-/// ring order, or an adversary's eclipse order. The three grammars every
+/// ring order, or an adversary's eclipse order. The two grammars every
 /// experiment's kill bursts, restarts and Byzantine flips are written in:
 ///
 /// | text | selects |
 /// |---|---|
 /// | `arc:N`, `eclipse:N` | the first `N` entries of the ordering still alive |
-/// | `eclipse-skip:S:N` | past the first `S` entries (dead or alive), the next `N` still alive |
 /// | `span:S:L` | the entries still alive among the `L` positions from `S`, wrapping |
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Selector {
-    /// `arc:N` / `eclipse:N` (`skip` 0) and `eclipse-skip:S:N`.
+    /// `arc:N` / `eclipse:N`.
     Leading {
-        /// Entries of the ordering passed over before any is taken.
-        skip: usize,
         /// How many live entries to take.
         take: usize,
     },
@@ -478,12 +446,9 @@ impl Selector {
             .map(|c| c.parse().map_err(|_| format!("selector {text:?}: {c:?} is not a count")))
             .collect::<Result<_, _>>()?;
         match (kind, counts.as_slice()) {
-            ("arc" | "eclipse", &[take]) => Ok(Selector::Leading { skip: 0, take }),
-            ("eclipse-skip", &[skip, take]) => Ok(Selector::Leading { skip, take }),
+            ("arc" | "eclipse", &[take]) => Ok(Selector::Leading { take }),
             ("span", &[start, len]) => Ok(Selector::Span { start, len }),
-            _ => Err(format!(
-                "selector {text:?}: expected arc:N, eclipse:N, eclipse-skip:S:N or span:S:L"
-            )),
+            _ => Err(format!("selector {text:?}: expected arc:N, eclipse:N or span:S:L")),
         }
     }
 
@@ -492,9 +457,7 @@ impl Selector {
     pub fn select(self, order: &[Addr], live: &[Addr]) -> Vec<Addr> {
         let alive = |a: &Addr| live.contains(a);
         match self {
-            Selector::Leading { skip, take } => {
-                order.iter().copied().skip(skip).filter(alive).take(take).collect()
-            }
+            Selector::Leading { take } => order.iter().copied().filter(alive).take(take).collect(),
             Selector::Span { start, len } => {
                 let n = order.len();
                 (0..len.min(n)).map(|d| order[(start % n + d) % n]).filter(alive).collect()
@@ -1116,28 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_phased_kills_follow_the_round_boundaries() {
-        let interval = SimDuration::from_secs(15);
-        let kick = SimDuration::from_secs(2);
-        let plan =
-            FaultPlan::new().with_repair_phased_kills(secs(30), interval, kick, 3, "frac:0.05");
-        assert!(plan.validate().is_ok());
-        assert_eq!(plan.faults().len(), 3);
-        for (i, f) in plan.faults().iter().enumerate() {
-            let Fault::KillBurst { at, selector, .. } = f else {
-                panic!("expected a kill burst, got {f:?}");
-            };
-            let boundary = secs(30) + interval * i as u64;
-            assert!(
-                *at > boundary + kick && *at < boundary + interval,
-                "burst {i} at {at:?} must land after round {i}'s kick window \
-                 and before the next boundary"
-            );
-            assert_eq!(selector, "frac:0.05");
-        }
-    }
-
-    #[test]
     fn validate_rejects_bad_parameters() {
         let bad_rate = FaultPlan::new().with(Fault::Churn {
             start: SimTime::ZERO,
@@ -1552,16 +1493,12 @@ mod tests {
         // The ordering is not address order; 30 and 60 are dead.
         let order: Vec<Addr> = [50, 30, 10, 60, 20, 40].map(a).to_vec();
         let live: Vec<Addr> = [10, 20, 40, 50].map(a).to_vec();
-        let table: [(&str, &[u64]); 12] = [
+        let table: [(&str, &[u64]); 9] = [
             ("arc:0", &[]),
+            // The take counts only live entries (30 is passed over).
             ("arc:3", &[50, 10, 20]),
             ("eclipse:3", &[50, 10, 20]),
             ("arc:99", &[50, 10, 20, 40]),
-            // The skip counts entries, dead or alive; the take counts
-            // only live ones (60 is passed over without being counted).
-            ("eclipse-skip:2:2", &[10, 20]),
-            ("eclipse-skip:1:1", &[10]),
-            ("eclipse-skip:6:1", &[]),
             // A span covers positions, so dead members shrink it.
             ("span:0:3", &[50, 10]),
             ("span:4:4", &[20, 40, 50]),
@@ -1584,8 +1521,8 @@ mod tests {
             "arc:-1",
             "arc:1:2",
             "eclipse:",
+            "eclipse-skip:2:2",
             "eclipse-skip:3",
-            "eclipse-skip:1:2:3",
             "span:",
             "span:1",
             "span:x:2",
