@@ -17,7 +17,9 @@ use verme_dht::DhtConfig;
 use verme_sim::fault::{Fault, FaultPlan, FaultReport};
 use verme_sim::SimDuration;
 
-use crate::testbed::{cell_seed, pooled, run_churn_cell, sweep, CellOutcome, DhtCell, DhtSystem};
+use crate::testbed::{
+    cell_seed, mean_of, pooled, run_churn_cell, sweep, CellOutcome, DhtCell, DhtSystem,
+};
 
 /// Parameters for one extG sweep.
 #[derive(Clone, Debug)]
@@ -77,15 +79,15 @@ impl ExtGParams {
 }
 
 /// Milliseconds from the end of the kill burst until every joined
-/// survivor again had a live first successor, folded over the
+/// survivor again had a live first successor, averaged over the
 /// repetitions whose fault report observed one (`None` if none did).
-/// Each observation halves the weight of those before it.
 pub fn reconverge_ms(reports: &[FaultReport]) -> Option<f64> {
-    reports
+    let observed: Vec<f64> = reports
         .iter()
         .filter_map(|r| r.bursts.first()?.reconverged_after)
         .map(|d| d.as_millis_f64())
-        .reduce(|a, b| (a + b) / 2.0)
+        .collect();
+    (!observed.is_empty()).then(|| mean_of(&observed, |&ms| ms))
 }
 
 /// Runs one cell of the sweep: the shared churn cell
@@ -174,6 +176,8 @@ pub fn run_extg(params: &ExtGParams) -> Vec<ExtGRow> {
 #[cfg(test)]
 mod tests {
     use verme_dht::keys::{GET_COMPLETED, OP_FAILED, OP_RECOVERED, OP_RETRIES};
+    use verme_sim::fault::BurstImpact;
+    use verme_sim::SimTime;
 
     use super::*;
 
@@ -210,6 +214,24 @@ mod tests {
             with.per_get(GET_COMPLETED),
             without.per_get(GET_COMPLETED)
         );
+    }
+
+    #[test]
+    fn reconvergence_is_the_mean_over_the_reps_that_observed_one() {
+        let report = |ms: Option<u64>| FaultReport {
+            bursts: vec![BurstImpact {
+                selector: "arc:8".into(),
+                at: SimTime::ZERO,
+                killed: 8,
+                reconverged_after: ms.map(SimDuration::from_millis),
+                counter_delta: Default::default(),
+                events: Vec::new(),
+            }],
+            ..FaultReport::default()
+        };
+        let reps = [Some(100), None, Some(200), Some(600)].map(report);
+        assert_eq!(reconverge_ms(&reps), Some(300.0));
+        assert_eq!(reconverge_ms(&[report(None)]), None);
     }
 
     #[test]

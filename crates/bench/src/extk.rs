@@ -189,10 +189,9 @@ pub fn run_extk_cell(
             })
         }
     }
-    let net = UniformLatency::new(params.cell.nodes, HOP);
-    let (nodes, sections) = (params.cell.nodes, params.cell.sections);
-    let then = Adversarial { params, fraction, cell_seed };
-    dht_ring(system, nodes, sections, net, cell_seed, defended_config(system), then)
+    let (cell, then) = (&params.cell, Adversarial { params, fraction, cell_seed });
+    let net = UniformLatency::new(cell.nodes, HOP);
+    dht_ring(system, cell.nodes, cell.sections, net, cell_seed, defended_config(system), then)
 }
 
 /// One row of the sweep: a variant measured at every adversary fraction,
