@@ -28,9 +28,10 @@
 //!   explorations, two positive controls and two hardened arms.
 //! * [`testbed`] — what every module above and every `*_check` bin is
 //!   built from beyond the crates' own constructors: one Chord and one
-//!   Verme ring builder, the four DHT systems, the Verme joiner and churn
-//!   hooks, the DHT fault-sweep cell, the King-matrix lookup run, the
-//!   check bins' verdicts and fingerprints, the side-file directory, and
+//!   Verme ring builder, the four DHT systems and the one builder of
+//!   their rings, the Verme joiner and churn hooks, the DHT fault-sweep
+//!   cell and its pooled outcome, the King-matrix lookup run, the check
+//!   bins' verdicts and fingerprints, the side-file directory, and
 //!   `sweep`, the one jobs × repetitions fan-out, with its seed rule.
 //!
 //! The `src/bin/` binaries print each figure's table at paper scale

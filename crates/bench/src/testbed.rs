@@ -504,7 +504,7 @@ pub fn cell_seed(seed: u64, setting: usize, rep: u64) -> u64 {
 }
 
 /// One sweep setting's repetitions pooled into a single cell, in slot
-/// order (a merge may average, so the order is part of the result).
+/// order (a merge may keep per-repetition detail, so order matters).
 pub fn pooled<C: Default>(reps: &[C], merge: impl Fn(&mut C, &C)) -> C {
     let mut acc = C::default();
     for cell in reps {
