@@ -58,7 +58,7 @@ fn main() {
         if success(with) > success(without) {
             dominated += 1;
         }
-        let reconv = match reconverge_ms(&with.reports) {
+        let reconv = match reconverge_ms(&with.reconverge_ms) {
             Some(ms) => format!("{ms:.0}"),
             None => "-".to_string(),
         };

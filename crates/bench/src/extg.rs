@@ -14,12 +14,10 @@
 //! interleave.
 
 use verme_dht::DhtConfig;
-use verme_sim::fault::{Fault, FaultPlan, FaultReport};
-use verme_sim::SimDuration;
+use verme_sim::fault::{Fault, FaultPlan};
+use verme_sim::{Histogram, SimDuration};
 
-use crate::testbed::{
-    cell_seed, mean_of, pooled, run_churn_cell, sweep, CellOutcome, DhtCell, DhtSystem,
-};
+use crate::testbed::{cell_seed, pooled, run_churn_cell, sweep, CellOutcome, DhtCell, DhtSystem};
 
 /// Parameters for one extG sweep.
 #[derive(Clone, Debug)]
@@ -80,14 +78,11 @@ impl ExtGParams {
 
 /// Milliseconds from the end of the kill burst until every joined
 /// survivor again had a live first successor, averaged over the
-/// repetitions whose fault report observed one (`None` if none did).
-pub fn reconverge_ms(reports: &[FaultReport]) -> Option<f64> {
-    let observed: Vec<f64> = reports
-        .iter()
-        .filter_map(|r| r.bursts.first()?.reconverged_after)
-        .map(|d| d.as_millis_f64())
-        .collect();
-    (!observed.is_empty()).then(|| mean_of(&observed, |&ms| ms))
+/// repetitions that observed one (`None` if none did). The plan has one
+/// burst, so a pooled cell's [`CellOutcome::reconverge_ms`] holds one
+/// sample per such repetition.
+pub fn reconverge_ms(samples: &Histogram) -> Option<f64> {
+    (!samples.is_empty()).then(|| samples.mean())
 }
 
 /// Runs one cell of the sweep: the shared churn cell
@@ -176,8 +171,6 @@ pub fn run_extg(params: &ExtGParams) -> Vec<ExtGRow> {
 #[cfg(test)]
 mod tests {
     use verme_dht::keys::{GET_COMPLETED, OP_FAILED, OP_RECOVERED, OP_RETRIES};
-    use verme_sim::fault::BurstImpact;
-    use verme_sim::SimTime;
 
     use super::*;
 
@@ -218,20 +211,14 @@ mod tests {
 
     #[test]
     fn reconvergence_is_the_mean_over_the_reps_that_observed_one() {
-        let report = |ms: Option<u64>| FaultReport {
-            bursts: vec![BurstImpact {
-                selector: "arc:8".into(),
-                at: SimTime::ZERO,
-                killed: 8,
-                reconverged_after: ms.map(SimDuration::from_millis),
-                counter_delta: Default::default(),
-                events: Vec::new(),
-            }],
-            ..FaultReport::default()
+        let rep = |ms: Option<f64>| {
+            let mut cell = CellOutcome::default();
+            ms.into_iter().for_each(|ms| cell.reconverge_ms.record(ms));
+            cell
         };
-        let reps = [Some(100), None, Some(200), Some(600)].map(report);
-        assert_eq!(reconverge_ms(&reps), Some(300.0));
-        assert_eq!(reconverge_ms(&[report(None)]), None);
+        let reps = [Some(100.0), None, Some(200.0), Some(600.0)].map(rep);
+        assert_eq!(reconverge_ms(&pooled(&reps, CellOutcome::merge).reconverge_ms), Some(300.0));
+        assert_eq!(reconverge_ms(&rep(None).reconverge_ms), None);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use rand::Rng;
 
 use verme_chord::{Byzantine, ByzantineConfig, Id, RingNode};
 use verme_dht::{DhtConfig, DhtEngine, Variant};
-use verme_sim::fault::{ordered_selector, Fault, FaultHooks, FaultPlan};
+use verme_sim::fault::{Fault, FaultHooks, FaultPlan};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{Addr, SeedSource, SimDuration};
 
@@ -160,8 +160,8 @@ pub fn run_extk_cell(
             let count = (params.cell.nodes as f64 * fraction).round() as usize;
             let adversaries: Vec<Addr> = order.iter().copied().take(count).collect();
             let hooks: FaultHooks<DhtEngine<V>, UniformLatency> = FaultHooks {
-                select_victims: ordered_selector(order),
-                corrupt: Box::new(move |rt, _, targets| {
+                victim_order: order,
+                corrupt: Box::new(move |rt, targets| {
                     for &a in targets {
                         // Each corrupted node draws from a private stream.
                         let seed =
@@ -175,11 +175,9 @@ pub fn run_extk_cell(
             };
             let plan = |at| match adversaries.len() {
                 0 => FaultPlan::new(),
-                n => FaultPlan::new().with(Fault::Byzantine {
-                    at,
-                    selector: format!("eclipse:{n}"),
-                    attack: ATTACK.into(),
-                }),
+                n => {
+                    FaultPlan::new().with(Fault::Byzantine { at, selector: format!("eclipse:{n}") })
+                }
             };
             let honest: Vec<Addr> =
                 members.iter().copied().filter(|a| !adversaries.contains(a)).collect();

@@ -48,11 +48,12 @@ use verme_dht::{
 };
 use verme_net::KingMatrix;
 use verme_obs::Registry;
-use verme_sim::fault::{
-    join_via_live_bootstrap, ordered_selector, FaultHooks, FaultPlan, FaultReport, FaultRunner,
-};
+use verme_sim::fault::keys::RECONVERGE_MS;
+use verme_sim::fault::{join_via_live_bootstrap, FaultHooks, FaultPlan, FaultRunner};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, LatencyModel, MetricDesc, Node, Runtime, SeedSource, SimDuration, SimTime};
+use verme_sim::{
+    Addr, Histogram, LatencyModel, MetricDesc, Node, Runtime, SeedSource, SimDuration, SimTime,
+};
 
 /// Per-hop one-way latency of the uniform network.
 pub const HOP: SimDuration = SimDuration::from_millis(20);
@@ -267,7 +268,7 @@ where
             SeedSource::new(seed).stream("joins"),
             joiner,
         ),
-        select_victims: ordered_selector(ring_order.to_vec()),
+        victim_order: ring_order.to_vec(),
         ring_converged: Box::new(ring_converged),
         ..FaultHooks::inert()
     }
@@ -351,8 +352,10 @@ pub struct CellOutcome {
     /// Per-counter increase since seeding ended: everything the fault
     /// window and the drain caused.
     pub delta: BTreeMap<&'static str, u64>,
-    /// What the fault runner observed, one report per repetition.
-    pub reports: Vec<FaultReport>,
+    /// The fault runner's `fault.reconverge_ms` samples, in repetition
+    /// order: milliseconds from a kill burst's end until the ring healed,
+    /// one per burst that did.
+    pub reconverge_ms: Histogram,
     /// Live holders of the seeded blocks after the drain, against
     /// [`CENSUS_TARGET`]. Pooled, only its counts are meaningful.
     pub census: DurabilityCensus,
@@ -383,13 +386,14 @@ impl CellOutcome {
     }
 
     /// Pools another repetition into this outcome: issued gets, counter
-    /// deltas and census counts add, and its fault reports follow ours.
+    /// deltas and census counts add, and its reconvergence samples follow
+    /// ours.
     pub fn merge(&mut self, other: &CellOutcome) {
         self.issued += other.issued;
         for (&key, n) in &other.delta {
             *self.delta.entry(key).or_default() += n;
         }
-        self.reports.extend(other.reports.iter().cloned());
+        self.reconverge_ms.merge(&other.reconverge_ms);
         self.census.keys += other.census.keys;
         self.census.lost += other.census.lost;
         self.census.under_replicated += other.census.under_replicated;
@@ -440,7 +444,7 @@ pub fn drive_dht_cell<N: DhtNode>(
     CellOutcome {
         issued,
         delta: rt.metrics().counter_delta(&baseline),
-        reports: vec![runner.into_report()],
+        reconverge_ms: rt.metrics().histogram(RECONVERGE_MS).cloned().unwrap_or_default(),
         census: DurabilityCensus::take(seeded.iter().copied(), stores, CENSUS_TARGET),
     }
 }

@@ -223,26 +223,6 @@ pub fn sample_plan(profile: &ChaosProfile, seed: u64) -> Vec<Fault> {
     plan
 }
 
-/// The virtual-clock instant a fault's direct effects end (victims of a
-/// kill burst are all dead, a window has closed, a restarted node has
-/// rejoined). Scenarios run past the latest of these plus a settling
-/// tail.
-pub fn fault_end(fault: &Fault) -> SimTime {
-    match fault {
-        Fault::Churn { start, duration, rejoin_after, .. } => {
-            *start + *duration + rejoin_after.unwrap_or(SimDuration::ZERO)
-        }
-        Fault::KillBurst { at, window, .. } => *at + *window,
-        Fault::LossBurst { at, duration, .. }
-        | Fault::LatencySpike { at, duration, .. }
-        | Fault::Duplicate { at, duration, .. }
-        | Fault::Reorder { at, duration, .. }
-        | Fault::Partition { at, duration, .. } => *at + *duration,
-        Fault::Byzantine { at, .. } => *at,
-        Fault::Restart { at, down_for, .. } => *at + *down_for,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,11 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_ends_are_past_their_starts() {
+    fn sampled_faults_end_past_the_schedule_start() {
         let profile = ChaosProfile::durability(48, 6);
         for seed in 0..50 {
             for f in sample_plan(&profile, seed) {
-                assert!(fault_end(&f) >= schedule_start(), "{f:?}");
+                assert!(f.end() >= schedule_start(), "{f:?}");
             }
         }
     }

@@ -178,11 +178,10 @@ fn fault_to_json(f: &Fault) -> Json {
             ("duration_ns".into(), dur(*duration)),
             ("factor".into(), Json::Float(*factor)),
         ]),
-        Fault::Byzantine { at, selector, attack } => Json::Obj(vec![
+        Fault::Byzantine { at, selector } => Json::Obj(vec![
             ("fault".into(), "byzantine".into()),
             ("at_ns".into(), time(*at)),
             ("selector".into(), selector.as_str().into()),
-            ("attack".into(), attack.as_str().into()),
         ]),
         Fault::Duplicate { at, duration, rate } => Json::Obj(vec![
             ("fault".into(), "duplicate".into()),
@@ -251,11 +250,10 @@ fn fault_from_json(v: &Json) -> Result<Fault, String> {
             duration: dur("duration_ns")?,
             factor: rate("factor")?,
         }),
-        Some("byzantine") => Ok(Fault::Byzantine {
-            at: time("at_ns")?,
-            selector: need_str(v, "selector")?,
-            attack: need_str(v, "attack")?,
-        }),
+        // Older files also carry an `attack` string; it is ignored.
+        Some("byzantine") => {
+            Ok(Fault::Byzantine { at: time("at_ns")?, selector: need_str(v, "selector")? })
+        }
         Some("duplicate") => Ok(Fault::Duplicate {
             at: time("at_ns")?,
             duration: dur("duration_ns")?,
@@ -383,7 +381,7 @@ mod tests {
             Fault::KillBurst { at: t, window: d, selector: "span:3:4".into() },
             Fault::LossBurst { at: t, duration: d, rate: 0.125 },
             Fault::LatencySpike { at: t, duration: d, factor: 4.0 },
-            Fault::Byzantine { at: t, selector: "frac:0.2".into(), attack: "drop-all".into() },
+            Fault::Byzantine { at: t, selector: "eclipse:2".into() },
             Fault::Duplicate { at: t, duration: d, rate: 0.5 },
             Fault::Reorder { at: t, duration: d, rate: 0.5, window: d },
             Fault::Restart {
@@ -398,6 +396,11 @@ mod tests {
             let back = fault_from_json(&fault_to_json(&f)).expect("round trip");
             assert_eq!(back, f);
         }
+        // A Byzantine entry that still carries an `attack` string reads.
+        let byzantine = Fault::Byzantine { at: t, selector: "eclipse:2".into() };
+        let Json::Obj(mut fields) = fault_to_json(&byzantine) else { panic!("not an object") };
+        fields.push(("attack".into(), "drop-all".into()));
+        assert_eq!(fault_from_json(&Json::Obj(fields)), Ok(byzantine));
     }
 
     #[test]

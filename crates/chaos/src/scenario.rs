@@ -18,9 +18,7 @@ use verme_chord::{
 };
 use verme_dht::{block_key, DhashNode, DhtConfig, DhtNode, DurabilityCensus};
 use verme_obs::ring as ring_keys;
-use verme_sim::fault::{
-    join_via_live_bootstrap, ordered_selector, Fault, FaultHooks, FaultPlan, FaultRunner, Selector,
-};
+use verme_sim::fault::{join_via_live_bootstrap, Fault, FaultHooks, FaultPlan, FaultRunner};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{
     Addr, AssertorVerdict, HostId, LatencyModel, Node, Recovery, RestartPhase, Runtime, SeedSource,
@@ -28,7 +26,7 @@ use verme_sim::{
 };
 
 use crate::oracle::{self, OracleReport};
-use crate::profile::{fault_end, schedule_start};
+use crate::profile::schedule_start;
 
 /// Per-hop one-way latency of the uniform network.
 const HOP: SimDuration = SimDuration::from_millis(20);
@@ -107,13 +105,13 @@ pub fn run_trial(scenario: &Scenario, schedule: &[Fault], seed: u64) -> OracleRe
     for f in schedule {
         plan = plan.with(f.clone());
     }
-    if let Err(e) = plan.validate().and_then(|()| victims_parse(schedule)) {
+    if let Err(e) = plan.validate() {
         // Hand-edited repro files fail loudly but deterministically.
         let mut report = OracleReport::default();
         report.flag(oracle::INVALID_SCHEDULE, e);
         return report;
     }
-    let end = schedule.iter().map(fault_end).max().unwrap_or_else(schedule_start);
+    let end = schedule.iter().map(Fault::end).max().unwrap_or_else(schedule_start);
     match *scenario {
         Scenario::Ring { mode, nodes, num_successors } => {
             run_ring(mode, nodes, num_successors, plan, end, seed)
@@ -122,21 +120,6 @@ pub fn run_trial(scenario: &Scenario, schedule: &[Fault], seed: u64) -> OracleRe
             run_durability(repair, nodes, blocks, plan, end, seed)
         }
     }
-}
-
-/// Checks that every selector in `schedule` is one the scenarios can
-/// interpret ([`Selector`]), in the error format of
-/// [`FaultPlan::validate`].
-fn victims_parse(schedule: &[Fault]) -> Result<(), String> {
-    for (i, fault) in schedule.iter().enumerate() {
-        if let Fault::KillBurst { selector, .. }
-        | Fault::Restart { selector, .. }
-        | Fault::Byzantine { selector, .. } = fault
-        {
-            Selector::parse(selector).map_err(|e| format!("fault #{i}: {e}"))?;
-        }
-    }
-    Ok(())
 }
 
 /// Builds the continuous ring-invariant assertor for node type `N`: the
@@ -245,7 +228,7 @@ pub fn chord_hooks<N: Node + RingNode + 'static>(
                 join_wrap(ChordNode::joining(Id::random(rng), join_cfg.clone(), bootstrap))
             },
         ),
-        select_victims: ordered_selector(addrs.to_vec()),
+        victim_order: addrs.to_vec(),
         ring_converged: Box::new(ring_converged),
         restart: Box::new(move |rt, _rng, addr, recovery, phase| match phase {
             RestartPhase::Checkpoint => {

@@ -105,14 +105,7 @@ mod tests {
         let schedule: Vec<Fault> = (0..8).map(burst).collect();
         let out = ddmin(&schedule, |s| s.len() >= 3);
         assert_eq!(out.schedule.len(), 3);
-        let times: Vec<_> = out
-            .schedule
-            .iter()
-            .map(|f| match f {
-                Fault::KillBurst { at, .. } => *at,
-                _ => unreachable!(),
-            })
-            .collect();
+        let times: Vec<_> = out.schedule.iter().map(Fault::start).collect();
         let mut sorted = times.clone();
         sorted.sort();
         assert_eq!(times, sorted, "ddmin must keep subsequence order");

@@ -1,6 +1,7 @@
-//! A schedule whose selector the scenarios cannot interpret — which only
-//! a hand-edited repro file can contain; generated schedules use `span:`
-//! — is a verdict (`invalid-schedule`), never a panic.
+//! A schedule whose selector the parser rejects — which only a
+//! hand-edited repro file can contain; generated schedules use `span:` —
+//! fails `FaultPlan::validate`, and the trial is a verdict
+//! (`invalid-schedule`), never a panic.
 
 use verme_chaos::oracle::INVALID_SCHEDULE;
 use verme_chaos::profile::schedule_start;
@@ -30,7 +31,7 @@ fn schedules(selector: &str) -> [Vec<Fault>; 3] {
         // A valid entry first: the bad one is found wherever it sits.
         vec![
             Fault::KillBurst { at, window: SimDuration::from_secs(1), selector: "span:3:2".into() },
-            Fault::Byzantine { at, selector, attack: "drop-all".into() },
+            Fault::Byzantine { at, selector },
         ],
     ]
 }

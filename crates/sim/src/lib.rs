@@ -62,10 +62,7 @@ pub mod trace;
 
 pub use config::InvalidConfig;
 pub use event::EventQueue;
-pub use fault::{
-    BurstImpact, Fault, FaultHooks, FaultPlan, FaultReport, FaultRunner, Recovery, RestartHook,
-    RestartPhase,
-};
+pub use fault::{Fault, FaultHooks, FaultPlan, FaultRunner, Recovery, RestartHook, RestartPhase};
 pub use metrics::{Counter, Histogram, MetricDesc, MetricKind, MetricsSink, Summary, TimeSeries};
 pub use profile::{
     span_profiler_disable, span_profiler_enable, span_profiler_enable_logged,

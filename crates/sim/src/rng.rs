@@ -85,7 +85,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Samples an exponentially distributed duration with the given mean.
 ///
 /// This is the inter-arrival distribution the paper uses both for the lookup
-/// workload (mean 30 s) and for node lifetimes (15 min – 8 h).
+/// workload (mean 30 s) and for node lifetimes (15 min – 8 h). A draw past
+/// [`SimDuration::MAX`](crate::SimDuration::MAX) saturates there.
 ///
 /// # Panics
 ///
@@ -98,7 +99,8 @@ pub fn exp_duration(rng: &mut impl Rng, mean_secs: f64) -> crate::SimDuration {
     // Inverse CDF; 1 - u avoids ln(0).
     let u: f64 = rng.gen::<f64>();
     let secs = -mean_secs * (1.0 - u).ln();
-    crate::SimDuration::from_secs_f64(secs.min(mean_secs * 1e6))
+    let cap = crate::SimDuration::MAX.as_secs_f64();
+    crate::SimDuration::from_secs_f64(secs.min(mean_secs * 1e6).min(cap))
 }
 
 #[cfg(test)]

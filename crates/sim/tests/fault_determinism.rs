@@ -4,9 +4,11 @@
 
 use rand::Rng;
 
-use verme_sim::fault::{Fault, FaultHooks, FaultPlan, FaultReport, FaultRunner};
+use verme_sim::fault::{keys, Fault, FaultHooks, FaultPlan, FaultRunner};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, Ctx, HostId, Node, Runtime, SeedSource, SimDuration, SimTime, Wire};
+use verme_sim::{
+    Addr, Ctx, HostId, MetricsSink, Node, Runtime, SeedSource, SimDuration, SimTime, Wire,
+};
 
 /// A small gossip protocol whose traffic pattern depends on message
 /// arrival order and RNG draws — any nondeterminism in the runtime or the
@@ -81,7 +83,7 @@ fn full_plan() -> FaultPlan {
         .with(Fault::KillBurst {
             at: secs(20),
             window: SimDuration::from_secs(2),
-            selector: "first:4".into(),
+            selector: "arc:4".into(),
         })
         .with(Fault::LossBurst { at: secs(35), duration: SimDuration::from_secs(10), rate: 0.5 })
         .with(Fault::LatencySpike {
@@ -96,9 +98,9 @@ fn full_plan() -> FaultPlan {
         })
 }
 
-/// Executes the full plan against a fresh 16-node runtime and returns the
-/// runner's report plus the complete rendered metrics snapshot.
-fn run(seed: u64) -> (FaultReport, String) {
+/// Executes the full plan against a fresh 16-node runtime and returns its
+/// metrics sink, where the runner records what it did.
+fn run(seed: u64) -> MetricsSink {
     const N: usize = 16;
     let mut rt = Runtime::new(UniformLatency::new(N, SimDuration::from_millis(15)), seed);
     let addrs: Vec<Addr> =
@@ -120,41 +122,33 @@ fn run(seed: u64) -> (FaultReport, String) {
             let rumor = rng.gen_range(0..100);
             Some(rt.spawn(HostId(0), GossipNode { peers, rumor }))
         }),
-        select_victims: Box::new(|_, sel, pop| {
-            let n: usize = sel.strip_prefix("first:").expect("selector").parse().unwrap();
-            pop.iter().copied().take(n).collect()
-        }),
+        victim_order: addrs.clone(),
         ring_converged: Box::new(|rt| rt.now() >= secs(30)),
-        corrupt: Box::new(|_, _, _| {}),
-        restart: Box::new(|_, _, _, _, _| None),
+        ..FaultHooks::inert()
     };
 
     let mut runner =
         FaultRunner::new(full_plan(), hooks, SeedSource::new(seed), addrs).expect("valid plan");
     runner.run_until(&mut rt, secs(120));
-    (runner.into_report(), rt.metrics_mut().render_snapshot())
+    rt.metrics().clone()
 }
 
 #[test]
 fn same_seed_and_plan_replay_bit_for_bit() {
-    let (report_a, metrics_a) = run(1234);
-    let (report_b, metrics_b) = run(1234);
-    assert_eq!(report_a, report_b, "fault reports must match under the same seed");
-    assert_eq!(metrics_a, metrics_b, "metrics snapshots must be byte-identical");
+    let (mut a, mut b) = (run(1234), run(1234));
+    assert_eq!(a.render_snapshot(), b.render_snapshot(), "metrics must be byte-identical");
 
     // Sanity: the plan actually perturbed the run.
-    assert!(report_a.leaves_crash + report_a.leaves_graceful > 0, "churn never fired");
-    assert_eq!(report_a.bursts.len(), 1);
-    assert_eq!(report_a.bursts[0].killed, 4);
-    assert!(report_a.joins > 0, "no replacement ever joined");
+    assert!(a.counter(keys::LEAVE_CRASH) + a.counter(keys::LEAVE_GRACEFUL) > 0, "no churn");
+    assert_eq!(a.counter(keys::BURST_KILL), 4);
+    assert!(a.counter(keys::JOIN) > 0, "no replacement ever joined");
 }
 
 #[test]
 fn different_seed_diverges() {
-    let (report_a, metrics_a) = run(1234);
-    let (report_c, metrics_c) = run(4321);
-    assert!(
-        report_a != report_c || metrics_a != metrics_c,
+    assert_ne!(
+        run(1234).render_snapshot(),
+        run(4321).render_snapshot(),
         "different seeds should not replay identically"
     );
 }

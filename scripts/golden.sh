@@ -7,6 +7,11 @@
 # behaviour-preserving change leaves every hash equal; a change that means
 # to alter protocol output regenerates the file with
 # `scripts/golden.sh --update` and says so in its description.
+#
+# `scripts/golden.sh --against DIR [-- ARGS...]` compares with another
+# checkout instead (say, a `git clone` of the parent commit): it builds the
+# same bins there, runs each bin of both builds with ARGS, and exits 1
+# naming the bins whose stdout or exit status differs.
 # Run from anywhere; takes about 70 s after the release build.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -17,6 +22,17 @@ bins=(fig6_dht_latency fig7_dht_bandwidth extG_churn_resilience extI_durability
       extE_unstructured extF_sybil extH_detection_latency
       fig5_lookup_latency extA_lookup_failure extB_maintenance_bw extM_ring_safety
       ring_check chaos_check extO_chaos trace_schema_check)
+
+against=""
+if [[ "${1:-}" == "--against" ]]; then
+    if [[ ! -d "${2:-}" ]]; then
+        echo "usage: scripts/golden.sh [--update | --against DIR [-- ARGS...]]" >&2
+        exit 2
+    fi
+    against="$(cd "$2" && pwd)"
+    shift 2
+    [[ "${1:-}" == "--" ]] && shift
+fi
 
 cd "$root"
 cargo build --release --offline --quiet -p verme-bench \
@@ -31,6 +47,35 @@ rm -rf "$side"
 mkdir -p "$side"
 trap 'rm -rf "$side"' EXIT
 export VERME_BENCH_DIR="$side"
+
+if [[ -n "$against" ]]; then
+    cargo build --release --offline --quiet --manifest-path "$against/Cargo.toml" \
+        --target-dir "$against/target" -p verme-bench $(printf -- '--bin %s ' "${bins[@]}")
+    mkdir -p "$side/base" "$side/head"
+    differ=()
+    for bin in "${bins[@]}"; do
+        for build in base head; do
+            dir="$target"
+            [[ "$build" == base ]] && dir="$against/target"
+            # Both builds write their side files under the same directory
+            # name (extO_chaos prints the paths), emptied before each run.
+            find "$side" -maxdepth 1 -type f -delete
+            status=0
+            "$dir/release/$bin" "$@" >"$side/$build/$bin.out" 2>/dev/null || status=$?
+            echo "exit status $status" >>"$side/$build/$bin.out"
+        done
+        cmp -s "$side/base/$bin.out" "$side/head/$bin.out" || differ+=("$bin")
+    done
+    if ((${#differ[@]})); then
+        for bin in "${differ[@]}"; do
+            diff -u "$side/base/$bin.out" "$side/head/$bin.out" | head -n 40 >&2 || true
+        done
+        echo "golden: stdout differs from $against for: ${differ[*]}" >&2
+        exit 1
+    fi
+    echo "golden: all ${#bins[@]} outputs equal to $against's${*:+ with $*}"
+    exit 0
+fi
 
 actual="$side/actual.sha256"
 for bin in "${bins[@]}"; do
