@@ -105,7 +105,7 @@ pub fn run_trial(scenario: &Scenario, schedule: &[Fault], seed: u64) -> OracleRe
     for f in schedule {
         plan = plan.with(f.clone());
     }
-    if let Err(e) = plan.validate() {
+    if let Err(e) = check_sizes(scenario).and_then(|()| plan.validate()) {
         // Hand-edited repro files fail loudly but deterministically.
         let mut report = OracleReport::default();
         report.flag(oracle::INVALID_SCHEDULE, e);
@@ -120,6 +120,23 @@ pub fn run_trial(scenario: &Scenario, schedule: &[Fault], seed: u64) -> OracleRe
             run_durability(repair, nodes, blocks, plan, end, seed)
         }
     }
+}
+
+/// Rejects the sizes no trial can be built at: an empty overlay, or a
+/// Chord successor list of length 0. Generated scenarios never use them;
+/// a hand-edited repro file can.
+fn check_sizes(scenario: &Scenario) -> Result<(), String> {
+    let (nodes, num_successors) = match *scenario {
+        Scenario::Ring { nodes, num_successors, .. } => (nodes, Some(num_successors)),
+        Scenario::Durability { nodes, .. } => (nodes, None),
+    };
+    if nodes == 0 {
+        return Err("scenario field `nodes` is 0: a ring needs at least one node".into());
+    }
+    if num_successors == Some(0) {
+        return Err("scenario field `num_successors` is 0: Chord needs a successor".into());
+    }
+    Ok(())
 }
 
 /// Builds the continuous ring-invariant assertor for node type `N`: the
@@ -485,5 +502,20 @@ mod tests {
         let report = run_trial(&scenario, &bad, 1);
         assert_eq!(report.oracles(), vec![oracle::INVALID_SCHEDULE]);
         assert_eq!(report, run_trial(&scenario, &bad, 1));
+    }
+
+    #[test]
+    fn sizes_no_trial_can_be_built_at_are_a_verdict_not_a_panic() {
+        let corrected = MaintenanceMode::Corrected;
+        for (scenario, field) in [
+            (Scenario::Ring { mode: corrected, nodes: 0, num_successors: 3 }, "`nodes`"),
+            (Scenario::Durability { repair: true, nodes: 0, blocks: 12 }, "`nodes`"),
+            (Scenario::Ring { mode: corrected, nodes: 48, num_successors: 0 }, "`num_successors`"),
+        ] {
+            let report = run_trial(&scenario, &[], 7);
+            assert_eq!(report.oracles(), vec![oracle::INVALID_SCHEDULE], "{scenario:?}");
+            assert!(report.findings[0].detail.contains(field), "{scenario:?}: {report:?}");
+            assert_eq!(report, run_trial(&scenario, &[], 7), "{scenario:?}");
+        }
     }
 }

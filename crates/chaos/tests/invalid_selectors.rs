@@ -76,3 +76,21 @@ fn every_grammar_the_parser_reads_still_runs() {
         assert!(!report.oracles().contains(&INVALID_SCHEDULE), "{selector:?}: {report:?}");
     }
 }
+
+#[test]
+fn a_repro_sized_at_zero_nodes_replays_to_a_verdict() {
+    let scenario = Scenario::ring(MaintenanceMode::Corrected);
+    let report = run_trial(&scenario, &[], 7);
+    let text = Repro { scenario, seed: 7, schedule: Vec::new(), report }.to_json();
+    // The hand edit: the same file with the overlay emptied.
+    let edited = text.replacen("\"nodes\":48", "\"nodes\":0", 1);
+    assert_ne!(edited, text, "the repro names its size: {text}");
+    let repro = Repro::from_json(&edited).expect("an edited size still parses");
+    assert!(matches!(repro.scenario, Scenario::Ring { nodes: 0, .. }));
+    let replayed = repro.replay();
+    assert_eq!(replayed.oracles(), vec![INVALID_SCHEDULE], "{replayed:?}");
+    assert!(replayed.findings[0].detail.contains("`nodes`"), "{replayed:?}");
+    assert!(!repro.verify(), "the recorded verdict was a pass, the replay is not");
+    let rerecorded = Repro { report: replayed, ..repro };
+    assert!(Repro::from_json(&rerecorded.to_json()).expect("parses").verify());
+}

@@ -13,6 +13,7 @@
 //! are responsible for their own timeouts.
 
 use std::collections::HashSet;
+use std::num::NonZeroU64;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -273,10 +274,77 @@ pub struct NetStats {
     pub messages_reordered: u64,
 }
 
-enum RtEvent<M, T> {
-    Deliver { from: Addr, to: Addr, msg: M, cause: Option<CauseId> },
-    Timer { node: Addr, timer: T, cause: Option<CauseId> },
+/// A message in flight. `cause` is 0 for none: [`Ctx::begin_cause`] issues
+/// ids from 1.
+struct Delivery<M> {
+    from: Addr,
+    to: Addr,
+    msg: M,
+    cause: u64,
 }
+
+/// An armed timer. Only assigned addresses (from 1) arm timers, so `node`
+/// is non-zero, which gives `Option<Armed<T>>` a niche whatever `T` is: a
+/// 16-byte token parks in 32 bytes.
+struct Armed<T> {
+    node: NonZeroU64,
+    timer: T,
+    cause: u64,
+}
+
+fn pack_cause(cause: Option<CauseId>) -> u64 {
+    debug_assert_ne!(cause, Some(0), "cause ids are issued from 1");
+    cause.unwrap_or(0)
+}
+
+fn unpack_cause(cause: u64) -> Option<CauseId> {
+    (cause != 0).then_some(cause)
+}
+
+/// Pending events of one kind, parked by index until they fire; a freed
+/// index is reused before the vector grows.
+struct Slab<E> {
+    /// `None` marks an index listed in `free`.
+    entries: Vec<Option<E>>,
+    free: Vec<u32>,
+}
+
+impl<E> Slab<E> {
+    fn new() -> Self {
+        Slab { entries: Vec::new(), free: Vec::new() }
+    }
+
+    /// Parks `ev` and returns its index, which [`Runtime::schedule`]
+    /// checks against the tag bit.
+    fn park(&mut self, ev: E) -> u32 {
+        match self.free.pop() {
+            Some(index) => {
+                self.entries[index as usize] = Some(ev);
+                index
+            }
+            None => {
+                self.entries.push(Some(ev));
+                u32::try_from(self.entries.len() - 1).unwrap_or(u32::MAX)
+            }
+        }
+    }
+
+    fn take(&mut self, index: u32) -> E {
+        let ev = self.entries[index as usize].take().expect("a queued index holds its event");
+        self.free.push(index);
+        ev
+    }
+
+    /// Events parked now.
+    #[cfg(test)]
+    fn pending(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
+}
+
+/// The bit of a queue entry that says the rest indexes `Runtime::armed`
+/// rather than `Runtime::in_flight`.
+const TIMER_TAG: u32 = 1 << 31;
 
 /// One assigned address: the host it was spawned on, which outlives the
 /// node, and the node itself while it is alive. Boxed, so that a dead
@@ -436,12 +504,17 @@ pub type StepAssertor<N> = Box<dyn FnMut(&SampleView<'_, N>) -> AssertorVerdict>
 /// ```
 pub struct Runtime<N: Node, L> {
     now: SimTime,
-    /// Pending events by slot number into `events`: the heap sifts
-    /// 24-byte entries whatever the message type.
+    /// Every pending event, in `(time, seq)` order: the one order of the
+    /// run. An entry is an index into `armed` when [`TIMER_TAG`] is set and
+    /// into `in_flight` when it is not, so the heap sifts 24-byte entries
+    /// whatever the message type, and indices carry no order.
     queue: EventQueue<u32>,
-    /// The pending events themselves; `None` marks a slot listed in `free`.
-    events: Vec<Option<RtEvent<N::Msg, N::Timer>>>,
-    free: Vec<u32>,
+    /// The messages in flight: each slot is as large as the largest
+    /// message.
+    in_flight: Slab<Delivery<N::Msg>>,
+    /// The armed timers: each slot is as large as the timer token plus 16
+    /// bytes, however large a message is.
+    armed: Slab<Armed<N::Timer>>,
     /// Every address ever assigned, dead ones included ([`slot_index`]).
     slots: Vec<Slot<N>>,
     alive: usize,
@@ -453,6 +526,8 @@ pub struct Runtime<N: Node, L> {
     rng: StdRng,
     metrics: MetricsSink,
     stats: NetStats,
+    /// The next id [`Ctx::begin_cause`] issues. It starts at 1, so a
+    /// parked cause of 0 means none.
     next_cause: CauseId,
     loss_rate: f64,
     latency_factor: f64,
@@ -472,8 +547,8 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
         Runtime {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            events: Vec::new(),
-            free: Vec::new(),
+            in_flight: Slab::new(),
+            armed: Slab::new(),
             slots: Vec::new(),
             alive: 0,
             sends: Vec::new(),
@@ -822,10 +897,23 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
         self.queue.len()
     }
 
-    /// Event slots ever allocated, free ones included.
+    /// Slots ever allocated, free ones included: `(deliveries, timers)`.
     #[cfg(test)]
-    fn event_slots(&self) -> usize {
-        self.events.len()
+    fn event_slots(&self) -> (usize, usize) {
+        (self.in_flight.entries.len(), self.armed.entries.len())
+    }
+
+    /// Events pending now: `(deliveries, timers)`.
+    #[cfg(test)]
+    fn pending_by_kind(&self) -> (usize, usize) {
+        (self.in_flight.pending(), self.armed.pending())
+    }
+
+    /// Bytes one slot takes: `(delivery, timer)`.
+    #[cfg(test)]
+    fn slot_sizes() -> (usize, usize) {
+        use std::mem::size_of;
+        (size_of::<Option<Delivery<N::Msg>>>(), size_of::<Option<Armed<N::Timer>>>())
     }
 
     /// Processes the next event, advancing the clock. Returns `false` if the
@@ -837,29 +925,28 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
         if self.sampler.is_some() {
             self.fire_samples_until(next_t);
         }
-        let (at, slot) = self.queue.pop().expect("event peeked above");
+        let (at, entry) = self.queue.pop().expect("event peeked above");
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
-        let ev = self.events[slot as usize].take().expect("a queued slot holds its event");
-        self.free.push(slot);
-        match ev {
-            RtEvent::Deliver { from, to, msg, cause } => {
-                if self.is_alive(to) {
-                    let _span = ProfScope::enter(Scope::SimDeliver);
-                    self.stats.messages_delivered += 1;
-                    self.trace(cause, TraceKind::Deliver { from, to });
-                    self.with_ctx_caused(to, cause, |node, ctx| node.on_message(from, msg, ctx));
-                } else {
-                    let _span = ProfScope::enter(Scope::SimDeadLetter);
-                    self.stats.messages_dropped += 1;
-                    self.trace(cause, TraceKind::Drop { to });
-                }
+        if entry & TIMER_TAG == 0 {
+            let Delivery { from, to, msg, cause } = self.in_flight.take(entry);
+            let cause = unpack_cause(cause);
+            if self.is_alive(to) {
+                let _span = ProfScope::enter(Scope::SimDeliver);
+                self.stats.messages_delivered += 1;
+                self.trace(cause, TraceKind::Deliver { from, to });
+                self.with_ctx_caused(to, cause, |node, ctx| node.on_message(from, msg, ctx));
+            } else {
+                let _span = ProfScope::enter(Scope::SimDeadLetter);
+                self.stats.messages_dropped += 1;
+                self.trace(cause, TraceKind::Drop { to });
             }
-            RtEvent::Timer { node, timer, cause } => {
-                let _span = ProfScope::enter(Scope::SimTimer);
-                if self.is_alive(node) {
-                    self.with_ctx_caused(node, cause, |n, ctx| n.on_timer(timer, ctx));
-                }
+        } else {
+            let Armed { node, timer, cause } = self.armed.take(entry & !TIMER_TAG);
+            let node = Addr(node.get());
+            let _span = ProfScope::enter(Scope::SimTimer);
+            if self.is_alive(node) {
+                self.with_ctx_caused(node, unpack_cause(cause), |n, ctx| n.on_timer(timer, ctx));
             }
         }
         if self.assertor.is_some() {
@@ -891,19 +978,26 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
         while self.step() {}
     }
 
-    /// Parks `ev` in a free slot of `events` and queues the slot number.
-    fn schedule(&mut self, at: SimTime, ev: RtEvent<N::Msg, N::Timer>) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.events[slot as usize] = Some(ev);
-                slot
-            }
-            None => {
-                self.events.push(Some(ev));
-                u32::try_from(self.events.len() - 1).expect("over u32::MAX pending events")
-            }
-        };
-        self.queue.schedule(at, slot);
+    /// Queues `index` of the slab `tag` names (0 for `in_flight`,
+    /// [`TIMER_TAG`] for `armed`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` reaches the tag bit: over 2³¹ events of one kind
+    /// pending would otherwise let a message be read as a timer.
+    fn schedule(&mut self, at: SimTime, index: u32, tag: u32) {
+        assert!(index < TIMER_TAG, "over 2^31 pending events of one kind");
+        self.queue.schedule(at, index | tag);
+    }
+
+    fn schedule_delivery(&mut self, at: SimTime, delivery: Delivery<N::Msg>) {
+        let index = self.in_flight.park(delivery);
+        self.schedule(at, index, 0);
+    }
+
+    fn schedule_timer(&mut self, at: SimTime, armed: Armed<N::Timer>) {
+        let index = self.armed.park(armed);
+        self.schedule(at, index, TIMER_TAG);
     }
 
     fn with_ctx<R>(
@@ -982,15 +1076,19 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
                 // and 2× the original's delay, after the original.
                 let dup_delay = delay.mul_f64(1.0 + self.rng.gen::<f64>());
                 self.stats.messages_duplicated += 1;
-                self.schedule(
+                self.schedule_delivery(
                     self.now + dup_delay,
-                    RtEvent::Deliver { from: addr, to, msg: msg.clone(), cause },
+                    Delivery { from: addr, to, msg: msg.clone(), cause: pack_cause(cause) },
                 );
             }
-            self.schedule(self.now + delay, RtEvent::Deliver { from: addr, to, msg, cause });
+            self.schedule_delivery(
+                self.now + delay,
+                Delivery { from: addr, to, msg, cause: pack_cause(cause) },
+            );
         }
+        let node = NonZeroU64::new(addr.0).expect("an assigned address is non-zero");
         for (delay, timer, cause) in timers.drain(..) {
-            self.schedule(self.now + delay, RtEvent::Timer { node: addr, timer, cause });
+            self.schedule_timer(self.now + delay, Armed { node, timer, cause: pack_cause(cause) });
         }
         self.sends = sends;
         self.timers = timers;
@@ -1274,37 +1372,66 @@ mod tests {
         }
     }
 
-    /// Records the order messages arrive in; `bounce` sends each back.
+    /// A 16-byte timer token with no spare bit pattern, carrying the
+    /// order it was armed in.
+    type Tick = [u64; 2];
+
+    /// Records the order messages arrive in; `bounce` sends each back, and
+    /// `tick` arms a timer for each, recorded in `ticks` when it fires.
     struct Relay<const PAD: usize> {
         bounce: bool,
+        tick: Option<SimDuration>,
         seen: Vec<u64>,
+        ticks: Vec<u64>,
+    }
+
+    impl<const PAD: usize> Relay<PAD> {
+        fn new(bounce: bool, tick: Option<SimDuration>) -> Self {
+            Relay { bounce, tick, seen: Vec::new(), ticks: Vec::new() }
+        }
     }
 
     impl<const PAD: usize> Node for Relay<PAD> {
         type Msg = Padded<PAD>;
-        type Timer = ();
+        type Timer = Tick;
 
-        fn on_start(&mut self, _ctx: &mut Ctx<'_, Padded<PAD>, ()>) {}
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, Padded<PAD>, Tick>) {}
 
-        fn on_message(&mut self, from: Addr, msg: Padded<PAD>, ctx: &mut Ctx<'_, Padded<PAD>, ()>) {
+        fn on_message(
+            &mut self,
+            from: Addr,
+            msg: Padded<PAD>,
+            ctx: &mut Ctx<'_, Padded<PAD>, Tick>,
+        ) {
             self.seen.push(msg.seq);
+            if let Some(delay) = self.tick {
+                ctx.set_timer(delay, [msg.seq, 0]);
+            }
             if self.bounce {
                 ctx.send(from, msg);
             }
         }
 
-        fn on_timer(&mut self, _t: (), _ctx: &mut Ctx<'_, Padded<PAD>, ()>) {}
+        fn on_timer(&mut self, tick: Tick, _ctx: &mut Ctx<'_, Padded<PAD>, Tick>) {
+            self.ticks.push(tick[0]);
+        }
     }
 
     /// Bursts of simultaneous messages, each bounced back, with every
     /// burst sent while earlier ones are still in flight: slots are freed
-    /// and refilled out of order all the way through.
-    fn ping_pong_recycles_slots_in_fifo_order<const PAD: usize>() {
+    /// and refilled out of order all the way through. With `tick`, the
+    /// bouncer also arms a timer per arrival, so both slabs recycle at
+    /// once.
+    fn ping_pong_recycles_slots_in_fifo_order<const PAD: usize>(tick: Option<SimDuration>) {
         assert_eq!(std::mem::size_of::<Padded<PAD>>(), 8 + PAD);
+        assert_eq!(std::mem::size_of::<Tick>(), 16);
+        let (delivery_slot, timer_slot) = Runtime::<Relay<PAD>, UniformLatency>::slot_sizes();
+        assert!(delivery_slot >= 8 + PAD, "a delivery slot holds the message: {delivery_slot} B");
+        assert!(timer_slot <= 32, "a timer slot ignores the message size: {timer_slot} B");
         let mut rt: Runtime<Relay<PAD>, UniformLatency> =
             Runtime::new(UniformLatency::new(2, SimDuration::from_millis(10)), 1);
-        let a = rt.spawn(HostId(0), Relay { bounce: false, seen: Vec::new() });
-        let b = rt.spawn(HostId(1), Relay { bounce: true, seen: Vec::new() });
+        let a = rt.spawn(HostId(0), Relay::new(false, None));
+        let b = rt.spawn(HostId(1), Relay::new(true, tick));
         let mut sent = 0u64;
         let mut send_burst = |rt: &mut Runtime<Relay<PAD>, UniformLatency>, burst: usize| {
             rt.invoke(a, |_n, ctx| {
@@ -1314,30 +1441,117 @@ mod tests {
                 }
             });
         };
+        let mut peak = (0, 0);
+        let mut step = |rt: &mut Runtime<Relay<PAD>, UniformLatency>| {
+            let (deliveries, timers) = rt.pending_by_kind();
+            assert_eq!(deliveries + timers, rt.pending_events());
+            peak = (peak.0.max(deliveries), peak.1.max(timers));
+            rt.step()
+        };
         // Ten messages stay in flight throughout: every round sends a
-        // burst and then handles as many deliveries and bounces.
+        // burst and then handles as many deliveries, bounces and ticks.
+        let events_per_msg = if tick.is_some() { 3 } else { 2 };
         send_burst(&mut rt, 10);
-        let mut peak = 0;
         for burst in [7, 1, 12, 3, 9].into_iter().cycle().take(400) {
             send_burst(&mut rt, burst);
-            for _ in 0..2 * burst {
-                peak = peak.max(rt.pending_events());
-                rt.step();
+            for _ in 0..events_per_msg * burst {
+                step(&mut rt);
             }
         }
-        rt.run_to_quiescence();
+        while step(&mut rt) {}
         let in_order: Vec<u64> = (0..sent).collect();
         assert_eq!(rt.node(b).unwrap().seen, in_order, "arrivals at the bouncer");
         assert_eq!(rt.node(a).unwrap().seen, in_order, "bounces back at the sender");
         assert_eq!(rt.stats().messages_delivered, 2 * sent);
-        assert!(rt.event_slots() <= peak, "{} slots for a peak of {peak}", rt.event_slots());
-        assert!(peak as u64 * 50 < 2 * sent, "the run was long enough to recycle: peak {peak}");
+        let (delivery_slots, timer_slots) = rt.event_slots();
+        assert!(delivery_slots <= peak.0, "{delivery_slots} delivery slots for a peak of {peak:?}");
+        assert!(timer_slots <= peak.1, "{timer_slots} timer slots for a peak of {peak:?}");
+        assert!(peak.0 as u64 * 50 < 2 * sent, "the run was long enough to recycle: {peak:?}");
+        if tick.is_some() {
+            assert_eq!(rt.node(b).unwrap().ticks, in_order, "ticks fire in arming order");
+            assert!(peak.1 > 0 && (peak.1 as u64) * 50 < sent, "timers recycled too: {peak:?}");
+        } else {
+            assert_eq!(peak.1, 0, "no timer was armed: {peak:?}");
+        }
     }
 
     #[test]
     fn event_slots_are_recycled_in_fifo_order_whatever_the_message_size() {
-        ping_pong_recycles_slots_in_fifo_order::<8>();
-        ping_pong_recycles_slots_in_fifo_order::<248>();
+        ping_pong_recycles_slots_in_fifo_order::<8>(None);
+        ping_pong_recycles_slots_in_fifo_order::<248>(None);
+        // Each arrival at the bouncer arms a timer that outlives a round
+        // trip, so timers are in flight across bursts.
+        let tick = Some(SimDuration::from_millis(25));
+        ping_pong_recycles_slots_in_fifo_order::<8>(tick);
+        ping_pong_recycles_slots_in_fifo_order::<248>(tick);
+    }
+
+    /// Logs every message and timer it handles, in order, with the
+    /// instant it ran at.
+    #[derive(Default)]
+    struct Mixer {
+        log: Vec<(SimTime, Kind, u64)>,
+    }
+
+    #[derive(Copy, Clone, Debug, PartialEq)]
+    enum Kind {
+        Delivery,
+        Timer,
+    }
+
+    impl Node for Mixer {
+        type Msg = Padded<64>;
+        type Timer = Tick;
+
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, Padded<64>, Tick>) {}
+
+        fn on_message(
+            &mut self,
+            _from: Addr,
+            msg: Padded<64>,
+            ctx: &mut Ctx<'_, Padded<64>, Tick>,
+        ) {
+            self.log.push((ctx.now(), Kind::Delivery, msg.seq));
+        }
+
+        fn on_timer(&mut self, tick: Tick, ctx: &mut Ctx<'_, Padded<64>, Tick>) {
+            self.log.push((ctx.now(), Kind::Timer, tick[0]));
+        }
+    }
+
+    #[test]
+    fn deliveries_and_timers_at_one_instant_run_in_scheduling_order() {
+        let hop = SimDuration::from_millis(10);
+        let mut rt: Runtime<Mixer, UniformLatency> = Runtime::new(UniformLatency::new(2, hop), 1);
+        let a = rt.spawn(HostId(0), Mixer::default());
+        let b = rt.spawn(HostId(1), Mixer::default());
+        // Runs of deliveries to `a` alternate with runs of timers `a` arms
+        // itself. Every delivery lands one hop out; so does every timer but
+        // each seventh, which lands a hop later.
+        let mut scheduled = Vec::new();
+        let mut seq = 0u64;
+        for (i, run) in [1, 3, 2, 1, 5, 1, 1, 4, 2, 3].into_iter().cycle().take(40).enumerate() {
+            for _ in 0..run {
+                let t0 = rt.now();
+                if i % 2 == 0 {
+                    rt.invoke(b, |_n, ctx| ctx.send(a, Padded { seq, _pad: [0; 64] }));
+                    scheduled.push((t0 + hop, Kind::Delivery, seq));
+                } else {
+                    let delay = if seq % 7 == 3 { hop + hop } else { hop };
+                    rt.invoke(a, |_n, ctx| ctx.set_timer(delay, [seq, 0]));
+                    scheduled.push((t0 + delay, Kind::Timer, seq));
+                }
+                seq += 1;
+            }
+        }
+        rt.run_to_quiescence();
+        // (time, scheduling order): a stable sort by time alone.
+        let mut expected = scheduled;
+        expected.sort_by_key(|&(at, _, _)| at);
+        let log = &rt.node(a).unwrap().log;
+        let at_first = log.iter().filter(|(at, _, _)| *at == SimTime::ZERO + hop).count();
+        assert!(at_first * 10 > log.len() * 8, "most events share one instant: {at_first}");
+        assert_eq!(*log, expected);
     }
 }
 
