@@ -435,7 +435,9 @@ pub type Sampler<N> = Box<dyn FnMut(&SampleView<'_, N>)>;
 
 struct SamplerSlot<N: Node> {
     interval: SimDuration,
-    next: SimTime,
+    /// The next sample point; `None` once it would lie past
+    /// [`SimTime::MAX`].
+    next: Option<SimTime>,
     hook: Sampler<N>,
 }
 
@@ -506,8 +508,9 @@ pub struct Runtime<N: Node, L> {
     now: SimTime,
     /// Every pending event, in `(time, seq)` order: the one order of the
     /// run. An entry is an index into `armed` when [`TIMER_TAG`] is set and
-    /// into `in_flight` when it is not, so the heap sifts 24-byte entries
-    /// whatever the message type, and indices carry no order.
+    /// into `in_flight` when it is not, so the queue's heap and lanes move
+    /// 24-byte entries whatever the message type, and indices carry no
+    /// order.
     queue: EventQueue<u32>,
     /// The messages in flight: each slot is as large as the largest
     /// message.
@@ -603,7 +606,7 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
     /// Panics if `interval` is zero.
     pub fn set_sampler(&mut self, interval: SimDuration, hook: Sampler<N>) {
         assert!(interval > SimDuration::ZERO, "sample interval must be positive");
-        self.sampler = Some(SamplerSlot { interval, next: self.now + interval, hook });
+        self.sampler = Some(SamplerSlot { interval, next: self.now.checked_add(interval), hook });
     }
 
     /// Installs a continuous invariant assertor: after **every** processed
@@ -662,9 +665,9 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
             return;
         };
         let _span = ProfScope::enter(Scope::ObsRecord);
-        while slot.next <= t {
-            if self.now < slot.next {
-                self.now = slot.next;
+        while let Some(next) = slot.next.filter(|&next| next <= t) {
+            if self.now < next {
+                self.now = next;
             }
             let view = SampleView {
                 now: self.now,
@@ -675,7 +678,7 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
                 slots: &self.slots,
             };
             (slot.hook)(&view);
-            slot.next += slot.interval;
+            slot.next = next.checked_add(slot.interval);
         }
         self.sampler = Some(slot);
     }
@@ -1650,6 +1653,44 @@ mod sampler_tests {
         let expect: Vec<Addr> = [1, 3, 4, 5].map(Addr::from_raw).into();
         assert_eq!(order[0], expect, "nodes() yields the live addresses, ascending");
         assert_eq!(order[0], order[1]);
+    }
+
+    /// A sampler whose points are a third of the clock's range apart, so
+    /// the last one lands on `SimTime::MAX` itself; returns the times it
+    /// fired at.
+    fn sample_to_the_end_of_time(
+        rt: &mut Runtime<Echo2, UniformLatency>,
+    ) -> Rc<RefCell<Vec<SimTime>>> {
+        let fired: Rc<RefCell<Vec<SimTime>>> = Rc::default();
+        let sink = fired.clone();
+        rt.set_sampler(
+            SimDuration::from_nanos(u64::MAX / 3),
+            Box::new(move |view| sink.borrow_mut().push(view.now())),
+        );
+        fired
+    }
+
+    #[test]
+    fn the_last_sample_point_fires_once_at_the_end_of_time() {
+        let mut rt = rt();
+        let fired = sample_to_the_end_of_time(&mut rt);
+        rt.run_until(SimTime::MAX);
+        let third = u64::MAX / 3;
+        let expect = [third, 2 * third, u64::MAX].map(SimTime::from_nanos);
+        assert_eq!(*fired.borrow(), expect);
+        assert_eq!(rt.now(), SimTime::MAX);
+    }
+
+    #[test]
+    fn a_timer_at_the_end_of_time_drains_with_a_sampler_installed() {
+        let mut rt = rt();
+        let a = rt.spawn(HostId(0), Echo2::default());
+        rt.invoke(a, |_n, ctx| ctx.set_timer(SimDuration::from_nanos(u64::MAX), 9));
+        let fired = sample_to_the_end_of_time(&mut rt);
+        rt.run_to_quiescence();
+        assert_eq!(fired.borrow().len(), 3, "every sample point up to the timer's");
+        assert_eq!(rt.now(), SimTime::MAX);
+        assert_eq!(rt.pending_events(), 0);
     }
 
     #[test]

@@ -71,6 +71,11 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
+
+    /// `self + d`, or `None` if that lies past [`SimTime::MAX`].
+    pub(crate) fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {
