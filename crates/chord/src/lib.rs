@@ -17,7 +17,7 @@
 //! | [`id`] | circular identifier arithmetic ([`Id`]) |
 //! | [`ring`] | successor/predecessor lists and finger tables |
 //! | [`ring_core`] | [`RingCore`]: the routing state and every ring-maintenance rule (stabilize, notify, reseed, join completion, advert vetting, reroute choice) that Chord and Verme share, written once, plus the relay step ([`Relay`]: honest next hop, then the Byzantine consult); [`RingNode`] and [`ring_converged`] |
-//! | [`relay`] | [`LookupTable`]: the lookups a node started and the ones it forwards, and every hop-by-hop lookup rule both overlays share — start, forward, duplicate check, ack, reply relay, hop-timeout reroute under one [`MAX_HOP_ATTEMPTS`] budget, completion bookkeeping, GC |
+//! | [`relay`] | [`LookupTable`]: the lookups a node started and the ones it forwards, each in an [`InFlight`] table scanned in place, and every hop-by-hop lookup rule both overlays share — start, forward, duplicate check, ack, reply relay, hop-timeout reroute under one [`MAX_HOP_ATTEMPTS`] budget, completion bookkeeping, GC |
 //! | [`behaviour`] | honest and Byzantine routing policies |
 //! | [`proto`] | Chord's wire messages, lookup modes, configuration |
 //! | [`node`] | [`ChordNode`]: a [`RingCore`] and a [`LookupTable`] plus what only Chord has — the single predecessor with its ping and rectify probe, sequence-numbered lookups in both modes, and the transitive hop's early release |
@@ -48,7 +48,7 @@ pub use maintain::{
 };
 pub use node::{keys, ChordNode, NodeHealth};
 pub use proto::{ChordConfig, ChordMsg, ChordTimer, LookupId, LookupMode, LookupResult};
-pub use relay::{Hop, HopTimeout, LookupKind, LookupTable, MAX_HOP_ATTEMPTS};
+pub use relay::{Hop, HopTimeout, InFlight, LookupKind, LookupTable, MAX_HOP_ATTEMPTS};
 pub use ring::{closest_preceding_hop, FingerTable, NeighborList, NodeHandle};
 pub use ring_core::{rebuild_list, ring_converged, Relay, RingCore, RingNode};
 pub use static_ring::StaticRing;

@@ -1,12 +1,17 @@
 //! End-to-end protocol tests: full Chord rings running on the simulator.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rand::Rng;
 
 use verme_chord::{
     ChordConfig, ChordMsg, ChordNode, ChordTimer, Id, LookupId, LookupMode, NodeHandle, StaticRing,
 };
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Node, Runtime, SeedSource, SimDuration, SimTime, Wire};
+use verme_sim::{
+    Addr, HostId, Node, ProtoEvent, Runtime, SeedSource, SimDuration, SimTime, TraceKind, Wire,
+};
 
 const HOP_MS: u64 = 20;
 
@@ -334,6 +339,44 @@ fn forwarding(rt: &Rt, at: Addr) -> usize {
     rt.node(at).expect("alive").health().forwarding
 }
 
+/// The sends a node traced: the first hop it sent a lookup to, then every
+/// hop a timeout rerouted that lookup to.
+#[derive(Default)]
+struct Sends {
+    first: Option<Addr>,
+    reroutes: Vec<Addr>,
+}
+
+impl Sends {
+    /// A rerouting lookup never re-sends to a hop it already tried.
+    fn assert_each_hop_tried_once(&self, expect_reroutes: usize) {
+        let mut tried = vec![self.first.expect("the first hop is traced")];
+        for &to in &self.reroutes {
+            assert!(!tried.contains(&to), "rerouted to {to:?}, already tried: {tried:?}");
+            tried.push(to);
+        }
+        assert_eq!(self.reroutes.len(), expect_reroutes);
+    }
+}
+
+/// Records the [`Sends`] of node `at` from here on.
+fn trace_sends(rt: &mut Rt, at: Addr) -> Rc<RefCell<Sends>> {
+    let sends: Rc<RefCell<Sends>> = Rc::default();
+    let sink = sends.clone();
+    rt.set_tracer(Some(Box::new(move |ev| {
+        let TraceKind::Proto { node, ref event } = ev.kind else { return };
+        let mut s = sink.borrow_mut();
+        match event {
+            ProtoEvent::LookupHop { to, .. } if node == at && s.first.is_none() => {
+                s.first = Some(*to)
+            }
+            ProtoEvent::Reroute { to, .. } if node == at => s.reroutes.push(*to),
+            _ => {}
+        }
+    })));
+    sends
+}
+
 fn advance(rt: &mut Rt, by: SimDuration) {
     rt.run_until(rt.now() + by);
 }
@@ -354,6 +397,7 @@ fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_d
     let lid = LookupId { origin: upstream.addr, seq: 7 };
     let lookup = relayed(lid, key, upstream, LookupMode::Recursive);
     let fwd = lookup.wire_size() as u64;
+    let sends = trace_sends(&mut rt, relay.addr);
     deliver(&mut rt, relay.addr, upstream.addr, lookup);
     advance(&mut rt, SimDuration::from_secs(10));
     let m = rt.metrics();
@@ -361,6 +405,7 @@ fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_d
     // One ack upstream; the first send and three re-sends downstream.
     assert_eq!(m.counter("bytes.lookup"), ack + MAX_HOP_ATTEMPTS * fwd);
     assert_eq!(forwarding(&rt, relay.addr), 0, "a relay that gave up keeps no state");
+    sends.borrow().assert_each_hop_tried_once(MAX_HOP_ATTEMPTS as usize - 1);
 
     // The same ring from the initiator's side: it has no upstream to
     // reroute for it, so only its deadline stops it.
@@ -369,10 +414,12 @@ fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_d
     for h in &members[1..] {
         rt.kill(h.addr);
     }
+    let sends = trace_sends(&mut rt, origin.addr);
     rt.invoke(origin.addr, |n, ctx| n.start_lookup(key, ctx)).expect("alive");
     advance(&mut rt, SimDuration::from_secs(10));
     // Timeouts at 0.5, 1.0, ..., 3.0 s: six reroutes, then the deadline.
     assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 6);
+    sends.borrow().assert_each_hop_tried_once(6);
     let outcomes = rt.node_mut(origin.addr).expect("alive").take_outcomes();
     assert_eq!(outcomes.len(), 1);
     assert!(outcomes[0].result.is_none());

@@ -18,14 +18,12 @@
 //!   reply **sealed** to the initiator's key (§4.5);
 //! * a predecessor list is maintained alongside the successor list (§5.2).
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use verme_chord::node::keys;
 use verme_chord::ring_core::{send_counted, take_waiting};
 use verme_chord::{
-    rebuild_list, Behaviour, FingerTable, Hop, HopTimeout, Id, LookupKind, LookupTable,
+    rebuild_list, Behaviour, FingerTable, Hop, HopTimeout, Id, InFlight, LookupKind, LookupTable,
     MaintenanceMode, NeighborList, NodeHandle, Relay, RingCore, RingNode, RingStance,
 };
 use verme_crypto::{CaVerifier, Certificate, KeyPair, NodeType, Sealed};
@@ -120,7 +118,7 @@ pub struct VermeNode<P: Payload = ()> {
     /// Lookups in flight; a forwarded one keeps the initiator's
     /// certificate, its purpose and its piggyback's size to be re-sent.
     lookups: LookupTable<VermeLookupId, LookupPurpose, (Certificate, LookupPurpose, usize)>,
-    answers: HashMap<VermeLookupId, AnswerState>,
+    answers: InFlight<VermeLookupId, AnswerState>,
     answer_requests: Vec<AnswerRequest<P>>,
     outcomes: Vec<VermeOutcome<P>>,
     pred_stab_waiting: Option<(u64, NodeHandle)>,
@@ -174,7 +172,7 @@ impl<P: Payload> VermeNode<P> {
             crypto_keys,
             verifier,
             lookups: LookupTable::default(),
-            answers: HashMap::new(),
+            answers: InFlight::default(),
             answer_requests: Vec::new(),
             outcomes: Vec::new(),
             pred_stab_waiting: None,

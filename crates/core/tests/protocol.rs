@@ -1,5 +1,8 @@
 //! End-to-end Verme overlay tests on the simulator.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rand::Rng;
 
 use verme_chord::{Id, NodeHandle};
@@ -9,7 +12,9 @@ use verme_core::{
 };
 use verme_crypto::{CertificateAuthority, NodeType};
 use verme_sim::runtime::UniformLatency;
-use verme_sim::{Addr, HostId, Node, Runtime, SeedSource, SimDuration, SimTime, Wire};
+use verme_sim::{
+    Addr, HostId, Node, ProtoEvent, Runtime, SeedSource, SimDuration, SimTime, TraceKind, Wire,
+};
 
 type BareNode = VermeNode<()>;
 
@@ -409,6 +414,44 @@ fn advance<P: Payload>(rt: &mut Rt<P>, by: SimDuration) {
     rt.run_until(rt.now() + by);
 }
 
+/// The sends a node traced: the first hop it sent a lookup to, then every
+/// hop a timeout rerouted that lookup to.
+#[derive(Default)]
+struct Sends {
+    first: Option<Addr>,
+    reroutes: Vec<Addr>,
+}
+
+impl Sends {
+    /// A rerouting lookup never re-sends to a hop it already tried.
+    fn assert_each_hop_tried_once(&self, expect_reroutes: usize) {
+        let mut tried = vec![self.first.expect("the first hop is traced")];
+        for &to in &self.reroutes {
+            assert!(!tried.contains(&to), "rerouted to {to:?}, already tried: {tried:?}");
+            tried.push(to);
+        }
+        assert_eq!(self.reroutes.len(), expect_reroutes);
+    }
+}
+
+/// Records the [`Sends`] of node `at` from here on.
+fn trace_sends<P: Payload>(rt: &mut Rt<P>, at: Addr) -> Rc<RefCell<Sends>> {
+    let sends: Rc<RefCell<Sends>> = Rc::default();
+    let sink = sends.clone();
+    rt.set_tracer(Some(Box::new(move |ev| {
+        let TraceKind::Proto { node, ref event } = ev.kind else { return };
+        let mut s = sink.borrow_mut();
+        match event {
+            ProtoEvent::LookupHop { to, .. } if node == at && s.first.is_none() => {
+                s.first = Some(*to)
+            }
+            ProtoEvent::Reroute { to, .. } if node == at => s.reroutes.push(*to),
+            _ => {}
+        }
+    })));
+    sends
+}
+
 fn ack_size() -> u64 {
     VermeMsg::<()>::HopAck { lid: 0 }.wire_size() as u64
 }
@@ -425,6 +468,7 @@ fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_d
     let key = relay.id.wrapping_sub(1);
     let lookup = relayed(&mut ca, upstream, 7, key, None::<()>);
     let fwd = lookup.wire_size() as u64;
+    let sends = trace_sends(&mut rt, relay.addr);
     deliver(&mut rt, relay.addr, upstream.addr, lookup);
     advance(&mut rt, SimDuration::from_secs(10));
     let m = rt.metrics();
@@ -432,6 +476,7 @@ fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_d
     // One ack upstream; the first send and three re-sends downstream.
     assert_eq!(m.counter("bytes.lookup"), ack_size() + MAX_HOP_ATTEMPTS * fwd);
     assert_eq!(forwarding(&rt, relay.addr), 0, "a relay that gave up keeps no state");
+    sends.borrow().assert_each_hop_tried_once(MAX_HOP_ATTEMPTS as usize - 1);
 
     // The same ring from the initiator's side: it has no upstream to
     // reroute for it, so only its deadline stops it.
@@ -440,10 +485,12 @@ fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_d
     for i in 1..64 {
         rt.kill(ring.node(i).addr);
     }
+    let sends = trace_sends(&mut rt, origin.addr);
     rt.invoke(origin.addr, |n, ctx| n.start_replica_lookup(key, None, ctx)).expect("alive");
     advance(&mut rt, SimDuration::from_secs(10));
     // Timeouts at 0.5, 1.0, ..., 3.0 s: six reroutes, then the deadline.
     assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 6);
+    sends.borrow().assert_each_hop_tried_once(6);
     let outcomes = rt.node_mut(origin.addr).expect("alive").take_outcomes();
     assert_eq!(outcomes.len(), 1);
     assert!(outcomes[0].answer.is_none());

@@ -8,6 +8,9 @@
 //! the standard stand-in for measured Internet delay distributions: they
 //! reproduce the long right tail that dominates multi-hop lookup latency.
 
+use std::fmt::Display;
+use std::str::{FromStr, SplitWhitespace};
+
 use rand::Rng;
 
 use verme_sim::{HostId, LatencyModel, SeedSource, SimDuration};
@@ -134,51 +137,54 @@ impl KingMatrix {
 
     /// Parses a pairwise-latency file in the p2psim style: one
     /// whitespace-separated `i j rtt_ms` triple per line (0-based host
-    /// indices), `#`-prefixed comments and blank lines ignored. Missing
-    /// pairs are filled with the mean of the provided ones, so a sparse
-    /// measurement file still yields a usable matrix.
+    /// indices), `#`-prefixed comments and blank lines ignored. A pair given
+    /// twice keeps its last value. Missing pairs are filled with the mean of
+    /// the stored ones, so a sparse measurement file still yields a usable
+    /// matrix.
     ///
     /// # Errors
     ///
-    /// Returns a message describing the first malformed line, an
-    /// out-of-range index, or an empty input.
+    /// Returns a message describing the first malformed line (an index that
+    /// is not a non-negative integer, a bad rtt), an out-of-range index, a
+    /// host paired with itself, or an empty input.
     #[allow(clippy::needless_range_loop)] // (i, j) pairs read clearest as indices
     pub fn parse_pairs(text: &str, hosts: usize) -> Result<Self, String> {
         if hosts == 0 {
             return Err("need at least one host".into());
         }
         let mut rtts = vec![vec![f64::NAN; hosts]; hosts];
-        let mut sum = 0.0;
-        let mut count = 0usize;
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
+            let lineno = lineno + 1;
             let mut parts = line.split_whitespace();
-            let parse = |p: Option<&str>, what: &str| -> Result<f64, String> {
-                p.ok_or_else(|| format!("line {}: missing {what}", lineno + 1))?
-                    .parse::<f64>()
-                    .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))
-            };
-            let i = parse(parts.next(), "source index")? as usize;
-            let j = parse(parts.next(), "destination index")? as usize;
-            let rtt = parse(parts.next(), "rtt")?;
+            let i: usize = parse_field(&mut parts, lineno, "source index")?;
+            let j: usize = parse_field(&mut parts, lineno, "destination index")?;
+            let rtt: f64 = parse_field(&mut parts, lineno, "rtt")?;
             if i >= hosts || j >= hosts {
-                return Err(format!("line {}: index out of range ({i}, {j})", lineno + 1));
+                return Err(format!("line {lineno}: index out of range ({i}, {j})"));
+            }
+            if i == j {
+                return Err(format!("line {lineno}: host {i} paired with itself"));
             }
             if !(rtt.is_finite() && rtt > 0.0) {
-                return Err(format!("line {}: invalid rtt {rtt}", lineno + 1));
+                return Err(format!("line {lineno}: invalid rtt {rtt}"));
             }
             rtts[i][j] = rtt;
             rtts[j][i] = rtt;
-            sum += rtt;
-            count += 1;
         }
-        if count == 0 {
+        let stored: Vec<f64> = rtts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, row)| row[i + 1..].iter().copied())
+            .filter(|v| !v.is_nan())
+            .collect();
+        if stored.is_empty() {
             return Err("no latency pairs in input".into());
         }
-        let mean = sum / count as f64;
+        let mean = stored.iter().sum::<f64>() / stored.len() as f64;
         for i in 0..hosts {
             for j in 0..hosts {
                 if rtts[i][j].is_nan() {
@@ -194,6 +200,19 @@ impl KingMatrix {
         // Offset of row i in the packed upper triangle.
         i * self.n - i * (i + 1) / 2 + (j - i - 1)
     }
+}
+
+/// The next whitespace-separated field of line `lineno`, parsed as a `T`.
+fn parse_field<T: FromStr>(
+    parts: &mut SplitWhitespace<'_>,
+    lineno: usize,
+    what: &str,
+) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let p = parts.next().ok_or_else(|| format!("line {lineno}: missing {what}"))?;
+    p.parse().map_err(|e| format!("line {lineno}: bad {what} {p:?}: {e}"))
 }
 
 impl LatencyModel for KingMatrix {
@@ -284,6 +303,29 @@ mod tests {
         assert!(KingMatrix::parse_pairs("0 1 -3", 2).unwrap_err().contains("invalid rtt"));
         assert!(KingMatrix::parse_pairs("", 2).unwrap_err().contains("no latency pairs"));
         assert!(KingMatrix::parse_pairs("0 1 1", 0).unwrap_err().contains("at least one host"));
+        // Host indices are non-negative integers, not anything a float
+        // parse would truncate into range.
+        for bad in ["-1 1 10", "nan 1 10", "2.9 1 10", "1 inf 10", "1e0 2 10"] {
+            let err = KingMatrix::parse_pairs(bad, 3).unwrap_err();
+            assert!(err.starts_with("line 1: bad") && err.contains("index"), "{bad:?}: {err}");
+        }
+        let err = KingMatrix::parse_pairs("0 1 10\n# self\n0 0 1000\n", 3).unwrap_err();
+        assert_eq!(err, "line 3: host 0 paired with itself");
+        assert!(KingMatrix::parse_pairs("0 1", 2).unwrap_err().contains("line 1: missing rtt"));
+    }
+
+    #[test]
+    fn parse_pairs_fill_in_mean_counts_each_stored_pair_once() {
+        // A repeated pair keeps its last value and enters the mean once,
+        // at that value: missing pairs get 30, not (10 + 30) / 2.
+        let m = KingMatrix::parse_pairs("0 1 10\n0 1 30\n", 3).unwrap();
+        assert_eq!(m.rtt_ms(HostId(0), HostId(1)), 30.0);
+        assert_eq!(m.rtt_ms(HostId(0), HostId(2)), 30.0);
+        assert_eq!(m.rtt_ms(HostId(1), HostId(2)), 30.0);
+        // Two stored pairs, one overwritten in reverse: mean (20 + 40) / 2.
+        let m = KingMatrix::parse_pairs("0 1 10\n0 2 40\n1 0 20\n", 4).unwrap();
+        assert_eq!(m.rtt_ms(HostId(0), HostId(1)), 20.0);
+        assert_eq!(m.rtt_ms(HostId(3), HostId(1)), 30.0);
     }
 
     #[test]
