@@ -1,14 +1,15 @@
 //! End-to-end check of the live monitoring plane, run in CI.
 //!
 //! Complements `trace_schema_check` (which covers the *post-hoc* trace
-//! pipeline) with the *live* side — sampler and detectors:
+//! pipeline) with the *live* side — sampling and detectors:
 //!
 //! 1. the detector rules fire on a scripted outbreak (guardian-defended
 //!    Chord with the monitor attached) and the detection report pairs
 //!    every reached section with its first infection;
 //! 2. the same rules stay silent over a fault-free Chord ring sampled
-//!    through the runtime's sampler hook — no false positives;
-//! 3. a run with the sampler attached leaves the protocol metrics,
+//!    through the runtime's step assertor, throttled to one sample per
+//!    5 simulated seconds — no false positives;
+//! 3. a run with the monitor attached leaves the protocol metrics,
 //!    network statistics and final clock *byte-identical* to an
 //!    unobserved run (observability never perturbs the simulation);
 //! 4. the observed run's wall-clock overhead stays under 15% (the
@@ -30,7 +31,7 @@ use verme_bench::CliArgs;
 use verme_chord::{ChordNode, StaticRing};
 use verme_net::KingMatrix;
 use verme_obs::{Monitor, Rule};
-use verme_sim::{Addr, Runtime, SeedSource, SimDuration};
+use verme_sim::{Addr, AssertorVerdict, Runtime, SeedSource, SimDuration};
 use verme_worm::{run_scenario_instrumented, Instrumentation, Scenario, ScenarioConfig};
 
 const NODES: usize = 96;
@@ -54,39 +55,48 @@ fn fingerprint(rt: &Runtime<ChordNode, KingMatrix>) -> String {
     run_fingerprint(rt, &[verme_chord::keys::descriptors()])
 }
 
-/// Attaches a monitor to the runtime's sampler hook, watching the
+/// Attaches a monitor to the runtime's step assertor, watching the
 /// fault-free health gauges: dropped messages and degraded nodes must
-/// stay at zero, so the threshold rules below must never fire.
+/// stay at zero, so the threshold rules below must never fire. The first
+/// event at or past each 5-s mark takes a sample; the assertor never
+/// records anything into the run.
 fn attach_quiet_monitor(rt: &mut Runtime<ChordNode, KingMatrix>) -> Monitor {
+    const EVERY: SimDuration = SimDuration::from_secs(5);
     let mon = Monitor::new(2048);
     mon.add_rule("net.dropped", Rule::Threshold { min: 1.0 });
     mon.add_rule("net.partition_dropped", Rule::Threshold { min: 1.0 });
     mon.add_rule("health.degraded_nodes", Rule::Threshold { min: 1.0 });
     let hook = mon.clone();
-    rt.set_sampler(
-        SimDuration::from_secs(5),
-        Box::new(move |view| {
-            let stats = view.stats();
-            hook.observe("net.dropped", view.now(), stats.messages_dropped as f64, None);
-            hook.observe("net.partition_dropped", view.now(), stats.partition_dropped as f64, None);
-            hook.observe("net.delivered", view.now(), stats.messages_delivered as f64, None);
-            hook.observe("sim.pending", view.now(), view.pending_events() as f64, None);
-            // Per-node health, folded commutatively (node order is
-            // unspecified): a converged static ring must never report a
-            // node below half its successor redundancy.
-            let mut degraded = 0u64;
-            let mut in_flight = 0u64;
-            for (_, node) in view.nodes() {
-                let h = node.health();
-                if h.is_degraded(5) {
-                    degraded += 1;
-                }
-                in_flight += h.pending_lookups as u64;
+    let mut next = rt.now().checked_add(EVERY);
+    rt.set_step_assertor(Box::new(move |view| {
+        let mut due = false;
+        while let Some(at) = next.filter(|&at| at <= view.now()) {
+            next = at.checked_add(EVERY);
+            due = true;
+        }
+        if !due {
+            return AssertorVerdict::empty();
+        }
+        let stats = view.stats();
+        hook.observe("net.dropped", view.now(), stats.messages_dropped as f64, None);
+        hook.observe("net.partition_dropped", view.now(), stats.partition_dropped as f64, None);
+        hook.observe("net.delivered", view.now(), stats.messages_delivered as f64, None);
+        hook.observe("sim.pending", view.now(), view.pending_events() as f64, None);
+        // Per-node health: a converged static ring must never report a
+        // node below half its successor redundancy.
+        let mut degraded = 0u64;
+        let mut in_flight = 0u64;
+        for (_, node) in view.nodes() {
+            let h = node.health();
+            if h.is_degraded(5) {
+                degraded += 1;
             }
-            hook.observe("health.degraded_nodes", view.now(), degraded as f64, None);
-            hook.observe("health.inflight_lookups", view.now(), in_flight as f64, None);
-        }),
-    );
+            in_flight += h.pending_lookups as u64;
+        }
+        hook.observe("health.degraded_nodes", view.now(), degraded as f64, None);
+        hook.observe("health.inflight_lookups", view.now(), in_flight as f64, None);
+        AssertorVerdict::empty()
+    }));
     mon
 }
 
@@ -151,7 +161,7 @@ fn main() -> ExitCode {
         let alerts = quiet_mon.alerts();
         let samples = quiet_mon.series_points("net.delivered").len();
         if samples == 0 {
-            Err("sampler never fired".into())
+            Err("the monitor never sampled".into())
         } else if !alerts.is_empty() {
             Err(format!(
                 "false positive on a fault-free ring: {} in {}",
@@ -176,7 +186,7 @@ fn main() -> ExitCode {
         "monitor_off.identical",
         same_bytes(&plain_print, &fingerprint(&observed))
             .map(|n| format!("{n} fingerprint bytes match"))
-            .map_err(|at| format!("sampler changed the protocol outcome at {at}")),
+            .map_err(|at| format!("the monitor changed the protocol outcome at {at}")),
     );
 
     // ------------------------------------------------------------------

@@ -71,7 +71,7 @@ pub fn run_fig67(system: DhtSystem, params: &Fig67Params) -> Fig67Result {
             measure(self.0, ring.rt, ring.members)
         }
     }
-    let hosts = TransitStubConfig { hosts: params.nodes, ..TransitStubConfig::default() };
+    let hosts = TransitStubConfig { hosts: params.nodes };
     let net = TransitStub::generate(hosts, params.seed ^ 0x6E7);
     let (nodes, sections, seed) = (params.nodes, params.sections, params.seed);
     dht_ring(system, nodes, sections, net, seed, DhtConfig::default(), Measure(params))

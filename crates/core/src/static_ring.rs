@@ -27,13 +27,13 @@ use crate::proto::{Payload, VermeConfig};
 /// # Example
 ///
 /// ```
-/// use verme_core::{SectionLayout, VermeStaticRing};
+/// use verme_core::{audit_static_ring, SectionLayout, VermeStaticRing};
 ///
 /// let layout = SectionLayout::with_sections(64, 2);
 /// let ring = VermeStaticRing::generate(layout, 256, 42);
 /// assert_eq!(ring.len(), 256);
-/// // Every long finger points at an opposite-type node.
-/// ring.assert_type_safety();
+/// // No finger names a same-type node outside its owner's section.
+/// assert!(audit_static_ring(&ring, 0).is_clean());
 /// ```
 #[derive(Clone, Debug)]
 pub struct VermeStaticRing {
@@ -280,29 +280,6 @@ impl VermeStaticRing {
         VermeNode::with_state(cfg, cert, keys, ca.verifier(), &preds, &succs, &fingers)
     }
 
-    /// Asserts the containment invariant on every member's routing state:
-    /// long fingers only name opposite-type nodes, and no routing entry
-    /// names a same-type node outside the member's own or an adjacent
-    /// section-pair reachable by successor lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a diagnostic) if any entry violates the invariant.
-    pub fn assert_type_safety(&self) {
-        for i in 0..self.len() {
-            let my_ty = self.type_of_index(i);
-            self.for_each_finger(i, |b, j| {
-                if b > self.layout.section_bits() {
-                    assert_ne!(
-                        self.type_of_index(j),
-                        my_ty,
-                        "node {i} finger bit {b} points at a same-type node {j}"
-                    );
-                }
-            });
-        }
-    }
-
     /// The `k` member indices of type `ty` nearest (by circular id
     /// distance) to the midpoint of `target_section`, nearest first.
     ///
@@ -365,6 +342,7 @@ fn distinct_ids(n: usize, mut draw: impl FnMut(usize) -> Id) -> Vec<Id> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::audit_static_ring;
     use proptest::prelude::*;
     use verme_sim::Runtime;
 
@@ -550,7 +528,7 @@ mod tests {
 
     #[test]
     fn long_fingers_are_type_safe() {
-        small().assert_type_safety();
+        assert!(audit_static_ring(&small(), 0).is_clean());
     }
 
     #[test]
@@ -691,7 +669,7 @@ mod tests {
             VermeStaticRing::generate_with_split(SectionLayout::with_sections(16, 2), 200, 0.3, 5);
         let a = (0..200).filter(|&i| ring.type_of_index(i) == NodeType::A).count();
         assert_eq!(a, 60);
-        ring.assert_type_safety();
+        assert!(audit_static_ring(&ring, 0).is_clean());
     }
 
     #[test]

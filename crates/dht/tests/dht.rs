@@ -161,7 +161,7 @@ fn secure_verdi_gets_are_slower_under_bandwidth_model() {
         V: Variant<Overlay = VermeNode<P>>,
         P: Payload,
     {
-        let net = TransitStub::generate(TransitStubConfig { hosts: N, ..Default::default() }, 77);
+        let net = TransitStub::generate(TransitStubConfig { hosts: N }, 77);
         let (mut rt, addrs) = common::spawn_verdi_on::<V, P, _>(net, N, 8, &DhtConfig::default());
         rt.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         let key = do_put(&mut rt, addrs[0], payload(2));

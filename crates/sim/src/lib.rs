@@ -70,7 +70,7 @@ pub use profile::{
 };
 pub use rng::SeedSource;
 pub use runtime::{
-    Addr, AssertorVerdict, Ctx, HostId, LatencyModel, NetStats, Node, Runtime, SampleView, Sampler,
+    Addr, AssertorVerdict, Ctx, HostId, LatencyModel, NetStats, Node, Runtime, SampleView,
     StepAssertor, Wire,
 };
 pub use time::{SimDuration, SimTime};

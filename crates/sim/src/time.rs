@@ -73,7 +73,7 @@ impl SimTime {
     }
 
     /// `self + d`, or `None` if that lies past [`SimTime::MAX`].
-    pub(crate) fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
 }

@@ -127,7 +127,9 @@ impl SectionDetection {
 struct MonSlot {
     mon: Monitor,
     interval: SimDuration,
-    next: SimTime,
+    /// The next sample point; `None` once it would lie past
+    /// [`SimTime::MAX`].
+    next: Option<SimTime>,
 }
 
 /// The worm propagation simulator over a static overlay.
@@ -299,7 +301,7 @@ impl WormSim {
     /// Panics if `interval` is zero.
     pub fn attach_monitor(&mut self, mon: Monitor, interval: SimDuration) {
         assert!(!interval.is_zero(), "sample interval must be positive");
-        self.monitor = Some(MonSlot { mon, interval, next: self.now + interval });
+        self.monitor = Some(MonSlot { mon, interval, next: self.now.checked_add(interval) });
     }
 
     /// The attached monitor, if any.
@@ -363,18 +365,18 @@ impl WormSim {
 
     /// Fires every due sample point up to and including `t`, advancing the
     /// clock to each sample point.
-    fn fire_samples_until(&mut self, t: SimTime) {
+    fn sample_until(&mut self, t: SimTime) {
         let (mon, interval, mut next) = match &self.monitor {
             Some(s) => (s.mon.clone(), s.interval, s.next),
             None => return,
         };
         let _span = ProfScope::enter(Scope::ObsRecord);
-        while next <= t {
-            if self.now < next {
-                self.now = next;
+        while let Some(at) = next.filter(|&at| at <= t) {
+            if self.now < at {
+                self.now = at;
             }
             self.sample_into(&mon);
-            next += interval;
+            next = at.checked_add(interval);
         }
         if let Some(s) = &mut self.monitor {
             s.next = next;
@@ -525,12 +527,12 @@ impl WormSim {
                 break;
             }
             if self.monitor.is_some() {
-                self.fire_samples_until(t);
+                self.sample_until(t);
             }
             self.step();
         }
         if self.monitor.is_some() {
-            self.fire_samples_until(deadline);
+            self.sample_until(deadline);
         }
         if self.now < deadline {
             self.now = deadline;
@@ -542,7 +544,7 @@ impl WormSim {
         let _span = ProfScope::enter(Scope::WormRun);
         while let Some(t) = self.queue.peek_time() {
             if self.monitor.is_some() {
-                self.fire_samples_until(t);
+                self.sample_until(t);
             }
             self.step();
         }
@@ -704,6 +706,26 @@ mod tests {
         }
         // Each link costs ≥ infect_time + activation_delay.
         assert!(sim.now() >= SimTime::ZERO + SimDuration::from_millis(3 * 1100));
+    }
+
+    #[test]
+    fn a_monitor_samples_to_the_end_of_time_and_the_run_returns() {
+        let targets = vec![vec![1], vec![2], vec![]];
+        let mut sim = WormSim::new(targets, vec![true; 3], params(), 1);
+        let mon = Monitor::new(16);
+        // Sample points a third of the clock's range apart: the last one
+        // lands on `SimTime::MAX` itself.
+        sim.attach_monitor(mon.clone(), SimDuration::from_nanos(u64::MAX / 3));
+        sim.seed_infection(0);
+        sim.run_until(SimTime::MAX);
+        assert_eq!(sim.infected(), 3);
+        assert_eq!(sim.now(), SimTime::MAX);
+        let third = u64::MAX / 3;
+        let expect = [third, 2 * third, u64::MAX].map(SimTime::from_nanos);
+        let sampled: Vec<SimTime> =
+            mon.series_points("worm.infected").into_iter().map(|(at, _)| at).collect();
+        assert_eq!(sampled, expect, "each point fires once, the last at the end of time");
+        assert_eq!(mon.last_value("worm.infected"), Some((SimTime::MAX, 3.0)));
     }
 
     #[test]

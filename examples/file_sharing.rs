@@ -22,7 +22,7 @@ fn main() {
     let n = 200;
     let ring = VermeStaticRing::generate(layout, n, 11);
     let mut ca = CertificateAuthority::new(11);
-    let net = TransitStub::generate(TransitStubConfig { hosts: n, ..Default::default() }, 11);
+    let net = TransitStub::generate(TransitStubConfig { hosts: n }, 11);
     let mut rt: Runtime<FastVerDiNode, TransitStub> = Runtime::new(net, 11);
     let mut addrs: Vec<Addr> = Vec::with_capacity(n);
     for i in 0..n {

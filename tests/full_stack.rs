@@ -73,7 +73,7 @@ fn verme_on_king_matrix_matches_recursive_chord_ballpark() {
 #[test]
 fn both_verdi_extremes_round_trip_on_transit_stub() {
     let n = 128;
-    let net = || TransitStub::generate(TransitStubConfig { hosts: n, ..Default::default() }, 8);
+    let net = || TransitStub::generate(TransitStubConfig { hosts: n }, 8);
 
     // Fast-VerDi.
     {
@@ -190,7 +190,7 @@ fn live_routing_state_gives_worm_nothing_outside_island() {
 #[test]
 fn latency_models_compose_with_the_runtime() {
     let mut king = KingMatrix::synthetic(8, 100.0, 1);
-    let mut ts = TransitStub::generate(TransitStubConfig { hosts: 8, ..Default::default() }, 1);
+    let mut ts = TransitStub::generate(TransitStubConfig { hosts: 8 }, 1);
     for m in [&mut king as &mut dyn LatencyModel, &mut ts as &mut dyn LatencyModel] {
         assert_eq!(m.num_hosts(), 8);
         let d = m.delay(HostId(0), HostId(7), 100);

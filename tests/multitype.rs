@@ -3,7 +3,7 @@
 //! test it for k = 4).
 
 use verme::chord::Id;
-use verme::core::{SectionLayout, VermeStaticRing};
+use verme::core::{audit_static_ring, SectionLayout, VermeStaticRing};
 use verme::crypto::NodeType;
 use verme::sim::{SeedSource, SimDuration, SimTime};
 use verme::worm::{WormParams, WormSim};
@@ -50,7 +50,7 @@ fn four_type_ring_contains_a_single_type_worm_to_one_section() {
     let l = layout4();
     let n = 512;
     let ring = VermeStaticRing::generate(l, n, 9);
-    ring.assert_type_safety();
+    assert!(audit_static_ring(&ring, 0).is_clean());
 
     let vulnerable: Vec<bool> = (0..n).map(|i| ring.type_of_index(i) == NodeType::new(2)).collect();
     let vuln_count = vulnerable.iter().filter(|&&v| v).count();
