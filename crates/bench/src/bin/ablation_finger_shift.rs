@@ -23,7 +23,6 @@ fn main() {
             sections: 512,
             duration: SimDuration::from_secs(5_000),
             seed: args.seed,
-            ..ScenarioConfig::default()
         }
     };
     println!("# Ablation — Verme with vs without the §4.4 finger shift");

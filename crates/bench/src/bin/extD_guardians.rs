@@ -24,7 +24,6 @@ fn main() {
             sections: 512,
             duration: SimDuration::from_secs(5_000),
             seed: args.seed,
-            ..ScenarioConfig::default()
         }
     };
     println!("# Extension D — guardian nodes (Zhou et al.) vs structural containment");

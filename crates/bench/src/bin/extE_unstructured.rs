@@ -23,7 +23,6 @@ fn main() {
             sections: 512,
             duration: SimDuration::from_secs(5_000),
             seed: args.seed,
-            ..ScenarioConfig::default()
         }
     };
     println!("# Extension E — §6.2: containment in unstructured (tracker-based) swarms");

@@ -25,7 +25,6 @@ fn main() {
             sections: 1024,
             duration: SimDuration::from_secs(5_000),
             seed: args.seed,
-            ..ScenarioConfig::default()
         }
     };
     println!("# Extension F — §6.1: containment vs Sybil identity count");

@@ -112,7 +112,6 @@ fn main() -> ExitCode {
         sections: 64,
         duration: SimDuration::from_secs(2_000),
         seed: args.seed,
-        ..ScenarioConfig::default()
     };
     let mon = Monitor::new(4096);
     mon.add_rule("worm.alerts", Rule::Threshold { min: 1.0 });

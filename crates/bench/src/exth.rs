@@ -61,7 +61,6 @@ impl ExtHParams {
                 sections: 128,
                 duration: SimDuration::from_secs(2_000),
                 seed,
-                ..ScenarioConfig::default()
             },
             coverages: vec![0.01, 0.05, 0.20],
             thresholds: vec![1.0, 8.0, 32.0],
@@ -239,7 +238,6 @@ mod tests {
                 sections: 32,
                 duration: SimDuration::from_secs(500),
                 seed: 7,
-                ..ScenarioConfig::default()
             },
             coverages: vec![0.01, 0.05, 0.20],
             thresholds: vec![1.0, 8.0, 32.0],

@@ -37,7 +37,6 @@ impl Fig8Params {
                 sections: 512,
                 duration: SimDuration::from_secs(10_000),
                 seed,
-                ..ScenarioConfig::default()
             },
             repetitions: 3,
         }
@@ -338,7 +337,6 @@ mod tests {
                 sections: 32,
                 duration: SimDuration::from_secs(200),
                 seed: 1,
-                ..ScenarioConfig::default()
             },
             repetitions: 2,
         };
@@ -362,7 +360,6 @@ mod tests {
                 sections: 32,
                 duration: SimDuration::from_secs(200),
                 seed: 3,
-                ..ScenarioConfig::default()
             },
             repetitions: 2,
         };

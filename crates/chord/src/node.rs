@@ -11,7 +11,7 @@ use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration};
 
 use crate::behaviour::Behaviour;
 use crate::id::Id;
-use crate::maintain::{MaintenanceMode, RectifyDecision, RingStance};
+use crate::maintain::{RectifyDecision, RingStance};
 use crate::proto::{ChordConfig, ChordMsg, ChordTimer, LookupId, LookupMode, LookupResult};
 use crate::relay::{Hop, HopTimeout, LookupKind, LookupTable};
 use crate::ring::{FingerTable, NodeHandle};
@@ -265,11 +265,6 @@ impl ChordNode {
     /// ([`check_ring`](crate::check_ring)).
     pub fn ring_stance(&self) -> RingStance {
         self.ring.ring_stance(self.predecessor.as_slice())
-    }
-
-    /// Which maintenance rules this node runs.
-    pub fn maintenance_mode(&self) -> MaintenanceMode {
-        self.cfg.maintenance
     }
 
     /// Samples this node's [`NodeHealth`] gauges.

@@ -10,7 +10,8 @@ use verme_chord::{
 };
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{
-    Addr, HostId, Node, ProtoEvent, Runtime, SeedSource, SimDuration, SimTime, TraceKind, Wire,
+    Addr, HostId, NetConditions, Node, ProtoEvent, Runtime, SeedSource, SimDuration, SimTime,
+    TraceKind, Wire,
 };
 
 const HOP_MS: u64 = 20;
@@ -265,7 +266,7 @@ fn lookups_survive_message_loss() {
     // the gaps, completing the vast majority of lookups.
     let n = 48;
     let (mut rt, members) = spawn_static(n, LookupMode::Recursive, 41);
-    rt.set_loss_rate(0.05);
+    rt.set_net(NetConditions { loss_rate: 0.05, ..NetConditions::default() });
     let mut rng = SeedSource::new(77).stream("keys");
     let mut completed = 0;
     let total = 40;
@@ -293,14 +294,14 @@ fn stabilization_heals_after_message_loss() {
     // back to exactly the true successor ordering.
     let n = 32;
     let (mut rt, members) = spawn_static(n, LookupMode::Recursive, 43);
-    rt.set_loss_rate(0.10);
+    rt.set_net(NetConditions { loss_rate: 0.10, ..NetConditions::default() });
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(240));
     // During the lossy phase, no node may ever point at anything but a
     // live member (there are no dead members to confuse it with).
     for h in &members {
         assert!(!rt.node(h.addr).unwrap().successor_list().is_empty());
     }
-    rt.set_loss_rate(0.0);
+    rt.set_net(NetConditions::default());
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(480));
     for h in &members {
         let node = rt.node(h.addr).unwrap();

@@ -24,7 +24,7 @@ use verme_chord::node::keys;
 use verme_chord::ring_core::{send_counted, take_waiting};
 use verme_chord::{
     rebuild_list, Behaviour, FingerTable, Hop, HopTimeout, Id, InFlight, LookupKind, LookupTable,
-    MaintenanceMode, NeighborList, NodeHandle, Relay, RingCore, RingNode, RingStance,
+    NeighborList, NodeHandle, Relay, RingCore, RingNode, RingStance,
 };
 use verme_crypto::{CaVerifier, Certificate, KeyPair, NodeType, Sealed};
 use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration};
@@ -314,11 +314,6 @@ impl<P: Payload> VermeNode<P> {
     /// list is contributed, nearest first.
     pub fn ring_stance(&self) -> RingStance {
         self.ring.ring_stance(self.predecessors.as_slice())
-    }
-
-    /// Which maintenance rules this node runs.
-    pub fn maintenance_mode(&self) -> MaintenanceMode {
-        self.cfg.maintenance
     }
 
     /// Samples this node's [`NodeHealth`](verme_chord::NodeHealth)

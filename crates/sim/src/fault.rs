@@ -44,7 +44,7 @@ use rand::Rng;
 
 use crate::event::EventQueue;
 use crate::rng::{exp_duration, SeedSource};
-use crate::runtime::{Addr, HostId, LatencyModel, Node, Runtime};
+use crate::runtime::{Addr, HostId, LatencyModel, NetConditions, Node, Runtime};
 use crate::time::{SimDuration, SimTime};
 
 /// Metric keys the runner records into the runtime's
@@ -219,7 +219,8 @@ pub enum Fault {
         recovery: Recovery,
     },
     /// Cuts the network in two: messages between `side` hosts and the rest
-    /// are dropped for `duration`, then connectivity is restored.
+    /// are dropped for `duration`, then whatever cut was in effect before
+    /// (usually none) is restored.
     Partition {
         /// When the partition forms.
         at: SimTime,
@@ -265,6 +266,25 @@ impl Fault {
             Fault::Restart { at, down_for, .. } => at + down_for,
         }
     }
+
+    /// Lays a window fault's setting over `net`; other faults leave it
+    /// alone.
+    pub(crate) fn impose(&self, net: &mut NetConditions) {
+        match self {
+            Fault::LossBurst { rate, .. } => net.loss_rate = *rate,
+            Fault::LatencySpike { factor, .. } => net.latency_factor = *factor,
+            Fault::Duplicate { rate, .. } => net.dup_rate = *rate,
+            Fault::Reorder { rate, window, .. } => {
+                net.reorder_rate = *rate;
+                net.reorder_window = *window;
+            }
+            Fault::Partition { side, .. } => net.partition = side.iter().copied().collect(),
+            Fault::Churn { .. }
+            | Fault::KillBurst { .. }
+            | Fault::Byzantine { .. }
+            | Fault::Restart { .. } => {}
+        }
+    }
 }
 
 /// A pure-data script of faults, executed by a [`FaultRunner`].
@@ -296,11 +316,18 @@ impl FaultPlan {
     }
 
     /// Checks every fault's parameters, returning the first problem found.
-    /// Every selector must be one [`Selector::parse`] reads; its error
-    /// quotes the text.
+    /// A window fault's setting must pass [`NetConditions::check`], its
+    /// duration must be non-zero, a partition needs a side and a reorder
+    /// window a jitter bound. Every selector must be one
+    /// [`Selector::parse`] reads; its error quotes the text.
     pub fn validate(&self) -> Result<(), String> {
         for (i, f) in self.faults.iter().enumerate() {
             let err = |msg: String| Err(format!("fault #{i}: {msg}"));
+            let mut net = NetConditions::default();
+            f.impose(&mut net);
+            if let Err(e) = net.check() {
+                return err(e);
+            }
             match f {
                 Fault::Churn { leave_rate_per_sec, graceful_fraction, duration, .. } => {
                     // Gaps are drawn with mean 1 / rate, which a subnormal
@@ -328,47 +355,19 @@ impl FaultPlan {
                         return err(e);
                     }
                 }
-                Fault::LossBurst { rate, duration, .. } => {
-                    if !(0.0..=1.0).contains(rate) {
-                        return err(format!("loss rate must be in [0, 1]: {rate}"));
-                    }
-                    if duration.is_zero() {
-                        return err("loss-burst duration must be non-zero".into());
-                    }
+                Fault::Partition { side, .. } if side.is_empty() => {
+                    return err("partition side must be non-empty".into());
                 }
-                Fault::LatencySpike { factor, duration, .. } => {
-                    if !(factor.is_finite() && *factor > 0.0) {
-                        return err(format!("latency factor must be positive: {factor}"));
-                    }
-                    if duration.is_zero() {
-                        return err("latency-spike duration must be non-zero".into());
-                    }
+                Fault::Reorder { window, .. } if window.is_zero() => {
+                    return err("reorder jitter window must be non-zero".into());
                 }
-                Fault::Duplicate { rate, duration, .. } => {
-                    if !(0.0..=1.0).contains(rate) {
-                        return err(format!("duplication rate must be in [0, 1]: {rate}"));
-                    }
+                Fault::LossBurst { duration, .. }
+                | Fault::LatencySpike { duration, .. }
+                | Fault::Duplicate { duration, .. }
+                | Fault::Reorder { duration, .. }
+                | Fault::Partition { duration, .. } => {
                     if duration.is_zero() {
-                        return err("duplication-window duration must be non-zero".into());
-                    }
-                }
-                Fault::Reorder { rate, duration, window, .. } => {
-                    if !(0.0..=1.0).contains(rate) {
-                        return err(format!("reorder rate must be in [0, 1]: {rate}"));
-                    }
-                    if duration.is_zero() {
-                        return err("reorder-window duration must be non-zero".into());
-                    }
-                    if window.is_zero() {
-                        return err("reorder jitter window must be non-zero".into());
-                    }
-                }
-                Fault::Partition { side, duration, .. } => {
-                    if side.is_empty() {
-                        return err("partition side must be non-empty".into());
-                    }
-                    if duration.is_zero() {
-                        return err("partition duration must be non-zero".into());
+                        return err("window duration must be non-zero".into());
                     }
                 }
             }
@@ -505,93 +504,6 @@ pub fn join_via_live_bootstrap<N: Node, L: LatencyModel>(
     })
 }
 
-/// Overlapping-window bookkeeping for one runtime knob (loss rate, latency
-/// factor, …). The effective value is the *most recently opened* window
-/// still active, falling back to the baseline captured when the first
-/// window opened. Restoring by token — rather than each window snapshotting
-/// "previous" at start — keeps overlapping windows from clobbering the
-/// baseline: with windows A then B overlapping, A's end leaves B's value in
-/// force and B's end restores the true baseline, regardless of end order.
-struct WindowStack<V> {
-    /// `(token, value)` per still-open window, in open order.
-    active: Vec<(u64, V)>,
-    /// The knob's value before the first active window opened.
-    baseline: Option<V>,
-    next_token: u64,
-}
-
-impl<V: Copy> WindowStack<V> {
-    fn new() -> Self {
-        WindowStack { active: Vec::new(), baseline: None, next_token: 0 }
-    }
-
-    /// Opens a window imposing `value`; `current` is captured as the
-    /// baseline if no window is active. Returns the window's token.
-    fn open(&mut self, current: V, value: V) -> u64 {
-        if self.active.is_empty() {
-            self.baseline = Some(current);
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.active.push((token, value));
-        token
-    }
-
-    /// Closes the window named by `token` and returns the value now in
-    /// force: the most recently opened window still active, or the baseline
-    /// once all windows have closed.
-    fn close(&mut self, token: u64) -> V {
-        self.active.retain(|&(t, _)| t != token);
-        match self.active.last() {
-            Some(&(_, v)) => v,
-            None => self.baseline.take().expect("window closed with no baseline captured"),
-        }
-    }
-}
-
-/// A runtime knob a window fault ([`Fault::LossBurst`],
-/// [`Fault::LatencySpike`], [`Fault::Duplicate`], [`Fault::Reorder`])
-/// holds at its value while the window is open.
-#[derive(Copy, Clone)]
-enum Knob {
-    Loss(f64),
-    Latency(f64),
-    Dup(f64),
-    Reorder(f64, SimDuration),
-}
-
-impl Knob {
-    /// The index of this knob's [`WindowStack`] in the runner.
-    fn slot(self) -> usize {
-        match self {
-            Knob::Loss(_) => 0,
-            Knob::Latency(_) => 1,
-            Knob::Dup(_) => 2,
-            Knob::Reorder(..) => 3,
-        }
-    }
-
-    /// The value `rt` holds for this knob now.
-    fn read<N: Node, L: LatencyModel>(self, rt: &Runtime<N, L>) -> Knob {
-        match self {
-            Knob::Loss(_) => Knob::Loss(rt.loss_rate()),
-            Knob::Latency(_) => Knob::Latency(rt.latency_factor()),
-            Knob::Dup(_) => Knob::Dup(rt.dup_rate()),
-            Knob::Reorder(..) => Knob::Reorder(rt.reorder_rate(), rt.reorder_window()),
-        }
-    }
-
-    /// Sets this value on `rt`.
-    fn apply<N: Node, L: LatencyModel>(self, rt: &mut Runtime<N, L>) {
-        match self {
-            Knob::Loss(rate) => rt.set_loss_rate(rate),
-            Knob::Latency(factor) => rt.set_latency_factor(factor),
-            Knob::Dup(rate) => rt.set_dup_rate(rate),
-            Knob::Reorder(rate, window) => rt.set_reorder(rate, window),
-        }
-    }
-}
-
 /// The runner's private agenda entries.
 enum Action {
     /// Run fault `i` of the plan: its start, and for churn every later
@@ -604,13 +516,10 @@ enum Action {
     /// Poll for reconvergence after a burst whose window closed at
     /// `window_end`, giving up at `deadline`.
     Settle { window_end: SimTime, deadline: SimTime },
-    /// Close window `token` of knob stack `slot`, restoring what the stack
-    /// says is next.
-    CloseWindow { slot: usize, token: u64 },
+    /// Close window fault `i` of the plan.
+    Close(usize),
     /// Re-admit one restarted victim under its old identifier.
     RestartRejoin { addr: Addr, recovery: Recovery },
-    /// Heal the partition.
-    Heal,
 }
 
 /// How often `ring_converged` is polled after a burst.
@@ -636,8 +545,11 @@ pub struct FaultRunner<N: Node, L: LatencyModel> {
     /// Live nodes eligible for churn departures, in deterministic spawn
     /// order (never derived from runtime hash-map iteration).
     population: Vec<Addr>,
-    /// Overlapping-window bookkeeping, one stack per [`Knob::slot`].
-    windows: [WindowStack<Knob>; 4],
+    /// The window faults open now, by plan index, in the order they
+    /// opened.
+    open: Vec<usize>,
+    /// The network in force when `open` was last empty.
+    baseline: NetConditions,
 }
 
 impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
@@ -667,7 +579,8 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
             rng: seeds.stream("faults"),
             agenda,
             population,
-            windows: [(); 4].map(|()| WindowStack::new()),
+            open: Vec::new(),
+            baseline: NetConditions::default(),
         })
     }
 
@@ -718,7 +631,10 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
                     self.agenda.schedule(rt.now() + POLL_INTERVAL, next);
                 }
             }
-            Action::CloseWindow { slot, token } => self.windows[slot].close(token).apply(rt),
+            Action::Close(i) => {
+                self.open.retain(|&j| j != i);
+                self.impose_windows(rt);
+            }
             Action::RestartRejoin { addr, recovery } => {
                 if let Some(new_addr) =
                     (self.hooks.restart)(rt, &mut self.rng, addr, recovery, RestartPhase::Rejoin)
@@ -727,7 +643,6 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
                     rt.metrics_mut().count(keys::RESTART_REJOIN, 1);
                 }
             }
-            Action::Heal => rt.set_partition(None),
         }
     }
 
@@ -787,13 +702,17 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
                 let deadline = window_end + CONVERGE_TIMEOUT;
                 self.agenda.schedule(window_end, Action::Settle { window_end, deadline });
             }
-            Fault::LossBurst { duration, rate, .. } => self.open(rt, Knob::Loss(rate), duration),
-            Fault::LatencySpike { duration, factor, .. } => {
-                self.open(rt, Knob::Latency(factor), duration);
-            }
-            Fault::Duplicate { duration, rate, .. } => self.open(rt, Knob::Dup(rate), duration),
-            Fault::Reorder { duration, rate, window, .. } => {
-                self.open(rt, Knob::Reorder(rate, window), duration);
+            Fault::LossBurst { duration, .. }
+            | Fault::LatencySpike { duration, .. }
+            | Fault::Duplicate { duration, .. }
+            | Fault::Reorder { duration, .. }
+            | Fault::Partition { duration, .. } => {
+                if self.open.is_empty() {
+                    self.baseline = rt.net().clone();
+                }
+                self.open.push(i);
+                self.impose_windows(rt);
+                self.agenda.schedule(rt.now() + duration, Action::Close(i));
             }
             Fault::Restart { down_for, selector, recovery, .. } => {
                 for addr in self.select(rt, &selector) {
@@ -817,10 +736,6 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
                     self.agenda.schedule(rt.now() + down_for, rejoin);
                 }
             }
-            Fault::Partition { duration, side, .. } => {
-                rt.set_partition(Some(side.into_iter().collect()));
-                self.agenda.schedule(rt.now() + duration, Action::Heal);
-            }
             Fault::Byzantine { selector, .. } => {
                 let targets = self.select(rt, &selector);
                 (self.hooks.corrupt)(rt, &targets);
@@ -831,13 +746,15 @@ impl<N: Node, L: LatencyModel> FaultRunner<N, L> {
         }
     }
 
-    /// Opens a window holding `knob` for `duration`: the knob's stack
-    /// remembers what to restore, and one [`Action::CloseWindow`] ends it.
-    fn open(&mut self, rt: &mut Runtime<N, L>, knob: Knob, duration: SimDuration) {
-        let slot = knob.slot();
-        let token = self.windows[slot].open(knob.read(rt), knob);
-        knob.apply(rt);
-        self.agenda.schedule(rt.now() + duration, Action::CloseWindow { slot, token });
+    /// Sets the runtime's network to the baseline with every open window's
+    /// setting laid over it in opening order: for each condition, the last
+    /// window still open that sets it wins, or else the baseline.
+    fn impose_windows(&self, rt: &mut Runtime<N, L>) {
+        let mut net = self.baseline.clone();
+        for &j in &self.open {
+            self.plan.faults()[j].impose(&mut net);
+        }
+        rt.set_net(net);
     }
 }
 
@@ -938,6 +855,9 @@ mod tests {
             // Positive, but its mean gap 1 / rate is infinite.
             (churn(5e-324), "leave rate"),
             (Fault::LossBurst { at, duration: d, rate: 1.5 }, "loss rate"),
+            (Fault::LatencySpike { at, duration: d, factor: f64::INFINITY }, "latency factor"),
+            (Fault::Duplicate { at, duration: d, rate: -0.1 }, "duplication rate"),
+            (Fault::Reorder { at, duration: d, rate: f64::NAN, window: d }, "reorder rate"),
             (Fault::Partition { at, duration: d, side: Vec::new() }, "partition side"),
             // A selector the parser rejects is rejected by the plan,
             // quoted.
@@ -1019,7 +939,7 @@ mod tests {
     #[test]
     fn loss_latency_and_partition_restore_previous_state() {
         let (mut rt, addrs) = build(6, 3);
-        rt.set_loss_rate(0.01);
+        rt.set_net(NetConditions { loss_rate: 0.01, ..NetConditions::default() });
         let plan = FaultPlan::new()
             .with(Fault::LossBurst { at: secs(5), duration: SimDuration::from_secs(5), rate: 0.9 })
             .with(Fault::LatencySpike {
@@ -1036,15 +956,15 @@ mod tests {
             .expect("valid plan");
 
         runner.run_until(&mut rt, secs(7));
-        assert_eq!(rt.loss_rate(), 0.9);
+        assert_eq!(rt.net().loss_rate, 0.9);
         runner.run_until(&mut rt, secs(13));
-        assert_eq!(rt.loss_rate(), 0.01, "previous loss rate restored");
-        assert_eq!(rt.latency_factor(), 10.0);
+        assert_eq!(rt.net().loss_rate, 0.01, "previous loss rate restored");
+        assert_eq!(rt.net().latency_factor, 10.0);
         runner.run_until(&mut rt, secs(21));
-        assert_eq!(rt.latency_factor(), 1.0, "latency factor restored");
-        assert!(rt.is_partitioned());
+        assert_eq!(rt.net().latency_factor, 1.0, "latency factor restored");
+        assert!(!rt.net().partition.is_empty());
         runner.run_until(&mut rt, secs(30));
-        assert!(!rt.is_partitioned(), "partition healed");
+        assert!(rt.net().partition.is_empty(), "partition healed");
         assert!(rt.stats().partition_dropped > 0, "cross-partition traffic was dropped");
     }
 
@@ -1053,10 +973,10 @@ mod tests {
         // Regression: window A (0.9, 5–15 s) and window B (0.5, 10–20 s)
         // overlap. The old "restore whatever I saw at start" scheme had
         // A's end restore the baseline while B was still open, and B's end
-        // then re-impose A's 0.9 forever. The stack restores in any order:
-        // A's end leaves B in force, B's end restores the baseline.
+        // then re-impose A's 0.9 forever. The open list restores in any
+        // order: A's end leaves B in force, B's end restores the baseline.
         let (mut rt, addrs) = build(6, 3);
-        rt.set_loss_rate(0.01);
+        rt.set_net(NetConditions { loss_rate: 0.01, ..NetConditions::default() });
         let plan = FaultPlan::new()
             .with(Fault::LossBurst { at: secs(5), duration: SimDuration::from_secs(10), rate: 0.9 })
             .with(Fault::LossBurst {
@@ -1067,13 +987,34 @@ mod tests {
         let mut runner = FaultRunner::new(plan, FaultHooks::inert(), SeedSource::new(3), addrs)
             .expect("valid plan");
         runner.run_until(&mut rt, secs(7));
-        assert_eq!(rt.loss_rate(), 0.9, "window A in force");
+        assert_eq!(rt.net().loss_rate, 0.9, "window A in force");
         runner.run_until(&mut rt, secs(12));
-        assert_eq!(rt.loss_rate(), 0.5, "window B opened second, wins");
+        assert_eq!(rt.net().loss_rate, 0.5, "window B opened second, wins");
         runner.run_until(&mut rt, secs(17));
-        assert_eq!(rt.loss_rate(), 0.5, "A's end must not clobber B");
+        assert_eq!(rt.net().loss_rate, 0.5, "A's end must not clobber B");
         runner.run_until(&mut rt, secs(25));
-        assert_eq!(rt.loss_rate(), 0.01, "B's end restores the true baseline");
+        assert_eq!(rt.net().loss_rate, 0.01, "B's end restores the true baseline");
+    }
+
+    #[test]
+    fn overlapping_partitions_keep_the_later_cut_until_it_heals() {
+        // A cuts host 0 off over 10–20 s, B host 1 over 15–25 s: A's heal
+        // must leave B's cut in force, and B's heal restore no cut.
+        let (mut rt, addrs) = build(6, 5);
+        let cut = |at, host| Fault::Partition {
+            at: secs(at),
+            duration: SimDuration::from_secs(10),
+            side: vec![HostId(host)],
+        };
+        let plan = FaultPlan::new().with(cut(10, 0)).with(cut(15, 1));
+        let mut runner = FaultRunner::new(plan, FaultHooks::inert(), SeedSource::new(5), addrs)
+            .expect("valid plan");
+        runner.run_until(&mut rt, secs(12));
+        assert_eq!(rt.net().partition, [HostId(0)].into());
+        runner.run_until(&mut rt, secs(22));
+        assert_eq!(rt.net().partition, [HostId(1)].into(), "A's heal must not end B's cut");
+        runner.run_until(&mut rt, secs(26));
+        assert!(rt.net().partition.is_empty(), "B's heal restores no partition");
     }
 
     #[test]
@@ -1096,11 +1037,11 @@ mod tests {
         let mut runner = FaultRunner::new(plan, FaultHooks::inert(), SeedSource::new(9), addrs)
             .expect("valid plan");
         runner.run_until(&mut rt, secs(12));
-        assert_eq!(rt.latency_factor(), 3.0);
+        assert_eq!(rt.net().latency_factor, 3.0);
         runner.run_until(&mut rt, secs(18));
-        assert_eq!(rt.latency_factor(), 10.0, "inner end falls back to the outer window");
+        assert_eq!(rt.net().latency_factor, 10.0, "inner end falls back to the outer window");
         runner.run_until(&mut rt, secs(30));
-        assert_eq!(rt.latency_factor(), 1.0, "outer end restores nominal latency");
+        assert_eq!(rt.net().latency_factor, 1.0, "outer end restores nominal latency");
     }
 
     #[test]
@@ -1150,9 +1091,9 @@ mod tests {
         let mut runner = FaultRunner::new(plan, FaultHooks::inert(), SeedSource::new(21), addrs)
             .expect("valid plan");
         runner.run_until(&mut rt, secs(10));
-        assert_eq!(rt.dup_rate(), 1.0);
+        assert_eq!(rt.net().dup_rate, 1.0);
         runner.run_until(&mut rt, secs(40));
-        assert_eq!(rt.dup_rate(), 0.0, "duplication restored after the window");
+        assert_eq!(rt.net().dup_rate, 0.0, "duplication restored after the window");
         let stats = rt.stats();
         assert!(stats.messages_duplicated > 0, "rate-1.0 window duplicated nothing");
         assert!(
@@ -1173,10 +1114,10 @@ mod tests {
         let mut runner = FaultRunner::new(plan, FaultHooks::inert(), SeedSource::new(23), addrs)
             .expect("valid plan");
         runner.run_until(&mut rt, secs(10));
-        assert_eq!(rt.reorder_rate(), 1.0);
-        assert_eq!(rt.reorder_window(), SimDuration::from_secs(2));
+        assert_eq!(rt.net().reorder_rate, 1.0);
+        assert_eq!(rt.net().reorder_window, SimDuration::from_secs(2));
         runner.run_until(&mut rt, secs(40));
-        assert_eq!(rt.reorder_rate(), 0.0, "reordering restored after the window");
+        assert_eq!(rt.net().reorder_rate, 0.0, "reordering restored after the window");
         assert!(rt.stats().messages_reordered > 0, "rate-1.0 window reordered nothing");
     }
 

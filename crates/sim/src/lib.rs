@@ -11,8 +11,10 @@
 //! * [`time`] — the virtual clock types [`SimTime`] and [`SimDuration`].
 //! * [`event`] — a generic ordered event queue, [`EventQueue`].
 //! * [`fault`] — scriptable fault injection: [`FaultPlan`] scripts churn,
-//!   mass failures, loss bursts, latency spikes and partitions, executed
-//!   deterministically by a [`FaultRunner`].
+//!   mass failures, restarts, Byzantine flips and five network windows
+//!   (loss, latency, duplication, reorder, partition), executed
+//!   deterministically by a [`FaultRunner`]; the windows open now compose
+//!   into one [`NetConditions`].
 //! * [`rng`] — reproducible random-number streams derived from one seed.
 //! * [`metrics`] — counters, histograms and time series used by every
 //!   experiment harness.
@@ -21,7 +23,8 @@
 //!   protocol planes; one thread-local branch per scope when disabled.
 //! * [`runtime`] — the node runtime: protocol state machines implementing
 //!   [`Node`] exchange messages through a [`LatencyModel`], with churn
-//!   (spawn/kill), timers, and byte accounting.
+//!   (spawn/kill), timers, and byte accounting; every send is subject to
+//!   the one [`NetConditions`] value the runtime holds.
 //! * [`trace`] — causal tracing: cause-attributed [`TraceEvent`]s, the
 //!   protocol-level [`ProtoEvent`] vocabulary, and the bounded
 //!   [`FlightRecorder`] ring buffer.
@@ -70,8 +73,8 @@ pub use profile::{
 };
 pub use rng::SeedSource;
 pub use runtime::{
-    Addr, AssertorVerdict, Ctx, HostId, LatencyModel, NetStats, Node, Runtime, SampleView,
-    StepAssertor, Wire,
+    Addr, AssertorVerdict, Ctx, HostId, LatencyModel, NetConditions, NetStats, Node, Runtime,
+    SampleView, StepAssertor, Wire,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{tee, CauseId, FlightRecorder, ProtoEvent, TraceEvent, TraceKind, Tracer};

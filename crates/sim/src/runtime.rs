@@ -274,6 +274,76 @@ pub struct NetStats {
     pub messages_reordered: u64,
 }
 
+/// The adverse conditions the network imposes on every send. The
+/// [`Default`] is the perfect network: no loss, nominal latency, no
+/// duplication, no reordering, no partition. A condition at its default
+/// draws no randomness, so a run under the perfect network is
+/// byte-identical to one that never touched [`Runtime::set_net`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct NetConditions {
+    /// I.i.d. message-loss probability in `[0, 1]`.
+    pub loss_rate: f64,
+    /// Multiplier applied to every link delay (finite and positive; `1.0`
+    /// is nominal).
+    pub latency_factor: f64,
+    /// I.i.d. duplication probability in `[0, 1]`: a message that survives
+    /// loss and partition filtering is delivered a second time, the extra
+    /// copy landing between 1× and 2× the original's delay.
+    pub dup_rate: f64,
+    /// Probability in `[0, 1]` that a message is delayed by an extra
+    /// uniform draw from `(0, reorder_window]`, letting later sends
+    /// overtake it by up to the window.
+    pub reorder_rate: f64,
+    /// The reordering jitter bound; non-zero whenever `reorder_rate` is
+    /// positive.
+    pub reorder_window: SimDuration,
+    /// Hosts on one side of a cut: messages between a host inside and one
+    /// outside are dropped, intra-side traffic is not. Empty is no cut.
+    pub partition: HashSet<HostId>,
+}
+
+impl Default for NetConditions {
+    fn default() -> Self {
+        NetConditions {
+            loss_rate: 0.0,
+            latency_factor: 1.0,
+            dup_rate: 0.0,
+            reorder_rate: 0.0,
+            reorder_window: SimDuration::ZERO,
+            partition: HashSet::new(),
+        }
+    }
+}
+
+impl NetConditions {
+    /// Whether the runtime can simulate this network.
+    ///
+    /// # Errors
+    ///
+    /// Names the first condition out of range: a probability outside
+    /// `[0, 1]`, a latency factor that is not finite and positive, or a
+    /// positive reorder rate with a zero window.
+    pub fn check(&self) -> Result<(), String> {
+        for (name, rate) in [
+            ("loss rate", self.loss_rate),
+            ("duplication rate", self.dup_rate),
+            ("reorder rate", self.reorder_rate),
+        ] {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("{name} must be in [0, 1]: {rate}"));
+            }
+        }
+        let factor = self.latency_factor;
+        if !(factor.is_finite() && factor > 0.0) {
+            return Err(format!("latency factor must be finite and positive: {factor}"));
+        }
+        if self.reorder_rate > 0.0 && self.reorder_window.is_zero() {
+            return Err("reorder window must be non-zero".into());
+        }
+        Ok(())
+    }
+}
+
 /// A message in flight. `cause` is 0 for none: [`Ctx::begin_cause`] issues
 /// ids from 1.
 struct Delivery<M> {
@@ -504,12 +574,7 @@ pub struct Runtime<N: Node, L> {
     /// The next id [`Ctx::begin_cause`] issues. It starts at 1, so a
     /// parked cause of 0 means none.
     next_cause: CauseId,
-    loss_rate: f64,
-    latency_factor: f64,
-    dup_rate: f64,
-    reorder_rate: f64,
-    reorder_window: SimDuration,
-    partition: Option<HashSet<HostId>>,
+    net: NetConditions,
     tracer: Option<Tracer>,
     assertor: Option<StepAssertor<N>>,
 }
@@ -532,12 +597,7 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
             metrics: MetricsSink::new(),
             stats: NetStats::default(),
             next_cause: 1,
-            loss_rate: 0.0,
-            latency_factor: 1.0,
-            dup_rate: 0.0,
-            reorder_rate: 0.0,
-            reorder_window: SimDuration::ZERO,
-            partition: None,
+            net: NetConditions::default(),
             tracer: None,
             assertor: None,
         }
@@ -613,93 +673,21 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
         self.now
     }
 
-    /// Sets an i.i.d. message-loss probability (failure injection).
+    /// The network conditions every send is subject to now.
+    pub fn net(&self) -> &NetConditions {
+        &self.net
+    }
+
+    /// Imposes `net` on every later send (failure injection).
     ///
     /// # Panics
     ///
-    /// Panics if `rate` is outside `[0, 1]`.
-    pub fn set_loss_rate(&mut self, rate: f64) {
-        assert!((0.0..=1.0).contains(&rate), "loss rate must be in [0,1]");
-        self.loss_rate = rate;
-    }
-
-    /// The current i.i.d. message-loss probability.
-    pub fn loss_rate(&self) -> f64 {
-        self.loss_rate
-    }
-
-    /// Sets a multiplicative factor applied to every link delay (latency
-    /// spike injection; `1.0` is nominal).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor` is finite and positive.
-    pub fn set_latency_factor(&mut self, factor: f64) {
-        assert!(factor.is_finite() && factor > 0.0, "latency factor must be finite and positive");
-        self.latency_factor = factor;
-    }
-
-    /// The current latency multiplier.
-    pub fn latency_factor(&self) -> f64 {
-        self.latency_factor
-    }
-
-    /// Sets an i.i.d. message-duplication probability: each message that
-    /// survives loss and partition filtering is delivered a second time
-    /// with that probability, the extra copy landing between 1× and 2× the
-    /// original's delay. `0.0` (the default) draws no randomness at all,
-    /// so duplication-off runs are byte-identical to pre-knob builds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is outside `[0, 1]`.
-    pub fn set_dup_rate(&mut self, rate: f64) {
-        assert!((0.0..=1.0).contains(&rate), "duplication rate must be in [0,1]");
-        self.dup_rate = rate;
-    }
-
-    /// The current i.i.d. message-duplication probability.
-    pub fn dup_rate(&self) -> f64 {
-        self.dup_rate
-    }
-
-    /// Sets bounded delivery reordering: each message is, with probability
-    /// `rate`, delayed by an extra uniform draw from `(0, window]`, letting
-    /// later sends overtake it by up to `window`. A `rate` of `0.0` (the
-    /// default) draws no randomness, keeping reorder-off runs
-    /// byte-identical to pre-knob builds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is outside `[0, 1]`, or if `rate` is positive with
-    /// a zero `window`.
-    pub fn set_reorder(&mut self, rate: f64, window: SimDuration) {
-        assert!((0.0..=1.0).contains(&rate), "reorder rate must be in [0,1]");
-        assert!(rate == 0.0 || !window.is_zero(), "reorder window must be non-zero");
-        self.reorder_rate = rate;
-        self.reorder_window = window;
-    }
-
-    /// The current reordering probability.
-    pub fn reorder_rate(&self) -> f64 {
-        self.reorder_rate
-    }
-
-    /// The current reordering jitter bound.
-    pub fn reorder_window(&self) -> SimDuration {
-        self.reorder_window
-    }
-
-    /// Installs (or clears) a network partition: messages between a host
-    /// inside `side` and one outside it are dropped until the partition is
-    /// cleared. Intra-side traffic is unaffected.
-    pub fn set_partition(&mut self, side: Option<HashSet<HostId>>) {
-        self.partition = side.filter(|s| !s.is_empty());
-    }
-
-    /// True if a partition is currently active.
-    pub fn is_partitioned(&self) -> bool {
-        self.partition.is_some()
+    /// Panics if [`NetConditions::check`] rejects `net`.
+    pub fn set_net(&mut self, net: NetConditions) {
+        if let Err(e) = net.check() {
+            panic!("{e}");
+        }
+        self.net = net;
     }
 
     /// Spawns a node on `host`, returning its fresh address.
@@ -961,7 +949,7 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
             self.stats.messages_sent += 1;
             self.stats.bytes_sent += bytes as u64;
             self.trace(cause, TraceKind::Send { from: addr, to, bytes });
-            if self.loss_rate > 0.0 && self.rng.gen::<f64>() < self.loss_rate {
+            if self.net.loss_rate > 0.0 && self.rng.gen::<f64>() < self.net.loss_rate {
                 self.stats.messages_dropped += 1;
                 self.trace(cause, TraceKind::Drop { to });
                 continue;
@@ -974,25 +962,24 @@ impl<N: Node, L: LatencyModel> Runtime<N, L> {
                     continue;
                 }
             };
-            if let Some(side) = &self.partition {
-                if side.contains(&from_host) != side.contains(&to_host) {
-                    self.stats.messages_dropped += 1;
-                    self.stats.partition_dropped += 1;
-                    self.trace(cause, TraceKind::Drop { to });
-                    continue;
-                }
+            let side = &self.net.partition;
+            if !side.is_empty() && side.contains(&from_host) != side.contains(&to_host) {
+                self.stats.messages_dropped += 1;
+                self.stats.partition_dropped += 1;
+                self.trace(cause, TraceKind::Drop { to });
+                continue;
             }
             let mut delay = self.latency.delay(from_host, to_host, bytes);
-            if self.latency_factor != 1.0 {
-                delay = delay.mul_f64(self.latency_factor);
+            if self.net.latency_factor != 1.0 {
+                delay = delay.mul_f64(self.net.latency_factor);
             }
-            if self.reorder_rate > 0.0 && self.rng.gen::<f64>() < self.reorder_rate {
+            if self.net.reorder_rate > 0.0 && self.rng.gen::<f64>() < self.net.reorder_rate {
                 // Bounded reordering: extra jitter in (0, window], so later
                 // sends can overtake this one by at most the window.
-                delay += self.reorder_window.mul_f64(self.rng.gen::<f64>());
+                delay += self.net.reorder_window.mul_f64(self.rng.gen::<f64>());
                 self.stats.messages_reordered += 1;
             }
-            if self.dup_rate > 0.0 && self.rng.gen::<f64>() < self.dup_rate {
+            if self.net.dup_rate > 0.0 && self.rng.gen::<f64>() < self.net.dup_rate {
                 // The duplicate took the "long path": it lands between 1×
                 // and 2× the original's delay, after the original.
                 let dup_delay = delay.mul_f64(1.0 + self.rng.gen::<f64>());
@@ -1178,13 +1165,21 @@ mod tests {
     #[test]
     fn loss_injection_drops_messages() {
         let mut rt = rt();
-        rt.set_loss_rate(1.0);
+        rt.set_net(NetConditions { loss_rate: 1.0, ..NetConditions::default() });
         let a = rt.spawn(HostId(0), Echo::default());
         let b = rt.spawn(HostId(1), Echo::default());
         rt.invoke(a, |_n, ctx| ctx.send(b, TestMsg::Ping(1)));
         rt.run_to_quiescence();
         assert_eq!(rt.node(b).unwrap().pings_seen, 0);
         assert_eq!(rt.stats().messages_dropped, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "reorder window must be non-zero")]
+    fn set_net_rejects_a_network_its_check_rejects() {
+        let net = NetConditions { reorder_rate: 0.5, ..NetConditions::default() };
+        assert!(net.check().is_err());
+        rt().set_net(net);
     }
 
     #[test]
@@ -1201,7 +1196,7 @@ mod tests {
                 Runtime::new(UniformLatency::new(4, SimDuration::from_millis(50)), seed);
             let a = rt.spawn(HostId(0), Echo::default());
             let b = rt.spawn(HostId(1), Echo::default());
-            rt.set_loss_rate(0.5);
+            rt.set_net(NetConditions { loss_rate: 0.5, ..NetConditions::default() });
             for i in 0..100 {
                 rt.invoke(a, |_n, ctx| ctx.send(b, TestMsg::Ping(i)));
             }
@@ -1615,7 +1610,7 @@ mod tests_support {
         let mut rt: Runtime<Echo2, UniformLatency> =
             Runtime::new(UniformLatency::new(4, SimDuration::from_millis(50)), seed);
         configure(&mut rt);
-        rt.set_loss_rate(0.3);
+        rt.set_net(NetConditions { loss_rate: 0.3, ..NetConditions::default() });
         let a = rt.spawn(HostId(0), Echo2::default());
         let b = rt.spawn(HostId(1), Echo2::default());
         for i in 0..50 {

@@ -28,7 +28,7 @@ pub mod model;
 pub mod scenarios;
 
 pub use analysis::{analyze, logistic, CurveStats};
-pub use model::{SectionDetection, WormParams, WormSim, WormState};
+pub use model::{SectionDetection, WormSim, WormState};
 pub use scenarios::{
     run_scenario, run_scenario_instrumented, run_scenario_on, Instrumentation, Overlay, Population,
     Scenario, ScenarioConfig, ScenarioResult,

@@ -19,51 +19,16 @@ use verme_obs::monitor::Monitor;
 use verme_sim::trace::{CauseId, FlightRecorder, ProtoEvent, TraceEvent, TraceKind};
 use verme_sim::{Addr, EventQueue, ProfScope, Scope, SeedSource, SimDuration, SimTime, TimeSeries};
 
-/// Worm timing parameters. Defaults are the paper's (§7.3, after Staniford et al.):
-/// 100 scans/machine/second, 100 ms infection time, 1 s activation delay.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WormParams {
-    /// Probes per second a scanning machine performs.
-    pub scan_rate_per_sec: f64,
-    /// Time to complete one infection.
-    pub infect_time: SimDuration,
-    /// Delay between a node's infection and its worm activating.
-    pub activation_delay: SimDuration,
-}
+// Worm timing: the paper's (§7.3, after Staniford et al.).
 
-impl Default for WormParams {
-    fn default() -> Self {
-        WormParams {
-            scan_rate_per_sec: 100.0,
-            infect_time: SimDuration::from_millis(100),
-            activation_delay: SimDuration::from_secs(1),
-        }
-    }
-}
-
-impl WormParams {
-    /// Interval between two scans of one machine.
-    pub fn scan_interval(&self) -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / self.scan_rate_per_sec)
-    }
-
-    /// Validates parameter sanity.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the scan rate is not positive or a duration is
-    /// zero.
-    pub fn validate(&self) -> Result<(), verme_sim::InvalidConfig> {
-        use verme_sim::config::ensure;
-        ensure(
-            self.scan_rate_per_sec.is_finite() && self.scan_rate_per_sec > 0.0,
-            "scan_rate_per_sec",
-            "scan rate must be positive",
-        )?;
-        ensure(!self.infect_time.is_zero(), "infect_time", "must be positive")?;
-        ensure(!self.activation_delay.is_zero(), "activation_delay", "must be positive")
-    }
-}
+/// Probes per second a scanning machine performs.
+const SCAN_RATE_PER_SEC: u64 = 100;
+/// Interval between two scans of one machine: 10 ms.
+const SCAN_INTERVAL: SimDuration = SimDuration::from_nanos(1_000_000_000 / SCAN_RATE_PER_SEC);
+/// Time to complete one infection.
+const INFECT_TIME: SimDuration = SimDuration::from_millis(100);
+/// Delay between a node's infection and its worm activating.
+const ACTIVATION_DELAY: SimDuration = SimDuration::from_secs(1);
 
 /// The per-node worm state (paper §7.3, plus the guardian extension's
 /// `Immune` state).
@@ -138,18 +103,17 @@ struct MonSlot {
 ///
 /// ```
 /// use verme_sim::SimTime;
-/// use verme_worm::{WormParams, WormSim};
+/// use verme_worm::WormSim;
 ///
 /// // A 3-node chain: 0 knows 1, 1 knows 2.
 /// let targets = vec![vec![1], vec![2], vec![]];
 /// let vulnerable = vec![true, true, true];
-/// let mut sim = WormSim::new(targets, vulnerable, WormParams::default(), 1);
+/// let mut sim = WormSim::new(targets, vulnerable, 1);
 /// sim.seed_infection(0);
 /// sim.run_to_quiescence();
 /// assert_eq!(sim.infected(), 3);
 /// ```
 pub struct WormSim {
-    params: WormParams,
     states: Vec<WormState>,
     vulnerable: Vec<bool>,
     targets: Vec<Vec<u32>>,
@@ -196,17 +160,9 @@ impl WormSim {
     ///
     /// # Panics
     ///
-    /// Panics if the vectors disagree in length, a target index is out of
-    /// range, or the parameters are invalid.
-    pub fn new(
-        targets: Vec<Vec<u32>>,
-        vulnerable: Vec<bool>,
-        params: WormParams,
-        seed: u64,
-    ) -> Self {
-        if let Err(e) = params.validate() {
-            panic!("invalid worm params: {e}");
-        }
+    /// Panics if the vectors disagree in length or a target index is out
+    /// of range.
+    pub fn new(targets: Vec<Vec<u32>>, vulnerable: Vec<bool>, seed: u64) -> Self {
         let n = targets.len();
         assert_eq!(n, vulnerable.len(), "targets and vulnerable maps must align");
         for (i, list) in targets.iter().enumerate() {
@@ -215,7 +171,6 @@ impl WormSim {
             }
         }
         WormSim {
-            params,
             states: vec![WormState::NotInfected; n],
             vulnerable,
             targets,
@@ -512,7 +467,7 @@ impl WormSim {
         self.targets[node as usize].extend_from_slice(fresh);
         if self.states[node as usize] == WormState::Exhausted {
             self.states[node as usize] = WormState::Scanning;
-            let at = self.now + self.params.scan_interval();
+            let at = self.now + SCAN_INTERVAL;
             self.queue.schedule(at, Ev::Scan { node });
         }
     }
@@ -572,17 +527,13 @@ impl WormSim {
                     self.mark_infected(victim);
                     self.note(victim, "worm.infected");
                     self.states[victim as usize] = WormState::Inactive;
-                    self.queue.schedule(
-                        self.now + self.params.activation_delay,
-                        Ev::Activate { node: victim },
-                    );
+                    self.queue.schedule(self.now + ACTIVATION_DELAY, Ev::Activate { node: victim });
                 } else {
                     self.collisions += 1;
                 }
                 // The attacker resumes scanning either way.
                 self.states[attacker as usize] = WormState::Scanning;
-                self.queue
-                    .schedule(self.now + self.params.scan_interval(), Ev::Scan { node: attacker });
+                self.queue.schedule(self.now + SCAN_INTERVAL, Ev::Scan { node: attacker });
             }
             Ev::Activate { node } => {
                 let _span = ProfScope::enter(Scope::WormPropagate);
@@ -650,19 +601,16 @@ impl WormSim {
         }
         if self.vulnerable[v] && self.states[v] == WormState::NotInfected {
             self.states[node as usize] = WormState::Infecting;
-            self.queue.schedule(
-                self.now + self.params.infect_time,
-                Ev::InfectDone { attacker: node, victim },
-            );
+            self.queue.schedule(self.now + INFECT_TIME, Ev::InfectDone { attacker: node, victim });
         } else {
-            self.queue.schedule(self.now + self.params.scan_interval(), Ev::Scan { node });
+            self.queue.schedule(self.now + SCAN_INTERVAL, Ev::Scan { node });
         }
     }
 
     fn begin_scanning(&mut self, node: u32) {
         self.states[node as usize] = WormState::Scanning;
         // De-synchronize scanners slightly, as real infections would be.
-        let jitter = self.rng.gen_range(0..self.params.scan_interval().as_nanos().max(1));
+        let jitter = self.rng.gen_range(0..SCAN_INTERVAL.as_nanos().max(1));
         self.queue.schedule(self.now + SimDuration::from_nanos(jitter), Ev::Scan { node });
     }
 
@@ -690,14 +638,16 @@ impl WormSim {
 mod tests {
     use super::*;
 
-    fn params() -> WormParams {
-        WormParams::default()
+    #[test]
+    fn scan_interval_is_what_the_scan_rate_rounds_to() {
+        assert_eq!(SCAN_INTERVAL, SimDuration::from_secs_f64(1.0 / SCAN_RATE_PER_SEC as f64));
+        assert_eq!(SCAN_INTERVAL.as_nanos(), 10_000_000);
     }
 
     #[test]
     fn chain_infection_propagates_fully() {
         let targets = vec![vec![1], vec![2], vec![3], vec![]];
-        let mut sim = WormSim::new(targets, vec![true; 4], params(), 1);
+        let mut sim = WormSim::new(targets, vec![true; 4], 1);
         sim.seed_infection(0);
         sim.run_to_quiescence();
         assert_eq!(sim.infected(), 4);
@@ -711,7 +661,7 @@ mod tests {
     #[test]
     fn a_monitor_samples_to_the_end_of_time_and_the_run_returns() {
         let targets = vec![vec![1], vec![2], vec![]];
-        let mut sim = WormSim::new(targets, vec![true; 3], params(), 1);
+        let mut sim = WormSim::new(targets, vec![true; 3], 1);
         let mon = Monitor::new(16);
         // Sample points a third of the clock's range apart: the last one
         // lands on `SimTime::MAX` itself.
@@ -729,18 +679,10 @@ mod tests {
     }
 
     #[test]
-    fn params_are_validated() {
-        let p = WormParams { scan_rate_per_sec: 0.0, ..WormParams::default() };
-        let err = p.validate().unwrap_err();
-        assert_eq!(err.field, "scan_rate_per_sec");
-        assert!(WormParams::default().validate().is_ok());
-    }
-
-    #[test]
     fn recorder_traces_one_span_per_infection_chain() {
         let rec = FlightRecorder::new(64);
         let targets = vec![vec![1], vec![2], vec![]];
-        let mut sim = WormSim::new(targets, vec![true; 3], params(), 1).with_recorder(rec.clone());
+        let mut sim = WormSim::new(targets, vec![true; 3], 1).with_recorder(rec.clone());
         sim.seed_infection(0);
         sim.run_to_quiescence();
         assert_eq!(sim.infected(), 3);
@@ -767,8 +709,8 @@ mod tests {
         // 0 infects 1; 1's scan probes guardian 2, whose alert floods to 3.
         let rec = FlightRecorder::new(64);
         let targets = vec![vec![1], vec![2], vec![3], vec![]];
-        let mut sim = WormSim::new(targets, vec![true, true, false, false], params(), 5)
-            .with_recorder(rec.clone());
+        let mut sim =
+            WormSim::new(targets, vec![true, true, false, false], 5).with_recorder(rec.clone());
         sim.set_guardians(vec![false, false, true, true], SimDuration::from_millis(10));
         sim.seed_infection(0);
         sim.run_to_quiescence();
@@ -786,11 +728,11 @@ mod tests {
     #[test]
     fn recorder_does_not_perturb_the_outbreak() {
         let targets: Vec<Vec<u32>> = (0..40u32).map(|i| vec![(i + 1) % 40, (i + 7) % 40]).collect();
-        let mut plain = WormSim::new(targets.clone(), vec![true; 40], params(), 9);
+        let mut plain = WormSim::new(targets.clone(), vec![true; 40], 9);
         plain.seed_infection(0);
         plain.run_to_quiescence();
-        let mut traced = WormSim::new(targets, vec![true; 40], params(), 9)
-            .with_recorder(FlightRecorder::new(16));
+        let mut traced =
+            WormSim::new(targets, vec![true; 40], 9).with_recorder(FlightRecorder::new(16));
         traced.seed_infection(0);
         traced.run_to_quiescence();
         assert_eq!(plain.now(), traced.now());
@@ -801,7 +743,7 @@ mod tests {
     fn invulnerable_nodes_block_propagation() {
         // 0 → 1 (invulnerable) → 2: the worm cannot cross node 1.
         let targets = vec![vec![1], vec![2], vec![]];
-        let mut sim = WormSim::new(targets, vec![true, false, true], params(), 1);
+        let mut sim = WormSim::new(targets, vec![true, false, true], 1);
         sim.seed_infection(0);
         sim.run_to_quiescence();
         assert_eq!(sim.infected(), 1);
@@ -818,7 +760,7 @@ mod tests {
         let mut vulnerable = vec![false; 52];
         vulnerable[0] = true;
         vulnerable[51] = true;
-        let mut sim = WormSim::new(targets, vulnerable, params(), 2);
+        let mut sim = WormSim::new(targets, vulnerable, 2);
         sim.seed_infection(0);
         sim.run_to_quiescence();
         assert_eq!(sim.infected(), 2);
@@ -832,7 +774,7 @@ mod tests {
     fn collisions_are_counted_not_double_infected() {
         // Two attackers race for the same victim.
         let targets = vec![vec![2], vec![2], vec![]];
-        let mut sim = WormSim::new(targets, vec![true; 3], params(), 3);
+        let mut sim = WormSim::new(targets, vec![true; 3], 3);
         sim.seed_infection(0);
         sim.seed_infection(1);
         sim.run_to_quiescence();
@@ -845,7 +787,7 @@ mod tests {
     #[test]
     fn exhausted_scanner_wakes_on_new_targets() {
         let targets = vec![vec![], vec![]];
-        let mut sim = WormSim::new(targets, vec![true, true], params(), 4);
+        let mut sim = WormSim::new(targets, vec![true, true], 4);
         sim.seed_infection(0);
         sim.run_to_quiescence();
         assert_eq!(sim.state(0), WormState::Exhausted);
@@ -858,7 +800,7 @@ mod tests {
     #[test]
     fn curve_is_monotonic() {
         let targets: Vec<Vec<u32>> = (0..20).map(|i| vec![(i + 1) % 20]).collect();
-        let mut sim = WormSim::new(targets, vec![true; 20], params(), 5);
+        let mut sim = WormSim::new(targets, vec![true; 20], 5);
         sim.seed_infection(0);
         sim.run_to_quiescence();
         let pts = sim.curve().points();
@@ -870,7 +812,7 @@ mod tests {
 
     #[test]
     fn seeding_twice_is_idempotent() {
-        let mut sim = WormSim::new(vec![vec![]], vec![true], params(), 6);
+        let mut sim = WormSim::new(vec![vec![]], vec![true], 6);
         sim.seed_infection(0);
         sim.seed_infection(0);
         assert_eq!(sim.infected(), 1);
@@ -879,7 +821,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out-of-range")]
     fn rejects_dangling_targets() {
-        let _ = WormSim::new(vec![vec![5]], vec![true], params(), 0);
+        let _ = WormSim::new(vec![vec![5]], vec![true], 0);
     }
 }
 
@@ -908,7 +850,7 @@ mod proptests {
             let n = targets.len();
             let seed_node = (seed_pick as usize % n) as u32;
             let vuln = vulnerable.clone();
-            let mut sim = WormSim::new(targets, vulnerable, WormParams::default(), rng_seed);
+            let mut sim = WormSim::new(targets, vulnerable, rng_seed);
             sim.seed_infection(seed_node);
             sim.run_to_quiescence();
             for i in 0..n as u32 {
@@ -924,7 +866,7 @@ mod proptests {
             rng_seed: u64,
         ) {
             let n = targets.len();
-            let mut sim = WormSim::new(targets, vulnerable, WormParams::default(), rng_seed);
+            let mut sim = WormSim::new(targets, vulnerable, rng_seed);
             sim.seed_infection(0);
             sim.run_to_quiescence();
             let by_state = (0..n as u32).filter(|&i| sim.state(i).is_infected()).count();
@@ -961,7 +903,7 @@ mod proptests {
                     }
                 }
             }
-            let mut sim = WormSim::new(targets, vulnerable, WormParams::default(), rng_seed);
+            let mut sim = WormSim::new(targets, vulnerable, rng_seed);
             sim.seed_infection(0);
             sim.run_to_quiescence();
             for i in 0..n as u32 {
@@ -986,7 +928,7 @@ mod guardian_tests {
     fn guardians_raise_alerts_that_immunize() {
         let n = 100;
         let targets = ring_targets(n, 3);
-        let mut sim = WormSim::new(targets, vec![true; n], WormParams::default(), 1);
+        let mut sim = WormSim::new(targets, vec![true; n], 1);
         // Every 10th node is a guardian.
         let guardians: Vec<bool> = (0..n).map(|i| i % 10 == 5).collect();
         sim.set_guardians(guardians, SimDuration::from_millis(50));
@@ -1010,7 +952,7 @@ mod guardian_tests {
     fn without_guardians_behavior_is_unchanged() {
         let n = 60;
         let run = |with: bool| {
-            let mut sim = WormSim::new(ring_targets(n, 2), vec![true; n], WormParams::default(), 2);
+            let mut sim = WormSim::new(ring_targets(n, 2), vec![true; n], 2);
             if with {
                 sim.set_guardians(vec![false; n], SimDuration::from_millis(50));
             }
@@ -1031,7 +973,7 @@ mod guardian_tests {
         // coverage means earlier detection and smaller outbreaks.
         let n = 200;
         let infected_with = |every: usize| {
-            let mut sim = WormSim::new(ring_targets(n, 4), vec![true; n], WormParams::default(), 3);
+            let mut sim = WormSim::new(ring_targets(n, 4), vec![true; n], 3);
             let guardians: Vec<bool> = (0..n).map(|i| i > 0 && i % every == every - 1).collect();
             sim.set_guardians(guardians, SimDuration::from_millis(500));
             sim.seed_infection(0);
@@ -1050,7 +992,7 @@ mod guardian_tests {
     #[test]
     #[should_panic(expected = "guardian map must cover")]
     fn guardian_map_length_is_checked() {
-        let mut sim = WormSim::new(vec![vec![]], vec![true], WormParams::default(), 0);
+        let mut sim = WormSim::new(vec![vec![]], vec![true], 0);
         sim.set_guardians(vec![true, false], SimDuration::from_millis(1));
     }
 }
@@ -1074,7 +1016,7 @@ mod monitor_tests {
     fn sampler_feeds_gauges_and_sections() {
         let n = 60;
         let mon = Monitor::new(256);
-        let mut sim = WormSim::new(ring_targets(n, 3), vec![true; n], WormParams::default(), 1);
+        let mut sim = WormSim::new(ring_targets(n, 3), vec![true; n], 1);
         sim.set_sections(block_sections(n, 20));
         sim.attach_monitor(mon.clone(), SimDuration::from_secs(1));
         sim.seed_infection(0);
@@ -1099,7 +1041,7 @@ mod monitor_tests {
         let n = 120;
         let mon = Monitor::new(256);
         mon.add_rule("worm.section.", Rule::Threshold { min: 3.0 });
-        let mut sim = WormSim::new(ring_targets(n, 3), vec![true; n], WormParams::default(), 2);
+        let mut sim = WormSim::new(ring_targets(n, 3), vec![true; n], 2);
         sim.set_sections(block_sections(n, 30));
         sim.attach_monitor(mon.clone(), SimDuration::from_secs(1));
         sim.seed_infection(0);
@@ -1124,7 +1066,7 @@ mod monitor_tests {
     fn monitor_does_not_perturb_the_outbreak() {
         let n = 80;
         let run = |with_monitor: bool| {
-            let mut sim = WormSim::new(ring_targets(n, 4), vec![true; n], WormParams::default(), 7);
+            let mut sim = WormSim::new(ring_targets(n, 4), vec![true; n], 7);
             sim.set_sections(block_sections(n, 16));
             if with_monitor {
                 let mon = Monitor::new(64);
@@ -1143,7 +1085,7 @@ mod monitor_tests {
         let n = 40;
         let mon = Monitor::new(64);
         mon.add_rule("worm.", Rule::Threshold { min: 1.0 });
-        let mut sim = WormSim::new(ring_targets(n, 2), vec![true; n], WormParams::default(), 3);
+        let mut sim = WormSim::new(ring_targets(n, 2), vec![true; n], 3);
         sim.set_sections(block_sections(n, 10));
         sim.attach_monitor(mon.clone(), SimDuration::from_secs(1));
         // No seed: nothing happens, samples fire on the idle clock.
@@ -1159,7 +1101,7 @@ mod monitor_tests {
         let n = 100;
         let mon = Monitor::new(128);
         mon.add_rule("worm.alerts", Rule::Threshold { min: 1.0 });
-        let mut sim = WormSim::new(ring_targets(n, 3), vec![true; n], WormParams::default(), 4);
+        let mut sim = WormSim::new(ring_targets(n, 3), vec![true; n], 4);
         let guardians: Vec<bool> = (0..n).map(|i| i % 10 == 5).collect();
         sim.set_guardians(guardians, SimDuration::from_millis(50));
         sim.set_sections(block_sections(n, 25));
@@ -1173,7 +1115,7 @@ mod monitor_tests {
 
     #[test]
     fn sections_declared_after_seeding_count_the_seed() {
-        let mut sim = WormSim::new(vec![vec![1], vec![]], vec![true; 2], WormParams::default(), 5);
+        let mut sim = WormSim::new(vec![vec![1], vec![]], vec![true; 2], 5);
         sim.seed_infection(0);
         sim.set_sections(vec![3, 3]);
         assert_eq!(sim.section_infections(), &[0, 0, 0, 1]);
@@ -1184,7 +1126,7 @@ mod monitor_tests {
     #[test]
     #[should_panic(expected = "section map must cover")]
     fn section_map_length_is_checked() {
-        let mut sim = WormSim::new(vec![vec![]], vec![true], WormParams::default(), 0);
+        let mut sim = WormSim::new(vec![vec![]], vec![true], 0);
         sim.set_sections(vec![0, 1]);
     }
 }

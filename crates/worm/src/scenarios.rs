@@ -34,7 +34,7 @@ use verme_sim::{Addr, ProfScope, Scope, SeedSource, SimDuration, SimTime, TimeSe
 use verme_obs::Monitor;
 use verme_sim::FlightRecorder;
 
-use crate::model::{SectionDetection, WormParams, WormSim};
+use crate::model::{SectionDetection, WormSim};
 
 /// Which propagation experiment to run.
 #[derive(Clone, Debug, PartialEq)]
@@ -108,6 +108,13 @@ impl Scenario {
     }
 }
 
+/// Successor-list length (paper: 10).
+const NUM_SUCCESSORS: usize = 10;
+/// Verme predecessor-list length (paper: 10).
+const NUM_PREDECESSORS: usize = 10;
+/// Replica addresses returned per harvested lookup (`n/2`; 3 here).
+const REPLICAS_PER_ANSWER: usize = 3;
+
 /// Population and timing configuration. Defaults are the paper's §7.3
 /// setup scaled down only in `nodes` (set it to 100 000 to reproduce the
 /// figure exactly).
@@ -117,14 +124,6 @@ pub struct ScenarioConfig {
     pub nodes: usize,
     /// Verme section count (paper: 4096, ≈24 nodes per section).
     pub sections: u128,
-    /// Successor-list length (paper: 10).
-    pub num_successors: usize,
-    /// Verme predecessor-list length (paper: 10).
-    pub num_predecessors: usize,
-    /// Replica addresses returned per harvested lookup (`n/2`; 3 here).
-    pub replicas_per_answer: usize,
-    /// Worm timing parameters.
-    pub params: WormParams,
     /// Simulated time budget.
     pub duration: SimDuration,
     /// Master seed.
@@ -136,10 +135,6 @@ impl Default for ScenarioConfig {
         ScenarioConfig {
             nodes: 100_000,
             sections: 4096,
-            num_successors: 10,
-            num_predecessors: 10,
-            replicas_per_answer: 3,
-            params: WormParams::default(),
             duration: SimDuration::from_secs(20_000),
             seed: 42,
         }
@@ -350,7 +345,7 @@ impl Population {
                 // over the same membership.
                 let plain = (overlay == Overlay::VermeUnshifted)
                     .then(|| StaticRing::new(ring.nodes().to_vec()));
-                let targets = routing_targets(cfg, cfg.num_predecessors, |i| match &plain {
+                let targets = routing_targets(cfg, NUM_PREDECESSORS, |i| match &plain {
                     Some(plain) => plain.distinct_finger_indices(i),
                     None => ring.distinct_finger_indices(i),
                 });
@@ -397,8 +392,8 @@ fn routing_targets(
     let n = cfg.nodes;
     let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
     for i in 0..n {
-        let mut list: Vec<u32> = Vec::with_capacity(cfg.num_successors + cfg.num_predecessors + 16);
-        for d in 1..=cfg.num_successors.min(n - 1) {
+        let mut list: Vec<u32> = Vec::with_capacity(NUM_SUCCESSORS + NUM_PREDECESSORS + 16);
+        for d in 1..=NUM_SUCCESSORS.min(n - 1) {
             list.push(((i + d) % n) as u32);
         }
         let near = (1..=preds.min(n - 1)).map(|d| (i + n - d) % n);
@@ -426,12 +421,12 @@ fn swarm_hosts(cfg: &ScenarioConfig, type_aware: bool) -> Hosts {
     let assignment = if type_aware {
         let tcfg = TrackerConfig {
             island_size,
-            same_type_neighbors: cfg.num_successors.min(island_size - 1),
-            cross_type_neighbors: cfg.num_successors,
+            same_type_neighbors: NUM_SUCCESSORS.min(island_size - 1),
+            cross_type_neighbors: NUM_SUCCESSORS,
         };
         assign_type_aware(&types, &tcfg, cfg.seed)
     } else {
-        assign_random(&types, 2 * cfg.num_successors, cfg.seed)
+        assign_random(&types, 2 * NUM_SUCCESSORS, cfg.seed)
     };
     Hosts {
         targets: assignment.neighbors,
@@ -518,7 +513,7 @@ fn outbreak(
         _ => Vec::new(),
     };
 
-    let mut sim = WormSim::new(hosts.targets, hosts.vulnerable, cfg.params.clone(), cfg.seed);
+    let mut sim = WormSim::new(hosts.targets, hosts.vulnerable, cfg.seed);
     if let Some(r) = &inst.recorder {
         sim = sim.with_recorder(r.clone());
     }
@@ -543,7 +538,7 @@ fn outbreak(
             let interval = SimDuration::from_secs_f64(1.0 / lookups_per_sec);
             // One harvest lookup per interval, answered with a replica set.
             run_harvesting(&mut sim, deadline, vulnerable, imp, interval, || {
-                (harvested_replicas(verme(), cfg, &mut hrng), interval)
+                (harvested_replicas(verme(), &mut hrng), interval)
             });
         }
         Scenario::CompromiseVerDi { node_lookup_rate_per_sec } => {
@@ -569,7 +564,7 @@ fn outbreak(
                         }
                         pick -= w;
                     }
-                    let mut fresh = harvested_replicas(verme(), cfg, &mut hrng);
+                    let mut fresh = harvested_replicas(verme(), &mut hrng);
                     fresh.push(client);
                     (fresh, verme_sim::rng::exp_duration(&mut hrng, 1.0 / lambda))
                 });
@@ -634,14 +629,10 @@ fn random_host(rng: &mut impl Rng, nodes: usize, ok: impl Fn(usize) -> bool) -> 
 /// The answer to one lookup an impersonator (claimed type B) gets to see:
 /// a random key, moved away from the claimed type, and the key's
 /// in-section (type-A) replica set.
-fn harvested_replicas(
-    ring: &VermeStaticRing,
-    cfg: &ScenarioConfig,
-    rng: &mut impl Rng,
-) -> Vec<u32> {
+fn harvested_replicas(ring: &VermeStaticRing, rng: &mut impl Rng) -> Vec<u32> {
     let key = Id::random(rng);
     let point = ring.layout().replica_point_avoiding(key, NodeType::B);
-    ring.replica_indices(point, cfg.replicas_per_answer).into_iter().map(|i| i as u32).collect()
+    ring.replica_indices(point, REPLICAS_PER_ANSWER).into_iter().map(|i| i as u32).collect()
 }
 
 /// How often is the impersonator `imp` used as a relay, and by whom? A
@@ -681,7 +672,7 @@ mod tests {
 
     /// The Chord target-list builder as it stood before [`Population`].
     /// (It pushed the predecessor unchecked, naming it twice on a ring of
-    /// at most `num_successors + 1` nodes, where the successor list
+    /// at most `NUM_SUCCESSORS + 1` nodes, where the successor list
     /// already wraps onto it; the property below stays above that size.)
     fn reference_chord_targets(cfg: &ScenarioConfig) -> Vec<Vec<u32>> {
         let mut rng = SeedSource::new(cfg.seed).stream("chord-ids");
@@ -700,7 +691,7 @@ mod tests {
         let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
         for i in 0..n {
             let mut list: Vec<u32> = Vec::new();
-            for d in 1..=cfg.num_successors.min(n - 1) {
+            for d in 1..=NUM_SUCCESSORS.min(n - 1) {
                 list.push(((i + d) % n) as u32);
             }
             list.push(ring.predecessor_index(i) as u32);
@@ -725,10 +716,10 @@ mod tests {
         let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
         for i in 0..n {
             let mut list: Vec<u32> = Vec::new();
-            for d in 1..=cfg.num_successors.min(n - 1) {
+            for d in 1..=NUM_SUCCESSORS.min(n - 1) {
                 list.push(((i + d) % n) as u32);
             }
-            for d in 1..=cfg.num_predecessors.min(n - 1) {
+            for d in 1..=NUM_PREDECESSORS.min(n - 1) {
                 let j = ((i + n - d) % n) as u32;
                 if !list.contains(&j) {
                     list.push(j);

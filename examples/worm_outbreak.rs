@@ -15,7 +15,6 @@ fn main() {
         sections: 1024,
         duration: SimDuration::from_secs(2_000),
         seed: 3,
-        ..ScenarioConfig::default()
     };
     println!(
         "population: {} nodes, {} sections, 50% vulnerable (one platform type)\n",

@@ -10,7 +10,7 @@ use verme::crypto::CertificateAuthority;
 use verme::dht::{DhtConfig, DhtNode, FastVerDiNode, SecureVerDiNode};
 use verme::net::{KingMatrix, TransitStub, TransitStubConfig};
 use verme::sim::{Addr, HostId, LatencyModel, Runtime, SeedSource, SimDuration, SimTime};
-use verme::worm::{run_scenario, Scenario, ScenarioConfig, WormParams};
+use verme::worm::{run_scenario, Scenario, ScenarioConfig};
 
 fn layout() -> SectionLayout {
     SectionLayout::with_sections(8, 2)
@@ -130,9 +130,7 @@ fn figure8_ordering_holds_end_to_end() {
         nodes: 4000,
         sections: 128,
         duration: SimDuration::from_secs(8_000),
-        params: WormParams::default(),
         seed: 7,
-        ..Default::default()
     };
     let chord = run_scenario(&Scenario::ChordWorm, &cfg);
     let verme = run_scenario(&Scenario::VermeWorm, &cfg);

@@ -6,7 +6,7 @@ use verme::core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme::crypto::CertificateAuthority;
 use verme::sim::runtime::UniformLatency;
 use verme::sim::{HostId, Runtime, SeedSource, SimDuration, SimTime};
-use verme::worm::{analyze, logistic, run_scenario, Scenario, ScenarioConfig, WormParams};
+use verme::worm::{analyze, logistic, run_scenario, Scenario, ScenarioConfig};
 
 #[test]
 fn chord_worm_tracks_the_logistic_model_early() {
@@ -18,9 +18,7 @@ fn chord_worm_tracks_the_logistic_model_early() {
         nodes: 4000,
         sections: 128,
         duration: SimDuration::from_secs(300),
-        params: WormParams::default(),
         seed: 17,
-        ..Default::default()
     };
     let r = run_scenario(&Scenario::ChordWorm, &cfg);
     let stats = analyze(&r.curve);

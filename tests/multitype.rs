@@ -6,7 +6,7 @@ use verme::chord::Id;
 use verme::core::{audit_static_ring, SectionLayout, VermeStaticRing};
 use verme::crypto::NodeType;
 use verme::sim::{SeedSource, SimDuration, SimTime};
-use verme::worm::{WormParams, WormSim};
+use verme::worm::WormSim;
 
 fn layout4() -> SectionLayout {
     SectionLayout::with_sections(64, 4)
@@ -73,7 +73,7 @@ fn four_type_ring_contains_a_single_type_worm_to_one_section() {
         }
         targets.push(list);
     }
-    let mut sim = WormSim::new(targets, vulnerable, WormParams::default(), 9);
+    let mut sim = WormSim::new(targets, vulnerable, 9);
     let mut rng = SeedSource::new(9).stream("seed");
     let seed = ring.random_index_of_type(NodeType::new(2), &mut rng) as u32;
     let seed_section = ring.section_of_index(seed as usize);
