@@ -250,7 +250,7 @@ fn run_verme_cell(
 
 /// Runs the fault schedule over a spawned cell with the continuous
 /// ring-invariant assertor attached, `stance` reading a node's ring
-/// pointers for it and for the end snapshot.
+/// pointers for the end snapshot.
 fn drive_cell<N: Node + RingNode + 'static>(
     mut rt: Runtime<N, UniformLatency>,
     addrs: Vec<Addr>,
@@ -260,7 +260,7 @@ fn drive_cell<N: Node + RingNode + 'static>(
     cell_seed: u64,
     stance: fn(&N) -> RingStance,
 ) -> ExtMCell {
-    rt.set_step_assertor(ring_assertor(stance));
+    rt.set_step_assertor(ring_assertor());
     rt.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     let start = rt.now() + SimDuration::from_secs(5);
     let plan = fault_plan(params, churn_rate, start);

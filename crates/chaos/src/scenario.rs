@@ -143,16 +143,17 @@ fn check_sizes(scenario: &Scenario) -> Result<(), String> {
 /// check of the invariant from Zave's "How to Make Chord Correct" after
 /// every processed event.
 ///
-/// `stance` extracts a node's ring pointers. The full [`check_ring`]
-/// evaluation runs only when a cheap global fingerprint changes — the
-/// live-node count plus the wrapping sum over nodes of the two things the
-/// invariant's inputs move with, the neighbor epoch and the joined flag —
-/// so event storms that do not move ring state cost one O(nodes) sum
-/// instead of a full cycle check.
-pub fn ring_assertor<N: Node + RingNode>(
-    stance: impl Fn(&N) -> RingStance + 'static,
-) -> StepAssertor<N> {
+/// The full [`check_ring`] evaluation runs only when a cheap global
+/// fingerprint changes — the live-node count plus the wrapping sum over
+/// nodes of the two things the invariant's inputs move with, the neighbor
+/// epoch and the joined flag — so event storms that do not move ring
+/// state cost one O(nodes) sum instead of a full cycle check. The check
+/// reads each node's id, joined flag and successor list from its
+/// [`RingCore`](verme_chord::RingCore), into stances kept from one check
+/// to the next.
+pub fn ring_assertor<N: Node + RingNode>() -> StepAssertor<N> {
     let mut last: Option<(usize, u64)> = None;
+    let mut stances: Vec<RingStance> = Vec::new();
     Box::new(move |view| {
         let mut count = 0usize;
         let mut sum = 0u64;
@@ -167,7 +168,14 @@ pub fn ring_assertor<N: Node + RingNode>(
             return AssertorVerdict::empty();
         }
         last = Some((count, sum));
-        let stances: Vec<RingStance> = view.nodes().map(|(_, n)| stance(n)).collect();
+        stances.resize_with(count, RingStance::default);
+        for (stance, (_, node)) in stances.iter_mut().zip(view.nodes()) {
+            let ring = node.ring();
+            stance.id = ring.id().raw();
+            stance.joined = ring.is_joined();
+            stance.successors.clear();
+            stance.successors.extend(ring.successors().iter().map(|h| h.id.raw()));
+        }
         let report = check_ring(&stances);
         AssertorVerdict {
             counts: vec![(ring_keys::INVARIANT_VIOLATIONS, report.violations.len() as u64)],
@@ -293,7 +301,7 @@ fn run_ring(
     };
     let ring = StaticRing::random(nodes, seed);
     let mut rt = Runtime::new(UniformLatency::new(nodes, HOP), seed);
-    rt.set_step_assertor(ring_assertor(ChordNode::ring_stance));
+    rt.set_step_assertor(ring_assertor());
     let addrs = ring.spawn(&mut rt, |pos| {
         let pred = Some(ring.node(ring.predecessor_index(pos)));
         let succs = ring.successors_of(pos, cfg.num_successors);

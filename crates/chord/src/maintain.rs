@@ -20,8 +20,6 @@
 //!   stabilize state machine, exhaustively enumerated (with rotation
 //!   symmetry reduction) by the `ring_check` bin.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 /// Which ring-maintenance rules a node runs.
 ///
 /// `Legacy` reproduces the pre-correction protocol byte-for-byte: joins
@@ -136,7 +134,7 @@ fn in_open_open(a: u128, x: u128, b: u128) -> bool {
 /// (crate::ChordNode::ring_stance) and `VermeNode::ring_stance`): Chord
 /// contributes at most one predecessor, the Verme section variant its
 /// whole predecessor list.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RingStance {
     /// The node's identifier.
     pub id: u128,
@@ -240,13 +238,25 @@ impl RingReport {
 ///    reaches the cycle (automatic in a functional graph with one cycle;
 ///    nodes with no live pointer are counted as `wedged`).
 pub fn check_ring(stances: &[RingStance]) -> RingReport {
+    const NONE: usize = usize::MAX;
     let mut report = RingReport::default();
-    let live: BTreeSet<u128> = stances.iter().map(|s| s.id).collect();
+    // Every live id once, ascending; all per-node state below is indexed
+    // by position in `live`, so ascending index is ascending id.
+    let mut live: Vec<u128> = stances.iter().map(|s| s.id).collect();
+    live.sort_unstable();
+    live.dedup();
+    let index_of = |id: &u128| live.binary_search(id).ok();
     // Members are live nodes that completed their join; only they carry
-    // ring obligations. Joining nodes are appendages by definition.
-    let members: BTreeMap<u128, &RingStance> =
-        stances.iter().filter(|s| s.joined).map(|s| (s.id, s)).collect();
-    report.appendage_nodes += (live.len() - members.len()) as u64;
+    // ring obligations. Joining nodes are appendages by definition. Where
+    // an id appears twice, its last joined stance counts.
+    let mut member = vec![NONE; live.len()];
+    for (k, s) in stances.iter().enumerate() {
+        if s.joined {
+            member[index_of(&s.id).expect("live")] = k;
+        }
+    }
+    let members = member.iter().filter(|&&m| m != NONE).count();
+    report.appendage_nodes += (live.len() - members) as u64;
 
     // Clause 1: list validity.
     for s in stances.iter() {
@@ -265,53 +275,51 @@ pub fn check_ring(stances: &[RingStance]) -> RingReport {
 
     // Resolve each member's live successor pointer: first list entry that
     // is itself a live member.
-    let mut succ: BTreeMap<u128, u128> = BTreeMap::new();
-    for (&id, s) in &members {
-        match s.successors.iter().find(|e| members.contains_key(e)) {
-            Some(&nxt) => {
-                succ.insert(id, nxt);
-            }
-            None => {
-                if members.len() > 1 {
-                    report.wedged += 1;
-                }
-            }
+    let mut succ = vec![NONE; live.len()];
+    for (v, &m) in member.iter().enumerate().filter(|&(_, &m)| m != NONE) {
+        let next = stances[m].successors.iter().filter_map(index_of).find(|&w| member[w] != NONE);
+        match next {
+            Some(w) => succ[v] = w,
+            None if members > 1 => report.wedged += 1,
+            None => {}
         }
     }
 
     // Cycle detection over the partial functional graph.
-    let mut on_cycle: BTreeSet<u128> = BTreeSet::new();
-    let mut cycles: Vec<Vec<u128>> = Vec::new();
-    let mut color: BTreeMap<u128, u8> = BTreeMap::new(); // 0 unseen, 1 in-progress, 2 done
-    for &start in succ.keys() {
-        if color.get(&start).copied().unwrap_or(0) != 0 {
+    let mut on_cycle = vec![false; live.len()];
+    let mut cycles: Vec<Vec<usize>> = Vec::new();
+    let mut color = vec![0u8; live.len()]; // 0 unseen, 1 in-progress, 2 done
+    let mut path: Vec<usize> = Vec::new();
+    for start in (0..live.len()).filter(|&v| succ[v] != NONE) {
+        if color[start] != 0 {
             continue;
         }
-        let mut path: Vec<u128> = Vec::new();
         let mut cur = start;
         loop {
-            match color.get(&cur).copied().unwrap_or(0) {
+            match color[cur] {
                 1 => {
                     // Found a new cycle: the tail of `path` from `cur`.
                     let at = path.iter().position(|&p| p == cur).expect("on path");
-                    let cyc: Vec<u128> = path[at..].to_vec();
-                    on_cycle.extend(cyc.iter().copied());
+                    let cyc: Vec<usize> = path[at..].to_vec();
+                    for &v in &cyc {
+                        on_cycle[v] = true;
+                    }
                     cycles.push(cyc);
                     break;
                 }
                 2 => break, // Reached an already-explored region.
                 _ => {
-                    color.insert(cur, 1);
+                    color[cur] = 1;
                     path.push(cur);
-                    match succ.get(&cur) {
-                        Some(&nxt) => cur = nxt,
-                        None => break, // Chain ends at a wedged node.
+                    match succ[cur] {
+                        NONE => break, // Chain ends at a wedged node.
+                        next => cur = next,
                     }
                 }
             }
         }
-        for p in path {
-            color.insert(p, 2);
+        for p in path.drain(..) {
+            color[p] = 2;
         }
     }
 
@@ -319,8 +327,8 @@ pub fn check_ring(stances: &[RingStance]) -> RingReport {
         0 => {
             // With every member holding a live pointer a cycle must exist;
             // absence is only legitimate when wedging broke a chain.
-            if report.wedged == 0 && members.len() > 1 {
-                let node = *members.keys().next().expect("members nonempty");
+            if report.wedged == 0 && members > 1 {
+                let node = live[member.iter().position(|&m| m != NONE).expect("members nonempty")];
                 report.violations.push(Violation { kind: ViolationKind::NoRing, node });
             }
         }
@@ -330,10 +338,10 @@ pub fn check_ring(stances: &[RingStance]) -> RingReport {
             // Clause 4: one full traversal from the minimum id must walk
             // strictly increasing clockwise distances.
             let at = cyc.iter().enumerate().min_by_key(|(_, &v)| v).map(|(i, _)| i).expect("cycle");
-            let base = cyc[at];
+            let base = live[cyc[at]];
             let mut last = 0u128;
             for k in 1..cyc.len() {
-                let d = cyc[(at + k) % cyc.len()].wrapping_sub(base);
+                let d = live[cyc[(at + k) % cyc.len()]].wrapping_sub(base);
                 if d <= last {
                     report
                         .violations
@@ -347,7 +355,7 @@ pub fn check_ring(stances: &[RingStance]) -> RingReport {
             // Clause 3: report one violation per extra cycle, anchored at
             // that cycle's minimum member.
             for cyc in cycles.iter().skip(1) {
-                let node = *cyc.iter().min().expect("cycle nonempty");
+                let node = live[*cyc.iter().min().expect("cycle nonempty")];
                 report.violations.push(Violation { kind: ViolationKind::MultipleRings, node });
             }
             report.ring_len = cycles.iter().map(Vec::len).max().unwrap_or(0);
@@ -360,7 +368,8 @@ pub fn check_ring(stances: &[RingStance]) -> RingReport {
     // appendage, indistinguishable from a healthy mid-join transient); the
     // partition it risks only becomes a hard violation once a second
     // independent refill closes a disjoint cycle — `MultipleRings` above.
-    report.appendage_nodes += members.keys().filter(|id| !on_cycle.contains(id)).count() as u64;
+    report.appendage_nodes +=
+        (0..live.len()).filter(|&v| member[v] != NONE && !on_cycle[v]).count() as u64;
     report
 }
 
@@ -369,6 +378,228 @@ pub mod model;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// [`check_ring`] as it was before it moved onto sorted arrays: two
+    /// `BTreeSet`s and three `BTreeMap`s per call.
+    fn reference_check_ring(stances: &[RingStance]) -> RingReport {
+        let mut report = RingReport::default();
+        let live: BTreeSet<u128> = stances.iter().map(|s| s.id).collect();
+        // Members are live nodes that completed their join; only they carry
+        // ring obligations. Joining nodes are appendages by definition.
+        let members: BTreeMap<u128, &RingStance> =
+            stances.iter().filter(|s| s.joined).map(|s| (s.id, s)).collect();
+        report.appendage_nodes += (live.len() - members.len()) as u64;
+
+        // Clause 1: list validity.
+        for s in stances.iter() {
+            if s.successors.contains(&s.id) {
+                report
+                    .violations
+                    .push(Violation { kind: ViolationKind::SelfSuccessor, node: s.id });
+            }
+            for w in s.successors.windows(2) {
+                if w[1].wrapping_sub(s.id) <= w[0].wrapping_sub(s.id) {
+                    report
+                        .violations
+                        .push(Violation { kind: ViolationKind::DisorderedList, node: s.id });
+                    break;
+                }
+            }
+        }
+
+        // Resolve each member's live successor pointer: first list entry that
+        // is itself a live member.
+        let mut succ: BTreeMap<u128, u128> = BTreeMap::new();
+        for (&id, s) in &members {
+            match s.successors.iter().find(|e| members.contains_key(e)) {
+                Some(&nxt) => {
+                    succ.insert(id, nxt);
+                }
+                None => {
+                    if members.len() > 1 {
+                        report.wedged += 1;
+                    }
+                }
+            }
+        }
+
+        // Cycle detection over the partial functional graph.
+        let mut on_cycle: BTreeSet<u128> = BTreeSet::new();
+        let mut cycles: Vec<Vec<u128>> = Vec::new();
+        let mut color: BTreeMap<u128, u8> = BTreeMap::new(); // 0 unseen, 1 in-progress, 2 done
+        for &start in succ.keys() {
+            if color.get(&start).copied().unwrap_or(0) != 0 {
+                continue;
+            }
+            let mut path: Vec<u128> = Vec::new();
+            let mut cur = start;
+            loop {
+                match color.get(&cur).copied().unwrap_or(0) {
+                    1 => {
+                        // Found a new cycle: the tail of `path` from `cur`.
+                        let at = path.iter().position(|&p| p == cur).expect("on path");
+                        let cyc: Vec<u128> = path[at..].to_vec();
+                        on_cycle.extend(cyc.iter().copied());
+                        cycles.push(cyc);
+                        break;
+                    }
+                    2 => break, // Reached an already-explored region.
+                    _ => {
+                        color.insert(cur, 1);
+                        path.push(cur);
+                        match succ.get(&cur) {
+                            Some(&nxt) => cur = nxt,
+                            None => break, // Chain ends at a wedged node.
+                        }
+                    }
+                }
+            }
+            for p in path {
+                color.insert(p, 2);
+            }
+        }
+
+        match cycles.len() {
+            0 => {
+                // With every member holding a live pointer a cycle must exist;
+                // absence is only legitimate when wedging broke a chain.
+                if report.wedged == 0 && members.len() > 1 {
+                    let node = *members.keys().next().expect("members nonempty");
+                    report.violations.push(Violation { kind: ViolationKind::NoRing, node });
+                }
+            }
+            1 => {
+                let cyc = &cycles[0];
+                report.ring_len = cyc.len();
+                // Clause 4: one full traversal from the minimum id must walk
+                // strictly increasing clockwise distances.
+                let at =
+                    cyc.iter().enumerate().min_by_key(|(_, &v)| v).map(|(i, _)| i).expect("cycle");
+                let base = cyc[at];
+                let mut last = 0u128;
+                for k in 1..cyc.len() {
+                    let d = cyc[(at + k) % cyc.len()].wrapping_sub(base);
+                    if d <= last {
+                        report
+                            .violations
+                            .push(Violation { kind: ViolationKind::DisorderedRing, node: base });
+                        break;
+                    }
+                    last = d;
+                }
+            }
+            _ => {
+                // Clause 3: report one violation per extra cycle, anchored at
+                // that cycle's minimum member.
+                for cyc in cycles.iter().skip(1) {
+                    let node = *cyc.iter().min().expect("cycle nonempty");
+                    report.violations.push(Violation { kind: ViolationKind::MultipleRings, node });
+                }
+                report.ring_len = cycles.iter().map(Vec::len).max().unwrap_or(0);
+            }
+        }
+
+        // Clause 5: members off the principal cycle are appendages. Note that
+        // a *single* backwards refill is topologically invisible in a snapshot
+        // (it forms a short cycle with every survivor as a connected
+        // appendage, indistinguishable from a healthy mid-join transient); the
+        // partition it risks only becomes a hard violation once a second
+        // independent refill closes a disjoint cycle — `MultipleRings` above.
+        report.appendage_nodes += members.keys().filter(|id| !on_cycle.contains(id)).count() as u64;
+        report
+    }
+
+    /// Ids on a 32-slot grid spread over the whole ring, so random stances
+    /// collide, point at each other and wrap past zero.
+    fn slot(k: u8) -> u128 {
+        u128::from(k % 32) << 123 | u128::from(k / 32)
+    }
+
+    /// A node by slot: joined unless `unjoined`, listing the given slots.
+    fn slotted(k: u8, unjoined: bool, succs: &[u8]) -> RingStance {
+        RingStance {
+            id: slot(k),
+            joined: !unjoined,
+            successors: succs.iter().map(|&e| slot(e)).collect(),
+            predecessors: Vec::new(),
+        }
+    }
+
+    proptest! {
+        /// Arbitrary stances: duplicate ids, self entries, disordered
+        /// lists, pointers to dead or unjoined ids, several cycles.
+        #[test]
+        fn check_ring_equals_the_reference_on_random_stances(
+            nodes in prop::collection::vec(
+                (0u8..40, any::<u8>(), prop::collection::vec(0u8..40, 0..5)),
+                0..24,
+            ),
+        ) {
+            let stances: Vec<RingStance> =
+                nodes.iter().map(|(k, j, succs)| slotted(*k, *j < 40, succs)).collect();
+            prop_assert_eq!(check_ring(&stances), reference_check_ring(&stances));
+        }
+
+        /// Well-formed rings, one or two of them (split by slot parity or
+        /// into two arcs), then damaged: some nodes unjoined, some lists
+        /// cut to dead entries (wedged), reversed or emptied, some nodes
+        /// repeated with another stance, newcomers pointing into a ring.
+        #[test]
+        fn check_ring_equals_the_reference_on_damaged_rings(
+            slots in prop::collection::vec(0u8..64, 1..24),
+            split in 0u8..3,
+            len in 1usize..4,
+            damage in prop::collection::vec((any::<u8>(), 0u8..6), 0..6),
+        ) {
+            let mut slots = slots;
+            slots.sort_unstable_by_key(|&k| slot(k));
+            slots.dedup();
+            let ring_of = |k: u8| match split {
+                0 => 0,
+                1 => k % 2,
+                _ => u8::from(slot(k) >= slot(32)),
+            };
+            let mut stances: Vec<RingStance> = slots
+                .iter()
+                .enumerate()
+                .map(|(at, &k)| {
+                    let peers: Vec<u8> = slots[at + 1..]
+                        .iter()
+                        .chain(&slots[..at])
+                        .copied()
+                        .filter(|&e| ring_of(e) == ring_of(k))
+                        .take(len)
+                        .collect();
+                    slotted(k, false, &peers)
+                })
+                .collect();
+            for &(pick, how) in &damage {
+                let at = usize::from(pick) % stances.len();
+                let s = &mut stances[at];
+                match how {
+                    0 => s.joined = false,
+                    1 => s.successors = vec![s.id ^ 1],
+                    2 => s.successors.reverse(),
+                    3 => {
+                        let mut copy = s.clone();
+                        copy.joined = pick % 2 == 0;
+                        let turn = usize::from(copy.successors.len() > 1);
+                        copy.successors.rotate_left(turn);
+                        stances.push(copy);
+                    }
+                    4 => s.successors.clear(),
+                    _ => {
+                        let newcomer = slotted(pick % 64, false, &[]);
+                        let member = s.id;
+                        stances.push(RingStance { successors: vec![member], ..newcomer });
+                    }
+                }
+            }
+            prop_assert_eq!(check_ring(&stances), reference_check_ring(&stances));
+        }
+    }
 
     fn stance(id: u128, succs: &[u128], preds: &[u128]) -> RingStance {
         RingStance { id, joined: true, successors: succs.to_vec(), predecessors: preds.to_vec() }

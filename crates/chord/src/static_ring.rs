@@ -147,15 +147,29 @@ impl StaticRing {
     /// node itself.
     pub fn fingers_of(&self, i: usize) -> Vec<(usize, NodeHandle)> {
         let mut out = Vec::new();
-        self.for_each_finger(i, |b, j| out.push((b as usize, self.sorted[j])));
+        self.for_each_finger(&mut FingerSweep::new(&self.sorted), i, |b, j| {
+            out.push((b as usize, self.sorted[j]))
+        });
         out
     }
 
     /// Positions of the *distinct* nodes in `i`'s finger table (the compact
     /// form the worm simulator stores).
     pub fn distinct_finger_indices(&self, i: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = Vec::new();
-        self.for_each_finger(i, |_, j| {
+        self.distinct_fingers(&mut FingerSweep::new(&self.sorted), i)
+    }
+
+    /// [`distinct_finger_indices`](StaticRing::distinct_finger_indices) of
+    /// every member, in ring order, from one [`FingerSweep`]: O(1)
+    /// amortised per finger instead of a search.
+    pub fn distinct_finger_lists(&self) -> impl Iterator<Item = Vec<usize>> + '_ {
+        let mut sweep = FingerSweep::new(&self.sorted);
+        (0..self.len()).map(move |i| self.distinct_fingers(&mut sweep, i))
+    }
+
+    fn distinct_fingers(&self, sweep: &mut FingerSweep<'_>, i: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::with_capacity(16);
+        self.for_each_finger(sweep, i, |_, j| {
             if out.last() != Some(&j) && !out.contains(&j) {
                 out.push(j);
             }
@@ -165,17 +179,21 @@ impl StaticRing {
 
     /// Calls `visit(b, j)` for every bit `b` whose finger
     /// `successor(id + 2^b)` is a member `j` other than `i`, in bit order.
-    fn for_each_finger(&self, i: usize, mut visit: impl FnMut(u32, usize)) {
-        let mut walk = ClockwiseWalk::new(&self.sorted, i);
+    fn for_each_finger(
+        &self,
+        sweep: &mut FingerSweep<'_>,
+        i: usize,
+        mut visit: impl FnMut(u32, usize),
+    ) {
         // Every target that does not pass the immediate successor *is*
         // that successor: on a large ring, all but the top ~log2 n bits.
-        let near = bits_reaching(walk.gap());
+        let near = bits_reaching(sweep.gap(i));
         let next = (i + 1) % self.sorted.len();
         for b in 0..near {
             visit(b, next);
         }
         for b in near..Id::BITS {
-            let j = walk.successor_at(1u128 << b);
+            let j = sweep.successor(i, b, 1u128 << b);
             if j != i {
                 visit(b, j);
             }
@@ -193,86 +211,123 @@ impl StaticRing {
     }
 }
 
-/// A forward-only successor search around a sorted membership, as seen
-/// from one member: the finger-resolution routine of both static rings.
+/// The successor oracle of both static rings: for member `i` and finger
+/// bit `b`, the member succeeding the point `reach(b)` past `i`'s id,
+/// where bit `b` reaches as far past every member.
 ///
-/// Finger targets recede monotonically from their owner, so the finger
-/// for one target is never nearer than the finger for the previous one:
-/// it *is* the previous answer whenever that member still lies at or
-/// beyond the new target — in particular every target that does not pass
-/// the immediate successor resolves to that successor — and only
-/// otherwise does a binary search run, over the positions past the
-/// previous answer. A member of an `n`-node ring has O(log n) distinct
-/// fingers, hence O(log n) searches instead of one per identifier bit.
+/// Counting positions clockwise on the ring unrolled once (position
+/// `p ≥ n` is member `p − n` one turn later, and `i + n` is `i` itself),
+/// the answer `f_b(i)` is the first position in `(i, i + n]` whose id is at
+/// least `id(i) + reach(b)`. It never moves back: not from one member to
+/// the next (a later member's target lies further on), and not from one
+/// bit to the next while reaches do not shrink. So the sweep keeps one
+/// forward cursor per bit, the last answer for that bit, carried from
+/// member to member, and each query starts at the latest of that cursor,
+/// the member's answer for its previous bit and `i + 1`, gallops forward
+/// and bisects the last stride. Walked in member order, a query costs
+/// O(1) amortised; for a single member it costs what one search past the
+/// previous answer costs.
 #[derive(Clone, Debug)]
-pub struct ClockwiseWalk<'a> {
+pub struct FingerSweep<'a> {
     sorted: &'a [NodeHandle],
-    i: usize,
-    /// Clockwise position of the last answer: `1` is the immediate
-    /// successor, `n` the member itself (one full turn away).
-    r: usize,
-    reach: u128,
+    /// Per bit, the unrolled position of its latest answer.
+    cursor: [usize; Id::BITS as usize],
+    /// The latest query, `(member, bit, reach)`: queries may not go back.
+    at: (usize, u32, u128),
+    probes: u64,
 }
 
-impl<'a> ClockwiseWalk<'a> {
-    /// Starts a walk from member `i` of `sorted` (distinct ids, ascending).
+impl<'a> FingerSweep<'a> {
+    /// Starts a sweep over `sorted` (distinct ids, ascending).
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
-    pub fn new(sorted: &'a [NodeHandle], i: usize) -> Self {
-        assert!(i < sorted.len(), "member {i} out of range");
-        ClockwiseWalk { sorted, i, r: 1, reach: 0 }
+    /// Panics if `sorted` is empty.
+    pub fn new(sorted: &'a [NodeHandle]) -> Self {
+        assert!(!sorted.is_empty(), "a sweep needs at least one member");
+        FingerSweep { sorted, cursor: [0; Id::BITS as usize], at: (0, 0, 0), probes: 0 }
     }
 
-    /// Clockwise distance to the immediate successor; zero on a singleton
-    /// ring. A point at most this far past the member's id is succeeded
-    /// by that successor.
-    pub fn gap(&self) -> u128 {
-        if self.sorted.len() > 1 {
-            self.distance(1)
+    /// Clockwise distance from member `i` to its immediate successor; zero
+    /// on a singleton ring. A point at most this far past the member's id
+    /// is succeeded by that successor.
+    pub fn gap(&self, i: usize) -> u128 {
+        let n = self.sorted.len();
+        if n > 1 {
+            self.sorted[i].id.distance_to(self.sorted[(i + 1) % n].id)
         } else {
             0
         }
     }
 
-    /// Index of the successor of the point `reach` past the member's id
-    /// (the member itself when no other lies at or beyond that point).
+    /// Index of the successor of the point `reach` past member `i`'s id
+    /// (`i` itself when no other member lies at or beyond that point),
+    /// where `reach` is finger bit `b`'s: the same for every member, and
+    /// non-decreasing in `b`. A bit's cursor is only a lower bound for
+    /// later members under that rule.
     ///
     /// # Panics
     ///
-    /// Panics if `reach` is zero or smaller than in an earlier call.
-    pub fn successor_at(&mut self, reach: u128) -> usize {
-        assert!(reach > 0 && reach >= self.reach, "reach must be positive and non-decreasing");
-        self.reach = reach;
+    /// Panics if `i` is out of range, `b ≥ Id::BITS`, `(i, b)` comes
+    /// before the previous query in member-then-bit order, or `reach` is
+    /// zero or shorter than the member's previous reach.
+    pub fn successor(&mut self, i: usize, b: u32, reach: u128) -> usize {
         let n = self.sorted.len();
-        if self.r < n && self.distance(self.r) < reach {
-            let (mut lo, mut hi) = (self.r + 1, n);
-            while lo < hi {
+        assert!(i < n, "member {i} out of range");
+        let (member, bit, previous) = self.at;
+        assert!(i > member || (i == member && b >= bit), "sweep queries must not go back");
+        let mut lo = self.cursor[b as usize].max(i + 1);
+        if i == member {
+            assert!(reach >= previous, "reaches must be non-decreasing");
+            lo = lo.max(self.cursor[bit as usize]);
+        }
+        assert!(reach > 0, "reaches must be positive");
+        let (ids, base, end) = (self.sorted, self.sorted[i].id, i + n);
+        let mut probes = 0;
+        // True if unrolled position `p` (`i < p < i + n`) lies at least
+        // `reach` past member `i`.
+        let mut reaches = |p: usize| {
+            probes += 1;
+            base.distance_to(ids[if p < n { p } else { p - n }].id) >= reach
+        };
+        let mut hi = lo;
+        if lo < end && !reaches(lo) {
+            // Gallop until a position qualifies (`end`, the member itself,
+            // always does), then bisect: `lo` falls short, `hi` qualifies.
+            let mut step = 1;
+            hi = loop {
+                let probe = lo + step;
+                if probe >= end {
+                    break end;
+                }
+                if reaches(probe) {
+                    break probe;
+                }
+                lo = probe;
+                step *= 2;
+            };
+            while hi - lo > 1 {
                 let mid = lo + (hi - lo) / 2;
-                if self.distance(mid) < reach {
-                    lo = mid + 1;
-                } else {
+                if reaches(mid) {
                     hi = mid;
+                } else {
+                    lo = mid;
                 }
             }
-            self.r = lo;
         }
-        self.index(self.r)
-    }
-
-    /// The index of the member at clockwise position `r` (`1..=n`).
-    fn index(&self, r: usize) -> usize {
-        let k = self.i + r;
-        if k < self.sorted.len() {
-            k
+        self.probes += probes;
+        self.cursor[b as usize] = hi;
+        self.at = (i, b, reach);
+        if hi < n {
+            hi
         } else {
-            k - self.sorted.len()
+            hi - n
         }
     }
 
-    fn distance(&self, r: usize) -> u128 {
-        self.sorted[self.i].id.distance_to(self.sorted[self.index(r)].id)
+    /// How many ids the sweep has compared so far: its whole cost.
+    pub fn probes(&self) -> u64 {
+        self.probes
     }
 }
 
@@ -287,7 +342,7 @@ mod tests {
     use proptest::prelude::*;
     use verme_sim::runtime::UniformLatency;
 
-    /// The finger rule this module used before [`ClockwiseWalk`]: one full
+    /// The finger rule this module used before [`FingerSweep`]: one full
     /// binary search per identifier bit.
     fn reference_fingers(r: &StaticRing, i: usize) -> Vec<(usize, NodeHandle)> {
         let id = r.node(i).id;
@@ -358,25 +413,64 @@ mod tests {
             assert_fingers_match_reference(&ring_of(ids))?;
         }
 
-        /// The walk answers any non-decreasing sequence of reaches, not
-        /// only powers of two, exactly like a fresh search for each.
+        /// The sweep answers any non-decreasing reaches, not only powers
+        /// of two, for any members and bits visited in order, exactly like
+        /// a fresh search for each; and a bit whose answer is the previous
+        /// bit's costs at most one probe.
         #[test]
         fn walk_equals_successor_index_for_any_monotone_reaches(
             ids in prop::collection::vec(any::<u128>(), 1..40),
             from: usize,
-            mut reaches in prop::collection::vec(1u128..=u128::MAX, 1..50),
+            scaled in prop::collection::vec((1u128..=u128::MAX, 0u32..Id::BITS), 128),
+            picks in prop::collection::vec(any::<u128>(), 40),
         ) {
             let r = ring_of(ids);
-            let i = from % r.len();
+            let mut reaches: Vec<u128> = scaled.iter().map(|&(v, s)| (v >> s).max(1)).collect();
             reaches.sort_unstable();
-            let mut walk = ClockwiseWalk::new(r.nodes(), i);
-            for reach in reaches {
-                prop_assert_eq!(
-                    walk.successor_at(reach),
-                    r.successor_index(r.node(i).id.wrapping_add(reach))
-                );
+            let mut sweep = FingerSweep::new(r.nodes());
+            for (i, pick) in picks.iter().enumerate().take(r.len()).skip(from % r.len()) {
+                let mut previous = None;
+                for b in (0..Id::BITS).filter(|&b| pick >> b & 1 == 1) {
+                    let probes = sweep.probes();
+                    let reach = reaches[b as usize];
+                    let j = sweep.successor(i, b, reach);
+                    prop_assert_eq!(j, r.successor_index(r.node(i).id.wrapping_add(reach)));
+                    if previous == Some(j) {
+                        prop_assert!(sweep.probes() - probes <= 1, "repeated answer re-searched");
+                    }
+                    previous = Some(j);
+                }
             }
         }
+    }
+
+    /// Walked in member order, the sweep resolves a finger in a few probes
+    /// where a search from the member costs about `2 log2 n`.
+    #[test]
+    fn a_whole_ring_sweep_costs_a_few_probes_per_finger() {
+        let r = StaticRing::random(4096, 42);
+        let mut sweep = FingerSweep::new(r.nodes());
+        let mut searched = 0u64;
+        for i in 0..r.len() {
+            for b in bits_reaching(sweep.gap(i))..Id::BITS {
+                sweep.successor(i, b, 1u128 << b);
+                searched += 1;
+            }
+        }
+        assert!(
+            sweep.probes() <= 3 * searched,
+            "{} probes for {searched} searched fingers",
+            sweep.probes()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep queries must not go back")]
+    fn a_sweep_refuses_an_earlier_member() {
+        let r = ring(8);
+        let mut sweep = FingerSweep::new(r.nodes());
+        sweep.successor(5, 0, 1);
+        sweep.successor(4, 0, 1);
     }
 
     fn ring(n: u128) -> StaticRing {

@@ -10,7 +10,7 @@ use std::collections::HashSet;
 
 use rand::Rng;
 
-use verme_chord::static_ring::{bits_reaching, ClockwiseWalk};
+use verme_chord::static_ring::{bits_reaching, FingerSweep};
 use verme_chord::{Id, NodeHandle, StaticRing};
 use verme_crypto::{CertificateAuthority, NodeType};
 use verme_sim::{Addr, SeedSource};
@@ -188,15 +188,29 @@ impl VermeStaticRing {
     /// keeps the table type-safe).
     pub fn fingers_of(&self, i: usize) -> Vec<(usize, NodeHandle)> {
         let mut out = Vec::new();
-        self.for_each_finger(i, |b, j| out.push((b as usize, self.node(j))));
+        self.for_each_finger(&mut FingerSweep::new(self.nodes()), i, |b, j| {
+            out.push((b as usize, self.node(j)))
+        });
         out
     }
 
     /// Positions of the distinct finger entries of member `i` (compact
     /// form for the worm simulator).
     pub fn distinct_finger_indices(&self, i: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = Vec::new();
-        self.for_each_finger(i, |_, j| {
+        self.distinct_fingers(&mut FingerSweep::new(self.nodes()), i)
+    }
+
+    /// [`distinct_finger_indices`](VermeStaticRing::distinct_finger_indices)
+    /// of every member, in ring order, from one [`FingerSweep`]: O(1)
+    /// amortised per finger instead of a search.
+    pub fn distinct_finger_lists(&self) -> impl Iterator<Item = Vec<usize>> + '_ {
+        let mut sweep = FingerSweep::new(self.nodes());
+        (0..self.len()).map(move |i| self.distinct_fingers(&mut sweep, i))
+    }
+
+    fn distinct_fingers(&self, sweep: &mut FingerSweep<'_>, i: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::with_capacity(16);
+        self.for_each_finger(sweep, i, |_, j| {
             if out.last() != Some(&j) && !out.contains(&j) {
                 out.push(j);
             }
@@ -214,27 +228,30 @@ impl VermeStaticRing {
     /// responsibility falls back to the target's predecessor. For a short
     /// finger whose own section is empty past the target, this correctly
     /// leaves the entry unset.
-    fn for_each_finger(&self, i: usize, mut visit: impl FnMut(u32, usize)) {
+    fn for_each_finger(
+        &self,
+        sweep: &mut FingerSweep<'_>,
+        i: usize,
+        mut visit: impl FnMut(u32, usize),
+    ) {
         let id = self.node(i).id;
-        // Shifted or not, the targets recede monotonically from `id`, which
-        // is what lets the walk skip every search whose answer is the
-        // previous one.
-        let mut walk = ClockwiseWalk::new(self.nodes(), i);
         // A target that passes neither the immediate successor nor the end
         // of `id`'s own section is that successor's if it shares the
         // section, and otherwise falls back to `i` itself (no entry): on
         // a large ring, all but the top ~log2 n bits.
         let room = self.layout.section_len() - (id.raw() & (self.layout.section_len() - 1));
-        let near = bits_reaching(walk.gap().min(room - 1));
+        let near = bits_reaching(sweep.gap(i).min(room - 1));
         let next = (i + 1) % self.len();
         if self.layout.same_section(self.node(next).id, id) {
             for b in 0..near {
                 visit(b, next);
             }
         }
+        // A shifted target lies the constant `section_len` further on, so
+        // bit `b` reaches as far past every member, and further than `b − 1`.
         for b in near..Id::BITS {
             let target = self.layout.finger_target(id, b);
-            let s = walk.successor_at(id.distance_to(target));
+            let s = sweep.successor(i, b, id.distance_to(target));
             if let Some(j) = self.corner_rule(s, target) {
                 if j != i {
                     visit(b, j);
@@ -375,7 +392,7 @@ mod tests {
             .collect()
     }
 
-    /// The finger rule this module used before the clockwise walk: one
+    /// The finger rule this module used before the finger sweep: one
     /// full binary search (`corner_responsible_index`) per identifier bit.
     fn reference_fingers(ring: &VermeStaticRing, i: usize) -> Vec<(usize, NodeHandle)> {
         let id = ring.node(i).id;

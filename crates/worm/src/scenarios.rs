@@ -329,7 +329,7 @@ impl Population {
             Overlay::Chord => {
                 let src = SeedSource::new(cfg.seed);
                 let ring = chord_ring(n, &mut src.stream("chord-ids"));
-                let targets = routing_targets(cfg, 1, |i| ring.distinct_finger_indices(i));
+                let targets = routing_targets(cfg, 1, ring.distinct_finger_lists());
                 let mut vrng = src.stream("chord-vulnerable");
                 let vulnerable = (0..n).map(|_| vrng.gen::<bool>()).collect();
                 // Plain Chord has no native sections: contiguous id-order
@@ -345,10 +345,12 @@ impl Population {
                 // over the same membership.
                 let plain = (overlay == Overlay::VermeUnshifted)
                     .then(|| StaticRing::new(ring.nodes().to_vec()));
-                let targets = routing_targets(cfg, NUM_PREDECESSORS, |i| match &plain {
-                    Some(plain) => plain.distinct_finger_indices(i),
-                    None => ring.distinct_finger_indices(i),
-                });
+                let targets = match &plain {
+                    Some(plain) => {
+                        routing_targets(cfg, NUM_PREDECESSORS, plain.distinct_finger_lists())
+                    }
+                    None => routing_targets(cfg, NUM_PREDECESSORS, ring.distinct_finger_lists()),
+                };
                 // One shared platform: exactly the type-A nodes.
                 let vulnerable = (0..n).map(|i| ring.type_of_index(i) == NodeType::A).collect();
                 let sections = (0..n).map(|i| ring.section_of_index(i) as u32).collect();
@@ -382,27 +384,26 @@ fn chord_ring(n: usize, rng: &mut impl Rng) -> StaticRing {
 }
 
 /// Every host's target list on a converged ring: its successor list,
-/// then `preds` predecessors, then its distinct fingers, each address
-/// once, in that order.
+/// then `preds` predecessors, then its distinct fingers (`fingers` yields
+/// each member's, in ring order), each address once, in that order.
 fn routing_targets(
     cfg: &ScenarioConfig,
     preds: usize,
-    fingers: impl Fn(usize) -> Vec<usize>,
+    fingers: impl Iterator<Item = Vec<usize>>,
 ) -> Vec<Vec<u32>> {
     let n = cfg.nodes;
+    let (succs, preds) = (NUM_SUCCESSORS.min(n - 1), preds.min(n - 1));
     let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut list: Vec<u32> = Vec::with_capacity(NUM_SUCCESSORS + NUM_PREDECESSORS + 16);
-        for d in 1..=NUM_SUCCESSORS.min(n - 1) {
-            list.push(((i + d) % n) as u32);
-        }
-        let near = (1..=preds.min(n - 1)).map(|d| (i + n - d) % n);
-        for j in near.chain(fingers(i)) {
-            let j = j as u32;
-            if !list.contains(&j) {
-                list.push(j);
-            }
-        }
+    for (i, fingers) in fingers.enumerate() {
+        // By clockwise offset from `i`: successors hold `1..=succs`,
+        // predecessors `n - preds..n`; an entry is new unless a list
+        // before it already holds its offset.
+        let at = |offset: usize| ((i + offset) % n) as u32;
+        let mut list: Vec<u32> = Vec::with_capacity(succs + preds + fingers.len());
+        list.extend((1..=succs).map(at));
+        list.extend((1..=preds).map(|d| n - d).filter(|&o| o > succs).map(at));
+        let fresh = |&o: &usize| o > succs && o < n - preds;
+        list.extend(fingers.into_iter().map(|j| (j + n - i) % n).filter(fresh).map(at));
         targets.push(list);
     }
     targets
