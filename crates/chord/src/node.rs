@@ -586,7 +586,7 @@ impl ChordNode {
 
     fn fix_fingers(&mut self, ctx: &mut Ctx<'_, ChordMsg, ChordTimer>) {
         // Targets beyond the successor list are refreshed through lookups.
-        for (i, target) in self.ring.fix_fingers(Id::finger_target, |_| true) {
+        for (i, target) in self.ring.fix_fingers(Id::finger_target, |_, s, _| Some(s)) {
             self.begin_lookup(target, Kind::FingerRefresh(i), &[], ctx);
         }
     }

@@ -86,6 +86,12 @@ impl NeighborList {
         NeighborList { entries: Vec::with_capacity(self.capacity), ..*self }
     }
 
+    /// True if `id` lies strictly between the owner and `head`, walking
+    /// in this list's direction.
+    pub fn is_between(&self, id: Id, head: Id) -> bool {
+        (1..self.rank(head)).contains(&self.rank(id))
+    }
+
     fn rank(&self, id: Id) -> u128 {
         if self.clockwise {
             self.owner.distance_to(id)

@@ -98,8 +98,9 @@ pub fn take_waiting(slot: &mut Option<(u64, NodeHandle)>, token: u64) -> Option<
 }
 
 /// Rebuilds a neighbor list from the live first neighbor's advertisement
-/// `(between?) · head · tail`, where `between` is the head's own nearest
-/// neighbor on our side and only counts if it really lies between us.
+/// `(between?) · head · tail`, where `between` — the head's own nearest
+/// neighbor on our side, or one that reached us while the round was open —
+/// only counts if it really lies between us.
 ///
 /// Legacy pools the three and re-sorts by circular distance: a dead entry
 /// deep in the peer's tail can leapfrog to the head of this list, and the
@@ -122,7 +123,7 @@ pub fn rebuild_list(
     tail: &[NodeHandle],
     poisoned: bool,
 ) -> NeighborList {
-    let between = between.filter(|p| p.id.in_open_open(old.owner(), head.id));
+    let between = between.filter(|p| old.is_between(p.id, head.id));
     let mut fresh = old.emptied();
     match mode {
         MaintenanceMode::Legacy => {
@@ -273,9 +274,11 @@ impl RingCore {
         &self.fingers
     }
 
-    /// Sets finger `i` (a finger-refresh lookup came back).
-    pub fn set_finger(&mut self, i: usize, handle: NodeHandle) {
-        self.fingers.set(i, Some(handle));
+    /// Sets or clears finger `i` (a finger-refresh lookup came back). An
+    /// entry naming this node clears it: routing never takes it, and the
+    /// static rings leave it unset.
+    pub fn set_finger(&mut self, i: usize, handle: impl Into<Option<NodeHandle>>) {
+        self.fingers.set(i, handle.into().filter(|h| h.id != self.me.id));
     }
 
     /// Monotone counter bumped whenever the node's replica-relevant
@@ -641,16 +644,17 @@ impl RingCore {
     /// One finger-refresh round. Fingers whose target the successor list
     /// covers are resolved on the spot; the rest are returned as
     /// `(index, target)` for the node to refresh through lookups.
-    /// `target_of` and `admissible` are the two things §4.3–4.4 change:
-    /// Verme shifts targets by a section length and refuses to install a
-    /// same-type entry from outside its own section. Under both rules a
-    /// target's distance grows with its index, so the covered fingers are
-    /// a prefix and all of them are set before the node's first lookup
-    /// routes over the table.
+    /// `target_of` and `resolve` are the two things §4.3–4.4 change:
+    /// Verme shifts targets by a section length, and `resolve(target,
+    /// successor, predecessor)` picks the entry from the target's plain
+    /// successor and that successor's predecessor (Chord takes the
+    /// successor). Under both rules a target's distance grows with its
+    /// index, so the covered fingers are a prefix and all of them are set
+    /// before the node's first lookup routes over the table.
     pub fn fix_fingers(
         &mut self,
         target_of: impl Fn(Id, u32) -> Id,
-        admissible: impl Fn(&NodeHandle) -> bool,
+        resolve: impl Fn(Id, NodeHandle, NodeHandle) -> Option<NodeHandle>,
     ) -> Vec<(usize, Id)> {
         let last = match self.successors.as_slice().last() {
             Some(&last) if self.joined => last,
@@ -660,13 +664,12 @@ impl RingCore {
         for i in 0..Id::BITS {
             let target = target_of(self.me.id, i);
             if target.in_open_closed(self.me.id, last.id) {
-                let owner = self
-                    .successors
-                    .iter()
-                    .find(|s| self.me.id.distance_to(s.id) >= self.me.id.distance_to(target))
-                    .copied()
-                    .filter(&admissible);
-                self.fingers.set(i as usize, owner);
+                // Each successor beside its predecessor, the node for the first.
+                let list = self.successors.as_slice();
+                let mut pairs = list.iter().zip(std::iter::once(&self.me).chain(list));
+                let reach = self.me.id.distance_to(target);
+                let owner = pairs.find(|(s, _)| self.me.id.distance_to(s.id) >= reach);
+                self.set_finger(i as usize, owner.and_then(|(&s, &p)| resolve(target, s, p)));
             } else {
                 remote.push((i as usize, target));
             }
@@ -849,22 +852,27 @@ mod tests {
     fn fix_fingers_resolves_the_covered_prefix_and_returns_the_rest() {
         let succs = [h(200, 2), h(300, 3), h(400, 4)];
         let mut c = core(&succs, &[]);
-        let remote = c.fix_fingers(Id::finger_target, |_| true);
+        let remote = c.fix_fingers(Id::finger_target, |_, s, _| Some(s));
         // 100 + 2^8 = 356 ≤ 400 is the last target the list covers.
         assert_eq!(remote.first(), Some(&(9, Id::new(100 + 512))));
         assert_eq!(remote.len(), 128 - 9);
         assert_eq!(c.fingers().get(0), Some(h(200, 2)), "101 → 200");
         assert_eq!(c.fingers().get(7), Some(h(300, 3)), "228 → 300");
         assert_eq!(c.fingers().get(8), Some(h(400, 4)), "356 → 400");
-        // An inadmissible owner clears the slot instead of filling it.
-        let mut c = core(&succs, &[(7, h(300, 3))]);
-        c.fix_fingers(Id::finger_target, |h| h.id != Id::new(300));
-        assert_eq!(c.fingers().get(7), None);
-        assert_eq!(c.fingers().get(8), Some(h(400, 4)));
+        // The resolver also sees the successor's predecessor; a resolved
+        // owner that is the node itself, or none at all, clears the slot.
+        let mut c = core(&succs, &[(0, h(200, 2)), (7, h(300, 3))]);
+        c.fix_fingers(Id::finger_target, |t, _, p| Some(p).filter(|_| t != Id::new(228)));
+        assert_eq!(c.fingers().get(0), None, "101 → 200, whose predecessor is the node");
+        assert_eq!(c.fingers().get(7), None, "228 resolves to nobody");
+        assert_eq!(c.fingers().get(8), Some(h(300, 3)), "356 → 400 → 300");
+        // So does a refresh answer naming the node itself.
+        c.set_finger(8, h(100, 1));
+        assert_eq!(c.fingers().get(8), None);
         // Joining nodes and singletons have nothing to fix.
-        assert!(core(&[], &[]).fix_fingers(Id::finger_target, |_| true).is_empty());
+        assert!(core(&[], &[]).fix_fingers(Id::finger_target, |_, s, _| Some(s)).is_empty());
         let mut joining = core(&succs, &[]).joining(Addr::from_raw(9));
-        assert!(joining.fix_fingers(Id::finger_target, |_| true).is_empty());
+        assert!(joining.fix_fingers(Id::finger_target, |_, s, _| Some(s)).is_empty());
         assert!(joining.fingers().is_empty());
     }
 

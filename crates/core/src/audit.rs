@@ -9,8 +9,9 @@
 
 use std::fmt;
 
-use verme_chord::NodeHandle;
+use verme_chord::{Id, NodeHandle};
 
+use crate::layout::SectionLayout;
 use crate::node::VermeNode;
 use crate::proto::Payload;
 use crate::static_ring::VermeStaticRing;
@@ -90,33 +91,13 @@ impl fmt::Display for AuditReport {
 
 /// Audits one live node's routing state against the §3 invariant.
 pub fn audit_node<P: Payload>(node: &VermeNode<P>) -> AuditReport {
-    let layout = node.layout();
-    let my_ty = node.node_type();
-    let my_id = node.id();
-    let mut report = AuditReport { nodes_audited: 1, ..Default::default() };
-
-    let offends =
-        |h: &NodeHandle| layout.type_of(h.id) == my_ty && !layout.same_section(h.id, my_id);
-
-    for h in node.successor_list() {
-        report.entries_checked += 1;
-        if offends(h) {
-            report.violations.push(Violation::SameTypeSuccessor { entry: *h });
-        }
-    }
-    for h in node.predecessor_list() {
-        report.entries_checked += 1;
-        if offends(h) {
-            report.violations.push(Violation::SameTypePredecessor { entry: *h });
-        }
-    }
-    for h in node.finger_table().distinct() {
-        report.entries_checked += 1;
-        if offends(&h) {
-            report.violations.push(Violation::SameTypeFinger { entry: h });
-        }
-    }
-    report
+    audit_entries(
+        node.layout(),
+        node.id(),
+        node.successor_list().iter().copied(),
+        node.predecessor_list().iter().copied(),
+        node.finger_table().iter_distinct(),
+    )
 }
 
 /// Merges per-node reports into one.
@@ -134,31 +115,36 @@ pub fn merge_reports(reports: impl IntoIterator<Item = AuditReport>) -> AuditRep
 /// configured length, predecessor lists, and finger tables) for every
 /// member.
 pub fn audit_static_ring(ring: &VermeStaticRing, list_len: usize) -> AuditReport {
-    let layout = ring.layout();
-    let mut report = AuditReport::default();
-    for i in 0..ring.len() {
-        report.nodes_audited += 1;
-        let my_ty = ring.type_of_index(i);
-        let my_id = ring.node(i).id;
-        let offends =
-            |h: &NodeHandle| layout.type_of(h.id) == my_ty && !layout.same_section(h.id, my_id);
-        for h in ring.successors_of(i, list_len) {
-            report.entries_checked += 1;
-            if offends(&h) {
-                report.violations.push(Violation::SameTypeSuccessor { entry: h });
-            }
-        }
-        for h in ring.predecessors_of(i, list_len) {
-            report.entries_checked += 1;
-            if offends(&h) {
-                report.violations.push(Violation::SameTypePredecessor { entry: h });
-            }
-        }
-        for (_, h) in ring.fingers_of(i) {
-            report.entries_checked += 1;
-            if offends(&h) {
-                report.violations.push(Violation::SameTypeFinger { entry: h });
-            }
+    merge_reports((0..ring.len()).map(|i| {
+        audit_entries(
+            ring.layout(),
+            ring.node(i).id,
+            ring.successors_of(i, list_len),
+            ring.predecessors_of(i, list_len),
+            ring.fingers_of(i).into_iter().map(|(_, h)| h),
+        )
+    }))
+}
+
+/// One node's report: every entry of its successors, predecessors and
+/// fingers, in that order, checked with [`SectionLayout::admissible`].
+fn audit_entries(
+    layout: &SectionLayout,
+    owner: Id,
+    successors: impl IntoIterator<Item = NodeHandle>,
+    predecessors: impl IntoIterator<Item = NodeHandle>,
+    fingers: impl IntoIterator<Item = NodeHandle>,
+) -> AuditReport {
+    let mut report = AuditReport { nodes_audited: 1, ..Default::default() };
+    let successors =
+        successors.into_iter().map(|entry| (entry, Violation::SameTypeSuccessor { entry }));
+    let predecessors =
+        predecessors.into_iter().map(|entry| (entry, Violation::SameTypePredecessor { entry }));
+    let fingers = fingers.into_iter().map(|entry| (entry, Violation::SameTypeFinger { entry }));
+    for (entry, violation) in successors.chain(predecessors).chain(fingers) {
+        report.entries_checked += 1;
+        if !layout.admissible(owner, entry.id) {
+            report.violations.push(violation);
         }
     }
     report

@@ -71,11 +71,12 @@ impl SectionLayout {
     /// # Panics
     ///
     /// Panics if either argument is not a power of two, `types < 2`, or
-    /// `sections < types`.
+    /// `sections < 2 · types` (the high bits above the type bits need at
+    /// least one bit).
     pub fn with_sections(sections: u128, types: u8) -> Self {
         assert!(sections.is_power_of_two(), "section count must be a power of two");
         assert!(types >= 2 && types.is_power_of_two(), "type count must be a power of two ≥ 2");
-        assert!(sections >= types as u128, "need at least one section per type");
+        assert!(sections > types as u128, "need at least two sections per type");
         let prefix_bits = sections.trailing_zeros();
         let type_bits = types.trailing_zeros();
         SectionLayout::new(Id::BITS - prefix_bits, type_bits)
@@ -165,6 +166,30 @@ impl SectionLayout {
         } else {
             base
         }
+    }
+
+    /// Verme's finger rule (§4.4), written only here: `target`'s finger is
+    /// its plain `successor` if that lies in the target's section, else the
+    /// successor's `predecessor` if it does, else nobody (the next section
+    /// is never named). `id` reads a candidate's identifier; a finger
+    /// answer is checked as the successor, with no predecessor.
+    pub fn corner_owner<T>(
+        &self,
+        target: Id,
+        successor: T,
+        predecessor: Option<T>,
+        id: impl Fn(&T) -> Id,
+    ) -> Option<T> {
+        if self.same_section(id(&successor), target) {
+            return Some(successor);
+        }
+        predecessor.filter(|p| self.same_section(id(p), target))
+    }
+
+    /// The §3 containment check: `owner` may name `entry` in its routing
+    /// state unless `entry` is a same-type node outside `owner`'s section.
+    pub fn admissible(&self, owner: Id, entry: Id) -> bool {
+        self.type_of(entry) != self.type_of(owner) || self.same_section(entry, owner)
     }
 
     /// True if `key` equals some legal Verme finger target of `of` —
@@ -340,6 +365,42 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_sections() {
         let _ = SectionLayout::with_sections(100, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "two sections per type")]
+    fn rejects_one_section_per_type_of_two() {
+        let _ = SectionLayout::with_sections(2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "two sections per type")]
+    fn rejects_one_section_per_type_of_four() {
+        let _ = SectionLayout::with_sections(4, 4);
+    }
+
+    #[test]
+    fn corner_owner_prefers_an_in_section_successor_then_its_predecessor() {
+        let l = SectionLayout::with_sections(16, 2);
+        let target = l.section_start(3).wrapping_add(10);
+        let in_section = target.wrapping_add(5);
+        let before = target.wrapping_sub(5);
+        let next_section = l.section_start(4);
+        let id = |&x: &Id| x;
+        assert_eq!(l.corner_owner(target, in_section, Some(before), id), Some(in_section));
+        assert_eq!(l.corner_owner(target, next_section, Some(before), id), Some(before));
+        let prior_section = l.section_start(2);
+        assert_eq!(l.corner_owner(target, next_section, Some(prior_section), id), None);
+        assert_eq!(l.corner_owner(target, next_section, None, id), None);
+    }
+
+    #[test]
+    fn admissible_refuses_only_same_type_entries_outside_the_section() {
+        let l = SectionLayout::with_sections(16, 2);
+        let owner = l.section_start(2).wrapping_add(7);
+        assert!(l.admissible(owner, owner.wrapping_add(1)), "own section");
+        assert!(l.admissible(owner, l.section_start(3)), "opposite type");
+        assert!(!l.admissible(owner, l.section_start(4)), "same type, next island");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! * identifiers come from a [`SectionLayout`] and embed the node's type;
 //! * finger targets are shifted by a section length so every long-range
 //!   pointer names an **opposite-type** node (§4.4);
-//! * the §4.4 corner rule assigns ids that fall after a section's last
-//!   node to that node (the *predecessor*) instead of the next section's
-//!   first same-type node;
+//! * the §4.4 corner rule ([`SectionLayout::corner_owner`]) assigns ids
+//!   that fall after a section's last node to that node (the
+//!   *predecessor*) instead of the next section's first node, and leaves a
+//!   finger unset when the target's section holds neither;
 //! * lookups are recursive only, carry the initiator's certificate and
 //!   purpose, are verified by the answering node, and are answered with a
 //!   reply **sealed** to the initiator's key (§4.5);
@@ -489,14 +490,20 @@ impl<P: Payload> VermeNode<P> {
                 }
                 self.notify_successor(ctx);
             }
-            (Some((VermeAnswer::Finger { node }, ..)), LookupPurpose::Finger)
-                if admissible_finger(&self.cfg.layout, self.ring.id(), node) =>
-            {
+            (Some((VermeAnswer::Finger { node }, ..)), LookupPurpose::Finger) => {
+                // The answerer resolved the target by the §4.4 rule; an
+                // answer outside the target's section (its unpopulated
+                // corner, or a forged one) clears the slot, as does one
+                // failing the §3 check.
+                let (layout, id) = (&self.cfg.layout, self.ring.id());
+                let owner = layout
+                    .corner_owner(p.key, *node, None, |h| h.id)
+                    .filter(|h| layout.admissible(id, h.id));
                 // Finger refreshes are keyed by target: re-derive which
                 // finger indexes this target serves.
                 for i in 0..Id::BITS {
-                    if self.cfg.layout.finger_target(self.ring.id(), i) == p.key {
-                        self.ring.set_finger(i as usize, *node);
+                    if layout.finger_target(id, i) == p.key {
+                        self.ring.set_finger(i as usize, owner);
                     }
                 }
             }
@@ -569,14 +576,14 @@ impl<P: Payload> VermeNode<P> {
         }
     }
 
-    /// §4.4 corner rule: the responsible node for `key` is its successor,
-    /// unless that successor lies outside `key`'s section — then it is the
-    /// predecessor (this node).
+    /// The §4.4 rule on the arc this node owns: `key`'s successor is the
+    /// first successor and its predecessor this node. When neither lies in
+    /// `key`'s section this node still names itself, an answer outside
+    /// the section that the asker's install turns into an empty slot.
     fn corner_responsible(&self, key: Id) -> NodeHandle {
-        match self.ring.successors().first() {
-            Some(s1) if self.cfg.layout.same_section(s1.id, key) => s1,
-            _ => self.ring.me(),
-        }
+        let me = self.ring.me();
+        let s1 = self.ring.successors().first().unwrap_or(me);
+        self.cfg.layout.corner_owner(key, s1, Some(me), |h| h.id).unwrap_or(me)
     }
 
     /// §5.2 replica placement: the `n/2` nodes at-or-after `key` within
@@ -749,8 +756,11 @@ impl<P: Payload> VermeNode<P> {
             self.ring.adopt_successors(mode, s1, preds.first().copied(), &succs, poisoned);
             self.notify_successor(ctx);
         } else if let Some(p1) = p1 {
-            // The same rebuild, mirrored counter-clockwise.
-            let fresh = rebuild_list(&self.predecessors, mode, p1, None, &preds, poisoned);
+            // The same rebuild, mirrored counter-clockwise. A notifier that
+            // arrived while the round was open lies between us and p1 and
+            // survives it; else rounds in a fixed phase drop it forever.
+            let between = self.predecessors.first();
+            let fresh = rebuild_list(&self.predecessors, mode, p1, between, &preds, poisoned);
             if fresh != self.predecessors {
                 self.ring.bump_epoch();
             }
@@ -809,22 +819,15 @@ impl<P: Payload> VermeNode<P> {
     // ------------------------------------------------------------------
 
     fn fix_fingers(&mut self, ctx: &mut Ctx<'_, VermeMsg<P>, VermeTimer>) {
-        let (layout, id) = (self.cfg.layout, self.ring.id());
+        let layout = self.cfg.layout;
         let remote = self.ring.fix_fingers(
             |id, i| layout.finger_target(id, i),
-            |h| admissible_finger(&layout, id, h),
+            |target, s, p| layout.corner_owner(target, s, Some(p), |h| h.id),
         );
         for (_, target) in remote {
             self.begin_lookup(target, LookupPurpose::Finger, None, &[], ctx);
         }
     }
-}
-
-/// §3 safety net: a node never installs a same-type finger from outside
-/// its own section, even if a thin or stale successor list (or a forged
-/// finger answer) suggests one.
-fn admissible_finger(layout: &SectionLayout, owner: Id, h: &NodeHandle) -> bool {
-    layout.type_of(h.id) != layout.type_of(owner) || layout.same_section(h.id, owner)
 }
 
 /// Seals `answer` (and any piggybacked `app` reply) to the initiator's
@@ -997,6 +1000,8 @@ impl<P: Payload> Node for VermeNode<P> {
 mod tests {
     use super::*;
     use verme_crypto::CertificateAuthority;
+    use verme_sim::runtime::UniformLatency;
+    use verme_sim::{HostId, Runtime};
 
     fn setup() -> (VermeConfig, CertificateAuthority) {
         (VermeConfig::new(SectionLayout::with_sections(16, 2)), CertificateAuthority::new(1))
@@ -1095,6 +1100,80 @@ mod tests {
         }
     }
 
+    /// A type-A node five ids into section 2 whose first successor is
+    /// seven ids into (type-B) section 3, spawned alone: every lookup it
+    /// sends goes nowhere.
+    fn node_before_a_section_end(
+        fingers: &[(usize, NodeHandle)],
+    ) -> (Runtime<VermeNode<()>, UniformLatency>, Addr, NodeHandle) {
+        let (cfg, mut ca) = setup();
+        let id = cfg.layout.section_start(2).wrapping_add(5);
+        let succ = NodeHandle::new(cfg.layout.section_start(3).wrapping_add(7), Addr::from_raw(77));
+        let (cert, keys) = ca.issue(id.raw(), NodeType::A);
+        let node = VermeNode::with_state(cfg, cert, keys, ca.verifier(), &[], &[succ], fingers);
+        let mut rt = Runtime::new(UniformLatency::new(1, SimDuration::from_millis(1)), 1);
+        let addr = rt.spawn(HostId(0), node);
+        (rt, addr, succ)
+    }
+
+    #[test]
+    fn near_fingers_past_the_own_sections_last_member_stay_empty() {
+        let (mut rt, addr, succ) = node_before_a_section_end(&[]);
+        rt.invoke(addr, |n, ctx| n.fix_fingers(ctx)).expect("alive");
+        let node = rt.node(addr).expect("alive");
+        let bits = node.layout().section_bits() as usize;
+        // Every target below one section's length ahead lies in section 2,
+        // past its last member: the plain successor is section 3's first
+        // node, and its predecessor is the node itself.
+        for b in 0..bits {
+            assert_eq!(node.finger_table().get(b), None, "bit {b}");
+        }
+        // One section ahead, the target lies in section 3, before `succ`.
+        assert_eq!(node.finger_table().get(bits), Some(succ));
+    }
+
+    #[test]
+    fn a_finger_answer_outside_the_targets_section_clears_the_slot() {
+        let (cfg, _) = setup();
+        let id = cfg.layout.section_start(2).wrapping_add(5);
+        let target = cfg.layout.finger_target(id, 127);
+        let in_section = NodeHandle::new(target.wrapping_add(1), Addr::from_raw(78));
+        let (mut rt, addr, _) = node_before_a_section_end(&[(127, in_section)]);
+        // Two sections further on: the target's type, so §3 admits it.
+        let beyond = target.wrapping_add(2 * cfg.layout.section_len());
+        let answer = VermeAnswer::Finger { node: NodeHandle::new(beyond, Addr::from_raw(79)) };
+        rt.invoke(addr, |n, ctx| {
+            assert!(n.cfg.layout.admissible(id, beyond));
+            let lid = n.begin_lookup(target, LookupPurpose::Finger, None, &[], ctx);
+            n.end_lookup(lid, Some((answer, None, 1)), ctx);
+        })
+        .expect("alive");
+        assert_eq!(rt.node(addr).expect("alive").finger_table().get(127), None);
+    }
+
+    #[test]
+    fn a_notifier_arriving_during_a_predecessor_round_survives_it() {
+        let (cfg, mut ca) = setup();
+        let id = cfg.layout.section_start(2).wrapping_add(100);
+        let p1 = NodeHandle::new(id.wrapping_sub(50), Addr::from_raw(5));
+        let between = NodeHandle::new(id.wrapping_sub(10), Addr::from_raw(6));
+        let (cert, keys) = ca.issue(id.raw(), NodeType::A);
+        let node: VermeNode<()> =
+            VermeNode::with_state(cfg, cert, keys, ca.verifier(), &[p1], &[], &[]);
+        let mut rt = Runtime::new(UniformLatency::new(1, SimDuration::from_millis(1)), 1);
+        let addr = rt.spawn(HostId(0), node);
+        rt.invoke(addr, |n, ctx| {
+            n.stabilize_once(ctx);
+            let (token, asked) = n.pred_stab_waiting.expect("a predecessor round is open");
+            assert_eq!(asked, p1);
+            // The notify lands before p1's reply, which cannot name it.
+            n.handle_notify(between);
+            n.handle_neighbors(token, vec![], vec![], ctx);
+        })
+        .expect("alive");
+        assert_eq!(rt.node(addr).expect("alive").predecessor_list(), [between, p1]);
+    }
+
     #[test]
     fn replicas_for_falls_back_to_predecessor_side() {
         let (cfg, mut ca) = setup();
@@ -1121,8 +1200,6 @@ mod tests {
 
     #[test]
     fn unsolicited_neighbors_are_not_vetted() {
-        use verme_sim::runtime::UniformLatency;
-        use verme_sim::{HostId, Runtime};
         let (cfg, mut ca) = setup();
         let mut rng = verme_sim::SeedSource::new(7).stream("ids");
         let id = cfg.layout.assign_id(&mut rng, NodeType::A);

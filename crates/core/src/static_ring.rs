@@ -125,56 +125,28 @@ impl VermeStaticRing {
     /// section; otherwise the predecessor. Returns `None` when neither
     /// lies in `key`'s section (an unpopulated section).
     pub fn corner_responsible_index(&self, key: Id) -> Option<usize> {
-        self.corner_rule(self.successor_index(key), key)
+        self.corner_owner(key, self.successor_index(key))
     }
 
-    /// The §4.4 rule applied to `key`'s plain successor `s`.
-    fn corner_rule(&self, s: usize, key: Id) -> Option<usize> {
-        if self.layout.same_section(self.node(s).id, key) {
-            return Some(s);
-        }
+    /// [`SectionLayout::corner_owner`] over member indices, for `target`'s
+    /// plain successor `s`.
+    fn corner_owner(&self, target: Id, s: usize) -> Option<usize> {
         let p = self.predecessor_index(s);
-        if self.layout.same_section(self.node(p).id, key) {
-            return Some(p);
-        }
-        None
+        self.layout.corner_owner(target, s, Some(p), |&j| self.node(j).id)
     }
 
     /// §5.2 replica placement for `key`: up to `r` member indices, within
     /// `key`'s section, successors-first with the predecessor corner rule.
     pub fn replica_indices(&self, key: Id, r: usize) -> Vec<usize> {
-        let n = self.len();
-        let start = self.successor_index(key);
-        let mut fwd = Vec::with_capacity(r);
-        let mut i = start;
-        while fwd.len() < r {
-            if !self.layout.same_section(self.node(i).id, key) {
-                break;
-            }
-            fwd.push(i);
-            i = (i + 1) % n;
-            if i == start {
-                break;
-            }
-        }
+        let (n, start) = (self.len(), self.successor_index(key));
+        let in_section = |i: &usize| self.layout.same_section(self.node(*i).id, key);
+        let fwd: Vec<usize> =
+            (0..n).map(|d| (start + d) % n).take_while(in_section).take(r).collect();
         if !fwd.is_empty() {
             return fwd;
         }
         // Corner: replicate toward predecessors.
-        let mut back = Vec::with_capacity(r);
-        let mut i = self.predecessor_index(start);
-        while back.len() < r {
-            if !self.layout.same_section(self.node(i).id, key) {
-                break;
-            }
-            back.push(i);
-            let prev = self.predecessor_index(i);
-            if prev == i {
-                break;
-            }
-            i = prev;
-        }
-        back
+        (1..n).map(|d| (start + n - d) % n).take_while(in_section).take(r).collect()
     }
 
     /// The `k` members preceding position `i`, nearest first.
@@ -219,15 +191,10 @@ impl VermeStaticRing {
     }
 
     /// Calls `visit(b, j)` for every bit `b` whose finger entry is a member
-    /// `j` other than `i`, in bit order.
-    ///
-    /// The §4.4 corner rule applies to every finger, not only the long
-    /// ones: if the target's successor lies beyond the target's section,
-    /// the plain rule would name the first node of the *next same-type*
-    /// section — exactly the edge Verme must not create — so
-    /// responsibility falls back to the target's predecessor. For a short
-    /// finger whose own section is empty past the target, this correctly
-    /// leaves the entry unset.
+    /// `j` other than `i`, in bit order: the §4.4 rule
+    /// ([`SectionLayout::corner_owner`]) over each target's plain
+    /// successor, which a target whose section holds no member at or
+    /// around it leaves unset.
     fn for_each_finger(
         &self,
         sweep: &mut FingerSweep<'_>,
@@ -236,15 +203,17 @@ impl VermeStaticRing {
     ) {
         let id = self.node(i).id;
         // A target that passes neither the immediate successor nor the end
-        // of `id`'s own section is that successor's if it shares the
-        // section, and otherwise falls back to `i` itself (no entry): on
-        // a large ring, all but the top ~log2 n bits.
+        // of `id`'s own section has that successor as its plain successor
+        // and `i` as the predecessor, so the rule resolves all of them
+        // alike: on a large ring, all but the top ~log2 n bits.
         let room = self.layout.section_len() - (id.raw() & (self.layout.section_len() - 1));
         let near = bits_reaching(sweep.gap(i).min(room - 1));
-        let next = (i + 1) % self.len();
-        if self.layout.same_section(self.node(next).id, id) {
-            for b in 0..near {
-                visit(b, next);
+        if near > 0 {
+            let next = (i + 1) % self.len();
+            if let Some(j) = self.corner_owner(id.wrapping_add(1), next).filter(|&j| j != i) {
+                for b in 0..near {
+                    visit(b, j);
+                }
             }
         }
         // A shifted target lies the constant `section_len` further on, so
@@ -252,32 +221,19 @@ impl VermeStaticRing {
         for b in near..Id::BITS {
             let target = self.layout.finger_target(id, b);
             let s = sweep.successor(i, b, id.distance_to(target));
-            if let Some(j) = self.corner_rule(s, target) {
-                if j != i {
-                    visit(b, j);
-                }
+            if let Some(j) = self.corner_owner(target, s).filter(|&j| j != i) {
+                visit(b, j);
             }
         }
     }
 
     /// Member indices belonging to `section`, in id order.
     pub fn section_members(&self, section: u128) -> Vec<usize> {
-        let start = self.layout.section_start(section);
-        let mut i = self.successor_index(start);
-        let mut out = Vec::new();
-        let n = self.len();
-        let first = i;
-        loop {
-            if self.layout.section_of(self.node(i).id) != section {
-                break;
-            }
-            out.push(i);
-            i = (i + 1) % n;
-            if i == first {
-                break;
-            }
-        }
-        out
+        let (n, first) = (self.len(), self.successor_index(self.layout.section_start(section)));
+        (0..n)
+            .map(|d| (first + d) % n)
+            .take_while(|&i| self.section_of_index(i) == section)
+            .collect()
     }
 
     /// Builds a fully-converged [`VermeNode`] for position `i`, issuing

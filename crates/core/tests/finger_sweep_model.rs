@@ -128,7 +128,8 @@ fn layout(log_sections: u32, types: u8) -> SectionLayout {
 }
 
 /// `log2` of the section count and the type count of a valid layout,
-/// 4 to 1 024 sections.
+/// 4 to 1 024 sections: `SectionLayout::with_sections` needs at least two
+/// sections per type.
 fn layouts() -> impl Strategy<Value = (u32, u8)> {
     let two = (2u32..=10).map(|s| (s, 2u8));
     prop::sample::select(two.chain((3u32..=10).map(|s| (s, 4u8))).collect::<Vec<_>>())

@@ -10,8 +10,9 @@
 //!   answer and may sit behind the dead hop, so it is held to the weaker
 //!   bound of still being closer than the initiator.
 //! * **Verme: opposite-type fingers.** Long-distance (cross-section) hops
-//!   must connect nodes of *opposite* types — the §3 `fix_fingers` filter
-//!   that makes a single-type worm unable to cross sections. Intra-section
+//!   must connect nodes of *opposite* types — the §3 property the §4.4
+//!   finger rule guarantees, which makes a single-type worm unable to
+//!   cross sections. Intra-section
 //!   hops (successor steps) are exempt.
 //!
 //! A third check ties the trace back to the metrics pipeline: in a
