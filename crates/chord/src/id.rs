@@ -25,9 +25,13 @@ use serde::{Deserialize, Serialize};
 /// let hi = Id::new(u128::MAX - 5);
 /// assert!(Id::new(3).in_open_open(hi, a));
 /// ```
+///
+/// The id is aligned to 8 bytes, not to `u128`'s 16, so a `NodeHandle`
+/// (an id and an 8-byte address) takes 24 bytes instead of padding to 32.
 #[derive(
     Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
+#[repr(C, packed(8))]
 pub struct Id(u128);
 
 impl Id {
@@ -121,7 +125,8 @@ impl fmt::Display for Id {
 
 impl fmt::LowerHex for Id {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::LowerHex::fmt(&self.0, f)
+        let raw = self.0;
+        fmt::LowerHex::fmt(&raw, f)
     }
 }
 
@@ -223,6 +228,12 @@ mod tests {
         let a = Id::random(&mut rng);
         let b = Id::random(&mut rng);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn an_id_aligns_to_eight_bytes() {
+        assert_eq!(std::mem::align_of::<Id>(), 8);
+        assert_eq!(std::mem::size_of::<Id>(), 16);
     }
 
     #[test]

@@ -80,7 +80,9 @@ impl<C> Hop<C> {
 /// in `dht_ops` and `dht_load` — so a probe scans a few cache lines of
 /// keys where a hash map pays a hash, a control-group load and a bucket
 /// load, and only a hit touches its value (a Verme forward entry is 160
-/// bytes). An empty table touches no heap memory. `insert` overwrites
+/// bytes). An empty table holds no heap memory: the removal that empties
+/// it frees both buffers, so the thousands of idle nodes of a large ring
+/// keep no capacity left over from their busiest moment. `insert` overwrites
 /// an existing key as `HashMap::insert` does, and `remove` swaps the last
 /// entry into the hole, so entry order is arbitrary: nothing may iterate
 /// the table in an order the run depends on.
@@ -138,7 +140,11 @@ impl<L: Eq, V> InFlight<L, V> {
     pub fn remove(&mut self, key: &L) -> Option<V> {
         let i = self.position(key)?;
         self.keys.swap_remove(i);
-        Some(self.values.swap_remove(i))
+        let value = self.values.swap_remove(i);
+        if self.keys.is_empty() {
+            *self = InFlight::default();
+        }
+        Some(value)
     }
 }
 
@@ -328,6 +334,20 @@ mod tests {
         fn is_app(self) -> bool {
             true
         }
+    }
+
+    #[test]
+    fn a_drained_table_keeps_no_buffers() {
+        let mut table: InFlight<u64, [u64; 4]> = InFlight::default();
+        for k in 0..17 {
+            table.insert(k, [k; 4]);
+        }
+        for k in (0..17).rev().step_by(2).chain((0..17).skip(1).step_by(2)) {
+            assert_eq!(table.remove(&k), Some([k; 4]));
+        }
+        assert!(table.is_empty());
+        assert_eq!((table.keys.capacity(), table.values.capacity()), (0, 0));
+        assert_eq!(table.remove(&3), None);
     }
 
     #[test]

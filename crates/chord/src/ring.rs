@@ -212,37 +212,22 @@ impl NeighborList {
 /// opposite type). The table itself only stores and queries entries.
 ///
 /// Of the [`Id::BITS`] entries only O(log N) are distinct on an N-node
-/// ring, so the table keeps each distinct handle once, reference-counted,
-/// and one byte per entry naming it: routing reads a dozen handles
-/// instead of 128 slots.
+/// ring, so the table keeps each distinct handle once (24 bytes, with no
+/// reference count) and one byte per entry naming it: routing reads a
+/// dozen handles instead of 128 slots.
 #[derive(Clone, Debug)]
 pub struct FingerTable {
     owner: Id,
     /// Per finger, its handle's position in `interned`, or [`VACANT`].
     slots: [u8; Id::BITS as usize],
     /// The distinct handles, in no particular order; every one is named
-    /// by `refs >= 1` slots.
-    interned: Vec<Interned>,
+    /// by at least one slot.
+    interned: Vec<NodeHandle>,
 }
 
 /// The slot byte of an unset finger. Never a position in `interned`,
 /// which holds at most one handle per slot (one more while `set` swaps).
 const VACANT: u8 = u8::MAX;
-
-/// A handle and how many slots name it, laid out flat: 32 bytes, where a
-/// `NodeHandle` beside a count would pad to 48.
-#[derive(Copy, Clone, Debug)]
-struct Interned {
-    id: Id,
-    addr: Addr,
-    refs: u8,
-}
-
-impl Interned {
-    fn handle(&self) -> NodeHandle {
-        NodeHandle { id: self.id, addr: self.addr }
-    }
-}
 
 impl FingerTable {
     /// Creates an empty table with one entry per bit of the id space.
@@ -270,8 +255,8 @@ impl FingerTable {
             return; // The usual finger round: nothing moved.
         }
         let old = self.slots[i];
-        // Take the new reference before dropping the old one: dropping
-        // may move the last interned handle, and `slots[i]` follows it.
+        // Name the new handle before dropping the old one: dropping may
+        // move the last interned handle, and `slots[i]` follows it.
         self.slots[i] = match handle {
             None => VACANT,
             Some(h) => self.intern(h),
@@ -281,23 +266,20 @@ impl FingerTable {
         }
     }
 
-    /// Adds a reference to `h`, interning it if it is new.
+    /// The position of `h` in `interned`, interning it if it is new.
     fn intern(&mut self, h: NodeHandle) -> u8 {
-        let at = self.interned.iter().position(|e| e.handle() == h).unwrap_or_else(|| {
-            self.interned.push(Interned { id: h.id, addr: h.addr, refs: 0 });
+        let at = self.interned.iter().position(|e| *e == h).unwrap_or_else(|| {
+            self.interned.push(h);
             self.interned.len() - 1
         });
-        self.interned[at].refs += 1;
         // At most one handle per slot, plus the one `set` is installing.
         u8::try_from(at).expect("more interned handles than finger slots")
     }
 
-    /// Drops a reference to interned handle `at`; the last one removes it,
-    /// moving the last handle into its place.
+    /// Removes interned handle `at` once no slot names it, moving the last
+    /// handle into its place.
     fn release(&mut self, at: u8) {
-        let entry = &mut self.interned[at as usize];
-        entry.refs -= 1;
-        if entry.refs > 0 {
+        if self.slots.contains(&at) {
             return;
         }
         self.interned.swap_remove(at as usize);
@@ -315,7 +297,7 @@ impl FingerTable {
     ///
     /// Panics if `i` is out of range.
     pub fn get(&self, i: usize) -> Option<NodeHandle> {
-        self.interned.get(self.slots[i] as usize).map(Interned::handle)
+        self.interned.get(self.slots[i] as usize).copied()
     }
 
     /// Removes every finger pointing at `addr` (a detected failure).
@@ -352,7 +334,7 @@ impl FingerTable {
                 seen |= 1 << k;
                 unseen -= 1;
                 if !dup {
-                    return Some(self.interned[k].handle());
+                    return Some(self.interned[k]);
                 }
             }
             None
@@ -362,6 +344,23 @@ impl FingerTable {
     /// All distinct populated fingers, de-duplicated by address.
     pub fn distinct(&self) -> Vec<NodeHandle> {
         self.iter_distinct().collect()
+    }
+
+    /// The id a finger binds `addr` to, if any. One address interned
+    /// under two ids answers with the id its lowest slot names — what
+    /// `iter_distinct().find(|h| h.addr == addr)` finds — but only a
+    /// second hit pays for the slot scan that settles it.
+    pub fn id_at(&self, addr: Addr) -> Option<Id> {
+        let mut hits = self.interned.iter().filter(|e| e.addr == addr);
+        let first = hits.next()?;
+        if hits.next().is_none() {
+            return Some(first.id);
+        }
+        self.slots
+            .iter()
+            .filter_map(|&s| self.interned.get(s as usize))
+            .find(|e| e.addr == addr)
+            .map(|e| e.id)
     }
 
     /// The populated finger whose id most closely *precedes* `key`
@@ -387,7 +386,7 @@ impl FingerTable {
                 best = Some((rank, k));
             }
         }
-        best.map(|(rank, k)| (rank, self.interned[k].handle()))
+        best.map(|(rank, k)| (rank, self.interned[k]))
     }
 
     /// The owner identifier.
@@ -397,7 +396,7 @@ impl FingerTable {
 
     /// Bytes this table occupies, inline and on the heap.
     pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.interned.capacity() * std::mem::size_of::<Interned>()
+        std::mem::size_of::<Self>() + self.interned.capacity() * std::mem::size_of::<NodeHandle>()
     }
 }
 
@@ -567,6 +566,34 @@ mod tests {
         }
         assert_eq!(t.get(127), None);
         assert_eq!(t.distinct().len(), 127);
+    }
+
+    #[test]
+    fn a_handle_and_an_interned_finger_take_24_bytes() {
+        assert_eq!(std::mem::size_of::<NodeHandle>(), 24);
+        let mut t = FingerTable::new(Id::new(0));
+        t.set(4, Some(h(16)));
+        assert_eq!(std::mem::size_of_val(&t.interned[0]), 24);
+        assert_eq!(
+            t.footprint_bytes(),
+            std::mem::size_of::<FingerTable>() + 24 * t.interned.capacity()
+        );
+    }
+
+    #[test]
+    fn one_address_at_two_ids_binds_to_the_lowest_slot() {
+        let old = NodeHandle::new(Id::new(70), Addr::from_raw(1));
+        let new = NodeHandle::new(Id::new(90), Addr::from_raw(1));
+        let mut t = FingerTable::new(Id::new(0));
+        assert_eq!(t.id_at(old.addr), None);
+        t.set(9, Some(old));
+        t.set(12, Some(h(300)));
+        assert_eq!(t.id_at(old.addr), Some(old.id));
+        t.set(6, Some(new)); // interned last, but in the lowest slot
+        assert_eq!(t.id_at(old.addr), Some(new.id));
+        t.set(6, None);
+        assert_eq!(t.id_at(old.addr), Some(old.id));
+        assert_eq!(t.id_at(Addr::from_raw(2)), None);
     }
 
     #[test]

@@ -459,14 +459,12 @@ impl RingCore {
         if addr == self.me.addr {
             return Some(self.me.id);
         }
-        let bound_to = |h: &NodeHandle| h.addr == addr;
         self.successors
             .iter()
             .chain(predecessors)
-            .find(|h| bound_to(h))
-            .copied()
-            .or_else(|| self.fingers.iter_distinct().find(bound_to))
+            .find(|h| h.addr == addr)
             .map(|h| h.id)
+            .or_else(|| self.fingers.id_at(addr))
     }
 
     /// Drops advertised entries that rebind an address this node already

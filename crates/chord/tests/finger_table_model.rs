@@ -5,7 +5,8 @@
 //! verbatim as the reference model. Random edit sequences over a handle
 //! pool with deliberately colliding ids (one id, two addresses) and
 //! colliding addresses (one address, two ids) must leave both tables
-//! answering every query alike after every step.
+//! answering every query alike after every step, and `id_at` must bind
+//! each address as a search of the distinct fingers does.
 
 use proptest::prelude::*;
 
@@ -187,6 +188,20 @@ proptest! {
                 model.distinct(),
                 "step {}", step
             );
+            // Addresses 1..=11 make up the pool; 0 and 12 are never used.
+            for addr in (0..=12).map(Addr::from_raw) {
+                let bound = |h: &NodeHandle| h.addr == addr;
+                prop_assert_eq!(
+                    table.id_at(addr),
+                    table.iter_distinct().find(bound).map(|h| h.id),
+                    "step {}: id_at({:?})", step, addr
+                );
+                prop_assert_eq!(
+                    table.id_at(addr),
+                    model.distinct().into_iter().find(bound).map(|h| h.id),
+                    "step {}: id_at({:?}) against the slot table", step, addr
+                );
+            }
             for &key in &keys {
                 prop_assert_eq!(
                     table.closest_preceding(key),

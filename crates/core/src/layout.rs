@@ -192,10 +192,25 @@ impl SectionLayout {
         self.type_of(entry) != self.type_of(owner) || self.same_section(entry, owner)
     }
 
+    /// The bit `i` whose [`finger_target`](Self::finger_target) of `of` is
+    /// `key`, if any, in closed form. With `d = key − of`, a bit up to
+    /// `section_bits` has `d = 2^i`, and a longer one `d = 2^i +
+    /// section_len` — two set bits, never a power of two — so at most one
+    /// bit matches.
+    pub fn finger_index(&self, of: Id, key: Id) -> Option<u32> {
+        let d = of.distance_to(key);
+        if d.is_power_of_two() && d.trailing_zeros() <= self.section_bits {
+            return Some(d.trailing_zeros());
+        }
+        let long = d.wrapping_sub(self.section_len());
+        (long.is_power_of_two() && long.trailing_zeros() > self.section_bits)
+            .then(|| long.trailing_zeros())
+    }
+
     /// True if `key` equals some legal Verme finger target of `of` —
     /// the check a replier performs on finger-refresh lookups (§4.5).
     pub fn is_finger_target(&self, of: Id, key: Id) -> bool {
-        (0..Id::BITS).any(|i| self.finger_target(of, i) == key)
+        self.finger_index(of, key).is_some()
     }
 
     /// The replica point paired with `key`: the same offset in the
@@ -221,6 +236,7 @@ impl SectionLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -326,6 +342,7 @@ mod tests {
         let id = l.assign_id(&mut r, NodeType::B);
         for i in 0..Id::BITS {
             assert!(l.is_finger_target(id, l.finger_target(id, i)));
+            assert_eq!(l.finger_index(id, l.finger_target(id, i)), Some(i), "bit {i}");
         }
         assert!(!l.is_finger_target(id, id.wrapping_add(3)));
     }
@@ -359,6 +376,34 @@ mod tests {
         assert_eq!(a.raw() & low_mask, id.raw() & low_mask);
         assert_eq!(b.raw() & low_mask, id.raw() & low_mask);
         assert_eq!(a.raw() >> (l.section_bits() + 1), id.raw() >> (l.section_bits() + 1));
+    }
+
+    /// Keys on, beside and between the targets of `of`: every target, the
+    /// unshifted `of + 2^i`, ±1 around both, and uniform draws.
+    fn keys_around(l: SectionLayout, of: Id, uniform: &[u128]) -> Vec<Id> {
+        let near = (0..Id::BITS).flat_map(|i| [l.finger_target(of, i), of.finger_target(i)]);
+        near.flat_map(|t| [t.wrapping_sub(1), t, t.wrapping_add(1)])
+            .chain(uniform.iter().map(|&k| Id::new(k)))
+            .chain([of])
+            .collect()
+    }
+
+    proptest! {
+        /// The closed form against the 128-step search it replaced, on
+        /// layouts from two sections a type up to one id a section.
+        #[test]
+        fn finger_index_equals_the_search_over_every_bit(
+            (section_bits, type_bits) in (1u32..=7).prop_flat_map(|t| (0..Id::BITS - t, Just(t))),
+            of: u128,
+            uniform in prop::collection::vec(any::<u128>(), 0..8),
+        ) {
+            let l = SectionLayout::new(section_bits, type_bits);
+            let of = Id::new(of);
+            for key in keys_around(l, of, &uniform) {
+                let search = (0..Id::BITS).find(|&i| l.finger_target(of, i) == key);
+                prop_assert_eq!(l.finger_index(of, key), search, "key {:x}", key);
+            }
+        }
     }
 
     #[test]

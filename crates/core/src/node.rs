@@ -500,11 +500,9 @@ impl<P: Payload> VermeNode<P> {
                     .corner_owner(p.key, *node, None, |h| h.id)
                     .filter(|h| layout.admissible(id, h.id));
                 // Finger refreshes are keyed by target: re-derive which
-                // finger indexes this target serves.
-                for i in 0..Id::BITS {
-                    if layout.finger_target(id, i) == p.key {
-                        self.ring.set_finger(i as usize, owner);
-                    }
+                // finger index this target serves.
+                if let Some(i) = layout.finger_index(id, p.key) {
+                    self.ring.set_finger(i as usize, owner);
                 }
             }
             (None, LookupPurpose::Join) => {
