@@ -273,6 +273,37 @@ mod tests {
     }
 
     #[test]
+    fn wire_size_of_every_message_kind() {
+        let lid = LookupId { origin: Addr::NULL, seq: 1 };
+        let h = NodeHandle::new(Id::new(1), Addr::NULL);
+        // Every kind, with `n` handles in each list it carries.
+        let sizes = |n: usize| -> Vec<usize> {
+            let (mode, s) = (LookupMode::Recursive, vec![h; n]);
+            let result = LookupResult { predecessor: h, successors: s.clone() };
+            [
+                ChordMsg::Lookup { lid, key: Id::new(2), origin: h, mode, hops: 1, maint: false },
+                ChordMsg::HopAck { lid },
+                ChordMsg::LookupReply { lid, result, hops: 3 },
+                ChordMsg::GetNeighbors { token: 1 },
+                ChordMsg::Neighbors { token: 1, predecessor: Some(h), successors: s.clone() },
+                ChordMsg::Neighbors { token: 1, predecessor: None, successors: s.clone() },
+                ChordMsg::Notify { node: h },
+                ChordMsg::Leaving { node: h, successors: s.clone(), predecessor: Some(h) },
+                ChordMsg::Leaving { node: h, successors: s, predecessor: None },
+                ChordMsg::Ping { token: 1 },
+                ChordMsg::Pong { token: 1 },
+            ]
+            .iter()
+            .map(Wire::wire_size)
+            .collect()
+        };
+        // A `Neighbors` counts its predecessor slot even when it is empty.
+        assert_eq!(sizes(0), [92, 48, 74, 48, 70, 70, 62, 84, 62, 48, 48]);
+        assert_eq!(sizes(1), [92, 48, 96, 48, 92, 92, 62, 106, 84, 48, 48]);
+        assert_eq!(sizes(10), [92, 48, 294, 48, 290, 290, 62, 304, 282, 48, 48]);
+    }
+
+    #[test]
     fn default_config_matches_paper() {
         let cfg = ChordConfig::default();
         cfg.validate().expect("default config is valid");

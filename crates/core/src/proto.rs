@@ -355,6 +355,54 @@ mod tests {
         assert!(bare.wire_size() > Certificate::WIRE_SIZE);
     }
 
+    /// A test payload of a given modelled size.
+    #[derive(Clone, Debug)]
+    struct Blob(usize);
+
+    impl Payload for Blob {
+        fn wire_size(&self) -> usize {
+            self.0
+        }
+    }
+
+    #[test]
+    fn wire_size_of_every_message_kind() {
+        let mut ca = CertificateAuthority::new(1);
+        let (cert, _keys) = ca.issue(5, NodeType::A);
+        let h = NodeHandle::new(Id::new(1), verme_sim::Addr::NULL);
+        // Every kind, with `n` handles in each list it carries; the reply
+        // answers with `n` replica holders.
+        let sizes = |n: usize| -> Vec<usize> {
+            let s = vec![h; n];
+            let reply = |app: Option<Blob>| {
+                let answer = VermeAnswer::Replicas { replicas: s.clone() };
+                let body_size = answer_body_size(&answer, &app);
+                let body = Sealed::seal(cert.public_key(), AnswerBody { answer, app });
+                VermeMsg::Reply { lid: 1, body, body_size, hops: 3 }
+            };
+            let (purpose, key) = (LookupPurpose::Replicas, Id::new(5));
+            [
+                VermeMsg::Lookup { lid: 1, key, cert, purpose, piggyback: None, hops: 0 },
+                VermeMsg::Lookup { lid: 1, key, cert, purpose, piggyback: Some(Blob(100)), hops: 0 },
+                VermeMsg::HopAck { lid: 1 },
+                reply(None),
+                reply(Some(Blob(100))),
+                VermeMsg::GetNeighbors { token: 1 },
+                VermeMsg::Neighbors { token: 1, successors: s.clone(), predecessors: s.clone() },
+                VermeMsg::Notify { node: h },
+                VermeMsg::Leaving { node: h, successors: s.clone(), predecessors: s.clone() },
+                VermeMsg::Ping { token: 1 },
+                VermeMsg::Pong { token: 1 },
+            ]
+            .iter()
+            .map(Wire::wire_size)
+            .collect()
+        };
+        assert_eq!(sizes(0), [197, 297, 48, 100, 200, 48, 48, 62, 62, 48, 48]);
+        assert_eq!(sizes(1), [197, 297, 48, 122, 222, 48, 92, 62, 106, 48, 48]);
+        assert_eq!(sizes(10), [197, 297, 48, 320, 420, 48, 488, 62, 502, 48, 48]);
+    }
+
     #[test]
     fn answer_body_size_scales() {
         let h = NodeHandle::new(Id::new(1), verme_sim::Addr::NULL);
