@@ -1,10 +1,12 @@
-//! Chord wire messages, lookup modes, and protocol configuration.
+//! The overlay's wire messages and timers, written once for both rule
+//! sets, and Chord's own wire types, lookup modes and configuration.
 
 use serde::{Deserialize, Serialize};
 use verme_sim::{Addr, SimDuration, Wire};
 
 use crate::id::Id;
 use crate::maintain::MaintenanceMode;
+use crate::node::{ChordRules, Rules, Timing};
 use crate::ring::NodeHandle;
 
 /// How a lookup traverses the overlay (paper §4.5 / §7.1.2).
@@ -52,42 +54,42 @@ impl LookupResult {
     }
 }
 
-/// Chord's wire messages.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChordMsg {
-    /// Recursive/transitive lookup request, forwarded hop by hop.
+/// An overlay's wire messages, one enum for both rule sets: what differs
+/// between Chord and Verme is what a lookup carries (`R::Ticket`, an
+/// optional `R::Payload`) and what its reply is (`R::Reply`).
+#[derive(Clone, Debug)]
+pub enum OverlayMsg<R: Rules> {
+    /// A lookup request, forwarded hop by hop.
     Lookup {
         /// Lookup identifier.
-        lid: LookupId,
+        lid: R::Lid,
         /// Key being resolved.
         key: Id,
-        /// The initiating node (id + address).
-        origin: NodeHandle,
-        /// Traversal mode.
-        mode: LookupMode,
+        /// What the rule set carries beside the key: Chord's initiator,
+        /// mode and budget; Verme's certificate and purpose.
+        ticket: R::Ticket,
+        /// An operation for the key's node (Secure-VerDi); never on Chord.
+        piggyback: Option<R::Payload>,
         /// Hops taken so far.
         hops: u32,
-        /// True for overlay-maintenance lookups (finger refresh, join);
-        /// relays use it to attribute bytes to the right budget.
-        maint: bool,
     },
     /// Immediate receipt acknowledgment for a forwarded `Lookup`, so the
     /// upstream hop can detect a dead downstream and reroute.
     HopAck {
         /// Lookup identifier being acknowledged.
-        lid: LookupId,
+        lid: R::Lid,
     },
-    /// Lookup answer; retraces the path (recursive) or goes straight to
-    /// the origin (transitive).
-    LookupReply {
+    /// Lookup answer; retraces the path, or on Chord's transitive mode
+    /// goes straight to the origin.
+    Reply {
         /// Lookup identifier.
-        lid: LookupId,
-        /// The result.
-        result: LookupResult,
+        lid: R::Lid,
+        /// The answer: Chord's plain result, Verme's sealed envelope.
+        reply: R::Reply,
         /// Total forward-path hops.
         hops: u32,
     },
-    /// Stabilization: ask a successor for its predecessor + successor list.
+    /// Stabilization: ask a neighbor for its neighbor lists.
     GetNeighbors {
         /// Matches the response to the request.
         token: u64,
@@ -96,10 +98,11 @@ pub enum ChordMsg {
     Neighbors {
         /// Token from the request.
         token: u64,
-        /// The replier's current predecessor.
-        predecessor: Option<NodeHandle>,
         /// The replier's successor list.
         successors: Vec<NodeHandle>,
+        /// The replier's predecessor side: Chord's one pointer, if set, or
+        /// Verme's list.
+        predecessors: Vec<NodeHandle>,
     },
     /// Chord's `notify`: "I believe I am your predecessor".
     Notify {
@@ -108,15 +111,16 @@ pub enum ChordMsg {
     },
     /// Graceful departure: the leaving node hands its routing state to its
     /// neighbors so they can splice it out without waiting for timeouts.
+    /// Reveals no more than a `Neighbors` reply does.
     Leaving {
         /// The departing node.
         node: NodeHandle,
         /// The departing node's successor list.
         successors: Vec<NodeHandle>,
-        /// The departing node's predecessor.
-        predecessor: Option<NodeHandle>,
+        /// The departing node's predecessor side.
+        predecessors: Vec<NodeHandle>,
     },
-    /// Liveness probe (used on predecessors).
+    /// Liveness probe.
     Ping {
         /// Matches the response to the request.
         token: u64,
@@ -131,72 +135,100 @@ pub enum ChordMsg {
 /// Fixed per-message overhead: IP + UDP + protocol header.
 pub const HEADER_BYTES: usize = 40;
 
-impl Wire for ChordMsg {
+impl<R: Rules> Wire for OverlayMsg<R> {
     fn wire_size(&self) -> usize {
-        match self {
-            ChordMsg::Lookup { .. } => HEADER_BYTES + 8 + 16 + NodeHandle::WIRE_SIZE + 6,
-            ChordMsg::HopAck { .. } => HEADER_BYTES + 8,
-            ChordMsg::LookupReply { result, .. } => {
-                HEADER_BYTES + 8 + 4 + NodeHandle::WIRE_SIZE * (1 + result.successors.len())
+        const H: usize = NodeHandle::WIRE_SIZE;
+        HEADER_BYTES
+            + match self {
+                // Lookup id and key, then the rule set's part.
+                OverlayMsg::Lookup { ticket, piggyback, .. } => {
+                    8 + 16 + R::lookup_size(ticket, piggyback.as_ref())
+                }
+                OverlayMsg::Reply { reply, .. } => 8 + 4 + R::reply_size(reply),
+                OverlayMsg::Neighbors { successors, predecessors, .. } => {
+                    8 + H * (successors.len() + R::predecessor_slots(predecessors))
+                }
+                OverlayMsg::Notify { .. } => H,
+                OverlayMsg::Leaving { successors, predecessors, .. } => {
+                    H * (1 + successors.len() + predecessors.len())
+                }
+                OverlayMsg::HopAck { .. }
+                | OverlayMsg::GetNeighbors { .. }
+                | OverlayMsg::Ping { .. }
+                | OverlayMsg::Pong { .. } => 8,
             }
-            ChordMsg::GetNeighbors { .. } => HEADER_BYTES + 8,
-            ChordMsg::Neighbors { successors, .. } => {
-                HEADER_BYTES + 8 + NodeHandle::WIRE_SIZE * (1 + successors.len())
-            }
-            ChordMsg::Notify { .. } => HEADER_BYTES + NodeHandle::WIRE_SIZE,
-            ChordMsg::Leaving { successors, predecessor, .. } => {
-                HEADER_BYTES
-                    + NodeHandle::WIRE_SIZE
-                        * (1 + successors.len() + usize::from(predecessor.is_some()))
-            }
-            ChordMsg::Ping { .. } | ChordMsg::Pong { .. } => HEADER_BYTES + 8,
-        }
     }
 }
 
-/// Timer tokens used by the Chord node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChordTimer {
-    /// Periodic successor stabilization (paper setup: every 30 s).
+/// An overlay's timer tokens, one enum for both rule sets, generic over
+/// the lookup id `L` and the predecessor side's own timer `Q`.
+#[derive(Clone, Debug)]
+pub enum OverlayTimer<L, Q> {
+    /// Periodic stabilization (paper setup: every 30 s).
     Stabilize,
     /// Periodic finger refresh (paper setup: every 60 s).
     FixFingers,
-    /// The stabilization round `token` timed out: first successor is dead.
+    /// The successor round `token` timed out: the first successor is dead.
     StabTimeout {
         /// Round token.
         token: u64,
     },
-    /// Predecessor ping `token` timed out: clear the predecessor.
-    PredTimeout {
-        /// Ping token.
-        token: u64,
-    },
-    /// Rectify probe `token` timed out: the incumbent predecessor is
-    /// dead, adopt the waiting notify candidate (corrected mode only).
-    RectifyTimeout {
-        /// Probe token.
-        token: u64,
-    },
+    /// A predecessor-side probe timed out.
+    Predecessor(Q),
     /// No `HopAck` for a forwarded lookup: downstream hop is dead.
     HopTimeout {
         /// The affected lookup.
-        lid: LookupId,
+        lid: L,
         /// Which forwarding attempt this timer guards.
         attempt: u32,
     },
     /// An initiated lookup has been running too long: count it failed.
     LookupDeadline {
-        /// Initiator-local sequence number.
-        seq: u64,
+        /// The lookup.
+        lid: L,
     },
     /// Garbage-collect relay state for a lookup that never completed.
     RelayGc {
         /// The affected lookup.
-        lid: LookupId,
+        lid: L,
     },
     /// Retry joining (the previous join lookup failed).
     JoinRetry,
 }
+
+/// What a Chord lookup carries beside its key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChordTicket {
+    /// The initiating node (id + address).
+    pub origin: NodeHandle,
+    /// Traversal mode.
+    pub mode: LookupMode,
+    /// True for overlay-maintenance lookups (finger refresh, join);
+    /// relays use it to attribute bytes to the right budget.
+    pub maint: bool,
+}
+
+/// Chord's predecessor-side probes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChordPredTimer {
+    /// The predecessor ping `token` timed out: clear the predecessor.
+    Ping {
+        /// Ping token.
+        token: u64,
+    },
+    /// Rectify probe `token` timed out: the incumbent predecessor is
+    /// dead, adopt the waiting notify candidate (corrected mode only).
+    Rectify {
+        /// Probe token.
+        token: u64,
+    },
+}
+
+/// Chord's wire messages.
+pub type ChordMsg = OverlayMsg<ChordRules>;
+
+/// Timer tokens used by the Chord node.
+pub type ChordTimer = OverlayTimer<LookupId, ChordPredTimer>;
 
 /// Protocol parameters. Defaults follow the paper's simulation setup
 /// (§7.1.1): 10 successors, stabilize every 30 s, fix fingers every 60 s.
@@ -234,6 +266,17 @@ impl Default for ChordConfig {
 }
 
 impl ChordConfig {
+    /// The parameters the shared node reads.
+    pub fn timing(&self) -> Timing {
+        Timing {
+            stabilize_interval: self.stabilize_interval,
+            fix_fingers_interval: self.fix_fingers_interval,
+            hop_timeout: self.hop_timeout,
+            lookup_deadline: self.lookup_deadline,
+            maintenance: self.maintenance,
+        }
+    }
+
     /// Validates parameter sanity.
     ///
     /// # Errors
@@ -257,14 +300,14 @@ mod tests {
     fn wire_sizes_scale_with_payload() {
         let lid = LookupId { origin: Addr::NULL, seq: 1 };
         let h = NodeHandle::new(Id::new(1), Addr::NULL);
-        let small = ChordMsg::LookupReply {
+        let small = ChordMsg::Reply {
             lid,
-            result: LookupResult { predecessor: h, successors: vec![h] },
+            reply: LookupResult { predecessor: h, successors: vec![h] },
             hops: 3,
         };
-        let big = ChordMsg::LookupReply {
+        let big = ChordMsg::Reply {
             lid,
-            result: LookupResult { predecessor: h, successors: vec![h; 10] },
+            reply: LookupResult { predecessor: h, successors: vec![h; 10] },
             hops: 3,
         };
         assert!(big.wire_size() > small.wire_size());
@@ -279,17 +322,18 @@ mod tests {
         // Every kind, with `n` handles in each list it carries.
         let sizes = |n: usize| -> Vec<usize> {
             let (mode, s) = (LookupMode::Recursive, vec![h; n]);
+            let ticket = ChordTicket { origin: h, mode, maint: false };
             let result = LookupResult { predecessor: h, successors: s.clone() };
             [
-                ChordMsg::Lookup { lid, key: Id::new(2), origin: h, mode, hops: 1, maint: false },
+                ChordMsg::Lookup { lid, key: Id::new(2), ticket, piggyback: None, hops: 1 },
                 ChordMsg::HopAck { lid },
-                ChordMsg::LookupReply { lid, result, hops: 3 },
+                ChordMsg::Reply { lid, reply: result, hops: 3 },
                 ChordMsg::GetNeighbors { token: 1 },
-                ChordMsg::Neighbors { token: 1, predecessor: Some(h), successors: s.clone() },
-                ChordMsg::Neighbors { token: 1, predecessor: None, successors: s.clone() },
+                ChordMsg::Neighbors { token: 1, predecessors: vec![h], successors: s.clone() },
+                ChordMsg::Neighbors { token: 1, predecessors: vec![], successors: s.clone() },
                 ChordMsg::Notify { node: h },
-                ChordMsg::Leaving { node: h, successors: s.clone(), predecessor: Some(h) },
-                ChordMsg::Leaving { node: h, successors: s, predecessor: None },
+                ChordMsg::Leaving { node: h, successors: s.clone(), predecessors: vec![h] },
+                ChordMsg::Leaving { node: h, successors: s, predecessors: vec![] },
                 ChordMsg::Ping { token: 1 },
                 ChordMsg::Pong { token: 1 },
             ]

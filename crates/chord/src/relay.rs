@@ -86,7 +86,7 @@ impl<C> Hop<C> {
 /// an existing key as `HashMap::insert` does, and `remove` swaps the last
 /// entry into the hole, so entry order is arbitrary: nothing may iterate
 /// the table in an order the run depends on.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct InFlight<L, V> {
     keys: Vec<L>,
     values: Vec<V>,

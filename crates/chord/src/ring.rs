@@ -581,6 +581,19 @@ mod tests {
     }
 
     #[test]
+    fn overlay_messages_timers_and_nodes_keep_their_sizes() {
+        use std::mem::size_of;
+        // Read on x86-64 before both overlays ran one `OverlayNode`. Every
+        // queued event holds a message or a timer; a node may only shrink.
+        assert_eq!(size_of::<crate::ChordMsg>(), 80);
+        assert_eq!(size_of::<verme_core::VermeMsg<()>>(), 96);
+        assert_eq!(size_of::<crate::ChordTimer>(), 24);
+        assert_eq!(size_of::<verme_core::VermeTimer>(), 16);
+        assert!(size_of::<crate::ChordNode>() <= 608);
+        assert!(size_of::<verme_core::VermeNode<()>>() <= 784);
+    }
+
+    #[test]
     fn one_address_at_two_ids_binds_to_the_lowest_slot() {
         let old = NodeHandle::new(Id::new(70), Addr::from_raw(1));
         let new = NodeHandle::new(Id::new(90), Addr::from_raw(1));

@@ -3,11 +3,11 @@
 //! Paper §4 builds Verme *on* Chord: the identifier layout, the finger
 //! rule and the lookup differ; successor lists, stabilize/notify, failure
 //! splicing and reseeding are Chord's, unchanged. [`RingCore`] is that
-//! unchanged half — the routing state both [`ChordNode`](crate::ChordNode)
-//! and `verme-core`'s `VermeNode` embed, and every maintenance rule both
-//! run, as plain methods over it. What the paper says differs stays in
-//! the nodes: their messages, timers and configs, Chord's single
-//! predecessor with its rectify probe and three lookup modes, Verme's
+//! unchanged half — the routing state the one
+//! [`OverlayNode`](crate::OverlayNode) embeds, and every maintenance rule
+//! both overlays run, as plain methods over it. What the paper says
+//! differs is each overlay's [`Rules`](crate::Rules): Chord's single
+//! predecessor with its rectify probe and lookup modes, Verme's
 //! predecessor list, certificate check and sealed replies.
 //!
 //! The core never builds a message. A rule that ends in a send returns

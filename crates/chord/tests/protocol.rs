@@ -6,7 +6,8 @@ use std::rc::Rc;
 use rand::Rng;
 
 use verme_chord::{
-    ChordConfig, ChordMsg, ChordNode, ChordTimer, Id, LookupId, LookupMode, NodeHandle, StaticRing,
+    ChordConfig, ChordMsg, ChordNode, ChordTicket, ChordTimer, Id, LookupId, LookupMode,
+    NodeHandle, StaticRing,
 };
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{
@@ -324,7 +325,8 @@ fn fire(rt: &mut Rt, at: Addr, timer: ChordTimer) {
 }
 
 fn relayed(lid: LookupId, key: Id, origin: NodeHandle, mode: LookupMode) -> ChordMsg {
-    ChordMsg::Lookup { lid, key, origin, mode, hops: 1, maint: false }
+    let ticket = ChordTicket { origin, mode, maint: false };
+    ChordMsg::Lookup { lid, key, ticket, piggyback: None, hops: 1 }
 }
 
 /// Everything a hop timeout could touch at `at`: the reroute and lookup

@@ -8,7 +8,7 @@
 //! | module | holds |
 //! |---|---|
 //! | [`layout`] | [`SectionLayout`] (§4.3): identifiers are `[random \| type \| random]`, dividing the ring into sections that alternate types; the shifted finger targets of §4.4 |
-//! | [`node`] | [`VermeNode`]: Chord's ring half, unchanged, as an embedded `verme_chord::RingCore`, plus what §4.4–4.5 and §5.2 add — finger targets and admissibility, the corner rule, recursive-only certified lookups with sealed replies and the piggyback hand-off, and a predecessor list stabilized like the successor list |
+//! | [`node`] | [`VermeRules`], run by `verme_chord::OverlayNode` as [`VermeNode`]: what §4.4–4.5 and §5.2 add to Chord's node — finger targets and admissibility, the corner rule, recursive-only certified lookups with sealed replies and the piggyback hand-off, and a predecessor list stabilized like the successor list |
 //! | [`proto`] | Verme's wire messages, lookup purposes and answers, configuration |
 //! | [`static_ring`] | [`VermeStaticRing`]: instant converged rings plus the ground-truth queries (responsible node, replica sets, section membership) the experiments and the worm simulator build on |
 //! | [`audit`] | the §3 containment invariant checked against a live node's or a static ring's routing state |
@@ -27,10 +27,10 @@ pub mod tracker;
 
 pub use audit::{audit_node, audit_static_ring, merge_reports, AuditReport, Violation};
 pub use layout::SectionLayout;
-pub use node::{AnswerRequest, VermeNode, VermeOutcome};
+pub use node::{AnswerRequest, VermeNode, VermeOutcome, VermeRules};
 pub use proto::{
-    answer_body_size, AnswerBody, LookupPurpose, Payload, VermeAnswer, VermeConfig, VermeLookupId,
-    VermeMsg, VermeTimer,
+    answer_body_size, AnswerBody, LookupPurpose, Payload, SealedAnswer, VermeAnswer, VermeConfig,
+    VermeLookupId, VermeMsg, VermeTicket, VermeTimer,
 };
 pub use static_ring::VermeStaticRing;
 pub use tracker::{assign_random, assign_type_aware, SwarmAssignment, TrackerConfig};

@@ -1,4 +1,5 @@
-//! Verme wire messages and configuration.
+//! Verme's wire types and configuration, carried by the one
+//! [`OverlayMsg`].
 //!
 //! Differences from Chord's protocol (paper §4.5):
 //!
@@ -12,17 +13,18 @@
 //!   nonces;
 //! * replies are **sealed** to the public key in the certificate, so relay
 //!   nodes cannot read the handles inside;
-//! * `Neighbors` additionally carries a predecessor list, which Verme
+//! * `Neighbors` advertises a whole predecessor list, which Verme
 //!   maintains for the replica corner case of §5.2.
 //!
 //! Messages are generic over a piggyback payload `P` so that Secure-VerDi
 //! can carry DHT operations (and their data) inside the lookup itself.
 
-use verme_chord::{Id, LookupKind, MaintenanceMode, NodeHandle};
+use verme_chord::{LookupKind, MaintenanceMode, NodeHandle, OverlayMsg, OverlayTimer, Timing};
 use verme_crypto::{Certificate, Sealed};
-use verme_sim::{SimDuration, Wire};
+use verme_sim::SimDuration;
 
 use crate::layout::SectionLayout;
+use crate::node::VermeRules;
 
 /// A piggyback payload carried inside Verme lookups and replies.
 ///
@@ -127,158 +129,40 @@ pub struct AnswerBody<P> {
     pub app: Option<P>,
 }
 
-/// Verme's wire messages, generic over the piggyback payload `P`.
-#[derive(Clone, Debug)]
-pub enum VermeMsg<P> {
-    /// A recursive lookup, forwarded hop by hop. Carries the initiator's
-    /// certificate but never its network address.
-    Lookup {
-        /// Opaque lookup nonce.
-        lid: VermeLookupId,
-        /// The key being resolved.
-        key: Id,
-        /// The initiator's certificate (id, claimed type, public key).
-        cert: Certificate,
-        /// Why the initiator wants this key.
-        purpose: LookupPurpose,
-        /// Piggybacked application operation (Secure-VerDi).
-        piggyback: Option<P>,
-        /// Hops taken so far.
-        hops: u32,
-    },
-    /// Immediate receipt acknowledgment for a forwarded `Lookup`.
-    HopAck {
-        /// Lookup nonce being acknowledged.
-        lid: VermeLookupId,
-    },
-    /// The sealed reply, retracing the reverse lookup path.
-    Reply {
-        /// Lookup nonce.
-        lid: VermeLookupId,
-        /// Answer sealed to the initiator's public key.
-        body: Sealed<AnswerBody<P>>,
-        /// Ciphertext length (visible on the wire, as any ciphertext's
-        /// length would be); recorded by the sealer via
-        /// [`answer_body_size`].
-        body_size: usize,
-        /// Total forward-path hops.
-        hops: u32,
-    },
-    /// Stabilization request (successor or predecessor side).
-    GetNeighbors {
-        /// Matches the response to the request.
-        token: u64,
-    },
-    /// Stabilization response, carrying both neighbor lists.
-    Neighbors {
-        /// Token from the request.
-        token: u64,
-        /// The replier's successor list.
-        successors: Vec<NodeHandle>,
-        /// The replier's predecessor list.
-        predecessors: Vec<NodeHandle>,
-    },
-    /// "I believe I am your predecessor."
-    Notify {
-        /// The notifying node.
-        node: NodeHandle,
-    },
-    /// Graceful departure: the leaving node hands its neighbor lists to
-    /// its immediate neighbors so they can splice it out without waiting
-    /// for timeouts. Reveals no more than a `Neighbors` reply does.
-    Leaving {
-        /// The departing node.
-        node: NodeHandle,
-        /// The departing node's successor list.
-        successors: Vec<NodeHandle>,
-        /// The departing node's predecessor list.
-        predecessors: Vec<NodeHandle>,
-    },
-    /// Liveness probe.
-    Ping {
-        /// Matches the response to the request.
-        token: u64,
-    },
-    /// Liveness probe response.
-    Pong {
-        /// Token from the request.
-        token: u64,
-    },
+/// What a Verme lookup carries beside its key: the initiator's
+/// certificate, never its network address, and why it asks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VermeTicket {
+    /// The initiator's certificate (id, claimed type, public key).
+    pub cert: Certificate,
+    /// Why the initiator wants this key.
+    pub purpose: LookupPurpose,
 }
+
+/// A Verme reply on the wire: the answer sealed to the initiator's key.
+#[derive(Clone, Debug)]
+pub struct SealedAnswer<P> {
+    /// Answer sealed to the initiator's public key.
+    pub body: Sealed<AnswerBody<P>>,
+    /// Ciphertext length (visible on the wire, as any ciphertext's length
+    /// would be); recorded by the sealer via [`answer_body_size`].
+    pub size: usize,
+}
+
+/// Verme's wire messages, generic over the piggyback payload `P`.
+pub type VermeMsg<P> = OverlayMsg<VermeRules<P>>;
 
 /// Sealing overhead modelled for encrypted replies (key id + IV + MAC).
 pub const SEAL_OVERHEAD: usize = 48;
-use verme_chord::proto::HEADER_BYTES;
-
-impl<P: Payload> Wire for VermeMsg<P> {
-    fn wire_size(&self) -> usize {
-        match self {
-            VermeMsg::Lookup { piggyback, .. } => {
-                HEADER_BYTES
-                    + 8
-                    + 16
-                    + Certificate::WIRE_SIZE
-                    + 1
-                    + piggyback.as_ref().map_or(0, |p| p.wire_size())
-                    + 4
-            }
-            VermeMsg::HopAck { .. } => HEADER_BYTES + 8,
-            VermeMsg::Reply { body_size, .. } => HEADER_BYTES + 8 + 4 + SEAL_OVERHEAD + body_size,
-            VermeMsg::GetNeighbors { .. } => HEADER_BYTES + 8,
-            VermeMsg::Neighbors { successors, predecessors, .. } => {
-                HEADER_BYTES + 8 + NodeHandle::WIRE_SIZE * (successors.len() + predecessors.len())
-            }
-            VermeMsg::Notify { .. } => HEADER_BYTES + NodeHandle::WIRE_SIZE,
-            VermeMsg::Leaving { successors, predecessors, .. } => {
-                HEADER_BYTES + NodeHandle::WIRE_SIZE * (1 + successors.len() + predecessors.len())
-            }
-            VermeMsg::Ping { .. } | VermeMsg::Pong { .. } => HEADER_BYTES + 8,
-        }
-    }
-}
 
 /// Computes the modelled plaintext size of an answer body.
 pub fn answer_body_size<P: Payload>(answer: &VermeAnswer, app: &Option<P>) -> usize {
     NodeHandle::WIRE_SIZE * answer.handle_count() + app.as_ref().map_or(0, |p| p.wire_size())
 }
 
-/// Timer tokens for the Verme node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum VermeTimer {
-    /// Periodic successor/predecessor stabilization.
-    Stabilize,
-    /// Periodic finger refresh.
-    FixFingers,
-    /// Successor-side stabilization timed out.
-    StabTimeout {
-        /// Round token.
-        token: u64,
-    },
-    /// Predecessor-side stabilization timed out.
-    PredStabTimeout {
-        /// Round token.
-        token: u64,
-    },
-    /// No `HopAck` for a forwarded lookup.
-    HopTimeout {
-        /// Affected lookup nonce.
-        lid: VermeLookupId,
-        /// Forwarding attempt the timer guards.
-        attempt: u32,
-    },
-    /// An initiated lookup ran too long.
-    LookupDeadline {
-        /// Lookup nonce.
-        lid: VermeLookupId,
-    },
-    /// Garbage-collect relay state.
-    RelayGc {
-        /// Affected lookup nonce.
-        lid: VermeLookupId,
-    },
-    /// Retry joining.
-    JoinRetry,
-}
+/// Timer tokens for the Verme node; a predecessor round's timer is its
+/// token.
+pub type VermeTimer = OverlayTimer<VermeLookupId, u64>;
 
 /// Verme protocol parameters. Defaults mirror the paper's §7.1 setup plus
 /// the Verme-specific knobs: 10 predecessors (like the 10 successors) and
@@ -305,6 +189,17 @@ pub struct VermeConfig {
 }
 
 impl VermeConfig {
+    /// The parameters the shared node reads.
+    pub fn timing(&self) -> Timing {
+        Timing {
+            stabilize_interval: self.stabilize_interval,
+            fix_fingers_interval: self.fix_fingers_interval,
+            hop_timeout: self.hop_timeout,
+            lookup_deadline: self.lookup_deadline,
+            maintenance: self.maintenance,
+        }
+    }
+
     /// Paper-default parameters over the given layout.
     pub fn new(layout: SectionLayout) -> Self {
         VermeConfig {
@@ -338,7 +233,9 @@ impl VermeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verme_chord::Id;
     use verme_crypto::{CertificateAuthority, NodeType};
+    use verme_sim::Wire;
 
     #[test]
     fn lookup_size_includes_certificate_and_payload() {
@@ -347,8 +244,7 @@ mod tests {
         let bare: VermeMsg<()> = VermeMsg::Lookup {
             lid: 1,
             key: Id::new(5),
-            cert,
-            purpose: LookupPurpose::Join,
+            ticket: VermeTicket { cert, purpose: LookupPurpose::Join },
             piggyback: None,
             hops: 0,
         };
@@ -378,12 +274,13 @@ mod tests {
                 let answer = VermeAnswer::Replicas { replicas: s.clone() };
                 let body_size = answer_body_size(&answer, &app);
                 let body = Sealed::seal(cert.public_key(), AnswerBody { answer, app });
-                VermeMsg::Reply { lid: 1, body, body_size, hops: 3 }
+                VermeMsg::Reply { lid: 1, reply: SealedAnswer { body, size: body_size }, hops: 3 }
             };
-            let (purpose, key) = (LookupPurpose::Replicas, Id::new(5));
+            let (ticket, key) =
+                (VermeTicket { cert, purpose: LookupPurpose::Replicas }, Id::new(5));
             [
-                VermeMsg::Lookup { lid: 1, key, cert, purpose, piggyback: None, hops: 0 },
-                VermeMsg::Lookup { lid: 1, key, cert, purpose, piggyback: Some(Blob(100)), hops: 0 },
+                VermeMsg::Lookup { lid: 1, key, ticket, piggyback: None, hops: 0 },
+                VermeMsg::Lookup { lid: 1, key, ticket, piggyback: Some(Blob(100)), hops: 0 },
                 VermeMsg::HopAck { lid: 1 },
                 reply(None),
                 reply(Some(Blob(100))),

@@ -8,7 +8,7 @@ use rand::Rng;
 use verme_chord::{Id, NodeHandle};
 use verme_core::{
     LookupPurpose, Payload, SectionLayout, VermeAnswer, VermeConfig, VermeMsg, VermeNode,
-    VermeStaticRing, VermeTimer,
+    VermeStaticRing, VermeTicket, VermeTimer,
 };
 use verme_crypto::{CertificateAuthority, NodeType};
 use verme_sim::runtime::UniformLatency;
@@ -258,8 +258,13 @@ fn recursive_messages_never_carry_initiator_address() {
             // Fields: lid, key, cert, purpose, piggyback, hops — no Addr.
             // (If an address field were added, this destructuring pattern
             // below would stop compiling.)
-            let VermeMsg::Lookup { lid: _, key: _, cert: _, purpose: _, piggyback: _, hops: _ } =
-                msg
+            let VermeMsg::Lookup {
+                lid: _,
+                key: _,
+                ticket: VermeTicket { cert: _, purpose: _ },
+                piggyback: _,
+                hops: _,
+            } = msg
             else {
                 unreachable!()
             };
@@ -270,8 +275,7 @@ fn recursive_messages_never_carry_initiator_address() {
     let msg: VermeMsg<()> = VermeMsg::Lookup {
         lid: 1,
         key: Id::new(9),
-        cert,
-        purpose: LookupPurpose::Join,
+        ticket: VermeTicket { cert, purpose: LookupPurpose::Join },
         piggyback: None,
         hops: 0,
     };
@@ -386,7 +390,7 @@ fn fire<P: Payload>(rt: &mut Rt<P>, at: Addr, timer: VermeTimer) {
 }
 
 /// A replica lookup for `key` from `from`'s certificate, one hop in.
-fn relayed<P>(
+fn relayed<P: Payload>(
     ca: &mut CertificateAuthority,
     from: NodeHandle,
     lid: u64,
@@ -394,7 +398,8 @@ fn relayed<P>(
     piggyback: Option<P>,
 ) -> VermeMsg<P> {
     let (cert, _) = ca.issue(from.id.raw(), layout().type_of(from.id));
-    VermeMsg::Lookup { lid, key, cert, purpose: LookupPurpose::Replicas, piggyback, hops: 1 }
+    let ticket = VermeTicket { cert, purpose: LookupPurpose::Replicas };
+    VermeMsg::Lookup { lid, key, ticket, piggyback, hops: 1 }
 }
 
 /// Everything a hop timeout could touch at `at`: the reroute and lookup
