@@ -87,7 +87,7 @@ fn attach_quiet_monitor(rt: &mut Runtime<ChordNode, KingMatrix>) -> Monitor {
         let mut degraded = 0u64;
         let mut in_flight = 0u64;
         for (_, node) in view.nodes() {
-            let h = node.health();
+            let h = node.health(view.now());
             if h.is_degraded(5) {
                 degraded += 1;
             }

@@ -13,7 +13,7 @@ use std::fmt::Debug;
 use std::ops::{Deref, DerefMut};
 
 use verme_crypto::{CaVerifier, Certificate, KeyPair};
-use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration};
+use verme_sim::{Addr, Ctx, Node, ProfScope, ProtoEvent, Scope, SimDuration, SimTime};
 
 use crate::behaviour::Behaviour;
 use crate::id::Id;
@@ -215,11 +215,9 @@ pub trait Rules: Clone + Debug + Sized {
         ctx: &mut OverlayCtx<'_, Self>,
     ) -> Option<Self::Answer>;
     /// True while an answer to `lid` is held (a re-delivery is a duplicate).
-    fn holds(&self, _lid: &Self::Lid) -> bool {
+    fn holds(&self, _lid: &Self::Lid, _now: SimTime) -> bool {
         false
     }
-    /// Forgets a held answer to `lid` (relay GC).
-    fn release(&mut self, _lid: &Self::Lid) {}
     /// The answer a hijacking relay `me` forges.
     fn forged(me: NodeHandle, ticket: &Self::Ticket, piggybacked: bool) -> Self::Answer;
 
@@ -327,6 +325,7 @@ pub trait Certified: Rules {
         &mut self,
         lid: &Self::Lid,
         app: Option<Self::Payload>,
+        now: SimTime,
     ) -> Option<(Option<Addr>, Self::Ticket, u32, Self::Answer)>;
 }
 
@@ -411,9 +410,9 @@ impl<R: Rules> OverlayNode<R> {
         self.ring.ring_stance(self.rules.predecessors())
     }
 
-    /// Samples this node's [`NodeHealth`] gauges.
-    pub fn health(&self) -> NodeHealth {
-        let (pending, forwarding) = self.lookups.counts();
+    /// Samples this node's [`NodeHealth`] gauges at `now`.
+    pub fn health(&self, now: SimTime) -> NodeHealth {
+        let (pending, forwarding) = self.lookups.counts(now);
         self.ring.health(self.rules.predecessors().len(), pending, forwarding)
     }
 
@@ -483,7 +482,7 @@ impl<R: Rules> OverlayNode<R> {
             return lid;
         };
         let hop = Hop::new(next, key, (ticket, R::pinned(piggyback.as_ref())), 1, kind.bytes_key());
-        self.lookups.forward(lid, hop, None);
+        self.lookups.forward(lid, hop, None, ctx.now());
         self.send_lookup(lid, hop, next_id, piggyback, ctx);
         lid
     }
@@ -557,7 +556,8 @@ impl<R: Rules> OverlayNode<R> {
     ) {
         let bytes_key = R::bytes_key(&ticket);
         send_counted(ctx, from, OverlayMsg::HopAck { lid }, bytes_key);
-        if self.lookups.is_forwarding(&lid) || self.rules.holds(&lid) {
+        let now = ctx.now();
+        if self.lookups.is_forwarding(&lid, now) || self.rules.holds(&lid, now) {
             return; // Duplicate (a reroute re-entered us); already handled.
         }
         let answer = if self.ring.owns(key) {
@@ -571,10 +571,9 @@ impl<R: Rules> OverlayNode<R> {
                 Relay::To(next) => {
                     let carry = (ticket, R::pinned(piggyback.as_ref()));
                     let hop = Hop::new(next.addr, key, carry, hops + 1, bytes_key);
-                    self.lookups.forward(lid, hop, Some(from));
+                    let expiry = now + self.rules.timing().lookup_deadline * 2;
+                    self.lookups.forward(lid, hop, Some((from, expiry)), now);
                     self.send_lookup(lid, hop, Some(next.id), piggyback, ctx);
-                    let gc = self.rules.timing().lookup_deadline * 2;
-                    ctx.set_timer(gc, OverlayTimer::RelayGc { lid });
                     return;
                 }
                 Relay::Drop => return,
@@ -767,7 +766,8 @@ impl<R: Certified> OverlayNode<R> {
         app: Option<R::Payload>,
         ctx: &mut OverlayCtx<'_, R>,
     ) -> bool {
-        let Some((prev, ticket, hops, answer)) = self.rules.answer_held(&lid, app) else {
+        let Some((prev, ticket, hops, answer)) = self.rules.answer_held(&lid, app, ctx.now())
+        else {
             return false;
         };
         match prev {
@@ -804,18 +804,19 @@ impl<R: Rules> Node for OverlayNode<R> {
             }
             _ => Scope::ChordStabilize,
         });
+        let now = ctx.now();
         match msg {
             OverlayMsg::Lookup { lid, key, ticket, piggyback, hops } => {
                 self.handle_lookup(from, lid, key, ticket, piggyback, hops, ctx);
             }
-            OverlayMsg::HopAck { lid } => self.lookups.ack(&lid, |c| R::released_on_ack(&c.0)),
+            OverlayMsg::HopAck { lid } => self.lookups.ack(&lid, now, |c| R::released_on_ack(&c.0)),
             OverlayMsg::Reply { lid, reply, hops } => {
                 let me = self.ring.me().addr;
-                if R::started_here(&lid, me) && self.lookups.is_pending(R::op(&lid)) {
+                if R::started_here(&lid, me) && self.lookups.is_pending(R::op(&lid), now) {
                     // Ours; one we cannot open (misrouted, forged) fails.
                     let answer = self.rules.open(reply);
                     self.end_lookup(lid, answer.map(|a| (a, hops)), ctx);
-                } else if let Some((prev, bytes_key)) = self.lookups.reply_hop(&lid) {
+                } else if let Some((prev, bytes_key)) = self.lookups.reply_hop(&lid, now) {
                     // Relay back along the reverse path.
                     send_counted(ctx, prev, OverlayMsg::Reply { lid, reply, hops }, bytes_key);
                 }
@@ -863,9 +864,9 @@ impl<R: Rules> Node for OverlayNode<R> {
 
     fn on_timer(&mut self, timer: Self::Timer, ctx: &mut OverlayCtx<'_, R>) {
         let _span = ProfScope::enter(match &timer {
-            OverlayTimer::HopTimeout { .. }
-            | OverlayTimer::LookupDeadline { .. }
-            | OverlayTimer::RelayGc { .. } => Scope::ChordLookupRelay,
+            OverlayTimer::HopTimeout { .. } | OverlayTimer::LookupDeadline { .. } => {
+                Scope::ChordLookupRelay
+            }
             _ => Scope::ChordStabilize,
         });
         match timer {
@@ -908,10 +909,6 @@ impl<R: Rules> Node for OverlayNode<R> {
                 }
             }
             OverlayTimer::LookupDeadline { lid } => self.end_lookup(lid, None, ctx),
-            OverlayTimer::RelayGc { lid } => {
-                self.lookups.release(&lid);
-                self.rules.release(&lid);
-            }
             OverlayTimer::JoinRetry => {
                 if !self.ring.is_joined() {
                     self.begin_lookup(self.ring.id(), R::JOIN, None, &[], ctx);
@@ -1318,7 +1315,7 @@ mod tests {
     #[test]
     fn health_reflects_routing_state() {
         let n = converged_node();
-        let h = n.health();
+        let h = n.health(SimTime::ZERO);
         assert!(h.joined);
         assert_eq!(h.successors, 3);
         assert_eq!(h.predecessors, 1);

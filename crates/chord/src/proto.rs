@@ -187,11 +187,6 @@ pub enum OverlayTimer<L, Q> {
         /// The lookup.
         lid: L,
     },
-    /// Garbage-collect relay state for a lookup that never completed.
-    RelayGc {
-        /// The affected lookup.
-        lid: L,
-    },
     /// Retry joining (the previous join lookup failed).
     JoinRetry,
 }

@@ -3,7 +3,7 @@
 //! Paper §4.5 changes a lookup's wire format, not the hop-by-hop protocol
 //! beneath it: every hop acks what it receives, a hop that misses its ack
 //! is marked dead and routed around, the reply retraces the path, and the
-//! state of a lookup that never finishes is collected. [`LookupTable`] is
+//! state of a lookup that never finishes expires. [`LookupTable`] is
 //! that protocol, the rule set a node runs beside [`RingCore`]'s ring
 //! maintenance. It never builds a message: a send returns the [`Hop`] the
 //! node builds one from.
@@ -71,24 +71,32 @@ impl<C> Hop<C> {
     }
 }
 
-/// A small table of in-flight state keyed by lookup id: the keys in one
-/// `Vec`, searched by a linear scan, and the values at the same index in
-/// another.
+/// A small table of in-flight state keyed by lookup id: the keys, each
+/// beside its expiry, in one `Vec` searched by a linear scan, and the
+/// values at the same index in another.
 ///
 /// A node holds few lookups at once — at seed 42 the peak per-node length
 /// is 17 in `ring_scale`, 15 in `lookup_churn`, 14 in `chaos_trials` and 8
 /// in `dht_ops` and `dht_load` — so a probe scans a few cache lines of
 /// keys where a hash map pays a hash, a control-group load and a bucket
-/// load, and only a hit touches its value (a Verme forward entry is 160
-/// bytes). An empty table holds no heap memory: the removal that empties
-/// it frees both buffers, so the thousands of idle nodes of a large ring
-/// keep no capacity left over from their busiest moment. `insert` overwrites
-/// an existing key as `HashMap::insert` does, and `remove` swaps the last
-/// entry into the hole, so entry order is arbitrary: nothing may iterate
-/// the table in an order the run depends on.
+/// load, and only a hit touches its value (a Verme forward entry is 176
+/// bytes). An empty table holds no heap memory: the removal or expiry that
+/// empties it frees both buffers, so the thousands of idle nodes of a large
+/// ring keep no capacity left over from their busiest moment. `insert`
+/// overwrites an existing key as `HashMap::insert` does, and `remove` swaps
+/// the last entry into the hole, so entry order is arbitrary: nothing may
+/// iterate the table in an order the run depends on.
+///
+/// An entry lives while `now < expiry` (`SimTime::MAX`: for ever); reads
+/// treat an expired entry as absent, and every write's scan drops it. A
+/// timer armed when a relay sets its entry, for the `2 × lookup_deadline`
+/// the entry lives, pops at the expiry ahead of every event scheduled after
+/// it; so the strict `<` (an event at exactly the expiry finds the entry
+/// gone) answers as that timer for any event scheduled less than
+/// `2 × lookup_deadline` before it is handled.
 #[derive(Clone, Debug)]
 pub struct InFlight<L, V> {
-    keys: Vec<L>,
+    keys: Vec<(L, SimTime)>,
     values: Vec<V>,
 }
 
@@ -99,52 +107,64 @@ impl<L, V> Default for InFlight<L, V> {
 }
 
 impl<L: Eq, V> InFlight<L, V> {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.keys.len()
+    /// Number of entries live at `now`.
+    pub fn len(&self, now: SimTime) -> usize {
+        self.keys.iter().filter(|(_, expiry)| now < *expiry).count()
     }
 
-    /// True if the table holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+    /// The entries the key and the value buffer have room for.
+    pub fn capacity(&self) -> (usize, usize) {
+        (self.keys.capacity(), self.values.capacity())
     }
 
-    fn position(&self, key: &L) -> Option<usize> {
-        self.keys.iter().position(|k| k == key)
+    /// True if `key` has an entry live at `now`.
+    pub fn contains_key(&self, key: &L, now: SimTime) -> bool {
+        self.keys.iter().any(|(k, expiry)| k == key && now < *expiry)
     }
 
-    /// True if `key` has an entry.
-    pub fn contains_key(&self, key: &L) -> bool {
-        self.position(key).is_some()
-    }
-
-    /// The entry of `key`, to change in place.
-    pub fn get_mut(&mut self, key: &L) -> Option<&mut V> {
-        let i = self.position(key)?;
-        Some(&mut self.values[i])
-    }
-
-    /// Sets the entry of `key` to `value`, returning the value it replaced.
-    pub fn insert(&mut self, key: L, value: V) -> Option<V> {
-        match self.get_mut(&key) {
-            Some(slot) => Some(std::mem::replace(slot, value)),
-            None => {
-                self.keys.push(key);
-                self.values.push(value);
-                None
+    /// Drops every entry expired at `now`; the index of `key`'s entry.
+    fn sweep(&mut self, key: &L, now: SimTime) -> Option<usize> {
+        // Backwards, so the entry a removal swaps in is one already kept.
+        for i in (0..self.keys.len()).rev() {
+            if now >= self.keys[i].1 {
+                self.take(i);
             }
         }
+        self.keys.iter().position(|(k, _)| k == key)
     }
 
-    /// Takes the entry of `key` out of the table.
-    pub fn remove(&mut self, key: &L) -> Option<V> {
-        let i = self.position(key)?;
+    /// Swaps entry `i` out, freeing both buffers if that empties the table.
+    fn take(&mut self, i: usize) -> V {
         self.keys.swap_remove(i);
         let value = self.values.swap_remove(i);
         if self.keys.is_empty() {
             *self = InFlight::default();
         }
-        Some(value)
+        value
+    }
+
+    /// The entry of `key` live at `now`, to change in place.
+    pub fn get_mut(&mut self, key: &L, now: SimTime) -> Option<&mut V> {
+        let i = self.sweep(key, now)?;
+        Some(&mut self.values[i])
+    }
+
+    /// Sets the entry of `key` to `value`, live until `expiry`, returning
+    /// the live value it replaced.
+    pub fn insert(&mut self, key: L, value: V, expiry: SimTime, now: SimTime) -> Option<V> {
+        if let Some(i) = self.sweep(&key, now) {
+            self.keys[i].1 = expiry;
+            return Some(std::mem::replace(&mut self.values[i], value));
+        }
+        self.keys.push((key, expiry));
+        self.values.push(value);
+        None
+    }
+
+    /// Takes the entry of `key` live at `now` out of the table.
+    pub fn remove(&mut self, key: &L, now: SimTime) -> Option<V> {
+        let i = self.sweep(key, now)?;
+        Some(self.take(i))
     }
 }
 
@@ -193,19 +213,19 @@ impl<L, K, C> Default for LookupTable<L, K, C> {
 
 impl<L: Copy + Eq, K: LookupKind, C: Copy> LookupTable<L, K, C> {
     /// Lookups this node started that are still in flight, and lookups it
-    /// forwards — the two [`NodeHealth`](crate::NodeHealth) counts.
-    pub fn counts(&self) -> (usize, usize) {
-        (self.pending.len(), self.forwards.len())
+    /// forwards at `now` — the two [`NodeHealth`](crate::NodeHealth) counts.
+    pub fn counts(&self, now: SimTime) -> (usize, usize) {
+        (self.pending.len(now), self.forwards.len(now))
     }
 
     /// True while lookup `op`, started here, is in flight.
-    pub fn is_pending(&self, op: u64) -> bool {
-        self.pending.contains_key(&op)
+    pub fn is_pending(&self, op: u64, now: SimTime) -> bool {
+        self.pending.contains_key(&op, now)
     }
 
     /// True while this node forwards `lid` — a re-delivery is a duplicate.
-    pub fn is_forwarding(&self, lid: &L) -> bool {
-        self.forwards.contains_key(lid)
+    pub fn is_forwarding(&self, lid: &L, now: SimTime) -> bool {
+        self.forwards.contains_key(lid, now)
     }
 
     /// Starts lookup `op` for `key` at the node `origin`. A root lookup (an
@@ -220,36 +240,32 @@ impl<L: Copy + Eq, K: LookupKind, C: Copy> LookupTable<L, K, C> {
             origin_id: origin.raw(),
             kind: kind.label(),
         });
-        self.pending.insert(op, Pending { key, kind, started: ctx.now() });
+        self.pending.insert(op, Pending { key, kind, started: ctx.now() }, SimTime::MAX, ctx.now());
     }
 
-    /// Records that `lid`, received from `prev`, goes out as `hop`.
-    pub fn forward(&mut self, lid: L, hop: Hop<C>, prev: Option<Addr>) {
-        self.forwards.insert(lid, Forward { hop, prev, acked: false, tried: Vec::new() });
+    /// Records that `lid` goes out as `hop`: a relay's `prev` is its upstream and expiry.
+    pub fn forward(&mut self, lid: L, hop: Hop<C>, prev: Option<(Addr, SimTime)>, now: SimTime) {
+        let f = Forward { hop, prev: prev.map(|p| p.0), acked: false, tried: Vec::new() };
+        self.forwards.insert(lid, f, prev.map_or(SimTime::MAX, |p| p.1), now);
     }
 
     /// The next hop acked `lid`. A relay whose reply will not pass back
     /// through it (`skipped`) releases the state at once.
-    pub fn ack(&mut self, lid: &L, skipped: impl FnOnce(&C) -> bool) {
-        if let Some(f) = self.forwards.get_mut(lid) {
+    pub fn ack(&mut self, lid: &L, now: SimTime, skipped: impl FnOnce(&C) -> bool) {
+        if let Some(f) = self.forwards.get_mut(lid, now) {
             f.acked = true;
             if f.prev.is_some() && skipped(&f.hop.carry) {
-                self.forwards.remove(lid);
+                self.forwards.remove(lid, now);
             }
         }
     }
 
     /// A reply for `lid` passes: the state goes, and the reply continues to
     /// the upstream hop, charged to the returned counter (`None` at the
-    /// initiator or when the state is already gone).
-    pub fn reply_hop(&mut self, lid: &L) -> Option<(Addr, &'static str)> {
-        let entry = self.forwards.remove(lid)?;
+    /// initiator or when the state is gone or expired).
+    pub fn reply_hop(&mut self, lid: &L, now: SimTime) -> Option<(Addr, &'static str)> {
+        let entry = self.forwards.remove(lid, now)?;
         Some((entry.prev?, entry.hop.bytes_key))
-    }
-
-    /// Forgets the forward state of `lid` (relay GC).
-    pub fn release(&mut self, lid: &L) {
-        self.forwards.remove(lid);
     }
 
     /// The ack for attempt `attempt` of `lid` (trace op `op`) did not come.
@@ -269,7 +285,7 @@ impl<L: Copy + Eq, K: LookupKind, C: Copy> LookupTable<L, K, C> {
         pinned: impl FnOnce(&C) -> bool,
         ctx: &mut Ctx<'_, M, T>,
     ) -> HopTimeout<C> {
-        let f = match self.forwards.get_mut(&lid) {
+        let f = match self.forwards.get_mut(&lid, ctx.now()) {
             Some(f) if !f.acked && f.hop.attempt == attempt => f,
             _ => return HopTimeout::Stale,
         };
@@ -279,7 +295,7 @@ impl<L: Copy + Eq, K: LookupKind, C: Copy> LookupTable<L, K, C> {
         f.tried.push(f.hop.next);
         let Some(next) = ring.route_excluding(f.hop.key, &f.tried).filter(|_| !give_up) else {
             let initiator = f.prev.is_none();
-            self.forwards.remove(&lid);
+            self.forwards.remove(&lid, ctx.now());
             return HopTimeout::GiveUp { initiator };
         };
         f.hop.attempt += 1;
@@ -300,8 +316,8 @@ impl<L: Copy + Eq, K: LookupKind, C: Copy> LookupTable<L, K, C> {
         hops: Option<u32>,
         ctx: &mut Ctx<'_, M, T>,
     ) -> Option<Pending<K>> {
-        let p = self.pending.remove(&op)?;
-        self.forwards.remove(lid);
+        let p = self.pending.remove(&op, ctx.now())?;
+        self.forwards.remove(lid, ctx.now());
         ctx.emit(ProtoEvent::LookupEnd { op, ok: hops.is_some(), hops: hops.unwrap_or(0) });
         if p.kind.is_app() {
             match hops {
@@ -339,24 +355,26 @@ mod tests {
     #[test]
     fn a_drained_table_keeps_no_buffers() {
         let mut table: InFlight<u64, [u64; 4]> = InFlight::default();
+        let now = SimTime::ZERO;
         for k in 0..17 {
-            table.insert(k, [k; 4]);
+            table.insert(k, [k; 4], SimTime::MAX, now);
         }
         for k in (0..17).rev().step_by(2).chain((0..17).skip(1).step_by(2)) {
-            assert_eq!(table.remove(&k), Some([k; 4]));
+            assert_eq!(table.remove(&k, now), Some([k; 4]));
         }
-        assert!(table.is_empty());
-        assert_eq!((table.keys.capacity(), table.values.capacity()), (0, 0));
-        assert_eq!(table.remove(&3), None);
+        assert_eq!(table.len(now), 0);
+        assert_eq!(table.capacity(), (0, 0));
+        assert_eq!(table.remove(&3, now), None);
     }
 
     #[test]
     fn a_forward_that_is_acked_never_allocates_its_tried_list() {
         let mut table: LookupTable<u64, App, ()> = LookupTable::default();
         let hop = Hop::new(Addr::from_raw(2), Id::new(7), (), 1, keys::BYTES_LOOKUP);
-        table.forward(9, hop, Some(Addr::from_raw(1)));
-        table.ack(&9, |_| false);
-        let f = table.forwards.get_mut(&9).expect("a relay keeps its state until the reply");
+        let (now, expiry) = (SimTime::ZERO, SimTime::from_nanos(1));
+        table.forward(9, hop, Some((Addr::from_raw(1), expiry)), now);
+        table.ack(&9, now, |_| false);
+        let f = table.forwards.get_mut(&9, now).expect("a relay keeps its state until the reply");
         assert!(f.acked);
         assert_eq!(f.tried.capacity(), 0);
     }

@@ -7,7 +7,7 @@ use rand::Rng;
 
 use verme_chord::{
     ChordConfig, ChordMsg, ChordNode, ChordTicket, ChordTimer, Id, LookupId, LookupMode,
-    NodeHandle, StaticRing,
+    LookupResult, NodeHandle, StaticRing,
 };
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{
@@ -313,7 +313,7 @@ fn stabilization_heals_after_message_loss() {
 }
 
 // ----------------------------------------------------------------------
-// Relay rules: hop acks, reroutes, duplicates, relay GC
+// Relay rules: hop acks, reroutes, duplicates, relay state expiry
 // ----------------------------------------------------------------------
 
 fn deliver(rt: &mut Rt, to: Addr, from: Addr, msg: ChordMsg) {
@@ -334,12 +334,12 @@ fn relayed(lid: LookupId, key: Id, origin: NodeHandle, mode: LookupMode) -> Chor
 fn relay_state(rt: &Rt, at: Addr) -> (u64, u64, impl PartialEq + std::fmt::Debug) {
     let m = rt.metrics();
     let n = rt.node(at).expect("alive");
-    let routing = (n.health(), n.successor_list().to_vec(), n.finger_table().distinct());
+    let routing = (n.health(rt.now()), n.successor_list().to_vec(), n.finger_table().distinct());
     (m.counter("lookup.hop_reroutes"), m.counter("bytes.lookup"), routing)
 }
 
 fn forwarding(rt: &Rt, at: Addr) -> usize {
-    rt.node(at).expect("alive").health().forwarding
+    rt.node(at).expect("alive").health(rt.now()).forwarding
 }
 
 /// The sends a node traced: the first hop it sent a lookup to, then every
@@ -427,7 +427,7 @@ fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_d
     assert_eq!(outcomes.len(), 1);
     assert!(outcomes[0].result.is_none());
     assert_eq!(outcomes[0].latency, cfg.lookup_deadline);
-    assert_eq!(rt.node(origin.addr).expect("alive").health().pending_lookups, 0);
+    assert_eq!(rt.node(origin.addr).expect("alive").health(rt.now()).pending_lookups, 0);
 }
 
 #[test]
@@ -481,22 +481,89 @@ fn a_redelivered_lookup_is_acked_but_not_forwarded_again() {
     assert_eq!(forwarding(&rt, relay.addr), 1);
 }
 
-#[test]
-fn relay_gc_clears_relay_state() {
-    let (mut rt, members) = spawn_with(32, quiet(LookupMode::Recursive), 9);
+/// A relay holding forward state for a lookup whose reply never comes:
+/// `relay` forwarded `lid` from the dead `upstream`, its next hop acked and
+/// then died. Returns the ring, `relay`, `lid` and when the state expires.
+fn relay_without_a_reply(seq: u64) -> (Rt, NodeHandle, LookupId, SimTime) {
+    let cfg = quiet(LookupMode::Recursive);
+    let (mut rt, members) = spawn_with(32, cfg.clone(), 9);
     let (relay, upstream) = (members[0], members[16]);
     rt.kill(upstream.addr);
     let key = relay.id.wrapping_sub(1);
-    let lid = LookupId { origin: upstream.addr, seq: 4 };
+    let next = rt.node(relay.addr).unwrap().route_first_hop_excluding(key, &[]).unwrap();
+    let lid = LookupId { origin: upstream.addr, seq };
+    let expiry = rt.now() + cfg.lookup_deadline * 2;
     deliver(&mut rt, relay.addr, upstream.addr, relayed(lid, key, upstream, LookupMode::Recursive));
+    // The ack is back after 40 ms; the reply would pass `next` after 80.
+    advance(&mut rt, SimDuration::from_millis(50));
+    rt.kill(next.addr);
+    (rt, relay, lid, expiry)
+}
+
+/// Delivers the reply to `lid` now and says whether it was relayed
+/// upstream.
+fn reply_relayed(rt: &mut Rt, relay: NodeHandle, lid: LookupId) -> bool {
+    let reply = ChordMsg::Reply {
+        lid,
+        reply: LookupResult { predecessor: relay, successors: vec![relay] },
+        hops: 2,
+    };
+    let before = rt.metrics().counter("bytes.lookup");
+    deliver(rt, relay.addr, relay.addr, reply);
+    rt.metrics().counter("bytes.lookup") > before
+}
+
+#[test]
+fn relay_state_expires_at_twice_the_lookup_deadline() {
+    let ns = SimDuration::from_nanos(1);
+    // 1 ns before its expiry, the state still relays the reply.
+    let (mut rt, relay, lid, expiry) = relay_without_a_reply(4);
+    rt.run_until(expiry - ns);
     assert_eq!(forwarding(&rt, relay.addr), 1);
-    fire(&mut rt, relay.addr, ChordTimer::RelayGc { lid });
+    assert!(reply_relayed(&mut rt, relay, lid));
     assert_eq!(forwarding(&rt, relay.addr), 0);
-    // The reply that comes back later finds nothing to relay, and the
-    // hop timer finds nothing to reroute.
+
+    // At exactly its expiry the state is gone: the reply that comes back
+    // finds nothing to relay, and no hop timer finds anything to reroute.
+    let (mut rt, relay, lid, expiry) = relay_without_a_reply(4);
+    rt.run_until(expiry - ns);
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+    rt.run_until(expiry);
+    assert_eq!(forwarding(&rt, relay.addr), 0);
+    assert!(!reply_relayed(&mut rt, relay, lid));
     advance(&mut rt, SimDuration::from_secs(5));
     assert_eq!(forwarding(&rt, relay.addr), 0);
     assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 0);
+}
+
+#[test]
+fn a_lookup_forwarded_again_keeps_its_state_to_its_own_expiry() {
+    let cfg = quiet(LookupMode::Recursive);
+    let (mut rt, members) = spawn_with(32, cfg.clone(), 9);
+    let (relay, upstream) = (members[0], members[16]);
+    rt.kill(upstream.addr);
+    let key = relay.id.wrapping_sub(1);
+    let lid = LookupId { origin: upstream.addr, seq: 6 };
+    let lookup = relayed(lid, key, upstream, LookupMode::Recursive);
+    // The first pass completes: its reply frees the relay's state.
+    let first_expiry = rt.now() + cfg.lookup_deadline * 2;
+    deliver(&mut rt, relay.addr, upstream.addr, lookup.clone());
+    advance(&mut rt, SimDuration::from_secs(1));
+    assert_eq!(forwarding(&rt, relay.addr), 0);
+
+    // The same lookup comes round again; its reply never returns.
+    let next = rt.node(relay.addr).unwrap().route_first_hop_excluding(key, &[]).unwrap();
+    let expiry = rt.now() + cfg.lookup_deadline * 2;
+    deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    advance(&mut rt, SimDuration::from_millis(50));
+    rt.kill(next.addr);
+    // The first entry's deadline does not touch the second entry.
+    rt.run_until(first_expiry);
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+    rt.run_until(expiry - SimDuration::from_nanos(1));
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+    rt.run_until(expiry);
+    assert_eq!(forwarding(&rt, relay.addr), 0);
 }
 
 #[test]

@@ -26,7 +26,7 @@ use verme_chord::{
     OverlayCtx, OverlayMsg, OverlayNode, OverlayTimer, Pending, RingCore, Rules, Timing,
 };
 use verme_crypto::{CaVerifier, Certificate, KeyPair, NodeType, Sealed};
-use verme_sim::{Addr, ProtoEvent, SimDuration};
+use verme_sim::{Addr, ProtoEvent, SimDuration, SimTime};
 
 use crate::layout::SectionLayout;
 use crate::proto::{
@@ -333,24 +333,19 @@ impl<P: Payload> Rules for VermeRules<P> {
         }
         if let Some(payload) = piggyback {
             // Hand the operation to the embedding layer; the reply leaves
-            // in send_answer.
-            self.answers.insert(lid, AnswerState { ticket: *ticket, prev, hops });
+            // in send_answer. An answer held for another node's lookup
+            // expires as relay state does.
+            let now = ctx.now();
+            let expiry = prev.map_or(SimTime::MAX, |_| now + self.cfg.lookup_deadline * 2);
+            self.answers.insert(lid, AnswerState { ticket: *ticket, prev, hops }, expiry, now);
             self.answer_requests.push(AnswerRequest { lid, key, cert, payload, hops });
-            if prev.is_some() {
-                let gc = self.cfg.lookup_deadline * 2;
-                ctx.set_timer(gc, OverlayTimer::RelayGc { lid });
-            }
             return None;
         }
         Some(AnswerBody { answer: self.make_answer(ring, key, purpose), app: None })
     }
 
-    fn holds(&self, lid: &VermeLookupId) -> bool {
-        self.answers.contains_key(lid)
-    }
-
-    fn release(&mut self, lid: &VermeLookupId) {
-        self.answers.remove(lid);
+    fn holds(&self, lid: &VermeLookupId, now: SimTime) -> bool {
+        self.answers.contains_key(lid, now)
     }
 
     /// The initiator's certificate travels in the lookup, so a Byzantine
@@ -570,8 +565,9 @@ impl<P: Payload> Certified for VermeRules<P> {
         &mut self,
         lid: &VermeLookupId,
         app: Option<P>,
+        now: SimTime,
     ) -> Option<(Option<Addr>, VermeTicket, u32, AnswerBody<P>)> {
-        let st = self.answers.remove(lid)?;
+        let st = self.answers.remove(lid, now)?;
         Some((st.prev, st.ticket, st.hops, AnswerBody { answer: VermeAnswer::Opaque, app }))
     }
 }

@@ -7,10 +7,10 @@ use rand::Rng;
 
 use verme_chord::{Id, NodeHandle};
 use verme_core::{
-    LookupPurpose, Payload, SectionLayout, VermeAnswer, VermeConfig, VermeMsg, VermeNode,
-    VermeStaticRing, VermeTicket, VermeTimer,
+    AnswerBody, LookupPurpose, Payload, SealedAnswer, SectionLayout, VermeAnswer, VermeConfig,
+    VermeMsg, VermeNode, VermeStaticRing, VermeTicket, VermeTimer,
 };
-use verme_crypto::{CertificateAuthority, NodeType};
+use verme_crypto::{CertificateAuthority, NodeType, Sealed};
 use verme_sim::runtime::UniformLatency;
 use verme_sim::{
     Addr, HostId, Node, ProtoEvent, Runtime, SeedSource, SimDuration, SimTime, TraceKind, Wire,
@@ -368,7 +368,7 @@ fn replica_lookups_route_around_fresh_failures() {
 }
 
 // ----------------------------------------------------------------------
-// Relay rules: hop acks, reroutes, duplicates, relay GC, piggybacks
+// Relay rules: hop acks, reroutes, duplicates, relay state expiry, piggybacks
 // ----------------------------------------------------------------------
 
 /// A piggybacked operation with a non-empty wire image, as a DHT's is.
@@ -407,12 +407,12 @@ fn relayed<P: Payload>(
 fn relay_state<P: Payload>(rt: &Rt<P>, at: Addr) -> (u64, u64, impl PartialEq + std::fmt::Debug) {
     let m = rt.metrics();
     let n = rt.node(at).expect("alive");
-    let routing = (n.health(), n.successor_list().to_vec(), n.finger_table().distinct());
+    let routing = (n.health(rt.now()), n.successor_list().to_vec(), n.finger_table().distinct());
     (m.counter("lookup.hop_reroutes"), m.counter("bytes.lookup"), routing)
 }
 
 fn forwarding<P: Payload>(rt: &Rt<P>, at: Addr) -> usize {
-    rt.node(at).expect("alive").health().forwarding
+    rt.node(at).expect("alive").health(rt.now()).forwarding
 }
 
 fn advance<P: Payload>(rt: &mut Rt<P>, by: SimDuration) {
@@ -500,7 +500,7 @@ fn a_relay_stops_after_max_hop_attempts_while_the_initiator_reroutes_until_its_d
     assert_eq!(outcomes.len(), 1);
     assert!(outcomes[0].answer.is_none());
     assert_eq!(outcomes[0].latency, quiet().lookup_deadline);
-    assert_eq!(rt.node(origin.addr).expect("alive").health().pending_lookups, 0);
+    assert_eq!(rt.node(origin.addr).expect("alive").health(rt.now()).pending_lookups, 0);
 }
 
 #[test]
@@ -552,35 +552,74 @@ fn a_redelivered_lookup_is_acked_but_not_forwarded_again() {
     assert_eq!(forwarding(&rt, relay.addr), 1);
 }
 
-#[test]
-fn relay_gc_clears_relay_state_and_a_pending_piggybacked_answer() {
+/// A relay holding forward state for a lookup whose reply never comes:
+/// `relay` forwarded lookup `lid` from the dead `upstream`, its next hop
+/// acked and then died. Returns the ring, the CA, `relay`, `upstream` and
+/// when the state expires.
+fn relay_without_a_reply(lid: u64) -> (Rt, CertificateAuthority, NodeHandle, NodeHandle, SimTime) {
     let (mut rt, ring, mut ca) = spawn_with::<()>(64, quiet(), 9);
     let (relay, upstream) = (ring.node(0), ring.node(32));
     rt.kill(upstream.addr);
-    let lookup = relayed(&mut ca, upstream, 4, relay.id.wrapping_sub(1), None);
+    let key = relay.id.wrapping_sub(1);
+    let next = rt.node(relay.addr).unwrap().route_first_hop(key).unwrap();
+    let expiry = rt.now() + quiet().lookup_deadline * 2;
+    let lookup = relayed(&mut ca, upstream, lid, key, None);
     deliver(&mut rt, relay.addr, upstream.addr, lookup);
+    // The ack is back after 40 ms; the reply would pass `next` after 80.
+    advance(&mut rt, SimDuration::from_millis(50));
+    rt.kill(next.addr);
+    (rt, ca, relay, upstream, expiry)
+}
+
+/// Delivers a reply to `lid` now and says whether `relay` relayed it
+/// upstream.
+fn reply_relayed(rt: &mut Rt, relay: NodeHandle, lid: u64) -> bool {
+    let key = rt.node(relay.addr).expect("alive").certificate().public_key();
+    let body = AnswerBody { answer: VermeAnswer::Opaque, app: None };
+    let reply = SealedAnswer { body: Sealed::seal(key, body), size: 0 };
+    let before = rt.metrics().counter("bytes.lookup");
+    deliver(rt, relay.addr, relay.addr, VermeMsg::Reply { lid, reply, hops: 2 });
+    rt.metrics().counter("bytes.lookup") > before
+}
+
+#[test]
+fn relay_state_and_a_held_piggybacked_answer_expire_at_twice_the_lookup_deadline() {
+    let ns = SimDuration::from_nanos(1);
+    // 1 ns before its expiry, the state still relays the reply.
+    let (mut rt, _, relay, _, expiry) = relay_without_a_reply(4);
+    rt.run_until(expiry - ns);
     assert_eq!(forwarding(&rt, relay.addr), 1);
-    fire(&mut rt, relay.addr, VermeTimer::RelayGc { lid: 4 });
+    assert!(reply_relayed(&mut rt, relay, 4));
     assert_eq!(forwarding(&rt, relay.addr), 0);
-    // The reply that comes back later finds nothing to relay, and the hop
-    // timer finds nothing to reroute.
+
+    // At exactly its expiry the state is gone: the reply that comes back
+    // finds nothing to relay, and no hop timer finds anything to reroute.
+    let (mut rt, mut ca, relay, upstream, expiry) = relay_without_a_reply(4);
+    rt.run_until(expiry - ns);
+    assert_eq!(forwarding(&rt, relay.addr), 1);
+    rt.run_until(expiry);
+    assert_eq!(forwarding(&rt, relay.addr), 0);
+    assert!(!reply_relayed(&mut rt, relay, 4));
     advance(&mut rt, SimDuration::from_secs(5));
     assert_eq!(forwarding(&rt, relay.addr), 0);
     assert_eq!(rt.metrics().counter("lookup.hop_reroutes"), 0);
 
     // The responsible node of a piggybacked lookup hands it up and waits
-    // for the answer; GC forgets the wait.
+    // for the answer, until the wait expires as relay state does.
     let key = relay.id.wrapping_add(1);
+    let expiry = rt.now() + quiet().lookup_deadline * 2;
     for lid in [5, 6] {
         let lookup = relayed(&mut ca, upstream, lid, key, Some(()));
         deliver(&mut rt, relay.addr, upstream.addr, lookup);
     }
     let requests = rt.node_mut(relay.addr).expect("alive").take_answer_requests();
     assert_eq!(requests.iter().map(|r| r.lid).collect::<Vec<_>>(), [5, 6]);
-    fire(&mut rt, relay.addr, VermeTimer::RelayGc { lid: 5 });
-    let answered = |rt: &mut Rt, lid| rt.invoke(relay.addr, |n, ctx| n.send_answer(lid, None, ctx));
-    assert_eq!(answered(&mut rt, 5), Some(false), "the collected answer is gone");
-    assert_eq!(answered(&mut rt, 6), Some(true));
+    let answered = |rt: &mut Rt, lid, at| {
+        rt.run_until(at);
+        rt.invoke(relay.addr, |n, ctx| n.send_answer(lid, None, ctx))
+    };
+    assert_eq!(answered(&mut rt, 6, expiry - ns), Some(true));
+    assert_eq!(answered(&mut rt, 5, expiry), Some(false), "the expired answer is gone");
 }
 
 #[test]
