@@ -22,7 +22,7 @@
 //! | [`proto`] | the one message and timer enums both overlays use ([`OverlayMsg`], [`OverlayTimer`]); Chord's wire types, lookup modes, configuration |
 //! | [`node`] | [`OverlayNode`]: the one overlay node — a [`RingCore`] and a [`LookupTable`] behind one `impl Node` — and the [`Rules`] an overlay supplies; [`ChordRules`] and [`ChordNode`]: what only Chord has — the single predecessor with its ping and rectify probe, sequence-numbered lookups in both modes, and the transitive hop's early release |
 //! | [`maintain`] | [`MaintenanceMode`], Zave's rectify rule, the inductive ring invariant, and the small-ring model checker |
-//! | [`static_ring`] | instant construction of converged rings |
+//! | [`static_ring`] | instant construction of converged rings; the [`FingerRule`] both the static rings and the live node read |
 //!
 //! The Verme overlay in `verme-core` reuses [`id`] and [`ring`] and runs
 //! the same [`OverlayNode`] under its own [`Rules`]: only what paper
@@ -57,4 +57,4 @@ pub use proto::{
 pub use relay::{Hop, HopTimeout, InFlight, LookupKind, LookupTable, Pending, MAX_HOP_ATTEMPTS};
 pub use ring::{closest_preceding_hop, FingerTable, NeighborList, NodeHandle};
 pub use ring_core::{rebuild_list, ring_converged, Relay, RingCore, RingNode};
-pub use static_ring::StaticRing;
+pub use static_ring::{ChordFingers, FingerRule, StaticRing};

@@ -25,6 +25,7 @@ use crate::proto::{
 use crate::relay::{Hop, HopTimeout, LookupKind, LookupTable, Pending};
 use crate::ring::{FingerTable, NodeHandle};
 use crate::ring_core::{send_counted, take_waiting, Relay, RingCore, RingNode};
+use crate::static_ring::{ChordFingers, FingerRule};
 
 /// Metric keys recorded by overlay nodes into the run's
 /// [`MetricsSink`](verme_sim::MetricsSink).
@@ -234,21 +235,15 @@ pub trait Rules: Clone + Debug + Sized {
         latency: SimDuration,
     ) -> Delivery<Self::Outcome>;
 
-    // --- finger target and resolver ---------------------------------------
+    // --- the finger rule --------------------------------------------------
 
-    /// The target of finger `i` of node `id`: Chord's `id + 2^i` unless
-    /// the rule set shifts it.
-    fn finger_target(&self, id: Id, i: u32) -> Id {
-        id.finger_target(i)
+    /// Where this overlay's fingers aim and whom they name: Chord's
+    /// unless the rule set says otherwise.
+    fn fingers(&self) -> &impl FingerRule {
+        &ChordFingers
     }
     /// The lookup that refreshes finger `i`.
     fn finger_kind(i: usize) -> Self::Kind;
-    /// A covered finger's entry, from its target's plain successor `s` and
-    /// that node's predecessor: Chord's plain successor unless the rule
-    /// set resolves it otherwise.
-    fn resolve_finger(&self, _target: Id, s: NodeHandle, _p: NodeHandle) -> Option<NodeHandle> {
-        Some(s)
-    }
 
     // --- the predecessor side ---------------------------------------------
 
@@ -666,11 +661,7 @@ impl<R: Rules> OverlayNode<R> {
     }
 
     fn fix_fingers(&mut self, ctx: &mut OverlayCtx<'_, R>) {
-        let rules = &self.rules;
-        let remote = self.ring.fix_fingers(
-            |id, i| rules.finger_target(id, i),
-            |target, s, p| rules.resolve_finger(target, s, p),
-        );
+        let remote = self.ring.fix_fingers(self.rules.fingers());
         // Targets beyond the successor list are refreshed through lookups.
         for (i, target) in remote {
             self.begin_lookup(target, R::finger_kind(i), None, &[], ctx);

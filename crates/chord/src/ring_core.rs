@@ -25,6 +25,7 @@ use crate::id::Id;
 use crate::maintain::{predecessor_decision, MaintenanceMode, RectifyDecision, RingStance};
 use crate::node::{keys, NodeHealth};
 use crate::ring::{closest_preceding_hop, FingerTable, NeighborList, NodeHandle};
+use crate::static_ring::FingerRule;
 
 /// Routing state and ring-maintenance rules shared by both overlays.
 pub struct RingCore {
@@ -641,33 +642,29 @@ impl RingCore {
 
     /// One finger-refresh round. Fingers whose target the successor list
     /// covers are resolved on the spot; the rest are returned as
-    /// `(index, target)` for the node to refresh through lookups.
-    /// `target_of` and `resolve` are the two things §4.3–4.4 change:
-    /// Verme shifts targets by a section length, and `resolve(target,
-    /// successor, predecessor)` picks the entry from the target's plain
-    /// successor and that successor's predecessor (Chord takes the
-    /// successor). Under both rules a target's distance grows with its
-    /// index, so the covered fingers are a prefix and all of them are set
-    /// before the node's first lookup routes over the table.
-    pub fn fix_fingers(
-        &mut self,
-        target_of: impl Fn(Id, u32) -> Id,
-        resolve: impl Fn(Id, NodeHandle, NodeHandle) -> Option<NodeHandle>,
-    ) -> Vec<(usize, Id)> {
+    /// `(index, target)` for the node to refresh through lookups. `rule`
+    /// holds the two things §4.3–4.4 change: where finger `i` aims (Verme
+    /// shifts targets by a section length) and whom the target's plain
+    /// successor and that successor's predecessor resolve it to (Chord
+    /// takes the successor). Under both rules a target's distance grows
+    /// with its index, so the covered fingers are a prefix and all of them
+    /// are set before the node's first lookup routes over the table.
+    pub fn fix_fingers(&mut self, rule: &impl FingerRule) -> Vec<(usize, Id)> {
         let last = match self.successors.as_slice().last() {
             Some(&last) if self.joined => last,
             _ => return Vec::new(), // Still joining, or a singleton: no fingers needed.
         };
         let mut remote = Vec::new();
         for i in 0..Id::BITS {
-            let target = target_of(self.me.id, i);
+            let target = rule.target(self.me.id, i);
             if target.in_open_closed(self.me.id, last.id) {
                 // Each successor beside its predecessor, the node for the first.
                 let list = self.successors.as_slice();
                 let mut pairs = list.iter().zip(std::iter::once(&self.me).chain(list));
                 let reach = self.me.id.distance_to(target);
                 let owner = pairs.find(|(s, _)| self.me.id.distance_to(s.id) >= reach);
-                self.set_finger(i as usize, owner.and_then(|(&s, &p)| resolve(target, s, p)));
+                let entry = owner.and_then(|(&s, &p)| rule.resolve(target, s, Some(p), |h| h.id));
+                self.set_finger(i as usize, entry);
             } else {
                 remote.push((i as usize, target));
             }
@@ -679,6 +676,7 @@ impl RingCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::static_ring::ChordFingers;
     use crate::{ChordConfig, ChordNode};
     use verme_sim::runtime::UniformLatency;
     use verme_sim::HostId;
@@ -846,11 +844,31 @@ mod tests {
         assert_eq!(ids(c.successors()), [50]);
     }
 
+    /// Chord's targets, each resolved to its successor's predecessor, and
+    /// `unset` to nobody.
+    struct Predecessors {
+        unset: Id,
+    }
+
+    impl FingerRule for Predecessors {
+        fn target(&self, id: Id, b: u32) -> Id {
+            id.finger_target(b)
+        }
+
+        fn resolve<T>(&self, target: Id, _: T, p: Option<T>, _: impl Fn(&T) -> Id) -> Option<T> {
+            p.filter(|_| target != self.unset)
+        }
+
+        fn alike_reach(&self, _: Id) -> u128 {
+            0
+        }
+    }
+
     #[test]
     fn fix_fingers_resolves_the_covered_prefix_and_returns_the_rest() {
         let succs = [h(200, 2), h(300, 3), h(400, 4)];
         let mut c = core(&succs, &[]);
-        let remote = c.fix_fingers(Id::finger_target, |_, s, _| Some(s));
+        let remote = c.fix_fingers(&ChordFingers);
         // 100 + 2^8 = 356 ≤ 400 is the last target the list covers.
         assert_eq!(remote.first(), Some(&(9, Id::new(100 + 512))));
         assert_eq!(remote.len(), 128 - 9);
@@ -860,7 +878,7 @@ mod tests {
         // The resolver also sees the successor's predecessor; a resolved
         // owner that is the node itself, or none at all, clears the slot.
         let mut c = core(&succs, &[(0, h(200, 2)), (7, h(300, 3))]);
-        c.fix_fingers(Id::finger_target, |t, _, p| Some(p).filter(|_| t != Id::new(228)));
+        c.fix_fingers(&Predecessors { unset: Id::new(228) });
         assert_eq!(c.fingers().get(0), None, "101 → 200, whose predecessor is the node");
         assert_eq!(c.fingers().get(7), None, "228 resolves to nobody");
         assert_eq!(c.fingers().get(8), Some(h(300, 3)), "356 → 400 → 300");
@@ -868,9 +886,9 @@ mod tests {
         c.set_finger(8, h(100, 1));
         assert_eq!(c.fingers().get(8), None);
         // Joining nodes and singletons have nothing to fix.
-        assert!(core(&[], &[]).fix_fingers(Id::finger_target, |_, s, _| Some(s)).is_empty());
+        assert!(core(&[], &[]).fix_fingers(&ChordFingers).is_empty());
         let mut joining = core(&succs, &[]).joining(Addr::from_raw(9));
-        assert!(joining.fix_fingers(Id::finger_target, |_, s, _| Some(s)).is_empty());
+        assert!(joining.fix_fingers(&ChordFingers).is_empty());
         assert!(joining.fingers().is_empty());
     }
 

@@ -6,6 +6,10 @@
 //! node *static* overlay — far too large to bootstrap join-by-join). A
 //! [`StaticRing`] computes every node's successor list, predecessor, and
 //! finger table directly from the sorted membership.
+//!
+//! Its fingers follow a [`FingerRule`], the value the live node's finger
+//! refresh reads too: Chord's [`ChordFingers`] by default, or Verme's
+//! `SectionLayout`. One [`FingerSweep`] walks them under either.
 
 use verme_sim::{Addr, HostId, LatencyModel, Node, Runtime, SeedSource};
 
@@ -14,7 +18,43 @@ use crate::node::ChordNode;
 use crate::proto::ChordConfig;
 use crate::ring::NodeHandle;
 
-/// A sorted ring membership with ground-truth routing queries.
+/// Where a member's fingers aim and which member each one names.
+pub trait FingerRule {
+    /// The target of finger `b` of the member at `id`. How far past `id`
+    /// it lies depends on `b` alone and grows with `b`: one
+    /// [`FingerSweep`] then serves every member.
+    fn target(&self, id: Id, b: u32) -> Id;
+    /// A finger's entry, from its target's plain successor `s` and that
+    /// node's predecessor `p` (`None` when a remote answer names only the
+    /// successor); `id` reads a candidate's identifier. `None` leaves the
+    /// finger unset.
+    fn resolve<T>(&self, target: Id, s: T, p: Option<T>, id: impl Fn(&T) -> Id) -> Option<T>;
+    /// How far past the member at `id` all targets with the same plain
+    /// successor and predecessor resolve alike.
+    fn alike_reach(&self, id: Id) -> u128;
+}
+
+/// Chord's finger rule: finger `b` aims at `id + 2^b` and names that
+/// point's plain successor.
+#[derive(Clone, Copy, Debug)]
+pub struct ChordFingers;
+
+impl FingerRule for ChordFingers {
+    fn target(&self, id: Id, b: u32) -> Id {
+        id.finger_target(b)
+    }
+
+    fn resolve<T>(&self, _: Id, s: T, _: Option<T>, _: impl Fn(&T) -> Id) -> Option<T> {
+        Some(s)
+    }
+
+    fn alike_reach(&self, _: Id) -> u128 {
+        u128::MAX
+    }
+}
+
+/// A sorted ring membership with ground-truth routing queries, and the
+/// finger rule its tables follow.
 ///
 /// # Example
 ///
@@ -31,23 +71,19 @@ use crate::ring::NodeHandle;
 /// assert_eq!(s.id, Id::new(3000));
 /// ```
 #[derive(Clone, Debug)]
-pub struct StaticRing {
+pub struct StaticRing<F: FingerRule = ChordFingers> {
+    rule: F,
     sorted: Vec<NodeHandle>,
 }
 
 impl StaticRing {
-    /// Builds a ring from the given members.
+    /// Builds a Chord ring from the given members.
     ///
     /// # Panics
     ///
     /// Panics if `handles` is empty or contains duplicate identifiers.
-    pub fn new(mut handles: Vec<NodeHandle>) -> Self {
-        assert!(!handles.is_empty(), "a ring needs at least one node");
-        handles.sort_by_key(|h| h.id.raw());
-        for w in handles.windows(2) {
-            assert!(w[0].id != w[1].id, "duplicate node id {}", w[0].id);
-        }
-        StaticRing { sorted: handles }
+    pub fn new(handles: Vec<NodeHandle>) -> Self {
+        StaticRing::with_rule(ChordFingers, handles)
     }
 
     /// The experiments' standard population: `n` members whose ids are
@@ -66,6 +102,34 @@ impl StaticRing {
                 .map(|i| NodeHandle::new(Id::random(&mut rng), Addr::from_raw(i as u64 + 1)))
                 .collect(),
         )
+    }
+
+    /// Builds a fully-converged [`ChordNode`] for position `i`.
+    pub fn build_node(&self, i: usize, cfg: ChordConfig) -> ChordNode {
+        let pred = self.predecessors_of(i, 1).first().copied();
+        let succs = self.successors_of(i, cfg.num_successors);
+        ChordNode::with_state(self.sorted[i].id, cfg, pred, &succs, &self.fingers_of(i))
+    }
+}
+
+impl<F: FingerRule> StaticRing<F> {
+    /// Builds a ring from the given members whose fingers follow `rule`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handles` is empty or contains duplicate identifiers.
+    pub fn with_rule(rule: F, mut handles: Vec<NodeHandle>) -> Self {
+        assert!(!handles.is_empty(), "a ring needs at least one node");
+        handles.sort_by_key(|h| h.id.raw());
+        for w in handles.windows(2) {
+            assert!(w[0].id != w[1].id, "duplicate node id {}", w[0].id);
+        }
+        StaticRing { rule, sorted: handles }
+    }
+
+    /// The finger rule the tables follow.
+    pub fn rule(&self) -> &F {
+        &self.rule
     }
 
     /// Spawns `build(pos)` for every ring position `pos` and returns the
@@ -142,9 +206,16 @@ impl StaticRing {
         (1..=k.min(n - 1)).map(|d| self.sorted[(i + d) % n]).collect()
     }
 
-    /// Chord finger entries for the node at position `i`: for each bit `b`,
-    /// the successor of `id + 2^b`, excluding entries that resolve to the
-    /// node itself.
+    /// The `k` nodes preceding position `i`, nearest first, fewer if the
+    /// ring is smaller.
+    pub fn predecessors_of(&self, i: usize, k: usize) -> Vec<NodeHandle> {
+        let n = self.sorted.len();
+        (1..=k.min(n - 1)).map(|d| self.sorted[(i + n - d) % n]).collect()
+    }
+
+    /// Finger entries for the node at position `i`: for each bit `b`, the
+    /// rule's entry for target `b`, left out where the rule names nobody or
+    /// the node itself.
     pub fn fingers_of(&self, i: usize) -> Vec<(usize, NodeHandle)> {
         let mut out = Vec::new();
         self.for_each_finger(&mut FingerSweep::new(&self.sorted), i, |b, j| {
@@ -177,41 +248,50 @@ impl StaticRing {
         out
     }
 
-    /// Calls `visit(b, j)` for every bit `b` whose finger
-    /// `successor(id + 2^b)` is a member `j` other than `i`, in bit order.
+    /// Calls `visit(b, j)` for every bit `b` whose finger the rule resolves
+    /// to a member `j` other than `i`, in bit order.
     fn for_each_finger(
         &self,
         sweep: &mut FingerSweep<'_>,
         i: usize,
         mut visit: impl FnMut(u32, usize),
     ) {
-        // Every target that does not pass the immediate successor *is*
-        // that successor: on a large ring, all but the top ~log2 n bits.
-        let near = bits_reaching(sweep.gap(i));
-        let next = (i + 1) % self.sorted.len();
-        for b in 0..near {
-            visit(b, next);
+        let id = self.sorted[i].id;
+        // A target that passes neither the immediate successor nor the
+        // rule's alike reach has that successor as its plain successor and
+        // `i` as the predecessor, so all of them resolve as one: on a large
+        // ring, all but the top ~log2 n bits. Reaches grow with the bit, so
+        // these near bits are a prefix. It ends where `2^b` passes `alike`
+        // (neither rule aims short of `id + 2^b`) or earlier; a near bit
+        // left out is swept, which gives it the same entry.
+        let alike = sweep.gap(i).min(self.rule.alike_reach(id));
+        let mut near = Id::BITS - alike.leading_zeros();
+        while near > 0 && id.distance_to(self.rule.target(id, near - 1)) > alike {
+            near -= 1;
+        }
+        if near > 0 {
+            let next = (i + 1) % self.len();
+            if let Some(j) = self.resolve(self.rule.target(id, 0), next).filter(|&j| j != i) {
+                (0..near).for_each(|b| visit(b, j));
+            }
         }
         for b in near..Id::BITS {
-            let j = sweep.successor(i, b, 1u128 << b);
-            if j != i {
+            let target = self.rule.target(id, b);
+            let s = sweep.successor(i, b, id.distance_to(target));
+            if let Some(j) = self.resolve(target, s).filter(|&j| j != i) {
                 visit(b, j);
             }
         }
     }
 
-    /// Builds a fully-converged [`ChordNode`] for position `i`.
-    pub fn build_node(&self, i: usize, cfg: ChordConfig) -> ChordNode {
-        let me = self.sorted[i];
-        let pred =
-            if self.sorted.len() > 1 { Some(self.sorted[self.predecessor_index(i)]) } else { None };
-        let succs = self.successors_of(i, cfg.num_successors);
-        let fingers = self.fingers_of(i);
-        ChordNode::with_state(me.id, cfg, pred, &succs, &fingers)
+    /// The rule's entry for `target`, whose plain successor is member `s`.
+    fn resolve(&self, target: Id, s: usize) -> Option<usize> {
+        let p = if s == 0 { self.len() } else { s } - 1;
+        self.rule.resolve(target, s, Some(p), |&j| self.sorted[j].id)
     }
 }
 
-/// The successor oracle of both static rings: for member `i` and finger
+/// The successor oracle of the finger walk: for member `i` and finger
 /// bit `b`, the member succeeding the point `reach(b)` past `i`'s id,
 /// where bit `b` reaches as far past every member.
 ///
@@ -331,39 +411,11 @@ impl<'a> FingerSweep<'a> {
     }
 }
 
-/// How many of the finger reaches `2^0, 2^1, …` are at most `limit`.
-pub fn bits_reaching(limit: u128) -> u32 {
-    Id::BITS - limit.leading_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use verme_sim::runtime::UniformLatency;
-
-    /// The finger rule this module used before [`FingerSweep`]: one full
-    /// binary search per identifier bit.
-    fn reference_fingers(r: &StaticRing, i: usize) -> Vec<(usize, NodeHandle)> {
-        let id = r.node(i).id;
-        (0..Id::BITS)
-            .map(|b| (b as usize, r.successor_index(id.finger_target(b))))
-            .filter(|&(_, j)| j != i)
-            .map(|(b, j)| (b, r.node(j)))
-            .collect()
-    }
-
-    /// [`reference_fingers`] in the compact form: first occurrences only.
-    fn reference_distinct_fingers(r: &StaticRing, i: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = Vec::new();
-        for (_, h) in reference_fingers(r, i) {
-            let j = r.successor_index(h.id);
-            if !out.contains(&j) {
-                out.push(j);
-            }
-        }
-        out
-    }
 
     fn ring_of(mut ids: Vec<u128>) -> StaticRing {
         ids.sort_unstable();
@@ -376,43 +428,7 @@ mod tests {
         )
     }
 
-    fn assert_fingers_match_reference(r: &StaticRing) -> Result<(), TestCaseError> {
-        for i in 0..r.len() {
-            prop_assert_eq!(r.fingers_of(i), reference_fingers(r, i), "fingers of {}", i);
-            prop_assert_eq!(
-                r.distinct_finger_indices(i),
-                reference_distinct_fingers(r, i),
-                "distinct fingers of {}",
-                i
-            );
-        }
-        Ok(())
-    }
-
     proptest! {
-        #[test]
-        fn walked_fingers_equal_the_search_per_bit_reference(
-            ids in prop::sample::select(vec![1usize, 2, 3, 17, 256])
-                .prop_flat_map(|n| prop::collection::vec(any::<u128>(), n..=n)),
-        ) {
-            assert_fingers_match_reference(&ring_of(ids))?;
-        }
-
-        /// Hand-placed members: a run of adjacent ids (gap 1, so the
-        /// shortest targets land exactly on members — `binary_search`'s
-        /// `Ok` arm) and members sitting exactly on finger targets of the
-        /// first one, wherever on the ring (wrap included) it is.
-        #[test]
-        fn walked_fingers_equal_the_reference_on_exact_hits(
-            base: u128,
-            run in 1u128..6,
-            hit_bits in prop::collection::vec(0u32..Id::BITS, 0..6),
-        ) {
-            let mut ids: Vec<u128> = (0..=run).map(|d| base.wrapping_add(d)).collect();
-            ids.extend(hit_bits.iter().map(|&b| Id::new(base).finger_target(b).raw()));
-            assert_fingers_match_reference(&ring_of(ids))?;
-        }
-
         /// The sweep answers any non-decreasing reaches, not only powers
         /// of two, for any members and bits visited in order, exactly like
         /// a fresh search for each; and a bit whose answer is the previous
@@ -452,7 +468,7 @@ mod tests {
         let mut sweep = FingerSweep::new(r.nodes());
         let mut searched = 0u64;
         for i in 0..r.len() {
-            for b in bits_reaching(sweep.gap(i))..Id::BITS {
+            for b in Id::BITS - sweep.gap(i).leading_zeros()..Id::BITS {
                 sweep.successor(i, b, 1u128 << b);
                 searched += 1;
             }

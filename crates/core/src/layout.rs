@@ -22,7 +22,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use verme_chord::Id;
+use verme_chord::{FingerRule, Id};
 use verme_crypto::NodeType;
 
 /// The bit-field layout dividing the ring into typed sections.
@@ -230,6 +230,25 @@ impl SectionLayout {
         } else {
             key
         }
+    }
+}
+
+/// Verme's finger rule: [`finger_target`](SectionLayout::finger_target)'s
+/// targets, one section further than Chord's once they span a section
+/// pair, resolved by [`corner_owner`](SectionLayout::corner_owner).
+impl FingerRule for SectionLayout {
+    fn target(&self, id: Id, b: u32) -> Id {
+        self.finger_target(id, b)
+    }
+
+    fn resolve<T>(&self, target: Id, s: T, p: Option<T>, id: impl Fn(&T) -> Id) -> Option<T> {
+        self.corner_owner(target, s, p, id)
+    }
+
+    /// The rest of `id`'s own section: a target there is resolved within it.
+    fn alike_reach(&self, id: Id) -> u128 {
+        let low = self.section_len() - 1;
+        low - (id.raw() & low)
     }
 }
 

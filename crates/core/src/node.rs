@@ -22,8 +22,9 @@ use rand::Rng;
 use verme_chord::node::keys;
 use verme_chord::ring_core::{send_counted, take_waiting};
 use verme_chord::{
-    rebuild_list, Certified, Delivery, Id, InFlight, LookupKind, NeighborList, NodeHandle,
-    OverlayCtx, OverlayMsg, OverlayNode, OverlayTimer, Pending, RingCore, Rules, Timing,
+    rebuild_list, Certified, Delivery, FingerRule, Id, InFlight, LookupKind, NeighborList,
+    NodeHandle, OverlayCtx, OverlayMsg, OverlayNode, OverlayTimer, Pending, RingCore, Rules,
+    Timing,
 };
 use verme_crypto::{CaVerifier, Certificate, KeyPair, NodeType, Sealed};
 use verme_sim::{Addr, ProtoEvent, SimDuration, SimTime};
@@ -390,7 +391,7 @@ impl<P: Payload> Rules for VermeRules<P> {
                 // failing the §3 check.
                 let (layout, id) = (&self.cfg.layout, ring.id());
                 let owner = layout
-                    .corner_owner(p.key, *node, None, |h| h.id)
+                    .resolve(p.key, *node, None, |h| h.id)
                     .filter(|h| layout.admissible(id, h.id));
                 // Finger refreshes are keyed by target: re-derive which
                 // finger index this target serves.
@@ -418,18 +419,14 @@ impl<P: Payload> Rules for VermeRules<P> {
         }
     }
 
-    fn finger_target(&self, id: Id, i: u32) -> Id {
-        self.cfg.layout.finger_target(id, i)
+    /// §4.3's shifted targets under the §4.4 corner rule.
+    fn fingers(&self) -> &impl FingerRule {
+        &self.cfg.layout
     }
 
     /// A Verme finger refresh names its target, not its index.
     fn finger_kind(_: usize) -> LookupPurpose {
         LookupPurpose::Finger
-    }
-
-    /// The §4.4 corner rule.
-    fn resolve_finger(&self, target: Id, s: NodeHandle, p: NodeHandle) -> Option<NodeHandle> {
-        self.cfg.layout.corner_owner(target, s, Some(p), |h| h.id)
     }
 
     fn predecessors(&self) -> &[NodeHandle] {

@@ -1,28 +1,31 @@
-//! The finger sweep against a search per bit.
+//! The finger walk against a search per bit.
 //!
-//! Both static rings resolve fingers through `FingerSweep`, which carries
-//! one forward cursor per finger bit from member to member instead of
-//! searching the ring afresh. Its answers rest on one argument: the
-//! successor of `id + reach` never moves back, neither from one member to
-//! the next nor from one bit to the next. This file checks the argument
-//! where it is easiest to get wrong — tiny rings, wrap-around, sparse and
-//! crowded Verme sections, members sitting exactly on finger targets —
-//! against the rule the rings used before the sweep: one
-//! `successor_index` per bit, then (on Verme) the §4.4 corner rule.
+//! A static ring walks its fingers under its `FingerRule` (Chord's, or a
+//! Verme `SectionLayout`) with one `FingerSweep`, which carries one forward
+//! cursor per finger bit from member to member instead of searching the
+//! ring afresh. Its answers rest on one argument: the successor of
+//! `id + reach` never moves back, neither from one member to the next nor
+//! from one bit to the next. This file checks the argument where it is
+//! easiest to get wrong — rings of 1 to 64 members and of 256,
+//! wrap-around, sparse and crowded Verme layouts of 4 to 4 096 sections,
+//! members sitting exactly on finger targets — against the rule the rings
+//! used before the sweep: one `successor_index` per bit, then (on Verme)
+//! the §4.4 corner rule.
 //!
-//! For every member, three answers must equal that reference: the lists
-//! of one sweep over the whole ring (`distinct_finger_lists`, what the
-//! worm populations use), a fresh sweep for the member alone
-//! (`distinct_finger_indices`), and the full table (`fingers_of`). The
-//! plain ring over a Verme membership (the unshifted ablation) is checked
-//! the same way. Below the rings, the sweep itself answers every bit of
-//! every member, in order, as the search does, and an answer that repeats
-//! the member's previous one costs at most one probe: the query starts
-//! there rather than searching again.
+//! One check, generic over the rule, serves both overlays. For every
+//! member, three answers must equal that reference: the lists of one sweep
+//! over the whole ring (`distinct_finger_lists`, what the worm populations
+//! use), a fresh sweep for the member alone (`distinct_finger_indices`),
+//! and the full table (`fingers_of`). The plain ring over a Verme
+//! membership (the unshifted ablation) is checked the same way. Below the
+//! rings, the sweep itself answers every bit of every member, in order, as
+//! the search does, and an answer that repeats the member's previous one
+//! costs at most one probe: the query starts there rather than searching
+//! again.
 
 use proptest::prelude::*;
 
-use verme_chord::static_ring::FingerSweep;
+use verme_chord::static_ring::{FingerRule, FingerSweep};
 use verme_chord::{Id, NodeHandle, StaticRing};
 use verme_core::{SectionLayout, VermeStaticRing};
 use verme_sim::Addr;
@@ -61,7 +64,10 @@ fn handles(mut ids: Vec<u128>) -> Vec<NodeHandle> {
 
 /// One sweep over every bit of every member of `ring`, reaching `reach(b)`
 /// past each, against `successor_index`.
-fn check_sweep(ring: &StaticRing, reach: impl Fn(u32) -> u128) -> Result<(), TestCaseError> {
+fn check_sweep<F: FingerRule>(
+    ring: &StaticRing<F>,
+    reach: impl Fn(u32) -> u128,
+) -> Result<(), TestCaseError> {
     let mut sweep = FingerSweep::new(ring.nodes());
     for i in 0..ring.len() {
         let mut previous = None;
@@ -78,39 +84,41 @@ fn check_sweep(ring: &StaticRing, reach: impl Fn(u32) -> u128) -> Result<(), Tes
     Ok(())
 }
 
-fn check_chord(ring: &StaticRing) -> Result<(), TestCaseError> {
-    check_sweep(ring, |b| 1u128 << b)?;
+/// One rule's walk against the search per bit: the sweep under the rule's
+/// reaches, then every member's three finger answers against `owner`,
+/// which resolves a target from a search of its own.
+fn check<F: FingerRule>(
+    ring: &StaticRing<F>,
+    owner: impl Fn(Id) -> Option<usize>,
+) -> Result<(), TestCaseError> {
+    let rule = ring.rule();
+    check_sweep(ring, |b| rule.target(Id::ZERO, b).raw())?;
     let swept: Vec<Vec<usize>> = ring.distinct_finger_lists().collect();
     prop_assert_eq!(swept.len(), ring.len());
     for (i, swept) in swept.iter().enumerate() {
         let id = ring.node(i).id;
-        let want = reference(i, |b| id.finger_target(b), |t| Some(ring.successor_index(t)));
+        let want = reference(i, |b| rule.target(id, b), &owner);
         let table: Vec<(usize, usize)> =
             ring.fingers_of(i).into_iter().map(|(b, h)| (b, ring.successor_index(h.id))).collect();
-        prop_assert_eq!(&table, &want, "Chord fingers_of({})", i);
+        prop_assert_eq!(&table, &want, "fingers_of({})", i);
         prop_assert_eq!(&ring.distinct_finger_indices(i), &distinct(&want), "fresh sweep, {}", i);
         prop_assert_eq!(swept, &distinct(&want), "whole-ring sweep, member {}", i);
     }
     Ok(())
 }
 
-fn check_verme(ring: &VermeStaticRing) -> Result<(), TestCaseError> {
-    let swept: Vec<Vec<usize>> = ring.distinct_finger_lists().collect();
-    prop_assert_eq!(swept.len(), ring.len());
-    let layout = *ring.layout();
-    check_sweep(ring, |b| layout.finger_target(Id::ZERO, b).raw())?;
-    for (i, swept) in swept.iter().enumerate() {
-        let id = ring.node(i).id;
-        let want =
-            reference(i, |b| layout.finger_target(id, b), |t| ring.corner_responsible_index(t));
-        let table: Vec<(usize, usize)> =
-            ring.fingers_of(i).into_iter().map(|(b, h)| (b, ring.successor_index(h.id))).collect();
-        prop_assert_eq!(&table, &want, "Verme fingers_of({})", i);
-        prop_assert_eq!(&ring.distinct_finger_indices(i), &distinct(&want), "fresh sweep, {}", i);
-        prop_assert_eq!(swept, &distinct(&want), "whole-ring sweep, member {}", i);
-    }
-    // The ablation: plain Chord fingers over the same membership.
-    check_chord(&StaticRing::new(ring.nodes().to_vec()))
+/// Chord's rule over `ids`: each target's plain successor.
+fn check_chord(ids: Vec<u128>) -> Result<(), TestCaseError> {
+    let ring = StaticRing::new(handles(ids));
+    check(&ring, |t| Some(ring.successor_index(t)))
+}
+
+/// Verme's rule over `ids` under `layout`: the §4.4 corner rule, then the
+/// ablation, plain Chord fingers over the same membership.
+fn check_verme(layout: SectionLayout, ids: Vec<u128>) -> Result<(), TestCaseError> {
+    let ring = VermeStaticRing::from_handles(layout, handles(ids.clone()));
+    check(&ring, |t| ring.corner_responsible_index(t))?;
+    check_chord(ids)
 }
 
 /// How a Verme ring's members are placed.
@@ -128,11 +136,16 @@ fn layout(log_sections: u32, types: u8) -> SectionLayout {
 }
 
 /// `log2` of the section count and the type count of a valid layout,
-/// 4 to 1 024 sections: `SectionLayout::with_sections` needs at least two
+/// 4 to 4 096 sections: `SectionLayout::with_sections` needs at least two
 /// sections per type.
 fn layouts() -> impl Strategy<Value = (u32, u8)> {
-    let two = (2u32..=10).map(|s| (s, 2u8));
-    prop::sample::select(two.chain((3u32..=10).map(|s| (s, 4u8))).collect::<Vec<_>>())
+    let two = (2u32..=12).map(|s| (s, 2u8));
+    prop::sample::select(two.chain((3u32..=12).map(|s| (s, 4u8))).collect::<Vec<_>>())
+}
+
+/// Ring sizes: 256 for one case in four, else any size up to 64.
+fn sizes() -> impl Strategy<Value = usize> {
+    (0u8..4, 1usize..=64).prop_map(|(k, n)| if k == 0 { 256 } else { n })
 }
 
 fn placements() -> impl Strategy<Value = Placement> {
@@ -185,9 +198,9 @@ fn hits() -> impl Strategy<Value = Vec<(u32, i8)>> {
 proptest! {
     #[test]
     fn chord_sweeps_equal_the_search_per_bit(
-        ids in prop::collection::vec(any::<u128>(), 1..=64),
+        ids in sizes().prop_flat_map(|n| prop::collection::vec(any::<u128>(), n)),
     ) {
-        check_chord(&StaticRing::new(handles(ids)))?;
+        check_chord(ids)?;
     }
 
     #[test]
@@ -196,19 +209,17 @@ proptest! {
         run in 0u128..6,
         hits in hits(),
     ) {
-        let ids = exact_hits(base, run, &hits, |id, b| id.finger_target(b));
-        check_chord(&StaticRing::new(handles(ids)))?;
+        check_chord(exact_hits(base, run, &hits, |id, b| id.finger_target(b)))?;
     }
 
     #[test]
     fn verme_sweeps_equal_the_search_per_bit_and_the_corner_rule(
         (log_sections, types) in layouts(),
         placement in placements(),
-        raw in prop::collection::vec((any::<u128>(), any::<u128>()), 1..=64),
+        raw in sizes().prop_flat_map(|n| prop::collection::vec((any::<u128>(), any::<u128>()), n)),
     ) {
         let layout = layout(log_sections, types);
-        let ids = place(layout, placement, &raw);
-        check_verme(&VermeStaticRing::from_handles(layout, handles(ids)))?;
+        check_verme(layout, place(layout, placement, &raw))?;
     }
 
     #[test]
@@ -219,7 +230,6 @@ proptest! {
         hits in hits(),
     ) {
         let layout = layout(log_sections, types);
-        let ids = exact_hits(base, run, &hits, |id, b| layout.finger_target(id, b));
-        check_verme(&VermeStaticRing::from_handles(layout, handles(ids)))?;
+        check_verme(layout, exact_hits(base, run, &hits, |id, b| layout.finger_target(id, b)))?;
     }
 }

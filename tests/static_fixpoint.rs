@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 
-use verme::chord::{ChordConfig, ChordNode, FingerTable, Id, NodeHandle, StaticRing};
+use verme::chord::{ChordConfig, ChordNode, FingerRule, FingerTable, Id, NodeHandle, StaticRing};
 use verme::core::{SectionLayout, VermeConfig, VermeNode, VermeStaticRing};
 use verme::crypto::{CertificateAuthority, NodeType};
 use verme::sim::runtime::UniformLatency;
@@ -63,12 +63,11 @@ fn join_until_quiet<N: Node>(
 /// Asserts that every member of `ring` holds the successor list and the
 /// fingers the static ring gives its position; `live` is indexed by spawn
 /// order, which is address − 1.
-fn assert_static(
+fn assert_static<F: FingerRule>(
     overlay: &str,
     live: &[Tables],
-    ring: &StaticRing,
+    ring: &StaticRing<F>,
     successors: usize,
-    fingers_of: impl Fn(usize) -> Vec<(usize, NodeHandle)>,
 ) -> Result<(), TestCaseError> {
     for i in 0..ring.len() {
         let me = ring.node(i);
@@ -83,7 +82,7 @@ fn assert_static(
             succs,
             want
         );
-        let want = fingers_of(i);
+        let want = ring.fingers_of(i);
         let at = |table: &[(usize, NodeHandle)], b| table.iter().find(|e| e.0 == b).map(|e| e.1);
         let differ: Vec<_> = (0..Id::BITS as usize)
             .map(|b| (b, at(fingers, b), at(&want, b)))
@@ -136,7 +135,7 @@ proptest! {
             |node| (node.successor_list().to_vec(), finger_entries(node.finger_table())),
         );
         let ring = StaticRing::new(handles.clone());
-        assert_static("Chord", &live, &ring, chord.num_successors, |i| ring.fingers_of(i))?;
+        assert_static("Chord", &live, &ring, chord.num_successors)?;
 
         let verme = VermeConfig::new(layout);
         let mut ca = CertificateAuthority::new(seed);
@@ -155,6 +154,6 @@ proptest! {
         );
         let ring = VermeStaticRing::from_handles(layout, handles);
         let overlay = format!("Verme over {} sections of {types} types", layout.num_sections());
-        assert_static(&overlay, &live, &ring, verme.num_successors, |i| ring.fingers_of(i))?;
+        assert_static(&overlay, &live, &ring, verme.num_successors)?;
     }
 }
