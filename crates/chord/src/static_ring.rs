@@ -9,7 +9,10 @@
 //!
 //! Its fingers follow a [`FingerRule`], the value the live node's finger
 //! refresh reads too: Chord's [`ChordFingers`] by default, or Verme's
-//! `SectionLayout`. One [`FingerSweep`] walks them under either.
+//! `SectionLayout`. One [`FingerSweep`] walks them under either, over the
+//! whole ring or any range of it.
+
+use std::ops::Range;
 
 use verme_sim::{Addr, HostId, LatencyModel, Node, Runtime, SeedSource};
 
@@ -227,25 +230,73 @@ impl<F: FingerRule> StaticRing<F> {
     /// Positions of the *distinct* nodes in `i`'s finger table (the compact
     /// form the worm simulator stores).
     pub fn distinct_finger_indices(&self, i: usize) -> Vec<usize> {
-        self.distinct_fingers(&mut FingerSweep::new(&self.sorted), i)
+        let mut out = Vec::new();
+        self.distinct_fingers_in(i..i + 1, &mut out, |_, _| {});
+        out.into_iter().map(|j| j as usize).collect()
     }
 
     /// [`distinct_finger_indices`](StaticRing::distinct_finger_indices) of
-    /// every member, in ring order, from one [`FingerSweep`]: O(1)
-    /// amortised per finger instead of a search.
-    pub fn distinct_finger_lists(&self) -> impl Iterator<Item = Vec<usize>> + '_ {
+    /// every member in `members`, in ring order, from one fresh
+    /// [`FingerSweep`]: O(1) amortised per finger instead of a search.
+    /// Each member's list is appended to `out`, and `visit(i, list)` is
+    /// called after member `i`'s. Nothing is allocated but `out`'s growth:
+    /// none when its spare capacity holds
+    /// [`distinct_fingers_bound`](StaticRing::distinct_fingers_bound)`(members)`.
+    ///
+    /// A sweep's cursors are only lower bounds, so passes over adjacent
+    /// ranges append exactly what one pass over their union appends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` ends past the ring or the ring has more than
+    /// `u32::MAX` members.
+    pub fn distinct_fingers_in(
+        &self,
+        members: Range<usize>,
+        out: &mut Vec<u32>,
+        mut visit: impl FnMut(usize, &[u32]),
+    ) {
+        assert!(members.end <= self.len(), "members {members:?} past a ring of {}", self.len());
+        assert!(u32::try_from(self.len()).is_ok(), "a ring of {} members", self.len());
         let mut sweep = FingerSweep::new(&self.sorted);
-        (0..self.len()).map(move |i| self.distinct_fingers(&mut sweep, i))
+        for i in members {
+            let start = out.len();
+            self.for_each_finger(&mut sweep, i, |_, j| {
+                let (j, list) = (j as u32, &out[start..]);
+                if list.last() != Some(&j) && !list.contains(&j) {
+                    out.push(j);
+                }
+            });
+            visit(i, &out[start..]);
+        }
     }
 
-    fn distinct_fingers(&self, sweep: &mut FingerSweep<'_>, i: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = Vec::with_capacity(16);
-        self.for_each_finger(sweep, i, |_, j| {
-            if out.last() != Some(&j) && !out.contains(&j) {
-                out.push(j);
-            }
-        });
-        out
+    /// The most entries [`distinct_fingers_in`](StaticRing::distinct_fingers_in)
+    /// appends for `members`: per member, one for all its near bits (which
+    /// resolve as one) and one for each other bit, and never more than the
+    /// other members. On a large ring that is about `log2 n` a member, where
+    /// [`Id::BITS`] would be 128.
+    pub fn distinct_fingers_bound(&self, members: Range<usize>) -> usize {
+        let others = self.len() - 1;
+        members.map(|i| (Id::BITS + 1 - self.near_bits(i)) as usize).map(|b| b.min(others)).sum()
+    }
+
+    /// How many of member `i`'s lowest finger bits are near. A target that
+    /// passes neither the immediate successor nor the rule's alike reach
+    /// has that successor as its plain successor and `i` as the
+    /// predecessor, so all of them resolve as one: on a large ring, all but
+    /// the top ~log2 n bits. Reaches grow with the bit, so these near bits
+    /// are a prefix. It ends where `2^b` passes `alike` (neither rule aims
+    /// short of `id + 2^b`) or earlier; a near bit left out is swept, which
+    /// gives it the same entry.
+    fn near_bits(&self, i: usize) -> u32 {
+        let id = self.sorted[i].id;
+        let alike = gap(&self.sorted, i).min(self.rule.alike_reach(id));
+        let mut near = Id::BITS - alike.leading_zeros();
+        while near > 0 && id.distance_to(self.rule.target(id, near - 1)) > alike {
+            near -= 1;
+        }
+        near
     }
 
     /// Calls `visit(b, j)` for every bit `b` whose finger the rule resolves
@@ -256,19 +307,7 @@ impl<F: FingerRule> StaticRing<F> {
         i: usize,
         mut visit: impl FnMut(u32, usize),
     ) {
-        let id = self.sorted[i].id;
-        // A target that passes neither the immediate successor nor the
-        // rule's alike reach has that successor as its plain successor and
-        // `i` as the predecessor, so all of them resolve as one: on a large
-        // ring, all but the top ~log2 n bits. Reaches grow with the bit, so
-        // these near bits are a prefix. It ends where `2^b` passes `alike`
-        // (neither rule aims short of `id + 2^b`) or earlier; a near bit
-        // left out is swept, which gives it the same entry.
-        let alike = sweep.gap(i).min(self.rule.alike_reach(id));
-        let mut near = Id::BITS - alike.leading_zeros();
-        while near > 0 && id.distance_to(self.rule.target(id, near - 1)) > alike {
-            near -= 1;
-        }
+        let (id, near) = (self.sorted[i].id, self.near_bits(i));
         if near > 0 {
             let next = (i + 1) % self.len();
             if let Some(j) = self.resolve(self.rule.target(id, 0), next).filter(|&j| j != i) {
@@ -332,12 +371,7 @@ impl<'a> FingerSweep<'a> {
     /// on a singleton ring. A point at most this far past the member's id
     /// is succeeded by that successor.
     pub fn gap(&self, i: usize) -> u128 {
-        let n = self.sorted.len();
-        if n > 1 {
-            self.sorted[i].id.distance_to(self.sorted[(i + 1) % n].id)
-        } else {
-            0
-        }
+        gap(self.sorted, i)
     }
 
     /// Index of the successor of the point `reach` past member `i`'s id
@@ -408,6 +442,17 @@ impl<'a> FingerSweep<'a> {
     /// How many ids the sweep has compared so far: its whole cost.
     pub fn probes(&self) -> u64 {
         self.probes
+    }
+}
+
+/// Clockwise distance from member `i` of `sorted` to its immediate
+/// successor; zero on a singleton ring.
+fn gap(sorted: &[NodeHandle], i: usize) -> u128 {
+    let n = sorted.len();
+    if n > 1 {
+        sorted[i].id.distance_to(sorted[(i + 1) % n].id)
+    } else {
+        0
     }
 }
 

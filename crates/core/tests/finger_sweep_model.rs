@@ -14,14 +14,21 @@
 //!
 //! One check, generic over the rule, serves both overlays. For every
 //! member, three answers must equal that reference: the lists of one sweep
-//! over the whole ring (`distinct_finger_lists`, what the worm populations
-//! use), a fresh sweep for the member alone (`distinct_finger_indices`),
-//! and the full table (`fingers_of`). The plain ring over a Verme
-//! membership (the unshifted ablation) is checked the same way. Below the
-//! rings, the sweep itself answers every bit of every member, in order, as
-//! the search does, and an answer that repeats the member's previous one
-//! costs at most one probe: the query starts there rather than searching
-//! again.
+//! over the whole ring (`distinct_fingers_in(0..n, ..)`), a fresh sweep for
+//! the member alone (`distinct_finger_indices`), and the full table
+//! (`fingers_of`). The worm populations split the whole-ring pass into
+//! ranges, one sweep each, so the passes over the ranges between random
+//! cut points (with an empty range, a one-member range and a cut at the
+//! last member among them) must append exactly the whole-ring lists, and
+//! no member's list may pass `distinct_fingers_bound`, the capacity a
+//! caller reserves so that the pass allocates nothing. The plain ring over
+//! a Verme membership (the unshifted ablation) is checked the same way.
+//! Below the rings, the sweep itself answers every bit of every member, in
+//! order, as the search does, and an answer that repeats the member's
+//! previous one costs at most one probe: the query starts there rather
+//! than searching again.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
 
@@ -84,18 +91,58 @@ fn check_sweep<F: FingerRule>(
     Ok(())
 }
 
+/// Every member's distinct fingers from one pass per range of `ranges`,
+/// all appending to one buffer: the buffer, and the lists the visitor saw
+/// (checked to come in member order).
+fn passes<F: FingerRule>(
+    ring: &StaticRing<F>,
+    ranges: impl IntoIterator<Item = Range<usize>>,
+) -> Result<(Vec<u32>, Vec<Vec<usize>>), TestCaseError> {
+    let (mut out, mut lists) = (Vec::new(), Vec::new());
+    for range in ranges {
+        let mut next = range.start;
+        ring.distinct_fingers_in(range.clone(), &mut out, |i, list| {
+            assert_eq!(i, next, "members visited out of order");
+            next += 1;
+            lists.push(list.iter().map(|&j| j as usize).collect());
+        });
+        prop_assert_eq!(next, range.end, "members of {:?} left unvisited", range);
+    }
+    Ok((out, lists))
+}
+
+/// The ranges between the cuts `raw` picks on a ring of `n` members, plus
+/// cuts that make an empty range at the start, a one-member range and a
+/// range from the last member.
+fn ranges(n: usize, raw: &[usize]) -> Vec<Range<usize>> {
+    let mut cuts = vec![0, 0, n - 1, n];
+    for &r in raw {
+        let cut = r % n;
+        cuts.extend([cut, cut + 1]);
+    }
+    cuts.sort_unstable();
+    cuts.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
 /// One rule's walk against the search per bit: the sweep under the rule's
-/// reaches, then every member's three finger answers against `owner`,
-/// which resolves a target from a search of its own.
+/// reaches, then the passes over the ranges `cuts` picks against the
+/// whole-ring pass, then every member's three finger answers against
+/// `owner`, which resolves a target from a search of its own, and its
+/// list's length against `distinct_fingers_bound`.
 fn check<F: FingerRule>(
     ring: &StaticRing<F>,
     owner: impl Fn(Id) -> Option<usize>,
+    cuts: &[usize],
 ) -> Result<(), TestCaseError> {
     let rule = ring.rule();
     check_sweep(ring, |b| rule.target(Id::ZERO, b).raw())?;
-    let swept: Vec<Vec<usize>> = ring.distinct_finger_lists().collect();
+    let (whole, swept) = passes(ring, std::iter::once(0..ring.len()))?;
     prop_assert_eq!(swept.len(), ring.len());
+    let (split, split_lists) = passes(ring, ranges(ring.len(), cuts))?;
+    prop_assert_eq!(&split, &whole, "split passes append what the whole-ring pass does");
+    prop_assert_eq!(&split_lists, &swept);
     for (i, swept) in swept.iter().enumerate() {
+        prop_assert!(swept.len() <= ring.distinct_fingers_bound(i..i + 1), "bound of {}", i);
         let id = ring.node(i).id;
         let want = reference(i, |b| rule.target(id, b), &owner);
         let table: Vec<(usize, usize)> =
@@ -108,17 +155,17 @@ fn check<F: FingerRule>(
 }
 
 /// Chord's rule over `ids`: each target's plain successor.
-fn check_chord(ids: Vec<u128>) -> Result<(), TestCaseError> {
+fn check_chord(ids: Vec<u128>, cuts: &[usize]) -> Result<(), TestCaseError> {
     let ring = StaticRing::new(handles(ids));
-    check(&ring, |t| Some(ring.successor_index(t)))
+    check(&ring, |t| Some(ring.successor_index(t)), cuts)
 }
 
 /// Verme's rule over `ids` under `layout`: the §4.4 corner rule, then the
 /// ablation, plain Chord fingers over the same membership.
-fn check_verme(layout: SectionLayout, ids: Vec<u128>) -> Result<(), TestCaseError> {
+fn check_verme(layout: SectionLayout, ids: Vec<u128>, cuts: &[usize]) -> Result<(), TestCaseError> {
     let ring = VermeStaticRing::from_handles(layout, handles(ids.clone()));
-    check(&ring, |t| ring.corner_responsible_index(t))?;
-    check_chord(ids)
+    check(&ring, |t| ring.corner_responsible_index(t), cuts)?;
+    check_chord(ids, cuts)
 }
 
 /// How a Verme ring's members are placed.
@@ -195,12 +242,18 @@ fn hits() -> impl Strategy<Value = Vec<(u32, i8)>> {
     prop::collection::vec((0u32..Id::BITS, -1i8..=1), 0..12)
 }
 
+/// Raw cut points for the split passes.
+fn cuts() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(any::<usize>(), 0..6)
+}
+
 proptest! {
     #[test]
     fn chord_sweeps_equal_the_search_per_bit(
         ids in sizes().prop_flat_map(|n| prop::collection::vec(any::<u128>(), n)),
+        cuts in cuts(),
     ) {
-        check_chord(ids)?;
+        check_chord(ids, &cuts)?;
     }
 
     #[test]
@@ -208,8 +261,9 @@ proptest! {
         base: u128,
         run in 0u128..6,
         hits in hits(),
+        cuts in cuts(),
     ) {
-        check_chord(exact_hits(base, run, &hits, |id, b| id.finger_target(b)))?;
+        check_chord(exact_hits(base, run, &hits, |id, b| id.finger_target(b)), &cuts)?;
     }
 
     #[test]
@@ -217,9 +271,10 @@ proptest! {
         (log_sections, types) in layouts(),
         placement in placements(),
         raw in sizes().prop_flat_map(|n| prop::collection::vec((any::<u128>(), any::<u128>()), n)),
+        cuts in cuts(),
     ) {
         let layout = layout(log_sections, types);
-        check_verme(layout, place(layout, placement, &raw))?;
+        check_verme(layout, place(layout, placement, &raw), &cuts)?;
     }
 
     #[test]
@@ -228,8 +283,10 @@ proptest! {
         base: u128,
         run in 0u128..6,
         hits in hits(),
+        cuts in cuts(),
     ) {
         let layout = layout(log_sections, types);
-        check_verme(layout, exact_hits(base, run, &hits, |id, b| layout.finger_target(id, b)))?;
+        let ids = exact_hits(base, run, &hits, |id, b| layout.finger_target(id, b));
+        check_verme(layout, ids, &cuts)?;
     }
 }

@@ -19,7 +19,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
-/// How many delays can hold a lane at once.
+/// How many delays can hold a lane at once: one bit each of a `u16`.
 const LANES: usize = 16;
 
 /// Slots in the direct-mapped filter of delays that missed a lane.
@@ -62,8 +62,9 @@ const NO_HEAD: u128 = u128::MAX;
 ///   start phases, per-pair latencies) fills the filter but no lane, and a
 ///   delay that recurs claims one on its second sight.
 /// * **Pop.** The earliest lane head is cached as one `(at << 64) | seq`
-///   key and compared with the heap top; the 16 lane heads are rescanned
-///   only when a lane pops.
+///   key and compared with the heap top. When a lane pops, the heads are
+///   rescanned up to the highest busy lane only: a claim takes the lowest
+///   free lane, so the busy lanes sit low.
 ///
 /// Where an event is stored decides only how much it costs, never when it
 /// pops, and the count of pending events is kept, not summed.
@@ -89,8 +90,10 @@ pub struct EventQueue<E> {
     delays: [u64; LANES],
     /// The key of each lane's head, [`NO_HEAD`] for an empty lane.
     heads: [u128; LANES],
-    /// The lane whose head key is the least (any lane when all are empty).
+    /// The lane whose head key is the least (lane 0 when all are empty).
     min_lane: usize,
+    /// Bit `i` set while lane `i` is busy, i.e. holds a delay.
+    busy: u16,
     /// Delays that went to the heap, each in the slot [`seen_slot`] names.
     seen: [u64; SEEN],
     last_pop: SimTime,
@@ -153,6 +156,7 @@ impl<E> EventQueue<E> {
             delays: [FREE; LANES],
             heads: [NO_HEAD; LANES],
             min_lane: 0,
+            busy: 0,
             seen: [FREE; SEEN],
             last_pop: SimTime::ZERO,
             seq: 0,
@@ -173,8 +177,8 @@ impl<E> EventQueue<E> {
                     return;
                 }
             } else if self.seen[seen_slot(delay)] == delay {
-                if let Some(lane) = self.delays.iter().position(|&d| d == FREE) {
-                    self.claim(lane, delay, entry);
+                if self.busy != u16::MAX {
+                    self.claim(self.busy.trailing_ones() as usize, delay, entry);
                     return;
                 }
             } else {
@@ -187,6 +191,7 @@ impl<E> EventQueue<E> {
     /// Gives free `lane` to `delay`, with `entry` its first.
     fn claim(&mut self, lane: usize, delay: u64, entry: Entry<E>) {
         let key = entry.key();
+        self.busy |= 1 << lane;
         self.delays[lane] = delay;
         self.heads[lane] = key;
         self.lanes[lane].push_back(entry);
@@ -210,7 +215,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the head of the earliest lane, freeing the lane if that empties
-    /// it, and finds the new earliest lane.
+    /// it, and finds the new earliest lane among the lanes up to the highest
+    /// busy one (the lanes above it are free, their heads [`NO_HEAD`]).
     fn pop_lane(&mut self) -> Entry<E> {
         let lane = self.min_lane;
         let entry = self.lanes[lane].pop_front().expect("a lane with a head key holds an entry");
@@ -219,9 +225,11 @@ impl<E> EventQueue<E> {
             None => {
                 self.heads[lane] = NO_HEAD;
                 self.delays[lane] = FREE;
+                self.busy &= !(1 << lane);
             }
         }
-        self.min_lane = (0..LANES).min_by_key(|&i| self.heads[i]).expect("LANES is not zero");
+        let busy_end = (u16::BITS - self.busy.leading_zeros()) as usize;
+        self.min_lane = (0..busy_end).min_by_key(|&i| self.heads[i]).unwrap_or(0);
         entry
     }
 
@@ -251,6 +259,8 @@ impl<E> EventQueue<E> {
         self.lanes.iter_mut().for_each(VecDeque::clear);
         self.delays = [FREE; LANES];
         self.heads = [NO_HEAD; LANES];
+        self.min_lane = 0;
+        self.busy = 0;
         self.len = 0;
     }
 }
@@ -364,5 +374,75 @@ mod tests {
         // first entry there.
         assert!(q.heap.len() <= 2_100 + 2, "{} entries in the heap", q.heap.len());
         assert_drains_in_order(q, &times);
+    }
+
+    /// Schedules the next event at `at` in `q` and notes it in `pending`.
+    fn push(q: &mut EventQueue<u64>, pending: &mut Vec<(SimTime, u64)>, at: SimTime) {
+        pending.push((at, q.seq));
+        q.schedule(at, q.seq);
+    }
+
+    /// Pops `q` until the earliest of `pending` (the events scheduled and
+    /// not yet popped, numbered by `seq`) is past `until`, checking that
+    /// every pop is the earliest by `(at, seq)` and that `min_lane` then
+    /// names the busy lane with the least head, unless every lane is empty.
+    fn pop_checked(q: &mut EventQueue<u64>, pending: &mut Vec<(SimTime, u64)>, until: SimTime) {
+        pending.sort_unstable();
+        while pending.first().is_some_and(|&(at, _)| at <= until) {
+            assert_eq!(q.pop(), Some(pending.remove(0)));
+            let least = q.heads.iter().min().copied().unwrap_or(NO_HEAD);
+            assert_eq!(q.heads[q.min_lane], least, "min_lane {} busy {:016b}", q.min_lane, q.busy);
+            assert!(q.busy == 0 || q.busy >> q.min_lane & 1 == 1, "min_lane names a free lane");
+            for lane in 0..LANES {
+                assert_eq!(q.busy >> lane & 1 == 1, q.delays[lane] != FREE, "lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn pops_scan_the_busy_lanes_and_a_cleared_queue_starts_over() {
+        let (mut q, mut pending) = (EventQueue::new(), Vec::new());
+        // Five recurring delays claim lanes 0..5 in turn, each sighted
+        // once in the heap first; one-off delays go to the heap between.
+        let lane_time = |k: u64| SimTime::from_nanos(1_000 * (k + 1));
+        for k in 0..5 {
+            for r in 0..4 {
+                push(&mut q, &mut pending, lane_time(k));
+                push(&mut q, &mut pending, SimTime::from_nanos(1_000 * k + 100 * r + 7));
+            }
+        }
+        assert_eq!(q.busy, 0b1_1111);
+        // Draining through lane 3's time frees lanes 0..4: only the high
+        // lane stays busy, and the scan still finds it.
+        pop_checked(&mut q, &mut pending, lane_time(3));
+        assert_eq!((q.busy, q.min_lane), (0b1_0000, 4));
+        // A new recurring delay claims the lowest free lane, below it.
+        let at = q.last_pop + SimDuration::from_nanos(50);
+        (0..3).for_each(|_| push(&mut q, &mut pending, at));
+        assert_eq!(q.busy, 0b1_0001);
+        pop_checked(&mut q, &mut pending, lane_time(4));
+        assert!(q.is_empty() && pending.is_empty());
+        assert_eq!((q.busy, q.min_lane), (0, 0));
+        // Cleared with lanes busy, the queue claims from lane 0 again.
+        for k in 0..3 {
+            push(&mut q, &mut pending, lane_time(9 + k));
+            push(&mut q, &mut pending, lane_time(9 + k));
+        }
+        assert_eq!(q.busy, 0b111);
+        q.clear();
+        pending.clear();
+        assert!(q.is_empty());
+        assert_eq!((q.busy, q.min_lane), (0, 0));
+        let base = q.last_pop;
+        for k in 0..3 {
+            for r in 0..3 {
+                push(&mut q, &mut pending, base + SimDuration::from_nanos(500 * (3 - k)));
+                push(&mut q, &mut pending, base + SimDuration::from_nanos(40 * r + k));
+            }
+        }
+        assert_eq!(q.busy, 0b111);
+        pop_checked(&mut q, &mut pending, SimTime::from_nanos(u64::MAX));
+        assert!(q.is_empty() && pending.is_empty());
+        assert_eq!((q.busy, q.min_lane), (0, 0));
     }
 }

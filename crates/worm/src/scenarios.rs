@@ -24,8 +24,11 @@
 //!   routes through the attacker first), and each relayed request leaks
 //!   one client address plus the replica set the relay fetches.
 
+use std::ops::Range;
+
 use rand::Rng;
 
+use verme_chord::static_ring::FingerRule;
 use verme_chord::{Id, NodeHandle, StaticRing};
 use verme_core::{SectionLayout, VermeStaticRing};
 use verme_crypto::NodeType;
@@ -114,6 +117,11 @@ const NUM_SUCCESSORS: usize = 10;
 const NUM_PREDECESSORS: usize = 10;
 /// Replica addresses returned per harvested lookup (`n/2`; 3 here).
 const REPLICAS_PER_ANSWER: usize = 3;
+/// Populations smaller than this walk their fingers on the calling thread
+/// alone; larger ones split the walk over up to 8 cores. At 4 096 members
+/// the whole walk takes a few milliseconds, a thread start tens of
+/// microseconds.
+const PARALLEL_FLOOR: usize = 4_096;
 
 /// Population and timing configuration. Defaults are the paper's §7.3
 /// setup scaled down only in `nodes` (set it to 100 000 to reproduce the
@@ -315,13 +323,26 @@ pub struct Population {
 
 impl Population {
     /// Builds the population `cfg` describes (`nodes`, `sections`, list
-    /// lengths, `seed`) under `overlay`.
+    /// lengths, `seed`) under `overlay`. From 4 096 members on, the ring's
+    /// finger walk is split over `min(available_parallelism, 8)` threads;
+    /// the population is the same.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is structurally invalid (fewer than
     /// two nodes, non-power-of-two section count, ...).
     pub fn build(cfg: &ScenarioConfig, overlay: Overlay) -> Population {
+        let parts = if cfg.nodes < PARALLEL_FLOOR {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |cores| cores.get().min(8))
+        };
+        Population::build_in(cfg, overlay, parts)
+    }
+
+    /// [`build`](Population::build), walking the fingers in `parts`
+    /// contiguous ranges of members.
+    fn build_in(cfg: &ScenarioConfig, overlay: Overlay, parts: usize) -> Population {
         assert!(cfg.nodes > 1, "need a population");
         let _span = ProfScope::enter(Scope::WormBuild);
         let n = cfg.nodes;
@@ -329,7 +350,7 @@ impl Population {
             Overlay::Chord => {
                 let src = SeedSource::new(cfg.seed);
                 let ring = chord_ring(n, &mut src.stream("chord-ids"));
-                let targets = routing_targets(cfg, 1, ring.distinct_finger_lists());
+                let targets = routing_targets(&ring, 1, parts);
                 let mut vrng = src.stream("chord-vulnerable");
                 let vulnerable = (0..n).map(|_| vrng.gen::<bool>()).collect();
                 // Plain Chord has no native sections: contiguous id-order
@@ -343,13 +364,11 @@ impl Population {
                 let ring = VermeStaticRing::generate(layout, n, cfg.seed);
                 // The ablated piece: fingers resolved the plain Chord way
                 // over the same membership.
-                let plain = (overlay == Overlay::VermeUnshifted)
-                    .then(|| StaticRing::new(ring.nodes().to_vec()));
-                let targets = match &plain {
-                    Some(plain) => {
-                        routing_targets(cfg, NUM_PREDECESSORS, plain.distinct_finger_lists())
-                    }
-                    None => routing_targets(cfg, NUM_PREDECESSORS, ring.distinct_finger_lists()),
+                let targets = if overlay == Overlay::VermeUnshifted {
+                    let plain = StaticRing::new(ring.nodes().to_vec());
+                    routing_targets(&plain, NUM_PREDECESSORS, parts)
+                } else {
+                    routing_targets(&ring, NUM_PREDECESSORS, parts)
                 };
                 // One shared platform: exactly the type-A nodes.
                 let vulnerable = (0..n).map(|i| ring.type_of_index(i) == NodeType::A).collect();
@@ -384,29 +403,76 @@ fn chord_ring(n: usize, rng: &mut impl Rng) -> StaticRing {
 }
 
 /// Every host's target list on a converged ring: its successor list,
-/// then `preds` predecessors, then its distinct fingers (`fingers` yields
-/// each member's, in ring order), each address once, in that order.
-fn routing_targets(
-    cfg: &ScenarioConfig,
+/// then `preds` predecessors, then its distinct fingers, each address
+/// once, in that order.
+///
+/// The fingers are walked in `parts` contiguous ranges of members: the
+/// first on the calling thread, each other one on a scoped thread of its
+/// own. A worker allocates nothing (glibc would give each allocating thread
+/// an arena of its own, which stays resident): it appends into buffers
+/// sized on the calling thread to the ring's bound for its range, about
+/// `log2 n` fingers a member. The calling thread builds the lists, in
+/// member order: the first range's while the workers walk, the others'
+/// after the join, freeing each range's buffers once read.
+fn routing_targets<F: FingerRule + Sync>(
+    ring: &StaticRing<F>,
     preds: usize,
-    fingers: impl Iterator<Item = Vec<usize>>,
+    parts: usize,
 ) -> Vec<Vec<u32>> {
-    let n = cfg.nodes;
+    let n = ring.len();
+    let mut walked: Vec<Walked> = (0..parts)
+        .map(|k| {
+            let members = k * n / parts..(k + 1) * n / parts;
+            let fingers = Vec::with_capacity(ring.distinct_fingers_bound(members.clone()));
+            Walked { lens: Vec::with_capacity(members.len()), members, fingers }
+        })
+        .collect();
+    let walk = |part: &mut Walked| {
+        let lens = &mut part.lens;
+        ring.distinct_fingers_in(part.members.clone(), &mut part.fingers, |_, list| {
+            lens.push(list.len() as u8)
+        });
+    };
     let (succs, preds) = (NUM_SUCCESSORS.min(n - 1), preds.min(n - 1));
     let mut targets: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for (i, fingers) in fingers.enumerate() {
-        // By clockwise offset from `i`: successors hold `1..=succs`,
-        // predecessors `n - preds..n`; an entry is new unless a list
-        // before it already holds its offset.
-        let at = |offset: usize| ((i + offset) % n) as u32;
-        let mut list: Vec<u32> = Vec::with_capacity(succs + preds + fingers.len());
-        list.extend((1..=succs).map(at));
-        list.extend((1..=preds).map(|d| n - d).filter(|&o| o > succs).map(at));
-        let fresh = |&o: &usize| o > succs && o < n - preds;
-        list.extend(fingers.into_iter().map(|j| (j + n - i) % n).filter(fresh).map(at));
-        targets.push(list);
-    }
+    let mut read = |part: Walked| {
+        let mut rest = part.fingers.as_slice();
+        for (i, len) in part.members.zip(part.lens) {
+            let (fingers, tail) = rest.split_at(usize::from(len));
+            rest = tail;
+            // By clockwise offset from `i`: successors hold `1..=succs`,
+            // predecessors `n - preds..n`; an entry is new unless a list
+            // before it already holds its offset. Offsets and positions are
+            // below `n`, so one subtraction wraps them.
+            let wrap = |x: usize| if x < n { x } else { x - n };
+            let at = |offset: usize| wrap(i + offset) as u32;
+            let mut list: Vec<u32> = Vec::with_capacity(succs + preds + fingers.len());
+            list.extend((1..=succs).map(at));
+            list.extend((1..=preds).map(|d| n - d).filter(|&o| o > succs).map(at));
+            let fresh = |&o: &usize| o > succs && o < n - preds;
+            list.extend(fingers.iter().map(|&j| wrap(j as usize + n - i)).filter(fresh).map(at));
+            targets.push(list);
+        }
+    };
+    let (first, others) = walked.split_first_mut().expect("at least one part");
+    std::thread::scope(|s| {
+        for part in others {
+            s.spawn(move || walk(part));
+        }
+        walk(first);
+        read(std::mem::take(first));
+    });
+    walked.into_iter().skip(1).for_each(read);
     targets
+}
+
+/// One range of members and its walked fingers: each member's distinct
+/// fingers back to back, and how many each has (at most [`Id::BITS`]).
+#[derive(Default)]
+struct Walked {
+    members: Range<usize>,
+    fingers: Vec<u32>,
+    lens: Vec<u8>,
 }
 
 /// The §6.2 unstructured swarm: a tracker assigns every peer its
@@ -752,15 +818,24 @@ mod tests {
             seed: u64,
         ) {
             let cfg = ScenarioConfig { nodes, sections, seed, ..ScenarioConfig::default() };
-            let chord = Population::build(&cfg, Overlay::Chord);
-            prop_assert_eq!(&chord.hosts.targets, &reference_chord_targets(&cfg));
-            let verme = Population::build(&cfg, Overlay::Verme);
-            prop_assert_eq!(&verme.hosts.targets, &reference_verme_targets(&cfg, false));
-            let ablated = Population::build(&cfg, Overlay::VermeUnshifted);
-            prop_assert_eq!(&ablated.hosts.targets, &reference_verme_targets(&cfg, true));
-            // Same membership, same victims, same section map.
-            prop_assert_eq!(&ablated.hosts.vulnerable, &verme.hosts.vulnerable);
-            prop_assert_eq!(&ablated.hosts.sections, &verme.hosts.sections);
+            let want = [
+                reference_chord_targets(&cfg),
+                reference_verme_targets(&cfg, false),
+                reference_verme_targets(&cfg, true),
+            ];
+            // The finger walk split into 1 to 7 ranges, on as many
+            // threads, whatever the cores and the parallel floor.
+            for parts in [1, 2, 3, 7] {
+                let chord = Population::build_in(&cfg, Overlay::Chord, parts);
+                prop_assert_eq!(&chord.hosts.targets, &want[0], "{} parts", parts);
+                let verme = Population::build_in(&cfg, Overlay::Verme, parts);
+                prop_assert_eq!(&verme.hosts.targets, &want[1], "{} parts", parts);
+                let ablated = Population::build_in(&cfg, Overlay::VermeUnshifted, parts);
+                prop_assert_eq!(&ablated.hosts.targets, &want[2], "{} parts", parts);
+                // Same membership, same victims, same section map.
+                prop_assert_eq!(&ablated.hosts.vulnerable, &verme.hosts.vulnerable);
+                prop_assert_eq!(&ablated.hosts.sections, &verme.hosts.sections);
+            }
         }
     }
 
