@@ -11,12 +11,22 @@
 use std::fmt::Display;
 use std::str::{FromStr, SplitWhitespace};
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
-use verme_sim::{HostId, LatencyModel, SeedSource, SimDuration};
+use verme_sim::{split_parts, HostId, LatencyModel, SeedSource, SimDuration};
 
 /// Default average round-trip time of the King data set, in milliseconds.
 pub const KING_MEAN_RTT_MS: f64 = 198.0;
+
+/// Matrices with fewer pairs than this are drawn on the calling thread
+/// alone; larger ones split the draw as [`split_parts`] says. 64 Ki pairs
+/// take about 1.6 ms, a thread start tens of microseconds.
+const PARALLEL_FLOOR: usize = 1 << 16;
+
+/// Distinct pairs among `n` hosts: the packed upper triangle's length.
+fn pairs(n: usize) -> usize {
+    n * (n - 1) / 2
+}
 
 /// A symmetric pairwise-RTT latency model.
 ///
@@ -53,27 +63,61 @@ impl KingMatrix {
     /// median/mean ratio (~0.84) and a p90/mean ratio (~1.8) consistent
     /// with published King-measurement statistics.
     ///
+    /// From 64 Ki pairs on, the pairs are drawn in [`split_parts`]
+    /// contiguous ranges on as many threads; the matrix is the same on any
+    /// core count.
+    ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `mean_rtt_ms` is not positive and finite.
     pub fn synthetic(n: usize, mean_rtt_ms: f64, seed: u64) -> Self {
         assert!(n > 0, "need at least one host");
         assert!(mean_rtt_ms.is_finite() && mean_rtt_ms > 0.0, "mean RTT must be positive");
+        KingMatrix::synthetic_in(n, mean_rtt_ms, seed, split_parts(pairs(n), PARALLEL_FLOOR))
+    }
+
+    /// [`synthetic`](KingMatrix::synthetic), drawing the packed upper
+    /// triangle in at most `parts` contiguous ranges: the first on the
+    /// calling thread, each other one on a scoped thread of its own, into
+    /// its own slice of the one table. The pairs are the one
+    /// `"king-matrix"` stream's, two draws each in pair order, so a range's
+    /// generator is that stream stepped past the two draws of every pair
+    /// before it (a step costs about a nanosecond, a pair's draw about 25).
+    /// A worker allocates nothing: glibc would give an allocating thread an
+    /// arena of its own, which stays resident.
+    fn synthetic_in(n: usize, mean_rtt_ms: f64, seed: u64, parts: usize) -> Self {
         const SIGMA: f64 = 0.6;
         // For LogNormal(mu, sigma), mean = exp(mu + sigma^2/2).
         let mu = mean_rtt_ms.ln() - SIGMA * SIGMA / 2.0;
-        let mut rng = SeedSource::new(seed).stream("king-matrix");
-        let len = n * (n - 1) / 2;
-        let mut rtt_ms = Vec::with_capacity(len);
-        for _ in 0..len {
-            // Box-Muller standard normal.
-            let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-            let u2: f64 = rng.gen();
-            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            let rtt = (mu + SIGMA * z).exp();
-            // Clamp to a sane range: 1 ms .. 2 s.
-            rtt_ms.push(rtt.clamp(1.0, 2000.0) as f32);
-        }
+        let stream = SeedSource::new(seed).stream("king-matrix");
+        let fill = |first_pair: usize, out: &mut [f32]| {
+            let mut rng = stream.clone();
+            for _ in 0..2 * first_pair {
+                rng.next_u64();
+            }
+            for rtt_ms in out {
+                // Box-Muller standard normal.
+                let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+                let u2: f64 = rng.gen();
+                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                let rtt = (mu + SIGMA * z).exp();
+                // Clamp to a sane range: 1 ms .. 2 s.
+                *rtt_ms = rtt.clamp(1.0, 2000.0) as f32;
+            }
+        };
+        let fill = &fill;
+        let mut rtt_ms = vec![0.0; pairs(n)];
+        let range_len = rtt_ms.len().div_ceil(parts).max(1);
+        std::thread::scope(|s| {
+            let mut ranges = rtt_ms.chunks_mut(range_len).enumerate();
+            let first = ranges.next();
+            for (k, range) in ranges {
+                s.spawn(move || fill(k * range_len, range));
+            }
+            if let Some((_, range)) = first {
+                fill(0, range);
+            }
+        });
         KingMatrix { n, rtt_ms }
     }
 
@@ -85,8 +129,9 @@ impl KingMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `rtts` is empty, not square, or contains a non-positive or
-    /// non-finite entry in its upper triangle.
+    /// Panics if `rtts` is empty, not square, or has an entry in its upper
+    /// triangle that is not positive once stored as an `f32` or whose
+    /// one-way delay no [`SimDuration`] represents.
     #[allow(clippy::needless_range_loop)] // (i, j) pairs read clearest as indices
     pub fn from_rtt_millis(rtts: &[Vec<f64>]) -> Self {
         let n = rtts.len();
@@ -96,7 +141,7 @@ impl KingMatrix {
         for i in 0..n {
             for j in (i + 1)..n {
                 let v = rtts[i][j];
-                assert!(v.is_finite() && v > 0.0, "invalid RTT at ({i},{j}): {v}");
+                assert!(storable_rtt(v), "invalid RTT at ({i},{j}): {v}");
                 rtt_ms.push(v as f32);
             }
         }
@@ -145,8 +190,10 @@ impl KingMatrix {
     /// # Errors
     ///
     /// Returns a message describing the first malformed line (an index that
-    /// is not a non-negative integer, a bad rtt), an out-of-range index, a
-    /// host paired with itself, or an empty input.
+    /// is not a non-negative integer, an rtt that is not a number), an
+    /// rtt [`from_rtt_millis`](KingMatrix::from_rtt_millis) would reject,
+    /// an out-of-range index, a host paired with itself, or an empty
+    /// input.
     #[allow(clippy::needless_range_loop)] // (i, j) pairs read clearest as indices
     pub fn parse_pairs(text: &str, hosts: usize) -> Result<Self, String> {
         if hosts == 0 {
@@ -169,7 +216,7 @@ impl KingMatrix {
             if i == j {
                 return Err(format!("line {lineno}: host {i} paired with itself"));
             }
-            if !(rtt.is_finite() && rtt > 0.0) {
+            if !storable_rtt(rtt) {
                 return Err(format!("line {lineno}: invalid rtt {rtt}"));
             }
             rtts[i][j] = rtt;
@@ -215,9 +262,22 @@ where
     p.parse().map_err(|e| format!("line {lineno}: bad {what} {p:?}: {e}"))
 }
 
+/// The one-way delay, in seconds, of a round trip of `rtt_ms`.
+fn one_way_secs(rtt_ms: f64) -> f64 {
+    rtt_ms / 2.0 / 1e3
+}
+
+/// Whether the table can hold `rtt_ms`: positive once stored as an `f32`
+/// (`1e-50` is not) and with a one-way delay a [`SimDuration`] can
+/// represent (neither `1e30` nor `1e39`, an `f32` infinity, has one).
+fn storable_rtt(rtt_ms: f64) -> bool {
+    let stored = f64::from(rtt_ms as f32);
+    stored > 0.0 && SimDuration::checked_from_secs_f64(one_way_secs(stored)).is_some()
+}
+
 impl LatencyModel for KingMatrix {
     fn delay(&mut self, from: HostId, to: HostId, _bytes: usize) -> SimDuration {
-        SimDuration::from_secs_f64(self.rtt_ms(from, to) / 2.0 / 1e3)
+        SimDuration::from_secs_f64(one_way_secs(self.rtt_ms(from, to)))
     }
 
     fn num_hosts(&self) -> usize {
@@ -228,6 +288,7 @@ impl LatencyModel for KingMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn synthetic_mean_matches_target() {
@@ -312,6 +373,14 @@ mod tests {
         let err = KingMatrix::parse_pairs("0 1 10\n# self\n0 0 1000\n", 3).unwrap_err();
         assert_eq!(err, "line 3: host 0 paired with itself");
         assert!(KingMatrix::parse_pairs("0 1", 2).unwrap_err().contains("line 1: missing rtt"));
+        // An rtt that parses but that the table cannot hold: an f32
+        // infinity, a one-way delay past any SimDuration, an f32 zero.
+        let err = KingMatrix::parse_pairs("0 1 10\n0 2 1e39\n", 3).unwrap_err();
+        assert_eq!(err, "line 2: invalid rtt 1000000000000000000000000000000000000000");
+        let err = KingMatrix::parse_pairs("0 1 1e30", 2).unwrap_err();
+        assert_eq!(err, "line 1: invalid rtt 1000000000000000000000000000000");
+        let err = KingMatrix::parse_pairs("0 1 1e-50", 2).unwrap_err();
+        assert!(err.starts_with("line 1: invalid rtt 0.000"), "{err}");
     }
 
     #[test]
@@ -326,6 +395,58 @@ mod tests {
         let m = KingMatrix::parse_pairs("0 1 10\n0 2 40\n1 0 20\n", 4).unwrap();
         assert_eq!(m.rtt_ms(HostId(0), HostId(1)), 20.0);
         assert_eq!(m.rtt_ms(HostId(3), HostId(1)), 30.0);
+    }
+
+    /// FNV-1a over the little-endian bytes of every stored RTT's bits.
+    fn digest(m: &KingMatrix) -> u64 {
+        m.rtt_ms
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
+    /// Every stored RTT's bits, in table order.
+    fn bits(m: &KingMatrix) -> Vec<u32> {
+        m.rtt_ms.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn split_draw_equals_the_one_range_draw(
+            n in 1usize..=700,
+            seed in prop::sample::select(vec![0u64, 1, 42, 913, u64::MAX]),
+            parts in 1usize..=8,
+        ) {
+            let whole = bits(&KingMatrix::synthetic_in(n, KING_MEAN_RTT_MS, seed, 1));
+            let split = KingMatrix::synthetic_in(n, KING_MEAN_RTT_MS, seed, parts);
+            prop_assert_eq!(&bits(&split), &whole, "{} parts", parts);
+            // From 363 hosts on the triangle passes the parallel floor and
+            // `synthetic` splits it over this machine's cores.
+            let public = KingMatrix::synthetic(n, KING_MEAN_RTT_MS, seed);
+            prop_assert_eq!(&bits(&public), &whole, "split_parts");
+        }
+    }
+
+    #[test]
+    fn fig5_matrix_digest_is_pinned() {
+        let m = KingMatrix::synthetic(1740, KING_MEAN_RTT_MS, 42);
+        assert_eq!(digest(&m), 0x849C_FCFB_81B1_B081);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid RTT at (0,1)")]
+    fn rejects_an_rtt_past_any_delay() {
+        let _ = KingMatrix::from_rtt_millis(&[vec![0.0, 1e30], vec![1e30, 0.0]]);
+    }
+
+    #[test]
+    fn rtts_up_to_the_longest_delay_are_stored() {
+        // u64::MAX ns is about 1.8e10 s one way: a 3.69e13 ms round trip.
+        let mut m = KingMatrix::from_rtt_millis(&[vec![0.0, 3.6e13], vec![0.0, 0.0]]);
+        assert!(m.delay(HostId(0), HostId(1), 0) > SimDuration::from_hours(24 * 365 * 500));
+        assert!(!storable_rtt(3.7e13));
     }
 
     #[test]

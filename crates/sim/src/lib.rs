@@ -30,6 +30,8 @@
 //!   [`FlightRecorder`] ring buffer.
 //! * [`config`] — the [`InvalidConfig`] error shared by every crate's
 //!   configuration validators.
+//! * [`split`] — [`split_parts`], how many scoped threads a large
+//!   construction step (the King matrix, a worm population) splits over.
 //!
 //! Determinism is a hard requirement: given the same seed, a simulation
 //! produces the same event trace, which makes every experiment in the
@@ -60,6 +62,7 @@ pub mod metrics;
 pub mod profile;
 pub mod rng;
 pub mod runtime;
+pub mod split;
 pub mod time;
 pub mod trace;
 
@@ -76,5 +79,6 @@ pub use runtime::{
     Addr, AssertorVerdict, Ctx, HostId, LatencyModel, NetConditions, NetStats, Node, Runtime,
     SampleView, StepAssertor, Wire,
 };
+pub use split::split_parts;
 pub use time::{SimDuration, SimTime};
 pub use trace::{tee, CauseId, FlightRecorder, ProtoEvent, TraceEvent, TraceKind, Tracer};

@@ -121,11 +121,14 @@ impl SimDuration {
     ///
     /// Panics if `secs` is negative, NaN, or too large to represent.
     pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0 && secs <= u64::MAX as f64 / 1e9,
-            "invalid duration: {secs} s"
-        );
-        SimDuration((secs * 1e9).round() as u64)
+        Self::checked_from_secs_f64(secs).unwrap_or_else(|| panic!("invalid duration: {secs} s"))
+    }
+
+    /// [`from_secs_f64`](SimDuration::from_secs_f64), or `None` where it
+    /// would panic: `secs` negative, NaN, or too large to represent.
+    pub fn checked_from_secs_f64(secs: f64) -> Option<Self> {
+        (secs.is_finite() && secs >= 0.0 && secs <= u64::MAX as f64 / 1e9)
+            .then(|| SimDuration((secs * 1e9).round() as u64))
     }
 
     /// Duration in whole nanoseconds.

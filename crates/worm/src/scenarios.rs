@@ -32,7 +32,9 @@ use verme_chord::static_ring::FingerRule;
 use verme_chord::{Id, NodeHandle, StaticRing};
 use verme_core::{SectionLayout, VermeStaticRing};
 use verme_crypto::NodeType;
-use verme_sim::{Addr, ProfScope, Scope, SeedSource, SimDuration, SimTime, TimeSeries};
+use verme_sim::{
+    split_parts, Addr, ProfScope, Scope, SeedSource, SimDuration, SimTime, TimeSeries,
+};
 
 use verme_obs::Monitor;
 use verme_sim::FlightRecorder;
@@ -118,7 +120,7 @@ const NUM_PREDECESSORS: usize = 10;
 /// Replica addresses returned per harvested lookup (`n/2`; 3 here).
 const REPLICAS_PER_ANSWER: usize = 3;
 /// Populations smaller than this walk their fingers on the calling thread
-/// alone; larger ones split the walk over up to 8 cores. At 4 096 members
+/// alone; larger ones split the walk as [`split_parts`] says. At 4 096 members
 /// the whole walk takes a few milliseconds, a thread start tens of
 /// microseconds.
 const PARALLEL_FLOOR: usize = 4_096;
@@ -324,20 +326,15 @@ pub struct Population {
 impl Population {
     /// Builds the population `cfg` describes (`nodes`, `sections`, list
     /// lengths, `seed`) under `overlay`. From 4 096 members on, the ring's
-    /// finger walk is split over `min(available_parallelism, 8)` threads;
-    /// the population is the same.
+    /// finger walk is split over [`split_parts`] threads; the population is
+    /// the same.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is structurally invalid (fewer than
     /// two nodes, non-power-of-two section count, ...).
     pub fn build(cfg: &ScenarioConfig, overlay: Overlay) -> Population {
-        let parts = if cfg.nodes < PARALLEL_FLOOR {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |cores| cores.get().min(8))
-        };
-        Population::build_in(cfg, overlay, parts)
+        Population::build_in(cfg, overlay, split_parts(cfg.nodes, PARALLEL_FLOOR))
     }
 
     /// [`build`](Population::build), walking the fingers in `parts`
