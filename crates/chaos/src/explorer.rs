@@ -158,13 +158,9 @@ mod tests {
         let profile = ChaosProfile::ring(48, 3);
         let schedule = sample_plan(&profile, trial_seed(42, 0));
         let debug = format!("{schedule:?}");
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in debug.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
         assert_eq!(
-            h, 16083904456996812034,
+            verme_sim::rng::fnv1a(debug.as_bytes()),
+            16083904456996812034,
             "golden chaos schedule drifted; if the envelope change is \
              intentional, update the pinned fingerprint (schedule: {debug})"
         );

@@ -14,6 +14,7 @@
 
 use verme_obs::json::{self, Json};
 use verme_sim::fault::Fault;
+use verme_sim::rng::fnv1a;
 use verme_sim::{HostId, Recovery, SimDuration, SimTime};
 
 use verme_chord::MaintenanceMode;
@@ -50,9 +51,9 @@ impl Repro {
         self.replay() == self.report
     }
 
-    /// Canonical file name: `CHAOS_repro_<fnv1a64 of the text>.json`.
+    /// Canonical file name: `CHAOS_repro_<64-bit FNV-1a of the text>.json`.
     pub fn file_name(&self) -> String {
-        format!("CHAOS_repro_{:016x}.json", fnv1a64(self.to_json().as_bytes()))
+        format!("CHAOS_repro_{:016x}.json", fnv1a(self.to_json().as_bytes()))
     }
 
     /// Serializes to the repro dialect (compact, canonical member order).
@@ -91,16 +92,6 @@ impl Repro {
         let report = report_from_json(v.get("report").ok_or("missing report")?)?;
         Ok(Repro { scenario, seed, schedule, report })
     }
-}
-
-/// 64-bit FNV-1a: tiny, stable, good enough for file-name uniqueness.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn scenario_to_json(s: &Scenario) -> Json {

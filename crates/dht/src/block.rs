@@ -38,6 +38,19 @@ use verme_chord::Id;
 /// the repository dependency-free). The function is a 128-bit FNV-1a
 /// variant finished with two SplitMix64 mixes.
 ///
+/// # Zero runs in closed form
+///
+/// An FNV-1a step is `h ← (h ⊕ b)·P mod 2¹²⁸`. For `b = 0` the XOR is the
+/// identity, so a run of `k` zero bytes is `h ← h·Pᵏ`, and `Pᵏ` is the
+/// product of the table entries `P^(2^j)` at the set bits of `k`. That is
+/// exact, not an approximation: multiplication mod 2¹²⁸ is associative,
+/// so regrouping the `k` multiplies by `P` changes no bit of `h`. The
+/// scan looks at 64-byte chunks; a run of all-zero chunks costs one
+/// multiply per set bit of its length, every other byte takes the
+/// per-byte step. An 8 KB block of an 8-byte tag and zero fill, what the
+/// harnesses store, takes 64 byte steps and seven multiplies instead of
+/// 8 192 byte steps.
+///
 /// # Example
 ///
 /// ```
@@ -54,16 +67,65 @@ pub fn block_key(value: &Bytes) -> Id {
     #[cfg(test)]
     CONTENT_HASHES.with(|n| n.set(n.get() + 1));
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
     let mut h = OFFSET;
-    for &b in value.iter() {
-        h ^= b as u128;
-        h = h.wrapping_mul(PRIME);
+    let mut chunks = value.chunks_exact(64);
+    // Zero bytes seen but not yet folded into `h`.
+    let mut zeros = 0usize;
+    for chunk in &mut chunks {
+        if is_zero(chunk) {
+            zeros += chunk.len();
+        } else {
+            h = fnv_zeros(h, zeros);
+            zeros = 0;
+            h = fnv_bytes(h, chunk);
+        }
     }
+    h = fnv_bytes(fnv_zeros(h, zeros), chunks.remainder());
     // Finish with SplitMix64 on both halves for avalanche.
     let lo = mix(h as u64);
     let hi = mix((h >> 64) as u64 ^ lo);
     Id::new(((hi as u128) << 64) | lo as u128)
+}
+
+/// The 128-bit FNV prime.
+const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+
+/// `PRIME^(2^j) mod 2¹²⁸` at index `j`, for every bit of a `usize`.
+const PRIME_POW2: [u128; usize::BITS as usize] = {
+    let mut t = [PRIME; usize::BITS as usize];
+    let mut j = 1;
+    while j < t.len() {
+        t[j] = t[j - 1].wrapping_mul(t[j - 1]);
+        j += 1;
+    }
+    t
+};
+
+/// The FNV-1a step over every byte of `bytes`.
+fn fnv_bytes(mut h: u128, bytes: &[u8]) -> u128 {
+    for &b in bytes {
+        h ^= b as u128;
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// The FNV-1a step over `k` zero bytes: `h·PRIMEᵏ`, one multiply per set
+/// bit of `k`.
+fn fnv_zeros(mut h: u128, mut k: usize) -> u128 {
+    while k != 0 {
+        h = h.wrapping_mul(PRIME_POW2[k.trailing_zeros() as usize]);
+        k &= k - 1;
+    }
+    h
+}
+
+/// True if the 64 bytes of `chunk` are all zero, read as eight OR-ed words.
+fn is_zero(chunk: &[u8]) -> bool {
+    chunk
+        .chunks_exact(8)
+        .fold(0u64, |acc, w| acc | u64::from_ne_bytes(w.try_into().expect("8-byte word")))
+        == 0
 }
 
 fn mix(mut z: u64) -> u64 {
@@ -71,13 +133,6 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Verifies that `value` hashes to `key` (the self-verification check a
-/// client performs before accepting a `get` result). Hashes `value`; code
-/// holding a [`Block`] asks [`Block::verifies`] instead.
-pub fn verify_block(key: Id, value: &Bytes) -> bool {
-    block_key(value) == key
 }
 
 #[cfg(test)]
@@ -231,8 +286,8 @@ mod tests {
     fn verification_accepts_genuine_rejects_substituted() {
         let v = Bytes::from_static(b"genuine");
         let key = block_key(&v);
-        assert!(verify_block(key, &v));
-        assert!(!verify_block(key, &Bytes::from_static(b"forged!")));
+        assert_eq!(block_key(&v), key);
+        assert_ne!(block_key(&Bytes::from_static(b"forged!")), key);
     }
 
     #[test]
@@ -280,6 +335,7 @@ mod tests {
     #[test]
     fn empty_block_hashes() {
         let k = block_key(&Bytes::new());
-        assert!(verify_block(k, &Bytes::new()));
+        assert_eq!(block_key(&Bytes::new()), k);
+        assert_ne!(block_key(&Bytes::from_static(&[0])), k, "a zero byte is a byte");
     }
 }

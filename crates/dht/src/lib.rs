@@ -33,7 +33,7 @@ pub mod serving;
 pub mod verme;
 
 pub use api::{keys, DhtConfig, DhtNode, OpKind, OpOutcome};
-pub use block::{block_key, verify_block, Block, BlockStore};
+pub use block::{block_key, Block, BlockStore};
 pub use compromise::{Compromise, CompromiseVerDiNode, ObservedClient};
 pub use dhash::{Dhash, DhashNode};
 pub use engine::{DhtEngine, DhtMsg, DhtTimer, Placement, Variant};

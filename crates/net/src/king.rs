@@ -399,12 +399,8 @@ mod tests {
 
     /// FNV-1a over the little-endian bytes of every stored RTT's bits.
     fn digest(m: &KingMatrix) -> u64 {
-        m.rtt_ms
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
+        let bytes: Vec<u8> = m.rtt_ms.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        verme_sim::rng::fnv1a(&bytes)
     }
 
     /// Every stored RTT's bits, in table order.

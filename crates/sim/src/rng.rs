@@ -72,8 +72,19 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a byte string (for label-based stream derivation).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a hash of a byte string: label-based stream derivation
+/// here, and wherever else a tiny, stable, dependency-free digest will do
+/// (repro file names, pinned test fingerprints).
+///
+/// # Example
+///
+/// ```
+/// use verme_sim::rng::fnv1a;
+///
+/// assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+/// assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
